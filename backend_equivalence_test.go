@@ -70,7 +70,7 @@ func TestBackendsBitIdenticalAcrossEngines(t *testing.T) {
 				if ref.Backend != mbrim.BackendDense {
 					t.Fatalf("outcome reports backend %q, want dense", ref.Backend)
 				}
-				for _, backend := range []string{mbrim.BackendCSR, mbrim.BackendBlocked} {
+				for _, backend := range []string{mbrim.BackendCSR} {
 					got := solveOn(t, kind, m, backend)
 					if got.Backend != backend {
 						t.Fatalf("outcome reports backend %q, want %q", got.Backend, backend)

@@ -54,7 +54,7 @@ func main() {
 	coordinated := flag.Bool("coordinated", false, "coordinate induced flips via synchronized PRNGs")
 	bandwidth := flag.Float64("bandwidth", 0, "channel bandwidth, bytes/ns (0 = unlimited)")
 	capacity := flag.Int("cap", 500, "machine capacity for d&c engines")
-	backend := flag.String("backend", "auto", "coupling backend: auto, dense, csr or blocked (bit-identical; auto picks by density)")
+	backend := flag.String("backend", "auto", "coupling backend: auto, dense or csr (bit-identical; auto picks by density)")
 	printSpins := flag.Bool("spins", false, "print the solution spin vector")
 	jsonOut := flag.Bool("json", false, "emit the outcome as JSON instead of text")
 	traceFile := flag.String("trace", "", "write the run's event stream to this file as JSON Lines")

@@ -91,6 +91,9 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		"negative time":  corrupt(func(s *State) { s.T = -1 }),
 		"nan horizon":    corrupt(func(s *State) { s.Horizon = math.NaN() }),
 		"negative flips": corrupt(func(s *State) { s.Flips = -1 }),
+		// Either would wedge the advance loop rather than fail it.
+		"unresolvable t": corrupt(func(s *State) { s.T, s.NextFlip = 6.6e15, 6.6e15+2 }),
+		"stale nextFlip": corrupt(func(s *State) { s.NextFlip = s.T - 1 }),
 	}
 	for name, st := range cases {
 		fresh := New(m, Config{Seed: 3})

@@ -852,16 +852,9 @@ func (co *Coordinator) interruptCheckpoint() ([]byte, error) {
 		BitChanges:        ck.bitChanges,
 		InducedBitChanges: ck.inducedBitChanges,
 		Trace:             append([]metrics.Point(nil), ck.trace...),
-		Chips:             make([]multichip.ChipState, len(ck.states)),
-		ReceiverBelief:    make([][]int8, len(ck.states)),
-		InduceRNG:         make([][4]uint64, len(ck.states)),
 		Fabric:            ck.fabric,
 	}
-	for i, st := range ck.states {
-		mck.Chips[i] = st.State
-		mck.ReceiverBelief[i] = st.Belief
-		mck.InduceRNG[i] = st.InduceRNG
-	}
+	mck.SetSlices(ck.states)
 	return checkpoint.Encode(&checkpoint.File{
 		Engine:    "mbrim", // core.MBRIMConcurrent
 		Seed:      co.cfg.Seed,

@@ -76,9 +76,8 @@ type Request struct {
 	Seed uint64
 	// Backend selects the coupling-matrix layout the engines' hot loops
 	// iterate: "auto" (default — dense unless the model's measured
-	// density is at most 5%), "dense", "csr" or "blocked". Every
-	// backend is bit-identical for a fixed seed; the choice only moves
-	// host time. Engines without a coupling hot loop (tabu, pt) ignore
+	// density is at most 5%), "dense" or "csr". Every backend is
+	// bit-identical for a fixed seed; the choice only moves host time. Engines without a coupling hot loop (tabu, pt) ignore
 	// it. The resolved choice is reported in Outcome.Backend.
 	Backend string
 	// backend is Backend parsed and resolved against the model density
@@ -217,8 +216,7 @@ func (r *Request) withDefaults() (Request, error) {
 type Outcome struct {
 	Kind Kind
 	// Backend is the resolved coupling backend the solve ran on
-	// ("dense", "csr" or "blocked") — "auto" requests report what auto
-	// picked.
+	// ("dense" or "csr") — "auto" requests report what auto picked.
 	Backend string
 	Spins   []int8
 	Energy  float64

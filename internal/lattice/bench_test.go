@@ -116,22 +116,3 @@ func BenchmarkSparseFields(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkBlockedMatVec compares the plain dense matvec against the
-// blocked alias at a size whose input vector spills L1. Since the
-// cache-blocked walk was retired (it measured ~11% slower than dense;
-// see blocked.go) both columns should read the same — the benchmark
-// stays to keep that regression history visible in CI.
-func BenchmarkBlockedMatVec(b *testing.B) {
-	for _, n := range []int{1024, 4096} {
-		s := newBenchSetup(n, 1)
-		for _, kind := range []Kind{Dense, Blocked} {
-			c := FromDense(n, s.data, kind, 0)
-			b.Run(fmt.Sprintf("%s/n=%d", kind, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					MatVec(c, s.v, nil, s.out, 1)
-				}
-			})
-		}
-	}
-}

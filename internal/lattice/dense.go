@@ -24,8 +24,6 @@ func FromDense(n int, data []float64, kind Kind, div float64) Coupling {
 	switch Resolve(kind, n, nnz) {
 	case CSR:
 		return csrFromDense(n, data, div)
-	case Blocked:
-		return &blocked{dense{n: n, data: scaleDense(data, div), nnz: nnz}}
 	default:
 		return &dense{n: n, data: scaleDense(data, div), nnz: nnz}
 	}

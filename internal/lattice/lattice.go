@@ -12,10 +12,6 @@
 //   - CSR: compressed sparse rows with ascending column order — right
 //     for Gset-scale instances at a few percent density, where the
 //     dense loops spend almost all their time scanning zeros.
-//   - Blocked: deprecated alias for Dense, kept for request
-//     compatibility. The cache-blocked walk it named was retired
-//     after benchmarking showed it consistently slower than the plain
-//     dense pass (see blocked.go for the post-mortem).
 //
 // Auto resolves to CSR when the measured density is at most
 // AutoCSRDensity, else Dense.
@@ -51,7 +47,6 @@ const (
 	Auto Kind = iota
 	Dense
 	CSR
-	Blocked
 )
 
 // String names the kind as ParseKind accepts it.
@@ -63,8 +58,6 @@ func (k Kind) String() string {
 		return "dense"
 	case CSR:
 		return "csr"
-	case Blocked:
-		return "blocked"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -79,10 +72,8 @@ func ParseKind(s string) (Kind, error) {
 		return Dense, nil
 	case "csr":
 		return CSR, nil
-	case "blocked":
-		return Blocked, nil
 	}
-	return Auto, fmt.Errorf("lattice: unknown backend %q (have auto, dense, csr, blocked)", s)
+	return Auto, fmt.Errorf("lattice: unknown backend %q (have auto, dense, csr)", s)
 }
 
 // AutoCSRDensity is the density at or below which Auto picks CSR: at

@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mbrim/internal/rng"
@@ -37,16 +38,15 @@ func randSpins(n int, seed uint64) []int8 {
 func allBackends(t *testing.T, n int, data []float64, div float64) map[Kind]Coupling {
 	t.Helper()
 	return map[Kind]Coupling{
-		Dense:   FromDense(n, data, Dense, div),
-		CSR:     FromDense(n, data, CSR, div),
-		Blocked: FromDense(n, data, Blocked, div),
+		Dense: FromDense(n, data, Dense, div),
+		CSR:   FromDense(n, data, CSR, div),
 	}
 }
 
 func TestParseKind(t *testing.T) {
 	cases := map[string]Kind{
 		"": Auto, "auto": Auto, "AUTO": Auto, " dense ": Dense,
-		"csr": CSR, "Blocked": Blocked,
+		"csr": CSR, "CSR": CSR,
 	}
 	for in, want := range cases {
 		got, err := ParseKind(in)
@@ -54,10 +54,14 @@ func TestParseKind(t *testing.T) {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Error("ParseKind(bogus) accepted")
+	// "blocked" named a retired backend (DESIGN §10); it is an unknown
+	// name like any other now.
+	for _, bad := range []string{"bogus", "blocked"} {
+		if _, err := ParseKind(bad); err == nil || !strings.Contains(err.Error(), "auto, dense, csr)") {
+			t.Errorf("ParseKind(%q) = %v, want the unknown-backend error", bad, err)
+		}
 	}
-	for _, k := range []Kind{Auto, Dense, CSR, Blocked} {
+	for _, k := range []Kind{Auto, Dense, CSR} {
 		rt, err := ParseKind(k.String())
 		if err != nil || rt != k {
 			t.Errorf("round trip %v -> %q -> %v, %v", k, k.String(), rt, err)
@@ -73,7 +77,7 @@ func TestResolveByDensity(t *testing.T) {
 	if got := Resolve(Auto, 100, 501); got != Dense {
 		t.Errorf("Auto above cutoff -> %v, want dense", got)
 	}
-	for _, k := range []Kind{Dense, CSR, Blocked} {
+	for _, k := range []Kind{Dense, CSR} {
 		if got := Resolve(k, 100, 0); got != k {
 			t.Errorf("Resolve(%v) = %v, want pass-through", k, got)
 		}

@@ -18,7 +18,7 @@ func TestBackendsBitIdenticalWithResume(t *testing.T) {
 	const duration = 40
 	base := Config{Chips: 4, Seed: 5}
 	ref := MustSystem(m, base).RunConcurrent(duration)
-	for _, backend := range []lattice.Kind{lattice.CSR, lattice.Blocked} {
+	for _, backend := range []lattice.Kind{lattice.CSR, lattice.Dense} {
 		cfg := base
 		cfg.Backend = backend
 		got := MustSystem(m, cfg).RunConcurrent(duration)

@@ -108,9 +108,7 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 		nextSample = resume.NextSampleNS
 		bestSoFar = math.Float64frombits(resume.BestSoFarBits)
 	} else {
-		for _, c := range s.chips {
-			c.machine.SetHorizon(horizon)
-		}
+		s.setHorizon(horizon)
 		// Independent initial states per job, derived from the system
 		// seed.
 		jobRNG := rng.New(cfg.Seed).Fork(0xBA7C)
@@ -144,13 +142,13 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 		changes, inducedCh int
 		planned            bool // fault layer consulted for this send
 		plan               fault.MessagePlan
-		attempts           int      // retransmits spent (Detect)
-		lost               bool     // writeback never delivered
-		delayedJob         int      // destination of a delayed writeback
-		delayedUps         []update // payload of a delayed writeback
+		attempts           int             // retransmits spent (Detect)
+		lost               bool            // writeback never delivered
+		delayedJob         int             // destination of a delayed writeback
+		delayedUps         []PendingUpdate // payload of a delayed writeback
 	}
-	perChip := make([]chipEpoch, len(s.chips))
-	parallelOK := jobs >= len(s.chips)
+	perChip := make([]chipEpoch, len(s.slices))
+	parallelOK := jobs >= len(s.slices)
 
 	for e := startEpoch; e < totalEpochs; e++ {
 		select {
@@ -182,28 +180,27 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 		}
 		if s.frt != nil {
 			s.beginFaultEpoch(e+1, float64(totalEpochs-e)*cfg.EpochNS, tr)
-			if len(perChip) != len(s.chips) {
+			if len(perChip) != len(s.slices) {
 				// Repartition rebuilt the chip set.
-				perChip = make([]chipEpoch, len(s.chips))
-				parallelOK = jobs >= len(s.chips)
+				perChip = make([]chipEpoch, len(s.slices))
+				parallelOK = jobs >= len(s.slices)
 			}
 			// Last epoch's delayed writebacks land before any chip
 			// loads a job — late but in-order delivery.
 			for _, wb := range s.frt.pendingBatch {
-				for _, u := range wb.ups {
-					states[wb.job][u.g] = u.v
-				}
+				writeBack(states[wb.Job], wb.Updates)
 			}
 			s.frt.pendingBatch = s.frt.pendingBatch[:0]
 		}
 		var st EpochStat
 		st.Epoch = e + 1
-		work := func(ci int, c *chip) error {
+		work := func(ci int, sl *Slice) error {
+			c := &sl.chip
 			if cfg.Spans != nil {
 				defer func(w0 time.Time) { c.epochWallNS = time.Since(w0).Nanoseconds() }(time.Now())
 			}
 			perChip[ci] = chipEpoch{}
-			if s.frt != nil && (s.frt.dead[ci] || s.frt.holds[ci]) {
+			if s.dead(ci) || s.held(ci) {
 				// Dead or transiently stalled: this chip's job receives
 				// no annealing this epoch and writes nothing back.
 				return nil
@@ -214,40 +211,18 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 				before[li] = states[job][g]
 			}
 			c.loadJobState(states[job])
-			c.resetEpochCounters()
 
-			// Anneal the slice in flip-interval chunks with induced
-			// kicks, exactly as in concurrent mode.
-			t := 0.0
-			for t < cfg.EpochNS-1e-9 {
-				chunk := math.Min(cfg.FlipIntervalNS, cfg.EpochNS-t)
-				if err := c.machine.Run(chunk); err != nil {
-					return err
-				}
-				t += chunk
-				prob := cfg.InducedFlip.At((float64(e)*cfg.EpochNS + t) / horizon)
-				r := s.induceRNG[ci]
-				for li := range c.owned {
-					if r.Bool(prob) {
-						c.machine.Induce(li)
-						c.epochKicks++
-					}
-				}
+			// Anneal the slice exactly as in concurrent mode, except that
+			// kick draws cover owned spins only: Coordinated's saving is
+			// applied to the writeback's traffic charge at the merge.
+			if err := sl.step(float64(e)*cfg.EpochNS, cfg.EpochNS, horizon, false, false); err != nil {
+				return err
 			}
 
 			// Write back and count the broadcast.
-			after := c.machine.Spins()
-			pe := chipEpoch{flips: c.epochFlips, induced: c.epochInducedFlips}
-			var ups []update
-			for li, g := range c.owned {
-				if after[li] != before[li] {
-					ups = append(ups, update{li, g, after[li], c.lastFlipInduced[li]})
-					pe.changes++
-					if c.lastFlipInduced[li] {
-						pe.inducedCh++
-					}
-				}
-			}
+			ups := sl.diff(before)
+			pe := chipEpoch{flips: c.epochFlips, induced: c.epochInducedFlips,
+				changes: len(ups), inducedCh: int(inducedCount(ups))}
 			if s.frt != nil && len(ups) > 0 {
 				// The whole epoch writeback is one message; resolve its
 				// fate here (pure draws), account at the barrier.
@@ -260,14 +235,10 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 					pe.delayedJob = job
 					pe.delayedUps = payload
 				default:
-					for _, u := range payload {
-						states[job][u.g] = u.v
-					}
+					writeBack(states[job], payload)
 				}
 			} else {
-				for _, u := range ups {
-					states[job][u.g] = u.v
-				}
+				writeBack(states[job], ups)
 			}
 			perChip[ci] = pe
 			return nil
@@ -275,13 +246,13 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 		var badChip int
 		var chipErr error
 		if parallelOK {
-			badChip, chipErr = s.forEachChip(work)
+			badChip, chipErr = s.forEachSlice(work)
 		} else {
 			// jobs < chips: two chips may share a job state; keep the
 			// simulation sequential to stay deterministic.
 			badChip = -1
-			for ci, c := range s.chips {
-				if err := work(ci, c); err != nil {
+			for ci, sl := range s.slices {
+				if err := work(ci, sl); err != nil {
 					badChip, chipErr = ci, err
 					break
 				}
@@ -296,7 +267,7 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 		// position can advance to the sync point for recovery spans.
 		s.emitChipSpans(elapsed, cfg.EpochNS)
 		s.spPosNS = elapsed + cfg.EpochNS
-		for ci, c := range s.chips {
+		for ci, sl := range s.slices {
 			pe := perChip[ci]
 			st.Flips += pe.flips
 			st.InducedFlips += pe.induced
@@ -308,7 +279,7 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 			}
 			bytes := 0.0
 			if transmitted > 0 {
-				bytes = interconnect.DeltaSyncBytes(transmitted, len(c.owned), len(s.chips)-1)
+				bytes = interconnect.DeltaSyncBytes(transmitted, len(sl.chip.owned), len(s.slices)-1)
 				s.fabric.Record(ci, bytes, "sync")
 			}
 			if pe.planned {
@@ -316,7 +287,7 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 					pe.delayedUps != nil, bytes, int64(pe.changes), tr)
 				if pe.delayedUps != nil {
 					s.frt.pendingBatch = append(s.frt.pendingBatch,
-						delayedWriteback{job: pe.delayedJob, ups: pe.delayedUps})
+						PendingWriteback{Job: pe.delayedJob, Updates: pe.delayedUps})
 				}
 			}
 		}
@@ -363,6 +334,13 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 
 	s.finalizeBatch(res, states, float64(totalEpochs)*cfg.EpochNS, elapsed)
 	return res, nil, nil
+}
+
+// writeBack applies a chip's epoch writeback to its job's global state.
+func writeBack(state []int8, ups []PendingUpdate) {
+	for _, u := range ups {
+		state[u.G] = u.V
+	}
 }
 
 // finalizeBatch fills the common batch-result fields: the time and

@@ -112,49 +112,56 @@ type Checkpoint struct {
 	JobStates [][]int8 `json:"jobStates,omitempty"`
 }
 
+// SetSlices fills the checkpoint's per-chip machine state (Chips,
+// ReceiverBelief, InduceRNG) from one barrier snapshot per chip, in
+// chip order. The states' own position ledgers are not consulted: the
+// checkpoint's loop position belongs to whoever scheduled the slices.
+func (ck *Checkpoint) SetSlices(states []*SliceState) {
+	ck.Chips = make([]ChipState, len(states))
+	ck.ReceiverBelief = make([][]int8, len(states))
+	ck.InduceRNG = make([][4]uint64, len(states))
+	for i, st := range states {
+		ck.Chips[i] = st.State
+		ck.ReceiverBelief[i] = st.Belief
+		ck.InduceRNG[i] = st.InduceRNG
+	}
+}
+
+// SliceStates is SetSlices' inverse: one snapshot per chip, positioned
+// at the checkpoint's barrier. A concurrent-mode checkpoint split this
+// way resumes on isolated slices exactly as it would in a System.
+func (ck *Checkpoint) SliceStates() ([]*SliceState, error) {
+	if len(ck.ReceiverBelief) != len(ck.Chips) || len(ck.InduceRNG) != len(ck.Chips) {
+		return nil, fmt.Errorf("multichip: checkpoint belief/RNG tables do not match its %d chips", len(ck.Chips))
+	}
+	states := make([]*SliceState, len(ck.Chips))
+	for i, cs := range ck.Chips {
+		states[i] = &SliceState{Chip: i, DurationNS: ck.DurationNS, ModelNS: ck.ModelNS, Epochs: ck.EpochsDone,
+			State: cs, Belief: ck.ReceiverBelief[i], InduceRNG: ck.InduceRNG[i]}
+	}
+	return states, nil
+}
+
 // PendingMessages returns the delayed boundary broadcasts currently in
 // flight — fault-injected delays awaiting next-epoch delivery. Without
 // this accessor a checkpoint would silently drop delayed messages and
 // the resumed run would diverge from an uninterrupted one. Empty when
-// the fault layer is off or nothing is delayed.
+// the fault layer is off or nothing is delayed. Payloads are immutable
+// once queued, so the copy shares them with the runtime.
 func (s *System) PendingMessages() []PendingMessage {
-	if s.frt == nil || len(s.frt.pending) == 0 {
+	if s.frt == nil {
 		return nil
 	}
-	out := make([]PendingMessage, len(s.frt.pending))
-	for i, msg := range s.frt.pending {
-		out[i] = PendingMessage{From: msg.from, Updates: toPendingUpdates(msg.ups)}
-	}
-	return out
+	return append([]PendingMessage(nil), s.frt.pending...)
 }
 
 // PendingWritebacks returns batch mode's delayed job writebacks in
 // flight, for the same reason as PendingMessages.
 func (s *System) PendingWritebacks() []PendingWriteback {
-	if s.frt == nil || len(s.frt.pendingBatch) == 0 {
+	if s.frt == nil {
 		return nil
 	}
-	out := make([]PendingWriteback, len(s.frt.pendingBatch))
-	for i, wb := range s.frt.pendingBatch {
-		out[i] = PendingWriteback{Job: wb.job, Updates: toPendingUpdates(wb.ups)}
-	}
-	return out
-}
-
-func toPendingUpdates(ups []update) []PendingUpdate {
-	out := make([]PendingUpdate, len(ups))
-	for i, u := range ups {
-		out[i] = PendingUpdate{Li: u.li, G: u.g, V: u.v, Induced: u.induced}
-	}
-	return out
-}
-
-func fromPendingUpdates(ups []PendingUpdate) []update {
-	out := make([]update, len(ups))
-	for i, u := range ups {
-		out[i] = update{li: u.Li, g: u.G, v: u.V, induced: u.Induced}
-	}
-	return out
+	return append([]PendingWriteback(nil), s.frt.pendingBatch...)
 }
 
 // captureInto fills ck's machine-state fields (chips, beliefs, RNG
@@ -162,23 +169,11 @@ func fromPendingUpdates(ups []PendingUpdate) []update {
 // The caller has already filled the loop-position and partial-result
 // fields, which belong to the run mode.
 func (s *System) captureInto(ck *Checkpoint) {
-	ck.Chips = make([]ChipState, len(s.chips))
-	for i, c := range s.chips {
-		ck.Chips[i] = ChipState{
-			Owned:           append([]int(nil), c.owned...),
-			Machine:         c.machine.Snapshot(),
-			Shadow:          append([]int8(nil), c.shadow...),
-			LastFlipInduced: append([]bool(nil), c.lastFlipInduced...),
-		}
+	states := make([]*SliceState, len(s.slices))
+	for i, sl := range s.slices {
+		states[i] = sl.Snapshot()
 	}
-	ck.ReceiverBelief = make([][]int8, len(s.receiverBelief))
-	for i, b := range s.receiverBelief {
-		ck.ReceiverBelief[i] = append([]int8(nil), b...)
-	}
-	ck.InduceRNG = make([][4]uint64, len(s.induceRNG))
-	for i, r := range s.induceRNG {
-		ck.InduceRNG[i] = r.State()
-	}
+	ck.SetSlices(states)
 	ck.Fabric = s.fabric.Snapshot()
 	if s.frt != nil {
 		ck.Fault = &FaultState{
@@ -222,8 +217,9 @@ func (s *System) applyCheckpoint(ck *Checkpoint, mode string, durationNS float64
 	if len(ck.Chips) == 0 || len(ck.Chips) > s.cfg.Chips {
 		return fmt.Errorf("multichip: checkpoint has %d chips for a %d-chip system", len(ck.Chips), s.cfg.Chips)
 	}
-	if len(ck.ReceiverBelief) != len(ck.Chips) || len(ck.InduceRNG) != len(ck.Chips) {
-		return fmt.Errorf("multichip: checkpoint belief/RNG tables do not match its %d chips", len(ck.Chips))
+	states, err := ck.SliceStates()
+	if err != nil {
+		return err
 	}
 	if ck.Fabric == nil {
 		return fmt.Errorf("multichip: checkpoint is missing fabric state")
@@ -232,42 +228,18 @@ func (s *System) applyCheckpoint(ck *Checkpoint, mode string, durationNS float64
 		return fmt.Errorf("multichip: checkpoint fault state does not match the fault configuration")
 	}
 
-	// The partition must cover every spin exactly once, each slice
-	// strictly ascending (the invariant newChip and the shadow-update
-	// paths rely on).
-	seen := make([]bool, s.n)
+	// The partition must cover every spin exactly once, and each chip
+	// must carry the machine state the rebuild below reads; the rest of
+	// a chip's state is validated by its slice's restore.
+	parts := make([][]int, len(ck.Chips))
 	for pi, cs := range ck.Chips {
-		if len(cs.Owned) == 0 {
-			return fmt.Errorf("multichip: checkpoint chip %d owns no spins", pi)
-		}
-		prev := -1
-		for _, g := range cs.Owned {
-			if g < 0 || g >= s.n || g <= prev || seen[g] {
-				return fmt.Errorf("multichip: checkpoint chip %d has invalid owned list", pi)
-			}
-			seen[g] = true
-			prev = g
-		}
+		parts[pi] = cs.Owned
 		if cs.Machine == nil || len(cs.Machine.Spins) != len(cs.Owned) {
 			return fmt.Errorf("multichip: checkpoint chip %d machine state is missing or mis-sized", pi)
 		}
-		if len(cs.Shadow) != s.n || len(cs.LastFlipInduced) != len(cs.Owned) {
-			return fmt.Errorf("multichip: checkpoint chip %d shadow/attribution tables are mis-sized", pi)
-		}
-		if err := validateSpins(cs.Shadow); err != nil {
-			return fmt.Errorf("multichip: checkpoint chip %d shadow: %w", pi, err)
-		}
-		if err := validateSpins(ck.ReceiverBelief[pi]); err != nil {
-			return fmt.Errorf("multichip: checkpoint chip %d belief: %w", pi, err)
-		}
-		if len(ck.ReceiverBelief[pi]) != len(cs.Owned) {
-			return fmt.Errorf("multichip: checkpoint chip %d belief is mis-sized", pi)
-		}
 	}
-	for g, ok := range seen {
-		if !ok {
-			return fmt.Errorf("multichip: checkpoint partition does not cover spin %d", g)
-		}
+	if err := validatePartition(parts, s.n, true); err != nil {
+		return fmt.Errorf("multichip: checkpoint partition: %w", err)
 	}
 	if mode == ModeBatch {
 		if len(ck.JobStates) != jobs {
@@ -314,59 +286,36 @@ func (s *System) applyCheckpoint(ck *Checkpoint, mode string, durationNS float64
 		}
 	}
 
-	// Rebuild the chip set to the checkpoint's partition. The global
-	// warm-start handed to newChip is immediately overwritten by each
-	// machine's Restore; assembling it from the snapshots just keeps
-	// construction from inventing state.
+	// Rebuild the slices to the checkpoint's partition, each with the
+	// brim seed its snapshot carries (after a repartition, survivors
+	// keep their original seeds, not positional ones). The global
+	// warm-start is immediately overwritten by each slice's restore;
+	// assembling it from the snapshots just keeps construction from
+	// inventing state.
 	global := make([]int8, s.n)
 	for _, cs := range ck.Chips {
 		for li, g := range cs.Owned {
 			global[g] = cs.Machine.Spins[li]
 		}
 	}
-	chips := make([]*chip, len(ck.Chips))
-	for i, cs := range ck.Chips {
-		bc := s.cfg.Brim
-		bc.Seed = cs.Machine.Seed
-		c := newChip(i, s.model, s.lat, cs.Owned, s.scale, bc, s.cfg.EpochNS, global)
-		// Restore replaces voltages, readout, external bias, holds,
-		// timekeeping and the PRNG position verbatim; in particular the
-		// external bias must NOT be recomputed from shadows, because a
-		// fresh accumulation order would not be bit-identical to the
-		// incrementally maintained one.
-		if err := c.machine.Restore(cs.Machine); err != nil {
+	slices := make([]*Slice, len(states))
+	for i, st := range states {
+		sl := s.newSlice(i, st.State.Owned, st.State.Machine.Seed, global, rng.New(0))
+		if err := sl.restore(st); err != nil {
 			return fmt.Errorf("multichip: checkpoint chip %d: %w", i, err)
 		}
-		copy(c.shadow, cs.Shadow)
-		copy(c.lastFlipInduced, cs.LastFlipInduced)
-		chips[i] = c
+		slices[i] = sl
 	}
-	s.chips = chips
-	s.receiverBelief = make([][]int8, len(ck.ReceiverBelief))
-	for i, b := range ck.ReceiverBelief {
-		s.receiverBelief[i] = append([]int8(nil), b...)
-	}
-	s.induceRNG = make([]*rng.Source, len(ck.InduceRNG))
-	for i, st := range ck.InduceRNG {
-		r := rng.New(0)
-		r.SetState(st)
-		s.induceRNG[i] = r
-	}
+	s.slices = slices
 	if err := s.fabric.Restore(ck.Fabric); err != nil {
 		return fmt.Errorf("multichip: %w", err)
 	}
 	if s.frt != nil {
 		fs := ck.Fault
 		s.frt.dead = append([]bool(nil), fs.Dead...)
-		s.frt.holds = make([]bool, len(chips))
-		s.frt.pending = nil
-		for _, msg := range fs.Pending {
-			s.frt.pending = append(s.frt.pending, delayedMsg{from: msg.From, ups: fromPendingUpdates(msg.Updates)})
-		}
-		s.frt.pendingBatch = nil
-		for _, wb := range fs.PendingBatch {
-			s.frt.pendingBatch = append(s.frt.pendingBatch, delayedWriteback{job: wb.Job, ups: fromPendingUpdates(wb.Updates)})
-		}
+		s.frt.holds = make([]bool, len(slices))
+		s.frt.pending = append([]PendingMessage(nil), fs.Pending...)
+		s.frt.pendingBatch = append([]PendingWriteback(nil), fs.PendingBatch...)
 		s.frt.epochStallNS = 0
 		s.frt.stats = fs.Stats
 	}

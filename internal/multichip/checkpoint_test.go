@@ -164,22 +164,7 @@ func TestBatchResumeBitIdentical(t *testing.T) {
 			if err != nil || ck2 != nil {
 				t.Fatalf("resume: err=%v, checkpoint=%v", err, ck2)
 			}
-			if full.BestEnergy != resumed.BestEnergy || full.Best != resumed.Best {
-				t.Fatalf("best job differs: %d@%v vs %d@%v",
-					full.Best, full.BestEnergy, resumed.Best, resumed.BestEnergy)
-			}
-			for j := range full.Jobs {
-				if ising.HammingDistance(full.Jobs[j], resumed.Jobs[j]) != 0 {
-					t.Fatalf("job %d spins differ after resume", j)
-				}
-				if full.Energies[j] != resumed.Energies[j] {
-					t.Fatalf("job %d energy %v vs %v", j, full.Energies[j], resumed.Energies[j])
-				}
-			}
-			if full.Flips != resumed.Flips || full.BitChanges != resumed.BitChanges ||
-				full.TrafficBytes != resumed.TrafficBytes || full.StallNS != resumed.StallNS {
-				t.Fatal("batch ledgers differ after resume")
-			}
+			sameBatchLedger(t, full, resumed)
 		})
 	}
 }

@@ -11,9 +11,14 @@
 //     Eq. 3, realized in hardware rather than by glue software);
 //   - a slice of the digital fabric that carries spin updates.
 //
-// Two operating modes are provided: concurrent (Sec 5.4) in system.go
-// and batch (Sec 5.5) in batch.go, plus the coordinated induced-flip
-// optimization (Sec 5.4.2) in both. reconfig.go models the macrochip
+// What one chip does — integrate its slice, kick on the shared PRNG
+// schedule (the coordinated induced-flip optimization of Sec 5.4.2),
+// broadcast only the bits that changed at the epoch barrier — is
+// implemented once, in Slice (slice.go). System schedules k slices in
+// one process in three operating modes: concurrent (Sec 5.4) in
+// system.go, sequential (the Sec 5.4.1 baseline) in sequential.go and
+// batch (Sec 5.5) in batch.go; internal/cluster schedules one slice
+// per worker process over a network. reconfig.go models the macrochip
 // and the reconfigurable module array of Secs 4.2/5.2. surprise.go
 // reproduces the energy-surprise probe of Fig 9.
 package multichip
@@ -23,7 +28,6 @@ import (
 
 	"mbrim/internal/brim"
 	"mbrim/internal/ising"
-	"mbrim/internal/lattice"
 )
 
 // chip is one processor of the multiprocessor: a BRIM machine over its
@@ -60,19 +64,22 @@ type chip struct {
 	epochWallNS int64
 }
 
-// newChip builds chip id owning the given global indices of the
-// problem. lat is the system's coupling view of m — extraction scans
-// its stored nonzeros once per owned row, so sparse problems pay
-// O(degree) instead of O(N) per spin. scale is the global coupling
-// normalization shared by all chips; cfg configures the local dynamics
-// (its InducedFlip schedule is overridden to zero — the runtime
-// coordinates kicks itself).
-func newChip(id int, m *ising.Model, lat lattice.Coupling, owned []int, scale float64, cfg brim.Config, epochNS float64, initial []int8) *chip {
+// init builds chip id of the layout in place (its flip listener holds
+// c, so a chip must not be copied afterwards), owning the given global
+// indices of the problem, its machine seeded with seed and warm-started
+// from the global state initial. Extraction scans the layout's coupling
+// view once per owned row, so sparse problems pay O(degree) instead of
+// O(N) per spin; the global coupling normalization is shared by all
+// chips. The layout's Brim config drives the local dynamics (its
+// InducedFlip schedule is overridden to zero — the runtime coordinates
+// kicks itself).
+func (c *chip) init(l *layout, id int, owned []int, seed uint64, initial []int8) {
 	if len(owned) == 0 {
 		panic(fmt.Sprintf("multichip: chip %d owns no spins", id))
 	}
-	n := m.N()
-	c := &chip{
+	m, lat, scale, epochNS := l.model, l.lat, l.scale, l.cfg.EpochNS
+	n := l.n
+	*c = chip{
 		id:              id,
 		owned:           append([]int(nil), owned...),
 		local:           make(map[int]int, len(owned)),
@@ -105,7 +112,8 @@ func newChip(id int, m *ising.Model, lat lattice.Coupling, owned []int, scale fl
 		c.cross[a] = row
 	}
 
-	mcfg := cfg
+	mcfg := l.cfg.Brim
+	mcfg.Seed = seed
 	mcfg.Scale = scale
 	mcfg.InducedFlip = zeroSchedule{}
 	if mcfg.KickHoldNS == 0 {
@@ -138,7 +146,6 @@ func newChip(id int, m *ising.Model, lat lattice.Coupling, owned []int, scale fl
 		}
 	})
 	c.recomputeExternalBias()
-	return c
 }
 
 // zeroSchedule disables the machine's internal induced flips.

@@ -80,7 +80,8 @@ func (s *System) runTracer(rc *runCollector) obs.Tracer {
 // so the stream is identical whether the chips ran sequentially or on
 // goroutines.
 func (s *System) emitChipEpoch(tr obs.Tracer, epoch int, modelNS float64) {
-	for ci, c := range s.chips {
+	for ci, sl := range s.slices {
+		c := &sl.chip
 		tr.Emit(obs.Event{
 			Kind: obs.ChipStep, Epoch: epoch, Chip: ci, ModelNS: modelNS,
 			Count: c.epochFlips, Induced: c.epochInducedFlips,

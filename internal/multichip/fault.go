@@ -6,7 +6,6 @@ import (
 	"mbrim/internal/fault"
 	"mbrim/internal/interconnect"
 	"mbrim/internal/obs"
-	"mbrim/internal/rng"
 )
 
 // This file threads the fault-injection layer (internal/fault) through
@@ -29,28 +28,16 @@ type faultRuntime struct {
 	// schedules are deterministic under host parallelism.
 	holds []bool
 	// pending are delayed boundary broadcasts awaiting delivery at the
-	// next epoch (concurrent/sequential modes).
-	pending []delayedMsg
+	// next epoch (concurrent/sequential modes). From uses the chip
+	// indexing current at send time; repartition clears the queue, so
+	// the index never dangles.
+	pending []PendingMessage
 	// pendingBatch are delayed batch-mode writebacks keyed by job.
-	pendingBatch []delayedWriteback
+	pendingBatch []PendingWriteback
 	// epochStallNS is recovery stall accumulated this epoch (retransmit
 	// backoff, repartition reprogramming), drained by takeEpochStall.
 	epochStallNS float64
 	stats        fault.Stats
-}
-
-// delayedMsg is one epoch-late boundary broadcast. from uses the chip
-// indexing current at send time; repartition clears the queue, so the
-// index never dangles.
-type delayedMsg struct {
-	from int
-	ups  []update
-}
-
-// delayedWriteback is one epoch-late batch-mode job writeback.
-type delayedWriteback struct {
-	job int
-	ups []update
 }
 
 func newFaultRuntime(inj *fault.Injector) *faultRuntime {
@@ -76,10 +63,16 @@ func (frt *faultRuntime) takeEpochStall(f *interconnect.Fabric) float64 {
 	return ns
 }
 
+// dead reports whether chip ci is permanently lost.
+func (s *System) dead(ci int) bool { return s.frt != nil && s.frt.dead[ci] }
+
+// held reports whether chip ci's integrator is frozen this epoch.
+func (s *System) held(ci int) bool { return s.frt != nil && s.frt.holds[ci] }
+
 // liveFanout counts the live receivers of chip ci's broadcasts.
 func (s *System) liveFanout(ci int) int {
 	n := 0
-	for di := range s.chips {
+	for di := range s.slices {
 		if di != ci && !s.frt.dead[di] {
 			n++
 		}
@@ -89,12 +82,9 @@ func (s *System) liveFanout(ci int) int {
 
 // liveChips counts chips still operating.
 func (s *System) liveChips() int {
-	if s.frt == nil {
-		return len(s.chips)
-	}
 	n := 0
-	for ci := range s.chips {
-		if !s.frt.dead[ci] {
+	for ci := range s.slices {
+		if !s.dead(ci) {
 			n++
 		}
 	}
@@ -103,28 +93,28 @@ func (s *System) liveChips() int {
 
 // beginFaultEpoch runs the epoch-start fault bookkeeping at the
 // barrier, in chip order: permanent chip loss (with optional
-// repartition recovery, which rebuilds s.chips), then this epoch's
+// repartition recovery, which rebuilds s.slices), then this epoch's
 // transient stall draws. remainingNS is the model time left in the
 // run — the horizon handed to repartitioned machines.
 func (s *System) beginFaultEpoch(epochNo int, remainingNS float64, tr obs.Tracer) {
 	frt := s.frt
-	if frt.dead == nil || len(frt.dead) != len(s.chips) {
-		frt.dead = make([]bool, len(s.chips))
+	if frt.dead == nil || len(frt.dead) != len(s.slices) {
+		frt.dead = make([]bool, len(s.slices))
 	}
 	if victim, lost := frt.inj.LostChip(epochNo); lost && !frt.dead[victim] {
 		frt.dead[victim] = true
 		frt.stats.ChipLosses++
 		emitIf(tr, obs.Event{Kind: obs.Fault, Label: "chip-loss", Epoch: epochNo,
-			Chip: victim, Count: int64(len(s.chips[victim].owned))})
+			Chip: victim, Count: int64(len(s.slices[victim].chip.owned))})
 		s.cfg.Metrics.Counter("fault.chip_losses").Inc()
-		if frt.inj.Config().Recovery.Repartition && s.liveChips() >= 1 && len(s.chips) > 1 {
+		if frt.inj.Config().Recovery.Repartition && s.liveChips() >= 1 && len(s.slices) > 1 {
 			s.repartition(victim, epochNo, remainingNS, tr)
 		}
 	}
-	if len(frt.holds) != len(s.chips) {
-		frt.holds = make([]bool, len(s.chips))
+	if len(frt.holds) != len(s.slices) {
+		frt.holds = make([]bool, len(s.slices))
 	}
-	for ci := range s.chips {
+	for ci := range s.slices {
 		frt.holds[ci] = false
 		if frt.dead[ci] {
 			continue
@@ -149,9 +139,9 @@ func (s *System) beginFaultEpoch(epochNo int, remainingNS float64, tr obs.Tracer
 func (s *System) repartition(victim, epochNo int, remainingNS float64, tr obs.Tracer) {
 	frt := s.frt
 	global := s.GlobalSpins() // includes the dead chip's frozen slice
-	moved := s.chips[victim].owned
+	moved := s.slices[victim].chip.owned
 	var survivors []int
-	for ci := range s.chips {
+	for ci := range s.slices {
 		if !frt.dead[ci] {
 			survivors = append(survivors, ci)
 		}
@@ -162,40 +152,35 @@ func (s *System) repartition(victim, epochNo int, remainingNS float64, tr obs.Tr
 	parts := make([][]int, len(survivors))
 	added := make([]int, len(survivors))
 	for i, ci := range survivors {
-		parts[i] = append([]int(nil), s.chips[ci].owned...)
+		parts[i] = append([]int(nil), s.slices[ci].chip.owned...)
 	}
 	for i, g := range moved {
 		parts[i%len(parts)] = append(parts[i%len(parts)], g)
 		added[i%len(parts)]++
 	}
-	newChips := make([]*chip, len(survivors))
-	newBelief := make([][]int8, len(survivors))
-	newRNG := make([]*rng.Source, len(survivors))
+	newSlices := make([]*Slice, len(survivors))
 	for i, part := range parts {
 		sort.Ints(part)
-		bc := s.cfg.Brim
-		bc.Seed = s.cfg.Seed + uint64(survivors[i])
-		nc := newChip(i, s.model, s.lat, part, s.scale, bc, s.cfg.EpochNS, global)
-		nc.machine.SetHorizon(remainingNS)
-		newChips[i] = nc
-		newBelief[i] = nc.ownedSpins()
-		newRNG[i] = s.induceRNG[survivors[i]]
+		// Survivors keep their original brim seed and kick stream under
+		// their new index.
+		old := survivors[i]
+		ns := s.newSlice(i, part, s.cfg.Seed+uint64(old), global, s.slices[old].induce)
+		ns.chip.machine.SetHorizon(remainingNS)
+		newSlices[i] = ns
 	}
-	s.chips = newChips
-	s.receiverBelief = newBelief
-	s.induceRNG = newRNG
-	frt.dead = make([]bool, len(newChips))
-	frt.holds = make([]bool, len(newChips))
+	s.slices = newSlices
+	frt.dead = make([]bool, len(newSlices))
+	frt.holds = make([]bool, len(newSlices))
 	// In-flight delayed broadcasts describe the old configuration; the
 	// full warm-start from global truth supersedes them.
 	frt.pending = nil
 
 	resyncBytes := 0.0
-	for i := range newChips {
-		if added[i] == 0 || len(newChips) == 1 {
+	for i := range newSlices {
+		if added[i] == 0 || len(newSlices) == 1 {
 			continue
 		}
-		b := float64(added[i]) / 8 * float64(len(newChips)-1)
+		b := float64(added[i]) / 8 * float64(len(newSlices)-1)
 		s.fabric.Record(i, b, "resync")
 		resyncBytes += b
 	}
@@ -215,27 +200,17 @@ func (s *System) repartition(victim, epochNo int, remainingNS float64, tr obs.Tr
 // late but in-order delivery.
 func (s *System) deliverPending() {
 	frt := s.frt
-	if len(frt.pending) == 0 {
-		return
-	}
 	for _, msg := range frt.pending {
-		s.applyBroadcast(msg.ups)
+		s.applyBroadcast(msg.From, msg.Updates)
 	}
 	frt.pending = frt.pending[:0]
 }
 
-// applyBroadcast updates every live non-owner chip's shadow registers
-// with the payload.
-func (s *System) applyBroadcast(ups []update) {
-	for di, d := range s.chips {
-		if s.frt != nil && s.frt.dead[di] {
-			continue
-		}
-		for _, u := range ups {
-			if _, own := d.local[u.g]; own {
-				continue
-			}
-			d.applyShadowUpdate(u.g, u.v)
+// applyBroadcast delivers chip from's payload to every other live chip.
+func (s *System) applyBroadcast(from int, ups []PendingUpdate) {
+	for di, d := range s.slices {
+		if di != from && !s.dead(di) {
+			d.deliver(ups)
 		}
 	}
 }
@@ -243,20 +218,14 @@ func (s *System) applyBroadcast(ups []update) {
 // faultSend pushes one boundary broadcast through the fault layer:
 // charge the send, resolve drop/corrupt (with CRC detect + bounded
 // retransmit when enabled), then deliver — immediately, one epoch
-// late, corrupted, or not at all. Returns the bit changes transmitted
-// and the induced subset, matching the fault-free accounting.
-func (s *System) faultSend(epochNo, ci int, ups []update, tr obs.Tracer) (total, induced int64) {
+// late, corrupted, or not at all. The caller counts the bit changes as
+// transmitted whatever their fate, matching the fault-free accounting.
+func (s *System) faultSend(epochNo, ci int, ups []PendingUpdate, tr obs.Tracer) {
 	frt := s.frt
 	cfg := frt.inj.Config()
-	c := s.chips[ci]
-	total = int64(len(ups))
-	for _, u := range ups {
-		if u.induced {
-			induced++
-		}
-	}
+	sl := s.slices[ci]
 	fanout := s.liveFanout(ci)
-	bytes := interconnect.DeltaSyncBytes(len(ups), len(c.owned), fanout)
+	bytes := interconnect.DeltaSyncBytes(len(ups), len(sl.chip.owned), fanout)
 	s.fabric.Record(ci, bytes, "sync")
 
 	plan := frt.inj.Message(epochNo, ci, 0)
@@ -302,7 +271,7 @@ func (s *System) faultSend(epochNo, ci int, ups []update, tr obs.Tracer) (total,
 			// Retries exhausted: the sender KNOWS delivery failed, so
 			// it keeps its belief ledger stale and the changes ride the
 			// next boundary sync naturally.
-			return total, induced
+			return
 		}
 	} else if plan.Drop {
 		// Undetected loss: the sender believes it delivered. Commit the
@@ -312,29 +281,33 @@ func (s *System) faultSend(epochNo, ci int, ups []update, tr obs.Tracer) (total,
 
 	// The sender now believes the payload landed (true for clean and
 	// corrupted deliveries, silently false for undetected drops).
-	for _, u := range ups {
-		s.receiverBelief[ci][u.li] = u.v
-	}
+	sl.commit(ups)
 	if !delivered {
-		return total, induced
+		return
 	}
 
 	payload := ups
 	if corrupt {
-		payload = append([]update(nil), ups...)
-		i := int(salt % uint64(len(payload)))
-		payload[i].v = -payload[i].v
+		payload = corrupted(ups, salt)
 	}
 	if plan.Delay {
 		frt.stats.Delays++
 		emitIf(tr, obs.Event{Kind: obs.Fault, Label: "delay", Epoch: epochNo, Chip: ci,
 			Count: int64(len(ups))})
 		s.cfg.Metrics.Counter("fault.delays").Inc()
-		frt.pending = append(frt.pending, delayedMsg{from: ci, ups: payload})
-		return total, induced
+		frt.pending = append(frt.pending, PendingMessage{From: ci, Updates: payload})
+		return
 	}
-	s.applyBroadcast(payload)
-	return total, induced
+	s.applyBroadcast(ci, payload)
+}
+
+// corrupted returns a copy of the payload with one salt-chosen update's
+// value inverted — the undetected bit error.
+func corrupted(ups []PendingUpdate, salt uint64) []PendingUpdate {
+	out := append([]PendingUpdate(nil), ups...)
+	i := int(salt % uint64(len(out)))
+	out[i].V = -out[i].V
+	return out
 }
 
 // watchdog is the shadow-staleness recovery: after the boundary sync,
@@ -346,15 +319,16 @@ func (s *System) faultSend(epochNo, ci int, ups []update, tr obs.Tracer) (total,
 func (s *System) watchdog(epochNo int, tr obs.Tracer) {
 	frt := s.frt
 	th := frt.inj.Config().Recovery.WatchdogThreshold
-	if th <= 0 || len(s.chips) < 2 {
+	if th <= 0 || len(s.slices) < 2 {
 		return
 	}
-	for ci, c := range s.chips {
+	for ci, sl := range s.slices {
 		if frt.dead[ci] {
 			continue
 		}
+		c := &sl.chip
 		recv := -1
-		for di := range s.chips {
+		for di := range s.slices {
 			if di != ci && !frt.dead[di] {
 				recv = di
 				break
@@ -364,7 +338,7 @@ func (s *System) watchdog(epochNo int, tr obs.Tracer) {
 			continue
 		}
 		cur := c.machine.Spins()
-		sh := s.chips[recv].shadow
+		sh := s.slices[recv].chip.shadow
 		stale := 0
 		for li, g := range c.owned {
 			if sh[g] != cur[li] {
@@ -379,21 +353,21 @@ func (s *System) watchdog(epochNo int, tr obs.Tracer) {
 		fanout := s.liveFanout(ci)
 		bytes := float64(len(c.owned)) / 8 * float64(fanout)
 		s.fabric.Record(ci, bytes, "resync")
-		for di, d := range s.chips {
+		for di, d := range s.slices {
 			if di == ci || frt.dead[di] {
 				continue
 			}
 			for li, g := range c.owned {
-				d.applyShadowUpdate(g, cur[li])
+				d.chip.applyShadowUpdate(g, cur[li])
 			}
 		}
-		copy(s.receiverBelief[ci], cur)
+		copy(sl.belief, cur)
 		// Drop any delayed broadcast from this chip still in flight: the
 		// bitmap supersedes it, and late delivery would re-stale the
 		// freshly repaired shadows.
 		kept := frt.pending[:0]
 		for _, msg := range frt.pending {
-			if msg.from != ci {
+			if msg.From != ci {
 				kept = append(kept, msg)
 			}
 		}
@@ -450,7 +424,7 @@ func (s *System) accountBatchSend(epochNo, ci int, plan fault.MessagePlan, attem
 // payload lands, whether it lands a full epoch late, how many
 // retransmit attempts were spent, and the (possibly corrupted)
 // payload to apply.
-func (frt *faultRuntime) resolveBatchSend(epochNo, ci int, ups []update) (delivered, delayed bool, attempts int, plan fault.MessagePlan, payload []update) {
+func (frt *faultRuntime) resolveBatchSend(epochNo, ci int, ups []PendingUpdate) (delivered, delayed bool, attempts int, plan fault.MessagePlan, payload []PendingUpdate) {
 	cfg := frt.inj.Config()
 	plan = frt.inj.Message(epochNo, ci, 0)
 	payload = ups
@@ -470,9 +444,7 @@ func (frt *faultRuntime) resolveBatchSend(epochNo, ci int, ups []update) (delive
 		delivered = false
 	}
 	if delivered && corrupt {
-		payload = append([]update(nil), ups...)
-		i := int(plan.Salt % uint64(len(payload)))
-		payload[i].v = -payload[i].v
+		payload = corrupted(ups, plan.Salt)
 	}
 	delayed = delivered && plan.Delay
 	return delivered, delayed, attempts, plan, payload

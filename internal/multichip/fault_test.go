@@ -181,7 +181,7 @@ func TestChipLossRepartitionCompletes(t *testing.T) {
 	}
 	// The survivors jointly own every spin exactly once.
 	seen := make([]bool, 64)
-	for _, c := range sys.chips {
+	for _, c := range chipsOf(sys) {
 		for _, g := range c.owned {
 			if seen[g] {
 				t.Fatalf("spin %d owned twice after repartition", g)
@@ -234,7 +234,7 @@ func TestDetectRecoversQuality(t *testing.T) {
 		truth := sys.GlobalSpins()
 		stale := 0
 		remote := 0
-		for _, c := range sys.chips {
+		for _, c := range chipsOf(sys) {
 			for g := 0; g < len(truth); g++ {
 				if _, own := c.local[g]; own {
 					continue

@@ -62,9 +62,7 @@ func (s *System) RunSequentialCtx(ctx context.Context, durationNS float64, resum
 		elapsed = resume.ElapsedNS
 		nextSample = resume.NextSampleNS
 	} else {
-		for _, c := range s.chips {
-			c.machine.SetHorizon(durationNS)
-		}
+		s.setHorizon(durationNS)
 	}
 	rc := &runCollector{}
 	if cfg.RecordEpochStats {
@@ -96,18 +94,19 @@ func (s *System) RunSequentialCtx(ctx context.Context, durationNS float64, resum
 		if s.frt != nil {
 			s.beginFaultEpoch(res.Epochs+1, durationNS-model, tr)
 		}
-		for ci, c := range s.chips {
-			c.resetEpochCounters()
-			if s.frt != nil && s.frt.dead[ci] {
+		for ci, sl := range s.slices {
+			c := &sl.chip
+			if s.dead(ci) {
 				// A lost chip's turn is skipped outright; the scheduler
 				// knows it is gone, so no wall time is spent on it.
+				c.resetEpochCounters()
 				continue
 			}
 			var turnSpan obs.Span
 			if sp := cfg.Spans; sp != nil {
 				turnSpan = sp.Start("chip_turn", s.spEpoch, ci, elapsed)
-				if len(s.spChips) != len(s.chips) {
-					s.spChips = make([]obs.Span, len(s.chips))
+				if len(s.spChips) != len(s.slices) {
+					s.spChips = make([]obs.Span, len(s.slices))
 				}
 				s.spChips[ci] = turnSpan
 				s.spPosNS = elapsed + epoch
@@ -115,19 +114,10 @@ func (s *System) RunSequentialCtx(ctx context.Context, durationNS float64, resum
 			// A transiently stalled chip still occupies its turn on the
 			// wall clock — the hold is physical — but integrates
 			// nothing; its kick PRNG keeps clocking.
-			hold := s.frt != nil && s.frt.holds[ci]
-			t := 0.0
-			for t < epoch-1e-9 {
-				chunk := math.Min(cfg.FlipIntervalNS, epoch-t)
-				if !hold {
-					if err := c.machine.Run(chunk); err != nil {
-						emitIf(tr, obs.Event{Kind: obs.Numerical, Label: "divergence",
-							Epoch: res.Epochs + 1, Chip: ci, ModelNS: model + t})
-						return nil, nil, fmt.Errorf("multichip: chip %d: %w", ci, err)
-					}
-				}
-				t += chunk
-				s.drawInduced(ci, (model+t)/durationNS)
+			if err := sl.step(model, epoch, durationNS, cfg.Coordinated, s.held(ci)); err != nil {
+				emitIf(tr, obs.Event{Kind: obs.Numerical, Label: "divergence",
+					Epoch: res.Epochs + 1, Chip: ci, ModelNS: model})
+				return nil, nil, fmt.Errorf("multichip: chip %d: %w", ci, err)
 			}
 			if tr != nil {
 				tr.Emit(obs.Event{Kind: obs.ChipStep, Epoch: res.Epochs + 1, Chip: ci,

@@ -21,7 +21,7 @@ func TestSequentialNoIgnorance(t *testing.T) {
 	s := MustSystem(m, Config{Chips: 4, Seed: 3})
 	s.RunSequential(33)
 	truth := s.GlobalSpins()
-	for ci, c := range s.chips {
+	for ci, c := range chipsOf(s) {
 		for g := 0; g < s.n; g++ {
 			if c.shadow[g] != truth[g] {
 				t.Fatalf("chip %d shadow of %d stale in sequential mode", ci, g)

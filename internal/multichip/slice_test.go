@@ -7,51 +7,24 @@ import (
 	"mbrim/internal/interconnect"
 )
 
-// driveSlices runs k slices in lockstep the way a cluster coordinator
-// does — RunEpoch everywhere, then cross-deliver updates in ascending
-// chip order — and returns the assembled final spins plus the summed
-// bit-change / flip counters.
+// driveSlices runs k slices to their horizon in lockstep (see lockstep)
+// over an unlimited fabric and returns the assembled final spins plus
+// the summed bit-change / flip counters.
 func driveSlices(t *testing.T, slices []*Slice) (spins []int8, bitChanges int64, flips int64) {
 	t.Helper()
-	n := 0
-	for _, s := range slices {
-		n += len(s.Owned())
+	fab, err := interconnect.New(len(slices), 1, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	global := make([]int8, n)
-	for !slices[0].Done() {
-		reps := make([]*EpochReport, len(slices))
-		for i, s := range slices {
-			rep, err := s.RunEpoch()
-			if err != nil {
-				t.Fatalf("slice %d epoch: %v", i, err)
-			}
-			reps[i] = rep
-			for li, g := range s.Owned() {
-				global[g] = rep.Spins[li]
-			}
-		}
-		for _, rep := range reps {
-			bitChanges += int64(len(rep.Updates))
-		}
-		// Deliver ci's updates to every other slice, senders ascending —
-		// the accumulation order syncEpoch uses.
-		for ci, rep := range reps {
-			for di, d := range slices {
-				if di == ci {
-					continue
-				}
-				if err := d.ApplySync(rep.Updates); err != nil {
-					t.Fatalf("slice %d sync: %v", di, err)
-				}
-			}
-		}
-	}
+	l := lockstep(t, slices, fab, math.MaxInt, lockstepLedger{})
+	global := make([]int8, slices[0].n)
 	for _, s := range slices {
-		// Cumulative machine counters were reported each epoch; read the
-		// final value off a fresh snapshot instead of re-running.
+		for li, g := range s.chip.owned {
+			global[g] = s.chip.machine.Spins()[li]
+		}
 		flips += s.chip.machine.Flips()
 	}
-	return global, bitChanges, flips
+	return global, l.bitChanges, flips
 }
 
 // TestSlicesMatchSystem drives k isolated slices in lockstep and

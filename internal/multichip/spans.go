@@ -23,13 +23,13 @@ func (s *System) emitChipSpans(startNS, epochNS float64) {
 	if sp == nil {
 		return
 	}
-	if cap(s.spChips) < len(s.chips) {
-		s.spChips = make([]obs.Span, len(s.chips))
+	if cap(s.spChips) < len(s.slices) {
+		s.spChips = make([]obs.Span, len(s.slices))
 	}
-	s.spChips = s.spChips[:len(s.chips)]
-	for ci, c := range s.chips {
+	s.spChips = s.spChips[:len(s.slices)]
+	for ci, sl := range s.slices {
 		s.spChips[ci] = sp.Complete("chip_step", s.spEpoch, ci,
-			startNS, epochNS, c.epochWallNS, &obs.Event{Count: c.epochFlips})
+			startNS, epochNS, sl.chip.epochWallNS, &obs.Event{Count: sl.chip.epochFlips})
 	}
 }
 
@@ -58,17 +58,19 @@ func (s *System) spanPoint(label string, chip int, durNS float64, count int64, s
 // skipped (their shadows drive nothing); dead owners are kept — peers'
 // beliefs about a lost chip drifting is exactly the damage signal.
 func (s *System) emitPairStats(tr obs.Tracer, epoch int, modelNS float64) {
-	if tr == nil || len(s.chips) < 2 {
+	if tr == nil || len(s.slices) < 2 {
 		return
 	}
-	for a, ca := range s.chips {
-		if s.frt != nil && s.frt.dead[a] {
+	for a, sa := range s.slices {
+		if s.dead(a) {
 			continue
 		}
-		for b, cb := range s.chips {
+		ca := &sa.chip
+		for b, sb := range s.slices {
 			if a == b {
 				continue
 			}
+			cb := &sb.chip
 			cur := cb.machine.Spins()
 			stale := 0
 			for li, g := range cb.owned {

@@ -10,13 +10,11 @@ import (
 
 	"mbrim/internal/brim"
 	"mbrim/internal/fault"
-	"mbrim/internal/graph"
 	"mbrim/internal/interconnect"
 	"mbrim/internal/ising"
 	"mbrim/internal/lattice"
 	"mbrim/internal/metrics"
 	"mbrim/internal/obs"
-	"mbrim/internal/rng"
 	"mbrim/internal/sched"
 )
 
@@ -212,25 +210,16 @@ type Result struct {
 }
 
 // System is a k-chip multiprocessor holding one problem sliced over
-// its chips. Create with NewSystem, then run one mode.
+// its chips: the slices themselves, plus everything that exists once
+// per machine rather than once per chip — the run-mode schedulers
+// (RunConcurrentCtx, RunSequentialCtx, RunBatchCtx decide when each
+// slice steps, diffs and delivers), the modeled fabric that charges
+// their traffic, and the modeled fault layer. How a chip steps is
+// Slice's business. Create with NewSystem, then run one mode.
 type System struct {
-	model *ising.Model
-	cfg   Config
-	n     int
-	// lat is the coupling view chip extraction scans; built once per
-	// system and shared by every (re)partition.
-	lat    lattice.Coupling
-	scale  float64
-	chips  []*chip
+	*layout
+	slices []*Slice
 	fabric *interconnect.Fabric
-	// receiverBelief[c][li] is what every other chip currently
-	// believes chip c's owned spin li holds. Boundary sync sends only
-	// disagreements; coordinated kicks update it for free.
-	receiverBelief [][]int8
-	// induceRNG[c] drives chip c's kick draws: clones of one master
-	// when coordinated, independent forks otherwise.
-	induceRNG []*rng.Source
-	initial   []int8
 	// frt is the fault-injection runtime; nil when Config.Faults is
 	// disabled, which keeps every run mode bit-identical to the
 	// fault-free simulation.
@@ -246,62 +235,19 @@ type System struct {
 	spPosNS float64
 }
 
-// NewSystem slices the model over cfg.Chips chips in contiguous
-// blocks and builds the fabric. Invalid user configuration is
-// reported as an error; only internal invariant violations panic.
+// NewSystem slices the model over cfg.Chips chips (contiguous blocks
+// unless cfg.Partition says otherwise) and builds the fabric. Invalid
+// user configuration is reported as an error; only internal invariant
+// violations panic.
 func NewSystem(m *ising.Model, cfg Config) (*System, error) {
-	n := m.N()
-	c, err := cfg.withDefaults(n)
+	d, err := derive(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{model: m, cfg: c, n: n}
-	s.lat = m.View(c.Backend)
-	s.scale = m.MaxRowNorm2()
-	if s.scale == 0 {
-		s.scale = 1
-	}
-	master := rng.New(c.Seed)
-	s.initial = ising.RandomSpins(n, master)
-	parts := c.Partition
-	if parts == nil {
-		parts = graph.BlockPartition(n, c.Chips)
-	} else {
-		if len(parts) != c.Chips {
-			return nil, fmt.Errorf("multichip: Partition has %d parts for %d chips", len(parts), c.Chips)
-		}
-		seen := make([]bool, n)
-		for pi, part := range parts {
-			if len(part) == 0 {
-				return nil, fmt.Errorf("multichip: Partition part %d is empty", pi)
-			}
-			for _, g := range part {
-				if g < 0 || g >= n || seen[g] {
-					return nil, fmt.Errorf("multichip: Partition spin %d missing, repeated or out of range", g)
-				}
-				seen[g] = true
-			}
-		}
-		for g, ok := range seen {
-			if !ok {
-				return nil, fmt.Errorf("multichip: Partition does not cover spin %d", g)
-			}
-		}
-	}
-	s.chips = make([]*chip, c.Chips)
-	s.receiverBelief = make([][]int8, c.Chips)
-	s.induceRNG = make([]*rng.Source, c.Chips)
-	kickMaster := master.Fork(0xC0)
-	for i, part := range parts {
-		bc := c.Brim
-		bc.Seed = c.Seed + uint64(i)
-		s.chips[i] = newChip(i, m, s.lat, part, s.scale, bc, c.EpochNS, s.initial)
-		s.receiverBelief[i] = s.chips[i].ownedSpins()
-		if c.Coordinated {
-			s.induceRNG[i] = kickMaster.Clone()
-		} else {
-			s.induceRNG[i] = kickMaster.Fork(uint64(i) + 1)
-		}
+	c := d.cfg
+	s := &System{layout: d.layout, slices: make([]*Slice, c.Chips)}
+	for i := range s.slices {
+		s.slices[i] = d.slice(i)
 	}
 	s.fabric, err = interconnect.New(c.Chips, c.Channels, c.ChannelBytesPerNS)
 	if err != nil {
@@ -332,7 +278,7 @@ func MustSystem(m *ising.Model, cfg Config) *System {
 }
 
 // NumChips returns the chip count.
-func (s *System) NumChips() int { return len(s.chips) }
+func (s *System) NumChips() int { return len(s.slices) }
 
 // Fabric exposes the fabric for traffic inspection.
 func (s *System) Fabric() *interconnect.Fabric { return s.fabric }
@@ -341,56 +287,13 @@ func (s *System) Fabric() *interconnect.Fabric { return s.fabric }
 // current readout.
 func (s *System) GlobalSpins() []int8 {
 	out := make([]int8, s.n)
-	for _, c := range s.chips {
-		spins := c.machine.Spins()
-		for li, g := range c.owned {
+	for _, sl := range s.slices {
+		spins := sl.chip.machine.Spins()
+		for li, g := range sl.chip.owned {
 			out[g] = spins[li]
 		}
 	}
 	return out
-}
-
-// drawInduced performs one induced-flip draw for chip c at the given
-// schedule progress. Coordinated mode draws a decision for every
-// global spin (same stream on every chip): owned spins get a kick,
-// remote spins get their shadow toggled for free. Uncoordinated mode
-// draws only for owned spins; the changes ride the next boundary sync.
-func (s *System) drawInduced(ci int, progress float64) {
-	prob := s.cfg.InducedFlip.At(progress)
-	c := s.chips[ci]
-	r := s.induceRNG[ci]
-	if s.cfg.Coordinated {
-		for g := 0; g < s.n; g++ {
-			if !r.Bool(prob) {
-				continue
-			}
-			if li, own := c.local[g]; own {
-				c.machine.Induce(li)
-				c.epochKicks++
-				// Receivers toggled their shadows too; their belief
-				// tracks the kick without traffic.
-				s.receiverBelief[ci][li] = -s.receiverBelief[ci][li]
-			} else {
-				c.applyShadowToggle(g)
-			}
-		}
-		return
-	}
-	for li := range c.owned {
-		if r.Bool(prob) {
-			c.machine.Induce(li)
-			c.epochKicks++
-		}
-	}
-}
-
-// update is one item of a boundary broadcast payload: the owner's
-// local index li / global index g now holds v; induced records whether
-// the change was last caused by a kick (Fig 15 accounting).
-type update struct {
-	li, g   int
-	v       int8
-	induced bool
 }
 
 // syncEpoch performs the boundary synchronization: every chip
@@ -404,49 +307,30 @@ func (s *System) syncEpoch(epochNo int, tr obs.Tracer) (total, induced int64) {
 		// Last epoch's delayed broadcasts land first — late, in order.
 		s.deliverPending()
 	}
-	if len(s.chips) == 1 {
+	if len(s.slices) == 1 {
 		// No receivers: nothing is communicated. Keep the belief
 		// ledger coherent anyway.
-		c := s.chips[0]
-		copy(s.receiverBelief[0], c.machine.Spins())
+		sl := s.slices[0]
+		copy(sl.belief, sl.chip.machine.Spins())
 		return 0, 0
 	}
-	for ci, c := range s.chips {
-		if s.frt != nil && s.frt.dead[ci] {
+	for ci, sl := range s.slices {
+		if s.dead(ci) {
 			continue
 		}
-		cur := c.machine.Spins()
-		var ups []update
-		for li, g := range c.owned {
-			if cur[li] != s.receiverBelief[ci][li] {
-				ups = append(ups, update{li, g, cur[li], c.lastFlipInduced[li]})
-			}
-		}
+		ups := sl.diff(sl.belief)
 		if len(ups) == 0 {
 			continue
 		}
+		total += int64(len(ups))
+		induced += inducedCount(ups)
 		if s.frt != nil {
-			t, i := s.faultSend(epochNo, ci, ups, tr)
-			total += t
-			induced += i
+			s.faultSend(epochNo, ci, ups, tr)
 			continue
 		}
-		for _, u := range ups {
-			s.receiverBelief[ci][u.li] = u.v
-			if u.induced {
-				induced++
-			}
-		}
-		total += int64(len(ups))
-		s.fabric.Record(ci, interconnect.DeltaSyncBytes(len(ups), len(c.owned), len(s.chips)-1), "sync")
-		for di, d := range s.chips {
-			if di == ci {
-				continue
-			}
-			for _, u := range ups {
-				d.applyShadowUpdate(u.g, u.v)
-			}
-		}
+		sl.commit(ups)
+		s.fabric.Record(ci, interconnect.DeltaSyncBytes(len(ups), len(sl.chip.owned), len(s.slices)-1), "sync")
+		s.applyBroadcast(ci, ups)
 	}
 	return total, induced
 }
@@ -457,7 +341,8 @@ func (s *System) syncEpoch(epochNo int, tr obs.Tracer) (total, induced int64) {
 func (s *System) probe(epoch int, tr obs.Tracer) {
 	truth := s.GlobalSpins()
 	trueEnergy := s.model.Energy(truth)
-	for ci, c := range s.chips {
+	for ci, sl := range s.slices {
+		c := &sl.chip
 		stale := 0
 		remote := s.n - len(c.owned)
 		for g := 0; g < s.n; g++ {
@@ -520,9 +405,6 @@ func (s *System) RunConcurrentCtx(ctx context.Context, durationNS float64, resum
 		if err := s.applyCheckpoint(resume, ModeConcurrent, durationNS, 0); err != nil {
 			return nil, nil, err
 		}
-		// Machine horizons were restored verbatim (after a repartition
-		// they hold the remaining time, not the full duration), so they
-		// are not reset here.
 		res.Epochs = resume.EpochsDone
 		res.BitChanges = resume.BitChanges
 		res.InducedBitChanges = resume.InducedBitChanges
@@ -533,9 +415,7 @@ func (s *System) RunConcurrentCtx(ctx context.Context, durationNS float64, resum
 		elapsed = resume.ElapsedNS
 		nextSample = resume.NextSampleNS
 	} else {
-		for _, c := range s.chips {
-			c.machine.SetHorizon(durationNS)
-		}
+		s.setHorizon(durationNS)
 	}
 	rc := &runCollector{}
 	if cfg.RecordEpochStats {
@@ -573,40 +453,22 @@ func (s *System) RunConcurrentCtx(ctx context.Context, durationNS float64, resum
 			// stall draws, resolved at the barrier in chip order.
 			s.beginFaultEpoch(res.Epochs+1, durationNS-model, tr)
 		}
-		// Each chip integrates the epoch in flip-interval chunks;
-		// chips only read each other's state through shadows, which
-		// change at boundaries, so this is faithful to parallel
-		// hardware whether the host runs it sequentially or on one
-		// goroutine per chip.
-		badChip, chipErr := s.forEachChip(func(ci int, c *chip) error {
+		// Every chip steps the same epoch; the result is the same
+		// whether the host runs them in turn or one goroutine each.
+		badChip, chipErr := s.forEachSlice(func(ci int, sl *Slice) error {
 			if cfg.Spans != nil {
 				defer func(w0 time.Time) {
-					c.epochWallNS = time.Since(w0).Nanoseconds()
+					sl.chip.epochWallNS = time.Since(w0).Nanoseconds()
 				}(time.Now())
 			}
-			c.resetEpochCounters()
-			if s.frt != nil && s.frt.dead[ci] {
+			if s.dead(ci) {
 				// A lost chip stops integrating AND stops clocking its
 				// kick PRNG; coordinated peers keep toggling its
 				// shadows blindly — that divergence is the damage.
+				sl.chip.resetEpochCounters()
 				return nil
 			}
-			// A transiently stalled chip holds its integrator but its
-			// digital PRNG keeps clocking, so coordinated clones stay
-			// aligned across the fleet.
-			hold := s.frt != nil && s.frt.holds[ci]
-			t := 0.0
-			for t < epoch-1e-9 {
-				chunk := math.Min(cfg.FlipIntervalNS, epoch-t)
-				if !hold {
-					if err := c.machine.Run(chunk); err != nil {
-						return err
-					}
-				}
-				t += chunk
-				s.drawInduced(ci, (model+t)/durationNS)
-			}
-			return nil
+			return sl.step(model, epoch, durationNS, cfg.Coordinated, s.held(ci))
 		})
 		if chipErr != nil {
 			emitIf(tr, obs.Event{Kind: obs.Numerical, Label: "divergence",
@@ -692,8 +554,8 @@ func (s *System) capturePosition(ck *Checkpoint, res *Result, model, elapsed, ne
 // and a counter. Draining at every barrier also keeps the per-epoch
 // retry ledger out of checkpoints: it is always zero at a barrier.
 func (s *System) drainStepRetries(tr obs.Tracer, epoch int, modelNS float64) {
-	for ci, c := range s.chips {
-		r := c.machine.TakeEpochRetries()
+	for ci, sl := range s.slices {
+		r := sl.chip.machine.TakeEpochRetries()
 		if r == 0 {
 			continue
 		}
@@ -714,28 +576,28 @@ func (s *System) drainStepRetries(tr obs.Tracer, epoch int, modelNS float64) {
 	}
 }
 
-// forEachChip applies f to every chip, on goroutines when the
+// forEachSlice applies f to every slice, on goroutines when the
 // configuration asks for host parallelism. Callers must ensure f(ci)
-// touches only chip ci's state. On failure it reports the lowest
+// touches only slice ci's state. On failure it reports the lowest
 // failing chip index and its error (so the outcome is deterministic
 // regardless of Parallel); otherwise (-1, nil).
-func (s *System) forEachChip(f func(ci int, c *chip) error) (int, error) {
-	if !s.cfg.Parallel || len(s.chips) == 1 {
-		for ci, c := range s.chips {
-			if err := f(ci, c); err != nil {
+func (s *System) forEachSlice(f func(ci int, sl *Slice) error) (int, error) {
+	if !s.cfg.Parallel || len(s.slices) == 1 {
+		for ci, sl := range s.slices {
+			if err := f(ci, sl); err != nil {
 				return ci, err
 			}
 		}
 		return -1, nil
 	}
-	errs := make([]error, len(s.chips))
+	errs := make([]error, len(s.slices))
 	var wg sync.WaitGroup
-	for ci, c := range s.chips {
+	for ci, sl := range s.slices {
 		wg.Add(1)
-		go func(ci int, c *chip) {
+		go func(ci int, sl *Slice) {
 			defer wg.Done()
-			errs[ci] = f(ci, c)
-		}(ci, c)
+			errs[ci] = f(ci, sl)
+		}(ci, sl)
 	}
 	wg.Wait()
 	for ci, err := range errs {
@@ -746,6 +608,15 @@ func (s *System) forEachChip(f func(ci int, c *chip) error) (int, error) {
 	return -1, nil
 }
 
+// setHorizon gives every chip's machine the annealing horizon of a
+// fresh run. A resumed run restores horizons verbatim instead (after a
+// repartition they hold the remaining time, not the full duration).
+func (s *System) setHorizon(ns float64) {
+	for _, sl := range s.slices {
+		sl.chip.machine.SetHorizon(ns)
+	}
+}
+
 // collect fills the common result fields.
 func (s *System) collect(mode string, res *Result, model, elapsed float64) {
 	res.ModelNS = model
@@ -753,7 +624,8 @@ func (s *System) collect(mode string, res *Result, model, elapsed float64) {
 	res.StallNS = s.fabric.StallNS()
 	res.TrafficBytes = s.fabric.TotalBytes()
 	res.PeakDemandBytesPerNS = s.fabric.PeakDemand()
-	for ci, c := range s.chips {
+	for ci, sl := range s.slices {
+		c := &sl.chip
 		res.Flips += c.machine.Flips()
 		res.InducedFlips += c.machine.InducedFlips()
 		if s.cfg.Metrics != nil {

@@ -25,6 +25,15 @@ func kgraph(n int, seed uint64) *ising.Model {
 	return graph.Complete(n, rng.New(seed)).ToIsing()
 }
 
+// chipsOf lists the system's chips for white-box assertions.
+func chipsOf(s *System) []*chip {
+	out := make([]*chip, len(s.slices))
+	for i, sl := range s.slices {
+		out[i] = &sl.chip
+	}
+	return out
+}
+
 func TestConcurrentFindsFerromagnetGround(t *testing.T) {
 	n := 32
 	m := ferromagnet(n)
@@ -67,7 +76,7 @@ func TestShadowConsistencyAfterSync(t *testing.T) {
 	s := MustSystem(m, Config{Chips: 4, Seed: 7})
 	s.RunConcurrent(33) // exactly 10 epochs of 3.3
 	truth := s.GlobalSpins()
-	for ci, c := range s.chips {
+	for ci, c := range chipsOf(s) {
 		for g := 0; g < s.n; g++ {
 			if c.shadow[g] != truth[g] {
 				t.Fatalf("chip %d shadow of spin %d is stale after final sync", ci, g)
@@ -81,7 +90,7 @@ func TestExternalBiasMatchesShadows(t *testing.T) {
 	m := kgraph(32, 8)
 	s := MustSystem(m, Config{Chips: 4, Seed: 9})
 	s.RunConcurrent(20)
-	for ci, c := range s.chips {
+	for ci, c := range chipsOf(s) {
 		got := append([]float64(nil), c.machine.ExternalBias()...)
 		c.recomputeExternalBias()
 		want := c.machine.ExternalBias()
@@ -180,7 +189,7 @@ func TestCoordinatedShadowsStayConsistent(t *testing.T) {
 		InducedFlip: sched.Constant(0.05)})
 	s.RunConcurrent(33)
 	truth := s.GlobalSpins()
-	for ci, c := range s.chips {
+	for ci, c := range chipsOf(s) {
 		for g := 0; g < s.n; g++ {
 			if c.shadow[g] != truth[g] {
 				t.Fatalf("chip %d shadow of %d inconsistent in coordinated mode", ci, g)
@@ -296,7 +305,7 @@ func TestChipModelsReconstructGlobalEnergy(t *testing.T) {
 	spins := ising.RandomSpins(40, rng.New(52))
 
 	sumLocal := 0.0
-	for _, c := range s.chips {
+	for _, c := range chipsOf(s) {
 		local := make([]int8, len(c.owned))
 		for li, g := range c.owned {
 			local[li] = spins[g]
@@ -305,7 +314,7 @@ func TestChipModelsReconstructGlobalEnergy(t *testing.T) {
 	}
 	cross := 0.0
 	owner := make([]int, 40)
-	for ci, c := range s.chips {
+	for ci, c := range chipsOf(s) {
 		for _, g := range c.owned {
 			owner[g] = ci
 		}
@@ -327,7 +336,7 @@ func TestCrossRowsMatchGlobalModel(t *testing.T) {
 	// shared scale, and zero for same-chip pairs.
 	m := kgraph(24, 53)
 	s := MustSystem(m, Config{Chips: 3, Seed: 54})
-	for _, c := range s.chips {
+	for _, c := range chipsOf(s) {
 		for li, g := range c.owned {
 			for j := 0; j < 24; j++ {
 				want := 0.0
@@ -371,7 +380,7 @@ func TestSystemInvariantsProperty(t *testing.T) {
 			return false
 		}
 		truth := s.GlobalSpins()
-		for _, c := range s.chips {
+		for _, c := range chipsOf(s) {
 			for g := 0; g < s.n; g++ {
 				if c.shadow[g] != truth[g] {
 					return false

@@ -63,9 +63,8 @@ type SubmitRequest struct {
 	ChannelBytesPerNS float64 `json:"channelBytesPerNS,omitempty"`
 	SampleEveryNS     float64 `json:"sampleEveryNS,omitempty"`
 	Parallel          bool    `json:"parallel,omitempty"`
-	// Backend selects the coupling-matrix backend ("auto", "dense",
-	// "csr" or "blocked"); empty means auto. Bit-identical — only host
-	// time moves.
+	// Backend selects the coupling-matrix backend ("auto", "dense" or
+	// "csr"); empty means auto. Bit-identical — only host time moves.
 	Backend string `json:"backend,omitempty"`
 	// Priority orders the admission queue when -max-active is
 	// saturated: higher dispatches first, ties FIFO. Executing runs are

@@ -325,6 +325,7 @@ func TestHTTPValidation(t *testing.T) {
 		name, body string
 	}{
 		{"bad engine", `{"engine":"warp","k":8}`},
+		{"retired backend", `{"engine":"sa","k":8,"backend":"blocked"}`},
 		{"no problem", `{"engine":"sa"}`},
 		{"both problems", `{"engine":"sa","k":8,"n":2,"edges":[[1,2,1]]}`},
 		{"too many spins", `{"engine":"sa","k":65}`},

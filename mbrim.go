@@ -281,10 +281,9 @@ const (
 // time. BackendAuto (the empty default) picks dense unless the model's
 // measured density is at most 5%, where CSR wins.
 const (
-	BackendAuto    = "auto"
-	BackendDense   = "dense"
-	BackendCSR     = "csr"
-	BackendBlocked = "blocked"
+	BackendAuto  = "auto"
+	BackendDense = "dense"
+	BackendCSR   = "csr"
 )
 
 // NewModel returns an n-spin Ising model with zero couplings.
