@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"mbrim/internal/cluster/chaosproxy"
 	"mbrim/internal/graph"
 	"mbrim/internal/ising"
+	"mbrim/internal/journal"
 	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
 	"mbrim/internal/rng"
@@ -234,6 +237,13 @@ func TestClusterRecoversFromWorkerKill(t *testing.T) {
 	if got.LiveWorkers != 2 {
 		t.Errorf("live workers: %d, want 2", got.LiveWorkers)
 	}
+	// Neither the superseded incarnation nor the finished one stays on
+	// the survivors (the blackholed worker cannot be reached to be told).
+	for _, b := range backends[:2] {
+		if ids := hostedSlices(t, b); len(ids) != 0 {
+			t.Errorf("survivor %s still hosts %v", b, ids)
+		}
+	}
 	snap := reg.Snapshot()
 	if snap.Counters["cluster.recoveries"] == 0 {
 		t.Errorf("cluster.recoveries metric not recorded")
@@ -447,6 +457,41 @@ func TestManagerAPI(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
+	// Configurations the engine rejects are synchronous 400s: no run id
+	// is taken, nothing is journaled, no worker sees the model.
+	jpath := filepath.Join(t.TempDir(), "run.journal")
+	jw, err := journal.Open(jpath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jw.Close()
+	mgr.SetJournal(jw)
+	for name, spec := range map[string]string{
+		"negative epoch":        `"k":32,"epochNS":-1`,
+		"NaN epoch":             `"k":32,"epochNS":NaN`,
+		"negative channels":     `"k":32,"channels":-1`,
+		"negative chips":        `"k":32,"chips":-1`,
+		"more chips than spins": `"k":4,"chips":5`,
+	} {
+		resp, err := http.Post(srv.URL+"/cluster/runs", "application/json",
+			strings.NewReader(`{"workers":["`+strings.Join(workers, `","`)+`"],`+spec+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if rep, err := journal.Replay(jpath); err != nil || len(rep.Records) != 0 {
+		t.Errorf("rejected submissions left journal records: %+v, %v", rep, err)
+	}
+	for _, w := range workers {
+		if ids := hostedSlices(t, w); len(ids) != 0 {
+			t.Errorf("rejected submissions reached worker %s: %v", w, ids)
+		}
+	}
+
 	body, _ := json.Marshal(&SubmitRequest{
 		Workers:           workers,
 		K:                 32,
@@ -464,8 +509,8 @@ func TestManagerAPI(t *testing.T) {
 	}
 	json.NewDecoder(resp.Body).Decode(&sub)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || sub.ID == "" {
-		t.Fatalf("submit: status %d id %q", resp.StatusCode, sub.ID)
+	if resp.StatusCode != http.StatusAccepted || sub.ID != "cr-1" {
+		t.Fatalf("submit: status %d id %q, want 202 cr-1 (rejected submissions take no id)", resp.StatusCode, sub.ID)
 	}
 
 	deadline := time.Now().Add(30 * time.Second)

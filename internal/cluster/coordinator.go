@@ -6,14 +6,13 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"mbrim/internal/checkpoint"
-	"mbrim/internal/graph"
 	"mbrim/internal/interconnect"
 	"mbrim/internal/ising"
-	"mbrim/internal/lattice"
 	"mbrim/internal/metrics"
 	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
@@ -109,9 +108,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Chips == 0 {
 		c.Chips = len(c.Workers)
 	}
-	if c.Chips < 1 {
-		return c, fmt.Errorf("cluster: Chips=%d", c.Chips)
-	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 8
 	}
@@ -138,11 +134,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.HandoffNSPerSpin == 0 {
 		c.HandoffNSPerSpin = 10
-	}
-	if c.Backend != "" {
-		if _, err := lattice.ParseKind(c.Backend); err != nil {
-			return c, fmt.Errorf("cluster: %w", err)
-		}
 	}
 	return c, nil
 }
@@ -197,26 +188,16 @@ type Result struct {
 	LiveWorkers          int
 }
 
-// clusterCheckpoint is the coordinator's rollback point: every slice's
-// post-sync snapshot at one barrier plus the coordinator-side position.
-type clusterCheckpoint struct {
-	epoch             int
-	modelNS           float64
-	elapsedNS         float64
-	nextNS            float64
-	bitChanges        int64
-	inducedBitChanges int64
-	trace             []metrics.Point
-	states            []*multichip.SliceState
-	fabric            *interconnect.State
-}
-
 // Coordinator drives one distributed solve. Build with New, run with
 // Solve (once).
 type Coordinator struct {
 	cfg   Config
 	model *ising.Model
 	n     int
+	// mc and parts are multichip's own derivation for this run — the
+	// validated configuration with its defaults (epoch length, channels,
+	// backend) and the partition every worker's NewSlice derives too.
+	mc    multichip.Config
 	parts [][]int
 	tr    *transport
 	// tracer is the run's effective event sink: cfg.Tracer directly, or
@@ -231,22 +212,23 @@ type Coordinator struct {
 	gen    int   // slice-id incarnation, bumped each recovery
 	assign []int // slice -> worker index
 
-	epoch             int
-	modelNS           float64
-	elapsedNS         float64
-	nextNS            float64
-	bitChanges        int64
-	inducedBitChanges int64
-	trace             []metrics.Point
-	spins             []int8 // global readout mirror
-	flips             int64  // cumulative machine flips at last barrier
-	inducedFlips      int64
-	// pendingSync[d] is barrier `epoch`'s payload for slice d; synced
+	// pos is the run's position ledger, the same one an in-process run
+	// keeps (its flip counters stay zero: flips are read off the
+	// machines, below).
+	pos          multichip.Position
+	spins        []int8 // global readout mirror
+	flips        int64  // cumulative machine flips at last barrier
+	inducedFlips int64
+	// pendingSync[d] is barrier EpochsDone's payload for slice d; synced
 	// marks it already delivered via a /sync (checkpoint) round.
 	pendingSync [][]multichip.PendingUpdate
 	synced      bool
-	lastCkpt    *clusterCheckpoint
-	stats       RecoveryStats
+	// lastCkpt is the rollback point: the run's start (no slice states)
+	// until the first coordinated checkpoint, then every slice's post-sync
+	// snapshot at one barrier with the ledger and fabric as of it — the
+	// checkpoint an interrupt hands to the in-process engine as is.
+	lastCkpt *multichip.Checkpoint
+	stats    RecoveryStats
 
 	// Progress, if set, is called after every barrier with the epoch
 	// and current elapsed ns (the cluster API's live status feed).
@@ -257,52 +239,63 @@ type Coordinator struct {
 // model. runID scopes the slice ids on the workers; distinct runs must
 // use distinct ids.
 func New(m *ising.Model, runID string, cfg Config) (*Coordinator, error) {
+	co, err := prepare(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	co.name(runID)
+	return co, nil
+}
+
+// prepare is New before the run has a name: everything that can reject
+// the configuration. What the engine would reject — chips, epoch and
+// flip-interval lengths, channels, backend — is rejected by the engine's
+// own validation, through the configuration the slices will be built
+// from.
+func prepare(m *ising.Model, cfg Config) (*Coordinator, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	n := m.N()
-	if c.Chips > n {
-		return nil, fmt.Errorf("cluster: %d chips for %d spins", c.Chips, n)
-	}
-	fab, err := interconnect.New(c.Chips, valueOr(c.Channels, 3), c.ChannelBytesPerNS)
+	co := &Coordinator{cfg: c, model: m, n: m.N()}
+	mcfg, err := co.sliceConfig().multichipConfig()
 	if err != nil {
 		return nil, err
 	}
-	co := &Coordinator{
-		cfg:    c,
-		model:  m,
-		n:      n,
-		parts:  graph.BlockPartition(n, c.Chips),
-		tr:     newTransport(c, c.Workers),
-		fabric: fab,
-		runID:  runID,
-		assign: make([]int, c.Chips),
-		spins:  make([]int8, n),
+	mcfg.Channels, mcfg.ChannelBytesPerNS = c.Channels, c.ChannelBytesPerNS
+	if co.mc, co.parts, err = multichip.Partition(co.n, mcfg); err != nil {
+		return nil, err
 	}
+	if co.fabric, err = interconnect.New(c.Chips, co.mc.Channels, c.ChannelBytesPerNS); err != nil {
+		return nil, err
+	}
+	co.lastCkpt = &multichip.Checkpoint{Mode: multichip.ModeConcurrent, DurationNS: c.DurationNS,
+		Fabric: co.fabric.Snapshot()}
+	co.tr = newTransport(c, c.Workers)
+	co.assign = make([]int, c.Chips)
+	co.spins = make([]int8, co.n)
 	for s := range co.assign {
 		co.assign[s] = s % len(c.Workers)
-	}
-	co.tracer = c.Tracer
-	if c.Federate {
-		co.fed = newFederation(c, runID, len(c.Workers))
-		co.tracer = obs.StampTracer(obs.Fanout(co.fed.co, co.fed.fleet, c.Tracer),
-			co.fed.traceID, "co")
-		co.fed.spans = obs.NewSpanner(co.tracer)
 	}
 	return co, nil
 }
 
-func valueOr(v, def int) int {
-	if v == 0 {
-		return def
+// name binds the run id: the slice-id scope and, when federating, the
+// run's trace identity.
+func (co *Coordinator) name(runID string) {
+	co.runID = runID
+	co.tracer = co.cfg.Tracer
+	if co.cfg.Federate {
+		co.fed = newFederation(co.cfg, runID, len(co.cfg.Workers))
+		co.tracer = obs.StampTracer(obs.Fanout(co.fed.co, co.fed.fleet, co.cfg.Tracer),
+			co.fed.traceID, "co")
+		co.fed.spans = obs.NewSpanner(co.tracer)
 	}
-	return v
 }
 
-// sliceID names slice s's current incarnation on its worker.
-func (co *Coordinator) sliceID(s int) string {
-	return fmt.Sprintf("%s-s%d-g%d", co.runID, s, co.gen)
+// slicePath is the worker route of incarnation gen of slice s.
+func (co *Coordinator) slicePath(s, gen int) string {
+	return fmt.Sprintf("/worker/slices/%s-s%d-g%d", co.runID, s, gen)
 }
 
 func (co *Coordinator) emit(e obs.Event) {
@@ -322,8 +315,13 @@ func (co *Coordinator) Solve(ctx context.Context) (*Result, []byte, error) {
 	}
 	co.recordPartitionQuality()
 	co.emit(obs.Event{Kind: obs.RunStart, Label: "cluster", Seed: co.cfg.Seed, Count: int64(co.n)})
+	// Whatever way the run ends — completed, interrupted (after its
+	// checkpoint is collected) or failed — its slices leave the workers
+	// and the coordinator lets go of everything but the federation.
+	defer co.retire()
 	co.tr.startProber()
 	defer co.tr.stopProber()
+	defer func() { co.releaseSlices(co.gen, co.assign) }()
 	if co.fed != nil {
 		co.fed.runSpan = co.fed.spans.Start("cluster_run", obs.Span{}, -1, 0)
 		co.handshakeClocks(ctx)
@@ -337,7 +335,7 @@ func (co *Coordinator) Solve(ctx context.Context) (*Result, []byte, error) {
 			return nil, nil, err
 		}
 	}
-	for co.modelNS < co.cfg.DurationNS-1e-9 {
+	for !co.done() {
 		select {
 		case <-ctx.Done():
 			return co.interrupted(ctx)
@@ -375,7 +373,7 @@ func (co *Coordinator) Solve(ctx context.Context) (*Result, []byte, error) {
 // report) — so the in-flight epoch is finished under a private deadline
 // before checkpointing.
 func (co *Coordinator) interrupted(ctx context.Context) (*Result, []byte, error) {
-	if co.modelNS < co.cfg.DurationNS-1e-9 {
+	if !co.done() {
 		bg, cancel := context.WithTimeout(context.Background(), 2*co.cfg.RPCTimeout)
 		_ = co.stepEpoch(bg) // best effort; failure falls back to lastCkpt
 		cancel()
@@ -418,13 +416,13 @@ func (co *Coordinator) sliceConfig() SliceConfig {
 }
 
 // createSlices PUTs every slice onto its assigned worker, restoring
-// states[s] when provided (nil means create fresh).
+// states[s] when provided (none means create fresh).
 func (co *Coordinator) createSlices(ctx context.Context, states []*multichip.SliceState) error {
 	mw := ModelToWire(co.model)
 	scfg := co.sliceConfig()
 	return co.forEachSlice(ctx, func(ctx context.Context, s int) error {
 		req := &CreateSliceRequest{Slice: s, Model: mw, Config: scfg}
-		if states != nil {
+		if len(states) > 0 {
 			req.State = states[s]
 		}
 		if co.fed != nil {
@@ -435,7 +433,7 @@ func (co *Coordinator) createSlices(ctx context.Context, states []*multichip.Sli
 				Parent:   co.fed.runSpan.ID(),
 			}
 		}
-		return co.tr.do(ctx, co.assign[s], http.MethodPut, "/worker/slices/"+co.sliceID(s), req, nil)
+		return co.tr.do(ctx, co.assign[s], http.MethodPut, co.slicePath(s, co.gen), req, nil)
 	})
 }
 
@@ -469,12 +467,42 @@ func (co *Coordinator) forEachSlice(ctx context.Context, f func(ctx context.Cont
 	return first
 }
 
+// done reports whether the run has reached its horizon.
+func (co *Coordinator) done() bool { return co.pos.ModelNS >= co.cfg.DurationNS-1e-9 }
+
+// checkReport validates a worker's epoch report against what the
+// barrier is about to do with it: mirror Spins into the owned spins,
+// charge len(Updates) against the slice size (at most one update per
+// owned spin — implied by the ascending order), and forward the updates
+// to every other slice. Workers are remote processes; a report the
+// slice could not have produced fails the run instead of corrupting or
+// crashing the coordinator.
+func checkReport(rep *multichip.EpochReport, epoch int, owned []int) error {
+	if rep == nil || rep.Epoch != epoch || len(rep.Spins) != len(owned) {
+		return errors.New("wrong epoch or readout size")
+	}
+	for _, v := range rep.Spins {
+		if v != -1 && v != 1 {
+			return fmt.Errorf("spin readout %d", v)
+		}
+	}
+	prev := -1
+	for _, u := range rep.Updates {
+		if u.Li <= prev || u.Li >= len(owned) || owned[u.Li] != u.G || (u.V != -1 && u.V != 1) {
+			return fmt.Errorf("update li=%d g=%d v=%d", u.Li, u.G, u.V)
+		}
+		prev = u.Li
+	}
+	return nil
+}
+
 // stepEpoch drives one epoch across all slices: step RPCs with sync
 // payloads batched in, then the coordinator-side barrier — fabric
 // accounting, belief bookkeeping, next payloads, checkpoint cadence.
 func (co *Coordinator) stepEpoch(ctx context.Context) error {
-	epochNS := math.Min(epochOrDefault(co.cfg.EpochNS), co.cfg.DurationNS-co.modelNS)
-	target := co.epoch + 1
+	pos := &co.pos
+	epochNS := math.Min(co.mc.EpochNS, co.cfg.DurationNS-pos.ModelNS)
+	target := pos.EpochsDone + 1
 	reps := make([]*multichip.EpochReport, co.cfg.Chips)
 	// The epoch interval opens before the step RPCs go out so its ID can
 	// ride in StepRequest.Parent — workers parent their chip_step spans
@@ -484,7 +512,7 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 	var epochSpan obs.Span
 	var rpcWall []int64
 	if co.fed != nil {
-		epochSpan = co.fed.spans.Start("epoch", co.fed.runSpan, -1, co.modelNS)
+		epochSpan = co.fed.spans.Start("epoch", co.fed.runSpan, -1, pos.ModelNS)
 		rpcWall = make([]int64, co.cfg.Chips)
 	}
 	err := co.forEachSlice(ctx, func(ctx context.Context, s int) error {
@@ -494,27 +522,27 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 		}
 		var resp StepResponse
 		start := time.Now()
-		if err := co.tr.do(ctx, co.assign[s], http.MethodPost, "/worker/slices/"+co.sliceID(s)+"/step", req, &resp); err != nil {
+		if err := co.tr.do(ctx, co.assign[s], http.MethodPost, co.slicePath(s, co.gen)+"/step", req, &resp); err != nil {
 			return err
 		}
 		if rpcWall != nil {
 			rpcWall[s] = time.Since(start).Nanoseconds()
 		}
-		if resp.Report == nil || resp.Report.Epoch != target || len(resp.Report.Spins) != len(co.parts[s]) {
-			return fmt.Errorf("cluster: slice %d returned a malformed epoch report", s)
+		if err := checkReport(resp.Report, target, co.parts[s]); err != nil {
+			return fmt.Errorf("cluster: slice %d returned a malformed epoch report: %w", s, err)
 		}
 		reps[s] = resp.Report
 		return nil
 	})
 	if err != nil {
-		epochSpan.End(co.modelNS, nil)
+		epochSpan.End(pos.ModelNS, nil)
 		return err
 	}
 
 	// Barrier bookkeeping, in ascending slice order — the same
 	// accumulation order System.syncEpoch uses.
-	co.epoch = target
-	co.modelNS += epochNS
+	pos.EpochsDone = target
+	pos.ModelNS += epochNS
 	var changes, induced int64
 	co.flips, co.inducedFlips = 0, 0
 	next := make([][]multichip.PendingUpdate, co.cfg.Chips)
@@ -539,43 +567,42 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 			}
 		}
 	}
-	co.bitChanges += changes
-	co.inducedBitChanges += induced
+	pos.BitChanges += changes
+	pos.InducedBitChanges += induced
 	co.pendingSync = next
 	co.synced = false
-	co.emit(obs.Event{Kind: obs.EpochSync, Epoch: co.epoch, ModelNS: co.modelNS,
+	co.emit(obs.Event{Kind: obs.EpochSync, Epoch: pos.EpochsDone, ModelNS: pos.ModelNS,
 		Count: changes, Induced: induced})
 
 	stall := co.fabric.EndEpoch(epochNS)
-	co.elapsedNS += epochNS + stall
+	pos.ElapsedNS += epochNS + stall
 	if co.fed != nil {
 		for s := range reps {
 			co.fed.spans.Complete("step_rpc", epochSpan, s,
-				co.modelNS-epochNS, epochNS, rpcWall[s], nil)
+				pos.ModelNS-epochNS, epochNS, rpcWall[s], nil)
 		}
-		co.fed.spans.Complete("fabric_settle", epochSpan, -1, co.modelNS, 0, 0,
+		co.fed.spans.Complete("fabric_settle", epochSpan, -1, pos.ModelNS, 0, 0,
 			&obs.Event{StallNS: stall})
-		epochSpan.End(co.modelNS, &obs.Event{Count: changes, StallNS: stall})
+		epochSpan.End(pos.ModelNS, &obs.Event{Count: changes, StallNS: stall})
 	}
 	if co.metric() != nil {
 		co.metric().Histogram("cluster.epoch_stall_ns").Observe(stall)
 		co.metric().Counter("cluster.epochs").Inc()
 	}
-	if co.cfg.SampleEveryNS > 0 && co.elapsedNS >= co.nextNS {
+	if co.cfg.SampleEveryNS > 0 && pos.ElapsedNS >= pos.NextSampleNS {
 		energy := co.model.Energy(co.spins)
-		co.trace = append(co.trace, metrics.Point{X: co.elapsedNS, Y: energy})
-		co.emit(obs.Event{Kind: obs.EnergySample, Epoch: co.epoch, ModelNS: co.elapsedNS, Value: energy})
-		co.nextNS = co.elapsedNS + co.cfg.SampleEveryNS
+		pos.Trace = append(pos.Trace, metrics.Point{X: pos.ElapsedNS, Y: energy})
+		co.emit(obs.Event{Kind: obs.EnergySample, Epoch: pos.EpochsDone, ModelNS: pos.ElapsedNS, Value: energy})
+		pos.NextSampleNS = pos.ElapsedNS + co.cfg.SampleEveryNS
 	}
 	if co.Progress != nil {
-		co.Progress(co.epoch, co.elapsedNS)
+		co.Progress(pos.EpochsDone, pos.ElapsedNS)
 	}
 	if co.cfg.OnEpoch != nil {
-		co.cfg.OnEpoch(co.epoch)
+		co.cfg.OnEpoch(pos.EpochsDone)
 	}
 
-	done := co.modelNS >= co.cfg.DurationNS-1e-9
-	if !done && co.epoch%co.cfg.CheckpointEvery == 0 {
+	if !co.done() && pos.EpochsDone%co.cfg.CheckpointEvery == 0 {
 		if err := co.checkpointRound(ctx); err != nil {
 			return err
 		}
@@ -583,67 +610,59 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 	return nil
 }
 
-func epochOrDefault(e float64) float64 {
-	if e == 0 {
-		return 3.3 // the multichip default epoch
-	}
-	return e
-}
-
 // checkpointRound delivers the open barrier to every slice via /sync
 // (so snapshots are post-sync — a genuine epoch-barrier cut) and saves
 // the rollback point.
 func (co *Coordinator) checkpointRound(ctx context.Context) error {
+	pos := &co.pos
 	states := make([]*multichip.SliceState, co.cfg.Chips)
 	var ckSpan obs.Span
 	var rpcWall []int64
 	if co.fed != nil {
-		ckSpan = co.fed.spans.Start("checkpoint_round", co.fed.runSpan, -1, co.modelNS)
+		ckSpan = co.fed.spans.Start("checkpoint_round", co.fed.runSpan, -1, pos.ModelNS)
 		rpcWall = make([]int64, co.cfg.Chips)
 	}
 	err := co.forEachSlice(ctx, func(ctx context.Context, s int) error {
-		req := &SyncRequest{Epoch: co.epoch, WantState: true, Parent: ckSpan.ID()}
+		req := &SyncRequest{Epoch: pos.EpochsDone, WantState: true, Parent: ckSpan.ID()}
 		if !co.synced && co.pendingSync != nil {
 			req.Sync = co.pendingSync[s]
 		}
 		var resp SyncResponse
 		start := time.Now()
-		if err := co.tr.do(ctx, co.assign[s], http.MethodPost, "/worker/slices/"+co.sliceID(s)+"/sync", req, &resp); err != nil {
+		if err := co.tr.do(ctx, co.assign[s], http.MethodPost, co.slicePath(s, co.gen)+"/sync", req, &resp); err != nil {
 			return err
 		}
 		if rpcWall != nil {
 			rpcWall[s] = time.Since(start).Nanoseconds()
 		}
-		if resp.State == nil || resp.State.Epochs != co.epoch {
-			return fmt.Errorf("cluster: slice %d returned a stale snapshot", s)
+		// A rollback reads the snapshot's readout and flip counters back
+		// into the coordinator's mirror, so it must at least be this
+		// slice's; the worker that restores it validates the rest.
+		st := resp.State
+		if st == nil || st.Epochs != pos.EpochsDone || st.State.Machine == nil ||
+			!slices.Equal(st.State.Owned, co.parts[s]) || len(st.State.Machine.Spins) != len(co.parts[s]) {
+			return fmt.Errorf("cluster: slice %d returned a stale or malformed snapshot", s)
 		}
-		states[s] = resp.State
+		states[s] = st
 		return nil
 	})
 	if err != nil {
-		ckSpan.End(co.modelNS, nil)
+		ckSpan.End(pos.ModelNS, nil)
 		return err
 	}
 	co.synced = true
-	co.lastCkpt = &clusterCheckpoint{
-		epoch:             co.epoch,
-		modelNS:           co.modelNS,
-		elapsedNS:         co.elapsedNS,
-		nextNS:            co.nextNS,
-		bitChanges:        co.bitChanges,
-		inducedBitChanges: co.inducedBitChanges,
-		trace:             append([]metrics.Point(nil), co.trace...),
-		states:            states,
-		fabric:            co.fabric.Snapshot(),
-	}
+	ck := &multichip.Checkpoint{Mode: multichip.ModeConcurrent, DurationNS: co.cfg.DurationNS,
+		Position: pos.Clone(), Fabric: co.fabric.Snapshot()}
+	ck.SetSlices(states)
+	co.lastCkpt = ck
 	if co.metric() != nil {
 		co.metric().Counter("cluster.checkpoints").Inc()
 	}
 	if co.fed != nil {
 		for s := range states {
-			co.fed.spans.Complete("sync_rpc", ckSpan, s, co.modelNS, 0, rpcWall[s], nil)
+			co.fed.spans.Complete("sync_rpc", ckSpan, s, pos.ModelNS, 0, rpcWall[s], nil)
 		}
-		ckSpan.End(co.modelNS, nil)
+		ckSpan.End(pos.ModelNS, nil)
 		// Federation rides the checkpoint cadence: one pull + scrape
 		// round per rollback point, plus the final catch-up at run end.
 		co.federateRound(ctx)
@@ -659,7 +678,7 @@ func (co *Coordinator) checkpointRound(ctx context.Context) error {
 // worker.
 func (co *Coordinator) recover(ctx context.Context, wd *workerDeadError) error {
 	co.stats.WorkerDeaths++
-	co.emit(obs.Event{Kind: obs.Fault, Label: "worker-loss", Epoch: co.epoch, Chip: wd.worker})
+	co.emit(obs.Event{Kind: obs.Fault, Label: "worker-loss", Epoch: co.pos.EpochsDone, Chip: wd.worker})
 	if co.metric() != nil {
 		co.metric().Counter("cluster.worker_deaths").Inc()
 	}
@@ -679,6 +698,7 @@ func (co *Coordinator) recover(ctx context.Context, wd *workerDeadError) error {
 	// Reassign every slice hosted on a dead worker to the survivor
 	// carrying the fewest slices, ties to the lowest worker index —
 	// deterministic, and spares (load 0) absorb first.
+	prevGen, prevAssign := co.gen, slices.Clone(co.assign)
 	load := make([]int, len(co.cfg.Workers))
 	for _, wi := range co.assign {
 		if co.tr.alive(wi) {
@@ -708,49 +728,28 @@ func (co *Coordinator) recover(ctx context.Context, wd *workerDeadError) error {
 		}
 	}
 
-	// Roll back: every slice (survivors included) returns to the last
-	// coordinated checkpoint, or to a fresh start when none exists yet.
-	var states []*multichip.SliceState
-	rollbackFrom := co.epoch
-	if ck := co.lastCkpt; ck != nil {
-		states = ck.states
-		co.epoch = ck.epoch
-		co.modelNS = ck.modelNS
-		co.elapsedNS = ck.elapsedNS
-		co.nextNS = ck.nextNS
-		co.bitChanges = ck.bitChanges
-		co.inducedBitChanges = ck.inducedBitChanges
-		co.trace = append([]metrics.Point(nil), ck.trace...)
-		if err := co.fabric.Restore(ck.fabric); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-		co.flips, co.inducedFlips = 0, 0
-		for _, st := range states {
-			for li, g := range st.State.Owned {
-				co.spins[g] = st.State.Machine.Spins[li]
-			}
-			co.flips += st.State.Machine.Flips
-			co.inducedFlips += st.State.Machine.Induced
-		}
-		co.synced = true // checkpoint states are post-sync
-	} else {
-		co.epoch = 0
-		co.modelNS = 0
-		co.elapsedNS = 0
-		co.nextNS = 0
-		co.bitChanges = 0
-		co.inducedBitChanges = 0
-		co.flips, co.inducedFlips = 0, 0
-		co.trace = nil
-		fab, err := interconnect.New(co.cfg.Chips, valueOr(co.cfg.Channels, 3), co.cfg.ChannelBytesPerNS)
-		if err != nil {
-			return err
-		}
-		co.fabric = fab
-		co.synced = false
+	// Roll back: every slice (survivors included) returns to the
+	// rollback point — the last coordinated checkpoint, or the run's
+	// start when there is none yet (no states: slices are created fresh).
+	ck := co.lastCkpt
+	states, err := ck.SliceStates()
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
-	co.pendingSync = nil
-	replayed := int64(rollbackFrom - co.epoch)
+	if err := co.fabric.Restore(ck.Fabric); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	replayed := int64(co.pos.EpochsDone - ck.EpochsDone)
+	co.pos = ck.Position.Clone()
+	co.flips, co.inducedFlips = 0, 0
+	for _, cs := range ck.Chips {
+		for li, g := range cs.Owned {
+			co.spins[g] = cs.Machine.Spins[li]
+		}
+		co.flips += cs.Machine.Flips
+		co.inducedFlips += cs.Machine.Induced
+	}
+	co.pendingSync, co.synced = nil, true // rollback states are post-sync
 	co.stats.ReplayedEpochs += replayed
 
 	// Charge the recovery honestly: a full-state resync for every slice
@@ -768,14 +767,17 @@ func (co *Coordinator) recover(ctx context.Context, wd *workerDeadError) error {
 	if movedSpins > 0 {
 		recoveryStall = float64(movedSpins) * co.cfg.HandoffNSPerSpin
 		co.fabric.AddStall(recoveryStall)
-		co.elapsedNS += recoveryStall
+		co.pos.ElapsedNS += recoveryStall
 	}
 	co.stats.RecoveryStallNS += recoveryStall
 	co.stats.HandoffBytes += handoffBytes
 
-	// Re-create every slice under a fresh incarnation.
+	// Re-create every slice under a fresh incarnation; the superseded
+	// one leaves the survivors whether or not its successor came up.
 	co.gen++
-	if err := co.createSlices(ctx, states); err != nil {
+	err = co.createSlices(ctx, states)
+	co.releaseSlices(prevGen, prevAssign)
+	if err != nil {
 		if next := asWorkerDead(err); next != nil {
 			// Another worker died during recovery: recurse. The survivor
 			// set shrinks monotonically, so this terminates.
@@ -784,12 +786,12 @@ func (co *Coordinator) recover(ctx context.Context, wd *workerDeadError) error {
 		return err
 	}
 	co.stats.Recoveries++
-	co.emit(obs.Event{Kind: obs.Recovery, Label: "rollback-replay", Epoch: co.epoch,
+	co.emit(obs.Event{Kind: obs.Recovery, Label: "rollback-replay", Epoch: co.pos.EpochsDone,
 		Chip: wd.worker, Count: replayed, StallNS: recoveryStall})
 	if co.fed != nil {
 		// Zero-width marker on the merged trace: where the rollback
 		// landed, how many epochs replay, what stall was charged.
-		co.fed.spans.Complete("recovery", co.fed.runSpan, wd.worker, co.modelNS, 0, 0,
+		co.fed.spans.Complete("recovery", co.fed.runSpan, wd.worker, co.pos.ModelNS, 0, 0,
 			&obs.Event{Count: replayed, StallNS: recoveryStall})
 	}
 	if co.metric() != nil {
@@ -802,20 +804,53 @@ func (co *Coordinator) recover(ctx context.Context, wd *workerDeadError) error {
 	return nil
 }
 
+// releaseSlices deletes incarnation gen of every slice from the live
+// worker assign placed it on. Best effort, one attempt each under one
+// short deadline of its own (the run context may be cancelled): a worker
+// that misses the delete keeps an orphan until it restarts, which costs
+// capacity there and never correctness here.
+func (co *Coordinator) releaseSlices(gen int, assign []int) {
+	ctx, cancel := context.WithTimeout(context.Background(), co.cfg.RPCTimeout)
+	defer cancel()
+	var wg sync.WaitGroup
+	for s, wi := range assign {
+		if !co.tr.alive(wi) {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = co.tr.once(ctx, wi, http.MethodDelete, co.slicePath(s, gen), nil, nil)
+		}()
+	}
+	wg.Wait()
+}
+
+// retire drops what only a running solve needs — the dense model, the
+// spin mirror, the rollback point's slice states, the transport and the
+// idle connections its client holds to the workers — so a finished
+// coordinator kept for its federation (/trace, /diag) pins nothing else.
+func (co *Coordinator) retire() {
+	co.tr.client.CloseIdleConnections()
+	co.model, co.parts, co.spins, co.pendingSync = nil, nil, nil, nil
+	co.lastCkpt, co.fabric, co.tr = nil, nil, nil
+}
+
 // partialResult assembles the result at the current barrier.
 func (co *Coordinator) partialResult() *Result {
+	pos := &co.pos
 	res := &Result{
-		ModelNS:              co.modelNS,
+		ModelNS:              pos.ModelNS,
 		StallNS:              co.fabric.StallNS(),
-		ElapsedNS:            co.elapsedNS,
+		ElapsedNS:            pos.ElapsedNS,
 		Flips:                co.flips,
 		InducedFlips:         co.inducedFlips,
-		BitChanges:           co.bitChanges,
-		InducedBitChanges:    co.inducedBitChanges,
+		BitChanges:           pos.BitChanges,
+		InducedBitChanges:    pos.InducedBitChanges,
 		TrafficBytes:         co.fabric.TotalBytes(),
 		PeakDemandBytesPerNS: co.fabric.PeakDemand(),
-		Epochs:               co.epoch,
-		Trace:                append([]metrics.Point(nil), co.trace...),
+		Epochs:               pos.EpochsDone,
+		Trace:                append([]metrics.Point(nil), pos.Trace...),
 		Recovery:             co.stats,
 	}
 	res.Recovery.RPCRetries = co.tr.retries.Load()
@@ -830,37 +865,25 @@ func (co *Coordinator) partialResult() *Result {
 }
 
 // interruptCheckpoint collects post-sync snapshots at the current
-// barrier and assembles a PR-3 envelope resumable by the in-process
-// concurrent engine. The run context is already cancelled, so the
-// collection round runs under its own deadline.
+// barrier and wraps the resulting rollback point — already the
+// checkpoint the in-process concurrent engine resumes — in a PR-3
+// envelope. The run context is already cancelled, so the collection
+// round runs under its own deadline.
 func (co *Coordinator) interruptCheckpoint() ([]byte, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*co.cfg.RPCTimeout)
 	defer cancel()
-	if err := co.checkpointRound(ctx); err != nil && co.lastCkpt == nil {
+	// If collection fails but an earlier coordinated checkpoint exists,
+	// fall back to it — older, but still a consistent cut. The run's
+	// start is not one: it holds no slice states.
+	if err := co.checkpointRound(ctx); err != nil && len(co.lastCkpt.Chips) == 0 {
 		return nil, err
 	}
-	// If collection failed but an earlier rollback point exists, fall
-	// back to it — older, but still a consistent cut.
-	ck := co.lastCkpt
-	mck := &multichip.Checkpoint{
-		Mode:              multichip.ModeConcurrent,
-		DurationNS:        co.cfg.DurationNS,
-		EpochsDone:        ck.epoch,
-		ModelNS:           ck.modelNS,
-		ElapsedNS:         ck.elapsedNS,
-		NextSampleNS:      ck.nextNS,
-		BitChanges:        ck.bitChanges,
-		InducedBitChanges: ck.inducedBitChanges,
-		Trace:             append([]metrics.Point(nil), ck.trace...),
-		Fabric:            ck.fabric,
-	}
-	mck.SetSlices(ck.states)
 	return checkpoint.Encode(&checkpoint.File{
 		Engine:    "mbrim", // core.MBRIMConcurrent
 		Seed:      co.cfg.Seed,
 		N:         co.n,
 		ModelHash: checkpoint.HashModel(co.model),
-		Multichip: mck,
+		Multichip: co.lastCkpt,
 	})
 }
 
@@ -870,11 +893,7 @@ func (co *Coordinator) recordPartitionQuality() {
 	if co.metric() == nil {
 		return
 	}
-	backend := lattice.Auto
-	if co.cfg.Backend != "" {
-		backend, _ = lattice.ParseKind(co.cfg.Backend)
-	}
-	q := metrics.MeasurePartition(co.model.View(backend), co.parts)
+	q := metrics.MeasurePartition(co.model.View(co.mc.Backend), co.parts)
 	m := co.metric()
 	m.SetHelp("cluster.partition_cut_weight_fraction",
 		"fraction of total |J| weight crossing slice boundaries")

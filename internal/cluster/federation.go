@@ -275,7 +275,7 @@ func (co *Coordinator) federateRound(ctx context.Context) {
 	}
 	co.scrapeWorkerMetrics(ctx)
 	wall := time.Since(start).Nanoseconds()
-	co.fed.spans.Complete("federation_pull", co.fed.runSpan, -1, co.modelNS, 0, wall,
+	co.fed.spans.Complete("federation_pull", co.fed.runSpan, -1, co.pos.ModelNS, 0, wall,
 		&obs.Event{Count: int64(kept)})
 	if m := co.metric(); m != nil {
 		m.Histogram("fleet.pull_wall_ns").Observe(float64(wall))
@@ -339,7 +339,7 @@ func (co *Coordinator) finishFederation(res *Result) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*co.cfg.RPCTimeout)
 	defer cancel()
 	co.federateRound(ctx)
-	co.fed.runSpan.End(co.modelNS, &obs.Event{Count: res.Flips, StallNS: res.StallNS})
+	co.fed.runSpan.End(co.pos.ModelNS, &obs.Event{Count: res.Flips, StallNS: res.StallNS})
 	if m := co.metric(); m != nil {
 		m.Gauge("fleet.model_traffic_bytes").Set(res.TrafficBytes)
 	}

@@ -204,16 +204,18 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	m.mu.Lock()
-	m.next++
-	id := fmt.Sprintf("cr-%d", m.next)
-	m.mu.Unlock()
-
-	co, err := New(model, id, m.config(&sr))
+	// Validate before the run exists: a configuration the engine rejects
+	// is a 400 here, with no id taken and nothing journaled or shipped.
+	co, err := prepare(model, m.config(&sr))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	m.mu.Lock()
+	m.next++
+	id := fmt.Sprintf("cr-%d", m.next)
+	m.mu.Unlock()
+	co.name(id)
 	ctx, cancel := context.WithCancel(context.Background())
 	cr := &clusterRun{id: id, co: co, cancel: cancel, done: make(chan struct{})}
 	co.Progress = func(epoch int, elapsed float64) {

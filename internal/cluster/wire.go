@@ -1,11 +1,14 @@
 // Package cluster distributes one Ising problem across mbrimd worker
 // nodes over HTTP — ROADMAP item 1, the paper's multi-chip slicing
 // (vertical slices + shadow spins, Sec 5.4) realized across processes
-// instead of across modeled chips. A Coordinator partitions the model
-// exactly like multichip.NewSystem, hosts no dynamics itself, and
-// drives one multichip.Slice per chip on remote workers in epoch
-// lockstep; shadow-spin exchange and epoch sync are one batched wire
-// message per slice per epoch.
+// instead of across modeled chips. A Coordinator takes its partition,
+// epoch length and channel count from multichip.Partition — the head of
+// the derivation NewSystem and NewSlice continue from — hosts no
+// dynamics itself, and drives one multichip.Slice per chip on remote
+// workers in epoch lockstep; shadow-spin exchange and epoch sync are one
+// batched wire message per slice per epoch. Its run position is a
+// multichip.Position and its rollback point a multichip.Checkpoint, the
+// same structures an in-process run keeps.
 //
 // The robustness layer is the point: every RPC runs under a deadline
 // with jittered exponential backoff and a per-run retry budget; a

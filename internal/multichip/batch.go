@@ -72,43 +72,20 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 	if jobs < 1 {
 		panic(fmt.Sprintf("multichip: jobs=%d", jobs))
 	}
-	if durationNS <= 0 {
-		panic(fmt.Sprintf("multichip: duration=%v", durationNS))
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg := s.cfg
+	cfg := &s.cfg
+	// Batch mode never clips its last epoch: every job gets whole epochs,
+	// and model time is the epoch count times the epoch length.
 	totalEpochs := int(math.Ceil(durationNS / cfg.EpochNS))
 	horizon := float64(totalEpochs) * cfg.EpochNS
-
-	res := &BatchResult{Best: -1}
-	elapsed := 0.0
-	nextSample := 0.0
-	bestSoFar := math.Inf(1)
-	startEpoch := 0
+	f, err := s.startRun(ctx, ModeBatch, durationNS, horizon, jobs, resume)
+	if err != nil {
+		return nil, nil, err
+	}
+	pos, tr := &f.pos, f.tr
 	var states [][]int8
 	if resume != nil {
-		if err := s.applyCheckpoint(resume, ModeBatch, durationNS, jobs); err != nil {
-			return nil, nil, err
-		}
-		states = make([][]int8, jobs)
-		for j := range states {
-			states[j] = append([]int8(nil), resume.JobStates[j]...)
-		}
-		startEpoch = resume.EpochsDone
-		res.Epochs = resume.EpochsDone
-		res.Flips = resume.Flips
-		res.InducedFlips = resume.InducedFlips
-		res.BitChanges = resume.BitChanges
-		res.InducedBitChanges = resume.InducedBitChanges
-		res.Trace = append([]metrics.Point(nil), resume.Trace...)
-		res.EpochStats = append([]EpochStat(nil), resume.EpochStats...)
-		elapsed = resume.ElapsedNS
-		nextSample = resume.NextSampleNS
-		bestSoFar = math.Float64frombits(resume.BestSoFarBits)
+		states = cloneStates(resume.JobStates)
 	} else {
-		s.setHorizon(horizon)
 		// Independent initial states per job, derived from the system
 		// seed.
 		jobRNG := rng.New(cfg.Seed).Fork(0xBA7C)
@@ -116,75 +93,37 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 		for j := range states {
 			states[j] = ising.RandomSpins(s.n, jobRNG)
 		}
+		pos.BestSoFarBits = math.Float64bits(math.Inf(1))
 	}
-	res.Jobs = states
-
-	rc := &runCollector{}
-	if cfg.RecordEpochStats {
-		rc.epochStats = &res.EpochStats
-	}
-	if cfg.SampleEveryNS > 0 {
-		rc.trace = &res.Trace
-	}
-	tr := s.runTracer(rc)
-	lastBytes := s.fabric.TotalBytes()
-	done := ctx.Done()
+	pos.ModelNS = float64(pos.EpochsDone) * cfg.EpochNS
 
 	// Within an epoch each chip works a different job (when jobs >=
 	// chips), so the per-chip work is independent and can run on
 	// goroutines; per-chip results are merged after the barrier so the
-	// outcome is bit-identical either way. Fault fates are resolved
+	// outcome is bit-identical either way. A writeback's fate is resolved
 	// inside the worker (the injector is stateless), but all shared
 	// accounting — fabric charges, stats, events, delayed-writeback
 	// queuing — happens in the merge loop in chip order.
 	type chipEpoch struct {
 		flips, induced     int64
 		changes, inducedCh int
-		planned            bool // fault layer consulted for this send
-		plan               fault.MessagePlan
-		attempts           int             // retransmits spent (Detect)
-		lost               bool            // writeback never delivered
-		delayedJob         int             // destination of a delayed writeback
-		delayedUps         []PendingUpdate // payload of a delayed writeback
+		job                int
+		sent               bool // the writeback went through the fault layer
+		fate               messageFate
 	}
 	perChip := make([]chipEpoch, len(s.slices))
-	parallelOK := jobs >= len(s.slices)
+	var st EpochStat // this epoch's activity, merged over chips
 
-	for e := startEpoch; e < totalEpochs; e++ {
-		select {
-		case <-done:
-			ck := &Checkpoint{Mode: ModeBatch, DurationNS: durationNS, Jobs: jobs}
-			ck.EpochsDone = res.Epochs
-			ck.ModelNS = float64(res.Epochs) * cfg.EpochNS
-			ck.ElapsedNS = elapsed
-			ck.NextSampleNS = nextSample
-			ck.BestSoFarBits = math.Float64bits(bestSoFar)
-			ck.Flips = res.Flips
-			ck.InducedFlips = res.InducedFlips
-			ck.BitChanges = res.BitChanges
-			ck.InducedBitChanges = res.InducedBitChanges
-			ck.Trace = append([]metrics.Point(nil), res.Trace...)
-			ck.EpochStats = append([]EpochStat(nil), res.EpochStats...)
-			ck.JobStates = make([][]int8, jobs)
-			for j := range states {
-				ck.JobStates[j] = append([]int8(nil), states[j]...)
-			}
-			s.captureInto(ck)
-			s.finalizeBatch(res, states, float64(res.Epochs)*cfg.EpochNS, elapsed)
-			return res, ck, ctx.Err()
-		default:
-		}
-		if sp := cfg.Spans; sp != nil {
-			s.spEpoch = sp.Start("epoch", cfg.SpanRoot, -1, elapsed)
-			s.spPosNS = elapsed
+	next := func() (float64, float64, bool) {
+		return cfg.EpochNS, float64(totalEpochs-pos.EpochsDone) * cfg.EpochNS, pos.EpochsDone < totalEpochs
+	}
+	body := func(no int, _ float64) (float64, error) {
+		e := no - 1
+		if len(perChip) != len(s.slices) {
+			// Repartition rebuilt the chip set.
+			perChip = make([]chipEpoch, len(s.slices))
 		}
 		if s.frt != nil {
-			s.beginFaultEpoch(e+1, float64(totalEpochs-e)*cfg.EpochNS, tr)
-			if len(perChip) != len(s.slices) {
-				// Repartition rebuilt the chip set.
-				perChip = make([]chipEpoch, len(s.slices))
-				parallelOK = jobs >= len(s.slices)
-			}
 			// Last epoch's delayed writebacks land before any chip
 			// loads a job — late but in-order delivery.
 			for _, wb := range s.frt.pendingBatch {
@@ -192,8 +131,6 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 			}
 			s.frt.pendingBatch = s.frt.pendingBatch[:0]
 		}
-		var st EpochStat
-		st.Epoch = e + 1
 		work := func(ci int, sl *Slice) error {
 			c := &sl.chip
 			if cfg.Spans != nil {
@@ -222,30 +159,23 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 			// Write back and count the broadcast.
 			ups := sl.diff(before)
 			pe := chipEpoch{flips: c.epochFlips, induced: c.epochInducedFlips,
-				changes: len(ups), inducedCh: int(inducedCount(ups))}
+				changes: len(ups), inducedCh: int(inducedCount(ups)), job: job}
+			payload := ups
 			if s.frt != nil && len(ups) > 0 {
-				// The whole epoch writeback is one message; resolve its
-				// fate here (pure draws), account at the barrier.
-				delivered, delayed, attempts, plan, payload := s.frt.resolveBatchSend(e+1, ci, ups)
-				pe.planned, pe.plan, pe.attempts = true, plan, attempts
-				switch {
-				case !delivered:
-					pe.lost = true // the epoch's work evaporates
-				case delayed:
-					pe.delayedJob = job
-					pe.delayedUps = payload
-				default:
-					writeBack(states[job], payload)
-				}
-			} else {
-				writeBack(states[job], ups)
+				// The whole epoch writeback is one message.
+				pe.sent, pe.fate = true, s.frt.resolve(no, ci, ups)
+				payload = pe.fate.payload
+			}
+			if !pe.sent || (pe.fate.delivered && !pe.fate.delayed) {
+				// Otherwise the epoch's work evaporates, or lands late.
+				writeBack(states[job], payload)
 			}
 			perChip[ci] = pe
 			return nil
 		}
 		var badChip int
 		var chipErr error
-		if parallelOK {
+		if jobs >= len(s.slices) {
 			badChip, chipErr = s.forEachSlice(work)
 		} else {
 			// jobs < chips: two chips may share a job state; keep the
@@ -259,16 +189,15 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 			}
 		}
 		if chipErr != nil {
-			emitIf(tr, obs.Event{Kind: obs.Numerical, Label: "divergence",
-				Epoch: e + 1, Chip: badChip, ModelNS: float64(e) * cfg.EpochNS})
-			return nil, nil, fmt.Errorf("multichip: chip %d: %w", badChip, chipErr)
+			return 0, f.diverged(no, badChip, float64(e)*cfg.EpochNS, chipErr)
 		}
 		// Chip intervals land before the merge accounting so the barrier
 		// position can advance to the sync point for recovery spans.
-		s.emitChipSpans(elapsed, cfg.EpochNS)
-		s.spPosNS = elapsed + cfg.EpochNS
+		s.emitChipSpans(pos.ElapsedNS, cfg.EpochNS)
+		s.spPosNS = pos.ElapsedNS + cfg.EpochNS
+		st = EpochStat{}
 		for ci, sl := range s.slices {
-			pe := perChip[ci]
+			pe := &perChip[ci]
 			st.Flips += pe.flips
 			st.InducedFlips += pe.induced
 			st.BitChanges += int64(pe.changes)
@@ -282,58 +211,61 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 				bytes = interconnect.DeltaSyncBytes(transmitted, len(sl.chip.owned), len(s.slices)-1)
 				s.fabric.Record(ci, bytes, "sync")
 			}
-			if pe.planned {
-				s.accountBatchSend(e+1, ci, pe.plan, pe.attempts, pe.lost,
-					pe.delayedUps != nil, bytes, int64(pe.changes), tr)
-				if pe.delayedUps != nil {
+			if pe.sent {
+				s.send(no, ci, &pe.fate, bytes, int64(pe.changes), true, tr)
+				if pe.fate.delayed {
 					s.frt.pendingBatch = append(s.frt.pendingBatch,
-						PendingWriteback{Job: pe.delayedJob, Updates: pe.delayedUps})
+						PendingWriteback{Job: pe.job, Updates: pe.fate.payload})
 				}
 			}
 		}
 		if sp := cfg.Spans; sp != nil {
-			sp.Complete("sync", s.spEpoch, -1, elapsed+cfg.EpochNS, 0, 0,
+			sp.Complete("sync", s.spEpoch, -1, pos.ElapsedNS+cfg.EpochNS, 0, 0,
 				&obs.Event{Count: st.BitChanges})
 		}
-		stall := s.fabric.EndEpochSpanned(cfg.EpochNS, cfg.Spans, s.spEpoch, elapsed+cfg.EpochNS)
-		if s.frt != nil {
-			stall += s.frt.takeEpochStall(s.fabric)
-		}
-		st.StallNS = stall
-		elapsed += cfg.EpochNS + stall
-		res.Epochs++
-		s.spEpoch.End(elapsed, &obs.Event{StallNS: stall})
-		s.spEpoch = obs.Span{}
-		res.Flips += st.Flips
-		res.InducedFlips += st.InducedFlips
-		res.BitChanges += st.BitChanges
-		res.InducedBitChanges += st.InducedBitChanges
-		s.drainStepRetries(tr, e+1, float64(e+1)*cfg.EpochNS)
+		pos.ModelNS = float64(no) * cfg.EpochNS
+		return cfg.EpochNS, nil
+	}
+	late := func(no int) {
+		pos.Flips += st.Flips
+		pos.InducedFlips += st.InducedFlips
+		pos.BitChanges += st.BitChanges
+		pos.InducedBitChanges += st.InducedBitChanges
+		s.drainStepRetries(tr, no, pos.ModelNS)
 		if tr != nil {
-			model := float64(e+1) * cfg.EpochNS
-			s.emitChipEpoch(tr, e+1, model)
-			tr.Emit(obs.Event{Kind: obs.EpochSync, Epoch: e + 1, ModelNS: model,
+			s.emitChipEpoch(tr, no, pos.ModelNS)
+			tr.Emit(obs.Event{Kind: obs.EpochSync, Epoch: no, ModelNS: pos.ModelNS,
 				Count: st.BitChanges, Induced: st.InducedBitChanges})
-			total := s.fabric.TotalBytes()
-			tr.Emit(obs.Event{Kind: obs.FabricTransfer, Epoch: e + 1, ModelNS: model,
-				Value: total - lastBytes, StallNS: stall})
-			lastBytes = total
-		}
-		s.cfg.Metrics.Histogram("multichip.epoch_stall_ns").Observe(stall)
-		if cfg.SampleEveryNS > 0 && elapsed >= nextSample {
-			for _, state := range states {
-				if en := s.model.Energy(state); en < bestSoFar {
-					bestSoFar = en
-				}
-			}
-			tr.Emit(obs.Event{Kind: obs.EnergySample, Epoch: e + 1, ModelNS: elapsed,
-				Value: bestSoFar})
-			nextSample = elapsed + cfg.SampleEveryNS
 		}
 	}
+	// A sample is the best energy any job has shown at a sample point.
+	energy := func() float64 {
+		best := math.Float64frombits(pos.BestSoFarBits)
+		for _, state := range states {
+			if en := s.model.Energy(state); en < best {
+				best = en
+			}
+		}
+		pos.BestSoFarBits = math.Float64bits(best)
+		return best
+	}
+	ck, err := f.loop(epochMode{next: next, body: body, late: late, energy: energy})
+	if err != nil && ck == nil {
+		return nil, nil, err
+	}
+	if ck != nil {
+		ck.JobStates = cloneStates(states)
+	}
+	return s.finalizeBatch(pos, states), ck, err
+}
 
-	s.finalizeBatch(res, states, float64(totalEpochs)*cfg.EpochNS, elapsed)
-	return res, nil, nil
+// cloneStates deep-copies the per-job global states.
+func cloneStates(states [][]int8) [][]int8 {
+	out := make([][]int8, len(states))
+	for j, st := range states {
+		out[j] = append([]int8(nil), st...)
+	}
+	return out
 }
 
 // writeBack applies a chip's epoch writeback to its job's global state.
@@ -343,25 +275,35 @@ func writeBack(state []int8, ups []PendingUpdate) {
 	}
 }
 
-// finalizeBatch fills the common batch-result fields: the time and
-// traffic ledger, per-job energies and the winner. It serves both the
-// normal completion path and the cancellation path (where the ledger
+// finalizeBatch assembles the batch result from the ledger and the job
+// states — the time and traffic ledger, per-job energies and the winner
+// — at completion or at the cancellation cut alike (where the ledger
 // covers the epochs actually performed).
-func (s *System) finalizeBatch(res *BatchResult, states [][]int8, modelNS, elapsed float64) {
-	res.ModelNS = modelNS
-	res.StallNS = s.fabric.StallNS()
-	res.ElapsedNS = elapsed
-	res.TrafficBytes = s.fabric.TotalBytes()
-	res.PeakDemandBytesPerNS = s.fabric.PeakDemand()
-	res.LiveChips = s.liveChips()
+func (s *System) finalizeBatch(pos *Position, states [][]int8) *BatchResult {
+	res := &BatchResult{
+		Jobs:                 states,
+		ModelNS:              pos.ModelNS,
+		StallNS:              s.fabric.StallNS(),
+		ElapsedNS:            pos.ElapsedNS,
+		Flips:                pos.Flips,
+		InducedFlips:         pos.InducedFlips,
+		BitChanges:           pos.BitChanges,
+		InducedBitChanges:    pos.InducedBitChanges,
+		TrafficBytes:         s.fabric.TotalBytes(),
+		PeakDemandBytesPerNS: s.fabric.PeakDemand(),
+		Epochs:               pos.EpochsDone,
+		Trace:                pos.Trace,
+		EpochStats:           pos.EpochStats,
+		LiveChips:            s.liveChips(),
+		Energies:             make([]float64, len(states)),
+		BestEnergy:           math.Inf(1),
+		Best:                 -1,
+	}
 	if s.frt != nil {
 		res.FaultStats = s.frt.stats
 	}
 	s.recordRunMetrics(ModeBatch, res.Flips, res.InducedFlips, res.BitChanges, res.InducedBitChanges,
 		res.StallNS, res.TrafficBytes, res.Epochs)
-	res.Energies = make([]float64, len(states))
-	res.BestEnergy = math.Inf(1)
-	res.Best = -1
 	for j, state := range states {
 		res.Energies[j] = s.model.Energy(state)
 		if res.Energies[j] < res.BestEnergy {
@@ -369,4 +311,5 @@ func (s *System) finalizeBatch(res *BatchResult, states [][]int8, modelNS, elaps
 			res.Best = j
 		}
 	}
+	return res
 }

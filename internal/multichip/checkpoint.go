@@ -74,6 +74,44 @@ type ChipState struct {
 	LastFlipInduced []bool      `json:"lastFlipInduced"`
 }
 
+// Position is a run's ledger at an epoch barrier: where the epoch loop
+// stands and what the run has accumulated so far. Every hosting keeps
+// exactly one — the in-process run modes inside their epoch frame, the
+// cluster coordinator beside its wire state — and Checkpoint embeds it,
+// so capturing or restoring a run's position is one Clone.
+type Position struct {
+	// EpochsDone doubles as the batch-rotation position: epoch e
+	// assigns job (chip+e) mod jobs.
+	EpochsDone   int     `json:"epochsDone"`
+	ModelNS      float64 `json:"modelNS"`
+	ElapsedNS    float64 `json:"elapsedNS"`
+	NextSampleNS float64 `json:"nextSampleNS"`
+	// BestSoFarBits is batch mode's running best sampled energy as
+	// IEEE-754 bits — it starts at +Inf, which JSON cannot carry.
+	BestSoFarBits uint64 `json:"bestSoFarBits,omitempty"`
+	// Partial run counters (batch mode also accumulates flips here
+	// rather than reading machine totals at the end).
+	BitChanges        int64 `json:"bitChanges"`
+	InducedBitChanges int64 `json:"inducedBitChanges"`
+	Flips             int64 `json:"flips,omitempty"`
+	InducedFlips      int64 `json:"inducedFlips,omitempty"`
+	// Partial result series.
+	Trace      []metrics.Point  `json:"trace,omitempty"`
+	EpochStats []EpochStat      `json:"epochStats,omitempty"`
+	Surprises  []SurpriseSample `json:"surprises,omitempty"`
+}
+
+// Clone copies the position, series included, so the copy and the
+// running ledger never share a backing array. An empty series clones to
+// nil, as a run that never sampled holds it.
+func (p *Position) Clone() Position {
+	c := *p
+	c.Trace = append([]metrics.Point(nil), p.Trace...)
+	c.EpochStats = append([]EpochStat(nil), p.EpochStats...)
+	c.Surprises = append([]SurpriseSample(nil), p.Surprises...)
+	return c
+}
+
 // Checkpoint is a complete, resumable snapshot of a run in progress,
 // captured at an epoch barrier. It is an in-memory structure; the
 // versioned serialized form lives in internal/checkpoint.
@@ -83,25 +121,8 @@ type Checkpoint struct {
 	Mode       string  `json:"mode"`
 	DurationNS float64 `json:"durationNS"`
 	Jobs       int     `json:"jobs,omitempty"`
-	// Loop position. EpochsDone doubles as the batch-rotation
-	// position: epoch e assigns job (chip+e) mod jobs.
-	EpochsDone   int     `json:"epochsDone"`
-	ModelNS      float64 `json:"modelNS"`
-	ElapsedNS    float64 `json:"elapsedNS"`
-	NextSampleNS float64 `json:"nextSampleNS"`
-	// BestSoFarBits is batch mode's running best sampled energy as
-	// IEEE-754 bits — it starts at +Inf, which JSON cannot carry.
-	BestSoFarBits uint64 `json:"bestSoFarBits,omitempty"`
-	// Partial run counters (batch mode also accumulates flips in the
-	// result rather than reading machine totals at the end).
-	BitChanges        int64 `json:"bitChanges"`
-	InducedBitChanges int64 `json:"inducedBitChanges"`
-	Flips             int64 `json:"flips,omitempty"`
-	InducedFlips      int64 `json:"inducedFlips,omitempty"`
-	// Partial result series.
-	Trace      []metrics.Point  `json:"trace,omitempty"`
-	EpochStats []EpochStat      `json:"epochStats,omitempty"`
-	Surprises  []SurpriseSample `json:"surprises,omitempty"`
+	// Loop position and partial results.
+	Position
 	// Machine state.
 	Chips          []ChipState         `json:"chips"`
 	ReceiverBelief [][]int8            `json:"receiverBelief"`
@@ -166,8 +187,8 @@ func (s *System) PendingWritebacks() []PendingWriteback {
 
 // captureInto fills ck's machine-state fields (chips, beliefs, RNG
 // positions, fabric, fault state) from the system at an epoch barrier.
-// The caller has already filled the loop-position and partial-result
-// fields, which belong to the run mode.
+// The caller has already filled the Position, which belongs to whoever
+// runs the epoch loop.
 func (s *System) captureInto(ck *Checkpoint) {
 	states := make([]*SliceState, len(s.slices))
 	for i, sl := range s.slices {

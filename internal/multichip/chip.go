@@ -17,8 +17,9 @@
 // implemented once, in Slice (slice.go). System schedules k slices in
 // one process in three operating modes: concurrent (Sec 5.4) in
 // system.go, sequential (the Sec 5.4.1 baseline) in sequential.go and
-// batch (Sec 5.5) in batch.go; internal/cluster schedules one slice
-// per worker process over a network. reconfig.go models the macrochip
+// batch (Sec 5.5) in batch.go — each only the body of an epoch, run
+// inside the one epoch frame of frame.go; internal/cluster schedules one
+// slice per worker process over a network. reconfig.go models the macrochip
 // and the reconfigurable module array of Secs 4.2/5.2. surprise.go
 // reproduces the energy-surprise probe of Fig 9.
 package multichip

@@ -215,90 +215,106 @@ func (s *System) applyBroadcast(from int, ups []PendingUpdate) {
 	}
 }
 
-// faultSend pushes one boundary broadcast through the fault layer:
-// charge the send, resolve drop/corrupt (with CRC detect + bounded
-// retransmit when enabled), then deliver — immediately, one epoch
-// late, corrupted, or not at all. The caller counts the bit changes as
-// transmitted whatever their fate, matching the fault-free accounting.
-func (s *System) faultSend(epochNo, ci int, ups []PendingUpdate, tr obs.Tracer) {
-	frt := s.frt
-	cfg := frt.inj.Config()
-	sl := s.slices[ci]
-	fanout := s.liveFanout(ci)
-	bytes := interconnect.DeltaSyncBytes(len(ups), len(sl.chip.owned), fanout)
-	s.fabric.Record(ci, bytes, "sync")
+// messageFate is the resolved fate of one boundary message — a
+// concurrent or sequential chip's broadcast, a batch chip's job
+// writeback: what the injector planned for it, how many retransmits CRC
+// detection spent on it, and what finally happens to the payload.
+type messageFate struct {
+	plan     fault.MessagePlan
+	attempts int
+	// delivered: the payload lands, this barrier or (delayed) the next.
+	// believed: the sender holds it delivered — true for clean and
+	// corrupted deliveries and, silently wrong, for undetected drops;
+	// false only when detection exhausted its retransmits, so the sender
+	// knows, keeps its belief ledger stale, and the changes ride the next
+	// boundary sync naturally.
+	delivered, believed, delayed bool
+	// payload is what lands: ups, or a copy with one update inverted.
+	payload []PendingUpdate
+}
 
-	plan := frt.inj.Message(epochNo, ci, 0)
-	if plan.Drop {
-		frt.stats.Drops++
-		emitIf(tr, obs.Event{Kind: obs.Fault, Label: "drop", Epoch: epochNo, Chip: ci,
-			Count: int64(len(ups))})
-		s.cfg.Metrics.Counter("fault.drops").Inc()
-	} else if plan.Corrupt {
-		frt.stats.Corruptions++
-		emitIf(tr, obs.Event{Kind: obs.Fault, Label: "corrupt", Epoch: epochNo, Chip: ci,
-			Count: int64(len(ups))})
-		s.cfg.Metrics.Counter("fault.corruptions").Inc()
-	}
-
-	delivered := true
-	corrupt := plan.Corrupt
-	salt := plan.Salt
-	if plan.Faulted() && cfg.Recovery.Detect {
+// resolve decides the fate of chip ci's epoch-epochNo message: drop or
+// corrupt, CRC detect with bounded retransmit, delay. It only hashes
+// (the injector is stateless) and touches no shared state, so chip
+// goroutines may call it; send does the accounting at the barrier.
+func (frt *faultRuntime) resolve(epochNo, ci int, ups []PendingUpdate) messageFate {
+	rec := frt.inj.Config().Recovery
+	f := messageFate{plan: frt.inj.Message(epochNo, ci, 0), delivered: true, believed: true, payload: ups}
+	corrupt := f.plan.Corrupt
+	if f.plan.Faulted() && rec.Detect {
 		// CRC caught the damage; retransmit with backoff, bounded.
 		corrupt = false
-		delivered = false
-		attempts := 0
-		for a := 1; a <= cfg.Recovery.MaxRetransmits; a++ {
-			attempts++
-			s.fabric.Record(ci, bytes, "retransmit")
-			frt.stats.Retransmits++
-			frt.stats.RetransmitBytes += bytes
-			frt.stats.RecoveryStallNS += cfg.Recovery.RetransmitBackoffNS
-			frt.epochStallNS += cfg.Recovery.RetransmitBackoffNS
+		f.delivered = false
+		for a := 1; a <= rec.MaxRetransmits; a++ {
+			f.attempts++
 			if !frt.inj.Message(epochNo, ci, a).Faulted() {
-				delivered = true
+				f.delivered = true
 				break
 			}
 		}
-		emitIf(tr, obs.Event{Kind: obs.Recovery, Label: "retransmit", Epoch: epochNo,
-			Chip: ci, Count: int64(attempts), Value: bytes * float64(attempts),
-			StallNS: cfg.Recovery.RetransmitBackoffNS * float64(attempts)})
-		backoff := cfg.Recovery.RetransmitBackoffNS * float64(attempts)
-		s.spanPoint("recovery_retransmit", ci, backoff, int64(attempts), backoff)
-		s.cfg.Metrics.Counter("fault.retransmits").Add(int64(attempts))
-		if !delivered {
-			// Retries exhausted: the sender KNOWS delivery failed, so
-			// it keeps its belief ledger stale and the changes ride the
-			// next boundary sync naturally.
-			return
+		f.believed = f.delivered
+	} else if f.plan.Drop {
+		// Undetected loss: nothing lands and nobody knows.
+		f.delivered = false
+	}
+	if f.delivered && corrupt {
+		f.payload = corrupted(ups, f.plan.Salt)
+	}
+	f.delayed = f.delivered && f.plan.Delay
+	return f
+}
+
+// send does the shared-state half of a resolved message at the barrier,
+// in chip order: the retransmit burst's fabric charges and stall, the
+// stats ledger, events and counters. bytes is the clean send's fabric
+// cost (the caller has recorded it under "sync"); count is the message
+// size in updates. The caller counts the bit changes as transmitted
+// whatever their fate, matching the fault-free accounting. lump charges
+// the burst's bytes and backoff to the float ledgers as one product
+// (batch mode) instead of once per attempt (concurrent and sequential);
+// the two round differently for a non-dyadic backoff.
+func (s *System) send(epochNo, ci int, f *messageFate, bytes float64, count int64, lump bool, tr obs.Tracer) {
+	frt := s.frt
+	if f.plan.Drop {
+		frt.stats.Drops++
+		emitIf(tr, obs.Event{Kind: obs.Fault, Label: "drop", Epoch: epochNo, Chip: ci, Count: count})
+		s.cfg.Metrics.Counter("fault.drops").Inc()
+	} else if f.plan.Corrupt {
+		frt.stats.Corruptions++
+		emitIf(tr, obs.Event{Kind: obs.Fault, Label: "corrupt", Epoch: epochNo, Chip: ci, Count: count})
+		s.cfg.Metrics.Counter("fault.corruptions").Inc()
+	}
+	if f.attempts > 0 {
+		n := float64(f.attempts)
+		backoffNS := frt.inj.Config().Recovery.RetransmitBackoffNS
+		for a := 0; a < f.attempts; a++ {
+			s.fabric.Record(ci, bytes, "retransmit")
+			if !lump {
+				frt.chargeRetransmit(bytes, backoffNS)
+			}
 		}
-	} else if plan.Drop {
-		// Undetected loss: the sender believes it delivered. Commit the
-		// belief ledger but never touch the shadows — silent staleness.
-		delivered = false
+		if lump {
+			frt.chargeRetransmit(bytes*n, backoffNS*n)
+		}
+		frt.stats.Retransmits += int64(f.attempts)
+		emitIf(tr, obs.Event{Kind: obs.Recovery, Label: "retransmit", Epoch: epochNo,
+			Chip: ci, Count: int64(f.attempts), Value: bytes * n, StallNS: backoffNS * n})
+		s.spanPoint("recovery_retransmit", ci, backoffNS*n, int64(f.attempts), backoffNS*n)
+		s.cfg.Metrics.Counter("fault.retransmits").Add(int64(f.attempts))
 	}
-
-	// The sender now believes the payload landed (true for clean and
-	// corrupted deliveries, silently false for undetected drops).
-	sl.commit(ups)
-	if !delivered {
-		return
-	}
-
-	payload := ups
-	if corrupt {
-		payload = corrupted(ups, salt)
-	}
-	if plan.Delay {
+	if f.delayed {
 		frt.stats.Delays++
-		emitIf(tr, obs.Event{Kind: obs.Fault, Label: "delay", Epoch: epochNo, Chip: ci,
-			Count: int64(len(ups))})
+		emitIf(tr, obs.Event{Kind: obs.Fault, Label: "delay", Epoch: epochNo, Chip: ci, Count: count})
 		s.cfg.Metrics.Counter("fault.delays").Inc()
-		frt.pending = append(frt.pending, PendingMessage{From: ci, Updates: payload})
-		return
 	}
-	s.applyBroadcast(ci, payload)
+}
+
+// chargeRetransmit adds retransmitted bytes and their backoff stall to
+// the float ledgers.
+func (frt *faultRuntime) chargeRetransmit(bytes, stallNS float64) {
+	frt.stats.RetransmitBytes += bytes
+	frt.stats.RecoveryStallNS += stallNS
+	frt.epochStallNS += stallNS
 }
 
 // corrupted returns a copy of the payload with one salt-chosen update's
@@ -379,73 +395,4 @@ func (s *System) watchdog(epochNo int, tr obs.Tracer) {
 		s.spanPoint("recovery_resync", ci, 0, int64(len(c.owned)), 0)
 		s.cfg.Metrics.Counter("fault.resyncs").Inc()
 	}
-}
-
-// accountBatchSend does the shared-state half of a batch-mode fault
-// resolution at the barrier merge, in chip order: fabric retransmit
-// charges, stall, stats, and events. bytes is the clean send's fabric
-// cost (already recorded under "sync"); count is the writeback size.
-func (s *System) accountBatchSend(epochNo, ci int, plan fault.MessagePlan, attempts int, lost, delayed bool, bytes float64, count int64, tr obs.Tracer) {
-	frt := s.frt
-	cfg := frt.inj.Config()
-	if plan.Drop {
-		frt.stats.Drops++
-		emitIf(tr, obs.Event{Kind: obs.Fault, Label: "drop", Epoch: epochNo, Chip: ci, Count: count})
-		s.cfg.Metrics.Counter("fault.drops").Inc()
-	} else if plan.Corrupt {
-		frt.stats.Corruptions++
-		emitIf(tr, obs.Event{Kind: obs.Fault, Label: "corrupt", Epoch: epochNo, Chip: ci, Count: count})
-		s.cfg.Metrics.Counter("fault.corruptions").Inc()
-	}
-	if attempts > 0 {
-		for a := 0; a < attempts; a++ {
-			s.fabric.Record(ci, bytes, "retransmit")
-		}
-		frt.stats.Retransmits += int64(attempts)
-		frt.stats.RetransmitBytes += bytes * float64(attempts)
-		backoff := cfg.Recovery.RetransmitBackoffNS * float64(attempts)
-		frt.stats.RecoveryStallNS += backoff
-		frt.epochStallNS += backoff
-		emitIf(tr, obs.Event{Kind: obs.Recovery, Label: "retransmit", Epoch: epochNo,
-			Chip: ci, Count: int64(attempts), Value: bytes * float64(attempts), StallNS: backoff})
-		s.spanPoint("recovery_retransmit", ci, backoff, int64(attempts), backoff)
-		s.cfg.Metrics.Counter("fault.retransmits").Add(int64(attempts))
-	}
-	if delayed && !lost {
-		frt.stats.Delays++
-		emitIf(tr, obs.Event{Kind: obs.Fault, Label: "delay", Epoch: epochNo, Chip: ci, Count: count})
-		s.cfg.Metrics.Counter("fault.delays").Inc()
-	}
-}
-
-// resolveBatchSend decides the fate of one batch-mode writeback
-// broadcast without touching shared state, so chip goroutines can call
-// it; the barrier merge does the accounting. It returns whether the
-// payload lands, whether it lands a full epoch late, how many
-// retransmit attempts were spent, and the (possibly corrupted)
-// payload to apply.
-func (frt *faultRuntime) resolveBatchSend(epochNo, ci int, ups []PendingUpdate) (delivered, delayed bool, attempts int, plan fault.MessagePlan, payload []PendingUpdate) {
-	cfg := frt.inj.Config()
-	plan = frt.inj.Message(epochNo, ci, 0)
-	payload = ups
-	delivered = true
-	corrupt := plan.Corrupt
-	if plan.Faulted() && cfg.Recovery.Detect {
-		corrupt = false
-		delivered = false
-		for a := 1; a <= cfg.Recovery.MaxRetransmits; a++ {
-			attempts++
-			if !frt.inj.Message(epochNo, ci, a).Faulted() {
-				delivered = true
-				break
-			}
-		}
-	} else if plan.Drop {
-		delivered = false
-	}
-	if delivered && corrupt {
-		payload = corrupted(ups, plan.Salt)
-	}
-	delayed = delivered && plan.Delay
-	return delivered, delayed, attempts, plan, payload
 }

@@ -150,8 +150,8 @@ func TestCrossHosting(t *testing.T) {
 				}
 				ck := &Checkpoint{
 					Mode: ModeConcurrent, DurationNS: duration,
-					EpochsDone: cut, ModelNS: slices[0].ModelNS(), ElapsedNS: l.elapsedNS,
-					BitChanges: l.bitChanges, InducedBitChanges: l.inducedBitChanges,
+					Position: Position{EpochsDone: cut, ModelNS: slices[0].ModelNS(), ElapsedNS: l.elapsedNS,
+						BitChanges: l.bitChanges, InducedBitChanges: l.inducedBitChanges},
 					Fabric: fab.Snapshot(),
 				}
 				ck.SetSlices(states)
@@ -223,19 +223,29 @@ func TestRandomCutResume(t *testing.T) {
 		}
 	}
 	cuts := rng.New(0xC07)
+	schedules := []struct {
+		name   string
+		faults fault.Config
+	}{{"clean", fault.Config{}}, {"faulty", noisy}}
 	for _, mode := range modes {
 		for _, parallel := range []bool{false, true} {
 			for _, coordinated := range []bool{false, true} {
-				for name, faults := range map[string]fault.Config{"clean": {}, "faulty": noisy} {
+				// Four pseudo-random cuts per configuration, each tried under
+				// both schedules, so the subtest names (which carry the cut)
+				// are the same on every run.
+				var at [4]int
+				for i := range at {
+					at[i] = 1 + cuts.Intn(12)
+				}
+				for _, sched := range schedules {
 					cfg := Config{Chips: 4, Seed: 13, Parallel: parallel, Coordinated: coordinated,
-						ChannelBytesPerNS: 0.5, Faults: faults}
+						ChannelBytesPerNS: 0.5, Faults: sched.faults}
 					full, _, err := mode.run(MustSystem(m, cfg), context.Background(), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for trial := 0; trial < 2; trial++ {
-						cut := 1 + cuts.Intn(12)
-						t.Run(fmt.Sprintf("%s/parallel=%v/coordinated=%v/%s@%d", mode.name, parallel, coordinated, name, cut), func(t *testing.T) {
+					for _, cut := range at {
+						t.Run(fmt.Sprintf("%s/parallel=%v/coordinated=%v/%s@%d", mode.name, parallel, coordinated, sched.name, cut), func(t *testing.T) {
 							ctx, cancel := context.WithCancel(context.Background())
 							defer cancel()
 							icfg := cfg

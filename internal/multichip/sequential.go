@@ -2,10 +2,7 @@ package multichip
 
 import (
 	"context"
-	"fmt"
-	"math"
 
-	"mbrim/internal/metrics"
 	"mbrim/internal/obs"
 )
 
@@ -38,62 +35,15 @@ func (s *System) RunSequential(durationNS float64) *Result {
 // round barriers, where every chip has had its turn); divergence
 // aborts with the typed error and no checkpoint.
 func (s *System) RunSequentialCtx(ctx context.Context, durationNS float64, resume *Checkpoint) (*Result, *Checkpoint, error) {
-	if durationNS <= 0 {
-		panic(fmt.Sprintf("multichip: duration=%v", durationNS))
+	f, err := s.startRun(ctx, ModeSequential, durationNS, durationNS, 0, resume)
+	if err != nil {
+		return nil, nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg := s.cfg
-	res := &Result{}
-	elapsed := 0.0
-	model := 0.0
-	nextSample := 0.0
-	if resume != nil {
-		if err := s.applyCheckpoint(resume, ModeSequential, durationNS, 0); err != nil {
-			return nil, nil, err
-		}
-		res.Epochs = resume.EpochsDone
-		res.BitChanges = resume.BitChanges
-		res.InducedBitChanges = resume.InducedBitChanges
-		res.Trace = append([]metrics.Point(nil), resume.Trace...)
-		res.EpochStats = append([]EpochStat(nil), resume.EpochStats...)
-		model = resume.ModelNS
-		elapsed = resume.ElapsedNS
-		nextSample = resume.NextSampleNS
-	} else {
-		s.setHorizon(durationNS)
-	}
-	rc := &runCollector{}
-	if cfg.RecordEpochStats {
-		rc.epochStats = &res.EpochStats
-	}
-	if cfg.SampleEveryNS > 0 {
-		rc.trace = &res.Trace
-	}
-	tr := s.runTracer(rc)
-	lastBytes := s.fabric.TotalBytes()
-	done := ctx.Done()
-	for model < durationNS-1e-9 {
-		select {
-		case <-done:
-			ck := &Checkpoint{Mode: ModeSequential, DurationNS: durationNS}
-			s.capturePosition(ck, res, model, elapsed, nextSample)
-			s.captureInto(ck)
-			s.collect(ModeSequential, res, model, elapsed)
-			return res, ck, ctx.Err()
-		default:
-		}
-		epoch := math.Min(cfg.EpochNS, durationNS-model)
-		if sp := cfg.Spans; sp != nil {
-			// One "epoch" interval per round; each chip's exclusive turn
-			// (integrate + sync) nests inside it as a "chip_turn".
-			s.spEpoch = sp.Start("epoch", cfg.SpanRoot, -1, elapsed)
-			s.spPosNS = elapsed
-		}
-		if s.frt != nil {
-			s.beginFaultEpoch(res.Epochs+1, durationNS-model, tr)
-		}
+	cfg, pos, tr := &s.cfg, &f.pos, f.tr
+	// One "epoch" interval per round; each chip's exclusive turn
+	// (integrate + sync) nests inside it as a "chip_turn".
+	body := func(no int, epoch float64) (float64, error) {
+		model := pos.ModelNS
 		for ci, sl := range s.slices {
 			c := &sl.chip
 			if s.dead(ci) {
@@ -104,26 +54,24 @@ func (s *System) RunSequentialCtx(ctx context.Context, durationNS float64, resum
 			}
 			var turnSpan obs.Span
 			if sp := cfg.Spans; sp != nil {
-				turnSpan = sp.Start("chip_turn", s.spEpoch, ci, elapsed)
+				turnSpan = sp.Start("chip_turn", s.spEpoch, ci, pos.ElapsedNS)
 				if len(s.spChips) != len(s.slices) {
 					s.spChips = make([]obs.Span, len(s.slices))
 				}
 				s.spChips[ci] = turnSpan
-				s.spPosNS = elapsed + epoch
+				s.spPosNS = pos.ElapsedNS + epoch
 			}
 			// A transiently stalled chip still occupies its turn on the
 			// wall clock — the hold is physical — but integrates
 			// nothing; its kick PRNG keeps clocking.
 			if err := sl.step(model, epoch, durationNS, cfg.Coordinated, s.held(ci)); err != nil {
-				emitIf(tr, obs.Event{Kind: obs.Numerical, Label: "divergence",
-					Epoch: res.Epochs + 1, Chip: ci, ModelNS: model})
-				return nil, nil, fmt.Errorf("multichip: chip %d: %w", ci, err)
+				return 0, f.diverged(no, ci, model, err)
 			}
 			if tr != nil {
-				tr.Emit(obs.Event{Kind: obs.ChipStep, Epoch: res.Epochs + 1, Chip: ci,
+				tr.Emit(obs.Event{Kind: obs.ChipStep, Epoch: no, Chip: ci,
 					ModelNS: model + epoch, Count: c.epochFlips, Induced: c.epochInducedFlips})
 				if c.epochKicks > 0 {
-					tr.Emit(obs.Event{Kind: obs.InducedKick, Epoch: res.Epochs + 1, Chip: ci,
+					tr.Emit(obs.Event{Kind: obs.InducedKick, Epoch: no, Chip: ci,
 						ModelNS: model + epoch, Count: c.epochKicks})
 				}
 			}
@@ -132,52 +80,35 @@ func (s *System) RunSequentialCtx(ctx context.Context, durationNS float64, resum
 			// mode; the difference is purely that no work overlaps.
 			var syncSpan obs.Span
 			if sp := cfg.Spans; sp != nil {
-				syncSpan = sp.Start("sync", turnSpan, ci, elapsed+epoch)
+				syncSpan = sp.Start("sync", turnSpan, ci, pos.ElapsedNS+epoch)
 			}
-			changes, inducedChanges := s.syncEpoch(res.Epochs+1, tr)
-			res.BitChanges += changes
-			res.InducedBitChanges += inducedChanges
-			if tr != nil {
-				tr.Emit(obs.Event{Kind: obs.EpochSync, Epoch: res.Epochs + 1, Chip: ci,
-					ModelNS: model + epoch, Count: changes, Induced: inducedChanges})
-			}
-			syncSpan.End(elapsed+epoch, &obs.Event{Count: changes})
+			changes, inducedChanges := s.syncEpoch(no, tr)
+			pos.BitChanges += changes
+			pos.InducedBitChanges += inducedChanges
+			emitIf(tr, obs.Event{Kind: obs.EpochSync, Epoch: no, Chip: ci,
+				ModelNS: model + epoch, Count: changes, Induced: inducedChanges})
+			syncSpan.End(pos.ElapsedNS+epoch, &obs.Event{Count: changes})
 			// Every chip's epoch occupies the wall clock: no overlap.
-			elapsed += epoch
-			turnSpan.End(elapsed, nil)
+			pos.ElapsedNS += epoch
+			turnSpan.End(pos.ElapsedNS, nil)
 		}
 		if cfg.PairStats {
 			// Post-sync residual: a healthy zero-ignorance baseline
 			// reports zero disagreement here every round.
-			s.emitPairStats(tr, res.Epochs+1, model+epoch)
+			s.emitPairStats(tr, no, model+epoch)
 		}
-		s.spPosNS = elapsed
+		s.spPosNS = pos.ElapsedNS
 		if s.frt != nil {
-			s.watchdog(res.Epochs+1, tr)
+			s.watchdog(no, tr)
 		}
-		stall := s.fabric.EndEpochSpanned(epoch, cfg.Spans, s.spEpoch, elapsed)
-		if s.frt != nil {
-			stall += s.frt.takeEpochStall(s.fabric)
-		}
-		elapsed += stall
-		model += epoch
-		res.Epochs++
-		s.spEpoch.End(elapsed, &obs.Event{StallNS: stall})
-		s.spEpoch = obs.Span{}
-		s.drainStepRetries(tr, res.Epochs, model)
-		if tr != nil {
-			total := s.fabric.TotalBytes()
-			tr.Emit(obs.Event{Kind: obs.FabricTransfer, Epoch: res.Epochs, ModelNS: model,
-				Value: total - lastBytes, StallNS: stall})
-			lastBytes = total
-		}
-		s.cfg.Metrics.Histogram("multichip.epoch_stall_ns").Observe(stall)
-		if cfg.SampleEveryNS > 0 && elapsed >= nextSample {
-			tr.Emit(obs.Event{Kind: obs.EnergySample, Epoch: res.Epochs, ModelNS: elapsed,
-				Value: s.model.Energy(s.GlobalSpins())})
-			nextSample = elapsed + cfg.SampleEveryNS
-		}
+		pos.ModelNS += epoch
+		// The turns already advanced elapsed time; only the stall is left.
+		return 0, nil
 	}
-	s.collect(ModeSequential, res, model, elapsed)
-	return res, nil, nil
+	late := func(no int) { s.drainStepRetries(tr, no, pos.ModelNS) }
+	ck, err := f.loop(epochMode{next: f.clippedEpoch, body: body, late: late, energy: s.energy})
+	if err != nil && ck == nil {
+		return nil, nil, err
+	}
+	return s.collect(f), ck, err
 }

@@ -54,24 +54,38 @@ type derivation struct {
 	kick    *rng.Source
 }
 
-// derive validates cfg against m and runs the seed chain. Invalid user
-// configuration is an error, never a panic.
-func derive(m *ising.Model, cfg Config) (derivation, error) {
-	n := m.N()
+// Partition validates cfg against an n-spin model and returns it with
+// defaults applied, together with the spin partition (contiguous blocks
+// unless cfg.Partition says otherwise). It is the head of the one
+// derivation every hosting shares: NewSystem and NewSlice continue from
+// it, and a coordinator that hosts no chip itself stops here and agrees
+// with its workers on epoch length, channels and ownership by
+// construction. Invalid user configuration is an error, never a panic.
+func Partition(n int, cfg Config) (Config, [][]int, error) {
 	c, err := cfg.withDefaults(n)
 	if err != nil {
-		return derivation{}, err
+		return c, nil, err
 	}
 	parts := c.Partition
 	if parts == nil {
 		parts = graph.BlockPartition(n, c.Chips)
 	} else {
 		if len(parts) != c.Chips {
-			return derivation{}, fmt.Errorf("multichip: Partition has %d parts for %d chips", len(parts), c.Chips)
+			return c, nil, fmt.Errorf("multichip: Partition has %d parts for %d chips", len(parts), c.Chips)
 		}
 		if err := validatePartition(parts, n, false); err != nil {
-			return derivation{}, fmt.Errorf("multichip: Partition: %w", err)
+			return c, nil, fmt.Errorf("multichip: Partition: %w", err)
 		}
+	}
+	return c, parts, nil
+}
+
+// derive validates cfg against m and runs the seed chain.
+func derive(m *ising.Model, cfg Config) (derivation, error) {
+	n := m.N()
+	c, parts, err := Partition(n, cfg)
+	if err != nil {
+		return derivation{}, err
 	}
 	scale := m.MaxRowNorm2()
 	if scale == 0 {

@@ -324,13 +324,29 @@ func (s *System) syncEpoch(epochNo int, tr obs.Tracer) (total, induced int64) {
 		}
 		total += int64(len(ups))
 		induced += inducedCount(ups)
-		if s.frt != nil {
-			s.faultSend(epochNo, ci, ups, tr)
+		if s.frt == nil {
+			sl.commit(ups)
+			s.fabric.Record(ci, interconnect.DeltaSyncBytes(len(ups), len(sl.chip.owned), len(s.slices)-1), "sync")
+			s.applyBroadcast(ci, ups)
 			continue
 		}
-		sl.commit(ups)
-		s.fabric.Record(ci, interconnect.DeltaSyncBytes(len(ups), len(sl.chip.owned), len(s.slices)-1), "sync")
-		s.applyBroadcast(ci, ups)
+		// Through the fault layer: charge the send to the live receivers,
+		// then deliver — now, one epoch late, corrupted, or not at all.
+		bytes := interconnect.DeltaSyncBytes(len(ups), len(sl.chip.owned), s.liveFanout(ci))
+		s.fabric.Record(ci, bytes, "sync")
+		f := s.frt.resolve(epochNo, ci, ups)
+		s.send(epochNo, ci, &f, bytes, int64(len(ups)), false, tr)
+		if f.believed {
+			sl.commit(ups)
+		}
+		switch {
+		case !f.delivered:
+			// Silent staleness (or a known failure): shadows untouched.
+		case f.delayed:
+			s.frt.pending = append(s.frt.pending, PendingMessage{From: ci, Updates: f.payload})
+		default:
+			s.applyBroadcast(ci, f.payload)
+		}
 	}
 	return total, induced
 }
@@ -390,69 +406,13 @@ func (s *System) RunConcurrent(durationNS float64) *Result {
 // Integrator divergence aborts with the typed error (no checkpoint —
 // the mid-epoch cut is not a consistent state).
 func (s *System) RunConcurrentCtx(ctx context.Context, durationNS float64, resume *Checkpoint) (*Result, *Checkpoint, error) {
-	if durationNS <= 0 {
-		panic(fmt.Sprintf("multichip: duration=%v", durationNS))
+	f, err := s.startRun(ctx, ModeConcurrent, durationNS, durationNS, 0, resume)
+	if err != nil {
+		return nil, nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg := s.cfg
-	res := &Result{}
-	nextSample := 0.0
-	elapsed := 0.0
-	model := 0.0
-	if resume != nil {
-		if err := s.applyCheckpoint(resume, ModeConcurrent, durationNS, 0); err != nil {
-			return nil, nil, err
-		}
-		res.Epochs = resume.EpochsDone
-		res.BitChanges = resume.BitChanges
-		res.InducedBitChanges = resume.InducedBitChanges
-		res.Trace = append([]metrics.Point(nil), resume.Trace...)
-		res.EpochStats = append([]EpochStat(nil), resume.EpochStats...)
-		res.Surprises = append([]SurpriseSample(nil), resume.Surprises...)
-		model = resume.ModelNS
-		elapsed = resume.ElapsedNS
-		nextSample = resume.NextSampleNS
-	} else {
-		s.setHorizon(durationNS)
-	}
-	rc := &runCollector{}
-	if cfg.RecordEpochStats {
-		rc.epochStats = &res.EpochStats
-	}
-	if cfg.Probes {
-		rc.surprises = &res.Surprises
-	}
-	if cfg.SampleEveryNS > 0 {
-		rc.trace = &res.Trace
-	}
-	tr := s.runTracer(rc)
-	lastBytes := s.fabric.TotalBytes()
-	done := ctx.Done()
-	for model < durationNS-1e-9 {
-		select {
-		case <-done:
-			ck := &Checkpoint{Mode: ModeConcurrent, DurationNS: durationNS}
-			s.capturePosition(ck, res, model, elapsed, nextSample)
-			s.captureInto(ck)
-			s.collect(ModeConcurrent, res, model, elapsed)
-			return res, ck, ctx.Err()
-		default:
-		}
-		epoch := math.Min(cfg.EpochNS, durationNS-model)
-		if sp := cfg.Spans; sp != nil {
-			// The epoch interval opens on the elapsed (model + stall)
-			// timeline, where epochs tile without overlap; recovery work
-			// resolved before integration anchors at its start.
-			s.spEpoch = sp.Start("epoch", cfg.SpanRoot, -1, elapsed)
-			s.spPosNS = elapsed
-		}
-		if s.frt != nil {
-			// Chip loss (with optional repartition) and this epoch's
-			// stall draws, resolved at the barrier in chip order.
-			s.beginFaultEpoch(res.Epochs+1, durationNS-model, tr)
-		}
+	cfg, pos, tr := &s.cfg, &f.pos, f.tr
+	body := func(no int, epoch float64) (float64, error) {
+		fromNS, elapsed := pos.ModelNS, pos.ElapsedNS
 		// Every chip steps the same epoch; the result is the same
 		// whether the host runs them in turn or one goroutine each.
 		badChip, chipErr := s.forEachSlice(func(ci int, sl *Slice) error {
@@ -468,84 +428,60 @@ func (s *System) RunConcurrentCtx(ctx context.Context, durationNS float64, resum
 				sl.chip.resetEpochCounters()
 				return nil
 			}
-			return sl.step(model, epoch, durationNS, cfg.Coordinated, s.held(ci))
+			return sl.step(fromNS, epoch, durationNS, cfg.Coordinated, s.held(ci))
 		})
 		if chipErr != nil {
-			emitIf(tr, obs.Event{Kind: obs.Numerical, Label: "divergence",
-				Epoch: res.Epochs + 1, Chip: badChip, ModelNS: model})
-			return nil, nil, fmt.Errorf("multichip: chip %d: %w", badChip, chipErr)
+			return 0, f.diverged(no, badChip, fromNS, chipErr)
 		}
-		model += epoch
-		res.Epochs++
+		pos.ModelNS += epoch
+		model := pos.ModelNS
 		s.emitChipSpans(elapsed, epoch)
-		s.drainStepRetries(tr, res.Epochs, model)
+		s.drainStepRetries(tr, no, model)
 		if tr != nil {
-			s.emitChipEpoch(tr, res.Epochs, model)
+			s.emitChipEpoch(tr, no, model)
 		}
 		if cfg.Probes {
-			s.probe(res.Epochs, tr)
+			s.probe(no, tr)
 		}
 		if cfg.PairStats {
 			// Pre-sync: the staleness each chip actually annealed
 			// against this epoch.
-			s.emitPairStats(tr, res.Epochs, model)
+			s.emitPairStats(tr, no, model)
 		}
 		s.spPosNS = elapsed + epoch
 		var syncSpan obs.Span
 		if sp := cfg.Spans; sp != nil {
 			syncSpan = sp.Start("sync", s.spEpoch, -1, elapsed+epoch)
 		}
-		changes, inducedChanges := s.syncEpoch(res.Epochs, tr)
-		res.BitChanges += changes
-		res.InducedBitChanges += inducedChanges
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.EpochSync, Epoch: res.Epochs, ModelNS: model,
-				Count: changes, Induced: inducedChanges})
-		}
+		changes, inducedChanges := s.syncEpoch(no, tr)
+		pos.BitChanges += changes
+		pos.InducedBitChanges += inducedChanges
+		emitIf(tr, obs.Event{Kind: obs.EpochSync, Epoch: no, ModelNS: model,
+			Count: changes, Induced: inducedChanges})
 		if s.frt != nil {
 			// Watchdog resyncs record fabric traffic, so they must land
 			// inside the open epoch for congestion to see them.
-			s.watchdog(res.Epochs, tr)
+			s.watchdog(no, tr)
 		}
 		syncSpan.End(elapsed+epoch, &obs.Event{Count: changes})
-		stall := s.fabric.EndEpochSpanned(epoch, cfg.Spans, s.spEpoch, elapsed+epoch)
-		if s.frt != nil {
-			// Recovery stall (retransmit backoff, repartition
-			// reprogramming) holds the machine just like congestion.
-			stall += s.frt.takeEpochStall(s.fabric)
-		}
-		elapsed += epoch + stall
-		if tr != nil {
-			total := s.fabric.TotalBytes()
-			tr.Emit(obs.Event{Kind: obs.FabricTransfer, Epoch: res.Epochs, ModelNS: model,
-				Value: total - lastBytes, StallNS: stall})
-			lastBytes = total
-		}
-		s.spEpoch.End(elapsed, &obs.Event{StallNS: stall})
-		s.spEpoch = obs.Span{}
-		s.cfg.Metrics.Histogram("multichip.epoch_stall_ns").Observe(stall)
-		if cfg.SampleEveryNS > 0 && elapsed >= nextSample {
-			tr.Emit(obs.Event{Kind: obs.EnergySample, Epoch: res.Epochs, ModelNS: elapsed,
-				Value: s.model.Energy(s.GlobalSpins())})
-			nextSample = elapsed + cfg.SampleEveryNS
-		}
+		// The chips ran side by side: one epoch of wall clock, then the
+		// stall.
+		return epoch, nil
 	}
-	s.collect(ModeConcurrent, res, model, elapsed)
-	return res, nil, nil
+	ck, err := f.loop(epochMode{next: f.clippedEpoch, body: body, energy: s.energy})
+	if err != nil && ck == nil {
+		return nil, nil, err
+	}
+	return s.collect(f), ck, err
 }
 
-// capturePosition fills a checkpoint's loop-position and partial-result
-// fields from a single-job run's state at an epoch barrier.
-func (s *System) capturePosition(ck *Checkpoint, res *Result, model, elapsed, nextSample float64) {
-	ck.EpochsDone = res.Epochs
-	ck.ModelNS = model
-	ck.ElapsedNS = elapsed
-	ck.NextSampleNS = nextSample
-	ck.BitChanges = res.BitChanges
-	ck.InducedBitChanges = res.InducedBitChanges
-	ck.Trace = append([]metrics.Point(nil), res.Trace...)
-	ck.EpochStats = append([]EpochStat(nil), res.EpochStats...)
-	ck.Surprises = append([]SurpriseSample(nil), res.Surprises...)
+// energy is the true global energy, as the single-job modes sample it.
+func (s *System) energy() float64 { return s.model.Energy(s.GlobalSpins()) }
+
+// endEpochSpan closes the open epoch interval at the settled barrier.
+func (s *System) endEpochSpan(elapsedNS, stallNS float64) {
+	s.spEpoch.End(elapsedNS, &obs.Event{StallNS: stallNS})
+	s.spEpoch = obs.Span{}
 }
 
 // drainStepRetries reports each chip's integrator-guardrail activity
@@ -617,13 +553,24 @@ func (s *System) setHorizon(ns float64) {
 	}
 }
 
-// collect fills the common result fields.
-func (s *System) collect(mode string, res *Result, model, elapsed float64) {
-	res.ModelNS = model
-	res.ElapsedNS = elapsed
-	res.StallNS = s.fabric.StallNS()
-	res.TrafficBytes = s.fabric.TotalBytes()
-	res.PeakDemandBytesPerNS = s.fabric.PeakDemand()
+// collect assembles a single-job run's result from its ledger and the
+// machines, at completion or at the cancellation cut alike.
+func (s *System) collect(f *runFrame) *Result {
+	pos := &f.pos
+	res := &Result{
+		ModelNS:              pos.ModelNS,
+		ElapsedNS:            pos.ElapsedNS,
+		StallNS:              s.fabric.StallNS(),
+		BitChanges:           pos.BitChanges,
+		InducedBitChanges:    pos.InducedBitChanges,
+		TrafficBytes:         s.fabric.TotalBytes(),
+		PeakDemandBytesPerNS: s.fabric.PeakDemand(),
+		Epochs:               pos.EpochsDone,
+		Trace:                pos.Trace,
+		Surprises:            pos.Surprises,
+		EpochStats:           pos.EpochStats,
+		LiveChips:            s.liveChips(),
+	}
 	for ci, sl := range s.slices {
 		c := &sl.chip
 		res.Flips += c.machine.Flips()
@@ -637,10 +584,10 @@ func (s *System) collect(mode string, res *Result, model, elapsed float64) {
 	}
 	res.Spins = s.GlobalSpins()
 	res.Energy = s.model.Energy(res.Spins)
-	res.LiveChips = s.liveChips()
 	if s.frt != nil {
 		res.FaultStats = s.frt.stats
 	}
-	s.recordRunMetrics(mode, res.Flips, res.InducedFlips, res.BitChanges, res.InducedBitChanges,
+	s.recordRunMetrics(f.mode, res.Flips, res.InducedFlips, res.BitChanges, res.InducedBitChanges,
 		res.StallNS, res.TrafficBytes, res.Epochs)
+	return res
 }
