@@ -18,8 +18,11 @@ import (
 
 // equivalenceModels returns named (model, graph) problems spanning the
 // layouts the backends specialize for: a dense complete graph, a ~5%
-// random graph, and a crossbar chain embedding whose physical model is
-// sparse and strongly structured.
+// random graph, a crossbar chain embedding whose physical model is
+// sparse and strongly structured, and two ±1 K-graphs wide enough for
+// three-word bit planes — unbiased and with integer biases — where the
+// dense backend takes its popcount rows and CSR the float walk
+// (kgraph's fractional biases send every dense row to the walk).
 func equivalenceModels(t *testing.T) map[string]*mbrim.Model {
 	t.Helper()
 	models := map[string]*mbrim.Model{
@@ -36,6 +39,12 @@ func equivalenceModels(t *testing.T) map[string]*mbrim.Model {
 			m.SetBias(i, r.Float64()-0.5)
 		}
 	}
+	models["k130"] = mbrim.CompleteGraph(130, 5).ToIsing()
+	biased := mbrim.CompleteGraph(130, 6).ToIsing()
+	for i := 0; i < biased.N(); i++ {
+		biased.SetBias(i, float64(r.Intn(7)-3))
+	}
+	models["k130-intbias"] = biased
 	return models
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -466,21 +467,26 @@ func TestManagerAPI(t *testing.T) {
 	}
 	defer jw.Close()
 	mgr.SetJournal(jw)
-	for name, spec := range map[string]string{
-		"negative epoch":        `"k":32,"epochNS":-1`,
-		"NaN epoch":             `"k":32,"epochNS":NaN`,
-		"negative channels":     `"k":32,"channels":-1`,
-		"negative chips":        `"k":32,"chips":-1`,
-		"more chips than spins": `"k":4,"chips":5`,
+	for name, c := range map[string]struct{ spec, want string }{
+		"negative epoch":        {`"k":32,"epochNS":-1`, ""},
+		"NaN epoch":             {`"k":32,"epochNS":NaN`, ""},
+		"negative channels":     {`"k":32,"channels":-1`, ""},
+		"negative chips":        {`"k":32,"chips":-1`, ""},
+		"more chips than spins": {`"k":4,"chips":5`, ""},
+		// Fractional endpoints used to be truncated: the first was accepted
+		// as edge (1,2), the second refused as an "out of range" (2,2).
+		"fractional endpoints": {`"n":4,"edges":[[1,2,1],[1.9,2.2,1]]`, "edge 1 [1.9, 2.2]: endpoints must be integers"},
+		"fractional self edge": {`"n":4,"edges":[[2.7,2.1,1]]`, "edge 0 [2.7, 2.1]: endpoints must be integers"},
 	} {
 		resp, err := http.Post(srv.URL+"/cluster/runs", "application/json",
-			strings.NewReader(`{"workers":["`+strings.Join(workers, `","`)+`"],`+spec+`}`))
+			strings.NewReader(`{"workers":["`+strings.Join(workers, `","`)+`"],`+c.spec+`}`))
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+			t.Errorf("%s: status %d body %s, want 400 carrying %q", name, resp.StatusCode, body, c.want)
 		}
 	}
 	if rep, err := journal.Replay(jpath); err != nil || len(rep.Records) != 0 {

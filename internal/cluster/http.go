@@ -140,13 +140,9 @@ func (m *Manager) buildModel(sr *SubmitRequest) (*ising.Model, error) {
 		if sr.N > m.maxSpins {
 			return nil, fmt.Errorf("cluster: n=%d exceeds the %d-spin limit", sr.N, m.maxSpins)
 		}
-		g := graph.New(sr.N)
-		for i, e := range sr.Edges {
-			u, v, w := int(e[0]), int(e[1]), e[2]
-			if u < 1 || u > sr.N || v < 1 || v > sr.N || u == v {
-				return nil, fmt.Errorf("cluster: edge %d (%d,%d) out of range for n=%d", i, u, v, sr.N)
-			}
-			g.AddEdge(u-1, v-1, w)
+		g, err := graph.FromTriples(sr.N, sr.Edges)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
 		}
 		return g.ToIsing(), nil
 	default:

@@ -22,7 +22,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"sync"
 
 	"mbrim/internal/ising"
 	"mbrim/internal/rng"
@@ -36,10 +38,19 @@ type Edge struct {
 
 // Graph is an undirected weighted graph with vertices 0..N-1 stored as
 // an edge list; duplicate edges are coalesced by AddEdge.
+//
+// The endpoint index behind AddEdge and Weight is lazy: it is built
+// from the edge list on the first call to either, so a graph that is
+// only generated and read (Edges, CutValue, ToIsing — a daemon solve)
+// never pays for it. Building it is safe under concurrent Weight
+// readers; AddEdge is a write and needs external synchronization like
+// any other. A Graph must not be copied after first use.
 type Graph struct {
 	n     int
 	edges []Edge
-	index map[[2]int]int // endpoint pair → position in edges
+
+	indexOnce sync.Once
+	index     map[[2]int]int // endpoint pair → position in edges; use lookup
 }
 
 // New returns an empty graph on n vertices. It panics if n <= 0.
@@ -47,7 +58,18 @@ func New(n int) *Graph {
 	if n <= 0 {
 		panic(fmt.Sprintf("graph: New with n=%d", n))
 	}
-	return &Graph{n: n, index: make(map[[2]int]int)}
+	return &Graph{n: n}
+}
+
+// lookup returns the endpoint index, building it on first use.
+func (g *Graph) lookup() map[[2]int]int {
+	g.indexOnce.Do(func() {
+		g.index = make(map[[2]int]int, len(g.edges))
+		for pos, e := range g.edges {
+			g.index[[2]int{e.U, e.V}] = pos
+		}
+	})
+	return g.index
 }
 
 // N returns the number of vertices.
@@ -71,12 +93,12 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 	if u > v {
 		u, v = v, u
 	}
-	key := [2]int{u, v}
-	if pos, ok := g.index[key]; ok {
+	index, key := g.lookup(), [2]int{u, v}
+	if pos, ok := index[key]; ok {
 		g.edges[pos].Weight += w
 		return
 	}
-	g.index[key] = len(g.edges)
+	index[key] = len(g.edges)
 	g.edges = append(g.edges, Edge{U: u, V: v, Weight: w})
 }
 
@@ -85,7 +107,7 @@ func (g *Graph) Weight(u, v int) float64 {
 	if u > v {
 		u, v = v, u
 	}
-	if pos, ok := g.index[[2]int{u, v}]; ok {
+	if pos, ok := g.lookup()[[2]int{u, v}]; ok {
 		return g.edges[pos].Weight
 	}
 	return 0
@@ -178,11 +200,14 @@ func (g *Graph) Subgraph(vs []int) (*Graph, []int) {
 // Complete returns the K-graph K_n with edge weights drawn uniformly
 // from {-1, +1}, the benchmark family of the paper (K2000 [28],
 // K16384 [49]). The instance is fully determined by n and the seed.
+// The pairs come out distinct and in AddEdge's order, so they are
+// appended directly: same edge list, no endpoint index.
 func Complete(n int, r *rng.Source) *Graph {
 	g := New(n)
+	g.edges = make([]Edge, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j, float64(r.Spin()))
+			g.edges = append(g.edges, Edge{U: i, V: j, Weight: float64(r.Spin())})
 		}
 	}
 	return g
@@ -190,16 +215,41 @@ func Complete(n int, r *rng.Source) *Graph {
 
 // Random returns an Erdős–Rényi G(n, p) graph with ±1 weights, the
 // Gset-style sparse workload used for the divide-and-conquer study.
+// Like Complete it appends its distinct, ordered pairs directly.
 func Random(n int, p float64, r *rng.Source) *Graph {
 	g := New(n)
+	// Room for the expected edge count plus four standard deviations, so
+	// all but a few draws in 100 000 never regrow the list.
+	mean := math.Min(math.Max(p, 0), 1) * float64(n*(n-1)/2)
+	g.edges = make([]Edge, 0, int(mean+4*math.Sqrt(mean))+1)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if r.Bool(p) {
-				g.AddEdge(i, j, float64(r.Spin()))
+				g.edges = append(g.edges, Edge{U: i, V: j, Weight: float64(r.Spin())})
 			}
 		}
 	}
 	return g
+}
+
+// FromTriples builds a graph on n vertices from Gset-style [u, v, w]
+// triples with 1-based endpoints — the edge-list body of the daemon's
+// submit requests, which JSON delivers as floats. An endpoint that is
+// not an integer is an error, never truncated; so is one outside 1..n
+// or a self-loop. Each error names the offending triple by position.
+func FromTriples(n int, triples [][3]float64) (*Graph, error) {
+	g := New(n)
+	for i, t := range triples {
+		u, v := t[0], t[1]
+		if u != math.Trunc(u) || v != math.Trunc(v) || math.IsInf(u, 0) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("edge %d [%v, %v]: endpoints must be integers", i, u, v)
+		}
+		if u < 1 || u > float64(n) || v < 1 || v > float64(n) || u == v {
+			return nil, fmt.Errorf("edge %d (%v,%v) out of range for n=%d", i, u, v, n)
+		}
+		g.AddEdge(int(u)-1, int(v)-1, t[2])
+	}
+	return g, nil
 }
 
 // RandomRegularish returns a graph where each vertex gets exactly d

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -321,5 +322,129 @@ func TestComponentsCoverAllVertices(t *testing.T) {
 func TestCompleteIsConnected(t *testing.T) {
 	if !Complete(10, rng.New(1)).Connected() {
 		t.Fatal("complete graph not connected")
+	}
+}
+
+// The generators append their pairs without the endpoint index; these
+// pin that nothing observable changed.
+
+func TestGeneratorsMatchAddEdge(t *testing.T) {
+	const n = 70
+	viaAdd := map[string]*Graph{"complete": New(n), "random": New(n), "empty": New(n), "full": New(n)}
+	r := rng.New(5)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			viaAdd["complete"].AddEdge(i, j, float64(r.Spin()))
+		}
+	}
+	for name, p := range map[string]float64{"random": 0.3, "empty": 0, "full": 1.5} {
+		r = rng.New(5)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if r.Bool(p) {
+					viaAdd[name].AddEdge(i, j, float64(r.Spin()))
+				}
+			}
+		}
+	}
+	for name, g := range map[string]*Graph{
+		"complete": Complete(n, rng.New(5)),
+		"random":   Random(n, 0.3, rng.New(5)),
+		"empty":    Random(n, 0, rng.New(5)),
+		"full":     Random(n, 1.5, rng.New(5)),
+	} {
+		want := viaAdd[name].Edges()
+		if g.index != nil {
+			t.Errorf("%s: generator built the endpoint index", name)
+		}
+		if len(g.Edges()) != len(want) {
+			t.Fatalf("%s: %d edges, AddEdge-built %d", name, len(g.Edges()), len(want))
+		}
+		for i, e := range g.Edges() {
+			if e != want[i] {
+				t.Fatalf("%s: edge %d = %+v, AddEdge-built %+v", name, i, e, want[i])
+			}
+		}
+	}
+}
+
+func TestIndexAfterGeneration(t *testing.T) {
+	const n = 40
+	g := Complete(n, rng.New(2))
+	edges := append([]Edge(nil), g.Edges()...)
+	for _, e := range edges {
+		if g.Weight(e.V, e.U) != e.Weight {
+			t.Fatalf("Weight(%d,%d) = %v, want %v", e.V, e.U, g.Weight(e.V, e.U), e.Weight)
+		}
+	}
+	// AddEdge as the first indexed call must see the generated edges too:
+	// it coalesces onto them instead of appending duplicates.
+	before := g.Weight(3, 7)
+	g = Complete(n, rng.New(2))
+	g.AddEdge(7, 3, 2.5)
+	if g.M() != len(edges) || g.Weight(3, 7) != before+2.5 {
+		t.Fatalf("AddEdge onto generated edge (3,7): M %d → %d, weight %v → %v",
+			len(edges), g.M(), before, g.Weight(3, 7))
+	}
+	sparse := Random(n, 0.1, rng.New(2))
+	m := sparse.M()
+	u, v := 0, 1
+	for sparse.Weight(u, v) != 0 {
+		v++
+	}
+	sparse.AddEdge(u, v, 1)
+	if sparse.M() != m+1 || sparse.Weight(v, u) != 1 {
+		t.Fatalf("AddEdge of an absent pair: M %d → %d, weight %v", m, sparse.M(), sparse.Weight(v, u))
+	}
+}
+
+// TestConcurrentWeightOnFreshGraph is meaningful under -race: the first
+// Weight calls race to build the index.
+func TestConcurrentWeightOnFreshGraph(t *testing.T) {
+	const n = 60
+	g := Complete(n, rng.New(3))
+	edges := g.Edges()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(edges); i += 8 {
+				if e := edges[i]; g.Weight(e.U, e.V) != e.Weight {
+					t.Errorf("Weight(%d,%d) = %v, want %v", e.U, e.V, g.Weight(e.U, e.V), e.Weight)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+func TestFromTriples(t *testing.T) {
+	g, err := FromTriples(4, [][3]float64{{1, 2, 1}, {4, 1, -2}, {2, 1, 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.M() != 2 || g.Weight(0, 1) != 1.5 || g.Weight(0, 3) != -2 {
+		t.Fatalf("edges %+v", g.Edges())
+	}
+	for name, tc := range map[string]struct {
+		triple [3]float64
+		want   string
+	}{
+		"truncates to a valid edge":   {[3]float64{1.9, 2.2, 1}, "edge 1 [1.9, 2.2]: endpoints must be integers"},
+		"truncates to a self-loop":    {[3]float64{2.7, 2.1, 1}, "edge 1 [2.7, 2.1]: endpoints must be integers"},
+		"one fractional endpoint":     {[3]float64{1, 2.5, 1}, "endpoints must be integers"},
+		"NaN":                         {[3]float64{math.NaN(), 2, 1}, "endpoints must be integers"},
+		"infinite":                    {[3]float64{1, math.Inf(1), 1}, "endpoints must be integers"},
+		"beyond the int range":        {[3]float64{1e300, 2, 1}, "edge 1 (1e+300,2) out of range for n=4"},
+		"zero is not a 1-based index": {[3]float64{0, 2, 1}, "out of range"},
+		"past n":                      {[3]float64{1, 5, 1}, "edge 1 (1,5) out of range for n=4"},
+		"self-loop":                   {[3]float64{3, 3, 1}, "out of range"},
+	} {
+		_, err := FromTriples(4, [][3]float64{{1, 2, 1}, tc.triple})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want it to contain %q", name, err, tc.want)
+		}
 	}
 }

@@ -116,3 +116,41 @@ func BenchmarkSparseFields(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPackedFields is the dSBM force on the paper's K512 ±1
+// family: the float walk (the reference the planes must match) against
+// the popcount rows, plus a matrix with one weighted entry to show an
+// ineligible instance still walks at the old cost.
+func BenchmarkPackedFields(b *testing.B) {
+	const n = 512
+	s := newBenchSetup(n, 1)
+	b.Run("float-walk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			refFields(n, s.data, s.spins, nil, s.out, 0, n)
+		}
+	})
+	planes := FromDense(n, s.data, Dense, 0)
+	b.Run("planes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Fields(planes, s.spins, nil, s.out, 1)
+		}
+	})
+	weighted := append([]float64(nil), s.data...)
+	weighted[1], weighted[n] = 0.5, 0.5
+	walk := FromDense(n, weighted, Dense, 0)
+	b.Run("ineligible", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Fields(walk, s.spins, nil, s.out, 1)
+		}
+	})
+	b.Run("build/planes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			FromDense(n, s.data, Dense, 0)
+		}
+	})
+	b.Run("build/ineligible", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			FromDense(n, weighted, Dense, 0)
+		}
+	})
+}

@@ -7,6 +7,7 @@ type dense struct {
 	n    int
 	data []float64 // row-major, symmetric, zero diagonal
 	nnz  int
+	pl   *planes // non-nil iff unscaled and every entry is −1, 0 or +1
 }
 
 // FromDense builds a backend over a row-major n×n symmetric matrix.
@@ -14,18 +15,23 @@ type dense struct {
 // normalization the BRIM machines apply (Ĵ = J/scale); division, not
 // multiplication by a reciprocal, so the stored values match the
 // historical per-engine loops bit for bit. With div 0 or 1 the dense
-// layouts alias data instead of copying — callers must not mutate it.
-// Auto resolves by measured density.
+// layout aliases data instead of copying — callers must not mutate it.
+// Auto resolves by measured density. An unscaled dense layout whose
+// entries are all −1, 0 or +1 also gets the ±1 bit planes (see planes).
 func FromDense(n int, data []float64, kind Kind, div float64) Coupling {
 	if n <= 0 || len(data) != n*n {
 		panic(fmt.Sprintf("lattice: FromDense with %d entries for n=%d", len(data), n))
 	}
-	nnz := CountNNZ(data)
+	nnz, unit := countEntries(data)
 	switch Resolve(kind, n, nnz) {
 	case CSR:
 		return csrFromDense(n, data, div)
 	default:
-		return &dense{n: n, data: scaleDense(data, div), nnz: nnz}
+		d := &dense{n: n, data: scaleDense(data, div), nnz: nnz}
+		if unit && (div == 0 || div == 1) {
+			d.pl = newPlanes(n, data)
+		}
+		return d
 	}
 }
 
@@ -82,15 +88,26 @@ func (d *dense) MatVecRange(x, base, out []float64, lo, hi int) {
 	}
 }
 
+// FieldsRange packs the spins once and takes the popcount row wherever
+// it is provably bit-identical to the float walk below (planes.field);
+// every other row — and every row of a matrix without planes — walks.
 func (d *dense) FieldsRange(spins []int8, base, out []float64, lo, hi int) {
 	n := d.n
 	spins = spins[:n]
+	var stack [packStackWords]uint64
+	up := d.pl.pack(spins, stack[:0])
 	for i := lo; i < hi; i++ {
-		row := d.data[i*n : (i+1)*n]
 		acc := 0.0
 		if base != nil {
 			acc = base[i]
 		}
+		if up != nil {
+			if v, ok := d.pl.field(i, up, acc); ok {
+				out[i] = v
+				continue
+			}
+		}
+		row := d.data[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
 			if v := row[j]; v != 0 {
 				acc += v * float64(spins[j])

@@ -69,6 +69,22 @@ func Fields(c Coupling, spins []int8, base, out []float64, workers int) {
 	ForRange(c.N(), workers, func(lo, hi int) { c.FieldsRange(spins, base, out, lo, hi) })
 }
 
+// Energy returns E(σ) = −Σ_{i<j} J_ij σ_i σ_j − Σ_i base_i σ_i, where
+// walk is the caller's float evaluation of that same quantity
+// (ising.Model.Energy with base_i = μh_i). When c carries ±1 planes and
+// the bases are integers small enough that the energy is an integer
+// below 2⁵³, every partial sum of any float walk is exact, so the
+// popcount evaluation has the walk's bits at 1/64 of its reads;
+// otherwise the walk itself answers.
+func Energy(c Coupling, spins []int8, base []float64, walk func([]int8) float64) float64 {
+	if d, ok := c.(*dense); ok && d.pl != nil && len(spins) == d.n && (base == nil || len(base) == d.n) {
+		if e, ok := d.pl.energy(spins, base, d.nnz); ok {
+			return e
+		}
+	}
+	return walk(spins)
+}
+
 // SumOrdered reduces fn over [0, n) in fixed KernelChunk pieces,
 // combining the per-chunk partials in ascending chunk order — the
 // ordered reduction of the determinism contract. The serial path

@@ -5,7 +5,7 @@
 //
 // # Backends
 //
-// Two layouts implement Coupling (plus one compatibility alias):
+// Two layouts implement Coupling:
 //
 //   - Dense: the row-major n×n array the repository has always used —
 //     right for the paper's fully connected K-graphs.
@@ -15,6 +15,25 @@
 //
 // Auto resolves to CSR when the measured density is at most
 // AutoCSRDensity, else Dense.
+//
+// # ±1 planes
+//
+// The paper's benchmark family is all-to-all ±1 K-graphs, and the
+// integer-field engines (dSBM's force, SA's field cache) read them
+// through FieldsRange with ±1 spins. For exactly that case — an
+// unscaled Dense matrix whose every entry is −1, 0 or +1 — FromDense
+// also stores each row as two bit planes (pos, neg; (n+63)/64 words
+// each), and FieldsRange packs the spin vector into an up-mask once per
+// call and computes a row as
+//
+//	base[i] + float64(2·popcount(pos&up | neg&^up) − rowNNZ[i])
+//
+// the all-digital formulation of a near-memory Ising machine: 64
+// couplings per AND/popcount instead of one per float multiply-add.
+// Nothing selects it: Kind is still Dense, a matrix with any other
+// entry (a weighted instance, a brim machine's J/scale view) builds no
+// planes and allocates nothing extra, and Energy offers the same
+// shortcut for the whole-model energy.
 //
 // # Determinism contract
 //
@@ -26,11 +45,23 @@
 // backend-equivalence suite:
 //
 //   - results are bit-identical across worker counts, and
-//   - all three backends produce bit-identical results: skipping a
-//     zero entry cannot change an accumulator's bits, because an
+//   - both backends produce bit-identical results: skipping a zero
+//     entry cannot change an accumulator's bits, because an
 //     accumulator that starts at +0 can never become −0 (x + (−x)
 //     rounds to +0 under round-to-nearest), and adding ±0 to such an
 //     accumulator is the identity.
+//
+// The popcount row is inside the contract, not an exception to it. It
+// is taken per row, and only when the float walk's result is provably
+// the exact sum: the spins are all ±1 (else the call walks every row)
+// and base[i] is nil or an integer below 2⁵¹, so every partial sum of
+// the walk is an integer below 2⁵³ and no addition rounds. The one
+// value with two encodings is zero, and both paths reach it the same
+// way (x + (−x) = +0) — except over an all-zero row, where the walk
+// never adds and returns base[i] as is, −0 included; the popcount path
+// returns it untouched too. A fractional, huge, NaN or infinite base
+// sends that row to the walk. planes_test.go and FuzzFieldsPlanes
+// compare the two by Float64bits.
 package lattice
 
 import (
@@ -42,7 +73,7 @@ import (
 type Kind int
 
 // The backend kinds. Auto resolves by measured density at
-// construction; the other three force a layout.
+// construction; the other two force a layout.
 const (
 	Auto Kind = iota
 	Dense

@@ -136,13 +136,9 @@ func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
 		if err := m.checkBudget(sr.N, sr.Chips, workers); err != nil {
 			return req, err
 		}
-		g = graph.New(sr.N)
-		for i, e := range sr.Edges {
-			u, v, w := int(e[0]), int(e[1]), e[2]
-			if u < 1 || u > sr.N || v < 1 || v > sr.N || u == v {
-				return req, fmt.Errorf("runs: edge %d (%d,%d) out of range for n=%d", i, u, v, sr.N)
-			}
-			g.AddEdge(u-1, v-1, w)
+		var err error
+		if g, err = graph.FromTriples(sr.N, sr.Edges); err != nil {
+			return req, fmt.Errorf("runs: %w", err)
 		}
 	default:
 		return req, fmt.Errorf("runs: need k > 0 or an edge list")

@@ -323,17 +323,22 @@ func TestHTTPValidation(t *testing.T) {
 	srv, _, _ := newTestServer(t, Config{MaxSpins: 64})
 	cases := []struct {
 		name, body string
+		want       string // a fragment the error must carry
 	}{
-		{"bad engine", `{"engine":"warp","k":8}`},
-		{"retired backend", `{"engine":"sa","k":8,"backend":"blocked"}`},
-		{"no problem", `{"engine":"sa"}`},
-		{"both problems", `{"engine":"sa","k":8,"n":2,"edges":[[1,2,1]]}`},
-		{"too many spins", `{"engine":"sa","k":65}`},
-		{"edges without n", `{"engine":"sa","edges":[[1,2,1]]}`},
-		{"edge out of range", `{"engine":"sa","n":4,"edges":[[1,5,1]]}`},
-		{"self edge", `{"engine":"sa","n":4,"edges":[[2,2,1]]}`},
-		{"unknown field", `{"engine":"sa","k":8,"warp":9}`},
-		{"syntax error", `{"engine":`},
+		{"bad engine", `{"engine":"warp","k":8}`, ""},
+		{"retired backend", `{"engine":"sa","k":8,"backend":"blocked"}`, ""},
+		{"no problem", `{"engine":"sa"}`, ""},
+		{"both problems", `{"engine":"sa","k":8,"n":2,"edges":[[1,2,1]]}`, ""},
+		{"too many spins", `{"engine":"sa","k":65}`, ""},
+		{"edges without n", `{"engine":"sa","edges":[[1,2,1]]}`, ""},
+		{"edge out of range", `{"engine":"sa","n":4,"edges":[[1,5,1]]}`, "edge 0 (1,5) out of range"},
+		{"self edge", `{"engine":"sa","n":4,"edges":[[2,2,1]]}`, ""},
+		// Fractional endpoints used to be truncated: the first was accepted
+		// as edge (1,2), the second refused as an "out of range" (2,2).
+		{"fractional endpoints", `{"engine":"sa","n":4,"edges":[[1,2,1],[1.9,2.2,1]]}`, "edge 1 [1.9, 2.2]: endpoints must be integers"},
+		{"fractional self edge", `{"engine":"sa","n":4,"edges":[[2.7,2.1,1]]}`, "edge 0 [2.7, 2.1]: endpoints must be integers"},
+		{"unknown field", `{"engine":"sa","k":8,"warp":9}`, ""},
+		{"syntax error", `{"engine":`, ""},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, srv.URL+"/runs", c.body)
@@ -343,8 +348,8 @@ func TestHTTPValidation(t *testing.T) {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-			t.Errorf("%s: error envelope %s", c.name, body)
+		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" || !strings.Contains(e.Error, c.want) {
+			t.Errorf("%s: error envelope %s, want it to carry %q", c.name, body, c.want)
 		}
 	}
 }

@@ -2,11 +2,11 @@ package sbm
 
 import (
 	"fmt"
-
 	"time"
 
 	"mbrim/internal/graph"
 	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 	"mbrim/internal/rng"
 )
 
@@ -63,22 +63,20 @@ func SolveMultiChip(m *ising.Model, cfg MultiChipConfig) *MultiChipResult {
 	if a0 == 0 {
 		a0 = 1
 	}
-	c0 := cfg.C0
-	if c0 == 0 {
-		c0 = defaultC0(m)
-	}
-
 	n := m.N()
 	if cfg.Chips > n {
 		panic(fmt.Sprintf("sbm: Chips=%d for N=%d", cfg.Chips, n))
 	}
-	parts := graph.BlockPartition(n, cfg.Chips)
-	owner := make([]int, n)
-	for ci, part := range parts {
-		for _, g := range part {
-			owner[g] = ci
-		}
+	lat := m.View(cfg.Backend)
+	c0 := cfg.C0
+	if c0 == 0 {
+		c0 = defaultC0From(lat)
 	}
+	base := make([]float64, n)
+	for i := range base {
+		base[i] = m.Mu() * m.Bias(i)
+	}
+	parts := graph.BlockPartition(n, cfg.Chips)
 
 	r := rng.New(cfg.Seed)
 	x := make([]float64, n)
@@ -88,59 +86,36 @@ func SolveMultiChip(m *ising.Model, cfg MultiChipConfig) *MultiChipResult {
 		y[i] = 0.1 * (r.Float64()*2 - 1)
 	}
 	// snapshot is every chip's view of remote positions, refreshed at
-	// exchange boundaries.
+	// exchange boundaries; seen is one chip's merged view of a step.
 	snapshot := make([]float64, n)
 	copy(snapshot, x)
+	seen := make([]float64, n)
 
 	spins := make([]int8, n)
 	force := make([]float64, n)
+	energy := func(s []int8) float64 { return lattice.Energy(lat, s, base, m.Energy) }
 	res := &MultiChipResult{}
 	start := time.Now()
 	for step := 0; step < cfg.Steps; step++ {
 		at := a0 * float64(step) / float64(cfg.Steps)
 		// Two-phase (Jacobi) update, matching Solve exactly: every
-		// force is computed from start-of-step positions, with remote
-		// positions taken from the possibly stale snapshot.
-		if cfg.Variant == Discrete {
-			for i := 0; i < n; i++ {
-				row := m.Row(i)
-				oi := owner[i]
-				acc := m.Mu() * m.Bias(i)
-				for j := 0; j < n; j++ {
-					v := row[j]
-					if v == 0 {
-						continue
-					}
-					pos := snapshot[j]
-					if owner[j] == oi {
-						pos = x[j]
-					}
-					if pos >= 0 {
-						acc += v
-					} else {
-						acc -= v
-					}
-				}
-				force[i] = acc
+		// force is computed from start-of-step positions — the chip's own
+		// fresh, the remote ones from the possibly stale snapshot — by the
+		// same kernels as Solve over the chip's contiguous rows.
+		for _, part := range parts {
+			lo, hi := part[0], part[len(part)-1]+1
+			copy(seen, snapshot)
+			copy(seen[lo:hi], x[lo:hi])
+			if cfg.Variant == Discrete {
+				readout(seen, spins)
 			}
-		} else {
-			for i := 0; i < n; i++ {
-				row := m.Row(i)
-				oi := owner[i]
-				acc := m.Mu() * m.Bias(i)
-				for j := 0; j < n; j++ {
-					v := row[j]
-					if v == 0 {
-						continue
-					}
-					if owner[j] == oi {
-						acc += v * x[j]
-					} else {
-						acc += v * snapshot[j]
-					}
+			lattice.ForRange(hi-lo, cfg.Workers, func(a, b int) {
+				if cfg.Variant == Discrete {
+					lat.FieldsRange(spins, base, force, lo+a, lo+b)
+				} else {
+					lat.MatVecRange(seen, base, force, lo+a, lo+b)
 				}
-				force[i] = acc
-			}
+			})
 		}
 		for i := 0; i < n; i++ {
 			y[i] += (-(a0-at)*x[i] + c0*force[i]) * dt
@@ -160,11 +135,11 @@ func SolveMultiChip(m *ising.Model, cfg MultiChipConfig) *MultiChipResult {
 			}
 		}
 		if cfg.OnStep != nil {
-			cfg.OnStep(step, m.Energy(readout(x, spins)))
+			cfg.OnStep(step, energy(readout(x, spins)))
 		}
 	}
 	res.Spins = ising.CopySpins(readout(x, spins))
-	res.Energy = m.Energy(res.Spins)
+	res.Energy = energy(res.Spins)
 	res.Steps = cfg.Steps
 	res.Wall = time.Since(start)
 	return res

@@ -90,16 +90,11 @@ type Result struct {
 	Wall   time.Duration
 }
 
-// defaultC0 is Goto's heuristic coupling scale.
-func defaultC0(m *ising.Model) float64 {
-	return defaultC0From(m.View(lattice.Dense))
-}
-
-// defaultC0From computes the heuristic from a coupling view. The
-// moment statistics run over every upper-triangle pair, zeros included
-// — the historical population — so cnt is n(n−1)/2 directly while the
-// sums iterate only stored nonzeros (adding a zero never changes an
-// accumulator's bits).
+// defaultC0From computes Goto's heuristic coupling scale from a
+// coupling view. The moment statistics run over every upper-triangle
+// pair, zeros included — the historical population — so cnt is n(n−1)/2
+// directly while the sums iterate only stored nonzeros (adding a zero
+// never changes an accumulator's bits).
 func defaultC0From(lat lattice.Coupling) float64 {
 	n := lat.N()
 	var sum, sumSq float64
@@ -170,6 +165,8 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 	}
 	force := make([]float64, n)
 	spins := make([]int8, n)
+	// m.Energy's bits, through the ±1 planes when the view has them.
+	energy := func(s []int8) float64 { return lattice.Energy(lat, s, base, m.Energy) }
 	sampleEvery := 0
 	if cfg.Tracer != nil {
 		sampleEvery = cfg.Steps / 64
@@ -218,11 +215,11 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 		}
 		stepsDone++
 		if cfg.OnStep != nil {
-			cfg.OnStep(step, m.Energy(readout(x, spins)))
+			cfg.OnStep(step, energy(readout(x, spins)))
 		}
 		if sampleEvery > 0 && (step+1)%sampleEvery == 0 {
 			cfg.Tracer.Emit(obs.Event{Kind: obs.EnergySample,
-				Epoch: step + 1, Value: m.Energy(readout(x, spins))})
+				Epoch: step + 1, Value: energy(readout(x, spins))})
 		}
 	}
 	res := &Result{
@@ -230,7 +227,7 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 		Steps: stepsDone,
 		Wall:  time.Since(start),
 	}
-	res.Energy = m.Energy(res.Spins)
+	res.Energy = energy(res.Spins)
 	if cfg.Metrics != nil {
 		cfg.Metrics.Counter("sbm.runs").Inc()
 		cfg.Metrics.Counter("sbm.steps").Add(int64(stepsDone))

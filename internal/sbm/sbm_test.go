@@ -6,6 +6,7 @@ import (
 
 	"mbrim/internal/graph"
 	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 	"mbrim/internal/rng"
 )
 
@@ -189,11 +190,11 @@ func TestPanics(t *testing.T) {
 func TestDefaultC0Positive(t *testing.T) {
 	r := rng.New(14)
 	g := graph.Complete(20, r)
-	if c := defaultC0(g.ToIsing()); c <= 0 || math.IsNaN(c) {
+	if c := defaultC0From(g.ToIsing().View(lattice.Dense)); c <= 0 || math.IsNaN(c) {
 		t.Fatalf("defaultC0 = %v", c)
 	}
 	// Degenerate single-spin model must not divide by zero.
-	if c := defaultC0(ising.NewModel(1)); c != 1 {
+	if c := defaultC0From(ising.NewModel(1).View(lattice.Dense)); c != 1 {
 		t.Fatalf("defaultC0 on edgeless model = %v, want 1", c)
 	}
 }
