@@ -472,7 +472,8 @@ func TestManagerAPI(t *testing.T) {
 		"NaN epoch":             {`"k":32,"epochNS":NaN`, ""},
 		"negative channels":     {`"k":32,"channels":-1`, ""},
 		"negative chips":        {`"k":32,"chips":-1`, ""},
-		"more chips than spins": {`"k":4,"chips":5`, ""},
+		"more chips than spins": {`"k":8,"chips":9`, "Chips=9 for N=8"},
+		"epochs without end":    {`"k":8,"chips":2,"durationNS":5,"epochNS":1e-300`, "durationNS/epochNS is 5e+300 epochs"},
 		// Fractional endpoints used to be truncated: the first was accepted
 		// as edge (1,2), the second refused as an "out of range" (2,2).
 		"fractional endpoints": {`"n":4,"edges":[[1,2,1],[1.9,2.2,1]]`, "edge 1 [1.9, 2.2]: endpoints must be integers"},

@@ -189,6 +189,11 @@ func (m *Manager) config(sr *SubmitRequest) Config {
 
 const maxClusterBody = 64 << 20
 
+// maxSubmitEpochs bounds durationNS/epochNS at submit, as the runs
+// surface does: every epoch is a barrier of RPCs, and a body asking for
+// 10³⁰⁰ of them would never end.
+const maxSubmitEpochs = 1e6
+
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sr SubmitRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxClusterBody)).Decode(&sr); err != nil {
@@ -205,6 +210,11 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	co, err := prepare(model, m.config(&sr))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if epochs := co.cfg.DurationNS / co.mc.EpochNS; epochs > maxSubmitEpochs {
+		writeError(w, http.StatusBadRequest, fmt.Errorf(
+			"cluster: durationNS/epochNS is %.3g epochs, above the %.0e-epoch limit", epochs, float64(maxSubmitEpochs)))
 		return
 	}
 	m.mu.Lock()

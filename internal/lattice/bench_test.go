@@ -78,8 +78,10 @@ func (s *benchSetup) kernelDeriv(c Coupling, workers int) {
 // BenchmarkBRIMDeriv compares one RK4 derivative evaluation (the BRIM
 // step's dominant cost — an RK4 step is four of these) between the old
 // serial dense loop and the shared kernel at several worker counts.
+// n = 64 and 128 are the chip sizes the k256_mbrim4 and k256_cluster2
+// benchmark workloads actually step.
 func BenchmarkBRIMDeriv(b *testing.B) {
-	for _, n := range []int{1024, 4096} {
+	for _, n := range []int{64, 128, 1024, 4096} {
 		s := newBenchSetup(n, 1)
 		b.Run(fmt.Sprintf("old/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -42,14 +42,14 @@ func FromCSR(n int, rowStart, cols []int, vals []float64, div float64) Coupling 
 	return c
 }
 
-// csrFromDense compresses a dense row-major matrix, dividing each kept
-// entry by div (0 means 1). Rows are scanned in ascending column
-// order, so the stored order preserves the dense accumulation order.
-func csrFromDense(n int, data []float64, div float64) *csr {
+// csrFromDense compresses a dense row-major matrix of nnz nonzeros,
+// dividing each kept entry by div (0 means 1). Rows are scanned in
+// ascending column order, so the stored order preserves the dense
+// accumulation order.
+func csrFromDense(n int, data []float64, nnz int, div float64) *csr {
 	if div == 0 {
 		div = 1
 	}
-	nnz := CountNNZ(data)
 	c := &csr{
 		n:        n,
 		rowStart: make([]int, n+1),

@@ -62,6 +62,31 @@
 // returns it untouched too. A fractional, huge, NaN or infinite base
 // sends that row to the walk. planes_test.go and FuzzFieldsPlanes
 // compare the two by Float64bits.
+//
+// # What a kernel may change
+//
+// The contract fixes one sum per output row: start at base[i] (or +0)
+// and add row[j]·x[j] for ascending j, every product and every addition
+// rounded to float64. A kernel may interleave rows — work on several
+// rows' sums side by side, in any order, on any worker — because rows
+// share no accumulator. It may never touch a row's sum: not split it
+// over two accumulators (that re-associates the additions), not reorder
+// its columns, not fuse a product into its addition (math.FMA skips the
+// product's rounding), not narrow it to float32, not trade the division
+// behind a scaled view for a reciprocal. The dense MatVecRange is the
+// worked example. The RK4 derivative of a 64- or 128-spin chip spends
+// its time in row dots too short for the core to hide one add chain's
+// latency, so the kernel takes four rows per block: they share each
+// load of x[j] and keep one accumulator each, four independent chains
+// in flight, and every out[i] still carries the one-row walk's bits.
+// That holds on architectures where the compiler fuses x*y + z as well:
+// the fusion is a rewrite of a single expression whose product has no
+// other use, the blocked loop writes acc += row[j]*x[j] in the walk's
+// own form, and so wherever the walk is fused the blocks are fused the
+// same way. matvec_test.go and FuzzMatVecRange compare the two by
+// Float64bits — except that a NaN only has to be a NaN: when two
+// different NaNs meet, which payload survives is the instruction's
+// choice on either path.
 package lattice
 
 import (
@@ -154,7 +179,10 @@ type Coupling interface {
 	// column order.
 	Scan(i int, fn func(j int, v float64))
 	// MatVecRange fills out[i] = base[i] + Σ_j J_ij·x[j] for rows
-	// lo ≤ i < hi (nil base means zero). Only out[lo:hi] is written.
+	// lo ≤ i < hi (nil base means zero). Only out[lo:hi] is written, so
+	// concurrent calls may share one out over disjoint ranges. out must
+	// not alias x: a backend may read all of x for several rows before
+	// it stores any of them (the dense kernel does).
 	MatVecRange(x, base, out []float64, lo, hi int)
 	// FieldsRange is MatVecRange over a spin vector, skipping zero
 	// couplings: out[i] = base[i] + Σ_j J_ij·σ_j.

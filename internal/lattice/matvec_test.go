@@ -1,0 +1,217 @@
+package lattice
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"mbrim/internal/rng"
+)
+
+// refMatVec is the one-row ascending-column walk the blocked dense
+// kernel must reproduce bit for bit — dense.MatVecRange as it stood
+// before the four-row blocks, kept here as the reference.
+func refMatVec(n int, data, x, base, out []float64, lo, hi int) {
+	x = x[:n]
+	for i := lo; i < hi; i++ {
+		row := data[i*n : (i+1)*n]
+		acc := 0.0
+		if base != nil {
+			acc = base[i]
+		}
+		for j := 0; j < n; j++ {
+			acc += row[j] * x[j]
+		}
+		out[i] = acc
+	}
+}
+
+// sameBits is Float64bits equality, except that any NaN equals any NaN:
+// which operand's payload survives an add or multiply of two different
+// NaNs is the instruction's (and the register allocator's) choice, on
+// the row walk as much as on the blocks, so no kernel can promise it.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// specials are the values where a reordered, split or fused sum would
+// show first: both zeros, NaN, both infinities, subnormals, and a pair
+// whose product needs the rounding an FMA would skip.
+var specials = []float64{
+	0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
+	1 + 0x1p-30, 1e300, -1e300,
+}
+
+// checkMatVec compares MatVecRange over [lo,hi) with the row walk over
+// ref (the view's entries as the walk should see them), and checks that
+// nothing outside the range is written.
+func checkMatVec(t *testing.T, c Coupling, n int, ref, x, base []float64, lo, hi int) {
+	t.Helper()
+	const poison = 12345.5
+	got, want := make([]float64, n), make([]float64, n)
+	for i := range got {
+		got[i], want[i] = poison, poison
+	}
+	c.MatVecRange(x, base, got, lo, hi)
+	refMatVec(n, ref, x, base, want, lo, hi)
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("n=%d [%d,%d) row %d: got %v (%#x), row walk %v (%#x)", n, lo, hi, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// residueRanges returns (lo,hi) pairs covering every pair of residues
+// mod 4 that n admits — so every block count and every remainder length
+// — plus the empty range.
+func residueRanges(n int) [][2]int {
+	var rs [][2]int
+	for lo := 0; lo < 4 && lo <= n; lo++ {
+		for back := 0; back < 4; back++ {
+			if hi := n - back; hi >= lo {
+				rs = append(rs, [2]int{lo, hi})
+			}
+		}
+	}
+	return append(rs, [2]int{n / 2, n / 2})
+}
+
+func TestMatVecBlockedMatchesRowWalk(t *testing.T) {
+	const div = 3.7
+	// 515 is past two KernelChunks, so MatVec at four workers really
+	// fans out; the rest are the block-edge sizes.
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 130, 515} {
+		r := rng.New(uint64(n) + 70)
+		unit := randSym(n, 0.8, uint64(n)+71)
+		weighted := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				v := r.Float64()*4 - 2
+				if r.Intn(5) == 0 {
+					v = specials[r.Intn(len(specials))]
+				}
+				weighted[i*n+j], weighted[j*n+i] = v, v
+			}
+		}
+		scaled := make([]float64, n*n)
+		for i, v := range weighted {
+			scaled[i] = v / div
+		}
+		views := []struct {
+			name string
+			c    Coupling
+			ref  []float64
+		}{
+			{"unscaled", FromDense(n, weighted, Dense, 0), weighted},
+			{"scaled", FromDense(n, weighted, Dense, div), scaled},
+			{"planes", FromDense(n, unit, Dense, 0), unit},
+		}
+		if views[2].c.(*dense).pl == nil {
+			t.Fatalf("n=%d: ±1 matrix built no planes", n)
+		}
+
+		plain := randVec(n, uint64(n)+72)
+		spiked := randVec(n, uint64(n)+73)
+		for i := range spiked {
+			if i%3 == 0 {
+				spiked[i] = specials[(i/3)%len(specials)]
+			}
+		}
+		finite := randVec(n, uint64(n)+74)
+		negZero := randVec(n, uint64(n)+75)
+		for i := range negZero {
+			if i%2 == 0 {
+				negZero[i] = math.Copysign(0, -1)
+			}
+		}
+		for _, v := range views {
+			for _, x := range [][]float64{plain, spiked} {
+				for _, base := range [][]float64{nil, finite, negZero} {
+					for _, rg := range residueRanges(n) {
+						checkMatVec(t, v.c, n, v.ref, x, base, rg[0], rg[1])
+					}
+					// Worker counts split at the same fixed chunks.
+					one, four := make([]float64, n), make([]float64, n)
+					MatVec(v.c, x, base, one, 1)
+					MatVec(v.c, x, base, four, 4)
+					for i := range one {
+						if !sameBits(one[i], four[i]) {
+							t.Fatalf("n=%d %s row %d: workers 1 %v vs 4 %v", n, v.name, i, one[i], four[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMatVecRangeWritesOnlyItsRange pins the Coupling contract every
+// caller that shares one out slice between ranges relies on (ForRange
+// chunks, sbm's per-chip rows): on both backends, out outside [lo,hi)
+// keeps its poison.
+func TestMatVecRangeWritesOnlyItsRange(t *testing.T) {
+	const n = 37
+	data := randSym(n, 0.5, 80)
+	x, base := randVec(n, 81), randVec(n, 82)
+	for _, c := range allBackends(t, n, data, 0) {
+		for _, rg := range residueRanges(n) {
+			checkMatVec(t, c, n, data, x, base, rg[0], rg[1])
+		}
+	}
+}
+
+// FuzzMatVecRange drives the blocked kernel from raw bytes: size, range,
+// scaling, and every entry, x and base value as arbitrary float64 bit
+// patterns; every row must carry the row walk's bits and nothing outside
+// the range may be written.
+func FuzzMatVecRange(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), []byte{0})
+	f.Add(uint8(64), uint8(1), uint8(62), uint8(1), []byte("four rows share each load of x and keep one sum each"))
+	f.Add(uint8(95), uint8(3), uint8(90), uint8(2), []byte{0xff, 0xf0, 0, 0, 0, 0, 0, 1, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 0x80})
+	f.Fuzz(func(t *testing.T, size, from, span, mode uint8, raw []byte) {
+		n := int(size)%96 + 1
+		lo := int(from) % (n + 1)
+		hi := lo + int(span)%(n-lo+1)
+		for len(raw) < 8 {
+			raw = append(raw, byte(len(raw)))
+		}
+		at := 0
+		next := func() float64 {
+			var w [8]byte
+			for k := range w {
+				w[k] = raw[at%len(raw)] + byte(at/len(raw))
+				at++
+			}
+			return math.Float64frombits(binary.BigEndian.Uint64(w[:]))
+		}
+		data := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				v := next()
+				data[i*n+j], data[j*n+i] = v, v
+			}
+		}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = next()
+		}
+		var base []float64
+		if mode&1 != 0 {
+			base = make([]float64, n)
+			for i := range base {
+				base[i] = next()
+			}
+		}
+		div, ref := 0.0, data
+		if mode&2 != 0 {
+			div = 3.7
+			ref = make([]float64, len(data))
+			for i, v := range data {
+				ref[i] = v / div
+			}
+		}
+		checkMatVec(t, FromDense(n, data, Dense, div), n, ref, x, base, lo, hi)
+	})
+}

@@ -36,7 +36,8 @@ import (
 type chip struct {
 	id    int
 	owned []int // global indices owned by this chip, ascending
-	local map[int]int
+	// local[g] is the local index of global spin g, −1 for a remote one.
+	local []int32
 
 	machine *brim.Machine
 	// shadow is this chip's belief about every global spin. Entries
@@ -63,6 +64,12 @@ type chip struct {
 	// epoch integration — recorded inside the worker when span tracing
 	// is on, read at the barrier. Purely observational.
 	epochWallNS int64
+
+	// extScratch and spinScratch (one entry per owned spin) stage the
+	// rebuilt bias vector and a warm-start slice for the machine, which
+	// copies both; batch mode reloads them at every job switch.
+	extScratch  []float64
+	spinScratch []int8
 }
 
 // init builds chip id of the layout in place (its flip listener holds
@@ -83,13 +90,18 @@ func (c *chip) init(l *layout, id int, owned []int, seed uint64, initial []int8)
 	*c = chip{
 		id:              id,
 		owned:           append([]int(nil), owned...),
-		local:           make(map[int]int, len(owned)),
+		local:           make([]int32, n),
 		shadow:          make([]int8, n),
 		cross:           make([][]float64, len(owned)),
 		lastFlipInduced: make([]bool, len(owned)),
+		extScratch:      make([]float64, len(owned)),
+		spinScratch:     make([]int8, len(owned)),
+	}
+	for g := range c.local {
+		c.local[g] = -1
 	}
 	for li, g := range c.owned {
-		c.local[g] = li
+		c.local[g] = int32(li)
 	}
 
 	// One scan of each owned row splits it into the owned×owned
@@ -102,7 +114,7 @@ func (c *chip) init(l *layout, id int, owned []int, seed uint64, initial []int8)
 		sub.SetBias(a, m.Bias(ga))
 		row := make([]float64, n)
 		lat.Scan(ga, func(j int, v float64) {
-			if lj, own := c.local[j]; own {
+			if lj := int(c.local[j]); lj >= 0 {
 				if lj > a {
 					sub.SetCoupling(a, lj, v)
 				}
@@ -132,12 +144,6 @@ func (c *chip) init(l *layout, id int, owned []int, seed uint64, initial []int8)
 		}
 	}
 	c.machine = brim.New(sub, mcfg)
-	copy(c.shadow, initial)
-	localInit := make([]int8, len(owned))
-	for li, g := range c.owned {
-		localInit[li] = initial[g]
-	}
-	c.machine.SetSpins(localInit)
 	c.machine.OnFlip(func(node int, newSpin int8, induced bool) {
 		c.shadow[c.owned[node]] = newSpin
 		c.lastFlipInduced[node] = induced
@@ -146,7 +152,7 @@ func (c *chip) init(l *layout, id int, owned []int, seed uint64, initial []int8)
 			c.epochInducedFlips++
 		}
 	})
-	c.recomputeExternalBias()
+	c.loadJobState(initial)
 }
 
 // zeroSchedule disables the machine's internal induced flips.
@@ -158,7 +164,7 @@ func (zeroSchedule) At(float64) float64 { return 0 }
 // shadow registers in O(owned × N). Used at construction and at batch
 // job switches; incremental updates handle the common path.
 func (c *chip) recomputeExternalBias() {
-	ext := make([]float64, len(c.owned))
+	ext := c.extScratch
 	for li := range c.owned {
 		row := c.cross[li]
 		acc := 0.0
@@ -176,7 +182,7 @@ func (c *chip) recomputeExternalBias() {
 // s, updating the shadow register and the machine's bias currents
 // incrementally. A no-op if the shadow already agrees.
 func (c *chip) applyShadowUpdate(g int, s int8) {
-	if _, own := c.local[g]; own {
+	if c.local[g] >= 0 {
 		panic(fmt.Sprintf("multichip: chip %d got shadow update for owned spin %d", c.id, g))
 	}
 	old := c.shadow[g]
@@ -225,7 +231,7 @@ func (c *chip) loadOwnedSpins(s []int8) {
 // if a whole job moved between machines, Sec 5.5).
 func (c *chip) loadJobState(global []int8) {
 	copy(c.shadow, global)
-	local := make([]int8, len(c.owned))
+	local := c.spinScratch
 	for li, g := range c.owned {
 		local[li] = global[g]
 	}

@@ -236,7 +236,7 @@ func TestDetectRecoversQuality(t *testing.T) {
 		remote := 0
 		for _, c := range chipsOf(sys) {
 			for g := 0; g < len(truth); g++ {
-				if _, own := c.local[g]; own {
+				if c.local[g] >= 0 {
 					continue
 				}
 				remote++

@@ -292,7 +292,7 @@ func (s *Slice) drawInduced(progress float64, coordinated bool) {
 			if !s.induce.Bool(prob) {
 				continue
 			}
-			if li, own := c.local[g]; own {
+			if li := int(c.local[g]); li >= 0 {
 				c.machine.Induce(li)
 				c.epochKicks++
 				// Receivers toggled their shadows too; their belief
@@ -397,7 +397,7 @@ func (s *Slice) ApplySync(ups []PendingUpdate) error {
 		if u.G < 0 || u.G >= s.n || (u.V != -1 && u.V != 1) {
 			return fmt.Errorf("multichip: slice %d: invalid sync update g=%d v=%d", s.chip.id, u.G, u.V)
 		}
-		if _, own := s.chip.local[u.G]; own {
+		if s.chip.local[u.G] >= 0 {
 			return fmt.Errorf("multichip: slice %d: sync update for owned spin %d", s.chip.id, u.G)
 		}
 	}

@@ -362,7 +362,7 @@ func (s *System) probe(epoch int, tr obs.Tracer) {
 		stale := 0
 		remote := s.n - len(c.owned)
 		for g := 0; g < s.n; g++ {
-			if _, own := c.local[g]; own {
+			if c.local[g] >= 0 {
 				continue
 			}
 			if c.shadow[g] != truth[g] {

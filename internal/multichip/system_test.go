@@ -340,7 +340,7 @@ func TestCrossRowsMatchGlobalModel(t *testing.T) {
 		for li, g := range c.owned {
 			for j := 0; j < 24; j++ {
 				want := 0.0
-				if _, own := c.local[j]; !own {
+				if c.local[j] < 0 {
 					want = m.Coupling(g, j) / s.scale
 				}
 				if got := c.cross[li][j]; math.Abs(got-want) > 1e-12 {

@@ -11,6 +11,7 @@ import (
 	"mbrim/internal/core"
 	"mbrim/internal/graph"
 	"mbrim/internal/lattice"
+	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
 	"mbrim/internal/portfolio"
 	"mbrim/internal/rng"
@@ -147,20 +148,25 @@ func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	// The diagnostics plane (plateau detection, live TTS) needs an
-	// energy trajectory, so multichip submissions that don't choose a
-	// sampling cadence get ~100 samples over the run by default. Samples
-	// are observational; the trajectory stays seed-determined. The
-	// engines this applies to are keyed by capability (Resume — the
-	// checkpointable model-time engines), not by name, so a new engine
-	// declaring the capability inherits the policy.
+	// Two policies are keyed by capability (Resume — the checkpointable
+	// model-time engines, i.e. the multiprocessor), not by name, so a new
+	// engine declaring the capability inherits them. The chip geometry
+	// the engine would reject, and an epoch count no run finishes, are
+	// rejected here, so the client gets a 400 instead of a failed or
+	// never-ending run. And the diagnostics plane (plateau detection,
+	// live TTS) needs an energy trajectory, so submissions that don't
+	// choose a sampling cadence get ~100 samples over the run by default.
+	// Samples are observational; the trajectory stays seed-determined.
 	sampleEvery := sr.SampleEveryNS
-	if sampleEvery == 0 {
-		if caps, ok := core.EngineCaps(kind); ok && caps.Resume {
-			d := sr.DurationNS
-			if d == 0 {
-				d = 100 // the core default duration
-			}
+	if caps, _ := core.EngineCaps(kind); caps.Resume {
+		d := sr.DurationNS
+		if d == 0 {
+			d = 100 // the core default duration
+		}
+		if err := checkEpochGeometry(g.N(), sr, d); err != nil {
+			return req, err
+		}
+		if sampleEvery == 0 {
 			sampleEvery = d / 100
 		}
 	}
@@ -192,6 +198,30 @@ func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
 		Backend:           backend,
 		Portfolio:         pspec,
 	}, nil
+}
+
+// maxSubmitEpochs bounds durationNS/epochNS at submit: a run is one
+// barrier, one event batch and one ledger row per epoch, and a body
+// asking for 10³⁰⁰ of them would hold an admission slot forever. The
+// paper's longest runs are a few hundred epochs.
+const maxSubmitEpochs = 1e6
+
+// checkEpochGeometry validates a multiprocessor submission of
+// durationNS over n spins against the engine's own rules
+// (multichip.Partition: chips, epoch length, channels) and against
+// maxSubmitEpochs, with the engine's default epoch applied when the
+// body left it out.
+func checkEpochGeometry(n int, sr *SubmitRequest, durationNS float64) error {
+	cfg, _, err := multichip.Partition(n, multichip.Config{
+		Chips: sr.Chips, EpochNS: sr.EpochNS, Channels: sr.Channels,
+	})
+	if err != nil {
+		return fmt.Errorf("runs: %w", err)
+	}
+	if epochs := durationNS / cfg.EpochNS; epochs > maxSubmitEpochs {
+		return fmt.Errorf("runs: durationNS/epochNS is %.3g epochs, above the %.0e-epoch limit", epochs, float64(maxSubmitEpochs))
+	}
+	return nil
 }
 
 // writeJSON writes v as a JSON response with the given status.

@@ -320,7 +320,7 @@ func TestHTTPLifecycle(t *testing.T) {
 }
 
 func TestHTTPValidation(t *testing.T) {
-	srv, _, _ := newTestServer(t, Config{MaxSpins: 64})
+	srv, m, _ := newTestServer(t, Config{MaxSpins: 64})
 	cases := []struct {
 		name, body string
 		want       string // a fragment the error must carry
@@ -337,6 +337,11 @@ func TestHTTPValidation(t *testing.T) {
 		// as edge (1,2), the second refused as an "out of range" (2,2).
 		{"fractional endpoints", `{"engine":"sa","n":4,"edges":[[1,2,1],[1.9,2.2,1]]}`, "edge 1 [1.9, 2.2]: endpoints must be integers"},
 		{"fractional self edge", `{"engine":"sa","n":4,"edges":[[2.7,2.1,1]]}`, "edge 0 [2.7, 2.1]: endpoints must be integers"},
+		// These two used to answer 202: the first run then failed at
+		// dispatch, the second never ended and held its admission slot.
+		{"more chips than spins", `{"engine":"mbrim","k":8,"chips":9}`, "Chips=9 for N=8"},
+		{"epochs without end", `{"engine":"mbrim","k":8,"chips":2,"durationNS":5,"epochNS":1e-300}`, "durationNS/epochNS is 5e+300 epochs"},
+		{"negative channels", `{"engine":"mbrim-seq","k":8,"channels":-1}`, "Channels=-1"},
 		{"unknown field", `{"engine":"sa","k":8,"warp":9}`, ""},
 		{"syntax error", `{"engine":`, ""},
 	}
@@ -351,6 +356,9 @@ func TestHTTPValidation(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" || !strings.Contains(e.Error, c.want) {
 			t.Errorf("%s: error envelope %s, want it to carry %q", c.name, body, c.want)
 		}
+	}
+	if runs := m.List(); len(runs) != 0 {
+		t.Errorf("rejected submissions created runs: %+v", runs)
 	}
 }
 
