@@ -108,6 +108,27 @@ func (c *csr) FieldsRange(spins []int8, base, out []float64, lo, hi int) {
 	}
 }
 
+// energy is ising.Model.Energy's walk with the zero couplings skipped
+// (see Energy): the strict upper triangle of each row in ascending
+// column order, then the row's two subtractions in the walk's own form.
+func (c *csr) energy(spins []int8, base []float64) float64 {
+	e := 0.0
+	for i, s := range spins {
+		si := float64(s)
+		acc := 0.0
+		for k := c.rowStart[i]; k < c.rowStart[i+1]; k++ {
+			if j := c.cols[k]; j > i {
+				acc += c.vals[k] * float64(spins[j])
+			}
+		}
+		e -= si * acc
+		if base != nil {
+			e -= base[i] * si
+		}
+	}
+	return e
+}
+
 func (c *csr) FlipFanout(fields []float64, k int, delta float64) {
 	for idx := c.rowStart[k]; idx < c.rowStart[k+1]; idx++ {
 		fields[c.cols[idx]] += c.vals[idx] * delta

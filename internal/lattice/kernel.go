@@ -71,15 +71,27 @@ func Fields(c Coupling, spins []int8, base, out []float64, workers int) {
 
 // Energy returns E(σ) = −Σ_{i<j} J_ij σ_i σ_j − Σ_i base_i σ_i, where
 // walk is the caller's float evaluation of that same quantity
-// (ising.Model.Energy with base_i = μh_i). When c carries ±1 planes and
-// the bases are integers small enough that the energy is an integer
-// below 2⁵³, every partial sum of any float walk is exact, so the
-// popcount evaluation has the walk's bits at 1/64 of its reads;
-// otherwise the walk itself answers.
+// (ising.Model.Energy with base_i = μh_i) — the answer whenever no
+// cheaper arm provably carries its bits. Two do (package doc, Energy):
+//
+//   - a CSR view runs that walk itself over the stored entries only.
+//     The skipped terms are ±0 products added to accumulators that are
+//     never −0, so the bits are the dense walk's at O(nnz) reads.
+//   - a Dense view with ±1 planes, when the bases are integers small
+//     enough that the energy is an integer below 2⁵³: every partial sum
+//     of any float walk is then exact, so the popcount evaluation has
+//     the walk's bits at 1/64 of its reads.
 func Energy(c Coupling, spins []int8, base []float64, walk func([]int8) float64) float64 {
-	if d, ok := c.(*dense); ok && d.pl != nil && len(spins) == d.n && (base == nil || len(base) == d.n) {
-		if e, ok := d.pl.energy(spins, base, d.nnz); ok {
-			return e
+	if len(spins) == c.N() && (base == nil || len(base) == len(spins)) {
+		switch v := c.(type) {
+		case *csr:
+			return v.energy(spins, base)
+		case *dense:
+			if v.pl != nil {
+				if e, ok := v.pl.energy(spins, base, v.nnz); ok {
+					return e
+				}
+			}
 		}
 	}
 	return walk(spins)

@@ -35,6 +35,18 @@
 // planes and allocates nothing extra, and Energy offers the same
 // shortcut for the whole-model energy.
 //
+// # Energy
+//
+// Energy evaluates E(σ) = −Σ_{i<j} J_ij σ_i σ_j − Σ_i base_i σ_i for a
+// caller that already owns a float walk of it and wants that walk's
+// bits for less. The walk it stands in for is ising.Model.Energy's: per
+// row i, acc over j > i ascending, then e −= σ_i·acc and
+// e −= base_i·σ_i. The planes arm is indifferent to the association —
+// it answers only when every partial sum of any walk is exact. The CSR
+// arm is not: it is the caller's walk with zero terms skipped, so a
+// walk of another association must not be passed. A Dense view without
+// planes calls the walk.
+//
 // # Determinism contract
 //
 // Every backend accumulates each output row in ascending column order,

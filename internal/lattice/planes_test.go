@@ -199,11 +199,17 @@ func TestEnergyPlanesMatchFloatWalk(t *testing.T) {
 				t.Errorf("n=%d %s: walked=%v, want %v", n, name, walked, tc.walks)
 			}
 		}
-		// CSR has no planes: the walk answers.
+		// CSR needs no planes: it runs the walk itself over its stored
+		// entries (TestEnergyArmsAgree holds it to the walk's bits). Only a
+		// mis-sized call is handed on.
+		sparse := FromDense(n, data, CSR, 0)
 		walked := false
-		Energy(FromDense(n, data, CSR, 0), randSpins(n, 5), nil, func([]int8) float64 { walked = true; return 0 })
-		if !walked {
-			t.Errorf("n=%d: CSR energy did not walk", n)
+		walk := func([]int8) float64 { walked = true; return 0 }
+		if Energy(sparse, randSpins(n, 5), frac, walk); walked {
+			t.Errorf("n=%d: CSR energy walked", n)
+		}
+		if Energy(sparse, randSpins(n+1, 5), nil, walk); !walked {
+			t.Errorf("n=%d: CSR energy took %d spins", n, n+1)
 		}
 	}
 }

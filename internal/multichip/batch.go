@@ -242,7 +242,7 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 	energy := func() float64 {
 		best := math.Float64frombits(pos.BestSoFarBits)
 		for _, state := range states {
-			if en := s.model.Energy(state); en < best {
+			if en := s.energy(state); en < best {
 				best = en
 			}
 		}
@@ -305,7 +305,7 @@ func (s *System) finalizeBatch(pos *Position, states [][]int8) *BatchResult {
 	s.recordRunMetrics(ModeBatch, res.Flips, res.InducedFlips, res.BitChanges, res.InducedBitChanges,
 		res.StallNS, res.TrafficBytes, res.Epochs)
 	for j, state := range states {
-		res.Energies[j] = s.model.Energy(state)
+		res.Energies[j] = s.energy(state)
 		if res.Energies[j] < res.BestEnergy {
 			res.BestEnergy = res.Energies[j]
 			res.Best = j

@@ -8,7 +8,9 @@
 //     delayed ±1 view of the rest of the system — whose influence
 //     enters the local dynamics as an external bias current through
 //     the owned×remote cross-couplings (exactly g = μh + J_× σ of
-//     Eq. 3, realized in hardware rather than by glue software);
+//     Eq. 3, realized in hardware rather than by glue software), stored
+//     compressed by remote column, so a delivered bit costs the
+//     couplings it touches and a sparse problem's chip holds O(nnz);
 //   - a slice of the digital fabric that carries spin updates.
 //
 // What one chip does — integrate its slice, kick on the shared PRNG
@@ -32,7 +34,8 @@ import (
 )
 
 // chip is one processor of the multiprocessor: a BRIM machine over its
-// owned spins plus shadow registers for everything else.
+// owned spins, shadow registers for everything else, and the
+// owned×remote couplings through which a shadow drives the machine.
 type chip struct {
 	id    int
 	owned []int // global indices owned by this chip, ascending
@@ -44,10 +47,15 @@ type chip struct {
 	// for owned spins mirror the machine readout; entries for remote
 	// spins update only when the fabric delivers news.
 	shadow []int8
-	// cross[i][j] is the scaled coupling Ĵ between owned spin i
-	// (local index) and global spin j, zero for owned j. Shadow flips
-	// turn into external-bias increments through these rows.
-	cross [][]float64
+	// The owned×remote couplings, compressed by remote column: entries
+	// [colStart[g], colStart[g+1]) of crossLi / crossJ are the owned
+	// spins (local index, ascending) coupled to global spin g and their
+	// scaled couplings Ĵ = J/scale. Owned columns, and entries whose Ĵ
+	// is zero, are absent. A shadow flip of g turns into external-bias
+	// increments along column g.
+	colStart []int32
+	crossLi  []int32
+	crossJ   []float64
 
 	// lastFlipInduced tracks, per owned local spin, whether its most
 	// recent readout change was an induced kick — the attribution used
@@ -76,23 +84,21 @@ type chip struct {
 // c, so a chip must not be copied afterwards), owning the given global
 // indices of the problem, its machine seeded with seed and warm-started
 // from the global state initial. Extraction scans the layout's coupling
-// view once per owned row, so sparse problems pay O(degree) instead of
-// O(N) per spin; the global coupling normalization is shared by all
-// chips. The layout's Brim config drives the local dynamics (its
-// InducedFlip schedule is overridden to zero — the runtime coordinates
-// kicks itself).
+// view twice per owned row (count, then fill), so sparse problems pay
+// O(degree) instead of O(N) per spin, in time and in memory; the global
+// coupling normalization is shared by all chips.
 func (c *chip) init(l *layout, id int, owned []int, seed uint64, initial []int8) {
 	if len(owned) == 0 {
 		panic(fmt.Sprintf("multichip: chip %d owns no spins", id))
 	}
-	m, lat, scale, epochNS := l.model, l.lat, l.scale, l.cfg.EpochNS
+	m, lat, scale := l.model, l.lat, l.scale
 	n := l.n
 	*c = chip{
 		id:              id,
 		owned:           append([]int(nil), owned...),
 		local:           make([]int32, n),
 		shadow:          make([]int8, n),
-		cross:           make([][]float64, len(owned)),
+		colStart:        make([]int32, n+1),
 		lastFlipInduced: make([]bool, len(owned)),
 		extScratch:      make([]float64, len(owned)),
 		spinScratch:     make([]int8, len(owned)),
@@ -104,46 +110,48 @@ func (c *chip) init(l *layout, id int, owned []int, seed uint64, initial []int8)
 		c.local[g] = int32(li)
 	}
 
-	// One scan of each owned row splits it into the owned×owned
+	// The first scan of each owned row splits it into the owned×owned
 	// sub-model (biases come along so the machine applies μh itself)
-	// and the owned×remote cross row, pre-scaled like the machine's own
-	// couplings.
+	// and a count of each remote column's cross entries, pre-scaled like
+	// the machine's own couplings; a scaled value that underflows to
+	// zero is no entry.
 	sub := ising.NewModel(len(owned))
 	sub.SetMu(m.Mu())
+	count := c.colStart[1:]
 	for a, ga := range c.owned {
 		sub.SetBias(a, m.Bias(ga))
-		row := make([]float64, n)
 		lat.Scan(ga, func(j int, v float64) {
 			if lj := int(c.local[j]); lj >= 0 {
 				if lj > a {
 					sub.SetCoupling(a, lj, v)
 				}
-			} else {
-				row[j] = v / scale
+			} else if v/scale != 0 {
+				count[j]++
 			}
 		})
-		c.cross[a] = row
+	}
+	for g := 0; g < n; g++ {
+		c.colStart[g+1] += c.colStart[g]
+	}
+	// The second scan fills the columns. Rows come in ascending owned
+	// order, so every column lists its owned spins ascending — the order
+	// the bias accumulations below are pinned to.
+	c.crossLi = make([]int32, c.colStart[n])
+	c.crossJ = make([]float64, c.colStart[n])
+	next := append([]int32(nil), c.colStart[:n]...)
+	for a, ga := range c.owned {
+		lat.Scan(ga, func(j int, v float64) {
+			if c.local[j] >= 0 {
+				return
+			}
+			if v /= scale; v != 0 {
+				c.crossLi[next[j]], c.crossJ[next[j]] = int32(a), v
+				next[j]++
+			}
+		})
 	}
 
-	mcfg := l.cfg.Brim
-	mcfg.Seed = seed
-	mcfg.Scale = scale
-	mcfg.InducedFlip = zeroSchedule{}
-	if mcfg.KickHoldNS == 0 {
-		// Latch kicked nodes long enough that a coordinated kick rarely
-		// reverts before the next fabric synchronization (the
-		// persistence Sec 5.4.2's free-of-communication claim needs),
-		// but never so long that long epochs freeze the dynamics.
-		tau := mcfg.Tau
-		if tau == 0 {
-			tau = 1
-		}
-		mcfg.KickHoldNS = epochNS
-		if cap := 2 * tau; mcfg.KickHoldNS > cap {
-			mcfg.KickHoldNS = cap
-		}
-	}
-	c.machine = brim.New(sub, mcfg)
+	c.machine = brim.New(sub, l.machineConfig(seed))
 	c.machine.OnFlip(func(node int, newSpin int8, induced bool) {
 		c.shadow[c.owned[node]] = newSpin
 		c.lastFlipInduced[node] = induced
@@ -155,25 +163,49 @@ func (c *chip) init(l *layout, id int, owned []int, seed uint64, initial []int8)
 	c.loadJobState(initial)
 }
 
+// machineConfig is the layout's Brim config as a chip's machine takes
+// it: seeded with seed, on the shared normalization, its own induced
+// flips off (the runtime coordinates kicks itself).
+func (l *layout) machineConfig(seed uint64) brim.Config {
+	mcfg := l.cfg.Brim
+	mcfg.Seed = seed
+	mcfg.Scale = l.scale
+	mcfg.InducedFlip = zeroSchedule{}
+	if mcfg.KickHoldNS == 0 {
+		// Latch kicked nodes long enough that a coordinated kick rarely
+		// reverts before the next fabric synchronization (the
+		// persistence Sec 5.4.2's free-of-communication claim needs),
+		// but never so long that long epochs freeze the dynamics.
+		tau := mcfg.Tau
+		if tau == 0 {
+			tau = 1
+		}
+		mcfg.KickHoldNS = l.cfg.EpochNS
+		if cap := 2 * tau; mcfg.KickHoldNS > cap {
+			mcfg.KickHoldNS = cap
+		}
+	}
+	return mcfg
+}
+
 // zeroSchedule disables the machine's internal induced flips.
 type zeroSchedule struct{}
 
 func (zeroSchedule) At(float64) float64 { return 0 }
 
 // recomputeExternalBias rebuilds the machine's external bias from the
-// shadow registers in O(owned × N). Used at construction and at batch
-// job switches; incremental updates handle the common path.
+// shadow registers in O(N + cross nnz). Used at construction and at
+// batch job switches; incremental updates handle the common path. Each
+// ext[li] starts at +0 and takes its Ĵ·σ_g products in ascending g —
+// the sum a walk of owned spin li's cross row makes, with the bits
+// checkpoints and goldens hold.
 func (c *chip) recomputeExternalBias() {
 	ext := c.extScratch
-	for li := range c.owned {
-		row := c.cross[li]
-		acc := 0.0
-		for j, v := range row {
-			if v != 0 {
-				acc += v * float64(c.shadow[j])
-			}
+	clear(ext)
+	for g, sg := range c.shadow {
+		for k := c.colStart[g]; k < c.colStart[g+1]; k++ {
+			ext[c.crossLi[k]] += c.crossJ[k] * float64(sg)
 		}
-		ext[li] = acc
 	}
 	c.machine.SetExternalBias(ext)
 }
@@ -191,10 +223,8 @@ func (c *chip) applyShadowUpdate(g int, s int8) {
 	}
 	c.shadow[g] = s
 	delta := float64(s - old) // ±2
-	for li := range c.owned {
-		if v := c.cross[li][g]; v != 0 {
-			c.machine.AddExternalBias(li, v*delta)
-		}
+	for k := c.colStart[g]; k < c.colStart[g+1]; k++ {
+		c.machine.AddExternalBias(int(c.crossLi[k]), c.crossJ[k]*delta)
 	}
 }
 
@@ -226,9 +256,9 @@ func (c *chip) loadOwnedSpins(s []int8) {
 
 // loadJobState context-switches the chip onto a job: shadows take the
 // job's full global state, the machine warm-starts at the job's owned
-// slice, and the bias currents are rebuilt. This is batch mode's O(N)
-// state load (versus the O(bN²) reprogram a context switch would cost
-// if a whole job moved between machines, Sec 5.5).
+// slice, and the bias currents are rebuilt. This is batch mode's state
+// load, O(N + cross nnz) (versus the O(bN²) reprogram a context switch
+// would cost if a whole job moved between machines, Sec 5.5).
 func (c *chip) loadJobState(global []int8) {
 	copy(c.shadow, global)
 	local := c.spinScratch

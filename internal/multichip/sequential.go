@@ -106,7 +106,7 @@ func (s *System) RunSequentialCtx(ctx context.Context, durationNS float64, resum
 		return 0, nil
 	}
 	late := func(no int) { s.drainStepRetries(tr, no, pos.ModelNS) }
-	ck, err := f.loop(epochMode{next: f.clippedEpoch, body: body, late: late, energy: s.energy})
+	ck, err := f.loop(epochMode{next: f.clippedEpoch, body: body, late: late, energy: s.globalEnergy})
 	if err != nil && ck == nil {
 		return nil, nil, err
 	}

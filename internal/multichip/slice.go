@@ -33,13 +33,23 @@ import (
 
 // layout is what the slices of one system share, read-only once
 // derived: the validated configuration, the coupling view chips are
-// extracted from, and the global coupling normalization.
+// extracted from and energies are read through, the bias terms μh_i
+// of that energy, and the global coupling normalization.
 type layout struct {
 	model *ising.Model
 	cfg   Config
 	n     int
 	lat   lattice.Coupling
+	muH   []float64
 	scale float64
+}
+
+// energy is model.Energy(spins), bit for bit, at what the coupling view
+// makes it cost: O(nnz) over CSR, popcounts over ±1 planes, the model's
+// own dense walk otherwise. Every energy a run reports — samples,
+// probes, results, batch job energies — is read here.
+func (l *layout) energy(spins []int8) float64 {
+	return lattice.Energy(l.lat, spins, l.muH, l.model.Energy)
 }
 
 // derivation is a system before any chip is built: the layout plus the
@@ -91,10 +101,14 @@ func derive(m *ising.Model, cfg Config) (derivation, error) {
 	if scale == 0 {
 		scale = 1
 	}
+	muH := make([]float64, n)
+	for i := range muH {
+		muH[i] = m.Mu() * m.Bias(i)
+	}
 	master := rng.New(c.Seed)
 	initial := ising.RandomSpins(n, master)
 	return derivation{
-		layout:  &layout{model: m, cfg: c, n: n, lat: m.View(c.Backend), scale: scale},
+		layout:  &layout{model: m, cfg: c, n: n, lat: m.View(c.Backend), muH: muH, scale: scale},
 		parts:   parts,
 		initial: initial,
 		kick:    master.Fork(0xC0),

@@ -67,7 +67,8 @@ type Config struct {
 	// sample at least every so many ns of elapsed time.
 	SampleEveryNS float64
 	// Probes enables the per-epoch ignorance / energy-surprise
-	// measurement (costs O(N²) per epoch per chip).
+	// measurement (one energy evaluation per chip per epoch: O(nnz) on a
+	// CSR view, O(N²) on a weighted dense one).
 	Probes bool
 	// RecordEpochStats keeps per-epoch flip/bit-change/stall counts
 	// (the time axes of Figs 13 and 15).
@@ -356,7 +357,7 @@ func (s *System) syncEpoch(epochNo int, tr obs.Tracer) (total, induced int64) {
 // emits one Probe event per chip.
 func (s *System) probe(epoch int, tr obs.Tracer) {
 	truth := s.GlobalSpins()
-	trueEnergy := s.model.Energy(truth)
+	trueEnergy := s.energy(truth)
 	for ci, sl := range s.slices {
 		c := &sl.chip
 		stale := 0
@@ -373,7 +374,7 @@ func (s *System) probe(epoch int, tr obs.Tracer) {
 		if remote > 0 {
 			ign = float64(stale) / float64(remote)
 		}
-		believed := s.model.Energy(c.shadow)
+		believed := s.energy(c.shadow)
 		tr.Emit(obs.Event{
 			Kind:  obs.Probe,
 			Epoch: epoch,
@@ -468,15 +469,16 @@ func (s *System) RunConcurrentCtx(ctx context.Context, durationNS float64, resum
 		// stall.
 		return epoch, nil
 	}
-	ck, err := f.loop(epochMode{next: f.clippedEpoch, body: body, energy: s.energy})
+	ck, err := f.loop(epochMode{next: f.clippedEpoch, body: body, energy: s.globalEnergy})
 	if err != nil && ck == nil {
 		return nil, nil, err
 	}
 	return s.collect(f), ck, err
 }
 
-// energy is the true global energy, as the single-job modes sample it.
-func (s *System) energy() float64 { return s.model.Energy(s.GlobalSpins()) }
+// globalEnergy is the true global energy, as the single-job modes
+// sample it.
+func (s *System) globalEnergy() float64 { return s.energy(s.GlobalSpins()) }
 
 // endEpochSpan closes the open epoch interval at the settled barrier.
 func (s *System) endEpochSpan(elapsedNS, stallNS float64) {
@@ -583,7 +585,7 @@ func (s *System) collect(f *runFrame) *Result {
 		}
 	}
 	res.Spins = s.GlobalSpins()
-	res.Energy = s.model.Energy(res.Spins)
+	res.Energy = s.energy(res.Spins)
 	if s.frt != nil {
 		res.FaultStats = s.frt.stats
 	}

@@ -332,19 +332,38 @@ func TestChipModelsReconstructGlobalEnergy(t *testing.T) {
 }
 
 func TestCrossRowsMatchGlobalModel(t *testing.T) {
-	// Every cross entry must be the global coupling divided by the
-	// shared scale, and zero for same-chip pairs.
+	// Expanded back into rows, the cross columns must hold the global
+	// coupling divided by the shared scale for every owned×remote pair
+	// and nothing for same-chip pairs; each column lists its owned spins
+	// ascending, and no stored entry is zero.
 	m := kgraph(24, 53)
 	s := MustSystem(m, Config{Chips: 3, Seed: 54})
 	for _, c := range chipsOf(s) {
+		got := make([][]float64, len(c.owned))
+		for li := range got {
+			got[li] = make([]float64, 24)
+		}
+		for g := 0; g < 24; g++ {
+			prev := int32(-1)
+			for k := c.colStart[g]; k < c.colStart[g+1]; k++ {
+				li, v := c.crossLi[k], c.crossJ[k]
+				if li <= prev || v == 0 {
+					t.Fatalf("chip %d column %d: entry (%d, %v) after owned spin %d", c.id, g, li, v, prev)
+				}
+				got[li][g], prev = v, li
+			}
+		}
+		if int(c.colStart[24]) != len(c.crossLi) || len(c.crossLi) != len(c.crossJ) {
+			t.Fatalf("chip %d: colStart ends at %d over %d/%d entries", c.id, c.colStart[24], len(c.crossLi), len(c.crossJ))
+		}
 		for li, g := range c.owned {
 			for j := 0; j < 24; j++ {
 				want := 0.0
 				if c.local[j] < 0 {
 					want = m.Coupling(g, j) / s.scale
 				}
-				if got := c.cross[li][j]; math.Abs(got-want) > 1e-12 {
-					t.Fatalf("chip %d cross[%d][%d] = %v, want %v", c.id, li, j, got, want)
+				if got[li][j] != want {
+					t.Fatalf("chip %d cross[%d][%d] = %v, want %v", c.id, li, j, got[li][j], want)
 				}
 			}
 		}

@@ -72,12 +72,16 @@ type SubmitOptions struct {
 }
 
 // EstimateRunBytes approximates a run's resident footprint for the
-// admission memory budget: the dense coupling matrix dominates (8·n²),
-// plus per-spin chip state and the run's retained-event ring. A
-// portfolio run multiplies the per-spin state by its race width — each
-// entrant is a full concurrent solver over the shared model. It is an
-// admission fence, not an accountant — it exists to refuse the
-// submission that would OOM the daemon, not to meter kilobytes.
+// admission memory budget: the dense coupling matrix (8·n²), per-spin
+// chip state and the run's retained-event ring — and, for a multi-chip
+// request, what the engine builds on top of the model: the k owned×owned
+// sub-models (8·n²/k together) and the chips' owned×remote cross
+// columns, 12 bytes an entry, at their dense-problem worst case
+// (12·n²·(k−1)/k). A portfolio run multiplies everything but the shared
+// model and the ring by its race width — each entrant is a full
+// concurrent solver over the shared model. It is an admission fence, not
+// an accountant — it exists to refuse the submission that would OOM the
+// daemon, not to meter kilobytes.
 func EstimateRunBytes(req *core.Request, ringSize int) int64 {
 	return estimateRunBytesN(int64(req.Model.N()), req.Chips, requestWorkers(req), ringSize)
 }
@@ -100,18 +104,23 @@ func requestWorkers(req *core.Request) int {
 }
 
 func estimateRunBytesN(n int64, chips, workers, ringSize int) int64 {
-	c := int64(chips)
-	if c < 1 {
-		c = 1
+	k := int64(chips)
+	if k < 1 {
+		k = 1
 	}
-	if workers > 1 {
-		c *= int64(workers)
+	w := int64(workers)
+	if w < 1 {
+		w = 1
 	}
 	if ringSize <= 0 {
 		ringSize = 4096
 	}
 	const eventBytes = 192 // sizeof(obs.Event), rounded to its alloc class
-	return 8*n*n + 16*n*c + int64(ringSize)*eventBytes
+	est := 8*n*n + 16*n*k*w + int64(ringSize)*eventBytes
+	if k > 1 {
+		est += w * (8*n*n/k + 12*n*n*(k-1)/k)
+	}
+	return est
 }
 
 // checkBudget applies the MaxRunBytes fence for an n-spin submission.

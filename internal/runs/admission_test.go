@@ -224,6 +224,64 @@ func TestMemoryBudgetRejects(t *testing.T) {
 	}
 }
 
+// TestMemoryBudgetCountsTheChips holds the fence to what a multi-chip
+// engine builds on top of the model: k sub-models and the cross
+// columns, which the estimate used to leave out.
+func TestMemoryBudgetCountsTheChips(t *testing.T) {
+	const ring = 4096 * 192
+	// chips ≤ 1 (and the single-solver per-spin term) is the estimate it
+	// always was.
+	for _, n := range []int64{1, 16, 1024, 9000} {
+		for _, chips := range []int{-1, 0, 1} {
+			if got, want := estimateRunBytesN(n, chips, 1, 0), 8*n*n+16*n+ring; got != want {
+				t.Errorf("estimate(n=%d, chips=%d) = %d, want %d", n, chips, got, want)
+			}
+		}
+		if got, want := estimateRunBytesN(n, 1, 3, 100), 8*n*n+16*n*3+100*192; got != want {
+			t.Errorf("estimate(n=%d, chips=1, workers=3) = %d, want %d", n, got, want)
+		}
+	}
+	// chips > 1 adds 8·n²/k of sub-models and 12·n²·(k−1)/k of cross
+	// columns per solver: a dense K-graph at 4 chips is 8+2+9 = 19 n²
+	// where the old fence saw 8.
+	for _, tc := range []struct {
+		n              int64
+		chips, workers int
+		want           int64
+	}{
+		{256, 4, 1, (8+2+9)*256*256 + 16*256*4 + ring},
+		{1024, 4, 1, (8+2+9)*1024*1024 + 16*1024*4 + ring},
+		{1024, 2, 1, (8+4+6)*1024*1024 + 16*1024*2 + ring},
+		{256, 4, 3, (8+3*(2+9))*256*256 + 16*256*4*3 + ring},
+	} {
+		if got := estimateRunBytesN(tc.n, tc.chips, tc.workers, 0); got != tc.want {
+			t.Errorf("estimate(n=%d, chips=%d, workers=%d) = %d, want %d", tc.n, tc.chips, tc.workers, got, tc.want)
+		}
+	}
+
+	// A 4-chip K128 under a 1 000 000-byte budget: the old estimate was
+	// 8·128² + 16·128·4 + ring = 925 696 and let it in, though model
+	// (131 072), ring (786 432), four 32-spin sub-models (32 768) and
+	// 4·32·96 cross entries (147 456) come to 1 097 728. Now it bounces;
+	// the same problem on one chip still fits.
+	const budget = 1_000_000
+	if old := int64(8*128*128 + 16*128*4 + ring); old > budget {
+		t.Fatalf("the old estimate %d would have refused too", old)
+	}
+	srv, m, _ := newTestServer(t, Config{MaxRunBytes: budget})
+	resp, data := postJSON(t, srv.URL+"/runs", `{"engine":"mbrim","k":128,"chips":4,"durationNS":5}`)
+	if resp.StatusCode != 413 {
+		t.Fatalf("4-chip HTTP = %d %s, want 413", resp.StatusCode, data)
+	}
+	resp, data = postJSON(t, srv.URL+"/runs", `{"engine":"mbrim","k":128,"chips":1,"durationNS":5}`)
+	if resp.StatusCode != 202 {
+		t.Fatalf("1-chip HTTP = %d %s, want 202", resp.StatusCode, data)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	m.Wait(ctx)
+}
+
 func TestNotAcceptingGate(t *testing.T) {
 	srv, m, _ := newTestServer(t, Config{})
 	m.SetAccepting(false)
