@@ -33,7 +33,9 @@ import (
 //     surfaces errWorkerDead, which the coordinator turns into a
 //     checkpoint-rollback recovery.
 
-// writeJSON / writeError mirror the runs package's response helpers.
+// writeJSON / writeError mirror the runs package's response helpers:
+// indented bodies for the operator-facing /cluster/runs surface (and
+// for every error).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Cache-Control", "no-store")
@@ -41,6 +43,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// writeWire answers a /worker RPC with 200 and a compact body — read by
+// a coordinator every epoch, not by a person.
+func writeWire(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Cache-Control", "no-store")
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -88,11 +98,15 @@ type workerHealth struct {
 
 // transport issues the coordinator's RPCs against one worker set.
 type transport struct {
-	cfg     Config
-	client  *http.Client
-	workers []string
-	health  []*workerHealth
-	reg     *obs.Registry // cfg.Metrics; nil instruments are no-ops
+	cfg Config
+	// client is cfg.Client — the caller's, shared across runs and left
+	// alone when this run ends — or, absent one, a client of this
+	// transport's own (ownClient) whose idle connections close with it.
+	client    *http.Client
+	ownClient bool
+	workers   []string
+	health    []*workerHealth
+	reg       *obs.Registry // cfg.Metrics; nil instruments are no-ops
 
 	budget  atomic.Int64 // remaining retries for the run
 	retries atomic.Int64 // retries actually spent
@@ -111,7 +125,7 @@ func newTransport(cfg Config, workers []string) *transport {
 		reg:     cfg.Metrics,
 	}
 	if t.client == nil {
-		t.client = &http.Client{}
+		t.client, t.ownClient = newKeepAliveClient(), true
 	}
 	for i := range t.health {
 		t.health[i] = &workerHealth{}
@@ -128,6 +142,28 @@ func newTransport(cfg Config, workers []string) *transport {
 		t.reg.SetHelp("fleet.heartbeat_rtt_ns", "per-worker /healthz heartbeat round-trip time")
 	}
 	return t
+}
+
+// newKeepAliveClient returns an HTTP client with a connection pool of
+// its own: whoever builds it decides when its idle connections close,
+// and nothing it does reaches http.DefaultTransport. The per-host idle
+// allowance covers a degraded worker's several slices stepping at once
+// beside the heartbeat probe.
+func newKeepAliveClient() *http.Client {
+	return &http.Client{Transport: &http.Transport{
+		Proxy:               http.ProxyFromEnvironment,
+		MaxIdleConns:        64,
+		MaxIdleConnsPerHost: 8,
+		IdleConnTimeout:     90 * time.Second,
+	}}
+}
+
+// close releases what the transport owns; a caller's client is not its
+// to close.
+func (t *transport) close() {
+	if t.ownClient {
+		t.client.CloseIdleConnections()
+	}
 }
 
 // rpcMethod maps an RPC to its wire-method label — the dimension the

@@ -13,6 +13,7 @@ import (
 	"mbrim/internal/checkpoint"
 	"mbrim/internal/interconnect"
 	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 	"mbrim/internal/metrics"
 	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
@@ -92,7 +93,10 @@ type Config struct {
 
 	// Metrics receives cluster_* instruments; Tracer the run's event
 	// stream (EpochSync, EnergySample, Fault, Recovery). Client, when
-	// set, issues the HTTP requests (proxies, test transports).
+	// set, issues the HTTP requests (proxies, test transports, a pool
+	// shared across runs) and stays the caller's to close; without one the
+	// coordinator makes a keep-alive client of its own and closes its idle
+	// connections when the solve ends.
 	Metrics *obs.Registry
 	Tracer  obs.Tracer
 	Client  *http.Client
@@ -194,6 +198,11 @@ type Coordinator struct {
 	cfg   Config
 	model *ising.Model
 	n     int
+	// view and muH are what the run's energies are read through
+	// (lattice.Energy: popcounts on a ±1 matrix, O(nnz) over CSR), built
+	// once by Solve; the partition-quality gauges share the view.
+	view lattice.Coupling
+	muH  []float64
 	// mc and parts are multichip's own derivation for this run — the
 	// validated configuration with its defaults (epoch length, channels,
 	// backend) and the partition every worker's NewSlice derives too.
@@ -219,9 +228,10 @@ type Coordinator struct {
 	spins        []int8 // global readout mirror
 	flips        int64  // cumulative machine flips at last barrier
 	inducedFlips int64
-	// pendingSync[d] is barrier EpochsDone's payload for slice d; synced
-	// marks it already delivered via a /sync (checkpoint) round.
-	pendingSync [][]multichip.PendingUpdate
+	// pendingSync[d] is barrier EpochsDone's payload for slice d, in the
+	// packed form it arrived and leaves in; synced marks it already
+	// delivered via a /sync (checkpoint) round.
+	pendingSync [][]byte
 	synced      bool
 	// lastCkpt is the rollback point: the run's start (no slice states)
 	// until the first coordinated checkpoint, then every slice's post-sync
@@ -312,6 +322,11 @@ func (co *Coordinator) metric() *obs.Registry { return co.cfg.Metrics }
 func (co *Coordinator) Solve(ctx context.Context) (*Result, []byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	co.view = co.model.View(co.mc.Backend)
+	co.muH = make([]float64, co.n)
+	for i := range co.muH {
+		co.muH[i] = co.model.Mu() * co.model.Bias(i)
 	}
 	co.recordPartitionQuality()
 	co.emit(obs.Event{Kind: obs.RunStart, Label: "cluster", Seed: co.cfg.Seed, Count: int64(co.n)})
@@ -471,27 +486,38 @@ func (co *Coordinator) forEachSlice(ctx context.Context, f func(ctx context.Cont
 func (co *Coordinator) done() bool { return co.pos.ModelNS >= co.cfg.DurationNS-1e-9 }
 
 // checkReport validates a worker's epoch report against what the
-// barrier is about to do with it: mirror Spins into the owned spins,
-// charge len(Updates) against the slice size (at most one update per
-// owned spin — implied by the ascending order), and forward the updates
-// to every other slice. Workers are remote processes; a report the
-// slice could not have produced fails the run instead of corrupting or
-// crashing the coordinator.
-func checkReport(rep *multichip.EpochReport, epoch int, owned []int) error {
-	if rep == nil || rep.Epoch != epoch || len(rep.Spins) != len(owned) {
+// barrier is about to do with it: mirror the packed readout into the
+// owned spins, charge the update count against the slice size, and
+// forward the packed updates to every other slice. The readout must be
+// exactly one bit per owned spin with zero padding; the update list must
+// be whole words whose global indices are owned by the slice in
+// ascending order (so at most one per owned spin — the walk along owned
+// is where the sender's local index is re-derived) and whose values are
+// what the readout holds for those spins, as a slice's diff always
+// reports. Workers are remote processes; a report the slice could not
+// have produced fails the run instead of corrupting or crashing the
+// coordinator.
+func checkReport(rep *ReportWire, epoch int, owned []int) error {
+	if rep == nil || rep.Epoch != epoch || len(rep.Spins) != (len(owned)+7)/8 {
 		return errors.New("wrong epoch or readout size")
 	}
-	for _, v := range rep.Spins {
-		if v != -1 && v != 1 {
-			return fmt.Errorf("spin readout %d", v)
-		}
+	if pad := len(owned) % 8; pad != 0 && rep.Spins[len(rep.Spins)-1]>>pad != 0 {
+		return errors.New("readout padding bits set")
 	}
-	prev := -1
-	for _, u := range rep.Updates {
-		if u.Li <= prev || u.Li >= len(owned) || owned[u.Li] != u.G || (u.V != -1 && u.V != 1) {
-			return fmt.Errorf("update li=%d g=%d v=%d", u.Li, u.G, u.V)
+	if len(rep.Updates)%4 != 0 {
+		return fmt.Errorf("update list of %d bytes", len(rep.Updates))
+	}
+	li := 0
+	for k := 0; k < len(rep.Updates)/4; k++ {
+		word := updateWord(rep.Updates, k)
+		g := int(word >> updShift)
+		for li < len(owned) && owned[li] < g {
+			li++
 		}
-		prev = u.Li
+		if li == len(owned) || owned[li] != g || (spinAt(rep.Spins, li) > 0) != (word&updUp != 0) {
+			return fmt.Errorf("update %d (word %#x) for spin %d", k, word, g)
+		}
+		li++
 	}
 	return nil
 }
@@ -503,7 +529,7 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 	pos := &co.pos
 	epochNS := math.Min(co.mc.EpochNS, co.cfg.DurationNS-pos.ModelNS)
 	target := pos.EpochsDone + 1
-	reps := make([]*multichip.EpochReport, co.cfg.Chips)
+	reps := make([]*ReportWire, co.cfg.Chips)
 	// The epoch interval opens before the step RPCs go out so its ID can
 	// ride in StepRequest.Parent — workers parent their chip_step spans
 	// under it. Per-slice RPC walls are measured in the fan-out
@@ -545,21 +571,18 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 	pos.ModelNS += epochNS
 	var changes, induced int64
 	co.flips, co.inducedFlips = 0, 0
-	next := make([][]multichip.PendingUpdate, co.cfg.Chips)
+	next := make([][]byte, co.cfg.Chips)
 	for s, rep := range reps {
 		for li, g := range co.parts[s] {
-			co.spins[g] = rep.Spins[li]
+			co.spins[g] = spinAt(rep.Spins, li)
 		}
 		co.flips += rep.Flips
 		co.inducedFlips += rep.InducedFlips
 		if co.cfg.Chips > 1 && len(rep.Updates) > 0 {
-			changes += int64(len(rep.Updates))
-			for _, u := range rep.Updates {
-				if u.Induced {
-					induced++
-				}
-			}
-			co.fabric.Record(s, interconnect.DeltaSyncBytes(len(rep.Updates), len(co.parts[s]), co.cfg.Chips-1), "sync")
+			count := len(rep.Updates) / 4
+			changes += int64(count)
+			induced += inducedUpdates(rep.Updates)
+			co.fabric.Record(s, interconnect.DeltaSyncBytes(count, len(co.parts[s]), co.cfg.Chips-1), "sync")
 			for d := 0; d < co.cfg.Chips; d++ {
 				if d != s {
 					next[d] = append(next[d], rep.Updates...)
@@ -590,7 +613,7 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 		co.metric().Counter("cluster.epochs").Inc()
 	}
 	if co.cfg.SampleEveryNS > 0 && pos.ElapsedNS >= pos.NextSampleNS {
-		energy := co.model.Energy(co.spins)
+		energy := co.energy(co.spins)
 		pos.Trace = append(pos.Trace, metrics.Point{X: pos.ElapsedNS, Y: energy})
 		co.emit(obs.Event{Kind: obs.EnergySample, Epoch: pos.EpochsDone, ModelNS: pos.ElapsedNS, Value: energy})
 		pos.NextSampleNS = pos.ElapsedNS + co.cfg.SampleEveryNS
@@ -826,14 +849,22 @@ func (co *Coordinator) releaseSlices(gen int, assign []int) {
 	wg.Wait()
 }
 
-// retire drops what only a running solve needs — the dense model, the
-// spin mirror, the rollback point's slice states, the transport and the
-// idle connections its client holds to the workers — so a finished
-// coordinator kept for its federation (/trace, /diag) pins nothing else.
+// retire drops what only a running solve needs — the dense model and
+// its view, the spin mirror, the rollback point's slice states and the
+// transport (with the idle connections of a client it made itself; a
+// Config.Client belongs to its caller and stays warm for the next run) —
+// so a finished coordinator kept for its federation (/trace, /diag) pins
+// nothing else.
 func (co *Coordinator) retire() {
-	co.tr.client.CloseIdleConnections()
-	co.model, co.parts, co.spins, co.pendingSync = nil, nil, nil, nil
+	co.tr.close()
+	co.model, co.view, co.muH, co.parts, co.spins, co.pendingSync = nil, nil, nil, nil, nil, nil
 	co.lastCkpt, co.fabric, co.tr = nil, nil, nil
+}
+
+// energy is model.Energy(spins), bit for bit, at what the coupling view
+// makes it cost.
+func (co *Coordinator) energy(spins []int8) float64 {
+	return lattice.Energy(co.view, spins, co.muH, co.model.Energy)
 }
 
 // partialResult assembles the result at the current barrier.
@@ -855,7 +886,7 @@ func (co *Coordinator) partialResult() *Result {
 	}
 	res.Recovery.RPCRetries = co.tr.retries.Load()
 	res.Spins = append([]int8(nil), co.spins...)
-	res.Energy = co.model.Energy(res.Spins)
+	res.Energy = co.energy(res.Spins)
 	for wi := range co.cfg.Workers {
 		if co.tr.alive(wi) {
 			res.LiveWorkers++
@@ -893,7 +924,7 @@ func (co *Coordinator) recordPartitionQuality() {
 	if co.metric() == nil {
 		return
 	}
-	q := metrics.MeasurePartition(co.model.View(co.mc.Backend), co.parts)
+	q := metrics.MeasurePartition(co.view, co.parts)
 	m := co.metric()
 	m.SetHelp("cluster.partition_cut_weight_fraction",
 		"fraction of total |J| weight crossing slice boundaries")

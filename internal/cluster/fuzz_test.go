@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"mbrim/internal/interconnect"
@@ -29,14 +30,23 @@ func FuzzEpochReport(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	genuine, err := json.Marshal(&StepResponse{Report: rep})
+	genuine, err := json.Marshal(&StepResponse{Report: packReport(rep)})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(genuine)
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"report":{"epoch":1,"spins":[1,1,1,1,1,1],"updates":[{"li":0,"g":0,"v":1},{"li":0,"g":0,"v":1}]}}`))
-	f.Add([]byte(`{"report":{"epoch":1,"spins":[1,1,1,1,1,1],"updates":[{"li":5,"g":11,"v":-1}]}}`))
+	// The slice owns spins 0..5, so its readout is one byte with two
+	// padding bits; "Pw==" is 0x3f, all six up. Update words are
+	// g<<2 | induced<<1 | up, little-endian, base64.
+	f.Add([]byte(`{"report":{"epoch":1,"spins":"Pw==","updates":"AQAAAA0AAAA="}}`)) // spins 0 and 3 went up
+	f.Add([]byte(`{"report":{"epoch":1,"spins":"Pw==","updates":"AQAAAAEAAAA="}}`)) // spin 0 twice
+	f.Add([]byte(`{"report":{"epoch":1,"spins":"Pw==","updates":"LAAAAA=="}}`))     // g=11, the peer's
+	f.Add([]byte(`{"report":{"epoch":1,"spins":"Pw==","updates":"DQAAAAkAAAA="}}`)) // g=3 then g=2
+	f.Add([]byte(`{"report":{"epoch":1,"spins":"Pw==","updates":"AQAA"}}`))         // three bytes
+	f.Add([]byte(`{"report":{"epoch":1,"spins":"fw=="}}`))                          // 0x7f: a padding bit set
+	f.Add([]byte(`{"report":{"epoch":1,"spins":"Pz8="}}`))                          // two readout bytes
+	f.Add([]byte(`{"report":{"epoch":1,"spins":"Pw==","updates":"BAAAAA=="}}`))     // spin 1 down, readout says up
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var resp StepResponse
 		if json.Unmarshal(data, &resp) != nil {
@@ -46,13 +56,115 @@ func FuzzEpochReport(f *testing.F) {
 			return
 		}
 		rep := resp.Report
-		interconnect.DeltaSyncBytes(len(rep.Updates), len(parts[0]), 1)
+		interconnect.DeltaSyncBytes(len(rep.Updates)/4, len(parts[0]), 1)
+		for li := range parts[0] {
+			if v := spinAt(rep.Spins, li); v != -1 && v != 1 {
+				t.Fatalf("admitted report mirrors spin %d as %d", li, v)
+			}
+		}
 		peer, err := multichip.NewSlice(m, mcfg, 1, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := peer.ApplySync(rep.Updates); err != nil {
+		ups, err := unpackUpdates(rep.Updates)
+		if err != nil {
+			t.Fatalf("admitted report, but its update list does not unpack: %v", err)
+		}
+		if err := peer.ApplySync(ups); err != nil {
 			t.Fatalf("admitted report, but the peer slice rejects its updates: %v", err)
+		}
+	})
+}
+
+// FuzzStepRequest feeds arbitrary request bytes through what the worker
+// does with a step or sync body — JSON-decode it, unpack the update
+// list, hand it to ApplySync on a live slice: an error or a delivered
+// barrier, never a panic.
+func FuzzStepRequest(f *testing.F) {
+	m := kmodel(12, 5)
+	mcfg := multichip.Config{Chips: 2, Seed: 3}
+	sender, err := multichip.NewSlice(m, mcfg, 1, 20)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rep, err := sender.RunEpoch()
+	if err != nil {
+		f.Fatal(err)
+	}
+	genuine, err := json.Marshal(&StepRequest{Epoch: 2, Sync: packUpdates(rep.Updates)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(genuine)
+	f.Add([]byte(`{"epoch":1}`))
+	f.Add([]byte(`{"epoch":1,"sync":"AQAAAA=="}`))             // spin 0: the receiver's own
+	f.Add([]byte(`{"epoch":1,"sync":"GQAAAA=="}`))             // spin 6 up
+	f.Add([]byte(`{"epoch":1,"sync":"GQAAABkAAAA="}`))         // twice
+	f.Add([]byte(`{"epoch":1,"sync":"GQAA"}`))                 // three bytes
+	f.Add([]byte(`{"epoch":1,"sync":"/////w=="}`))             // g = 2^30−1
+	f.Add([]byte(`{"epoch":1,"sync":[{"li":0,"g":6,"v":1}]}`)) // the form before packing
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var step StepRequest
+		var sync SyncRequest
+		if json.Unmarshal(data, &step) != nil || json.Unmarshal(data, &sync) != nil {
+			return
+		}
+		ups, err := unpackUpdates(step.Sync)
+		if err != nil {
+			return
+		}
+		sl, err := multichip.NewSlice(m, mcfg, 0, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sl.ApplySync(ups) != nil {
+			return
+		}
+		if _, err := sl.RunEpoch(); err != nil {
+			t.Fatalf("slice accepted the barrier, then could not step: %v", err)
+		}
+	})
+}
+
+// FuzzModelFrame feeds arbitrary frames to ModelWire.Build: an error, or
+// a model whose re-encoding decodes to the same bits. n is kept small so
+// the dense model the frame asks for stays a few kilobytes; the bound on
+// n itself is TestWorkerRejectsOversizedModel's.
+func FuzzModelFrame(f *testing.F) {
+	for _, m := range frameModels() {
+		// Small seeds only: the engine minimises every new interesting
+		// input, and shrinking the offspring of a 160 KB frame eats the
+		// whole ten-second CI budget (68 executions against 70 000).
+		if w := ModelToWire(m.m); len(w.Frame) <= 600 {
+			f.Add(uint16(w.N), w.Arm == armPlanes, w.Frame)
+		}
+	}
+	f.Add(uint16(3), true, []byte{0x07, 0x08})              // a padding bit in the sign plane
+	f.Add(uint16(3), true, []byte{0x01, 0x02})              // a sign without its presence
+	f.Add(uint16(2), false, make([]byte, 8+12))             // row 0 claims no entry, one follows
+	f.Add(uint16(2), false, []byte{1, 0, 0, 0, 0, 0, 0, 0}) // row 0 claims one entry, none follows
+	f.Add(uint16(0), false, []byte{})                       // n = 0
+	f.Add(uint16(40000), true, []byte{})                    // a big n over an empty frame
+	f.Fuzz(func(t *testing.T, n uint16, planes bool, frame []byte) {
+		w := &ModelWire{N: int(n), Arm: armCSR, Frame: frame}
+		if planes {
+			w.Arm = armPlanes
+		}
+		if n > 128 && len(frame) >= 4*int(n) {
+			return // would be a legitimate request for a large dense model
+		}
+		m, err := w.Build()
+		if err != nil {
+			return
+		}
+		again, err := ModelToWire(m).Build()
+		if err != nil {
+			t.Fatalf("re-encoded frame does not build: %v", err)
+		}
+		for i, v := range m.Couplings() {
+			if math.Float64bits(v) != math.Float64bits(again.Couplings()[i]) {
+				t.Fatalf("coupling %d: %v re-encodes to %v", i, v, again.Couplings()[i])
+			}
 		}
 	})
 }

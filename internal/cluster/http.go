@@ -34,6 +34,10 @@ type Manager struct {
 	tracer   obs.Tracer
 	maxSpins int
 	jw       *journal.Writer
+	// client carries every run's RPCs and heartbeats: one keep-alive
+	// pool for the manager's lifetime, so back-to-back solves reuse their
+	// connections to the workers and a finishing run closes nobody's.
+	client *http.Client
 
 	mu   sync.Mutex
 	next int
@@ -62,7 +66,8 @@ func NewManager(reg *obs.Registry, tracer obs.Tracer, maxSpins int) *Manager {
 	if maxSpins <= 0 {
 		maxSpins = DefaultMaxSpins
 	}
-	return &Manager{reg: reg, tracer: tracer, maxSpins: maxSpins, runs: make(map[string]*clusterRun)}
+	return &Manager{reg: reg, tracer: tracer, maxSpins: maxSpins, client: newKeepAliveClient(),
+		runs: make(map[string]*clusterRun)}
 }
 
 // SetJournal routes submit and terminal records for cluster runs
@@ -180,6 +185,7 @@ func (m *Manager) config(sr *SubmitRequest) Config {
 		Federate:          sr.Federate,
 		Metrics:           m.reg,
 		Tracer:            m.tracer,
+		Client:            m.client,
 	}
 	if sr.RPCTimeoutMS > 0 {
 		cfg.RPCTimeout = msDuration(sr.RPCTimeoutMS)

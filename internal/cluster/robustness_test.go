@@ -3,12 +3,15 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,13 +83,13 @@ func TestSolveReleasesWorkerSlices(t *testing.T) {
 }
 
 // fakeWorker answers the worker protocol without hosting anything; its
-// step reports come from report.
-func fakeWorker(t *testing.T, report func(epoch int) *multichip.EpochReport) string {
+// step reports come from report, already in wire form.
+func fakeWorker(t *testing.T, report func(epoch int) *ReportWire) string {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusOK) })
 	mux.HandleFunc("PUT /worker/slices/{id}", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{})
+		writeWire(w, map[string]any{})
 	})
 	mux.HandleFunc("DELETE /worker/slices/{id}", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
@@ -97,7 +100,7 @@ func fakeWorker(t *testing.T, report func(epoch int) *multichip.EpochReport) str
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, &StepResponse{Report: report(req.Epoch)})
+		writeWire(w, &StepResponse{Report: report(req.Epoch)})
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -108,44 +111,41 @@ func fakeWorker(t *testing.T, report func(epoch int) *multichip.EpochReport) str
 // have produced fails the run with an error. The first case used to
 // panic the Solve goroutine inside interconnect.DeltaSyncBytes
 // ("changes=20 local=8"); the others were forwarded to the other
-// slices unchecked.
+// slices unchecked. Rows are the packed wire form: an update is
+// {G, V, Induced}, and the all-up readout of K16's eight spins a slice
+// is the single byte 0xff.
 func TestMalformedEpochReportFailsRun(t *testing.T) {
-	const owned = 8 // K16 over two chips; both fakes answer as if slice 0
-	ones := func(n int) []int8 {
-		s := make([]int8, n)
-		for i := range s {
-			s[i] = 1
-		}
-		return s
+	type up = multichip.PendingUpdate
+	allUp := []byte{0xff}
+	twenty := make([]up, 20)
+	for i := range twenty {
+		twenty[i] = up{G: i % 8, V: 1}
 	}
-	for name, updates := range map[string]func() ([]multichip.PendingUpdate, []int8){
-		"more updates than owned spins": func() ([]multichip.PendingUpdate, []int8) {
-			ups := make([]multichip.PendingUpdate, 20)
-			for i := range ups {
-				ups[i] = multichip.PendingUpdate{Li: i % owned, G: i % owned, V: 1}
-			}
-			return ups, ones(owned)
-		},
-		"global index outside the slice": func() ([]multichip.PendingUpdate, []int8) {
-			return []multichip.PendingUpdate{{Li: 1, G: 12, V: 1}}, ones(owned)
-		},
-		"updates out of order": func() ([]multichip.PendingUpdate, []int8) {
-			return []multichip.PendingUpdate{{Li: 3, G: 3, V: 1}, {Li: 2, G: 2, V: -1}}, ones(owned)
-		},
-		"update value not a spin": func() ([]multichip.PendingUpdate, []int8) {
-			return []multichip.PendingUpdate{{Li: 0, G: 0, V: 0}}, ones(owned)
-		},
-		"readout not spins": func() ([]multichip.PendingUpdate, []int8) {
-			return nil, make([]int8, owned)
-		},
+	for name, row := range map[string]struct {
+		k              int // K-graph size over two chips; both fakes answer as if slice 0
+		updates, spins []byte
+	}{
+		"more updates than owned spins":  {16, packUpdates(twenty), allUp},
+		"global index outside the slice": {16, packUpdates([]up{{G: 12, V: 1}}), allUp},
+		"updates out of order":           {16, packUpdates([]up{{G: 3, V: 1}, {G: 2, V: 1}}), allUp},
+		"repeated update":                {16, packUpdates([]up{{G: 3, V: 1}, {G: 3, V: 1}}), allUp},
+		// The packed word has no room for a value that is not ±1; what is
+		// left to get wrong is a value the slice's own readout contradicts.
+		"update value not a spin": {16, packUpdates([]up{{G: 0, V: -1}}), allUp},
+		// A readout sent one byte per spin, as it was before packing.
+		"readout not spins":            {16, nil, make([]byte, 8)},
+		"readout short":                {16, nil, []byte{}},
+		"update list of odd length":    {16, packUpdates([]up{{G: 1, V: 1}})[:3], allUp},
+		"update index beyond any spin": {16, []byte{0xfd, 0xff, 0xff, 0xff}, allUp},
+		// K12 owns six spins a slice, so the readout byte has two padding bits.
+		"readout padding bits set": {12, nil, []byte{0x7f}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			worker := fakeWorker(t, func(epoch int) *multichip.EpochReport {
-				ups, spins := updates()
-				return &multichip.EpochReport{Epoch: epoch, EpochNS: 3.3, ModelNS: 3.3 * float64(epoch),
-					Updates: ups, Spins: spins}
+			worker := fakeWorker(t, func(epoch int) *ReportWire {
+				return &ReportWire{Epoch: epoch, EpochNS: 3.3, ModelNS: 3.3 * float64(epoch),
+					Updates: row.updates, Spins: row.spins}
 			})
-			co, err := New(kmodel(2*owned, 3), "t-malformed", fastConfig([]string{worker, worker}, 2, 5, 10))
+			co, err := New(kmodel(row.k, 3), "t-malformed", fastConfig([]string{worker, worker}, 2, 5, 10))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,5 +219,166 @@ func TestFinishedRunDropsSolveState(t *testing.T) {
 	// What is read after the run still answers.
 	if snap, federated := co.FleetDiag(); !federated || snap.Epochs == 0 || len(co.FederatedEvents()) == 0 {
 		t.Errorf("federation lost with the solve state: %+v", snap)
+	}
+}
+
+// closeSpy stands in for http.DefaultTransport and counts the
+// CloseIdleConnections calls that reach it.
+type closeSpy struct {
+	http.RoundTripper
+	closes atomic.Int64
+}
+
+func (s *closeSpy) CloseIdleConnections() { s.closes.Add(1) }
+
+// TestManagerKeepsConnectionsWarm: the manager's runs share one
+// keep-alive pool, so back-to-back solves dial each worker a small
+// constant number of times — not once per solve, as they did while every
+// finished run closed the idle connections of the process-wide default
+// transport under every other run — and neither a managed run nor a bare
+// coordinator without a Config.Client touches http.DefaultTransport.
+func TestManagerKeepsConnectionsWarm(t *testing.T) {
+	spy := &closeSpy{RoundTripper: http.DefaultTransport}
+	http.DefaultTransport = spy
+	defer func() { http.DefaultTransport = spy.RoundTripper }()
+
+	dials := make([]atomic.Int64, 2)
+	workers := make([]string, len(dials))
+	for i := range dials {
+		mux := http.NewServeMux()
+		NewWorker(nil, 0).Routes(mux)
+		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusOK) })
+		srv := httptest.NewUnstartedServer(mux)
+		srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				dials[i].Add(1)
+			}
+		}
+		srv.Start()
+		t.Cleanup(srv.Close)
+		workers[i] = srv.URL
+	}
+	mgr := NewManager(nil, nil, 0)
+	mux := http.NewServeMux()
+	mgr.Routes(mux)
+	api := httptest.NewServer(mux)
+	defer api.Close()
+
+	const solves = 12
+	for run := 1; run <= solves; run++ {
+		body, _ := json.Marshal(&SubmitRequest{Workers: workers, K: 16, Seed: uint64(run), DurationNS: 20})
+		resp, err := api.Client().Post(api.URL+"/cluster/runs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		cr, ok := mgr.lookup(fmt.Sprintf("cr-%d", run))
+		if !ok {
+			t.Fatalf("submit %d: status %d, no run", run, resp.StatusCode)
+		}
+		select {
+		case <-cr.done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("run %d did not finish", run)
+		}
+		if cr.err != nil {
+			t.Fatalf("run %d: %v", run, cr.err)
+		}
+	}
+	// One connection carries a worker's RPCs; a heartbeat probe landing
+	// mid-RPC may open a second.
+	for i := range dials {
+		if n := dials[i].Load(); n > 3 {
+			t.Errorf("worker %d was dialled %d times over %d solves", i, n, solves)
+		}
+	}
+
+	// A coordinator built without a client closes a pool of its own.
+	co, err := New(kmodel(16, 3), "t-own-pool", fastConfig(workers, 2, 5, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := co.Solve(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := spy.closes.Load(); n != 0 {
+		t.Errorf("%d CloseIdleConnections calls reached http.DefaultTransport", n)
+	}
+}
+
+// TestWorkerRejectsOversizedModel: a create body whose model frame does
+// not fit its n — or whose n no frame could justify — is a 400 before
+// the dense model is allocated, and the worker lives to answer the next
+// request. {"n":3000000} over an empty frame used to die inside
+// ising.NewModel with "fatal error: runtime: out of memory", a throw
+// net/http's recover cannot catch.
+func TestWorkerRejectsOversizedModel(t *testing.T) {
+	mux := http.NewServeMux()
+	NewWorker(nil, 0).Routes(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	put := func(model *ModelWire) int {
+		t.Helper()
+		body, err := json.Marshal(&CreateSliceRequest{Slice: 0, Model: model,
+			Config: SliceConfig{Chips: 2, Seed: 1, DurationNS: 10}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, _ := http.NewRequest(http.MethodPut, srv.URL+"/worker/slices/x", bytes.NewReader(body))
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// csr builds a CSR-arm frame from row counts and (column, value) entries.
+	type entry struct {
+		j uint32
+		v float64
+	}
+	csr := func(counts []uint32, entries ...entry) []byte {
+		var b []byte
+		for _, c := range counts {
+			b = binary.LittleEndian.AppendUint32(b, c)
+		}
+		for _, e := range entries {
+			b = binary.LittleEndian.AppendUint32(b, e.j)
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.v))
+		}
+		return b
+	}
+	good := ModelToWire(kmodel(16, 1))
+	for name, model := range map[string]*ModelWire{
+		"huge n, empty csr frame":                {N: 3000000, Arm: armCSR, Frame: []byte{}},
+		"huge n, empty planes frame":             {N: 3000000, Arm: armPlanes, Frame: []byte{}},
+		"n within the bound, empty csr frame":    {N: 60000, Arm: armCSR, Frame: []byte{}},
+		"n within the bound, empty planes frame": {N: 60000, Arm: armPlanes, Frame: []byte{}},
+		"n past the spin bound":                  {N: DefaultMaxSpins + 1, Arm: armCSR, Frame: make([]byte, 4*(DefaultMaxSpins+1))},
+		"planes frame for another n":             {N: 17, Arm: armPlanes, Frame: good.Frame},
+		"csr counts exceed the frame":            {N: 3, Arm: armCSR, Frame: csr([]uint32{2, 0, 0}, entry{1, 0.5})},
+		"csr frame exceeds its counts": {N: 3, Arm: armCSR,
+			Frame: csr([]uint32{1, 0, 0}, entry{1, 0.5}, entry{2, 0.5})},
+		"csr row count past its row": {N: 3, Arm: armCSR,
+			Frame: csr([]uint32{1, 2, 0}, entry{1, 0.5}, entry{2, 0.5}, entry{2, 0.25})},
+		"csr trailing bytes":     {N: 3, Arm: armCSR, Frame: append(csr([]uint32{1, 0, 0}, entry{1, 0.5}), 0)},
+		"planes trailing bytes":  {N: 16, Arm: armPlanes, Frame: append(append([]byte(nil), good.Frame...), 0)},
+		"NaN coupling":           {N: 3, Arm: armCSR, Frame: csr([]uint32{1, 0, 0}, entry{1, math.NaN()})},
+		"Inf coupling":           {N: 3, Arm: armCSR, Frame: csr([]uint32{1, 0, 0}, entry{1, math.Inf(-1)})},
+		"zero coupling":          {N: 3, Arm: armCSR, Frame: csr([]uint32{1, 0, 0}, entry{1, 0})},
+		"descending column":      {N: 4, Arm: armCSR, Frame: csr([]uint32{2, 0, 0, 0}, entry{3, 0.5}, entry{2, 0.5})},
+		"repeated column":        {N: 4, Arm: armCSR, Frame: csr([]uint32{2, 0, 0, 0}, entry{2, 0.5}, entry{2, 0.5})},
+		"column on the diagonal": {N: 3, Arm: armCSR, Frame: csr([]uint32{0, 1, 0}, entry{1, 0.5})},
+		"column past n":          {N: 3, Arm: armCSR, Frame: csr([]uint32{1, 0, 0}, entry{3, 0.5})},
+		"unknown arm":            {N: 16, Arm: "triples", Frame: good.Frame},
+		"no frame at all":        {N: 16},
+	} {
+		if status := put(model); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, status)
+		}
+		if status := put(good); status != http.StatusOK {
+			t.Fatalf("after %q the worker answers a good create with %d", name, status)
+		}
 	}
 }

@@ -29,7 +29,10 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 
 	"mbrim/internal/ising"
 	"mbrim/internal/lattice"
@@ -38,22 +41,47 @@ import (
 	"mbrim/internal/sched"
 )
 
-// Wire format notes: everything is JSON. encoding/json prints float64
-// at shortest round-trip precision, so couplings, biases and μ cross
-// the wire bit-exactly — the same property the PR-3 checkpoint format
-// relies on.
+// Wire format notes: the envelope is JSON; what is large or hot inside
+// it is a packed little-endian []byte, which encoding/json carries as
+// base64. There are three such frames — the model's couplings
+// (ModelWire.Frame), a barrier's update list (packUpdates) and a slice's
+// owned readout (packSpins) — and this file holds their codecs. Float64
+// couplings cross as their IEEE-754 bits; the few floats left in the
+// envelope (μ, biases, epoch times) are printed by encoding/json at
+// shortest round-trip precision, so both cross bit-exactly — the same
+// property the PR-3 checkpoint format relies on. SliceState snapshots
+// keep multichip's JSON form: the on-disk checkpoint envelope shares it.
 
-// ModelWire carries an Ising model: the upper triangle's nonzero
-// couplings as [i, j, J] rows (0-based), plus biases and μ.
+// The two arms of ModelWire.Frame.
+const (
+	// armPlanes carries a model whose nonzero couplings are all exactly
+	// ±1 (the paper's K-graph family — the property the lattice's bit
+	// planes key on). The upper triangle is numbered row-major
+	// (t = 0 for (0,1), then (0,2) … (0,n−1), (1,2) …; T = n(n−1)/2
+	// couplings) and the frame is two bit planes of ⌈T/8⌉ bytes each,
+	// bit t at byte t/8, bit t%8: first presence (J_ij ≠ 0), then sign
+	// (J_ij = −1). Sign bits without their presence bit and padding bits
+	// past T must be zero.
+	armPlanes = "planes"
+	// armCSR carries any other model: n uint32 row counts, then row by
+	// row each stored j > i entry as a uint32 column (strictly ascending
+	// within its row) and the float64 bits of J_ij, which must be
+	// finite and nonzero. len(Frame) = 4n + 12·Σcounts exactly.
+	armCSR = "csr"
+)
+
+// ModelWire carries an Ising model: the couplings as one packed frame
+// in the arm its values allow, plus biases and μ.
 type ModelWire struct {
-	N         int          `json:"n"`
-	Mu        float64      `json:"mu,omitempty"`
-	Biases    []float64    `json:"biases,omitempty"`
-	Couplings [][3]float64 `json:"couplings"`
+	N      int       `json:"n"`
+	Mu     float64   `json:"mu,omitempty"`
+	Biases []float64 `json:"biases,omitempty"`
+	Arm    string    `json:"arm"`
+	Frame  []byte    `json:"frame"`
 }
 
-// ModelToWire encodes m for transport, scanning the CSR view so sparse
-// problems pay O(nnz), not O(N²).
+// ModelToWire encodes m for transport, straight from the dense coupling
+// matrix: the planes arm when it applies, else CSR.
 func ModelToWire(m *ising.Model) *ModelWire {
 	n := m.N()
 	w := &ModelWire{N: n, Mu: m.Mu()}
@@ -63,42 +91,253 @@ func ModelToWire(m *ising.Model) *ModelWire {
 			break
 		}
 	}
-	view := m.View(lattice.CSR)
-	for i := 0; i < n; i++ {
-		view.Scan(i, func(j int, v float64) {
-			if j > i {
-				w.Couplings = append(w.Couplings, [3]float64{float64(i), float64(j), v})
-			}
-		})
+	var ok bool
+	if w.Frame, ok = planesFrame(n, m.Couplings()); ok {
+		w.Arm = armPlanes
+	} else {
+		w.Arm, w.Frame = armCSR, csrFrame(n, m.Couplings())
 	}
 	return w
 }
 
-// Build reconstructs the model. Wire bytes are untrusted: every index
-// is validated, failures are errors.
+// planeBytes is the length of one bit plane over n spins' upper triangle.
+func planeBytes(n int) int { return (n*(n-1)/2 + 7) / 8 }
+
+// planesFrame encodes the upper triangle of the row-major n×n matrix j
+// in the planes arm, or reports false at the first coupling that is not
+// −1, 0 or +1.
+func planesFrame(n int, j []float64) ([]byte, bool) {
+	pb := planeBytes(n)
+	frame := make([]byte, 2*pb)
+	present, neg := frame[:pb], frame[pb:]
+	t := 0
+	for i := 0; i < n; i++ {
+		for _, v := range j[i*n+i+1 : (i+1)*n] {
+			switch v {
+			case 0:
+			case 1:
+				present[t>>3] |= 1 << (t & 7)
+			case -1:
+				present[t>>3] |= 1 << (t & 7)
+				neg[t>>3] |= 1 << (t & 7)
+			default:
+				return nil, false
+			}
+			t++
+		}
+	}
+	return frame, true
+}
+
+// csrFrame encodes the upper triangle's nonzero entries in the CSR arm.
+func csrFrame(n int, j []float64) []byte {
+	nnz := 0
+	for i := 0; i < n; i++ {
+		for _, v := range j[i*n+i+1 : (i+1)*n] {
+			if v != 0 {
+				nnz++
+			}
+		}
+	}
+	frame := make([]byte, 4*n+12*nnz)
+	at := 4 * n
+	for i := 0; i < n; i++ {
+		count := 0
+		for c, v := range j[i*n+i+1 : (i+1)*n] {
+			if v != 0 {
+				binary.LittleEndian.PutUint32(frame[at:], uint32(i+1+c))
+				binary.LittleEndian.PutUint64(frame[at+4:], math.Float64bits(v))
+				at += 12
+				count++
+			}
+		}
+		binary.LittleEndian.PutUint32(frame[4*i:], uint32(count))
+	}
+	return frame
+}
+
+// Build reconstructs the model. Wire bytes are untrusted: n is bounded
+// and the frame's length is checked against it before the dense model
+// is allocated (an n² allocation a short body could otherwise demand),
+// every index, value and padding bit is validated, and failures are
+// errors.
 func (w *ModelWire) Build() (*ising.Model, error) {
 	if w == nil {
-		return nil, fmt.Errorf("cluster: nil model")
+		return nil, errors.New("cluster: nil model")
 	}
-	if w.N < 1 {
-		return nil, fmt.Errorf("cluster: model n=%d", w.N)
+	if w.N < 1 || w.N > DefaultMaxSpins {
+		return nil, fmt.Errorf("cluster: model n=%d outside 1..%d", w.N, DefaultMaxSpins)
 	}
 	if w.Biases != nil && len(w.Biases) != w.N {
 		return nil, fmt.Errorf("cluster: model has %d biases for n=%d", len(w.Biases), w.N)
+	}
+	var fill func(*ising.Model) error
+	switch w.Arm {
+	case armPlanes:
+		if len(w.Frame) != 2*planeBytes(w.N) {
+			return nil, fmt.Errorf("cluster: planes frame of %d bytes for n=%d, want %d",
+				len(w.Frame), w.N, 2*planeBytes(w.N))
+		}
+		fill = w.fillPlanes
+	case armCSR:
+		if len(w.Frame) < 4*w.N {
+			return nil, fmt.Errorf("cluster: csr frame of %d bytes is shorter than its %d row counts", len(w.Frame), w.N)
+		}
+		nnz := 0
+		for i := 0; i < w.N; i++ {
+			count := int(binary.LittleEndian.Uint32(w.Frame[4*i:]))
+			if count > w.N-1-i {
+				return nil, fmt.Errorf("cluster: csr row %d stores %d entries above the diagonal of n=%d", i, count, w.N)
+			}
+			nnz += count
+		}
+		if len(w.Frame) != 4*w.N+12*nnz {
+			return nil, fmt.Errorf("cluster: csr frame of %d bytes for n=%d with %d entries, want %d",
+				len(w.Frame), w.N, nnz, 4*w.N+12*nnz)
+		}
+		fill = w.fillCSR
+	default:
+		return nil, fmt.Errorf("cluster: model frame arm %q", w.Arm)
 	}
 	m := ising.NewModel(w.N)
 	m.SetMu(w.Mu)
 	for i, h := range w.Biases {
 		m.SetBias(i, h)
 	}
-	for r, c := range w.Couplings {
-		i, j := int(c[0]), int(c[1])
-		if i < 0 || j <= i || j >= w.N {
-			return nil, fmt.Errorf("cluster: model coupling %d has indices (%d,%d) for n=%d", r, i, j, w.N)
-		}
-		m.SetCoupling(i, j, c[2])
+	if err := fill(m); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// fillPlanes sets m's couplings from a planes frame of the right length.
+func (w *ModelWire) fillPlanes(m *ising.Model) error {
+	pb := planeBytes(w.N)
+	present, neg := w.Frame[:pb], w.Frame[pb:]
+	total := w.N * (w.N - 1) / 2
+	for b := range present {
+		if neg[b]&^present[b] != 0 {
+			return fmt.Errorf("cluster: planes frame byte %d has sign bits without presence", b)
+		}
+	}
+	if pad := total % 8; pad != 0 && present[pb-1]>>pad != 0 {
+		return errors.New("cluster: planes frame has padding bits set")
+	}
+	t := 0
+	for i := 0; i < w.N; i++ {
+		for j := i + 1; j < w.N; j++ {
+			if bit := byte(1) << (t & 7); present[t>>3]&bit != 0 {
+				v := 1.0
+				if neg[t>>3]&bit != 0 {
+					v = -1
+				}
+				m.SetCoupling(i, j, v)
+			}
+			t++
+		}
+	}
+	return nil
+}
+
+// fillCSR sets m's couplings from a CSR frame whose row counts already
+// agree with its length.
+func (w *ModelWire) fillCSR(m *ising.Model) error {
+	at := 4 * w.N
+	for i := 0; i < w.N; i++ {
+		prev := i
+		for count := binary.LittleEndian.Uint32(w.Frame[4*i:]); count > 0; count-- {
+			j := int(binary.LittleEndian.Uint32(w.Frame[at:]))
+			v := math.Float64frombits(binary.LittleEndian.Uint64(w.Frame[at+4:]))
+			at += 12
+			if j <= prev || j >= w.N {
+				return fmt.Errorf("cluster: csr row %d has column %d after %d for n=%d", i, j, prev, w.N)
+			}
+			if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("cluster: csr coupling (%d,%d) is %v", i, j, v)
+			}
+			m.SetCoupling(i, j, v)
+			prev = j
+		}
+	}
+	return nil
+}
+
+// A packed update list is one little-endian uint32 per update,
+// g<<updShift | induced | up. The sender's local index does not cross
+// the wire — a receiving slice never reads it, and the coordinator
+// re-derives it from the partition (checkReport) — and a value that is
+// not ±1 has no encoding.
+const (
+	updUp      = 1 << 0 // the spin now holds +1
+	updInduced = 1 << 1 // its last flip was an induced kick
+	updShift   = 2      // the global index sits above the two flags
+)
+
+// updateWord reads word k of a packed update list of whole words.
+func updateWord(b []byte, k int) uint32 { return binary.LittleEndian.Uint32(b[4*k:]) }
+
+// packUpdates encodes a barrier's update list; an empty one is nil, so
+// omitempty leaves it out of the body.
+func packUpdates(ups []multichip.PendingUpdate) []byte {
+	if len(ups) == 0 {
+		return nil
+	}
+	b := make([]byte, 4*len(ups))
+	for k, u := range ups {
+		word := uint32(u.G) << updShift
+		if u.Induced {
+			word |= updInduced
+		}
+		if u.V > 0 {
+			word |= updUp
+		}
+		binary.LittleEndian.PutUint32(b[4*k:], word)
+	}
+	return b
+}
+
+// unpackUpdates decodes a packed update list for ApplySync, which
+// validates the indices; Li is left zero.
+func unpackUpdates(b []byte) ([]multichip.PendingUpdate, error) {
+	if len(b)%4 != 0 {
+		return nil, fmt.Errorf("cluster: packed update list of %d bytes", len(b))
+	}
+	ups := make([]multichip.PendingUpdate, len(b)/4)
+	for k := range ups {
+		word := updateWord(b, k)
+		ups[k] = multichip.PendingUpdate{
+			G: int(word >> updShift), V: int8(word&updUp)<<1 - 1, Induced: word&updInduced != 0,
+		}
+	}
+	return ups, nil
+}
+
+// inducedUpdates counts the updates of a packed list of whole words
+// whose last cause was an induced kick.
+func inducedUpdates(b []byte) (n int64) {
+	for k := 0; k < len(b)/4; k++ {
+		if updateWord(b, k)&updInduced != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// packSpins encodes a ±1 readout at one bit per spin: bit li (byte li/8,
+// bit li%8) is set when spin li holds +1; padding bits are zero.
+func packSpins(spins []int8) []byte {
+	b := make([]byte, (len(spins)+7)/8)
+	for li, v := range spins {
+		if v > 0 {
+			b[li>>3] |= 1 << (li & 7)
+		}
+	}
+	return b
+}
+
+// spinAt reads spin li of a packed readout.
+func spinAt(b []byte, li int) int8 {
+	return int8(b[li>>3]>>(li&7)&1)<<1 - 1
 }
 
 // SliceConfig is the run configuration a worker needs to host one
@@ -213,33 +452,63 @@ type SliceStatus struct {
 
 // StepRequest is the POST /worker/slices/{id}/step body: integrate
 // epoch Epoch (1-based, must be the slice's next). Sync carries the
-// previous barrier's cross-chip updates, batched into this message so
-// epoch sync and shadow exchange are one round trip; it must be absent
-// when the coordinator already delivered that barrier via /sync (a
-// checkpoint round). Repeating the last completed epoch returns the
-// cached response — the idempotency retried RPCs need.
+// previous barrier's cross-chip updates (packUpdates form), batched into
+// this message so epoch sync and shadow exchange are one round trip; it
+// must be absent when the coordinator already delivered that barrier via
+// /sync (a checkpoint round). Repeating the last completed epoch returns
+// the cached response — the idempotency retried RPCs need.
 type StepRequest struct {
-	Epoch int                       `json:"epoch"`
-	Sync  []multichip.PendingUpdate `json:"sync,omitempty"`
+	Epoch int    `json:"epoch"`
+	Sync  []byte `json:"sync,omitempty"`
 	// Parent is the coordinator's epoch interval ID: the worker's
 	// chip_step span for this epoch nests under it. Zero when the run
 	// is not federated.
 	Parent uint64 `json:"parentSpan,omitempty"`
 }
 
+// ReportWire is a multichip.EpochReport as it crosses the wire: the
+// same counters, with the boundary broadcast in packUpdates form and
+// the owned readout in packSpins form.
+type ReportWire struct {
+	Epoch        int     `json:"epoch"`
+	EpochNS      float64 `json:"epochNS"`
+	ModelNS      float64 `json:"modelNS"`
+	Updates      []byte  `json:"updates,omitempty"`
+	Spins        []byte  `json:"spins"`
+	Flips        int64   `json:"flips"`
+	InducedFlips int64   `json:"inducedFlips"`
+	Kicks        int64   `json:"kicks,omitempty"`
+	StepRetries  int64   `json:"stepRetries,omitempty"`
+}
+
+// packReport packs a slice's epoch report for transport.
+func packReport(rep *multichip.EpochReport) *ReportWire {
+	return &ReportWire{
+		Epoch:        rep.Epoch,
+		EpochNS:      rep.EpochNS,
+		ModelNS:      rep.ModelNS,
+		Updates:      packUpdates(rep.Updates),
+		Spins:        packSpins(rep.Spins),
+		Flips:        rep.Flips,
+		InducedFlips: rep.InducedFlips,
+		Kicks:        rep.Kicks,
+		StepRetries:  rep.StepRetries,
+	}
+}
+
 // StepResponse is the worker's epoch report.
 type StepResponse struct {
-	Report *multichip.EpochReport `json:"report"`
+	Report *ReportWire `json:"report"`
 }
 
 // SyncRequest is the POST /worker/slices/{id}/sync body: deliver
-// barrier Epoch's cross-chip updates without integrating — the
-// checkpoint path, which needs post-sync state at the barrier.
-// Idempotent per epoch; WantState returns the slice snapshot.
+// barrier Epoch's cross-chip updates (packUpdates form) without
+// integrating — the checkpoint path, which needs post-sync state at the
+// barrier. Idempotent per epoch; WantState returns the slice snapshot.
 type SyncRequest struct {
-	Epoch     int                       `json:"epoch"`
-	Sync      []multichip.PendingUpdate `json:"sync,omitempty"`
-	WantState bool                      `json:"wantState,omitempty"`
+	Epoch     int    `json:"epoch"`
+	Sync      []byte `json:"sync,omitempty"`
+	WantState bool   `json:"wantState,omitempty"`
 	// Parent is the coordinator's checkpoint-round interval ID; the
 	// worker's slice_sync span nests under it. Zero when not federated.
 	Parent uint64 `json:"parentSpan,omitempty"`

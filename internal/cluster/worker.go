@@ -116,12 +116,12 @@ func (wk *Worker) handleEvents(w http.ResponseWriter, r *http.Request) {
 		since = v
 	}
 	evs, first := wk.ring.EventsSince(since)
-	writeJSON(w, http.StatusOK, EventsPage{Events: evs, First: first, Total: wk.ring.Total()})
+	writeWire(w, EventsPage{Events: evs, First: first, Total: wk.ring.Total()})
 }
 
 // handleClock answers the coordinator's clock-offset handshake.
 func (wk *Worker) handleClock(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, ClockResponse{NowNS: time.Now().UnixNano()})
+	writeWire(w, ClockResponse{NowNS: time.Now().UnixNano()})
 }
 
 // maxSliceBody bounds slice-creation bodies (a model plus a snapshot).
@@ -187,7 +187,7 @@ func (wk *Worker) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if wk.reg != nil {
 		wk.reg.Gauge("cluster.worker_slices").Set(float64(n))
 	}
-	writeJSON(w, http.StatusOK, wk.status(id, ws, false))
+	writeWire(w, wk.status(id, ws, false))
 }
 
 func (wk *Worker) lookup(id string) (*workerSlice, bool) {
@@ -220,7 +220,7 @@ func (wk *Worker) handleList(w http.ResponseWriter, _ *http.Request) {
 		ids = append(ids, id)
 	}
 	wk.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"slices": ids})
+	writeWire(w, map[string]any{"slices": ids})
 }
 
 func (wk *Worker) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -231,7 +231,7 @@ func (wk *Worker) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	writeJSON(w, http.StatusOK, wk.status(r.PathValue("id"), ws, r.URL.Query().Get("state") == "1"))
+	writeWire(w, wk.status(r.PathValue("id"), ws, r.URL.Query().Get("state") == "1"))
 }
 
 func (wk *Worker) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -257,6 +257,11 @@ func (wk *Worker) handleStep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: parsing body: %w", err))
 		return
 	}
+	ups, err := unpackUpdates(req.Sync)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	done := ws.slice.Epochs()
@@ -267,7 +272,7 @@ func (wk *Worker) handleStep(w http.ResponseWriter, r *http.Request) {
 		if wk.reg != nil {
 			wk.reg.Counter("cluster.worker_step_replays").Inc()
 		}
-		writeJSON(w, http.StatusOK, ws.lastStep)
+		writeWire(w, ws.lastStep)
 		return
 	case req.Epoch != done+1:
 		writeError(w, http.StatusConflict,
@@ -276,13 +281,13 @@ func (wk *Worker) handleStep(w http.ResponseWriter, r *http.Request) {
 	}
 	// Deliver the previous barrier if it rode along (it must not have
 	// been delivered already — that would double-apply updates).
-	if len(req.Sync) > 0 {
+	if len(ups) > 0 {
 		if ws.syncedEpoch >= done {
 			writeError(w, http.StatusConflict,
 				fmt.Errorf("cluster: barrier %d already delivered to slice", done))
 			return
 		}
-		if err := ws.slice.ApplySync(req.Sync); err != nil {
+		if err := ws.slice.ApplySync(ups); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -296,7 +301,7 @@ func (wk *Worker) handleStep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	ws.lastStep = &StepResponse{Report: rep}
+	ws.lastStep = &StepResponse{Report: packReport(rep)}
 	if ws.spans != nil {
 		// The epoch's interval on the model axis, under the
 		// coordinator's epoch span, with the worker-measured compute
@@ -309,7 +314,7 @@ func (wk *Worker) handleStep(w http.ResponseWriter, r *http.Request) {
 	if wk.reg != nil {
 		wk.reg.Counter("cluster.worker_steps").Inc()
 	}
-	writeJSON(w, http.StatusOK, ws.lastStep)
+	writeWire(w, ws.lastStep)
 }
 
 func (wk *Worker) handleSync(w http.ResponseWriter, r *http.Request) {
@@ -323,6 +328,11 @@ func (wk *Worker) handleSync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: parsing body: %w", err))
 		return
 	}
+	ups, err := unpackUpdates(req.Sync)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	done := ws.slice.Epochs()
@@ -333,7 +343,7 @@ func (wk *Worker) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	if ws.syncedEpoch < done {
 		start := time.Now()
-		if err := ws.slice.ApplySync(req.Sync); err != nil {
+		if err := ws.slice.ApplySync(ups); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -344,7 +354,7 @@ func (wk *Worker) handleSync(w http.ResponseWriter, r *http.Request) {
 			// take the acknowledge-only branch and emit nothing.
 			ws.spans.Complete("slice_sync", obs.RemoteSpan(req.Parent), ws.slice.Chip(),
 				ws.slice.ModelNS(), 0, time.Since(start).Nanoseconds(),
-				&obs.Event{Count: int64(len(req.Sync))})
+				&obs.Event{Count: int64(len(ups))})
 		}
 	}
 	// else: a retry of a barrier already delivered — acknowledge again.
@@ -352,5 +362,5 @@ func (wk *Worker) handleSync(w http.ResponseWriter, r *http.Request) {
 	if req.WantState {
 		resp.State = ws.slice.Snapshot()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeWire(w, resp)
 }
