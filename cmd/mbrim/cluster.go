@@ -22,6 +22,7 @@ import (
 	"mbrim"
 	"mbrim/internal/cluster"
 	"mbrim/internal/cluster/chaosproxy"
+	"mbrim/internal/diag"
 	"mbrim/internal/obs"
 )
 
@@ -117,6 +118,13 @@ func runCluster(ctx context.Context, info io.Writer, model *mbrim.Model, g *mbri
 	}
 
 	runID := fmt.Sprintf("cli-%d-%d", os.Getpid(), time.Now().UnixNano())
+	// A federated run's fleet summary is folded from its own stream, as
+	// the daemon's /runs/{id}/diag does it.
+	var fleet *diag.Reducer
+	if cfg.Federate {
+		fleet = diag.New(diag.Config{Registry: o.registry, RunID: runID})
+		cfg.Tracer = obs.Fanout(o.tracer, fleet)
+	}
 	co, err := cluster.New(model, runID, cfg)
 	if err != nil {
 		fatal(err)
@@ -154,7 +162,7 @@ func runCluster(ctx context.Context, info io.Writer, model *mbrim.Model, g *mbri
 
 	if co.TraceID() != 0 {
 		fmt.Fprintf(info, "fleet:   trace %016x, %d federated events", co.TraceID(), len(co.FederatedEvents()))
-		if snap, ok := co.FleetDiag(); ok {
+		if snap := fleet.Snapshot().Fleet; snap != nil {
 			fmt.Fprintf(info, ", sync %.0f%%, straggler worker %d", 100*snap.SyncFraction, snap.Straggler)
 		}
 		fmt.Fprintln(info)

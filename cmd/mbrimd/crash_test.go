@@ -2,13 +2,18 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -29,13 +34,39 @@ func buildDaemon(t *testing.T) string {
 	return bin
 }
 
+// logBuffer collects a daemon's stderr for the test to read while the
+// daemon still writes.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *logBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	os.Stderr.Write(p)
+	return l.buf.Write(p)
+}
+
+func (l *logBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
 // startDaemon launches the binary and scrapes the bound address from
 // its banner line. The returned process is NOT cleaned up via t.Cleanup
 // — crash tests kill it themselves.
 func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 	t.Helper()
+	return startDaemonLogging(t, bin, os.Stderr, args...)
+}
+
+// startDaemonLogging is startDaemon with the daemon's stderr sent to w.
+func startDaemonLogging(t *testing.T, bin string, w io.Writer, args ...string) (*exec.Cmd, string) {
+	t.Helper()
 	cmd := exec.Command(bin, append([]string{"-addr", "localhost:0"}, args...)...)
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = w
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -85,22 +116,46 @@ type outcomeBody struct {
 // TestCrashRecoveryBitIdentical is the end-to-end durability pin: a
 // daemon is SIGKILLed mid-run with durable state on disk, a second
 // daemon replays the journal and resumes the run from its last
-// checkpoint, and the outcome must be bit-identical — energy, flips and
-// full spin state — to the same request solved in-process without any
-// interruption.
+// checkpoint — its replay line says resumed, not failed or restarted —
+// and the outcome must be bit-identical — energy, flips and full spin
+// state — to the same request solved in-process without any
+// interruption. The cluster row runs the chips on two -worker daemons
+// that outlive the coordinator: the resumed run re-creates its slices
+// over the orphans the killed one left there.
 func TestCrashRecoveryBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real daemons")
 	}
 	bin := buildDaemon(t)
-	state := t.TempDir()
+	for _, engine := range []string{"mbrim", "cluster"} {
+		t.Run(engine, func(t *testing.T) {
+			// ~1.4s of wall time at this problem size in process, more over
+			// loopback RPCs: enough for several checkpoints before the kill
+			// and real work left after it.
+			body := `{"engine":"mbrim","k":64,"chips":2,"durationNS":5000,"seed":7}`
+			if engine == "cluster" {
+				var workers []string
+				for range 2 {
+					w, base := startDaemon(t, bin, "-worker")
+					defer func() {
+						_ = w.Process.Kill()
+						_ = w.Wait()
+					}()
+					waitReady(t, base, 10*time.Second)
+					workers = append(workers, base)
+				}
+				body = `{"engine":"cluster","workers":["` + strings.Join(workers, `","`) + `"],"k":64,"durationNS":5000,"seed":7}`
+			}
+			crashAndResume(t, bin, body)
+		})
+	}
+}
 
+func crashAndResume(t *testing.T, bin, body string) {
+	state := t.TempDir()
 	cmd, base := startDaemon(t, bin, "-state-dir", state, "-checkpoint-every", "100ms")
 	waitReady(t, base, 10*time.Second)
 
-	// ~1.4s of wall time at this problem size: enough for several
-	// checkpoints before the kill and real work left after it.
-	body := `{"engine":"mbrim","k":64,"chips":2,"durationNS":5000,"seed":7}`
 	resp, err := http.Post(base+"/runs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -131,12 +186,16 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	_ = cmd.Wait()
 
 	// Second generation: same state dir, journal replays, run resumes.
-	cmd2, base2 := startDaemon(t, bin, "-state-dir", state, "-checkpoint-every", "100ms")
+	var log logBuffer
+	cmd2, base2 := startDaemonLogging(t, bin, &log, "-state-dir", state, "-checkpoint-every", "100ms")
 	defer func() {
 		_ = cmd2.Process.Kill()
 		_ = cmd2.Wait()
 	}()
 	waitReady(t, base2, 10*time.Second)
+	if replay := log.String(); !strings.Contains(replay, "0 tombstone(s), 1 resumed, 0 restarted from scratch, 0 unrecoverable") {
+		t.Fatalf("replay line does not report one resumed run:\n%s", replay)
+	}
 
 	var out outcomeBody
 	deadline = time.Now().Add(60 * time.Second)
@@ -164,7 +223,9 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 
 	// The uninterrupted reference, mirroring buildRequest's defaults for
 	// the submitted body (graphSeed 1, sampleEvery duration/100, auto
-	// backend).
+	// backend; a cluster run's chips default to one per worker). The
+	// in-process concurrent engine is the reference for both rows: a
+	// cluster run is bit-identical to it.
 	g := graph.Complete(64, rng.New(1))
 	ref, err := core.Solve(core.Request{
 		Kind: core.MBRIMConcurrent, Model: g.ToIsing(), Graph: g,
@@ -176,8 +237,10 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	if math.Float64bits(out.Energy) != math.Float64bits(ref.Energy) {
 		t.Fatalf("energy after crash-resume: %v != reference %v", out.Energy, ref.Energy)
 	}
-	if out.Stats["flips"] != ref.Stats["flips"] {
-		t.Fatalf("flips after crash-resume: %v != reference %v", out.Stats["flips"], ref.Stats["flips"])
+	for _, k := range []string{"flips", "bitChanges", "trafficBytes"} {
+		if out.Stats[k] != ref.Stats[k] {
+			t.Fatalf("%s after crash-resume: %v != reference %v", k, out.Stats[k], ref.Stats[k])
+		}
 	}
 	if len(out.Spins) != len(ref.Spins) {
 		t.Fatalf("spin count %d != %d", len(out.Spins), len(ref.Spins))
@@ -236,5 +299,43 @@ func TestOverloadShedding429(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("runs_queue_rejected_total missing from /metrics")
+	}
+}
+
+// TestDirtyDrainCountsClusterRuns: a distributed run still cancelling
+// when -drain-timeout expires is a dirty drain — exit code 4 — like any
+// other run. The cluster manager used to cancel and wait for its runs
+// before the drain deadline existed, so the daemon blocked past it and
+// then exited 0.
+func TestDirtyDrainCountsClusterRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds real daemons")
+	}
+	bin := buildDaemon(t)
+	w, worker := startDaemon(t, bin, "-worker")
+	defer func() {
+		_ = w.Process.Kill()
+		_ = w.Wait()
+	}()
+	waitReady(t, worker, 10*time.Second)
+	cmd, base := startDaemon(t, bin, "-drain-timeout", "1ns")
+	waitReady(t, base, 10*time.Second)
+	resp, err := http.Post(base+"/cluster/runs", "application/json",
+		strings.NewReader(`{"workers":["`+worker+`"],"k":32,"durationNS":1e6}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 202 {
+		_ = cmd.Process.Kill()
+		t.Fatalf("submit = %d", resp.StatusCode)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	err = cmd.Wait()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != exitDirtyDrain {
+		t.Fatalf("drain with a cluster run in flight: %v, want exit code %d", err, exitDirtyDrain)
 	}
 }

@@ -14,13 +14,18 @@
 //	POST /runs/{id}/cancel      stop at the next engine barrier
 //	GET  /runs/{id}/checkpoint  download the resume envelope
 //	GET  /runs/{id}/outcome     terminal outcome (energy, flips, spins)
-//	POST /cluster/runs          coordinate a solve across worker nodes
-//	GET  /cluster/runs[/{id}]   distributed-run status / checkpoint
-//	GET  /cluster/runs/{id}/trace  merged fleet Chrome trace (federated runs)
-//	GET  /cluster/runs/{id}/diag   fleet diagnostics (stragglers, sync share)
 //	GET  /metrics               Prometheus text exposition
 //	GET  /metrics.json          JSON metrics snapshot
 //	GET  /healthz, /readyz      liveness / readiness
+//
+// There is one run plane. A solve spread over worker nodes is engine
+// "cluster" on POST /runs ("workers":[…] names the nodes) and is a run
+// like any other: admission, deadlines, retention, the SSE tail, /diag
+// (with a fleet section when "federate" is set), /trace, /outcome,
+// periodic checkpoints and crash-resume all apply. Every /runs… route
+// also answers under /cluster/runs…, the prefix that surface used to
+// have: POST there defaults the engine to "cluster", GET
+// /cluster/runs/{id} adds the old done and result fields.
 //
 // With -worker the node additionally hosts problem slices on behalf of
 // remote coordinators (PUT/GET/POST under /worker/slices) — the worker
@@ -36,6 +41,9 @@
 //	  -d '{"engine":"portfolio","k":64,"portfolio":{"entrants":[
 //	       {"kind":"sa"},{"kind":"tabu"},{"kind":"dsbm"}],
 //	       "targetEnergy":-100}}'
+//	curl -s -X POST localhost:8351/runs \
+//	  -d '{"engine":"cluster","workers":["http://w1:8351","http://w2:8351"],
+//	       "k":256,"durationNS":500,"federate":true}'
 //	curl -s localhost:8351/runs/run-1
 //	curl -s -N localhost:8351/runs/run-1/events
 //	curl -s localhost:8351/runs/run-1/diag
@@ -43,8 +51,8 @@
 //	curl -s localhost:8351/metrics | grep core_solve_wall_ns_bucket
 //
 // SIGINT/SIGTERM drain gracefully: readiness flips to 503, in-flight
-// runs are cancelled (multichip runs capture checkpoints, retrievable
-// until exit), and the listener shuts down. If -drain-timeout expires
+// runs are cancelled (multichip and cluster runs capture checkpoints,
+// retrievable until exit), and the listener shuts down. If -drain-timeout expires
 // with runs still live, mbrimd exits with code 4 so supervisors can
 // tell a dirty drain from a clean stop.
 //
@@ -52,8 +60,8 @@
 // terminal outcome is fsync'd to an append-only journal, durable runs
 // checkpoint on the -checkpoint-every cadence, and a restart replays
 // the journal — finished runs come back as status tombstones, and
-// interrupted multichip runs resume bit-identically from their last
-// checkpoint. /readyz serves 503 until the replay pass completes.
+// interrupted multichip and cluster runs resume bit-identically from
+// their last checkpoint. /readyz serves 503 until the replay pass completes.
 // -max-queued adds a bounded FIFO-with-priority admission queue beyond
 // -max-active; when it is full, POST /runs sheds load with 429 and a
 // Retry-After estimate.
@@ -152,9 +160,6 @@ func main() {
 	}
 	mux := http.NewServeMux()
 	runs.Mount(mux, mgr, reg, func() bool { return !draining.Load() && !replaying.Load() })
-	clusterMgr := cluster.NewManager(reg, nil, *maxSpins)
-	clusterMgr.SetJournal(jw)
-	clusterMgr.Routes(mux)
 	if *worker {
 		cluster.NewWorker(reg, *maxSlices).Routes(mux)
 	}
@@ -195,10 +200,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mbrimd: journal tail torn (%v); replaying the intact prefix\n", replayed.TailErr)
 		}
 		sum := mgr.Recover(replayed.Records)
-		ct, cf := clusterMgr.Recover(replayed.Records)
 		fmt.Fprintf(os.Stderr,
-			"mbrimd: replayed %d journal record(s): %d tombstone(s), %d resumed, %d restarted from scratch, %d unrecoverable; cluster: %d tombstone(s), %d failed\n",
-			len(replayed.Records), sum.Tombstones, sum.Resumed, sum.Restarted, sum.Unrecoverable, ct, cf)
+			"mbrimd: replayed %d journal record(s): %d tombstone(s), %d resumed, %d restarted from scratch, %d unrecoverable\n",
+			len(replayed.Records), sum.Tombstones, sum.Resumed, sum.Restarted, sum.Unrecoverable)
 		mgr.SetAccepting(true)
 		replaying.Store(false)
 	}
@@ -213,14 +217,13 @@ func main() {
 	}
 
 	// Drain: stop advertising readiness, cancel in-flight runs (each
-	// multichip run captures its checkpoint on the way out), wait for
-	// them, then close the listener.
+	// checkpointable run captures its checkpoint on the way out), wait
+	// for them under the drain deadline, then close the listener.
 	stop()
 	draining.Store(true)
 	if ids := mgr.CancelAll(); len(ids) > 0 {
 		fmt.Fprintf(os.Stderr, "mbrimd: draining, cancelled %d run(s): %v\n", len(ids), ids)
 	}
-	clusterMgr.CancelAll()
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	dirty := !mgr.Wait(drainCtx)

@@ -33,18 +33,6 @@ import (
 //     surfaces errWorkerDead, which the coordinator turns into a
 //     checkpoint-rollback recovery.
 
-// writeJSON / writeError mirror the runs package's response helpers:
-// indented bodies for the operator-facing /cluster/runs surface (and
-// for every error).
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 // writeWire answers a /worker RPC with 200 and a compact body — read by
 // a coordinator every epoch, not by a person.
 func writeWire(w http.ResponseWriter, v any) {
@@ -53,8 +41,15 @@ func writeWire(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeError answers a /worker RPC with status and an error envelope,
+// indented: a person reads these.
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Cache-Control", "no-store")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(map[string]string{"error": err.Error()})
 }
 
 // workerDeadError reports that a worker was declared dead.

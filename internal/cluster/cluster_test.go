@@ -14,12 +14,14 @@ import (
 
 	"mbrim/internal/checkpoint"
 	"mbrim/internal/cluster/chaosproxy"
+	"mbrim/internal/core"
 	"mbrim/internal/graph"
 	"mbrim/internal/ising"
 	"mbrim/internal/journal"
 	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
 	"mbrim/internal/rng"
+	"mbrim/internal/runs"
 )
 
 func kmodel(n int, seed uint64) *ising.Model {
@@ -311,14 +313,14 @@ func TestClusterInterruptCheckpointResumesInProcess(t *testing.T) {
 	want := inProcess(t, m, cfg)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	co, err := New(m, "t-interrupt", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co.Progress = func(epoch int, _ float64) {
+	cfg.OnEpoch = func(epoch int) {
 		if epoch == 3 {
 			cancel()
 		}
+	}
+	co, err := New(m, "t-interrupt", cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	partial, env, err := co.Solve(ctx)
 	if err != context.Canceled {
@@ -448,15 +450,94 @@ func TestWorkerIdempotency(t *testing.T) {
 	}
 }
 
-// TestManagerAPI drives a solve end to end through the coordinator
-// HTTP surface.
+// opsServer is the daemon's surface in a test: runs.Mount on a bare mux,
+// with this package linked in so "cluster" is a registered engine.
+func opsServer(t *testing.T, cfg runs.Config) (*httptest.Server, *runs.Manager) {
+	t.Helper()
+	if cfg.Registry == nil {
+		cfg.Registry = obs.NewRegistry()
+	}
+	mgr := runs.NewManager(cfg)
+	mux := http.NewServeMux()
+	runs.Mount(mux, mgr, cfg.Registry, nil)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(func() {
+		drain(t, mgr)
+		srv.Close()
+	})
+	return srv, mgr
+}
+
+// drain cancels whatever mgr still runs and waits for it to settle.
+func drain(t *testing.T, mgr *runs.Manager) {
+	t.Helper()
+	mgr.CancelAll()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if !mgr.Wait(ctx) {
+		t.Error("runs still in flight 30s after CancelAll")
+	}
+}
+
+// post submits body to url and returns the status code and response
+// body.
+func post(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data
+}
+
+// getJSON decodes a 200 answer from url into v and returns the status.
+func getJSON(t *testing.T, url string, v any) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+	}
+	return resp.StatusCode
+}
+
+// submitRun posts body under path, wants 202, and returns the run once
+// it is terminal.
+func submitRun(t *testing.T, srv *httptest.Server, mgr *runs.Manager, path, body string) *runs.Run {
+	t.Helper()
+	code, data := post(t, srv.URL+path, body)
+	var st runs.Status
+	if err := json.Unmarshal(data, &st); code != http.StatusAccepted || err != nil {
+		t.Fatalf("POST %s = %d %s", path, code, data)
+	}
+	run, ok := mgr.Get(st.ID)
+	if !ok {
+		t.Fatalf("accepted run %q is not registered", st.ID)
+	}
+	select {
+	case <-run.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatalf("%s did not finish", st.ID)
+	}
+	return run
+}
+
+func workerList(workers []string) string { return `"` + strings.Join(workers, `","`) + `"` }
+
+// TestManagerAPI drives a solve end to end through the /cluster/runs
+// alias of the one run manager.
 func TestManagerAPI(t *testing.T) {
 	workers := startWorkers(t, 2)
-	mgr := NewManager(nil, nil, 0)
-	mux := http.NewServeMux()
-	mgr.Routes(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
 
 	// Configurations the engine rejects are synchronous 400s: no run id
 	// is taken, nothing is journaled, no worker sees the model.
@@ -466,7 +547,7 @@ func TestManagerAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jw.Close()
-	mgr.SetJournal(jw)
+	srv, mgr := opsServer(t, runs.Config{Journal: jw})
 	for name, c := range map[string]struct{ spec, want string }{
 		"negative epoch":        {`"k":32,"epochNS":-1`, ""},
 		"NaN epoch":             {`"k":32,"epochNS":NaN`, ""},
@@ -479,19 +560,30 @@ func TestManagerAPI(t *testing.T) {
 		"fractional endpoints": {`"n":4,"edges":[[1,2,1],[1.9,2.2,1]]`, "edge 1 [1.9, 2.2]: endpoints must be integers"},
 		"fractional self edge": {`"n":4,"edges":[[2.7,2.1,1]]`, "edge 0 [2.7, 2.1]: endpoints must be integers"},
 	} {
-		resp, err := http.Post(srv.URL+"/cluster/runs", "application/json",
-			strings.NewReader(`{"workers":["`+strings.Join(workers, `","`)+`"],`+c.spec+`}`))
-		if err != nil {
-			t.Fatal(err)
+		code, body := post(t, srv.URL+"/cluster/runs", `{"workers":[`+workerList(workers)+`],`+c.spec+`}`)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+			t.Errorf("%s: status %d body %s, want 400 carrying %q", name, code, body, c.want)
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
-			t.Errorf("%s: status %d body %s, want 400 carrying %q", name, resp.StatusCode, body, c.want)
+	}
+	// The rest of what the old surface refused, and what only one decoder
+	// for both prefixes can: cluster fields on an engine that ignores them.
+	for name, c := range map[string]struct{ path, body, want string }{
+		"no workers":         {"/cluster/runs", `{"k":8}`, "no workers"},
+		"k and edges":        {"/cluster/runs", `{"workers":[` + workerList(workers) + `],"k":8,"n":2,"edges":[[1,2,1]]}`, "k or edges"},
+		"unknown field":      {"/cluster/runs", `{"workers":[` + workerList(workers) + `],"k":8,"warp":9}`, "warp"},
+		"no engine on /runs": {"/runs", `{"workers":[` + workerList(workers) + `],"k":8}`, "unknown solver"},
+		"workers for mbrim":  {"/runs", `{"engine":"mbrim","workers":[` + workerList(workers) + `],"k":8,"chips":2}`, "cluster fields require engine"},
+		"federate for sa":    {"/runs", `{"engine":"sa","k":8,"federate":true}`, "cluster fields require engine"},
+	} {
+		if code, body := post(t, srv.URL+c.path, c.body); code != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+			t.Errorf("%s: status %d body %s, want 400 carrying %q", name, code, body, c.want)
 		}
 	}
 	if rep, err := journal.Replay(jpath); err != nil || len(rep.Records) != 0 {
 		t.Errorf("rejected submissions left journal records: %+v, %v", rep, err)
+	}
+	if list := mgr.List(); len(list) != 0 {
+		t.Errorf("rejected submissions created runs: %+v", list)
 	}
 	for _, w := range workers {
 		if ids := hostedSlices(t, w); len(ids) != 0 {
@@ -499,25 +591,21 @@ func TestManagerAPI(t *testing.T) {
 		}
 	}
 
-	body, _ := json.Marshal(&SubmitRequest{
-		Workers:           workers,
+	body, _ := json.Marshal(&runs.SubmitRequest{
+		ClusterSpec:       core.ClusterSpec{Workers: workers},
 		K:                 32,
 		GraphSeed:         7,
 		Seed:              99,
 		DurationNS:        20,
 		ChannelBytesPerNS: 0.5,
 	})
-	resp, err := http.Post(srv.URL+"/cluster/runs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
+	code, data := post(t, srv.URL+"/cluster/runs", string(body))
 	var sub struct {
 		ID string `json:"id"`
 	}
-	json.NewDecoder(resp.Body).Decode(&sub)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || sub.ID != "cr-1" {
-		t.Fatalf("submit: status %d id %q, want 202 cr-1 (rejected submissions take no id)", resp.StatusCode, sub.ID)
+	json.Unmarshal(data, &sub)
+	if code != http.StatusAccepted || sub.ID != "run-1" {
+		t.Fatalf("submit: status %d id %q, want 202 run-1 (rejected submissions take no id)", code, sub.ID)
 	}
 
 	deadline := time.Now().Add(30 * time.Second)
@@ -533,13 +621,8 @@ func TestManagerAPI(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("run did not finish in time")
 		}
-		r, err := http.Get(srv.URL + "/cluster/runs/" + sub.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
 		status.Done, status.Error, status.Result = false, "", nil
-		json.NewDecoder(r.Body).Decode(&status)
-		r.Body.Close()
+		getJSON(t, srv.URL+"/cluster/runs/"+sub.ID, &status)
 		if status.Done {
 			break
 		}

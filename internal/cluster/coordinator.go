@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mbrim/internal/checkpoint"
+	"mbrim/internal/core"
 	"mbrim/internal/interconnect"
 	"mbrim/internal/ising"
 	"mbrim/internal/lattice"
@@ -84,11 +85,13 @@ type Config struct {
 	// Federate enables fleet observability: the coordinator derives a
 	// run-scoped trace ID, opens a span tree over the solve, threads
 	// trace context on every RPC so workers emit chip_step/slice_sync
-	// spans under it, pulls worker event streams each checkpoint round,
-	// and scrapes worker metrics into worker-labeled fleet_* series.
-	// The merged trace is served by FederatedEvents / TraceID, the
-	// cluster diagnostics by FleetDiag. Off by default; the disabled
-	// path costs one nil check per instrumentation site.
+	// spans under it, pulls worker event streams each checkpoint round
+	// — forwarding them, origin-stamped, to Tracer beside its own
+	// "co"-stamped stream, where a diag.Reducer folds the fleet view —
+	// and scrapes worker metrics into worker-labeled fleet_* series. The
+	// canonically merged trace is served by FederatedEvents / TraceID.
+	// Off by default; the disabled path costs one nil check per
+	// instrumentation site.
 	Federate bool
 
 	// Metrics receives cluster_* instruments; Tracer the run's event
@@ -211,8 +214,7 @@ type Coordinator struct {
 	tr    *transport
 	// tracer is the run's effective event sink: cfg.Tracer directly, or
 	// — when federating — a stamping fan-out that also feeds the
-	// federation ring and the fleet reducer. fed is nil unless
-	// cfg.Federate.
+	// federation ring. fed is nil unless cfg.Federate.
 	tracer obs.Tracer
 	fed    *federation
 
@@ -233,16 +235,13 @@ type Coordinator struct {
 	// delivered via a /sync (checkpoint) round.
 	pendingSync [][]byte
 	synced      bool
-	// lastCkpt is the rollback point: the run's start (no slice states)
-	// until the first coordinated checkpoint, then every slice's post-sync
-	// snapshot at one barrier with the ledger and fabric as of it — the
-	// checkpoint an interrupt hands to the in-process engine as is.
+	// lastCkpt is the rollback point: where the run starts (no slice
+	// states, or the checkpoint a resume supplied) until the first
+	// coordinated checkpoint, then every slice's post-sync snapshot at one
+	// barrier with the ledger and fabric as of it — the checkpoint an
+	// interrupt hands to the in-process engine as is.
 	lastCkpt *multichip.Checkpoint
 	stats    RecoveryStats
-
-	// Progress, if set, is called after every barrier with the epoch
-	// and current elapsed ns (the cluster API's live status feed).
-	Progress func(epoch int, elapsedNS float64)
 }
 
 // New validates the configuration and builds a coordinator for the
@@ -297,8 +296,7 @@ func (co *Coordinator) name(runID string) {
 	co.tracer = co.cfg.Tracer
 	if co.cfg.Federate {
 		co.fed = newFederation(co.cfg, runID, len(co.cfg.Workers))
-		co.tracer = obs.StampTracer(obs.Fanout(co.fed.co, co.fed.fleet, co.cfg.Tracer),
-			co.fed.traceID, "co")
+		co.tracer = obs.StampTracer(obs.Fanout(co.fed.co, co.cfg.Tracer), co.fed.traceID, "co")
 		co.fed.spans = obs.NewSpanner(co.tracer)
 	}
 }
@@ -316,10 +314,23 @@ func (co *Coordinator) emit(e obs.Event) {
 
 func (co *Coordinator) metric() *obs.Registry { return co.cfg.Metrics }
 
-// Solve runs the distributed solve to completion. On context
-// cancellation it returns the partial result, a PR-3 checkpoint
-// envelope the in-process engine ("mbrim") can resume, and ctx.Err().
+// Solve runs the distributed solve to completion, bracketed by its own
+// RunStart/RunEnd events. On context cancellation it returns the
+// partial result, a PR-3 checkpoint envelope the in-process engine
+// ("mbrim") and the cluster engine can resume, and ctx.Err().
 func (co *Coordinator) Solve(ctx context.Context) (*Result, []byte, error) {
+	co.emit(obs.Event{Kind: obs.RunStart, Label: "cluster", Seed: co.cfg.Seed, Count: int64(co.n)})
+	res, env, err := co.run(ctx)
+	if err == nil {
+		co.emit(obs.Event{Kind: obs.RunEnd, Label: "cluster", Seed: co.cfg.Seed,
+			Value: res.Energy, ModelNS: res.ModelNS, Count: res.Flips})
+	}
+	return res, env, err
+}
+
+// run is Solve without the bracket — what the registered engine calls,
+// inside the one core.SolveCtx emits for every engine.
+func (co *Coordinator) run(ctx context.Context) (*Result, []byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -329,11 +340,10 @@ func (co *Coordinator) Solve(ctx context.Context) (*Result, []byte, error) {
 		co.muH[i] = co.model.Mu() * co.model.Bias(i)
 	}
 	co.recordPartitionQuality()
-	co.emit(obs.Event{Kind: obs.RunStart, Label: "cluster", Seed: co.cfg.Seed, Count: int64(co.n)})
 	// Whatever way the run ends — completed, interrupted (after its
 	// checkpoint is collected) or failed — its slices leave the workers
-	// and the coordinator lets go of everything but the federation.
-	defer co.retire()
+	// and a transport that made its own connections closes them.
+	defer co.tr.close()
 	co.tr.startProber()
 	defer co.tr.stopProber()
 	defer func() { co.releaseSlices(co.gen, co.assign) }()
@@ -341,7 +351,11 @@ func (co *Coordinator) Solve(ctx context.Context) (*Result, []byte, error) {
 		co.fed.runSpan = co.fed.spans.Start("cluster_run", obs.Span{}, -1, 0)
 		co.handshakeClocks(ctx)
 	}
-	if err := co.createSlices(ctx, nil); err != nil {
+	states, err := co.restoreTo(co.lastCkpt)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := co.createSlices(ctx, states); err != nil {
 		if wd := asWorkerDead(err); wd != nil {
 			if rerr := co.recover(ctx, wd); rerr != nil {
 				return nil, nil, rerr
@@ -376,8 +390,6 @@ func (co *Coordinator) Solve(ctx context.Context) (*Result, []byte, error) {
 	res := co.partialResult()
 	co.finishFederation(res)
 	co.recordRunMetrics(res)
-	co.emit(obs.Event{Kind: obs.RunEnd, Label: "cluster", Seed: co.cfg.Seed,
-		Value: res.Energy, ModelNS: res.ModelNS, Count: res.Flips})
 	return res, nil, nil
 }
 
@@ -618,9 +630,6 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 		co.emit(obs.Event{Kind: obs.EnergySample, Epoch: pos.EpochsDone, ModelNS: pos.ElapsedNS, Value: energy})
 		pos.NextSampleNS = pos.ElapsedNS + co.cfg.SampleEveryNS
 	}
-	if co.Progress != nil {
-		co.Progress(pos.EpochsDone, pos.ElapsedNS)
-	}
 	if co.cfg.OnEpoch != nil {
 		co.cfg.OnEpoch(pos.EpochsDone)
 	}
@@ -658,12 +667,8 @@ func (co *Coordinator) checkpointRound(ctx context.Context) error {
 		if rpcWall != nil {
 			rpcWall[s] = time.Since(start).Nanoseconds()
 		}
-		// A rollback reads the snapshot's readout and flip counters back
-		// into the coordinator's mirror, so it must at least be this
-		// slice's; the worker that restores it validates the rest.
 		st := resp.State
-		if st == nil || st.Epochs != pos.EpochsDone || st.State.Machine == nil ||
-			!slices.Equal(st.State.Owned, co.parts[s]) || len(st.State.Machine.Spins) != len(co.parts[s]) {
+		if st == nil || st.Epochs != pos.EpochsDone || !co.ownsSlice(s, &st.State) {
 			return fmt.Errorf("cluster: slice %d returned a stale or malformed snapshot", s)
 		}
 		states[s] = st
@@ -752,27 +757,13 @@ func (co *Coordinator) recover(ctx context.Context, wd *workerDeadError) error {
 	}
 
 	// Roll back: every slice (survivors included) returns to the
-	// rollback point — the last coordinated checkpoint, or the run's
-	// start when there is none yet (no states: slices are created fresh).
-	ck := co.lastCkpt
-	states, err := ck.SliceStates()
+	// rollback point — the last coordinated checkpoint, or where the run
+	// started when there is none yet.
+	replayed := int64(co.pos.EpochsDone - co.lastCkpt.EpochsDone)
+	states, err := co.restoreTo(co.lastCkpt)
 	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
+		return err
 	}
-	if err := co.fabric.Restore(ck.Fabric); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	replayed := int64(co.pos.EpochsDone - ck.EpochsDone)
-	co.pos = ck.Position.Clone()
-	co.flips, co.inducedFlips = 0, 0
-	for _, cs := range ck.Chips {
-		for li, g := range cs.Owned {
-			co.spins[g] = cs.Machine.Spins[li]
-		}
-		co.flips += cs.Machine.Flips
-		co.inducedFlips += cs.Machine.Induced
-	}
-	co.pendingSync, co.synced = nil, true // rollback states are post-sync
 	co.stats.ReplayedEpochs += replayed
 
 	// Charge the recovery honestly: a full-state resync for every slice
@@ -827,6 +818,63 @@ func (co *Coordinator) recover(ctx context.Context, wd *workerDeadError) error {
 	return nil
 }
 
+// restoreTo returns the coordinator's side of the run to ck — fabric,
+// position ledger, spin mirror and flip counters — and hands back the
+// slice states to re-create the slices from (none when ck is a run's
+// start: they are created fresh). It is how a worker loss rolls back,
+// and how every run starts: at its lastCkpt.
+func (co *Coordinator) restoreTo(ck *multichip.Checkpoint) ([]*multichip.SliceState, error) {
+	states, err := ck.SliceStates()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	if err := co.fabric.Restore(ck.Fabric); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	co.pos = ck.Position.Clone()
+	co.flips, co.inducedFlips = 0, 0
+	for _, cs := range ck.Chips {
+		for li, g := range cs.Owned {
+			co.spins[g] = cs.Machine.Spins[li]
+		}
+		co.flips += cs.Machine.Flips
+		co.inducedFlips += cs.Machine.Induced
+	}
+	co.pendingSync, co.synced = nil, true // checkpointed states are post-sync
+	return states, nil
+}
+
+// ownsSlice reports whether cs can be slice s's state as far as the
+// coordinator reads it (restoreTo mirrors its readout and flip
+// counters); the worker that restores it validates the rest.
+func (co *Coordinator) ownsSlice(s int, cs *multichip.ChipState) bool {
+	return cs.Machine != nil && slices.Equal(cs.Owned, co.parts[s]) && len(cs.Machine.Spins) == len(co.parts[s])
+}
+
+// resumeFrom makes ck — a concurrent-mode checkpoint of this model,
+// seed and configuration, whoever took it: a coordinator or the
+// in-process engine — the point the run starts from. The bytes are
+// untrusted, so what the coordinator itself will read is checked here.
+func (co *Coordinator) resumeFrom(ck *multichip.Checkpoint) error {
+	switch {
+	case ck.Mode != multichip.ModeConcurrent:
+		return fmt.Errorf("cluster: checkpoint was taken in %s mode, resuming %s", ck.Mode, multichip.ModeConcurrent)
+	case ck.DurationNS != co.cfg.DurationNS:
+		return fmt.Errorf("cluster: checkpoint duration %v ns, resuming %v ns", ck.DurationNS, co.cfg.DurationNS)
+	case ck.Fault != nil:
+		return errors.New("cluster: checkpoint carries fault-layer state, which has no distributed form")
+	case len(ck.Chips) != co.cfg.Chips:
+		return fmt.Errorf("cluster: checkpoint has %d chips, resuming %d", len(ck.Chips), co.cfg.Chips)
+	}
+	for s := range ck.Chips {
+		if !co.ownsSlice(s, &ck.Chips[s]) {
+			return fmt.Errorf("cluster: checkpoint chip %d is not slice %d of this partition", s, s)
+		}
+	}
+	co.lastCkpt = ck
+	return nil
+}
+
 // releaseSlices deletes incarnation gen of every slice from the live
 // worker assign placed it on. Best effort, one attempt each under one
 // short deadline of its own (the run context may be cancelled): a worker
@@ -847,18 +895,6 @@ func (co *Coordinator) releaseSlices(gen int, assign []int) {
 		}()
 	}
 	wg.Wait()
-}
-
-// retire drops what only a running solve needs — the dense model and
-// its view, the spin mirror, the rollback point's slice states and the
-// transport (with the idle connections of a client it made itself; a
-// Config.Client belongs to its caller and stays warm for the next run) —
-// so a finished coordinator kept for its federation (/trace, /diag) pins
-// nothing else.
-func (co *Coordinator) retire() {
-	co.tr.close()
-	co.model, co.view, co.muH, co.parts, co.spins, co.pendingSync = nil, nil, nil, nil, nil, nil
-	co.lastCkpt, co.fabric, co.tr = nil, nil, nil
 }
 
 // energy is model.Energy(spins), bit for bit, at what the coupling view
@@ -910,7 +946,7 @@ func (co *Coordinator) interruptCheckpoint() ([]byte, error) {
 		return nil, err
 	}
 	return checkpoint.Encode(&checkpoint.File{
-		Engine:    "mbrim", // core.MBRIMConcurrent
+		Engine:    string(core.MBRIMConcurrent),
 		Seed:      co.cfg.Seed,
 		N:         co.n,
 		ModelHash: checkpoint.HashModel(co.model),

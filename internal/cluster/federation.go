@@ -12,6 +12,12 @@ package cluster
 //   - each worker's /metrics.json, scraped on the same cadence and
 //     re-exported as worker-labeled fleet_* gauges.
 //
+// Every pulled worker event is also forwarded, origin-stamped and
+// clock-shifted, to Config.Tracer, so the run's own sinks — a run
+// manager's ring, SSE tail and diag.Reducer, or the CLI's — see the
+// workers beside the coordinator; the reducer's fleet view is built
+// from that stream, not here.
+//
 // Merging is deterministic by construction: the canonical order is a
 // stable sort by (model time, origin rank, span ID, start-before-end),
 // all of which are deterministic fields, so a complete federated run
@@ -67,8 +73,10 @@ type federation struct {
 	chips   int
 	spans   *obs.Spanner // coordinator-side spans (IDs from 1)
 	runSpan obs.Span
-	co      *obs.Ring   // coordinator's own stamped stream
-	fleet   *diag.Fleet // cluster-level reducer, fed both streams
+	co      *obs.Ring     // coordinator's own stamped stream
+	out     obs.Tracer    // Config.Tracer: pulled worker events are forwarded here
+	reg     *obs.Registry // Config.Metrics; nil instruments are no-ops
+	runID   string
 
 	mu      sync.Mutex
 	workers []*obs.Ring // pulled worker events, per worker ordinal
@@ -83,14 +91,12 @@ func newFederation(c Config, runID string, workers int) *federation {
 		traceID: deriveTraceID(c.Seed, runID),
 		chips:   c.Chips,
 		co:      obs.NewRing(coFederationRing),
+		out:     c.Tracer,
+		reg:     c.Metrics,
+		runID:   runID,
 		workers: make([]*obs.Ring, workers),
 		cursors: make([]int64, workers),
 		offsets: make([]int64, workers),
-		fleet: diag.NewFleet(diag.FleetConfig{
-			Workers:  workers,
-			Registry: c.Metrics,
-			RunID:    runID,
-		}),
 	}
 	for wi := range f.workers {
 		f.workers[wi] = obs.NewRing(workerFederationRing)
@@ -103,6 +109,7 @@ func newFederation(c Config, runID string, workers int) *federation {
 		reg.SetHelp("fleet.worker_slices", "node-level hosted-slice gauge scraped from the worker")
 		reg.SetHelp("fleet.worker_step_replays", "node-level replay-cache hit count scraped from the worker")
 		reg.SetHelp("fleet.model_traffic_bytes", "modeled fabric bytes the run charged (compare fleet.wire_bytes)")
+		reg.SetHelp("fleet.dropped_events", "worker ring events evicted before the federation collector pulled them, by run")
 	}
 	return f
 }
@@ -131,11 +138,10 @@ func (f *federation) cursor(wi int) int64 {
 
 // ingest folds one pulled page from worker wi: filter to this run's
 // trace, shift wall stamps onto the coordinator's clock, stamp the
-// origin, and feed both the merge ring and the fleet reducer. Returns
-// how many events were kept.
+// origin, and feed both the merge ring and the run's own tracer.
+// Returns how many events were kept.
 func (f *federation) ingest(wi int, since int64, page EventsPage) int {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	var gap int64
 	switch {
 	case len(page.Events) > 0 && page.First > since+1:
@@ -146,11 +152,11 @@ func (f *federation) ingest(wi int, since int64, page EventsPage) int {
 	}
 	if gap > 0 {
 		f.dropped += gap
-		f.fleet.NoteDropped(gap)
+		f.reg.GaugeWith("fleet.dropped_events", obs.Labels{"run": f.runID}).Set(float64(f.dropped))
 	}
 	off := f.offsets[wi]
 	origin := "w" + strconv.Itoa(wi)
-	kept := 0
+	kept := page.Events[:0]
 	for _, e := range page.Events {
 		if e.Trace != f.traceID {
 			continue // another run's slice on the same worker
@@ -158,35 +164,29 @@ func (f *federation) ingest(wi int, since int64, page EventsPage) int {
 		e.WallNS -= off
 		e.Origin = origin
 		f.workers[wi].Emit(e)
-		f.fleet.Emit(e)
-		kept++
+		kept = append(kept, e)
 	}
-	f.pulled += int64(kept)
+	f.pulled += int64(len(kept))
 	if page.Total > f.cursors[wi] {
 		f.cursors[wi] = page.Total
 	}
-	return kept
+	f.mu.Unlock()
+	// The caller's sinks run outside the collector's lock.
+	if f.out != nil {
+		for _, e := range kept {
+			f.out.Emit(e)
+		}
+	}
+	return len(kept)
 }
 
 // originRank orders event sources in the canonical merge: coordinator
 // first, then workers by ordinal.
 func originRank(origin string) int {
-	if wi, ok := fleetOriginWorker(origin); ok {
+	if wi, ok := diag.WorkerOrigin(origin); ok {
 		return wi + 1
 	}
 	return 0
-}
-
-// fleetOriginWorker mirrors diag's origin parsing for merge ranking.
-func fleetOriginWorker(origin string) (int, bool) {
-	if len(origin) < 2 || origin[0] != 'w' {
-		return 0, false
-	}
-	n, err := strconv.Atoi(origin[1:])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 // merged returns the federated event stream in canonical order: a
@@ -281,7 +281,6 @@ func (co *Coordinator) federateRound(ctx context.Context) {
 		m.Histogram("fleet.pull_wall_ns").Observe(float64(wall))
 		m.Counter("fleet.pulled_events").Add(int64(kept))
 	}
-	co.fed.fleet.Snapshot() // refresh fleet_* gauges
 }
 
 // scrapeWorkerMetrics pulls each live worker's /metrics.json and
@@ -330,8 +329,8 @@ func scrapedWorkerSeries(name string) (string, bool) {
 }
 
 // finishFederation closes out the run's trace: a final catch-up pull
-// under a private deadline (the run context may already be cancelled),
-// the run span's end, and a last gauge refresh.
+// under a private deadline (the run context may already be cancelled)
+// and the run span's end.
 func (co *Coordinator) finishFederation(res *Result) {
 	if co.fed == nil {
 		return
@@ -343,7 +342,6 @@ func (co *Coordinator) finishFederation(res *Result) {
 	if m := co.metric(); m != nil {
 		m.Gauge("fleet.model_traffic_bytes").Set(res.TrafficBytes)
 	}
-	co.fed.fleet.Snapshot()
 }
 
 // TraceID returns the run's federated trace ID, 0 when the run is not
@@ -356,29 +354,11 @@ func (co *Coordinator) TraceID() uint64 {
 }
 
 // FederatedEvents returns the run's merged event stream in canonical
-// order — the body behind GET /cluster/runs/{id}/trace once passed to
-// obs.WriteChromeTrace. Nil when the run is not federated.
+// order — what `mbrim -cluster-trace` passes to obs.WriteChromeTrace.
+// Nil when the run is not federated.
 func (co *Coordinator) FederatedEvents() []obs.Event {
 	if co.fed == nil {
 		return nil
 	}
 	return co.fed.merged()
-}
-
-// FleetDiag returns the cluster-level diagnostics snapshot; ok is
-// false when the run is not federated.
-func (co *Coordinator) FleetDiag() (diag.FleetSnapshot, bool) {
-	if co.fed == nil {
-		return diag.FleetSnapshot{Straggler: -1}, false
-	}
-	return co.fed.fleet.Snapshot(), true
-}
-
-// ReleaseFleet drops the run-labeled fleet_* registry series this
-// run's federation registered (retention eviction path).
-func (co *Coordinator) ReleaseFleet() int {
-	if co.fed == nil {
-		return 0
-	}
-	return co.fed.fleet.Release()
 }

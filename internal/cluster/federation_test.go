@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"net/http"
 	"net/http/httptest"
@@ -11,10 +10,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"mbrim/internal/cluster/chaosproxy"
+	"mbrim/internal/diag"
 	"mbrim/internal/obs"
+	"mbrim/internal/runs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden fleet Chrome trace")
@@ -63,9 +63,11 @@ func TestDeriveTraceID(t *testing.T) {
 // another run's trace are dropped, wall stamps shift by the worker's
 // clock offset, origins are stamped, and eviction gaps — both the
 // partial-page and the everything-evicted shape — are counted, never
-// silently absorbed.
+// silently absorbed. What the merge ring keeps, the run's own tracer is
+// forwarded.
 func TestFederationIngest(t *testing.T) {
-	f := newFederation(Config{Seed: 3, Chips: 2}, "t-ingest", 2)
+	reg, out := obs.NewRegistry(), obs.NewRing(16)
+	f := newFederation(Config{Seed: 3, Chips: 2, Metrics: reg, Tracer: out}, "t-ingest", 2)
 	f.setOffset(1, 500)
 
 	kept := f.ingest(1, 0, EventsPage{
@@ -95,6 +97,9 @@ func TestFederationIngest(t *testing.T) {
 	if f.cursor(1) != 3 {
 		t.Fatalf("cursor = %d, want 3", f.cursor(1))
 	}
+	if fwd := out.Events(); len(fwd) != 2 || fwd[0] != evs[0] || fwd[1] != evs[1] {
+		t.Fatalf("forwarded to the run's tracer: %+v, want the two kept events as stamped", fwd)
+	}
 
 	// A page whose first ordinal jumped past the cursor records the
 	// evicted span of ordinals.
@@ -112,6 +117,9 @@ func TestFederationIngest(t *testing.T) {
 	}
 	if f.cursor(0) != 10 {
 		t.Fatalf("cursor = %d, want 10", f.cursor(0))
+	}
+	if g := reg.Snapshot().Gauges[`fleet.dropped_events{run="t-ingest"}`]; g != 8 {
+		t.Fatalf("fleet.dropped_events gauge = %v, want 8", g)
 	}
 }
 
@@ -237,6 +245,8 @@ func TestFederationChaosKillMergesOneTrace(t *testing.T) {
 			proxies[2].Blackhole(true)
 		}
 	}
+	red := diag.New(diag.Config{})
+	cfg.Tracer = red
 	co, err := New(m, "t-chaos-trace", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -280,9 +290,9 @@ func TestFederationChaosKillMergesOneTrace(t *testing.T) {
 		}
 	}
 
-	snap, ok := co.FleetDiag()
-	if !ok {
-		t.Fatal("federated run reports no fleet diag")
+	snap := red.Snapshot().Fleet
+	if snap == nil {
+		t.Fatal("federated run's stream folded to no fleet diag")
 	}
 	deaths := 0
 	for _, w := range snap.PerWorker {
@@ -326,7 +336,9 @@ func TestFederationRPCMetrics(t *testing.T) {
 	cfg := fastConfig(startMetricWorkers(t, 2), 2, 9, 20)
 	cfg.CheckpointEvery = 2
 	cfg.Metrics = reg
-	co, _ := solveFederated(t, 24, cfg, "t-rpcmetrics")
+	red := diag.New(diag.Config{Registry: reg, RunID: "t-rpcmetrics"})
+	cfg.Tracer = red
+	solveFederated(t, 24, cfg, "t-rpcmetrics")
 
 	snap := reg.Snapshot()
 	for _, h := range []string{
@@ -358,9 +370,9 @@ func TestFederationRPCMetrics(t *testing.T) {
 		t.Error("worker metrics scrape did not re-export cluster.worker_steps")
 	}
 
-	// Retention path: releasing the fleet drops every run-labeled series.
-	if n := co.ReleaseFleet(); n == 0 {
-		t.Fatal("ReleaseFleet released nothing")
+	// Retention path: releasing the reducer drops every run-labeled series.
+	if n := red.Release(); n == 0 {
+		t.Fatal("Release released nothing")
 	}
 	for key := range reg.Snapshot().Gauges {
 		if strings.Contains(key, `run="t-rpcmetrics"`) {
@@ -370,87 +382,18 @@ func TestFederationRPCMetrics(t *testing.T) {
 }
 
 // TestManagerTraceAndDiagEndpoints drives the HTTP surface: submit a
-// federated run through the Manager, then fetch the merged Chrome
-// trace and the fleet diagnostics exactly as an operator (or the smoke
-// script) would.
+// federated run to the run manager, then fetch the Chrome trace and the
+// diagnostics — fleet section included — exactly as an operator (or the
+// smoke script) would, under both prefixes.
 func TestManagerTraceAndDiagEndpoints(t *testing.T) {
-	m := NewManager(nil, nil, 0)
-	mux := http.NewServeMux()
-	m.Routes(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv, mgr := opsServer(t, runs.Config{})
+	workers := startWorkers(t, 2)
+	id := submitRun(t, srv, mgr, "/runs", `{"engine":"cluster","workers":[`+workerList(workers)+
+		`],"k":16,"chips":2,"durationNS":200,"seed":5,"checkpointEvery":2,"federate":true}`).ID()
 
-	w0, w1 := clusterWorker(t), clusterWorker(t)
-	body := `{"workers":["` + w0 + `","` + w1 + `"],"k":16,"chips":2,"durationNS":200,"seed":5,"checkpointEvery":2,"federate":true}`
-	resp, err := http.Post(srv.URL+"/cluster/runs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var accepted map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %d %v", resp.StatusCode, accepted)
-	}
-	id := accepted["id"]
-	cr, _ := m.lookup(id)
-	select {
-	case <-cr.done:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("%s did not finish", id)
-	}
-
-	// The merged trace parses as a Chrome trace and carries spans from
-	// the coordinator and both workers under one trace ID.
-	resp, err = http.Get(srv.URL + "/cluster/runs/" + id + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /trace = %d", resp.StatusCode)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Ph   string `json:"ph"`
-			Args struct {
-				Trace  string `json:"trace"`
-				Origin string `json:"origin"`
-			} `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	resp.Body.Close()
-	traceIDs := map[string]bool{}
-	origins := map[string]bool{}
-	for _, ev := range doc.TraceEvents {
-		if (ev.Ph == "B" || ev.Ph == "X") && ev.Args.Trace != "" {
-			traceIDs[ev.Args.Trace] = true
-			origins[ev.Args.Origin] = true
-		}
-	}
-	if len(traceIDs) != 1 {
-		t.Fatalf("trace carries %d trace IDs, want exactly 1: %v", len(traceIDs), traceIDs)
-	}
-	if !origins["co"] || !origins["w0"] || !origins["w1"] {
-		t.Fatalf("trace origins = %v, want co plus both workers", origins)
-	}
-
-	// The fleet diag endpoint reports the same trace ID and a snapshot.
-	resp, err = http.Get(srv.URL + "/cluster/runs/" + id + "/diag")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /diag = %d", resp.StatusCode)
-	}
-	var dd struct {
-		ID      string `json:"id"`
+	type diagBody struct {
 		TraceID string `json:"traceID"`
-		Fleet   struct {
+		Fleet   *struct {
 			Epochs    int64   `json:"epochs"`
 			Workers   int     `json:"workers"`
 			SyncFrac  float64 `json:"syncFraction"`
@@ -459,43 +402,62 @@ func TestManagerTraceAndDiagEndpoints(t *testing.T) {
 			} `json:"perWorker"`
 		} `json:"fleet"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&dd); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if dd.ID != id || !traceIDs[dd.TraceID] {
-		t.Fatalf("diag identity mismatch: %+v vs trace IDs %v", dd, traceIDs)
-	}
-	if dd.Fleet.Epochs == 0 || dd.Fleet.Workers != 2 {
-		t.Fatalf("empty fleet snapshot: %+v", dd.Fleet)
+	for _, prefix := range []string{"/runs/", "/cluster/runs/"} {
+		// The run's trace parses as a Chrome trace and carries spans from
+		// the coordinator and both workers under one trace ID.
+		var doc struct {
+			TraceEvents []struct {
+				Name string   `json:"name"`
+				Ph   string   `json:"ph"`
+				Dur  *float64 `json:"dur"`
+				Args struct {
+					Trace  string `json:"trace"`
+					Origin string `json:"origin"`
+				} `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if code := getJSON(t, srv.URL+prefix+id+"/trace", &doc); code != http.StatusOK {
+			t.Fatalf("GET %s%s/trace = %d", prefix, id, code)
+		}
+		traceIDs := map[string]bool{}
+		origins := map[string]bool{}
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph != "X" {
+				continue
+			}
+			if ev.Dur == nil {
+				t.Errorf("span %q (trace %q) never closed", ev.Name, ev.Args.Trace)
+			}
+			if ev.Args.Trace != "" {
+				traceIDs[ev.Args.Trace] = true
+				origins[ev.Args.Origin] = true
+			}
+		}
+		if len(traceIDs) != 1 {
+			t.Fatalf("trace carries %d trace IDs, want exactly 1: %v", len(traceIDs), traceIDs)
+		}
+		if !origins["co"] || !origins["w0"] || !origins["w1"] {
+			t.Fatalf("trace origins = %v, want co plus both workers", origins)
+		}
+
+		// The diag endpoint reports the same trace ID and a fleet section.
+		var dd diagBody
+		if code := getJSON(t, srv.URL+prefix+id+"/diag", &dd); code != http.StatusOK {
+			t.Fatalf("GET %s%s/diag = %d", prefix, id, code)
+		}
+		if !traceIDs[dd.TraceID] {
+			t.Fatalf("diag trace ID %q vs trace IDs %v", dd.TraceID, traceIDs)
+		}
+		if dd.Fleet == nil || dd.Fleet.Epochs == 0 || dd.Fleet.Workers != 2 || len(dd.Fleet.PerWorker) != 2 {
+			t.Fatalf("empty fleet section: %+v", dd.Fleet)
+		}
 	}
 
-	// A non-federated run 404s on both endpoints rather than serving an
-	// empty document.
-	resp, err = http.Post(srv.URL+"/cluster/runs", "application/json",
-		strings.NewReader(`{"workers":["`+w0+`"],"k":8,"durationNS":100,"seed":3}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var plain map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&plain); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	cr2, _ := m.lookup(plain["id"])
-	select {
-	case <-cr2.done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("plain run did not finish")
-	}
-	for _, ep := range []string{"/trace", "/diag"} {
-		resp, err := http.Get(srv.URL + "/cluster/runs/" + plain["id"] + ep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s on non-federated run = %d, want 404", ep, resp.StatusCode)
-		}
+	// A run that is not federated has the same endpoints and no fleet
+	// section.
+	plain := submitRun(t, srv, mgr, "/cluster/runs", `{"workers":["`+workers[0]+`"],"k":8,"durationNS":100,"seed":3}`).ID()
+	var dd diagBody
+	if code := getJSON(t, srv.URL+"/cluster/runs/"+plain+"/diag", &dd); code != http.StatusOK || dd.Fleet != nil || dd.TraceID != "" {
+		t.Fatalf("diag of a non-federated run = %d %+v, want 200 without a fleet section", code, dd)
 	}
 }

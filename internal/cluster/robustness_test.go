@@ -13,10 +13,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"mbrim/internal/core"
 	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
+	"mbrim/internal/runs"
 )
 
 // hostedSlices lists the slice ids a worker currently hosts.
@@ -56,14 +57,15 @@ func TestSolveReleasesWorkerSlices(t *testing.T) {
 	}
 	m := kmodel(8, 3)
 	for run := 0; run < 70; run++ {
-		co, err := New(m, fmt.Sprintf("r%d", run), fastConfig(urls, 2, 5, 7))
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := fastConfig(urls, 2, 5, 7)
 		ctx, cancel := context.WithCancel(context.Background())
 		if run%7 == 3 {
 			// Interrupted runs release too — after their checkpoint.
-			co.Progress = func(epoch int, _ float64) { cancel() }
+			cfg.OnEpoch = func(int) { cancel() }
+		}
+		co, err := New(m, fmt.Sprintf("r%d", run), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
 		_, env, err := co.Solve(ctx)
 		cancel()
@@ -181,47 +183,6 @@ func TestNewValidatesThroughMultichip(t *testing.T) {
 	}
 }
 
-// TestFinishedRunDropsSolveState: once Solve has returned, a run kept
-// in the manager's table holds its result, envelope and federation —
-// not the dense model, the spin mirror, the rollback point's slice
-// states or the transport (≈0.5 MB per finished K256 run otherwise).
-func TestFinishedRunDropsSolveState(t *testing.T) {
-	workers := startWorkers(t, 2)
-	mgr := NewManager(nil, nil, 0)
-	mux := http.NewServeMux()
-	mgr.Routes(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	body, _ := json.Marshal(&SubmitRequest{Workers: workers, K: 24, Seed: 3, DurationNS: 30,
-		CheckpointEvery: 2, Federate: true})
-	resp, err := http.Post(srv.URL+"/cluster/runs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	cr, ok := mgr.lookup("cr-1")
-	if !ok {
-		t.Fatalf("submit: status %d, no cr-1", resp.StatusCode)
-	}
-	select {
-	case <-cr.done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("run did not finish")
-	}
-	if cr.err != nil || cr.result == nil {
-		t.Fatalf("run: %+v, %v", cr.result, cr.err)
-	}
-	co := cr.co
-	if co.model != nil || co.spins != nil || co.lastCkpt != nil || co.pendingSync != nil || co.tr != nil {
-		t.Errorf("finished coordinator still holds solve state: model=%v spins=%d lastCkpt=%v pendingSync=%d transport=%v",
-			co.model != nil, len(co.spins), co.lastCkpt != nil, len(co.pendingSync), co.tr != nil)
-	}
-	// What is read after the run still answers.
-	if snap, federated := co.FleetDiag(); !federated || snap.Epochs == 0 || len(co.FederatedEvents()) == 0 {
-		t.Errorf("federation lost with the solve state: %+v", snap)
-	}
-}
-
 // closeSpy stands in for http.DefaultTransport and counts the
 // CloseIdleConnections calls that reach it.
 type closeSpy struct {
@@ -231,7 +192,7 @@ type closeSpy struct {
 
 func (s *closeSpy) CloseIdleConnections() { s.closes.Add(1) }
 
-// TestManagerKeepsConnectionsWarm: the manager's runs share one
+// TestManagerKeepsConnectionsWarm: the engine's runs share one
 // keep-alive pool, so back-to-back solves dial each worker a small
 // constant number of times — not once per solve, as they did while every
 // finished run closed the idle connections of the process-wide default
@@ -258,31 +219,15 @@ func TestManagerKeepsConnectionsWarm(t *testing.T) {
 		t.Cleanup(srv.Close)
 		workers[i] = srv.URL
 	}
-	mgr := NewManager(nil, nil, 0)
-	mux := http.NewServeMux()
-	mgr.Routes(mux)
-	api := httptest.NewServer(mux)
-	defer api.Close()
+	api, mgr := opsServer(t, runs.Config{})
 
 	const solves = 12
 	for run := 1; run <= solves; run++ {
-		body, _ := json.Marshal(&SubmitRequest{Workers: workers, K: 16, Seed: uint64(run), DurationNS: 20})
-		resp, err := api.Client().Post(api.URL+"/cluster/runs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		cr, ok := mgr.lookup(fmt.Sprintf("cr-%d", run))
-		if !ok {
-			t.Fatalf("submit %d: status %d, no run", run, resp.StatusCode)
-		}
-		select {
-		case <-cr.done:
-		case <-time.After(30 * time.Second):
-			t.Fatalf("run %d did not finish", run)
-		}
-		if cr.err != nil {
-			t.Fatalf("run %d: %v", run, cr.err)
+		body, _ := json.Marshal(&runs.SubmitRequest{ClusterSpec: core.ClusterSpec{Workers: workers},
+			K: 16, Seed: uint64(run), DurationNS: 20})
+		r := submitRun(t, api, mgr, "/cluster/runs", string(body))
+		if _, err := r.Outcome(); err != nil || r.ID() != fmt.Sprintf("run-%d", run) {
+			t.Fatalf("run %d (%s): %v", run, r.ID(), err)
 		}
 	}
 	// One connection carries a worker's RPCs; a heartbeat probe landing

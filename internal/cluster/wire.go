@@ -26,6 +26,16 @@
 // bit, including fabric traffic, stall and peak-demand accounting;
 // the interrupt checkpoint is a standard PR-3 envelope the in-process
 // engine resumes.
+//
+// The package has three faces and no service of its own. The Worker is
+// what `mbrimd -worker` mounts. The Coordinator (New, Solve) is what the
+// CLI's -cluster mode drives directly. And engine.go registers the
+// Coordinator in core's registry as engine "cluster", which is how a
+// daemon runs it: through the one run manager (internal/runs), as a run
+// like any other — admission, retention, the SSE tail, /diag, /trace,
+// /outcome, periodic checkpoints and crash-resume are the manager's, and
+// only worker-loss recovery is the coordinator's. compat.go holds four
+// deprecated names the benchmark harness still compiles against.
 package cluster
 
 import (
@@ -155,6 +165,10 @@ func csrFrame(n int, j []float64) []byte {
 	}
 	return frame
 }
+
+// DefaultMaxSpins bounds the model a worker will build from the wire;
+// it equals the run surface's submission bound.
+const DefaultMaxSpins = 65536
 
 // Build reconstructs the model. Wire bytes are untrusted: n is bounded
 // and the frame's length is checked against it before the dense model

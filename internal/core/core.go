@@ -52,6 +52,7 @@ const (
 	PT              Kind = "pt"          // parallel tempering (replica exchange)
 	MBRIMSequential Kind = "mbrim-seq"   // multiprocessor, sequential (zero-ignorance) baseline
 	Portfolio       Kind = "portfolio"   // heterogeneous race (registered by internal/portfolio)
+	Cluster         Kind = "cluster"     // concurrent mode over remote worker nodes (registered by internal/cluster)
 )
 
 // Bandwidth presets of Sec 6.3, in channel bytes/ns (1 GB/s = 1 B/ns).
@@ -150,6 +151,16 @@ type Request struct {
 	// entrants to race, the first-to-target threshold, the race budget
 	// and the warm-start hand-off stage. Ignored by other engines.
 	Portfolio PortfolioSpec
+
+	// Cluster parameterizes the cluster engine (Kind "cluster"): the
+	// worker nodes that host the chips and the robustness envelope
+	// around their RPCs. Refused with any other engine.
+	Cluster ClusterSpec
+	// RunID names the run to an engine that holds state outside this
+	// process: the cluster engine scopes its worker slices and federated
+	// trace by it, so a run resumed under its name replaces what its
+	// predecessor left. The run manager sets it; empty: the engine's pick.
+	RunID string
 
 	// Tracer, if non-nil, receives the run's typed event stream: Solve
 	// emits the RunStart/RunEnd bracket and the engine emits its inner

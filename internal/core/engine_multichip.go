@@ -53,19 +53,9 @@ func (e multichipEngine) Solve(ctx context.Context, r *Request) (*Outcome, error
 	if err != nil {
 		return nil, err
 	}
-	var resume *multichip.Checkpoint
-	if len(r.Resume) > 0 {
-		f, err := checkpoint.Decode(r.Resume)
-		if err != nil {
-			return nil, err
-		}
-		if err := f.Validate(string(r.Kind), r.Seed, r.Model); err != nil {
-			return nil, err
-		}
-		if f.Multichip == nil {
-			return nil, fmt.Errorf("core: checkpoint has no multichip payload")
-		}
-		resume = f.Multichip
+	resume, err := r.MultichipResume(r.Kind)
+	if err != nil {
+		return nil, err
 	}
 	encode := func(ck *multichip.Checkpoint) ([]byte, error) {
 		return checkpoint.Encode(&checkpoint.File{
@@ -120,6 +110,27 @@ func (e multichipEngine) Solve(ctx context.Context, r *Request) (*Outcome, error
 	}
 	r.Finish(out, start)
 	return out, nil
+}
+
+// MultichipResume decodes Request.Resume as a full-state multiprocessor
+// envelope written by engine for this request's seed and model; nil
+// when there is nothing to resume. Exported for the cluster engine,
+// which resumes (and writes) the concurrent engine's envelopes.
+func (r *Request) MultichipResume(engine Kind) (*multichip.Checkpoint, error) {
+	if len(r.Resume) == 0 {
+		return nil, nil
+	}
+	f, err := checkpoint.Decode(r.Resume)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Validate(string(engine), r.Seed, r.Model); err != nil {
+		return nil, err
+	}
+	if f.Multichip == nil {
+		return nil, fmt.Errorf("core: checkpoint has no multichip payload")
+	}
+	return f.Multichip, nil
 }
 
 func multichipConfig(r Request) multichip.Config {

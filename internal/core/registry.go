@@ -23,6 +23,8 @@ import (
 // SolveCtx contract: context cancellation returns *InterruptedError
 // carrying the best-so-far Outcome, and the uniform tail (wall time,
 // cut value, RunEnd, registry counters) is stamped via Request.finish.
+// An engine with submit-time checks of its own also implements
+// Validate(*Request) error (see the package's Validate).
 type Engine interface {
 	// Kind is the engine's registry name (what ParseKind accepts).
 	Kind() Kind
@@ -138,6 +140,32 @@ func EngineCaps(k Kind) (Capabilities, bool) {
 		return Capabilities{}, false
 	}
 	return e.Capabilities(), true
+}
+
+// Validate is the dry run a service makes before it admits a request:
+// what the engine itself would refuse before solving — a malformed
+// race, a chip geometry or worker list the fabric rejects — is refused
+// here, with nothing started and nothing contacted. An engine opts in
+// by implementing Validate(*Request) error, and sees the request with
+// its defaults filled, as Solve would. A cluster spec on any other
+// engine is refused too: it would be silently ignored.
+func Validate(req *Request) error {
+	eng, ok := lookupEngine(req.Kind)
+	if !ok {
+		return unknownKindError(string(req.Kind))
+	}
+	if req.Kind != Cluster && req.Cluster.set() {
+		return fmt.Errorf("core: workers and the other cluster fields require engine %q, not %q", Cluster, req.Kind)
+	}
+	v, ok := eng.(interface{ Validate(*Request) error })
+	if !ok {
+		return nil
+	}
+	r, err := req.withDefaults()
+	if err != nil {
+		return err
+	}
+	return v.Validate(&r)
 }
 
 // ParseKind validates a solver name against the registry. An unknown

@@ -22,6 +22,7 @@
 package diag
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -127,6 +128,10 @@ type Reducer struct {
 	raceWinner     int
 	raceWinnerKind string
 	raceHitTarget  bool
+
+	// fleet folds a federated cluster run's coordinator and worker
+	// spans; nil until one arrives (fleet.go).
+	fleet *fleet
 }
 
 // entrantAcc accumulates one portfolio entrant's view: identity from
@@ -165,11 +170,16 @@ func (r *Reducer) Emit(e obs.Event) {
 	// "e1", …). They fold into the per-entrant view, not the top-level
 	// one — entrant engines run on their own model clocks, so merging
 	// their trajectories would corrupt the plateau and TTS analytics.
-	// (Worker origins from distributed runs — "w0", "co" — pass through
-	// untouched; only e<digits> is an entrant.)
-	if idx, ok := entrantOrigin(e.Origin); ok {
+	// Any other origin is a federated cluster run's coordinator ("co")
+	// or one of its workers ("w0", …): their spans fold into the fleet
+	// view, and the event goes on into the top-level one — the
+	// coordinator's stream is the run's.
+	if idx, ok := EntrantOrigin(e.Origin); ok {
 		r.observeEntrantStream(idx, e)
 		return
+	}
+	if e.Origin != "" {
+		r.observeFleet(e)
 	}
 	switch e.Kind {
 	case obs.EntrantStart, obs.EntrantEnd, obs.PortfolioWin:
@@ -210,19 +220,6 @@ func (r *Reducer) Emit(e obs.Event) {
 			r.queueWaitNS = e.WallDurNS
 		}
 	}
-}
-
-// entrantOrigin parses a portfolio entrant origin ("e0", "e1", …);
-// every other origin (distributed workers, coordinator) is not one.
-func entrantOrigin(origin string) (int, bool) {
-	if len(origin) < 2 || origin[0] != 'e' {
-		return 0, false
-	}
-	n, err := strconv.Atoi(origin[1:])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 // entrantAccFor lazily allocates one entrant's accumulator. Caller
@@ -394,11 +391,12 @@ func (r *Reducer) improvementRateLocked() float64 {
 	return (ref.e - last.e) / (last.t - ref.t)
 }
 
-// Release drops every run-labeled diag_* series this Reducer
-// registered — pair-disagreement gauges are per (run, from, to), so a
-// long-lived daemon that never releases them leaks registry
-// cardinality linearly in runs served. The run manager calls this when
-// a run ages out of retention. Returns the number of series dropped.
+// Release drops every run-labeled diag_* and fleet_* series this
+// Reducer registered — pair-disagreement gauges are per (run, from, to)
+// and fleet gauges per (run, worker), so a long-lived daemon that never
+// releases them leaks registry cardinality linearly in runs served.
+// The run manager calls this when a run ages out of retention. Returns
+// the number of series dropped.
 func (r *Reducer) Release() int {
 	reg := r.cfg.Registry
 	if reg == nil {
@@ -406,7 +404,7 @@ func (r *Reducer) Release() int {
 	}
 	run := r.cfg.RunID
 	return reg.Release(func(name string, labels obs.Labels) bool {
-		return strings.HasPrefix(name, "diag.") && labels["run"] == run
+		return (strings.HasPrefix(name, "diag.") || strings.HasPrefix(name, "fleet.")) && labels["run"] == run
 	})
 }
 
@@ -448,6 +446,12 @@ func (r *Reducer) Snapshot() Snapshot {
 	s.TTS = r.ttsLocked()
 	s.QueueWaitNS = r.queueWaitNS
 	s.Portfolio = r.portfolioSnapshotLocked()
+	if r.fleet != nil {
+		fs := r.fleet.snapshot()
+		r.fleet.publish(fs)
+		s.Fleet = &fs
+		s.TraceID = fmt.Sprintf("%016x", r.fleet.traceID)
+	}
 	return s
 }
 
@@ -646,6 +650,12 @@ type Snapshot struct {
 	// entrant, the winner once the race settles. Nil for every other
 	// engine.
 	Portfolio *PortfolioDiag `json:"portfolio,omitempty"`
+	// Fleet is the per-worker view of a federated cluster run —
+	// straggler attribution and the sync-vs-compute split — and TraceID
+	// the trace its coordinator and worker spans share. Absent for every
+	// other run.
+	Fleet   *FleetSnapshot `json:"fleet,omitempty"`
+	TraceID string         `json:"traceID,omitempty"`
 }
 
 // PortfolioDiag is a portfolio run's race as the event stream reports

@@ -1,10 +1,10 @@
-// Fleet diagnostics: folding a federated cluster trace — the
-// coordinator's own spans plus the worker streams the federation
-// collector pulls — into per-worker attribution the single-run Reducer
-// cannot see: who the straggler is, how much barrier time each worker
-// alone is responsible for, and how each epoch's wall splits between
-// compute (the slowest worker's chip_step) and synchronization
-// (everything the barrier adds on top).
+// Fleet diagnostics: folding a federated cluster run's stream — the
+// coordinator's own spans ("co") plus the worker streams its federation
+// collector pulls and forwards ("w0", "w1", …) — into the per-worker
+// attribution the rest of the Reducer cannot see: who the straggler
+// is, how much barrier time each worker alone is responsible for, and
+// how each epoch's wall splits between compute (the slowest worker's
+// chip_step) and synchronization (everything the barrier adds on top).
 //
 // The fold is keyed on span parentage, not epoch numbers, because span
 // events carry no Epoch field: the coordinator opens one "epoch"
@@ -19,8 +19,6 @@ package diag
 
 import (
 	"strconv"
-	"strings"
-	"sync"
 
 	"mbrim/internal/obs"
 )
@@ -31,24 +29,16 @@ import (
 // (only possible after an extreme pull lag) are counted as late.
 const fleetMaxOpenEpochs = 8192
 
-// FleetConfig parameterizes a Fleet reducer.
-type FleetConfig struct {
-	// Workers is the fleet size (worker ordinals are 0..Workers-1).
-	Workers int
-	// Registry, when set, receives run-labeled fleet_* gauges mirroring
-	// the snapshot. RunID is the "run" label value.
-	Registry *obs.Registry
-	RunID    string
-}
+// fleet is the Reducer's fold of a federated run. The Reducer makes one
+// at the first coordinator- or worker-stamped event and holds its own
+// lock around every call; the fleet size is not announced anywhere in
+// the stream, so the worker table grows to the highest ordinal heard
+// from (a spare that never hosts a slice is not counted).
+type fleet struct {
+	reg *obs.Registry // the Reducer's; receives run-labeled fleet_* gauges
+	run string
 
-// Fleet folds a federated event stream into cluster-level diagnostics.
-// It is an obs.Tracer: the coordinator fans its own span stream into it
-// live and the federation collector feeds it each pulled worker page.
-// Safe for concurrent Emit and Snapshot.
-type Fleet struct {
-	mu  sync.Mutex
-	cfg FleetConfig
-
+	traceID uint64
 	epochs  map[uint64]*fleetEpoch
 	order   []uint64 // insertion order of open epoch span IDs
 	workers []fleetWorker
@@ -60,7 +50,6 @@ type Fleet struct {
 	recoveryStallNS float64
 	replayedEpochs  int64
 	lateEvents      int64
-	droppedEvents   int64
 }
 
 // fleetEpoch accumulates one coordinator epoch interval.
@@ -81,34 +70,40 @@ type fleetWorker struct {
 	deaths      int
 }
 
-// NewFleet returns a Fleet reducer for a run.
-func NewFleet(cfg FleetConfig) *Fleet {
-	if cfg.Workers < 0 {
-		cfg.Workers = 0
+// observeFleet folds one origin-stamped event of a federated run.
+// Caller holds r.mu.
+func (r *Reducer) observeFleet(e obs.Event) {
+	if r.fleet == nil {
+		r.fleet = &fleet{reg: r.cfg.Registry, run: r.cfg.RunID, epochs: map[uint64]*fleetEpoch{}}
+		if reg := r.cfg.Registry; reg != nil {
+			reg.SetHelp("fleet.sync_fraction", "Fraction of fleet wall time spent synchronizing rather than inside the slowest worker's compute.")
+			reg.SetHelp("fleet.straggler", "Ordinal of the worker responsible for the most solo barrier wait, -1 when none.")
+			reg.SetHelp("fleet.worker_step_wall_ns", "Cumulative chip_step wall per worker, from federated worker spans.")
+			reg.SetHelp("fleet.worker_straggler_ns", "Cumulative barrier wait attributable to this worker alone.")
+			reg.SetHelp("fleet.worker_losses", "Worker deaths the coordinator recovered from, attributed to the lost worker.")
+		}
 	}
-	if reg := cfg.Registry; reg != nil {
-		reg.SetHelp("fleet.sync_fraction", "Fraction of fleet wall time spent synchronizing rather than inside the slowest worker's compute.")
-		reg.SetHelp("fleet.straggler", "Ordinal of the worker responsible for the most solo barrier wait, -1 when none.")
-		reg.SetHelp("fleet.worker_step_wall_ns", "Cumulative chip_step wall per worker, from federated worker spans.")
-		reg.SetHelp("fleet.worker_straggler_ns", "Cumulative barrier wait attributable to this worker alone.")
-		reg.SetHelp("fleet.worker_losses", "Worker deaths the coordinator recovered from, attributed to the lost worker.")
-		reg.SetHelp("fleet.dropped_events", "Worker ring events evicted before the federation collector pulled them.")
-	}
-	return &Fleet{cfg: cfg, epochs: map[uint64]*fleetEpoch{}, workers: make([]fleetWorker, cfg.Workers)}
+	r.fleet.observe(e)
 }
 
-// Emit folds one event. Implements obs.Tracer. Only span and
-// fault/recovery events matter; everything else is ignored.
-func (f *Fleet) Emit(e obs.Event) {
-	if f == nil {
-		return
+// worker returns worker wi's totals, growing the table to reach it.
+func (f *fleet) worker(wi int) *fleetWorker {
+	for len(f.workers) <= wi {
+		f.workers = append(f.workers, fleetWorker{})
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	return &f.workers[wi]
+}
+
+// observe folds one event. Only span and fault/recovery events matter;
+// everything else is ignored.
+func (f *fleet) observe(e obs.Event) {
+	if f.traceID == 0 {
+		f.traceID = e.Trace
+	}
 	switch e.Kind {
 	case obs.SpanStart:
 		if e.Origin == "co" && e.Label == "epoch" {
-			f.openEpochLocked(e.Span)
+			f.openEpoch(e.Span)
 		}
 	case obs.SpanEnd:
 		switch e.Label {
@@ -119,13 +114,18 @@ func (f *Fleet) Emit(e obs.Event) {
 				ep.closed = true
 			}
 		case "chip_step":
-			f.observeStepLocked(e)
+			f.observeStep(e)
+		case "federation_pull":
+			// The collector just forwarded a round of worker pages: the
+			// cadence the run-labeled gauges follow.
+			f.publish(f.snapshot())
 		}
 	case obs.Fault:
-		if e.Label == "worker-loss" && e.Chip >= 0 && e.Chip < len(f.workers) {
-			f.workers[e.Chip].deaths++
-			if reg := f.cfg.Registry; reg != nil {
-				reg.GaugeWith("fleet.worker_losses", f.workerLabels(e.Chip)).Set(float64(f.workers[e.Chip].deaths))
+		if e.Label == "worker-loss" && e.Chip >= 0 {
+			w := f.worker(e.Chip)
+			w.deaths++
+			if f.reg != nil {
+				f.reg.GaugeWith("fleet.worker_losses", f.workerLabels(e.Chip)).Set(float64(w.deaths))
 			}
 		}
 	case obs.Recovery:
@@ -134,7 +134,7 @@ func (f *Fleet) Emit(e obs.Event) {
 	}
 }
 
-func (f *Fleet) openEpochLocked(span uint64) {
+func (f *fleet) openEpoch(span uint64) {
 	if _, ok := f.epochs[span]; ok {
 		return
 	}
@@ -144,22 +144,22 @@ func (f *Fleet) openEpochLocked(span uint64) {
 		oldest := f.order[0]
 		f.order = f.order[1:]
 		if ep := f.epochs[oldest]; ep != nil {
-			f.commitLocked(ep)
+			f.commit(ep)
 			delete(f.epochs, oldest)
 		}
 	}
 }
 
-// observeStepLocked folds one worker chip_step interval. The worker
-// ordinal rides in Origin ("w3"); the owning epoch in Parent. A worker
-// hosting several slices handles their step RPCs concurrently, so its
-// per-epoch compute is the max of its slice walls, not the sum.
-func (f *Fleet) observeStepLocked(e obs.Event) {
-	wi, ok := originWorker(e.Origin)
-	if !ok || wi >= len(f.workers) {
+// observeStep folds one worker chip_step interval. The worker ordinal
+// rides in Origin ("w3"); the owning epoch in Parent. A worker hosting
+// several slices handles their step RPCs concurrently, so its per-epoch
+// compute is the max of its slice walls, not the sum.
+func (f *fleet) observeStep(e obs.Event) {
+	wi, ok := WorkerOrigin(e.Origin)
+	if !ok {
 		return
 	}
-	w := &f.workers[wi]
+	w := f.worker(wi)
 	w.flips += e.Count
 	ep := f.epochs[e.Parent]
 	if ep == nil {
@@ -178,12 +178,12 @@ func (f *Fleet) observeStepLocked(e obs.Event) {
 	w.stepWallNS += e.WallDurNS
 }
 
-// commitLocked folds a finished epoch accumulator into the running
-// aggregate: the slowest worker's wall is the epoch's compute, the
+// commit folds a finished epoch accumulator into the running aggregate:
+// the slowest worker's wall is the epoch's compute, the
 // barrier-to-barrier remainder is synchronization, and the gap between
 // the slowest and second-slowest worker is barrier wait the straggler
 // alone caused.
-func (f *Fleet) commitLocked(ep *fleetEpoch) {
+func (f *fleet) commit(ep *fleetEpoch) {
 	if len(ep.steps) == 0 {
 		return
 	}
@@ -207,34 +207,16 @@ func (f *Fleet) commitLocked(ep *fleetEpoch) {
 	}
 }
 
-// NoteDropped records worker ring events lost to eviction before the
-// collector could pull them (called by the federation collector).
-func (f *Fleet) NoteDropped(n int64) {
-	if f == nil || n <= 0 {
-		return
-	}
-	f.mu.Lock()
-	f.droppedEvents += n
-	f.mu.Unlock()
+func (f *fleet) workerLabels(wi int) obs.Labels {
+	return obs.Labels{"run": f.run, "worker": strconv.Itoa(wi)}
 }
 
-func (f *Fleet) workerLabels(wi int) obs.Labels {
-	return obs.Labels{"run": f.cfg.RunID, "worker": strconv.Itoa(wi)}
-}
-
-// Snapshot returns the current fleet view, folding still-open epochs
-// without committing them, and refreshes the run-labeled fleet_*
-// gauges when a registry is configured.
-func (f *Fleet) Snapshot() FleetSnapshot {
-	if f == nil {
-		return FleetSnapshot{Straggler: -1}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-
+// snapshot returns the current fleet view, folding still-open epochs
+// without committing them.
+func (f *fleet) snapshot() FleetSnapshot {
 	// Start from the committed aggregate, then overlay open epochs on a
-	// scratch copy so Snapshot never commits anything itself.
-	scratch := &Fleet{cfg: f.cfg,
+	// scratch copy so a snapshot never commits anything itself.
+	scratch := &fleet{
 		workers:         append([]fleetWorker(nil), f.workers...),
 		syncNS:          f.syncNS,
 		computeNS:       f.computeNS,
@@ -243,13 +225,12 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 	}
 	for _, span := range f.order {
 		if ep := f.epochs[span]; ep != nil {
-			scratch.commitLocked(ep)
+			scratch.commit(ep)
 		}
 	}
-	workers := scratch.workers
 
 	s := FleetSnapshot{
-		Workers:         f.cfg.Workers,
+		Workers:         len(f.workers),
 		Epochs:          scratch.committedEpochs,
 		ComputeNS:       scratch.computeNS,
 		SyncNS:          scratch.syncNS,
@@ -257,15 +238,13 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 		RecoveryStallNS: f.recoveryStallNS,
 		ReplayedEpochs:  f.replayedEpochs,
 		LateEvents:      f.lateEvents,
-		DroppedEvents:   f.droppedEvents,
 		Straggler:       -1,
 	}
 	if total := s.ComputeNS + s.SyncNS; total > 0 {
 		s.SyncFraction = s.SyncNS / total
 	}
 	var worst int64
-	for wi := range workers {
-		w := workers[wi]
+	for wi, w := range scratch.workers {
 		wd := FleetWorkerDiag{
 			Worker:      wi,
 			Epochs:      w.epochs,
@@ -284,42 +263,36 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 		}
 		s.PerWorker = append(s.PerWorker, wd)
 	}
-	f.publishLocked(s)
 	return s
 }
 
-func (f *Fleet) publishLocked(s FleetSnapshot) {
-	reg := f.cfg.Registry
-	if reg == nil {
+// publish mirrors s into the run-labeled fleet_* gauges.
+func (f *fleet) publish(s FleetSnapshot) {
+	if f.reg == nil {
 		return
 	}
-	run := obs.Labels{"run": f.cfg.RunID}
-	reg.GaugeWith("fleet.sync_fraction", run).Set(s.SyncFraction)
-	reg.GaugeWith("fleet.straggler", run).Set(float64(s.Straggler))
-	reg.GaugeWith("fleet.dropped_events", run).Set(float64(s.DroppedEvents))
+	run := obs.Labels{"run": f.run}
+	f.reg.GaugeWith("fleet.sync_fraction", run).Set(s.SyncFraction)
+	f.reg.GaugeWith("fleet.straggler", run).Set(float64(s.Straggler))
 	for _, w := range s.PerWorker {
 		wl := f.workerLabels(w.Worker)
-		reg.GaugeWith("fleet.worker_step_wall_ns", wl).Set(float64(w.StepWallNS))
-		reg.GaugeWith("fleet.worker_straggler_ns", wl).Set(float64(w.StragglerNS))
+		f.reg.GaugeWith("fleet.worker_step_wall_ns", wl).Set(float64(w.StepWallNS))
+		f.reg.GaugeWith("fleet.worker_straggler_ns", wl).Set(float64(w.StragglerNS))
 	}
 }
 
-// Release drops every run-labeled fleet_* series this reducer
-// registered. Called when the run is evicted from retention.
-func (f *Fleet) Release() int {
-	if f == nil || f.cfg.Registry == nil {
-		return 0
-	}
-	run := f.cfg.RunID
-	return f.cfg.Registry.Release(func(name string, labels obs.Labels) bool {
-		return strings.HasPrefix(name, "fleet.") && labels["run"] == run
-	})
-}
+// EntrantOrigin parses a portfolio entrant's origin stamp ("e0", "e1",
+// …) and WorkerOrigin a cluster worker's ("w0", "w12"): the two
+// families of indexed origins. Every other stamp — the cluster
+// coordinator's "co", none at all — is neither, and its events belong
+// to the run's own top-level view.
+func EntrantOrigin(origin string) (int, bool) { return indexedOrigin(origin, 'e') }
 
-// originWorker parses a worker ordinal out of an Origin stamp ("w0",
-// "w12"); false for the coordinator's "co" or anything unstamped.
-func originWorker(origin string) (int, bool) {
-	if len(origin) < 2 || origin[0] != 'w' {
+// WorkerOrigin: see EntrantOrigin.
+func WorkerOrigin(origin string) (int, bool) { return indexedOrigin(origin, 'w') }
+
+func indexedOrigin(origin string, family byte) (int, bool) {
+	if len(origin) < 2 || origin[0] != family {
 		return 0, false
 	}
 	n, err := strconv.Atoi(origin[1:])
@@ -329,9 +302,10 @@ func originWorker(origin string) (int, bool) {
 	return n, true
 }
 
-// FleetSnapshot is the cluster-level diagnostics view served at
-// GET /cluster/runs/{id}/diag.
+// FleetSnapshot is the fleet section of a federated cluster run's
+// Snapshot.
 type FleetSnapshot struct {
+	// Workers counts worker ordinals up to the highest heard from.
 	Workers int `json:"workers"`
 	// Epochs is how many coordinator epoch intervals carried at least
 	// one federated worker step.
@@ -353,9 +327,9 @@ type FleetSnapshot struct {
 	Straggler int               `json:"straggler"`
 	PerWorker []FleetWorkerDiag `json:"perWorker,omitempty"`
 	// LateEvents counts worker steps that arrived after their epoch was
-	// evicted; DroppedEvents worker ring events lost before a pull.
-	LateEvents    int64 `json:"lateEvents,omitempty"`
-	DroppedEvents int64 `json:"droppedEvents,omitempty"`
+	// evicted. (Worker ring events evicted before a pull never reach the
+	// stream; the collector counts them in fleet_dropped_events{run}.)
+	LateEvents int64 `json:"lateEvents,omitempty"`
 }
 
 // FleetWorkerDiag is one worker's attribution.

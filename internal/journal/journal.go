@@ -70,12 +70,10 @@ const (
 	TypeTerminal Type = "terminal"
 )
 
-// Scopes partition the ID space: the run manager's table and the
-// cluster coordinator's share one journal.
-const (
-	ScopeRun     = "run"
-	ScopeCluster = "cluster"
-)
+// ScopeCluster marks the records an older daemon's second run manager
+// wrote for its cr-N cluster runs. Nothing writes it any more — there is
+// one run table and its records carry no scope — and replay skips it.
+const ScopeCluster = "cluster"
 
 // Record is one journal entry. Only the fields relevant to its Type
 // are set; unknown fields from future writers decode into nothing and
@@ -83,7 +81,7 @@ const (
 type Record struct {
 	Type   Type   `json:"type"`
 	ID     string `json:"id"`
-	Scope  string `json:"scope,omitempty"` // "" means ScopeRun
+	Scope  string `json:"scope,omitempty"` // see ScopeCluster
 	WallNS int64  `json:"wallNS,omitempty"`
 
 	// Submit payload.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // WriteChromeTrace renders a captured event stream as a Chrome
@@ -40,7 +39,11 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		idx  int // index into out
 		tsNS float64
 	}
-	opened := map[uint64]open{}
+	// Span IDs are unique within a trace, not across them: a managed
+	// federated run carries core's "solve" interval (no trace, ID 1) and
+	// the coordinator's tree (its trace ID, IDs from 1) in one stream.
+	type spanKey struct{ trace, span uint64 }
+	opened := map[spanKey]open{}
 	lastTS := 0.0
 	tid := func(e Event) int {
 		if e.Peer > 0 {
@@ -69,13 +72,13 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			}
 			out = append(out, slice{Name: e.Label, Ph: "X", TS: e.ModelNS,
 				PID: 1, TID: tid(e), Args: args})
-			opened[e.Span] = open{idx: len(out) - 1, tsNS: e.ModelNS}
+			opened[spanKey{e.Trace, e.Span}] = open{idx: len(out) - 1, tsNS: e.ModelNS}
 		case SpanEnd:
-			o, ok := opened[e.Span]
+			o, ok := opened[spanKey{e.Trace, e.Span}]
 			if !ok {
 				continue // start evicted from the ring; drop the orphan end
 			}
-			delete(opened, e.Span)
+			delete(opened, spanKey{e.Trace, e.Span})
 			d := e.ModelNS - o.tsNS
 			if d < 0 {
 				d = 0
@@ -106,14 +109,9 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 				Args: map[string]any{"fraction": e.Value}})
 		}
 	}
-	// Close any still-open spans at the last observed timestamp.
-	still := make([]uint64, 0, len(opened))
-	for id := range opened {
-		still = append(still, id)
-	}
-	sort.Slice(still, func(i, j int) bool { return still[i] < still[j] })
-	for _, id := range still {
-		o := opened[id]
+	// Close any still-open spans at the last observed timestamp (each
+	// touches only its own slice, so map order cannot show).
+	for _, o := range opened {
 		d := lastTS - o.tsNS
 		if d < 0 {
 			d = 0

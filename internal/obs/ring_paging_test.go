@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -142,5 +143,35 @@ func TestEventsSinceConcurrentAppend(t *testing.T) {
 	wg.Wait()
 	if seen+gaps != emitted {
 		t.Fatalf("saw %d events + %d gap, want exactly %d emitted", seen, gaps, emitted)
+	}
+}
+
+// TestRingTrim: trimming an unfilled ring keeps its events and their
+// ordinals, gives back the rest of its capacity, and leaves a working
+// ring of that size; a ring that has wrapped has nothing to give back.
+func TestRingTrim(t *testing.T) {
+	r := NewRing(4096)
+	for i := 1; i <= 5; i++ {
+		r.Emit(Event{Kind: EnergySample, Epoch: i})
+	}
+	before, first := r.EventsSince(2)
+	r.Trim()
+	after, firstAfter := r.EventsSince(2)
+	if cap(r.buf) != 5 || first != firstAfter || !reflect.DeepEqual(before, after) || r.Total() != 5 {
+		t.Fatalf("after Trim: capacity %d, first ordinal %d (was %d), total %d, events %+v", cap(r.buf), firstAfter, first, r.Total(), after)
+	}
+	r.Emit(Event{Kind: EnergySample, Epoch: 6})
+	if evs, first := r.EventsSince(0); len(evs) != 5 || first != 2 || evs[0].Epoch != 2 || evs[4].Epoch != 6 {
+		t.Fatalf("a trimmed ring must go on as a ring of its size: first ordinal %d, events %+v", first, evs)
+	}
+	r.Trim() // wrapped: stays as it is
+	if evs := r.Events(); cap(r.buf) != 5 || len(evs) != 5 || evs[0].Epoch != 2 {
+		t.Fatalf("trimming a wrapped ring changed it: %+v", evs)
+	}
+	empty := NewRing(64)
+	empty.Trim()
+	empty.Emit(Event{Kind: RunStart})
+	if evs := empty.Events(); len(evs) != 1 || cap(empty.buf) != 1 {
+		t.Fatalf("an empty ring trims to one slot: capacity %d, events %+v", cap(empty.buf), evs)
 	}
 }

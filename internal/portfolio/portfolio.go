@@ -384,11 +384,14 @@ func entrantRequest(r *core.Request, ent core.PortfolioEntrant, idx int, st *rac
 	return req
 }
 
-// ValidateSpec checks a portfolio spec the way Solve will, for callers
-// (the HTTP submit path, the CLI) that want to reject a malformed race
-// up front instead of discovering it as a failed run. An empty entrant
-// list is valid here — it means auto-dispatch — so only named entrants
-// and the hand-off stage are checked.
+// Validate is the engine's submit-time check (core.Validate): the race
+// field, vetted as Solve would.
+func (engine) Validate(r *core.Request) error { return ValidateSpec(r.Portfolio) }
+
+// ValidateSpec checks a portfolio spec the way Solve will, so a
+// malformed race is rejected up front instead of as a failed run. An
+// empty entrant list is valid here — it means auto-dispatch — so only
+// named entrants and the hand-off stage are checked.
 func ValidateSpec(spec core.PortfolioSpec) error {
 	if len(spec.Entrants) > 0 {
 		return validateEntrants(spec.Entrants, spec.HandOff)

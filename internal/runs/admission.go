@@ -79,11 +79,21 @@ type SubmitOptions struct {
 // columns, 12 bytes an entry, at their dense-problem worst case
 // (12·n²·(k−1)/k). A portfolio run multiplies everything but the shared
 // model and the ring by its race width — each entrant is a full
-// concurrent solver over the shared model. It is an admission fence, not
-// an accountant — it exists to refuse the submission that would OOM the
-// daemon, not to meter kilobytes.
+// concurrent solver over the shared model — and a cluster run is the
+// model and the ring: its chips live on the workers. It is an admission
+// fence, not an accountant — it exists to refuse the submission that
+// would OOM the daemon, not to meter kilobytes.
 func EstimateRunBytes(req *core.Request, ringSize int) int64 {
-	return estimateRunBytesN(int64(req.Model.N()), req.Chips, requestWorkers(req), ringSize)
+	return estimateRunBytesN(int64(req.Model.N()), fenceChips(req.Chips, req), requestWorkers(req), ringSize)
+}
+
+// fenceChips is the chip count the fence charges this process for:
+// chips, unless the request hosts them on cluster workers.
+func fenceChips(chips int, req *core.Request) int {
+	if len(req.Cluster.Workers) > 0 {
+		return 1
+	}
+	return chips
 }
 
 // requestWorkers reports how many solver instances a request runs
@@ -124,10 +134,11 @@ func estimateRunBytesN(n int64, chips, workers, ringSize int) int64 {
 }
 
 // checkBudget applies the MaxRunBytes fence for an n-spin submission.
-// buildRequest calls it BEFORE constructing the graph: the dense model
-// of an oversized problem costs the same 8·n² the fence exists to
-// refuse, so building it first would hang the submit handler for
-// exactly the request the budget is meant to bounce.
+// buildRequest calls it BEFORE constructing the graph — building the
+// dense model first would hang the submit handler for exactly the
+// request the budget is meant to bounce — and with the chip count the
+// engine resolves an omitted one to; a caller of SubmitWith says how
+// many chips it wants fenced in the request.
 func (m *Manager) checkBudget(n, chips, workers int) error {
 	if m.cfg.MaxRunBytes <= 0 {
 		return nil
@@ -150,7 +161,7 @@ func (m *Manager) SubmitWith(ctx context.Context, req core.Request, opts SubmitO
 	if !m.accepting.Load() {
 		return nil, ErrNotAccepting
 	}
-	if err := m.checkBudget(req.Model.N(), req.Chips, requestWorkers(&req)); err != nil {
+	if err := m.checkBudget(req.Model.N(), fenceChips(req.Chips, &req), requestWorkers(&req)); err != nil {
 		return nil, err
 	}
 	if !opts.Deadline.IsZero() && !time.Now().Before(opts.Deadline) {
@@ -202,6 +213,7 @@ func (m *Manager) admit(ctx context.Context, id string, req core.Request, opts S
 		id:       id,
 		mgr:      m,
 		req:      req,
+		spins:    req.Model.N(),
 		ring:     obs.NewRing(m.cfg.RingSize),
 		bcast:    obs.NewBroadcast(m.cfg.BroadcastBuffer),
 		done:     make(chan struct{}),
@@ -222,6 +234,7 @@ func (m *Manager) admit(ctx context.Context, id string, req core.Request, opts S
 	// unmanaged one with the same seed.
 	r.diag = diag.New(diag.Config{Registry: m.reg, RunID: id})
 	req.Tracer = obs.Fanout(progressSink{r}, r.ring, r.bcast, r.diag, req.Tracer)
+	req.RunID = id
 	req.SpanTrace = true
 	req.Diag = true
 	if req.Metrics == nil {

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"mbrim/internal/core"
 	"mbrim/internal/obs"
 )
 
@@ -276,6 +278,36 @@ func TestMemoryBudgetCountsTheChips(t *testing.T) {
 	resp, data = postJSON(t, srv.URL+"/runs", `{"engine":"mbrim","k":128,"chips":1,"durationNS":5}`)
 	if resp.StatusCode != 202 {
 		t.Fatalf("1-chip HTTP = %d %s, want 202", resp.StatusCode, data)
+	}
+	// chips omitted: the engine runs on its default of four, and that is
+	// what the fence counts — it used to see one chip and let the same
+	// K128 (925 696 by the one-chip formula, 1 097 728 in fact) through.
+	// A cluster run of any width is the model and the ring, 8·128² +
+	// 16·128 + ring = 919 552: its chips are on the workers (the engine is
+	// not linked into this package's tests; its HTTP row is
+	// internal/cluster's TestClusterRunsAreAdmittedLikeAnyOther).
+	resp, data = postJSON(t, srv.URL+"/runs", `{"engine":"mbrim","k":128,"durationNS":5}`)
+	if resp.StatusCode != 413 {
+		t.Fatalf("default-chips HTTP = %d %s, want 413", resp.StatusCode, data)
+	}
+	var terr struct{ Error string }
+	json.Unmarshal(data, &terr)
+	if want := fmt.Sprint((8+2+9)*128*128 + 16*128*4 + ring); !strings.Contains(terr.Error, want) {
+		t.Errorf("default-chips estimate: %s, want %s bytes (four chips)", terr.Error, want)
+	}
+	for _, tc := range []struct {
+		req  core.Request
+		want int64
+	}{
+		{core.Request{Kind: core.MBRIMConcurrent, Chips: 4}, (8+2+9)*128*128 + 16*128*4 + ring},
+		{core.Request{Kind: core.Cluster, Chips: 4, Cluster: core.ClusterSpec{Workers: []string{"a", "b", "c", "d"}}}, 8*128*128 + 16*128 + ring},
+		{core.Request{Kind: core.Cluster, Cluster: core.ClusterSpec{Workers: []string{"a"}}}, 8*128*128 + 16*128 + ring},
+	} {
+		tc.req.Model = testProblem(128).ToIsing()
+		if got := EstimateRunBytes(&tc.req, 0); got != tc.want {
+			t.Errorf("EstimateRunBytes(%s, chips=%d, %d workers) = %d, want %d",
+				tc.req.Kind, tc.req.Chips, len(tc.req.Cluster.Workers), got, tc.want)
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()

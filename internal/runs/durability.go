@@ -144,14 +144,12 @@ func (m *Manager) dropCheckpointFile(r *Run) {
 	}
 }
 
-// checkpointable reports whether the engine kind supports resume (the
-// multichip engines carry checkpoints through InterruptedError).
+// checkpointable reports whether the engine resumes from the checkpoint
+// its InterruptedError carries — the registry's Resume capability, so an
+// engine that declares it is segmented without being named here.
 func checkpointable(kind core.Kind) bool {
-	switch kind {
-	case core.MBRIMConcurrent, core.MBRIMSequential, core.MBRIMBatch:
-		return true
-	}
-	return false
+	caps, _ := core.EngineCaps(kind)
+	return caps.Resume
 }
 
 // supervisedSolve adds restart-once supervision over the segmented
@@ -261,15 +259,15 @@ type replayState struct {
 // Terminal runs come back as queryable tombstones; mid-flight runs are
 // re-admitted under their original IDs through the normal admission
 // path (so a restart storm still respects MaxActive) and resume from
-// their last durable checkpoint. Records from other scopes (the
-// cluster coordinator's) are ignored here.
+// their last durable checkpoint. Records an older daemon wrote under
+// journal.ScopeCluster are skipped: they are not runs of this table.
 func (m *Manager) Recover(recs []journal.Record) RecoverSummary {
 	var order []string
 	states := map[string]*replayState{}
 	maxSeq := 0
 	for i := range recs {
 		rec := &recs[i]
-		if rec.Scope != "" && rec.Scope != journal.ScopeRun {
+		if rec.Scope == journal.ScopeCluster {
 			continue
 		}
 		s := states[rec.ID]

@@ -3,6 +3,7 @@ package runs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -380,3 +381,85 @@ func TestPanicRestartOnce(t *testing.T) {
 type alwaysPanic struct{}
 
 func (alwaysPanic) Emit(obs.Event) { panic("deterministic fault") }
+
+// segmentProbe is a registered engine that only watches how it is run:
+// an unresumed call works until it is cancelled (handing back a
+// checkpoint) or 150 ms pass; a call resumed from that checkpoint
+// finishes at once.
+type segmentProbe struct {
+	kind           core.Kind
+	resume         bool
+	calls, resumed *atomic.Int64
+}
+
+func (e segmentProbe) Kind() core.Kind { return e.kind }
+func (e segmentProbe) Capabilities() core.Capabilities {
+	return core.Capabilities{Resume: e.resume, Description: "test probe"}
+}
+
+func (e segmentProbe) Solve(ctx context.Context, r *core.Request) (*core.Outcome, error) {
+	e.calls.Add(1)
+	start := time.Now()
+	out := r.NewOutcome()
+	out.Spins = make([]int8, r.Model.N())
+	for i := range out.Spins {
+		out.Spins[i] = 1
+	}
+	if len(r.Resume) > 0 {
+		e.resumed.Add(1)
+	} else {
+		select {
+		case <-ctx.Done():
+			return r.Interrupted(out, start, ctx.Err(), []byte("probe checkpoint"))
+		case <-time.After(150 * time.Millisecond):
+		}
+	}
+	r.Finish(out, start)
+	return out, nil
+}
+
+// segmentProbes are registered once per test binary (a registry entry
+// cannot be taken back, and -cpu 1,4 runs every test twice).
+var segmentProbes = func() (ps [2]segmentProbe) {
+	for i, resume := range []bool{true, false} {
+		ps[i] = segmentProbe{kind: core.Kind(fmt.Sprintf("probe-resume-%v", resume)), resume: resume,
+			calls: new(atomic.Int64), resumed: new(atomic.Int64)}
+		core.Register(ps[i])
+	}
+	return ps
+}()
+
+// TestSegmentationFollowsTheResumeCapability: periodic durable
+// checkpoints are a property of the registry's Resume capability, not
+// of a list of engine names — an engine that declares it is run in
+// segments (cancelled at the cadence, its checkpoint persisted, resumed
+// in place), one that does not is left alone. The list used to name the
+// three mbrim kinds, so a fourth resumable engine was never segmented.
+func TestSegmentationFollowsTheResumeCapability(t *testing.T) {
+	for _, probe := range segmentProbes {
+		resume := probe.resume
+		probe.calls.Store(0)
+		probe.resumed.Store(0)
+		reg := obs.NewRegistry()
+		m, jw := durableManager(t, t.TempDir(), reg, 30*time.Millisecond)
+		req := saRequest(8)
+		req.Kind = probe.kind
+		r, err := m.SubmitWith(context.Background(), req, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, r)
+		jw.Close()
+		if st := r.Status(); st.State != StateCompleted {
+			t.Fatalf("resume=%v: run ended %s: %s", resume, st.State, st.Error)
+		}
+		persisted := reg.Snapshot().Counters["runs.checkpoints_persisted_total"]
+		calls, resumed := probe.calls.Load(), probe.resumed.Load()
+		if resume && (calls != 2 || resumed != 1 || persisted != 1) {
+			t.Errorf("Resume engine: %d calls, %d resumed, %d checkpoints persisted; want 2, 1, 1", calls, resumed, persisted)
+		}
+		if !resume && (calls != 1 || resumed != 0 || persisted != 0) {
+			t.Errorf("engine without Resume: %d calls, %d resumed, %d checkpoints persisted; want 1, 0, 0", calls, resumed, persisted)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -13,7 +14,6 @@ import (
 	"mbrim/internal/lattice"
 	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
-	"mbrim/internal/portfolio"
 	"mbrim/internal/rng"
 )
 
@@ -28,10 +28,16 @@ import (
 //	GET  /runs/{id}/trace       Chrome trace-event JSON (ui.perfetto.dev)
 //	POST /runs/{id}/cancel      context cancellation
 //	GET  /runs/{id}/checkpoint  download the resume envelope
+//	GET  /runs/{id}/outcome     terminal outcome, spins included
 //	GET  /metrics               Prometheus text exposition
 //	GET  /metrics.json          expvar-style JSON snapshot
 //	GET  /healthz               liveness (always 200 while serving)
 //	GET  /readyz                readiness (503 once draining)
+//
+// Every /runs… route also answers under /cluster/runs…, the prefix the
+// cluster fabric's own run manager had: same handlers, table and ids,
+// except that POST /cluster/runs defaults the engine to "cluster" and
+// GET /cluster/runs/{id} adds that surface's done and result fields.
 //
 // Everything is stdlib net/http; patterns use Go 1.22+ method routing
 // and PathValue.
@@ -80,110 +86,40 @@ type SubmitRequest struct {
 	// energy, the race budget and the optional warm-start hand-off stage.
 	// Rejected with any other engine.
 	Portfolio *core.PortfolioSpec `json:"portfolio,omitempty"`
+	// The "cluster" engine's fields, flat in the body (workers, …;
+	// rejected with any other engine). chips omitted: one per worker.
+	core.ClusterSpec
 }
 
 // buildRequest turns a submit body into a core.Request, constructing
-// the problem graph.
+// the problem graph. It is the one place a submission is validated:
+// whatever is wrong with it is an error here, before a run exists.
 func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
-	var req core.Request
 	kind, err := core.ParseKind(sr.Engine)
 	if err != nil {
-		return req, err
+		return core.Request{}, err
 	}
-	var pspec core.PortfolioSpec
-	if sr.Portfolio != nil {
-		if kind != core.Portfolio {
-			return req, fmt.Errorf("runs: a portfolio spec requires engine %q, not %q", core.Portfolio, kind)
-		}
-		// Validate the race field here so a malformed spec is a 400, not
-		// a run that fails at dispatch.
-		if err := portfolio.ValidateSpec(*sr.Portfolio); err != nil {
-			return req, err
-		}
-		pspec = *sr.Portfolio
+	if sr.Portfolio != nil && kind != core.Portfolio {
+		return core.Request{}, fmt.Errorf("runs: a portfolio spec requires engine %q, not %q", core.Portfolio, kind)
 	}
-	// The budget fence scales with the race width: every entrant is a
-	// full concurrent solver over the shared model.
-	workers := 1
-	if kind == core.Portfolio {
-		workers = len(pspec.Entrants)
-		if workers == 0 {
-			workers = portfolio.DefaultDispatchEntrants
-		}
-	}
-	var g *graph.Graph
+	n := sr.K
 	switch {
 	case sr.K > 0 && len(sr.Edges) > 0:
-		return req, fmt.Errorf("runs: give k or edges, not both")
+		return core.Request{}, fmt.Errorf("runs: give k or edges, not both")
 	case sr.K > 0:
-		if sr.K > m.cfg.MaxSpins {
-			return req, fmt.Errorf("runs: k=%d exceeds the %d-spin limit", sr.K, m.cfg.MaxSpins)
-		}
-		if err := m.checkBudget(sr.K, sr.Chips, workers); err != nil {
-			return req, err
-		}
-		gseed := sr.GraphSeed
-		if gseed == 0 {
-			gseed = 1
-		}
-		g = graph.Complete(sr.K, rng.New(gseed))
 	case len(sr.Edges) > 0:
-		if sr.N < 2 {
-			return req, fmt.Errorf("runs: edges need n >= 2 vertices")
-		}
-		if sr.N > m.cfg.MaxSpins {
-			return req, fmt.Errorf("runs: n=%d exceeds the %d-spin limit", sr.N, m.cfg.MaxSpins)
-		}
-		if err := m.checkBudget(sr.N, sr.Chips, workers); err != nil {
-			return req, err
-		}
-		var err error
-		if g, err = graph.FromTriples(sr.N, sr.Edges); err != nil {
-			return req, fmt.Errorf("runs: %w", err)
+		if n = sr.N; n < 2 {
+			return core.Request{}, fmt.Errorf("runs: edges need n >= 2 vertices")
 		}
 	default:
-		return req, fmt.Errorf("runs: need k > 0 or an edge list")
+		return core.Request{}, fmt.Errorf("runs: need k > 0 or an edge list")
 	}
-	seed := sr.Seed
-	if seed == 0 {
-		seed = 1
+	if n > m.cfg.MaxSpins {
+		return core.Request{}, fmt.Errorf("runs: %d spins exceeds the %d-spin limit", n, m.cfg.MaxSpins)
 	}
-	// Two policies are keyed by capability (Resume — the checkpointable
-	// model-time engines, i.e. the multiprocessor), not by name, so a new
-	// engine declaring the capability inherits them. The chip geometry
-	// the engine would reject, and an epoch count no run finishes, are
-	// rejected here, so the client gets a 400 instead of a failed or
-	// never-ending run. And the diagnostics plane (plateau detection,
-	// live TTS) needs an energy trajectory, so submissions that don't
-	// choose a sampling cadence get ~100 samples over the run by default.
-	// Samples are observational; the trajectory stays seed-determined.
-	sampleEvery := sr.SampleEveryNS
-	if caps, _ := core.EngineCaps(kind); caps.Resume {
-		d := sr.DurationNS
-		if d == 0 {
-			d = 100 // the core default duration
-		}
-		if err := checkEpochGeometry(g.N(), sr, d); err != nil {
-			return req, err
-		}
-		if sampleEvery == 0 {
-			sampleEvery = d / 100
-		}
-	}
-	backend := sr.Backend
-	if backend == "" {
-		backend = m.cfg.DefaultBackend
-	}
-	// Reject unknown backends here so the client gets a 400 instead of
-	// a failed run.
-	if _, err := lattice.ParseKind(backend); err != nil {
-		return req, fmt.Errorf("runs: %v", err)
-	}
-	return core.Request{
+	req := core.Request{
 		Kind:              kind,
-		Model:             g.ToIsing(),
-		Graph:             g,
-		Seed:              seed,
+		Seed:              sr.Seed,
 		Runs:              sr.Runs,
 		Sweeps:            sr.Sweeps,
 		Steps:             sr.Steps,
@@ -193,11 +129,70 @@ func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
 		Coordinated:       sr.Coordinated,
 		Channels:          sr.Channels,
 		ChannelBytesPerNS: sr.ChannelBytesPerNS,
-		SampleEveryNS:     sampleEvery,
+		SampleEveryNS:     sr.SampleEveryNS,
 		Parallel:          sr.Parallel,
-		Backend:           backend,
-		Portfolio:         pspec,
-	}, nil
+		Backend:           sr.Backend,
+		Cluster:           sr.ClusterSpec,
+	}
+	if sr.Portfolio != nil {
+		req.Portfolio = *sr.Portfolio
+	}
+	if req.Seed == 0 {
+		req.Seed = 1
+	}
+	if req.Backend == "" {
+		req.Backend = m.cfg.DefaultBackend
+	}
+	// Reject unknown backends here so the client gets a 400 instead of
+	// a failed run.
+	if _, err := lattice.ParseKind(req.Backend); err != nil {
+		return req, fmt.Errorf("runs: %v", err)
+	}
+	// Three policies are keyed by capability (Resume — the checkpointable
+	// model-time engines, i.e. the multiprocessor, in process or over a
+	// cluster), not by name, so a new engine declaring the capability
+	// inherits them. The chip geometry the engine would reject, and an
+	// epoch count no run finishes, are rejected here, so the client gets a
+	// 400 instead of a failed or never-ending run. The memory fence counts
+	// the chips the engine will really build — its default when the body
+	// names none. And the diagnostics plane (plateau detection, live TTS)
+	// needs an energy trajectory, so submissions that don't choose a
+	// sampling cadence get ~100 samples over the run by default. Samples
+	// are observational; the trajectory stays seed-determined.
+	chips := sr.Chips
+	if caps, _ := core.EngineCaps(kind); caps.Resume {
+		d := sr.DurationNS
+		if d == 0 {
+			d = 100 // the core default duration
+		}
+		if chips == 0 {
+			chips = len(sr.Workers) // a cluster run's default: one chip per worker
+		}
+		if chips, err = checkEpochGeometry(n, chips, sr, d); err != nil {
+			return req, err
+		}
+		if req.SampleEveryNS == 0 {
+			req.SampleEveryNS = d / 100
+		}
+	}
+	// The fence comes BEFORE the graph: the dense model of an oversized
+	// problem costs the same 8·n² the fence exists to refuse.
+	if err := m.checkBudget(n, fenceChips(chips, &req), requestWorkers(&req)); err != nil {
+		return req, err
+	}
+	if sr.K > 0 {
+		gseed := sr.GraphSeed
+		if gseed == 0 {
+			gseed = 1
+		}
+		req.Graph = graph.Complete(sr.K, rng.New(gseed))
+	} else if req.Graph, err = graph.FromTriples(sr.N, sr.Edges); err != nil {
+		return req, fmt.Errorf("runs: %w", err)
+	}
+	req.Model = req.Graph.ToIsing()
+	// What only the engine can judge (a malformed race, a worker list the
+	// fabric refuses), through the registry: a 400, not a failed run.
+	return req, core.Validate(&req)
 }
 
 // maxSubmitEpochs bounds durationNS/epochNS at submit: a run is one
@@ -207,21 +202,22 @@ func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
 const maxSubmitEpochs = 1e6
 
 // checkEpochGeometry validates a multiprocessor submission of
-// durationNS over n spins against the engine's own rules
-// (multichip.Partition: chips, epoch length, channels) and against
-// maxSubmitEpochs, with the engine's default epoch applied when the
-// body left it out.
-func checkEpochGeometry(n int, sr *SubmitRequest, durationNS float64) error {
+// durationNS over n spins on chips chips (0: the engine's default)
+// against the engine's own rules (multichip.Partition: chips, epoch
+// length, channels) and against maxSubmitEpochs, with the engine's
+// default epoch applied when the body left it out. It returns the chip
+// count the engine resolves to.
+func checkEpochGeometry(n, chips int, sr *SubmitRequest, durationNS float64) (int, error) {
 	cfg, _, err := multichip.Partition(n, multichip.Config{
-		Chips: sr.Chips, EpochNS: sr.EpochNS, Channels: sr.Channels,
+		Chips: chips, EpochNS: sr.EpochNS, Channels: sr.Channels,
 	})
 	if err != nil {
-		return fmt.Errorf("runs: %w", err)
+		return 0, fmt.Errorf("runs: %w", err)
 	}
 	if epochs := durationNS / cfg.EpochNS; epochs > maxSubmitEpochs {
-		return fmt.Errorf("runs: durationNS/epochNS is %.3g epochs, above the %.0e-epoch limit", epochs, float64(maxSubmitEpochs))
+		return 0, fmt.Errorf("runs: durationNS/epochNS is %.3g epochs, above the %.0e-epoch limit", epochs, float64(maxSubmitEpochs))
 	}
-	return nil
+	return cfg.Chips, nil
 }
 
 // writeJSON writes v as a JSON response with the given status.
@@ -243,18 +239,23 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // be large, but not unbounded).
 const maxSubmitBody = 64 << 20
 
-// Routes registers the run endpoints on mux.
+// Routes registers the run endpoints on mux, under /runs and under the
+// /cluster/runs alias (see the file comment for the two differences).
 func (m *Manager) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /engines", m.handleEngines)
-	mux.HandleFunc("POST /runs", m.handleSubmit)
-	mux.HandleFunc("GET /runs", m.handleList)
-	mux.HandleFunc("GET /runs/{id}", m.handleGet)
-	mux.HandleFunc("POST /runs/{id}/cancel", m.handleCancel)
-	mux.HandleFunc("GET /runs/{id}/events", m.handleEvents)
-	mux.HandleFunc("GET /runs/{id}/checkpoint", m.handleCheckpoint)
-	mux.HandleFunc("GET /runs/{id}/diag", m.handleDiag)
-	mux.HandleFunc("GET /runs/{id}/trace", m.handleTrace)
-	mux.HandleFunc("GET /runs/{id}/outcome", m.handleOutcome)
+	for _, p := range []struct {
+		prefix, engine string // engine: the alias's submit default; its status keeps the old fields
+	}{{prefix: "/runs"}, {"/cluster/runs", "cluster"}} {
+		mux.HandleFunc("POST "+p.prefix, func(w http.ResponseWriter, r *http.Request) { m.handleSubmit(w, r, p.engine) })
+		mux.HandleFunc("GET "+p.prefix, m.handleList)
+		mux.HandleFunc("GET "+p.prefix+"/{id}", func(w http.ResponseWriter, r *http.Request) { m.handleGet(w, r, p.engine != "") })
+		mux.HandleFunc("POST "+p.prefix+"/{id}/cancel", m.handleCancel)
+		mux.HandleFunc("GET "+p.prefix+"/{id}/events", m.handleEvents)
+		mux.HandleFunc("GET "+p.prefix+"/{id}/checkpoint", m.handleCheckpoint)
+		mux.HandleFunc("GET "+p.prefix+"/{id}/diag", m.handleDiag)
+		mux.HandleFunc("GET "+p.prefix+"/{id}/trace", m.handleTrace)
+		mux.HandleFunc("GET "+p.prefix+"/{id}/outcome", m.handleOutcome)
+	}
 }
 
 // Mount registers the full operations surface — run endpoints,
@@ -279,15 +280,30 @@ func Mount(mux *http.ServeMux, m *Manager, reg *obs.Registry, ready func() bool)
 	})
 }
 
-func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSubmit is the one submit decoder: strict, so a misspelt knob is
+// an error and not a default.
+func decodeSubmit(body io.Reader) (*SubmitRequest, error) {
 	var sr SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sr); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("runs: parsing body: %w", err))
+		return nil, fmt.Errorf("runs: parsing body: %w", err)
+	}
+	return &sr, nil
+}
+
+// handleSubmit serves POST /runs; engine is the default for a body that
+// names none (empty on /runs: the field is required there).
+func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request, engine string) {
+	sr, err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := m.buildRequest(&sr)
+	if sr.Engine == "" {
+		sr.Engine = engine
+	}
+	req, err := m.buildRequest(sr)
 	if err != nil {
 		var terr *TooLargeError
 		if errors.As(err, &terr) {
@@ -304,7 +320,7 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The canonical re-marshal (not the raw body) is what the journal
 	// records: replay rebuilds the run from exactly the fields this
 	// build understood.
-	if spec, err := json.Marshal(&sr); err == nil {
+	if spec, err := json.Marshal(sr); err == nil {
 		opts.Spec = spec
 	}
 	// The run outlives the submit request: solve under the manager's
@@ -345,13 +361,48 @@ func (m *Manager) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"runs": m.List()})
 }
 
-func (m *Manager) handleGet(w http.ResponseWriter, r *http.Request) {
+func (m *Manager) handleGet(w http.ResponseWriter, r *http.Request, legacy bool) {
 	run, ok := m.Get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, ErrNotFound)
 		return
 	}
-	writeJSON(w, http.StatusOK, run.Status())
+	st := run.Status()
+	if !legacy {
+		writeJSON(w, http.StatusOK, st)
+		return
+	}
+	writeJSON(w, http.StatusOK, legacyStatus{Status: st, Done: st.State.Terminal(), Result: legacyResult(st.Outcome)})
+}
+
+// legacyStatus is the GET /cluster/runs/{id} body: the status plus the
+// two fields the old cluster surface's clients poll.
+type legacyStatus struct {
+	Status
+	Done   bool           `json:"done"`
+	Result map[string]any `json:"result,omitempty"`
+}
+
+// legacyResult lays an outcome out as the old surface did; nil while
+// there is none. elapsedNS is model time with stalls (the outcome's
+// modelNS), modelNS without.
+func legacyResult(o *OutcomeSummary) map[string]any {
+	if o == nil {
+		return nil
+	}
+	res := map[string]any{"energy": o.Energy, "elapsedNS": o.ModelNS, "modelNS": o.Stats["annealNS"]}
+	for _, k := range []string{"stallNS", "flips", "bitChanges", "trafficBytes", "epochs", "liveWorkers"} {
+		res[k] = o.Stats[k]
+	}
+	rec := map[string]any{}
+	for _, k := range []string{"rpcRetries", "workerDeaths", "recoveries", "replayedEpochs", "handoffBytes", "recoveryStallNS"} {
+		rec[k] = o.Stats[k]
+	}
+	if o.Stats["degraded"] != 0 {
+		rec["degraded"] = true
+	}
+	res["recovery"] = rec
+	return res
 }
 
 func (m *Manager) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mbrim/internal/core"
+	"mbrim/internal/diag"
 	"mbrim/internal/obs"
 )
 
@@ -217,5 +218,44 @@ func TestProgressEntrantFolding(t *testing.T) {
 	p.observe(obs.Event{Kind: obs.EnergySample, Value: -99, Origin: "e0"})
 	if snap.Entrants["e0"].BestEnergy == -99 {
 		t.Fatal("snapshot aliased the live entrant map")
+	}
+}
+
+// TestProgressOriginsAgreeWithDiag: Progress.observe and diag.Reducer
+// read an origin stamp with one parser. A federated cluster run stamps
+// its coordinator's events "co" and its workers' "w0", "w1", …: they are
+// the run's own stream — their epochs, bit changes and energies belong
+// to the top-level view — and only e<digits> names a portfolio entrant.
+// observe used to file every stamped event under an entrant named after
+// the stamp, so GET /runs/{id} showed phantom entrants "co" and "w0" and
+// never the run's epoch or energy.
+func TestProgressOriginsAgreeWithDiag(t *testing.T) {
+	var p Progress
+	red := diag.New(diag.Config{})
+	for _, e := range []obs.Event{
+		{Kind: obs.RunStart, Label: "cluster"},
+		{Kind: obs.EpochSync, Epoch: 3, Count: 17, ModelNS: 9.9, Origin: "co", Trace: 0xabc},
+		{Kind: obs.EnergySample, Epoch: 3, ModelNS: 9.9, Value: -40, Origin: "co", Trace: 0xabc},
+		{Kind: obs.SpanEnd, Label: "chip_step", Span: 1 << 32, Count: 5, Origin: "w0", Trace: 0xabc},
+		{Kind: obs.EnergySample, Value: -7, Origin: "e1"},
+	} {
+		p.observe(e)
+		red.Emit(e)
+	}
+	if p.Epoch != 3 || p.BitChanges != 17 || !p.HasEnergy || p.BestEnergy != -40 {
+		t.Errorf("coordinator-stamped events missed the top-level view: %+v", p)
+	}
+	if len(p.Entrants) != 1 || !p.Entrants["e1"].HasEnergy || p.Entrants["e1"].BestEnergy != -7 {
+		t.Errorf("entrants = %+v, want exactly e1 at -7", p.Entrants)
+	}
+	snap := red.Snapshot()
+	if snap.Epoch != p.Epoch || snap.BestEnergy != -40 || snap.Traffic.SyncBitChanges != p.BitChanges {
+		t.Errorf("diag top-level view %+v disagrees with progress %+v", snap, p)
+	}
+	if snap.Portfolio == nil || len(snap.Portfolio.Entrants) != 1 || snap.Portfolio.Entrants[0].Index != 1 {
+		t.Errorf("diag entrants = %+v, want exactly entrant 1", snap.Portfolio)
+	}
+	if snap.Fleet == nil || snap.Fleet.Workers != 1 || snap.TraceID != "0000000000000abc" {
+		t.Errorf("diag fleet view = %+v trace %q, want one worker under trace abc", snap.Fleet, snap.TraceID)
 	}
 }

@@ -92,3 +92,38 @@ func TestRetentionZeroKeepsEverything(t *testing.T) {
 		t.Fatalf("retained %d runs, want all 3", got)
 	}
 }
+
+// TestTerminalClusterRunShedsItsRequest: once a run whose chips were on
+// cluster workers is over, it no longer pins the dense model, the graph
+// or an event ring sized for a run thirty times as talkative — what the
+// cluster surface's finished runs never held — while its status still
+// knows the problem size. Every other engine's run keeps its request
+// (DESIGN §13 records why).
+func TestTerminalClusterRunShedsItsRequest(t *testing.T) {
+	m := NewManager(Config{})
+	for _, remote := range []bool{true, false} {
+		req := saRequest(24)
+		if remote {
+			req.Cluster.Workers = []string{"http://worker.invalid"} // sa ignores it; the manager does not
+		}
+		r, err := m.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, r)
+		r.mu.Lock()
+		shed := r.req.Model == nil && r.req.Graph == nil && r.execReq.Model == nil
+		kept := r.req.Model != nil && r.req.Graph != nil && r.execReq.Model != nil
+		r.mu.Unlock()
+		events, _ := r.EventsSince(0)
+		if st := r.Status(); st.State != StateCompleted || st.Spins != 24 || len(events) == 0 || int64(len(events)) != r.EventsTotal() {
+			t.Fatalf("remote=%v: status %+v, %d events of %d", remote, st, len(events), r.EventsTotal())
+		}
+		if remote && !shed {
+			t.Error("a finished cluster run still pins its model or graph")
+		}
+		if !remote && !kept {
+			t.Error("a finished in-process run lost its request")
+		}
+	}
+}

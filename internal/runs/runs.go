@@ -8,14 +8,21 @@
 // cmd/mbrimd serves and what cmd/mbrim mounts next to its pprof
 // listener.
 //
-// A Manager owns a set of Runs. Submitting wires three sinks in front
+// A Manager owns a set of Runs. Submitting wires four sinks in front
 // of any caller-supplied tracer: a progress reducer (the live view), a
-// bounded Ring (recent-event replay), and a bounded Broadcast (live
-// fan-out that never blocks the solve). The solve itself executes on a
-// goroutine under a per-run context, so cancellation — and, for the
-// multichip engines, the checkpoint carried by the resulting
-// InterruptedError — flows through the PR 3 lifecycle machinery
-// unchanged.
+// bounded Ring (recent-event replay), a bounded Broadcast (live
+// fan-out that never blocks the solve) and a diag.Reducer. The solve
+// itself executes on a goroutine under a per-run context, so
+// cancellation — and, for the engines with the Resume capability, the
+// checkpoint carried by the resulting InterruptedError — flows through
+// the PR 3 lifecycle machinery unchanged.
+//
+// It is the daemon's only run plane. Whatever the engine registry can
+// solve is a run here, a solve spread over cluster workers included
+// (engine "cluster", registered by internal/cluster, which imports this
+// package and not the other way round); /cluster/runs, the prefix that
+// engine's runs used to have a manager of their own behind, is an alias
+// of /runs served by the same handlers (http.go).
 package runs
 
 import (
@@ -156,11 +163,13 @@ func (p *Progress) observe(e obs.Event) {
 	if e.ModelNS > p.ModelNS {
 		p.ModelNS = e.ModelNS
 	}
-	if e.Origin != "" {
-		// An origin-stamped event belongs to one portfolio entrant's
+	if _, ok := diag.EntrantOrigin(e.Origin); ok {
+		// An entrant-stamped event belongs to one portfolio entrant's
 		// inner stream: fold it into that entrant's view (and the
 		// top-level energy envelope) without letting the entrant's own
-		// RunStart/RunEnd clobber the portfolio's engine/phase.
+		// RunStart/RunEnd clobber the portfolio's engine/phase. Any other
+		// stamp — a federated cluster run's "co", "w0", … — is the run's
+		// own stream.
 		p.observeEntrant(e)
 		return
 	}
@@ -295,9 +304,12 @@ type Status struct {
 // event sinks and the solve goroutine touch it concurrently with HTTP
 // readers.
 type Run struct {
-	id    string
-	mgr   *Manager
+	id  string
+	mgr *Manager
+	// req is the request as submitted; spins its problem size, which
+	// outlives a released model (see finish).
 	req   core.Request
+	spins int
 	ring  *obs.Ring
 	bcast *obs.Broadcast
 	diag  *diag.Reducer
@@ -415,9 +427,7 @@ func (r *Run) Status() Status {
 		HasCheckpoint: len(r.checkpoint) > 0,
 		EventsDropped: r.bcast.Dropped(),
 	}
-	if r.req.Model != nil {
-		st.Spins = r.req.Model.N()
-	}
+	st.Spins = r.spins
 	if !r.ended.IsZero() {
 		st.EndedWallNS = r.ended.UnixNano()
 	}
@@ -637,6 +647,14 @@ func (m *Manager) finish(r *Run, req core.Request, start time.Time, out *core.Ou
 	default:
 		r.state = StateFailed
 		r.err = err
+	}
+	if len(req.Cluster.Workers) > 0 {
+		// A distributed run worked on its workers. The model and graph
+		// only the solve read and the unfilled part of its event ring are
+		// ≈2 MB per K256 run the cluster surface never kept; its runs still
+		// let go of them. In-process runs stay as DESIGN §13 records.
+		r.req.Model, r.req.Graph, r.execReq = nil, nil, core.Request{}
+		r.ring.Trim()
 	}
 	state := r.state
 	ck := r.checkpoint

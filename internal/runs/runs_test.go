@@ -319,33 +319,36 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 }
 
+// httpValidationCases are submit bodies POST /runs must refuse with a
+// 400 (under MaxSpins 64); FuzzSubmitSpec starts from them too.
+var httpValidationCases = []struct {
+	name, body string
+	want       string // a fragment the error must carry
+}{
+	{"bad engine", `{"engine":"warp","k":8}`, ""},
+	{"retired backend", `{"engine":"sa","k":8,"backend":"blocked"}`, ""},
+	{"no problem", `{"engine":"sa"}`, ""},
+	{"both problems", `{"engine":"sa","k":8,"n":2,"edges":[[1,2,1]]}`, ""},
+	{"too many spins", `{"engine":"sa","k":65}`, ""},
+	{"edges without n", `{"engine":"sa","edges":[[1,2,1]]}`, ""},
+	{"edge out of range", `{"engine":"sa","n":4,"edges":[[1,5,1]]}`, "edge 0 (1,5) out of range"},
+	{"self edge", `{"engine":"sa","n":4,"edges":[[2,2,1]]}`, ""},
+	// Fractional endpoints used to be truncated: the first was accepted
+	// as edge (1,2), the second refused as an "out of range" (2,2).
+	{"fractional endpoints", `{"engine":"sa","n":4,"edges":[[1,2,1],[1.9,2.2,1]]}`, "edge 1 [1.9, 2.2]: endpoints must be integers"},
+	{"fractional self edge", `{"engine":"sa","n":4,"edges":[[2.7,2.1,1]]}`, "edge 0 [2.7, 2.1]: endpoints must be integers"},
+	// These two used to answer 202: the first run then failed at
+	// dispatch, the second never ended and held its admission slot.
+	{"more chips than spins", `{"engine":"mbrim","k":8,"chips":9}`, "Chips=9 for N=8"},
+	{"epochs without end", `{"engine":"mbrim","k":8,"chips":2,"durationNS":5,"epochNS":1e-300}`, "durationNS/epochNS is 5e+300 epochs"},
+	{"negative channels", `{"engine":"mbrim-seq","k":8,"channels":-1}`, "Channels=-1"},
+	{"unknown field", `{"engine":"sa","k":8,"warp":9}`, ""},
+	{"syntax error", `{"engine":`, ""},
+}
+
 func TestHTTPValidation(t *testing.T) {
 	srv, m, _ := newTestServer(t, Config{MaxSpins: 64})
-	cases := []struct {
-		name, body string
-		want       string // a fragment the error must carry
-	}{
-		{"bad engine", `{"engine":"warp","k":8}`, ""},
-		{"retired backend", `{"engine":"sa","k":8,"backend":"blocked"}`, ""},
-		{"no problem", `{"engine":"sa"}`, ""},
-		{"both problems", `{"engine":"sa","k":8,"n":2,"edges":[[1,2,1]]}`, ""},
-		{"too many spins", `{"engine":"sa","k":65}`, ""},
-		{"edges without n", `{"engine":"sa","edges":[[1,2,1]]}`, ""},
-		{"edge out of range", `{"engine":"sa","n":4,"edges":[[1,5,1]]}`, "edge 0 (1,5) out of range"},
-		{"self edge", `{"engine":"sa","n":4,"edges":[[2,2,1]]}`, ""},
-		// Fractional endpoints used to be truncated: the first was accepted
-		// as edge (1,2), the second refused as an "out of range" (2,2).
-		{"fractional endpoints", `{"engine":"sa","n":4,"edges":[[1,2,1],[1.9,2.2,1]]}`, "edge 1 [1.9, 2.2]: endpoints must be integers"},
-		{"fractional self edge", `{"engine":"sa","n":4,"edges":[[2.7,2.1,1]]}`, "edge 0 [2.7, 2.1]: endpoints must be integers"},
-		// These two used to answer 202: the first run then failed at
-		// dispatch, the second never ended and held its admission slot.
-		{"more chips than spins", `{"engine":"mbrim","k":8,"chips":9}`, "Chips=9 for N=8"},
-		{"epochs without end", `{"engine":"mbrim","k":8,"chips":2,"durationNS":5,"epochNS":1e-300}`, "durationNS/epochNS is 5e+300 epochs"},
-		{"negative channels", `{"engine":"mbrim-seq","k":8,"channels":-1}`, "Channels=-1"},
-		{"unknown field", `{"engine":"sa","k":8,"warp":9}`, ""},
-		{"syntax error", `{"engine":`, ""},
-	}
-	for _, c := range cases {
+	for _, c := range httpValidationCases {
 		resp, body := postJSON(t, srv.URL+"/runs", c.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, body %s", c.name, resp.StatusCode, body)

@@ -11,55 +11,20 @@
 # and assert the bit-identity and recovery claims with jq. The chaos
 # run is federated: its merged fleet trace must carry coordinator and
 # worker spans under one trace ID, recovery included. A fourth leg
-# drives the coordinator-as-a-service surface (POST /cluster/runs with
-# federate:true, then GET .../trace and .../diag).
+# drives the daemon: engine "cluster" with federate:true on POST /runs,
+# then GET /runs/{id}/trace and /diag, then the same run once more
+# through the /cluster/runs alias.
 #
 # Run from the repository root: ./scripts/cluster_smoke.sh
-set -euo pipefail
+SMOKE="cluster smoke"
+# shellcheck source=scripts/lib.sh
+. scripts/lib.sh
 
-DIR=$(mktemp -d)
-PIDS=()
-FAILED=1
-
-cleanup() {
-  if [ "$FAILED" -ne 0 ]; then
-    echo "cluster smoke: FAILED — worker logs follow" >&2
-    for log in "$DIR"/w*.out; do
-      [ -f "$log" ] && { echo "--- $log ---" >&2; cat "$log" >&2; }
-    done
-  fi
-  # Kill hard: a smoke runner must never leave daemons behind, even
-  # ones wedged mid-drain.
-  for pid in "${PIDS[@]:-}"; do
-    kill -9 "$pid" 2>/dev/null || true
-  done
-}
-trap cleanup EXIT
-
-die() {
-  echo "cluster smoke: FAIL: $*" >&2
-  exit 1
-}
-
-go build -o "$DIR/mbrim" ./cmd/mbrim || die "building mbrim"
-go build -o "$DIR/mbrimd" ./cmd/mbrimd || die "building mbrimd"
-
-"$DIR/mbrimd" -addr localhost:0 -worker >"$DIR/w1.out" 2>&1 &
-PIDS+=($!)
-"$DIR/mbrimd" -addr localhost:0 -worker >"$DIR/w2.out" 2>&1 &
-PIDS+=($!)
-
-addr() { sed -n 's|^mbrimd: listening on http://||p' "$1"; }
-A1=""
-A2=""
-for _ in $(seq 1 50); do
-  A1=$(addr "$DIR/w1.out")
-  A2=$(addr "$DIR/w2.out")
-  [ -n "$A1" ] && [ -n "$A2" ] && break
-  sleep 0.1
-done
-[ -n "$A1" ] || die "worker 1 never printed its listen address"
-[ -n "$A2" ] || die "worker 2 never printed its listen address"
+build mbrim mbrimd
+start_daemon "$DIR/w1.out" -worker
+A1=$ADDR
+start_daemon "$DIR/w2.out" -worker
+A2=$ADDR
 
 PROBLEM="-k 64 -chips 2 -duration 100 -seed 7"
 
@@ -141,53 +106,58 @@ jq -e '
 ' "$DIR/chaos_trace.json" >/dev/null \
   || die "chaos fleet trace does not show the recovery"
 
-# 4. The coordinator-as-a-service surface: a third mbrimd (no -worker)
-# accepts a federated submission and serves the merged trace and the
-# fleet diagnostics over HTTP.
-"$DIR/mbrimd" -addr localhost:0 >"$DIR/co.out" 2>&1 &
-PIDS+=($!)
-CO=""
-for _ in $(seq 1 50); do
-  CO=$(addr "$DIR/co.out")
-  [ -n "$CO" ] && break
-  sleep 0.1
-done
-[ -n "$CO" ] || die "coordinator daemon never printed its listen address"
+# 4. The daemon: a third mbrimd (no -worker) runs the solve as engine
+# "cluster" — a run like any other — and, federated, serves the workers'
+# spans in its trace and a fleet section in its diagnostics.
+start_daemon "$DIR/co.out"
+CO=$ADDR
 
-RID=$(curl -sf -X POST "http://$CO/cluster/runs" -d '{
-  "workers": ["http://'"$A1"'", "http://'"$A2"'"],
-  "k": 64, "chips": 2, "durationNS": 100, "seed": 7,
+RID=$(curl -sf -X POST "http://$CO/runs" -d '{
+  "engine": "cluster", "workers": ["http://'"$A1"'", "http://'"$A2"'"],
+  "k": 64, "chips": 2, "durationNS": 100, "seed": 7, "graphSeed": 7,
   "checkpointEvery": 3, "federate": true
 }' | jq -r .id)
 [ -n "$RID" ] && [ "$RID" != "null" ] || die "federated submission rejected"
 
+STATE=""
 for _ in $(seq 1 100); do
-  DONE=$(curl -sf "http://$CO/cluster/runs/$RID" | jq -r '.done // false')
-  [ "$DONE" = "true" ] && break
+  STATE=$(curl -sf "http://$CO/runs/$RID" | jq -r .state)
+  case "$STATE" in completed | failed | interrupted) break ;; esac
   sleep 0.1
 done
-[ "$DONE" = "true" ] || die "federated daemon run never finished"
+[ "$STATE" = completed ] || die "federated daemon run ended ${STATE:-nowhere}"
 
-curl -sf "http://$CO/cluster/runs/$RID/trace" >"$DIR/daemon_trace.json" \
-  || die "GET /cluster/runs/$RID/trace"
+curl -sf "http://$CO/runs/$RID/trace" >"$DIR/daemon_trace.json" \
+  || die "GET /runs/$RID/trace"
 jq -e '
   ([.traceEvents[] | select(.args.trace != null) | .args.trace] | unique | length) == 1 and
   (([.traceEvents[] | select(.args.trace != null) | .args.origin] | unique) as $o |
     ($o | index("co") != null) and (($o | map(select(startswith("w"))) | length) >= 2))
 ' "$DIR/daemon_trace.json" >/dev/null \
-  || die "daemon fleet trace malformed: spans from 2 workers must share the coordinator trace ID"
+  || die "daemon trace malformed: spans from 2 workers must share the coordinator trace ID"
 
-curl -sf "http://$CO/cluster/runs/$RID/diag" >"$DIR/daemon_diag.json" \
-  || die "GET /cluster/runs/$RID/diag"
+curl -sf "http://$CO/runs/$RID/diag" >"$DIR/daemon_diag.json" \
+  || die "GET /runs/$RID/diag"
 jq -e '
-  .id == "'"$RID"'" and
   (.traceID | length) == 16 and
   .fleet.workers == 2 and
   .fleet.epochs >= 1 and
   .fleet.syncFraction >= 0 and .fleet.syncFraction <= 1 and
   (.fleet.perWorker | length) == 2
 ' "$DIR/daemon_diag.json" >/dev/null \
-  || die "fleet diag report malformed"
+  || die "fleet section of the diag report malformed"
 
-FAILED=0
-echo "cluster smoke: OK"
+# The same run through the alias the old cluster surface left behind:
+# done and a flat result beside the ordinary status, and the energy the
+# CLI legs agreed on (graphSeed 7 is the CLI's -seed 7 graph).
+curl -sf "http://$CO/cluster/runs/$RID" >"$DIR/alias.json" \
+  || die "GET /cluster/runs/$RID"
+jq -e --slurpfile i "$DIR/inproc.json" '
+  .id == "'"$RID"'" and .done == true and .state == "completed" and
+  .result.energy == $i[0].Energy and
+  .result.flips == $i[0].Stats.flips and
+  .result.energy == .outcome.energy
+' "$DIR/alias.json" >/dev/null \
+  || die "alias status malformed: $(cat "$DIR/alias.json")"
+
+ok

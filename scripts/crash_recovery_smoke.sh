@@ -7,55 +7,12 @@
 # never interrupted.
 #
 # Run from the repository root: ./scripts/crash_recovery_smoke.sh
-set -euo pipefail
-
-DIR=$(mktemp -d)
+SMOKE="crash recovery smoke"
+# shellcheck source=scripts/lib.sh
+. scripts/lib.sh
 STATE="$DIR/state"
-PIDS=()
-FAILED=1
 
-cleanup() {
-  if [ "$FAILED" -ne 0 ]; then
-    echo "crash recovery smoke: FAILED — daemon logs follow" >&2
-    for log in "$DIR"/d*.out; do
-      [ -f "$log" ] && { echo "--- $log ---" >&2; cat "$log" >&2; }
-    done
-  fi
-  for pid in "${PIDS[@]:-}"; do
-    kill -9 "$pid" 2>/dev/null || true
-  done
-}
-trap cleanup EXIT
-
-die() {
-  echo "crash recovery smoke: FAIL: $*" >&2
-  exit 1
-}
-
-go build -o "$DIR/mbrimd" ./cmd/mbrimd || die "building mbrimd"
-
-# start_daemon LOGFILE ARGS... — sets the globals ADDR and DPID.
-# (Deliberately not a command substitution: a subshell would hide the
-# daemon's PID from the cleanup trap.)
-start_daemon() {
-  local log="$1"
-  shift
-  "$DIR/mbrimd" -addr localhost:0 "$@" >"$log" 2>&1 &
-  DPID=$!
-  PIDS+=("$DPID")
-  ADDR=""
-  for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's|^mbrimd: listening on http://||p' "$log")
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-  done
-  [ -n "$ADDR" ] || die "daemon ($log) never printed its listen address"
-  for _ in $(seq 1 100); do
-    curl -sf "http://$ADDR/readyz" >/dev/null && return 0
-    sleep 0.1
-  done
-  die "daemon ($log) never became ready"
-}
+build mbrimd
 
 # ~1.4s of wall time: room for several 100ms checkpoints before the
 # kill, and real work left to resume after it.
@@ -125,5 +82,4 @@ jq -e --slurpfile ref "$DIR/reference.json" '
 ' "$DIR/resumed.json" >/dev/null \
   || die "resumed outcome diverged from the uninterrupted reference"
 
-FAILED=0
-echo "crash recovery smoke: OK"
+ok

@@ -15,30 +15,11 @@
 #      the win attribution.
 #
 # Run from the repository root: ./scripts/portfolio_smoke.sh
-set -euo pipefail
+SMOKE="portfolio smoke"
+# shellcheck source=scripts/lib.sh
+. scripts/lib.sh
 
-DIR=$(mktemp -d)
-PIDS=()
-FAILED=1
-
-cleanup() {
-  if [ "$FAILED" -ne 0 ]; then
-    echo "portfolio smoke: FAILED — daemon log follows" >&2
-    [ -f "$DIR/mbrimd.out" ] && cat "$DIR/mbrimd.out" >&2
-  fi
-  for pid in "${PIDS[@]:-}"; do
-    kill -9 "$pid" 2>/dev/null || true
-  done
-}
-trap cleanup EXIT
-
-die() {
-  echo "portfolio smoke: FAIL: $*" >&2
-  exit 1
-}
-
-go build -o "$DIR/mbrim" ./cmd/mbrim || die "building mbrim"
-go build -o "$DIR/mbrimd" ./cmd/mbrimd || die "building mbrimd"
+build mbrim mbrimd
 
 PROBLEM="-k 48 -seed 11 -sweeps 40 -runs 1"
 
@@ -80,15 +61,7 @@ grep -q 'cancelled' "$DIR/race.txt" || die "text report missing a cancelled lose
 
 # --- Leg 2: the daemon surface ----------------------------------------
 
-"$DIR/mbrimd" -addr localhost:0 >"$DIR/mbrimd.out" 2>&1 &
-PIDS+=($!)
-ADDR=""
-for _ in $(seq 1 50); do
-  ADDR=$(sed -n 's|^mbrimd: listening on http://||p' "$DIR/mbrimd.out")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || die "daemon never printed its listen address"
+start_daemon "$DIR/mbrimd.out"
 
 # The engine catalogue comes from the registry, portfolio included.
 curl -fsS "http://$ADDR/engines" >"$DIR/engines.json" || die "GET /engines"
@@ -150,5 +123,4 @@ jq -e '
   ([.portfolio.entrants[] | select(.phase == "cancelled")] | length) >= 1
 ' "$DIR/diag.json" >/dev/null || die "daemon diag portfolio section: $(cat "$DIR/diag.json")"
 
-FAILED=0
-echo "portfolio smoke: OK (CLI + daemon first-to-target race, losers cancelled)"
+ok "CLI + daemon first-to-target race, losers cancelled"
