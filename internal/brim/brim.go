@@ -387,8 +387,15 @@ func (ma *Machine) ExternalBias() []float64 { return ma.ext }
 // deriv computes dV/dt into out for voltages v at schedule progress p.
 // The shared kernel fans rows over Workers at fixed chunk boundaries;
 // rows are disjoint and the inputs read-only, so the result is
-// bit-identical to the sequential path at any worker count.
+// bit-identical to the sequential path at any worker count. One worker
+// is the single (0, n) call ForRange would make, made directly: the
+// closure handed to ForRange escapes, and an RK4 step would allocate
+// four of them.
 func (ma *Machine) deriv(v []float64, p float64, out []float64) {
+	if ma.cfg.Workers <= 1 {
+		ma.derivRange(v, p, out, 0, ma.n)
+		return
+	}
 	lattice.ForRange(ma.n, ma.cfg.Workers, func(lo, hi int) {
 		ma.derivRange(v, p, out, lo, hi)
 	})

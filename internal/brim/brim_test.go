@@ -360,3 +360,35 @@ func BenchmarkStepN256(b *testing.B) {
 		}
 	}
 }
+
+// TestRunDoesNotAllocate pins the serial derivative: with one worker an
+// RK4 step reaches derivRange directly instead of through a closure
+// handed to lattice.ForRange, which escaped — four heap closures a step,
+// 803 allocations for this Run(10) before the direct call. The listener
+// case is the shape multichip installs (it writes captured state and
+// allocates nothing itself).
+func TestRunDoesNotAllocate(t *testing.T) {
+	m := graph.Complete(64, rng.New(14)).ToIsing()
+	for _, listen := range []bool{false, true} {
+		ma := New(m, Config{Seed: 15})
+		var events int64
+		if listen {
+			ma.OnFlip(func(int, int8, bool) { events++ })
+		}
+		ma.SetHorizon(1e6)
+		if err := ma.Run(10); err != nil { // warm: first steps, first induced draw
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := ma.Run(10); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("listener=%v: Run(10) on a warm K64 machine allocates %v times, want 0", listen, allocs)
+		}
+		if listen && events != ma.Flips() {
+			t.Errorf("listener saw %d flips, machine counted %d", events, ma.Flips())
+		}
+	}
+}

@@ -1,12 +1,16 @@
 package lattice
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // dense is the row-major n×n layout.
 type dense struct {
 	n    int
-	data []float64 // row-major, symmetric, zero diagonal
+	data []float64 // row-major, zero diagonal; symmetric iff sym
 	nnz  int
+	sym  bool    // data[i·n+j] and data[j·n+i] hold the same bits for every i, j
 	pl   *planes // non-nil iff unscaled and every entry is −1, 0 or +1
 }
 
@@ -18,6 +22,9 @@ type dense struct {
 // layout aliases data instead of copying — callers must not mutate it.
 // Auto resolves by measured density. An unscaled dense layout whose
 // entries are all −1, 0 or +1 also gets the ±1 bit planes (see planes).
+// Symmetry is documented, not trusted: the dense layout compares the
+// stored triangles once, and a matrix that is not its own transpose
+// keeps the row-wise results Coupling promises, from the row kernel.
 func FromDense(n int, data []float64, kind Kind, div float64) Coupling {
 	if n <= 0 || len(data) != n*n {
 		panic(fmt.Sprintf("lattice: FromDense with %d entries for n=%d", len(data), n))
@@ -28,6 +35,7 @@ func FromDense(n int, data []float64, kind Kind, div float64) Coupling {
 		return csrFromDense(n, data, nnz, div)
 	default:
 		d := &dense{n: n, data: scaleDense(data, div), nnz: nnz}
+		d.sym = symmetricBits(n, d.data)
 		if unit && (div == 0 || div == 1) {
 			d.pl = newPlanes(n, data)
 		}
@@ -45,6 +53,34 @@ func scaleDense(data []float64, div float64) []float64 {
 		scaled[i] = v / div
 	}
 	return scaled
+}
+
+// symTile is the square tile symmetricBits compares at a time: 32×32
+// float64s from each triangle are 16 KiB, so the strided side of the
+// comparison stays in L1.
+const symTile = 32
+
+// symmetricBits reports whether the row-major n×n matrix equals its
+// transpose bit for bit — the condition under which a column sweep
+// reads the very operands the row walk does. It is a Float64bits
+// comparison, so +0 against −0 and two NaNs of different payload are
+// both "not symmetric": such a matrix keeps the row kernel.
+func symmetricBits(n int, data []float64) bool {
+	for i0 := 0; i0 < n; i0 += symTile {
+		i1 := min(i0+symTile, n)
+		for j0 := i0; j0 < n; j0 += symTile {
+			j1 := min(j0+symTile, n)
+			for i := i0; i < i1; i++ {
+				row := data[i*n : (i+1)*n]
+				for j := max(j0, i+1); j < j1; j++ {
+					if math.Float64bits(row[j]) != math.Float64bits(data[j*n+i]) {
+						return false
+					}
+				}
+			}
+		}
+	}
+	return true
 }
 
 func (d *dense) N() int   { return d.n }
@@ -72,13 +108,46 @@ func (d *dense) Scan(i int, fn func(j int, v float64)) {
 	}
 }
 
-// MatVecRange is register-blocked four rows at a time (dot4); the
-// (hi−lo) mod 4 remainder rows take the one-row walk. A block reads all
-// of x before any of its rows is stored: out must not alias x.
+// sweepWidth is the number of output rows one sweep32 call carries
+// (eight 4-lane registers); sweepTile is how many matrix rows a sweep
+// visits before the next 32 outputs take their turn, so that a wide
+// matrix's strided reads revisit 64 pages instead of n.
+const (
+	sweepWidth = 32
+	sweepTile  = 64
+)
+
+// MatVecRange has two kernels (package doc, "What a kernel may change").
+// On an AVX host a bit-symmetric matrix takes the column sweep for the
+// 32-wide blocks of [lo,hi): out[i] accumulates J[j][i]·x[j], the row
+// walk's operands read from row j where four outputs lie side by side,
+// j tiled with the partial sums parked in out. Every other row — the
+// (hi−lo) mod 32 remainder, any matrix not verified symmetric, any other
+// host — is register-blocked four rows at a time (dot4), with the
+// (hi−lo) mod 4 rows left over on the one-row walk. Both kernels read x
+// after they have written to out: out must not alias x.
 func (d *dense) MatVecRange(x, base, out []float64, lo, hi int) {
 	n := d.n
 	x = x[:n]
 	i := lo
+	if useAVX && d.sym && hi-lo >= sweepWidth {
+		top := lo + (hi-lo)/sweepWidth*sweepWidth
+		if top > n {
+			panic(fmt.Sprintf("lattice: MatVecRange [%d,%d) past n=%d", lo, hi, n))
+		}
+		if base != nil {
+			copy(out[lo:top], base[lo:top])
+		} else {
+			clear(out[lo:top])
+		}
+		for jt := 0; jt < n; jt += sweepTile {
+			rows := min(sweepTile, n-jt)
+			for b := lo; b < top; b += sweepWidth {
+				sweep32(&d.data[jt*n+b], uintptr(n)*8, &x[jt], rows, &out[b])
+			}
+		}
+		i = top
+	}
 	for ; i+4 <= hi; i += 4 {
 		var a0, a1, a2, a3 float64
 		if base != nil {

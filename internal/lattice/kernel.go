@@ -58,14 +58,26 @@ func ForRange(n, workers int, fn func(lo, hi int)) {
 }
 
 // MatVec fills out[i] = base[i] + Σ_j J_ij·x[j] over all rows, fanned
-// over workers. Bit-identical across worker counts and backends.
+// over workers. Bit-identical across worker counts and backends. One
+// worker is the single (0, n) call ForRange would make, made directly:
+// the closure handed to ForRange escapes to the heap, and a serial
+// engine calls this once per step.
 func MatVec(c Coupling, x, base, out []float64, workers int) {
+	if workers <= 1 {
+		c.MatVecRange(x, base, out, 0, c.N())
+		return
+	}
 	ForRange(c.N(), workers, func(lo, hi int) { c.MatVecRange(x, base, out, lo, hi) })
 }
 
 // Fields fills out[i] = base[i] + Σ_j J_ij·σ_j over all rows, fanned
-// over workers. Bit-identical across worker counts and backends.
+// over workers. Bit-identical across worker counts and backends; one
+// worker is a direct call, as in MatVec.
 func Fields(c Coupling, spins []int8, base, out []float64, workers int) {
+	if workers <= 1 {
+		c.FieldsRange(spins, base, out, 0, c.N())
+		return
+	}
 	ForRange(c.N(), workers, func(lo, hi int) { c.FieldsRange(spins, base, out, lo, hi) })
 }
 

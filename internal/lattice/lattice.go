@@ -81,24 +81,51 @@
 // and add row[j]·x[j] for ascending j, every product and every addition
 // rounded to float64. A kernel may interleave rows — work on several
 // rows' sums side by side, in any order, on any worker — because rows
-// share no accumulator. It may never touch a row's sum: not split it
-// over two accumulators (that re-associates the additions), not reorder
-// its columns, not fuse a product into its addition (math.FMA skips the
-// product's rounding), not narrow it to float32, not trade the division
-// behind a scaled view for a reciprocal. The dense MatVecRange is the
-// worked example. The RK4 derivative of a 64- or 128-spin chip spends
-// its time in row dots too short for the core to hide one add chain's
-// latency, so the kernel takes four rows per block: they share each
-// load of x[j] and keep one accumulator each, four independent chains
-// in flight, and every out[i] still carries the one-row walk's bits.
-// That holds on architectures where the compiler fuses x*y + z as well:
-// the fusion is a rewrite of a single expression whose product has no
-// other use, the blocked loop writes acc += row[j]*x[j] in the walk's
-// own form, and so wherever the walk is fused the blocks are fused the
-// same way. matvec_test.go and FuzzMatVecRange compare the two by
-// Float64bits — except that a NaN only has to be a NaN: when two
-// different NaNs meet, which payload survives is the instruction's
-// choice on either path.
+// share no accumulator. It may keep several rows' sums in the lanes of
+// one packed register and multiply and add them with packed
+// instructions that round each lane's product and each lane's sum
+// separately: a lane is an accumulator like any other. And where the
+// matrix was checked to equal its transpose bit for bit, it may read
+// J_ji where the walk reads J_ij — the same operand from another
+// address. It may never touch a row's sum: not split it over two
+// accumulators (that re-associates the additions), not reorder its
+// columns, not fuse a product into its addition (math.FMA, or a packed
+// fused multiply-add, skips the product's rounding), not narrow it to
+// float32, not trade the division behind a scaled view for a
+// reciprocal.
+//
+// The dense MatVecRange is the worked example, twice. The RK4
+// derivative of a 64- or 128-spin chip spends its time in row dots too
+// short for the core to hide one add chain's latency. The portable
+// kernel (dot4) takes four rows per block: they share each load of x[j]
+// and keep one accumulator each, four independent chains in flight, and
+// every out[i] still carries the one-row walk's bits. That holds on
+// architectures where the compiler fuses x*y + z as well: the fusion is
+// a rewrite of a single expression whose product has no other use, the
+// blocked loop writes acc += row[j]*x[j] in the walk's own form, and so
+// wherever the walk is fused the blocks are fused the same way.
+//
+// The second kernel is the column sweep (sweep_amd64.s), taken on an
+// amd64 host with AVX for the 32-row blocks of a range when FromDense
+// found the stored matrix symmetric. The resistor between two nodes
+// conducts both ways, so J[j][i..i+3] — contiguous in the row-major
+// array — holds exactly the operands rows i..i+3 need at column j:
+// broadcast x[j], VMULPD against that slice, VADDPD into a register of
+// four sums, eight registers and so eight independent add chains per
+// sweep. Each sum still starts at base[i] and adds the same products in
+// ascending j; only the address the coupling was loaded from differs.
+// The sweep visits 64 matrix rows at a time and parks the partial sums
+// in out between tiles, so a 4096-spin matrix's strided reads revisit
+// 64 pages rather than 4096. Remainder rows, matrices that failed the
+// symmetry check (a raw slice handed to FromDense may be anything) and
+// every other host take dot4; nothing selects a kernel but what the
+// code observes.
+//
+// matvec_test.go and FuzzMatVecRange compare both kernels with the
+// one-row walk by Float64bits, on an AVX host once as detected and once
+// with the sweep switched off — except that a NaN only has to be a NaN:
+// when two different NaNs meet, which payload survives is the
+// instruction's choice on either path.
 package lattice
 
 import (
@@ -193,8 +220,11 @@ type Coupling interface {
 	// MatVecRange fills out[i] = base[i] + Σ_j J_ij·x[j] for rows
 	// lo ≤ i < hi (nil base means zero). Only out[lo:hi] is written, so
 	// concurrent calls may share one out over disjoint ranges. out must
-	// not alias x: a backend may read all of x for several rows before
-	// it stores any of them (the dense kernel does).
+	// not alias x, for two reasons: a backend may read all of x for
+	// several rows before it stores any of them (dot4 does), and
+	// out[lo:hi] may hold partial sums while the call is still reading x
+	// (the column sweep parks them there between tiles) — its contents
+	// are defined only once the call returns.
 	MatVecRange(x, base, out []float64, lo, hi int)
 	// FieldsRange is MatVecRange over a spin vector, skipping zero
 	// couplings: out[i] = base[i] + Σ_j J_ij·σ_j.

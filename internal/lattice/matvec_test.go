@@ -8,9 +8,9 @@ import (
 	"mbrim/internal/rng"
 )
 
-// refMatVec is the one-row ascending-column walk the blocked dense
-// kernel must reproduce bit for bit — dense.MatVecRange as it stood
-// before the four-row blocks, kept here as the reference.
+// refMatVec is the one-row ascending-column walk both dense kernels
+// must reproduce bit for bit — dense.MatVecRange as it stood before the
+// four-row blocks and the column sweep, kept here as the reference.
 func refMatVec(n int, data, x, base, out []float64, lo, hi int) {
 	x = x[:n]
 	for i := lo; i < hi; i++ {
@@ -43,29 +43,49 @@ var specials = []float64{
 	1 + 0x1p-30, 1e300, -1e300,
 }
 
+// bothKernels runs fn with the AVX switch as detected and then forced
+// off, so an AVX host proves the column sweep and the portable dot4 walk
+// alike (a host without AVX has only the second to prove).
+func bothKernels(fn func()) {
+	detected := useAVX
+	defer func() { useAVX = detected }()
+	fn()
+	if detected {
+		useAVX = false
+		fn()
+	}
+}
+
 // checkMatVec compares MatVecRange over [lo,hi) with the row walk over
-// ref (the view's entries as the walk should see them), and checks that
-// nothing outside the range is written.
+// ref (the view's entries as the walk should see them), on both kernels,
+// and checks that nothing outside the range is written.
 func checkMatVec(t *testing.T, c Coupling, n int, ref, x, base []float64, lo, hi int) {
 	t.Helper()
 	const poison = 12345.5
 	got, want := make([]float64, n), make([]float64, n)
-	for i := range got {
-		got[i], want[i] = poison, poison
+	for i := range want {
+		want[i] = poison
 	}
-	c.MatVecRange(x, base, got, lo, hi)
 	refMatVec(n, ref, x, base, want, lo, hi)
-	for i := range got {
-		if !sameBits(got[i], want[i]) {
-			t.Fatalf("n=%d [%d,%d) row %d: got %v (%#x), row walk %v (%#x)", n, lo, hi, i,
-				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+	bothKernels(func() {
+		for i := range got {
+			got[i] = poison
 		}
-	}
+		c.MatVecRange(x, base, got, lo, hi)
+		for i := range got {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("n=%d [%d,%d) avx=%v row %d: got %v (%#x), row walk %v (%#x)", n, lo, hi, useAVX, i,
+					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	})
 }
 
 // residueRanges returns (lo,hi) pairs covering every pair of residues
-// mod 4 that n admits — so every block count and every remainder length
-// — plus the empty range.
+// mod 4 that n admits — so every dot4 block count and every remainder
+// length — then the column sweep's edges: a start on, beside and a
+// block past an aligned offset, by every width around one and two
+// 32-row blocks and the rest of the matrix; plus the empty range.
 func residueRanges(n int) [][2]int {
 	var rs [][2]int
 	for lo := 0; lo < 4 && lo <= n; lo++ {
@@ -75,14 +95,22 @@ func residueRanges(n int) [][2]int {
 			}
 		}
 	}
+	for _, lo := range []int{0, 1, 31, 32, 33} {
+		for _, w := range []int{0, 1, 31, 32, 33, 63, 64, 65, n - lo} {
+			if w >= 0 && lo+w <= n {
+				rs = append(rs, [2]int{lo, lo + w})
+			}
+		}
+	}
 	return append(rs, [2]int{n / 2, n / 2})
 }
 
 func TestMatVecBlockedMatchesRowWalk(t *testing.T) {
 	const div = 3.7
 	// 515 is past two KernelChunks, so MatVec at four workers really
-	// fans out; the rest are the block-edge sizes.
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 130, 515} {
+	// fans out, and past eight 64-row sweep tiles; the rest are the
+	// block-edge sizes of dot4 (4) and of the sweep (32, 64).
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 31, 32, 33, 63, 64, 65, 95, 96, 97, 130, 160, 515} {
 		r := rng.New(uint64(n) + 70)
 		unit := randSym(n, 0.8, uint64(n)+71)
 		weighted := make([]float64, n*n)
@@ -133,14 +161,18 @@ func TestMatVecBlockedMatchesRowWalk(t *testing.T) {
 						checkMatVec(t, v.c, n, v.ref, x, base, rg[0], rg[1])
 					}
 					// Worker counts split at the same fixed chunks.
-					one, four := make([]float64, n), make([]float64, n)
-					MatVec(v.c, x, base, one, 1)
-					MatVec(v.c, x, base, four, 4)
-					for i := range one {
-						if !sameBits(one[i], four[i]) {
-							t.Fatalf("n=%d %s row %d: workers 1 %v vs 4 %v", n, v.name, i, one[i], four[i])
+					walk := make([]float64, n)
+					refMatVec(n, v.ref, x, base, walk, 0, n)
+					bothKernels(func() {
+						one, four := make([]float64, n), make([]float64, n)
+						MatVec(v.c, x, base, one, 1)
+						MatVec(v.c, x, base, four, 4)
+						for i := range one {
+							if !sameBits(one[i], walk[i]) || !sameBits(four[i], walk[i]) {
+								t.Fatalf("n=%d %s avx=%v row %d: workers 1 %v, 4 %v, row walk %v", n, v.name, useAVX, i, one[i], four[i], walk[i])
+							}
 						}
-					}
+					})
 				}
 			}
 		}
@@ -150,28 +182,98 @@ func TestMatVecBlockedMatchesRowWalk(t *testing.T) {
 // TestMatVecRangeWritesOnlyItsRange pins the Coupling contract every
 // caller that shares one out slice between ranges relies on (ForRange
 // chunks, sbm's per-chip rows): on both backends, out outside [lo,hi)
-// keeps its poison.
+// keeps its poison. 70 rows are two sweep blocks and a remainder: the
+// sweep parks partial sums in out, and must park them nowhere else.
 func TestMatVecRangeWritesOnlyItsRange(t *testing.T) {
-	const n = 37
-	data := randSym(n, 0.5, 80)
-	x, base := randVec(n, 81), randVec(n, 82)
-	for _, c := range allBackends(t, n, data, 0) {
-		for _, rg := range residueRanges(n) {
-			checkMatVec(t, c, n, data, x, base, rg[0], rg[1])
+	for _, n := range []int{37, 70} {
+		data := randSym(n, 0.5, 80)
+		x, base := randVec(n, 81), randVec(n, 82)
+		for _, c := range allBackends(t, n, data, 0) {
+			for _, rg := range residueRanges(n) {
+				checkMatVec(t, c, n, data, x, base, rg[0], rg[1])
+			}
 		}
 	}
 }
 
-// FuzzMatVecRange drives the blocked kernel from raw bytes: size, range,
-// scaling, and every entry, x and base value as arbitrary float64 bit
-// patterns; every row must carry the row walk's bits and nothing outside
-// the range may be written.
+// TestAsymmetricMatrixKeepsRowKernel: FromDense is exported over a raw
+// slice, and a column sweep of a matrix that is not its own transpose
+// would silently compute Jᵀx. The dense arm compares the two triangles
+// bit for bit at construction and only a symmetric matrix may sweep; a
+// flipped sign, a differing last bit, a zero of the other sign or a NaN
+// of another payload each keep the row walk's answer.
+func TestAsymmetricMatrixKeepsRowKernel(t *testing.T) {
+	const n, div = 70, 3.7
+	r := rng.New(90)
+	symm := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := r.Float64()*4 - 2
+			symm[i*n+j], symm[j*n+i] = v, v
+		}
+	}
+	symm[5*n+60], symm[60*n+5] = 0, 0
+	nan := math.Float64frombits(0x7ff8000000000001)
+	symm[7*n+66], symm[66*n+7] = nan, nan
+	x, base := randVec(n, 91), randVec(n, 92)
+
+	cases := []struct {
+		name string
+		edit func(d []float64)
+		sym  bool
+	}{
+		{"symmetric", func(d []float64) {}, true},
+		{"flipped sign", func(d []float64) { d[3*n+40] = -d[3*n+40] }, false},
+		{"low bit", func(d []float64) { d[50*n+10] = math.Float64frombits(math.Float64bits(d[50*n+10]) ^ 1) }, false},
+		{"zero sign", func(d []float64) { d[60*n+5] = math.Copysign(0, -1) }, false},
+		{"NaN payload", func(d []float64) { d[66*n+7] = math.Float64frombits(0x7ff8000000000002) }, false},
+		{"both", func(d []float64) {
+			d[3*n+40] = -d[3*n+40]
+			d[50*n+10] = math.Float64frombits(math.Float64bits(d[50*n+10]) ^ 1)
+		}, false},
+	}
+	for _, tc := range cases {
+		data := append([]float64(nil), symm...)
+		tc.edit(data)
+		scaled := make([]float64, len(data))
+		for i, v := range data {
+			scaled[i] = v / div
+		}
+		for _, v := range []struct {
+			div float64
+			ref []float64
+		}{{0, data}, {div, scaled}} {
+			c := FromDense(n, data, Dense, v.div)
+			if got := c.(*dense).sym; got != tc.sym {
+				t.Fatalf("%s div=%v: sym = %v, want %v", tc.name, v.div, got, tc.sym)
+			}
+			for _, rg := range residueRanges(n) {
+				checkMatVec(t, c, n, v.ref, x, base, rg[0], rg[1])
+			}
+			walk, got := make([]float64, n), make([]float64, n)
+			refMatVec(n, v.ref, x, base, walk, 0, n)
+			MatVec(c, x, base, got, 4)
+			for i := range got {
+				if !sameBits(got[i], walk[i]) {
+					t.Fatalf("%s div=%v: MatVec row %d: got %v, row walk %v", tc.name, v.div, i, got[i], walk[i])
+				}
+			}
+		}
+	}
+}
+
+// FuzzMatVecRange drives both dense kernels from raw bytes: size (up to
+// 160: two-plus sweep tiles, up to five sweep blocks, a remainder),
+// range, scaling, and every entry, x and base value as arbitrary float64
+// bit patterns; every row must carry the row walk's bits and nothing
+// outside the range may be written.
 func FuzzMatVecRange(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), []byte{0})
 	f.Add(uint8(64), uint8(1), uint8(62), uint8(1), []byte("four rows share each load of x and keep one sum each"))
 	f.Add(uint8(95), uint8(3), uint8(90), uint8(2), []byte{0xff, 0xf0, 0, 0, 0, 0, 0, 1, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 0x80})
+	f.Add(uint8(128), uint8(1), uint8(127), uint8(3), []byte("the resistor conducts both ways: row j holds four outputs side by side"))
 	f.Fuzz(func(t *testing.T, size, from, span, mode uint8, raw []byte) {
-		n := int(size)%96 + 1
+		n := int(size)%160 + 1
 		lo := int(from) % (n + 1)
 		hi := lo + int(span)%(n-lo+1)
 		for len(raw) < 8 {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"testing"
 
@@ -58,12 +59,50 @@ func hashJSON(t *testing.T, vs ...any) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// goldenTanh are math.Tanh values as the host that cut the voltage
+// goldens returns them: amd64, where math.Exp is assembly with a fused
+// multiply-add arm the CPU's FMA bit selects. Each of these arguments
+// lands one ulp away when that arm is off (GODEBUG=cpu.fma=off, a CPU
+// without FMA) — and the pure-Go Exp of other architectures is a third
+// implementation.
+var goldenTanh = []struct {
+	arg  float64
+	bits uint64
+}{
+	{163.0 / 256, 0x3fe2015228a06141},
+	{195.0 / 256, 0x3fe48bfc9abc70e6},
+	{211.0 / 256, 0x3fe5acede1ab176e},
+	{232.0 / 256, 0x3fe704bb1b7fcb81},
+	{276.0 / 256, 0x3fe95c2eb826a7cf},
+	{553.0 / 256, 0x3fef2905666849f7},
+}
+
+// skipUnlessGoldenTanh skips a golden whose hashes cover node voltages
+// when this host's math.Tanh is not the golden host's. The lattice
+// kernels carry the same bits on every host (matvec_test.go proves the
+// AVX sweep against the row walk); tanh, which brim's derivative calls
+// per node per RK4 stage, is the one host-dependent operation in a
+// trajectory, so a mismatch here is a property of the host and not a
+// change of behaviour.
+func skipUnlessGoldenTanh(t *testing.T) {
+	t.Helper()
+	for _, g := range goldenTanh {
+		if got := math.Float64bits(math.Tanh(g.arg)); got != g.bits {
+			t.Skipf("math.Tanh(%v) = %#x on this host, %#x on the host that cut the golden (amd64 with FMA): "+
+				"voltage checkpoints differ in their last bits here, which says nothing about the code under test",
+				g.arg, got, g.bits)
+		}
+	}
+}
+
 // TestStreamsGolden pins every observable of the three run modes —
 // results, checkpoints, and the order and content of every event and
 // span — against testdata/streams.golden.json, which the commit before
 // the run modes were folded into one epoch frame generated. The file is
-// never regenerated: a change that moves a hash has changed behaviour.
+// never regenerated: a change that moves a hash has changed behaviour —
+// on a host whose math.Tanh is the golden's (skipUnlessGoldenTanh).
 func TestStreamsGolden(t *testing.T) {
+	skipUnlessGoldenTanh(t)
 	raw, err := os.ReadFile("testdata/streams.golden.json")
 	if err != nil {
 		t.Fatal(err)
