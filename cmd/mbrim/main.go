@@ -11,10 +11,14 @@
 // The exit status is 0 on success; the solution, cut value, energy and
 // the time ledger are printed to stdout.
 //
-// With -cluster URL,URL,... the solve is distributed: the CLI becomes
-// the coordinator of the fabric in internal/cluster, sharding the
-// model across mbrimd -worker nodes. The -chaos-* flags front the
-// workers with fault-injecting proxies for robustness drills:
+// -cluster URL,URL,... is -solver cluster with its worker list: the
+// registered "cluster" engine shards the model across mbrimd -worker
+// nodes and coordinates them from this process, through the same solve
+// call, interrupt path and printers as every other engine — so -resume,
+// -checkpoint, -trace, -span-trace, -diag and -json mean what they mean
+// for -solver mbrim, whose trajectory it reproduces bit for bit. The
+// -chaos-* flags front the workers with fault-injecting proxies for
+// robustness drills (cluster.go):
 //
 //	mbrimd -addr :8361 -worker &
 //	mbrimd -addr :8362 -worker &
@@ -38,6 +42,8 @@ import (
 	"time"
 
 	"mbrim"
+	_ "mbrim/internal/cluster" // registers the "cluster" engine
+	"mbrim/internal/cluster/chaosproxy"
 	runsvc "mbrim/internal/runs"
 )
 
@@ -78,10 +84,9 @@ func main() {
 	recoverBackoff := flag.Float64("recover-backoff", 0, "stall per retransmit attempt, ns (0 = default 0.5)")
 	recoverWatchdog := flag.Float64("recover-watchdog", 0, "shadow-divergence fraction forcing a full-bitmap resync (0 = off)")
 	recoverRepartition := flag.Bool("recover-repartition", false, "repartition a dead chip's slice onto survivors")
-	clusterWorkers := flag.String("cluster", "", "distribute the solve across these mbrimd -worker URLs (comma-separated)")
+	clusterWorkers := flag.String("cluster", "", "solve with the cluster engine across these mbrimd -worker URLs (comma-separated)")
 	ckptEvery := flag.Int("ckpt-every", 0, "cluster coordinated-checkpoint cadence, epochs (0 = default 8)")
-	federate := flag.Bool("federate", false, "cluster mode: federate worker telemetry (distributed trace + fleet diagnostics)")
-	clusterTrace := flag.String("cluster-trace", "", "cluster mode: write the merged Perfetto-loadable fleet trace to FILE (implies -federate)")
+	federate := flag.Bool("federate", false, "cluster engine: pull the workers' spans into the run's stream (-span-trace then holds the fleet trace, -diag its fleet section)")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "cluster chaos proxies: fate-schedule seed")
 	chaosDrop := flag.Float64("chaos-drop", 0, "cluster chaos proxies: per-request connection-drop probability")
 	chaosError := flag.Float64("chaos-error", 0, "cluster chaos proxies: per-request 503 probability")
@@ -117,6 +122,9 @@ func main() {
 		return
 	}
 
+	if *clusterWorkers != "" {
+		*solver = string(mbrim.Cluster)
+	}
 	kind, err := mbrim.ParseKind(*solver)
 	if err != nil {
 		fatal(err)
@@ -275,39 +283,24 @@ func main() {
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// -cluster switches the CLI from solving in process to coordinating
-	// a distributed solve across mbrimd -worker nodes (see cluster.go).
-	if *clusterWorkers != "" {
-		runCluster(ctx, info, model, g, quboOffset, clusterOpts{
-			workers:     *clusterWorkers,
-			chips:       *chips,
-			duration:    *duration,
-			epoch:       *epoch,
-			coordinated: *coordinated,
-			bandwidth:   *bandwidth,
-			backend:     *backend,
-			seed:        *seed,
-			sample:      *sample,
-			ckptEvery:   *ckptEvery,
-			federate:    *federate,
-			tracePath:   *clusterTrace,
-
-			chaosSeed:      *chaosSeed,
-			chaosDrop:      *chaosDrop,
-			chaosError:     *chaosError,
-			chaosDelayRate: *chaosDelayRate,
-			chaosDelay:     *chaosDelay,
-			killWorker:     *chaosKillWorker,
-			killEpoch:      *chaosKillEpoch,
-
-			jsonOut:    *jsonOut,
-			printSpins: *printSpins,
-			metricsOut: *metricsOut,
-			ckptPath:   *ckptPath,
-			tracer:     tracer,
-			registry:   registry,
-		})
-		return
+	// The cluster engine's part of the request: the workers (behind chaos
+	// proxies when a -chaos-* flag asks), and a run id of this process's
+	// own — the engine's anonymous numbering would collide between two
+	// CLI processes sharing workers.
+	var cspec mbrim.ClusterSpec
+	var runID string
+	if kind == mbrim.Cluster {
+		cspec = mbrim.ClusterSpec{CheckpointEvery: *ckptEvery, Federate: *federate}
+		var stopChaos func()
+		cspec.Workers, tracer, stopChaos = chaosFront(info, splitWorkers(*clusterWorkers), tracer, chaosproxy.Config{
+			Seed:      *chaosSeed,
+			DropRate:  *chaosDrop,
+			ErrorRate: *chaosError,
+			DelayRate: *chaosDelayRate,
+			Delay:     *chaosDelay,
+		}, *chaosKillWorker, *chaosKillEpoch)
+		defer stopChaos()
+		runID = fmt.Sprintf("cli-%d-%d", os.Getpid(), time.Now().UnixNano())
 	}
 
 	out, err := mbrim.SolveCtx(ctx, mbrim.Request{
@@ -351,6 +344,8 @@ func main() {
 		},
 		Resume:    resumeBytes,
 		Portfolio: pspec,
+		Cluster:   cspec,
+		RunID:     runID,
 	})
 	var intr *mbrim.InterruptedError
 	if errors.As(err, &intr) {
@@ -451,7 +446,8 @@ func main() {
 	fmt.Printf("wall:    %v\n", out.Wall)
 	for _, name := range []string{"flips", "bitChanges", "trafficBytes", "stallNS", "launches", "glueOps",
 		"faultDrops", "faultCorruptions", "faultDelays", "faultStalls", "faultChipLosses",
-		"recoveryRetransmits", "recoveryResyncs", "recoveryRepartitions", "recoveryStallNS"} {
+		"recoveryRetransmits", "recoveryResyncs", "recoveryRepartitions", "recoveryStallNS",
+		"epochs", "liveWorkers", "rpcRetries", "workerDeaths", "recoveries", "replayedEpochs", "handoffBytes", "degraded"} {
 		if v, ok := out.Stats[name]; ok && v != 0 {
 			fmt.Printf("%-8s %.0f\n", name+":", v)
 		}

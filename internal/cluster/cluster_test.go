@@ -24,6 +24,18 @@ import (
 	"mbrim/internal/runs"
 )
 
+// atBarrier is a Tracer that calls f with the epoch of every barrier the
+// coordinator completes — its EpochSync event, emitted before the next
+// RPC goes out: where a test kills a worker or cancels the run between
+// two epochs.
+type atBarrier func(epoch int)
+
+func (f atBarrier) Emit(e obs.Event) {
+	if e.Kind == obs.EpochSync {
+		f(e.Epoch)
+	}
+}
+
 func kmodel(n int, seed uint64) *ising.Model {
 	return graph.Complete(n, rng.New(seed)).ToIsing()
 }
@@ -195,12 +207,12 @@ func TestClusterRecoversFromWorkerKill(t *testing.T) {
 	cfg := fastConfig(urls, 3, 99, 25)
 	cfg.CheckpointEvery = 2
 	killed := false
-	cfg.OnEpoch = func(epoch int) {
+	cfg.Tracer = atBarrier(func(epoch int) {
 		if epoch == 5 && !killed {
 			killed = true
 			proxies[2].Blackhole(true)
 		}
-	}
+	})
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
 
@@ -313,11 +325,11 @@ func TestClusterInterruptCheckpointResumesInProcess(t *testing.T) {
 	want := inProcess(t, m, cfg)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cfg.OnEpoch = func(epoch int) {
+	cfg.Tracer = atBarrier(func(epoch int) {
 		if epoch == 3 {
 			cancel()
 		}
-	}
+	})
 	co, err := New(m, "t-interrupt", cfg)
 	if err != nil {
 		t.Fatal(err)

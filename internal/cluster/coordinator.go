@@ -77,21 +77,15 @@ type Config struct {
 	// 10, the fault layer's repartition figure).
 	HandoffNSPerSpin float64
 
-	// OnEpoch, if non-nil, runs after every completed barrier — the
-	// deterministic injection point chaos harnesses use (e.g.
-	// blackhole a proxy at epoch 7).
-	OnEpoch func(epoch int)
-
 	// Federate enables fleet observability: the coordinator derives a
 	// run-scoped trace ID, opens a span tree over the solve, threads
 	// trace context on every RPC so workers emit chip_step/slice_sync
 	// spans under it, pulls worker event streams each checkpoint round
 	// — forwarding them, origin-stamped, to Tracer beside its own
-	// "co"-stamped stream, where a diag.Reducer folds the fleet view —
-	// and scrapes worker metrics into worker-labeled fleet_* series. The
-	// canonically merged trace is served by FederatedEvents / TraceID.
-	// Off by default; the disabled path costs one nil check per
-	// instrumentation site.
+	// "co"-stamped stream, where a diag.Reducer folds the fleet view and
+	// obs.WriteChromeTrace renders the fleet trace — and scrapes worker
+	// metrics into worker-labeled fleet_* series. Off by default; the
+	// disabled path costs one nil check per instrumentation site.
 	Federate bool
 
 	// Metrics receives cluster_* instruments; Tracer the run's event
@@ -213,8 +207,8 @@ type Coordinator struct {
 	parts [][]int
 	tr    *transport
 	// tracer is the run's effective event sink: cfg.Tracer directly, or
-	// — when federating — a stamping fan-out that also feeds the
-	// federation ring. fed is nil unless cfg.Federate.
+	// — when federating — cfg.Tracer behind the run's trace ID and the
+	// "co" origin stamp. fed is nil unless cfg.Federate.
 	tracer obs.Tracer
 	fed    *federation
 
@@ -296,7 +290,7 @@ func (co *Coordinator) name(runID string) {
 	co.tracer = co.cfg.Tracer
 	if co.cfg.Federate {
 		co.fed = newFederation(co.cfg, runID, len(co.cfg.Workers))
-		co.tracer = obs.StampTracer(obs.Fanout(co.fed.co, co.cfg.Tracer), co.fed.traceID, "co")
+		co.tracer = obs.StampTracer(co.cfg.Tracer, co.fed.traceID, "co")
 		co.fed.spans = obs.NewSpanner(co.tracer)
 	}
 }
@@ -629,9 +623,6 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 		pos.Trace = append(pos.Trace, metrics.Point{X: pos.ElapsedNS, Y: energy})
 		co.emit(obs.Event{Kind: obs.EnergySample, Epoch: pos.EpochsDone, ModelNS: pos.ElapsedNS, Value: energy})
 		pos.NextSampleNS = pos.ElapsedNS + co.cfg.SampleEveryNS
-	}
-	if co.cfg.OnEpoch != nil {
-		co.cfg.OnEpoch(pos.EpochsDone)
 	}
 
 	if !co.done() && pos.EpochsDone%co.cfg.CheckpointEvery == 0 {

@@ -12,20 +12,23 @@ package cluster
 //   - each worker's /metrics.json, scraped on the same cadence and
 //     re-exported as worker-labeled fleet_* gauges.
 //
-// Every pulled worker event is also forwarded, origin-stamped and
+// Every pulled worker event is forwarded, origin-stamped and
 // clock-shifted, to Config.Tracer, so the run's own sinks — a run
-// manager's ring, SSE tail and diag.Reducer, or the CLI's — see the
-// workers beside the coordinator; the reducer's fleet view is built
-// from that stream, not here.
+// manager's ring, SSE tail and diag.Reducer, or the CLI's capture —
+// see the workers beside the coordinator. That stream is the federated
+// trace: the collector keeps no copy of it. The reducer's fleet view is
+// built from it, and obs.WriteChromeTrace renders it (GET
+// /runs/{id}/trace, mbrim -span-trace).
 //
-// Merging is deterministic by construction: the canonical order is a
-// stable sort by (model time, origin rank, span ID, start-before-end),
-// all of which are deterministic fields, so a complete federated run
-// always serializes to the same trace no matter how pulls interleaved
-// with the run (the wall-time fields are the usual nondeterministic
-// exceptions, and the golden test zeroes them). Wall stamps from
-// workers are shifted onto the coordinator's clock by the offset the
-// /worker/clock handshake estimated.
+// The stream is deterministic up to interleaving: pulls land between
+// the coordinator's own events wherever the checkpoint cadence puts
+// them, but each origin's events arrive in its emission order and every
+// field but the two wall-clock ones is deterministic, so a stable sort
+// by (model time, origin, span ID, start-before-end) brings any two runs
+// of one seeded configuration to the same sequence (the golden test does
+// exactly that). Wall stamps from workers are shifted onto the
+// coordinator's clock by the offset the /worker/clock handshake
+// estimated.
 //
 // Federation is observability, not control: every fetch is a single
 // t.once attempt — no retries, no retry-budget draw — so a flaky or
@@ -36,22 +39,12 @@ import (
 	"context"
 	"hash/fnv"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"mbrim/internal/diag"
 	"mbrim/internal/obs"
-)
-
-// Federation ring capacities: the coordinator stream and each pulled
-// worker stream are bounded independently; eviction shows up as a
-// truncated trace, never unbounded memory.
-const (
-	coFederationRing     = 16384
-	workerFederationRing = 16384
 )
 
 // deriveTraceID derives the run's trace ID deterministically from the
@@ -73,16 +66,13 @@ type federation struct {
 	chips   int
 	spans   *obs.Spanner // coordinator-side spans (IDs from 1)
 	runSpan obs.Span
-	co      *obs.Ring     // coordinator's own stamped stream
 	out     obs.Tracer    // Config.Tracer: pulled worker events are forwarded here
 	reg     *obs.Registry // Config.Metrics; nil instruments are no-ops
 	runID   string
 
 	mu      sync.Mutex
-	workers []*obs.Ring // pulled worker events, per worker ordinal
-	cursors []int64     // EventsSince cursor per worker
-	offsets []int64     // worker wall clock minus coordinator's, ns
-	pulled  int64
+	cursors []int64 // EventsSince cursor per worker
+	offsets []int64 // worker wall clock minus coordinator's, ns
 	dropped int64
 }
 
@@ -90,16 +80,11 @@ func newFederation(c Config, runID string, workers int) *federation {
 	f := &federation{
 		traceID: deriveTraceID(c.Seed, runID),
 		chips:   c.Chips,
-		co:      obs.NewRing(coFederationRing),
 		out:     c.Tracer,
 		reg:     c.Metrics,
 		runID:   runID,
-		workers: make([]*obs.Ring, workers),
 		cursors: make([]int64, workers),
 		offsets: make([]int64, workers),
-	}
-	for wi := range f.workers {
-		f.workers[wi] = obs.NewRing(workerFederationRing)
 	}
 	if reg := c.Metrics; reg != nil {
 		reg.SetHelp("fleet.pull_wall_ns", "wall time one federation pull round took (trace pages + metrics scrapes)")
@@ -138,8 +123,8 @@ func (f *federation) cursor(wi int) int64 {
 
 // ingest folds one pulled page from worker wi: filter to this run's
 // trace, shift wall stamps onto the coordinator's clock, stamp the
-// origin, and feed both the merge ring and the run's own tracer.
-// Returns how many events were kept.
+// origin, and forward to the run's tracer. Returns how many events were
+// kept.
 func (f *federation) ingest(wi int, since int64, page EventsPage) int {
 	f.mu.Lock()
 	var gap int64
@@ -163,10 +148,8 @@ func (f *federation) ingest(wi int, since int64, page EventsPage) int {
 		}
 		e.WallNS -= off
 		e.Origin = origin
-		f.workers[wi].Emit(e)
 		kept = append(kept, e)
 	}
-	f.pulled += int64(len(kept))
 	if page.Total > f.cursors[wi] {
 		f.cursors[wi] = page.Total
 	}
@@ -178,54 +161,6 @@ func (f *federation) ingest(wi int, since int64, page EventsPage) int {
 		}
 	}
 	return len(kept)
-}
-
-// originRank orders event sources in the canonical merge: coordinator
-// first, then workers by ordinal.
-func originRank(origin string) int {
-	if wi, ok := diag.WorkerOrigin(origin); ok {
-		return wi + 1
-	}
-	return 0
-}
-
-// merged returns the federated event stream in canonical order: a
-// stable sort of all sources by model time, then origin rank, then
-// span ID, then start-before-end. Every key is deterministic, so a
-// complete run merges identically regardless of pull timing; during a
-// live run the view is simply the events federated so far.
-func (f *federation) merged() []obs.Event {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := f.co.Events()
-	for _, r := range f.workers {
-		out = append(out, r.Events()...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.ModelNS != b.ModelNS {
-			return a.ModelNS < b.ModelNS
-		}
-		if ra, rb := originRank(a.Origin), originRank(b.Origin); ra != rb {
-			return ra < rb
-		}
-		if a.Span != b.Span {
-			return a.Span < b.Span
-		}
-		return spanKindRank(a.Kind) < spanKindRank(b.Kind)
-	})
-	return out
-}
-
-func spanKindRank(k obs.Kind) int {
-	switch k {
-	case obs.SpanStart:
-		return 0
-	case obs.SpanEnd:
-		return 1
-	default:
-		return 2
-	}
 }
 
 // --- Coordinator-side federation driver -----------------------------
@@ -342,23 +277,4 @@ func (co *Coordinator) finishFederation(res *Result) {
 	if m := co.metric(); m != nil {
 		m.Gauge("fleet.model_traffic_bytes").Set(res.TrafficBytes)
 	}
-}
-
-// TraceID returns the run's federated trace ID, 0 when the run is not
-// federated.
-func (co *Coordinator) TraceID() uint64 {
-	if co.fed == nil {
-		return 0
-	}
-	return co.fed.traceID
-}
-
-// FederatedEvents returns the run's merged event stream in canonical
-// order — what `mbrim -cluster-trace` passes to obs.WriteChromeTrace.
-// Nil when the run is not federated.
-func (co *Coordinator) FederatedEvents() []obs.Event {
-	if co.fed == nil {
-		return nil
-	}
-	return co.fed.merged()
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -29,9 +30,14 @@ func normalizeWall(events []obs.Event) {
 	}
 }
 
-func solveFederated(t *testing.T, n int, cfg Config, runID string) (*Coordinator, *Result) {
+// solveFederated runs cfg federated and returns the stream its Tracer
+// was sent — the coordinator's events and the workers' forwarded ones —
+// in canonical order.
+func solveFederated(t *testing.T, n int, cfg Config, runID string) ([]obs.Event, *Result) {
 	t.Helper()
+	log := &eventLog{}
 	cfg.Federate = true
+	cfg.Tracer = obs.Fanout(cfg.Tracer, log)
 	co, err := New(kmodel(n, cfg.Seed), runID, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +46,45 @@ func solveFederated(t *testing.T, n int, cfg Config, runID string) (*Coordinator
 	if err != nil {
 		t.Fatalf("federated Solve: %v", err)
 	}
-	return co, res
+	return canonical(log.events), res
+}
+
+// canonical sorts a federated stream stably by model time, then origin
+// (coordinator first, then workers by ordinal), then span ID, then
+// start-before-end. Every key is deterministic and each origin's events
+// reach the Tracer in their emission order, so any two runs of one
+// seeded configuration sort to the same sequence however the pulls
+// interleaved with the coordinator's own events.
+func canonical(events []obs.Event) []obs.Event {
+	originRank := func(origin string) int {
+		if wi, ok := diag.WorkerOrigin(origin); ok {
+			return wi + 1
+		}
+		return 0
+	}
+	kindRank := func(k obs.Kind) int {
+		switch k {
+		case obs.SpanStart:
+			return 0
+		case obs.SpanEnd:
+			return 1
+		}
+		return 2
+	}
+	sort.SliceStable(events, func(i, j int) bool {
+		a, b := events[i], events[j]
+		if a.ModelNS != b.ModelNS {
+			return a.ModelNS < b.ModelNS
+		}
+		if ra, rb := originRank(a.Origin), originRank(b.Origin); ra != rb {
+			return ra < rb
+		}
+		if a.Span != b.Span {
+			return a.Span < b.Span
+		}
+		return kindRank(a.Kind) < kindRank(b.Kind)
+	})
+	return events
 }
 
 func TestDeriveTraceID(t *testing.T) {
@@ -63,8 +107,7 @@ func TestDeriveTraceID(t *testing.T) {
 // another run's trace are dropped, wall stamps shift by the worker's
 // clock offset, origins are stamped, and eviction gaps — both the
 // partial-page and the everything-evicted shape — are counted, never
-// silently absorbed. What the merge ring keeps, the run's own tracer is
-// forwarded.
+// silently absorbed. What is kept is forwarded to the run's own tracer.
 func TestFederationIngest(t *testing.T) {
 	reg, out := obs.NewRegistry(), obs.NewRing(16)
 	f := newFederation(Config{Seed: 3, Chips: 2, Metrics: reg, Tracer: out}, "t-ingest", 2)
@@ -82,9 +125,9 @@ func TestFederationIngest(t *testing.T) {
 	if kept != 2 {
 		t.Fatalf("kept %d events, want 2 (foreign-trace event filtered)", kept)
 	}
-	evs := f.workers[1].Events()
+	evs := out.Events()
 	if len(evs) != 2 {
-		t.Fatalf("worker ring holds %d events, want 2", len(evs))
+		t.Fatalf("the run's tracer was forwarded %d events, want 2", len(evs))
 	}
 	if evs[0].WallNS != 1000 || evs[1].WallNS != 2000 {
 		t.Fatalf("clock offset not applied: wall stamps %d, %d want 1000, 2000", evs[0].WallNS, evs[1].WallNS)
@@ -96,9 +139,6 @@ func TestFederationIngest(t *testing.T) {
 	}
 	if f.cursor(1) != 3 {
 		t.Fatalf("cursor = %d, want 3", f.cursor(1))
-	}
-	if fwd := out.Events(); len(fwd) != 2 || fwd[0] != evs[0] || fwd[1] != evs[1] {
-		t.Fatalf("forwarded to the run's tracer: %+v, want the two kept events as stamped", fwd)
 	}
 
 	// A page whose first ordinal jumped past the cursor records the
@@ -125,22 +165,21 @@ func TestFederationIngest(t *testing.T) {
 
 // TestFleetTraceGolden pins the whole fleet pipeline end to end: a
 // seeded 2-worker federated solve — trace context propagated on every
-// RPC, worker spans pulled back at checkpoint cadence, clock-shifted,
-// merged with the coordinator's spans in canonical order — must render
-// through WriteChromeTrace to the checked-in golden byte for byte.
-// Model time, span-ID allocation, pull cadence, and the merge keys are
-// all deterministic, so after clearing the two wall-clock fields any
-// drift means the propagation format, span layout, or merge order
-// changed and the golden must be regenerated deliberately with -update.
+// RPC, worker spans pulled back at checkpoint cadence, clock-shifted and
+// forwarded to the run's Tracer beside the coordinator's spans — must,
+// in canonical order, render through WriteChromeTrace to the checked-in
+// golden byte for byte. Model time, span-ID allocation, pull cadence and
+// the sort keys are all deterministic, so after clearing the two
+// wall-clock fields any drift means the propagation format or the span
+// layout changed and the golden must be regenerated deliberately with
+// -update.
 func TestFleetTraceGolden(t *testing.T) {
 	cfg := fastConfig(startWorkers(t, 2), 2, 5, 20)
 	cfg.CheckpointEvery = 2
-	co, res := solveFederated(t, 24, cfg, "fleet-golden")
+	events, res := solveFederated(t, 24, cfg, "fleet-golden")
 	if res.Energy >= 0 {
 		t.Fatalf("no optimization progress (E=%v)", res.Energy)
 	}
-
-	events := co.FederatedEvents()
 	normalizeWall(events)
 	var buf bytes.Buffer
 	if err := obs.WriteChromeTrace(&buf, events); err != nil {
@@ -170,14 +209,13 @@ func TestFleetTraceGolden(t *testing.T) {
 
 // TestFederationMergeDeterministic runs the same seeded config twice
 // against fresh workers and asserts the normalized federated streams
-// are identical — the canonical merge order cannot depend on pull
-// timing, goroutine scheduling, or worker interleaving.
+// are identical in canonical order — what a run federates cannot depend
+// on pull timing, goroutine scheduling, or worker interleaving.
 func TestFederationMergeDeterministic(t *testing.T) {
 	run := func() []obs.Event {
 		cfg := fastConfig(startWorkers(t, 2), 4, 11, 25)
 		cfg.CheckpointEvery = 3
-		co, _ := solveFederated(t, 32, cfg, "fleet-det")
-		evs := co.FederatedEvents()
+		evs, _ := solveFederated(t, 32, cfg, "fleet-det")
 		normalizeWall(evs)
 		return evs
 	}
@@ -215,7 +253,7 @@ func TestFederationNeutralTrajectory(t *testing.T) {
 }
 
 // TestFederationChaosKillMergesOneTrace is the chaos acceptance check:
-// kill a worker mid-run and the finished run still serves ONE merged
+// kill a worker mid-run and the finished run's stream is still ONE
 // trace — every span carries the run's single trace ID, spans from the
 // coordinator and at least two distinct workers appear in it, and the
 // recovery is visible as both a span and fleet-diag attribution.
@@ -239,14 +277,14 @@ func TestFederationChaosKillMergesOneTrace(t *testing.T) {
 	cfg.CheckpointEvery = 2
 	cfg.Federate = true
 	killed := false
-	cfg.OnEpoch = func(epoch int) {
+	kill := atBarrier(func(epoch int) {
 		if epoch == 5 && !killed {
 			killed = true
 			proxies[2].Blackhole(true)
 		}
-	}
-	red := diag.New(diag.Config{})
-	cfg.Tracer = red
+	})
+	red, log := diag.New(diag.Config{}), &eventLog{}
+	cfg.Tracer = obs.Fanout(kill, red, log)
 	co, err := New(m, "t-chaos-trace", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -259,21 +297,21 @@ func TestFederationChaosKillMergesOneTrace(t *testing.T) {
 		t.Fatalf("kill did not register: %+v", got.Recovery)
 	}
 
-	events := co.FederatedEvents()
+	traceID := deriveTraceID(cfg.Seed, "t-chaos-trace")
 	origins := map[string]bool{}
 	labels := map[string]int{}
-	for _, e := range events {
+	for _, e := range log.events {
 		if e.Kind != obs.SpanStart {
 			continue
 		}
-		if e.Trace != co.TraceID() {
-			t.Fatalf("span %q carries trace %x, want the run's single trace %x", e.Label, e.Trace, co.TraceID())
+		if e.Trace != traceID {
+			t.Fatalf("span %q carries trace %x, want the run's single trace %x", e.Label, e.Trace, traceID)
 		}
 		origins[e.Origin] = true
 		labels[e.Label]++
 	}
 	if !origins["co"] {
-		t.Fatal("merged trace has no coordinator spans")
+		t.Fatal("the run's trace has no coordinator spans")
 	}
 	workerOrigins := 0
 	for o := range origins {
@@ -282,11 +320,11 @@ func TestFederationChaosKillMergesOneTrace(t *testing.T) {
 		}
 	}
 	if workerOrigins < 2 {
-		t.Fatalf("merged trace has spans from %d workers, want >= 2 (origins: %v)", workerOrigins, origins)
+		t.Fatalf("the run's trace has spans from %d workers, want >= 2 (origins: %v)", workerOrigins, origins)
 	}
 	for _, want := range []string{"cluster_run", "epoch", "chip_step", "step_rpc", "federation_pull", "recovery"} {
 		if labels[want] == 0 {
-			t.Fatalf("merged trace missing %q spans (have %v)", want, labels)
+			t.Fatalf("the run's trace is missing %q spans (have %v)", want, labels)
 		}
 	}
 

@@ -61,7 +61,7 @@ func TestSolveReleasesWorkerSlices(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		if run%7 == 3 {
 			// Interrupted runs release too — after their checkpoint.
-			cfg.OnEpoch = func(int) { cancel() }
+			cfg.Tracer = atBarrier(func(int) { cancel() })
 		}
 		co, err := New(m, fmt.Sprintf("r%d", run), cfg)
 		if err != nil {

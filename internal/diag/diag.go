@@ -7,10 +7,12 @@
 // confidence bounds built on internal/metrics.
 //
 // A Reducer is an obs.Tracer: compose it into a run's fan-out (the run
-// manager does this when diagnostics are requested) and call Snapshot
-// at any time for the current view. Reduction is pure folding over the
-// stream — the Reducer never touches solver state, so attaching it
-// cannot perturb a seeded trajectory.
+// manager does this for every run) and read it at any time. It is the
+// one fold of a run's stream, with two views: Snapshot, the analytic
+// report above, and Progress (progress.go), the cheap live position a
+// status poll reads. Reduction is pure folding over the stream — the
+// Reducer never touches solver state, so attaching it cannot perturb a
+// seeded trajectory.
 //
 // The chip-pair disagreement measure follows the partitioned-solver
 // analyses of Burns & Huang (multi-FPGA Ising partitioning) and the
@@ -132,6 +134,10 @@ type Reducer struct {
 	// fleet folds a federated cluster run's coordinator and worker
 	// spans; nil until one arrives (fleet.go).
 	fleet *fleet
+
+	// progress holds Progress' running scalars: everything but the
+	// entrant map, which Progress() builds from entrants (progress.go).
+	progress Progress
 }
 
 // entrantAcc accumulates one portfolio entrant's view: identity from
@@ -166,6 +172,7 @@ func New(cfg Config) *Reducer {
 func (r *Reducer) Emit(e obs.Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.progress.observe(e)
 	// A portfolio race's inner streams arrive origin-stamped ("e0",
 	// "e1", …). They fold into the per-entrant view, not the top-level
 	// one — entrant engines run on their own model clocks, so merging
@@ -174,7 +181,7 @@ func (r *Reducer) Emit(e obs.Event) {
 	// or one of its workers ("w0", …): their spans fold into the fleet
 	// view, and the event goes on into the top-level one — the
 	// coordinator's stream is the run's.
-	if idx, ok := EntrantOrigin(e.Origin); ok {
+	if idx, ok := entrantOrigin(e.Origin); ok {
 		r.observeEntrantStream(idx, e)
 		return
 	}
@@ -199,12 +206,26 @@ func (r *Reducer) Emit(e obs.Event) {
 	case obs.RunStart:
 		r.engine = e.Label
 		r.seed = e.Seed
+		r.progress.Engine, r.progress.Phase = e.Label, "annealing"
 	case obs.EnergySample, obs.RunEnd:
 		r.observeEnergy(e.ModelNS, e.Value)
+		r.progress.observeEnergy(e.Value)
+		if e.Kind == obs.RunEnd {
+			r.progress.Phase = "done"
+		}
+	case obs.ChipStep:
+		r.progress.Flips += e.Count
+	case obs.Fault:
+		r.progress.Faults++
+	case obs.Numerical:
+		if e.Label == "step-retry" {
+			r.progress.StepRetries += e.Count
+		}
 	case obs.PairStat:
 		r.observePair(e)
 	case obs.EpochSync:
 		r.syncBitChanges += e.Count
+		r.progress.BitChanges += e.Count
 	case obs.FabricTransfer:
 		r.trafficBytes += e.Value
 		r.stallNS += e.StallNS
@@ -215,6 +236,7 @@ func (r *Reducer) Emit(e obs.Event) {
 		}
 	case obs.Recovery:
 		r.recoveryStallNS += e.StallNS
+		r.progress.Recoveries++
 	case obs.SpanEnd:
 		if e.Label == "queue_wait" && e.WallDurNS > r.queueWaitNS {
 			r.queueWaitNS = e.WallDurNS
@@ -256,6 +278,8 @@ func (r *Reducer) observeEntrantStream(idx int, e obs.Event) {
 			acc.best = e.Value
 		}
 		acc.hasEnergy = true
+		// The entrants' envelope is a race's live energy view.
+		r.progress.observeEnergy(e.Value)
 	}
 }
 
@@ -273,7 +297,7 @@ func (r *Reducer) observeRace(e obs.Event) {
 			acc.kind = e.Label
 		}
 		acc.wallNS = e.WallDurNS
-		if e.Count > 0 {
+		if e.Count != 0 {
 			acc.phase = "cancelled"
 		} else {
 			acc.phase = "done"

@@ -281,14 +281,14 @@ func (f *fleet) publish(s FleetSnapshot) {
 	}
 }
 
-// EntrantOrigin parses a portfolio entrant's origin stamp ("e0", "e1",
+// entrantOrigin parses a portfolio entrant's origin stamp ("e0", "e1",
 // …) and WorkerOrigin a cluster worker's ("w0", "w12"): the two
 // families of indexed origins. Every other stamp — the cluster
 // coordinator's "co", none at all — is neither, and its events belong
 // to the run's own top-level view.
-func EntrantOrigin(origin string) (int, bool) { return indexedOrigin(origin, 'e') }
+func entrantOrigin(origin string) (int, bool) { return indexedOrigin(origin, 'e') }
 
-// WorkerOrigin: see EntrantOrigin.
+// WorkerOrigin: see entrantOrigin.
 func WorkerOrigin(origin string) (int, bool) { return indexedOrigin(origin, 'w') }
 
 func indexedOrigin(origin string, family byte) (int, bool) {

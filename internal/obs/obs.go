@@ -58,6 +58,8 @@
 // concurrently.
 package obs
 
+import "time"
+
 // Kind names an event type. Kinds marshal as readable strings so JSONL
 // traces are self-describing.
 type Kind string
@@ -188,12 +190,7 @@ func (Nop) Emit(Event) {}
 // in order. Nil entries are skipped; zero live tracers yield nil (the
 // disabled path), one yields it unwrapped.
 func Fanout(ts ...Tracer) Tracer {
-	live := make([]Tracer, 0, len(ts))
-	for _, t := range ts {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
+	live := liveTracers(ts)
 	switch len(live) {
 	case 0:
 		return nil
@@ -203,10 +200,45 @@ func Fanout(ts ...Tracer) Tracer {
 	return multiTracer(live)
 }
 
+func liveTracers(ts []Tracer) []Tracer {
+	live := make([]Tracer, 0, len(ts))
+	for _, t := range ts {
+		if t != nil {
+			live = append(live, t)
+		}
+	}
+	return live
+}
+
 type multiTracer []Tracer
 
 func (m multiTracer) Emit(e Event) {
 	for _, t := range m {
+		t.Emit(e)
+	}
+}
+
+// StampWall is Fanout with one wall stamp at its head: an event the
+// producer left unstamped gets WallNS set to the current time once,
+// before it is forwarded. The sinks stamp an unstamped event themselves,
+// each with its own clock reading on its own copy; sinks that must agree
+// on an event's WallNS — a run's replay ring and its live tail — sit
+// behind one StampWall instead. Zero live tracers yield nil.
+func StampWall(ts ...Tracer) Tracer {
+	live := liveTracers(ts)
+	if len(live) == 0 {
+		return nil
+	}
+	return wallStamper(live)
+}
+
+type wallStamper []Tracer
+
+func (w wallStamper) Emit(e Event) {
+	if e.WallNS == 0 {
+		e.WallNS = time.Now().UnixNano()
+	}
+	for _, t := range w {
 		t.Emit(e)
 	}
 }

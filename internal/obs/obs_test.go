@@ -82,6 +82,33 @@ func TestFanout(t *testing.T) {
 	}
 }
 
+// TestStampWall: sinks behind one StampWall see one WallNS per event —
+// behind a bare Fanout each stamps its own copy — and a producer's stamp
+// is kept.
+func TestStampWall(t *testing.T) {
+	if StampWall() != nil || StampWall(nil) != nil {
+		t.Error("StampWall of no live tracer should be nil")
+	}
+	a, b := NewRing(8), NewRing(8)
+	tr := StampWall(a, nil, b)
+	for i := 0; i < 4; i++ {
+		tr.Emit(Event{Kind: EnergySample, Value: float64(i)})
+	}
+	tr.Emit(Event{Kind: RunEnd, WallNS: 42})
+	ea, eb := a.Events(), b.Events()
+	if len(ea) != 5 || len(eb) != 5 {
+		t.Fatalf("delivered %d and %d events, want 5 and 5", len(ea), len(eb))
+	}
+	for i := range ea {
+		if ea[i] != eb[i] || ea[i].WallNS == 0 {
+			t.Errorf("event %d: %+v vs %+v", i, ea[i], eb[i])
+		}
+	}
+	if ea[4].WallNS != 42 {
+		t.Errorf("producer's stamp replaced: %d", ea[4].WallNS)
+	}
+}
+
 func TestRegistryInstruments(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x").Add(3)

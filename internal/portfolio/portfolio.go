@@ -377,7 +377,7 @@ func entrantRequest(r *core.Request, ent core.PortfolioEntrant, idx int, st *rac
 		// Every entrant gets the watcher even with no user tracer — it
 		// is the first-to-target observation point. Origin-stamping
 		// ("e0", "e1", …) keeps the entrants' inner streams separable
-		// downstream (runs.Progress, diag, SSE).
+		// downstream (diag's Progress and Snapshot, SSE).
 		req.Tracer = &entrantTracer{st: st, idx: idx,
 			inner: obs.StampTracer(r.Tracer, 0, fmt.Sprintf("e%d", idx))}
 	}

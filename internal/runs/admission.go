@@ -233,7 +233,10 @@ func (m *Manager) admit(ctx context.Context, id string, req core.Request, opts S
 	// trajectory-neutral — a managed solve stays bit-identical to an
 	// unmanaged one with the same seed.
 	r.diag = diag.New(diag.Config{Registry: m.reg, RunID: id})
-	req.Tracer = obs.Fanout(progressSink{r}, r.ring, r.bcast, r.diag, req.Tracer)
+	// One wall stamp at the head of the fan-out, so the ring's replay, the
+	// live tail and the reducer's updatedWallNS carry the same wallNS for
+	// the same event.
+	req.Tracer = obs.StampWall(r.ring, r.bcast, r.diag, req.Tracer)
 	req.RunID = id
 	req.SpanTrace = true
 	req.Diag = true
@@ -246,11 +249,9 @@ func (m *Manager) admit(ctx context.Context, id string, req core.Request, opts S
 	if queued {
 		r.state = StateQueued
 		r.queuedAt = time.Now()
-		r.progress.Phase = "queued"
 		m.queue = append(m.queue, r)
 		m.gaugeQueueDepthLocked()
 	} else {
-		r.progress.Phase = "submitted"
 		m.active++
 	}
 	m.mu.Unlock()

@@ -422,10 +422,12 @@ func (m *Manager) restoreTombstone(id string, s *replayState) {
 func (m *Manager) tombstone(id string, s *replayState, state State, errMsg string, sum *OutcomeSummary) *Run {
 	_, cancel := context.WithCancel(context.Background())
 	cancel()
+	// A tombstone never emits: a one-slot ring keeps /trace, /events and
+	// Status answering without RingSize slots per replayed run.
 	r := &Run{
 		id:       id,
 		mgr:      m,
-		ring:     obs.NewRing(m.cfg.RingSize),
+		ring:     obs.NewRing(1),
 		bcast:    obs.NewBroadcast(m.cfg.BroadcastBuffer),
 		done:     make(chan struct{}),
 		cancel:   cancel,
@@ -441,7 +443,7 @@ func (m *Manager) tombstone(id string, s *replayState, state State, errMsg strin
 		}
 	}
 	r.diag = diag.New(diag.Config{RunID: id})
-	r.progress.Phase = "recovered"
+	r.recovered = true
 	if errMsg != "" {
 		r.err = errors.New(errMsg)
 	}

@@ -179,19 +179,24 @@ func TestPortfolioSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestProgressEntrantFolding drives the Progress reducer directly with
-// the event shapes the portfolio engine emits.
+// TestProgressEntrantFolding drives the reducer behind Status.Progress
+// directly with the event shapes the portfolio engine emits.
 func TestProgressEntrantFolding(t *testing.T) {
-	var p Progress
-	p.observe(obs.Event{Kind: obs.EntrantStart, Label: "sa", Chip: 0, Seed: 1})
-	p.observe(obs.Event{Kind: obs.EntrantStart, Label: "tabu", Chip: 1, Seed: 2})
-	p.observe(obs.Event{Kind: obs.RunStart, Label: "sa", Seed: 1, Origin: "e0"})
-	p.observe(obs.Event{Kind: obs.EnergySample, Value: -10, Origin: "e0"})
-	p.observe(obs.Event{Kind: obs.EnergySample, Value: -25, Origin: "e0"})
-	p.observe(obs.Event{Kind: obs.EnergySample, Value: -5, Origin: "e0"})
-	p.observe(obs.Event{Kind: obs.EntrantEnd, Label: "tabu", Chip: 1, Count: 1, WallDurNS: 100})
-	p.observe(obs.Event{Kind: obs.EntrantEnd, Label: "sa", Chip: 0, Value: -25, WallDurNS: 200})
-	p.observe(obs.Event{Kind: obs.PortfolioWin, Label: "sa", Chip: 0, Value: -25, Count: 1})
+	red := diag.New(diag.Config{})
+	for _, e := range []obs.Event{
+		{Kind: obs.EntrantStart, Label: "sa", Chip: 0, Seed: 1},
+		{Kind: obs.EntrantStart, Label: "tabu", Chip: 1, Seed: 2},
+		{Kind: obs.RunStart, Label: "sa", Seed: 1, Origin: "e0"},
+		{Kind: obs.EnergySample, Value: -10, Origin: "e0"},
+		{Kind: obs.EnergySample, Value: -25, Origin: "e0"},
+		{Kind: obs.EnergySample, Value: -5, Origin: "e0"},
+		{Kind: obs.EntrantEnd, Label: "tabu", Chip: 1, Count: 1, WallDurNS: 100},
+		{Kind: obs.EntrantEnd, Label: "sa", Chip: 0, Value: -25, WallDurNS: 200},
+		{Kind: obs.PortfolioWin, Label: "sa", Chip: 0, Value: -25, Count: 1},
+	} {
+		red.Emit(e)
+	}
+	p := red.Progress()
 
 	if len(p.Entrants) != 2 {
 		t.Fatalf("entrants: %+v", p.Entrants)
@@ -209,28 +214,31 @@ func TestProgressEntrantFolding(t *testing.T) {
 	if p.Winner != "e0" || p.WinnerKind != "sa" {
 		t.Fatalf("winner: %q %q", p.Winner, p.WinnerKind)
 	}
+	// The entrants' energies are the race's live envelope.
+	if !p.HasEnergy || p.BestEnergy != -25 || p.LastEnergy != -5 {
+		t.Fatalf("race envelope: %+v", p)
+	}
 	// Entrant events must not clobber the run-level engine field.
 	if p.Engine == "sa" {
 		t.Fatal("entrant RunStart leaked into the top-level engine")
 	}
-	// The snapshot deep-copies the entrant map.
-	snap := p.snapshot()
-	p.observe(obs.Event{Kind: obs.EnergySample, Value: -99, Origin: "e0"})
-	if snap.Entrants["e0"].BestEnergy == -99 {
-		t.Fatal("snapshot aliased the live entrant map")
+	// The view owns its entrant map.
+	red.Emit(obs.Event{Kind: obs.EnergySample, Value: -99, Origin: "e0"})
+	if p.Entrants["e0"].BestEnergy == -99 {
+		t.Fatal("Progress aliased the reducer's live entrant state")
 	}
 }
 
-// TestProgressOriginsAgreeWithDiag: Progress.observe and diag.Reducer
-// read an origin stamp with one parser. A federated cluster run stamps
-// its coordinator's events "co" and its workers' "w0", "w1", …: they are
-// the run's own stream — their epochs, bit changes and energies belong
-// to the top-level view — and only e<digits> names a portfolio entrant.
-// observe used to file every stamped event under an entrant named after
-// the stamp, so GET /runs/{id} showed phantom entrants "co" and "w0" and
-// never the run's epoch or energy.
+// TestProgressOriginsAgreeWithDiag: the status' progress and the
+// diagnostics snapshot are two views of one fold, so they read an origin
+// stamp alike. A federated cluster run stamps its coordinator's events
+// "co" and its workers' "w0", "w1", …: they are the run's own stream —
+// their epochs, bit changes and energies belong to the top-level view —
+// and only e<digits> names a portfolio entrant. The status once had a
+// fold of its own that filed every stamped event under an entrant named
+// after the stamp, so GET /runs/{id} showed phantom entrants "co" and
+// "w0" and never the run's epoch or energy.
 func TestProgressOriginsAgreeWithDiag(t *testing.T) {
-	var p Progress
 	red := diag.New(diag.Config{})
 	for _, e := range []obs.Event{
 		{Kind: obs.RunStart, Label: "cluster"},
@@ -239,9 +247,9 @@ func TestProgressOriginsAgreeWithDiag(t *testing.T) {
 		{Kind: obs.SpanEnd, Label: "chip_step", Span: 1 << 32, Count: 5, Origin: "w0", Trace: 0xabc},
 		{Kind: obs.EnergySample, Value: -7, Origin: "e1"},
 	} {
-		p.observe(e)
 		red.Emit(e)
 	}
+	p := red.Progress()
 	if p.Epoch != 3 || p.BitChanges != 17 || !p.HasEnergy || p.BestEnergy != -40 {
 		t.Errorf("coordinator-stamped events missed the top-level view: %+v", p)
 	}

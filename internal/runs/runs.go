@@ -1,21 +1,23 @@
 // Package runs is the live operations plane's run manager: it
-// registers every in-flight core.Solve under a run ID, maintains a
-// live progress view assembled incrementally from the run's own
-// obs.Tracer event stream, retains recent events for replay, fans the
-// stream out to any number of live subscribers (the SSE tail), and
-// keeps the terminal state — outcome, error, checkpoint bytes — for
-// later retrieval. The HTTP surface in this package (http.go) is what
-// cmd/mbrimd serves and what cmd/mbrim mounts next to its pprof
-// listener.
+// registers every in-flight core.Solve under a run ID, retains the run's
+// recent obs.Tracer events for replay, fans the stream out to any number
+// of live subscribers (the SSE tail), folds it once — in a diag.Reducer,
+// whose Progress is the live view GET /runs/{id} shows and whose
+// Snapshot is /diag — and keeps the terminal state — outcome, error,
+// checkpoint bytes — for later retrieval. The HTTP surface in this
+// package (http.go) is what cmd/mbrimd serves and what cmd/mbrim mounts
+// next to its pprof listener.
 //
-// A Manager owns a set of Runs. Submitting wires four sinks in front
-// of any caller-supplied tracer: a progress reducer (the live view), a
-// bounded Ring (recent-event replay), a bounded Broadcast (live
-// fan-out that never blocks the solve) and a diag.Reducer. The solve
-// itself executes on a goroutine under a per-run context, so
-// cancellation — and, for the engines with the Resume capability, the
-// checkpoint carried by the resulting InterruptedError — flows through
-// the PR 3 lifecycle machinery unchanged.
+// A Manager owns a set of Runs. Submitting puts three sinks in front of
+// any caller-supplied tracer, behind one wall stamp (obs.StampWall, so
+// every sink sees the same WallNS for the same event): a bounded Ring
+// (recent-event replay), a bounded Broadcast (live fan-out that never
+// blocks the solve) and the diag.Reducer. The package implements no
+// Tracer of its own. The solve itself executes on a goroutine under a
+// per-run context, so cancellation — and, for the engines with the
+// Resume capability, the checkpoint carried by the resulting
+// InterruptedError — flows through the PR 3 lifecycle machinery
+// unchanged.
 //
 // It is the daemon's only run plane. Whatever the engine registry can
 // solve is a run here, a solve spread over cluster workers included
@@ -64,202 +66,6 @@ func (s State) Terminal() bool {
 	return s == StateCompleted || s == StateInterrupted || s == StateFailed
 }
 
-// Progress is the live view of an in-flight solve, assembled
-// incrementally from the run's event stream. All counters are
-// cumulative over the run.
-type Progress struct {
-	// Engine is the solver kind from the RunStart event.
-	Engine string `json:"engine"`
-	// Phase is the coarse position: "submitted" → "annealing" (first
-	// engine event) → "done" (RunEnd observed).
-	Phase string `json:"phase"`
-	// Epoch is the highest epoch (multichip) or sample ordinal seen.
-	Epoch int `json:"epoch"`
-	// Chips is the highest chip index seen plus one (0 for
-	// single-chip/software engines).
-	Chips int `json:"chips"`
-	// Events counts every trace event observed.
-	Events int64 `json:"events"`
-	// Flips and BitChanges accumulate ChipStep / EpochSync counts.
-	Flips      int64 `json:"flips"`
-	BitChanges int64 `json:"bitChanges"`
-	// BestEnergy is the lowest energy seen in EnergySample/RunEnd
-	// events; HasEnergy reports whether any was observed yet.
-	BestEnergy float64 `json:"bestEnergy"`
-	LastEnergy float64 `json:"lastEnergy"`
-	HasEnergy  bool    `json:"hasEnergy"`
-	// ModelNS is the latest model-time stamp seen.
-	ModelNS float64 `json:"modelNS"`
-	// Faults, Recoveries and StepRetries count fault-layer and
-	// numerical-guardrail activity.
-	Faults      int64 `json:"faults"`
-	Recoveries  int64 `json:"recoveries"`
-	StepRetries int64 `json:"stepRetries"`
-	// UpdatedWallNS is the wall clock of the last observed event.
-	UpdatedWallNS int64 `json:"updatedWallNS"`
-	// Entrants is the per-entrant live view when the run is a
-	// portfolio race, keyed by entrant origin ("e0", "e1", …; the
-	// hand-off stage appears as the next index). Nil for ordinary runs.
-	Entrants map[string]EntrantProgress `json:"entrants,omitempty"`
-	// Winner is the winning entrant's origin key once the race's
-	// portfolio_win event lands ("" until then); WinnerKind repeats the
-	// winning engine's name.
-	Winner     string `json:"winnerEntrant,omitempty"`
-	WinnerKind string `json:"winnerKind,omitempty"`
-}
-
-// EntrantProgress is one portfolio entrant's slice of the live view,
-// assembled from its origin-stamped inner stream plus the portfolio's
-// entrant bracket events.
-type EntrantProgress struct {
-	// Engine is the entrant's solver kind.
-	Engine string `json:"engine"`
-	// Phase: "racing" → "done" (completed) or "cancelled" (lost the
-	// race / hit the budget).
-	Phase string `json:"phase"`
-	// Events counts the entrant's own trace events.
-	Events int64 `json:"events"`
-	// BestEnergy/LastEnergy track the entrant's energy stream.
-	BestEnergy float64 `json:"bestEnergy"`
-	LastEnergy float64 `json:"lastEnergy"`
-	HasEnergy  bool    `json:"hasEnergy"`
-	// Won marks the race's win attribution.
-	Won bool `json:"won,omitempty"`
-}
-
-// snapshot returns a copy safe to hand outside the run's lock (the
-// entrant map is the only shared reference).
-func (p Progress) snapshot() Progress {
-	if p.Entrants != nil {
-		ents := make(map[string]EntrantProgress, len(p.Entrants))
-		for k, v := range p.Entrants {
-			ents[k] = v
-		}
-		p.Entrants = ents
-	}
-	return p
-}
-
-// entrant returns the named entrant view, allocating lazily.
-func (p *Progress) entrant(key string) EntrantProgress {
-	if p.Entrants == nil {
-		p.Entrants = map[string]EntrantProgress{}
-	}
-	return p.Entrants[key]
-}
-
-// observe folds one event into the view. Called under the run's lock.
-func (p *Progress) observe(e obs.Event) {
-	p.Events++
-	if e.WallNS != 0 {
-		p.UpdatedWallNS = e.WallNS
-	}
-	if e.Epoch > p.Epoch {
-		p.Epoch = e.Epoch
-	}
-	if e.Chip+1 > p.Chips {
-		p.Chips = e.Chip + 1
-	}
-	if e.ModelNS > p.ModelNS {
-		p.ModelNS = e.ModelNS
-	}
-	if _, ok := diag.EntrantOrigin(e.Origin); ok {
-		// An entrant-stamped event belongs to one portfolio entrant's
-		// inner stream: fold it into that entrant's view (and the
-		// top-level energy envelope) without letting the entrant's own
-		// RunStart/RunEnd clobber the portfolio's engine/phase. Any other
-		// stamp — a federated cluster run's "co", "w0", … — is the run's
-		// own stream.
-		p.observeEntrant(e)
-		return
-	}
-	switch e.Kind {
-	case obs.RunStart:
-		p.Engine = e.Label
-		p.Phase = "annealing"
-	case obs.ChipStep:
-		p.Flips += e.Count
-	case obs.EpochSync:
-		p.BitChanges += e.Count
-	case obs.EnergySample, obs.RunEnd:
-		p.LastEnergy = e.Value
-		if !p.HasEnergy || e.Value < p.BestEnergy {
-			p.BestEnergy = e.Value
-		}
-		p.HasEnergy = true
-		if e.Kind == obs.RunEnd {
-			p.Phase = "done"
-		}
-	case obs.Fault:
-		p.Faults++
-	case obs.Recovery:
-		p.Recoveries++
-	case obs.Numerical:
-		if e.Label == "step-retry" {
-			p.StepRetries += e.Count
-		}
-	case obs.EntrantStart:
-		key := entrantKey(e.Chip)
-		ent := p.entrant(key)
-		ent.Engine = e.Label
-		ent.Phase = "racing"
-		p.Entrants[key] = ent
-	case obs.EntrantEnd:
-		key := entrantKey(e.Chip)
-		ent := p.entrant(key)
-		if ent.Engine == "" {
-			ent.Engine = e.Label
-		}
-		if e.Count != 0 {
-			ent.Phase = "cancelled"
-		} else {
-			ent.Phase = "done"
-		}
-		ent.LastEnergy = e.Value
-		if !ent.HasEnergy || e.Value < ent.BestEnergy {
-			ent.BestEnergy = e.Value
-		}
-		ent.HasEnergy = true
-		p.Entrants[key] = ent
-	case obs.PortfolioWin:
-		key := entrantKey(e.Chip)
-		ent := p.entrant(key)
-		ent.Won = true
-		p.Entrants[key] = ent
-		p.Winner = key
-		p.WinnerKind = e.Label
-	}
-}
-
-// entrantKey maps an entrant index to its origin key ("e0", "e1", …).
-func entrantKey(idx int) string { return fmt.Sprintf("e%d", idx) }
-
-// observeEntrant folds one origin-stamped event into the entrant view.
-func (p *Progress) observeEntrant(e obs.Event) {
-	ent := p.entrant(e.Origin)
-	ent.Events++
-	switch e.Kind {
-	case obs.RunStart:
-		ent.Engine = e.Label
-		if ent.Phase == "" {
-			ent.Phase = "racing"
-		}
-	case obs.EnergySample, obs.RunEnd:
-		ent.LastEnergy = e.Value
-		if !ent.HasEnergy || e.Value < ent.BestEnergy {
-			ent.BestEnergy = e.Value
-		}
-		ent.HasEnergy = true
-		// The entrants' envelope is the portfolio's live energy view.
-		p.LastEnergy = e.Value
-		if !p.HasEnergy || e.Value < p.BestEnergy {
-			p.BestEnergy = e.Value
-		}
-		p.HasEnergy = true
-	}
-	p.Entrants[e.Origin] = ent
-}
-
 // OutcomeSummary is the JSON-friendly projection of a core.Outcome —
 // the solution metadata without the spin vector (which can be large;
 // fetch it via the full outcome if needed).
@@ -283,7 +89,7 @@ type Status struct {
 	Seed          uint64          `json:"seed"`
 	CreatedWallNS int64           `json:"createdWallNS"`
 	EndedWallNS   int64           `json:"endedWallNS,omitempty"`
-	Progress      Progress        `json:"progress"`
+	Progress      diag.Progress   `json:"progress"`
 	Outcome       *OutcomeSummary `json:"outcome,omitempty"`
 	Error         string          `json:"error,omitempty"`
 	HasCheckpoint bool            `json:"hasCheckpoint"`
@@ -301,8 +107,8 @@ type Status struct {
 }
 
 // Run is one registered solve. All mutable state is behind mu; the
-// event sinks and the solve goroutine touch it concurrently with HTTP
-// readers.
+// solve goroutine touches it concurrently with HTTP readers. The event
+// sinks (ring, bcast, diag) carry their own locks.
 type Run struct {
 	id  string
 	mgr *Manager
@@ -336,7 +142,6 @@ type Run struct {
 	ended      time.Time
 	queueWait  time.Duration
 	restarts   int
-	progress   Progress
 	outcome    *core.Outcome
 	err        error
 	checkpoint []byte
@@ -346,18 +151,8 @@ type Run struct {
 	lastRef *checkpoint.Ref
 	ckptSeq int
 	summary *OutcomeSummary
-}
-
-// progressSink adapts a Run into a Tracer feeding its progress view.
-type progressSink struct{ r *Run }
-
-func (s progressSink) Emit(e obs.Event) {
-	if e.WallNS == 0 {
-		e.WallNS = time.Now().UnixNano()
-	}
-	s.r.mu.Lock()
-	s.r.progress.observe(e)
-	s.r.mu.Unlock()
+	// recovered marks such a tombstone: terminal from birth, no stream.
+	recovered bool
 }
 
 // ID returns the run's identifier.
@@ -423,9 +218,23 @@ func (r *Run) Status() Status {
 		Engine:        string(r.req.Kind),
 		Seed:          r.req.Seed,
 		CreatedWallNS: r.created.UnixNano(),
-		Progress:      r.progress.snapshot(),
+		Progress:      r.diag.Progress(),
 		HasCheckpoint: len(r.checkpoint) > 0,
 		EventsDropped: r.bcast.Dropped(),
+	}
+	// The stream's phase runs "" → annealing (RunStart) → done (RunEnd);
+	// what it cannot say is the run state's to say: where a run waits
+	// before its first event, and how one that never reached RunEnd ended.
+	switch phase := &st.Progress.Phase; {
+	case r.recovered:
+		*phase = "recovered"
+	case r.state.Terminal() && *phase != "done":
+		*phase = string(r.state)
+	case *phase != "":
+	case r.state == StateQueued:
+		*phase = "queued"
+	default:
+		*phase = "submitted"
 	}
 	st.Spins = r.spins
 	if !r.ended.IsZero() {

@@ -87,6 +87,9 @@ type (
 	EngineCapabilities = core.Capabilities
 	// EngineInfo is one registry entry: kind plus capabilities.
 	EngineInfo = core.EngineInfo
+	// ClusterSpec names, on Request.Cluster, the worker nodes that host a
+	// distributed solve's chips (the "cluster" engine).
+	ClusterSpec = core.ClusterSpec
 )
 
 // Portfolio-solving types (the "portfolio" engine): the race field,
@@ -267,6 +270,10 @@ const (
 	// Portfolio races several engines on one model: first to the target
 	// energy wins and the losers are cancelled (see PortfolioSpec).
 	Portfolio = core.Portfolio
+	// Cluster is the concurrent mode with its chips on remote worker
+	// nodes (see ClusterSpec), bit-identical to MBRIMConcurrent. The
+	// engine registers from internal/cluster, which the commands link.
+	Cluster = core.Cluster
 )
 
 // Bandwidth presets of the paper's Sec 6.3 configurations, in channel
