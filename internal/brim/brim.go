@@ -17,7 +17,8 @@
 //   - Bistable feedback: κ(t)·(tanh(γ V_i) − V_i), the latch circuit
 //     that makes each node snap to a rail. Its gain κ follows an
 //     annealing schedule: weak early (analog exploration), strong late
-//     (digitization).
+//     (digitization). The tanh is lattice.Tanh, the repository's own:
+//     the same bits on every host, so a seed's trajectory is too.
 //
 // giving τ·dV_i/dt = couple_i + bias_i + feedback_i, with τ the RC time
 // constant in nanoseconds. Increasing τ is the "slow down the machine's
@@ -192,8 +193,9 @@ type Machine struct {
 	kappaVar  []float64
 
 	// scratch buffers for RK4; cand holds a step's candidate voltages
-	// so the guardrail can inspect them before any state commits.
-	k1, k2, k3, k4, vtmp, cand []float64
+	// so the guardrail can inspect them before any state commits, th a
+	// derivative's γ·V and then its tanh.
+	k1, k2, k3, k4, vtmp, cand, th []float64
 }
 
 // New builds a machine for the model. The machine starts at random
@@ -219,16 +221,18 @@ func New(m *ising.Model, cfg Config) *Machine {
 		v:     make([]float64, n),
 		spins: make([]int8, n),
 		ext:   make([]float64, n),
-		k1:    make([]float64, n),
-		k2:    make([]float64, n),
-		k3:    make([]float64, n),
-		k4:    make([]float64, n),
-		vtmp:  make([]float64, n),
-		cand:  make([]float64, n),
 
 		holdUntil:  make([]float64, n),
 		holdTarget: make([]int8, n),
 	}
+	// The seven scratch vectors are carved from one allocation.
+	scratch := make([]float64, 7*n)
+	carve := func() []float64 {
+		v := scratch[:n:n]
+		scratch = scratch[n:]
+		return v
+	}
+	ma.k1, ma.k2, ma.k3, ma.k4, ma.vtmp, ma.cand, ma.th = carve(), carve(), carve(), carve(), carve(), carve(), carve()
 	// The backend stores Ĵ = J/scale — division, exactly as the old
 	// private jhat copy did, so trajectories are bit-identical.
 	ma.lat = lattice.FromDense(n, m.Couplings(), c.Backend, scale)
@@ -402,25 +406,35 @@ func (ma *Machine) deriv(v []float64, p float64, out []float64) {
 }
 
 // derivRange computes rows [lo, hi) of the derivative: the coupling
-// matvec through the backend, then the bias and bistable-feedback tail
-// added in the historical association (acc = rowdot, then +(bhat+ext),
-// then +feedback, then ×1/τ).
+// matvec through the backend, the latch's tanh(γV) through the lattice's
+// owned range form (the same bits on every host, four nodes per
+// instruction where the host has the lanes) over this range of the th
+// scratch — disjoint between workers — then the bias and
+// bistable-feedback tail added in the historical association
+// (acc = rowdot, then +(bhat+ext), then +feedback, then ×1/τ).
 func (ma *Machine) derivRange(v []float64, p float64, out []float64, lo, hi int) {
 	kappa := ma.cfg.FeedbackGain.At(p)
 	gamma := ma.cfg.Gamma
 	invTau := 1 / ma.cfg.Tau
 	ma.lat.MatVecRange(v, nil, out, lo, hi)
-	for i := lo; i < hi; i++ {
+	v = v[lo:hi]
+	th := ma.th[lo:hi]
+	for i, vi := range v {
+		th[i] = gamma * vi
+	}
+	lattice.Tanh(th)
+	out, bhat, ext := out[lo:hi], ma.bhat[lo:hi], ma.ext[lo:hi]
+	for i, vi := range v {
 		acc := out[i]
-		acc += ma.bhat[i] + ma.ext[i]
+		acc += bhat[i] + ext[i]
 		k := kappa
 		if ma.kappaVar != nil {
-			k *= ma.kappaVar[i]
+			k *= ma.kappaVar[lo+i]
 		}
-		acc += k * (math.Tanh(gamma*v[i]) - v[i])
+		acc += k * (th[i] - vi)
 		out[i] = acc * invTau
 		if ma.invTauVar != nil {
-			out[i] *= ma.invTauVar[i]
+			out[i] *= ma.invTauVar[lo+i]
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"mbrim/internal/graph"
 	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 	"mbrim/internal/rng"
 	"mbrim/internal/sched"
 )
@@ -389,6 +390,81 @@ func TestRunDoesNotAllocate(t *testing.T) {
 		}
 		if listen && events != ma.Flips() {
 			t.Errorf("listener saw %d flips, machine counted %d", events, ma.Flips())
+		}
+	}
+}
+
+// refDeriv is the derivative one node at a time: a one-row matvec, the
+// tanh of a one-element slice — too short for a lane group, so always
+// the Go form that defines the bits — and derivRange's tail.
+func refDeriv(ma *Machine, v []float64, p float64) []float64 {
+	out, one := make([]float64, ma.n), make([]float64, 1)
+	kappa := ma.cfg.FeedbackGain.At(p)
+	for i := range out {
+		ma.lat.MatVecRange(v, nil, out, i, i+1)
+		one[0] = ma.cfg.Gamma * v[i]
+		lattice.Tanh(one)
+		acc := out[i]
+		acc += ma.bhat[i] + ma.ext[i]
+		k := kappa
+		if ma.kappaVar != nil {
+			k *= ma.kappaVar[i]
+		}
+		acc += k * (one[0] - v[i])
+		out[i] = acc * (1 / ma.cfg.Tau)
+		if ma.invTauVar != nil {
+			out[i] *= ma.invTauVar[i]
+		}
+	}
+	return out
+}
+
+// TestDerivBitsIndependentOfPlacement: a node's derivative carries the
+// same bits whichever worker chunk, range or lane group evaluated it —
+// the whole-machine deriv at 1, 3 and 4 workers (515 nodes is past two
+// KernelChunks, so those really fan out) and derivRange over two-piece
+// splits at every residue mod 4, against the node-at-a-time reference,
+// for ideal and varied devices, over voltages on, between and (as RK4
+// stage voltages are) beyond the rails and past tanh's saturation.
+func TestDerivBitsIndependentOfPlacement(t *testing.T) {
+	const p = 0.4
+	for _, n := range []int{5, 64, 67, 256, 515} {
+		m := graph.Complete(n, rng.New(uint64(n))).ToIsing()
+		r := rng.New(uint64(n) + 1)
+		v, ext := make([]float64, n), make([]float64, n)
+		for i := range v {
+			v[i], ext[i] = r.Float64()*2.4-1.2, r.Float64()-0.5
+		}
+		for i, s := range []float64{0, math.Copysign(0, -1), 1, -1, 1e-300, -13, 40, 0x1p-30} {
+			v[(i*7)%n] = s
+		}
+		for _, variation := range []float64{0, 0.05} {
+			var want []float64
+			for _, workers := range []int{1, 3, 4} {
+				ma := New(m, Config{Seed: 7, Workers: workers, DeviceVariation: variation})
+				ma.SetExternalBias(ext)
+				if want == nil {
+					want = refDeriv(ma, v, p)
+				}
+				check := func(what string, got []float64) {
+					t.Helper()
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("n=%d variation=%v workers=%d %s: node %d (v=%v) got %#x, node-at-a-time %#x",
+								n, variation, workers, what, i, v[i], math.Float64bits(got[i]), math.Float64bits(want[i]))
+						}
+					}
+				}
+				got := make([]float64, n)
+				ma.deriv(v, p, got)
+				check("deriv", got)
+				for _, cut := range []int{1, 2, 3, n / 2, n - 1} {
+					clear(got)
+					ma.derivRange(v, p, got, cut, n)
+					ma.derivRange(v, p, got, 0, cut)
+					check("derivRange split", got)
+				}
+			}
 		}
 	}
 }

@@ -142,6 +142,51 @@ func TestGuardrailDivergenceIsTyped(t *testing.T) {
 	}
 }
 
+// TestGuardrailSeesThroughTanh: the guardrail finds a diverged step by
+// the NaN, infinity or blown-up value in its candidate, and every stage
+// voltage on the way there went through tanh — which must saturate for
+// a huge or infinite argument and hand a NaN on, never launder it into
+// something finite. Each machine here is driven past the limit and must
+// report the node, the number of step sizes tried and the offending
+// value it reported when the derivative called math.Tanh.
+func TestGuardrailSeesThroughTanh(t *testing.T) {
+	alternating := func(i int) float64 {
+		if i < 3 {
+			return 0
+		}
+		return float64(1-2*(i%2)) * 1e308
+	}
+	for _, c := range []struct {
+		name     string
+		n        int
+		bias     func(i int) float64
+		cfg      Config
+		node     int
+		attempts int
+		value    float64
+	}{
+		{"overshoot", 8, func(int) float64 { return 1e12 }, Config{Seed: 1}, 0, 9, 1.9531154625758457e+08},
+		{"overflow to Inf−Inf", 8, func(int) float64 { return 1e308 }, Config{Seed: 1, Tau: 1e-3}, 0, 9, math.NaN()},
+		{"first NaN is node 3", 9, alternating, Config{Seed: 2, Tau: 1e-3, MaxStepRetries: 3}, 3, 4, math.NaN()},
+		{"retries off", 5, func(i int) float64 { return []float64{0, 0, 0, 0, -1e9}[i] }, Config{Seed: 3, MaxStepRetries: -1}, 4, 1, -4.992798520862411e+07},
+	} {
+		m := ising.NewModel(c.n)
+		for i := 0; i < c.n; i++ {
+			m.SetBias(i, c.bias(i))
+		}
+		_, err := SolveCtx(context.Background(), m, SolveConfig{Duration: 5, Config: c.cfg})
+		var div *DivergenceError
+		if !errors.As(err, &div) {
+			t.Fatalf("%s: want *DivergenceError, got %v", c.name, err)
+		}
+		sameValue := div.Value == c.value || (math.IsNaN(div.Value) && math.IsNaN(c.value))
+		if div.Node != c.node || len(div.DtHistory) != c.attempts || !sameValue || div.TimeNS != 0 {
+			t.Errorf("%s: node %d after %d step sizes, value %v at t=%v; want node %d after %d, value %v at t=0",
+				c.name, div.Node, len(div.DtHistory), div.Value, div.TimeNS, c.node, c.attempts, c.value)
+		}
+	}
+}
+
 func TestGuardrailRetriesRecoverModerateBlowup(t *testing.T) {
 	// A bias overshooting the limit by a few halvings' worth must
 	// finish cleanly, with finite committed state and retries counted.

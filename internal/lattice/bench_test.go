@@ -45,6 +45,7 @@ type benchSetup struct {
 	data               []float64
 	bhat, ext, v, out  []float64
 	spins              []int8
+	th                 []float64 // γ·v, then its tanh: the machine's scratch
 	kappa, gamma, invT float64
 }
 
@@ -56,20 +57,27 @@ func newBenchSetup(n int, density float64) *benchSetup {
 		ext:   randVec(n, 3),
 		v:     randVec(n, 4),
 		out:   make([]float64, n),
+		th:    make([]float64, n),
 		spins: randSpins(n, 5),
 		kappa: 0.7, gamma: 1.5, invT: 1,
 	}
 }
 
-// kernelDeriv is the post-refactor brim derivative: the shared kernel
-// for the matvec, the same pointwise tail.
+// kernelDeriv is brim.derivRange's loop as the machine runs it: the
+// shared kernel for the matvec, the owned range tanh over a scratch of
+// γ·v, the same pointwise tail.
 func (s *benchSetup) kernelDeriv(c Coupling, workers int) {
 	ForRange(s.n, workers, func(lo, hi int) {
 		c.MatVecRange(s.v, nil, s.out, lo, hi)
+		th := s.th[lo:hi]
+		for i := range th {
+			th[i] = s.gamma * s.v[lo+i]
+		}
+		Tanh(th)
 		for i := lo; i < hi; i++ {
 			acc := s.out[i]
 			acc += s.bhat[i] + s.ext[i]
-			acc += s.kappa * (math.Tanh(s.gamma*s.v[i]) - s.v[i])
+			acc += s.kappa * (s.th[i] - s.v[i])
 			s.out[i] = acc * s.invT
 		}
 	})
@@ -97,6 +105,40 @@ func BenchmarkBRIMDeriv(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkTanh prices the latch nonlinearity of one 64-spin chip's
+// derivative, per call: math.Tanh (what the machine called until the
+// tanh was owned; the A side), the Go form, and the range form as this
+// host dispatches it (the lanes on AVX, else the Go form again; it works
+// in place, so its row includes the 64-element copy that refills it).
+func BenchmarkTanh(b *testing.B) {
+	const n = 64
+	args := randVec(n, 6)
+	for i := range args {
+		args[i] *= 1.5
+	}
+	buf := make([]float64, n)
+	b.Run("math/n=64", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, x := range args {
+				buf[j] = math.Tanh(x)
+			}
+		}
+	})
+	b.Run("go/n=64", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, x := range args {
+				buf[j] = tanhGo(x)
+			}
+		}
+	})
+	b.Run("lanes/n=64", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(buf, args)
+			Tanh(buf)
+		}
+	})
 }
 
 // BenchmarkSparseFields compares the local-field accumulation on a

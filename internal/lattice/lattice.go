@@ -126,6 +126,32 @@
 // with the sweep switched off — except that a NaN only has to be a NaN:
 // when two different NaNs meet, which payload survives is the
 // instruction's choice on either path.
+//
+// # The nonlinearity
+//
+// The one transcendental in a trajectory — the tanh of the BRIM latch,
+// once per node per RK4 stage — is this package's too (Tanh, tanh.go),
+// because a library's is not the same function on every host: package
+// math's reaches math.Exp, which is assembly with a fused arm on amd64
+// and pure Go elsewhere. The rule it follows is the kernels' rule:
+// a transcendental may enter a trajectory only through a repo-owned form
+// whose every product and sum is rounded on its own. That form is
+// tanhGo — explicit float64 conversions around each product, so no
+// compiler may fuse one; no math.FMA; no call into math beyond the bit
+// casts; no table — one path with one division, expm1(−2|x|)/(2 +
+// expm1(−2|x|)) over a ln2 reduction and a degree-11 polynomial. It is
+// odd bit for bit, exactly ±1 from |x| = TanhSaturation (just past
+// where the true tanh rounds to 1) through ±Inf, returns ±0, subnormals
+// and a NaN as they came, is monotone, and stays within 2.5 ulp of the
+// true value (measured 2.1; package math's: 1). Its twin, tanhLanes
+// (tanh_amd64.s), is the same operations in the same order on
+// four doubles per packed instruction — VMULPD, VADDPD, VSUBPD, one
+// VDIVPD, bitwise ops, never a fused multiply-add — selected by the
+// same useAVX as the sweep and by nothing else; the len mod 4 elements
+// left over take tanhGo, so where in a slice or in which worker's range
+// a value sat cannot show in its bits. tanh_test.go and FuzzTanh hold
+// the twin to tanhGo by Float64bits (NaNs too: both hand one back
+// untouched) on both kernels, at every length and offset mod 4.
 package lattice
 
 import (

@@ -9,6 +9,13 @@ package lattice
 //go:noescape
 func sweep32(col *float64, stride uintptr, x *float64, rows int, acc *float64)
 
+// tanhLanes replaces x[0:4·groups] by its tanh, four doubles per packed
+// instruction with tanhGo's operations, order and roundings
+// (tanh_amd64.s); tab is &tanhTab.
+//
+//go:noescape
+func tanhLanes(x *float64, groups int, tab *[21][4]uint64)
+
 func cpuHasAVX() bool
 
 // useAVX is set once, here; only tests write it again, to prove the

@@ -2,10 +2,14 @@
 
 package lattice
 
-// No column sweep off amd64: useAVX is never true, so dense.MatVecRange
-// never reaches sweep32.
+// No packed lanes off amd64: useAVX is never true, so dense.MatVecRange
+// never reaches sweep32 and Tanh never reaches tanhLanes.
 var useAVX = false
 
 func sweep32(col *float64, stride uintptr, x *float64, rows int, acc *float64) {
 	panic("lattice: sweep32 without AVX")
+}
+
+func tanhLanes(x *float64, groups int, tab *[21][4]uint64) {
+	panic("lattice: tanhLanes without AVX")
 }

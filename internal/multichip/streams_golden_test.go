@@ -6,8 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
-	"math"
 	"os"
 	"testing"
 
@@ -17,6 +17,8 @@ import (
 	"mbrim/internal/obs"
 	"mbrim/internal/rng"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/streams.golden.json")
 
 // streamHashes is what one configuration must reproduce: SHA-256 of the
 // uninterrupted run's result JSON and of its full event stream (flat
@@ -59,57 +61,26 @@ func hashJSON(t *testing.T, vs ...any) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// goldenTanh are math.Tanh values as the host that cut the voltage
-// goldens returns them: amd64, where math.Exp is assembly with a fused
-// multiply-add arm the CPU's FMA bit selects. Each of these arguments
-// lands one ulp away when that arm is off (GODEBUG=cpu.fma=off, a CPU
-// without FMA) — and the pure-Go Exp of other architectures is a third
-// implementation.
-var goldenTanh = []struct {
-	arg  float64
-	bits uint64
-}{
-	{163.0 / 256, 0x3fe2015228a06141},
-	{195.0 / 256, 0x3fe48bfc9abc70e6},
-	{211.0 / 256, 0x3fe5acede1ab176e},
-	{232.0 / 256, 0x3fe704bb1b7fcb81},
-	{276.0 / 256, 0x3fe95c2eb826a7cf},
-	{553.0 / 256, 0x3fef2905666849f7},
-}
-
-// skipUnlessGoldenTanh skips a golden whose hashes cover node voltages
-// when this host's math.Tanh is not the golden host's. The lattice
-// kernels carry the same bits on every host (matvec_test.go proves the
-// AVX sweep against the row walk); tanh, which brim's derivative calls
-// per node per RK4 stage, is the one host-dependent operation in a
-// trajectory, so a mismatch here is a property of the host and not a
-// change of behaviour.
-func skipUnlessGoldenTanh(t *testing.T) {
-	t.Helper()
-	for _, g := range goldenTanh {
-		if got := math.Float64bits(math.Tanh(g.arg)); got != g.bits {
-			t.Skipf("math.Tanh(%v) = %#x on this host, %#x on the host that cut the golden (amd64 with FMA): "+
-				"voltage checkpoints differ in their last bits here, which says nothing about the code under test",
-				g.arg, got, g.bits)
-		}
-	}
-}
-
 // TestStreamsGolden pins every observable of the three run modes —
 // results, checkpoints, and the order and content of every event and
-// span — against testdata/streams.golden.json, which the commit before
-// the run modes were folded into one epoch frame generated. The file is
-// never regenerated: a change that moves a hash has changed behaviour —
-// on a host whose math.Tanh is the golden's (skipUnlessGoldenTanh).
+// span — against testdata/streams.golden.json. The commit before the
+// run modes were folded into one epoch frame generated it; it was
+// regenerated once, at the owned tanh (lattice.Tanh), which moved the
+// checkpoint hashes — the only ones that cover node voltages — and
+// nothing else. Every operation in a trajectory now carries the same
+// bits on every host, so a hash that moves has changed behaviour;
+// -update rewrites the file for a change that means to.
 func TestStreamsGolden(t *testing.T) {
-	skipUnlessGoldenTanh(t)
-	raw, err := os.ReadFile("testdata/streams.golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden map[string]streamHashes
-	if err := json.Unmarshal(raw, &golden); err != nil {
-		t.Fatal(err)
+	const path = "testdata/streams.golden.json"
+	golden := map[string]streamHashes{}
+	if !*updateGolden {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &golden); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m := graph.Complete(24, rng.New(17)).ToIsing()
 	const duration, jobs = 33, 3 // 10 epochs of 3.3
@@ -189,6 +160,10 @@ func TestStreamsGolden(t *testing.T) {
 							got.Checkpoint = hashJSON(t, ck)
 							res, _, events = run(t, mode.run, cfg, 0, ck)
 							got.Resumed = hashJSON(t, res, events)
+							if *updateGolden {
+								golden[name] = got
+								return
+							}
 							want, ok := golden[name]
 							if !ok {
 								t.Fatal("configuration is not in the golden file")
@@ -205,5 +180,15 @@ func TestStreamsGolden(t *testing.T) {
 	}
 	if seen != len(golden) {
 		t.Fatalf("ran %d configurations, golden file holds %d", seen, len(golden))
+	}
+	if *updateGolden && !t.Failed() {
+		raw, err := json.MarshalIndent(golden, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d configurations)", path, len(golden))
 	}
 }
