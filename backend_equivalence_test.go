@@ -33,18 +33,22 @@ func equivalenceModels(t *testing.T) map[string]*mbrim.Model {
 	models["chimera"] = embed.Complete(logical, 0).Physical
 	// Give two models biases so the μh path is exercised.
 	r := rand.New(rand.NewSource(4))
-	for _, name := range []string{"kgraph", "chimera"} {
-		m := models[name]
-		for i := 0; i < m.N(); i++ {
-			m.SetBias(i, r.Float64()-0.5)
+	rebias := func(m *mbrim.Model, draw func() float64) *mbrim.Model {
+		h := make([]float64, m.N())
+		for i := range h {
+			h[i] = draw()
 		}
+		m, err := m.WithBiases(h)
+		if err != nil {
+			panic(err)
+		}
+		return m
+	}
+	for _, name := range []string{"kgraph", "chimera"} {
+		models[name] = rebias(models[name], func() float64 { return r.Float64() - 0.5 })
 	}
 	models["k130"] = mbrim.CompleteGraph(130, 5).ToIsing()
-	biased := mbrim.CompleteGraph(130, 6).ToIsing()
-	for i := 0; i < biased.N(); i++ {
-		biased.SetBias(i, float64(r.Intn(7)-3))
-	}
-	models["k130-intbias"] = biased
+	models["k130-intbias"] = rebias(mbrim.CompleteGraph(130, 6).ToIsing(), func() float64 { return float64(r.Intn(7) - 3) })
 	return models
 }
 

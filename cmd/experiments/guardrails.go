@@ -60,14 +60,22 @@ func runGuardrails(args []string) error {
 	note("divergence ladder: bias magnitude vs integrator outcome (clean / retries / typed error)")
 	note("expectation: retries rise with |h| until the halving budget is exhausted; no NaN anywhere")
 	retries := &metrics.Series{Name: "guardrail retries vs log10|h|"}
+	uncoupled, err := ising.NewBuilder(8).Build()
+	if err != nil {
+		return err
+	}
+	biases := make([]float64, uncoupled.N())
 	for _, exp := range []int{0, 6, 7, 8, 9, 10, 12, 14} {
 		h := 1.0
 		for i := 0; i < exp; i++ {
 			h *= 10
 		}
-		m := ising.NewModel(8)
-		for i := 0; i < m.N(); i++ {
-			m.SetBias(i, h)
+		for i := range biases {
+			biases[i] = h
+		}
+		m, err := uncoupled.WithBiases(biases)
+		if err != nil {
+			return err
 		}
 		res, err := brim.SolveCtx(context.Background(), m, brim.SolveConfig{
 			Duration: 10,

@@ -7,7 +7,7 @@ import (
 
 	"mbrim/internal/brim"
 	"mbrim/internal/graph"
-	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 	"mbrim/internal/rng"
 	"mbrim/internal/sa"
 	"mbrim/internal/sbm"
@@ -54,16 +54,16 @@ func runSuite(args []string) error {
 	fmt.Printf("%-12s %6s %8s | %10s %12s | %10s %12s | %10s %12s\n",
 		"instance", "n", "m", "SA cut", "SA time", "dSBM cut", "dSBM time", "BRIM cut", "model ns")
 	for _, inst := range standardSuite(*seed) {
-		dense := inst.g.ToIsing()
+		m := inst.g.ToIsing()
 
-		// SA prefers the representation that matches the density.
-		var saProblem ising.Problem = dense
+		// SA prefers the backend that matches the density.
+		saBackend := lattice.Dense
 		if float64(inst.g.M()) < 0.1*float64(inst.g.N()*(inst.g.N()-1)/2) {
-			saProblem = inst.g.ToSparseIsing()
+			saBackend = lattice.CSR
 		}
 		saBest, saWall := 0.0, time.Duration(0)
 		for r := 0; r < *runs; r++ {
-			res := sa.SolveProblem(saProblem, sa.Config{Sweeps: *sweeps, Seed: *seed + uint64(r)})
+			res := sa.Solve(m, sa.Config{Sweeps: *sweeps, Seed: *seed + uint64(r), Backend: saBackend})
 			saWall += res.Wall
 			if cut := inst.g.CutValue(res.Spins); cut > saBest {
 				saBest = cut
@@ -72,7 +72,7 @@ func runSuite(args []string) error {
 
 		dsbBest, dsbWall := 0.0, time.Duration(0)
 		for r := 0; r < *runs; r++ {
-			res := sbm.Solve(dense, sbm.Config{Variant: sbm.Discrete, Steps: *steps, Seed: *seed + uint64(r)})
+			res := sbm.Solve(m, sbm.Config{Variant: sbm.Discrete, Steps: *steps, Seed: *seed + uint64(r)})
 			dsbWall += res.Wall
 			if cut := inst.g.CutValue(res.Spins); cut > dsbBest {
 				dsbBest = cut
@@ -81,7 +81,7 @@ func runSuite(args []string) error {
 
 		brimBest := 0.0
 		for r := 0; r < *runs; r++ {
-			res := brim.Solve(dense, brim.SolveConfig{Duration: *duration,
+			res := brim.Solve(m, brim.SolveConfig{Duration: *duration,
 				Config: brim.Config{Seed: *seed + uint64(r)}})
 			if cut := inst.g.CutFromEnergy(res.Energy); cut > brimBest {
 				brimBest = cut

@@ -177,7 +177,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		model, quboOffset = q.ToIsing()
+		if model, quboOffset, err = q.ToIsing(); err != nil {
+			fatal(err)
+		}
 		fmt.Fprintf(info, "problem: %s (QUBO, %d variables)\n", flag.Arg(0), q.N())
 	case flag.NArg() == 1:
 		f, err := os.Open(flag.Arg(0))

@@ -31,11 +31,15 @@ func main() {
 	// convention E = -Σ_{i<j} J σσ, so J_ij = -2 aᵢaⱼ and the constant
 	// Σ aᵢ² is dropped: minimizing E minimizes the imbalance squared.
 	n := len(numbers)
-	m := mbrim.NewModel(n)
+	b := mbrim.NewModelBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			m.SetCoupling(i, j, -2*numbers[i]*numbers[j])
+			b.SetCoupling(i, j, -2*numbers[i]*numbers[j])
 		}
+	}
+	m, err := b.Build() // rejects non-finite couplings
+	if err != nil {
+		panic(err)
 	}
 
 	machine, err := mbrim.Solve(mbrim.Request{

@@ -235,9 +235,9 @@ func New(m *ising.Model, cfg Config) *Machine {
 	ma.k1, ma.k2, ma.k3, ma.k4, ma.vtmp, ma.cand, ma.th = carve(), carve(), carve(), carve(), carve(), carve(), carve()
 	// The backend stores Ĵ = J/scale — division, exactly as the old
 	// private jhat copy did, so trajectories are bit-identical.
-	ma.lat = lattice.FromDense(n, m.Couplings(), c.Backend, scale)
-	for i := 0; i < n; i++ {
-		ma.bhat[i] = m.Mu() * m.Bias(i) / scale
+	ma.lat = lattice.Convert(m.View(lattice.Auto), c.Backend, scale)
+	for i, b := range m.MuH() {
+		ma.bhat[i] = b / scale
 	}
 	for i := range ma.v {
 		s := ma.r.Spin()

@@ -12,13 +12,13 @@ import (
 )
 
 func ferromagnet(n int) *ising.Model {
-	m := ising.NewModel(n)
+	mb := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			m.SetCoupling(i, j, 1)
+			mb.SetCoupling(i, j, 1)
 		}
 	}
-	return m
+	return mustBuild(mb)
 }
 
 func TestSettlesFerromagnet(t *testing.T) {
@@ -33,8 +33,9 @@ func TestSettlesFerromagnet(t *testing.T) {
 
 func TestSettlesAntiferromagnetPair(t *testing.T) {
 	// Two spins with J = -1 must end up anti-aligned.
-	m := ising.NewModel(2)
-	m.SetCoupling(0, 1, -1)
+	mb := ising.NewBuilder(2)
+	mb.SetCoupling(0, 1, -1)
+	m := mustBuild(mb)
 	res := Solve(m, SolveConfig{Duration: 60, Config: Config{Seed: 2}})
 	if res.Spins[0] == res.Spins[1] {
 		t.Fatalf("antiferromagnetic pair aligned: %v", res.Spins)
@@ -46,10 +47,11 @@ func TestSettlesAntiferromagnetPair(t *testing.T) {
 
 func TestBiasPullsSpin(t *testing.T) {
 	// A single strongly biased node must follow its bias.
-	m := ising.NewModel(2)
-	m.SetCoupling(0, 1, 0.01)
-	m.SetBias(0, 3)
-	m.SetBias(1, -3)
+	mb := ising.NewBuilder(2)
+	mb.SetCoupling(0, 1, 0.01)
+	mb.SetBias(0, 3)
+	mb.SetBias(1, -3)
+	m := mustBuild(mb)
 	res := Solve(m, SolveConfig{Duration: 60, Config: Config{Seed: 3}})
 	if res.Spins[0] != 1 || res.Spins[1] != -1 {
 		t.Fatalf("bias ignored: %v", res.Spins)
@@ -176,7 +178,7 @@ func TestRunInChunksMatchesSingleRun(t *testing.T) {
 func TestExternalBiasActsLikeFrozenNeighbor(t *testing.T) {
 	// A 1-node machine with external bias b must settle to sign(b) —
 	// this is the shadow-copy mechanism in miniature.
-	m := ising.NewModel(1)
+	m := mustBuild(ising.NewBuilder(1))
 	ma := New(m, Config{Seed: 15, InducedFlip: sched.Constant(0)})
 	ma.SetExternalBias([]float64{1.5})
 	ma.SetHorizon(30)
@@ -195,7 +197,7 @@ func TestExternalBiasActsLikeFrozenNeighbor(t *testing.T) {
 }
 
 func TestAddExternalBiasAccumulates(t *testing.T) {
-	m := ising.NewModel(2)
+	m := mustBuild(ising.NewBuilder(2))
 	ma := New(m, Config{Seed: 1})
 	ma.SetExternalBias([]float64{0.5, -0.5})
 	ma.AddExternalBias(0, 0.25)
@@ -319,8 +321,9 @@ func TestScaleConsistencyAcrossSlices(t *testing.T) {
 	// Two machines given the same explicit Scale must normalize the
 	// same coupling to the same value — required when one problem is
 	// sliced over chips.
-	m := ising.NewModel(2)
-	m.SetCoupling(0, 1, 4)
+	mb := ising.NewBuilder(2)
+	mb.SetCoupling(0, 1, 4)
+	m := mustBuild(mb)
 	a := New(m, Config{Scale: 8})
 	got := math.NaN()
 	a.lat.Scan(0, func(j int, v float64) {
@@ -467,4 +470,14 @@ func TestDerivBitsIndependentOfPlacement(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mustBuild freezes a test's builder: its couplings are the test's own,
+// so an error is a bug in the test.
+func mustBuild(b *ising.Builder) *ising.Model {
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

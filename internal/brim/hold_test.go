@@ -10,9 +10,9 @@ import (
 // strongPair returns two spins that strongly prefer alignment — a kick
 // against that preference reverts as soon as the control releases.
 func strongPair() *ising.Model {
-	m := ising.NewModel(2)
-	m.SetCoupling(0, 1, 5)
-	return m
+	mb := ising.NewBuilder(2)
+	mb.SetCoupling(0, 1, 5)
+	return mustBuild(mb)
 }
 
 func TestKickHeldAgainstDynamics(t *testing.T) {
@@ -93,7 +93,7 @@ func TestInduceCountsAsInduced(t *testing.T) {
 }
 
 func TestDoubleInduceToggles(t *testing.T) {
-	m := ising.NewModel(1)
+	m := mustBuild(ising.NewBuilder(1))
 	ma := New(m, Config{Seed: 1, InducedFlip: sched.Constant(0)})
 	ma.SetHorizon(10)
 	ma.SetSpins([]int8{1})

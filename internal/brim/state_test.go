@@ -111,11 +111,11 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 // identity) and a bias large enough that the first RK4 step exceeds
 // the blowup limit even after every halving the guardrail will try.
 func blowupModel(n int, h float64) *ising.Model {
-	m := ising.NewModel(n)
+	mb := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		m.SetBias(i, h)
+		mb.SetBias(i, h)
 	}
-	return m
+	return mustBuild(mb)
 }
 
 func TestGuardrailDivergenceIsTyped(t *testing.T) {
@@ -170,10 +170,11 @@ func TestGuardrailSeesThroughTanh(t *testing.T) {
 		{"first NaN is node 3", 9, alternating, Config{Seed: 2, Tau: 1e-3, MaxStepRetries: 3}, 3, 4, math.NaN()},
 		{"retries off", 5, func(i int) float64 { return []float64{0, 0, 0, 0, -1e9}[i] }, Config{Seed: 3, MaxStepRetries: -1}, 4, 1, -4.992798520862411e+07},
 	} {
-		m := ising.NewModel(c.n)
+		mb := ising.NewBuilder(c.n)
 		for i := 0; i < c.n; i++ {
-			m.SetBias(i, c.bias(i))
+			mb.SetBias(i, c.bias(i))
 		}
+		m := mustBuild(mb)
 		_, err := SolveCtx(context.Background(), m, SolveConfig{Duration: 5, Config: c.cfg})
 		var div *DivergenceError
 		if !errors.As(err, &div) {

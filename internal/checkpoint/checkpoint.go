@@ -27,6 +27,7 @@ import (
 	"math"
 
 	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 	"mbrim/internal/multichip"
 )
 
@@ -78,9 +79,13 @@ type Warm struct {
 // Energy decodes the snapshot's energy.
 func (w *Warm) Energy() float64 { return math.Float64frombits(w.EnergyBits) }
 
-// HashModel fingerprints a model with FNV-1a over its size, μ, every
-// coupling and every bias (as IEEE-754 bits, so -0 vs +0 and NaN
-// payloads distinguish). It is not cryptographic — it guards against
+// HashModel fingerprints a model with FNV-1a over its size, μ, the full
+// row-major n×n coupling matrix and every bias (as IEEE-754 bits, so a
+// −0 bias and NaN payloads distinguish). Only the stored couplings are
+// visited: a byte of a zero entry leaves h ^= 0 untouched and multiplies
+// by the prime, so a run of z absent entries is h *= prime^(8z) mod 2⁶⁴
+// in closed form — the value is the n²-entry walk's, the one persisted
+// checkpoints carry. It is not cryptographic — it guards against
 // accidents, not adversaries.
 func HashModel(m *ising.Model) uint64 {
 	const (
@@ -95,14 +100,29 @@ func HashModel(m *ising.Model) uint64 {
 			v >>= 8
 		}
 	}
+	// skip mixes z zero entries: h *= prime^(8z) by squaring.
+	skip := func(z int) {
+		for p, e := uint64(prime), uint64(z)*8; e > 0; e >>= 1 {
+			if e&1 != 0 {
+				h *= p
+			}
+			p *= p
+		}
+	}
 	n := m.N()
 	mix(uint64(n))
 	mix(math.Float64bits(m.Mu()))
-	for i := 0; i < n; i++ {
-		for _, v := range m.Row(i) {
-			mix(math.Float64bits(v))
-		}
+	lat, row, next := m.View(lattice.Auto), 0, 0 // next: the row-major index not yet mixed
+	entry := func(j int, v float64) {
+		skip(row + j - next)
+		mix(math.Float64bits(v))
+		next = row + j + 1
 	}
+	for i := 0; i < n; i++ {
+		row = i * n
+		lat.Scan(i, entry)
+	}
+	skip(n*n - next)
 	for _, v := range m.Biases() {
 		mix(math.Float64bits(v))
 	}

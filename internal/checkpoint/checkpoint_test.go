@@ -70,13 +70,14 @@ func TestHashModelSensitivity(t *testing.T) {
 	if HashModel(a) != HashModel(b) {
 		t.Fatal("identical models hash differently")
 	}
-	b.SetBias(3, 0.5)
-	if HashModel(a) == HashModel(b) {
-		t.Fatal("bias change not reflected in hash")
+	h := make([]float64, 16)
+	h[3] = 0.5
+	if b, err := a.WithBiases(h); err != nil || HashModel(a) == HashModel(b) {
+		t.Fatalf("bias change not reflected in hash (%v)", err)
 	}
-	c := testModel(16, 1)
-	c.SetCoupling(0, 1, 42)
-	if HashModel(a) == HashModel(c) {
+	g := graph.Complete(16, rng.New(1))
+	g.AddEdge(0, 1, 42)
+	if HashModel(a) == HashModel(g.ToIsing()) {
 		t.Fatal("coupling change not reflected in hash")
 	}
 }

@@ -195,11 +195,10 @@ type Coordinator struct {
 	cfg   Config
 	model *ising.Model
 	n     int
-	// view and muH are what the run's energies are read through
-	// (lattice.Energy: popcounts on a ±1 matrix, O(nnz) over CSR), built
-	// once by Solve; the partition-quality gauges share the view.
+	// view is what the run's energies are read through (lattice.Energy:
+	// popcounts on a ±1 matrix, O(nnz) over CSR), taken once by Solve;
+	// the partition-quality gauges share it.
 	view lattice.Coupling
-	muH  []float64
 	// mc and parts are multichip's own derivation for this run — the
 	// validated configuration with its defaults (epoch length, channels,
 	// backend) and the partition every worker's NewSlice derives too.
@@ -329,10 +328,6 @@ func (co *Coordinator) run(ctx context.Context) (*Result, []byte, error) {
 		ctx = context.Background()
 	}
 	co.view = co.model.View(co.mc.Backend)
-	co.muH = make([]float64, co.n)
-	for i := range co.muH {
-		co.muH[i] = co.model.Mu() * co.model.Bias(i)
-	}
 	co.recordPartitionQuality()
 	// Whatever way the run ends — completed, interrupted (after its
 	// checkpoint is collected) or failed — its slices leave the workers
@@ -891,7 +886,7 @@ func (co *Coordinator) releaseSlices(gen int, assign []int) {
 // energy is model.Energy(spins), bit for bit, at what the coupling view
 // makes it cost.
 func (co *Coordinator) energy(spins []int8) float64 {
-	return lattice.Energy(co.view, spins, co.muH, co.model.Energy)
+	return lattice.Energy(co.view, spins, co.model.MuH())
 }
 
 // partialResult assembles the result at the current barrier.

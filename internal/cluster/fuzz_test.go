@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"encoding/json"
-	"math"
+	"runtime"
 	"testing"
 
 	"mbrim/internal/interconnect"
+	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 	"mbrim/internal/multichip"
+	"mbrim/internal/rng"
 )
 
 // FuzzEpochReport feeds arbitrary step-response bytes through the
@@ -127,9 +130,11 @@ func FuzzStepRequest(f *testing.F) {
 }
 
 // FuzzModelFrame feeds arbitrary frames to ModelWire.Build: an error, or
-// a model whose re-encoding decodes to the same bits. n is kept small so
-// the dense model the frame asks for stays a few kilobytes; the bound on
-// n itself is TestWorkerRejectsOversizedModel's.
+// a model whose re-encoding decodes to the same bits — and either way at
+// an allocation proportional to the frame and n, never to n²: what a
+// frame may make a worker allocate is what it carries (a planes frame is
+// itself n²/4 bits; a CSR frame of few entries builds few entries). The
+// bound on n itself is TestWorkerRejectsOversizedModel's.
 func FuzzModelFrame(f *testing.F) {
 	for _, m := range frameModels() {
 		// Small seeds only: the engine minimises every new interesting
@@ -145,26 +150,67 @@ func FuzzModelFrame(f *testing.F) {
 	f.Add(uint16(2), false, []byte{1, 0, 0, 0, 0, 0, 0, 0}) // row 0 claims one entry, none follows
 	f.Add(uint16(0), false, []byte{})                       // n = 0
 	f.Add(uint16(40000), true, []byte{})                    // a big n over an empty frame
+	f.Add(uint16(2000), false, make([]byte, 4*2000))        // a big n over a frame of no entries: 32 MB if dense
 	f.Fuzz(func(t *testing.T, n uint16, planes bool, frame []byte) {
 		w := &ModelWire{N: int(n), Arm: armCSR, Frame: frame}
 		if planes {
 			w.Arm = armPlanes
 		}
-		if n > 128 && len(frame) >= 4*int(n) {
-			return // would be a legitimate request for a large dense model
+		var m *ising.Model
+		var err error
+		if got, bound := allocatedBytes(func() { m, err = w.Build() }), frameAllocBound(len(frame), int(n)); got > bound {
+			t.Fatalf("Build of a %d-byte %s frame for n=%d allocated %d bytes, above %d", len(frame), w.Arm, n, got, bound)
 		}
-		m, err := w.Build()
-		if err != nil {
-			return
+		if err != nil || n > 2000 {
+			return // re-encoding a ±1 model takes the planes arm, n²/8 bytes whatever it stores
 		}
 		again, err := ModelToWire(m).Build()
 		if err != nil {
 			t.Fatalf("re-encoded frame does not build: %v", err)
 		}
-		for i, v := range m.Couplings() {
-			if math.Float64bits(v) != math.Float64bits(again.Couplings()[i]) {
-				t.Fatalf("coupling %d: %v re-encodes to %v", i, v, again.Couplings()[i])
-			}
-		}
+		sameModelBits(t, "re-encoded", again, m)
 	})
+}
+
+// allocatedBytes is what f allocates, by the runtime's own count.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// frameAllocBound is what ModelWire.Build may allocate for a frame of
+// the given length over n spins. The worst honest case is the planes
+// arm, whose 2·n²/16 frame bytes become the 8·n² dense array, a twin of
+// bit planes and the builder's first calls: about 70 bytes a frame byte.
+// A CSR entry is 12 frame bytes and at most ~330 built ones (the dense
+// array of a frame just over the 5 % density rule), ~64 when it stays
+// compressed; a spin costs five 8-byte vector slots.
+func frameAllocBound(frameBytes, n int) uint64 {
+	return uint64(96*frameBytes + 64*n + 16<<10)
+}
+
+// TestZeroFrameBuildsNoMatrix is the frame that used to ask for 34 GB:
+// 262 144 bytes of zero row counts at n = 65 536 pass every check there
+// is — and are a model with no couplings, which is what gets built.
+func TestZeroFrameBuildsNoMatrix(t *testing.T) {
+	const n = DefaultMaxSpins
+	w := &ModelWire{N: n, Arm: armCSR, Frame: make([]byte, 4*n)}
+	var m *ising.Model
+	var err error
+	got := allocatedBytes(func() { m, err = w.Build() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.N() != n || m.NNZ() != 0 || m.View(lattice.Auto).Kind() != lattice.CSR {
+		t.Fatalf("built n=%d nnz=%d as %v", m.N(), m.NNZ(), m.View(lattice.Auto).Kind())
+	}
+	if bound := frameAllocBound(len(w.Frame), n); got > bound || got > 4<<20 {
+		t.Fatalf("allocated %d bytes (bound %d): the dense matrix would be %d", got, bound, 8*n*n)
+	}
+	if e := m.Energy(ising.RandomSpins(n, rng.New(1))); e != 0 {
+		t.Fatalf("energy of the empty model %v", e)
+	}
 }

@@ -90,22 +90,22 @@ type ModelWire struct {
 	Frame  []byte    `json:"frame"`
 }
 
-// ModelToWire encodes m for transport, straight from the dense coupling
-// matrix: the planes arm when it applies, else CSR.
+// ModelToWire encodes m for transport, straight from its stored
+// couplings: the planes arm when every one is ±1, else CSR.
 func ModelToWire(m *ising.Model) *ModelWire {
-	n := m.N()
-	w := &ModelWire{N: n, Mu: m.Mu()}
+	w := &ModelWire{N: m.N(), Mu: m.Mu()}
 	for _, h := range m.Biases() {
 		if h != 0 {
 			w.Biases = append([]float64(nil), m.Biases()...)
 			break
 		}
 	}
+	lat := m.View(lattice.Auto)
 	var ok bool
-	if w.Frame, ok = planesFrame(n, m.Couplings()); ok {
+	if w.Frame, ok = planesFrame(lat); ok {
 		w.Arm = armPlanes
 	} else {
-		w.Arm, w.Frame = armCSR, csrFrame(n, m.Couplings())
+		w.Arm, w.Frame = armCSR, csrFrame(lat)
 	}
 	return w
 }
@@ -113,54 +113,51 @@ func ModelToWire(m *ising.Model) *ModelWire {
 // planeBytes is the length of one bit plane over n spins' upper triangle.
 func planeBytes(n int) int { return (n*(n-1)/2 + 7) / 8 }
 
-// planesFrame encodes the upper triangle of the row-major n×n matrix j
-// in the planes arm, or reports false at the first coupling that is not
-// −1, 0 or +1.
-func planesFrame(n int, j []float64) ([]byte, bool) {
+// planesFrame encodes the upper triangle of lat in the planes arm, or
+// reports false at the first coupling that is not ±1.
+func planesFrame(lat lattice.Coupling) ([]byte, bool) {
+	n := lat.N()
 	pb := planeBytes(n)
 	frame := make([]byte, 2*pb)
 	present, neg := frame[:pb], frame[pb:]
-	t := 0
-	for i := 0; i < n; i++ {
-		for _, v := range j[i*n+i+1 : (i+1)*n] {
+	unit := true
+	for i := 0; i < n && unit; i++ {
+		first := i*n - i*(i+1)/2 - i - 1 // bit t of (i, j) is first + j
+		lat.Scan(i, func(j int, v float64) {
+			if j < i {
+				return
+			}
+			t := first + j
 			switch v {
-			case 0:
 			case 1:
 				present[t>>3] |= 1 << (t & 7)
 			case -1:
 				present[t>>3] |= 1 << (t & 7)
 				neg[t>>3] |= 1 << (t & 7)
 			default:
-				return nil, false
+				unit = false
 			}
-			t++
-		}
+		})
 	}
-	return frame, true
+	return frame, unit
 }
 
-// csrFrame encodes the upper triangle's nonzero entries in the CSR arm.
-func csrFrame(n int, j []float64) []byte {
-	nnz := 0
-	for i := 0; i < n; i++ {
-		for _, v := range j[i*n+i+1 : (i+1)*n] {
-			if v != 0 {
-				nnz++
-			}
-		}
-	}
-	frame := make([]byte, 4*n+12*nnz)
+// csrFrame encodes the upper triangle's entries in the CSR arm.
+func csrFrame(lat lattice.Coupling) []byte {
+	n := lat.N()
+	frame := make([]byte, 4*n+12*lat.NNZ()/2)
 	at := 4 * n
 	for i := 0; i < n; i++ {
 		count := 0
-		for c, v := range j[i*n+i+1 : (i+1)*n] {
-			if v != 0 {
-				binary.LittleEndian.PutUint32(frame[at:], uint32(i+1+c))
-				binary.LittleEndian.PutUint64(frame[at+4:], math.Float64bits(v))
-				at += 12
-				count++
+		lat.Scan(i, func(j int, v float64) {
+			if j < i {
+				return
 			}
-		}
+			binary.LittleEndian.PutUint32(frame[at:], uint32(j))
+			binary.LittleEndian.PutUint64(frame[at+4:], math.Float64bits(v))
+			at += 12
+			count++
+		})
 		binary.LittleEndian.PutUint32(frame[4*i:], uint32(count))
 	}
 	return frame
@@ -170,11 +167,11 @@ func csrFrame(n int, j []float64) []byte {
 // it equals the run surface's submission bound.
 const DefaultMaxSpins = 65536
 
-// Build reconstructs the model. Wire bytes are untrusted: n is bounded
-// and the frame's length is checked against it before the dense model
-// is allocated (an n² allocation a short body could otherwise demand),
-// every index, value and padding bit is validated, and failures are
-// errors.
+// Build reconstructs the model. Wire bytes are untrusted: n is bounded,
+// the frame's length is checked against it, every index, value and
+// padding bit is validated, and failures are errors. What is allocated
+// follows the frame, not n²: a CSR frame builds O(n + entries), so a
+// short body cannot demand a dense matrix.
 func (w *ModelWire) Build() (*ising.Model, error) {
 	if w == nil {
 		return nil, errors.New("cluster: nil model")
@@ -185,53 +182,41 @@ func (w *ModelWire) Build() (*ising.Model, error) {
 	if w.Biases != nil && len(w.Biases) != w.N {
 		return nil, fmt.Errorf("cluster: model has %d biases for n=%d", len(w.Biases), w.N)
 	}
-	var fill func(*ising.Model) error
+	b := ising.NewBuilder(w.N)
+	b.SetMu(w.Mu)
+	for i, h := range w.Biases {
+		b.SetBias(i, h)
+	}
+	var err error
 	switch w.Arm {
 	case armPlanes:
-		if len(w.Frame) != 2*planeBytes(w.N) {
-			return nil, fmt.Errorf("cluster: planes frame of %d bytes for n=%d, want %d",
-				len(w.Frame), w.N, 2*planeBytes(w.N))
-		}
-		fill = w.fillPlanes
+		err = w.fillPlanes(b)
 	case armCSR:
-		if len(w.Frame) < 4*w.N {
-			return nil, fmt.Errorf("cluster: csr frame of %d bytes is shorter than its %d row counts", len(w.Frame), w.N)
-		}
-		nnz := 0
-		for i := 0; i < w.N; i++ {
-			count := int(binary.LittleEndian.Uint32(w.Frame[4*i:]))
-			if count > w.N-1-i {
-				return nil, fmt.Errorf("cluster: csr row %d stores %d entries above the diagonal of n=%d", i, count, w.N)
-			}
-			nnz += count
-		}
-		if len(w.Frame) != 4*w.N+12*nnz {
-			return nil, fmt.Errorf("cluster: csr frame of %d bytes for n=%d with %d entries, want %d",
-				len(w.Frame), w.N, nnz, 4*w.N+12*nnz)
-		}
-		fill = w.fillCSR
+		err = w.fillCSR(b)
 	default:
-		return nil, fmt.Errorf("cluster: model frame arm %q", w.Arm)
+		err = fmt.Errorf("cluster: model frame arm %q", w.Arm)
 	}
-	m := ising.NewModel(w.N)
-	m.SetMu(w.Mu)
-	for i, h := range w.Biases {
-		m.SetBias(i, h)
-	}
-	if err := fill(m); err != nil {
+	if err != nil {
 		return nil, err
+	}
+	m, err := b.Build()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: model: %w", err)
 	}
 	return m, nil
 }
 
-// fillPlanes sets m's couplings from a planes frame of the right length.
-func (w *ModelWire) fillPlanes(m *ising.Model) error {
+// fillPlanes sets b's couplings from a planes frame.
+func (w *ModelWire) fillPlanes(b *ising.Builder) error {
 	pb := planeBytes(w.N)
+	if len(w.Frame) != 2*pb {
+		return fmt.Errorf("cluster: planes frame of %d bytes for n=%d, want %d", len(w.Frame), w.N, 2*pb)
+	}
 	present, neg := w.Frame[:pb], w.Frame[pb:]
 	total := w.N * (w.N - 1) / 2
-	for b := range present {
-		if neg[b]&^present[b] != 0 {
-			return fmt.Errorf("cluster: planes frame byte %d has sign bits without presence", b)
+	for k := range present {
+		if neg[k]&^present[k] != 0 {
+			return fmt.Errorf("cluster: planes frame byte %d has sign bits without presence", k)
 		}
 	}
 	if pad := total % 8; pad != 0 && present[pb-1]>>pad != 0 {
@@ -245,7 +230,7 @@ func (w *ModelWire) fillPlanes(m *ising.Model) error {
 				if neg[t>>3]&bit != 0 {
 					v = -1
 				}
-				m.SetCoupling(i, j, v)
+				b.SetCoupling(i, j, v)
 			}
 			t++
 		}
@@ -253,9 +238,24 @@ func (w *ModelWire) fillPlanes(m *ising.Model) error {
 	return nil
 }
 
-// fillCSR sets m's couplings from a CSR frame whose row counts already
-// agree with its length.
-func (w *ModelWire) fillCSR(m *ising.Model) error {
+// fillCSR sets b's couplings from a CSR frame, whose row counts must
+// agree with its length before any entry is read.
+func (w *ModelWire) fillCSR(b *ising.Builder) error {
+	if len(w.Frame) < 4*w.N {
+		return fmt.Errorf("cluster: csr frame of %d bytes is shorter than its %d row counts", len(w.Frame), w.N)
+	}
+	nnz := 0
+	for i := 0; i < w.N; i++ {
+		count := int(binary.LittleEndian.Uint32(w.Frame[4*i:]))
+		if count > w.N-1-i {
+			return fmt.Errorf("cluster: csr row %d stores %d entries above the diagonal of n=%d", i, count, w.N)
+		}
+		nnz += count
+	}
+	if len(w.Frame) != 4*w.N+12*nnz {
+		return fmt.Errorf("cluster: csr frame of %d bytes for n=%d with %d entries, want %d",
+			len(w.Frame), w.N, nnz, 4*w.N+12*nnz)
+	}
 	at := 4 * w.N
 	for i := 0; i < w.N; i++ {
 		prev := i
@@ -266,10 +266,10 @@ func (w *ModelWire) fillCSR(m *ising.Model) error {
 			if j <= prev || j >= w.N {
 				return fmt.Errorf("cluster: csr row %d has column %d after %d for n=%d", i, j, prev, w.N)
 			}
-			if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			if v == 0 { // a stored zero; NaN and ±Inf are Build's to refuse
 				return fmt.Errorf("cluster: csr coupling (%d,%d) is %v", i, j, v)
 			}
-			m.SetCoupling(i, j, v)
+			b.SetCoupling(i, j, v)
 			prev = j
 		}
 	}

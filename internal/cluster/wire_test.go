@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"mbrim/internal/graph"
 	"mbrim/internal/ising"
 	"mbrim/internal/lattice"
 	"mbrim/internal/multichip"
@@ -53,34 +55,34 @@ func (w *triplesWire) build() (*ising.Model, error) {
 	if w.Biases != nil && len(w.Biases) != w.N {
 		return nil, fmt.Errorf("cluster: model has %d biases for n=%d", len(w.Biases), w.N)
 	}
-	m := ising.NewModel(w.N)
-	m.SetMu(w.Mu)
+	mb := ising.NewBuilder(w.N)
+	mb.SetMu(w.Mu)
 	for i, h := range w.Biases {
-		m.SetBias(i, h)
+		mb.SetBias(i, h)
 	}
 	for r, c := range w.Couplings {
 		i, j := int(c[0]), int(c[1])
 		if i < 0 || j <= i || j >= w.N {
 			return nil, fmt.Errorf("cluster: model coupling %d has indices (%d,%d) for n=%d", r, i, j, w.N)
 		}
-		m.SetCoupling(i, j, c[2])
+		mb.SetCoupling(i, j, c[2])
 	}
-	return m, nil
+	return mb.Build()
 }
 
 // gnpModel is a weighted G(n, p): each pair coupled with probability p
 // at a weight uniform in (−1, 1).
 func gnpModel(n int, p float64, seed uint64) *ising.Model {
 	src := rng.New(seed)
-	m := ising.NewModel(n)
+	mb := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if src.Bool(p) {
-				m.SetCoupling(i, j, 2*src.Float64()-1)
+				mb.SetCoupling(i, j, 2*src.Float64()-1)
 			}
 		}
 	}
-	return m
+	return mustBuild(mb)
 }
 
 type frameModel struct {
@@ -94,7 +96,7 @@ type frameModel struct {
 func frameModels() []frameModel {
 	var out []frameModel
 	for _, n := range []int{1, 2, 63, 64, 65, 300} {
-		out = append(out, frameModel{fmt.Sprintf("zero%d", n), ising.NewModel(n), armPlanes})
+		out = append(out, frameModel{fmt.Sprintf("zero%d", n), mustBuild(ising.NewBuilder(n)), armPlanes})
 		if n == 1 {
 			continue // no pair to couple
 		}
@@ -107,38 +109,80 @@ func frameModels() []frameModel {
 			frameModel{fmt.Sprintf("gnp%d", n), gnpModel(n, p, uint64(n)), armCSR})
 	}
 
-	half := kmodel(64, 9)
-	half.SetCoupling(17, 40, 0.5)
+	half := edited(kmodel(64, 9), func(b *ising.Builder) { b.SetCoupling(17, 40, 0.5) })
 	out = append(out, frameModel{"K64-one-half", half, armCSR})
 
-	biased := kmodel(65, 4)
-	for i := 0; i < biased.N(); i++ {
-		biased.SetBias(i, float64(i%7)-3.25)
-	}
-	biased.SetMu(0.375)
+	biased := edited(kmodel(65, 4), func(b *ising.Builder) {
+		for i := 0; i < 65; i++ {
+			b.SetBias(i, float64(i%7)-3.25)
+		}
+		b.SetMu(0.375)
+	})
 	out = append(out, frameModel{"K65-biased-mu", biased, armPlanes})
 
-	weighted := gnpModel(63, 0.1, 8)
-	weighted.SetBias(5, 1e-300)
-	weighted.SetMu(-2)
+	weighted := edited(gnpModel(63, 0.1, 8), func(b *ising.Builder) {
+		b.SetBias(5, 1e-300)
+		b.SetMu(-2)
+	})
 	out = append(out, frameModel{"gnp63-biased-mu", weighted, armCSR})
 
-	isolated := kmodel(64, 6)
-	for j := 0; j < 64; j++ {
-		if j != 20 {
-			isolated.SetCoupling(20, j, 0)
+	isolated := edited(kmodel(64, 6), func(b *ising.Builder) {
+		for j := 0; j < 64; j++ {
+			if j != 20 {
+				b.SetCoupling(20, j, 0)
+			}
 		}
-	}
+	})
 	out = append(out, frameModel{"K64-isolated-spin", isolated, armPlanes})
 
-	extremes := ising.NewModel(4)
-	extremes.SetCoupling(0, 3, math.MaxFloat64)
-	extremes.SetCoupling(1, 2, -math.SmallestNonzeroFloat64)
-	extremes.SetCoupling(2, 3, 1)
+	// 2 % dense: stored, and so encoded from, compressed rows; ±1
+	// weights still take the planes arm.
+	sparse := gnpModel(300, 0.02, 5)
+	out = append(out, frameModel{"gnp300-sparse", sparse, armCSR},
+		frameModel{"gnp300-sparse-unit", graph.Random(300, 0.02, rng.New(5)).ToIsing(), armPlanes})
+
+	extremesb := ising.NewBuilder(4)
+	extremesb.SetCoupling(0, 3, math.MaxFloat64)
+	extremesb.SetCoupling(1, 2, -math.SmallestNonzeroFloat64)
+	extremesb.SetCoupling(2, 3, 1)
+	extremes := mustBuild(extremesb)
 	return append(out, frameModel{"extreme-weights", extremes, armCSR})
 }
 
-func sameModelBits(t *testing.T, what string, got, want *ising.Model) {
+// edited is m with edit's calls on top: a model is immutable, so a
+// variant is a replay.
+func edited(m *ising.Model, edit func(*ising.Builder)) *ising.Model {
+	b := ising.NewBuilder(m.N())
+	b.SetMu(m.Mu())
+	for i, h := range m.Biases() {
+		b.SetBias(i, h)
+	}
+	lat := m.View(lattice.Auto)
+	for i := 0; i < m.N(); i++ {
+		lat.Scan(i, func(j int, v float64) {
+			if j > i {
+				b.SetCoupling(i, j, v)
+			}
+		})
+	}
+	edit(b)
+	return mustBuild(b)
+}
+
+// entries lists a model's stored couplings as (i, j, bits) in row-major
+// order.
+func entries(m *ising.Model) [][3]uint64 {
+	out := make([][3]uint64, 0, m.NNZ())
+	lat := m.View(lattice.Auto)
+	for i := 0; i < m.N(); i++ {
+		lat.Scan(i, func(j int, v float64) {
+			out = append(out, [3]uint64{uint64(i), uint64(j), math.Float64bits(v)})
+		})
+	}
+	return out
+}
+
+func sameModelBits(t testing.TB, what string, got, want *ising.Model) {
 	t.Helper()
 	if got.N() != want.N() {
 		t.Fatalf("%s: n=%d, want %d", what, got.N(), want.N())
@@ -151,10 +195,11 @@ func sameModelBits(t *testing.T, what string, got, want *ising.Model) {
 			t.Fatalf("%s: bias %d = %v, want %v", what, i, got.Bias(i), v)
 		}
 	}
-	for i, v := range want.Couplings() {
-		if math.Float64bits(got.Couplings()[i]) != math.Float64bits(v) {
-			t.Fatalf("%s: coupling %d = %v, want %v", what, i, got.Couplings()[i], v)
-		}
+	if g, w := got.View(lattice.Auto).Kind(), want.View(lattice.Auto).Kind(); g != w {
+		t.Errorf("%s: stored as %v, want %v", what, g, w)
+	}
+	if g, w := entries(got), entries(want); !slices.Equal(g, w) {
+		t.Fatalf("%s: %d stored couplings, want %d, or not the same ones", what, len(g), len(w))
 	}
 }
 
@@ -296,4 +341,14 @@ func BenchmarkModelFrame(b *testing.B) {
 			}
 		})
 	}
+}
+
+// mustBuild freezes a test's builder: its couplings are the test's own,
+// so an error is a bug in the test.
+func mustBuild(b *ising.Builder) *ising.Model {
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

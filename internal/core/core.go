@@ -219,7 +219,7 @@ func (r *Request) withDefaults() (Request, error) {
 	if err != nil {
 		return out, fmt.Errorf("core: %v", err)
 	}
-	out.backend = lattice.Resolve(bk, out.Model.N(), lattice.CountNNZ(out.Model.Couplings()))
+	out.backend = lattice.Resolve(bk, out.Model.N(), out.Model.NNZ())
 	return out, nil
 }
 
@@ -257,9 +257,6 @@ type Outcome struct {
 // are the resolved engine's capabilities (the registry-derived
 // replacement for the old hard-coded resume list).
 func (r *Request) validate(caps Capabilities) error {
-	if err := r.Model.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidModel, err)
-	}
 	if r.Initial != nil {
 		if len(r.Initial) != r.Model.N() {
 			return fmt.Errorf("%w: Initial has %d spins for a %d-spin model",
@@ -308,10 +305,10 @@ func Solve(req Request) (*Outcome, error) {
 
 // SolveCtx is Solve with lifecycle control:
 //
-//   - The request is validated at this boundary: a model with NaN/Inf
-//     couplings or biases, a mis-sized warm start, or nonsensical run
-//     parameters yield a typed error (ErrInvalidModel for problem
-//     defects) before any engine runs.
+//   - The request is validated at this boundary: a mis-sized or
+//     non-spin warm start (ErrInvalidModel) or nonsensical run
+//     parameters yield a typed error before any engine runs. The model
+//     needs no check — ising.Builder.Build is the only way to one.
 //   - Cancelling the context stops every engine at its next natural
 //     boundary (epoch, sweep, step, iteration or launch) and returns a
 //     *InterruptedError — matched by errors.Is(err, ErrInterrupted) —

@@ -12,9 +12,9 @@ import (
 var ErrInterrupted = errors.New("core: solve interrupted")
 
 // ErrInvalidModel is the sentinel matched by errors.Is when a request
-// is rejected at the Solve boundary: non-finite couplings or biases,
-// an asymmetric coupling matrix, or a warm start that does not match
-// the model's dimensions.
+// is rejected at the Solve boundary for a warm start that does not
+// match the model. (The model itself cannot be invalid: non-finite or
+// asymmetric couplings never leave ising.Builder.Build.)
 var ErrInvalidModel = errors.New("core: invalid model")
 
 // InterruptedError reports a solve stopped by its context. It is not a

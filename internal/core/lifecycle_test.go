@@ -28,23 +28,20 @@ func (c *cancelOnEpoch) Emit(e obs.Event) {
 func TestValidateRejectsBadModels(t *testing.T) {
 	_, req := testProblem(16, 1)
 
-	nan := ising.NewModel(8)
+	// A model with a NaN coupling or an infinite bias no longer reaches
+	// Solve: the only way to a Model refuses to make one.
+	nan := ising.NewBuilder(8)
 	nan.SetCoupling(0, 1, math.NaN())
-	bad := *req
-	bad.Model = nan
-	if _, err := Solve(bad); !errors.Is(err, ErrInvalidModel) {
-		t.Fatalf("NaN coupling: got %v", err)
+	if m, err := nan.Build(); err == nil {
+		t.Fatalf("NaN coupling: built %v", m)
 	}
-
-	inf := ising.NewModel(8)
+	inf := ising.NewBuilder(8)
 	inf.SetBias(2, math.Inf(-1))
-	bad = *req
-	bad.Model = inf
-	if _, err := Solve(bad); !errors.Is(err, ErrInvalidModel) {
-		t.Fatalf("Inf bias: got %v", err)
+	if m, err := inf.Build(); err == nil {
+		t.Fatalf("Inf bias: built %v", m)
 	}
 
-	bad = *req
+	bad := *req
 	bad.Initial = make([]int8, 7) // wrong length, and zeros are not spins
 	if _, err := Solve(bad); !errors.Is(err, ErrInvalidModel) {
 		t.Fatalf("short warm start: got %v", err)
@@ -126,10 +123,11 @@ func TestEveryEngineCancelsWithBestSoFar(t *testing.T) {
 func TestDivergenceIsTypedThroughCore(t *testing.T) {
 	// A bias beyond the guardrail's halving budget must surface as the
 	// integrator's typed error, not NaN spins and not an interruption.
-	m := ising.NewModel(8)
+	mb := ising.NewBuilder(8)
 	for i := 0; i < 8; i++ {
-		m.SetBias(i, 1e12)
+		mb.SetBias(i, 1e12)
 	}
+	m := mustBuild(mb)
 	out, err := Solve(Request{Kind: BRIM, Model: m, DurationNS: 5})
 	if out != nil {
 		t.Fatal("divergent solve returned an outcome")
@@ -252,4 +250,14 @@ func TestCoreResumeRejectsTampering(t *testing.T) {
 	if _, err := Solve(good); err != nil {
 		t.Fatalf("pristine resume rejected: %v", err)
 	}
+}
+
+// mustBuild freezes a test's builder: its couplings are the test's own,
+// so an error is a bug in the test.
+func mustBuild(b *ising.Builder) *ising.Model {
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

@@ -208,7 +208,7 @@ func TestPrometheusSeries(t *testing.T) {
 
 // kgraph builds a dense random ±1-coupled model.
 func kgraph(n int, seed uint64) *ising.Model {
-	m := ising.NewModel(n)
+	mb := ising.NewBuilder(n)
 	r := rng.New(seed)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -216,10 +216,10 @@ func kgraph(n int, seed uint64) *ising.Model {
 			if r.Bool(0.5) {
 				v = -1
 			}
-			m.SetCoupling(i, j, v)
+			mb.SetCoupling(i, j, v)
 		}
 	}
-	return m
+	return mustBuild(mb)
 }
 
 // TestEndToEndThreeChips is the acceptance path: a seeded 3-chip
@@ -276,4 +276,14 @@ func TestEndToEndThreeChips(t *testing.T) {
 			t.Fatalf("span stream missing %q; have %v", want, labels)
 		}
 	}
+}
+
+// mustBuild freezes a test's builder: its couplings are the test's own,
+// so an error is a bug in the test.
+func mustBuild(b *ising.Builder) *ising.Model {
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

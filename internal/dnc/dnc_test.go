@@ -161,12 +161,13 @@ func TestOursDeterministic(t *testing.T) {
 
 func TestBRIMMachineAnneal(t *testing.T) {
 	// The real-dynamics machine on a small ferromagnetic sub-problem.
-	m := ising.NewModel(8)
+	mb := ising.NewBuilder(8)
 	for i := 0; i < 8; i++ {
 		for j := i + 1; j < 8; j++ {
-			m.SetCoupling(i, j, 1)
+			mb.SetCoupling(i, j, 1)
 		}
 	}
+	m := mustBuild(mb)
 	mach := &BRIMMachine{Cap: 8, Cfg: brim.SolveConfig{Duration: 60}, Program: 50}
 	init := ising.RandomSpins(8, rng.New(22))
 	sol, ns := mach.Anneal(m, init, 23)
@@ -185,7 +186,7 @@ func TestBRIMMachineCapacityEnforced(t *testing.T) {
 			t.Fatal("oversized sub-problem accepted")
 		}
 	}()
-	mach.Anneal(ising.NewModel(5), make([]int8, 5), 1)
+	mach.Anneal(mustBuild(ising.NewBuilder(5)), make([]int8, 5), 1)
 }
 
 func TestProxyMachineCapacityEnforced(t *testing.T) {
@@ -194,7 +195,7 @@ func TestProxyMachineCapacityEnforced(t *testing.T) {
 			t.Fatal("oversized sub-problem accepted")
 		}
 	}()
-	proxy(4).Anneal(ising.NewModel(5), make([]int8, 5), 1)
+	proxy(4).Anneal(mustBuild(ising.NewBuilder(5)), make([]int8, 5), 1)
 }
 
 func TestQBSolvWithBRIMMachineEndToEnd(t *testing.T) {
@@ -230,4 +231,14 @@ func TestQBSolvPanicsOnBadFraction(t *testing.T) {
 		}
 	}()
 	QBSolv(testGraph(10, 1), proxy(8), QBSolvConfig{Fraction: 2})
+}
+
+// mustBuild freezes a test's builder: its couplings are the test's own,
+// so an error is a bug in the test.
+func mustBuild(b *ising.Builder) *ising.Model {
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

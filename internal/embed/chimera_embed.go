@@ -2,9 +2,9 @@ package embed
 
 import (
 	"fmt"
-	"math"
 
 	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 )
 
 // CompleteOnChimera embeds a dense logical model onto a chimera C_m
@@ -38,32 +38,15 @@ func CompleteOnChimera(m *ising.Model, shore int, chainStrength float64) *Embedd
 	if cells < 2 {
 		cells = 2 // a 1×1 grid has no inter-cell couplers to build arms
 	}
-	if chainStrength == 0 {
-		worst := 0.0
-		for i := 0; i < n; i++ {
-			s := 0.0
-			for j := 0; j < n; j++ {
-				s += math.Abs(m.Coupling(i, j))
-			}
-			s += math.Abs(m.Mu() * m.Bias(i))
-			if s > worst {
-				worst = s
-			}
-		}
-		chainStrength = worst + 1
-	}
-	if chainStrength <= 0 {
-		panic(fmt.Sprintf("embed: chain strength %v", chainStrength))
-	}
+	chainStrength = resolveChainStrength(m, chainStrength)
 
 	// Qubit indexing matches Chimera(): ((r·cells+c)·2+side)·shore+k.
 	qubit := func(r, c, side, k int) int {
 		return ((r*cells+c)*2+side)*shore + k
 	}
-	phys := ising.NewModel(cells * cells * 2 * shore)
+	phys := ising.NewBuilder(cells * cells * 2 * shore)
 	e := &Embedding{
 		Logical:       n,
-		Physical:      phys,
 		ChainStrength: chainStrength,
 		chains:        make([][]int, n),
 	}
@@ -92,30 +75,28 @@ func CompleteOnChimera(m *ising.Model, shore int, chainStrength float64) *Embedd
 		// Spread the logical bias over the chain.
 		if b := m.Bias(v); b != 0 {
 			per := m.Mu() * b / float64(len(chain))
-			for _, p := range chain {
-				phys.SetBias(p, phys.Bias(p)+per)
+			for _, p := range chain { // chains are disjoint: one write per qubit
+				phys.SetBias(p, per)
 			}
 		}
 	}
 
 	// Cross couplers: chain u's horizontal arm meets chain v's
 	// vertical arm in cell (c_u, c_v).
+	lat := m.View(lattice.Auto)
 	for u := 0; u < n; u++ {
 		cu, ku := u/shore, u%shore
-		for v := 0; v < n; v++ {
-			if u == v {
-				continue
-			}
-			j := m.Coupling(u, v)
-			if j == 0 || u > v {
-				continue
+		lat.Scan(u, func(v int, j float64) {
+			if u > v {
+				return
 			}
 			cv, kv := v/shore, v%shore
 			// u horizontal (right side) in cell (cu, cv); v vertical
 			// (left side) in the same cell.
 			phys.AddCoupling(qubit(cu, cv, 1, ku), qubit(cu, cv, 0, kv), j)
-		}
+		})
 	}
+	e.Physical = mustBuild(phys)
 	return e
 }
 
@@ -129,13 +110,14 @@ func (e *Embedding) ChimeraLegal(cells, shore int) bool {
 	if n != topo.N() {
 		return false
 	}
+	legal := true
+	lat := e.Physical.View(lattice.Auto)
 	for i := 0; i < n; i++ {
-		row := e.Physical.Row(i)
-		for j := i + 1; j < n; j++ {
-			if row[j] != 0 && topo.Weight(i, j) == 0 {
-				return false
+		lat.Scan(i, func(j int, _ float64) {
+			if j > i && topo.Weight(i, j) == 0 {
+				legal = false
 			}
-		}
+		})
 	}
-	return true
+	return legal
 }

@@ -95,9 +95,9 @@ func TestChimeraEmbedSAEndToEnd(t *testing.T) {
 
 func TestChimeraEmbedPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"n=1":        func() { CompleteOnChimera(ising.NewModel(1), 4, 0) },
-		"zero shore": func() { CompleteOnChimera(ising.NewModel(4), 0, 0) },
-		"neg chain":  func() { CompleteOnChimera(ising.NewModel(4), 4, -1) },
+		"n=1":        func() { CompleteOnChimera(mustBuild(ising.NewBuilder(1)), 4, 0) },
+		"zero shore": func() { CompleteOnChimera(mustBuild(ising.NewBuilder(4)), 0, 0) },
+		"neg chain":  func() { CompleteOnChimera(mustBuild(ising.NewBuilder(4)), 4, -1) },
 	} {
 		func() {
 			defer func() {

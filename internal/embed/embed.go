@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 )
 
 // Embedding is a logical problem mapped onto a local-coupling machine.
@@ -54,28 +55,12 @@ func Complete(m *ising.Model, chainStrength float64) *Embedding {
 	if n < 2 {
 		panic(fmt.Sprintf("embed: Complete needs n >= 2, got %d", n))
 	}
-	if chainStrength == 0 {
-		worst := 0.0
-		for i := 0; i < n; i++ {
-			s := 0.0
-			for j := 0; j < n; j++ {
-				s += math.Abs(m.Coupling(i, j))
-			}
-			s += math.Abs(m.Mu() * m.Bias(i))
-			if s > worst {
-				worst = s
-			}
-		}
-		chainStrength = worst + 1
-	}
-	if chainStrength <= 0 {
-		panic(fmt.Sprintf("embed: chain strength %v", chainStrength))
-	}
+	chainStrength = resolveChainStrength(m, chainStrength)
+	lat := m.View(lattice.Auto)
 
-	phys := ising.NewModel(n * (n - 1))
+	phys := ising.NewBuilder(n * (n - 1))
 	e := &Embedding{
 		Logical:       n,
-		Physical:      phys,
 		ChainStrength: chainStrength,
 		chains:        make([][]int, n),
 	}
@@ -102,13 +87,47 @@ func Complete(m *ising.Model, chainStrength float64) *Embedding {
 	}
 	// One cross coupler per logical pair.
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if v := m.Coupling(i, j); v != 0 {
+		lat.Scan(i, func(j int, v float64) {
+			if j > i {
 				phys.SetCoupling(node(n, i, j), node(n, j, i), v)
 			}
-		}
+		})
 	}
+	e.Physical = mustBuild(phys)
 	return e
+}
+
+// resolveChainStrength returns the chain strength an embedding of m
+// uses: the given one, or for 0 the sufficient default 1 + max_i (Σ_j
+// |J_ij| + |μh_i|). It panics unless the result is positive.
+func resolveChainStrength(m *ising.Model, chainStrength float64) float64 {
+	if chainStrength == 0 {
+		lat, worst := m.View(lattice.Auto), 0.0
+		for i, b := range m.MuH() {
+			s := 0.0
+			lat.Scan(i, func(_ int, v float64) { s += math.Abs(v) })
+			s += math.Abs(b)
+			if s > worst {
+				worst = s
+			}
+		}
+		chainStrength = worst + 1
+	}
+	if chainStrength <= 0 {
+		panic(fmt.Sprintf("embed: chain strength %v", chainStrength))
+	}
+	return chainStrength
+}
+
+// mustBuild freezes a physical model; its couplings come from a Model
+// and a validated chain strength, so an error is a caller's non-finite
+// chain strength.
+func mustBuild(b *ising.Builder) *ising.Model {
+	m, err := b.Build()
+	if err != nil {
+		panic(fmt.Sprintf("embed: %v", err))
+	}
+	return m
 }
 
 // Chains returns the physical indices of each logical chain (do not

@@ -8,22 +8,23 @@ import (
 	"mbrim/internal/exact"
 	"mbrim/internal/graph"
 	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 	"mbrim/internal/rng"
 	"mbrim/internal/sa"
 )
 
 func logicalModel(n int, withBias bool, seed uint64) *ising.Model {
 	r := rng.New(seed)
-	m := ising.NewModel(n)
+	mb := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			m.SetCoupling(i, j, float64(r.Intn(5)-2))
+			mb.SetCoupling(i, j, float64(r.Intn(5)-2))
 		}
 		if withBias {
-			m.SetBias(i, float64(r.Intn(3)-1))
+			mb.SetBias(i, float64(r.Intn(3)-1))
 		}
 	}
-	return m
+	return mustBuild(mb)
 }
 
 func TestPhysicalNodeCount(t *testing.T) {
@@ -39,8 +40,9 @@ func TestBoundedDegree(t *testing.T) {
 	// Every physical node couples to at most 3 others — the locality
 	// constraint that motivates the whole construction.
 	e := Complete(logicalModel(8, true, 2), 0)
+	lat := e.Physical.View(lattice.Auto)
 	for p := 0; p < e.Physical.N(); p++ {
-		if d := e.Physical.Degree(p); d > 3 {
+		if d := lat.RowNNZ(p); d > 3 {
 			t.Fatalf("physical node %d has degree %d", p, d)
 		}
 	}
@@ -194,10 +196,10 @@ func TestDefaultChainStrengthStrongEnough(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"n=1":          func() { Complete(ising.NewModel(1), 0) },
-		"neg strength": func() { Complete(ising.NewModel(3), -1) },
-		"bad decode":   func() { Complete(ising.NewModel(3), 0).Decode(make([]int8, 2)) },
-		"bad encode":   func() { Complete(ising.NewModel(3), 0).Encode(make([]int8, 2)) },
+		"n=1":          func() { Complete(mustBuild(ising.NewBuilder(1)), 0) },
+		"neg strength": func() { Complete(mustBuild(ising.NewBuilder(3)), -1) },
+		"bad decode":   func() { Complete(mustBuild(ising.NewBuilder(3)), 0).Decode(make([]int8, 2)) },
+		"bad encode":   func() { Complete(mustBuild(ising.NewBuilder(3)), 0).Encode(make([]int8, 2)) },
 	} {
 		func() {
 			defer func() {

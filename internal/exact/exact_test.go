@@ -12,16 +12,16 @@ import (
 )
 
 func randomModel(n int, withBias bool, r *rng.Source) *ising.Model {
-	m := ising.NewModel(n)
+	mb := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			m.SetCoupling(i, j, float64(r.Intn(7)-3))
+			mb.SetCoupling(i, j, float64(r.Intn(7)-3))
 		}
 		if withBias {
-			m.SetBias(i, float64(r.Intn(5)-2))
+			mb.SetBias(i, float64(r.Intn(5)-2))
 		}
 	}
-	return m
+	return mustBuild(mb)
 }
 
 // bruteForce is the trivially correct reference: evaluate Energy on
@@ -88,12 +88,13 @@ func TestSolveHalvesSymmetricSpace(t *testing.T) {
 
 func TestFerromagnetGroundAndDegeneracy(t *testing.T) {
 	n := 10
-	m := ising.NewModel(n)
+	mb := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			m.SetCoupling(i, j, 1)
+			mb.SetCoupling(i, j, 1)
 		}
 	}
+	m := mustBuild(mb)
 	res := Solve(m)
 	if res.Energy != -float64(n*(n-1))/2 {
 		t.Fatalf("energy %v", res.Energy)
@@ -108,9 +109,10 @@ func TestFerromagnetGroundAndDegeneracy(t *testing.T) {
 func TestDegenerateDetected(t *testing.T) {
 	// Two decoupled antiferromagnetic pairs: 4 optimal states in the
 	// half space → degenerate.
-	m := ising.NewModel(4)
-	m.SetCoupling(0, 1, -1)
-	m.SetCoupling(2, 3, -1)
+	mb := ising.NewBuilder(4)
+	mb.SetCoupling(0, 1, -1)
+	mb.SetCoupling(2, 3, -1)
+	m := mustBuild(mb)
 	if !Solve(m).Degenerate {
 		t.Fatal("degenerate instance not flagged")
 	}
@@ -122,7 +124,7 @@ func TestPanicsOnTooLarge(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Solve(ising.NewModel(MaxN + 1))
+	Solve(mustBuild(ising.NewBuilder(MaxN + 1)))
 }
 
 func TestMaxCutExact(t *testing.T) {
@@ -149,8 +151,9 @@ func TestVerify(t *testing.T) {
 }
 
 func TestVerifyCatchesNonLocalOptimum(t *testing.T) {
-	m := ising.NewModel(2)
-	m.SetCoupling(0, 1, 1)
+	mb := ising.NewBuilder(2)
+	mb.SetCoupling(0, 1, 1)
+	m := mustBuild(mb)
 	bad := []int8{1, -1} // flipping either spin improves
 	if err := Verify(m, bad, m.Energy(bad)); err == nil {
 		t.Fatal("Verify accepted a locally improvable state")
@@ -179,4 +182,14 @@ func BenchmarkSolveN20(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Solve(m)
 	}
+}
+
+// mustBuild freezes a test's builder: its couplings are the test's own,
+// so an error is a bug in the test.
+func mustBuild(b *ising.Builder) *ising.Model {
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

@@ -138,24 +138,20 @@ func (g *Graph) CutValue(spins []int8) float64 {
 }
 
 // ToIsing maps the MaxCut instance to an Ising model with J = −w and
-// zero biases, so minimizing energy maximizes the cut.
+// zero biases, so minimizing energy maximizes the cut. The model is as
+// sparse as the graph: it is built from the edge list, never through
+// n². FromTriples and Read refuse non-finite weights; a graph given one
+// through AddEdge panics here.
 func (g *Graph) ToIsing() *ising.Model {
-	m := ising.NewModel(g.n)
+	b := ising.NewBuilder(g.n)
 	for _, e := range g.edges {
-		m.SetCoupling(e.U, e.V, -e.Weight)
+		b.SetCoupling(e.U, e.V, -e.Weight)
+	}
+	m, err := b.Build()
+	if err != nil {
+		panic(fmt.Sprintf("graph: ToIsing: %v", err))
 	}
 	return m
-}
-
-// ToSparseIsing maps the MaxCut instance to a sparse Ising model with
-// J = −w and zero biases — the right representation for Gset-style
-// graphs where density is a few percent.
-func (g *Graph) ToSparseIsing() *ising.SparseModel {
-	entries := make([]ising.SparseEntry, 0, len(g.edges))
-	for _, e := range g.edges {
-		entries = append(entries, ising.SparseEntry{I: e.U, J: e.V, V: -e.Weight})
-	}
-	return ising.NewSparse(g.n, entries, nil)
 }
 
 // CutFromEnergy converts an Ising energy of the ToIsing model back to
@@ -249,7 +245,21 @@ func FromTriples(n int, triples [][3]float64) (*Graph, error) {
 		}
 		g.AddEdge(int(u)-1, int(v)-1, t[2])
 	}
+	if err := g.checkFinite(); err != nil {
+		return nil, err
+	}
 	return g, nil
+}
+
+// checkFinite reports the first edge whose accumulated weight is NaN or
+// infinite — the one defect of parsed input AddEdge does not catch.
+func (g *Graph) checkFinite() error {
+	for _, e := range g.edges {
+		if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
+			return fmt.Errorf("edge (%d,%d) has weight %v", e.U+1, e.V+1, e.Weight)
+		}
+	}
+	return nil
 }
 
 // RandomRegularish returns a graph where each vertex gets exactly d
@@ -355,6 +365,9 @@ func Read(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph: invalid edge %d: (%d,%d)", i, u, v)
 		}
 		g.AddEdge(u-1, v-1, w)
+	}
+	if err := g.checkFinite(); err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
 	}
 	return g, nil
 }

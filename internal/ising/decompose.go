@@ -43,16 +43,15 @@ type SubProblem struct {
 // the complement's spins frozen at the given global assignment. The
 // indices must be distinct and in range; spins must cover the parent.
 func Extract(parent *Model, sub []int, spins []int8) *SubProblem {
-	return ExtractFrom(parent.View(lattice.Dense), parent, sub, spins)
+	return ExtractFrom(parent.c, parent, sub, spins)
 }
 
-// ExtractFrom is Extract through an explicit coupling backend: the
-// glue scan iterates only the stored nonzeros of each sub-spin's row,
-// so a CSR view turns the O(n)-per-spin dense walk into O(degree).
-// Divide-and-conquer flows that extract many windows from one parent
-// build the view once and pass it here. GlueOps accounting is
-// unchanged — the dense path always skipped zero couplings, and only
-// nonzero cross terms ever counted.
+// ExtractFrom is Extract through an explicit view of the parent's
+// couplings (Extract passes the stored one): the glue scan iterates
+// only the nonzeros of each sub-spin's row, O(degree) per spin over
+// compressed rows. Divide-and-conquer flows that pin a backend take
+// the view once and pass it here. GlueOps counts nonzero cross terms,
+// whatever the layout.
 func ExtractFrom(view lattice.Coupling, parent *Model, sub []int, spins []int8) *SubProblem {
 	n := parent.N()
 	if view.N() != n {
@@ -71,17 +70,14 @@ func ExtractFrom(view lattice.Coupling, parent *Model, sub []int, spins []int8) 
 		}
 		inSub[g] = local + 1
 	}
-	k := len(sub)
-	sp := &SubProblem{
-		Model: NewModel(k),
-		Index: append([]int(nil), sub...),
-	}
+	sp := &SubProblem{Index: append([]int(nil), sub...)}
+	b := NewBuilder(len(sub))
 	for local, g := range sub {
-		gi := parent.Mu() * parent.Bias(g)
+		gi := parent.muH[g]
 		view.Scan(g, func(j int, v float64) {
 			if lj := inSub[j]; lj != 0 {
 				if lj-1 > local {
-					sp.Model.SetCoupling(local, lj-1, v)
+					b.SetCoupling(local, lj-1, v)
 				}
 			} else {
 				// Cross term: fold J_ij σ_j into the effective bias.
@@ -89,8 +85,9 @@ func ExtractFrom(view lattice.Coupling, parent *Model, sub []int, spins []int8) 
 				sp.GlueOps++
 			}
 		})
-		sp.Model.SetBias(local, gi)
+		b.SetBias(local, gi)
 	}
+	sp.Model = b.mustBuild()
 	return sp
 }
 
@@ -129,14 +126,12 @@ func CrossEnergy(parent *Model, sub []int, spins []int8) float64 {
 		if !mark[i] {
 			continue
 		}
-		row := parent.Row(i)
 		si := float64(spins[i])
-		for j := 0; j < n; j++ {
-			if mark[j] {
-				continue
+		parent.c.Scan(i, func(j int, v float64) {
+			if !mark[j] {
+				e -= v * si * float64(spins[j])
 			}
-			e -= row[j] * si * float64(spins[j])
-		}
+		})
 	}
 	return e
 }

@@ -16,6 +16,7 @@ func FuzzReadQUBO(f *testing.F) {
 	f.Add("p qubo 0 2 0 1\n1 0 5\n")
 	f.Add("garbage\n")
 	f.Add("p qubo 0 -3 0 0\n")
+	f.Add("p qubo 0 80000 0 0\n") // a 51 GB matrix behind one line
 	f.Fuzz(func(t *testing.T, input string) {
 		q, err := ReadQUBO(strings.NewReader(input))
 		if err != nil {
@@ -62,66 +63,82 @@ func FuzzReadQUBO(f *testing.F) {
 	})
 }
 
-// FuzzModelConstruction drives Model construction with arbitrary
-// coupling/bias values — including NaN, ±Inf and denormals smuggled in
-// as raw bit patterns — and asserts the boundary contract: building
-// and validating never panics, Validate rejects exactly the models
-// containing a non-finite entry, and accepted models produce finite
-// energies.
+// FuzzModelConstruction drives the Builder with an arbitrary call
+// sequence — set, add, a repeat of the last pair, its cancellation, a
+// bias, an index out of range, a self-coupling, with values smuggled in
+// as raw bit patterns (NaN, ±Inf, −0, denormals) — and asserts the
+// boundary contract: Build never panics, it errors exactly when some
+// call was malformed, non-finite or overflowed its pair, and a model it
+// does return agrees with the dense reference under every layout
+// (checkStorage, the storage differential's own check).
 func FuzzModelConstruction(f *testing.F) {
 	f.Add(uint8(4), []byte{})
 	f.Add(uint8(3), []byte{0, 0x01, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f}) // +Inf coupling
-	f.Add(uint8(2), []byte{1, 0x00, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f}) // NaN bias
-	f.Add(uint8(8), []byte{0, 0x12, 1, 2, 3, 4, 5, 6, 7, 8, 1, 0x03, 8, 7, 6, 5, 4, 3, 2, 1})
+	f.Add(uint8(2), []byte{2, 0x00, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f}) // NaN bias
+	f.Add(uint8(40), []byte{0, 0x12, 1, 2, 3, 4, 5, 6, 7, 0x40, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0x12, 8, 7, 6, 5, 4, 3, 2, 0xc0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, nRaw uint8, data []byte) {
-		n := int(nRaw)%16 + 1
-		m := NewModel(n)
+		n := int(nRaw)%48 + 1
+		ref, b := newRef(n), NewBuilder(n)
+		bad := false
+		couple := func(i, j int, v float64, add bool) {
+			if add {
+				b.AddCoupling(i, j, v)
+			} else {
+				b.SetCoupling(i, j, v)
+			}
+			if i < 0 || j < 0 || i >= n || j >= n || i == j || !finite(v) {
+				bad = true
+				return
+			}
+			if add {
+				ref.addCoupling(i, j, v)
+			} else {
+				ref.setCoupling(i, j, v)
+			}
+			bad = bad || math.IsInf(ref.j[i*n+j], 0)
+		}
+		li, lj, lv := 0, 0, 0.0 // the last well-formed pair and its value
 		for at := 0; at+10 <= len(data); at += 10 {
 			sel := int(data[at+1])
+			i, j := sel%n, (sel/n+sel)%n
 			v := math.Float64frombits(binary.LittleEndian.Uint64(data[at+2 : at+10]))
-			if data[at]%2 == 0 {
-				i, j := sel%n, (sel/n)%n
-				if i == j {
-					continue // SetCoupling on the diagonal panics by contract
-				}
-				m.SetCoupling(i, j, v)
-			} else {
-				m.SetBias(sel%n, v)
+			switch data[at] % 8 {
+			case 0:
+				couple(i, j, v, false)
+			case 1:
+				couple(i, j, v, true)
+			case 2:
+				b.SetBias(i, v)
+				ref.h[i] = v
+				bad = bad || !finite(v)
+			case 3: // the last pair again, the other way round
+				couple(lj, li, v, true)
+			case 4: // cancel what the last call put there
+				couple(li, lj, -lv, true)
+			case 5:
+				couple(i, n+sel, v, sel%2 == 0)
+			case 6:
+				couple(i, i, v, sel%2 == 0)
+			case 7:
+				b.SetMu(v)
+				ref.mu = v
+				bad = bad || !finite(v)
+			}
+			if i != j && finite(v) {
+				li, lj, lv = i, j, v
 			}
 		}
-		// Derive the expected verdict from the model itself: later
-		// writes can overwrite an earlier non-finite entry.
-		nonFinite := false
-		for i := 0; i < n; i++ {
-			for _, v := range m.Row(i) {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					nonFinite = true
-				}
-			}
+		for _, h := range ref.h {
+			bad = bad || math.IsInf(ref.mu*h, 0)
 		}
-		for _, v := range m.Biases() {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				nonFinite = true
-			}
+		m, err := b.Build()
+		if bad != (err != nil) {
+			t.Fatalf("malformed input: %v, Build: %v", bad, err)
 		}
-		err := m.Validate()
-		if nonFinite && err == nil {
-			t.Fatal("Validate accepted a non-finite model")
+		if err != nil {
+			return
 		}
-		if !nonFinite && err != nil {
-			t.Fatalf("Validate rejected a finite model: %v", err)
-		}
-		if err == nil {
-			spins := make([]int8, n)
-			for i := range spins {
-				spins[i] = 1
-				if i < len(data) && data[i]&1 == 1 {
-					spins[i] = -1
-				}
-			}
-			if e := m.Energy(spins); math.IsNaN(e) || math.IsInf(e, 0) {
-				t.Fatalf("finite model produced non-finite energy %v", e)
-			}
-		}
+		ref.normalize()
+		checkStorage(t, "fuzz", ref, m)
 	})
 }

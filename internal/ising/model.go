@@ -1,6 +1,6 @@
 // Package ising implements the Ising model underlying every solver in
 // this repository: the Hamiltonian of Eq. 1/2 of the paper, cached
-// local fields with O(N) flip updates, the QUBO correspondence, the
+// local fields with O(row) flip updates, the QUBO correspondence, the
 // MaxCut correspondence used by the K-graph benchmarks, and the
 // bipartition rewrite of Eq. 3 that divide-and-conquer and the
 // multiprocessor architecture are built on.
@@ -13,123 +13,342 @@
 // The local field of spin i is L_i = Σ_j J_ij σ_j. Flipping spin k
 // changes the energy by ΔE_k = 2 σ_k (L_k + μ h_k); a negative ΔE_k is
 // an improving flip.
+//
+// A problem is collected by a Builder and frozen by Build into a Model,
+// which stores its couplings as the lattice.Coupling the engines run
+// on: a fully connected K-graph as the row-major matrix, a Gset-scale
+// sparse instance as compressed rows — whichever lattice.Resolve picks
+// for the couplings the problem really has.
 package ising
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"mbrim/internal/lattice"
 )
 
-// Model is a dense Ising problem instance: n spins, a symmetric
-// coupling matrix with zero diagonal, per-spin biases h and the global
-// bias scale μ. The dense representation is deliberate: the paper's
-// benchmarks (K-graphs) are fully connected, and the machines under
-// study provide all-to-all coupling.
+// Model is an immutable Ising problem instance: n spins, per-spin
+// biases h, the global bias scale μ, and the symmetric zero-diagonal
+// couplings, held as the lattice.Coupling that Build froze them into.
+// A Model only ever comes from Build (or WithBiases of one), so its
+// invariants — symmetry, zero diagonal, finite entries — are the type's.
+// It is safe for concurrent use.
 type Model struct {
-	n  int
-	j  []float64 // row-major n×n, symmetric, zero diagonal
-	h  []float64
-	mu float64
+	n   int
+	mu  float64
+	h   []float64
+	muH []float64 // μ·h_i, the linear term every energy and ΔE adds
+	c   lattice.Coupling
 }
 
-// NewModel returns a model with n spins, zero couplings, zero biases
-// and μ = 1. It panics if n <= 0.
-func NewModel(n int) *Model {
-	if n <= 0 {
-		panic(fmt.Sprintf("ising: NewModel with n=%d", n))
+// Builder collects a problem: couplings above the diagonal, biases and
+// μ (1 unless set). Input is untrusted — it arrives from the wire, from
+// QUBO files and from POST /runs — so a bad index, a self-coupling or a
+// non-finite value does not panic: the first one is remembered and
+// returned by Build.
+//
+// Couplings fold in call order, pair by pair: SetCoupling overwrites,
+// AddCoupling accumulates (parallel edges sum in the order given). A
+// pair that ends at zero of either sign is no coupling.
+type Builder struct {
+	n   int
+	mu  float64
+	h   []float64
+	err error
+	// While twice the call count still resolves to CSR the calls are
+	// kept as a list, so a sparse problem never occupies n²; past that
+	// they are applied to data, the dense layout's own array. The list
+	// grows by blocks, so a call is written once and never copied.
+	ops  [][]op
+	nops int
+	data []float64
+}
+
+// op is one SetCoupling or AddCoupling call in 16 bytes.
+type op struct {
+	pair uint64 // i<<32 | j with i < j < 2³¹; the top bit marks an AddCoupling
+	v    float64
+}
+
+const opAdd = 1 << 63
+
+func (o op) i() int    { return int(o.pair &^ opAdd >> 32) }
+func (o op) j() int    { return int(uint32(o.pair)) }
+func (o op) add() bool { return o.pair&opAdd != 0 }
+
+// maxOpBlock caps a block of the call list, and so what the list
+// allocates beyond the calls it holds.
+const maxOpBlock = 4096
+
+// NewBuilder returns a builder for an n-spin model with no couplings,
+// zero biases and μ = 1. It panics unless 0 < n < 2³¹: a size is the
+// caller's to check, like a slice length.
+func NewBuilder(n int) *Builder {
+	if n <= 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("ising: NewBuilder with n=%d", n))
 	}
-	return &Model{
-		n:  n,
-		j:  make([]float64, n*n),
-		h:  make([]float64, n),
-		mu: 1,
+	return &Builder{n: n, mu: 1, h: make([]float64, n)}
+}
+
+func (b *Builder) fail(format string, args ...any) {
+	if b.err == nil {
+		b.err = fmt.Errorf("ising: "+format, args...)
 	}
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// SetMu sets the global bias scale μ. Build checks it, with the biases:
+// every μ·h_i must be finite, which no NaN or infinity on either side
+// survives.
+func (b *Builder) SetMu(mu float64) { b.mu = mu }
+
+// SetBias sets h_i.
+func (b *Builder) SetBias(i int, v float64) {
+	if i < 0 || i >= b.n {
+		b.fail("bias index %d out of range for n=%d", i, b.n)
+		return
+	}
+	b.h[i] = v
+}
+
+// SetCoupling sets J_ij = J_ji = v, replacing what earlier calls left
+// on the pair.
+func (b *Builder) SetCoupling(i, j int, v float64) { b.couple(i, j, v, false) }
+
+// AddCoupling adds v to J_ij (and J_ji), accumulating parallel edges.
+func (b *Builder) AddCoupling(i, j int, v float64) { b.couple(i, j, v, true) }
+
+// couple is the one path of both calls. The common case — a well-formed
+// call on a builder past its list — is the checks and two stores; what
+// is rejected, and the list, are out of line.
+func (b *Builder) couple(i, j int, v float64, add bool) {
+	if b.err != nil || uint(i) >= uint(b.n) || uint(j) >= uint(b.n) || i == j || v-v != 0 {
+		b.reject(i, j, v)
+		return
+	}
+	if i > j {
+		i, j = j, i
+	}
+	if b.data == nil {
+		b.list(i, j, v, add)
+		return
+	}
+	if add {
+		if v += b.data[i*b.n+j]; v-v != 0 {
+			b.fail("coupling (%d,%d) overflows", i, j)
+			return
+		}
+	}
+	if v == 0 {
+		v = 0 // a −0 is no coupling, and no layout stores one
+	}
+	b.data[i*b.n+j] = v
+	b.data[j*b.n+i] = v
+}
+
+// reject records why a call was refused (v − v is nonzero exactly for
+// NaN and ±Inf).
+func (b *Builder) reject(i, j int, v float64) {
+	switch {
+	case i < 0 || j < 0 || i >= b.n || j >= b.n:
+		b.fail("coupling (%d,%d) out of range for n=%d", i, j, b.n)
+	case i == j:
+		b.fail("self-coupling at %d is not part of the model", i)
+	default:
+		b.fail("non-finite coupling at (%d,%d)", i, j)
+	}
+}
+
+// list appends a call (i < j) and, once twice the call count no longer
+// resolves to CSR, moves the builder to the dense array by replaying
+// the list through couple.
+func (b *Builder) list(i, j int, v float64, add bool) {
+	o := op{pair: uint64(i)<<32 | uint64(j), v: v}
+	if add {
+		o.pair |= opAdd
+	}
+	if last := len(b.ops) - 1; last < 0 || len(b.ops[last]) == cap(b.ops[last]) {
+		if b.ops == nil {
+			b.ops = make([][]op, 0, 8)
+		}
+		b.ops = append(b.ops, make([]op, 0, min(max(b.nops, 64), maxOpBlock)))
+	}
+	last := &b.ops[len(b.ops)-1]
+	*last = append(*last, o)
+	if b.nops++; lattice.Resolve(lattice.Auto, b.n, 2*b.nops) == lattice.Dense {
+		ops := b.ops
+		b.ops, b.data = nil, make([]float64, b.n*b.n)
+		for _, blk := range ops {
+			for _, o := range blk {
+				b.couple(o.i(), o.j(), o.v, o.add())
+			}
+		}
+	}
+}
+
+// Build freezes the problem into a Model, or returns the first input
+// error. The couplings go straight to the layout lattice.Resolve picks
+// for them — the list to compressed rows in O(n + calls), the array to
+// the dense layout with its symmetry check and ±1 planes — and the
+// builder must not be used afterwards: the model owns its storage.
+func (b *Builder) Build() (*Model, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	var c lattice.Coupling
+	if b.data != nil {
+		c = lattice.FromDense(b.n, b.data, lattice.Auto, 0)
+	} else if c, b.err = b.compress(); b.err != nil {
+		return nil, b.err
+	}
+	m, err := newModel(b.mu, b.h, c)
+	b.err = cmp.Or(err, errBuilt)
+	return m, err
+}
+
+var errBuilt = errors.New("ising: the builder has already built its model")
+
+// mustBuild is Build where the input was already validated (values read
+// from a Model, a QUBO's finite coefficients): an error is a bug.
+func (b *Builder) mustBuild() *Model {
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// newModel puts the header on frozen couplings. A finite μ·h_i means a
+// finite μ and a finite h_i (0·∞ is NaN), and a finite pair may still
+// have a product that is not: the one check covers all three.
+func newModel(mu float64, h []float64, c lattice.Coupling) (*Model, error) {
+	m := &Model{n: len(h), mu: mu, h: h, muH: make([]float64, len(h)), c: c}
+	for i, v := range h {
+		if m.muH[i] = mu * v; !finite(m.muH[i]) {
+			return nil, fmt.Errorf("ising: bias term μ·h = %v·%v at %d is not finite", mu, v, i)
+		}
+	}
+	return m, nil
+}
+
+// compress folds the call list into compressed rows. One stable
+// counting pass gathers the calls of each row i (i < j: the upper
+// triangle) in call order; a stable sort of the row by j puts the calls
+// of a pair side by side, still in call order, where a walk folds them
+// to one value; and one more pass lays both triangles out with every
+// row's columns ascending.
+func (b *Builder) compress() (lattice.Coupling, error) {
+	n := b.n
+	cursor := make([]int, n+1) // cursor[r]: where row r's next call goes
+	for _, blk := range b.ops {
+		for _, o := range blk {
+			cursor[o.i()+1]++
+		}
+	}
+	for r := 0; r < n; r++ {
+		cursor[r+1] += cursor[r]
+	}
+	calls := make([]op, b.nops)
+	for _, blk := range b.ops {
+		for _, o := range blk {
+			calls[cursor[o.i()]] = o
+			cursor[o.i()]++
+		}
+	}
+	b.ops = nil
+	kept := calls[:0]
+	rowStart := make([]int, n+1)
+	for r, lo := 0, 0; r < n; r++ { // cursor[r] is now the end of row r
+		row := calls[lo:cursor[r]]
+		lo = cursor[r]
+		slices.SortStableFunc(row, func(a, b op) int { return cmp.Compare(a.j(), b.j()) })
+		for k := 0; k < len(row); {
+			j, v := row[k].j(), 0.0
+			for ; k < len(row) && row[k].j() == j; k++ {
+				if !row[k].add() {
+					v = row[k].v
+				} else if v += row[k].v; math.IsInf(v, 0) {
+					return nil, fmt.Errorf("ising: coupling (%d,%d) overflows", r, j)
+				}
+			}
+			if v != 0 {
+				kept = append(kept, op{pair: uint64(r)<<32 | uint64(j), v: v})
+				rowStart[r+1]++
+				rowStart[j+1]++
+			}
+		}
+	}
+	for r := 0; r < n; r++ {
+		rowStart[r+1] += rowStart[r]
+	}
+	// kept is in (i, j) order, where every (k, r) with k < r comes before
+	// any (r, ·): a cursor per row fills the columns below r, then above.
+	cols, vals := make([]int, 2*len(kept)), make([]float64, 2*len(kept))
+	copy(cursor, rowStart)
+	for _, o := range kept {
+		i, j := o.i(), o.j()
+		cols[cursor[j]], vals[cursor[j]] = i, o.v
+		cursor[j]++
+		cols[cursor[i]], vals[cursor[i]] = j, o.v
+		cursor[i]++
+	}
+	return lattice.FromCSR(n, rowStart, cols, vals), nil
 }
 
 // N returns the number of spins.
 func (m *Model) N() int { return m.n }
 
+// NNZ returns the number of stored couplings, both triangles.
+func (m *Model) NNZ() int { return m.c.NNZ() }
+
 // Mu returns the global bias scale μ.
 func (m *Model) Mu() float64 { return m.mu }
-
-// SetMu sets the global bias scale μ.
-func (m *Model) SetMu(mu float64) { m.mu = mu }
-
-// Coupling returns J_ij.
-func (m *Model) Coupling(i, j int) float64 { return m.j[i*m.n+j] }
-
-// SetCoupling sets J_ij = J_ji = v. Setting a diagonal element panics:
-// the model has no self-coupling (Eq. 1 has zero diagonal).
-func (m *Model) SetCoupling(i, j int, v float64) {
-	if i == j {
-		panic("ising: self-coupling is not part of the model")
-	}
-	m.j[i*m.n+j] = v
-	m.j[j*m.n+i] = v
-}
-
-// AddCoupling adds v to J_ij (and J_ji), accumulating parallel edges.
-func (m *Model) AddCoupling(i, j int, v float64) {
-	if i == j {
-		panic("ising: self-coupling is not part of the model")
-	}
-	m.j[i*m.n+j] += v
-	m.j[j*m.n+i] += v
-}
 
 // Bias returns h_i.
 func (m *Model) Bias(i int) float64 { return m.h[i] }
 
-// SetBias sets h_i.
-func (m *Model) SetBias(i int, v float64) { m.h[i] = v }
-
-// Row returns the i-th row of J as a read-only slice (do not mutate).
-// Hot solver loops use it to avoid per-element bounds arithmetic.
-func (m *Model) Row(i int) []float64 { return m.j[i*m.n : (i+1)*m.n] }
-
 // Biases returns the bias vector as a read-only slice (do not mutate).
 func (m *Model) Biases() []float64 { return m.h }
 
-// Couplings returns the full row-major coupling matrix as a read-only
-// slice (do not mutate). Backend constructors view it zero-copy.
-func (m *Model) Couplings() []float64 { return m.j }
+// MuH returns μ·h_i per spin as a read-only slice (do not mutate): the
+// linear term of the energy, the base every field-seeded kernel takes.
+func (m *Model) MuH() []float64 { return m.muH }
 
-// View returns a coupling-matrix backend over this model's couplings
-// (unscaled). Auto resolves by measured density. The view aliases the
-// model for the dense layouts — do not mutate couplings while it is in
-// use.
-func (m *Model) View(kind lattice.Kind) lattice.Coupling {
-	return lattice.FromDense(m.n, m.j, kind, 0)
+// WithBiases returns a model with biases h (copied) over the same μ and
+// the same couplings, shared, not copied.
+func (m *Model) WithBiases(h []float64) (*Model, error) {
+	if len(h) != m.n {
+		return nil, fmt.Errorf("ising: %d biases for a %d-spin model", len(h), m.n)
+	}
+	return newModel(m.mu, append([]float64(nil), h...), m.c)
 }
 
-// Clone returns a deep copy of the model.
-func (m *Model) Clone() *Model {
-	c := &Model{n: m.n, j: make([]float64, len(m.j)), h: make([]float64, len(m.h)), mu: m.mu}
-	copy(c.j, m.j)
-	copy(c.h, m.h)
-	return c
+// Coupling returns J_ij, by a scan of row i.
+func (m *Model) Coupling(i, j int) float64 {
+	out := 0.0
+	m.c.Scan(i, func(col int, v float64) {
+		if col == j {
+			out = v
+		}
+	})
+	return out
+}
+
+// View returns the model's couplings (unscaled) in the requested
+// layout: the stored one for Auto or its own kind, a re-laid copy
+// (lattice.Convert, built per call) for the other.
+func (m *Model) View(kind lattice.Kind) lattice.Coupling {
+	return lattice.Convert(m.c, kind, 0)
 }
 
 // Energy returns E(σ) for the given spin assignment.
 func (m *Model) Energy(spins []int8) float64 {
-	if len(spins) != m.n {
-		panic(fmt.Sprintf("ising: Energy with %d spins on %d-spin model", len(spins), m.n))
-	}
-	e := 0.0
-	for i := 0; i < m.n; i++ {
-		row := m.Row(i)
-		si := float64(spins[i])
-		acc := 0.0
-		for j := i + 1; j < m.n; j++ {
-			acc += row[j] * float64(spins[j])
-		}
-		e -= si * acc
-		e -= m.mu * m.h[i] * si
-	}
-	return e
+	return lattice.Energy(m.c, spins, m.muH)
 }
 
 // LocalFields fills out[i] = L_i = Σ_j J_ij σ_j and returns it. If out
@@ -142,45 +361,23 @@ func (m *Model) LocalFields(spins []int8, out []float64) []float64 {
 		out = make([]float64, m.n)
 	}
 	out = out[:m.n]
-	for i := range out {
-		out[i] = 0
-	}
-	// Symmetric accumulation: touch each J_ij once, update both fields.
-	for i := 0; i < m.n; i++ {
-		row := m.Row(i)
-		si := float64(spins[i])
-		li := out[i]
-		for j := i + 1; j < m.n; j++ {
-			v := row[j]
-			if v == 0 {
-				continue
-			}
-			sj := float64(spins[j])
-			li += v * sj
-			out[j] += v * si
-		}
-		out[i] = li
-	}
+	lattice.Fields(m.c, spins, nil, out, 1)
 	return out
 }
 
 // FlipDelta returns the energy change from flipping spin k given its
 // current local field L_k: ΔE = 2 σ_k (L_k + μ h_k).
 func (m *Model) FlipDelta(spins []int8, fields []float64, k int) float64 {
-	return 2 * float64(spins[k]) * (fields[k] + m.mu*m.h[k])
+	return m.c.FlipDelta(spins, fields, k, m.muH[k])
 }
 
 // ApplyFlip flips spin k in place and updates the cached local fields
-// of every other spin in O(N). fields[k] itself is unchanged (it does
-// not depend on σ_k).
+// of the spins coupled to it in O(row). fields[k] itself is unchanged
+// (it does not depend on σ_k).
 func (m *Model) ApplyFlip(spins []int8, fields []float64, k int) {
 	old := float64(spins[k])
 	spins[k] = -spins[k]
-	d := -2 * old // new - old contribution of σ_k
-	row := m.Row(k)
-	for j := 0; j < m.n; j++ {
-		fields[j] += row[j] * d
-	}
+	m.c.FlipFanout(fields, k, -2*old) // new − old contribution of σ_k
 }
 
 // EnergyFromFields returns E(σ) computed from cached local fields:
@@ -188,54 +385,11 @@ func (m *Model) ApplyFlip(spins []int8, fields []float64, k int) {
 // consistent with the spins and costs O(N).
 func (m *Model) EnergyFromFields(spins []int8, fields []float64) float64 {
 	e := 0.0
-	for i := 0; i < m.n; i++ {
+	for i, b := range m.muH {
 		si := float64(spins[i])
-		e -= 0.5*fields[i]*si + m.mu*m.h[i]*si
+		e -= 0.5*fields[i]*si + b*si
 	}
 	return e
-}
-
-// TotalCouplingWeight returns Σ_{i<j} J_ij, the constant that relates
-// energy to cut value for MaxCut-mapped instances.
-func (m *Model) TotalCouplingWeight() float64 {
-	w := 0.0
-	for i := 0; i < m.n; i++ {
-		row := m.Row(i)
-		for j := i + 1; j < m.n; j++ {
-			w += row[j]
-		}
-	}
-	return w
-}
-
-// MaxAbsCoupling returns max_ij |J_ij|, used by dynamical-system
-// solvers to normalize their time constants.
-func (m *Model) MaxAbsCoupling() float64 {
-	mx := 0.0
-	for _, v := range m.j {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// InfinityNorm returns max_i Σ_j |J_ij|, the largest total coupling
-// weight incident on any spin. Dynamical-system solvers normalize by
-// it so that the combined coupling current into a node is bounded by
-// 1 — the resistive-divider bound a physical coupling network obeys.
-func (m *Model) InfinityNorm() float64 {
-	mx := 0.0
-	for i := 0; i < m.n; i++ {
-		s := 0.0
-		for _, v := range m.Row(i) {
-			s += math.Abs(v)
-		}
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
 }
 
 // MaxRowNorm2 returns max_i √(Σ_j J_ij²). For spins in random states
@@ -245,54 +399,14 @@ func (m *Model) InfinityNorm() float64 {
 // bistable feedback (O(1) gains) meaningfully competes with the
 // coupling network instead of being drowned out or dominating.
 func (m *Model) MaxRowNorm2() float64 {
-	mx := 0.0
+	mx, s := 0.0, 0.0
+	square := func(_ int, v float64) { s += v * v } // one closure, not one a row
 	for i := 0; i < m.n; i++ {
-		s := 0.0
-		for _, v := range m.Row(i) {
-			s += v * v
-		}
+		s = 0
+		m.c.Scan(i, square)
 		if s > mx {
 			mx = s
 		}
 	}
 	return math.Sqrt(mx)
-}
-
-// Degree returns the number of nonzero couplings of spin i.
-func (m *Model) Degree(i int) int {
-	d := 0
-	for _, v := range m.Row(i) {
-		if v != 0 {
-			d++
-		}
-	}
-	return d
-}
-
-// Validate checks the structural invariants (symmetry, zero diagonal,
-// finite entries) and returns an error describing the first violation.
-func (m *Model) Validate() error {
-	if len(m.j) != m.n*m.n || len(m.h) != m.n {
-		return errors.New("ising: inconsistent buffer sizes")
-	}
-	for i := 0; i < m.n; i++ {
-		if m.j[i*m.n+i] != 0 {
-			return fmt.Errorf("ising: nonzero diagonal at %d", i)
-		}
-		for j := i + 1; j < m.n; j++ {
-			a, b := m.j[i*m.n+j], m.j[j*m.n+i]
-			if a != b {
-				return fmt.Errorf("ising: asymmetry at (%d,%d): %v vs %v", i, j, a, b)
-			}
-			if math.IsNaN(a) || math.IsInf(a, 0) {
-				return fmt.Errorf("ising: non-finite coupling at (%d,%d)", i, j)
-			}
-		}
-	}
-	for i, v := range m.h {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("ising: non-finite bias at %d", i)
-		}
-	}
-	return nil
 }

@@ -5,21 +5,24 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mbrim/internal/lattice"
 	"mbrim/internal/rng"
 )
 
-// randomModel builds a dense model with integer couplings in [-3,3]
-// and biases in [-2,2], the regime the benchmarks live in.
-func randomModel(n int, r *rng.Source) *Model {
-	m := NewModel(n)
+// randomBuilder collects a fully connected model with integer couplings
+// in [-3,3] and biases in [-2,2], the regime the benchmarks live in.
+func randomBuilder(n int, r *rng.Source) *Builder {
+	b := NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			m.SetCoupling(i, j, float64(r.Intn(7)-3))
+			b.SetCoupling(i, j, float64(r.Intn(7)-3))
 		}
-		m.SetBias(i, float64(r.Intn(5)-2))
+		b.SetBias(i, float64(r.Intn(5)-2))
 	}
-	return m
+	return b
 }
+
+func randomModel(n int, r *rng.Source) *Model { return randomBuilder(n, r).mustBuild() }
 
 // naiveEnergy is the textbook O(N^2) reference implementation.
 func naiveEnergy(m *Model, s []int8) float64 {
@@ -36,30 +39,75 @@ func naiveEnergy(m *Model, s []int8) float64 {
 func TestNewModelPanicsOnBadSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewModel(0) did not panic")
+			t.Fatal("NewBuilder(0) did not panic")
 		}
 	}()
-	NewModel(0)
+	NewBuilder(0)
+}
+
+// TestBuildRejects: everything untrusted input can get wrong is an error
+// from Build — the first one — and never a panic or a model.
+func TestBuildRejects(t *testing.T) {
+	for name, feed := range map[string]func() *Builder{
+		"self-coupling":  func() *Builder { b := NewBuilder(3); b.SetCoupling(1, 1, 1); return b },
+		"index range":    func() *Builder { b := NewBuilder(2); b.AddCoupling(0, 5, 1); return b },
+		"negative index": func() *Builder { b := NewBuilder(2); b.SetCoupling(-1, 1, 1); return b },
+		"bias range":     func() *Builder { b := NewBuilder(2); b.SetBias(2, 1); return b },
+		"NaN coupling":   func() *Builder { b := NewBuilder(3); b.SetCoupling(0, 1, math.NaN()); return b },
+		"Inf coupling":   func() *Builder { b := NewBuilder(3); b.AddCoupling(0, 1, math.Inf(-1)); return b },
+		"NaN bias":       func() *Builder { b := NewBuilder(3); b.SetBias(0, math.NaN()); return b },
+		"Inf μ":          func() *Builder { b := NewBuilder(3); b.SetMu(math.Inf(1)); return b },
+		"sparse overflow": func() *Builder {
+			b := NewBuilder(100)
+			b.AddCoupling(0, 1, 1e308)
+			b.AddCoupling(1, 0, 1e308)
+			return b
+		},
+		"dense overflow": func() *Builder {
+			b := NewBuilder(2)
+			b.AddCoupling(0, 1, -1e308)
+			b.AddCoupling(1, 0, -1e308)
+			return b
+		},
+		"overwritten NaN": func() *Builder { b := NewBuilder(3); b.SetCoupling(0, 1, math.NaN()); b.SetCoupling(0, 1, 1); return b },
+	} {
+		t.Run(name, func(t *testing.T) {
+			b := feed()
+			if m, err := b.Build(); err == nil {
+				t.Fatalf("Build accepted it: %v", m)
+			}
+			if _, err := b.Build(); err == nil {
+				t.Fatal("the second Build forgot the error")
+			}
+		})
+	}
+	b := NewBuilder(2)
+	if _, err := b.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Build(); err == nil {
+		t.Fatal("a builder built twice: two models would share one array")
+	}
+	m := randomModel(3, rng.New(1))
+	if _, err := m.WithBiases([]float64{1, 2}); err == nil {
+		t.Fatal("WithBiases accepted a short vector")
+	}
+	if _, err := m.WithBiases([]float64{1, math.NaN(), 2}); err == nil {
+		t.Fatal("WithBiases accepted a NaN")
+	}
 }
 
 func TestSetCouplingSymmetric(t *testing.T) {
-	m := NewModel(4)
-	m.SetCoupling(1, 3, -2.5)
+	b := NewBuilder(4)
+	b.SetCoupling(1, 3, 7)
+	b.SetCoupling(3, 1, -2.5) // the same pair: the last write wins
+	m := b.mustBuild()
 	if m.Coupling(3, 1) != -2.5 || m.Coupling(1, 3) != -2.5 {
 		t.Fatal("SetCoupling is not symmetric")
 	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
+	if m.NNZ() != 2 {
+		t.Fatalf("NNZ = %d, want 2", m.NNZ())
 	}
-}
-
-func TestSelfCouplingPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetCoupling(i,i) did not panic")
-		}
-	}()
-	NewModel(3).SetCoupling(1, 1, 1)
 }
 
 func TestEnergyMatchesNaive(t *testing.T) {
@@ -168,9 +216,9 @@ func TestImprovingFlipLowersEnergy(t *testing.T) {
 	// bias means flipping k improves energy.
 	r := rng.New(7)
 	n := 20
-	m := randomModel(n, r)
-	for i := 0; i < n; i++ {
-		m.SetBias(i, 0)
+	m, err := randomModel(n, r).WithBiases(make([]float64, n))
+	if err != nil {
+		t.Fatal(err)
 	}
 	s := RandomSpins(n, r)
 	fields := m.LocalFields(s, nil)
@@ -192,13 +240,14 @@ func TestBiasAsExtraSpinEquivalence(t *testing.T) {
 	r := rng.New(8)
 	n := 12
 	m := randomModel(n, r)
-	ext := NewModel(n + 1)
+	eb := NewBuilder(n + 1)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			ext.SetCoupling(i, j, m.Coupling(i, j))
+			eb.SetCoupling(i, j, m.Coupling(i, j))
 		}
-		ext.SetCoupling(i, n, m.Mu()*m.Bias(i))
+		eb.SetCoupling(i, n, m.Mu()*m.Bias(i))
 	}
+	ext := eb.mustBuild()
 	for trial := 0; trial < 10; trial++ {
 		s := RandomSpins(n, r)
 		se := append(CopySpins(s), 1)
@@ -208,54 +257,58 @@ func TestBiasAsExtraSpinEquivalence(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	m := NewModel(3)
-	m.SetCoupling(0, 1, 2)
-	m.SetBias(2, 5)
-	m.SetMu(0.5)
-	c := m.Clone()
-	m.SetCoupling(0, 1, -9)
-	m.SetBias(2, -9)
-	if c.Coupling(0, 1) != 2 || c.Bias(2) != 5 || c.Mu() != 0.5 {
-		t.Fatal("Clone shares state with original")
+// TestWithBiasesSharesCoupling: the re-biased model is independent in
+// what it copies (h, μ·h) and identical in what it shares.
+func TestWithBiasesSharesCoupling(t *testing.T) {
+	b := NewBuilder(3)
+	b.SetCoupling(0, 1, 2)
+	b.SetBias(2, 5)
+	b.SetMu(0.5)
+	m := b.mustBuild()
+	h := []float64{1, 0, -4}
+	c, err := m.WithBiases(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h[0] = 99
+	if c.Bias(0) != 1 || c.MuH()[2] != -2 || c.Mu() != 0.5 || c.Coupling(0, 1) != 2 {
+		t.Fatalf("WithBiases: biases %v, μh %v, μ %v", c.Biases(), c.MuH(), c.Mu())
+	}
+	if m.Bias(2) != 5 || m.MuH()[2] != 2.5 {
+		t.Fatal("WithBiases changed the original")
+	}
+	if c.View(lattice.Auto) != m.View(lattice.Auto) {
+		t.Fatal("WithBiases copied the couplings")
 	}
 }
 
-func TestTotalCouplingWeight(t *testing.T) {
-	m := NewModel(3)
-	m.SetCoupling(0, 1, 1)
-	m.SetCoupling(0, 2, -2)
-	m.SetCoupling(1, 2, 4)
-	if w := m.TotalCouplingWeight(); w != 3 {
-		t.Fatalf("TotalCouplingWeight = %v, want 3", w)
-	}
-}
-
-func TestMaxAbsCouplingAndDegree(t *testing.T) {
-	m := NewModel(4)
-	m.SetCoupling(0, 1, -3)
-	m.SetCoupling(2, 3, 2)
-	if m.MaxAbsCoupling() != 3 {
-		t.Fatalf("MaxAbsCoupling = %v", m.MaxAbsCoupling())
-	}
-	if m.Degree(0) != 1 || m.Degree(3) != 1 {
-		t.Fatal("Degree wrong")
-	}
-}
-
+// TestValidateCatchesAsymmetry: there is no asymmetric matrix to catch —
+// a pair written both ways round is one pair, and both triangles of
+// every layout read the value it folded to.
 func TestValidateCatchesAsymmetry(t *testing.T) {
-	m := NewModel(3)
-	m.j[0*3+1] = 1 // corrupt directly, bypassing SetCoupling
-	if err := m.Validate(); err == nil {
-		t.Fatal("Validate accepted an asymmetric matrix")
+	for _, n := range []int{3, 40} { // the dense array, the list
+		b := NewBuilder(n)
+		b.SetCoupling(0, 1, 1)
+		b.SetCoupling(1, 0, -4)
+		b.AddCoupling(2, 1, 0.5)
+		b.AddCoupling(1, 2, 0.25)
+		m := b.mustBuild()
+		for _, kind := range []lattice.Kind{lattice.Auto, lattice.Dense, lattice.CSR} {
+			v := restored(m, kind)
+			if v.Coupling(0, 1) != -4 || v.Coupling(1, 0) != -4 || v.Coupling(1, 2) != 0.75 || v.Coupling(2, 1) != 0.75 {
+				t.Fatalf("n=%d %v: J01=%v J10=%v J12=%v J21=%v", n, kind, v.Coupling(0, 1), v.Coupling(1, 0), v.Coupling(1, 2), v.Coupling(2, 1))
+			}
+		}
 	}
 }
 
+// TestValidateCatchesNaN: validation is Build's, and a NaN does not get
+// past it even when a later write covers it.
 func TestValidateCatchesNaN(t *testing.T) {
-	m := NewModel(3)
-	m.SetCoupling(0, 1, math.NaN())
-	if err := m.Validate(); err == nil {
-		t.Fatal("Validate accepted NaN coupling")
+	b := NewBuilder(3)
+	b.SetCoupling(0, 1, math.NaN())
+	if _, err := b.Build(); err == nil {
+		t.Fatal("Build accepted a NaN coupling")
 	}
 }
 
@@ -265,13 +318,14 @@ func TestEnergyPanicsOnLengthMismatch(t *testing.T) {
 			t.Fatal("Energy with short spins did not panic")
 		}
 	}()
-	NewModel(4).Energy(make([]int8, 3))
+	NewBuilder(4).mustBuild().Energy(make([]int8, 3))
 }
 
 func TestAddCouplingAccumulates(t *testing.T) {
-	m := NewModel(3)
-	m.AddCoupling(0, 1, 1.5)
-	m.AddCoupling(1, 0, 1.5)
+	b := NewBuilder(3)
+	b.AddCoupling(0, 1, 1.5)
+	b.AddCoupling(1, 0, 1.5)
+	m := b.mustBuild()
 	if m.Coupling(0, 1) != 3 {
 		t.Fatalf("AddCoupling total = %v, want 3", m.Coupling(0, 1))
 	}

@@ -55,10 +55,10 @@ func (q *QUBO) Value(x []bool) float64 {
 
 // ToIsing converts the QUBO to an Ising model and the constant offset
 // such that for any assignment, Value(x) = model.Energy(σ) + offset
-// with σ_i = 2 x_i − 1.
-func (q *QUBO) ToIsing() (m *Model, offset float64) {
-	m = NewModel(q.n)
-	offset = 0
+// with σ_i = 2 x_i − 1. Coefficients that do not give a finite model
+// (a NaN, or terms whose sum overflows) are an error.
+func (q *QUBO) ToIsing() (m *Model, offset float64, err error) {
+	b := NewBuilder(q.n)
 	h := make([]float64, q.n)
 	for i := 0; i < q.n; i++ {
 		ci := q.Coeff(i, i)
@@ -73,13 +73,14 @@ func (q *QUBO) ToIsing() (m *Model, offset float64) {
 			offset += pair / 4
 			h[i] -= pair / 4
 			h[j] -= pair / 4
-			m.SetCoupling(i, j, -pair/4)
+			b.SetCoupling(i, j, -pair/4)
 		}
 	}
 	for i, v := range h {
-		m.SetBias(i, v)
+		b.SetBias(i, v)
 	}
-	return m, offset
+	m, err = b.Build()
+	return m, offset, err
 }
 
 // SpinsToBits maps σ ∈ {-1,+1}^n to x ∈ {0,1}^n via x = (σ+1)/2.
@@ -117,17 +118,15 @@ func FromIsing(m *Model) (q *QUBO, offset float64) {
 	for i := 0; i < n; i++ {
 		q.AddCoeff(i, i, -2*m.Mu()*m.Bias(i))
 		offset += m.Mu() * m.Bias(i)
-		row := m.Row(i)
-		for j := i + 1; j < n; j++ {
-			jij := row[j]
-			if jij == 0 {
-				continue
+		m.c.Scan(i, func(j int, jij float64) {
+			if j < i {
+				return
 			}
 			q.AddCoeff(i, j, -4*jij)
 			q.AddCoeff(i, i, 2*jij)
 			q.AddCoeff(j, j, 2*jij)
 			offset -= jij
-		}
+		})
 	}
 	return q, offset
 }

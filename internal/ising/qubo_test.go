@@ -32,7 +32,10 @@ func TestQUBOToIsingValueIdentity(t *testing.T) {
 		r := rng.New(uint64(seed))
 		n := 1 + r.Intn(20)
 		q := randomQUBO(n, r)
-		m, offset := q.ToIsing()
+		m, offset, err := q.ToIsing()
+		if err != nil {
+			return false
+		}
 		for trial := 0; trial < 8; trial++ {
 			x := randomBits(n, r)
 			s := BitsToSpins(x)
@@ -74,7 +77,10 @@ func TestRoundTripPreservesOptimum(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 2 + r.Intn(8)
 		q := randomQUBO(n, r)
-		m, offset := q.ToIsing()
+		m, offset, err := q.ToIsing()
+		if err != nil {
+			t.Fatal(err)
+		}
 		bestQ, bestE := math.Inf(1), math.Inf(1)
 		var argQ, argE uint
 		for mask := uint(0); mask < 1<<n; mask++ {

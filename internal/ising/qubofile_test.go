@@ -83,6 +83,10 @@ func TestReadQUBORejects(t *testing.T) {
 		"bad number":      "p qubo 0 2 1 0\n0 0 xyz\n",
 		"zero nodes":      "p qubo 0 0 0 0\n",
 		"short p line":    "p qubo 0 2\n",
+		// 51 GB of matrix behind one line (FuzzReadQUBO found it): the
+		// matrix is allocated for the entries a file holds, not promises.
+		"header bomb":  "p qubo 0 80000 0 0\n",
+		"header bomb2": "p qubo 0 80000 1 0\n7 7 1\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadQUBO(strings.NewReader(in)); err == nil {
@@ -98,7 +102,18 @@ func TestQUBOFileThenIsing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, offset := q.ToIsing()
+	m, offset, err := q.ToIsing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What a file can hold and a model cannot is an error, not a panic.
+	for _, bad := range []string{"p qubo 0 2 0 1\n0 1 NaN\n", "p qubo 0 2 2 0\n0 0 1e308\n0 0 1e308\n"} {
+		if qb, err := ReadQUBO(strings.NewReader(bad)); err != nil {
+			t.Fatalf("%q: %v", bad, err)
+		} else if _, _, err := qb.ToIsing(); err == nil {
+			t.Fatalf("%q converted to a model", bad)
+		}
+	}
 	for mask := 0; mask < 8; mask++ {
 		x := make([]bool, 3)
 		for i := range x {

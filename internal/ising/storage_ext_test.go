@@ -1,0 +1,165 @@
+package ising_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"mbrim/internal/checkpoint"
+	"mbrim/internal/cluster"
+	"mbrim/internal/graph"
+	"mbrim/internal/ising"
+	"mbrim/internal/rng"
+)
+
+// The external half of the storage differential (storage_test.go): the
+// two readers of a model's couplings that live in packages importing
+// this one. Each is held to the loop it used to be over the n×n array,
+// kept here verbatim.
+
+// denseHash is checkpoint.HashModel as it was: FNV-1a over n, μ, all n²
+// couplings and the biases.
+func denseHash(n int, mu float64, j, h []float64) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	hash := uint64(offset)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			hash ^= v & 0xff
+			hash *= prime
+			v >>= 8
+		}
+	}
+	mix(uint64(n))
+	mix(math.Float64bits(mu))
+	for i := 0; i < n; i++ {
+		for _, v := range j[i*n : (i+1)*n] {
+			mix(math.Float64bits(v))
+		}
+	}
+	for _, v := range h {
+		mix(math.Float64bits(v))
+	}
+	return hash
+}
+
+// densePlanesFrame and denseCSRFrame are cluster.ModelToWire's two
+// encoders as they were, over the array.
+func densePlanesFrame(n int, j []float64) ([]byte, bool) {
+	pb := (n*(n-1)/2 + 7) / 8
+	frame := make([]byte, 2*pb)
+	present, neg := frame[:pb], frame[pb:]
+	t := 0
+	for i := 0; i < n; i++ {
+		for _, v := range j[i*n+i+1 : (i+1)*n] {
+			switch v {
+			case 0:
+			case 1:
+				present[t>>3] |= 1 << (t & 7)
+			case -1:
+				present[t>>3] |= 1 << (t & 7)
+				neg[t>>3] |= 1 << (t & 7)
+			default:
+				return nil, false
+			}
+			t++
+		}
+	}
+	return frame, true
+}
+
+func denseCSRFrame(n int, j []float64) []byte {
+	nnz := 0
+	for i := 0; i < n; i++ {
+		for _, v := range j[i*n+i+1 : (i+1)*n] {
+			if v != 0 {
+				nnz++
+			}
+		}
+	}
+	frame := make([]byte, 4*n+12*nnz)
+	at := 4 * n
+	for i := 0; i < n; i++ {
+		count := 0
+		for c, v := range j[i*n+i+1 : (i+1)*n] {
+			if v != 0 {
+				binary.LittleEndian.PutUint32(frame[at:], uint32(i+1+c))
+				binary.LittleEndian.PutUint64(frame[at+4:], math.Float64bits(v))
+				at += 12
+				count++
+			}
+		}
+		binary.LittleEndian.PutUint32(frame[4*i:], uint32(count))
+	}
+	return frame
+}
+
+func TestHashAndWireReadTheStoredCouplings(t *testing.T) {
+	for _, c := range ising.StorageCases(t) {
+		m, n := c.Model, c.Model.N()
+		if got, want := checkpoint.HashModel(m), denseHash(n, m.Mu(), c.Dense, m.Biases()); got != want {
+			t.Errorf("%s: HashModel %#x, the n² walk gives %#x", c.Name, got, want)
+		}
+		w := cluster.ModelToWire(m)
+		frame, arm := denseCSRFrame(n, c.Dense), "csr"
+		if pf, ok := densePlanesFrame(n, c.Dense); ok {
+			frame, arm = pf, "planes"
+		}
+		if w.Arm != arm || !bytes.Equal(w.Frame, frame) {
+			t.Errorf("%s: a %d-byte %s frame, the array encodes to %d bytes of %s", c.Name, len(w.Frame), w.Arm, len(frame), arm)
+		}
+		if w.N != n || w.Mu != m.Mu() || (w.Biases != nil && len(w.Biases) != n) {
+			t.Errorf("%s: envelope n=%d μ=%v with %d biases", c.Name, w.N, w.Mu, len(w.Biases))
+		}
+	}
+}
+
+// TestHashModelKeepsItsValue pins numbers, not just agreement: hashes a
+// parent build wrote into checkpoints (graph.Complete(16, seed 12) is
+// the model of multichip's parent_ckpt_k16_c2.json, and the first number
+// is that file's modelHash) must be the hashes this build reads
+// them with — for a matrix with one zero run per row (a K-graph's
+// diagonal) and for one that is almost all zero run.
+func TestHashModelKeepsItsValue(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *ising.Model
+		want uint64
+	}{
+		{"K16 seed 12", graph.Complete(16, rng.New(12)).ToIsing(), 15898676325132335464},
+		{"K16 seed 1", graph.Complete(16, rng.New(1)).ToIsing(), 0x6913529973699268},
+		{"G(1024, 0.02)", graph.Random(1024, 0.02, rng.New(7)).ToIsing(), 0x76b7cc7a40685b84},
+	} {
+		if got := checkpoint.HashModel(tc.m); got != tc.want {
+			t.Errorf("%s: HashModel %#x, the parent commit computed %#x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestNegativeZeroMovesTheHash is the external half of the −0 pin: the
+// array kept a −0 coupling's sign bit and hashed it; the model stores no
+// entry there, so it hashes as the array with +0.
+func TestNegativeZeroMovesTheHash(t *testing.T) {
+	g := graph.New(5)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 0) // J = −w = −0
+	g.AddEdge(3, 4, -2)
+	m := g.ToIsing()
+	dense := make([]float64, 25)
+	for _, e := range g.Edges() {
+		dense[e.U*5+e.V], dense[e.V*5+e.U] = -e.Weight, -e.Weight
+	}
+	if !math.Signbit(dense[1*5+2]) {
+		t.Fatal("the array lost the −0 it is here to keep")
+	}
+	if got, old := checkpoint.HashModel(m), denseHash(5, 1, dense, m.Biases()); got == old {
+		t.Fatalf("HashModel %#x still mixes the −0 no layout stores", got)
+	}
+	dense[1*5+2], dense[2*5+1] = 0, 0
+	if got, want := checkpoint.HashModel(m), denseHash(5, 1, dense, m.Biases()); got != want {
+		t.Fatalf("HashModel %#x, the array with +0 gives %#x", got, want)
+	}
+}

@@ -12,11 +12,9 @@ type csr struct {
 }
 
 // FromCSR builds a backend over an existing compressed-sparse-row
-// triple with ascending column order per row (ising.SparseModel's
-// invariant — violations panic). div, when nonzero and not 1, divides
-// every value; otherwise the slices are aliased and must not be
-// mutated by the caller.
-func FromCSR(n int, rowStart, cols []int, vals []float64, div float64) Coupling {
+// triple with ascending column order per row (violations panic). The
+// slices are aliased and must not be mutated by the caller.
+func FromCSR(n int, rowStart, cols []int, vals []float64) Coupling {
 	if n <= 0 || len(rowStart) != n+1 || len(cols) != len(vals) || rowStart[n] != len(cols) {
 		panic(fmt.Sprintf("lattice: FromCSR inconsistent layout (n=%d, rows=%d, nnz=%d/%d)",
 			n, len(rowStart), len(cols), len(vals)))
@@ -31,42 +29,7 @@ func FromCSR(n int, rowStart, cols []int, vals []float64, div float64) Coupling 
 			}
 		}
 	}
-	c := &csr{n: n, rowStart: rowStart, cols: cols, vals: vals}
-	if div != 0 && div != 1 {
-		scaled := make([]float64, len(vals))
-		for i, v := range vals {
-			scaled[i] = v / div
-		}
-		c.vals = scaled
-	}
-	return c
-}
-
-// csrFromDense compresses a dense row-major matrix of nnz nonzeros,
-// dividing each kept entry by div (0 means 1). Rows are scanned in
-// ascending column order, so the stored order preserves the dense
-// accumulation order.
-func csrFromDense(n int, data []float64, nnz int, div float64) *csr {
-	if div == 0 {
-		div = 1
-	}
-	c := &csr{
-		n:        n,
-		rowStart: make([]int, n+1),
-		cols:     make([]int, 0, nnz),
-		vals:     make([]float64, 0, nnz),
-	}
-	for i := 0; i < n; i++ {
-		c.rowStart[i] = len(c.cols)
-		for j, v := range data[i*n : (i+1)*n] {
-			if v != 0 {
-				c.cols = append(c.cols, j)
-				c.vals = append(c.vals, v/div)
-			}
-		}
-	}
-	c.rowStart[n] = len(c.cols)
-	return c
+	return &csr{n: n, rowStart: rowStart, cols: cols, vals: vals}
 }
 
 func (c *csr) N() int   { return c.n }

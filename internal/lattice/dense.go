@@ -14,14 +14,11 @@ type dense struct {
 	pl   *planes // non-nil iff unscaled and every entry is −1, 0 or +1
 }
 
-// FromDense builds a backend over a row-major n×n symmetric matrix.
-// div, when nonzero and not 1, divides every entry — the resistor
-// normalization the BRIM machines apply (Ĵ = J/scale); division, not
-// multiplication by a reciprocal, so the stored values match the
-// historical per-engine loops bit for bit. With div 0 or 1 the dense
-// layout aliases data instead of copying — callers must not mutate it.
-// Auto resolves by measured density. An unscaled dense layout whose
-// entries are all −1, 0 or +1 also gets the ±1 bit planes (see planes).
+// FromDense builds a backend over a row-major n×n symmetric matrix,
+// divided by div as Convert describes. With div 0 or 1 the dense layout
+// aliases data instead of copying — callers must not mutate it. Auto
+// resolves by measured density. An unscaled dense layout whose entries
+// are all −1, 0 or +1 also gets the ±1 bit planes (see planes).
 // Symmetry is documented, not trusted: the dense layout compares the
 // stored triangles once, and a matrix that is not its own transpose
 // keeps the row-wise results Coupling promises, from the row kernel.
@@ -30,29 +27,18 @@ func FromDense(n int, data []float64, kind Kind, div float64) Coupling {
 		panic(fmt.Sprintf("lattice: FromDense with %d entries for n=%d", len(data), n))
 	}
 	nnz, unit := countEntries(data)
-	switch Resolve(kind, n, nnz) {
-	case CSR:
-		return csrFromDense(n, data, nnz, div)
-	default:
-		d := &dense{n: n, data: scaleDense(data, div), nnz: nnz}
-		d.sym = symmetricBits(n, d.data)
-		if unit && (div == 0 || div == 1) {
-			d.pl = newPlanes(n, data)
-		}
-		return d
+	d := &dense{n: n, data: data, nnz: nnz}
+	if Resolve(kind, n, nnz) == CSR {
+		return Convert(d, CSR, div)
 	}
-}
-
-// scaleDense returns data/div, aliasing data when div is 0 or 1.
-func scaleDense(data []float64, div float64) []float64 {
-	if div == 0 || div == 1 {
-		return data
+	d.sym = symmetricBits(n, data)
+	if div != 0 && div != 1 {
+		return Convert(d, Dense, div)
 	}
-	scaled := make([]float64, len(data))
-	for i, v := range data {
-		scaled[i] = v / div
+	if unit {
+		d.pl = newPlanes(n, data)
 	}
-	return scaled
+	return d
 }
 
 // symTile is the square tile symmetricBits compares at a time: 32×32
@@ -232,4 +218,24 @@ func (d *dense) FlipFanout(fields []float64, k int, delta float64) {
 
 func (d *dense) FlipDelta(spins []int8, fields []float64, k int, muH float64) float64 {
 	return flipDelta(spins, fields, k, muH)
+}
+
+// energy is the float walk every other arm of Energy answers for: per
+// row the strict upper triangle in ascending column order, zeros
+// included, then the row's two subtractions.
+func (d *dense) energy(spins []int8, base []float64) float64 {
+	e := 0.0
+	for i, s := range spins {
+		row := d.row(i)
+		si := float64(s)
+		acc := 0.0
+		for j := i + 1; j < d.n; j++ {
+			acc += row[j] * float64(spins[j])
+		}
+		e -= si * acc
+		if base != nil {
+			e -= base[i] * si
+		}
+	}
+	return e
 }

@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -81,32 +82,34 @@ func Fields(c Coupling, spins []int8, base, out []float64, workers int) {
 	ForRange(c.N(), workers, func(lo, hi int) { c.FieldsRange(spins, base, out, lo, hi) })
 }
 
-// Energy returns E(σ) = −Σ_{i<j} J_ij σ_i σ_j − Σ_i base_i σ_i, where
-// walk is the caller's float evaluation of that same quantity
-// (ising.Model.Energy with base_i = μh_i) — the answer whenever no
-// cheaper arm provably carries its bits. Two do (package doc, Energy):
+// Energy returns E(σ) = −Σ_{i<j} J_ij σ_i σ_j − Σ_i base_i σ_i (nil base
+// means zero; ising.Model.Energy passes μh) with the bits of one float
+// walk, whichever arm answers (package doc, Energy):
 //
-//   - a CSR view runs that walk itself over the stored entries only.
-//     The skipped terms are ±0 products added to accumulators that are
-//     never −0, so the bits are the dense walk's at O(nnz) reads.
+//   - a Dense view runs the walk: every column above the diagonal.
+//   - a CSR view runs it over the stored entries only. The skipped
+//     terms are ±0 products added to accumulators that are never −0,
+//     so the bits are the dense walk's at O(nnz) reads.
 //   - a Dense view with ±1 planes, when the bases are integers small
 //     enough that the energy is an integer below 2⁵³: every partial sum
 //     of any float walk is then exact, so the popcount evaluation has
 //     the walk's bits at 1/64 of its reads.
-func Energy(c Coupling, spins []int8, base []float64, walk func([]int8) float64) float64 {
-	if len(spins) == c.N() && (base == nil || len(base) == len(spins)) {
-		switch v := c.(type) {
-		case *csr:
-			return v.energy(spins, base)
-		case *dense:
-			if v.pl != nil {
-				if e, ok := v.pl.energy(spins, base, v.nnz); ok {
-					return e
-				}
-			}
+//
+// It panics unless spins, and base when given, have c.N() entries.
+func Energy(c Coupling, spins []int8, base []float64) float64 {
+	if len(spins) != c.N() || (base != nil && len(base) != len(spins)) {
+		panic(fmt.Sprintf("lattice: Energy with %d spins and %d bases on %d-spin couplings", len(spins), len(base), c.N()))
+	}
+	if v, ok := c.(*csr); ok {
+		return v.energy(spins, base)
+	}
+	d := c.(*dense) // the package's only other layout
+	if d.pl != nil {
+		if e, ok := d.pl.energy(spins, base, d.nnz); ok {
+			return e
 		}
 	}
-	return walk(spins)
+	return d.energy(spins, base)
 }
 
 // SumOrdered reduces fn over [0, n) in fixed KernelChunk pieces,

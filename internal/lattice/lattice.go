@@ -7,24 +7,28 @@
 //
 // Two layouts implement Coupling:
 //
-//   - Dense: the row-major n×n array the repository has always used —
-//     right for the paper's fully connected K-graphs.
+//   - Dense: the row-major n×n array — right for the paper's fully
+//     connected K-graphs.
 //   - CSR: compressed sparse rows with ascending column order — right
 //     for Gset-scale instances at a few percent density, where the
 //     dense loops spend almost all their time scanning zeros.
 //
 // Auto resolves to CSR when the measured density is at most
-// AutoCSRDensity, else Dense.
+// AutoCSRDensity, else Dense. An ising.Model freezes its couplings into
+// one of the two, once (FromDense for a problem that filled the array,
+// FromCSR for one that stayed a list), and that stored Coupling is what
+// every engine reads; Convert re-lays it for a caller that forces the
+// other layout or wants it divided by a scale.
 //
 // # ±1 planes
 //
 // The paper's benchmark family is all-to-all ±1 K-graphs, and the
 // integer-field engines (dSBM's force, SA's field cache) read them
 // through FieldsRange with ±1 spins. For exactly that case — an
-// unscaled Dense matrix whose every entry is −1, 0 or +1 — FromDense
-// also stores each row as two bit planes (pos, neg; (n+63)/64 words
-// each), and FieldsRange packs the spin vector into an up-mask once per
-// call and computes a row as
+// unscaled Dense matrix whose every entry is −1, 0 or +1 — the dense
+// layout also stores each row as two bit planes (pos, neg; (n+63)/64
+// words each), and FieldsRange packs the spin vector into an up-mask
+// once per call and computes a row as
 //
 //	base[i] + float64(2·popcount(pos&up | neg&^up) − rowNNZ[i])
 //
@@ -37,15 +41,13 @@
 //
 // # Energy
 //
-// Energy evaluates E(σ) = −Σ_{i<j} J_ij σ_i σ_j − Σ_i base_i σ_i for a
-// caller that already owns a float walk of it and wants that walk's
-// bits for less. The walk it stands in for is ising.Model.Energy's: per
-// row i, acc over j > i ascending, then e −= σ_i·acc and
-// e −= base_i·σ_i. The planes arm is indifferent to the association —
-// it answers only when every partial sum of any walk is exact. The CSR
-// arm is not: it is the caller's walk with zero terms skipped, so a
-// walk of another association must not be passed. A Dense view without
-// planes calls the walk.
+// Energy evaluates E(σ) = −Σ_{i<j} J_ij σ_i σ_j − Σ_i base_i σ_i with
+// the bits of one float walk — per row i, acc over j > i ascending,
+// then e −= σ_i·acc and e −= base_i·σ_i — which the Dense arm runs as
+// written. The planes arm is indifferent to the association: it answers
+// only when every partial sum of any walk is exact. The CSR arm is not:
+// it is that walk with the zero terms skipped, and stays bit-identical
+// only because it keeps the walk's association.
 //
 // # Determinism contract
 //
@@ -106,8 +108,8 @@
 // wherever the walk is fused the blocks are fused the same way.
 //
 // The second kernel is the column sweep (sweep_amd64.s), taken on an
-// amd64 host with AVX for the 32-row blocks of a range when FromDense
-// found the stored matrix symmetric. The resistor between two nodes
+// amd64 host with AVX for the 32-row blocks of a range when the layout
+// was built over a matrix found symmetric. The resistor between two nodes
 // conducts both ways, so J[j][i..i+3] — contiguous in the row-major
 // array — holds exactly the operands rows i..i+3 need at column j:
 // broadcast x[j], VMULPD against that slice, VADDPD into a register of
@@ -202,18 +204,6 @@ func ParseKind(s string) (Kind, error) {
 // scan, comfortably past its extra indexing cost.
 const AutoCSRDensity = 0.05
 
-// CountNNZ returns the number of nonzero entries of a dense row-major
-// matrix.
-func CountNNZ(data []float64) int {
-	c := 0
-	for _, v := range data {
-		if v != 0 {
-			c++
-		}
-	}
-	return c
-}
-
 // Resolve maps Auto to a concrete backend by measured density
 // (nnz / n²); concrete kinds pass through unchanged.
 func Resolve(kind Kind, n, nnz int) Kind {
@@ -224,6 +214,64 @@ func Resolve(kind Kind, n, nnz int) Kind {
 		return CSR
 	}
 	return Dense
+}
+
+// Convert re-lays c in the layout kind names (Auto: by c's own density)
+// with every entry divided by div — the resistor normalization the BRIM
+// machines apply (Ĵ = J/scale); division, not multiplication by a
+// reciprocal, so the stored values match the historical per-engine
+// loops bit for bit. div 0 or 1 means unscaled, and an unscaled request
+// for the layout c already has returns c itself. Entries are read
+// through Scan, so a compressed result keeps c's entries in c's order
+// (one whose quotient underflows to zero included); a rescale within a
+// layout is one straight loop — over compressed rows it shares their
+// structure, over the matrix it keeps the verified symmetry, since
+// equal bits divide to equal bits; compressed to dense scatters the
+// rows and is FromDense from there. Only an unscaled dense result
+// carries planes.
+func Convert(c Coupling, kind Kind, div float64) Coupling {
+	n, nnz := c.N(), c.NNZ()
+	kind = Resolve(kind, n, nnz)
+	if div == 0 || div == 1 {
+		if kind == c.Kind() {
+			return c
+		}
+		div = 1
+	}
+	if s, ok := c.(*csr); ok && kind == CSR { // a rescale: the structure is shared
+		vals := make([]float64, len(s.vals))
+		for k, v := range s.vals {
+			vals[k] = v / div
+		}
+		return &csr{n: n, rowStart: s.rowStart, cols: s.cols, vals: vals}
+	}
+	if kind == CSR {
+		out := &csr{n: n, rowStart: make([]int, n+1), cols: make([]int, 0, nnz), vals: make([]float64, 0, nnz)}
+		keep := func(j int, v float64) {
+			out.cols = append(out.cols, j)
+			out.vals = append(out.vals, v/div)
+		}
+		for i := 0; i < n; i++ {
+			out.rowStart[i] = len(out.cols)
+			c.Scan(i, keep)
+		}
+		out.rowStart[n] = len(out.cols)
+		return out
+	}
+	data := make([]float64, n*n)
+	if d, ok := c.(*dense); ok {
+		for i, v := range d.data {
+			data[i] = v / div
+		}
+		return &dense{n: n, data: data, nnz: nnz, sym: d.sym}
+	}
+	var row []float64
+	put := func(j int, v float64) { row[j] = v }
+	for i := 0; i < n; i++ {
+		row = data[i*n : (i+1)*n]
+		c.Scan(i, put)
+	}
+	return FromDense(n, data, Dense, div)
 }
 
 // Coupling is a read-only view of a symmetric coupling matrix with

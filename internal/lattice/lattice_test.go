@@ -97,7 +97,7 @@ func TestFromDenseAutoPicksByDensity(t *testing.T) {
 func TestBackendStructure(t *testing.T) {
 	n := 37
 	data := randSym(n, 0.3, 7)
-	nnz := CountNNZ(data)
+	nnz, _ := countEntries(data)
 	for kind, c := range allBackends(t, n, data, 0) {
 		if c.Kind() != kind {
 			t.Errorf("%v: Kind() = %v", kind, c.Kind())
@@ -138,6 +138,61 @@ func TestDivScalesLikeTheEngines(t *testing.T) {
 	}
 }
 
+// TestConvertRelaysEntryForEntry: from either layout to either layout,
+// scaled or not, Convert stores what FromDense would have stored from
+// the array — the same entries in the same order with the same bits, the
+// same symmetry verdict, planes exactly on an unscaled ±1 dense result —
+// and hands back its argument when there is nothing to do.
+func TestConvertRelaysEntryForEntry(t *testing.T) {
+	weighted := randSym(37, 0.3, 7)
+	for i, v := range weighted {
+		weighted[i] = v * (0.25 + float64(i%7))
+	}
+	tiny := randSym(9, 1, 2)
+	for i, v := range tiny {
+		tiny[i] = v * math.SmallestNonzeroFloat64 // a quotient that underflows stays an entry
+	}
+	for name, data := range map[string][]float64{"±1": randSym(70, 0.6, 1), "weighted": weighted, "tiny": tiny, "empty": make([]float64, 16)} {
+		n := int(math.Sqrt(float64(len(data))))
+		for _, div := range []float64{0, 1, 3.7} {
+			for from, src := range allBackends(t, n, data, 0) {
+				for to, want := range allBackends(t, n, data, div) {
+					got := Convert(src, to, div)
+					if got.Kind() != to || got.N() != n || got.NNZ() != want.NNZ() {
+						t.Fatalf("%s %v→%v /%v: kind %v n %d nnz %d, want nnz %d", name, from, to, div, got.Kind(), got.N(), got.NNZ(), want.NNZ())
+					}
+					if (div == 0 || div == 1) && from == to && got != src {
+						t.Errorf("%s %v→%v /%v: an unscaled view of the stored layout was rebuilt", name, from, to, div)
+					}
+					for i := 0; i < n; i++ {
+						var a, b []float64
+						got.Scan(i, func(j int, v float64) { a = append(a, float64(j), v) })
+						want.Scan(i, func(j int, v float64) { b = append(b, float64(j), v) })
+						if len(a) != len(b) || got.RowNNZ(i) != want.RowNNZ(i) {
+							t.Fatalf("%s %v→%v /%v: row %d has %d entries, want %d", name, from, to, div, i, len(a)/2, len(b)/2)
+						}
+						for k := range a {
+							if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+								t.Fatalf("%s %v→%v /%v: row %d entry %d = %v, want %v", name, from, to, div, i, k/2, a[k], b[k])
+							}
+						}
+					}
+					if d, ok := got.(*dense); ok {
+						w := want.(*dense)
+						if d.sym != w.sym || (d.pl != nil) != (w.pl != nil) {
+							t.Errorf("%s %v→%v /%v: sym %v planes %v, want %v %v", name, from, to, div, d.sym, d.pl != nil, w.sym, w.pl != nil)
+						}
+					}
+				}
+			}
+		}
+	}
+	// Auto resolves by the source's own density.
+	if k := Convert(FromDense(64, randSym(64, 0.02, 1), Dense, 0), Auto, 0).Kind(); k != CSR {
+		t.Errorf("a 2%%-dense matrix converted to %v under Auto", k)
+	}
+}
+
 func TestFlipDeltaAndFanout(t *testing.T) {
 	n := 24
 	data := randSym(n, 0.5, 11)
@@ -172,9 +227,9 @@ func TestFlipDeltaAndFanout(t *testing.T) {
 
 func TestFromCSRRejectsBadLayout(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"short rowStart": func() { FromCSR(2, []int{0, 0}, nil, nil, 0) },
-		"nnz mismatch":   func() { FromCSR(1, []int{0, 1}, []int{0}, nil, 0) },
-		"descending":     func() { FromCSR(1, []int{0, 2}, []int{1, 0}, []float64{1, 2}, 0) },
+		"short rowStart": func() { FromCSR(2, []int{0, 0}, nil, nil) },
+		"nnz mismatch":   func() { FromCSR(1, []int{0, 1}, []int{0}, nil) },
+		"descending":     func() { FromCSR(1, []int{0, 2}, []int{1, 0}, []float64{1, 2}) },
 	} {
 		func() {
 			defer func() {

@@ -28,19 +28,18 @@ const exactBase = 1 << 51
 // larger vectors allocate.
 const packStackWords = 64
 
-// countEntries is CountNNZ that also reports whether every nonzero is
-// exactly ±1. It is one pass: the unit test stops at the first entry
-// that fails it.
+// countEntries counts the nonzero entries of a row-major matrix and
+// reports whether every one of them is exactly ±1. Nothing branches on
+// an entry: its magnitude bits are nonzero unless it is ±0, and for −1,
+// ±0 and +1 the lowest exponent bit says whether the rest spell 1 or 0.
 func countEntries(data []float64) (nnz int, unit bool) {
-	for i, v := range data {
-		if v != 0 {
-			if math.Abs(v) != 1 {
-				return nnz + CountNNZ(data[i:]), false
-			}
-			nnz++
-		}
+	var notUnit uint64
+	for _, v := range data {
+		u := math.Float64bits(v)
+		nnz += int((u<<1 | -(u << 1)) >> 63)
+		notUnit |= u&^signBit ^ 0x3FF0000000000000&-(u>>52&1)
 	}
-	return nnz, true
+	return nnz, notUnit == 0
 }
 
 // newPlanes packs a row-major n×n matrix whose entries are all −1, 0

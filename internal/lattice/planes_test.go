@@ -26,7 +26,8 @@ func refFields(n int, data []float64, spins []int8, base, out []float64, lo, hi 
 	}
 }
 
-// refEnergy is ising.Model.Energy's walk with base_i = μh_i.
+// refEnergy is the float walk every arm of Energy answers for, with
+// base_i = μh_i.
 func refEnergy(n int, data []float64, spins []int8, base []float64) float64 {
 	e := 0.0
 	for i := 0; i < n; i++ {
@@ -129,6 +130,34 @@ func TestFieldsPlanesMatchFloatWalk(t *testing.T) {
 	}
 }
 
+// TestCountEntriesClassifies: the branch-free count agrees with the
+// comparisons it replaced on every kind of entry.
+func TestCountEntriesClassifies(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		data []float64
+		nnz  int
+		unit bool
+	}{
+		{nil, 0, true},
+		{[]float64{0, negZero, 0, 0}, 0, true},
+		{[]float64{1, -1, 0, negZero, 1, 1}, 4, true},
+		{[]float64{1, 2}, 2, false},
+		{[]float64{0.5, 0}, 1, false},
+		{[]float64{-1, 1.5}, 2, false},
+		{[]float64{3, -3}, 2, false},
+		{[]float64{math.Nextafter(1, 2), 1}, 2, false},
+		{[]float64{math.SmallestNonzeroFloat64, 0}, 1, false},
+		{[]float64{math.NaN(), 1}, 2, false},
+		{[]float64{math.Inf(-1)}, 1, false},
+		{[]float64{math.MaxFloat64, negZero}, 1, false},
+	} {
+		if nnz, unit := countEntries(tc.data); nnz != tc.nnz || unit != tc.unit {
+			t.Errorf("countEntries(%v) = %d, %v; want %d, %v", tc.data, nnz, unit, tc.nnz, tc.unit)
+		}
+	}
+}
+
 func TestNonUnitMatrixBuildsNoPlanes(t *testing.T) {
 	n := 70
 	data := randSym(n, 1, 3)
@@ -187,29 +216,30 @@ func TestEnergyPlanesMatchFloatWalk(t *testing.T) {
 			"too big":  {huge, randSpins(n, 5), true},
 			"stray":    {ints, stray, true},
 		} {
-			walked := false
-			walk := func(s []int8) float64 { walked = true; return refEnergy(n, data, s, tc.base) }
-			got := Energy(d, tc.spins, tc.base, walk)
+			got := Energy(d, tc.spins, tc.base)
 			want := refEnergy(n, data, tc.spins, tc.base)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("n=%d %s: Energy %v (%#x), walk %v (%#x)", n, name,
 					got, math.Float64bits(got), want, math.Float64bits(want))
 			}
-			if walked != tc.walks {
-				t.Errorf("n=%d %s: walked=%v, want %v", n, name, walked, tc.walks)
+			// The planes arm answers exactly where it may.
+			dd := d.(*dense)
+			if _, ok := dd.pl.energy(tc.spins, tc.base, dd.nnz); ok == tc.walks {
+				t.Errorf("n=%d %s: planes answered=%v, want %v", n, name, ok, !tc.walks)
 			}
 		}
 		// CSR needs no planes: it runs the walk itself over its stored
-		// entries (TestEnergyArmsAgree holds it to the walk's bits). Only a
-		// mis-sized call is handed on.
-		sparse := FromDense(n, data, CSR, 0)
-		walked := false
-		walk := func([]int8) float64 { walked = true; return 0 }
-		if Energy(sparse, randSpins(n, 5), frac, walk); walked {
-			t.Errorf("n=%d: CSR energy walked", n)
-		}
-		if Energy(sparse, randSpins(n+1, 5), nil, walk); !walked {
-			t.Errorf("n=%d: CSR energy took %d spins", n, n+1)
+		// entries (TestEnergyArmsAgree holds it to the walk's bits). A
+		// mis-sized call is a bug in the caller, under either layout.
+		for _, c := range []Coupling{d, FromDense(n, data, CSR, 0)} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("n=%d %v: Energy took %d spins", n, c.Kind(), n+1)
+					}
+				}()
+				Energy(c, randSpins(n+1, 5), nil)
+			}()
 		}
 	}
 }
@@ -258,7 +288,7 @@ func FuzzFieldsPlanes(f *testing.F) {
 		d := FromDense(n, data, Dense, 0)
 		checkFields(t, d, n, data, spins, base, 0, n)
 		checkFields(t, d, n, data, spins, base, lo, hi)
-		got := Energy(d, spins, base, func(s []int8) float64 { return refEnergy(n, data, s, base) })
+		got := Energy(d, spins, base)
 		if want := refEnergy(n, data, spins, base); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("n=%d: Energy %v (%#x), walk %v (%#x)", n, got, math.Float64bits(got), want, math.Float64bits(want))
 		}

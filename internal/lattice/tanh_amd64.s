@@ -176,9 +176,11 @@ done:
 	// whether bench's calibration kernel starts at 0 or at 32 mod 64, it
 	// times several percent apart at the two, and every scaled benchmark
 	// metric of a build is multiplied by that reading (ROADMAP, finding
-	// (i)). These bytes put main.calibKernel back where the commit before
-	// tanhLanes has it; they can go once bench times its kernel where no
-	// package's text size can move it (ROADMAP 1(b)).
+	// (i)). These bytes hold main.calibKernel at 32 mod 64, where every
+	// parent had it (go build -o b ./bench && go tool nm b | grep
+	// calibKernel); a change to non-test code that flips it removes them,
+	// and the next one puts them back, until bench times its kernel where
+	// no package's text size can move it (ROADMAP 1(b)).
 	QUAD $0xCCCCCCCCCCCCCCCC
 	QUAD $0xCCCCCCCCCCCCCCCC
 	QUAD $0xCCCCCCCCCCCCCCCC

@@ -116,7 +116,7 @@ func TestBatchBitChangesNeverExceedFlips(t *testing.T) {
 func TestBatchCoordinatedSavesTraffic(t *testing.T) {
 	// Zero-coupling purity test, batch flavour: only kicks change
 	// state; coordination must remove them from the wire.
-	m := ising.NewModel(64)
+	m := mustBuild(ising.NewBuilder(64))
 	kicks := sched.Constant(0.05)
 	plain := MustSystem(m, Config{Chips: 4, Seed: 11, EpochNS: 5, InducedFlip: kicks}).RunBatch(4, 50)
 	coord := MustSystem(m, Config{Chips: 4, Seed: 11, EpochNS: 5, InducedFlip: kicks, Coordinated: true}).RunBatch(4, 50)

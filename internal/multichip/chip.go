@@ -115,20 +115,24 @@ func (c *chip) init(l *layout, id int, owned []int, seed uint64, initial []int8)
 	// and a count of each remote column's cross entries, pre-scaled like
 	// the machine's own couplings; a scaled value that underflows to
 	// zero is no entry.
-	sub := ising.NewModel(len(owned))
-	sub.SetMu(m.Mu())
+	sb := ising.NewBuilder(len(owned))
+	sb.SetMu(m.Mu())
 	count := c.colStart[1:]
 	for a, ga := range c.owned {
-		sub.SetBias(a, m.Bias(ga))
+		sb.SetBias(a, m.Bias(ga))
 		lat.Scan(ga, func(j int, v float64) {
 			if lj := int(c.local[j]); lj >= 0 {
 				if lj > a {
-					sub.SetCoupling(a, lj, v)
+					sb.SetCoupling(a, lj, v)
 				}
 			} else if v/scale != 0 {
 				count[j]++
 			}
 		})
+	}
+	sub, err := sb.Build()
+	if err != nil { // every value came out of a Model
+		panic(fmt.Sprintf("multichip: chip %d: %v", id, err))
 	}
 	for g := 0; g < n; g++ {
 		c.colStart[g+1] += c.colStart[g]

@@ -44,15 +44,15 @@ func newRowChip(l *layout, owned []int, seed uint64, initial []int8) *rowChip {
 	for li, g := range c.owned {
 		c.local[g] = int32(li)
 	}
-	sub := ising.NewModel(len(owned))
-	sub.SetMu(m.Mu())
+	subb := ising.NewBuilder(len(owned))
+	subb.SetMu(m.Mu())
 	for a, ga := range c.owned {
-		sub.SetBias(a, m.Bias(ga))
+		subb.SetBias(a, m.Bias(ga))
 		row := make([]float64, n)
 		lat.Scan(ga, func(j int, v float64) {
 			if lj := int(c.local[j]); lj >= 0 {
 				if lj > a {
-					sub.SetCoupling(a, lj, v)
+					subb.SetCoupling(a, lj, v)
 				}
 			} else {
 				row[j] = v / scale
@@ -60,6 +60,7 @@ func newRowChip(l *layout, owned []int, seed uint64, initial []int8) *rowChip {
 		})
 		c.cross[a] = row
 	}
+	sub := mustBuild(subb)
 	c.machine = brim.New(sub, l.machineConfig(seed))
 	c.loadJobState(initial)
 	return c
@@ -113,20 +114,23 @@ func (c *rowChip) loadJobState(global []int8) {
 }
 
 // weightedSparse is a G(n, p) instance with couplings uniform in
-// (−1, 1) and fractional biases under μ = 0.5.
-func weightedSparse(n int, p float64, seed uint64) *ising.Model {
+// (−1, 1) and fractional biases under μ = 0.5, after any edits.
+func weightedSparse(n int, p float64, seed uint64, edits ...func(*ising.Builder)) *ising.Model {
 	r := rng.New(seed)
-	m := ising.NewModel(n)
-	m.SetMu(0.5)
+	mb := ising.NewBuilder(n)
+	mb.SetMu(0.5)
 	for i := 0; i < n; i++ {
-		m.SetBias(i, r.Float64()*2-1)
+		mb.SetBias(i, r.Float64()*2-1)
 		for j := i + 1; j < n; j++ {
 			if r.Bool(p) {
-				m.SetCoupling(i, j, r.Float64()*2-1)
+				mb.SetCoupling(i, j, r.Float64()*2-1)
 			}
 		}
 	}
-	return m
+	for _, edit := range edits {
+		edit(mb)
+	}
+	return mustBuild(mb)
 }
 
 func TestShadowBiasMatchesDenseRows(t *testing.T) {
@@ -134,16 +138,17 @@ func TestShadowBiasMatchesDenseRows(t *testing.T) {
 
 	// Spin 7 is isolated; spin 3 couples only inside chip 0 (spins 0..9
 	// of 40 over 4 chips), so its column is empty on every other chip.
-	holes := weightedSparse(40, 0.3, 62)
-	for j := 0; j < 40; j++ {
-		if j != 7 {
-			holes.SetCoupling(7, j, 0)
+	holes := weightedSparse(40, 0.3, 62, func(b *ising.Builder) {
+		for j := 0; j < 40; j++ {
+			if j != 7 {
+				b.SetCoupling(7, j, 0)
+			}
+			if j >= 10 {
+				b.SetCoupling(3, j, 0)
+			}
 		}
-		if j >= 10 {
-			holes.SetCoupling(3, j, 0)
-		}
-	}
-	holes.SetCoupling(3, 4, 0.75)
+		b.SetCoupling(3, 4, 0.75)
+	})
 
 	// Interleaved ownership: chip c owns the spins ≡ c mod 3, except that
 	// the first and last spins trade chips.
@@ -162,11 +167,12 @@ func TestShadowBiasMatchesDenseRows(t *testing.T) {
 	// The scale is 100; the smallest subnormal over it rounds to zero, so
 	// the (0, 12) coupling must leave no entry on either chip, while the
 	// 1e-300 one (1e-302 scaled) must.
-	tiny := ising.NewModel(16)
-	tiny.SetCoupling(1, 2, 100)
-	tiny.SetCoupling(0, 12, math.SmallestNonzeroFloat64)
-	tiny.SetCoupling(5, 9, 1e-300)
-	tiny.SetCoupling(6, 15, -3)
+	tinyb := ising.NewBuilder(16)
+	tinyb.SetCoupling(1, 2, 100)
+	tinyb.SetCoupling(0, 12, math.SmallestNonzeroFloat64)
+	tinyb.SetCoupling(5, 9, 1e-300)
+	tinyb.SetCoupling(6, 15, -3)
+	tiny := mustBuild(tinyb)
 
 	cases := []struct {
 		name    string
@@ -245,4 +251,14 @@ func TestShadowBiasMatchesDenseRows(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mustBuild freezes a test's builder: its couplings are the test's own,
+// so an error is a bug in the test.
+func mustBuild(b *ising.Builder) *ising.Model {
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

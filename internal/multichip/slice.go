@@ -33,23 +33,22 @@ import (
 
 // layout is what the slices of one system share, read-only once
 // derived: the validated configuration, the coupling view chips are
-// extracted from and energies are read through, the bias terms μh_i
-// of that energy, and the global coupling normalization.
+// extracted from and energies are read through, and the global
+// coupling normalization.
 type layout struct {
 	model *ising.Model
 	cfg   Config
 	n     int
 	lat   lattice.Coupling
-	muH   []float64
 	scale float64
 }
 
 // energy is model.Energy(spins), bit for bit, at what the coupling view
-// makes it cost: O(nnz) over CSR, popcounts over ±1 planes, the model's
-// own dense walk otherwise. Every energy a run reports — samples,
-// probes, results, batch job energies — is read here.
+// makes it cost: O(nnz) over CSR, popcounts over ±1 planes, the dense
+// walk otherwise. Every energy a run reports — samples, probes,
+// results, batch job energies — is read here.
 func (l *layout) energy(spins []int8) float64 {
-	return lattice.Energy(l.lat, spins, l.muH, l.model.Energy)
+	return lattice.Energy(l.lat, spins, l.model.MuH())
 }
 
 // derivation is a system before any chip is built: the layout plus the
@@ -101,14 +100,10 @@ func derive(m *ising.Model, cfg Config) (derivation, error) {
 	if scale == 0 {
 		scale = 1
 	}
-	muH := make([]float64, n)
-	for i := range muH {
-		muH[i] = m.Mu() * m.Bias(i)
-	}
 	master := rng.New(c.Seed)
 	initial := ising.RandomSpins(n, master)
 	return derivation{
-		layout:  &layout{model: m, cfg: c, n: n, lat: m.View(c.Backend), muH: muH, scale: scale},
+		layout:  &layout{model: m, cfg: c, n: n, lat: m.View(c.Backend), scale: scale},
 		parts:   parts,
 		initial: initial,
 		kick:    master.Fork(0xC0),
@@ -193,21 +188,21 @@ type Slice struct {
 type EpochReport struct {
 	// Epoch is the 1-based epoch just completed; EpochNS its model
 	// duration; ModelNS the slice's position after it.
-	Epoch   int     `json:"epoch"`
-	EpochNS float64 `json:"epochNS"`
-	ModelNS float64 `json:"modelNS"`
+	Epoch   int
+	EpochNS float64
+	ModelNS float64
 	// Updates is the boundary broadcast in owned order.
-	Updates []PendingUpdate `json:"updates,omitempty"`
+	Updates []PendingUpdate
 	// Spins is the owned readout after the epoch, in owned order — the
 	// coordinator's global mirror (energy sampling, final assembly)
 	// comes from these, so no separate readout RPC exists.
-	Spins []int8 `json:"spins"`
+	Spins []int8
 	// Flips / InducedFlips are the machine's CUMULATIVE counters (what
 	// Result reads at run end); Kicks and StepRetries are this epoch's.
-	Flips        int64 `json:"flips"`
-	InducedFlips int64 `json:"inducedFlips"`
-	Kicks        int64 `json:"kicks,omitempty"`
-	StepRetries  int64 `json:"stepRetries,omitempty"`
+	Flips        int64
+	InducedFlips int64
+	Kicks        int64
+	StepRetries  int64
 }
 
 // SliceState is a slice's resumable snapshot at an epoch barrier,

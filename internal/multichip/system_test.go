@@ -12,13 +12,13 @@ import (
 )
 
 func ferromagnet(n int) *ising.Model {
-	m := ising.NewModel(n)
+	mb := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			m.SetCoupling(i, j, 1)
+			mb.SetCoupling(i, j, 1)
 		}
 	}
-	return m
+	return mustBuild(mb)
 }
 
 func kgraph(n int, seed uint64) *ising.Model {
@@ -162,7 +162,7 @@ func TestCoordinatedSavesTraffic(t *testing.T) {
 	// spin changes are induced kicks. Uncoordinated, every kick must
 	// ride the fabric; coordinated, receivers reproduce kicks locally
 	// and traffic is exactly zero.
-	m := ising.NewModel(64) // no couplings, no dynamics-driven flips
+	m := mustBuild(ising.NewBuilder(64)) // no couplings, no dynamics-driven flips
 	heavyKicks := sched.Constant(0.05)
 	plain := MustSystem(m, Config{
 		Chips: 4, Seed: 19, InducedFlip: heavyKicks,

@@ -25,24 +25,19 @@ const denseThreshold = 0.15
 const irregularCV = 0.5
 
 // Analyze computes the dispatcher's row statistics from the model's
-// coupling structure, via the lattice backend's row scan (Auto picks
-// CSR for sparse problems, so this is O(nnz), not O(n²), where it
-// matters).
+// stored couplings (compressed rows for a sparse problem, so this is
+// O(n), not O(n²), where it matters).
 func Analyze(m *ising.Model) core.StructureStats {
 	n := m.N()
-	coup := lattice.FromDense(n, m.Couplings(), lattice.Auto, 0)
-	stats := core.StructureStats{N: n, NNZ: coup.NNZ()}
-	if n == 0 {
-		return stats
-	}
+	coup := m.View(lattice.Auto)
+	stats := core.StructureStats{N: n, NNZ: coup.NNZ()} // n ≥ 1: it is a Model
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {
-		d := float64(coup.RowNNZ(i))
+		deg := coup.RowNNZ(i)
+		d := float64(deg)
 		sum += d
 		sumSq += d * d
-		if coup.RowNNZ(i) > stats.MaxDegree {
-			stats.MaxDegree = coup.RowNNZ(i)
-		}
+		stats.MaxDegree = max(stats.MaxDegree, deg)
 	}
 	stats.MeanDegree = sum / float64(n)
 	if n > 1 {

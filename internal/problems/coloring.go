@@ -51,8 +51,7 @@ func (c Coloring) Ising() (m *ising.Model, offset float64) {
 			q.AddCoeff(c.Index(e.U, ci), c.Index(e.V, ci), a)
 		}
 	}
-	m, qOffset := q.ToIsing()
-	return m, qOffset + constant
+	return quboIsing(q, constant)
 }
 
 // Decode assigns each vertex the color of its strongest one-hot bit

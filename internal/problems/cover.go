@@ -46,8 +46,7 @@ func (vc VertexCover) Ising() (m *ising.Model, offset float64) {
 	for v := 0; v < n; v++ {
 		q.AddCoeff(v, v, b)
 	}
-	m, qOffset := q.ToIsing()
-	return m, qOffset + constant
+	return quboIsing(q, constant)
 }
 
 // Decode returns the chosen vertices (σ = +1 ⇔ x = 1), repaired to a
@@ -131,7 +130,7 @@ func (is IndependentSet) Ising() (m *ising.Model, offset float64) {
 	for v := 0; v < n; v++ {
 		q.AddCoeff(v, v, -b)
 	}
-	return q.ToIsing()
+	return quboIsing(q, 0)
 }
 
 // Decode returns the chosen vertices repaired to independence: while a

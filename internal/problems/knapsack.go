@@ -115,8 +115,7 @@ func (k Knapsack) Ising() (m *ising.Model, offset float64) {
 		q.AddCoeff(α, α, -b*v)
 	}
 
-	m, qOffset := q.ToIsing()
-	return m, qOffset + constant
+	return quboIsing(q, constant)
 }
 
 // Decode returns the chosen item indices, repaired to feasibility by

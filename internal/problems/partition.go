@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"fmt"
 	"math"
 
 	"mbrim/internal/ising"
@@ -19,14 +20,18 @@ type Partition struct {
 func (p Partition) Ising() (m *ising.Model, offset float64) {
 	requirePositive("len(Numbers)", len(p.Numbers))
 	n := len(p.Numbers)
-	m = ising.NewModel(n)
+	b := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		offset += p.Numbers[i] * p.Numbers[i]
 		for j := i + 1; j < n; j++ {
 			// (Σaσ)² = Σa² + 2Σ_{i<j} aᵢaⱼσᵢσⱼ; with E = −Σ_{i<j}Jσσ the
 			// quadratic part needs J = −2aᵢaⱼ.
-			m.SetCoupling(i, j, -2*p.Numbers[i]*p.Numbers[j])
+			b.SetCoupling(i, j, -2*p.Numbers[i]*p.Numbers[j])
 		}
+	}
+	m, err := b.Build()
+	if err != nil { // a non-finite number
+		panic(fmt.Sprintf("problems: Partition: %v", err))
 	}
 	return m, offset
 }

@@ -22,7 +22,11 @@
 // unprofitable for the instance at hand; they can be overridden.
 package problems
 
-import "fmt"
+import (
+	"fmt"
+
+	"mbrim/internal/ising"
+)
 
 // requirePositive panics with a uniform message when a sizing argument
 // is out of range — encodings are programmer-driven, so these are
@@ -31,4 +35,15 @@ func requirePositive(name string, v int) {
 	if v <= 0 {
 		panic(fmt.Sprintf("problems: %s must be positive, got %d", name, v))
 	}
+}
+
+// quboIsing converts an encoder's QUBO and adds the encoder's constant
+// to the offset. Weights so large that the model is not finite panic,
+// like every other malformed instance in this package.
+func quboIsing(q *ising.QUBO, constant float64) (*ising.Model, float64) {
+	m, offset, err := q.ToIsing()
+	if err != nil {
+		panic(fmt.Sprintf("problems: %v", err))
+	}
+	return m, offset + constant
 }

@@ -109,8 +109,7 @@ func (t TSP) Ising() (m *ising.Model, offset float64) {
 			}
 		}
 	}
-	m, qOffset := q.ToIsing()
-	return m, qOffset + constant
+	return quboIsing(q, constant)
 }
 
 // Decode extracts a tour: for each time slot, the chosen city (repaired

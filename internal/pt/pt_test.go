@@ -12,13 +12,13 @@ import (
 )
 
 func ferromagnet(n int) *ising.Model {
-	m := ising.NewModel(n)
+	mb := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			m.SetCoupling(i, j, 1)
+			mb.SetCoupling(i, j, 1)
 		}
 	}
-	return m
+	return mustBuild(mb)
 }
 
 func TestFindsFerromagnetGround(t *testing.T) {
@@ -203,4 +203,14 @@ func TestPopulationPanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// mustBuild freezes a test's builder: its couplings are the test's own,
+// so an error is a bug in the test.
+func mustBuild(b *ising.Builder) *ising.Model {
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

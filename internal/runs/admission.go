@@ -11,6 +11,7 @@ import (
 	"mbrim/internal/core"
 	"mbrim/internal/diag"
 	"mbrim/internal/journal"
+	"mbrim/internal/lattice"
 	"mbrim/internal/obs"
 	"mbrim/internal/portfolio"
 )
@@ -72,19 +73,33 @@ type SubmitOptions struct {
 }
 
 // EstimateRunBytes approximates a run's resident footprint for the
-// admission memory budget: the dense coupling matrix (8·n²), per-spin
-// chip state and the run's retained-event ring — and, for a multi-chip
-// request, what the engine builds on top of the model: the k owned×owned
-// sub-models (8·n²/k together) and the chips' owned×remote cross
-// columns, 12 bytes an entry, at their dense-problem worst case
-// (12·n²·(k−1)/k). A portfolio run multiplies everything but the shared
-// model and the ring by its race width — each entrant is a full
-// concurrent solver over the shared model — and a cluster run is the
-// model and the ring: its chips live on the workers. It is an admission
-// fence, not an accountant — it exists to refuse the submission that
-// would OOM the daemon, not to meter kilobytes.
+// admission memory budget: the couplings as the model stores them (8·n²
+// for the dense layout, 16 bytes a stored entry over compressed rows),
+// per-spin chip state and the run's retained-event ring — and, for a
+// multi-chip request, what the engine builds on top of the model: the k
+// owned×owned sub-models (1/k of the model together) and the chips'
+// owned×remote cross columns, 12 bytes an entry, (k−1)/k of the entries
+// (of n² for a dense problem: its worst case). A portfolio run
+// multiplies everything but the shared model and the ring by its race
+// width — each entrant is a full concurrent solver over the shared
+// model — and a cluster run is the model and the ring: its chips live
+// on the workers. It is an admission fence, not an accountant — it
+// exists to refuse the submission that would OOM the daemon, not to
+// meter kilobytes. A K-graph is n² by nature, however it is asked for:
+// {"k":65536} is 34 GB, and refusing it is MaxRunBytes' job, not the
+// model's.
 func EstimateRunBytes(req *core.Request, ringSize int) int64 {
-	return estimateRunBytesN(int64(req.Model.N()), fenceChips(req.Chips, req), requestWorkers(req), ringSize)
+	n, nnz := req.Model.N(), req.Model.NNZ()
+	return estimateRunBytesN(int64(n), int64(nnz), storesDense(req.Backend, n, nnz),
+		fenceChips(req.Chips, req), requestWorkers(req), ringSize)
+}
+
+// storesDense reports whether n spins with nnz directed couplings end
+// up in the n×n layout: by density (lattice.Resolve, the model's own
+// rule) or because the request forces a dense view of them.
+func storesDense(backend string, n, nnz int) bool {
+	kind, _ := lattice.ParseKind(backend) // an unknown name is rejected elsewhere
+	return kind == lattice.Dense || lattice.Resolve(lattice.Auto, n, nnz) == lattice.Dense
 }
 
 // fenceChips is the chip count the fence charges this process for:
@@ -113,7 +128,7 @@ func requestWorkers(req *core.Request) int {
 	return w
 }
 
-func estimateRunBytesN(n int64, chips, workers, ringSize int) int64 {
+func estimateRunBytesN(n, nnz int64, dense bool, chips, workers, ringSize int) int64 {
 	k := int64(chips)
 	if k < 1 {
 		k = 1
@@ -126,24 +141,30 @@ func estimateRunBytesN(n int64, chips, workers, ringSize int) int64 {
 		ringSize = 4096
 	}
 	const eventBytes = 192 // sizeof(obs.Event), rounded to its alloc class
-	est := 8*n*n + 16*n*k*w + int64(ringSize)*eventBytes
+	model := 16 * nnz
+	if dense {
+		model, nnz = 8*n*n, n*n
+	}
+	est := model + 16*n*k*w + int64(ringSize)*eventBytes
 	if k > 1 {
-		est += w * (8*n*n/k + 12*n*n*(k-1)/k)
+		est += w * (model/k + 12*nnz*(k-1)/k)
 	}
 	return est
 }
 
-// checkBudget applies the MaxRunBytes fence for an n-spin submission.
-// buildRequest calls it BEFORE constructing the graph — building the
-// dense model first would hang the submit handler for exactly the
+// checkBudget applies the MaxRunBytes fence for a submission of n spins
+// and nnz directed couplings. buildRequest calls it BEFORE constructing
+// the graph — with 2·len(edges) as the bound on nnz, since building an
+// oversized model first would hang the submit handler for exactly the
 // request the budget is meant to bounce — and with the chip count the
 // engine resolves an omitted one to; a caller of SubmitWith says how
 // many chips it wants fenced in the request.
-func (m *Manager) checkBudget(n, chips, workers int) error {
+func (m *Manager) checkBudget(n, nnz int, backend string, chips, workers int) error {
 	if m.cfg.MaxRunBytes <= 0 {
 		return nil
 	}
-	if est := estimateRunBytesN(int64(n), chips, workers, m.cfg.RingSize); est > m.cfg.MaxRunBytes {
+	est := estimateRunBytesN(int64(n), int64(nnz), storesDense(backend, n, nnz), chips, workers, m.cfg.RingSize)
+	if est > m.cfg.MaxRunBytes {
 		m.reg.Counter("runs.rejected_too_large_total").Inc()
 		return &TooLargeError{Estimated: est, Budget: m.cfg.MaxRunBytes}
 	}
@@ -161,7 +182,7 @@ func (m *Manager) SubmitWith(ctx context.Context, req core.Request, opts SubmitO
 	if !m.accepting.Load() {
 		return nil, ErrNotAccepting
 	}
-	if err := m.checkBudget(req.Model.N(), fenceChips(req.Chips, &req), requestWorkers(&req)); err != nil {
+	if err := m.checkBudget(req.Model.N(), req.Model.NNZ(), req.Backend, fenceChips(req.Chips, &req), requestWorkers(&req)); err != nil {
 		return nil, err
 	}
 	if !opts.Deadline.IsZero() && !time.Now().Before(opts.Deadline) {

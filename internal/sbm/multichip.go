@@ -72,10 +72,7 @@ func SolveMultiChip(m *ising.Model, cfg MultiChipConfig) *MultiChipResult {
 	if c0 == 0 {
 		c0 = defaultC0From(lat)
 	}
-	base := make([]float64, n)
-	for i := range base {
-		base[i] = m.Mu() * m.Bias(i)
-	}
+	base := m.MuH()
 	parts := graph.BlockPartition(n, cfg.Chips)
 
 	r := rng.New(cfg.Seed)
@@ -93,7 +90,7 @@ func SolveMultiChip(m *ising.Model, cfg MultiChipConfig) *MultiChipResult {
 
 	spins := make([]int8, n)
 	force := make([]float64, n)
-	energy := func(s []int8) float64 { return lattice.Energy(lat, s, base, m.Energy) }
+	energy := func(s []int8) float64 { return lattice.Energy(lat, s, base) }
 	res := &MultiChipResult{}
 	start := time.Now()
 	for step := 0; step < cfg.Steps; step++ {

@@ -29,12 +29,13 @@ func TestMultiChipOneChipMatchesMonolithic(t *testing.T) {
 
 func TestMultiChipFindsFerromagnetGround(t *testing.T) {
 	n := 24
-	m := ising.NewModel(n)
+	mb := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			m.SetCoupling(i, j, 1)
+			mb.SetCoupling(i, j, 1)
 		}
 	}
+	m := mustBuild(mb)
 	res := SolveMultiChip(m, MultiChipConfig{
 		Config: Config{Variant: Ballistic, Steps: 400, Seed: 3},
 		Chips:  4,
@@ -108,7 +109,7 @@ func TestMultiChipFreshExchangeNearMonolithic(t *testing.T) {
 }
 
 func TestMultiChipPanics(t *testing.T) {
-	m := ising.NewModel(4)
+	m := mustBuild(ising.NewBuilder(4))
 	for name, f := range map[string]func(){
 		"zero steps": func() { SolveMultiChip(m, MultiChipConfig{Chips: 1}) },
 		"zero chips": func() { SolveMultiChip(m, MultiChipConfig{Config: Config{Steps: 1}}) },

@@ -146,12 +146,9 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 	}
 	n := m.N()
 	lat := m.View(cfg.Backend)
-	// The bias term enters the force like a coupling to a fixed +1 spin;
-	// precomputed once, it seeds every row's accumulator.
-	base := make([]float64, n)
-	for i := 0; i < n; i++ {
-		base[i] = m.Mu() * m.Bias(i)
-	}
+	// The bias term enters the force like a coupling to a fixed +1 spin:
+	// μh seeds every row's accumulator.
+	base := m.MuH()
 	c0 := cfg.C0
 	if c0 == 0 {
 		c0 = defaultC0From(lat)
@@ -166,7 +163,7 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 	force := make([]float64, n)
 	spins := make([]int8, n)
 	// m.Energy's bits, through the ±1 planes when the view has them.
-	energy := func(s []int8) float64 { return lattice.Energy(lat, s, base, m.Energy) }
+	energy := func(s []int8) float64 { return lattice.Energy(lat, s, base) }
 	sampleEvery := 0
 	if cfg.Tracer != nil {
 		sampleEvery = cfg.Steps / 64

@@ -11,13 +11,13 @@ import (
 )
 
 func ferromagnet(n int) *ising.Model {
-	m := ising.NewModel(n)
+	mb := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			m.SetCoupling(i, j, 1)
+			mb.SetCoupling(i, j, 1)
 		}
 	}
-	return m
+	return mustBuild(mb)
 }
 
 func TestBallisticFindsFerromagnetGround(t *testing.T) {
@@ -41,8 +41,9 @@ func TestDiscreteFindsFerromagnetGround(t *testing.T) {
 }
 
 func TestAntiferromagnetPair(t *testing.T) {
-	m := ising.NewModel(2)
-	m.SetCoupling(0, 1, -1)
+	mb := ising.NewBuilder(2)
+	mb.SetCoupling(0, 1, -1)
+	m := mustBuild(mb)
 	for _, v := range []Variant{Ballistic, Discrete} {
 		res := Solve(m, Config{Variant: v, Steps: 300, Seed: 3})
 		if res.Spins[0] == res.Spins[1] {
@@ -52,10 +53,11 @@ func TestAntiferromagnetPair(t *testing.T) {
 }
 
 func TestBiasRespected(t *testing.T) {
-	m := ising.NewModel(2)
-	m.SetCoupling(0, 1, 0.01)
-	m.SetBias(0, 5)
-	m.SetBias(1, -5)
+	mb := ising.NewBuilder(2)
+	mb.SetCoupling(0, 1, 0.01)
+	mb.SetBias(0, 5)
+	mb.SetBias(1, -5)
+	m := mustBuild(mb)
 	res := Solve(m, Config{Variant: Ballistic, Steps: 400, Seed: 4, C0: 0.5})
 	if res.Spins[0] != 1 || res.Spins[1] != -1 {
 		t.Fatalf("bias ignored: %v", res.Spins)
@@ -194,7 +196,7 @@ func TestDefaultC0Positive(t *testing.T) {
 		t.Fatalf("defaultC0 = %v", c)
 	}
 	// Degenerate single-spin model must not divide by zero.
-	if c := defaultC0From(ising.NewModel(1).View(lattice.Dense)); c != 1 {
+	if c := defaultC0From(mustBuild(ising.NewBuilder(1)).View(lattice.Dense)); c != 1 {
 		t.Fatalf("defaultC0 on edgeless model = %v, want 1", c)
 	}
 }
@@ -207,4 +209,14 @@ func BenchmarkDiscreteK256Step(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Solve(m, Config{Variant: Discrete, Steps: 1, Seed: uint64(i)})
 	}
+}
+
+// mustBuild freezes a test's builder: its couplings are the test's own,
+// so an error is a bug in the test.
+func mustBuild(b *ising.Builder) *ising.Model {
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

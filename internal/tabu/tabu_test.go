@@ -10,13 +10,13 @@ import (
 )
 
 func ferromagnet(n int) *ising.Model {
-	m := ising.NewModel(n)
+	mb := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			m.SetCoupling(i, j, 1)
+			mb.SetCoupling(i, j, 1)
 		}
 	}
-	return m
+	return mustBuild(mb)
 }
 
 func TestFindsFerromagnetGround(t *testing.T) {
@@ -66,11 +66,12 @@ func TestEscapesLocalMinimum(t *testing.T) {
 	// A frustrated 4-cycle with one strong and three weak edges has
 	// local minima; tabu's forced moves must still reach the optimum
 	// (found exhaustively).
-	m := ising.NewModel(4)
-	m.SetCoupling(0, 1, 2)
-	m.SetCoupling(1, 2, -1)
-	m.SetCoupling(2, 3, -1)
-	m.SetCoupling(3, 0, -1)
+	mb := ising.NewBuilder(4)
+	mb.SetCoupling(0, 1, 2)
+	mb.SetCoupling(1, 2, -1)
+	mb.SetCoupling(2, 3, -1)
+	mb.SetCoupling(3, 0, -1)
+	m := mustBuild(mb)
 	bestE := math.Inf(1)
 	for mask := 0; mask < 16; mask++ {
 		s := make([]int8, 4)
@@ -137,4 +138,14 @@ func TestBestNeverWorseThanVisited(t *testing.T) {
 	if long.Energy > short.Energy {
 		t.Fatalf("longer run worse: %v vs %v", long.Energy, short.Energy)
 	}
+}
+
+// mustBuild freezes a test's builder: its couplings are the test's own,
+// so an error is a bug in the test.
+func mustBuild(b *ising.Builder) *ising.Model {
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

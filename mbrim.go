@@ -24,6 +24,10 @@
 //	})
 //	// out.Cut is the cut value, out.ModelNS the machine time spent.
 //
+// Any other problem is stated through a ModelBuilder — SetCoupling,
+// AddCoupling, SetBias — whose Build validates it and freezes an
+// immutable Model, stored as sparsely as the problem is.
+//
 // For finer control, construct a multichip.System-equivalent directly
 // with NewSystem and drive RunConcurrent / RunBatch yourself; all
 // detailed knobs (epoch length, channel bandwidth, coordination,
@@ -56,9 +60,15 @@ import (
 
 // Core model types, re-exported from the internal packages.
 type (
-	// Model is a dense Ising problem: symmetric couplings J, biases h,
-	// global bias scale μ, and energy E = -Σ_{i<j}Jσσ - μΣhσ.
+	// Model is an immutable Ising problem: symmetric couplings J, biases
+	// h, global bias scale μ, and energy E = -Σ_{i<j}Jσσ - μΣhσ. It
+	// stores its couplings the way the engines read them — a matrix for
+	// a K-graph, compressed rows for a sparse instance.
 	Model = ising.Model
+	// ModelBuilder collects couplings and biases (SetCoupling,
+	// AddCoupling, SetBias, SetMu); its Build validates them and
+	// freezes the Model.
+	ModelBuilder = ising.Builder
 	// QUBO is a quadratic unconstrained binary optimization instance;
 	// convert with its ToIsing method.
 	QUBO = ising.QUBO
@@ -285,16 +295,18 @@ const (
 
 // Coupling-backend names for Request.Backend. Every backend produces
 // bit-identical results for a fixed seed; the choice only moves host
-// time. BackendAuto (the empty default) picks dense unless the model's
-// measured density is at most 5%, where CSR wins.
+// time. BackendAuto (the empty default) runs on the layout the model is
+// stored in — compressed rows when at most 5% of its couplings are
+// nonzero, the matrix otherwise; naming the other one re-lays a copy
+// for the solve.
 const (
 	BackendAuto  = "auto"
 	BackendDense = "dense"
 	BackendCSR   = "csr"
 )
 
-// NewModel returns an n-spin Ising model with zero couplings.
-func NewModel(n int) *Model { return ising.NewModel(n) }
+// NewModelBuilder returns a builder for an n-spin Ising model.
+func NewModelBuilder(n int) *ModelBuilder { return ising.NewBuilder(n) }
 
 // NewQUBO returns an n-variable QUBO with zero coefficients.
 func NewQUBO(n int) *QUBO { return ising.NewQUBO(n) }
@@ -337,7 +349,7 @@ var (
 	// or deadline; the concrete error is *InterruptedError.
 	ErrInterrupted = core.ErrInterrupted
 	// ErrInvalidModel matches a request rejected at the Solve boundary
-	// (non-finite couplings/biases, asymmetry, mis-sized warm start).
+	// for a warm start that does not fit its model.
 	ErrInvalidModel = core.ErrInvalidModel
 )
 

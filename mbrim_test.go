@@ -95,7 +95,10 @@ func TestQUBOWorkflow(t *testing.T) {
 	q.SetCoeff(0, 0, -1)
 	q.SetCoeff(1, 1, -1)
 	q.SetCoeff(0, 1, 2)
-	m, offset := q.ToIsing()
+	m, offset, err := q.ToIsing()
+	if err != nil {
+		t.Fatal(err)
+	}
 	out, err := mbrim.Solve(mbrim.Request{Kind: mbrim.SA, Model: m, Sweeps: 50, Seed: 7})
 	if err != nil {
 		t.Fatal(err)

@@ -10,34 +10,14 @@ import (
 	"mbrim/internal/sa"
 )
 
-// Sparse problem support: CSR models with O(degree) flip updates, for
-// Gset-scale sparse instances where a dense N×N matrix is wasteful.
-type (
-	// SparseModel is an immutable CSR Ising model.
-	SparseModel = ising.SparseModel
-	// SparseEntry is one coupling (I < J) for building a SparseModel.
-	SparseEntry = ising.SparseEntry
-	// Problem is the solver-facing surface shared by dense and sparse
-	// models.
-	Problem = ising.Problem
-	// SAResult reports an Anneal run.
-	SAResult = sa.Result
-)
+// SAResult reports an Anneal run.
+type SAResult = sa.Result
 
-// NewSparseModel builds a sparse model from coupling entries and
-// optional biases (nil = zero).
-func NewSparseModel(n int, entries []SparseEntry, biases []float64) *SparseModel {
-	return ising.NewSparse(n, entries, biases)
-}
-
-// Sparsify converts a dense model, keeping nonzero couplings.
-func Sparsify(m *Model) *SparseModel { return ising.Sparsify(m) }
-
-// Anneal runs Isakov-style simulated annealing over any Problem —
-// the direct path for sparse instances, which the Request/Solve
-// surface (dense-only) does not cover.
-func Anneal(p Problem, sweeps int, seed uint64) *SAResult {
-	return sa.SolveProblem(p, sa.Config{Sweeps: sweeps, Seed: seed})
+// Anneal runs Isakov-style simulated annealing on a model directly,
+// without the Request/Solve envelope. A flip costs what the model
+// stores for that spin — O(degree) on a sparse instance.
+func Anneal(m *Model, sweeps int, seed uint64) *SAResult {
+	return sa.Solve(m, sa.Config{Sweeps: sweeps, Seed: seed})
 }
 
 // Problem encodings (Lucas's catalogue of Ising formulations — the
@@ -86,7 +66,7 @@ func VerifyLocalOptimum(m *Model, spins []int8, energy float64) error {
 // regime that motivates all-to-all architectures.
 type ChainEmbedding = embed.Embedding
 
-// EmbedComplete embeds a dense model onto the crossbar chain scheme;
+// EmbedComplete embeds a logical model onto the crossbar chain scheme;
 // chainStrength 0 selects a provably sufficient default.
 func EmbedComplete(m *Model, chainStrength float64) *ChainEmbedding {
 	return embed.Complete(m, chainStrength)
@@ -106,7 +86,7 @@ func ChimeraGraph(rows, cols, shore int) *Graph { return embed.Chimera(rows, col
 // host K_65, the paper's "about 64 effective nodes".
 func ChimeraCapacity(qubits, shore int) int { return embed.ChimeraCapacity(qubits, shore) }
 
-// EmbedCompleteOnChimera embeds a dense model onto the chimera fabric
+// EmbedCompleteOnChimera embeds a logical model onto the chimera fabric
 // with Choi's cross-chain construction; every programmed coupler is a
 // legal chimera edge.
 func EmbedCompleteOnChimera(m *Model, shore int, chainStrength float64) *ChainEmbedding {
@@ -114,8 +94,9 @@ func EmbedCompleteOnChimera(m *Model, shore int, chainStrength float64) *ChainEm
 }
 
 // FromQUBO converts a QUBO to an Ising model plus the constant offset
-// with Value(x) = Energy(σ) + offset under σ = 2x−1.
-func FromQUBO(q *QUBO) (*Model, float64) { return q.ToIsing() }
+// with Value(x) = Energy(σ) + offset under σ = 2x−1; coefficients that
+// give no finite model are an error.
+func FromQUBO(q *QUBO) (*Model, float64, error) { return q.ToIsing() }
 
 // ToQUBO converts an Ising model to a QUBO plus the constant offset
 // with Energy(σ) = Value(x) + offset.

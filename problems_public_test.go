@@ -8,10 +8,14 @@ import (
 )
 
 func TestSolveExactPublic(t *testing.T) {
-	m := mbrim.NewModel(3)
-	m.SetCoupling(0, 1, 1)
-	m.SetCoupling(1, 2, 1)
-	m.SetCoupling(0, 2, 1)
+	b := mbrim.NewModelBuilder(3)
+	b.SetCoupling(0, 1, 1)
+	b.SetCoupling(1, 2, 1)
+	b.SetCoupling(0, 2, 1)
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := mbrim.SolveExact(m)
 	if res.Energy != -3 {
 		t.Fatalf("triangle ferromagnet optimum %v, want -3", res.Energy)
@@ -64,7 +68,10 @@ func TestQUBORoundTripPublic(t *testing.T) {
 	g := mbrim.CompleteGraph(8, 2)
 	m := g.ToIsing()
 	q, off1 := mbrim.ToQUBO(m)
-	back, off2 := mbrim.FromQUBO(q)
+	back, off2, err := mbrim.FromQUBO(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	spins := mbrim.NewRNG(3)
 	s := make([]int8, 8)
 	for i := range s {
@@ -78,23 +85,43 @@ func TestQUBORoundTripPublic(t *testing.T) {
 
 func TestSparseWorkflowPublic(t *testing.T) {
 	g := mbrim.RandomGraph(500, 0.02, 9)
-	sm := g.ToSparseIsing()
-	res := mbrim.Anneal(sm, 200, 10)
+	m := g.ToIsing() // 2 % dense: stored, and annealed, as compressed rows
+	if st := mbrim.AnalyzeStructure(m); st.NNZ != 2*g.M() {
+		t.Fatalf("NNZ = %d for %d edges", st.NNZ, g.M())
+	}
+	res := mbrim.Anneal(m, 200, 10)
 	cut := g.CutValue(res.Spins)
 	if cut <= 0 {
 		t.Fatalf("sparse anneal cut %v", cut)
 	}
-	// Sparse and dense agree on the energy of the found state.
-	if d := math.Abs(g.ToIsing().Energy(res.Spins) - res.Energy); d > 1e-6 {
+	// The engine's running energy is the model's energy of the found state,
+	// and the Request surface runs the same trajectory on either backend.
+	if d := math.Abs(m.Energy(res.Spins) - res.Energy); d > 1e-6 {
 		t.Fatalf("sparse energy off by %v", d)
+	}
+	for _, backend := range []string{mbrim.BackendCSR, mbrim.BackendDense} {
+		out, err := mbrim.Solve(mbrim.Request{Kind: mbrim.SA, Model: m, Sweeps: 200, Seed: 10, Backend: backend})
+		if err != nil || out.Energy != res.Energy {
+			t.Fatalf("%s: energy %v (%v), Anneal found %v", backend, out, err, res.Energy)
+		}
 	}
 }
 
-func TestSparsifyPublic(t *testing.T) {
-	m := mbrim.NewModel(4)
-	m.SetCoupling(0, 3, -2)
-	sm := mbrim.Sparsify(m)
-	if sm.NNZ() != 2 || sm.Degree(0) != 1 {
-		t.Fatalf("NNZ=%d deg0=%d", sm.NNZ(), sm.Degree(0))
+func TestModelBuilderPublic(t *testing.T) {
+	b := mbrim.NewModelBuilder(40)
+	b.SetCoupling(0, 3, -2)
+	b.AddCoupling(3, 0, -1)
+	b.SetBias(1, 0.5)
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := mbrim.AnalyzeStructure(m); st.NNZ != 2 || st.MaxDegree != 1 || m.Coupling(3, 0) != -3 {
+		t.Fatalf("NNZ=%d maxdeg=%d J30=%v", st.NNZ, st.MaxDegree, m.Coupling(3, 0))
+	}
+	bad := mbrim.NewModelBuilder(4)
+	bad.SetCoupling(2, 2, 1)
+	if _, err := bad.Build(); err == nil {
+		t.Fatal("a self-coupling was built")
 	}
 }
