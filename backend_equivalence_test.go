@@ -7,13 +7,15 @@ import (
 	"mbrim"
 	"mbrim/internal/embed"
 	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 )
 
 // The determinism contract of the lattice layer, asserted at the public
-// surface: for a fixed seed, every coupling backend produces the same
-// solve outcome bit for bit, on every engine with a coupling hot loop.
+// surface: for a fixed seed, a problem produces the same solve outcome
+// bit for bit whichever layout stores it (Model.As re-lays it — no
+// request names a layout), on every engine with a coupling hot loop.
 // "Same" here is exact float equality and exact spin equality — not a
-// tolerance — because each backend accumulates every row in the same
+// tolerance — because each layout accumulates every row in the same
 // ascending-column order as the serial dense loops it replaced.
 
 // equivalenceModels returns named (model, graph) problems spanning the
@@ -52,23 +54,22 @@ func equivalenceModels(t *testing.T) map[string]*mbrim.Model {
 	return models
 }
 
-func solveOn(t *testing.T, kind mbrim.Kind, m *mbrim.Model, backend string) *mbrim.Outcome {
+func solveOn(t *testing.T, kind mbrim.Kind, m *mbrim.Model, layout lattice.Kind) *mbrim.Outcome {
 	t.Helper()
 	out, err := mbrim.Solve(mbrim.Request{
-		Kind:    kind,
-		Model:   m,
-		Seed:    7,
-		Sweeps:  20,
-		Steps:   60,
-		Runs:    2,
-		Chips:   4,
-		Backend: backend,
+		Kind:   kind,
+		Model:  m.As(layout),
+		Seed:   7,
+		Sweeps: 20,
+		Steps:  60,
+		Runs:   2,
+		Chips:  4,
 		// Short dynamical runs keep the suite fast; bit-identity does
 		// not depend on duration.
 		DurationNS: 20,
 	})
 	if err != nil {
-		t.Fatalf("%s/%s: %v", kind, backend, err)
+		t.Fatalf("%s/%s: %v", kind, layout, err)
 	}
 	return out
 }
@@ -79,28 +80,26 @@ func TestBackendsBitIdenticalAcrossEngines(t *testing.T) {
 	for name, m := range equivalenceModels(t) {
 		for _, kind := range engines {
 			t.Run(name+"/"+string(kind), func(t *testing.T) {
-				ref := solveOn(t, kind, m, mbrim.BackendDense)
-				if ref.Backend != mbrim.BackendDense {
+				ref := solveOn(t, kind, m, lattice.Dense)
+				if ref.Backend != "dense" {
 					t.Fatalf("outcome reports backend %q, want dense", ref.Backend)
 				}
-				for _, backend := range []string{mbrim.BackendCSR} {
-					got := solveOn(t, kind, m, backend)
-					if got.Backend != backend {
-						t.Fatalf("outcome reports backend %q, want %q", got.Backend, backend)
+				got := solveOn(t, kind, m, lattice.CSR)
+				if got.Backend != "csr" {
+					t.Fatalf("outcome reports backend %q, want csr", got.Backend)
+				}
+				if got.Energy != ref.Energy {
+					t.Fatalf("csr energy %v, dense %v", got.Energy, ref.Energy)
+				}
+				if ising.HammingDistance(got.Spins, ref.Spins) != 0 {
+					t.Fatalf("csr spins differ from dense")
+				}
+				for k, v := range ref.Stats {
+					if k == "softwareNS" {
+						continue // measured host wall time, not deterministic
 					}
-					if got.Energy != ref.Energy {
-						t.Fatalf("%s energy %v, dense %v", backend, got.Energy, ref.Energy)
-					}
-					if ising.HammingDistance(got.Spins, ref.Spins) != 0 {
-						t.Fatalf("%s spins differ from dense", backend)
-					}
-					for k, v := range ref.Stats {
-						if k == "softwareNS" {
-							continue // measured host wall time, not deterministic
-						}
-						if got.Stats[k] != v {
-							t.Fatalf("%s stat %s = %v, dense %v", backend, k, got.Stats[k], v)
-						}
+					if got.Stats[k] != v {
+						t.Fatalf("csr stat %s = %v, dense %v", k, got.Stats[k], v)
 					}
 				}
 			})
@@ -110,29 +109,21 @@ func TestBackendsBitIdenticalAcrossEngines(t *testing.T) {
 
 func TestAutoBackendResolvesByDensity(t *testing.T) {
 	models := equivalenceModels(t)
-	dense := solveOn(t, mbrim.SA, models["kgraph"], mbrim.BackendAuto)
-	if dense.Backend != mbrim.BackendDense {
-		t.Fatalf("auto on a complete graph picked %q, want dense", dense.Backend)
+	dense := solveOn(t, mbrim.SA, models["kgraph"], lattice.Auto)
+	if dense.Backend != "dense" {
+		t.Fatalf("a complete graph was built %q, want dense", dense.Backend)
 	}
-	sparse := solveOn(t, mbrim.SA, models["random"], "")
-	if sparse.Backend != mbrim.BackendCSR {
-		t.Fatalf("auto on a 5%%-density graph picked %q, want csr", sparse.Backend)
+	sparse := solveOn(t, mbrim.SA, models["random"], lattice.Auto)
+	if sparse.Backend != "csr" {
+		t.Fatalf("a 5%%-density graph was built %q, want csr", sparse.Backend)
 	}
-	// Whatever auto picks, the outcome matches an explicit request.
-	explicit := solveOn(t, mbrim.SA, models["random"], mbrim.BackendCSR)
-	if sparse.Energy != explicit.Energy ||
-		ising.HammingDistance(sparse.Spins, explicit.Spins) != 0 {
-		t.Fatal("auto outcome differs from the explicitly-requested backend")
+	// Whatever the builder picks, the outcome matches the other layout's.
+	other := solveOn(t, mbrim.SA, models["random"], lattice.Dense)
+	if other.Backend != "dense" {
+		t.Fatalf("a model re-laid dense reports %q", other.Backend)
 	}
-}
-
-func TestBackendRejectsUnknownName(t *testing.T) {
-	_, err := mbrim.Solve(mbrim.Request{
-		Kind:    mbrim.SA,
-		Model:   mbrim.CompleteGraph(8, 1).ToIsing(),
-		Backend: "simd",
-	})
-	if err == nil {
-		t.Fatal("unknown backend name was accepted")
+	if sparse.Energy != other.Energy ||
+		ising.HammingDistance(sparse.Spins, other.Spins) != 0 {
+		t.Fatal("the stored layout's outcome differs from the re-laid one's")
 	}
 }

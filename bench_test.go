@@ -414,14 +414,16 @@ func BenchmarkAblationTopology(b *testing.B) {
 	}
 }
 
-// SparseVsDense: the CSR backend's win on a 1%-density graph — the same
+// SparseVsDense: the CSR layout's win on a 1%-density graph — the same
 // model, the same trajectory, flips at O(degree) instead of O(N).
 func BenchmarkSparseVsDenseSA(b *testing.B) {
 	m := graph.Random(2000, 0.01, rng.New(15)).ToIsing()
 	for _, backend := range []lattice.Kind{lattice.Dense, lattice.CSR} {
 		b.Run(backend.String(), func(b *testing.B) {
+			m := m.As(backend)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sa.Solve(m, sa.Config{Sweeps: 5, Seed: uint64(i), Backend: backend})
+				sa.Solve(m, sa.Config{Sweeps: 5, Seed: uint64(i)})
 			}
 		})
 	}

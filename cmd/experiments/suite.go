@@ -7,7 +7,6 @@ import (
 
 	"mbrim/internal/brim"
 	"mbrim/internal/graph"
-	"mbrim/internal/lattice"
 	"mbrim/internal/rng"
 	"mbrim/internal/sa"
 	"mbrim/internal/sbm"
@@ -56,14 +55,9 @@ func runSuite(args []string) error {
 	for _, inst := range standardSuite(*seed) {
 		m := inst.g.ToIsing()
 
-		// SA prefers the backend that matches the density.
-		saBackend := lattice.Dense
-		if float64(inst.g.M()) < 0.1*float64(inst.g.N()*(inst.g.N()-1)/2) {
-			saBackend = lattice.CSR
-		}
 		saBest, saWall := 0.0, time.Duration(0)
 		for r := 0; r < *runs; r++ {
-			res := sa.Solve(m, sa.Config{Sweeps: *sweeps, Seed: *seed + uint64(r), Backend: saBackend})
+			res := sa.Solve(m, sa.Config{Sweeps: *sweeps, Seed: *seed + uint64(r)})
 			saWall += res.Wall
 			if cut := inst.g.CutValue(res.Spins); cut > saBest {
 				saBest = cut

@@ -60,7 +60,6 @@ func main() {
 	coordinated := flag.Bool("coordinated", false, "coordinate induced flips via synchronized PRNGs")
 	bandwidth := flag.Float64("bandwidth", 0, "channel bandwidth, bytes/ns (0 = unlimited)")
 	capacity := flag.Int("cap", 500, "machine capacity for d&c engines")
-	backend := flag.String("backend", "auto", "coupling backend: auto, dense or csr (bit-identical; auto picks by density)")
 	printSpins := flag.Bool("spins", false, "print the solution spin vector")
 	jsonOut := flag.Bool("json", false, "emit the outcome as JSON instead of text")
 	traceFile := flag.String("trace", "", "write the run's event stream to this file as JSON Lines")
@@ -111,8 +110,8 @@ func main() {
 			for _, t := range []struct {
 				on   bool
 				name string
-			}{{caps.Resume, "resume"}, {caps.WarmStart, "warm-start"}, {caps.Backend, "backend"},
-				{caps.Spans, "spans"}, {caps.Traced, "traced"}, {caps.ModelTime, "model-time"}} {
+			}{{caps.Resume, "resume"}, {caps.WarmStart, "warm-start"}, {caps.Spans, "spans"},
+				{caps.Traced, "traced"}, {caps.ModelTime, "model-time"}} {
 				if t.on {
 					tags = append(tags, t.name)
 				}
@@ -319,7 +318,6 @@ func main() {
 		Coordinated:       *coordinated,
 		ChannelBytesPerNS: *bandwidth,
 		MachineCapacity:   *capacity,
-		Backend:           *backend,
 		SampleEveryNS:     *sample,
 		RecordEpochStats:  *epochStats,
 		Probes:            *probes,

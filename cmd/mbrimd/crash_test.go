@@ -222,14 +222,14 @@ func crashAndResume(t *testing.T, bin, body string) {
 	}
 
 	// The uninterrupted reference, mirroring buildRequest's defaults for
-	// the submitted body (graphSeed 1, sampleEvery duration/100, auto
-	// backend; a cluster run's chips default to one per worker). The
+	// the submitted body (graphSeed 1, sampleEvery duration/100; a
+	// cluster run's chips default to one per worker). The
 	// in-process concurrent engine is the reference for both rows: a
 	// cluster run is bit-identical to it.
 	g := graph.Complete(64, rng.New(1))
 	ref, err := core.Solve(core.Request{
 		Kind: core.MBRIMConcurrent, Model: g.ToIsing(), Graph: g,
-		Seed: 7, DurationNS: 5000, Chips: 2, SampleEveryNS: 50, Backend: "auto",
+		Seed: 7, DurationNS: 5000, Chips: 2, SampleEveryNS: 50,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,6 @@ func main() {
 	ringSize := flag.Int("ring", 4096, "recent events retained per run for replay")
 	sseBuffer := flag.Int("sse-buffer", obs.DefaultBroadcastBuffer, "per-subscriber live-tail buffer, events")
 	withPprof := flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/")
-	backend := flag.String("backend", "auto", "default coupling backend for submitted runs: auto, dense or csr")
 	worker := flag.Bool("worker", false, "host problem slices for remote coordinators under /worker/slices")
 	maxSlices := flag.Int("max-slices", cluster.DefaultMaxSlices, "slice capacity in -worker mode")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight runs on shutdown; expiry with live runs exits 4")
@@ -144,7 +143,6 @@ func main() {
 		MaxQueued:       *maxQueued,
 		MaxSpins:        *maxSpins,
 		MaxRunBytes:     int64(*maxRunMB) << 20,
-		DefaultBackend:  *backend,
 		Journal:         jw,
 		StateDir:        *stateDir,
 		CheckpointEvery: *checkpointEvery,

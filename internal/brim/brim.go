@@ -103,10 +103,6 @@ type Config struct {
 	// goroutines — a host-side speedup for large chips with no effect
 	// on the simulated trajectory. Zero or one runs single-threaded.
 	Workers int
-	// Backend selects the coupling-matrix layout feeding the RK4
-	// derivative (lattice.Auto resolves by measured density). Every
-	// backend is bit-identical; the choice only moves host time.
-	Backend lattice.Kind
 	// MaxStepRetries bounds the numerical guardrail's step-halving
 	// backoff: a step whose candidate voltages come out NaN/Inf or
 	// blown far past the rails is discarded and retried at halved dt
@@ -233,9 +229,12 @@ func New(m *ising.Model, cfg Config) *Machine {
 		return v
 	}
 	ma.k1, ma.k2, ma.k3, ma.k4, ma.vtmp, ma.cand, ma.th = carve(), carve(), carve(), carve(), carve(), carve(), carve()
-	// The backend stores Ĵ = J/scale — division, exactly as the old
-	// private jhat copy did, so trajectories are bit-identical.
-	ma.lat = lattice.Convert(m.View(lattice.Auto), c.Backend, scale)
+	// The machine stores Ĵ = J/scale — division, exactly as the old
+	// private jhat copy did, so trajectories are bit-identical — in the
+	// layout the model came in (its own kind, not Auto: a rescale never
+	// re-lays the model it was handed).
+	stored := m.View(lattice.Auto)
+	ma.lat = lattice.Convert(stored, stored.Kind(), scale)
 	for i, b := range m.MuH() {
 		ma.bhat[i] = b / scale
 	}

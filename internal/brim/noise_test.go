@@ -123,13 +123,18 @@ func TestWorkersBitIdentical(t *testing.T) {
 	g := graph.Complete(64, rng.New(40))
 	m := g.ToIsing()
 	seq := Solve(m, SolveConfig{Duration: 30, Config: Config{Seed: 41}})
-	// Every backend × worker count must reproduce the serial dense
+	// Every layout × worker count must reproduce the serial dense
 	// trajectory exactly — the kernel's fixed chunk boundaries and the
-	// backends' shared accumulation order are what make this hold.
+	// layouts' shared accumulation order are what make this hold.
 	for _, backend := range []lattice.Kind{lattice.Dense, lattice.CSR} {
+		// The rescale to Ĵ = J/scale stays in the layout the model came in:
+		// a K-graph handed in as compressed rows is not re-resolved dense.
+		if got := New(m.As(backend), Config{Seed: 41}).lat.Kind(); got != backend {
+			t.Fatalf("New re-laid a %v model as %v", backend, got)
+		}
 		for _, workers := range []int{1, 4} {
-			par := Solve(m, SolveConfig{Duration: 30,
-				Config: Config{Seed: 41, Workers: workers, Backend: backend}})
+			par := Solve(m.As(backend), SolveConfig{Duration: 30,
+				Config: Config{Seed: 41, Workers: workers}})
 			if seq.Energy != par.Energy || ising.HammingDistance(seq.Spins, par.Spins) != 0 {
 				t.Fatalf("%v × %d workers changed the trajectory", backend, workers)
 			}

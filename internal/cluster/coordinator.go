@@ -32,16 +32,11 @@ type Config struct {
 	Chips int
 	// DurationNS is the model-time horizon. Required.
 	DurationNS float64
-	// EpochNS, FlipIntervalNS, Coordinated, Seed, Backend and the
-	// induced-flip ramp mean exactly what they mean in
+	// EpochNS, Coordinated and Seed mean exactly what they mean in
 	// multichip.Config.
-	EpochNS        float64
-	FlipIntervalNS float64
-	Coordinated    bool
-	Seed           uint64
-	Backend        string
-	InducedFrom    float64
-	InducedTo      float64
+	EpochNS     float64
+	Coordinated bool
+	Seed        uint64
 	// Channels / ChannelBytesPerNS configure the modeled hardware
 	// fabric the coordinator mirrors, so the traffic/stall ledgers
 	// match the in-process simulation bit for bit.
@@ -72,10 +67,6 @@ type Config struct {
 	// (defaults 250ms / 4 consecutive misses ⇒ dead).
 	HeartbeatEvery  time.Duration
 	HeartbeatMisses int
-	// HandoffNSPerSpin is the modeled reprogramming stall charged per
-	// spin of every slice that changes hosts during recovery (default
-	// 10, the fault layer's repartition figure).
-	HandoffNSPerSpin float64
 
 	// Federate enables fleet observability: the coordinator derives a
 	// run-scoped trace ID, opens a span tree over the solve, threads
@@ -98,6 +89,11 @@ type Config struct {
 	Tracer  obs.Tracer
 	Client  *http.Client
 }
+
+// handoffNSPerSpin is the modeled reprogramming stall charged per spin
+// of every slice that changes hosts during recovery: the fault layer's
+// repartition figure.
+const handoffNSPerSpin = 10
 
 func (c Config) withDefaults() (Config, error) {
 	if len(c.Workers) == 0 {
@@ -132,9 +128,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.HeartbeatMisses == 0 {
 		c.HeartbeatMisses = 4
-	}
-	if c.HandoffNSPerSpin == 0 {
-		c.HandoffNSPerSpin = 10
 	}
 	return c, nil
 }
@@ -200,8 +193,8 @@ type Coordinator struct {
 	// the partition-quality gauges share it.
 	view lattice.Coupling
 	// mc and parts are multichip's own derivation for this run — the
-	// validated configuration with its defaults (epoch length, channels,
-	// backend) and the partition every worker's NewSlice derives too.
+	// validated configuration with its defaults (epoch length, channels)
+	// and the partition every worker's NewSlice derives too.
 	mc    multichip.Config
 	parts [][]int
 	tr    *transport
@@ -250,20 +243,16 @@ func New(m *ising.Model, runID string, cfg Config) (*Coordinator, error) {
 }
 
 // prepare is New before the run has a name: everything that can reject
-// the configuration. What the engine would reject — chips, epoch and
-// flip-interval lengths, channels, backend — is rejected by the engine's
-// own validation, through the configuration the slices will be built
-// from.
+// the configuration. What the engine would reject — chips, epoch
+// length, channels — is rejected by the engine's own validation,
+// through the configuration the slices will be built from.
 func prepare(m *ising.Model, cfg Config) (*Coordinator, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	co := &Coordinator{cfg: c, model: m, n: m.N()}
-	mcfg, err := co.sliceConfig().multichipConfig()
-	if err != nil {
-		return nil, err
-	}
+	mcfg := co.sliceConfig().multichipConfig()
 	mcfg.Channels, mcfg.ChannelBytesPerNS = c.Channels, c.ChannelBytesPerNS
 	if co.mc, co.parts, err = multichip.Partition(co.n, mcfg); err != nil {
 		return nil, err
@@ -327,7 +316,7 @@ func (co *Coordinator) run(ctx context.Context) (*Result, []byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	co.view = co.model.View(co.mc.Backend)
+	co.view = co.model.View(lattice.Auto)
 	co.recordPartitionQuality()
 	// Whatever way the run ends — completed, interrupted (after its
 	// checkpoint is collected) or failed — its slices leave the workers
@@ -419,15 +408,11 @@ func asWorkerDead(err error) *workerDeadError {
 // sliceConfig is the wire configuration every slice shares.
 func (co *Coordinator) sliceConfig() SliceConfig {
 	return SliceConfig{
-		Chips:          co.cfg.Chips,
-		EpochNS:        co.cfg.EpochNS,
-		FlipIntervalNS: co.cfg.FlipIntervalNS,
-		Coordinated:    co.cfg.Coordinated,
-		Seed:           co.cfg.Seed,
-		DurationNS:     co.cfg.DurationNS,
-		Backend:        co.cfg.Backend,
-		InducedFrom:    co.cfg.InducedFrom,
-		InducedTo:      co.cfg.InducedTo,
+		Chips:       co.cfg.Chips,
+		EpochNS:     co.cfg.EpochNS,
+		Coordinated: co.cfg.Coordinated,
+		Seed:        co.cfg.Seed,
+		DurationNS:  co.cfg.DurationNS,
 	}
 }
 
@@ -765,7 +750,7 @@ func (co *Coordinator) recover(ctx context.Context, wd *workerDeadError) error {
 	}
 	recoveryStall := 0.0
 	if movedSpins > 0 {
-		recoveryStall = float64(movedSpins) * co.cfg.HandoffNSPerSpin
+		recoveryStall = float64(movedSpins) * handoffNSPerSpin
 		co.fabric.AddStall(recoveryStall)
 		co.pos.ElapsedNS += recoveryStall
 	}

@@ -33,7 +33,6 @@ func (*engine) Kind() core.Kind { return core.Cluster }
 func (*engine) Capabilities() core.Capabilities {
 	return core.Capabilities{
 		Resume:      true,
-		Backend:     true,
 		Traced:      true,
 		ModelTime:   true,
 		Description: "multiprocessor, concurrent mode, chips hosted on remote worker nodes (bit-identical to mbrim)",
@@ -50,7 +49,6 @@ func (e *engine) config(r *core.Request) Config {
 		EpochNS:           r.EpochNS,
 		Coordinated:       r.Coordinated,
 		Seed:              r.Seed,
-		Backend:           r.Backend,
 		Channels:          r.Channels,
 		ChannelBytesPerNS: r.ChannelBytesPerNS,
 		SampleEveryNS:     r.SampleEveryNS,

@@ -164,14 +164,11 @@ func TestMalformedEpochReportFailsRun(t *testing.T) {
 func TestNewValidatesThroughMultichip(t *testing.T) {
 	m := kmodel(8, 3)
 	for name, mutate := range map[string]func(*Config){
-		"negative epoch":         func(c *Config) { c.EpochNS = -1 },
-		"NaN epoch":              func(c *Config) { c.EpochNS = math.NaN() },
-		"negative flip interval": func(c *Config) { c.FlipIntervalNS = -0.5 },
-		"NaN flip interval":      func(c *Config) { c.FlipIntervalNS = math.NaN() },
-		"negative channels":      func(c *Config) { c.Channels = -1 },
-		"negative chips":         func(c *Config) { c.Chips = -2 },
-		"more chips than spins":  func(c *Config) { c.Chips = 9 },
-		"unknown backend":        func(c *Config) { c.Backend = "blocked" },
+		"negative epoch":        func(c *Config) { c.EpochNS = -1 },
+		"NaN epoch":             func(c *Config) { c.EpochNS = math.NaN() },
+		"negative channels":     func(c *Config) { c.Channels = -1 },
+		"negative chips":        func(c *Config) { c.Chips = -2 },
+		"more chips than spins": func(c *Config) { c.Chips = 9 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := fastConfig([]string{"http://127.0.0.1:1"}, 2, 5, 10)

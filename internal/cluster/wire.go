@@ -48,7 +48,6 @@ import (
 	"mbrim/internal/lattice"
 	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
-	"mbrim/internal/sched"
 )
 
 // Wire format notes: the envelope is JSON; what is large or hot inside
@@ -356,43 +355,24 @@ func spinAt(b []byte, li int) int8 {
 
 // SliceConfig is the run configuration a worker needs to host one
 // slice. It is the distributable subset of multichip.Config: the brim
-// dynamics use their defaults, and the induced-flip schedule is the
-// linear ramp (the repo default; InducedFrom = InducedTo = 0 selects
-// the default 0.08 → 0 decay).
+// dynamics, the flip interval and the induced-flip schedule use their
+// defaults, and the slice runs on the layout the model frame builds to.
 type SliceConfig struct {
-	Chips          int     `json:"chips"`
-	EpochNS        float64 `json:"epochNS,omitempty"`
-	FlipIntervalNS float64 `json:"flipIntervalNS,omitempty"`
-	Coordinated    bool    `json:"coordinated,omitempty"`
-	Seed           uint64  `json:"seed"`
-	DurationNS     float64 `json:"durationNS"`
-	Backend        string  `json:"backend,omitempty"`
-	InducedFrom    float64 `json:"inducedFrom,omitempty"`
-	InducedTo      float64 `json:"inducedTo,omitempty"`
+	Chips       int     `json:"chips"`
+	EpochNS     float64 `json:"epochNS,omitempty"`
+	Coordinated bool    `json:"coordinated,omitempty"`
+	Seed        uint64  `json:"seed"`
+	DurationNS  float64 `json:"durationNS"`
 }
 
 // multichipConfig translates the wire configuration into the engine's.
-func (c SliceConfig) multichipConfig() (multichip.Config, error) {
-	backend := lattice.Auto
-	if c.Backend != "" {
-		var err error
-		if backend, err = lattice.ParseKind(c.Backend); err != nil {
-			return multichip.Config{}, fmt.Errorf("cluster: %w", err)
-		}
-	}
-	var induced sched.Schedule
-	if c.InducedFrom != 0 || c.InducedTo != 0 {
-		induced = sched.Linear{From: c.InducedFrom, To: c.InducedTo}
-	}
+func (c SliceConfig) multichipConfig() multichip.Config {
 	return multichip.Config{
-		Chips:          c.Chips,
-		EpochNS:        c.EpochNS,
-		FlipIntervalNS: c.FlipIntervalNS,
-		InducedFlip:    induced,
-		Coordinated:    c.Coordinated,
-		Seed:           c.Seed,
-		Backend:        backend,
-	}, nil
+		Chips:       c.Chips,
+		EpochNS:     c.EpochNS,
+		Coordinated: c.Coordinated,
+		Seed:        c.Seed,
+	}
 }
 
 // TraceContext threads distributed span parentage across the wire —

@@ -141,12 +141,7 @@ func (wk *Worker) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	mcfg, err := req.Config.multichipConfig()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sl, err := multichip.NewSlice(m, mcfg, req.Slice, req.Config.DurationNS)
+	sl, err := multichip.NewSlice(m, req.Config.multichipConfig(), req.Slice, req.Config.DurationNS)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

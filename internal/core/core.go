@@ -75,15 +75,6 @@ type Request struct {
 	Graph *graph.Graph
 	// Seed drives all stochastic choices.
 	Seed uint64
-	// Backend selects the coupling-matrix layout the engines' hot loops
-	// iterate: "auto" (default — dense unless the model's measured
-	// density is at most 5%), "dense" or "csr". Every backend is
-	// bit-identical for a fixed seed; the choice only moves host time. Engines without a coupling hot loop (tabu, pt) ignore
-	// it. The resolved choice is reported in Outcome.Backend.
-	Backend string
-	// backend is Backend parsed and resolved against the model density
-	// (withDefaults fills it).
-	backend lattice.Kind
 	// Runs is the batch size for engines that anneal repeatedly
 	// (SA/SBM/BRIM batches; jobs for mbrim-batch). Default 1.
 	Runs int
@@ -215,19 +206,14 @@ func (r *Request) withDefaults() (Request, error) {
 	if out.MachineProgramNS == 0 {
 		out.MachineProgramNS = 100
 	}
-	bk, err := lattice.ParseKind(out.Backend)
-	if err != nil {
-		return out, fmt.Errorf("core: %v", err)
-	}
-	out.backend = lattice.Resolve(bk, out.Model.N(), out.Model.NNZ())
 	return out, nil
 }
 
 // Outcome is a uniform solve report.
 type Outcome struct {
 	Kind Kind
-	// Backend is the resolved coupling backend the solve ran on
-	// ("dense" or "csr") — "auto" requests report what auto picked.
+	// Backend reports the coupling layout the solve ran on ("dense" or
+	// "csr"): the one the model stores.
 	Backend string
 	Spins   []int8
 	Energy  float64
@@ -383,7 +369,7 @@ func SolveCtx(ctx context.Context, req Request) (out *Outcome, err error) {
 // starts from. Exported for engines registered from other packages
 // (e.g. internal/portfolio).
 func (r *Request) NewOutcome() *Outcome {
-	return &Outcome{Kind: r.Kind, Backend: r.backend.String(), Stats: map[string]float64{}}
+	return &Outcome{Kind: r.Kind, Backend: r.Model.View(lattice.Auto).Kind().String(), Stats: map[string]float64{}}
 }
 
 // Interrupted finalizes a partial outcome and wraps it, with the
@@ -436,8 +422,8 @@ func (r *Request) Finish(out *Outcome, start time.Time) {
 		// the Prometheus exposition.
 		r.Metrics.Counter("core.solves").Inc()
 		r.Metrics.CounterWith("core.solves", obs.Labels{"engine": string(r.Kind)}).Inc()
-		// core.backend_solves breaks solves down by the resolved coupling
-		// backend (a separate series so core.solves keeps its shape).
+		// core.backend_solves breaks solves down by the coupling layout
+		// they ran on (a separate series so core.solves keeps its shape).
 		r.Metrics.CounterWith("core.backend_solves",
 			obs.Labels{"engine": string(r.Kind), "backend": out.Backend}).Inc()
 		r.Metrics.HistogramWith("core.solve_wall_ns", obs.Labels{"engine": string(r.Kind)}).

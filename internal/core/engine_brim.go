@@ -20,7 +20,6 @@ func (brimEngine) Kind() Kind { return BRIM }
 func (brimEngine) Capabilities() Capabilities {
 	return Capabilities{
 		WarmStart:   true,
-		Backend:     true,
 		Spans:       true,
 		Traced:      true,
 		ModelTime:   true,
@@ -40,7 +39,7 @@ func (brimEngine) Solve(ctx context.Context, r *Request) (*Outcome, error) {
 		Duration:       r.DurationNS,
 		SampleInterval: r.SampleEveryNS,
 		Initial:        r.Initial,
-		Config:         brim.Config{Seed: r.Seed, Backend: r.backend},
+		Config:         brim.Config{Seed: r.Seed},
 		Tracer:         r.Tracer,
 		Metrics:        r.Metrics,
 		Spans:          r.spans,

@@ -26,7 +26,6 @@ func (e dncEngine) Kind() Kind { return e.kind }
 
 func (e dncEngine) Capabilities() Capabilities {
 	return Capabilities{
-		Backend:     true,
 		ModelTime:   true,
 		Description: e.desc,
 	}
@@ -44,11 +43,9 @@ func (e dncEngine) Solve(ctx context.Context, r *Request) (*Outcome, error) {
 	var res *dnc.Result
 	var rerr error
 	if e.kind == QBSolv {
-		res, rerr = dnc.QBSolvCtx(ctx, r.Model, mach, dnc.QBSolvConfig{Seed: r.Seed,
-			Backend: r.backend, Tracer: r.Tracer, Metrics: r.Metrics})
+		res, rerr = dnc.QBSolvCtx(ctx, r.Model, mach, dnc.QBSolvConfig{Seed: r.Seed, Tracer: r.Tracer, Metrics: r.Metrics})
 	} else {
-		res, rerr = dnc.OursCtx(ctx, r.Model, mach, dnc.OursConfig{Seed: r.Seed,
-			Backend: r.backend, Tracer: r.Tracer, Metrics: r.Metrics})
+		res, rerr = dnc.OursCtx(ctx, r.Model, mach, dnc.OursConfig{Seed: r.Seed, Tracer: r.Tracer, Metrics: r.Metrics})
 	}
 	out.Spins, out.Energy = res.Spins, res.Energy
 	out.ModelNS = res.HardwareNS + res.ProgramNS

@@ -34,7 +34,6 @@ func (e multichipEngine) Kind() Kind { return e.kind }
 func (e multichipEngine) Capabilities() Capabilities {
 	return Capabilities{
 		Resume:      true,
-		Backend:     true,
 		Spans:       true,
 		Traced:      true,
 		ModelTime:   true,
@@ -135,7 +134,6 @@ func (r *Request) MultichipResume(engine Kind) (*multichip.Checkpoint, error) {
 
 func multichipConfig(r Request) multichip.Config {
 	return multichip.Config{
-		Backend:           r.backend,
 		Chips:             r.Chips,
 		EpochNS:           r.EpochNS,
 		Coordinated:       r.Coordinated,

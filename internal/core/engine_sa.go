@@ -19,7 +19,6 @@ func (saEngine) Kind() Kind { return SA }
 func (saEngine) Capabilities() Capabilities {
 	return Capabilities{
 		WarmStart:   true,
-		Backend:     true,
 		Description: "simulated annealing (Isakov-style), best of Runs restarts",
 	}
 }
@@ -36,7 +35,7 @@ func (saEngine) Solve(ctx context.Context, r *Request) (*Outcome, error) {
 	var attempts, flips float64
 	for i := 0; i < r.Runs; i++ {
 		res, rerr := sa.SolveCtx(ctx, r.Model, sa.Config{Sweeps: r.Sweeps,
-			Seed: r.Seed + uint64(i), Initial: r.Initial, Backend: r.backend,
+			Seed: r.Seed + uint64(i), Initial: r.Initial,
 			Tracer: r.Tracer, Metrics: r.Metrics})
 		attempts += float64(res.Attempts)
 		flips += float64(res.Flips)

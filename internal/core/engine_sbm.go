@@ -26,7 +26,6 @@ func (e sbmEngine) Kind() Kind { return e.kind }
 
 func (e sbmEngine) Capabilities() Capabilities {
 	return Capabilities{
-		Backend:     true,
 		Description: e.desc,
 	}
 }
@@ -37,8 +36,7 @@ func (e sbmEngine) Solve(ctx context.Context, r *Request) (*Outcome, error) {
 	var best *sbm.Result
 	for i := 0; i < r.Runs; i++ {
 		res, rerr := sbm.SolveCtx(ctx, r.Model, sbm.Config{Variant: e.variant, Steps: r.Steps,
-			Seed: r.Seed + uint64(i), Backend: r.backend,
-			Tracer: r.Tracer, Metrics: r.Metrics})
+			Seed: r.Seed + uint64(i), Tracer: r.Tracer, Metrics: r.Metrics})
 		if best == nil || res.Energy < best.Energy {
 			best = res
 		}

@@ -19,7 +19,7 @@ import (
 // Engine is one registered solver: the adapter between the uniform
 // Request/Outcome surface and an engine package's own Solve loop.
 // Solve receives the request after withDefaults and validate have run
-// (the backend is resolved, zero knobs are filled) and must honor the
+// (zero knobs are filled) and must honor the
 // SolveCtx contract: context cancellation returns *InterruptedError
 // carrying the best-so-far Outcome, and the uniform tail (wall time,
 // cut value, RunEnd, registry counters) is stamped via Request.finish.
@@ -52,9 +52,6 @@ type Capabilities struct {
 	// (checkpoint.Warm) in Request.Resume — the portfolio hand-off
 	// format.
 	WarmStart bool `json:"warmStart"`
-	// Backend reports that the engine's hot loop honors
-	// Request.Backend (dense/CSR coupling layouts).
-	Backend bool `json:"backend"`
 	// Spans reports that the engine emits hierarchical span events
 	// under Request.SpanTrace.
 	Spans bool `json:"spans"`

@@ -27,7 +27,6 @@ import (
 
 	"mbrim/internal/brim"
 	"mbrim/internal/ising"
-	"mbrim/internal/lattice"
 	"mbrim/internal/obs"
 	"mbrim/internal/rng"
 	"mbrim/internal/sa"
@@ -139,11 +138,6 @@ type QBSolvConfig struct {
 	Fraction float64
 	// TabuIters bounds each tabu polish. Default 20·n.
 	TabuIters int
-	// Backend selects the coupling view the per-window glue extraction
-	// scans (lattice.Auto resolves by measured density). Bit-identical
-	// across backends; a sparse view makes each extraction O(degree)
-	// per spin instead of O(N).
-	Backend lattice.Kind
 	// Seed drives all stochastic choices.
 	Seed uint64
 	// Tracer, if non-nil, receives a ChipStep event per machine launch
@@ -205,7 +199,6 @@ func QBSolvCtx(ctx context.Context, m *ising.Model, mach Machine, cfg QBSolvConf
 
 	qtmp := ising.CopySpins(qbest)
 	total := int(fraction * float64(n))
-	view := m.View(cfg.Backend)
 
 	done := ctx.Done()
 	var runErr error
@@ -230,7 +223,7 @@ func QBSolvCtx(ctx context.Context, m *ising.Model, mach Machine, cfg QBSolvConf
 			window := index[i:end]
 
 			glueStart := time.Now()
-			sp := ising.ExtractFrom(view, m, window, qtmp)
+			sp := ising.Extract(m, window, qtmp)
 			res.GlueOps += sp.GlueOps
 			init := sp.Gather(qtmp)
 			res.SoftwareWall += time.Since(glueStart)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mbrim/internal/ising"
-	"mbrim/internal/lattice"
 	"mbrim/internal/obs"
 	"mbrim/internal/rng"
 	"mbrim/internal/sa"
@@ -21,10 +20,6 @@ type OursConfig struct {
 	// SoftwareSweeps is the SA effort for partitions that do not fit
 	// the machine (they are solved by the host). Default 30.
 	SoftwareSweeps int
-	// Backend selects the coupling view the Synchronise-step glue
-	// extraction scans (lattice.Auto resolves by measured density).
-	// Bit-identical across backends.
-	Backend lattice.Kind
 	// Seed drives partitioning, initial state and solver seeds.
 	Seed uint64
 	// Tracer, if non-nil, receives a ChipStep event per hardware launch
@@ -84,7 +79,6 @@ func OursCtx(ctx context.Context, m *ising.Model, mach Machine, cfg OursConfig) 
 	}
 
 	spins := ising.RandomSpins(n, r)
-	view := m.View(cfg.Backend)
 
 	// Lines 10-16: repeat passes of sequential per-partition solving.
 	done := ctx.Done()
@@ -101,7 +95,7 @@ func OursCtx(ctx context.Context, m *ising.Model, mach Machine, cfg OursConfig) 
 				break
 			}
 			glueStart := time.Now()
-			sp := ising.ExtractFrom(view, m, part, spins)
+			sp := ising.Extract(m, part, spins)
 			res.GlueOps += sp.GlueOps
 			init := sp.Gather(spins)
 			res.SoftwareWall += time.Since(glueStart)

@@ -1,10 +1,6 @@
 package ising
 
-import (
-	"fmt"
-
-	"mbrim/internal/lattice"
-)
+import "fmt"
 
 // This file implements the bipartition rewrite of Eq. 3 in the paper:
 // an n-spin problem splits into sub-problems (J_u, g_u) and (J_l, g_l)
@@ -42,21 +38,11 @@ type SubProblem struct {
 // Extract builds the sub-problem over the parent indices in sub, with
 // the complement's spins frozen at the given global assignment. The
 // indices must be distinct and in range; spins must cover the parent.
+// The glue scan iterates only the nonzeros of each sub-spin's row —
+// O(degree) per spin over compressed rows — and GlueOps counts nonzero
+// cross terms, whatever the layout.
 func Extract(parent *Model, sub []int, spins []int8) *SubProblem {
-	return ExtractFrom(parent.c, parent, sub, spins)
-}
-
-// ExtractFrom is Extract through an explicit view of the parent's
-// couplings (Extract passes the stored one): the glue scan iterates
-// only the nonzeros of each sub-spin's row, O(degree) per spin over
-// compressed rows. Divide-and-conquer flows that pin a backend take
-// the view once and pass it here. GlueOps counts nonzero cross terms,
-// whatever the layout.
-func ExtractFrom(view lattice.Coupling, parent *Model, sub []int, spins []int8) *SubProblem {
 	n := parent.N()
-	if view.N() != n {
-		panic("ising: ExtractFrom view/parent size mismatch")
-	}
 	if len(spins) != n {
 		panic("ising: Extract with wrong spin vector length")
 	}
@@ -74,7 +60,7 @@ func ExtractFrom(view lattice.Coupling, parent *Model, sub []int, spins []int8) 
 	b := NewBuilder(len(sub))
 	for local, g := range sub {
 		gi := parent.muH[g]
-		view.Scan(g, func(j int, v float64) {
+		parent.c.Scan(g, func(j int, v float64) {
 			if lj := inSub[j]; lj != 0 {
 				if lj-1 > local {
 					b.SetCoupling(local, lj-1, v)

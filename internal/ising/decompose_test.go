@@ -199,12 +199,12 @@ func TestWholeProblemExtract(t *testing.T) {
 	}
 }
 
-func TestExtractFromBackendsAgree(t *testing.T) {
-	// The regression pinned by the lattice refactor: routing the glue
-	// scan through either layout's row iterator must reproduce Extract
-	// over the stored one exactly — same sub-model, same effective
-	// biases, and the same GlueOps ledger (only nonzero cross terms ever
-	// counted).
+func TestExtractLayoutsAgree(t *testing.T) {
+	// The regression pinned by the lattice refactor: the glue scan over
+	// either layout's row iterator (the same problem, As each kind) must
+	// reproduce Extract over the stored one exactly — same sub-model,
+	// same effective biases, and the same GlueOps ledger (only nonzero
+	// cross terms ever counted).
 	r := rng.New(15)
 	for _, density := range []float64{1.0, 0.2} {
 		n := 24
@@ -223,7 +223,7 @@ func TestExtractFromBackendsAgree(t *testing.T) {
 		sub := r.Perm(n)[:9]
 		ref := Extract(m, sub, s)
 		for _, kind := range []lattice.Kind{lattice.Dense, lattice.CSR} {
-			sp := ExtractFrom(m.View(kind), m, sub, s)
+			sp := Extract(m.As(kind), sub, s)
 			if sp.GlueOps != ref.GlueOps {
 				t.Errorf("density %v, %v: GlueOps = %d, dense Extract %d",
 					density, kind, sp.GlueOps, ref.GlueOps)

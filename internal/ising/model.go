@@ -339,12 +339,25 @@ func (m *Model) Coupling(i, j int) float64 {
 	return out
 }
 
-// View returns the model's couplings (unscaled) in the requested
-// layout: the stored one for Auto or its own kind, a re-laid copy
-// (lattice.Convert, built per call) for the other.
-func (m *Model) View(kind lattice.Kind) lattice.Coupling {
-	return lattice.Convert(m.c, kind, 0)
+// As returns the same problem stored in the layout kind names: the
+// receiver itself for Auto or the kind it already has, otherwise a
+// header over a re-laid copy of the couplings (lattice.Convert) that
+// shares the biases. Build has already picked the layout a problem's
+// density calls for and every engine follows the model it is handed, so
+// this is the one lever that runs a problem on the other layout — what
+// the layout-equivalence tests pull.
+func (m *Model) As(kind lattice.Kind) *Model {
+	if kind == lattice.Auto || kind == m.c.Kind() {
+		return m
+	}
+	out := *m
+	out.c = lattice.Convert(m.c, kind, 0)
+	return &out
 }
+
+// View returns the couplings (unscaled) of m.As(kind): the stored
+// lattice.Coupling for Auto, which is what every engine reads.
+func (m *Model) View(kind lattice.Kind) lattice.Coupling { return m.As(kind).c }
 
 // Energy returns E(σ) for the given spin assignment.
 func (m *Model) Energy(spins []int8) float64 {

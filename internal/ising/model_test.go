@@ -294,7 +294,7 @@ func TestValidateCatchesAsymmetry(t *testing.T) {
 		b.AddCoupling(1, 2, 0.25)
 		m := b.mustBuild()
 		for _, kind := range []lattice.Kind{lattice.Auto, lattice.Dense, lattice.CSR} {
-			v := restored(m, kind)
+			v := m.As(kind)
 			if v.Coupling(0, 1) != -4 || v.Coupling(1, 0) != -4 || v.Coupling(1, 2) != 0.75 || v.Coupling(2, 1) != 0.75 {
 				t.Fatalf("n=%d %v: J01=%v J10=%v J12=%v J21=%v", n, kind, v.Coupling(0, 1), v.Coupling(1, 0), v.Coupling(1, 2), v.Coupling(2, 1))
 			}

@@ -10,6 +10,7 @@ import (
 	"mbrim/internal/cluster"
 	"mbrim/internal/graph"
 	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 	"mbrim/internal/rng"
 )
 
@@ -162,4 +163,81 @@ func TestNegativeZeroMovesTheHash(t *testing.T) {
 	if got, want := checkpoint.HashModel(m), denseHash(5, 1, dense, m.Biases()); got != want {
 		t.Fatalf("HashModel %#x, the array with +0 gives %#x", got, want)
 	}
+}
+
+// TestAs pins the one lever that re-lays a problem: asking for Auto or
+// for the layout a model already has hands the model back, untouched and
+// without allocating; asking for the other one gives a header over the
+// same biases whose every answer — energies, fields, the row norm brim
+// scales by, the checkpoint hash, the wire frame — has the stored
+// model's bits, and asking that for the original layout comes back to
+// it.
+func TestAs(t *testing.T) {
+	other := map[lattice.Kind]lattice.Kind{lattice.Dense: lattice.CSR, lattice.CSR: lattice.Dense}
+	r := rng.New(11)
+	h := make([]float64, 96)
+	for i := range h {
+		h[i] = r.Float64() - 0.5
+	}
+	for name, m := range map[string]*ising.Model{
+		"K96":          graph.Complete(96, rng.New(8)).ToIsing(),
+		"G(96, 0.04)":  graph.Random(96, 0.04, rng.New(9)).ToIsing(),
+		"K96 + biases": must(graph.Complete(96, rng.New(10)).ToIsing().WithBiases(h)),
+	} {
+		stored := m.View(lattice.Auto).Kind()
+		for _, same := range []lattice.Kind{lattice.Auto, stored} {
+			if m.As(same) != m || m.View(same) != m.View(lattice.Auto) {
+				t.Fatalf("%s: As(%v) of a %v model is not the model itself", name, same, stored)
+			}
+			if a := testing.AllocsPerRun(10, func() { m.As(same) }); a != 0 {
+				t.Errorf("%s: As(%v) allocates %v times", name, same, a)
+			}
+		}
+		v := m.As(other[stored])
+		if got := v.View(lattice.Auto).Kind(); got != other[stored] {
+			t.Fatalf("%s: As(%v) is stored as %v", name, other[stored], got)
+		}
+		if &v.Biases()[0] != &m.Biases()[0] || &v.MuH()[0] != &m.MuH()[0] || v.Mu() != m.Mu() {
+			t.Errorf("%s: As(%v) copied the biases", name, other[stored])
+		}
+		if v.NNZ() != m.NNZ() || v.N() != m.N() {
+			t.Errorf("%s: %d spins, %d couplings became %d, %d", name, m.N(), m.NNZ(), v.N(), v.NNZ())
+		}
+		bits := math.Float64bits
+		if a, b := v.MaxRowNorm2(), m.MaxRowNorm2(); bits(a) != bits(b) {
+			t.Errorf("%s: MaxRowNorm2 %v, stored %v", name, a, b)
+		}
+		for try := 0; try < 4; try++ {
+			spins := ising.RandomSpins(m.N(), r)
+			if a, b := v.Energy(spins), m.Energy(spins); bits(a) != bits(b) {
+				t.Errorf("%s: Energy %v, stored %v", name, a, b)
+			}
+			fv, fm := v.LocalFields(spins, nil), m.LocalFields(spins, nil)
+			for i := range fm {
+				if bits(fv[i]) != bits(fm[i]) {
+					t.Fatalf("%s: LocalFields[%d] %v, stored %v", name, i, fv[i], fm[i])
+				}
+			}
+		}
+		if a, b := checkpoint.HashModel(v), checkpoint.HashModel(m); a != b {
+			t.Errorf("%s: HashModel %#x, stored %#x", name, a, b)
+		}
+		wv, wm := cluster.ModelToWire(v), cluster.ModelToWire(m)
+		if wv.Arm != wm.Arm || !bytes.Equal(wv.Frame, wm.Frame) {
+			t.Errorf("%s: the wire frame follows the layout: %d bytes of %s, stored %d of %s",
+				name, len(wv.Frame), wv.Arm, len(wm.Frame), wm.Arm)
+		}
+		back := v.As(stored)
+		if back.View(lattice.Auto).Kind() != stored || back.NNZ() != m.NNZ() ||
+			checkpoint.HashModel(back) != checkpoint.HashModel(m) {
+			t.Errorf("%s: As(%v).As(%v) did not come back", name, other[stored], stored)
+		}
+	}
+}
+
+func must(m *ising.Model, err error) *ising.Model {
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

@@ -355,11 +355,6 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// restored is m with its couplings re-laid as kind.
-func restored(m *Model, kind lattice.Kind) *Model {
-	return &Model{n: m.n, mu: m.mu, h: m.h, muH: m.muH, c: lattice.Convert(m.c, kind, 0)}
-}
-
 // checkStorage holds built, under its stored layout and re-laid as
 // each of the two, to the (normalized) reference on everything a Model
 // answers.
@@ -372,7 +367,7 @@ func checkStorage(t testing.TB, name string, ref *refModel, built *Model) {
 	refQ, refOff := ref.toQUBO()
 	refSub, refGlue := ref.extract(sub, spins)
 	for _, kind := range []lattice.Kind{lattice.Auto, lattice.Dense, lattice.CSR} {
-		m := restored(built, kind)
+		m := built.As(kind)
 		fail := func(format string, args ...any) {
 			t.Helper()
 			t.Fatalf("%s, stored %v as %v: %s", name, built.c.Kind(), kind, fmt.Sprintf(format, args...))
@@ -434,12 +429,10 @@ func checkStorage(t testing.TB, name string, ref *refModel, built *Model) {
 			}
 		}
 
-		// A scattered window, through Extract and through each view.
-		for _, view := range []lattice.Coupling{nil, m.View(lattice.Dense), m.View(lattice.CSR)} {
-			sp := Extract(m, sub, spins)
-			if view != nil {
-				sp = ExtractFrom(view, m, sub, spins)
-			}
+		// A scattered window, extracted from the model as stored and as
+		// each layout.
+		for _, kind := range []lattice.Kind{lattice.Auto, lattice.Dense, lattice.CSR} {
+			sp := Extract(m.As(kind), sub, spins)
 			if sp.GlueOps != refGlue || sp.Model.Mu() != 1 {
 				fail("Extract: %d glue ops (want %d), μ=%v", sp.GlueOps, refGlue, sp.Model.Mu())
 			}
@@ -494,7 +487,7 @@ func StorageCases(t testing.TB) []StorageCase {
 		ref.normalize()
 		m := b.mustBuild()
 		for _, kind := range []lattice.Kind{lattice.Auto, lattice.Dense, lattice.CSR} {
-			out = append(out, StorageCase{fmt.Sprintf("%s as %v", s.name, kind), restored(m, kind), ref.j})
+			out = append(out, StorageCase{fmt.Sprintf("%s as %v", s.name, kind), m.As(kind), ref.j})
 		}
 	}
 	return out
@@ -559,7 +552,7 @@ func TestSparseDenseEnergyEquivalence(t *testing.T) {
 		r := rng.New(seed)
 		n := 30 + r.Intn(60)
 		ref, sparse := sparsePair(t, n, r)
-		dense := restored(sparse, lattice.Dense)
+		dense := sparse.As(lattice.Dense)
 		for trial := 0; trial < 5; trial++ {
 			s := RandomSpins(n, r)
 			if want := ref.energy(s); !sameBits(sparse.Energy(s), want) || !sameBits(dense.Energy(s), want) {
@@ -573,7 +566,7 @@ func TestSparseDenseFieldsEquivalence(t *testing.T) {
 	r := rng.New(1)
 	ref, sparse := sparsePair(t, 75, r)
 	s := RandomSpins(75, r)
-	sf, df, want := sparse.LocalFields(s, nil), restored(sparse, lattice.Dense).LocalFields(s, nil), ref.localFields(s)
+	sf, df, want := sparse.LocalFields(s, nil), sparse.As(lattice.Dense).LocalFields(s, nil), ref.localFields(s)
 	for i := range want {
 		if !sameBits(sf[i], want[i]) || !sameBits(df[i], want[i]) {
 			t.Fatalf("field %d: sparse %v dense %v array %v", i, sf[i], df[i], want[i])
@@ -588,7 +581,7 @@ func TestSparseFlipSequenceMatchesDense(t *testing.T) {
 		r := rng.New(seed)
 		n := 30 + r.Intn(40)
 		_, sparse := sparsePair(t, n, r)
-		dense := restored(sparse, lattice.Dense)
+		dense := sparse.As(lattice.Dense)
 		sD := RandomSpins(n, r)
 		sS := CopySpins(sD)
 		fD, fS := dense.LocalFields(sD, nil), sparse.LocalFields(sS, nil)
@@ -608,10 +601,10 @@ func TestSparseFlipSequenceMatchesDense(t *testing.T) {
 
 func TestRelayRoundTrip(t *testing.T) {
 	// Re-laying a model as the other layout and back changes nothing it
-	// answers (lattice.Convert is the one conversion there is).
+	// answers (As, over lattice.Convert, is the one conversion there is).
 	r := rng.New(2)
 	for _, m := range []*Model{randomModel(15, r), func() *Model { _, m := sparsePair(t, 60, r); return m }()} {
-		back := restored(restored(restored(m, lattice.CSR), lattice.Dense), lattice.Auto)
+		back := m.As(lattice.CSR).As(lattice.Dense).As(m.c.Kind())
 		if back.Mu() != m.Mu() || back.NNZ() != m.NNZ() || back.c.Kind() != m.c.Kind() {
 			t.Fatalf("round trip: μ %v nnz %d %v, want %v %d %v", back.Mu(), back.NNZ(), back.c.Kind(), m.Mu(), m.NNZ(), m.c.Kind())
 		}

@@ -20,9 +20,9 @@ const KernelChunk = 256
 // pulling from an atomic counter. fn must write only state owned by
 // rows [lo, hi). workers <= 1 runs inline as a single fn(0, n) call —
 // bit-identical for row-wise fn, because each row's work is
-// independent of the chunk it arrives in. Reductions must NOT use
-// ForRange directly; use SumOrdered, which keeps the per-chunk
-// structure on the serial path too.
+// independent of the chunk it arrives in. A reduction must not be
+// split this way: its association would follow the chunking (Energy is
+// one walk for that reason).
 func ForRange(n, workers int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -110,77 +110,4 @@ func Energy(c Coupling, spins []int8, base []float64) float64 {
 		}
 	}
 	return d.energy(spins, base)
-}
-
-// SumOrdered reduces fn over [0, n) in fixed KernelChunk pieces,
-// combining the per-chunk partials in ascending chunk order — the
-// ordered reduction of the determinism contract. The serial path
-// evaluates the same chunks in the same order, so the result is
-// bit-identical for every worker count.
-func SumOrdered(n, workers int, fn func(lo, hi int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	chunks := (n + KernelChunk - 1) / KernelChunk
-	partials := make([]float64, chunks)
-	eval := func(c int) {
-		lo := c * KernelChunk
-		hi := lo + KernelChunk
-		if hi > n {
-			hi = n
-		}
-		partials[c] = fn(lo, hi)
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		for c := 0; c < chunks; c++ {
-			eval(c)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					c := int(next.Add(1)) - 1
-					if c >= chunks {
-						return
-					}
-					eval(c)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	total := 0.0
-	for _, p := range partials {
-		total += p
-	}
-	return total
-}
-
-// EnergyQuadratic returns the pair-counted quadratic energy
-// −Σ_{i<j} J_ij σ_i σ_j via SumOrdered: deterministic across worker
-// counts and bit-identical across backends. (It may differ from a
-// fully serial row accumulation in the final few ulps — the chunk
-// association is fixed but not flat — which is why the equivalence
-// suite compares backends through this one function.)
-func EnergyQuadratic(c Coupling, spins []int8, workers int) float64 {
-	return SumOrdered(c.N(), workers, func(lo, hi int) float64 {
-		e := 0.0
-		for i := lo; i < hi; i++ {
-			acc := 0.0
-			c.Scan(i, func(j int, v float64) {
-				if j > i {
-					acc += v * float64(spins[j])
-				}
-			})
-			e -= float64(spins[i]) * acc
-		}
-		return e
-	})
 }

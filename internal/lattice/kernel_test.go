@@ -112,53 +112,3 @@ func TestMatVecNilBaseMeansZero(t *testing.T) {
 		}
 	}
 }
-
-func TestSumOrderedWorkerIndependence(t *testing.T) {
-	n := 5*KernelChunk + 99
-	x := randVec(n, 41)
-	sum := func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += x[i]
-		}
-		return s
-	}
-	want := SumOrdered(n, 1, sum)
-	for _, w := range []int{2, 3, 8, 64} {
-		if got := SumOrdered(n, w, sum); got != want {
-			t.Fatalf("w=%d: SumOrdered = %x, serial %x", w, math.Float64bits(got), math.Float64bits(want))
-		}
-	}
-}
-
-func TestEnergyQuadraticAcrossBackends(t *testing.T) {
-	n := KernelChunk + 33
-	data := randSym(n, 0.4, 51)
-	spins := randSpins(n, 52)
-
-	// Brute-force pair sum for value-level agreement.
-	brute := 0.0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			brute -= data[i*n+j] * float64(spins[i]) * float64(spins[j])
-		}
-	}
-
-	var ref float64
-	first := true
-	for kind, c := range allBackends(t, n, data, 0) {
-		for _, w := range []int{1, 4} {
-			got := EnergyQuadratic(c, spins, w)
-			if first {
-				ref, first = got, false
-			}
-			if got != ref {
-				t.Errorf("%v w=%d: EnergyQuadratic = %x, ref %x", kind, w,
-					math.Float64bits(got), math.Float64bits(ref))
-			}
-			if math.Abs(got-brute) > 1e-9*math.Max(1, math.Abs(brute)) {
-				t.Errorf("%v w=%d: EnergyQuadratic = %v, brute force %v", kind, w, got, brute)
-			}
-		}
-	}
-}

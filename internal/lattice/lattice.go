@@ -17,8 +17,8 @@
 // AutoCSRDensity, else Dense. An ising.Model freezes its couplings into
 // one of the two, once (FromDense for a problem that filled the array,
 // FromCSR for one that stayed a list), and that stored Coupling is what
-// every engine reads; Convert re-lays it for a caller that forces the
-// other layout or wants it divided by a scale.
+// every engine reads; Convert re-lays it for ising.Model.As (the other
+// layout) and for brim (the same one, divided by a scale).
 //
 // # ±1 planes
 //
@@ -53,8 +53,8 @@
 //
 // Every backend accumulates each output row in ascending column order,
 // and the parallel kernel splits work at fixed KernelChunk-row
-// boundaries that depend only on n — never on the worker count — with
-// scalar reductions combined in ascending chunk order (SumOrdered).
+// boundaries that depend only on n — never on the worker count; the
+// one scalar reduction, Energy, is a single walk and is never split.
 // Two consequences, relied on by the checkpoint-resume goldens and the
 // backend-equivalence suite:
 //
@@ -156,10 +156,7 @@
 // untouched) on both kernels, at every length and offset mod 4.
 package lattice
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Kind selects a coupling-matrix backend.
 type Kind int
@@ -172,7 +169,7 @@ const (
 	CSR
 )
 
-// String names the kind as ParseKind accepts it.
+// String names the kind as outcomes report it.
 func (k Kind) String() string {
 	switch k {
 	case Auto:
@@ -184,19 +181,6 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
-}
-
-// ParseKind validates a backend name. The empty string means Auto.
-func ParseKind(s string) (Kind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return Auto, nil
-	case "dense":
-		return Dense, nil
-	case "csr":
-		return CSR, nil
-	}
-	return Auto, fmt.Errorf("lattice: unknown backend %q (have auto, dense, csr)", s)
 }
 
 // AutoCSRDensity is the density at or below which Auto picks CSR: at

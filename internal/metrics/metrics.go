@@ -1,18 +1,14 @@
 // Package metrics provides the measurement plumbing for the
 // experimental harness: summary statistics over runs, (x, y) series
-// for the paper's figures, and the model-time/wall-time ledger that
-// the paper's mixed methodology requires (BRIM results are reported in
-// simulated circuit time, SA/SBM results in measured execution time).
+// for the paper's figures, operation counts for the first-principles
+// analysis, time-to-solution and partition quality.
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Summary holds order statistics of a sample.
@@ -103,38 +99,6 @@ func Table(header string, series ...*Series) string {
 	return b.String()
 }
 
-// Clock separates the two time axes of the evaluation:
-//
-//   - Model time: nanoseconds of simulated circuit time accumulated by
-//     a dynamical-system solver (BRIM). 1 unit = 1 ns of the machine's
-//     own physics, regardless of how long the host takes to simulate it.
-//   - Wall time: host execution time of a computational solver (SA,
-//     SBM), measured with time.Now.
-//
-// Speedup claims in the paper divide one by the other; keeping them in
-// one struct keeps that division explicit.
-type Clock struct {
-	ModelNS float64
-	Wall    time.Duration
-}
-
-// AddModel accumulates simulated nanoseconds.
-func (c *Clock) AddModel(ns float64) { c.ModelNS += ns }
-
-// Time runs f and accumulates its wall time.
-func (c *Clock) Time(f func()) {
-	start := time.Now()
-	f()
-	c.Wall += time.Since(start)
-}
-
-// SpeedupOver returns other's wall time divided by c's model time —
-// "how much faster is this machine than that solver". Zero model time
-// yields +Inf for a nonzero numerator and NaN for zero/zero.
-func (c *Clock) SpeedupOver(other *Clock) float64 {
-	return float64(other.Wall.Nanoseconds()) / c.ModelNS
-}
-
 // OpCounter tallies abstract operations (multiply-accumulates, spin
 // updates, instructions). The first-principles analysis of Sec 6.4.1
 // ("~140,000 instructions per spin flip") is reproduced with these.
@@ -168,27 +132,4 @@ func (o *OpCounter) String() string {
 		fmt.Fprintf(&b, "%s: %d\n", k, o.counts[k])
 	}
 	return b.String()
-}
-
-// Figure is the JSON-serializable form of a set of series — the
-// machine-readable counterpart of Table for downstream plotting.
-type Figure struct {
-	Header string    `json:"header"`
-	Series []*Series `json:"series"`
-}
-
-// WriteJSON emits the series as indented JSON.
-func WriteJSON(w io.Writer, header string, series ...*Series) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Figure{Header: header, Series: series})
-}
-
-// ReadJSON parses a Figure written by WriteJSON.
-func ReadJSON(r io.Reader) (*Figure, error) {
-	var f Figure
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, err
-	}
-	return &f, nil
 }

@@ -1,13 +1,11 @@
 package metrics
 
 import (
-	"bytes"
 	"math"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSummarizeKnown(t *testing.T) {
@@ -122,31 +120,6 @@ func TestSeriesAndTable(t *testing.T) {
 	}
 }
 
-func TestClockModelTime(t *testing.T) {
-	var c Clock
-	c.AddModel(1000)
-	c.AddModel(500)
-	if c.ModelNS != 1500 {
-		t.Fatalf("ModelNS = %v", c.ModelNS)
-	}
-}
-
-func TestClockWallTime(t *testing.T) {
-	var c Clock
-	c.Time(func() { time.Sleep(5 * time.Millisecond) })
-	if c.Wall < 4*time.Millisecond {
-		t.Fatalf("Wall = %v, want >= ~5ms", c.Wall)
-	}
-}
-
-func TestSpeedupOver(t *testing.T) {
-	brim := &Clock{ModelNS: 1000}            // 1 µs of machine time
-	sa := &Clock{Wall: 2 * time.Millisecond} // 2 ms of CPU
-	if s := brim.SpeedupOver(sa); math.Abs(s-2000) > 1e-9 {
-		t.Fatalf("speedup = %v, want 2000", s)
-	}
-}
-
 func TestOpCounter(t *testing.T) {
 	o := NewOpCounter()
 	o.Add("flips", 3)
@@ -165,33 +138,5 @@ func TestOpCounter(t *testing.T) {
 	str := o.String()
 	if !strings.Contains(str, "flips: 7") || !strings.Contains(str, "macs: 100") {
 		t.Fatalf("String = %q", str)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	s1 := &Series{Name: "a"}
-	s1.Add(1, 2)
-	s1.Add(3, 4)
-	s2 := &Series{Name: "b"}
-	s2.Add(5, 6)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, "fig", s1, s2); err != nil {
-		t.Fatal(err)
-	}
-	fig, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.Header != "fig" || len(fig.Series) != 2 {
-		t.Fatalf("round trip lost structure: %+v", fig)
-	}
-	if fig.Series[0].Name != "a" || fig.Series[0].Points[1].Y != 4 {
-		t.Fatal("round trip lost data")
-	}
-}
-
-func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
-		t.Fatal("accepted garbage")
 	}
 }

@@ -79,10 +79,3 @@ func SuccessProbabilityCI(energies []float64, target, tol, z float64) (p, lo, hi
 	}
 	return p, lo, hi
 }
-
-// TTSFromRuns combines the two: the q-confidence TTS of a solver whose
-// runs of duration t produced the given energies, targeting energy ≤
-// target + tol. Zero successes yield +Inf, as they must.
-func TTSFromRuns(t float64, energies []float64, target, tol, q float64) float64 {
-	return TTS(t, SuccessProbability(energies, target, tol), q)
-}

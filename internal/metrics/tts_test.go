@@ -79,18 +79,6 @@ func TestSuccessProbability(t *testing.T) {
 	}
 }
 
-func TestTTSFromRuns(t *testing.T) {
-	energies := []float64{-10, -10, -8, -7}
-	got := TTSFromRuns(5, energies, -10, 0, 0.99)
-	want := TTS(5, 0.5, 0.99)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("TTSFromRuns = %v, want %v", got, want)
-	}
-	if !math.IsInf(TTSFromRuns(5, energies, -20, 0, 0.99), 1) {
-		t.Fatal("unreachable target should give +Inf")
-	}
-}
-
 func TestSuccessProbabilityCI(t *testing.T) {
 	energies := []float64{-10, -9, -8, -5}
 	p, lo, hi := SuccessProbabilityCI(energies, -9, 0, 0)

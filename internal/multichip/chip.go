@@ -155,7 +155,9 @@ func (c *chip) init(l *layout, id int, owned []int, seed uint64, initial []int8)
 		})
 	}
 
-	c.machine = brim.New(sub, l.machineConfig(seed))
+	// The machine runs in the layout of the model the system was handed,
+	// not the one this block's own density would resolve to.
+	c.machine = brim.New(sub.As(lat.Kind()), l.machineConfig(seed))
 	c.machine.OnFlip(func(node int, newSpin int8, induced bool) {
 		c.shadow[c.owned[node]] = newSpin
 		c.lastFlipInduced[node] = induced

@@ -182,7 +182,7 @@ func TestShadowBiasMatchesDenseRows(t *testing.T) {
 	}{
 		{"K24/3", kgraph(24, 53), Config{Chips: 3, Seed: 1}, 2 * (24*23/2 - 3*(8*7/2))},
 		{"weighted G(200,0.05)/4", sparse, Config{Chips: 4, Seed: 2}, -1},
-		{"forced dense backend", sparse, Config{Chips: 4, Seed: 2, Backend: lattice.Dense}, -1},
+		{"forced dense backend", sparse.As(lattice.Dense), Config{Chips: 4, Seed: 2}, -1},
 		{"isolated spin and empty column", holes, Config{Chips: 4, Seed: 3}, -1},
 		{"non-contiguous partition", kgraph(24, 54), Config{Chips: 3, Seed: 4, Partition: scattered}, -1},
 		{"underflowing scale", tiny, Config{Chips: 2, Seed: 5}, 2 * 2},

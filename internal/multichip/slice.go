@@ -103,7 +103,7 @@ func derive(m *ising.Model, cfg Config) (derivation, error) {
 	master := rng.New(c.Seed)
 	initial := ising.RandomSpins(n, master)
 	return derivation{
-		layout:  &layout{model: m, cfg: c, n: n, lat: m.View(c.Backend), scale: scale},
+		layout:  &layout{model: m, cfg: c, n: n, lat: m.View(lattice.Auto), scale: scale},
 		parts:   parts,
 		initial: initial,
 		kick:    master.Fork(0xC0),

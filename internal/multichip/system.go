@@ -12,7 +12,6 @@ import (
 	"mbrim/internal/fault"
 	"mbrim/internal/interconnect"
 	"mbrim/internal/ising"
-	"mbrim/internal/lattice"
 	"mbrim/internal/metrics"
 	"mbrim/internal/obs"
 	"mbrim/internal/sched"
@@ -51,15 +50,9 @@ type Config struct {
 	// Topology selects the fabric congestion model (dedicated links,
 	// shared bus, or ring). Default: the paper's dedicated channels.
 	Topology interconnect.Topology
-	// Backend selects the coupling-matrix layout used for chip
-	// extraction and the per-chip dynamics (lattice.Auto resolves by
-	// measured density). Every backend is bit-identical; only host time
-	// moves.
-	Backend lattice.Kind
 	// Brim configures the per-chip dynamics. Its InducedFlip schedule
-	// is ignored (the runtime coordinates kicks); its Scale is
-	// overridden with the global normalization and its Backend follows
-	// Config.Backend.
+	// is ignored (the runtime coordinates kicks) and its Scale is
+	// overridden with the global normalization.
 	Brim brim.Config
 	// Seed drives the initial state and all stochastic choices.
 	Seed uint64
@@ -152,7 +145,6 @@ func (c *Config) withDefaults(n int) (Config, error) {
 	if err := out.Faults.Validate(out.Chips); err != nil {
 		return out, err
 	}
-	out.Brim.Backend = out.Backend
 	return out, nil
 }
 

@@ -49,10 +49,8 @@ func (engine) Kind() core.Kind { return core.Portfolio }
 
 func (engine) Capabilities() core.Capabilities {
 	return core.Capabilities{
-		// Backend/Traced/ModelTime are pass-through: entrants honor the
-		// request's backend, and the winner's trace and model time (when
-		// its engine produces them) become the portfolio's.
-		Backend:     true,
+		// Traced/ModelTime are pass-through: the winner's trace and model
+		// time (when its engine produces them) become the portfolio's.
 		Traced:      true,
 		ModelTime:   true,
 		Description: "heterogeneous race: N engines on one model, losers cancelled at first-to-target, optional warm-start hand-off",
@@ -349,8 +347,8 @@ func runHandOff(ctx context.Context, r *core.Request, spec core.PortfolioSpec,
 }
 
 // entrantRequest derives one entrant's request from the portfolio's:
-// same model, same backend policy, same observability sinks (stamped
-// with the entrant's origin), with the entrant's overrides applied.
+// same model, same observability sinks (stamped with the entrant's
+// origin), with the entrant's overrides applied.
 // st == nil builds a hand-off request (no race watcher).
 func entrantRequest(r *core.Request, ent core.PortfolioEntrant, idx int, st *raceState) core.Request {
 	req := *r

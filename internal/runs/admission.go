@@ -90,16 +90,16 @@ type SubmitOptions struct {
 // model's.
 func EstimateRunBytes(req *core.Request, ringSize int) int64 {
 	n, nnz := req.Model.N(), req.Model.NNZ()
-	return estimateRunBytesN(int64(n), int64(nnz), storesDense(req.Backend, n, nnz),
+	return estimateRunBytesN(int64(n), int64(nnz), storesDense(n, nnz),
 		fenceChips(req.Chips, req), requestWorkers(req), ringSize)
 }
 
 // storesDense reports whether n spins with nnz directed couplings end
-// up in the n×n layout: by density (lattice.Resolve, the model's own
-// rule) or because the request forces a dense view of them.
-func storesDense(backend string, n, nnz int) bool {
-	kind, _ := lattice.ParseKind(backend) // an unknown name is rejected elsewhere
-	return kind == lattice.Dense || lattice.Resolve(lattice.Auto, n, nnz) == lattice.Dense
+// up in the n×n layout: lattice.Resolve, the rule ising.Builder will
+// apply to them — asked here because the fence runs before a model
+// exists.
+func storesDense(n, nnz int) bool {
+	return lattice.Resolve(lattice.Auto, n, nnz) == lattice.Dense
 }
 
 // fenceChips is the chip count the fence charges this process for:
@@ -159,11 +159,11 @@ func estimateRunBytesN(n, nnz int64, dense bool, chips, workers, ringSize int) i
 // request the budget is meant to bounce — and with the chip count the
 // engine resolves an omitted one to; a caller of SubmitWith says how
 // many chips it wants fenced in the request.
-func (m *Manager) checkBudget(n, nnz int, backend string, chips, workers int) error {
+func (m *Manager) checkBudget(n, nnz, chips, workers int) error {
 	if m.cfg.MaxRunBytes <= 0 {
 		return nil
 	}
-	est := estimateRunBytesN(int64(n), int64(nnz), storesDense(backend, n, nnz), chips, workers, m.cfg.RingSize)
+	est := estimateRunBytesN(int64(n), int64(nnz), storesDense(n, nnz), chips, workers, m.cfg.RingSize)
 	if est > m.cfg.MaxRunBytes {
 		m.reg.Counter("runs.rejected_too_large_total").Inc()
 		return &TooLargeError{Estimated: est, Budget: m.cfg.MaxRunBytes}
@@ -182,7 +182,7 @@ func (m *Manager) SubmitWith(ctx context.Context, req core.Request, opts SubmitO
 	if !m.accepting.Load() {
 		return nil, ErrNotAccepting
 	}
-	if err := m.checkBudget(req.Model.N(), req.Model.NNZ(), req.Backend, fenceChips(req.Chips, &req), requestWorkers(&req)); err != nil {
+	if err := m.checkBudget(req.Model.N(), req.Model.NNZ(), fenceChips(req.Chips, &req), requestWorkers(&req)); err != nil {
 		return nil, err
 	}
 	if !opts.Deadline.IsZero() && !time.Now().Before(opts.Deadline) {

@@ -275,16 +275,15 @@ func TestMemoryBudgetCountsTheChips(t *testing.T) {
 		t.Errorf("one-edge estimate = %d, want %d", got, want)
 	}
 	for _, tc := range []struct {
-		backend string
-		n, nnz  int
-		dense   bool
+		n, nnz int
+		dense  bool
 	}{
-		{"", 1024, nnz, false}, {"csr", 1024, nnz, false}, {"dense", 1024, nnz, true},
-		{"", 1024, 52429, true}, {"", 1024, 52428, false}, // lattice.AutoCSRDensity, to the entry
-		{"", 256, 256 * 255, true}, {"csr", 256, 256 * 255, true}, // a K-graph is stored dense whatever views it
+		{1024, nnz, false},
+		{1024, 52429, true}, {1024, 52428, false}, // lattice.AutoCSRDensity, to the entry
+		{256, 256 * 255, true},
 	} {
-		if got := storesDense(tc.backend, tc.n, tc.nnz); got != tc.dense {
-			t.Errorf("storesDense(%q, %d, %d) = %v", tc.backend, tc.n, tc.nnz, got)
+		if got := storesDense(tc.n, tc.nnz); got != tc.dense {
+			t.Errorf("storesDense(%d, %d) = %v", tc.n, tc.nnz, got)
 		}
 	}
 
@@ -344,9 +343,10 @@ func TestMemoryBudgetCountsTheChips(t *testing.T) {
 // TestMemoryBudgetPricesWhatIsStored: an edge list is fenced as the
 // compressed rows it becomes. sparse1k's shape (1 024 spins, 10 589
 // edges) on four chips fits an 8 MB budget — its dense matrix alone is
-// 8 MB, and the parent refused it — unless the body forces the matrix
-// back; and a 65 536-spin problem with one edge is a few hundred
-// kilobytes of vectors, admitted and solved, where its matrix is 34 GB.
+// 8 MB, and the parent refused it — and no body can force the matrix
+// back: "backend" is not a field; and a 65 536-spin problem with one
+// edge is a few hundred kilobytes of vectors, admitted and solved, where
+// its matrix is 34 GB.
 func TestMemoryBudgetPricesWhatIsStored(t *testing.T) {
 	edges := graph.Random(1024, 0.021, rng.New(4)).Edges()[:10589]
 	var list strings.Builder
@@ -363,11 +363,8 @@ func TestMemoryBudgetPricesWhatIsStored(t *testing.T) {
 	if resp, data := postJSON(t, srv.URL+"/runs", body("")); resp.StatusCode != 202 {
 		t.Fatalf("sparse body HTTP = %d %s, want 202", resp.StatusCode, data)
 	}
-	if resp, data := postJSON(t, srv.URL+"/runs", body(`,"backend":"csr"`)); resp.StatusCode != 202 {
-		t.Fatalf("sparse body on csr HTTP = %d %s, want 202", resp.StatusCode, data)
-	}
-	if resp, data := postJSON(t, srv.URL+"/runs", body(`,"backend":"dense"`)); resp.StatusCode != 413 {
-		t.Fatalf("sparse body forced dense HTTP = %d %s, want 413", resp.StatusCode, data)
+	if resp, data := postJSON(t, srv.URL+"/runs", body(`,"backend":"dense"`)); resp.StatusCode != 400 {
+		t.Fatalf("sparse body with a backend HTTP = %d %s, want 400", resp.StatusCode, data)
 	}
 	if resp, data := postJSON(t, srv.URL+"/runs", `{"engine":"mbrim","chips":4,"k":1024}`); resp.StatusCode != 413 {
 		t.Fatalf("K1024 HTTP = %d %s, want 413", resp.StatusCode, data)

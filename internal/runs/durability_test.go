@@ -1,6 +1,7 @@
 package runs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -136,14 +137,22 @@ func TestSegmentedCheckpointBitIdentity(t *testing.T) {
 // journal stops cold (no terminal record), the run dies, and a fresh
 // manager replays the journal, resumes run-1 from its last durable
 // checkpoint, and must land on the exact outcome of a run that never
-// crashed.
+// crashed. The journaled spec is one an older daemon wrote, "backend"
+// and all: POST /runs refuses the field now, replay must not — it
+// decodes leniently, and every layout was the same trajectory anyway.
 func TestCrashReplayBitIdentity(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	m1, jw1 := durableManager(t, dir, reg, 50*time.Millisecond)
 
-	sr := SubmitRequest{Engine: "mbrim-seq", K: 20, Seed: 3, Chips: 4, DurationNS: 10000}
-	spec, _ := json.Marshal(&sr)
+	spec := []byte(`{"engine":"mbrim-seq","k":20,"seed":3,"durationNS":10000,"chips":4,"backend":"dense"}`)
+	var sr SubmitRequest
+	if err := json.Unmarshal(spec, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeSubmit(bytes.NewReader(spec)); err == nil {
+		t.Fatal("the submit decoder accepted a backend field")
+	}
 	req, err := m1.buildRequest(&sr)
 	if err != nil {
 		t.Fatal(err)

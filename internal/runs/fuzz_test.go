@@ -18,7 +18,7 @@ func FuzzSubmitSpec(f *testing.F) {
 		f.Add([]byte(c.body))
 	}
 	f.Add([]byte(`{"engine":"sa","k":8,"seed":3,"sweeps":5,"priority":2,"deadlineMS":50}`))
-	f.Add([]byte(`{"engine":"mbrim","n":4,"edges":[[1,2,1],[3,4,-0.5]],"chips":2,"durationNS":10,"backend":"csr"}`))
+	f.Add([]byte(`{"engine":"mbrim","n":4,"edges":[[1,2,1],[3,4,-0.5]],"chips":2,"durationNS":10}`))
 	f.Add([]byte(`{"engine":"sa","n":3,"edges":[[1,2,1e308],[2,1,1e308],[2,3,0]]}`)) // a weight that overflows, a zero one
 	f.Add([]byte(`{"engine":"portfolio","k":8,"portfolio":{"entrants":[{"kind":"sa"},{"kind":"dsbm","steps":50}],` +
 		`"targetEnergy":-4,"handOff":{"kind":"tabu"}}}`))

@@ -11,7 +11,6 @@ import (
 
 	"mbrim/internal/core"
 	"mbrim/internal/graph"
-	"mbrim/internal/lattice"
 	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
 	"mbrim/internal/rng"
@@ -70,9 +69,6 @@ type SubmitRequest struct {
 	ChannelBytesPerNS float64 `json:"channelBytesPerNS,omitempty"`
 	SampleEveryNS     float64 `json:"sampleEveryNS,omitempty"`
 	Parallel          bool    `json:"parallel,omitempty"`
-	// Backend selects the coupling-matrix backend ("auto", "dense" or
-	// "csr"); empty means auto. Bit-identical — only host time moves.
-	Backend string `json:"backend,omitempty"`
 	// Priority orders the admission queue when -max-active is
 	// saturated: higher dispatches first, ties FIFO. Executing runs are
 	// never preempted.
@@ -131,7 +127,6 @@ func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
 		ChannelBytesPerNS: sr.ChannelBytesPerNS,
 		SampleEveryNS:     sr.SampleEveryNS,
 		Parallel:          sr.Parallel,
-		Backend:           sr.Backend,
 		Cluster:           sr.ClusterSpec,
 	}
 	if sr.Portfolio != nil {
@@ -139,14 +134,6 @@ func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
 	}
 	if req.Seed == 0 {
 		req.Seed = 1
-	}
-	if req.Backend == "" {
-		req.Backend = m.cfg.DefaultBackend
-	}
-	// Reject unknown backends here so the client gets a 400 instead of
-	// a failed run.
-	if _, err := lattice.ParseKind(req.Backend); err != nil {
-		return req, fmt.Errorf("runs: %v", err)
 	}
 	// Three policies are keyed by capability (Resume — the checkpointable
 	// model-time engines, i.e. the multiprocessor, in process or over a
@@ -182,7 +169,7 @@ func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
 	if sr.K > 0 {
 		nnz = n * (n - 1)
 	}
-	if err := m.checkBudget(n, nnz, req.Backend, fenceChips(chips, &req), requestWorkers(&req)); err != nil {
+	if err := m.checkBudget(n, nnz, fenceChips(chips, &req), requestWorkers(&req)); err != nil {
 		return req, err
 	}
 	if sr.K > 0 {

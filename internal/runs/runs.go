@@ -303,9 +303,6 @@ type Config struct {
 	// MaxRunBytes, when positive, rejects submissions whose estimated
 	// resident footprint (see EstimateRunBytes) exceeds it.
 	MaxRunBytes int64
-	// DefaultBackend is the coupling backend applied to submitted runs
-	// that do not name one. Empty leaves them on "auto".
-	DefaultBackend string
 	// Journal, when set, receives a durable record of every run
 	// transition (submit/start/checkpoint/restart/terminal); StateDir
 	// is where periodic checkpoints persist (a "checkpoints" subdir).

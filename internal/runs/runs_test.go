@@ -326,7 +326,7 @@ var httpValidationCases = []struct {
 	want       string // a fragment the error must carry
 }{
 	{"bad engine", `{"engine":"warp","k":8}`, ""},
-	{"retired backend", `{"engine":"sa","k":8,"backend":"blocked"}`, ""},
+	{"retired backend field", `{"engine":"sa","k":8,"backend":"csr"}`, `unknown field "backend"`},
 	{"no problem", `{"engine":"sa"}`, ""},
 	{"both problems", `{"engine":"sa","k":8,"n":2,"edges":[[1,2,1]]}`, ""},
 	{"too many spins", `{"engine":"sa","k":65}`, ""},

@@ -49,11 +49,6 @@ type Config struct {
 	// OnSweep, if non-nil, is called after each sweep with the sweep
 	// index and current energy. Quality-vs-time traces hook in here.
 	OnSweep func(sweep int, energy float64)
-	// Backend selects the coupling-matrix layout behind the field cache
-	// when the problem is a concrete model (lattice.Auto resolves by
-	// measured density). Every backend reproduces the model methods bit
-	// for bit, so this only moves host time.
-	Backend lattice.Kind
 	// Ops, if non-nil, accumulates operation counts for the
 	// first-principles analysis.
 	Ops *metrics.OpCounter
@@ -123,10 +118,10 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 		}
 		spins = ising.CopySpins(spins)
 	}
-	// The hot loop runs on the coupling view directly: field build,
+	// The hot loop runs on the stored couplings directly: field build,
 	// per-attempt delta and accepted-flip fanout, each in the
 	// ascending-column accumulation every layout shares.
-	lat := m.View(cfg.Backend)
+	lat := m.View(lattice.Auto)
 	muH := m.MuH()
 	fields := make([]float64, n)
 	lattice.Fields(lat, spins, nil, fields, 1)

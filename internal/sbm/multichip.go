@@ -67,7 +67,7 @@ func SolveMultiChip(m *ising.Model, cfg MultiChipConfig) *MultiChipResult {
 	if cfg.Chips > n {
 		panic(fmt.Sprintf("sbm: Chips=%d for N=%d", cfg.Chips, n))
 	}
-	lat := m.View(cfg.Backend)
+	lat := m.View(lattice.Auto)
 	c0 := cfg.C0
 	if c0 == 0 {
 		c0 = defaultC0From(lat)

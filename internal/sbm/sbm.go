@@ -68,11 +68,9 @@ type Config struct {
 	// OnStep, if non-nil, is called after each step with the step
 	// index and the energy of the current sign readout.
 	OnStep func(step int, energy float64)
-	// Backend selects the coupling-matrix layout behind the force
-	// accumulation (lattice.Auto resolves by measured density) and
-	// Workers fans it over goroutines. Both only move host time: every
-	// backend × worker count produces bit-identical trajectories.
-	Backend lattice.Kind
+	// Workers fans the force accumulation over goroutines. It only
+	// moves host time: every layout × worker count produces
+	// bit-identical trajectories.
 	Workers int
 	// Tracer, if non-nil, receives EnergySample events on a bounded
 	// cadence (~64 samples per run; each sample costs an O(N²) energy
@@ -145,7 +143,7 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 		a0 = 1
 	}
 	n := m.N()
-	lat := m.View(cfg.Backend)
+	lat := m.View(lattice.Auto)
 	// The bias term enters the force like a coupling to a fixed +1 spin:
 	// μh seeds every row's accumulator.
 	base := m.MuH()

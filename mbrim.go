@@ -93,7 +93,7 @@ type (
 	// RegisterEngine to add an engine to the dispatch registry.
 	Engine = core.Engine
 	// EngineCapabilities declares what an engine supports (resume,
-	// warm start, backend selection, span tracing, model time).
+	// warm start, span tracing, model time).
 	EngineCapabilities = core.Capabilities
 	// EngineInfo is one registry entry: kind plus capabilities.
 	EngineInfo = core.EngineInfo
@@ -291,18 +291,6 @@ const (
 const (
 	HBChannelBytesPerNS = core.HBChannelBytesPerNS
 	LBChannelBytesPerNS = core.LBChannelBytesPerNS
-)
-
-// Coupling-backend names for Request.Backend. Every backend produces
-// bit-identical results for a fixed seed; the choice only moves host
-// time. BackendAuto (the empty default) runs on the layout the model is
-// stored in — compressed rows when at most 5% of its couplings are
-// nonzero, the matrix otherwise; naming the other one re-lays a copy
-// for the solve.
-const (
-	BackendAuto  = "auto"
-	BackendDense = "dense"
-	BackendCSR   = "csr"
 )
 
 // NewModelBuilder returns a builder for an n-spin Ising model.

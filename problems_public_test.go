@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mbrim"
+	"mbrim/internal/lattice"
 )
 
 func TestSolveExactPublic(t *testing.T) {
@@ -95,14 +96,14 @@ func TestSparseWorkflowPublic(t *testing.T) {
 		t.Fatalf("sparse anneal cut %v", cut)
 	}
 	// The engine's running energy is the model's energy of the found state,
-	// and the Request surface runs the same trajectory on either backend.
+	// and the Request surface runs the same trajectory on either layout.
 	if d := math.Abs(m.Energy(res.Spins) - res.Energy); d > 1e-6 {
 		t.Fatalf("sparse energy off by %v", d)
 	}
-	for _, backend := range []string{mbrim.BackendCSR, mbrim.BackendDense} {
-		out, err := mbrim.Solve(mbrim.Request{Kind: mbrim.SA, Model: m, Sweeps: 200, Seed: 10, Backend: backend})
-		if err != nil || out.Energy != res.Energy {
-			t.Fatalf("%s: energy %v (%v), Anneal found %v", backend, out, err, res.Energy)
+	for _, layout := range []lattice.Kind{lattice.CSR, lattice.Dense} {
+		out, err := mbrim.Solve(mbrim.Request{Kind: mbrim.SA, Model: m.As(layout), Sweeps: 200, Seed: 10})
+		if err != nil || out.Energy != res.Energy || out.Backend != layout.String() {
+			t.Fatalf("%s: outcome %v (%v), Anneal found %v", layout, out, err, res.Energy)
 		}
 	}
 }
