@@ -353,9 +353,21 @@ func TestMoreTimeDoesNotHurtQuality(t *testing.T) {
 }
 
 func BenchmarkStepN256(b *testing.B) {
-	r := rng.New(1)
-	g := graph.Complete(256, r)
-	ma := New(g.ToIsing(), Config{Seed: 1})
+	benchStep(b, graph.Complete(256, rng.New(1)).ToIsing())
+}
+
+// BenchmarkStepSparse256 is the RK4 step of the chip sparse1k_mbrim4
+// anneals: 256 nodes at 2 %, compressed rows, the mat-vec in lane groups.
+func BenchmarkStepSparse256(b *testing.B) {
+	m := graph.Random(256, 0.02, rng.New(1)).ToIsing()
+	if k := m.View(lattice.Auto).Kind(); k != lattice.CSR {
+		b.Fatalf("a 2 %% model is stored %v", k)
+	}
+	benchStep(b, m)
+}
+
+func benchStep(b *testing.B, m *ising.Model) {
+	ma := New(m, Config{Seed: 1})
 	ma.SetHorizon(float64(b.N) * ma.cfg.Dt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -370,29 +382,35 @@ func BenchmarkStepN256(b *testing.B) {
 // handed to lattice.ForRange, which escaped — four heap closures a step,
 // 803 allocations for this Run(10) before the direct call. The listener
 // case is the shape multichip installs (it writes captured state and
-// allocates nothing itself).
+// allocates nothing itself). The sparse machine's mat-vec is the lane
+// groups, which allocate nothing either.
 func TestRunDoesNotAllocate(t *testing.T) {
-	m := graph.Complete(64, rng.New(14)).ToIsing()
-	for _, listen := range []bool{false, true} {
-		ma := New(m, Config{Seed: 15})
-		var events int64
-		if listen {
-			ma.OnFlip(func(int, int8, bool) { events++ })
-		}
-		ma.SetHorizon(1e6)
-		if err := ma.Run(10); err != nil { // warm: first steps, first induced draw
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := ma.Run(10); err != nil {
+	sparse := graph.Random(256, 0.02, rng.New(14)).ToIsing()
+	if k := sparse.View(lattice.Auto).Kind(); k != lattice.CSR {
+		t.Fatalf("a 2 %% model is stored %v", k)
+	}
+	for name, m := range map[string]*ising.Model{"K64": graph.Complete(64, rng.New(14)).ToIsing(), "sparse 256": sparse} {
+		for _, listen := range []bool{false, true} {
+			ma := New(m, Config{Seed: 15})
+			var events int64
+			if listen {
+				ma.OnFlip(func(int, int8, bool) { events++ })
+			}
+			ma.SetHorizon(1e6)
+			if err := ma.Run(10); err != nil { // warm: first steps, first induced draw
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("listener=%v: Run(10) on a warm K64 machine allocates %v times, want 0", listen, allocs)
-		}
-		if listen && events != ma.Flips() {
-			t.Errorf("listener saw %d flips, machine counted %d", events, ma.Flips())
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := ma.Run(10); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("listener=%v: Run(10) on a warm %s machine allocates %v times, want 0", listen, name, allocs)
+			}
+			if listen && events != ma.Flips() {
+				t.Errorf("listener saw %d flips, machine counted %d", events, ma.Flips())
+			}
 		}
 	}
 }
@@ -428,11 +446,21 @@ func refDeriv(ma *Machine, v []float64, p float64) []float64 {
 // KernelChunks, so those really fan out) and derivRange over two-piece
 // splits at every residue mod 4, against the node-at-a-time reference,
 // for ideal and varied devices, over voltages on, between and (as RK4
-// stage voltages are) beyond the rails and past tanh's saturation.
+// stage voltages are) beyond the rails and past tanh's saturation; on
+// K-graphs (the dense kernels) and on 5 % random graphs stored as
+// compressed rows (whole windows in csrLanes, the rest walked).
 func TestDerivBitsIndependentOfPlacement(t *testing.T) {
 	const p = 0.4
-	for _, n := range []int{5, 64, 67, 256, 515} {
+	type model struct {
+		n      int
+		sparse bool
+	}
+	for _, mc := range []model{{5, false}, {64, false}, {67, false}, {256, false}, {515, false}, {256, true}, {515, true}} {
+		n := mc.n
 		m := graph.Complete(n, rng.New(uint64(n))).ToIsing()
+		if mc.sparse {
+			m = graph.Random(n, 0.05, rng.New(uint64(n))).ToIsing().As(lattice.CSR)
+		}
 		r := rng.New(uint64(n) + 1)
 		v, ext := make([]float64, n), make([]float64, n)
 		for i := range v {
@@ -453,8 +481,8 @@ func TestDerivBitsIndependentOfPlacement(t *testing.T) {
 					t.Helper()
 					for i := range got {
 						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("n=%d variation=%v workers=%d %s: node %d (v=%v) got %#x, node-at-a-time %#x",
-								n, variation, workers, what, i, v[i], math.Float64bits(got[i]), math.Float64bits(want[i]))
+							t.Fatalf("n=%d sparse=%v variation=%v workers=%d %s: node %d (v=%v) got %#x, node-at-a-time %#x",
+								n, mc.sparse, variation, workers, what, i, v[i], math.Float64bits(got[i]), math.Float64bits(want[i]))
 						}
 					}
 				}

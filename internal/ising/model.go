@@ -26,7 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
+	"sort"
 
 	"mbrim/internal/lattice"
 )
@@ -236,68 +236,89 @@ func newModel(mu float64, h []float64, c lattice.Coupling) (*Model, error) {
 	return m, nil
 }
 
-// compress folds the call list into compressed rows. One stable
-// counting pass gathers the calls of each row i (i < j: the upper
-// triangle) in call order; a stable sort of the row by j puts the calls
-// of a pair side by side, still in call order, where a walk folds them
-// to one value; and one more pass lays both triangles out with every
-// row's columns ascending.
+// compress folds the call list into compressed rows, in the one buffer
+// the rows are handed to lattice.FromCSR in. One stable counting pass
+// files every call under both of its rows in call order (an
+// AddCoupling's column complemented); a stable sort of each row by
+// column puts the calls of a pair side by side, still in call order,
+// where a walk folds them to one value — the same value in both rows,
+// from the same calls — and the kept pairs are compacted in place with
+// every row's columns ascending. A pair overflows in the first row that
+// folds it, the upper triangle's, so the first error is reported in
+// (i, j) order with i < j.
 func (b *Builder) compress() (lattice.Coupling, error) {
 	n := b.n
-	cursor := make([]int, n+1) // cursor[r]: where row r's next call goes
-	for _, blk := range b.ops {
-		for _, o := range blk {
-			cursor[o.i()+1]++
-		}
-	}
-	for r := 0; r < n; r++ {
-		cursor[r+1] += cursor[r]
-	}
-	calls := make([]op, b.nops)
-	for _, blk := range b.ops {
-		for _, o := range blk {
-			calls[cursor[o.i()]] = o
-			cursor[o.i()]++
-		}
-	}
-	b.ops = nil
-	kept := calls[:0]
 	rowStart := make([]int, n+1)
-	for r, lo := 0, 0; r < n; r++ { // cursor[r] is now the end of row r
-		row := calls[lo:cursor[r]]
-		lo = cursor[r]
-		slices.SortStableFunc(row, func(a, b op) int { return cmp.Compare(a.j(), b.j()) })
-		for k := 0; k < len(row); {
-			j, v := row[k].j(), 0.0
-			for ; k < len(row) && row[k].j() == j; k++ {
-				if !row[k].add() {
-					v = row[k].v
-				} else if v += row[k].v; math.IsInf(v, 0) {
-					return nil, fmt.Errorf("ising: coupling (%d,%d) overflows", r, j)
-				}
-			}
-			if v != 0 {
-				kept = append(kept, op{pair: uint64(r)<<32 | uint64(j), v: v})
-				rowStart[r+1]++
-				rowStart[j+1]++
-			}
+	for _, blk := range b.ops {
+		for _, o := range blk {
+			rowStart[o.i()+1]++
+			rowStart[o.j()+1]++
 		}
 	}
 	for r := 0; r < n; r++ {
 		rowStart[r+1] += rowStart[r]
 	}
-	// kept is in (i, j) order, where every (k, r) with k < r comes before
-	// any (r, ·): a cursor per row fills the columns below r, then above.
-	cols, vals := make([]int, 2*len(kept)), make([]float64, 2*len(kept))
-	copy(cursor, rowStart)
-	for _, o := range kept {
-		i, j := o.i(), o.j()
-		cols[cursor[j]], vals[cursor[j]] = i, o.v
-		cursor[j]++
-		cols[cursor[i]], vals[cursor[i]] = j, o.v
-		cursor[i]++
+	// Filing moves rowStart[r] from the start of row r to its end.
+	cols, vals := make([]int, 2*b.nops), make([]float64, 2*b.nops)
+	for _, blk := range b.ops {
+		for _, o := range blk {
+			i, j := o.i(), o.j()
+			ci, cj := j, i
+			if o.add() {
+				ci, cj = ^j, ^i
+			}
+			cols[rowStart[i]], vals[rowStart[i]] = ci, o.v
+			rowStart[i]++
+			cols[rowStart[j]], vals[rowStart[j]] = cj, o.v
+			rowStart[j]++
+		}
 	}
-	return lattice.FromCSR(n, rowStart, cols, vals), nil
+	b.ops = nil
+	row, w := &byColumn{}, 0
+	for r, lo := 0, 0; r < n; r++ {
+		hi := rowStart[r]
+		rowStart[r] = w
+		row.cols, row.vals = cols[lo:hi], vals[lo:hi]
+		sort.Stable(row)
+		for k := lo; k < hi; {
+			j, v := column(cols[k]), 0.0
+			for ; k < hi && column(cols[k]) == j; k++ {
+				if cols[k] >= 0 {
+					v = vals[k]
+				} else if v += vals[k]; math.IsInf(v, 0) {
+					return nil, fmt.Errorf("ising: coupling (%d,%d) overflows", r, j)
+				}
+			}
+			if v != 0 {
+				cols[w], vals[w] = j, v
+				w++
+			}
+		}
+		lo = hi
+	}
+	rowStart[n] = w
+	return lattice.FromCSR(n, rowStart, cols[:w], vals[:w]), nil
+}
+
+// column decodes a filed call's column (an AddCoupling's is complemented).
+func column(c int) int {
+	if c < 0 {
+		return ^c
+	}
+	return c
+}
+
+// byColumn orders one row's filed calls by column, for sort.Stable.
+type byColumn struct {
+	cols []int
+	vals []float64
+}
+
+func (s *byColumn) Len() int           { return len(s.cols) }
+func (s *byColumn) Less(a, b int) bool { return column(s.cols[a]) < column(s.cols[b]) }
+func (s *byColumn) Swap(a, b int) {
+	s.cols[a], s.cols[b] = s.cols[b], s.cols[a]
+	s.vals[a], s.vals[b] = s.vals[b], s.vals[a]
 }
 
 // N returns the number of spins.

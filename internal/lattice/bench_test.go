@@ -64,11 +64,11 @@ func newBenchSetup(n int, density float64) *benchSetup {
 }
 
 // kernelDeriv is brim.derivRange's loop as the machine runs it: the
-// shared kernel for the matvec, the owned range tanh over a scratch of
-// γ·v, the same pointwise tail.
-func (s *benchSetup) kernelDeriv(c Coupling, workers int) {
+// matvec mv (a backend's MatVecRange, or a reference walk), the owned
+// range tanh over a scratch of γ·v, the same pointwise tail.
+func (s *benchSetup) kernelDeriv(mv walker, workers int) {
 	ForRange(s.n, workers, func(lo, hi int) {
-		c.MatVecRange(s.v, nil, s.out, lo, hi)
+		mv(s.v, nil, s.out, lo, hi)
 		th := s.th[lo:hi]
 		for i := range th {
 			th[i] = s.gamma * s.v[lo+i]
@@ -87,7 +87,10 @@ func (s *benchSetup) kernelDeriv(c Coupling, workers int) {
 // step's dominant cost — an RK4 step is four of these) between the old
 // serial dense loop and the shared kernel at several worker counts.
 // n = 64 and 128 are the chip sizes the k256_mbrim4 and k256_cluster2
-// benchmark workloads actually step.
+// benchmark workloads actually step. The csr rows are the same on a 2 %
+// matrix, one worker, with the one-row walk over compressed rows (the
+// kernel before the lane groups) as the A side: n = 256 is the chip
+// sparse1k_mbrim4 steps, n = 1024 its whole problem.
 func BenchmarkBRIMDeriv(b *testing.B) {
 	for _, n := range []int{64, 128, 1024, 4096} {
 		s := newBenchSetup(n, 1)
@@ -100,11 +103,42 @@ func BenchmarkBRIMDeriv(b *testing.B) {
 		for _, w := range []int{1, 4} {
 			b.Run(fmt.Sprintf("kernel/n=%d/workers=%d", n, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					s.kernelDeriv(dense, w)
+					s.kernelDeriv(dense.MatVecRange, w)
 				}
 			})
 		}
 	}
+	for _, n := range []int{256, 1024} {
+		s := newBenchSetup(n, 0.02)
+		rowStart, cols, vals := csrTriple(n, s.data)
+		for _, arm := range []struct {
+			name string
+			mv   walker
+		}{
+			{"walk", csrWalk(rowStart, cols, vals)},
+			{"kernel", FromCSR(n, rowStart, cols, vals).MatVecRange},
+		} {
+			b.Run(fmt.Sprintf("%s/csr/n=%d/p=0.02", arm.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					s.kernelDeriv(arm.mv, 1)
+				}
+			})
+		}
+	}
+}
+
+// csrTriple compresses a row-major matrix's nonzeros into rows.
+func csrTriple(n int, data []float64) (rowStart, cols []int, vals []float64) {
+	rowStart = make([]int, n+1)
+	for i := 0; i < n; i++ {
+		for j, v := range data[i*n : (i+1)*n] {
+			if v != 0 {
+				cols, vals = append(cols, j), append(vals, v)
+			}
+		}
+		rowStart[i+1] = len(cols)
+	}
+	return rowStart, cols, vals
 }
 
 // BenchmarkTanh prices the latch nonlinearity of one 64-spin chip's

@@ -11,7 +11,14 @@
 //     connected K-graphs.
 //   - CSR: compressed sparse rows with ascending column order — right
 //     for Gset-scale instances at a few percent density, where the
-//     dense loops spend almost all their time scanning zeros.
+//     dense loops spend almost all their time scanning zeros. The rows
+//     are stored for lanes, in groups of four (sliced ELLPACK): within
+//     each KernelChunk window they are ordered by (entry count, index),
+//     led by (−rows) mod 4 empty dummies, and each run of four is a
+//     group as wide as its longest row, its entries interleaved slot by
+//     slot — entry t of lane l at 4·(start+t)+l, an int32 column and a
+//     float64 value. Every reader walks a row's own entries in its own
+//     order at stride 4, and a rescale shares all but the values.
 //
 // Auto resolves to CSR when the measured density is at most
 // AutoCSRDensity, else Dense. An ising.Model freezes its couplings into
@@ -96,12 +103,13 @@
 // float32, not trade the division behind a scaled view for a
 // reciprocal.
 //
-// The dense MatVecRange is the worked example, twice. The RK4
-// derivative of a 64- or 128-spin chip spends its time in row dots too
-// short for the core to hide one add chain's latency. The portable
-// kernel (dot4) takes four rows per block: they share each load of x[j]
-// and keep one accumulator each, four independent chains in flight, and
-// every out[i] still carries the one-row walk's bits. That holds on
+// The dense MatVecRange is the worked example, twice; the CSR one is
+// the third. The RK4 derivative of a 64- or 128-spin chip spends its
+// time in row dots too short for the core to hide one add chain's
+// latency. The portable kernel (dot4) takes four rows per block: they
+// share each load of x[j] and keep one accumulator each, four
+// independent chains in flight, and every out[i] still carries the
+// one-row walk's bits. That holds on
 // architectures where the compiler fuses x*y + z as well: the fusion is
 // a rewrite of a single expression whose product has no other use, the
 // blocked loop writes acc += row[j]*x[j] in the walk's own form, and so
@@ -123,9 +131,21 @@
 // every other host take dot4; nothing selects a kernel but what the
 // code observes.
 //
-// matvec_test.go and FuzzMatVecRange compare both kernels with the
+// The third is csrLanes (csr_amd64.s), taken on an AVX host for the
+// whole windows of a CSR range: one register of four sums per lane
+// group, the group's four columns gathered into x with plain AVX loads
+// and inserts, VMULPD by the slot's values, VADDPD, two groups in
+// flight. Rows end at different slots, and a slot past a lane's row is
+// masked with VBLENDVPD — the lane keeps its sum — never added as a
+// zero product: 0·x[0] is a NaN when x[0] is infinite, and −0 + 0 is
+// +0, so a padded zero would move the bits of a row whose walk ended
+// sooner. Sorting by length keeps the masks to a group's ragged tail; a
+// dummy-led group, a partial window and every other host walk the same
+// groups in Go, the form that defines the bits.
+//
+// matvec_test.go and FuzzMatVecRange compare all three kernels with the
 // one-row walk by Float64bits, on an AVX host once as detected and once
-// with the sweep switched off — except that a NaN only has to be a NaN:
+// with the lanes switched off — except that a NaN only has to be a NaN:
 // when two different NaNs meet, which payload survives is the
 // instruction's choice on either path.
 //
@@ -223,23 +243,16 @@ func Convert(c Coupling, kind Kind, div float64) Coupling {
 		div = 1
 	}
 	if s, ok := c.(*csr); ok && kind == CSR { // a rescale: the structure is shared
-		vals := make([]float64, len(s.vals))
+		out := *s
+		out.vals = make([]float64, len(s.vals))
 		for k, v := range s.vals {
-			vals[k] = v / div
+			out.vals[k] = v / div
 		}
-		return &csr{n: n, rowStart: s.rowStart, cols: s.cols, vals: vals}
+		return &out
 	}
 	if kind == CSR {
-		out := &csr{n: n, rowStart: make([]int, n+1), cols: make([]int, 0, nnz), vals: make([]float64, 0, nnz)}
-		keep := func(j int, v float64) {
-			out.cols = append(out.cols, j)
-			out.vals = append(out.vals, v/div)
-		}
-		for i := 0; i < n; i++ {
-			out.rowStart[i] = len(out.cols)
-			c.Scan(i, keep)
-		}
-		out.rowStart[n] = len(out.cols)
+		out := newCSR(n, c.RowNNZ)
+		out.fill(c, div)
 		return out
 	}
 	data := make([]float64, n*n)

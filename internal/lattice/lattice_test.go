@@ -212,7 +212,10 @@ func TestFromCSRRejectsBadLayout(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"short rowStart": func() { FromCSR(2, []int{0, 0}, nil, nil) },
 		"nnz mismatch":   func() { FromCSR(1, []int{0, 1}, []int{0}, nil) },
-		"descending":     func() { FromCSR(1, []int{0, 2}, []int{1, 0}, []float64{1, 2}) },
+		"descending":     func() { FromCSR(3, []int{0, 2, 2, 2}, []int{2, 1}, []float64{1, 2}) },
+		"col == n":       func() { FromCSR(3, []int{0, 1, 1, 1}, []int{3}, []float64{1}) },
+		"col == -1":      func() { FromCSR(3, []int{0, 1, 1, 1}, []int{-1}, []float64{1}) },
+		"col == i":       func() { FromCSR(3, []int{0, 0, 1, 1}, []int{1}, []float64{1}) },
 	} {
 		func() {
 			defer func() {
@@ -222,6 +225,30 @@ func TestFromCSRRejectsBadLayout(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestCSRMatVecRangeRejectsShortSlices: the lanes load x, base and out
+// unchecked, so a short slice must be a Go panic before they run — on
+// both kernels, over a whole window, where the lanes would take it.
+func TestCSRMatVecRangeRejectsShortSlices(t *testing.T) {
+	const n = 300
+	c := FromDense(n, randSym(n, 0.03, 5), CSR, 0)
+	full := make([]float64, n)
+	for name, fn := range map[string]func(){
+		"short x":    func() { c.MatVecRange(full[:n-1], nil, make([]float64, n), 0, n) },
+		"short out":  func() { c.MatVecRange(full, nil, make([]float64, KernelChunk-1), 0, KernelChunk) },
+		"short base": func() { c.MatVecRange(full, full[:KernelChunk-1], make([]float64, n), 0, KernelChunk) },
+		"hi past n":  func() { c.MatVecRange(append(full, 0), nil, make([]float64, n+1), 0, n+1) },
+	} {
+		bothKernels(func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MatVecRange with %s (avx=%v) did not panic", name, useAVX)
+				}
+			}()
+			fn()
+		})
 	}
 }
 

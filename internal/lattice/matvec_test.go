@@ -26,6 +26,33 @@ func refMatVec(n int, data, x, base, out []float64, lo, hi int) {
 	}
 }
 
+// refCSRWalk is the one-row walk over a compressed-row triple that
+// csr.MatVecRange must reproduce bit for bit — the CSR kernel as it
+// stood before the lane groups, kept here as the reference.
+func refCSRWalk(rowStart, cols []int, vals, x, base, out []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		acc := 0.0
+		if base != nil {
+			acc = base[i]
+		}
+		for k := rowStart[i]; k < rowStart[i+1]; k++ {
+			acc += vals[k] * x[cols[k]]
+		}
+		out[i] = acc
+	}
+}
+
+// walker is a reference for checkMatVec: out[lo:hi] by a one-row walk.
+type walker func(x, base, out []float64, lo, hi int)
+
+func denseWalk(n int, data []float64) walker {
+	return func(x, base, out []float64, lo, hi int) { refMatVec(n, data, x, base, out, lo, hi) }
+}
+
+func csrWalk(rowStart, cols []int, vals []float64) walker {
+	return func(x, base, out []float64, lo, hi int) { refCSRWalk(rowStart, cols, vals, x, base, out, lo, hi) }
+}
+
 // sameBits is Float64bits equality, except that any NaN equals any NaN:
 // which operand's payload survives an add or multiply of two different
 // NaNs is the instruction's (and the register allocator's) choice, on
@@ -44,8 +71,9 @@ var specials = []float64{
 }
 
 // bothKernels runs fn with the AVX switch as detected and then forced
-// off, so an AVX host proves the column sweep and the portable dot4 walk
-// alike (a host without AVX has only the second to prove).
+// off, so an AVX host proves the lanes (the column sweep, csrLanes) and
+// the portable walks alike (a host without AVX has only the second to
+// prove).
 func bothKernels(fn func()) {
 	detected := useAVX
 	defer func() { useAVX = detected }()
@@ -56,17 +84,17 @@ func bothKernels(fn func()) {
 	}
 }
 
-// checkMatVec compares MatVecRange over [lo,hi) with the row walk over
-// ref (the view's entries as the walk should see them), on both kernels,
-// and checks that nothing outside the range is written.
-func checkMatVec(t *testing.T, c Coupling, n int, ref, x, base []float64, lo, hi int) {
+// checkMatVec compares MatVecRange over [lo,hi) with the row walk ref
+// (over the view's entries as the walk should see them), on both
+// kernels, and checks that nothing outside the range is written.
+func checkMatVec(t *testing.T, c Coupling, n int, ref walker, x, base []float64, lo, hi int) {
 	t.Helper()
 	const poison = 12345.5
 	got, want := make([]float64, n), make([]float64, n)
 	for i := range want {
 		want[i] = poison
 	}
-	refMatVec(n, ref, x, base, want, lo, hi)
+	ref(x, base, want, lo, hi)
 	bothKernels(func() {
 		for i := range got {
 			got[i] = poison
@@ -158,7 +186,7 @@ func TestMatVecBlockedMatchesRowWalk(t *testing.T) {
 			for _, x := range [][]float64{plain, spiked} {
 				for _, base := range [][]float64{nil, finite, negZero} {
 					for _, rg := range residueRanges(n) {
-						checkMatVec(t, v.c, n, v.ref, x, base, rg[0], rg[1])
+						checkMatVec(t, v.c, n, denseWalk(n, v.ref), x, base, rg[0], rg[1])
 					}
 					// Worker counts split at the same fixed chunks.
 					walk := make([]float64, n)
@@ -190,7 +218,7 @@ func TestMatVecRangeWritesOnlyItsRange(t *testing.T) {
 		x, base := randVec(n, 81), randVec(n, 82)
 		for _, c := range allBackends(t, n, data, 0) {
 			for _, rg := range residueRanges(n) {
-				checkMatVec(t, c, n, data, x, base, rg[0], rg[1])
+				checkMatVec(t, c, n, denseWalk(n, data), x, base, rg[0], rg[1])
 			}
 		}
 	}
@@ -248,7 +276,7 @@ func TestAsymmetricMatrixKeepsRowKernel(t *testing.T) {
 				t.Fatalf("%s div=%v: sym = %v, want %v", tc.name, v.div, got, tc.sym)
 			}
 			for _, rg := range residueRanges(n) {
-				checkMatVec(t, c, n, v.ref, x, base, rg[0], rg[1])
+				checkMatVec(t, c, n, denseWalk(n, v.ref), x, base, rg[0], rg[1])
 			}
 			walk, got := make([]float64, n), make([]float64, n)
 			refMatVec(n, v.ref, x, base, walk, 0, n)
@@ -262,18 +290,152 @@ func TestAsymmetricMatrixKeepsRowKernel(t *testing.T) {
 	}
 }
 
-// FuzzMatVecRange drives both dense kernels from raw bytes: size (up to
-// 160: two-plus sweep tiles, up to five sweep blocks, a remainder),
-// range, scaling, and every entry, x and base value as arbitrary float64
-// bit patterns; every row must carry the row walk's bits and nothing
-// outside the range may be written.
+// csrRows draws a compressed-row triple whose rows differ in length as
+// much as a lane group can see — empty rows, a row of n−1 entries, a few
+// half-full ones, and short rows of every length, in random order — over
+// random values with the specials mixed in.
+func csrRows(n int, seed uint64) (rowStart, cols []int, vals []float64) {
+	r := rng.New(seed)
+	rowStart = make([]int, n+1)
+	for i := 0; i < n; i++ {
+		p := r.Float64() * min(1, 24/float64(n))
+		switch k := r.Intn(8); {
+		case i == n/2:
+			p = 1
+		case k == 0:
+			p = 0
+		case k == 1:
+			p = 0.5
+		}
+		for j := 0; j < n; j++ {
+			if j != i && r.Float64() < p {
+				v := r.Float64()*4 - 2
+				if r.Intn(5) == 0 {
+					v = specials[r.Intn(len(specials))]
+				}
+				cols, vals = append(cols, j), append(vals, v)
+			}
+		}
+		rowStart[i+1] = len(cols)
+	}
+	return rowStart, cols, vals
+}
+
+// TestCSRLanesMatchWalk is the proof of csrLanes, the way sweep32's and
+// tanhLanes' are proved: on both kernels, at every size to 70 and around
+// one and two windows, unscaled and rescaled, every row of every range —
+// each residue mod 4, window edges, partial windows — carries the
+// one-row walk's bits, for x holding ±0, subnormals, ±Inf and NaN and a
+// base that is nil, −0 or holds ±Inf; nothing outside the range moves.
+func TestCSRLanesMatchWalk(t *testing.T) {
+	const div = 3.7
+	sizes := []int{255, 256, 257, 515}
+	for n := 1; n <= 70; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		rowStart, cols, vals := csrRows(n, uint64(n)+300)
+		scaled := make([]float64, len(vals))
+		for k, v := range vals {
+			scaled[k] = v / div
+		}
+		c := FromCSR(n, rowStart, cols, vals)
+		views := []struct {
+			c   Coupling
+			ref walker
+		}{
+			{c, csrWalk(rowStart, cols, vals)},
+			{Convert(c, CSR, div), csrWalk(rowStart, cols, scaled)},
+		}
+		plain, spiked := randVec(n, uint64(n)+301), randVec(n, uint64(n)+302)
+		for i := range spiked {
+			if i%3 != 1 {
+				spiked[i] = specials[(i/3+i)%len(specials)]
+			}
+		}
+		negZero, infs := make([]float64, n), randVec(n, uint64(n)+303)
+		for i := range negZero {
+			negZero[i] = math.Copysign(0, -1)
+			if i%5 == 0 {
+				infs[i] = math.Inf(1 - 2*(i/5%2))
+			}
+		}
+		ranges := residueRanges(n)
+		for _, lo := range []int{0, 1, 255, 256, 257} {
+			for _, hi := range []int{255, 256, 257, 511, 512, 513, n - 1, n} {
+				if lo <= hi && hi <= n {
+					ranges = append(ranges, [2]int{lo, hi})
+				}
+			}
+		}
+		for _, v := range views {
+			for _, x := range [][]float64{plain, spiked} {
+				for _, base := range [][]float64{nil, negZero, infs} {
+					for _, rg := range ranges {
+						checkMatVec(t, v.c, n, v.ref, x, base, rg[0], rg[1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLaneGroupLayout pins what csrLanes and the admission fence
+// (runs.csrBytes) take for granted: each window's positions hold its
+// rows, dummies first, ordered by length, so A3 ≤ B0 between
+// neighbouring groups; a group is as wide as its last lane; and the
+// padding is at most 3·min(nnz, windows·(n−1)) slots.
+func TestLaneGroupLayout(t *testing.T) {
+	for _, n := range []int{1, 3, 5, 70, 255, 256, 257, 515, 1030} {
+		rowStart, cols, vals := csrRows(n, uint64(n)+400)
+		c := FromCSR(n, rowStart, cols, vals).(*csr)
+		for w := 0; w < n; w += KernelChunk {
+			rows := min(KernelChunk, n-w)
+			for p := w; p < w+(rows+3)&^3; p++ {
+				i := int(c.order[p])
+				if dummy := p < w+(-rows&3); dummy != (i < 0) || (!dummy && (i < w || i >= w+rows || int(c.pos[i]) != p)) {
+					t.Fatalf("n=%d: position %d holds row %d", n, p, i)
+				}
+				if i >= 0 && int(c.lens[p]) != rowStart[i+1]-rowStart[i] {
+					t.Fatalf("n=%d: position %d has length %d, row %d %d", n, p, c.lens[p], i, rowStart[i+1]-rowStart[i])
+				}
+				if p > w && c.lens[p] < c.lens[p-1] {
+					t.Fatalf("n=%d: window %d not ordered by length at %d", n, w, p)
+				}
+			}
+		}
+		for g := 0; g+1 < len(c.start); g++ {
+			if c.start[g+1]-c.start[g] != int(c.lens[4*g+3]) {
+				t.Fatalf("n=%d: group %d is %d slots wide, its last lane %d", n, g, c.start[g+1]-c.start[g], c.lens[4*g+3])
+			}
+		}
+		windows := (n + KernelChunk - 1) / KernelChunk
+		if pad := len(c.cols) - c.nnz; pad > 3*min(c.nnz, windows*(n-1)) {
+			t.Errorf("n=%d: %d slots of padding over %d entries", n, pad, c.nnz)
+		}
+	}
+}
+
+// FuzzMatVecRange drives both dense kernels and the CSR lanes from raw
+// bytes: size (up to 160: two-plus sweep tiles, up to five sweep blocks,
+// a remainder; a CSR matrix may take a second window), range, scaling,
+// which entries a CSR matrix keeps, and every entry, x and base value as
+// arbitrary float64 bit patterns; every row must carry the row walk's
+// bits and nothing outside the range may be written. A CSR matrix is
+// also checked over [0, n), the range that takes the lanes.
 func FuzzMatVecRange(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), []byte{0})
 	f.Add(uint8(64), uint8(1), uint8(62), uint8(1), []byte("four rows share each load of x and keep one sum each"))
 	f.Add(uint8(95), uint8(3), uint8(90), uint8(2), []byte{0xff, 0xf0, 0, 0, 0, 0, 0, 1, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 0x80})
 	f.Add(uint8(128), uint8(1), uint8(127), uint8(3), []byte("the resistor conducts both ways: row j holds four outputs side by side"))
+	f.Add(uint8(70), uint8(0), uint8(70), uint8(5), []byte{0xff, 0xf0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0x5a})
+	f.Add(uint8(41), uint8(200), uint8(90), uint8(15), []byte("four rows to a lane group, sorted by length, masked past their ends"))
+	f.Add(uint8(3), uint8(0), uint8(255), uint8(12), []byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 0x01, 0, 0, 0, 0, 0, 0, 0, 0xc3})
 	f.Fuzz(func(t *testing.T, size, from, span, mode uint8, raw []byte) {
 		n := int(size)%160 + 1
+		if mode&12 == 12 {
+			n += KernelChunk
+		}
 		lo := int(from) % (n + 1)
 		hi := lo + int(span)%(n-lo+1)
 		for len(raw) < 8 {
@@ -306,14 +468,42 @@ func FuzzMatVecRange(f *testing.F) {
 				base[i] = next()
 			}
 		}
-		div, ref := 0.0, data
+		div := 0.0
 		if mode&2 != 0 {
 			div = 3.7
-			ref = make([]float64, len(data))
-			for i, v := range data {
-				ref[i] = v / div
-			}
 		}
-		checkMatVec(t, FromDense(n, data, Dense, div), n, ref, x, base, lo, hi)
+		if mode&4 == 0 {
+			ref := data
+			if div != 0 {
+				ref = make([]float64, len(data))
+				for i, v := range data {
+					ref[i] = v / div
+				}
+			}
+			checkMatVec(t, FromDense(n, data, Dense, div), n, denseWalk(n, ref), x, base, lo, hi)
+			return
+		}
+		// The CSR arm keeps entry (i, j) where bit (i+j) mod 8 of a raw
+		// byte is set, so rows of every length occur side by side.
+		rowStart := make([]int, n+1)
+		var cols []int
+		var vals, scaled []float64
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if j != i && raw[(i*n+j)%len(raw)]>>((i+j)&7)&1 != 0 {
+					v := data[i*n+j]
+					cols, vals = append(cols, j), append(vals, v)
+					if div != 0 {
+						v /= div
+					}
+					scaled = append(scaled, v)
+				}
+			}
+			rowStart[i+1] = len(cols)
+		}
+		c := Convert(FromCSR(n, rowStart, cols, vals), CSR, div)
+		ref := csrWalk(rowStart, cols, scaled)
+		checkMatVec(t, c, n, ref, x, base, lo, hi)
+		checkMatVec(t, c, n, ref, x, base, 0, n)
 	})
 }

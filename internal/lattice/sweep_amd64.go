@@ -16,6 +16,16 @@ func sweep32(col *float64, stride uintptr, x *float64, rows int, acc *float64)
 //go:noescape
 func tanhLanes(x *float64, groups int, tab *[21][4]uint64)
 
+// csrLanes fills out[order[p]] for the 4·groups positions p of whole
+// lane groups of one window (csr.go): each lane starts at base[row] (+0
+// for a nil base) and adds vals·x[cols] in its row's order, every
+// product and sum rounded on its own, slots past its length masked
+// (csr_amd64.s). start, lens and order point at the first group's
+// entries; cols and vals at the slot arrays' first element.
+//
+//go:noescape
+func csrLanes(cols *int32, vals *float64, start *int, lens *int32, order *int32, x, base, out *float64, groups int)
+
 func cpuHasAVX() bool
 
 // useAVX is set once, here; only tests write it again, to prove the

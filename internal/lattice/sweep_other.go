@@ -3,11 +3,16 @@
 package lattice
 
 // No packed lanes off amd64: useAVX is never true, so dense.MatVecRange
-// never reaches sweep32 and Tanh never reaches tanhLanes.
+// never reaches sweep32, csr.MatVecRange never reaches csrLanes and Tanh
+// never reaches tanhLanes.
 var useAVX = false
 
 func sweep32(col *float64, stride uintptr, x *float64, rows int, acc *float64) {
 	panic("lattice: sweep32 without AVX")
+}
+
+func csrLanes(cols *int32, vals *float64, start *int, lens *int32, order *int32, x, base, out *float64, groups int) {
+	panic("lattice: csrLanes without AVX")
 }
 
 func tanhLanes(x *float64, groups int, tab *[21][4]uint64) {

@@ -114,10 +114,10 @@ func TestTanhLanesMatchGo(t *testing.T) {
 // TestTanhProperties and FuzzTanh's corpus fail), but a product far
 // below the last place of the sum it joins — k·ln2Lo into r, q23·r⁴
 // into q — moved none of the 37 000 arguments compared here when it was
-// fused. No fused mnemonic in either kernel's source is the check that
+// fused. No fused mnemonic in any kernel's source is the check that
 // does not depend on luck.
 func TestLanesNeverFuse(t *testing.T) {
-	for _, file := range []string{"tanh_amd64.s", "sweep_amd64.s"} {
+	for _, file := range []string{"tanh_amd64.s", "sweep_amd64.s", "csr_amd64.s"} {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)

@@ -74,7 +74,7 @@ type SubmitOptions struct {
 
 // EstimateRunBytes approximates a run's resident footprint for the
 // admission memory budget: the couplings as the model stores them (8·n²
-// for the dense layout, 16 bytes a stored entry over compressed rows),
+// for the dense layout, csrBytes for compressed rows),
 // per-spin chip state and the run's retained-event ring — and, for a
 // multi-chip request, what the engine builds on top of the model: the k
 // owned×owned sub-models (1/k of the model together) and the chips'
@@ -141,7 +141,7 @@ func estimateRunBytesN(n, nnz int64, dense bool, chips, workers, ringSize int) i
 		ringSize = 4096
 	}
 	const eventBytes = 192 // sizeof(obs.Event), rounded to its alloc class
-	model := 16 * nnz
+	model := csrBytes(n, nnz)
 	if dense {
 		model, nnz = 8*n*n, n*n
 	}
@@ -150,6 +150,20 @@ func estimateRunBytesN(n, nnz int64, dense bool, chips, workers, ringSize int) i
 		est += w * (model/k + 12*nnz*(k-1)/k)
 	}
 	return est
+}
+
+// csrBytes bounds the compressed layout of n rows holding nnz entries,
+// stored in lane groups (lattice's csr): 12 bytes a slot — an int32
+// column and a float64 value — and 14 a row — its position, the row at
+// that position and its length, int32 each, and a quarter of its group's
+// int start. The slots are the entries plus each four-row group's padding
+// to its longest row. Rows are sorted by length within a window, so a
+// window pads at most 3·(its longest row − its shortest) ≤ 3·(n−1); and
+// a group pads at most three times its longest row, so at most 3·nnz.
+func csrBytes(n, nnz int64) int64 {
+	windows := (n + lattice.KernelChunk - 1) / lattice.KernelChunk
+	pad := 3 * min(nnz, windows*(n-1))
+	return 12*(nnz+pad) + 14*n
 }
 
 // checkBudget applies the MaxRunBytes fence for a submission of n spins

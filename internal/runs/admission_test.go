@@ -264,14 +264,17 @@ func TestMemoryBudgetCountsTheChips(t *testing.T) {
 	}
 
 	// A problem that stores compressed rows is priced by what it stores:
-	// 16 bytes a directed entry for the model, 1/k of that again for the
-	// sub-models and 12 bytes for each of the (k−1)/k entries that cross.
-	// sparse1k's shape, 1 024 spins and 10 589 edges, on 4 chips:
+	// for the model 12 bytes a lane slot — the directed entries and at
+	// most 3·(n−1) slots of padding a 256-row window, 3·nnz in all — and
+	// 14 a row; 1/k of that again for the sub-models and 12 bytes for each
+	// of the (k−1)/k entries that cross. sparse1k's shape, 1 024 spins and
+	// 10 589 edges, on 4 chips:
 	const nnz = 2 * 10589
-	if got, want := estimateRunBytesN(1024, nnz, false, 4, 1, 0), int64(16*nnz+16*nnz/4+12*nnz*3/4+16*1024*4+ring); got != want {
+	const model = 12*(nnz+3*4*1023) + 14*1024
+	if got, want := estimateRunBytesN(1024, nnz, false, 4, 1, 0), int64(model+model/4+12*nnz*3/4+16*1024*4+ring); got != want {
 		t.Errorf("sparse estimate = %d, want %d", got, want)
 	}
-	if got, want := estimateRunBytesN(65536, 2, false, 1, 1, 0), int64(32+16*65536+ring); got != want {
+	if got, want := estimateRunBytesN(65536, 2, false, 1, 1, 0), int64(12*(2+3*2)+14*65536+16*65536+ring); got != want {
 		t.Errorf("one-edge estimate = %d, want %d", got, want)
 	}
 	for _, tc := range []struct {
