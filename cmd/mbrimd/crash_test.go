@@ -129,10 +129,12 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	bin := buildDaemon(t)
 	for _, engine := range []string{"mbrim", "cluster"} {
 		t.Run(engine, func(t *testing.T) {
-			// ~1.4s of wall time at this problem size in process, more over
-			// loopback RPCs: enough for several checkpoints before the kill
-			// and real work left after it.
-			body := `{"engine":"mbrim","k":64,"chips":2,"durationNS":5000,"seed":7}`
+			// ~0.85 s of wall time at this problem size in process on a
+			// two-vCPU host, more over loopback RPCs: enough for several
+			// checkpoints before the kill and real work left after it. A
+			// run that ends before the kill leaves the replay nothing to
+			// resume.
+			body := `{"engine":"mbrim","k":64,"chips":2,"durationNS":20000,"seed":7}`
 			if engine == "cluster" {
 				var workers []string
 				for range 2 {
@@ -144,7 +146,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 					waitReady(t, base, 10*time.Second)
 					workers = append(workers, base)
 				}
-				body = `{"engine":"cluster","workers":["` + strings.Join(workers, `","`) + `"],"k":64,"durationNS":5000,"seed":7}`
+				body = `{"engine":"cluster","workers":["` + strings.Join(workers, `","`) + `"],"k":64,"durationNS":20000,"seed":7}`
 			}
 			crashAndResume(t, bin, body)
 		})
@@ -229,7 +231,7 @@ func crashAndResume(t *testing.T, bin, body string) {
 	g := graph.Complete(64, rng.New(1))
 	ref, err := core.Solve(core.Request{
 		Kind: core.MBRIMConcurrent, Model: g.ToIsing(), Graph: g,
-		Seed: 7, DurationNS: 5000, Chips: 2, SampleEveryNS: 50,
+		Seed: 7, DurationNS: 20000, Chips: 2, SampleEveryNS: 200,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,9 @@
 //   - Bistable feedback: κ(t)·(tanh(γ V_i) − V_i), the latch circuit
 //     that makes each node snap to a rail. Its gain κ follows an
 //     annealing schedule: weak early (analog exploration), strong late
-//     (digitization). The tanh is lattice.Tanh, the repository's own:
-//     the same bits on every host, so a seed's trajectory is too.
+//     (digitization). The tanh is the repository's own (lattice.Tanh,
+//     inside lattice.Latch's stage): the same bits on every host, so a
+//     seed's trajectory is too.
 //
 // giving τ·dV_i/dt = couple_i + bias_i + feedback_i, with τ the RC time
 // constant in nanoseconds. Increasing τ is the "slow down the machine's
@@ -99,10 +100,6 @@ type Config struct {
 	// step each node receives an independent N(0, NoiseAmp·√dt)
 	// voltage kick (Euler–Maruyama). Zero models a noiseless machine.
 	NoiseAmp float64
-	// Workers splits the coupling matrix-vector product across
-	// goroutines — a host-side speedup for large chips with no effect
-	// on the simulated trajectory. Zero or one runs single-threaded.
-	Workers int
 	// MaxStepRetries bounds the numerical guardrail's step-halving
 	// backoff: a step whose candidate voltages come out NaN/Inf or
 	// blown far past the rails is discarded and retried at halved dt
@@ -156,12 +153,11 @@ type Machine struct {
 	r     *rng.Source
 
 	lat   lattice.Coupling // scaled couplings Ĵ = J/scale behind the backend interface
-	bhat  []float64        // scaled biases: μ·h_i / scale
+	latch lattice.Latch    // the derivative's pointwise half: μ·h_i/scale, the external currents, variation
 	scale float64
 	n     int
 	v     []float64 // voltages
 	spins []int8    // hysteresis readout
-	ext   []float64 // external bias currents (shadow contributions)
 
 	t        float64 // model time, ns
 	horizon  float64 // total planned duration, for schedule progress
@@ -183,15 +179,11 @@ type Machine struct {
 	holdUntil  []float64
 	holdTarget []int8
 
-	// Per-node process variation factors (nil when ideal): invTauVar
-	// multiplies 1/τ, kappaVar multiplies the feedback gain.
-	invTauVar []float64
-	kappaVar  []float64
-
-	// scratch buffers for RK4; cand holds a step's candidate voltages
-	// so the guardrail can inspect them before any state commits, th a
-	// derivative's γ·V and then its tanh.
-	k1, k2, k3, k4, vtmp, cand, th []float64
+	// scratch buffers for RK4: k1–k3 the stage derivatives, k4 the last
+	// stage's mat-vec, vtmp the next stage's voltages; cand holds a step's
+	// candidate voltages so the guardrail can inspect them before any
+	// state commits.
+	k1, k2, k3, k4, vtmp, cand []float64
 }
 
 // New builds a machine for the model. The machine starts at random
@@ -213,30 +205,29 @@ func New(m *ising.Model, cfg Config) *Machine {
 		r:     rng.New(c.Seed),
 		n:     n,
 		scale: scale,
-		bhat:  make([]float64, n),
 		v:     make([]float64, n),
 		spins: make([]int8, n),
-		ext:   make([]float64, n),
 
 		holdUntil:  make([]float64, n),
 		holdTarget: make([]int8, n),
 	}
-	// The seven scratch vectors are carved from one allocation.
-	scratch := make([]float64, 7*n)
+	// The six scratch vectors are carved from one allocation.
+	scratch := make([]float64, 6*n)
 	carve := func() []float64 {
 		v := scratch[:n:n]
 		scratch = scratch[n:]
 		return v
 	}
-	ma.k1, ma.k2, ma.k3, ma.k4, ma.vtmp, ma.cand, ma.th = carve(), carve(), carve(), carve(), carve(), carve(), carve()
+	ma.k1, ma.k2, ma.k3, ma.k4, ma.vtmp, ma.cand = carve(), carve(), carve(), carve(), carve(), carve()
 	// The machine stores Ĵ = J/scale — division, exactly as the old
 	// private jhat copy did, so trajectories are bit-identical — in the
 	// layout the model came in (its own kind, not Auto: a rescale never
 	// re-lays the model it was handed).
 	stored := m.View(lattice.Auto)
 	ma.lat = lattice.Convert(stored, stored.Kind(), scale)
+	ma.latch = lattice.Latch{Gamma: c.Gamma, InvTau: 1 / c.Tau, Bias: make([]float64, n), Ext: make([]float64, n)}
 	for i, b := range m.MuH() {
-		ma.bhat[i] = b / scale
+		ma.latch.Bias[i] = b / scale
 	}
 	for i := range ma.v {
 		s := ma.r.Spin()
@@ -253,11 +244,11 @@ func New(m *ising.Model, cfg Config) *Machine {
 		// Variation factors come from a fork so they do not disturb
 		// the main stream (and thus PRNG coordination).
 		vr := ma.r.Fork(0xDE71CE)
-		ma.invTauVar = make([]float64, n)
-		ma.kappaVar = make([]float64, n)
+		ma.latch.InvTauVar = make([]float64, n)
+		ma.latch.KappaVar = make([]float64, n)
 		for i := 0; i < n; i++ {
-			ma.invTauVar[i] = clampFactor(1 + c.DeviceVariation*vr.NormFloat64())
-			ma.kappaVar[i] = clampFactor(1 + c.DeviceVariation*vr.NormFloat64())
+			ma.latch.InvTauVar[i] = clampFactor(1 + c.DeviceVariation*vr.NormFloat64())
+			ma.latch.KappaVar[i] = clampFactor(1 + c.DeviceVariation*vr.NormFloat64())
 		}
 	}
 	ma.nextFlip = c.FlipInterval
@@ -315,15 +306,6 @@ func (ma *Machine) Induce(i int) {
 	}
 }
 
-// applyHolds re-clamps nodes the annealing control is still driving.
-func (ma *Machine) applyHolds() {
-	for i, until := range ma.holdUntil {
-		if until > ma.t {
-			ma.v[i] = 0.8 * float64(ma.holdTarget[i])
-		}
-	}
-}
-
 // RNG exposes the machine's PRNG so a multiprocessor can install
 // synchronized clones across chips before the run starts.
 func (ma *Machine) RNG() *rng.Source { return ma.r }
@@ -334,7 +316,10 @@ func (ma *Machine) SetRNG(r *rng.Source) { ma.r = r }
 
 // OnFlip installs a listener called on every readout change with the
 // node index, its new spin, and whether an induced kick caused it.
-// The fabric model subscribes here to generate update traffic.
+// The fabric model subscribes here to generate update traffic. A flip
+// the dynamics caused is reported while its step commits, node by node:
+// the listener sees the step's time (Time), but must not read other
+// nodes' voltages, which may still be the previous step's.
 func (ma *Machine) OnFlip(f func(node int, newSpin int8, induced bool)) {
 	ma.flipListener = f
 }
@@ -373,69 +358,28 @@ func (ma *Machine) SetExternalBias(b []float64) {
 	if len(b) != ma.n {
 		panic("brim: SetExternalBias length mismatch")
 	}
-	copy(ma.ext, b)
+	copy(ma.latch.Ext, b)
 }
 
 // AddExternalBias adds delta to node i's external bias current — the
 // O(1)-per-shadow-update path: when remote spin j held at σ flips, the
 // owner chip adds 2·Ĵ_ij·σ_new for each local i.
 func (ma *Machine) AddExternalBias(i int, delta float64) {
-	ma.ext[i] += delta
+	ma.latch.Ext[i] += delta
 }
 
 // ExternalBias returns the current external bias vector (do not
 // mutate).
-func (ma *Machine) ExternalBias() []float64 { return ma.ext }
+func (ma *Machine) ExternalBias() []float64 { return ma.latch.Ext }
 
-// deriv computes dV/dt into out for voltages v at schedule progress p.
-// The shared kernel fans rows over Workers at fixed chunk boundaries;
-// rows are disjoint and the inputs read-only, so the result is
-// bit-identical to the sequential path at any worker count. One worker
-// is the single (0, n) call ForRange would make, made directly: the
-// closure handed to ForRange escapes, and an RK4 step would allocate
-// four of them.
-func (ma *Machine) deriv(v []float64, p float64, out []float64) {
-	if ma.cfg.Workers <= 1 {
-		ma.derivRange(v, p, out, 0, ma.n)
-		return
-	}
-	lattice.ForRange(ma.n, ma.cfg.Workers, func(lo, hi int) {
-		ma.derivRange(v, p, out, lo, hi)
-	})
-}
-
-// derivRange computes rows [lo, hi) of the derivative: the coupling
-// matvec through the backend, the latch's tanh(γV) through the lattice's
-// owned range form (the same bits on every host, four nodes per
-// instruction where the host has the lanes) over this range of the th
-// scratch — disjoint between workers — then the bias and
-// bistable-feedback tail added in the historical association
-// (acc = rowdot, then +(bhat+ext), then +feedback, then ×1/τ).
-func (ma *Machine) derivRange(v []float64, p float64, out []float64, lo, hi int) {
-	kappa := ma.cfg.FeedbackGain.At(p)
-	gamma := ma.cfg.Gamma
-	invTau := 1 / ma.cfg.Tau
-	ma.lat.MatVecRange(v, nil, out, lo, hi)
-	v = v[lo:hi]
-	th := ma.th[lo:hi]
-	for i, vi := range v {
-		th[i] = gamma * vi
-	}
-	lattice.Tanh(th)
-	out, bhat, ext := out[lo:hi], ma.bhat[lo:hi], ma.ext[lo:hi]
-	for i, vi := range v {
-		acc := out[i]
-		acc += bhat[i] + ext[i]
-		k := kappa
-		if ma.kappaVar != nil {
-			k *= ma.kappaVar[lo+i]
-		}
-		acc += k * (th[i] - vi)
-		out[i] = acc * invTau
-		if ma.invTauVar != nil {
-			out[i] *= ma.invTauVar[lo+i]
-		}
-	}
+// stage runs one RK4 stage at voltages v and schedule progress p: the
+// coupling mat-vec into k, then the latch, which turns it into dV/dt and
+// writes the next stage's voltages next = ma.v + c·k (lattice.Latch.Stage:
+// four nodes per instruction where the host has the lanes, the same bits
+// on every host). next may be v.
+func (ma *Machine) stage(v []float64, p float64, k []float64, c float64, next []float64) {
+	ma.lat.MatVecRange(v, nil, k, 0, ma.n)
+	ma.latch.Stage(v, ma.v, k, next, ma.cfg.FeedbackGain.At(p), c, 0, ma.n)
 }
 
 // clampFactor keeps a process-variation factor physical.
@@ -444,20 +388,6 @@ func clampFactor(f float64) float64 {
 		return 0.1
 	}
 	return f
-}
-
-// applyNoise adds the thermal kick after an integration step of dt.
-func (ma *Machine) applyNoise(dt float64) {
-	amp := ma.cfg.NoiseAmp * math.Sqrt(dt)
-	for i := range ma.v {
-		v := ma.v[i] + amp*ma.r.NormFloat64()
-		if v > 1 {
-			v = 1
-		} else if v < -1 {
-			v = -1
-		}
-		ma.v[i] = v
-	}
 }
 
 // progress maps a model time to schedule progress given the horizon.
@@ -514,69 +444,67 @@ func (e *DivergenceError) Error() string {
 // Inf propagates through the remaining stages and mixed-sign overflow
 // yields NaN — so checking the candidate catches stage blowups too.
 func (ma *Machine) trialStep(dt float64) (badNode int, badV float64) {
-	n := ma.n
 	p := ma.progress(ma.t)
 	pm := ma.progress(ma.t + dt/2)
 	pe := ma.progress(ma.t + dt)
 
-	ma.deriv(ma.v, p, ma.k1)
-	for i := 0; i < n; i++ {
-		ma.vtmp[i] = ma.v[i] + dt/2*ma.k1[i]
+	ma.stage(ma.v, p, ma.k1, dt/2, ma.vtmp)
+	ma.stage(ma.vtmp, pm, ma.k2, dt/2, ma.vtmp)
+	ma.stage(ma.vtmp, pm, ma.k3, dt, ma.vtmp)
+	ma.lat.MatVecRange(ma.vtmp, nil, ma.k4, 0, ma.n)
+	bad := ma.latch.Final(ma.vtmp, ma.v, ma.k1, ma.k2, ma.k3, ma.k4, ma.cand, ma.cfg.FeedbackGain.At(pe), dt/6, blowupLimit)
+	if bad < 0 {
+		return -1, 0
 	}
-	ma.deriv(ma.vtmp, pm, ma.k2)
-	for i := 0; i < n; i++ {
-		ma.vtmp[i] = ma.v[i] + dt/2*ma.k2[i]
-	}
-	ma.deriv(ma.vtmp, pm, ma.k3)
-	for i := 0; i < n; i++ {
-		ma.vtmp[i] = ma.v[i] + dt*ma.k3[i]
-	}
-	ma.deriv(ma.vtmp, pe, ma.k4)
-	badNode = -1
-	for i := 0; i < n; i++ {
-		v := ma.v[i] + dt/6*(ma.k1[i]+2*ma.k2[i]+2*ma.k3[i]+ma.k4[i])
-		ma.cand[i] = v
-		if badNode < 0 && (math.IsNaN(v) || v > blowupLimit || v < -blowupLimit) {
-			badNode, badV = i, v
-		}
-	}
-	return badNode, badV
+	return bad, ma.cand[bad]
 }
 
-// trialStepEuler is trialStep for the forward-Euler ablation.
+// trialStepEuler is trialStep for the forward-Euler ablation: one stage
+// whose next voltages, v + dt·k1, are the candidate.
 func (ma *Machine) trialStepEuler(dt float64) (badNode int, badV float64) {
-	ma.deriv(ma.v, ma.progress(ma.t), ma.k1)
-	badNode = -1
-	for i := 0; i < ma.n; i++ {
-		v := ma.v[i] + dt*ma.k1[i]
-		ma.cand[i] = v
-		if badNode < 0 && (math.IsNaN(v) || v > blowupLimit || v < -blowupLimit) {
-			badNode, badV = i, v
+	ma.stage(ma.v, ma.progress(ma.t), ma.k1, dt, ma.cand)
+	for i, v := range ma.cand {
+		if math.IsNaN(v) || v > blowupLimit || v < -blowupLimit {
+			return i, v
 		}
 	}
-	return badNode, badV
+	return -1, 0
 }
 
 // commitStep commits the candidate voltages of a clean trial as one
-// step of size dt: rail-clamp, advance time, then noise, kick holds and
-// readout, exactly as an unguarded step would.
+// step of size dt: it advances time, then takes each node in index order
+// through the rails, the thermal kick (one draw per node, in index
+// order, when NoiseAmp is set), its kick hold and the readout
+// comparator.
 func (ma *Machine) commitStep(dt float64) {
-	for i, v := range ma.cand {
-		// Rails: the physical voltage saturates at the supplies.
-		if v > 1 {
-			v = 1
-		} else if v < -1 {
-			v = -1
-		}
-		ma.v[i] = v
-	}
 	ma.t += dt
 	ma.steps++
-	if ma.cfg.NoiseAmp > 0 {
-		ma.applyNoise(dt)
+	amp := ma.cfg.NoiseAmp * math.Sqrt(dt)
+	th := ma.cfg.SpinThreshold
+	for i, v := range ma.cand {
+		v = clampRail(v)
+		if ma.cfg.NoiseAmp > 0 {
+			v = clampRail(v + amp*ma.r.NormFloat64())
+		}
+		if ma.holdUntil[i] > ma.t {
+			v = 0.8 * float64(ma.holdTarget[i])
+		}
+		ma.v[i] = v
+		if s := crossed(ma.spins[i], v, th); s != 0 {
+			ma.recordFlip(i, s, false)
+		}
 	}
-	ma.applyHolds()
-	ma.updateReadout(false)
+}
+
+// clampRail saturates a voltage at the supplies, ±1.
+func clampRail(v float64) float64 {
+	if v > 1 {
+		return 1
+	}
+	if v < -1 {
+		return -1
+	}
+	return v
 }
 
 // guardedStep advances one integration step of size dt with the
@@ -658,14 +586,24 @@ func (ma *Machine) TakeRetryLog() []RetryRecord {
 // fires flip events.
 func (ma *Machine) updateReadout(induced bool) {
 	th := ma.cfg.SpinThreshold
-	for i := 0; i < ma.n; i++ {
-		s := ma.spins[i]
-		if s >= 0 && ma.v[i] < -th {
-			ma.recordFlip(i, -1, induced)
-		} else if s <= 0 && ma.v[i] > th {
-			ma.recordFlip(i, 1, induced)
+	for i, v := range ma.v {
+		if s := crossed(ma.spins[i], v, th); s != 0 {
+			ma.recordFlip(i, s, induced)
 		}
 	}
+}
+
+// crossed is the hysteresis comparator: the readout a node holding spin
+// s switches to at voltage v — only once v is past the opposite
+// threshold th — or 0 when it keeps s.
+func crossed(s int8, v, th float64) int8 {
+	if s >= 0 && v < -th {
+		return -1
+	}
+	if s <= 0 && v > th {
+		return 1
+	}
+	return 0
 }
 
 func (ma *Machine) recordFlip(i int, newSpin int8, induced bool) {

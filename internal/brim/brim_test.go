@@ -352,6 +352,12 @@ func TestMoreTimeDoesNotHurtQuality(t *testing.T) {
 	}
 }
 
+// BenchmarkStepN64 is the RK4 step of the chip k256_mbrim4 anneals: a
+// quarter of a K256, 64 nodes, dense.
+func BenchmarkStepN64(b *testing.B) {
+	benchStep(b, graph.Complete(64, rng.New(1)).ToIsing())
+}
+
 func BenchmarkStepN256(b *testing.B) {
 	benchStep(b, graph.Complete(256, rng.New(1)).ToIsing())
 }
@@ -377,39 +383,47 @@ func benchStep(b *testing.B, m *ising.Model) {
 	}
 }
 
-// TestRunDoesNotAllocate pins the serial derivative: with one worker an
-// RK4 step reaches derivRange directly instead of through a closure
-// handed to lattice.ForRange, which escaped — four heap closures a step,
-// 803 allocations for this Run(10) before the direct call. The listener
+// TestRunDoesNotAllocate pins the step: an RK4 stage is one mat-vec
+// call and one latch call over [0, n), with no closure handed to
+// lattice.ForRange (which escaped — four heap closures a step, 803
+// allocations for this Run(10) before the direct call). The listener
 // case is the shape multichip installs (it writes captured state and
 // allocates nothing itself). The sparse machine's mat-vec is the lane
-// groups, which allocate nothing either.
+// groups, n = 67 leaves a remainder to the Go form and the varied
+// machines pass the latch their factors; none allocates.
 func TestRunDoesNotAllocate(t *testing.T) {
 	sparse := graph.Random(256, 0.02, rng.New(14)).ToIsing()
 	if k := sparse.View(lattice.Auto).Kind(); k != lattice.CSR {
 		t.Fatalf("a 2 %% model is stored %v", k)
 	}
-	for name, m := range map[string]*ising.Model{"K64": graph.Complete(64, rng.New(14)).ToIsing(), "sparse 256": sparse} {
-		for _, listen := range []bool{false, true} {
-			ma := New(m, Config{Seed: 15})
-			var events int64
-			if listen {
-				ma.OnFlip(func(int, int8, bool) { events++ })
-			}
-			ma.SetHorizon(1e6)
-			if err := ma.Run(10); err != nil { // warm: first steps, first induced draw
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				if err := ma.Run(10); err != nil {
+	models := map[string]*ising.Model{
+		"K64":        graph.Complete(64, rng.New(14)).ToIsing(),
+		"K67":        graph.Complete(67, rng.New(14)).ToIsing(),
+		"sparse 256": sparse,
+	}
+	for name, m := range models {
+		for _, variation := range []float64{0, 0.05} {
+			for _, listen := range []bool{false, true} {
+				ma := New(m, Config{Seed: 15, DeviceVariation: variation})
+				var events int64
+				if listen {
+					ma.OnFlip(func(int, int8, bool) { events++ })
+				}
+				ma.SetHorizon(1e6)
+				if err := ma.Run(10); err != nil { // warm: first steps, first induced draw
 					t.Fatal(err)
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("listener=%v: Run(10) on a warm %s machine allocates %v times, want 0", listen, name, allocs)
-			}
-			if listen && events != ma.Flips() {
-				t.Errorf("listener saw %d flips, machine counted %d", events, ma.Flips())
+				allocs := testing.AllocsPerRun(20, func() {
+					if err := ma.Run(10); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("variation=%v listener=%v: Run(10) on a warm %s machine allocates %v times, want 0", variation, listen, name, allocs)
+				}
+				if listen && events != ma.Flips() {
+					t.Errorf("listener saw %d flips, machine counted %d", events, ma.Flips())
+				}
 			}
 		}
 	}
@@ -417,40 +431,42 @@ func TestRunDoesNotAllocate(t *testing.T) {
 
 // refDeriv is the derivative one node at a time: a one-row matvec, the
 // tanh of a one-element slice — too short for a lane group, so always
-// the Go form that defines the bits — and derivRange's tail.
+// the Go form that defines the bits — and the tail in its association,
+// each product rounded on its own.
 func refDeriv(ma *Machine, v []float64, p float64) []float64 {
 	out, one := make([]float64, ma.n), make([]float64, 1)
 	kappa := ma.cfg.FeedbackGain.At(p)
+	l := &ma.latch
 	for i := range out {
 		ma.lat.MatVecRange(v, nil, out, i, i+1)
 		one[0] = ma.cfg.Gamma * v[i]
 		lattice.Tanh(one)
 		acc := out[i]
-		acc += ma.bhat[i] + ma.ext[i]
+		acc += l.Bias[i] + l.Ext[i]
 		k := kappa
-		if ma.kappaVar != nil {
-			k *= ma.kappaVar[i]
+		if l.KappaVar != nil {
+			k *= l.KappaVar[i]
 		}
-		acc += k * (one[0] - v[i])
+		acc += float64(k * (one[0] - v[i]))
 		out[i] = acc * (1 / ma.cfg.Tau)
-		if ma.invTauVar != nil {
-			out[i] *= ma.invTauVar[i]
+		if l.InvTauVar != nil {
+			out[i] *= l.InvTauVar[i]
 		}
 	}
 	return out
 }
 
-// TestDerivBitsIndependentOfPlacement: a node's derivative carries the
-// same bits whichever worker chunk, range or lane group evaluated it —
-// the whole-machine deriv at 1, 3 and 4 workers (515 nodes is past two
-// KernelChunks, so those really fan out) and derivRange over two-piece
-// splits at every residue mod 4, against the node-at-a-time reference,
-// for ideal and varied devices, over voltages on, between and (as RK4
-// stage voltages are) beyond the rails and past tanh's saturation; on
-// K-graphs (the dense kernels) and on 5 % random graphs stored as
-// compressed rows (whole windows in csrLanes, the rest walked).
+// TestDerivBitsIndependentOfPlacement: a node's derivative, and the next
+// stage voltage v0 + c·k formed from it, carry the same bits whichever
+// range or lane group evaluated them — the machine's one stage over
+// [0, n), two-piece splits at every residue mod 4, and in place (next =
+// v, as stages two and three run) — against the node-at-a-time
+// reference, for ideal and varied devices, over voltages on, between and
+// (as RK4 stage voltages are) beyond the rails and past tanh's
+// saturation; on K-graphs (the dense kernels) and on 5 % random graphs
+// stored as compressed rows (whole windows in csrLanes, the rest walked).
 func TestDerivBitsIndependentOfPlacement(t *testing.T) {
-	const p = 0.4
+	const p, c = 0.4, 0.025
 	type model struct {
 		n      int
 		sparse bool
@@ -470,32 +486,138 @@ func TestDerivBitsIndependentOfPlacement(t *testing.T) {
 			v[(i*7)%n] = s
 		}
 		for _, variation := range []float64{0, 0.05} {
-			var want []float64
-			for _, workers := range []int{1, 3, 4} {
-				ma := New(m, Config{Seed: 7, Workers: workers, DeviceVariation: variation})
-				ma.SetExternalBias(ext)
-				if want == nil {
-					want = refDeriv(ma, v, p)
-				}
-				check := func(what string, got []float64) {
-					t.Helper()
-					for i := range got {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("n=%d sparse=%v variation=%v workers=%d %s: node %d (v=%v) got %#x, node-at-a-time %#x",
-								n, mc.sparse, variation, workers, what, i, v[i], math.Float64bits(got[i]), math.Float64bits(want[i]))
-						}
+			ma := New(m, Config{Seed: 7, DeviceVariation: variation})
+			ma.SetExternalBias(ext)
+			want := refDeriv(ma, v, p)
+			check := func(what string, k, next []float64) {
+				t.Helper()
+				for i := range k {
+					wantNext := ma.v[i] + float64(c*want[i])
+					if math.Float64bits(k[i]) != math.Float64bits(want[i]) || math.Float64bits(next[i]) != math.Float64bits(wantNext) {
+						t.Fatalf("n=%d sparse=%v variation=%v %s: node %d (v=%v) got %#x → %#x, node-at-a-time %#x → %#x",
+							n, mc.sparse, variation, what, i, v[i], math.Float64bits(k[i]), math.Float64bits(next[i]),
+							math.Float64bits(want[i]), math.Float64bits(wantNext))
 					}
 				}
-				got := make([]float64, n)
-				ma.deriv(v, p, got)
-				check("deriv", got)
-				for _, cut := range []int{1, 2, 3, n / 2, n - 1} {
-					clear(got)
-					ma.derivRange(v, p, got, cut, n)
-					ma.derivRange(v, p, got, 0, cut)
-					check("derivRange split", got)
-				}
 			}
+			k, next := make([]float64, n), make([]float64, n)
+			ma.stage(v, p, k, c, next)
+			check("stage", k, next)
+			kappa := ma.cfg.FeedbackGain.At(p)
+			for _, cut := range []int{1, 2, 3, n / 2, n - 1} {
+				clear(k)
+				clear(next)
+				for _, rg := range [][2]int{{cut, n}, {0, cut}} {
+					ma.lat.MatVecRange(v, nil, k, rg[0], rg[1])
+					ma.latch.Stage(v, ma.v, k, next, kappa, c, rg[0], rg[1])
+				}
+				check("split", k, next)
+			}
+			w := append([]float64(nil), v...)
+			ma.stage(w, p, k, c, w)
+			check("in place", k, w)
+		}
+	}
+}
+
+// commitThreeLoops is commitStep as it was before it became one pass:
+// clamp every node, advance time, draw every node's noise, re-apply the
+// holds, then the readout — the reference the one-pass loop must match.
+func commitThreeLoops(ma *Machine, dt float64) {
+	for i, v := range ma.cand {
+		if v > 1 {
+			v = 1
+		} else if v < -1 {
+			v = -1
+		}
+		ma.v[i] = v
+	}
+	ma.t += dt
+	ma.steps++
+	if ma.cfg.NoiseAmp > 0 {
+		amp := ma.cfg.NoiseAmp * math.Sqrt(dt)
+		for i := range ma.v {
+			v := ma.v[i] + amp*ma.r.NormFloat64()
+			if v > 1 {
+				v = 1
+			} else if v < -1 {
+				v = -1
+			}
+			ma.v[i] = v
+		}
+	}
+	for i, until := range ma.holdUntil {
+		if until > ma.t {
+			ma.v[i] = 0.8 * float64(ma.holdTarget[i])
+		}
+	}
+	ma.updateReadout(false)
+}
+
+// TestCommitStepMatchesThreeLoops: the one-pass commit — rails, noise,
+// hold and readout per node in index order — leaves every voltage, spin,
+// counter and the PRNG stream where the three loops did, and reports the
+// same flips in the same order at the same times to a listener, on a
+// noisy machine whose induced kicks are being held.
+func TestCommitStepMatchesThreeLoops(t *testing.T) {
+	m := graph.Complete(37, rng.New(30)).ToIsing()
+	type event struct {
+		node    int
+		spin    int8
+		induced bool
+		t       float64
+	}
+	var machines [2]*Machine
+	var logs [2][]event
+	for s := range machines {
+		ma := New(m, Config{Seed: 31, NoiseAmp: 0.3, KickHoldNS: 2, DeviceVariation: 0.05})
+		ma.SetHorizon(40)
+		ma.OnFlip(func(node int, spin int8, induced bool) {
+			logs[s] = append(logs[s], event{node, spin, induced, ma.Time()})
+		})
+		machines[s] = ma
+	}
+	one, three := machines[0], machines[1]
+	dt := one.cfg.Dt
+	held := 0
+	for step := 0; step < 400; step++ {
+		if step%7 == 0 {
+			one.Induce(step % 37)
+			three.Induce(step % 37)
+		}
+		if step%20 == 0 {
+			one.induceFlips()
+			three.induceFlips()
+		}
+		for _, until := range one.holdUntil {
+			if until > one.t+dt {
+				held++
+			}
+		}
+		if bad, _ := one.trialStep(dt); bad >= 0 {
+			t.Fatalf("step %d diverged at node %d", step, bad)
+		}
+		three.trialStep(dt)
+		one.commitStep(dt)
+		commitThreeLoops(three, dt)
+	}
+	if held == 0 {
+		t.Fatal("no hold was active during a commit")
+	}
+	for i := range one.v {
+		if math.Float64bits(one.v[i]) != math.Float64bits(three.v[i]) || one.spins[i] != three.spins[i] {
+			t.Fatalf("node %d: one pass %v/%d, three loops %v/%d", i, one.v[i], one.spins[i], three.v[i], three.spins[i])
+		}
+	}
+	if one.r.State() != three.r.State() || one.flips != three.flips || one.induced != three.induced || one.steps != three.steps {
+		t.Fatal("PRNG stream or counters diverged")
+	}
+	if len(logs[0]) == 0 || len(logs[0]) != len(logs[1]) {
+		t.Fatalf("listener saw %d flips, three loops %d", len(logs[0]), len(logs[1]))
+	}
+	for i := range logs[0] {
+		if logs[0][i] != logs[1][i] {
+			t.Fatalf("flip %d: one pass %+v, three loops %+v", i, logs[0][i], logs[1][i])
 		}
 	}
 }

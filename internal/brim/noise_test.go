@@ -25,7 +25,7 @@ func avgCut(t *testing.T, g *graph.Graph, m *ising.Model, cfg Config, runs int) 
 func TestIdealMachineHasNoVariationState(t *testing.T) {
 	m := ferromagnet(8)
 	ma := New(m, Config{Seed: 1})
-	if ma.invTauVar != nil || ma.kappaVar != nil {
+	if ma.latch.InvTauVar != nil || ma.latch.KappaVar != nil {
 		t.Fatal("ideal machine allocated variation state")
 	}
 }
@@ -56,12 +56,12 @@ func TestModerateVariationToleranted(t *testing.T) {
 func TestVariationFactorsClamped(t *testing.T) {
 	m := ferromagnet(64)
 	ma := New(m, Config{Seed: 5, DeviceVariation: 3}) // absurd spread
-	for i, f := range ma.invTauVar {
+	for i, f := range ma.latch.InvTauVar {
 		if f < 0.1 {
 			t.Fatalf("invTauVar[%d] = %v below clamp", i, f)
 		}
 	}
-	for i, f := range ma.kappaVar {
+	for i, f := range ma.latch.KappaVar {
 		if f < 0.1 {
 			t.Fatalf("kappaVar[%d] = %v below clamp", i, f)
 		}
@@ -119,28 +119,24 @@ func TestNegativeParamsPanic(t *testing.T) {
 	}
 }
 
-func TestWorkersBitIdentical(t *testing.T) {
+func TestLayoutsBitIdentical(t *testing.T) {
 	g := graph.Complete(64, rng.New(40))
 	m := g.ToIsing()
 	seq := Solve(m, SolveConfig{Duration: 30, Config: Config{Seed: 41}})
-	// Every layout × worker count must reproduce the serial dense
-	// trajectory exactly — the kernel's fixed chunk boundaries and the
-	// layouts' shared accumulation order are what make this hold.
+	// Every layout must reproduce the dense trajectory exactly — the
+	// layouts' shared accumulation order is what makes this hold.
 	for _, backend := range []lattice.Kind{lattice.Dense, lattice.CSR} {
 		// The rescale to Ĵ = J/scale stays in the layout the model came in:
 		// a K-graph handed in as compressed rows is not re-resolved dense.
 		if got := New(m.As(backend), Config{Seed: 41}).lat.Kind(); got != backend {
 			t.Fatalf("New re-laid a %v model as %v", backend, got)
 		}
-		for _, workers := range []int{1, 4} {
-			par := Solve(m.As(backend), SolveConfig{Duration: 30,
-				Config: Config{Seed: 41, Workers: workers}})
-			if seq.Energy != par.Energy || ising.HammingDistance(seq.Spins, par.Spins) != 0 {
-				t.Fatalf("%v × %d workers changed the trajectory", backend, workers)
-			}
-			if seq.Flips != par.Flips {
-				t.Fatalf("%v × %d workers changed the flip count", backend, workers)
-			}
+		res := Solve(m.As(backend), SolveConfig{Duration: 30, Config: Config{Seed: 41}})
+		if seq.Energy != res.Energy || ising.HammingDistance(seq.Spins, res.Spins) != 0 {
+			t.Fatalf("%v changed the trajectory", backend)
+		}
+		if seq.Flips != res.Flips {
+			t.Fatalf("%v changed the flip count", backend)
 		}
 	}
 }

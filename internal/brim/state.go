@@ -51,7 +51,7 @@ func (ma *Machine) Snapshot() *State {
 	return &State{
 		Seed:        ma.cfg.Seed,
 		V:           append([]float64(nil), ma.v...),
-		Ext:         append([]float64(nil), ma.ext...),
+		Ext:         append([]float64(nil), ma.latch.Ext...),
 		Spins:       append([]int8(nil), ma.spins...),
 		T:           ma.t,
 		Horizon:     ma.horizon,
@@ -125,7 +125,7 @@ func (ma *Machine) Restore(st *State) error {
 		return errors.New("brim: negative state counters")
 	}
 	copy(ma.v, st.V)
-	copy(ma.ext, st.Ext)
+	copy(ma.latch.Ext, st.Ext)
 	copy(ma.spins, st.Spins)
 	copy(ma.holdUntil, st.HoldUntil)
 	copy(ma.holdTarget, st.HoldTarget)

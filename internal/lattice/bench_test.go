@@ -45,52 +45,43 @@ type benchSetup struct {
 	data               []float64
 	bhat, ext, v, out  []float64
 	spins              []int8
-	th                 []float64 // γ·v, then its tanh: the machine's scratch
+	next               []float64 // the next stage's voltages
+	latch              Latch
 	kappa, gamma, invT float64
 }
 
 func newBenchSetup(n int, density float64) *benchSetup {
-	return &benchSetup{
+	s := &benchSetup{
 		n:     n,
 		data:  randSym(n, density, 1),
 		bhat:  randVec(n, 2),
 		ext:   randVec(n, 3),
 		v:     randVec(n, 4),
 		out:   make([]float64, n),
-		th:    make([]float64, n),
+		next:  make([]float64, n),
 		spins: randSpins(n, 5),
 		kappa: 0.7, gamma: 1.5, invT: 1,
 	}
+	s.latch = Latch{Gamma: s.gamma, InvTau: s.invT, Bias: s.bhat, Ext: s.ext}
+	return s
 }
 
-// kernelDeriv is brim.derivRange's loop as the machine runs it: the
-// matvec mv (a backend's MatVecRange, or a reference walk), the owned
-// range tanh over a scratch of γ·v, the same pointwise tail.
-func (s *benchSetup) kernelDeriv(mv walker, workers int) {
-	ForRange(s.n, workers, func(lo, hi int) {
-		mv(s.v, nil, s.out, lo, hi)
-		th := s.th[lo:hi]
-		for i := range th {
-			th[i] = s.gamma * s.v[lo+i]
-		}
-		Tanh(th)
-		for i := lo; i < hi; i++ {
-			acc := s.out[i]
-			acc += s.bhat[i] + s.ext[i]
-			acc += s.kappa * (s.th[i] - s.v[i])
-			s.out[i] = acc * s.invT
-		}
-	})
+// kernelDeriv is one RK4 stage as brim's machine runs it: the mat-vec mv
+// (a backend's MatVecRange, or a reference walk) over [0, n), then the
+// latch stage — γ·v, its tanh, the bias and feedback tail and the next
+// stage's voltages in one pass.
+func (s *benchSetup) kernelDeriv(mv walker) {
+	mv(s.v, nil, s.out, 0, s.n)
+	s.latch.Stage(s.v, s.v, s.out, s.next, s.kappa, 0.025, 0, s.n)
 }
 
-// BenchmarkBRIMDeriv compares one RK4 derivative evaluation (the BRIM
-// step's dominant cost — an RK4 step is four of these) between the old
-// serial dense loop and the shared kernel at several worker counts.
-// n = 64 and 128 are the chip sizes the k256_mbrim4 and k256_cluster2
-// benchmark workloads actually step. The csr rows are the same on a 2 %
-// matrix, one worker, with the one-row walk over compressed rows (the
-// kernel before the lane groups) as the A side: n = 256 is the chip
-// sparse1k_mbrim4 steps, n = 1024 its whole problem.
+// BenchmarkBRIMDeriv compares one RK4 stage (the BRIM step's dominant
+// cost — an RK4 step is four of these) between the old serial dense loop
+// and the machine's stage. n = 64 and 128 are the chip sizes the
+// k256_mbrim4 and k256_cluster2 benchmark workloads actually step. The
+// csr rows are the same on a 2 % matrix, with the one-row walk over
+// compressed rows (the kernel before the lane groups) as the A side:
+// n = 256 is the chip sparse1k_mbrim4 steps, n = 1024 its whole problem.
 func BenchmarkBRIMDeriv(b *testing.B) {
 	for _, n := range []int{64, 128, 1024, 4096} {
 		s := newBenchSetup(n, 1)
@@ -100,13 +91,11 @@ func BenchmarkBRIMDeriv(b *testing.B) {
 			}
 		})
 		dense := FromDense(n, s.data, Dense, 0)
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("kernel/n=%d/workers=%d", n, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					s.kernelDeriv(dense.MatVecRange, w)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("kernel/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.kernelDeriv(dense.MatVecRange)
+			}
+		})
 	}
 	for _, n := range []int{256, 1024} {
 		s := newBenchSetup(n, 0.02)
@@ -120,7 +109,7 @@ func BenchmarkBRIMDeriv(b *testing.B) {
 		} {
 			b.Run(fmt.Sprintf("%s/csr/n=%d/p=0.02", arm.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					s.kernelDeriv(arm.mv, 1)
+					s.kernelDeriv(arm.mv)
 				}
 			})
 		}

@@ -1,0 +1,116 @@
+package lattice
+
+import "math"
+
+// Latch is the pointwise half of a BRIM machine's RK4 derivative: node
+// i's latch, bias and feedback, which turn the coupling mat-vec
+// mv_i = Σ_j Ĵ_ij·v_j into
+//
+//	dV_i/dt = ((mv_i + (Bias_i + Ext_i)) + κ_i·(tanh(Gamma·v_i) − v_i))·InvTau_i
+//
+// with κ_i = κ·KappaVar_i and InvTau_i = InvTau·InvTauVar_i on varied
+// devices (package doc, "The latch stage"). A Latch holds the machine's
+// own slices; it copies none of them.
+type Latch struct {
+	// Gamma is the feedback sharpness, InvTau 1/τ.
+	Gamma, InvTau float64
+	// Bias holds the scaled biases μ·h_i/scale and Ext the external
+	// currents, one per node.
+	Bias, Ext []float64
+	// KappaVar and InvTauVar are the per-node variation factors of the
+	// feedback gain and of 1/τ, nil for ideal devices.
+	KappaVar, InvTauVar []float64
+}
+
+// deriv is node i's derivative from its voltage vi and mat-vec mv: the
+// form that defines the bits, as tanhGo does for the tanh. Each product
+// sits in an explicit float64 conversion, so no compiler may fuse it
+// into the sum beside it; latchStage and latchFinal are the same
+// operations in the same order four nodes at a time.
+func (l *Latch) deriv(i int, vi, mv, kappa float64) float64 {
+	th := tanhGo(float64(l.Gamma * vi))
+	if l.KappaVar != nil {
+		kappa = float64(kappa * l.KappaVar[i])
+	}
+	acc := mv + (l.Bias[i] + l.Ext[i])
+	acc += float64(kappa * (th - vi))
+	d := float64(acc * l.InvTau)
+	if l.InvTauVar != nil {
+		d = float64(d * l.InvTauVar[i])
+	}
+	return d
+}
+
+// rows is the latch of nodes [lo, hi), indexed from lo.
+func (l *Latch) rows(lo, hi int) Latch {
+	s := *l
+	s.Bias, s.Ext = l.Bias[lo:hi], l.Ext[lo:hi]
+	if l.KappaVar != nil {
+		s.KappaVar = l.KappaVar[lo:hi]
+	}
+	if l.InvTauVar != nil {
+		s.InvTauVar = l.InvTauVar[lo:hi]
+	}
+	return s
+}
+
+// first is &s[0], or nil for an empty s.
+func first(s []float64) *float64 {
+	if len(s) == 0 {
+		return nil
+	}
+	return &s[0]
+}
+
+// Stage finishes nodes [lo, hi) of one RK4 stage taken at voltages v
+// with feedback gain kappa. On entry k[lo:hi] holds the stage's coupling
+// mat-vec (MatVecRange of v with a nil base); on return it holds dV/dt,
+// and next[i] = v0[i] + c·k[i] is the next stage's voltage. next may be v
+// itself: a node's inputs are read before its outputs are written. On an
+// AVX host the whole groups of four go through latchStage and the rest
+// through deriv — the same bits either way, so a node's do not depend on
+// the range or lane group it was evaluated in.
+func (l *Latch) Stage(v, v0, k, next []float64, kappa, c float64, lo, hi int) {
+	v, v0, k, next = v[lo:hi], v0[lo:hi], k[lo:hi], next[lo:hi]
+	s := l.rows(lo, hi)
+	i := 0
+	if groups := len(k) / 4; useAVX && groups > 0 {
+		latchStage(&v[0], &v0[0], &k[0], &s.Bias[0], &s.Ext[0], first(s.KappaVar), first(s.InvTauVar),
+			s.Gamma, kappa, s.InvTau, groups, &tanhTab, &next[0], c)
+		i = groups * 4
+	}
+	for ; i < len(k); i++ {
+		d := s.deriv(i, v[i], k[i], kappa)
+		k[i] = d
+		next[i] = v0[i] + float64(c*d)
+	}
+}
+
+// Final finishes an RK4 step: it forms the fourth stage's dV/dt d at
+// voltages v from the mat-vec in k4, which it leaves as it was, and the
+// step's candidate voltages
+//
+//	cand[i] = v0[i] + h·(((k1[i] + 2·k2[i]) + 2·k3[i]) + d[i])
+//
+// and returns the lowest i whose |cand[i]| is not at most limit — a NaN
+// is not — or −1. Lanes and Go form split the nodes as Stage does.
+func (l *Latch) Final(v, v0, k1, k2, k3, k4, cand []float64, kappa, h, limit float64) int {
+	n := len(cand)
+	v, v0, k1, k2, k3, k4 = v[:n], v0[:n], k1[:n], k2[:n], k3[:n], k4[:n]
+	s := l.rows(0, n)
+	i, bad := 0, -1
+	if groups := n / 4; useAVX && groups > 0 {
+		bad = latchFinal(&v[0], &v0[0], &k4[0], &s.Bias[0], &s.Ext[0], first(s.KappaVar), first(s.InvTauVar),
+			s.Gamma, kappa, s.InvTau, groups, &tanhTab, &k1[0], &k2[0], &k3[0], &cand[0], h, limit)
+		i = groups * 4
+	}
+	for ; i < n; i++ {
+		d := s.deriv(i, v[i], k4[i], kappa)
+		c := v0[i] + float64(h*(((k1[i]+float64(2*k2[i]))+float64(2*k3[i]))+d))
+		cand[i] = c
+		if bad < 0 && !(math.Abs(c) <= limit) {
+			bad = i
+		}
+	}
+	return bad
+}

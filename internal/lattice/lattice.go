@@ -174,6 +174,26 @@
 // a value sat cannot show in its bits. tanh_test.go and FuzzTanh hold
 // the twin to tanhGo by Float64bits (NaNs too: both hand one back
 // untouched) on both kernels, at every length and offset mod 4.
+//
+// # The latch stage
+//
+// The rest of a BRIM node's RK4 stage is pointwise, and lives here too
+// (Latch, latch.go): from the stage's mat-vec mv and voltage v it forms
+// γ·v, its tanh, the tail ((mv + (bias + ext)) + κ·(th − v))·(1/τ), times
+// the variation factors on varied devices, and the next stage's voltage
+// v0 + c·k — or, in the last stage, the step's candidate v0 + h·(((k1 +
+// 2·k2) + 2·k3) + k4) and the first node whose candidate is past the
+// guardrail's limit. Latch.deriv is the form that defines the bits, each
+// product in an explicit float64 conversion. The fourth lane kernel,
+// latchStage and latchFinal (latch_amd64.s), is its twin: one pass over
+// the stage's nodes, four per instruction, the same operations in the
+// same order, its tanh the TANH_PAIR macro that tanhLanes expands too
+// (tanh_amd64.h, the one copy). An addition's operands may trade places —
+// a sum does not depend on their order, only which of two NaNs survives
+// does — but no product is fused. Nil variation slices select the ideal
+// arm; the hi−lo mod 4 rest takes the Go form. FuzzLatchStage holds both
+// entries to the Go form by Float64bits, on both kernels, at every length
+// 0–17 and offset mod 4, for ideal and varied devices and in place.
 package lattice
 
 import "fmt"

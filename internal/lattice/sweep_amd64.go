@@ -16,6 +16,21 @@ func sweep32(col *float64, stride uintptr, x *float64, rows int, acc *float64)
 //go:noescape
 func tanhLanes(x *float64, groups int, tab *[21][4]uint64)
 
+// latchStage is Latch.Stage over 4·groups nodes, four doubles per packed
+// instruction with Latch.deriv's operations, order and roundings
+// (latch_amd64.s); every pointer names the range's first node, and
+// kappaVar and invTauVar are nil for ideal devices.
+//
+//go:noescape
+func latchStage(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64)
+
+// latchFinal is Latch.Final over 4·groups nodes, as latchStage is
+// Latch.Stage: k holds the fourth stage's mat-vec; it returns the first
+// bad node, or −1.
+//
+//go:noescape
+func latchFinal(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int
+
 // csrLanes fills out[order[p]] for the 4·groups positions p of whole
 // lane groups of one window (csr.go): each lane starts at base[row] (+0
 // for a nil base) and adds vals·x[cols] in its row's order, every

@@ -3,8 +3,9 @@
 package lattice
 
 // No packed lanes off amd64: useAVX is never true, so dense.MatVecRange
-// never reaches sweep32, csr.MatVecRange never reaches csrLanes and Tanh
-// never reaches tanhLanes.
+// never reaches sweep32, csr.MatVecRange never reaches csrLanes, Tanh
+// never reaches tanhLanes and a Latch never reaches latchStage or
+// latchFinal.
 var useAVX = false
 
 func sweep32(col *float64, stride uintptr, x *float64, rows int, acc *float64) {
@@ -17,4 +18,12 @@ func csrLanes(cols *int32, vals *float64, start *int, lens *int32, order *int32,
 
 func tanhLanes(x *float64, groups int, tab *[21][4]uint64) {
 	panic("lattice: tanhLanes without AVX")
+}
+
+func latchStage(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64) {
+	panic("lattice: latchStage without AVX")
+}
+
+func latchFinal(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int {
+	panic("lattice: latchFinal without AVX")
 }

@@ -1,27 +1,12 @@
 #include "textflag.h"
 
-// tanhTab rows (tanh.go), 32 bytes each.
-#define ABSMASK  0(AX)
-#define SIGNMASK 32(AX)
-#define SAT      64(AX)
-#define NEGTWO   96(AX)
-#define INVLN2   128(AX)
-#define BIAS     160(AX)
-#define LN2HI    192(AX)
-#define LN2LO    224(AX)
-#define Q(n)     (256+32*n)(AX)
-#define ONE      640(AX)
+#include "tanh_amd64.h"
 
 // func tanhLanes(x *float64, groups int, tab *[21][4]uint64)
 //
-// x[0:4·groups] = tanh of itself: tanhGo's operations in tanhGo's order
-// on two registers of four doubles at a time (A in Y0–Y6, B in Y8–Y14,
-// interleaved so each hides the other's latencies). Every product is a
-// VMULPD and every sum a VADDPD or VSUBPD, each rounded on its own —
-// never a fused multiply-add, which would skip the product's rounding —
-// plus one VDIVPD and bitwise ops. 2ᵏ is shifted into place on xmm
-// halves: plain AVX has no 256-bit integer shift and useAVX probes for
-// no more. An odd last group runs as both A and B and is stored once.
+// x[0:4·groups] = tanh of itself, two groups of four at a time through
+// TANH_PAIR (tanh_amd64.h). An odd last group runs as both A and B and
+// is stored once.
 TEXT ·tanhLanes(SB), NOSPLIT, $0-24
 	MOVQ x+0(FP), SI
 	MOVQ groups+8(FP), CX
@@ -32,136 +17,19 @@ next:
 	JGE  pair
 	TESTQ CX, CX
 	JLE  done
-	VMOVUPD 0(SI), Y0
-	VMOVAPD Y0, Y8
+	VMOVUPD 0(SI), Y7
+	VMOVAPD Y7, Y15
 	JMP  body
 
 pair:
-	VMOVUPD 0(SI), Y0
-	VMOVUPD 32(SI), Y8
+	VMOVUPD 0(SI), Y7
+	VMOVUPD 32(SI), Y15
 
 body:
-	// a = min(|x|, sat); t = −2a. A NaN lane is put back at the end.
-	VANDPD ABSMASK, Y0, Y0
-	VANDPD ABSMASK, Y8, Y8
-	VMINPD SAT, Y0, Y0
-	VMINPD SAT, Y8, Y8
-	VMULPD NEGTWO, Y0, Y0
-	VMULPD NEGTWO, Y8, Y8
-	// kb = t·(1/ln2) + bias; k = kb − bias
-	VMULPD INVLN2, Y0, Y1
-	VMULPD INVLN2, Y8, Y9
-	VADDPD BIAS, Y1, Y1
-	VADDPD BIAS, Y9, Y9
-	VSUBPD BIAS, Y1, Y2
-	VSUBPD BIAS, Y9, Y10
-	// r = (t − k·ln2Hi) − k·ln2Lo
-	VMULPD LN2HI, Y2, Y3
-	VMULPD LN2HI, Y10, Y11
-	VSUBPD Y3, Y0, Y0
-	VSUBPD Y11, Y8, Y8
-	VMULPD LN2LO, Y2, Y3
-	VMULPD LN2LO, Y10, Y11
-	VSUBPD Y3, Y0, Y0
-	VSUBPD Y11, Y8, Y8
-	// r2
-	VMULPD Y0, Y0, Y2
-	VMULPD Y8, Y8, Y10
-	// q01 = (c0 + c1·r) + (c2 + c3·r)·r2
-	VMULPD Q(1), Y0, Y3
-	VMULPD Q(1), Y8, Y11
-	VMULPD Q(3), Y0, Y4
-	VMULPD Q(3), Y8, Y12
-	VADDPD Q(0), Y3, Y3
-	VADDPD Q(0), Y11, Y11
-	VADDPD Q(2), Y4, Y4
-	VADDPD Q(2), Y12, Y12
-	VMULPD Y2, Y4, Y4
-	VMULPD Y10, Y12, Y12
-	VADDPD Y4, Y3, Y3
-	VADDPD Y12, Y11, Y11
-	// q23 = (c4 + c5·r) + (c6 + c7·r)·r2
-	VMULPD Q(5), Y0, Y4
-	VMULPD Q(5), Y8, Y12
-	VMULPD Q(7), Y0, Y5
-	VMULPD Q(7), Y8, Y13
-	VADDPD Q(4), Y4, Y4
-	VADDPD Q(4), Y12, Y12
-	VADDPD Q(6), Y5, Y5
-	VADDPD Q(6), Y13, Y13
-	VMULPD Y2, Y5, Y5
-	VMULPD Y10, Y13, Y13
-	VADDPD Y5, Y4, Y4
-	VADDPD Y13, Y12, Y12
-	// q45 = (c8 + c9·r) + (c10 + c11·r)·r2
-	VMULPD Q(9), Y0, Y5
-	VMULPD Q(9), Y8, Y13
-	VMULPD Q(11), Y0, Y6
-	VMULPD Q(11), Y8, Y14
-	VADDPD Q(8), Y5, Y5
-	VADDPD Q(8), Y13, Y13
-	VADDPD Q(10), Y6, Y6
-	VADDPD Q(10), Y14, Y14
-	VMULPD Y2, Y6, Y6
-	VMULPD Y10, Y14, Y14
-	VADDPD Y6, Y5, Y5
-	VADDPD Y14, Y13, Y13
-	// q = (q01 + q23·r4) + q45·(r4·r4)
-	VMULPD Y2, Y2, Y6
-	VMULPD Y10, Y10, Y14
-	VMULPD Y6, Y4, Y4
-	VMULPD Y14, Y12, Y12
-	VADDPD Y4, Y3, Y3
-	VADDPD Y12, Y11, Y11
-	VMULPD Y6, Y6, Y6
-	VMULPD Y14, Y14, Y14
-	VMULPD Y6, Y5, Y5
-	VMULPD Y14, Y13, Y13
-	VADDPD Y5, Y3, Y3
-	VADDPD Y13, Y11, Y11
-	// em = r + q·r2
-	VMULPD Y2, Y3, Y3
-	VMULPD Y10, Y11, Y11
-	VADDPD Y3, Y0, Y0
-	VADDPD Y11, Y8, Y8
-	// s = 2ᵏ: kb's bits shifted left by 52, one xmm half at a time
-	VEXTRACTF128 $1, Y1, X2
-	VEXTRACTF128 $1, Y9, X10
-	VPSLLQ $52, X1, X1
-	VPSLLQ $52, X9, X9
-	VPSLLQ $52, X2, X2
-	VPSLLQ $52, X10, X10
-	VINSERTF128 $1, X2, Y1, Y1
-	VINSERTF128 $1, X10, Y9, Y9
-	// p = em·s; y = (p + (s − 1))/(p + (s + 1))
-	VMULPD Y1, Y0, Y0
-	VMULPD Y9, Y8, Y8
-	VSUBPD ONE, Y1, Y2
-	VSUBPD ONE, Y9, Y10
-	VADDPD ONE, Y1, Y1
-	VADDPD ONE, Y9, Y9
-	VADDPD Y2, Y0, Y2
-	VADDPD Y10, Y8, Y10
-	VADDPD Y1, Y0, Y0
-	VADDPD Y9, Y8, Y8
-	VDIVPD Y0, Y2, Y0
-	VDIVPD Y8, Y10, Y8
-	// |y| with x's sign; x itself where x is a NaN
-	VMOVUPD 0(SI), Y1
-	VANDPD ABSMASK, Y0, Y0
-	VANDPD SIGNMASK, Y1, Y2
-	VORPD Y2, Y0, Y0
-	VCMPPD $3, Y1, Y1, Y2
-	VBLENDVPD Y2, Y1, Y0, Y0
+	TANH_PAIR
 	VMOVUPD Y0, 0(SI)
 	CMPQ CX, $2
 	JL   done
-	VMOVUPD 32(SI), Y9
-	VANDPD ABSMASK, Y8, Y8
-	VANDPD SIGNMASK, Y9, Y10
-	VORPD Y10, Y8, Y8
-	VCMPPD $3, Y9, Y9, Y10
-	VBLENDVPD Y10, Y9, Y8, Y8
 	VMOVUPD Y8, 32(SI)
 	ADDQ $64, SI
 	SUBQ $2, CX
@@ -170,18 +38,3 @@ body:
 done:
 	VZEROUPPER
 	RET
-
-	// Nothing executes the 32 bytes below. Go aligns functions to 32
-	// bytes, so the size of the text linked ahead of package main decides
-	// whether bench's calibration kernel starts at 0 or at 32 mod 64, it
-	// times several percent apart at the two, and every scaled benchmark
-	// metric of a build is multiplied by that reading (ROADMAP, finding
-	// (i)). These bytes hold main.calibKernel at 32 mod 64, where every
-	// parent had it (go build -o b ./bench && go tool nm b | grep
-	// calibKernel); a change to non-test code that flips it removes them,
-	// and the next one puts them back, until bench times its kernel where
-	// no package's text size can move it (ROADMAP 1(b)).
-	QUAD $0xCCCCCCCCCCCCCCCC
-	QUAD $0xCCCCCCCCCCCCCCCC
-	QUAD $0xCCCCCCCCCCCCCCCC
-	QUAD $0xCCCCCCCCCCCCCCCC

@@ -14,9 +14,9 @@ STATE="$DIR/state"
 
 build mbrimd
 
-# ~1.4s of wall time: room for several 100ms checkpoints before the
-# kill, and real work left to resume after it.
-BODY='{"engine":"mbrim","k":64,"chips":2,"durationNS":5000,"seed":7}'
+# ~0.85 s of wall time on a two-vCPU host: room for several 100ms
+# checkpoints before the kill, and real work left to resume after it.
+BODY='{"engine":"mbrim","k":64,"chips":2,"durationNS":20000,"seed":7}'
 
 # Generation 1: durable daemon, killed mid-run.
 start_daemon "$DIR/d1.out" -state-dir "$STATE" -checkpoint-every 100ms
