@@ -304,10 +304,16 @@ func main() {
 		runID = fmt.Sprintf("cli-%d-%d", os.Getpid(), time.Now().UnixNano())
 	}
 
+	// A QUBO has no graph: its Graph stays a nil Cutter, not a Cutter
+	// holding a nil *Graph that the outcome would ask for a cut.
+	var cuts mbrim.Cutter
+	if g != nil {
+		cuts = g
+	}
 	out, err := mbrim.SolveCtx(ctx, mbrim.Request{
 		Kind:              kind,
 		Model:             model,
-		Graph:             g,
+		Graph:             cuts,
 		Seed:              *seed,
 		Runs:              *runs,
 		Sweeps:            *sweeps,

@@ -25,7 +25,6 @@ import (
 
 	"mbrim/internal/checkpoint"
 	"mbrim/internal/fault"
-	"mbrim/internal/graph"
 	"mbrim/internal/ising"
 	"mbrim/internal/lattice"
 	"mbrim/internal/metrics"
@@ -71,8 +70,9 @@ type Request struct {
 	// Model is the problem. Required.
 	Model *ising.Model
 	// Graph, if the problem came from MaxCut, lets the outcome report
-	// cut values alongside energies. Optional.
-	Graph *graph.Graph
+	// cut values alongside energies: a *graph.Graph, or the
+	// *graph.KGraph a K-graph submission is built as. Optional.
+	Graph Cutter
 	// Seed drives all stochastic choices.
 	Seed uint64
 	// Runs is the batch size for engines that anneal repeatedly
@@ -178,6 +178,12 @@ type Request struct {
 	// SolveCtx fill them when SpanTrace is set).
 	spans    *obs.Spanner
 	rootSpan obs.Span
+}
+
+// Cutter is what an outcome asks of a MaxCut problem: the weight of the
+// edges a spin assignment cuts.
+type Cutter interface {
+	CutValue(spins []int8) float64
 }
 
 func (r *Request) withDefaults() (Request, error) {

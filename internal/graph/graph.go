@@ -201,12 +201,54 @@ func (g *Graph) Subgraph(vs []int) (*Graph, []int) {
 func Complete(n int, r *rng.Source) *Graph {
 	g := New(n)
 	g.edges = make([]Edge, 0, n*(n-1)/2)
+	completeWeights(n, r, func(i, j int, w float64) {
+		g.edges = append(g.edges, Edge{U: i, V: j, Weight: w})
+	})
+	return g
+}
+
+// completeWeights is the one definition of the K-graph instance: pair
+// (i, j), i < j, row by row, each weight the sign of one draw
+// (rng.Source.Spin, the low bit of one Uint64).
+func completeWeights(n int, r *rng.Source, put func(i, j int, w float64)) {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.edges = append(g.edges, Edge{U: i, V: j, Weight: float64(r.Spin())})
+			put(i, j, float64(r.Spin()))
 		}
 	}
-	return g
+}
+
+// KGraph is Complete's instance held as its Ising model alone, with the
+// total weight W: no edge list, which at 24 bytes a pair would be half
+// as large again as the model. It reports cuts as
+// (W − E(σ))/2, which on ±1 weights is bit-equal to the edge walk of
+// Graph.CutValue: W, the energy (the model's ±1 planes count it) and
+// every partial sum of either are integers, so nothing rounds.
+type KGraph struct {
+	Model *ising.Model
+	W     float64
+}
+
+// NewKGraph returns Complete(n, r) as a KGraph: the same draws in
+// the same order, straight into an ising.Builder. Its model is
+// Float64bits-equal to Complete(n, r).ToIsing().
+func NewKGraph(n int, r *rng.Source) *KGraph {
+	b := ising.NewBuilder(n)
+	total := 0.0
+	completeWeights(n, r, func(i, j int, w float64) {
+		b.SetCoupling(i, j, -w)
+		total += w
+	})
+	m, err := b.Build()
+	if err != nil {
+		panic(fmt.Sprintf("graph: NewKGraph: %v", err)) // ±1 couplings on valid pairs cannot fail
+	}
+	return &KGraph{Model: m, W: total}
+}
+
+// CutValue returns the weight of the edges crossing the bipartition σ.
+func (k *KGraph) CutValue(spins []int8) float64 {
+	return (k.W - k.Model.Energy(spins)) / 2
 }
 
 // Random returns an Erdős–Rényi G(n, p) graph with ±1 weights, the

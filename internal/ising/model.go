@@ -61,8 +61,9 @@ type Builder struct {
 	err error
 	// While twice the call count still resolves to CSR the calls are
 	// kept as a list, so a sparse problem never occupies n²; past that
-	// they are applied to data, the dense layout's own array. The list
-	// grows by blocks, so a call is written once and never copied.
+	// they are applied to data, the dense layout's own array, above its
+	// diagonal only. The list grows by blocks, so a call is written once
+	// and never copied.
 	ops  [][]op
 	nops int
 	data []float64
@@ -147,8 +148,7 @@ func (b *Builder) couple(i, j int, v float64, add bool) {
 	if v == 0 {
 		v = 0 // a −0 is no coupling, and no layout stores one
 	}
-	b.data[i*b.n+j] = v
-	b.data[j*b.n+i] = v
+	b.data[i*b.n+j] = v // the upper triangle only: Build mirrors it once
 }
 
 // reject records why a call was refused (v − v is nonzero exactly for
@@ -193,16 +193,17 @@ func (b *Builder) list(i, j int, v float64, add bool) {
 
 // Build freezes the problem into a Model, or returns the first input
 // error. The couplings go straight to the layout lattice.Resolve picks
-// for them — the list to compressed rows in O(n + calls), the array to
-// the dense layout with its symmetry check and ±1 planes — and the
-// builder must not be used afterwards: the model owns its storage.
+// for them — the list to compressed rows in O(n + calls), the upper
+// triangle to lattice.FromUpper, which mirrors it, counts it and adds
+// the ±1 planes in two passes — and the builder must not be used
+// afterwards: the model owns its storage.
 func (b *Builder) Build() (*Model, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	var c lattice.Coupling
 	if b.data != nil {
-		c = lattice.FromDense(b.n, b.data, lattice.Auto, 0)
+		c = lattice.FromUpper(b.n, b.data)
 	} else if c, b.err = b.compress(); b.err != nil {
 		return nil, b.err
 	}

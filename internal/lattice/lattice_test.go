@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"mbrim/internal/rng"
@@ -250,6 +251,41 @@ func TestCSRMatVecRangeRejectsShortSlices(t *testing.T) {
 			fn()
 		})
 	}
+}
+
+// TestFromUpperIsFromDense: mirroring the upper triangle and counting it
+// in one pass gives what FromDense gives for the whole symmetric matrix —
+// the same entries, count, symmetry and planes, or the same compressed
+// rows where the count resolves to CSR — for ±1 and weighted matrices,
+// whole and partial tiles.
+func TestFromUpperIsFromDense(t *testing.T) {
+	for _, n := range []int{1, 2, 31, 33, 64, 100, 130} {
+		for _, tc := range []struct {
+			name    string
+			density float64
+			scale   float64
+		}{{"complete", 1, 1}, {"sparse", 0.02, 1}, {"weighted", 0.6, 0.5}} {
+			full := randSym(n, tc.density, uint64(n))
+			for k := range full {
+				full[k] *= tc.scale
+			}
+			upper := make([]float64, n*n)
+			for i := 0; i < n; i++ {
+				copy(upper[i*n+i+1:(i+1)*n], full[i*n+i+1:(i+1)*n])
+			}
+			got, want := FromUpper(n, upper), FromDense(n, full, Auto, 0)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d %s: FromUpper differs from FromDense (kinds %v, %v; nnz %d, %d)",
+					n, tc.name, got.Kind(), want.Kind(), got.NNZ(), want.NNZ())
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("FromUpper with wrong size did not panic")
+		}
+	}()
+	FromUpper(3, make([]float64, 8))
 }
 
 func TestFromDenseRejectsBadShape(t *testing.T) {

@@ -33,14 +33,21 @@ const packStackWords = 64
 // an entry: its magnitude bits are nonzero unless it is ±0, and for −1,
 // ±0 and +1 the lowest exponent bit says whether the rest spell 1 or 0.
 func countEntries(data []float64) (nnz int, unit bool) {
-	var notUnit uint64
+	var other uint64
 	for _, v := range data {
 		u := math.Float64bits(v)
-		nnz += int((u<<1 | -(u << 1)) >> 63)
-		notUnit |= u&^signBit ^ 0x3FF0000000000000&-(u>>52&1)
+		nnz += nonzero(u)
+		other |= notUnit(u)
 	}
-	return nnz, notUnit == 0
+	return nnz, other == 0
 }
+
+// nonzero is 1 for the bits of an entry other than ±0, else 0.
+func nonzero(u uint64) int { return int((u<<1 | -(u << 1)) >> 63) }
+
+// notUnit is 0 for the bits of −1, ±0 and +1, and nonzero for any other
+// entry.
+func notUnit(u uint64) uint64 { return u&^signBit ^ 0x3FF0000000000000&-(u>>52&1) }
 
 // newPlanes packs a row-major n×n matrix whose entries are all −1, 0
 // or +1. Branch-free on the entry values: for those three the lowest

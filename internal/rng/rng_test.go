@@ -185,6 +185,26 @@ func TestSpinValues(t *testing.T) {
 	}
 }
 
+// TestSpinKeepsTheBranchForm pins the arithmetic Spin to the branch it
+// replaced, draw for draw: every K-graph instance and every initial
+// spin vector in the repository is made of these values.
+func TestSpinKeepsTheBranchForm(t *testing.T) {
+	branch := func(r *Source) int8 {
+		if r.Uint64()&1 == 0 {
+			return -1
+		}
+		return 1
+	}
+	for _, seed := range []uint64{1, 7, 61} {
+		a, b := New(seed), New(seed)
+		for i := 0; i < 10000; i++ {
+			if got, want := a.Spin(), branch(b); got != want {
+				t.Fatalf("seed %d, draw %d: Spin() = %d, the branch form %d", seed, i, got, want)
+			}
+		}
+	}
+}
+
 func TestBoolEdges(t *testing.T) {
 	r := New(10)
 	if r.Bool(0) {

@@ -87,7 +87,11 @@ type SubmitOptions struct {
 // exists to refuse the submission that would OOM the daemon, not to
 // meter kilobytes. A K-graph is n² by nature, however it is asked for:
 // {"k":65536} is 34 GB, and refusing it is MaxRunBytes' job, not the
-// model's.
+// model's. The model is all a K-graph request allocates — it is
+// generated into the matrix, with no edge list beside it — so its model
+// term is the 8·n² priced here plus the ±1 planes' n²/32 bytes
+// (TestKGraphRequestAllocatesItsMatrix). An edge-list body also keeps
+// the parsed graph, 24 bytes an edge, which the fence leaves unpriced.
 func EstimateRunBytes(req *core.Request, ringSize int) int64 {
 	n, nnz := req.Model.N(), req.Model.NNZ()
 	return estimateRunBytesN(int64(n), int64(nnz), storesDense(n, nnz),
@@ -168,7 +172,7 @@ func csrBytes(n, nnz int64) int64 {
 
 // checkBudget applies the MaxRunBytes fence for a submission of n spins
 // and nnz directed couplings. buildRequest calls it BEFORE constructing
-// the graph — with 2·len(edges) as the bound on nnz, since building an
+// the model — with 2·len(edges) as the bound on nnz, since building an
 // oversized model first would hang the submit handler for exactly the
 // request the budget is meant to bounce — and with the chip count the
 // engine resolves an omitted one to; a caller of SubmitWith says how

@@ -2,11 +2,13 @@ package runs
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 
 	"mbrim/internal/core"
 	"mbrim/internal/graph"
+	"mbrim/internal/ising"
 	"mbrim/internal/journal"
 	"mbrim/internal/obs"
 	"mbrim/internal/rng"
@@ -23,6 +25,47 @@ func benchRequest() core.Request {
 	g := graph.Complete(64, rng.New(1))
 	return core.Request{Kind: core.MBRIMConcurrent, Model: g.ToIsing(), Graph: g,
 		Seed: 7, DurationNS: 200, Chips: 4}
+}
+
+// BenchmarkKGraphBuild prices a K-graph's construction three ways: the
+// library's Complete + ToIsing (an edge list, then the builder), the
+// daemon's {"k":n} (generated straight into the builder), and the
+// builder's Build alone over the same calls (the mirror, the count and
+// the planes).
+func BenchmarkKGraphBuild(b *testing.B) {
+	m := NewManager(Config{})
+	for _, n := range []int{256, 512} {
+		b.Run(fmt.Sprintf("n=%d/complete+toising", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				graph.Complete(n, rng.New(1)).ToIsing()
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/daemon", n), func(b *testing.B) {
+			b.ReportAllocs()
+			sr := &SubmitRequest{Engine: "dsbm", K: n}
+			for i := 0; i < b.N; i++ {
+				if _, err := m.buildRequest(sr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/build", n), func(b *testing.B) {
+			edges := graph.Complete(n, rng.New(1)).Edges()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				bld := ising.NewBuilder(n)
+				for _, e := range edges {
+					bld.SetCoupling(e.U, e.V, -e.Weight)
+				}
+				b.StartTimer()
+				if _, err := bld.Build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkSolveDetached(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mbrim/internal/core"
+	"mbrim/internal/graph"
 )
 
 // FuzzSubmitSpec feeds arbitrary bytes to the one submit path — the
@@ -12,7 +13,7 @@ import (
 // either refused with an error or becomes a request the registry
 // validates over a valid model within the bound; never a panic, and
 // never a model the bound does not cover (the fence and the bound both
-// come before the graph is built).
+// come before the model is built).
 func FuzzSubmitSpec(f *testing.F) {
 	for _, c := range httpValidationCases {
 		f.Add([]byte(c.body))
@@ -34,11 +35,24 @@ func FuzzSubmitSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n := req.Model.N(); n < 1 || n > 64 || req.Graph.N() != n {
-			t.Fatalf("accepted a %d-spin model (graph %d) under a 64-spin bound", n, req.Graph.N())
+		n, nnz := req.Model.N(), req.Model.NNZ()
+		if n < 1 || n > 64 {
+			t.Fatalf("accepted a %d-spin model under a 64-spin bound", n)
 		}
-		if nnz := req.Model.NNZ(); nnz > 2*req.Graph.M() {
-			t.Fatalf("a graph of %d edges became a model of %d couplings", req.Graph.M(), nnz)
+		switch g := req.Graph.(type) {
+		case *graph.KGraph: // {"k":n}: the model and its cuts, nothing else
+			if sr.K != n || g.Model != req.Model || nnz != n*(n-1) {
+				t.Fatalf("k=%d became a %d-spin model of %d couplings", sr.K, n, nnz)
+			}
+		case *graph.Graph:
+			if g.N() != n {
+				t.Fatalf("a %d-vertex graph became a %d-spin model", g.N(), n)
+			}
+			if nnz > 2*g.M() {
+				t.Fatalf("a graph of %d edges became a model of %d couplings", g.M(), nnz)
+			}
+		default:
+			t.Fatalf("a request reports cuts through %T", req.Graph)
 		}
 		if err := core.Validate(&req); err != nil {
 			t.Fatalf("accepted a request its engine refuses: %v", err)

@@ -1,6 +1,7 @@
 package runs
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -88,7 +89,7 @@ type SubmitRequest struct {
 }
 
 // buildRequest turns a submit body into a core.Request, constructing
-// the problem graph. It is the one place a submission is validated:
+// the problem's model. It is the one place a submission is validated:
 // whatever is wrong with it is an error here, before a run exists.
 func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
 	kind, err := core.ParseKind(sr.Engine)
@@ -162,7 +163,7 @@ func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
 			req.SampleEveryNS = d / 100
 		}
 	}
-	// The fence comes BEFORE the graph: building an oversized problem
+	// The fence comes BEFORE the model: building an oversized problem
 	// costs the very bytes the fence exists to refuse. A K-graph stores
 	// n(n−1) couplings, an edge list at most two per edge.
 	nnz := 2 * len(sr.Edges)
@@ -172,16 +173,18 @@ func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
 	if err := m.checkBudget(n, nnz, fenceChips(chips, &req), requestWorkers(&req)); err != nil {
 		return req, err
 	}
+	// A K-graph is generated straight into its model, which also reports
+	// its cuts; only an edge list is parsed into a graph first.
 	if sr.K > 0 {
-		gseed := sr.GraphSeed
-		if gseed == 0 {
-			gseed = 1
+		kg := graph.NewKGraph(sr.K, rng.New(cmp.Or(sr.GraphSeed, 1)))
+		req.Model, req.Graph = kg.Model, kg
+	} else {
+		g, err := graph.FromTriples(sr.N, sr.Edges)
+		if err != nil {
+			return req, fmt.Errorf("runs: %w", err)
 		}
-		req.Graph = graph.Complete(sr.K, rng.New(gseed))
-	} else if req.Graph, err = graph.FromTriples(sr.N, sr.Edges); err != nil {
-		return req, fmt.Errorf("runs: %w", err)
+		req.Model, req.Graph = g.ToIsing(), g
 	}
-	req.Model = req.Graph.ToIsing()
 	// What only the engine can judge (a malformed race, a worker list the
 	// fabric refuses), through the registry: a 400, not a failed run.
 	return req, core.Validate(&req)

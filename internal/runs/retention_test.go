@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mbrim/internal/graph"
 	"mbrim/internal/obs"
 )
 
@@ -100,15 +101,19 @@ func TestRetentionZeroKeepsEverything(t *testing.T) {
 }
 
 // TestTerminalClusterRunShedsItsRequest: once a run whose chips were on
-// cluster workers is over, it no longer pins the dense model, the graph
-// or an event ring sized for a run thirty times as talkative — what the
-// cluster surface's finished runs never held — while its status still
-// knows the problem size. Every other engine's run keeps its request
-// (DESIGN §13 records why).
+// cluster workers is over, it no longer pins the dense model, its cut
+// reporter or an event ring sized for a run thirty times as talkative —
+// what the cluster surface's finished runs never held — while its status
+// still knows the problem size. Every other engine's run keeps its
+// request (DESIGN §13 records why), which for a K-graph submission is
+// the model alone: the cut reporter is that model and its total weight.
 func TestTerminalClusterRunShedsItsRequest(t *testing.T) {
 	m := NewManager(Config{})
 	for _, remote := range []bool{true, false} {
-		req := saRequest(24)
+		req, err := m.buildRequest(&SubmitRequest{Engine: "sa", K: 24, Sweeps: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if remote {
 			req.Cluster.Workers = []string{"http://worker.invalid"} // sa ignores it; the manager does not
 		}
@@ -119,7 +124,8 @@ func TestTerminalClusterRunShedsItsRequest(t *testing.T) {
 		waitDone(t, r)
 		r.mu.Lock()
 		shed := r.req.Model == nil && r.req.Graph == nil && r.execReq.Model == nil
-		kept := r.req.Model != nil && r.req.Graph != nil && r.execReq.Model != nil
+		kg, _ := r.req.Graph.(*graph.KGraph)
+		kept := r.req.Model != nil && kg != nil && kg.Model == r.req.Model && r.execReq.Model == r.req.Model
 		r.mu.Unlock()
 		events, _ := r.EventsSince(0)
 		if st := r.Status(); st.State != StateCompleted || st.Spins != 24 || len(events) == 0 || int64(len(events)) != r.EventsTotal() {

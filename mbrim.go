@@ -87,6 +87,9 @@ type (
 	Request = core.Request
 	// Outcome is the uniform solve report.
 	Outcome = core.Outcome
+	// Cutter is Request.Graph's type: what reports the cut of a spin
+	// assignment, such as a *Graph.
+	Cutter = core.Cutter
 	// Kind names a solver engine.
 	Kind = core.Kind
 	// Engine is one registered solver — implement it and call
