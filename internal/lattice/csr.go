@@ -160,7 +160,7 @@ func (c *csr) walk(x, base, out []float64, i, p int) {
 	}
 	k := 4*c.start[p>>2] + p&3
 	for m := c.lens[p]; m > 0; m-- {
-		acc += c.vals[k] * x[c.cols[k]]
+		acc += float64(c.vals[k] * x[c.cols[k]])
 		k += 4
 	}
 	out[i] = acc
@@ -220,7 +220,7 @@ func (c *csr) FieldsRange(spins []int8, base, out []float64, lo, hi int) {
 			acc = base[i]
 		}
 		for k, m := c.at(i); m > 0; k, m = k+4, m-1 {
-			acc += c.vals[k] * float64(spins[c.cols[k]])
+			acc += float64(c.vals[k] * float64(spins[c.cols[k]]))
 		}
 		out[i] = acc
 	}
@@ -236,12 +236,12 @@ func (c *csr) energy(spins []int8, base []float64) float64 {
 		acc := 0.0
 		for k, m := c.at(i); m > 0; k, m = k+4, m-1 {
 			if j := int(c.cols[k]); j > i {
-				acc += c.vals[k] * float64(spins[j])
+				acc += float64(c.vals[k] * float64(spins[j]))
 			}
 		}
-		e -= si * acc
+		e -= float64(si * acc)
 		if base != nil {
-			e -= base[i] * si
+			e -= float64(base[i] * si)
 		}
 	}
 	return e
@@ -249,7 +249,7 @@ func (c *csr) energy(spins []int8, base []float64) float64 {
 
 func (c *csr) FlipFanout(fields []float64, k int, delta float64) {
 	for idx, m := c.at(k); m > 0; idx, m = idx+4, m-1 {
-		fields[c.cols[idx]] += c.vals[idx] * delta
+		fields[c.cols[idx]] += float64(c.vals[idx] * delta)
 	}
 }
 

@@ -194,7 +194,7 @@ func (d *dense) MatVecRange(x, base, out []float64, lo, hi int) {
 			acc = base[i]
 		}
 		for j := 0; j < n; j++ {
-			acc += row[j] * x[j]
+			acc += float64(row[j] * x[j])
 		}
 		out[i] = acc
 	}
@@ -215,10 +215,10 @@ func dot4(blk, x []float64, a0, a1, a2, a3 float64) (float64, float64, float64, 
 	r2 := blk[2*n:][:n]
 	r3 := blk[3*n:][:n]
 	for j, xj := range x {
-		a0 += r0[j] * xj
-		a1 += r1[j] * xj
-		a2 += r2[j] * xj
-		a3 += r3[j] * xj
+		a0 += float64(r0[j] * xj)
+		a1 += float64(r1[j] * xj)
+		a2 += float64(r2[j] * xj)
+		a3 += float64(r3[j] * xj)
 	}
 	return a0, a1, a2, a3
 }
@@ -245,7 +245,7 @@ func (d *dense) FieldsRange(spins []int8, base, out []float64, lo, hi int) {
 		row := d.data[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
 			if v := row[j]; v != 0 {
-				acc += v * float64(spins[j])
+				acc += float64(v * float64(spins[j]))
 			}
 		}
 		out[i] = acc
@@ -258,7 +258,7 @@ func (d *dense) FieldsRange(spins []int8, base, out []float64, lo, hi int) {
 // backends bit for bit while keeping the dense O(N) cost model.
 func (d *dense) FlipFanout(fields []float64, k int, delta float64) {
 	for j, v := range d.row(k) {
-		fields[j] += v * delta
+		fields[j] += float64(v * delta)
 	}
 }
 
@@ -276,11 +276,11 @@ func (d *dense) energy(spins []int8, base []float64) float64 {
 		si := float64(s)
 		acc := 0.0
 		for j := i + 1; j < d.n; j++ {
-			acc += row[j] * float64(spins[j])
+			acc += float64(row[j] * float64(spins[j]))
 		}
-		e -= si * acc
+		e -= float64(si * acc)
 		if base != nil {
-			e -= base[i] * si
+			e -= float64(base[i] * si)
 		}
 	}
 	return e

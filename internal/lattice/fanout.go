@@ -1,0 +1,149 @@
+package lattice
+
+import (
+	"math"
+	"math/bits"
+)
+
+// fanOutShift sets where KeptFields.Flip stops fanning out: more than
+// n>>fanOutShift flipped signs recompute with Fields. Both arms give the
+// same bits, so it is a constant; only tests write it, to force one arm
+// (0: every flip fans out; 64: none does).
+var fanOutShift = 4
+
+// KeptFields keeps out = Fields(c, spins, base) current for a spin
+// vector that changes a few signs at a time — the force of a discrete
+// simulated bifurcation machine (internal/sbm). Where planes.field answers
+// every row, the fields of the new spins are those of the old ones plus
+// 2·σ_j·J_ji for each flipped j (σ_j − (−σ_j) = 2σ_j): a pass over out per
+// four flipped rows instead of a pass over the matrix (package doc, "±1
+// planes").
+type KeptFields struct {
+	c    Coupling
+	base []float64
+	d    *dense // the layout whose flipped rows fan out exactly, or nil
+	// fast says Energy may answer from the fields: the fields are exact
+	// and planes.energy would answer for every ±1 spin vector.
+	fast bool
+}
+
+// KeepFields returns the keeper of c's fields over base (nil means
+// zero). The fan-out is taken when c is a symmetric dense layout with
+// ±1 planes and every base is an integer exactInt accepts, except a −0
+// on an empty row: planes.field hands that row its base untouched, and
+// adding even a zero term would turn −0 into +0. Otherwise every Flip
+// that changed a sign recomputes with Fields.
+func KeepFields(c Coupling, base []float64) *KeptFields {
+	k := &KeptFields{c: c, base: base}
+	d, ok := c.(*dense)
+	if !ok || d.pl == nil || !d.sym {
+		return k
+	}
+	var mag int64 // Σ |base_i|, as planes.energy bounds it
+	for i, b := range base {
+		if !exactInt(b) || (math.Float64bits(b) == signBit && d.pl.rowNNZ[i] == 0) {
+			return k
+		}
+		mag += int64(math.Abs(b))
+	}
+	k.d = d
+	k.fast = mag < 1<<52 && mag+int64(d.nnz) < 1<<53
+	for i := 0; i < d.n && k.fast; i++ {
+		k.fast = d.data[i*d.n+i] == 0
+	}
+	return k
+}
+
+// Flip brings out from the fields of the spins before a change to those
+// of spins, where flipped lists every index whose sign changed — every
+// entry of spins ±1 — with the bits Fields(c, spins, base) has.
+func (k *KeptFields) Flip(spins []int8, flipped []int32, out []float64) {
+	switch {
+	case len(flipped) == 0:
+	case k.d != nil && len(flipped) <= k.d.n>>fanOutShift:
+		k.d.fanOut(spins, flipped, out)
+	default:
+		Fields(k.c, spins, k.base, out, 1)
+	}
+}
+
+// Energy returns Energy(c, spins, base) for ±1 spins whose fields out
+// holds. Where the fields are exact it is read off them in O(n):
+// Σ_i σ_i·(out_i + base_i) = 2·Σ_{i<j} J_ij σ_i σ_j + 2·Σ_i base_i σ_i on a
+// symmetric matrix with a zero diagonal, so the energy is minus half of
+// it, an integer summed in int64 — the value planes.energy computes, and
+// so its bits.
+func (k *KeptFields) Energy(spins []int8, out []float64) float64 {
+	if !k.fast {
+		return Energy(k.c, spins, k.base)
+	}
+	var t int64
+	for i, f := range out[:len(spins)] {
+		v := int64(f)
+		if k.base != nil {
+			v += int64(k.base[i])
+		}
+		t += int64(spins[i]) * v
+	}
+	return float64(-t / 2)
+}
+
+// fanOut adds 2·σ_j·J_ji to out[i] for every j in flipped and every i,
+// four rows a pass over out. Every term is ±2 or ±0 and every partial sum
+// an integer below 2⁵³, so any order of the additions gives the bits of
+// the ascending walk — but for a zero's sign: a ±0 term added to +0 or to
+// a nonzero value changes nothing, and no field here is −0 (KeepFields).
+// A short last pass repeats its last row with weight 0, whose ±0 terms
+// are such terms.
+func (d *dense) fanOut(spins []int8, flipped []int32, out []float64) {
+	n := d.n
+	out = out[:n]
+	row := func(l int) ([]float64, float64) {
+		j := int(flipped[min(l, len(flipped)-1)])
+		w := 0.0
+		if l < len(flipped) {
+			w = float64(2 * spins[j])
+		}
+		return d.data[j*n:][:len(out)], w
+	}
+	for len(flipped) > 0 {
+		r0, w0 := row(0)
+		r1, w1 := row(1)
+		r2, w2 := row(2)
+		r3, w3 := row(3)
+		for i := range out {
+			out[i] += ((float64(w0*r0[i]) + float64(w1*r1[i])) + float64(w2*r2[i])) + float64(w3*r3[i])
+		}
+		flipped = flipped[min(4, len(flipped)):]
+	}
+}
+
+// UpperSums returns Σ_{i<j} J_ij and Σ_{i<j} J_ij² with the bits of the
+// walk over each row's stored entries above the diagonal, ascending, each
+// square rounded on its own. With ±1 planes every partial sum of that
+// walk is an integer below 2⁵³, so the two are popcounts: the +1 entries
+// minus the −1 entries, and both together.
+func UpperSums(c Coupling) (sum, sumSq float64) {
+	if d, ok := c.(*dense); ok && d.pl != nil {
+		var pos, neg int
+		for i := 0; i < d.n; i++ {
+			ps, ng := d.pl.row(i)
+			mask := ^uint64(0) << uint((i+1)&63)
+			for k := (i + 1) >> 6; k < len(ps); k++ {
+				pos += bits.OnesCount64(ps[k] & mask)
+				neg += bits.OnesCount64(ng[k] & mask)
+				mask = ^uint64(0)
+			}
+		}
+		return float64(pos - neg), float64(pos + neg)
+	}
+	for i := 0; i < c.N(); i++ {
+		c.Scan(i, func(j int, v float64) {
+			if j > i {
+				sum += v
+				sumSq += float64(v * v)
+			}
+		})
+	}
+	return sum, sumSq
+}

@@ -195,16 +195,19 @@ done:
 	VZEROUPPER
 	RET
 
-	// The alignment pad's place, empty for now. Go aligns functions to 32
+	// Nothing executes the 32 bytes below. Go aligns functions to 32
 	// bytes, so the size of the text linked ahead of package main decides
 	// whether bench's calibration kernel starts at 0 or at 32 mod 64, it
 	// times several percent apart at the two, and every scaled benchmark
 	// metric of a build is multiplied by that reading (ROADMAP, finding
-	// (i)). main.calibKernel stays at 32 mod 64, where every parent had it
-	// (go build -o b ./bench && go tool nm b | grep calibKernel): a change
-	// to non-test code that flips it puts four never-executed
-	// QUAD $0xCCCCCCCCCCCCCCCC here, and the next one that flips it takes
-	// them out, until bench times its kernel where no package's text size
-	// can move it (ROADMAP 1(b)). The place is here, not in tanh_amd64.s,
-	// because this file's text is linked into bench: nothing outside the
-	// tests calls Tanh.
+	// (i)). These bytes hold main.calibKernel at 32 mod 64, where every
+	// parent had it (go build -o b ./bench && go tool nm b | grep
+	// calibKernel); a change to non-test code that flips it removes them,
+	// and the next one puts them back, until bench times its kernel where
+	// no package's text size can move it (ROADMAP 1(b)). They sit here,
+	// not in tanh_amd64.s, because this file's text is linked into bench:
+	// nothing outside the tests calls Tanh.
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC

@@ -46,6 +46,17 @@
 // planes and allocates nothing extra, and Energy offers the same
 // shortcut for the whole-model energy.
 //
+// The same exactness lets a field vector that follows a few sign
+// changes at a time skip the recompute (KeptFields, dSBM's force): when
+// σ_j flips, every field changes by 2·σ_j·J_ij, an integer, so adding
+// those terms for the flipped j — four rows a pass, in any order — gives
+// the recomputed bits, and so does Energy read off the fields in O(n).
+// Zero's sign is the one care: an empty row's field is its base
+// untouched, so a −0 base there would become +0 under a ±0 term. Such a
+// base, a matrix not verified symmetric, a fractional base and every CSR
+// view keep recomputing. UpperSums answers the two moment sums of
+// dSBM's coupling scale by popcounts the same way.
+//
 // # Energy
 //
 // Energy evaluates E(σ) = −Σ_{i<j} J_ij σ_i σ_j − Σ_i base_i σ_i with
@@ -109,11 +120,12 @@
 // latency. The portable kernel (dot4) takes four rows per block: they
 // share each load of x[j] and keep one accumulator each, four
 // independent chains in flight, and every out[i] still carries the
-// one-row walk's bits. That holds on
-// architectures where the compiler fuses x*y + z as well: the fusion is
-// a rewrite of a single expression whose product has no other use, the
-// blocked loop writes acc += row[j]*x[j] in the walk's own form, and so
-// wherever the walk is fused the blocks are fused the same way.
+// one-row walk's bits. Every portable form in the package writes each
+// product in an explicit float64 conversion, a rounding point the Go
+// spec lets no compiler fuse across, so the walks and blocks that define
+// the bits define the same bits where the compiler fuses x*y + z (arm64,
+// ppc64, s390x) as on amd64; CI reads arm64's assembly of this package
+// and internal/sbm for a fused instruction.
 //
 // The second kernel is the column sweep (sweep_amd64.s), taken on an
 // amd64 host with AVX for the 32-row blocks of a range when the layout
@@ -194,6 +206,20 @@
 // arm; the hi−lo mod 4 rest takes the Go form. FuzzLatchStage holds both
 // entries to the Go form by Float64bits, on both kernels, at every length
 // 0–17 and offset mod 4, for ideal and varied devices and in place.
+//
+// # The bifurcation step
+//
+// A simulated bifurcation machine's step is pointwise around its force
+// (Bifurcation, bifurcation.go): the symplectic-Euler update of y and x,
+// the walls, the sign readout and the list of nodes whose sign changed,
+// which is what KeptFields fans out. Bifurcation.node is the form that
+// defines the bits. The fifth lane kernel, sbmStep (bifurcation_amd64.s),
+// is its twin with nothing branching on a value: the walls by compare and
+// blend, the signs by compare, the changed ones by VMOVMSKPD against the
+// old spins' sign bits, and every lane written to the flip list with only
+// the changed ones counted. FuzzSBMStep holds it to the Go form by
+// Float64bits, on both kernels, at every length 0–17 and offset mod 4,
+// with positions that land on the walls and on both zeros.
 package lattice
 
 import "fmt"

@@ -31,6 +31,14 @@ func latchStage(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa,
 //go:noescape
 func latchFinal(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int
 
+// sbmStep is Bifurcation.Step over 4·groups nodes, four doubles per
+// packed instruction with Bifurcation.node's operations, order and
+// roundings (bifurcation_amd64.s), ma = −(A0 − a); it returns how many
+// nodes it wrote to flipped.
+//
+//go:noescape
+func sbmStep(x, y, f *float64, spins *int8, flipped *int32, groups int, ma, c0, dt, a0 float64) int
+
 // csrLanes fills out[order[p]] for the 4·groups positions p of whole
 // lane groups of one window (csr.go): each lane starts at base[row] (+0
 // for a nil base) and adds vals·x[cols] in its row's order, every

@@ -4,8 +4,8 @@ package lattice
 
 // No packed lanes off amd64: useAVX is never true, so dense.MatVecRange
 // never reaches sweep32, csr.MatVecRange never reaches csrLanes, Tanh
-// never reaches tanhLanes and a Latch never reaches latchStage or
-// latchFinal.
+// never reaches tanhLanes, a Latch never reaches latchStage or latchFinal
+// and a Bifurcation never reaches sbmStep.
 var useAVX = false
 
 func sweep32(col *float64, stride uintptr, x *float64, rows int, acc *float64) {
@@ -26,4 +26,8 @@ func latchStage(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa,
 
 func latchFinal(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int {
 	panic("lattice: latchFinal without AVX")
+}
+
+func sbmStep(x, y, f *float64, spins *int8, flipped *int32, groups int, ma, c0, dt, a0 float64) int {
+	panic("lattice: sbmStep without AVX")
 }

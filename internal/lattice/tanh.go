@@ -56,7 +56,7 @@ func tanhGo(x float64) float64 {
 	if a > TanhSaturation {
 		a = TanhSaturation
 	}
-	t := -2 * a
+	t := float64(-2 * a)
 	kb := float64(t*tanhInvLn2) + tanhBias
 	k := kb - tanhBias
 	r := (t - float64(k*tanhLn2Hi)) - float64(k*tanhLn2Lo)

@@ -117,7 +117,7 @@ func TestTanhLanesMatchGo(t *testing.T) {
 // fused. No fused mnemonic in any kernel's source is the check that
 // does not depend on luck.
 func TestLanesNeverFuse(t *testing.T) {
-	for _, file := range []string{"tanh_amd64.h", "tanh_amd64.s", "latch_amd64.s", "sweep_amd64.s", "csr_amd64.s"} {
+	for _, file := range []string{"tanh_amd64.h", "tanh_amd64.s", "latch_amd64.s", "sweep_amd64.s", "csr_amd64.s", "bifurcation_amd64.s"} {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)

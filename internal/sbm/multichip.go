@@ -7,7 +7,6 @@ import (
 	"mbrim/internal/graph"
 	"mbrim/internal/ising"
 	"mbrim/internal/lattice"
-	"mbrim/internal/rng"
 )
 
 // This file implements the multi-chip scale-out of simulated
@@ -74,21 +73,18 @@ func SolveMultiChip(m *ising.Model, cfg MultiChipConfig) *MultiChipResult {
 	}
 	base := m.MuH()
 	parts := graph.BlockPartition(n, cfg.Chips)
+	sb := lattice.Bifurcation{A0: a0, C0: c0, Dt: dt}
 
-	r := rng.New(cfg.Seed)
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = 0.1 * (r.Float64()*2 - 1)
-		y[i] = 0.1 * (r.Float64()*2 - 1)
-	}
+	x, y := positions(cfg.Seed, n)
 	// snapshot is every chip's view of remote positions, refreshed at
-	// exchange boundaries; seen is one chip's merged view of a step.
+	// exchange boundaries; seen is one chip's merged view of a step, and
+	// spins the signs its dSB force reads. sig is the readout of x itself.
 	snapshot := make([]float64, n)
 	copy(snapshot, x)
 	seen := make([]float64, n)
-
 	spins := make([]int8, n)
+	sig := readout(x, make([]int8, n))
+	flipped := make([]int32, n)
 	force := make([]float64, n)
 	energy := func(s []int8) float64 { return lattice.Energy(lat, s, base) }
 	res := &MultiChipResult{}
@@ -104,38 +100,25 @@ func SolveMultiChip(m *ising.Model, cfg MultiChipConfig) *MultiChipResult {
 			copy(seen, snapshot)
 			copy(seen[lo:hi], x[lo:hi])
 			if cfg.Variant == Discrete {
-				readout(seen, spins)
-			}
-			lattice.ForRange(hi-lo, cfg.Workers, func(a, b int) {
-				if cfg.Variant == Discrete {
-					lat.FieldsRange(spins, base, force, lo+a, lo+b)
-				} else {
-					lat.MatVecRange(seen, base, force, lo+a, lo+b)
-				}
-			})
-		}
-		for i := 0; i < n; i++ {
-			y[i] += (-(a0-at)*x[i] + c0*force[i]) * dt
-			x[i] += a0 * y[i] * dt
-			if x[i] > 1 {
-				x[i], y[i] = 1, 0
-			} else if x[i] < -1 {
-				x[i], y[i] = -1, 0
+				lat.FieldsRange(readout(seen, spins), base, force, lo, hi)
+			} else {
+				lat.MatVecRange(seen, base, force, lo, hi)
 			}
 		}
+		sb.Step(x, y, force, sig, flipped, at)
 		if (step+1)%exchangeEvery == 0 {
 			copy(snapshot, x)
 			res.Exchanges++
 			// Each chip broadcasts its positions to the other chips.
 			if cfg.Chips > 1 {
-				res.BytesExchanged += 4 * float64(n) * float64(cfg.Chips-1)
+				res.BytesExchanged += float64(4 * float64(n) * float64(cfg.Chips-1))
 			}
 		}
 		if cfg.OnStep != nil {
-			cfg.OnStep(step, energy(readout(x, spins)))
+			cfg.OnStep(step, energy(sig))
 		}
 	}
-	res.Spins = ising.CopySpins(readout(x, spins))
+	res.Spins = ising.CopySpins(sig)
 	res.Energy = energy(res.Spins)
 	res.Steps = cfg.Steps
 	res.Wall = time.Since(start)

@@ -68,13 +68,10 @@ type Config struct {
 	// OnStep, if non-nil, is called after each step with the step
 	// index and the energy of the current sign readout.
 	OnStep func(step int, energy float64)
-	// Workers fans the force accumulation over goroutines. It only
-	// moves host time: every layout × worker count produces
-	// bit-identical trajectories.
-	Workers int
 	// Tracer, if non-nil, receives EnergySample events on a bounded
-	// cadence (~64 samples per run; each sample costs an O(N²) energy
-	// evaluation, so per-step emission would dominate the run).
+	// cadence (~64 samples per run; outside dSB's exact fields a sample
+	// is a full energy evaluation, so per-step emission would dominate
+	// the run).
 	Tracer obs.Tracer
 	// Metrics, if non-nil, accumulates run totals (sbm.steps, sbm.runs).
 	Metrics *obs.Registry
@@ -91,27 +88,93 @@ type Result struct {
 // defaultC0From computes Goto's heuristic coupling scale from a
 // coupling view. The moment statistics run over every upper-triangle
 // pair, zeros included — the historical population — so cnt is n(n−1)/2
-// directly while the sums iterate only stored nonzeros (adding a zero
-// never changes an accumulator's bits).
+// directly while the sums (lattice.UpperSums) cover only stored nonzeros
+// (adding a zero never changes an accumulator's bits).
 func defaultC0From(lat lattice.Coupling) float64 {
 	n := lat.N()
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		lat.Scan(i, func(j int, v float64) {
-			if j > i {
-				sum += v
-				sumSq += v * v
-			}
-		})
-	}
+	sum, sumSq := lattice.UpperSums(lat)
 	cnt := n * (n - 1) / 2
 	if cnt == 0 {
 		return 1
 	}
 	mean := sum / float64(cnt)
-	variance := sumSq/float64(cnt) - mean*mean
+	variance := sumSq/float64(cnt) - float64(mean*mean)
 	sigma := math.Sqrt(math.Max(variance, 1e-12))
 	return 0.5 / (sigma * math.Sqrt(float64(n)))
+}
+
+// positions draws the random initial positions and momenta of n nodes,
+// uniform in ±0.1.
+func positions(seed uint64, n int) (x, y []float64) {
+	r := rng.New(seed)
+	// The conversion around r.Float64 keeps its division by 2⁵³, once
+	// inlined, from fusing with the doubling where the compiler fuses.
+	draw := func() float64 { return 0.1 * (float64(float64(r.Float64())*2) - 1) }
+	x, y = make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i], y[i] = draw(), draw()
+	}
+	return x, y
+}
+
+// machine is one SB run between steps. spins is always the sign readout
+// of x; for dSB, force is always the fields of spins.
+type machine struct {
+	lat      lattice.Coupling
+	base     []float64
+	sb       lattice.Bifurcation
+	discrete bool
+	x, y     []float64
+	force    []float64
+	spins    []int8
+	flipped  []int32
+	kept     *lattice.KeptFields
+}
+
+func newMachine(m *ising.Model, cfg Config, a0, dt float64) *machine {
+	n := m.N()
+	mc := &machine{
+		lat:      m.View(lattice.Auto),
+		base:     m.MuH(), // μh enters the force like a coupling to a fixed +1 spin
+		discrete: cfg.Variant == Discrete,
+		force:    make([]float64, n),
+		spins:    make([]int8, n),
+		flipped:  make([]int32, n),
+	}
+	c0 := cfg.C0
+	if c0 == 0 {
+		c0 = defaultC0From(mc.lat)
+	}
+	mc.sb = lattice.Bifurcation{A0: a0, C0: c0, Dt: dt}
+	mc.x, mc.y = positions(cfg.Seed, n)
+	readout(mc.x, mc.spins)
+	if mc.discrete {
+		mc.kept = lattice.KeepFields(mc.lat, mc.base)
+		lattice.Fields(mc.lat, mc.spins, mc.base, mc.force, 1)
+	}
+	return mc
+}
+
+// step advances one symplectic step at bifurcation parameter at. The
+// mean-field force of dSB is the fields of sign(x), kept current across
+// the step by the signs that changed; bSB's is the mat-vec of x itself.
+func (mc *machine) step(at float64) {
+	if !mc.discrete {
+		lattice.MatVec(mc.lat, mc.x, mc.base, mc.force, 1)
+	}
+	flipped := mc.sb.Step(mc.x, mc.y, mc.force, mc.spins, mc.flipped, at)
+	if mc.discrete {
+		mc.kept.Flip(mc.spins, flipped, mc.force)
+	}
+}
+
+// energy is m.Energy's bits for the current readout: read off the kept
+// fields for dSB where they are exact, else by lattice.Energy.
+func (mc *machine) energy() float64 {
+	if mc.discrete {
+		return mc.kept.Energy(mc.spins, mc.force)
+	}
+	return lattice.Energy(mc.lat, mc.spins, mc.base)
 }
 
 // Solve runs simulated bifurcation on the model.
@@ -142,26 +205,7 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 	if a0 == 0 {
 		a0 = 1
 	}
-	n := m.N()
-	lat := m.View(lattice.Auto)
-	// The bias term enters the force like a coupling to a fixed +1 spin:
-	// μh seeds every row's accumulator.
-	base := m.MuH()
-	c0 := cfg.C0
-	if c0 == 0 {
-		c0 = defaultC0From(lat)
-	}
-	r := rng.New(cfg.Seed)
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = 0.1 * (r.Float64()*2 - 1)
-		y[i] = 0.1 * (r.Float64()*2 - 1)
-	}
-	force := make([]float64, n)
-	spins := make([]int8, n)
-	// m.Energy's bits, through the ±1 planes when the view has them.
-	energy := func(s []int8) float64 { return lattice.Energy(lat, s, base) }
+	mc := newMachine(m, cfg, a0, dt)
 	sampleEvery := 0
 	if cfg.Tracer != nil {
 		sampleEvery = cfg.Steps / 64
@@ -183,46 +227,22 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 		if runErr != nil {
 			break
 		}
-		at := a0 * float64(step) / float64(cfg.Steps)
-		// Mean-field force. dSB uses sign(x), bSB uses x itself.
-		switch cfg.Variant {
-		case Discrete:
-			for j := 0; j < n; j++ {
-				if x[j] >= 0 {
-					spins[j] = 1
-				} else {
-					spins[j] = -1
-				}
-			}
-			lattice.Fields(lat, spins, base, force, cfg.Workers)
-		default:
-			lattice.MatVec(lat, x, base, force, cfg.Workers)
-		}
-		for i := 0; i < n; i++ {
-			y[i] += (-(a0-at)*x[i] + c0*force[i]) * dt
-			x[i] += a0 * y[i] * dt
-			// Perfectly inelastic walls.
-			if x[i] > 1 {
-				x[i], y[i] = 1, 0
-			} else if x[i] < -1 {
-				x[i], y[i] = -1, 0
-			}
-		}
+		mc.step(a0 * float64(step) / float64(cfg.Steps))
 		stepsDone++
 		if cfg.OnStep != nil {
-			cfg.OnStep(step, energy(readout(x, spins)))
+			cfg.OnStep(step, mc.energy())
 		}
 		if sampleEvery > 0 && (step+1)%sampleEvery == 0 {
 			cfg.Tracer.Emit(obs.Event{Kind: obs.EnergySample,
-				Epoch: step + 1, Value: energy(readout(x, spins))})
+				Epoch: step + 1, Value: mc.energy()})
 		}
 	}
 	res := &Result{
-		Spins: ising.CopySpins(readout(x, spins)),
-		Steps: stepsDone,
-		Wall:  time.Since(start),
+		Spins:  ising.CopySpins(mc.spins),
+		Energy: mc.energy(),
+		Steps:  stepsDone,
+		Wall:   time.Since(start),
 	}
-	res.Energy = energy(res.Spins)
 	if cfg.Metrics != nil {
 		cfg.Metrics.Counter("sbm.runs").Inc()
 		cfg.Metrics.Counter("sbm.steps").Add(int64(stepsDone))

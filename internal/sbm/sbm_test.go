@@ -1,12 +1,14 @@
 package sbm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"mbrim/internal/graph"
 	"mbrim/internal/ising"
 	"mbrim/internal/lattice"
+	"mbrim/internal/obs"
 	"mbrim/internal/rng"
 )
 
@@ -201,13 +203,134 @@ func TestDefaultC0Positive(t *testing.T) {
 	}
 }
 
-func BenchmarkDiscreteK256Step(b *testing.B) {
-	r := rng.New(1)
-	g := graph.Complete(256, r)
-	m := g.ToIsing()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Solve(m, Config{Variant: Discrete, Steps: 1, Seed: uint64(i)})
+// walkC0 is defaultC0From as it stood before lattice.UpperSums: the
+// moment sums by a Scan walk over every row's upper triangle, kept as the
+// reference.
+func walkC0(lat lattice.Coupling) float64 {
+	n := lat.N()
+	var sum, sumSq float64
+	for i := 0; i < n; i++ {
+		lat.Scan(i, func(j int, v float64) {
+			if j > i {
+				sum += v
+				sumSq += float64(v * v)
+			}
+		})
+	}
+	cnt := n * (n - 1) / 2
+	if cnt == 0 {
+		return 1
+	}
+	mean := sum / float64(cnt)
+	variance := sumSq/float64(cnt) - float64(mean*mean)
+	return 0.5 / (math.Sqrt(math.Max(variance, 1e-12)) * math.Sqrt(float64(n)))
+}
+
+// TestDiscreteForceIsFields is the kept force's differential at the
+// engine: at every step of dSBM runs the force is lattice.Fields of that
+// step's signs and every energy the run reads is lattice.Energy's, by
+// Float64bits, and C0 is the walk's. The ±1 K-graphs with and without
+// integer biases keep their force by fanning out the flipped rows; a
+// fractional bias and a sparse (CSR) model recompute it.
+func TestDiscreteForceIsFields(t *testing.T) {
+	models := map[string]*ising.Model{}
+	for _, n := range []int{5, 64, 130, 512} {
+		models[fmt.Sprintf("K%d", n)] = graph.Complete(n, rng.New(uint64(n))).ToIsing()
+	}
+	k64 := models["K64"]
+	ints, frac := make([]float64, 64), make([]float64, 64)
+	for i := range ints {
+		ints[i], frac[i] = float64(i%5-2), float64(i%5-2)/4
+	}
+	for name, h := range map[string][]float64{"K64 integer bias": ints, "K64 fractional bias": frac} {
+		m, err := k64.WithBiases(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[name] = m
+	}
+	models["sparse"] = graph.Random(300, 0.02, rng.New(3)).ToIsing()
+	if models["sparse"].View(lattice.Auto).Kind() != lattice.CSR {
+		t.Fatal("the sparse model is not stored as CSR")
+	}
+	for name, m := range models {
+		lat := m.View(lattice.Auto)
+		if got, want := defaultC0From(lat), walkC0(lat); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: C0 %v, walk %v", name, got, want)
+		}
+		const steps = 400
+		want := make([]float64, m.N())
+		for seed := uint64(1); seed <= 6; seed++ {
+			mc := newMachine(m, Config{Variant: Discrete, Steps: steps, Seed: seed}, 1, 0.5)
+			for step := 0; step < steps; step++ {
+				mc.step(float64(step) / steps)
+				lattice.Fields(lat, mc.spins, m.MuH(), want, 1)
+				for i, f := range mc.force {
+					if math.Float64bits(f) != math.Float64bits(want[i]) {
+						t.Fatalf("%s seed %d step %d row %d: force %v, Fields %v", name, seed, step, i, f, want[i])
+					}
+				}
+				if e, w := mc.energy(), m.Energy(mc.spins); math.Float64bits(e) != math.Float64bits(w) {
+					t.Fatalf("%s seed %d step %d: energy %v, lattice.Energy %v", name, seed, step, e, w)
+				}
+			}
+		}
+	}
+}
+
+// energies records the values of the events a run emits.
+type energies []float64
+
+func (e *energies) Emit(ev obs.Event) { *e = append(*e, ev.Value) }
+
+// TestSamplingDoesNotPerturb: reading the energy along the way — every
+// step through OnStep, ~64 times through a Tracer, or both — leaves a
+// run's spins and energy where a bare run ends, and the samples agree
+// with each other, by Float64bits.
+func TestSamplingDoesNotPerturb(t *testing.T) {
+	m := graph.Complete(130, rng.New(3)).ToIsing()
+	for _, v := range []Variant{Discrete, Ballistic} {
+		cfg := Config{Variant: v, Steps: 200, Seed: 4}
+		bare := Solve(m, cfg)
+		var perStep, both energies
+		var traced, tracedBoth energies
+		withStep, withTracer, withBoth := cfg, cfg, cfg
+		withStep.OnStep = func(_ int, e float64) { perStep = append(perStep, e) }
+		withTracer.Tracer = &traced
+		withBoth.OnStep = func(_ int, e float64) { both = append(both, e) }
+		withBoth.Tracer = &tracedBoth
+		for name, c := range map[string]Config{"OnStep": withStep, "Tracer": withTracer, "both": withBoth} {
+			res := Solve(m, c)
+			if math.Float64bits(res.Energy) != math.Float64bits(bare.Energy) || ising.HammingDistance(res.Spins, bare.Spins) != 0 {
+				t.Fatalf("%v with %s: energy %v, bare run %v", v, name, res.Energy, bare.Energy)
+			}
+		}
+		if len(perStep) != cfg.Steps || len(traced) == 0 || math.Float64bits(perStep[cfg.Steps-1]) != math.Float64bits(bare.Energy) {
+			t.Fatalf("%v: %d step samples, %d traced", v, len(perStep), len(traced))
+		}
+		every := cfg.Steps / 64
+		for k, e := range traced {
+			if p := perStep[(k+1)*every-1]; math.Float64bits(e) != math.Float64bits(p) || math.Float64bits(tracedBoth[k]) != math.Float64bits(e) {
+				t.Fatalf("%v sample %d: traced %v, with OnStep %v, OnStep %v", v, k, e, tracedBoth[k], p)
+			}
+		}
+		for k, e := range both {
+			if math.Float64bits(e) != math.Float64bits(perStep[k]) {
+				t.Fatalf("%v step %d: %v with a Tracer, %v without", v, k, e, perStep[k])
+			}
+		}
+	}
+}
+
+// BenchmarkDSBMK512 is one solve of the k512_dsbm workload: dSBM on a
+// ±1 K512 for 800 steps, the C0 sums, the kept force and the final
+// energy included.
+func BenchmarkDSBMK512(b *testing.B) {
+	m := graph.Complete(512, rng.New(1)).ToIsing()
+	seed := uint64(0)
+	for b.Loop() {
+		seed++
+		Solve(m, Config{Variant: Discrete, Steps: 800, Seed: seed})
 	}
 }
 
