@@ -65,7 +65,7 @@ import (
 const (
 	// armPlanes carries a model whose nonzero couplings are all exactly
 	// ±1 (the paper's K-graph family — the property the lattice's bit
-	// planes key on). The upper triangle is numbered row-major
+	// planes key on) when it is the shorter frame. The upper triangle is numbered row-major
 	// (t = 0 for (0,1), then (0,2) … (0,n−1), (1,2) …; T = n(n−1)/2
 	// couplings) and the frame is two bit planes of ⌈T/8⌉ bytes each,
 	// bit t at byte t/8, bit t%8: first presence (J_ij ≠ 0), then sign
@@ -90,9 +90,12 @@ type ModelWire struct {
 }
 
 // ModelToWire encodes m for transport, straight from its stored
-// couplings: the planes arm when every one is ±1, else CSR.
+// couplings: the planes arm when every one is ±1 and its two planes are
+// no longer than the CSR frame, else CSR. The planes are n²/4 bits
+// however sparse the model, so a sparse ±1 model crosses as CSR.
 func ModelToWire(m *ising.Model) *ModelWire {
-	w := &ModelWire{N: m.N(), Mu: m.Mu()}
+	n := m.N()
+	w := &ModelWire{N: n, Mu: m.Mu()}
 	for _, h := range m.Biases() {
 		if h != 0 {
 			w.Biases = append([]float64(nil), m.Biases()...)
@@ -101,7 +104,10 @@ func ModelToWire(m *ising.Model) *ModelWire {
 	}
 	lat := m.View(lattice.Auto)
 	var ok bool
-	if w.Frame, ok = planesFrame(lat); ok {
+	if 2*planeBytes(n) <= 4*n+12*lat.NNZ()/2 {
+		w.Frame, ok = planesFrame(lat)
+	}
+	if ok {
 		w.Arm = armPlanes
 	} else {
 		w.Arm, w.Frame = armCSR, csrFrame(lat)
