@@ -1,6 +1,7 @@
 package brim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -271,8 +272,8 @@ func TestSolveBatchBest(t *testing.T) {
 	r := rng.New(19)
 	g := graph.Complete(20, r)
 	m := g.ToIsing()
-	best, all := SolveBatch(m, SolveConfig{Duration: 30, Config: Config{Seed: 100}}, 5)
-	if len(all) != 5 {
+	best, all, err := SolveBatchCtx(context.Background(), m, SolveConfig{Duration: 30, Config: Config{Seed: 100}}, 5)
+	if err != nil || len(all) != 5 {
 		t.Fatalf("got %d results", len(all))
 	}
 	for _, res := range all {
@@ -299,7 +300,7 @@ func TestPanics(t *testing.T) {
 	m := ferromagnet(4)
 	for name, f := range map[string]func(){
 		"zero duration":   func() { Solve(m, SolveConfig{Duration: 0}) },
-		"zero runs":       func() { SolveBatch(m, SolveConfig{Duration: 1}, 0) },
+		"zero runs":       func() { SolveBatchCtx(context.Background(), m, SolveConfig{Duration: 1}, 0) },
 		"neg run":         func() { New(m, Config{}).Run(-1) },
 		"bad bias len":    func() { New(m, Config{}).SetExternalBias([]float64{1}) },
 		"bad spins len":   func() { New(m, Config{}).SetSpins([]int8{1}) },

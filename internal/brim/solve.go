@@ -138,22 +138,12 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg SolveConfig) (*Result, er
 	return res, runErr
 }
 
-// SolveBatch runs `runs` annealing jobs from different seeds on one
-// machine design and returns the per-run results plus the index of the
-// best. Model time accumulates across runs: a single chip performs the
-// batch sequentially, which is exactly the baseline batch mode is
-// measured against.
-func SolveBatch(m *ising.Model, cfg SolveConfig, runs int) (best *Result, all []*Result) {
-	best, all, err := SolveBatchCtx(context.Background(), m, cfg, runs)
-	if err != nil {
-		panic(err)
-	}
-	return best, all
-}
-
-// SolveBatchCtx is SolveBatch with lifecycle control: on cancellation
-// or divergence it returns the completed runs plus the interrupted
-// partial, the best among them, and the error.
+// SolveBatchCtx runs `runs` annealing jobs from different seeds on one
+// machine design and returns the per-run results plus the best. Model
+// time accumulates across runs: a single chip performs the batch
+// sequentially, which is exactly the baseline batch mode is measured
+// against. On cancellation or divergence it returns the completed runs
+// plus the interrupted partial, the best among them, and the error.
 func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg SolveConfig, runs int) (best *Result, all []*Result, err error) {
 	if runs < 1 {
 		panic(fmt.Sprintf("brim: runs=%d", runs))

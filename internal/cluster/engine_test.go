@@ -299,8 +299,11 @@ func TestClusterRunsAreAdmittedLikeAnyOther(t *testing.T) {
 			t.Fatalf("submission %d = %d (Retry-After %q), want %d", i+1, resp.StatusCode, resp.Header.Get("Retry-After"), want)
 		}
 	}
-	if list := mgr.List(); len(list) != 2 || list[0].State != runs.StateRunning || list[1].State != runs.StateQueued {
-		t.Fatalf("run table %+v, want one running and one queued", list)
+	// The dispatched run turns running on its own goroutine, so it may
+	// still read pending here.
+	if list := mgr.List(); len(list) != 2 || (list[0].State != runs.StatePending && list[0].State != runs.StateRunning) ||
+		list[1].State != runs.StateQueued {
+		t.Fatalf("run table %+v, want one dispatched and one queued", list)
 	}
 	// (Drained before the next manager hands out run-1 again: slices on
 	// the workers are scoped by run id.)

@@ -142,10 +142,12 @@ func frameModels() []frameModel {
 	out = append(out, frameModel{"K64-isolated-spin", isolated, armPlanes})
 
 	// 2 % dense: stored, and so encoded from, compressed rows; ±1
-	// weights still take the planes arm.
+	// weights still take the planes arm, which is the shorter frame. At
+	// 0.2 % the planes are about eight times the CSR frame.
 	sparse := gnpModel(300, 0.02, 5)
 	out = append(out, frameModel{"gnp300-sparse", sparse, armCSR},
-		frameModel{"gnp300-sparse-unit", graph.Random(300, 0.02, rng.New(5)).ToIsing(), armPlanes})
+		frameModel{"gnp300-sparse-unit", graph.Random(300, 0.02, rng.New(5)).ToIsing(), armPlanes},
+		frameModel{"gnp1000-sparse-unit", graph.Random(1000, 0.002, rng.New(6)).ToIsing(), armCSR})
 
 	extremesb := ising.NewBuilder(4)
 	extremesb.SetCoupling(0, 3, math.MaxFloat64)

@@ -104,10 +104,8 @@ type Request struct {
 
 	// MachineCapacity is the hardware size for the d&c engines.
 	// Default 500 (the Fig 1 setup). The machine is a ProxyMachine
-	// charging MachineAnnealNS and MachineProgramNS per launch.
-	MachineCapacity  int
-	MachineAnnealNS  float64
-	MachineProgramNS float64
+	// charging 1000 ns of annealing and 100 ns of programming per launch.
+	MachineCapacity int
 
 	// SampleEveryNS, if > 0, records (time, energy) samples into
 	// Outcome.Trace for the engines that support tracing (BRIM and the
@@ -205,12 +203,6 @@ func (r *Request) withDefaults() (Request, error) {
 	}
 	if out.MachineCapacity == 0 {
 		out.MachineCapacity = 500
-	}
-	if out.MachineAnnealNS == 0 {
-		out.MachineAnnealNS = 1000
-	}
-	if out.MachineProgramNS == 0 {
-		out.MachineProgramNS = 100
 	}
 	return out, nil
 }

@@ -36,8 +36,8 @@ func (e dncEngine) Solve(ctx context.Context, r *Request) (*Outcome, error) {
 	start := time.Now()
 	mach := &dnc.ProxyMachine{
 		Cap:      r.MachineCapacity,
-		AnnealNS: r.MachineAnnealNS,
-		Program:  r.MachineProgramNS,
+		AnnealNS: 1000,
+		Program:  100,
 		Sweeps:   r.Sweeps,
 	}
 	var res *dnc.Result

@@ -7,9 +7,9 @@ import (
 	"mbrim/internal/sa"
 )
 
-// saEngine adapts internal/sa to the registry. The loop semantics are
-// the pre-registry dispatch verbatim: Runs independent anneals at
-// consecutive seeds, best energy wins, attempts/flips accumulate.
+// saEngine adapts internal/sa to the registry: sa.SolveBatchCtx's Runs
+// anneals at consecutive seeds, best energy wins, attempts and flips
+// accumulate over every run, the one a cancellation cut short included.
 type saEngine struct{}
 
 func init() { Register(saEngine{}) }
@@ -31,26 +31,16 @@ func (saEngine) Solve(ctx context.Context, r *Request) (*Outcome, error) {
 	}
 	out := r.NewOutcome()
 	start := time.Now()
-	var best *sa.Result
-	var attempts, flips float64
-	for i := 0; i < r.Runs; i++ {
-		res, rerr := sa.SolveCtx(ctx, r.Model, sa.Config{Sweeps: r.Sweeps,
-			Seed: r.Seed + uint64(i), Initial: r.Initial,
-			Tracer: r.Tracer, Metrics: r.Metrics})
-		attempts += float64(res.Attempts)
-		flips += float64(res.Flips)
-		if best == nil || res.Energy < best.Energy {
-			best = res
-		}
-		if rerr != nil {
-			out.Spins, out.Energy = best.Spins, best.Energy
-			out.Stats["attempts"], out.Stats["flips"] = attempts, flips
-			return r.Interrupted(out, start, rerr, nil)
-		}
+	br, rerr := sa.SolveBatchCtx(ctx, r.Model, sa.Config{Sweeps: r.Sweeps, Seed: r.Seed,
+		Initial: r.Initial, Tracer: r.Tracer, Metrics: r.Metrics}, r.Runs)
+	out.Spins, out.Energy = br.Best.Spins, br.Best.Energy
+	for _, res := range br.Results {
+		out.Stats["attempts"] += float64(res.Attempts)
+		out.Stats["flips"] += float64(res.Flips)
 	}
-	out.Spins, out.Energy = best.Spins, best.Energy
-	out.Stats["attempts"] = attempts
-	out.Stats["flips"] = flips
+	if rerr != nil {
+		return r.Interrupted(out, start, rerr, nil)
+	}
 	r.Finish(out, start)
 	return out, nil
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // sbmEngine adapts internal/sbm; one registration per variant (bSBM
-// ballistic, dSBM discrete) so each is a first-class registry entry.
+// ballistic, dSBM discrete) so each is a first-class registry entry. The
+// best-of-Runs restarts are sbm.SolveBatchCtx's.
 type sbmEngine struct {
 	kind    Kind
 	variant sbm.Variant
@@ -33,19 +34,12 @@ func (e sbmEngine) Capabilities() Capabilities {
 func (e sbmEngine) Solve(ctx context.Context, r *Request) (*Outcome, error) {
 	out := r.NewOutcome()
 	start := time.Now()
-	var best *sbm.Result
-	for i := 0; i < r.Runs; i++ {
-		res, rerr := sbm.SolveCtx(ctx, r.Model, sbm.Config{Variant: e.variant, Steps: r.Steps,
-			Seed: r.Seed + uint64(i), Tracer: r.Tracer, Metrics: r.Metrics})
-		if best == nil || res.Energy < best.Energy {
-			best = res
-		}
-		if rerr != nil {
-			out.Spins, out.Energy = best.Spins, best.Energy
-			return r.Interrupted(out, start, rerr, nil)
-		}
+	br, rerr := sbm.SolveBatchCtx(ctx, r.Model, sbm.Config{Variant: e.variant, Steps: r.Steps,
+		Seed: r.Seed, Tracer: r.Tracer, Metrics: r.Metrics}, r.Runs)
+	out.Spins, out.Energy = br.Best.Spins, br.Best.Energy
+	if rerr != nil {
+		return r.Interrupted(out, start, rerr, nil)
 	}
-	out.Spins, out.Energy = best.Spins, best.Energy
 	r.Finish(out, start)
 	return out, nil
 }

@@ -128,16 +128,11 @@ func (r *Result) TotalNS() float64 {
 	return r.HardwareNS + r.ProgramNS + float64(r.SoftwareWall.Nanoseconds())
 }
 
-// QBSolvConfig parameterizes Algorithm 1.
+// QBSolvConfig parameterizes Algorithm 1. The algorithm stops after two
+// passes without improvement (the while-loop bound), visits every
+// variable in a pass (line 12's fraction is 1) and bounds each tabu
+// polish at 20·n iterations.
 type QBSolvConfig struct {
-	// NumRepeats is the pass budget without improvement before the
-	// algorithm stops (the while-loop bound). Default 2.
-	NumRepeats int
-	// Fraction of the variables visited per pass (line 12's
-	// fraction·size). Default 1.
-	Fraction float64
-	// TabuIters bounds each tabu polish. Default 20·n.
-	TabuIters int
 	// Seed drives all stochastic choices.
 	Seed uint64
 	// Tracer, if non-nil, receives a ChipStep event per machine launch
@@ -165,21 +160,8 @@ func QBSolvCtx(ctx context.Context, m *ising.Model, mach Machine, cfg QBSolvConf
 		ctx = context.Background()
 	}
 	n := m.N()
-	numRepeats := cfg.NumRepeats
-	if numRepeats == 0 {
-		numRepeats = 2
-	}
-	fraction := cfg.Fraction
-	if fraction == 0 {
-		fraction = 1
-	}
-	if fraction < 0 || fraction > 1 {
-		panic(fmt.Sprintf("dnc: Fraction=%v", fraction))
-	}
-	tabuIters := cfg.TabuIters
-	if tabuIters == 0 {
-		tabuIters = 20 * n
-	}
+	const numRepeats = 2
+	tabuIters := 20 * n
 	r := rng.New(cfg.Seed)
 	res := &Result{}
 	subSize := mach.Capacity()
@@ -198,7 +180,6 @@ func QBSolvCtx(ctx context.Context, m *ising.Model, mach Machine, cfg QBSolvConf
 	res.SoftwareWall += time.Since(swStart)
 
 	qtmp := ising.CopySpins(qbest)
-	total := int(fraction * float64(n))
 
 	done := ctx.Done()
 	var runErr error
@@ -207,7 +188,7 @@ func QBSolvCtx(ctx context.Context, m *ising.Model, mach Machine, cfg QBSolvConf
 		res.Passes++
 		// Lines 15-21: clamp, launch machine, project — one pass over
 		// the impact-ordered variables in capacity-sized windows.
-		for i := 0; i < total; i += subSize {
+		for i := 0; i < n; i += subSize {
 			select {
 			case <-done:
 				runErr = ctx.Err()

@@ -203,7 +203,7 @@ func TestQBSolvWithBRIMMachineEndToEnd(t *testing.T) {
 	// machine on a problem 2x its capacity.
 	m := testGraph(32, 24)
 	mach := &BRIMMachine{Cap: 16, Cfg: brim.SolveConfig{Duration: 30}, Program: 50}
-	res := QBSolv(m, mach, QBSolvConfig{Seed: 25, NumRepeats: 1})
+	res := QBSolv(m, mach, QBSolvConfig{Seed: 25})
 	if !ising.ValidSpins(res.Spins) {
 		t.Fatal("invalid spins")
 	}
@@ -222,15 +222,6 @@ func TestOursPanicsOnZeroCapacity(t *testing.T) {
 		}
 	}()
 	Ours(testGraph(10, 1), &ProxyMachine{Cap: 0}, OursConfig{})
-}
-
-func TestQBSolvPanicsOnBadFraction(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	QBSolv(testGraph(10, 1), proxy(8), QBSolvConfig{Fraction: 2})
 }
 
 // mustBuild freezes a test's builder: its couplings are the test's own,

@@ -13,13 +13,10 @@ import (
 
 // OursConfig parameterizes Algorithm 2, the paper's leaner
 // divide-and-conquer: randomly partition once, then repeatedly solve
-// each partition with the others frozen and synchronize.
+// each partition with the others frozen and synchronize. It makes four
+// outer passes, and the host solves each partition that does not fit
+// the machine with 30 sweeps of SA.
 type OursConfig struct {
-	// NumRepeats is the number of outer passes. Default 4.
-	NumRepeats int
-	// SoftwareSweeps is the SA effort for partitions that do not fit
-	// the machine (they are solved by the host). Default 30.
-	SoftwareSweeps int
 	// Seed drives partitioning, initial state and solver seeds.
 	Seed uint64
 	// Tracer, if non-nil, receives a ChipStep event per hardware launch
@@ -50,14 +47,7 @@ func OursCtx(ctx context.Context, m *ising.Model, mach Machine, cfg OursConfig) 
 		ctx = context.Background()
 	}
 	n := m.N()
-	numRepeats := cfg.NumRepeats
-	if numRepeats == 0 {
-		numRepeats = 4
-	}
-	swSweeps := cfg.SoftwareSweeps
-	if swSweeps == 0 {
-		swSweeps = 30
-	}
+	const numRepeats, swSweeps = 4, 30
 	cap := mach.Capacity()
 	if cap < 1 {
 		panic(fmt.Sprintf("dnc: machine capacity %d", cap))

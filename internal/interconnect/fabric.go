@@ -71,9 +71,6 @@ func New(numChips, channels int, bytesPerNS float64) (*Fabric, error) {
 // Unlimited reports whether the fabric has no bandwidth constraint.
 func (f *Fabric) Unlimited() bool { return f.bytesPerNS == 0 }
 
-// NumChips returns the chip count.
-func (f *Fabric) NumChips() int { return f.numChips }
-
 // EgressRate returns a chip's total egress bandwidth in bytes/ns, or
 // +Inf for an unlimited fabric.
 func (f *Fabric) EgressRate() float64 {

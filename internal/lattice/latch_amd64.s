@@ -195,19 +195,15 @@ done:
 	VZEROUPPER
 	RET
 
-	// Nothing executes the 32 bytes below. Go aligns functions to 32
-	// bytes, so the size of the text linked ahead of package main decides
-	// whether bench's calibration kernel starts at 0 or at 32 mod 64, it
-	// times several percent apart at the two, and every scaled benchmark
-	// metric of a build is multiplied by that reading (ROADMAP, finding
-	// (i)). These bytes hold main.calibKernel at 32 mod 64, where every
-	// parent had it (go build -o b ./bench && go tool nm b | grep
-	// calibKernel); a change to non-test code that flips it removes them,
-	// and the next one puts them back, until bench times its kernel where
-	// no package's text size can move it (ROADMAP 1(b)). They sit here,
-	// not in tanh_amd64.s, because this file's text is linked into bench:
-	// nothing outside the tests calls Tanh.
-	QUAD $0xCCCCCCCCCCCCCCCC
-	QUAD $0xCCCCCCCCCCCCCCCC
-	QUAD $0xCCCCCCCCCCCCCCCC
-	QUAD $0xCCCCCCCCCCCCCCCC
+	// Go aligns functions to 32 bytes, so the size of the text linked
+	// ahead of package main decides whether bench's calibration kernel
+	// starts at 0 or at 32 mod 64; it times several percent apart at the
+	// two, and every scaled benchmark metric of a build is multiplied by
+	// that reading (ROADMAP, finding (i)). CI fails a bench build whose
+	// main.calibKernel is not at 32 mod 64. When a change to non-test code
+	// flips it, 32 never-executed bytes here (four QUAD $0xCCCCCCCCCCCCCCCC
+	// after the RET above) flip it back, and the next change that flips it
+	// takes them out, until bench times its kernel where no package's text
+	// size can move it (ROADMAP 1(b)). They belong in this file because
+	// its text is linked into bench; tanh_amd64.s's is not, since nothing
+	// outside the tests calls Tanh.

@@ -251,15 +251,6 @@ func (c *chip) ownedSpins() []int8 {
 	return ising.CopySpins(c.machine.Spins())
 }
 
-// loadOwnedSpins warm-starts the machine at the given owned-order
-// spins and mirrors them into the shadow view.
-func (c *chip) loadOwnedSpins(s []int8) {
-	c.machine.SetSpins(s)
-	for li, g := range c.owned {
-		c.shadow[g] = s[li]
-	}
-}
-
 // loadJobState context-switches the chip onto a job: shadows take the
 // job's full global state, the machine warm-starts at the job's owned
 // slice, and the bias currents are rebuilt. This is batch mode's state

@@ -270,9 +270,6 @@ func MustSystem(m *ising.Model, cfg Config) *System {
 	return s
 }
 
-// NumChips returns the chip count.
-func (s *System) NumChips() int { return len(s.slices) }
-
 // Fabric exposes the fabric for traffic inspection.
 func (s *System) Fabric() *interconnect.Fabric { return s.fabric }
 

@@ -252,19 +252,30 @@ type BatchResult struct {
 // Runs execute sequentially: the wall time is the honest cost a
 // single-core von Neumann baseline would pay.
 func SolveBatch(m *ising.Model, cfg Config, runs int) *BatchResult {
+	br, _ := SolveBatchCtx(context.Background(), m, cfg, runs)
+	return br
+}
+
+// SolveBatchCtx is SolveBatch with cancellation: the batch stops at the
+// run the cancellation cut short, which it holds beside the completed
+// ones, Best is the lowest energy among them, and the error is ctx.Err().
+func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg Config, runs int) (*BatchResult, error) {
 	if runs < 1 {
 		panic(fmt.Sprintf("sa: runs=%d", runs))
 	}
-	br := &BatchResult{Results: make([]*Result, runs)}
+	br := &BatchResult{Results: make([]*Result, 0, runs)}
 	start := time.Now()
-	for i := 0; i < runs; i++ {
+	var err error
+	for i := 0; i < runs && err == nil; i++ {
 		c := cfg
 		c.Seed = cfg.Seed + uint64(i)
-		br.Results[i] = Solve(m, c)
-		if br.Best == nil || br.Results[i].Energy < br.Best.Energy {
-			br.Best = br.Results[i]
+		var res *Result
+		res, err = SolveCtx(ctx, m, c)
+		br.Results = append(br.Results, res)
+		if br.Best == nil || res.Energy < br.Best.Energy {
+			br.Best = res
 		}
 	}
 	br.Wall = time.Since(start)
-	return br
+	return br, err
 }

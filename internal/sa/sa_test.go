@@ -1,6 +1,8 @@
 package sa
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -205,6 +207,36 @@ func TestSolveBatchSeedsDiffer(t *testing.T) {
 	}
 	if !distinct {
 		t.Fatal("batch runs all identical; seeds not varied")
+	}
+}
+
+// TestSolveBatchCtxKeepsTheCutRun: a batch cancelled in its second run
+// holds the first run whole and the second as far as it got, and Best is
+// the lower of the two.
+func TestSolveBatchCtxKeepsTheCutRun(t *testing.T) {
+	m := graph.Complete(40, rng.New(18)).ToIsing()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const sweeps, cutAt = 20, 7
+	calls := 0
+	cfg := Config{Sweeps: sweeps, Seed: 3, OnSweep: func(int, float64) {
+		if calls++; calls == sweeps+cutAt {
+			cancel()
+		}
+	}}
+	br, err := SolveBatchCtx(ctx, m, cfg, 3)
+	if !errors.Is(err, context.Canceled) || len(br.Results) != 2 {
+		t.Fatalf("err %v, %d results", err, len(br.Results))
+	}
+	first, cut := br.Results[0], br.Results[1]
+	if want := Solve(m, Config{Sweeps: sweeps, Seed: 3}); first.Energy != want.Energy || first.Attempts != want.Attempts {
+		t.Fatalf("first run energy %v, a lone run %v", first.Energy, want.Energy)
+	}
+	if cut.Attempts != cutAt*40 || cut.Energy != m.Energy(cut.Spins) {
+		t.Fatalf("cut run: %d attempts, energy %v of spins at %v", cut.Attempts, cut.Energy, m.Energy(cut.Spins))
+	}
+	if br.Best != first && br.Best != cut || br.Best.Energy > min(first.Energy, cut.Energy) {
+		t.Fatalf("Best %v of %v and %v", br.Best.Energy, first.Energy, cut.Energy)
 	}
 }
 

@@ -118,7 +118,7 @@ func positions(seed uint64, n int) (x, y []float64) {
 }
 
 // machine is one SB run between steps. spins is always the sign readout
-// of x; for dSB, force is always the fields of spins.
+// of x; where kept is set, force is always the fields of spins.
 type machine struct {
 	lat      lattice.Coupling
 	base     []float64
@@ -129,70 +129,17 @@ type machine struct {
 	spins    []int8
 	flipped  []int32
 	kept     *lattice.KeptFields
+	// stale, if set, is the view of a multi-chip run whose chips read
+	// each other's positions from a snapshot exchanged every few steps
+	// (multichip.go); nil, every row reads x itself.
+	stale *staleView
 }
 
-func newMachine(m *ising.Model, cfg Config, a0, dt float64) *machine {
-	n := m.N()
-	mc := &machine{
-		lat:      m.View(lattice.Auto),
-		base:     m.MuH(), // μh enters the force like a coupling to a fixed +1 spin
-		discrete: cfg.Variant == Discrete,
-		force:    make([]float64, n),
-		spins:    make([]int8, n),
-		flipped:  make([]int32, n),
-	}
-	c0 := cfg.C0
-	if c0 == 0 {
-		c0 = defaultC0From(mc.lat)
-	}
-	mc.sb = lattice.Bifurcation{A0: a0, C0: c0, Dt: dt}
-	mc.x, mc.y = positions(cfg.Seed, n)
-	readout(mc.x, mc.spins)
-	if mc.discrete {
-		mc.kept = lattice.KeepFields(mc.lat, mc.base)
-		lattice.Fields(mc.lat, mc.spins, mc.base, mc.force, 1)
-	}
-	return mc
-}
-
-// step advances one symplectic step at bifurcation parameter at. The
-// mean-field force of dSB is the fields of sign(x), kept current across
-// the step by the signs that changed; bSB's is the mat-vec of x itself.
-func (mc *machine) step(at float64) {
-	if !mc.discrete {
-		lattice.MatVec(mc.lat, mc.x, mc.base, mc.force, 1)
-	}
-	flipped := mc.sb.Step(mc.x, mc.y, mc.force, mc.spins, mc.flipped, at)
-	if mc.discrete {
-		mc.kept.Flip(mc.spins, flipped, mc.force)
-	}
-}
-
-// energy is m.Energy's bits for the current readout: read off the kept
-// fields for dSB where they are exact, else by lattice.Energy.
-func (mc *machine) energy() float64 {
-	if mc.discrete {
-		return mc.kept.Energy(mc.spins, mc.force)
-	}
-	return lattice.Energy(mc.lat, mc.spins, mc.base)
-}
-
-// Solve runs simulated bifurcation on the model.
-func Solve(m *ising.Model, cfg Config) *Result {
-	res, _ := SolveCtx(context.Background(), m, cfg)
-	return res
-}
-
-// SolveCtx is Solve with cancellation: the run stops at the next
-// symplectic step boundary and returns the sign readout reached so far
-// alongside ctx.Err(). The result is always non-nil and internally
-// consistent.
-func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) {
+// newMachine validates and defaults cfg and places the run at its
+// initial positions, reading remote rows through stale if it is set.
+func newMachine(m *ising.Model, cfg Config, stale *staleView) *machine {
 	if cfg.Steps < 1 {
 		panic(fmt.Sprintf("sbm: Steps=%d", cfg.Steps))
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	dt := cfg.Dt
 	if dt == 0 {
@@ -205,15 +152,68 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 	if a0 == 0 {
 		a0 = 1
 	}
-	mc := newMachine(m, cfg, a0, dt)
+	n := m.N()
+	mc := &machine{
+		lat:      m.View(lattice.Auto),
+		base:     m.MuH(), // μh enters the force like a coupling to a fixed +1 spin
+		discrete: cfg.Variant == Discrete,
+		force:    make([]float64, n),
+		spins:    make([]int8, n),
+		flipped:  make([]int32, n),
+		stale:    stale,
+	}
+	c0 := cfg.C0
+	if c0 == 0 {
+		c0 = defaultC0From(mc.lat)
+	}
+	mc.sb = lattice.Bifurcation{A0: a0, C0: c0, Dt: dt}
+	mc.x, mc.y = positions(cfg.Seed, n)
+	readout(mc.x, mc.spins)
+	if mc.discrete && stale == nil {
+		mc.kept = lattice.KeepFields(mc.lat, mc.base)
+		lattice.Fields(mc.lat, mc.spins, mc.base, mc.force, 1)
+	}
+	return mc
+}
+
+// step advances one symplectic step at bifurcation parameter at. The
+// mean-field force of dSB is the fields of sign(x), kept current across
+// the step by the signs that changed; bSB's is the mat-vec of x itself.
+// Behind a stale view each chip's rows are recomputed from its own x and
+// the snapshot of the others'.
+func (mc *machine) step(at float64) {
+	switch {
+	case mc.stale != nil:
+		mc.stale.force(mc)
+	case !mc.discrete:
+		lattice.MatVec(mc.lat, mc.x, mc.base, mc.force, 1)
+	}
+	flipped := mc.sb.Step(mc.x, mc.y, mc.force, mc.spins, mc.flipped, at)
+	if mc.kept != nil {
+		mc.kept.Flip(mc.spins, flipped, mc.force)
+	}
+}
+
+// energy is m.Energy's bits for the current readout: read off the kept
+// fields for dSB where they are exact, else by lattice.Energy.
+func (mc *machine) energy() float64 {
+	if mc.kept != nil {
+		return mc.kept.Energy(mc.spins, mc.force)
+	}
+	return lattice.Energy(mc.lat, mc.spins, mc.base)
+}
+
+// run takes cfg.Steps steps with the bifurcation parameter ramping from
+// 0, stopping early at a step boundary when ctx is cancelled, and
+// returns the sign readout reached alongside ctx.Err().
+func (mc *machine) run(ctx context.Context, cfg Config) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	sampleEvery := 0
 	if cfg.Tracer != nil {
-		sampleEvery = cfg.Steps / 64
-		if sampleEvery < 1 {
-			sampleEvery = 1
-		}
+		sampleEvery = max(cfg.Steps/64, 1)
 	}
-
 	start := time.Now()
 	done := ctx.Done()
 	stepsDone := 0
@@ -227,7 +227,7 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 		if runErr != nil {
 			break
 		}
-		mc.step(a0 * float64(step) / float64(cfg.Steps))
+		mc.step(mc.sb.A0 * float64(step) / float64(cfg.Steps))
 		stepsDone++
 		if cfg.OnStep != nil {
 			cfg.OnStep(step, mc.energy())
@@ -248,6 +248,20 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 		cfg.Metrics.Counter("sbm.steps").Add(int64(stepsDone))
 	}
 	return res, runErr
+}
+
+// Solve runs simulated bifurcation on the model.
+func Solve(m *ising.Model, cfg Config) *Result {
+	res, _ := SolveCtx(context.Background(), m, cfg)
+	return res
+}
+
+// SolveCtx is Solve with cancellation: the run stops at the next
+// symplectic step boundary and returns the sign readout reached so far
+// alongside ctx.Err(). The result is always non-nil and internally
+// consistent.
+func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) {
+	return newMachine(m, cfg, nil).run(ctx, cfg)
 }
 
 // readout writes sign(x) into buf and returns it.
@@ -272,19 +286,30 @@ type BatchResult struct {
 // SolveBatch performs runs independent SB runs with consecutive seeds
 // and returns all results plus the best by energy.
 func SolveBatch(m *ising.Model, cfg Config, runs int) *BatchResult {
+	br, _ := SolveBatchCtx(context.Background(), m, cfg, runs)
+	return br
+}
+
+// SolveBatchCtx is SolveBatch with cancellation: the batch stops at the
+// run the cancellation cut short, which it holds beside the completed
+// ones, Best is the lowest energy among them, and the error is ctx.Err().
+func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg Config, runs int) (*BatchResult, error) {
 	if runs < 1 {
 		panic(fmt.Sprintf("sbm: runs=%d", runs))
 	}
-	br := &BatchResult{Results: make([]*Result, runs)}
+	br := &BatchResult{Results: make([]*Result, 0, runs)}
 	start := time.Now()
-	for i := 0; i < runs; i++ {
+	var err error
+	for i := 0; i < runs && err == nil; i++ {
 		c := cfg
 		c.Seed = cfg.Seed + uint64(i)
-		br.Results[i] = Solve(m, c)
-		if br.Best == nil || br.Results[i].Energy < br.Best.Energy {
-			br.Best = br.Results[i]
+		var res *Result
+		res, err = SolveCtx(ctx, m, c)
+		br.Results = append(br.Results, res)
+		if br.Best == nil || res.Energy < br.Best.Energy {
+			br.Best = res
 		}
 	}
 	br.Wall = time.Since(start)
-	return br
+	return br, err
 }

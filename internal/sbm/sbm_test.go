@@ -1,6 +1,8 @@
 package sbm
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -261,7 +263,7 @@ func TestDiscreteForceIsFields(t *testing.T) {
 		const steps = 400
 		want := make([]float64, m.N())
 		for seed := uint64(1); seed <= 6; seed++ {
-			mc := newMachine(m, Config{Variant: Discrete, Steps: steps, Seed: seed}, 1, 0.5)
+			mc := newMachine(m, Config{Variant: Discrete, Steps: steps, Seed: seed}, nil)
 			for step := 0; step < steps; step++ {
 				mc.step(float64(step) / steps)
 				lattice.Fields(lat, mc.spins, m.MuH(), want, 1)
@@ -286,39 +288,83 @@ func (e *energies) Emit(ev obs.Event) { *e = append(*e, ev.Value) }
 // TestSamplingDoesNotPerturb: reading the energy along the way — every
 // step through OnStep, ~64 times through a Tracer, or both — leaves a
 // run's spins and energy where a bare run ends, and the samples agree
-// with each other, by Float64bits.
+// with each other, by Float64bits. A partitioned run whose chips exchange
+// every 7 steps samples on the same cadence, and both count their runs
+// and steps in Metrics.
 func TestSamplingDoesNotPerturb(t *testing.T) {
 	m := graph.Complete(130, rng.New(3)).ToIsing()
-	for _, v := range []Variant{Discrete, Ballistic} {
-		cfg := Config{Variant: v, Steps: 200, Seed: 4}
-		bare := Solve(m, cfg)
-		var perStep, both energies
-		var traced, tracedBoth energies
-		withStep, withTracer, withBoth := cfg, cfg, cfg
-		withStep.OnStep = func(_ int, e float64) { perStep = append(perStep, e) }
-		withTracer.Tracer = &traced
-		withBoth.OnStep = func(_ int, e float64) { both = append(both, e) }
-		withBoth.Tracer = &tracedBoth
-		for name, c := range map[string]Config{"OnStep": withStep, "Tracer": withTracer, "both": withBoth} {
-			res := Solve(m, c)
-			if math.Float64bits(res.Energy) != math.Float64bits(bare.Energy) || ising.HammingDistance(res.Spins, bare.Spins) != 0 {
-				t.Fatalf("%v with %s: energy %v, bare run %v", v, name, res.Energy, bare.Energy)
+	solvers := map[string]func(Config) *Result{
+		"Solve": func(c Config) *Result { return Solve(m, c) },
+		"SolveMultiChip": func(c Config) *Result {
+			return &SolveMultiChip(m, MultiChipConfig{Config: c, Chips: 4, ExchangeEvery: 7}).Result
+		},
+	}
+	for solver, solve := range solvers {
+		for _, v := range []Variant{Discrete, Ballistic} {
+			cfg := Config{Variant: v, Steps: 200, Seed: 4}
+			bare := solve(cfg)
+			var perStep, both energies
+			var traced, tracedBoth energies
+			reg := obs.NewRegistry()
+			withStep, withTracer, withBoth := cfg, cfg, cfg
+			withStep.OnStep = func(_ int, e float64) { perStep = append(perStep, e) }
+			withTracer.Tracer, withTracer.Metrics = &traced, reg
+			withBoth.OnStep = func(_ int, e float64) { both = append(both, e) }
+			withBoth.Tracer = &tracedBoth
+			for name, c := range map[string]Config{"OnStep": withStep, "Tracer": withTracer, "both": withBoth} {
+				res := solve(c)
+				if math.Float64bits(res.Energy) != math.Float64bits(bare.Energy) || ising.HammingDistance(res.Spins, bare.Spins) != 0 {
+					t.Fatalf("%s %v with %s: energy %v, bare run %v", solver, v, name, res.Energy, bare.Energy)
+				}
+			}
+			every := cfg.Steps / 64
+			if len(perStep) != cfg.Steps || len(traced) != cfg.Steps/every || math.Float64bits(perStep[cfg.Steps-1]) != math.Float64bits(bare.Energy) {
+				t.Fatalf("%s %v: %d step samples, %d traced", solver, v, len(perStep), len(traced))
+			}
+			if runs, steps := reg.Counter("sbm.runs").Value(), reg.Counter("sbm.steps").Value(); runs != 1 || steps != int64(cfg.Steps) {
+				t.Fatalf("%s %v: sbm.runs %d, sbm.steps %d", solver, v, runs, steps)
+			}
+			for k, e := range traced {
+				if p := perStep[(k+1)*every-1]; math.Float64bits(e) != math.Float64bits(p) || math.Float64bits(tracedBoth[k]) != math.Float64bits(e) {
+					t.Fatalf("%s %v sample %d: traced %v, with OnStep %v, OnStep %v", solver, v, k, e, tracedBoth[k], p)
+				}
+			}
+			for k, e := range both {
+				if math.Float64bits(e) != math.Float64bits(perStep[k]) {
+					t.Fatalf("%s %v step %d: %v with a Tracer, %v without", solver, v, k, e, perStep[k])
+				}
 			}
 		}
-		if len(perStep) != cfg.Steps || len(traced) == 0 || math.Float64bits(perStep[cfg.Steps-1]) != math.Float64bits(bare.Energy) {
-			t.Fatalf("%v: %d step samples, %d traced", v, len(perStep), len(traced))
+	}
+}
+
+// TestSolveBatchCtxKeepsTheCutRun: a batch cancelled in its second run
+// holds the first run and the partial second, and Best is the lower of
+// the two; the partial run is what SolveCtx returns at that cut.
+func TestSolveBatchCtxKeepsTheCutRun(t *testing.T) {
+	m := graph.Complete(40, rng.New(15)).ToIsing()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const cutAt = 30
+	calls := 0
+	cfg := Config{Variant: Discrete, Steps: 100, Seed: 9, OnStep: func(int, float64) {
+		if calls++; calls == 100+cutAt {
+			cancel()
 		}
-		every := cfg.Steps / 64
-		for k, e := range traced {
-			if p := perStep[(k+1)*every-1]; math.Float64bits(e) != math.Float64bits(p) || math.Float64bits(tracedBoth[k]) != math.Float64bits(e) {
-				t.Fatalf("%v sample %d: traced %v, with OnStep %v, OnStep %v", v, k, e, tracedBoth[k], p)
-			}
-		}
-		for k, e := range both {
-			if math.Float64bits(e) != math.Float64bits(perStep[k]) {
-				t.Fatalf("%v step %d: %v with a Tracer, %v without", v, k, e, perStep[k])
-			}
-		}
+	}}
+	br, err := SolveBatchCtx(ctx, m, cfg, 3)
+	if !errors.Is(err, context.Canceled) || len(br.Results) != 2 {
+		t.Fatalf("err %v, %d results", err, len(br.Results))
+	}
+	first, cut := br.Results[0], br.Results[1]
+	if first.Steps != 100 || cut.Steps != cutAt {
+		t.Fatalf("runs took %d and %d steps", first.Steps, cut.Steps)
+	}
+	if e := m.Energy(cut.Spins); math.Float64bits(cut.Energy) != math.Float64bits(e) {
+		t.Fatalf("cut run reports energy %v of spins at %v", cut.Energy, e)
+	}
+	if br.Best != first && br.Best != cut || br.Best.Energy > min(first.Energy, cut.Energy) {
+		t.Fatalf("Best %v of %v and %v", br.Best.Energy, first.Energy, cut.Energy)
 	}
 }
 

@@ -18,14 +18,10 @@ import (
 
 // Config parameterizes a tabu search run.
 type Config struct {
-	// MaxIters bounds the total number of flips. Must be >= 1.
+	// MaxIters bounds the total number of flips. Must be >= 1. The
+	// search also stops after 10·n iterations without improving the best
+	// energy.
 	MaxIters int
-	// Patience stops the search after this many iterations without
-	// improving the best energy. Zero defaults to 10·n.
-	Patience int
-	// Tenure is how many iterations a flipped spin stays tabu. Zero
-	// defaults to n/10 + 1.
-	Tenure int
 	// Seed drives tie-breaking and the random start.
 	Seed uint64
 	// Initial optionally fixes the starting state (copied).
@@ -58,14 +54,9 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 		ctx = context.Background()
 	}
 	n := m.N()
-	tenure := cfg.Tenure
-	if tenure == 0 {
-		tenure = n/10 + 1
-	}
-	patience := cfg.Patience
-	if patience == 0 {
-		patience = 10 * n
-	}
+	// A flipped spin stays tabu for tenure iterations; patience is the
+	// run of iterations without a new best that ends the search.
+	tenure, patience := n/10+1, 10*n
 	r := rng.New(cfg.Seed)
 	spins := cfg.Initial
 	if spins == nil {

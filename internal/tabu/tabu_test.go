@@ -94,7 +94,7 @@ func TestEscapesLocalMinimum(t *testing.T) {
 
 func TestPatienceStopsEarly(t *testing.T) {
 	m := ferromagnet(10)
-	res := Solve(m, Config{MaxIters: 100000, Patience: 20, Seed: 9})
+	res := Solve(m, Config{MaxIters: 100000, Seed: 9})
 	if res.Iters >= 100000 {
 		t.Fatal("patience did not stop the search")
 	}
@@ -133,8 +133,8 @@ func TestBestNeverWorseThanVisited(t *testing.T) {
 	r := rng.New(12)
 	g := graph.Complete(40, r)
 	m := g.ToIsing()
-	short := Solve(m, Config{MaxIters: 50, Patience: 1 << 30, Seed: 13})
-	long := Solve(m, Config{MaxIters: 2000, Patience: 1 << 30, Seed: 13})
+	short := Solve(m, Config{MaxIters: 50, Seed: 13})
+	long := Solve(m, Config{MaxIters: 2000, Seed: 13})
 	if long.Energy > short.Energy {
 		t.Fatalf("longer run worse: %v vs %v", long.Energy, short.Energy)
 	}
