@@ -7,9 +7,9 @@ import (
 	"mbrim/internal/tabu"
 )
 
-// tabuEngine adapts internal/tabu: Runs restarts at consecutive seeds,
-// MaxIters scaled as Sweeps × N, the warm start applying to the first
-// restart only (matching the pre-registry dispatch).
+// tabuEngine adapts internal/tabu: tabu.SolveBatchCtx's Runs restarts at
+// consecutive seeds, MaxIters scaled as Sweeps × N, the warm start
+// applying to the first restart only.
 type tabuEngine struct{}
 
 func init() { Register(tabuEngine{}) }
@@ -31,15 +31,8 @@ func (tabuEngine) Solve(ctx context.Context, r *Request) (*Outcome, error) {
 	}
 	out := r.NewOutcome()
 	start := time.Now()
-	best, rerr := tabu.SolveCtx(ctx, r.Model, tabu.Config{MaxIters: r.Sweeps * r.Model.N(), Seed: r.Seed, Initial: r.Initial})
-	for i := 1; i < r.Runs && rerr == nil; i++ {
-		var res *tabu.Result
-		res, rerr = tabu.SolveCtx(ctx, r.Model, tabu.Config{MaxIters: r.Sweeps * r.Model.N(), Seed: r.Seed + uint64(i)})
-		if res.Energy < best.Energy {
-			best = res
-		}
-	}
-	out.Spins, out.Energy = best.Spins, best.Energy
+	br, rerr := tabu.SolveBatchCtx(ctx, r.Model, tabu.Config{MaxIters: r.Sweeps * r.Model.N(), Seed: r.Seed, Initial: r.Initial}, r.Runs)
+	out.Spins, out.Energy = br.Best.Spins, br.Best.Energy
 	if rerr != nil {
 		return r.Interrupted(out, start, rerr, nil)
 	}

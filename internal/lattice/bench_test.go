@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"mbrim/internal/rng"
 )
 
 // The A side of the BENCH_kernel.json comparison: faithful copies of
@@ -179,6 +181,44 @@ func BenchmarkSparseFields(b *testing.B) {
 		b.Run(fmt.Sprintf("csr/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				Fields(csr, s.spins, s.bhat, s.out, 1)
+			}
+		})
+	}
+}
+
+// BenchmarkFanOut prices one dSBM step's fan-out of m flipped rows on a
+// ±1 K-graph: the Go form (dense.fanOut, four float rows a pass) against
+// the kernel (fanOutPlanes, the lanes over the planes; AVX hosts only),
+// beside the recompute the crossover weighs them against (Fields). m = 12
+// is the mean per fanning step of a K512 run. The fields drift by ±2 an
+// iteration and stay exact, which is all the timing needs.
+func BenchmarkFanOut(b *testing.B) {
+	for _, n := range []int{512, 2000} {
+		d := FromDense(n, randSym(n, 1, 1), Dense, 0).(*dense)
+		spins, out := randSpins(n, 2), make([]float64, n)
+		Fields(d, spins, nil, out, 1)
+		perm := rng.New(3).Perm(n)
+		for _, m := range []int{1, 4, 12, 64} {
+			flipped := make([]int32, m)
+			for r := range flipped {
+				flipped[r] = int32(perm[r])
+			}
+			b.Run(fmt.Sprintf("go/n=%d/rows=%d", n, m), func(b *testing.B) {
+				for b.Loop() {
+					d.fanOut(spins, flipped, out)
+				}
+			})
+			if useAVX {
+				b.Run(fmt.Sprintf("lanes/n=%d/rows=%d", n, m), func(b *testing.B) {
+					for b.Loop() {
+						d.fanOutPlanes(spins, flipped, out)
+					}
+				})
+			}
+		}
+		b.Run(fmt.Sprintf("fields/n=%d", n), func(b *testing.B) {
+			for b.Loop() {
+				Fields(d, spins, nil, out, 1)
 			}
 		})
 	}

@@ -256,7 +256,21 @@ func (d *dense) FieldsRange(spins []int8, base, out []float64, lo, hi int) {
 // model's ApplyFlip always has: adding J_kj·d = ±0 to a field that is
 // never −0 is the identity, so the result matches the zero-skipping
 // backends bit for bit while keeping the dense O(N) cost model.
+//
+// On an AVX host a ±1 matrix with no −0 entry reads row k from its planes
+// instead when d is ±2, the change of a ±1 spin: fanOutLanes adds
+// float64(c_j)·d with c_j = pos − neg, which is J_kj itself — +0 for
+// every zero — so each field takes the walk's one addition of the walk's
+// very term, and any field, −0 and NaN included, comes out with the
+// walk's bits. A −0 entry, whose sign the planes do not keep, and any
+// other d walk.
 func (d *dense) FlipFanout(fields []float64, k int, delta float64) {
+	if useAVX && d.pl != nil && !d.pl.negZero && (delta == 2 || delta == -2) {
+		d.pl.row(k) // k out of range panics here, not in the lanes
+		rows := [2]int{2 * k * d.pl.words, (2*k + 1) * d.pl.words}
+		d.pl.addRows(rows[:], delta, fields[:d.n])
+		return
+	}
 	for j, v := range d.row(k) {
 		fields[j] += float64(v * delta)
 	}

@@ -8,16 +8,20 @@ import (
 // fanOutShift sets where KeptFields.Flip stops fanning out: more than
 // n>>fanOutShift flipped signs recompute with Fields. Both arms give the
 // same bits, so it is a constant; only tests write it, to force one arm
-// (0: every flip fans out; 64: none does).
-var fanOutShift = 4
+// (0: every flip fans out; 64: none does). The lanes fan a row out in
+// about 1/260 of Fields' time at n = 512 and 1/540 at n = 2000
+// (BenchmarkFanOut): Fields starts to pay past n/2 and n/3.7 flips, and
+// n/4 is short of both.
+var fanOutShift = 2
 
 // KeptFields keeps out = Fields(c, spins, base) current for a spin
 // vector that changes a few signs at a time — the force of a discrete
 // simulated bifurcation machine (internal/sbm). Where planes.field answers
 // every row, the fields of the new spins are those of the old ones plus
 // 2·σ_j·J_ji for each flipped j (σ_j − (−σ_j) = 2σ_j): a pass over out per
-// four flipped rows instead of a pass over the matrix (package doc, "±1
-// planes").
+// 127 flipped rows read from the planes (four float rows off AVX)
+// instead of a pass over the matrix (package doc, "±1 planes" and "The
+// flip fan-out").
 type KeptFields struct {
 	c    Coupling
 	base []float64
@@ -61,7 +65,11 @@ func (k *KeptFields) Flip(spins []int8, flipped []int32, out []float64) {
 	switch {
 	case len(flipped) == 0:
 	case k.d != nil && len(flipped) <= k.d.n>>fanOutShift:
-		k.d.fanOut(spins, flipped, out)
+		if useAVX {
+			k.d.fanOutPlanes(spins, flipped, out)
+		} else {
+			k.d.fanOut(spins, flipped, out)
+		}
 	default:
 		Fields(k.c, spins, k.base, out, 1)
 	}
@@ -115,6 +123,35 @@ func (d *dense) fanOut(spins []int8, flipped []int32, out []float64) {
 			out[i] += ((float64(w0*r0[i]) + float64(w1*r1[i])) + float64(w2*r2[i])) + float64(w3*r3[i])
 		}
 		flipped = flipped[min(4, len(flipped)):]
+	}
+}
+
+// fanOutRows is the most flipped rows one pass of fanOutPlanes counts:
+// fanOutLanes' counters are signed bytes.
+const fanOutRows = 127
+
+// fanOutPlanes is fanOut read from the ±1 planes, the sixth lane kernel:
+// row j's term at column i is +2 where the plane of σ_j's sign (pos for
+// +1, neg for −1) has bit i, −2 where the other plane has it and ±0
+// elsewhere, so up to fanOutRows rows a pass add 2·(the first count minus
+// the second) to out[i]. That is the exact sum fanOut reaches in its own
+// order, and a count of 0 adds +0, which leaves a field that is never −0
+// as it was.
+func (d *dense) fanOutPlanes(spins []int8, flipped []int32, out []float64) {
+	var rows [2 * fanOutRows]int
+	w := d.pl.words
+	spins = spins[:d.n] // a flipped index past n panics here, not in the lanes
+	for len(flipped) > 0 {
+		m := min(len(flipped), fanOutRows)
+		for r, j := range flipped[:m] {
+			plus, minus := 2*int(j)*w, (2*int(j)+1)*w
+			if spins[j] < 0 {
+				plus, minus = minus, plus
+			}
+			rows[2*r], rows[2*r+1] = plus, minus
+		}
+		d.pl.addRows(rows[:2*m], 2, out[:d.n])
+		flipped = flipped[m:]
 	}
 }
 

@@ -49,8 +49,9 @@
 // The same exactness lets a field vector that follows a few sign
 // changes at a time skip the recompute (KeptFields, dSBM's force): when
 // σ_j flips, every field changes by 2·σ_j·J_ij, an integer, so adding
-// those terms for the flipped j — four rows a pass, in any order — gives
-// the recomputed bits, and so does Energy read off the fields in O(n).
+// those terms for the flipped j — in any order, counted off the planes
+// (below, "The flip fan-out") — gives the recomputed bits, and so does
+// Energy read off the fields in O(n).
 // Zero's sign is the one care: an empty row's field is its base
 // untouched, so a −0 base there would become +0 under a ±0 term. Such a
 // base, a matrix not verified symmetric, a fractional base and every CSR
@@ -220,6 +221,28 @@
 // the changed ones counted. FuzzSBMStep holds it to the Go form by
 // Float64bits, on both kernels, at every length 0–17 and offset mod 4,
 // with positions that land on the walls and on both zeros.
+//
+// # The flip fan-out
+//
+// What a flip changes is added to the fields a row at a time, and on a
+// ±1 matrix the row is read from its planes, 1/32 of the float row. The
+// sixth lane kernel, fanOutLanes (fanout_amd64.s), takes up to 127 rows
+// per pass over the fields: per 64 columns it spreads each row's two
+// plane words into byte counters (VPSHUFB, VPAND, VPCMPEQB, VPADDB or
+// VPSUBB on xmm — AVX1 has no integer ymm) and then adds float64(c)·s to
+// each field once (VPMOVSXBD, VCVTDQ2PD, VMULPD, VADDPD). For KeptFields
+// the count is, per column, the flipped rows whose term is +2 minus
+// those whose term is −2 and s = 2; dense.fanOut, four float rows a
+// pass, is the Go form that defines the bits and the path off AVX. Every
+// term is ±2 or ±0 and every partial sum an exact integer, so the two
+// agree in any association, and a count of 0 adds +0 to a field
+// KeepFields has made sure is never −0. FlipFanout (sa, tabu, pt, one
+// row, d = ±2) counts J_kj itself and takes s = d: each field gets the
+// walk's one addition of the walk's very term, +0·d for a zero entry, so
+// any field, −0 included, keeps the walk's bits; a matrix holding a −0
+// entry, whose sign no plane keeps, walks. FuzzFanOutPlanes and
+// TestKeptFieldsMatchFields hold both to their Go forms by Float64bits
+// on both kernels, and TestFlipFanoutKeepsZeroSigns pins the zero rule.
 package lattice
 
 import "fmt"

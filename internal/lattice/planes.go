@@ -16,6 +16,8 @@ type planes struct {
 	words  int      // per plane per row
 	bits   []uint64 // row i: pos at [2·i·words, +words), neg right after
 	rowNNZ []int32
+	// negZero says some entry is −0, whose sign is in neither plane.
+	negZero bool
 }
 
 // exactBase bounds the base values the popcount row accepts: an integer
@@ -57,6 +59,7 @@ func notUnit(u uint64) uint64 { return u&^signBit ^ 0x3FF0000000000000&-(u>>52&1
 func newPlanes(n int, data []float64) *planes {
 	w := (n + 63) / 64
 	p := &planes{words: w, bits: make([]uint64, 2*n*w), rowNNZ: make([]int32, n)}
+	var negZero uint64
 	for i := 0; i < n; i++ {
 		row := data[i*n : (i+1)*n]
 		dst := p.bits[2*i*w : 2*(i+1)*w]
@@ -78,10 +81,12 @@ func newPlanes(n int, data []float64) *planes {
 				sign |= (u >> 63) << (uint(b) & 63)
 			}
 			dst[k], dst[w+k] = nz&^sign, nz&sign // −0 has the sign bit but not nz
+			negZero |= sign &^ nz
 			nnz += bits.OnesCount64(nz)
 		}
 		p.rowNNZ[i] = int32(nnz)
 	}
+	p.negZero = negZero != 0
 	return p
 }
 
@@ -89,6 +94,26 @@ func newPlanes(n int, data []float64) *planes {
 func (p *planes) row(i int) (pos, neg []uint64) {
 	r := p.bits[2*i*p.words : 2*(i+1)*p.words]
 	return r[:p.words], r[p.words:]
+}
+
+// addRows adds float64(float64(c_i)·scale) to out[i] for every column i,
+// where c_i counts the plane rows at word offsets rows[0], rows[2], …
+// that have bit i set, minus those at rows[1], rows[3], …: 1 to
+// fanOutRows pairs, each offset the start of some row's pos or neg plane,
+// and out one row wide. fanOutLanes takes the whole groups of four
+// columns; the len(out) mod 4 rest counts here. AVX hosts only.
+func (p *planes) addRows(rows []int, scale float64, out []float64) {
+	q := len(out) / 4
+	if q > 0 {
+		fanOutLanes(&p.bits[0], &rows[0], len(rows)/2, &out[0], q, scale)
+	}
+	for i := 4 * q; i < len(out); i++ {
+		c := 0
+		for r := 0; r < len(rows); r += 2 {
+			c += int(p.bits[rows[r]+i>>6]>>(i&63)&1) - int(p.bits[rows[r+1]+i>>6]>>(i&63)&1)
+		}
+		out[i] += float64(float64(c) * scale)
+	}
 }
 
 // pack writes the up-spin mask of spins into buf (grown if short) and

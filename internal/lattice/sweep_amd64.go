@@ -49,6 +49,14 @@ func sbmStep(x, y, f *float64, spins *int8, flipped *int32, groups int, ma, c0, 
 //go:noescape
 func csrLanes(cols *int32, vals *float64, start *int, lens *int32, order *int32, x, base, out *float64, groups int)
 
+// fanOutLanes adds c_i·scale to out[i] for the 4·quads columns i, c_i
+// counting bit i of the plane rows at word offsets rows[0], rows[2], …
+// minus those at rows[1], rows[3], … — 1 to 127 pairs, quads ≥ 1
+// (fanout_amd64.s; planes.addRows).
+//
+//go:noescape
+func fanOutLanes(planes *uint64, rows *int, pairs int, out *float64, quads int, scale float64)
+
 func cpuHasAVX() bool
 
 // useAVX is set once, here; only tests write it again, to prove the

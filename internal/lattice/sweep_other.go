@@ -4,8 +4,9 @@ package lattice
 
 // No packed lanes off amd64: useAVX is never true, so dense.MatVecRange
 // never reaches sweep32, csr.MatVecRange never reaches csrLanes, Tanh
-// never reaches tanhLanes, a Latch never reaches latchStage or latchFinal
-// and a Bifurcation never reaches sbmStep.
+// never reaches tanhLanes, a Latch never reaches latchStage or latchFinal,
+// a Bifurcation never reaches sbmStep and neither KeptFields.Flip nor
+// dense.FlipFanout reaches fanOutLanes.
 var useAVX = false
 
 func sweep32(col *float64, stride uintptr, x *float64, rows int, acc *float64) {
@@ -30,4 +31,8 @@ func latchFinal(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa,
 
 func sbmStep(x, y, f *float64, spins *int8, flipped *int32, groups int, ma, c0, dt, a0 float64) int {
 	panic("lattice: sbmStep without AVX")
+}
+
+func fanOutLanes(planes *uint64, rows *int, pairs int, out *float64, quads int, scale float64) {
+	panic("lattice: fanOutLanes without AVX")
 }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/big"
 	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"mbrim/internal/rng"
@@ -117,7 +119,7 @@ func TestTanhLanesMatchGo(t *testing.T) {
 // fused. No fused mnemonic in any kernel's source is the check that
 // does not depend on luck.
 func TestLanesNeverFuse(t *testing.T) {
-	for _, file := range []string{"tanh_amd64.h", "tanh_amd64.s", "latch_amd64.s", "sweep_amd64.s", "csr_amd64.s", "bifurcation_amd64.s"} {
+	for _, file := range laneSources {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
@@ -125,6 +127,41 @@ func TestLanesNeverFuse(t *testing.T) {
 		for _, fused := range []string{"FMADD", "FMSUB", "FNMADD", "FNMSUB"} {
 			if bytes.Contains(src, []byte(fused)) {
 				t.Errorf("%s contains a %s instruction: every product must round on its own", file, fused)
+			}
+		}
+	}
+}
+
+// laneSources are the files that hold the lane kernels' instructions.
+var laneSources = []string{"tanh_amd64.h", "tanh_amd64.s", "latch_amd64.s", "sweep_amd64.s", "csr_amd64.s", "bifurcation_amd64.s", "fanout_amd64.s"}
+
+// TestLanesStayAVX1 reads the assembly too: useAVX proves AVX, not AVX2,
+// so no kernel may hold an instruction only AVX2 has — integer work on
+// ymm (VPTEST and the VPERMIL/VPERM2F128 float permutes are AVX1),
+// broadcasts of integers or from a register, 128-bit integer inserts and
+// extracts, cross-lane permutes, gathers, masked integer moves, variable
+// shifts and dword blends.
+func TestLanesStayAVX1(t *testing.T) {
+	ymm := regexp.MustCompile(`\bY\d+\b`)
+	avx2 := regexp.MustCompile(`^(VPBROADCAST|VBROADCASTI128|V(INSERT|EXTRACT)I128|VPERM[DQ]$|VPERMP[DS]|V(P?)GATHER|VPMASKMOV|VPS(LL|RL|RA)V|VPBLENDD)`)
+	for _, file := range laneSources {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			for _, ins := range strings.Split(strings.TrimSuffix(strings.TrimSpace(code), `\`), ";") {
+				f := strings.Fields(ins)
+				if len(f) == 0 {
+					continue
+				}
+				op, args := f[0], strings.Join(f[1:], " ")
+				float := op == "VPTEST" || op == "VPERM2F128" || strings.HasPrefix(op, "VPERMIL")
+				fromReg := strings.HasPrefix(op, "VBROADCASTS") && strings.HasPrefix(args, "X")
+				if avx2.MatchString(op) || fromReg || (strings.HasPrefix(op, "VP") && !float && ymm.MatchString(args)) {
+					t.Errorf("%s:%d: %s is AVX2, and useAVX proves only AVX", file, l+1, strings.TrimSpace(ins))
+				}
 			}
 		}
 	}

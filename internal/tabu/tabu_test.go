@@ -1,6 +1,8 @@
 package tabu
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -115,6 +117,7 @@ func TestPanicsOnBadConfig(t *testing.T) {
 	for name, f := range map[string]func(){
 		"zero iters":  func() { Solve(m, Config{MaxIters: 0}) },
 		"bad initial": func() { Solve(m, Config{MaxIters: 1, Initial: make([]int8, 2)}) },
+		"zero runs":   func() { SolveBatchCtx(context.Background(), m, Config{MaxIters: 1}, 0) },
 	} {
 		func() {
 			defer func() {
@@ -137,6 +140,78 @@ func TestBestNeverWorseThanVisited(t *testing.T) {
 	long := Solve(m, Config{MaxIters: 2000, Seed: 13})
 	if long.Energy > short.Energy {
 		t.Fatalf("longer run worse: %v vs %v", long.Energy, short.Energy)
+	}
+}
+
+// TestSolveBatchCtxIsItsRuns: a batch is its lone runs at consecutive
+// seeds, the warm start given to the first only, and Best the first of
+// the lowest.
+func TestSolveBatchCtxIsItsRuns(t *testing.T) {
+	m := graph.Complete(30, rng.New(14)).ToIsing()
+	init := ising.RandomSpins(30, rng.New(15))
+	cfg := Config{MaxIters: 200, Seed: 16, Initial: init}
+	br, err := SolveBatchCtx(context.Background(), m, cfg, 3)
+	if err != nil || len(br.Results) != 3 {
+		t.Fatalf("err %v, %d results", err, len(br.Results))
+	}
+	best := br.Results[0]
+	for i, res := range br.Results {
+		lone := Config{MaxIters: 200, Seed: 16 + uint64(i)}
+		if i == 0 {
+			lone.Initial = init
+		}
+		want := Solve(m, lone)
+		if res.Energy != want.Energy || res.Iters != want.Iters || ising.HammingDistance(res.Spins, want.Spins) != 0 {
+			t.Fatalf("run %d: energy %v in %d iterations, a lone run %v in %d", i, res.Energy, res.Iters, want.Energy, want.Iters)
+		}
+		if res.Energy < best.Energy {
+			best = res
+		}
+	}
+	if br.Best != best {
+		t.Fatalf("Best %v, want %v", br.Best.Energy, best.Energy)
+	}
+}
+
+// cutAtSecondRun is a context cancelled from the second time a search
+// asks for its Done channel: SolveCtx asks once per run, so a batch's
+// first run completes and its second is cut at its start.
+type cutAtSecondRun struct {
+	context.Context
+	calls int
+}
+
+func (c *cutAtSecondRun) Done() <-chan struct{} {
+	if c.calls++; c.calls < 2 {
+		return nil
+	}
+	done := make(chan struct{})
+	close(done)
+	return done
+}
+
+func (c *cutAtSecondRun) Err() error {
+	if c.calls < 2 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestSolveBatchCtxKeepsTheCutRun: the run a cancellation cut short is
+// in the batch, with the energy of the state it returns, and no run
+// after it starts.
+func TestSolveBatchCtxKeepsTheCutRun(t *testing.T) {
+	m := graph.Complete(30, rng.New(17)).ToIsing()
+	br, err := SolveBatchCtx(&cutAtSecondRun{Context: context.Background()}, m, Config{MaxIters: 200, Seed: 18}, 3)
+	if !errors.Is(err, context.Canceled) || len(br.Results) != 2 {
+		t.Fatalf("err %v, %d results", err, len(br.Results))
+	}
+	first, cut := br.Results[0], br.Results[1]
+	if first.Iters == 0 || cut.Iters != 0 || cut.Energy != m.Energy(cut.Spins) {
+		t.Fatalf("runs took %d and %d iterations; cut run energy %v of spins at %v", first.Iters, cut.Iters, cut.Energy, m.Energy(cut.Spins))
+	}
+	if br.Best != first && br.Best != cut || br.Best.Energy > min(first.Energy, cut.Energy) {
+		t.Fatalf("Best %v of %v and %v", br.Best.Energy, first.Energy, cut.Energy)
 	}
 }
 
