@@ -222,9 +222,10 @@ func New(m *ising.Model, cfg Config) *Machine {
 	// The machine stores Ĵ = J/scale — division, exactly as the old
 	// private jhat copy did, so trajectories are bit-identical — in the
 	// layout the model came in (its own kind, not Auto: a rescale never
-	// re-lays the model it was handed).
+	// re-lays the model it was handed), as floats: the RK4 mat-vec
+	// multiplies floats by floats, and a ±1 model stores bits.
 	stored := m.View(lattice.Auto)
-	ma.lat = lattice.Convert(stored, stored.Kind(), scale)
+	ma.lat = lattice.Floats(lattice.Convert(stored, stored.Kind(), scale))
 	ma.latch = lattice.Latch{Gamma: c.Gamma, InvTau: 1 / c.Tau, Bias: make([]float64, n), Ext: make([]float64, n)}
 	for i, b := range m.MuH() {
 		ma.latch.Bias[i] = b / scale

@@ -338,9 +338,9 @@ func TestClusterRunsAreAdmittedLikeAnyOther(t *testing.T) {
 
 	// The memory fence charges a cluster run the model and the ring, not
 	// the chips it hosts elsewhere: a four-chip K128 that is refused in
-	// process (1 097 728 bytes against 1 000 000) is admitted over workers
-	// (919 552).
-	srv, mgr = opsServer(t, runs.Config{MaxRunBytes: 1_000_000})
+	// process (979 456 bytes against 950 000) is admitted over workers
+	// (793 088).
+	srv, mgr = opsServer(t, runs.Config{MaxRunBytes: 950_000})
 	if code, body := post(t, srv.URL+"/runs", `{"engine":"mbrim","k":128,"chips":4,"durationNS":5}`); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("four chips in process = %d %s, want 413", code, body)
 	}

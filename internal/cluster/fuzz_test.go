@@ -158,7 +158,7 @@ func FuzzModelFrame(f *testing.F) {
 		}
 		var m *ising.Model
 		var err error
-		if got, bound := allocatedBytes(func() { m, err = w.Build() }), frameAllocBound(len(frame), int(n)); got > bound {
+		if got, bound := allocatedBytes(func() { m, err = w.Build() }), frameAllocBound(w.Arm, len(frame), int(n), m); got > bound {
 			t.Fatalf("Build of a %d-byte %s frame for n=%d allocated %d bytes, above %d", len(frame), w.Arm, n, got, bound)
 		}
 		if err != nil || n > 2000 {
@@ -182,14 +182,28 @@ func allocatedBytes(f func()) uint64 {
 }
 
 // frameAllocBound is what ModelWire.Build may allocate for a frame of
-// the given length over n spins. The worst honest case is the planes
-// arm, whose 2·n²/16 frame bytes become the 8·n² dense array, a twin of
-// bit planes and the builder's first calls: about 70 bytes a frame byte.
-// A CSR entry is 12 frame bytes and at most ~330 built ones (the dense
-// array of a frame just over the 5 % density rule), ~64 when it stays
-// compressed; a spin costs five 8-byte vector slots.
-func frameAllocBound(frameBytes, n int) uint64 {
-	return uint64(96*frameBytes + 64*n + 16<<10)
+// the given arm and length over n spins, given the model it built (nil
+// on an error, which every arm reports before its first coupling). A
+// spin costs five 8-byte vector slots. A CSR entry is 12 frame bytes and
+// at most ~330 built ones (the float array of a weighted frame just over
+// the 5 % density rule), ~64 when it stays compressed. A planes frame is
+// ±1 by construction, so what it builds is what planes cost: a dense
+// one its planes and row counts (lattice.Bytes), plus the builder's list
+// of the first calls before it, which moves to the planes before it
+// outgrows them — never the 8·n² floats it used to become; a sparse one compressed rows, at most ~160 bytes a
+// call between the list, its filing and the lane slots.
+func frameAllocBound(arm string, frameBytes, n int, m *ising.Model) uint64 {
+	vectors := uint64(64*n + 16<<10)
+	switch {
+	case arm != armPlanes:
+		return vectors + uint64(96*frameBytes)
+	case m == nil:
+		return vectors
+	case m.View(lattice.Auto).Kind() == lattice.Dense:
+		return vectors + 2*uint64(lattice.Bytes(m.View(lattice.Auto)))
+	default:
+		return vectors + 80*uint64(m.NNZ())
+	}
 }
 
 // TestZeroFrameBuildsNoMatrix is the frame that used to ask for 34 GB:
@@ -207,7 +221,7 @@ func TestZeroFrameBuildsNoMatrix(t *testing.T) {
 	if m.N() != n || m.NNZ() != 0 || m.View(lattice.Auto).Kind() != lattice.CSR {
 		t.Fatalf("built n=%d nnz=%d as %v", m.N(), m.NNZ(), m.View(lattice.Auto).Kind())
 	}
-	if bound := frameAllocBound(len(w.Frame), n); got > bound || got > 4<<20 {
+	if bound := frameAllocBound(w.Arm, len(w.Frame), n, m); got > bound || got > 4<<20 {
 		t.Fatalf("allocated %d bytes (bound %d): the dense matrix would be %d", got, bound, 8*n*n)
 	}
 	if e := m.Energy(ising.RandomSpins(n, rng.New(1))); e != 0 {

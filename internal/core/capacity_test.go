@@ -70,19 +70,33 @@ func TestSparseCapacity(t *testing.T) {
 
 // TestModelAllocatesWhatItStores: a 2 %-dense 1 024-spin edge list —
 // sparse1k_mbrim4's shape — freezes into well under 1 MB (it was an
-// 8.4 MB matrix), and a solve over a model that has not changed derives
-// nothing from it: the view, its planes, the symmetry check and the
-// density probe were per-solve passes over n² entries.
+// 8.4 MB matrix); a ±1 K1024 freezes into its planes and row counts,
+// 266 KB, after a call list that never outgrows them (it was an 8.4 MB
+// matrix beside them); and a
+// solve over a model that has not changed derives nothing from it: the
+// view, its planes, the symmetry check and the density probe were
+// per-solve passes over n² entries.
 func TestModelAllocatesWhatItStores(t *testing.T) {
-	g := graph.Random(1024, 0.02, rng.New(3))
-	var got uint64
-	for try := 0; try < 3; try++ { // the smallest of three: a GC cycle's own bookkeeping lands in TotalAlloc too
-		if b := allocatedBytes(func() { g.ToIsing() }); try == 0 || b < got {
-			got = b
+	smallest := func(f func()) uint64 {
+		var got uint64
+		for try := 0; try < 3; try++ { // the smallest of three: a GC cycle's own bookkeeping lands in TotalAlloc too
+			if b := allocatedBytes(f); try == 0 || b < got {
+				got = b
+			}
 		}
+		return got
 	}
-	if got >= 1<<20 {
+	g := graph.Random(1024, 0.02, rng.New(3))
+	if got := smallest(func() { g.ToIsing() }); got >= 1<<20 {
 		t.Errorf("ToIsing of %d edges on 1 024 spins allocated %d bytes, want under 1 MB", g.M(), got)
+	}
+	kg := graph.Complete(1024, rng.New(3))
+	planes := uint64(lattice.Footprint(lattice.Auto, 1024, 1024*1023, true))
+	if got := smallest(func() { kg.ToIsing() }); got > planes*9/4 {
+		t.Errorf("ToIsing of K1024 allocated %d bytes, above 2.25 × its %d bytes of planes", got, planes)
+	}
+	if c := kg.ToIsing().View(lattice.Auto); c.Kind() != lattice.Dense || uint64(lattice.Bytes(c)) != planes {
+		t.Errorf("K1024 stored as %v in %d bytes, want dense planes in %d", c.Kind(), lattice.Bytes(c), planes)
 	}
 
 	k, req := testProblem(256, 1)
@@ -103,5 +117,5 @@ func TestModelAllocatesWhatItStores(t *testing.T) {
 	if n := uint64(k.N()); perSolve >= 32*n {
 		t.Errorf("a warm SA solve of K256 allocates %d bytes: more than four n-vectors", perSolve)
 	}
-	t.Logf("ToIsing of G(1024, 0.02): %d bytes; warm SA solve of K256: %d bytes", got, perSolve)
+	t.Logf("warm SA solve of K256: %d bytes", perSolve)
 }

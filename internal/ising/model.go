@@ -61,12 +61,18 @@ type Builder struct {
 	err error
 	// While twice the call count still resolves to CSR the calls are
 	// kept as a list, so a sparse problem never occupies n²; past that
-	// they are applied to data, the dense layout's own array, above its
-	// diagonal only. The list grows by blocks, so a call is written once
-	// and never copied.
-	ops  [][]op
-	nops int
-	data []float64
+	// the dense phase applies them above the diagonal: to up, the ±1
+	// planes, while every call is a set to −1, 0 or +1, and from the
+	// first other call on to data, the float array, into which up spills
+	// once. A list of such sets moves to the planes early, once it would
+	// outgrow them (its 16 bytes a call against their n²/4), so a K-graph
+	// never lists more than its planes hold. The list grows by blocks, so
+	// a call is written once and never copied.
+	ops   [][]op
+	nops  int
+	mixed bool // a listed call is not a set to −1, 0 or +1
+	up    *lattice.UnitUpper
+	data  []float64
 }
 
 // op is one SetCoupling or AddCoupling call in 16 bytes.
@@ -125,8 +131,9 @@ func (b *Builder) SetCoupling(i, j int, v float64) { b.couple(i, j, v, false) }
 func (b *Builder) AddCoupling(i, j int, v float64) { b.couple(i, j, v, true) }
 
 // couple is the one path of both calls. The common case — a well-formed
-// call on a builder past its list — is the checks and two stores; what
-// is rejected, and the list, are out of line.
+// call on a builder past its list — is the checks and a store, into the
+// planes or the array; what is rejected, the list and the spill are out
+// of line.
 func (b *Builder) couple(i, j int, v float64, add bool) {
 	if b.err != nil || uint(i) >= uint(b.n) || uint(j) >= uint(b.n) || i == j || v-v != 0 {
 		b.reject(i, j, v)
@@ -134,6 +141,12 @@ func (b *Builder) couple(i, j int, v float64, add bool) {
 	}
 	if i > j {
 		i, j = j, i
+	}
+	if b.up != nil {
+		if !add && b.up.Set(i, j, v) {
+			return
+		}
+		b.spill()
 	}
 	if b.data == nil {
 		b.list(i, j, v, add)
@@ -151,6 +164,11 @@ func (b *Builder) couple(i, j int, v float64, add bool) {
 	b.data[i*b.n+j] = v // the upper triangle only: Build mirrors it once
 }
 
+// spill moves the dense phase from the planes to the float array, once.
+func (b *Builder) spill() {
+	b.data, b.up = b.up.Spill(), nil
+}
+
 // reject records why a call was refused (v − v is nonzero exactly for
 // NaN and ±Inf).
 func (b *Builder) reject(i, j int, v float64) {
@@ -164,47 +182,70 @@ func (b *Builder) reject(i, j int, v float64) {
 	}
 }
 
-// list appends a call (i < j) and, once twice the call count no longer
-// resolves to CSR, moves the builder to the dense array by replaying
-// the list through couple.
+// list appends a call (i < j) and moves the builder to its dense phase
+// once twice the call count no longer resolves to CSR — or, while every
+// call is a ±1 set, once the list's next block would take it past the
+// planes' size.
 func (b *Builder) list(i, j int, v float64, add bool) {
+	if add || v != 0 && math.Abs(v) != 1 {
+		b.mixed = true
+	}
+	if last := len(b.ops) - 1; last < 0 || len(b.ops[last]) == cap(b.ops[last]) {
+		size := min(max(b.nops, 64), maxOpBlock)
+		if !b.mixed && 16*int64(b.nops+size) > lattice.Footprint(lattice.Dense, b.n, 0, true) {
+			b.dense()
+			b.couple(i, j, v, add)
+			return
+		}
+		if b.ops == nil {
+			b.ops = make([][]op, 0, 8)
+		}
+		b.ops = append(b.ops, make([]op, 0, size))
+	}
 	o := op{pair: uint64(i)<<32 | uint64(j), v: v}
 	if add {
 		o.pair |= opAdd
 	}
-	if last := len(b.ops) - 1; last < 0 || len(b.ops[last]) == cap(b.ops[last]) {
-		if b.ops == nil {
-			b.ops = make([][]op, 0, 8)
-		}
-		b.ops = append(b.ops, make([]op, 0, min(max(b.nops, 64), maxOpBlock)))
-	}
 	last := &b.ops[len(b.ops)-1]
 	*last = append(*last, o)
 	if b.nops++; lattice.Resolve(lattice.Auto, b.n, 2*b.nops) == lattice.Dense {
-		ops := b.ops
-		b.ops, b.data = nil, make([]float64, b.n*b.n)
-		for _, blk := range ops {
-			for _, o := range blk {
-				b.couple(o.i(), o.j(), o.v, o.add())
-			}
+		b.dense()
+	}
+}
+
+// dense moves the builder from its list to the planes by replaying the
+// list through couple.
+func (b *Builder) dense() {
+	ops := b.ops
+	b.ops, b.up = nil, lattice.NewUnitUpper(b.n)
+	for _, blk := range ops {
+		for _, o := range blk {
+			b.couple(o.i(), o.j(), o.v, o.add())
 		}
 	}
 }
 
 // Build freezes the problem into a Model, or returns the first input
 // error. The couplings go straight to the layout lattice.Resolve picks
-// for them — the list to compressed rows in O(n + calls), the upper
-// triangle to lattice.FromUpper, which mirrors it, counts it and adds
-// the ±1 planes in two passes — and the builder must not be used
+// for them — the list to compressed rows in O(n + calls), the ±1
+// planes to lattice.UnitUpper.Build, which mirrors them 64×64 bits at a
+// time, the float triangle to lattice.FromUpper, which mirrors it or
+// packs it if it is ±1 after all — and the builder must not be used
 // afterwards: the model owns its storage.
 func (b *Builder) Build() (*Model, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	var c lattice.Coupling
-	if b.data != nil {
+	switch {
+	case b.up != nil:
+		c = b.up.Build()
+	case b.data != nil:
 		c = lattice.FromUpper(b.n, b.data)
-	} else if c, b.err = b.compress(); b.err != nil {
+	default:
+		c, b.err = b.compress()
+	}
+	if b.err != nil {
 		return nil, b.err
 	}
 	m, err := newModel(b.mu, b.h, c)

@@ -303,6 +303,48 @@ func storageScripts() []*script {
 	island.h[0], island.h[39] = 2, -1.5
 	out = append(out, island)
 
+	// ±1 sets along a row: row 0 across it, row 2 a stretch later
+	// overwritten by a zero, a weight, the other sign and an AddCoupling.
+	// At n = 400 the calls stay a list. At n = 40 a list of ±1 sets would
+	// outgrow the planes from its first block, so the calls go there from
+	// the first one and spill at the weight.
+	for _, n := range []int{40, 400} {
+		s := &script{name: fmt.Sprintf("±1 rows n=%d", n), n: n, mu: 1, h: make([]float64, n)}
+		for j := 1; j < n; j++ {
+			s.set(0, j, float64(r.Spin()))
+		}
+		for j := 3; j < 39; j++ {
+			s.set(2, j, float64(r.Spin()))
+		}
+		s.set(2, 10, 0)
+		s.set(2, 11, 0.5)
+		s.set(2, 12, -1)
+		s.set(2, 12, 1)
+		s.add(2, 13, 1)
+		s.set(0, n-1, 0)
+		out = append(out, s)
+	}
+	// Dense ±1 problems that stay in the planes through overwrites and
+	// zeros, and one stated by AddCoupling alone, which spills at its first
+	// call past the list and is packed into planes at Build.
+	over := randomScript("K-graph ±1, overwritten", 50, 1, true, r)
+	for k := 0; k < 200; k++ {
+		if i, j := r.Intn(50), r.Intn(50); i != j {
+			over.set(i, j, float64(r.Intn(3)-1))
+		}
+	}
+	added := &script{name: "K-graph ±1 by AddCoupling", n: 30, mu: 1, h: make([]float64, 30)}
+	for i := 0; i < 30; i++ {
+		for j := i + 1; j < 30; j++ {
+			added.add(i, j, float64(r.Spin()))
+		}
+	}
+	// ±1 sets at 4.5 %: the list moves to the planes at 512 calls, where
+	// its next block would outgrow them, and Build compresses the planes,
+	// since the count still resolves to CSR.
+	early := randomScript("±1 past the planes' size", 200, 0.045, true, r)
+	out = append(out, over, added, early)
+
 	// Parallel edges in both orders, overwrites before and after them,
 	// pairs that cancel, explicit zeros of both signs — once on few spins
 	// (the calls land in the dense array) and once on many (they stay a

@@ -5,23 +5,27 @@ import (
 	"math"
 )
 
-// dense is the row-major n×n layout.
+// dense is the row-major n×n layout. It stores its entries one way,
+// never both: as float64s, or — when the matrix is verified symmetric
+// and every entry is −1, +0 or +1 — as the two bit planes alone
+// (planes.go), 1/32 of the floats. Every Go form reads a planes row as
+// the floats it stands for (rows, planes.unpack), zeros included.
 type dense struct {
 	n    int
-	data []float64 // row-major, zero diagonal; symmetric iff sym
+	data []float64 // row-major, when the entries are floats; nil with planes
 	nnz  int
-	sym  bool    // data[i·n+j] and data[j·n+i] hold the same bits for every i, j
-	pl   *planes // non-nil iff unscaled and every entry is −1, 0 or +1
+	sym  bool    // J_ij and J_ji hold the same bits for every i, j; always with planes
+	pl   *planes // the entries, when they are ±1 and symmetric; else nil
 }
 
 // FromDense builds a backend over a row-major n×n symmetric matrix,
-// divided by div as Convert describes. With div 0 or 1 the dense layout
-// aliases data instead of copying — callers must not mutate it. Auto
-// resolves by measured density. An unscaled dense layout whose entries
-// are all −1, 0 or +1 also gets the ±1 bit planes (see planes).
-// Symmetry is documented, not trusted: the dense layout compares the
-// stored triangles once, and a matrix that is not its own transpose
-// keeps the row-wise results Coupling promises, from the row kernel.
+// divided by div as Convert describes. With div 0 or 1 a float layout
+// aliases data instead of copying — callers must not mutate it — and a
+// matrix whose entries are all −1, +0 or +1 is stored as its planes,
+// data not kept. Auto resolves by measured density. Symmetry is
+// documented, not trusted: the dense layout compares the stored
+// triangles once, and a matrix that is not its own transpose keeps its
+// floats and the row-wise results Coupling promises, from the row kernel.
 func FromDense(n int, data []float64, kind Kind, div float64) Coupling {
 	if n <= 0 || len(data) != n*n {
 		panic(fmt.Sprintf("lattice: FromDense with %d entries for n=%d", len(data), n))
@@ -35,8 +39,8 @@ func FromDense(n int, data []float64, kind Kind, div float64) Coupling {
 	if div != 0 && div != 1 {
 		return Convert(d, Dense, div)
 	}
-	if unit {
-		d.pl = newPlanes(n, data)
+	if unit && d.sym {
+		d.data, d.pl = nil, newPlanes(n, packRows(n, data))
 	}
 	return d
 }
@@ -44,12 +48,13 @@ func FromDense(n int, data []float64, kind Kind, div float64) Coupling {
 // FromUpper builds the unscaled layout Auto resolves to over a row-major
 // n×n matrix that holds its couplings in the strict upper triangle only,
 // the diagonal and the lower triangle zero: the array ising.Builder
-// fills. It writes the lower triangle as the upper one's mirror, tile by
-// tile, and counts the entries and their ±1-ness in the same pass. So
-// the matrix is symmetric bit for bit by construction, and neither
-// countEntries nor symmetricBits scans it again; FromDense, which takes
-// a raw slice on trust of nothing, keeps both. data is owned by the
-// result from here on.
+// fills once a call is not a ±1 set. One pass counts the triangle's
+// entries and their ±1-ness. A dense ±1 matrix is then packed into
+// planes and mirrored there (UnitUpper.Build's path); any other dense
+// matrix is mirrored as floats, tile by tile, so it is symmetric bit for
+// bit by construction and neither countEntries nor symmetricBits scans
+// it again. FromDense, which takes a raw slice on trust of nothing,
+// keeps both. data is owned by the result from here on.
 //
 // Within a tile the writes run along a row of the lower triangle and the
 // reads down a column of the upper one. At a power-of-two n a column's
@@ -62,29 +67,41 @@ func FromUpper(n int, data []float64) Coupling {
 		panic(fmt.Sprintf("lattice: FromUpper with %d entries for n=%d", len(data), n))
 	}
 	upper, other := 0, uint64(0)
+	for i := 0; i < n; i++ {
+		for _, v := range data[i*n+i+1 : (i+1)*n] {
+			u := math.Float64bits(v)
+			upper += nonzero(u)
+			other |= notUnit(u)
+		}
+	}
+	d := &dense{n: n, data: data, nnz: 2 * upper, sym: true}
+	if Resolve(Auto, n, d.nnz) == CSR {
+		mirrorTiles(n, data)
+		return Convert(d, CSR, 0)
+	}
+	if other == 0 {
+		words := packRows(n, data)
+		mirrorUpper(n, words)
+		return fromPlanes(n, words)
+	}
+	mirrorTiles(n, data)
+	return d
+}
+
+// mirrorTiles writes the lower triangle of a row-major n×n float matrix
+// as the mirror of its upper one (FromUpper).
+func mirrorTiles(n int, data []float64) {
 	for j0 := 0; j0 < n; j0 += symTile {
 		j1 := min(j0+symTile, n)
 		for i0 := 0; i0 < j1; i0 += symTile {
 			for j := j0; j < j1; j++ {
 				row := data[j*n : (j+1)*n]
 				for i := i0; i < min(i0+symTile, j); i++ {
-					v := data[i*n+j]
-					row[i] = v
-					u := math.Float64bits(v)
-					upper += nonzero(u)
-					other |= notUnit(u)
+					row[i] = data[i*n+j]
 				}
 			}
 		}
 	}
-	d := &dense{n: n, data: data, nnz: 2 * upper, sym: true}
-	if Resolve(Auto, n, d.nnz) == CSR {
-		return Convert(d, CSR, 0)
-	}
-	if other == 0 {
-		d.pl = newPlanes(n, data)
-	}
-	return d
 }
 
 // symTile is the square tile symmetricBits compares, and FromUpper
@@ -120,11 +137,34 @@ func (d *dense) NNZ() int { return d.nnz }
 
 func (d *dense) Kind() Kind { return Dense }
 
-func (d *dense) row(i int) []float64 { return d.data[i*d.n : (i+1)*d.n] }
+// rows returns rows [i, i+k) as row-major floats: the stored array, or
+// the planes unpacked into buf (k·n wide).
+func (d *dense) rows(i, k int, buf []float64) []float64 {
+	n := d.n
+	if d.pl == nil {
+		return d.data[i*n : (i+k)*n]
+	}
+	buf = buf[:k*n]
+	for r := 0; r < k; r++ {
+		d.pl.unpack(i+r, buf[r*n:(r+1)*n])
+	}
+	return buf
+}
+
+// rowBuf is the scratch rows needs for k rows: none over floats.
+func (d *dense) rowBuf(k int) []float64 {
+	if d.pl == nil {
+		return nil
+	}
+	return make([]float64, k*d.n)
+}
 
 func (d *dense) RowNNZ(i int) int {
+	if d.pl != nil {
+		return int(d.pl.rowNNZ[i])
+	}
 	c := 0
-	for _, v := range d.row(i) {
+	for _, v := range d.data[i*d.n : (i+1)*d.n] {
 		if v != 0 {
 			c++
 		}
@@ -133,7 +173,11 @@ func (d *dense) RowNNZ(i int) int {
 }
 
 func (d *dense) Scan(i int, fn func(j int, v float64)) {
-	for j, v := range d.row(i) {
+	if d.pl != nil {
+		d.pl.scan(i, fn)
+		return
+	}
+	for j, v := range d.data[i*d.n : (i+1)*d.n] {
 		if v != 0 {
 			fn(j, v)
 		}
@@ -157,12 +201,15 @@ const (
 // (hi−lo) mod 32 remainder, any matrix not verified symmetric, any other
 // host — is register-blocked four rows at a time (dot4), with the
 // (hi−lo) mod 4 rows left over on the one-row walk. Both kernels read x
-// after they have written to out: out must not alias x.
+// after they have written to out: out must not alias x. A planes layout
+// takes no sweep: its rows are unpacked four at a time for dot4, a Go
+// form kept for correctness, since every engine that multiplies floats
+// by floats runs on a float copy (Floats).
 func (d *dense) MatVecRange(x, base, out []float64, lo, hi int) {
 	n := d.n
 	x = x[:n]
 	i := lo
-	if useAVX && d.sym && hi-lo >= sweepWidth {
+	if useAVX && d.data != nil && d.sym && hi-lo >= sweepWidth {
 		top := lo + (hi-lo)/sweepWidth*sweepWidth
 		if top > n {
 			panic(fmt.Sprintf("lattice: MatVecRange [%d,%d) past n=%d", lo, hi, n))
@@ -180,15 +227,16 @@ func (d *dense) MatVecRange(x, base, out []float64, lo, hi int) {
 		}
 		i = top
 	}
+	buf := d.rowBuf(4)
 	for ; i+4 <= hi; i += 4 {
 		var a0, a1, a2, a3 float64
 		if base != nil {
 			a0, a1, a2, a3 = base[i], base[i+1], base[i+2], base[i+3]
 		}
-		out[i], out[i+1], out[i+2], out[i+3] = dot4(d.data[i*n:(i+4)*n], x, a0, a1, a2, a3)
+		out[i], out[i+1], out[i+2], out[i+3] = dot4(d.rows(i, 4, buf), x, a0, a1, a2, a3)
 	}
 	for ; i < hi; i++ {
-		row := d.data[i*n : (i+1)*n]
+		row := d.rows(i, 1, buf)
 		acc := 0.0
 		if base != nil {
 			acc = base[i]
@@ -225,7 +273,7 @@ func dot4(blk, x []float64, a0, a1, a2, a3 float64) (float64, float64, float64, 
 
 // FieldsRange packs the spins once and takes the popcount row wherever
 // it is provably bit-identical to the float walk below (planes.field);
-// every other row — and every row of a matrix without planes — walks.
+// every other row walks, a planes row over its set bits (planes.fieldWalk).
 func (d *dense) FieldsRange(spins []int8, base, out []float64, lo, hi int) {
 	n := d.n
 	spins = spins[:n]
@@ -242,6 +290,10 @@ func (d *dense) FieldsRange(spins []int8, base, out []float64, lo, hi int) {
 				continue
 			}
 		}
+		if d.pl != nil {
+			out[i] = d.pl.fieldWalk(i, spins, acc)
+			continue
+		}
 		row := d.data[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
 			if v := row[j]; v != 0 {
@@ -257,22 +309,27 @@ func (d *dense) FieldsRange(spins []int8, base, out []float64, lo, hi int) {
 // never −0 is the identity, so the result matches the zero-skipping
 // backends bit for bit while keeping the dense O(N) cost model.
 //
-// On an AVX host a ±1 matrix with no −0 entry reads row k from its planes
-// instead when d is ±2, the change of a ±1 spin: fanOutLanes adds
-// float64(c_j)·d with c_j = pos − neg, which is J_kj itself — +0 for
-// every zero — so each field takes the walk's one addition of the walk's
-// very term, and any field, −0 and NaN included, comes out with the
-// walk's bits. A −0 entry, whose sign the planes do not keep, and any
-// other d walk.
+// On an AVX host a planes layout reads row k in lanes when d is ±2, the
+// change of a ±1 spin: fanOutLanes adds float64(c_j)·d with c_j = pos −
+// neg, which is J_kj itself — +0 for every zero, and a planes layout
+// holds no −0 — so each field takes the walk's one addition of the
+// walk's very term, and any field, −0 and NaN included, comes out with
+// the walk's bits. Any other d walks the planes row as floats.
 func (d *dense) FlipFanout(fields []float64, k int, delta float64) {
-	if useAVX && d.pl != nil && !d.pl.negZero && (delta == 2 || delta == -2) {
-		d.pl.row(k) // k out of range panics here, not in the lanes
+	if d.pl == nil {
+		for j, v := range d.data[k*d.n : (k+1)*d.n] {
+			fields[j] += float64(v * delta)
+		}
+		return
+	}
+	pos, neg := d.pl.row(k) // k out of range panics here, not in the lanes
+	if useAVX && (delta == 2 || delta == -2) {
 		rows := [2]int{2 * k * d.pl.words, (2*k + 1) * d.pl.words}
 		d.pl.addRows(rows[:], delta, fields[:d.n])
 		return
 	}
-	for j, v := range d.row(k) {
-		fields[j] += float64(v * delta)
+	for j := range fields[:d.n] {
+		fields[j] += float64(unit(pos[j>>6], neg[j>>6], uint(j)) * delta)
 	}
 }
 
@@ -285,8 +342,9 @@ func (d *dense) FlipDelta(spins []int8, fields []float64, k int, muH float64) fl
 // included, then the row's two subtractions.
 func (d *dense) energy(spins []int8, base []float64) float64 {
 	e := 0.0
+	buf := d.rowBuf(1)
 	for i, s := range spins {
-		row := d.row(i)
+		row := d.rows(i, 1, buf)
 		si := float64(s)
 		acc := 0.0
 		for j := i + 1; j < d.n; j++ {

@@ -32,15 +32,15 @@ type KeptFields struct {
 }
 
 // KeepFields returns the keeper of c's fields over base (nil means
-// zero). The fan-out is taken when c is a symmetric dense layout with
-// ±1 planes and every base is an integer exactInt accepts, except a −0
+// zero). The fan-out is taken when c is a planes layout (symmetric, by
+// construction) and every base is an integer exactInt accepts, except a −0
 // on an empty row: planes.field hands that row its base untouched, and
 // adding even a zero term would turn −0 into +0. Otherwise every Flip
 // that changed a sign recomputes with Fields.
 func KeepFields(c Coupling, base []float64) *KeptFields {
 	k := &KeptFields{c: c, base: base}
 	d, ok := c.(*dense)
-	if !ok || d.pl == nil || !d.sym {
+	if !ok || d.pl == nil {
 		return k
 	}
 	var mag int64 // Σ |base_i|, as planes.energy bounds it
@@ -52,8 +52,9 @@ func KeepFields(c Coupling, base []float64) *KeptFields {
 	}
 	k.d = d
 	k.fast = mag < 1<<52 && mag+int64(d.nnz) < 1<<53
-	for i := 0; i < d.n && k.fast; i++ {
-		k.fast = d.data[i*d.n+i] == 0
+	for i := 0; i < d.n && k.fast; i++ { // a diagonal entry is not read off the fields
+		pos, neg := d.pl.row(i)
+		k.fast = (pos[i>>6]|neg[i>>6])>>(i&63)&1 == 0
 	}
 	return k
 }
@@ -97,30 +98,33 @@ func (k *KeptFields) Energy(spins []int8, out []float64) float64 {
 }
 
 // fanOut adds 2·σ_j·J_ji to out[i] for every j in flipped and every i,
-// four rows a pass over out. Every term is ±2 or ±0 and every partial sum
-// an integer below 2⁵³, so any order of the additions gives the bits of
-// the ascending walk — but for a zero's sign: a ±0 term added to +0 or to
-// a nonzero value changes nothing, and no field here is −0 (KeepFields).
+// four planes rows a pass over out, each entry read as the float it
+// stands for. Every term is ±2 or ±0 and every partial sum an integer
+// below 2⁵³, so any order of the additions gives the bits of the
+// ascending walk — but for a zero's sign: a ±0 term added to +0 or to a
+// nonzero value changes nothing, and no field here is −0 (KeepFields).
 // A short last pass repeats its last row with weight 0, whose ±0 terms
 // are such terms.
 func (d *dense) fanOut(spins []int8, flipped []int32, out []float64) {
-	n := d.n
-	out = out[:n]
-	row := func(l int) ([]float64, float64) {
+	out = out[:d.n]
+	row := func(l int) ([]uint64, []uint64, float64) {
 		j := int(flipped[min(l, len(flipped)-1)])
 		w := 0.0
 		if l < len(flipped) {
 			w = float64(2 * spins[j])
 		}
-		return d.data[j*n:][:len(out)], w
+		pos, neg := d.pl.row(j)
+		return pos, neg, w
 	}
 	for len(flipped) > 0 {
-		r0, w0 := row(0)
-		r1, w1 := row(1)
-		r2, w2 := row(2)
-		r3, w3 := row(3)
+		p0, n0, w0 := row(0)
+		p1, n1, w1 := row(1)
+		p2, n2, w2 := row(2)
+		p3, n3, w3 := row(3)
 		for i := range out {
-			out[i] += ((float64(w0*r0[i]) + float64(w1*r1[i])) + float64(w2*r2[i])) + float64(w3*r3[i])
+			k, b := i>>6, uint(i)
+			out[i] += ((float64(w0*unit(p0[k], n0[k], b)) + float64(w1*unit(p1[k], n1[k], b))) +
+				float64(w2*unit(p2[k], n2[k], b))) + float64(w3*unit(p3[k], n3[k], b))
 		}
 		flipped = flipped[min(4, len(flipped)):]
 	}

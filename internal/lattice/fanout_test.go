@@ -183,7 +183,7 @@ func checkFanOutPlanes(t *testing.T, n, flips int, raw []byte) {
 	if e := int(next()) % (n + 1); e < n {
 		clearVertex(n, data, e) // an empty row
 	}
-	d := FromDense(n, data, Dense, 0).(*dense)
+	d := FromDense(n, data, Dense, 0).(*dense) // floats where an entry is −0
 	spins, base := make([]int8, n), make([]float64, n)
 	for i := range spins {
 		spins[i] = int8(1 - 2*int(next()&1))
@@ -207,7 +207,11 @@ func checkFanOutPlanes(t *testing.T, n, flips int, raw []byte) {
 	}
 
 	want := slices.Clone(out)
-	d.fanOut(spins, flipped, want)
+	if d.pl != nil {
+		d.fanOut(spins, flipped, want)
+	} else {
+		Fields(d, spins, base, want, 1) // what Flip does on a float layout
+	}
 	k := int(next()) % n
 	delta := float64(2 - 4*int(next()&1))
 	fields := make([]float64, n)
@@ -229,7 +233,8 @@ func checkFanOutPlanes(t *testing.T, n, flips int, raw []byte) {
 // FuzzFanOutPlanes is the proof of fanOutLanes, as FuzzSBMStep is
 // sbmStep's. From raw bytes: a symmetric matrix of +1, −1 and zeros over
 // n = 1 + size mod 130 spins — every tail of a quad and of a 64-column
-// word — with −0 entries in half the inputs and an empty row in most,
+// word — with −0 entries (so a float layout) in half the inputs and an
+// empty row in most,
 // ±1 spins, integer bases and a set of flips mod (n+1) flipped rows, past
 // one pass's fanOutRows at the largest n. On both kernels, with every
 // flip set fanned out, KeptFields.Flip must carry dense.fanOut's bits,
@@ -260,9 +265,9 @@ func FuzzFanOutPlanes(f *testing.F) {
 // arm makes about zeros. A −0 field is no reason to walk: the lanes add
 // float64(J_kj)·d, which for a zero entry is +0·d — −0 when d = −2 — the
 // walk's very term, so a −0 field stays −0 or becomes +0 exactly as the
-// walk has it. A −0 entry is: its sign is in neither plane, the lanes
-// would add +0·d where the walk adds −0·d, and so a matrix that stores
-// one walks.
+// walk has it. A −0 entry has no planes arm to take: its sign is in
+// neither plane, the lanes would add +0·d where the walk adds −0·d, and
+// so a matrix that holds one is stored as floats.
 func TestFlipFanoutKeepsZeroSigns(t *testing.T) {
 	const n = 70
 	negZero := math.Copysign(0, -1)
@@ -270,13 +275,13 @@ func TestFlipFanoutKeepsZeroSigns(t *testing.T) {
 	mixed := slices.Clone(data)
 	mixed[3*n+5], mixed[5*n+3] = negZero, negZero
 	for _, tc := range []struct {
-		name    string
-		data    []float64
-		negZero bool
-	}{{"+0 zeros", data, false}, {"a −0 entry", mixed, true}} {
+		name   string
+		data   []float64
+		planes bool
+	}{{"+0 zeros", data, true}, {"a −0 entry", mixed, false}} {
 		d := FromDense(n, tc.data, Dense, 0).(*dense)
-		if d.pl == nil || d.pl.negZero != tc.negZero {
-			t.Fatalf("%s: planes %v, negZero %v", tc.name, d.pl != nil, tc.negZero)
+		if (d.pl != nil) != tc.planes || (d.data != nil) == tc.planes {
+			t.Fatalf("%s: planes %v, floats %v", tc.name, d.pl != nil, d.data != nil)
 		}
 		for _, k := range []int{3, 5, n - 1} {
 			for _, delta := range []float64{2, -2, 0.5} {
@@ -302,12 +307,13 @@ func TestFlipFanoutKeepsZeroSigns(t *testing.T) {
 	if !useAVX {
 		return
 	}
-	// Why the −0 entry walks: the lanes over its row part from the walk.
+	// Why a −0 entry is floats: the lanes over its planes part from the walk.
 	fields := []float64{negZero, negZero, negZero, negZero}
 	lanes, walked := slices.Clone(fields), slices.Clone(fields)
-	d := FromDense(4, []float64{0, negZero, 1, 1, negZero, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0}, Dense, 0).(*dense)
-	d.pl.addRows([]int{0, d.pl.words}, -2, lanes)
-	flipWalk(4, d.data, walked, 0, -2)
+	withNegZero := []float64{0, negZero, 1, 1, negZero, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0}
+	p := newPlanes(4, packRows(4, withNegZero))
+	p.addRows([]int{0, p.words}, -2, lanes)
+	flipWalk(4, withNegZero, walked, 0, -2)
 	if math.Float64bits(lanes[1]) == math.Float64bits(walked[1]) {
 		t.Fatalf("the lanes and the walk agree on a −0 entry (%v): nothing to guard", lanes[1])
 	}
@@ -330,8 +336,9 @@ func TestUpperSumsMatchWalk(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 63, 64, 65, 130} {
 		for _, density := range []float64{1, 0.4, 0} {
 			unit := randSym(n, density, uint64(n)+7)
+			negZero := slices.Clone(unit)
 			if n > 1 {
-				unit[1] = math.Copysign(0, -1) // a −0 entry is no entry
+				negZero[1] = math.Copysign(0, -1) // a −0 entry is no entry, and makes floats
 			}
 			weighted := slices.Clone(unit)
 			for i := range weighted {
@@ -348,6 +355,7 @@ func TestUpperSumsMatchWalk(t *testing.T) {
 			}{
 				{"planes", planes, unit},
 				{"csr", FromDense(n, unit, CSR, 0), unit},
+				{"−0 floats", FromDense(n, negZero, Dense, 0), negZero},
 				{"weighted", FromDense(n, weighted, Dense, 0), weighted},
 			} {
 				name := tc.name

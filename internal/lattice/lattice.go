@@ -7,8 +7,10 @@
 //
 // Two layouts implement Coupling:
 //
-//   - Dense: the row-major n×n array — right for the paper's fully
-//     connected K-graphs.
+//   - Dense: the row-major n×n matrix — right for the paper's fully
+//     connected K-graphs. It stores either its float64 entries or, for
+//     a symmetric matrix of −1, +0 and +1 entries, only its bit planes
+//     (below); never both.
 //   - CSR: compressed sparse rows with ascending column order — right
 //     for Gset-scale instances at a few percent density, where the
 //     dense loops spend almost all their time scanning zeros. The rows
@@ -22,29 +24,50 @@
 //
 // Auto resolves to CSR when the measured density is at most
 // AutoCSRDensity, else Dense. An ising.Model freezes its couplings into
-// one of the two, once (FromDense for a problem that filled the array,
-// FromCSR for one that stayed a list), and that stored Coupling is what
-// every engine reads; Convert re-lays it for ising.Model.As (the other
-// layout) and for brim (the same one, divided by a scale).
+// one of the two, once (UnitUpper.Build for a ±1 problem past the list,
+// FromUpper for one that filled the float array, FromCSR for one that
+// stayed a list), and that stored Coupling is what every engine reads;
+// Convert re-lays it for ising.Model.As (the other layout) and for brim
+// (the same one, divided by a scale), and Floats gives an engine that
+// multiplies floats by floats a float copy. Footprint says what a layout
+// stores, for the admission fence.
 //
 // # ±1 planes
 //
-// The paper's benchmark family is all-to-all ±1 K-graphs, and the
-// integer-field engines (dSBM's force, SA's field cache) read them
-// through FieldsRange with ±1 spins. For exactly that case — an
-// unscaled Dense matrix whose every entry is −1, 0 or +1 — the dense
-// layout also stores each row as two bit planes (pos, neg; (n+63)/64
-// words each), and FieldsRange packs the spin vector into an up-mask
-// once per call and computes a row as
+// The paper's benchmark family is all-to-all ±1 K-graphs. A dense matrix
+// that is verified symmetric and whose every entry is −1, +0 or +1 is
+// stored as two bit planes a row (pos, neg; (n+63)/64 words each) and
+// its row counts, and nothing else: K512 is 66 KB where its floats were
+// 2 MB, K16384 64 MB where they were 2 GB. Kind is still Dense. A −0
+// entry, whose sign no plane keeps, an asymmetric matrix or any other
+// value (a weighted instance, a brim machine's J/scale) is stored as
+// floats. ising.Builder writes a ±1 problem into the planes directly
+// (UnitUpper), so the float matrix of a K-graph is never built.
+//
+// What reads the planes as bits: FieldsRange over ±1 spins packs the
+// spin vector into an up-mask once per call and computes a row as
 //
 //	base[i] + float64(2·popcount(pos&up | neg&^up) − rowNNZ[i])
 //
 // the all-digital formulation of a near-memory Ising machine: 64
 // couplings per AND/popcount instead of one per float multiply-add.
-// Nothing selects it: Kind is still Dense, a matrix with any other
-// entry (a weighted instance, a brim machine's J/scale view) builds no
-// planes and allocates nothing extra, and Energy offers the same
-// shortcut for the whole-model energy.
+// Energy offers the same shortcut for the whole-model energy, UpperSums
+// for dSBM's moment sums, and the flip fan-out (below) for a row's
+// change.
+//
+// Everything else reads a planes entry as the float it stands for —
+// +1.0, −1.0 or +0.0 — and does the float layout's arithmetic, zeros
+// included (unit, planes.unpack): the mat-vec's dot4 and one-row walk,
+// the FieldsRange and Energy walks for the rows the popcount declines,
+// FlipFanout off AVX or for d ≠ ±2, the fan-out's Go form, KeepFields'
+// diagonal check, Scan/RowNNZ and Convert. So 0·Inf is still a NaN in a
+// mat-vec, and Scan yields the float layout's (j, v) sequence. What
+// multiplies floats by floats keeps floats: brim's machine stores its
+// scaled copy, and bSBM takes Floats' unscaled copy once a solve, so no
+// sweep reads bits and the planes MatVecRange is a Go form kept for
+// correctness.
+// FuzzPlanesLayout holds the planes layout to the float layout of the
+// same matrix on every method by Float64bits, on both kernels.
 //
 // The same exactness lets a field vector that follows a few sign
 // changes at a time skip the recompute (KeptFields, dSBM's force): when
@@ -54,9 +77,8 @@
 // Energy read off the fields in O(n).
 // Zero's sign is the one care: an empty row's field is its base
 // untouched, so a −0 base there would become +0 under a ±0 term. Such a
-// base, a matrix not verified symmetric, a fractional base and every CSR
-// view keep recomputing. UpperSums answers the two moment sums of
-// dSBM's coupling scale by popcounts the same way.
+// base, a float layout, a fractional base and every CSR view keep
+// recomputing.
 //
 // # Energy
 //
@@ -130,7 +152,7 @@
 //
 // The second kernel is the column sweep (sweep_amd64.s), taken on an
 // amd64 host with AVX for the 32-row blocks of a range when the layout
-// was built over a matrix found symmetric. The resistor between two nodes
+// stores floats and was built over a matrix found symmetric. The resistor between two nodes
 // conducts both ways, so J[j][i..i+3] — contiguous in the row-major
 // array — holds exactly the operands rows i..i+3 need at column j:
 // broadcast x[j], VMULPD against that slice, VADDPD into a register of
@@ -240,7 +262,7 @@
 // row, d = ±2) counts J_kj itself and takes s = d: each field gets the
 // walk's one addition of the walk's very term, +0·d for a zero entry, so
 // any field, −0 included, keeps the walk's bits; a matrix holding a −0
-// entry, whose sign no plane keeps, walks. FuzzFanOutPlanes and
+// entry, whose sign no plane keeps, is floats and walks. FuzzFanOutPlanes and
 // TestKeptFieldsMatchFields hold both to their Go forms by Float64bits
 // on both kernels, and TestFlipFanoutKeepsZeroSigns pins the zero rule.
 package lattice
@@ -289,6 +311,38 @@ func Resolve(kind Kind, n, nnz int) Kind {
 	return Dense
 }
 
+// Footprint is what the layout kind names (Auto: the one Resolve picks)
+// stores for n spins with nnz entries, both triangles, when unit says
+// every entry is −1, 0 or +1: a symmetric ±1 n×n matrix as its two
+// planes and row counts, 2·n·⌈n/64⌉·8 + 4·n bytes; any other n×n matrix
+// as 8·n² bytes of floats; compressed rows at 12 bytes a lane slot — an
+// int32 column and a float64 value — and 14 a row — its position, the
+// row at that position and its length, int32 each, and a quarter of its
+// group's int start. The slots are the entries plus each four-row group's
+// padding to its longest row. Rows are sorted by length within a window,
+// so a window pads at most 3·(its longest row − its shortest) ≤ 3·(n−1);
+// and a group pads at most three times its longest row, so at most 3·nnz.
+// The admission fence prices a model by it before the model exists.
+func Footprint(kind Kind, n, nnz int, unit bool) int64 {
+	n64, nnz64 := int64(n), int64(nnz)
+	switch {
+	case Resolve(kind, n, nnz) == CSR:
+		windows := (n64 + KernelChunk - 1) / KernelChunk
+		pad := 3 * min(nnz64, windows*(n64-1))
+		return 12*(nnz64+pad) + 14*n64
+	case unit:
+		return 16*n64*int64(planeWords(n)) + 4*n64
+	default:
+		return 8 * n64 * n64
+	}
+}
+
+// Bytes is Footprint of a layout that exists: what c stores.
+func Bytes(c Coupling) int64 {
+	d, ok := c.(*dense)
+	return Footprint(c.Kind(), c.N(), c.NNZ(), ok && d.pl != nil)
+}
+
 // Convert re-lays c in the layout kind names (Auto: by c's own density)
 // with every entry divided by div — the resistor normalization the BRIM
 // machines apply (Ĵ = J/scale); division, not multiplication by a
@@ -301,7 +355,7 @@ func Resolve(kind Kind, n, nnz int) Kind {
 // structure, over the matrix it keeps the verified symmetry, since
 // equal bits divide to equal bits; compressed to dense scatters the
 // rows and is FromDense from there. Only an unscaled dense result
-// carries planes.
+// can be planes; a scaled one is floats.
 func Convert(c Coupling, kind Kind, div float64) Coupling {
 	n, nnz := c.N(), c.NNZ()
 	kind = Resolve(kind, n, nnz)
@@ -324,13 +378,10 @@ func Convert(c Coupling, kind Kind, div float64) Coupling {
 		out.fill(c, div)
 		return out
 	}
-	data := make([]float64, n*n)
 	if d, ok := c.(*dense); ok {
-		for i, v := range d.data {
-			data[i] = v / div
-		}
-		return &dense{n: n, data: data, nnz: nnz, sym: d.sym}
+		return &dense{n: n, data: d.floats(div), nnz: nnz, sym: d.sym}
 	}
+	data := make([]float64, n*n)
 	var row []float64
 	put := func(j int, v float64) { row[j] = v }
 	for i := 0; i < n; i++ {
@@ -338,6 +389,43 @@ func Convert(c Coupling, kind Kind, div float64) Coupling {
 		c.Scan(i, put)
 	}
 	return FromDense(n, data, Dense, div)
+}
+
+// Floats returns c where it stores its entries as floats, else a float
+// copy of its planes: +1.0, −1.0 and +0.0 in both triangles, symmetric
+// as the planes were, so an AVX host sweeps it. That is what a
+// float-by-float product runs on — bSBM's mat-vec, a brim machine whose
+// scale is 1 — and the engine that runs one asks for it, once a solve:
+// the copy costs 8·n² bytes the stored model does not.
+func Floats(c Coupling) Coupling {
+	d, ok := c.(*dense)
+	if !ok || d.pl == nil {
+		return c
+	}
+	return &dense{n: d.n, data: d.floats(1), nnz: d.nnz, sym: true}
+}
+
+// floats returns d's entries divided by div in a new row-major array, a
+// planes row read as the floats it stands for; div 1 divides nothing.
+func (d *dense) floats(div float64) []float64 {
+	n := d.n
+	data := make([]float64, n*n)
+	if d.pl == nil {
+		for i, v := range d.data {
+			data[i] = v / div
+		}
+		return data
+	}
+	for i := 0; i < n; i++ {
+		row := data[i*n : (i+1)*n]
+		d.pl.unpack(i, row)
+		if div != 1 {
+			for j, v := range row {
+				row[j] = v / div
+			}
+		}
+	}
+	return data
 }
 
 // Coupling is a read-only view of a symmetric coupling matrix with

@@ -209,14 +209,17 @@ func TestMatVecBlockedMatchesRowWalk(t *testing.T) {
 
 // TestMatVecRangeWritesOnlyItsRange pins the Coupling contract every
 // caller that shares one out slice between ranges relies on (ForRange
-// chunks, sbm's per-chip rows): on both backends, out outside [lo,hi)
-// keeps its poison. 70 rows are two sweep blocks and a remainder: the
-// sweep parks partial sums in out, and must park them nowhere else.
+// chunks, sbm's per-chip rows): on every layout, out outside [lo,hi)
+// keeps its poison. The matrix is ±1, so its dense layout is planes and
+// walks; its float copy (Floats) is what the column sweep runs on. 70
+// rows are two sweep blocks and a remainder: the sweep parks partial
+// sums in out, and must park them nowhere else.
 func TestMatVecRangeWritesOnlyItsRange(t *testing.T) {
 	for _, n := range []int{37, 70} {
 		data := randSym(n, 0.5, 80)
 		x, base := randVec(n, 81), randVec(n, 82)
-		for _, c := range allBackends(t, n, data, 0) {
+		b := allBackends(t, n, data, 0)
+		for _, c := range []Coupling{b[Dense], b[CSR], Floats(b[Dense])} {
 			for _, rg := range residueRanges(n) {
 				checkMatVec(t, c, n, denseWalk(n, data), x, base, rg[0], rg[1])
 			}
@@ -381,7 +384,7 @@ func TestCSRLanesMatchWalk(t *testing.T) {
 }
 
 // TestLaneGroupLayout pins what csrLanes and the admission fence
-// (runs.csrBytes) take for granted: each window's positions hold its
+// (Footprint) take for granted: each window's positions hold its
 // rows, dummies first, ordered by length, so A3 ≤ B0 between
 // neighbouring groups; a group is as wide as its last lane; and the
 // padding is at most 3·min(nnz, windows·(n−1)) slots.

@@ -131,7 +131,8 @@ func TestFieldsPlanesMatchFloatWalk(t *testing.T) {
 }
 
 // TestCountEntriesClassifies: the branch-free count agrees with the
-// comparisons it replaced on every kind of entry.
+// comparisons it replaced on every kind of entry. A −0 is no entry, and
+// no planes entry either: its sign would be lost.
 func TestCountEntriesClassifies(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, tc := range []struct {
@@ -140,8 +141,10 @@ func TestCountEntriesClassifies(t *testing.T) {
 		unit bool
 	}{
 		{nil, 0, true},
-		{[]float64{0, negZero, 0, 0}, 0, true},
-		{[]float64{1, -1, 0, negZero, 1, 1}, 4, true},
+		{[]float64{0, 0, 0, 0}, 0, true},
+		{[]float64{1, -1, 0, 1, 1}, 4, true},
+		{[]float64{0, negZero, 0, 0}, 0, false},
+		{[]float64{1, -1, 0, negZero, 1, 1}, 4, false},
 		{[]float64{1, 2}, 2, false},
 		{[]float64{0.5, 0}, 1, false},
 		{[]float64{-1, 1.5}, 2, false},

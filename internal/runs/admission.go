@@ -1,17 +1,21 @@
 package runs
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
 	"mbrim/internal/core"
 	"mbrim/internal/diag"
+	"mbrim/internal/graph"
 	"mbrim/internal/journal"
 	"mbrim/internal/lattice"
+	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
 	"mbrim/internal/portfolio"
 )
@@ -73,29 +77,64 @@ type SubmitOptions struct {
 }
 
 // EstimateRunBytes approximates a run's resident footprint for the
-// admission memory budget: the couplings as the model stores them (8·n²
-// for the dense layout, csrBytes for compressed rows),
-// per-spin chip state and the run's retained-event ring — and, for a
-// multi-chip request, what the engine builds on top of the model: the k
-// owned×owned sub-models (1/k of the model together) and the chips'
-// owned×remote cross columns, 12 bytes an entry, (k−1)/k of the entries
-// (of n² for a dense problem: its worst case). A portfolio run
-// multiplies everything but the shared model and the ring by its race
-// width — each entrant is a full concurrent solver over the shared
-// model — and a cluster run is the model and the ring: its chips live
-// on the workers. It is an admission fence, not an accountant — it
-// exists to refuse the submission that would OOM the daemon, not to
-// meter kilobytes. A K-graph is n² by nature, however it is asked for:
-// {"k":65536} is 34 GB, and refusing it is MaxRunBytes' job, not the
-// model's. The model is all a K-graph request allocates — it is
-// generated into the matrix, with no edge list beside it — so its model
-// term is the 8·n² priced here plus the ±1 planes' n²/32 bytes
-// (TestKGraphRequestAllocatesItsMatrix). An edge-list body also keeps
-// the parsed graph, 24 bytes an edge, which the fence leaves unpriced.
+// admission memory budget: the couplings as the model stores them
+// (lattice.Footprint: a ±1 K-graph its planes, 2·n·⌈n/64⌉·8 + 4·n bytes;
+// any other dense model 8·n²; compressed rows their lane slots), a
+// parsed edge list kept beside the model at 24 bytes an edge, per-spin
+// chip state and the run's retained-event ring — and what the engine
+// builds on top of the model. A multi-chip request holds the k chips'
+// brim machines, each over a scaled float copy of its owned×owned block
+// (8·n²/k together for a dense problem, 1/k of the compressed rows for a
+// sparse one), and their owned×remote cross columns, 12 bytes an entry,
+// (k−1)/k of the entries (of n² for a dense problem: its worst case). A
+// single brim machine or bSBM runs on a float copy of the whole model
+// (lattice.Floats). A portfolio run pays everything but the shared model
+// and the ring once for each entrant, priced as the engine it is — the
+// named ones, or the field portfolio.Dispatch picks, and the hand-off —
+// and a cluster run is the model and the ring: its chips live on the
+// workers. It is an admission fence, not an
+// accountant — it exists to refuse the submission that would OOM the
+// daemon, not to meter kilobytes. A K-graph is generated straight into
+// its planes, with no edge list and no float matrix
+// (TestKGraphRequestAllocatesItsMatrix), so {"k":4096} is 4 MB to a
+// dSBM and 150 MB of cross columns to four brim chips.
 func EstimateRunBytes(req *core.Request, ringSize int) int64 {
-	n, nnz := req.Model.N(), req.Model.NNZ()
-	return estimateRunBytesN(int64(n), int64(nnz), storesDense(n, nnz),
-		fenceChips(req.Chips, req), requestWorkers(req), ringSize)
+	return requestShape(req).estimate(ringSize)
+}
+
+// requestShape is the shape of a request whose model exists: its layout
+// answers for what it stores, and a dispatched race is the field
+// portfolio.Dispatch picks from the model's own structure.
+func requestShape(req *core.Request) runShape {
+	c := req.Model.View(lattice.Auto)
+	s := runShape{n: c.N(), nnz: c.NNZ(), model: lattice.Bytes(c), dense: c.Kind() == lattice.Dense}
+	if g, ok := req.Graph.(*graph.Graph); ok {
+		s.edges = g.M()
+	}
+	var stats core.StructureStats
+	if req.Kind == core.Portfolio && len(req.Portfolio.Entrants) == 0 {
+		stats = portfolio.Analyze(req.Model)
+	}
+	s.solvers = fenceSolvers(req, s.n, req.Chips, stats)
+	return s
+}
+
+// runShape is what the fence prices a run by.
+type runShape struct {
+	n, nnz int   // spins and directed couplings
+	model  int64 // the bytes the model stores (lattice.Footprint)
+	dense  bool  // the model is an n×n matrix, planes or floats
+	edges  int   // the parsed edge list kept beside the model
+	// solvers are the engines that run over the shared model: one, or a
+	// portfolio's entrants (fenceSolvers)
+	solvers []solver
+}
+
+// solver is one engine over the model: its kind and the chips the fence
+// charges this process for.
+type solver struct {
+	kind  core.Kind
+	chips int
 }
 
 // storesDense reports whether n spins with nnz directed couplings end
@@ -104,6 +143,35 @@ func EstimateRunBytes(req *core.Request, ringSize int) int64 {
 // exists.
 func storesDense(n, nnz int) bool {
 	return lattice.Resolve(lattice.Auto, n, nnz) == lattice.Dense
+}
+
+// fenceSolvers lists the engines a request runs over its model of n
+// spins on chips chips: the request's own engine, or a portfolio's
+// entrants — the named ones, else the field portfolio.Dispatch picks
+// from stats — and its hand-off stage, priced like one more entrant.
+// Each gets the chips entrantRequest gives it, and a multiprocessor
+// that names none the engine's default.
+func fenceSolvers(req *core.Request, n, chips int, stats core.StructureStats) []solver {
+	ents := []core.PortfolioEntrant{{Kind: string(req.Kind)}}
+	if req.Kind == core.Portfolio {
+		if ents = req.Portfolio.Entrants; len(ents) == 0 {
+			ents = portfolio.Dispatch(stats, req.Portfolio.MaxEntrants)
+		}
+		if h := req.Portfolio.HandOff; h != nil {
+			ents = append(slices.Clip(ents), *h)
+		}
+	}
+	out := make([]solver, len(ents))
+	for i, e := range ents {
+		kind, c := core.Kind(e.Kind), cmp.Or(e.Chips, chips)
+		if caps, _ := core.EngineCaps(kind); caps.Resume && c == 0 {
+			if cfg, _, err := multichip.Partition(n, multichip.Config{}); err == nil {
+				c = cfg.Chips
+			}
+		}
+		out[i] = solver{kind, fenceChips(c, req)}
+	}
+	return out
 }
 
 // fenceChips is the chip count the fence charges this process for:
@@ -115,74 +183,56 @@ func fenceChips(chips int, req *core.Request) int {
 	return chips
 }
 
-// requestWorkers reports how many solver instances a request runs
-// concurrently: the portfolio's race width (the dispatcher's default
-// field when the spec names no entrants), 1 for every other engine.
-func requestWorkers(req *core.Request) int {
-	if req.Kind != core.Portfolio {
-		return 1
+// copiesModel reports whether the engine runs one machine over a float
+// copy of the whole model: brim's scaled matrix, bSBM's mat-vec, and a
+// multiprocessor with a single chip.
+func copiesModel(kind core.Kind) bool {
+	switch kind {
+	case core.BRIM, core.BSBM, core.MBRIMConcurrent, core.MBRIMBatch, core.MBRIMSequential:
+		return true
 	}
-	w := len(req.Portfolio.Entrants)
-	if w == 0 {
-		w = portfolio.DefaultDispatchEntrants
-	}
-	if w > portfolio.MaxEntrants {
-		w = portfolio.MaxEntrants
-	}
-	return w
+	return false
 }
 
-func estimateRunBytesN(n, nnz int64, dense bool, chips, workers, ringSize int) int64 {
-	k := int64(chips)
-	if k < 1 {
-		k = 1
-	}
-	w := int64(workers)
-	if w < 1 {
-		w = 1
-	}
+// estimate is EstimateRunBytes' arithmetic, which both fence call sites
+// reach through checkBudget.
+func (s runShape) estimate(ringSize int) int64 {
 	if ringSize <= 0 {
 		ringSize = 4096
 	}
 	const eventBytes = 192 // sizeof(obs.Event), rounded to its alloc class
-	model := csrBytes(n, nnz)
-	if dense {
-		model, nnz = 8*n*n, n*n
+	n, nnz := int64(s.n), int64(s.nnz)
+	floats := s.model // a float copy of the model, brim's and bSBM's
+	if s.dense {
+		floats, nnz = 8*n*n, n*n
 	}
-	est := model + 16*n*k*w + int64(ringSize)*eventBytes
-	if k > 1 {
-		est += w * (model/k + 12*nnz*(k-1)/k)
+	est := s.model + 24*int64(s.edges) + int64(ringSize)*eventBytes
+	for _, v := range s.solvers {
+		k := int64(max(v.chips, 1))
+		est += 16 * n * k
+		switch {
+		case k > 1:
+			est += floats/k + 12*nnz*(k-1)/k
+		case copiesModel(v.kind):
+			est += floats
+		}
 	}
 	return est
 }
 
-// csrBytes bounds the compressed layout of n rows holding nnz entries,
-// stored in lane groups (lattice's csr): 12 bytes a slot — an int32
-// column and a float64 value — and 14 a row — its position, the row at
-// that position and its length, int32 each, and a quarter of its group's
-// int start. The slots are the entries plus each four-row group's padding
-// to its longest row. Rows are sorted by length within a window, so a
-// window pads at most 3·(its longest row − its shortest) ≤ 3·(n−1); and
-// a group pads at most three times its longest row, so at most 3·nnz.
-func csrBytes(n, nnz int64) int64 {
-	windows := (n + lattice.KernelChunk - 1) / lattice.KernelChunk
-	pad := 3 * min(nnz, windows*(n-1))
-	return 12*(nnz+pad) + 14*n
-}
-
-// checkBudget applies the MaxRunBytes fence for a submission of n spins
-// and nnz directed couplings. buildRequest calls it BEFORE constructing
-// the model — with 2·len(edges) as the bound on nnz, since building an
-// oversized model first would hang the submit handler for exactly the
-// request the budget is meant to bounce — and with the chip count the
-// engine resolves an omitted one to; a caller of SubmitWith says how
-// many chips it wants fenced in the request.
-func (m *Manager) checkBudget(n, nnz, chips, workers int) error {
+// checkBudget applies the MaxRunBytes fence to a submission of shape s.
+// buildRequest calls it BEFORE constructing the model — with 2·len(edges)
+// as the bound on nnz, since building an oversized model first would hang
+// the submit handler for exactly the request the budget is meant to
+// bounce — and with the chip count the engine resolves an omitted one
+// to; SubmitWith calls it on the built model, whose layout answers for
+// itself, and a caller of SubmitWith says how many chips it wants fenced
+// in the request.
+func (m *Manager) checkBudget(s runShape) error {
 	if m.cfg.MaxRunBytes <= 0 {
 		return nil
 	}
-	est := estimateRunBytesN(int64(n), int64(nnz), storesDense(n, nnz), chips, workers, m.cfg.RingSize)
-	if est > m.cfg.MaxRunBytes {
+	if est := s.estimate(m.cfg.RingSize); est > m.cfg.MaxRunBytes {
 		m.reg.Counter("runs.rejected_too_large_total").Inc()
 		return &TooLargeError{Estimated: est, Budget: m.cfg.MaxRunBytes}
 	}
@@ -200,7 +250,7 @@ func (m *Manager) SubmitWith(ctx context.Context, req core.Request, opts SubmitO
 	if !m.accepting.Load() {
 		return nil, ErrNotAccepting
 	}
-	if err := m.checkBudget(req.Model.N(), req.Model.NNZ(), fenceChips(req.Chips, &req), requestWorkers(&req)); err != nil {
+	if err := m.checkBudget(requestShape(&req)); err != nil {
 		return nil, err
 	}
 	if !opts.Deadline.IsZero() && !time.Now().Before(opts.Deadline) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"mbrim/internal/core"
 	"mbrim/internal/graph"
+	"mbrim/internal/lattice"
 	"mbrim/internal/obs"
 	"mbrim/internal/rng"
 )
@@ -228,53 +230,77 @@ func TestMemoryBudgetRejects(t *testing.T) {
 	}
 }
 
+// planesBytes is what a ±1 K-graph over n spins stores: two bit planes
+// a row and the row counts.
+func planesBytes(n int64) int64 { return 16*n*((n+63)/64) + 4*n }
+
 // TestMemoryBudgetCountsTheChips holds the fence to what a multi-chip
-// engine builds on top of the model: k sub-models and the cross
-// columns, which the estimate used to leave out.
+// engine builds on top of the model: k brim machines over scaled float
+// blocks and the cross columns, which the estimate used to leave out —
+// and to the float copy one brim machine or bSBM runs on.
 func TestMemoryBudgetCountsTheChips(t *testing.T) {
 	const ring = 4096 * 192
-	// chips ≤ 1 (and the single-solver per-spin term) is the estimate it
-	// always was.
+	kgraph := func(n int64, kind core.Kind, chips, workers int) runShape {
+		return runShape{n: int(n), nnz: int(n * (n - 1)), model: planesBytes(n), dense: true,
+			solvers: slices.Repeat([]solver{{kind, chips}}, workers)}
+	}
+	// chips ≤ 1: the model, per-spin state and the ring — and for a
+	// machine that multiplies floats, its 8·n² copy.
 	for _, n := range []int64{1, 16, 1024, 9000} {
 		for _, chips := range []int{-1, 0, 1} {
-			if got, want := estimateRunBytesN(n, 0, true, chips, 1, 0), 8*n*n+16*n+ring; got != want {
+			if got, want := kgraph(n, core.SA, chips, 1).estimate(0), planesBytes(n)+16*n+ring; got != want {
 				t.Errorf("estimate(n=%d, chips=%d) = %d, want %d", n, chips, got, want)
 			}
+			for _, kind := range []core.Kind{core.BRIM, core.BSBM, core.MBRIMConcurrent} {
+				if got, want := kgraph(n, kind, chips, 1).estimate(0), planesBytes(n)+8*n*n+16*n+ring; got != want {
+					t.Errorf("estimate(%s, n=%d, chips=%d) = %d, want %d", kind, n, chips, got, want)
+				}
+			}
 		}
-		if got, want := estimateRunBytesN(n, 0, true, 1, 3, 100), 8*n*n+16*n*3+100*192; got != want {
+		if got, want := kgraph(n, core.SA, 1, 3).estimate(100), planesBytes(n)+16*n*3+100*192; got != want {
 			t.Errorf("estimate(n=%d, chips=1, workers=3) = %d, want %d", n, got, want)
 		}
 	}
-	// chips > 1 adds 8·n²/k of sub-models and 12·n²·(k−1)/k of cross
-	// columns per solver: a dense K-graph at 4 chips is 8+2+9 = 19 n²
-	// where the old fence saw 8.
+	// chips > 1 adds 8·n²/k of float blocks and 12·n²·(k−1)/k of cross
+	// columns per solver: a dense K-graph at 4 chips is 2+9 = 11 n² over
+	// its planes.
 	for _, tc := range []struct {
 		n              int64
 		chips, workers int
 		want           int64
 	}{
-		{256, 4, 1, (8+2+9)*256*256 + 16*256*4 + ring},
-		{1024, 4, 1, (8+2+9)*1024*1024 + 16*1024*4 + ring},
-		{1024, 2, 1, (8+4+6)*1024*1024 + 16*1024*2 + ring},
-		{256, 4, 3, (8+3*(2+9))*256*256 + 16*256*4*3 + ring},
+		{256, 4, 1, planesBytes(256) + (2+9)*256*256 + 16*256*4 + ring},
+		{1024, 4, 1, planesBytes(1024) + (2+9)*1024*1024 + 16*1024*4 + ring},
+		{1024, 2, 1, planesBytes(1024) + (4+6)*1024*1024 + 16*1024*2 + ring},
+		{256, 4, 3, planesBytes(256) + 3*(2+9)*256*256 + 16*256*4*3 + ring},
 	} {
-		if got := estimateRunBytesN(tc.n, 0, true, tc.chips, tc.workers, 0); got != tc.want {
+		if got := kgraph(tc.n, core.MBRIMConcurrent, tc.chips, tc.workers).estimate(0); got != tc.want {
 			t.Errorf("estimate(n=%d, chips=%d, workers=%d) = %d, want %d", tc.n, tc.chips, tc.workers, got, tc.want)
 		}
+	}
+	// A weighted dense model stores floats: 8·n², as before the planes.
+	weighted := runShape{n: 256, nnz: 256 * 255, model: lattice.Footprint(lattice.Auto, 256, 256*255, false),
+		dense: true, solvers: []solver{{core.MBRIMConcurrent, 4}}}
+	if got, want := weighted.estimate(0), int64((8+2+9)*256*256+16*256*4+ring); got != want {
+		t.Errorf("weighted estimate = %d, want %d", got, want)
 	}
 
 	// A problem that stores compressed rows is priced by what it stores:
 	// for the model 12 bytes a lane slot — the directed entries and at
 	// most 3·(n−1) slots of padding a 256-row window, 3·nnz in all — and
-	// 14 a row; 1/k of that again for the sub-models and 12 bytes for each
-	// of the (k−1)/k entries that cross. sparse1k's shape, 1 024 spins and
-	// 10 589 edges, on 4 chips:
+	// 14 a row; 1/k of that again for the chips' blocks, 12 bytes for each
+	// of the (k−1)/k entries that cross, and 24 bytes an edge for the
+	// parsed graph. sparse1k's shape, 1 024 spins and 10 589 edges, on 4
+	// chips:
 	const nnz = 2 * 10589
 	const model = 12*(nnz+3*4*1023) + 14*1024
-	if got, want := estimateRunBytesN(1024, nnz, false, 4, 1, 0), int64(model+model/4+12*nnz*3/4+16*1024*4+ring); got != want {
+	sparse := runShape{n: 1024, nnz: nnz, model: lattice.Footprint(lattice.Auto, 1024, nnz, true), edges: nnz / 2,
+		solvers: []solver{{core.MBRIMConcurrent, 4}}}
+	if got, want := sparse.estimate(0), int64(model+24*nnz/2+model/4+12*nnz*3/4+16*1024*4+ring); got != want {
 		t.Errorf("sparse estimate = %d, want %d", got, want)
 	}
-	if got, want := estimateRunBytesN(65536, 2, false, 1, 1, 0), int64(12*(2+3*2)+14*65536+16*65536+ring); got != want {
+	oneEdge := runShape{n: 65536, nnz: 2, model: lattice.Footprint(lattice.Auto, 65536, 2, true), edges: 1, solvers: []solver{{core.SA, 1}}}
+	if got, want := oneEdge.estimate(0), int64(12*(2+3*2)+14*65536+24+16*65536+ring); got != want {
 		t.Errorf("one-edge estimate = %d, want %d", got, want)
 	}
 	for _, tc := range []struct {
@@ -290,14 +316,15 @@ func TestMemoryBudgetCountsTheChips(t *testing.T) {
 		}
 	}
 
-	// A 4-chip K128 under a 1 000 000-byte budget: the old estimate was
-	// 8·128² + 16·128·4 + ring = 925 696 and let it in, though model
-	// (131 072), ring (786 432), four 32-spin sub-models (32 768) and
-	// 4·32·96 cross entries (147 456) come to 1 097 728. Now it bounces;
-	// the same problem on one chip still fits.
-	const budget = 1_000_000
-	if old := int64(8*128*128 + 16*128*4 + ring); old > budget {
-		t.Fatalf("the old estimate %d would have refused too", old)
+	// A 4-chip K128 is planes (4 608 bytes), four 32×32 float blocks
+	// (32 768), 4·32·96 cross entries (147 456), per-spin state (8 192)
+	// and the ring (786 432): 979 456, over a 950 000-byte budget. On one
+	// chip it is the planes, one 8·128² float copy, 2 048 of state and
+	// the ring — 924 160, which fits.
+	const budget = 950_000
+	fourChips := planesBytes(128) + 8*128*128/4 + 12*128*128*3/4 + 16*128*4 + ring
+	if fourChips != 979456 {
+		t.Fatalf("the 4-chip K128 prices at %d", fourChips)
 	}
 	srv, m, _ := newTestServer(t, Config{MaxRunBytes: budget})
 	resp, data := postJSON(t, srv.URL+"/runs", `{"engine":"mbrim","k":128,"chips":4,"durationNS":5}`)
@@ -309,33 +336,45 @@ func TestMemoryBudgetCountsTheChips(t *testing.T) {
 		t.Fatalf("1-chip HTTP = %d %s, want 202", resp.StatusCode, data)
 	}
 	// chips omitted: the engine runs on its default of four, and that is
-	// what the fence counts — it used to see one chip and let the same
-	// K128 (925 696 by the one-chip formula, 1 097 728 in fact) through.
-	// A cluster run of any width is the model and the ring, 8·128² +
-	// 16·128 + ring = 919 552: its chips are on the workers (the engine is
-	// not linked into this package's tests; its HTTP row is
-	// internal/cluster's TestClusterRunsAreAdmittedLikeAnyOther).
+	// what the fence counts. A cluster run of any width is the model and
+	// the ring, planes + 16·128 + ring = 793 088: its chips are on the
+	// workers (the engine is not linked into this package's tests; its
+	// HTTP row is internal/cluster's TestClusterRunsAreAdmittedLikeAnyOther).
 	resp, data = postJSON(t, srv.URL+"/runs", `{"engine":"mbrim","k":128,"durationNS":5}`)
 	if resp.StatusCode != 413 {
 		t.Fatalf("default-chips HTTP = %d %s, want 413", resp.StatusCode, data)
 	}
 	var terr struct{ Error string }
 	json.Unmarshal(data, &terr)
-	if want := fmt.Sprint((8+2+9)*128*128 + 16*128*4 + ring); !strings.Contains(terr.Error, want) {
+	if want := fmt.Sprint(fourChips); !strings.Contains(terr.Error, want) {
 		t.Errorf("default-chips estimate: %s, want %s bytes (four chips)", terr.Error, want)
 	}
 	for _, tc := range []struct {
 		req  core.Request
 		want int64
 	}{
-		{core.Request{Kind: core.MBRIMConcurrent, Chips: 4}, (8+2+9)*128*128 + 16*128*4 + ring},
-		{core.Request{Kind: core.Cluster, Chips: 4, Cluster: core.ClusterSpec{Workers: []string{"a", "b", "c", "d"}}}, 8*128*128 + 16*128 + ring},
-		{core.Request{Kind: core.Cluster, Cluster: core.ClusterSpec{Workers: []string{"a"}}}, 8*128*128 + 16*128 + ring},
+		{core.Request{Kind: core.MBRIMConcurrent, Chips: 4}, fourChips},
+		{core.Request{Kind: core.Cluster, Chips: 4, Cluster: core.ClusterSpec{Workers: []string{"a", "b", "c", "d"}}}, planesBytes(128) + 16*128 + ring},
+		{core.Request{Kind: core.Cluster, Cluster: core.ClusterSpec{Workers: []string{"a"}}}, planesBytes(128) + 16*128 + ring},
+		{core.Request{Kind: core.SA, Graph: testProblem(128)}, planesBytes(128) + 24*128*127/2 + 16*128 + ring},
+		// A portfolio is priced by its entrants. Dispatched on a K-graph it
+		// is dSBM, SA and brim, and brim's float copy is 8·128²; capped at
+		// two it is dSBM and SA, over the planes alone.
+		{core.Request{Kind: core.Portfolio}, planesBytes(128) + 3*16*128 + 8*128*128 + ring},
+		{core.Request{Kind: core.Portfolio, Portfolio: core.PortfolioSpec{MaxEntrants: 2}}, planesBytes(128) + 2*16*128 + ring},
+		// Named entrants each pay their own copy, the hand-off included; a
+		// multiprocessor entrant that names no chips runs the engine's four.
+		{core.Request{Kind: core.Portfolio, Portfolio: core.PortfolioSpec{
+			Entrants: []core.PortfolioEntrant{{Kind: "brim"}, {Kind: "brim"}}, HandOff: &core.PortfolioEntrant{Kind: "brim"}}},
+			planesBytes(128) + 3*(16*128+8*128*128) + ring},
+		{core.Request{Kind: core.Portfolio, Portfolio: core.PortfolioSpec{
+			Entrants: []core.PortfolioEntrant{{Kind: "mbrim"}, {Kind: "bsbm", Chips: 2}}}},
+			fourChips + 16*128*2 + 8*128*128/2 + 12*128*128/2},
 	} {
 		tc.req.Model = testProblem(128).ToIsing()
 		if got := EstimateRunBytes(&tc.req, 0); got != tc.want {
-			t.Errorf("EstimateRunBytes(%s, chips=%d, %d workers) = %d, want %d",
-				tc.req.Kind, tc.req.Chips, len(tc.req.Cluster.Workers), got, tc.want)
+			t.Errorf("EstimateRunBytes(%s, chips=%d, %d workers, %+v) = %d, want %d",
+				tc.req.Kind, tc.req.Chips, len(tc.req.Cluster.Workers), tc.req.Portfolio, got, tc.want)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -343,9 +382,10 @@ func TestMemoryBudgetCountsTheChips(t *testing.T) {
 	m.Wait(ctx)
 }
 
-// TestMemoryBudgetPricesWhatIsStored: an edge list is fenced as the
-// compressed rows it becomes. sparse1k's shape (1 024 spins, 10 589
-// edges) on four chips fits an 8 MB budget — its dense matrix alone is
+// TestMemoryBudgetPricesWhatIsStored: a model is fenced as what it
+// stores, and an engine by the copies it makes of it. An edge list is
+// fenced as the compressed rows it becomes: sparse1k's shape (1 024
+// spins, 10 589 edges) on four chips fits an 8 MB budget — its dense matrix alone is
 // 8 MB, and the parent refused it — and no body can force the matrix
 // back: "backend" is not a field; and a 65 536-spin problem with one
 // edge is a few hundred kilobytes of vectors, admitted and solved, where
@@ -373,6 +413,21 @@ func TestMemoryBudgetPricesWhatIsStored(t *testing.T) {
 		t.Fatalf("K1024 HTTP = %d %s, want 413", resp.StatusCode, data)
 	}
 
+	// A K-graph is its planes: K4096 is 4 MB to a dSBM, admitted under
+	// 64 MB, where its float matrix alone was 134 MB. Four brim chips
+	// still hold ≈ 150 MB of cross columns over it: refused.
+	mid, mmid, _ := newTestServer(t, Config{MaxRunBytes: 64 << 20})
+	if resp, data := postJSON(t, mid.URL+"/runs", `{"engine":"dsbm","k":4096,"steps":20}`); resp.StatusCode != 202 {
+		t.Fatalf("dsbm K4096 HTTP = %d %s, want 202", resp.StatusCode, data)
+	}
+	if resp, data := postJSON(t, mid.URL+"/runs", `{"engine":"mbrim","chips":4,"k":4096}`); resp.StatusCode != 413 {
+		t.Fatalf("4-chip K4096 HTTP = %d %s, want 413", resp.StatusCode, data)
+	}
+	// A dispatched race on it fields brim, whose float copy is 134 MB.
+	if resp, data := postJSON(t, mid.URL+"/runs", `{"engine":"portfolio","k":4096}`); resp.StatusCode != 413 {
+		t.Fatalf("portfolio K4096 HTTP = %d %s, want 413", resp.StatusCode, data)
+	}
+
 	big, mbig, _ := newTestServer(t, Config{})
 	resp, data := postJSON(t, big.URL+"/runs", `{"engine":"sa","sweeps":2,"n":65536,"edges":[[1,2,1]]}`)
 	if resp.StatusCode != 202 {
@@ -386,12 +441,13 @@ func TestMemoryBudgetPricesWhatIsStored(t *testing.T) {
 	defer cancel()
 	m.Wait(ctx)
 	mbig.Wait(ctx)
+	mmid.Wait(ctx)
 	run, _ := mbig.Get(sub.ID)
 	out, err := run.Outcome()
 	if err != nil || out == nil || len(out.Spins) != 65536 || out.Energy != -1 {
 		t.Fatalf("one edge on 65 536 spins: outcome %v, %v (state %s)", out, err, run.Status().State)
 	}
-	for _, mgr := range []*Manager{m, mbig} {
+	for _, mgr := range []*Manager{m, mbig, mmid} {
 		for _, st := range mgr.List() {
 			if st.State != StateCompleted {
 				t.Errorf("%s ended %s: %s", st.ID, st.State, st.Error)

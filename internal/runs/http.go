@@ -12,6 +12,7 @@ import (
 
 	"mbrim/internal/core"
 	"mbrim/internal/graph"
+	"mbrim/internal/lattice"
 	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
 	"mbrim/internal/rng"
@@ -165,12 +166,23 @@ func (m *Manager) buildRequest(sr *SubmitRequest) (core.Request, error) {
 	}
 	// The fence comes BEFORE the model: building an oversized problem
 	// costs the very bytes the fence exists to refuse. A K-graph stores
-	// n(n−1) couplings, an edge list at most two per edge.
-	nnz := 2 * len(sr.Edges)
+	// n(n−1) ±1 couplings, its planes; an edge list at most two per edge,
+	// priced as floats if dense, since parallel edges sum past ±1, and
+	// keeps its parsed graph.
+	// A race nobody named is the field portfolio.Dispatch picks at this
+	// density.
+	s := runShape{n: n, nnz: 2 * len(sr.Edges), edges: len(sr.Edges)}
 	if sr.K > 0 {
-		nnz = n * (n - 1)
+		s.nnz = n * (n - 1)
 	}
-	if err := m.checkBudget(n, nnz, fenceChips(chips, &req), requestWorkers(&req)); err != nil {
+	s.model = lattice.Footprint(lattice.Auto, n, s.nnz, sr.K > 0)
+	s.dense = storesDense(n, s.nnz)
+	stats := core.StructureStats{N: n, NNZ: s.nnz}
+	if n > 1 {
+		stats.Density = float64(s.nnz) / float64(n*(n-1))
+	}
+	s.solvers = fenceSolvers(&req, n, chips, stats)
+	if err := m.checkBudget(s); err != nil {
 		return req, err
 	}
 	// A K-graph is generated straight into its model, which also reports

@@ -71,7 +71,7 @@ func (v *staleView) force(mc *machine) {
 		if mc.discrete {
 			mc.lat.FieldsRange(readout(v.seen, v.signs), mc.base, mc.force, lo, hi)
 		} else {
-			mc.lat.MatVecRange(v.seen, mc.base, mc.force, lo, hi)
+			mc.floats.MatVecRange(v.seen, mc.base, mc.force, lo, hi)
 		}
 	}
 }
@@ -91,7 +91,7 @@ func SolveMultiChip(m *ising.Model, cfg MultiChipConfig) *MultiChipResult {
 		stale = &staleView{parts: graph.BlockPartition(n, cfg.Chips), every: every, age: every,
 			snapshot: make([]float64, n), seen: make([]float64, n), signs: make([]int8, n)}
 	}
-	res, _ := newMachine(m, cfg.Config, stale).run(context.Background(), cfg.Config)
+	res, _ := newMachine(m, cfg.Config, stale, workingCopy(m, cfg.Config)).run(context.Background(), cfg.Config)
 	exchanges := int64(res.Steps / every)
 	return &MultiChipResult{Result: *res, Exchanges: exchanges,
 		BytesExchanged: float64(exchanges) * float64(4*n*(cfg.Chips-1))}

@@ -120,7 +120,10 @@ func positions(seed uint64, n int) (x, y []float64) {
 // machine is one SB run between steps. spins is always the sign readout
 // of x; where kept is set, force is always the fields of spins.
 type machine struct {
-	lat      lattice.Coupling
+	lat lattice.Coupling
+	// floats is lat as floats, for bSB's mat-vec of positions
+	// (workingCopy); nil for dSB, whose force reads signs off lat.
+	floats   lattice.Coupling
 	base     []float64
 	sb       lattice.Bifurcation
 	discrete bool
@@ -135,9 +138,21 @@ type machine struct {
 	stale *staleView
 }
 
+// workingCopy is what a bSB run over m multiplies positions by: the
+// model's own layout where it stores floats, a float copy of a ±1
+// model's planes (lattice.Floats), made once a solve — a batch's
+// restarts share it. It is nil for dSB, whose force reads signs.
+func workingCopy(m *ising.Model, cfg Config) lattice.Coupling {
+	if cfg.Variant == Discrete {
+		return nil
+	}
+	return lattice.Floats(m.View(lattice.Auto))
+}
+
 // newMachine validates and defaults cfg and places the run at its
-// initial positions, reading remote rows through stale if it is set.
-func newMachine(m *ising.Model, cfg Config, stale *staleView) *machine {
+// initial positions, multiplying by floats (workingCopy) and reading
+// remote rows through stale if it is set.
+func newMachine(m *ising.Model, cfg Config, stale *staleView, floats lattice.Coupling) *machine {
 	if cfg.Steps < 1 {
 		panic(fmt.Sprintf("sbm: Steps=%d", cfg.Steps))
 	}
@@ -161,6 +176,7 @@ func newMachine(m *ising.Model, cfg Config, stale *staleView) *machine {
 		spins:    make([]int8, n),
 		flipped:  make([]int32, n),
 		stale:    stale,
+		floats:   floats,
 	}
 	c0 := cfg.C0
 	if c0 == 0 {
@@ -186,7 +202,7 @@ func (mc *machine) step(at float64) {
 	case mc.stale != nil:
 		mc.stale.force(mc)
 	case !mc.discrete:
-		lattice.MatVec(mc.lat, mc.x, mc.base, mc.force, 1)
+		lattice.MatVec(mc.floats, mc.x, mc.base, mc.force, 1)
 	}
 	flipped := mc.sb.Step(mc.x, mc.y, mc.force, mc.spins, mc.flipped, at)
 	if mc.kept != nil {
@@ -261,7 +277,7 @@ func Solve(m *ising.Model, cfg Config) *Result {
 // alongside ctx.Err(). The result is always non-nil and internally
 // consistent.
 func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) {
-	return newMachine(m, cfg, nil).run(ctx, cfg)
+	return newMachine(m, cfg, nil, workingCopy(m, cfg)).run(ctx, cfg)
 }
 
 // readout writes sign(x) into buf and returns it.
@@ -299,12 +315,13 @@ func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg Config, runs int) (*
 	}
 	br := &BatchResult{Results: make([]*Result, 0, runs)}
 	start := time.Now()
+	floats := workingCopy(m, cfg)
 	var err error
 	for i := 0; i < runs && err == nil; i++ {
 		c := cfg
 		c.Seed = cfg.Seed + uint64(i)
 		var res *Result
-		res, err = SolveCtx(ctx, m, c)
+		res, err = newMachine(m, c, nil, floats).run(ctx, c)
 		br.Results = append(br.Results, res)
 		if br.Best == nil || res.Energy < br.Best.Energy {
 			br.Best = res

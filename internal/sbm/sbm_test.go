@@ -263,7 +263,7 @@ func TestDiscreteForceIsFields(t *testing.T) {
 		const steps = 400
 		want := make([]float64, m.N())
 		for seed := uint64(1); seed <= 6; seed++ {
-			mc := newMachine(m, Config{Variant: Discrete, Steps: steps, Seed: seed}, nil)
+			mc := newMachine(m, Config{Variant: Discrete, Steps: steps, Seed: seed}, nil, nil)
 			for step := 0; step < steps; step++ {
 				mc.step(float64(step) / steps)
 				lattice.Fields(lat, mc.spins, m.MuH(), want, 1)
