@@ -195,6 +195,11 @@ func crashAndResume(t *testing.T, bin, body string) {
 		_ = cmd2.Wait()
 	}()
 	waitReady(t, base2, 10*time.Second)
+	// The replay line reaches log through exec's copy goroutine, which
+	// may not have delivered it yet when /readyz first answers.
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(log.String(), " unrecoverable\n") && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
 	if replay := log.String(); !strings.Contains(replay, "0 tombstone(s), 1 resumed, 0 restarted from scratch, 0 unrecoverable") {
 		t.Fatalf("replay line does not report one resumed run:\n%s", replay)
 	}

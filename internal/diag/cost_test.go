@@ -1,0 +1,178 @@
+package diag_test
+
+import (
+	"math"
+	"testing"
+
+	"mbrim/internal/diag"
+	"mbrim/internal/obs"
+	"mbrim/internal/rng"
+)
+
+// The enabled path of the Reducer — a registry attached, as the run
+// manager attaches one to every run — prices an event at a fold and a
+// Set: its gauges are resolved once, never per event.
+
+// hotEvents is one epoch of a two-chip run's stream, in the kinds the
+// Reducer mirrors into gauges: an energy sample, both pairs'
+// disagreement and the fabric transfer.
+func hotEvents(epoch int) []obs.Event {
+	return []obs.Event{
+		{Kind: obs.EnergySample, Epoch: epoch, ModelNS: float64(10 * epoch), Value: -float64(epoch % 7)},
+		{Kind: obs.PairStat, Epoch: epoch, Chip: 0, Peer: 2, Count: 3, Value: 0.25},
+		{Kind: obs.PairStat, Epoch: epoch, Chip: 1, Peer: 1, Count: 2, Value: 0.125},
+		{Kind: obs.FabricTransfer, Epoch: epoch, Value: 64, StallNS: 2},
+	}
+}
+
+// TestReducerEmitAllocatesNothing: after the run's first event of each
+// kind, an EnergySample, a PairStat and a FabricTransfer allocate
+// nothing on the enabled path. The trajectory the samples append to
+// grows by doubling, which lands far below one allocation an event over
+// the 1 000 measured.
+func TestReducerEmitAllocatesNothing(t *testing.T) {
+	r := diag.New(diag.Config{Registry: obs.NewRegistry(), RunID: "run-1", PlateauWindowNS: 50})
+	for _, e := range hotEvents(1) {
+		r.Emit(e)
+	}
+	for _, e := range hotEvents(2) {
+		epoch := 2
+		if a := testing.AllocsPerRun(1000, func() {
+			epoch++
+			e.Epoch, e.ModelNS = epoch, float64(10*epoch)
+			r.Emit(e)
+		}); a != 0 {
+			t.Errorf("a %s event allocates %v times on the enabled path", e.Kind, a)
+		}
+	}
+}
+
+// TestReleasedReducerRegistersNothing: once Release has dropped a run's
+// series, events emitted to the Reducer afterwards — every kind it
+// mirrors, new chip pairs and federated worker spans included — leave
+// the registry's series count where Release put it.
+func TestReleasedReducerRegistersNothing(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := diag.New(diag.Config{Registry: reg, RunID: "run-1"})
+	for _, e := range hotEvents(1) {
+		r.Emit(e)
+	}
+	if n := r.Release(); n != 6 {
+		t.Fatalf("Release dropped %d series, want 6 (two pairs, plateau, staleness, sync cost, stall)", n)
+	}
+	after := reg.SeriesCount()
+	for epoch := 2; epoch < 5; epoch++ {
+		for _, e := range hotEvents(epoch) {
+			r.Emit(e)
+		}
+	}
+	r.Emit(obs.Event{Kind: obs.PairStat, Epoch: 5, Chip: 2, Peer: 1, Value: 0.5})
+	r.Emit(obs.Event{Kind: obs.Fault, Origin: "co", Label: "worker-loss", Chip: 0})
+	r.Emit(obs.Event{Kind: obs.SpanEnd, Origin: "co", Label: "federation_pull"})
+	r.Snapshot()
+	if got := reg.SeriesCount(); got != after {
+		t.Fatalf("a released Reducer took the registry from %d series to %d", after, got)
+	}
+	if n := r.Release(); n != 0 {
+		t.Fatalf("a second Release dropped %d series", n)
+	}
+}
+
+// plateauScan is the plateau verdict as a scan of every sample, the
+// definition the Reducer's running window must reproduce: the lowest
+// energy at or before the window start, when some sample lies there,
+// against the best so far.
+func plateauScan(ts, es []float64, best, window, eps float64) bool {
+	n := len(ts)
+	if n < 2 {
+		return false
+	}
+	winStart := ts[n-1] - window
+	baseline := math.Inf(1)
+	covered := false
+	for i, t := range ts {
+		if t <= winStart {
+			covered = true
+			if es[i] < baseline {
+				baseline = es[i]
+			}
+		}
+	}
+	if !covered {
+		return false
+	}
+	improvement := baseline - best
+	scale := math.Max(math.Abs(baseline), 1e-12)
+	return improvement/scale < eps
+}
+
+// TestPlateauMatchesScan: over randomised trajectories the diag.plateau
+// gauge reads, sample for sample, what the scan of every sample says —
+// on times that tie, that restart at zero as a best-of-Runs machine's
+// clock does, that are NaN, and on energies that tie, plateau and touch
+// both zeros.
+func TestPlateauMatchesScan(t *testing.T) {
+	src := rng.New(5)
+	for trace := 0; trace < 300; trace++ {
+		window := []float64{1, 10, 100}[src.Intn(3)]
+		eps := []float64{1e-3, 0.1}[src.Intn(2)]
+		reg := obs.NewRegistry()
+		r := diag.New(diag.Config{Registry: reg, RunID: "r", PlateauWindowNS: window, PlateauEpsilon: eps})
+		var ts, es []float64
+		best, tm, e := 0.0, 0.0, 0.0
+		for k := 0; k < 1+src.Intn(200); k++ {
+			switch u := src.Float64(); {
+			case u < 0.03:
+				tm = 0 // a restarted clock
+			case u < 0.04:
+				tm = math.NaN()
+			case u < 0.3: // a tie
+			default:
+				if math.IsNaN(tm) {
+					tm = 0
+				}
+				tm += src.Float64() * 2 * window
+			}
+			switch u := src.Float64(); {
+			case u < 0.05:
+				e = math.Copysign(0, src.Float64()-0.5)
+			case u < 0.5: // a flat stretch
+			default:
+				e -= src.Float64() * 3
+				if src.Intn(4) == 0 {
+					e = -e / 2
+				}
+			}
+			r.Emit(obs.Event{Kind: obs.EnergySample, ModelNS: tm, Value: e})
+			if len(es) == 0 || e < best {
+				best = e
+			}
+			ts, es = append(ts, tm), append(es, e)
+			want := 0.0
+			if plateauScan(ts, es, best, window, eps) {
+				want = 1
+			}
+			if got := reg.GaugeWith("diag.plateau", obs.Labels{"run": "r"}).Value(); got != want {
+				t.Fatalf("trace %d sample %d (t=%v e=%v, window %v): diag.plateau %v, the scan says %v", trace, k, tm, e, window, got, want)
+			}
+		}
+		if got, want := r.Snapshot().Plateaued, plateauScan(ts, es, best, window, eps); got != want {
+			t.Fatalf("trace %d: Snapshot plateaued %v, the scan says %v", trace, got, want)
+		}
+	}
+}
+
+// BenchmarkReducerEmit prices the enabled path: a Reducer with a
+// registry attached folding a two-chip epoch's energy, pair and fabric
+// events.
+func BenchmarkReducerEmit(b *testing.B) {
+	r := diag.New(diag.Config{Registry: obs.NewRegistry(), RunID: "run-1"})
+	evs := hotEvents(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for k := range evs {
+			evs[k].Epoch, evs[k].ModelNS = i, float64(10*i)
+			r.Emit(evs[k])
+		}
+	}
+}

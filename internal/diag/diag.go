@@ -97,6 +97,16 @@ type pairAcc struct {
 	sum, max  float64
 	samples   int
 	lastEpoch int
+	gauge     *obs.Gauge // diag.pair_disagreement{run,from,to}, resolved once
+}
+
+// segment is one stretch of the trajectory whose sample times do not
+// decrease — all of it, unless a best-of-Runs machine restarts its clock
+// — with its window cursor: next is one past its samples at or before
+// the plateau window's start, and base the lowest energy among them.
+type segment struct {
+	start, next int
+	base        float64
 }
 
 // Reducer folds an event stream into a diagnostics view. Safe for
@@ -116,6 +126,19 @@ type Reducer struct {
 	best      float64
 	bestAtNS  float64
 	last      float64
+
+	// The plateau window's running state (advanceWindow): the window
+	// start only moves forward inside a segment, so each cursor only
+	// advances until a new segment resets them all.
+	segments []segment
+	covered  bool    // some sample lies at or before the window start
+	baseline float64 // the lowest energy of those samples
+
+	// reg is cfg.Registry until Release, then nil: a released Reducer
+	// resolves no series again. Each run-labeled gauge is resolved on its
+	// first Set and kept, so an event costs a Set, not a series lookup.
+	reg                                  *obs.Registry
+	staleness, plateau, syncCost, stalls *obs.Gauge
 
 	pairs map[pairKey]*pairAcc
 
@@ -165,7 +188,17 @@ func New(cfg Config) *Reducer {
 		reg.SetHelp("diag.sync_cost_bytes", "Cumulative fabric bytes attributed to the run's boundary synchronization.")
 		reg.SetHelp("diag.stall_ns", "Cumulative fabric and recovery stall charged to the run.")
 	}
-	return &Reducer{cfg: cfg, pairs: map[pairKey]*pairAcc{}}
+	return &Reducer{cfg: cfg, reg: cfg.Registry, pairs: map[pairKey]*pairAcc{}}
+}
+
+// gauge returns the run-labeled gauge *g caches, resolving it on first
+// use; nil, whose Set does nothing, without a registry or once released.
+// Caller holds r.mu.
+func (r *Reducer) gauge(g **obs.Gauge, name string) *obs.Gauge {
+	if *g == nil && r.reg != nil {
+		*g = r.reg.GaugeWith(name, obs.Labels{"run": r.cfg.RunID})
+	}
+	return *g
 }
 
 // Emit folds one event. Implements obs.Tracer.
@@ -230,10 +263,8 @@ func (r *Reducer) Emit(e obs.Event) {
 		r.trafficBytes += e.Value
 		r.stallNS += e.StallNS
 		r.fabricEpochs++
-		if reg := r.cfg.Registry; reg != nil {
-			reg.GaugeWith("diag.sync_cost_bytes", obs.Labels{"run": r.cfg.RunID}).Set(r.trafficBytes)
-			reg.GaugeWith("diag.stall_ns", obs.Labels{"run": r.cfg.RunID}).Set(r.stallNS + r.recoveryStallNS)
-		}
+		r.gauge(&r.syncCost, "diag.sync_cost_bytes").Set(r.trafficBytes)
+		r.gauge(&r.stalls, "diag.stall_ns").Set(r.stallNS + r.recoveryStallNS)
 	case obs.Recovery:
 		r.recoveryStallNS += e.StallNS
 		r.progress.Recoveries++
@@ -317,20 +348,57 @@ func (r *Reducer) observeRace(e obs.Event) {
 
 func (r *Reducer) observeEnergy(t, e float64) {
 	r.samples = append(r.samples, sample{t, e})
+	r.advanceWindow()
 	r.last = e
 	if !r.hasEnergy || e < r.best {
 		r.best = e
 		r.bestAtNS = t
 		r.hasEnergy = true
 	}
-	if reg := r.cfg.Registry; reg != nil {
-		labels := obs.Labels{"run": r.cfg.RunID}
-		reg.GaugeWith("diag.best_staleness_ns", labels).Set(t - r.bestAtNS)
+	if r.reg != nil {
+		r.gauge(&r.staleness, "diag.best_staleness_ns").Set(t - r.bestAtNS)
 		plateau := 0.0
 		if r.plateauedLocked() {
 			plateau = 1
 		}
-		reg.GaugeWith("diag.plateau", labels).Set(plateau)
+		r.gauge(&r.plateau, "diag.plateau").Set(plateau)
+	}
+}
+
+// advanceWindow moves the plateau window to the newest sample's time and
+// finds the lowest energy at or before its start: what a scan of every
+// sample would find, in O(segments) a sample amortised. A sample earlier
+// than the one before it (or a NaN time on either side) opens a segment
+// and sends the window start back, so every cursor starts over. Minima
+// are taken in sample order with <, as the scan takes them, so a tie
+// keeps the first sample's value. Caller holds r.mu.
+func (r *Reducer) advanceWindow() {
+	n := len(r.samples)
+	t := r.samples[n-1].t
+	if n == 1 || !(t >= r.samples[n-2].t) {
+		r.segments = append(r.segments, segment{start: n - 1})
+		for i := range r.segments {
+			r.segments[i].next, r.segments[i].base = r.segments[i].start, math.Inf(1)
+		}
+	}
+	winStart := t - r.cfg.PlateauWindowNS
+	r.covered, r.baseline = false, math.Inf(1)
+	for i := range r.segments {
+		sg, end := &r.segments[i], n
+		if i+1 < len(r.segments) {
+			end = r.segments[i+1].start
+		}
+		for ; sg.next < end && r.samples[sg.next].t <= winStart; sg.next++ {
+			if e := r.samples[sg.next].e; e < sg.base {
+				sg.base = e
+			}
+		}
+		if sg.next > sg.start {
+			r.covered = true
+			if sg.base < r.baseline {
+				r.baseline = sg.base
+			}
+		}
 	}
 }
 
@@ -342,6 +410,13 @@ func (r *Reducer) observePair(e obs.Event) {
 	acc := r.pairs[k]
 	if acc == nil {
 		acc = &pairAcc{}
+		if r.reg != nil {
+			acc.gauge = r.reg.GaugeWith("diag.pair_disagreement", obs.Labels{
+				"run":  r.cfg.RunID,
+				"from": strconv.Itoa(k.observer),
+				"to":   strconv.Itoa(k.owner),
+			})
+		}
 		r.pairs[k] = acc
 	}
 	acc.latest = e.Value
@@ -352,43 +427,20 @@ func (r *Reducer) observePair(e obs.Event) {
 	}
 	acc.samples++
 	acc.lastEpoch = e.Epoch
-	if reg := r.cfg.Registry; reg != nil {
-		reg.GaugeWith("diag.pair_disagreement", obs.Labels{
-			"run":  r.cfg.RunID,
-			"from": strconv.Itoa(k.observer),
-			"to":   strconv.Itoa(k.owner),
-		}).Set(e.Value)
-	}
+	acc.gauge.Set(e.Value)
 }
 
 // plateauedLocked reports whether the trajectory failed to improve by
 // the configured relative epsilon over the configured window. Requires
-// the window to be covered by samples; a short run is never plateaued.
+// the window to be covered by samples (advanceWindow keeps the lowest
+// energy at or before its start); a short run is never plateaued.
 func (r *Reducer) plateauedLocked() bool {
-	n := len(r.samples)
-	if n < 2 {
-		return false
-	}
-	lastT := r.samples[n-1].t
-	winStart := lastT - r.cfg.PlateauWindowNS
-	// Best energy at or before the window start; if no sample precedes
-	// the window the trajectory hasn't covered it yet.
-	baseline := math.Inf(1)
-	covered := false
-	for _, s := range r.samples {
-		if s.t <= winStart {
-			covered = true
-			if s.e < baseline {
-				baseline = s.e
-			}
-		}
-	}
-	if !covered {
+	if len(r.samples) < 2 || !r.covered {
 		return false
 	}
 	// Improvement inside the window, relative to the baseline scale.
-	improvement := baseline - r.best
-	scale := math.Max(math.Abs(baseline), 1e-12)
+	improvement := r.baseline - r.best
+	scale := math.Max(math.Abs(r.baseline), 1e-12)
 	return improvement/scale < r.cfg.PlateauEpsilon
 }
 
@@ -420,9 +472,19 @@ func (r *Reducer) improvementRateLocked() float64 {
 // and fleet gauges per (run, worker), so a long-lived daemon that never
 // releases them leaks registry cardinality linearly in runs served.
 // The run manager calls this when a run ages out of retention. Returns
-// the number of series dropped.
+// the number of series dropped. The Reducer goes on folding events, but
+// never registers a series again.
 func (r *Reducer) Release() int {
-	reg := r.cfg.Registry
+	r.mu.Lock()
+	reg := r.reg
+	r.reg, r.staleness, r.plateau, r.syncCost, r.stalls = nil, nil, nil, nil, nil
+	for _, acc := range r.pairs {
+		acc.gauge = nil
+	}
+	if r.fleet != nil {
+		r.fleet.reg = nil
+	}
+	r.mu.Unlock()
 	if reg == nil {
 		return 0
 	}

@@ -74,8 +74,8 @@ type fleetWorker struct {
 // Caller holds r.mu.
 func (r *Reducer) observeFleet(e obs.Event) {
 	if r.fleet == nil {
-		r.fleet = &fleet{reg: r.cfg.Registry, run: r.cfg.RunID, epochs: map[uint64]*fleetEpoch{}}
-		if reg := r.cfg.Registry; reg != nil {
+		r.fleet = &fleet{reg: r.reg, run: r.cfg.RunID, epochs: map[uint64]*fleetEpoch{}}
+		if reg := r.reg; reg != nil {
 			reg.SetHelp("fleet.sync_fraction", "Fraction of fleet wall time spent synchronizing rather than inside the slowest worker's compute.")
 			reg.SetHelp("fleet.straggler", "Ordinal of the worker responsible for the most solo barrier wait, -1 when none.")
 			reg.SetHelp("fleet.worker_step_wall_ns", "Cumulative chip_step wall per worker, from federated worker spans.")

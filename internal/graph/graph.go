@@ -23,10 +23,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
 	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 	"mbrim/internal/rng"
 )
 
@@ -201,19 +203,27 @@ func (g *Graph) Subgraph(vs []int) (*Graph, []int) {
 func Complete(n int, r *rng.Source) *Graph {
 	g := New(n)
 	g.edges = make([]Edge, 0, n*(n-1)/2)
-	completeWeights(n, r, func(i, j int, w float64) {
-		g.edges = append(g.edges, Edge{U: i, V: j, Weight: w})
+	completeWeights(n, r, func(i, k int, draws, mask uint64) {
+		for m := mask; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			g.edges = append(g.edges, Edge{U: i, V: 64*k + b, Weight: float64(int(draws>>b&1)*2 - 1)})
+		}
 	})
 	return g
 }
 
 // completeWeights is the one definition of the K-graph instance: pair
-// (i, j), i < j, row by row, each weight the sign of one draw
-// (rng.Source.Spin, the low bit of one Uint64).
-func completeWeights(n int, r *rng.Source, put func(i, j int, w float64)) {
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			put(i, j, float64(r.Spin()))
+// (i, j), i < j, row by row, each weight the sign of one draw (the low
+// bit of one Uint64, 1 for +1 and 0 for −1, as rng.Source.Spin reads
+// it). A row comes a word of columns at a time, its draws taken by one
+// rng.Source.LowBits: put(i, k, draws, mask) for word k, whose mask
+// marks the columns 64k+b it holds pairs (i, j) for, i < j < n, and
+// whose draws holds each such pair's bit in the same place.
+func completeWeights(n int, r *rng.Source, put func(i, k int, draws, mask uint64)) {
+	for i := 0; i < n-1; i++ {
+		for k := (i + 1) >> 6; 64*k < n; k++ {
+			lo, hi := max(i+1-64*k, 0), min(n-64*k, 64)
+			put(i, k, r.LowBits(hi-lo)<<uint(lo), ^uint64(0)>>uint(64-hi+lo)<<uint(lo))
 		}
 	}
 }
@@ -229,21 +239,21 @@ type KGraph struct {
 	W     float64
 }
 
-// NewKGraph returns Complete(n, r) as a KGraph: the same draws in
-// the same order, straight into an ising.Builder. Its model is
-// Float64bits-equal to Complete(n, r).ToIsing().
+// NewKGraph returns Complete(n, r) as a KGraph: the same draws in the
+// same order, each word of them stored straight into the ±1 planes the
+// model keeps — a +1 weight is a −1 coupling, so the −1 plane is the
+// word and the +1 plane its complement under the word's mask — and W
+// counted off them. Its model is Float64bits-equal to
+// Complete(n, r).ToIsing().
 func NewKGraph(n int, r *rng.Source) *KGraph {
-	b := ising.NewBuilder(n)
-	total := 0.0
-	completeWeights(n, r, func(i, j int, w float64) {
-		b.SetCoupling(i, j, -w)
-		total += w
+	u := lattice.NewUnitUpper(n)
+	plus := 0
+	completeWeights(n, r, func(i, k int, draws, mask uint64) {
+		u.SetWord(i, k, mask&^draws, draws)
+		plus += bits.OnesCount64(draws)
 	})
-	m, err := b.Build()
-	if err != nil {
-		panic(fmt.Sprintf("graph: NewKGraph: %v", err)) // ±1 couplings on valid pairs cannot fail
-	}
-	return &KGraph{Model: m, W: total}
+	// Every partial sum of the ±1 walk is an integer, so W is exact.
+	return &KGraph{Model: ising.FromUnitUpper(u), W: float64(2*plus - n*(n-1)/2)}
 }
 
 // CutValue returns the weight of the edges crossing the bipartition σ.

@@ -77,6 +77,36 @@ func TestCompleteDeterministic(t *testing.T) {
 	}
 }
 
+// TestCompleteIsOneSpinAPair pins Complete to the per-pair definition
+// it had before its draws came a word at a time: pair (i, j), i < j, row
+// by row, weight float64(r.Spin()) — the same edges, the same weight
+// bits, and the generator left in the same state, on sizes that cross
+// every partial-word case.
+func TestCompleteIsOneSpinAPair(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 200} {
+		seed := uint64(n) + 5
+		r, ref := rng.New(seed), rng.New(seed)
+		got := Complete(n, r).Edges()
+		var want []Edge
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				want = append(want, Edge{U: i, V: j, Weight: float64(ref.Spin())})
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: %d edges, the per-pair walk %d", n, len(got), len(want))
+		}
+		for k := range want {
+			if got[k].U != want[k].U || got[k].V != want[k].V || math.Float64bits(got[k].Weight) != math.Float64bits(want[k].Weight) {
+				t.Fatalf("n=%d: edge %d is %+v, the per-pair walk's %+v", n, k, got[k], want[k])
+			}
+		}
+		if r.State() != ref.State() {
+			t.Fatalf("n=%d: Complete left the generator at %x, the per-pair walk at %x", n, r.State(), ref.State())
+		}
+	}
+}
+
 func TestRandomDensity(t *testing.T) {
 	r := rng.New(2)
 	n := 200

@@ -253,6 +253,16 @@ func (b *Builder) Build() (*Model, error) {
 	return m, err
 }
 
+// FromUnitUpper freezes a ±1 triangle into a model with μ = 1 and no
+// biases: the model a Builder given the same entries by SetCoupling
+// builds, without the calls — the way a generator that draws a whole
+// word of entries at once hands them over. u is spent.
+func FromUnitUpper(u *lattice.UnitUpper) *Model {
+	c := u.Build()
+	m, _ := newModel(1, make([]float64, c.N()), c) // μ·0 is finite
+	return m
+}
+
 var errBuilt = errors.New("ising: the builder has already built its model")
 
 // mustBuild is Build where the input was already validated (values read

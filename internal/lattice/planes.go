@@ -388,6 +388,16 @@ func (u *UnitUpper) Set(i, j int, v float64) bool {
 	return true
 }
 
+// SetWord makes word k of row i — the entries at columns 64k … 64k+63 —
+// +1 where pos has a bit, −1 where neg has one and 0 elsewhere: 64 Sets
+// at once. The two words must not share a bit, nor mark a column at or
+// below the diagonal or at n and past it; the indices are checked only
+// as the slice is.
+func (u *UnitUpper) SetWord(i, k int, pos, neg uint64) {
+	w := u.bits[2*i*u.words+k:]
+	w[0], w[u.words] = pos, neg
+}
+
 // Spill writes the entries into a new row-major n×n array, above the
 // diagonal only, as the floats they stand for: what FromUpper takes.
 // u is spent.

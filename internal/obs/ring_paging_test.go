@@ -175,3 +175,96 @@ func TestRingTrim(t *testing.T) {
 		t.Fatalf("an empty ring trims to one slot: capacity %d, events %+v", cap(empty.buf), evs)
 	}
 }
+
+// ringSink keeps what the allocation test builds reachable, so the ring
+// is allocated as a caller would allocate it.
+var ringSink *Ring
+
+// TestNewRingAllocatesNoSlots: a 4 096-event ring is its header until
+// the first Emit — the 786 KB of slots a run could fill are not
+// allocated, and the first Emit allocates a few.
+func TestNewRingAllocatesNoSlots(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { ringSink = NewRing(4096) }); a != 1 {
+		t.Fatalf("NewRing(4096) allocates %v times, want 1: the ring header alone", a)
+	}
+	if c := cap(ringSink.buf); c != 0 {
+		t.Fatalf("NewRing(4096) holds %d slots before its first Emit", c)
+	}
+	ringSink.Emit(Event{Kind: RunStart})
+	if c := cap(ringSink.buf); c != ringFirstSlots {
+		t.Fatalf("the first Emit allocated %d slots, want %d", c, ringFirstSlots)
+	}
+}
+
+// preallocRing is the ring as it was before its slots grew with it: all
+// n allocated up front. The growing ring must page exactly as it does.
+type preallocRing struct {
+	buf   []Event
+	next  int
+	total int64
+}
+
+func (r *preallocRing) emit(e Event) {
+	r.total++
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, e)
+		return
+	}
+	r.buf[r.next] = e
+	r.next = (r.next + 1) % len(r.buf)
+}
+
+func (r *preallocRing) eventsSince(seq int64) ([]Event, int64) {
+	out := append(append([]Event{}, r.buf[r.next:]...), r.buf[:r.next]...)
+	first := r.total - int64(len(out)) + 1
+	if skip := seq - first + 1; skip > 0 {
+		if skip >= int64(len(out)) {
+			return nil, r.total + 1
+		}
+		out = out[skip:]
+		first += skip
+	}
+	return out, first
+}
+
+func (r *preallocRing) trim() {
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(make([]Event, 0, max(len(r.buf), 1)), r.buf...)
+	}
+}
+
+// TestRingGrowthPagesAsPreallocated: on rings of sizes on both sides of
+// every growth step, after every Emit — through growth, the step where
+// growth stops and eviction starts, wrap-around, and a Trim at a random
+// point — EventsSince returns the same events and first ordinal as the
+// preallocated ring, and the ring never holds more
+// slots than its size. The cursors are those at and around both ends
+// of the retained window and the middle of the stream.
+func TestRingGrowthPagesAsPreallocated(t *testing.T) {
+	for _, size := range []int{1, 2, 15, 16, 17, 33, 40} {
+		for _, trimAt := range []int{-1, 0, size / 2, size, 2*size + 1} {
+			r, ref := NewRing(size), &preallocRing{buf: make([]Event, 0, size)}
+			for i := 1; i <= 3*size+5; i++ {
+				if i-1 == trimAt {
+					r.Trim()
+					ref.trim()
+				}
+				e := Event{Kind: EnergySample, Epoch: i, WallNS: int64(i)}
+				r.Emit(e)
+				ref.emit(e)
+				if cap(r.buf) > size {
+					t.Fatalf("size %d: the ring grew to %d slots", size, cap(r.buf))
+				}
+				n, c := int64(i), int64(size)
+				for _, seq := range []int64{-1, 0, 1, n/2 - 1, n / 2, n - c - 1, n - c, n - c + 1, n - 1, n, n + 1} {
+					got, gotFirst := r.EventsSince(seq)
+					want, wantFirst := ref.eventsSince(seq)
+					if gotFirst != wantFirst || len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("size %d, Trim before %d, after %d events: EventsSince(%d) = %d events from %d, the preallocated ring %d from %d",
+							size, trimAt+1, i, seq, len(got), gotFirst, len(want), wantFirst)
+					}
+				}
+			}
+		}
+	}
+}

@@ -79,20 +79,30 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 // Ring is a fixed-capacity in-memory sink keeping the most recent
 // events — live inspection without unbounded growth. Safe for
 // concurrent use.
+//
+// Its slots are allocated as it fills, doubling up to its size: a run
+// that emits 70 events holds 128 slots, not the 4 096 its ring could
+// take (an Event is 168 bytes, strings among them, which the GC scans).
 type Ring struct {
 	mu    sync.Mutex
 	buf   []Event
+	size  int // the most buf holds; eviction starts there
 	next  int
 	total int64
 }
 
-// NewRing builds a ring holding the last n events. n must be >= 1.
+// NewRing builds a ring holding the last n events. n must be >= 1. It
+// allocates no slot until the first Emit.
 func NewRing(n int) *Ring {
 	if n < 1 {
 		panic("obs: NewRing capacity must be >= 1")
 	}
-	return &Ring{buf: make([]Event, 0, n)}
+	return &Ring{size: n}
 }
+
+// ringFirstSlots is what a ring's first Emit allocates (less if its
+// size is less).
+const ringFirstSlots = 16
 
 // Emit records the event, evicting the oldest when full, stamping
 // WallNS if the producer left it zero.
@@ -103,7 +113,10 @@ func (r *Ring) Emit(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.size {
+		if len(r.buf) == cap(r.buf) {
+			r.buf = append(make([]Event, 0, min(max(2*cap(r.buf), ringFirstSlots), r.size)), r.buf...)
+		}
 		r.buf = append(r.buf, e)
 		return
 	}
@@ -141,15 +154,17 @@ func (r *Ring) EventsSince(seq int64) ([]Event, int64) {
 	return out, first
 }
 
-// Trim gives back the capacity the ring has not filled: its events and
+// Trim gives back the slots the ring has not filled: its events and
 // their ordinals stay, and it goes on as a ring of exactly that many.
-// For a ring whose producer has finished — a 4 096-slot ring holding a
-// 65-event run is 720 KB of mostly nothing.
+// For a ring whose producer has finished — a 65-event run's ring has
+// grown to 128 slots, 63 of them empty.
 func (r *Ring) Trim() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.buf) < cap(r.buf) { // not yet wrapped: oldest first, next is 0
-		r.buf = append(make([]Event, 0, max(len(r.buf), 1)), r.buf...)
+	if len(r.buf) < r.size { // not yet wrapped: oldest first, next is 0
+		if r.size = max(len(r.buf), 1); cap(r.buf) > r.size {
+			r.buf = append(make([]Event, 0, r.size), r.buf...)
+		}
 	}
 }
 

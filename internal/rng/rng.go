@@ -71,6 +71,33 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
+// LowBits returns the low bits of the next k outputs, the first in bit
+// 0, and leaves r where k calls of Uint64 would: bit t is the
+// Uint64()&1 of call t. It panics unless 0 <= k <= 64. The state stays
+// in registers for the k steps, so a run of coin flips costs a step
+// each and no store.
+func (r *Source) LowBits(k int) uint64 {
+	if uint(k) > 64 {
+		panic("rng: LowBits called with k outside 0..64")
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var out uint64
+	for t := 0; t < k; t++ {
+		// Uint64's rotl(s1·5, 7)·9 has the low bit of the rotation, which
+		// is bit 57 of s1·5: ·9 adds 8 times it, an even number.
+		out |= (s1 * 5 >> 57 & 1) << uint(t)
+		u := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= u
+		s3 = rotl(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return out
+}
+
 // Clone returns an independent copy of r at its current state. The
 // clone and the original then produce identical streams — this is the
 // primitive behind coordinated induced spin flips: each chip gets a

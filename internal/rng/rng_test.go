@@ -205,6 +205,40 @@ func TestSpinKeepsTheBranchForm(t *testing.T) {
 	}
 }
 
+// TestLowBitsIsUint64Calls: LowBits(k) is k calls of Uint64()&1, bit
+// t from call t, for every k in 0…64, and leaves the state those calls
+// leave — from every state a loop of LowBits calls reaches out of eight
+// seeds, so each k starts from hundreds of unrelated states.
+func TestLowBitsIsUint64Calls(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		r := New(seed)
+		for step := 0; step < 65*16; step++ {
+			k := (step + int(seed)) % 65
+			ref := r.Clone()
+			var want uint64
+			for b := 0; b < k; b++ {
+				want |= (ref.Uint64() & 1) << b
+			}
+			if got := r.LowBits(k); got != want {
+				t.Fatalf("seed %d step %d: LowBits(%d) = %#x, %d calls of Uint64 give %#x", seed, step, k, got, k, want)
+			}
+			if r.State() != ref.State() {
+				t.Fatalf("seed %d step %d: LowBits(%d) left state %x, %d calls of Uint64 leave %x", seed, step, k, r.State(), k, ref.State())
+			}
+		}
+	}
+	for _, k := range []int{-1, 65} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("LowBits(%d) did not panic", k)
+				}
+			}()
+			New(1).LowBits(k)
+		}()
+	}
+}
+
 func TestBoolEdges(t *testing.T) {
 	r := New(10)
 	if r.Bool(0) {
@@ -313,6 +347,15 @@ func BenchmarkUint64(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink += r.Uint64()
+	}
+	_ = sink
+}
+
+func BenchmarkLowBits(b *testing.B) {
+	r := New(1)
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink ^= r.LowBits(64)
 	}
 	_ = sink
 }

@@ -29,9 +29,9 @@ func benchRequest() core.Request {
 
 // BenchmarkKGraphBuild prices a K-graph's construction three ways: the
 // library's Complete + ToIsing (an edge list, then the builder), the
-// daemon's {"k":n} (generated straight into the builder), and the
-// builder's Build alone over the same calls (the mirror, the count and
-// the planes).
+// daemon's {"k":n} (drawn a word at a time straight into the planes),
+// and the builder's Build alone over the same calls (the mirror, the
+// count and the planes).
 func BenchmarkKGraphBuild(b *testing.B) {
 	m := NewManager(Config{})
 	for _, n := range []int{256, 512} {
