@@ -15,6 +15,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("bogus")
 	f.Add("3 1\n1 1 1\n")
 	f.Add("-1 -1\n")
+	f.Add("88888888282 1\n1 2 1\n") // what coalescing costs follows the edges, not n
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := Read(strings.NewReader(input))
 		if err != nil {

@@ -20,10 +20,12 @@ package graph
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -285,8 +287,12 @@ func Random(n int, p float64, r *rng.Source) *Graph {
 // submit requests, which JSON delivers as floats. An endpoint that is
 // not an integer is an error, never truncated; so is one outside 1..n
 // or a self-loop. Each error names the offending triple by position.
+// The edges come out as AddEdge would leave them, in a list sized to
+// the body once (coalesce), and the graph keeps no endpoint index:
+// Weight builds one only if asked.
 func FromTriples(n int, triples [][3]float64) (*Graph, error) {
 	g := New(n)
+	g.edges = make([]Edge, len(triples))
 	for i, t := range triples {
 		u, v := t[0], t[1]
 		if u != math.Trunc(u) || v != math.Trunc(v) || math.IsInf(u, 0) || math.IsInf(v, 0) {
@@ -295,12 +301,41 @@ func FromTriples(n int, triples [][3]float64) (*Graph, error) {
 		if u < 1 || u > float64(n) || v < 1 || v > float64(n) || u == v {
 			return nil, fmt.Errorf("edge %d (%v,%v) out of range for n=%d", i, u, v, n)
 		}
-		g.AddEdge(int(u)-1, int(v)-1, t[2])
+		g.edges[i] = Edge{U: int(min(u, v)) - 1, V: int(max(u, v)) - 1, Weight: t[2]}
 	}
+	g.coalesce()
 	if err := g.checkFinite(); err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// coalesce merges each repeated pair of the edge list into its first
+// occurrence, adding the weights in list order, and drops the repeats:
+// the list AddEdge would have built from the same calls. It finds them
+// by sorting the positions by pair, then position, so it allocates one
+// slice of them, whatever n and the length of the list, and no index.
+func (g *Graph) coalesce() {
+	order := make([]int, len(g.edges))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		ea, eb := &g.edges[a], &g.edges[b]
+		return cmp.Or(cmp.Compare(ea.U, eb.U), cmp.Compare(ea.V, eb.V), cmp.Compare(a, b))
+	})
+	repeats := false
+	for k := 1; k < len(order); k++ {
+		f, e := &g.edges[order[k-1]], &g.edges[order[k]]
+		if e.U == f.U && e.V == f.V {
+			f.Weight += e.Weight
+			order[k] = order[k-1] // the first occurrence stays the group's
+			e.U, repeats = -1, true
+		}
+	}
+	if repeats {
+		g.edges = slices.DeleteFunc(g.edges, func(e Edge) bool { return e.U < 0 })
+	}
 }
 
 // checkFinite reports the first edge whose accumulated weight is NaN or
@@ -396,7 +431,8 @@ func (g *Graph) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses the Gset format written by Write.
+// Read parses the Gset format written by Write, coalescing repeated
+// edges as FromTriples does.
 func Read(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var n, m int
@@ -416,8 +452,9 @@ func Read(r io.Reader) (*Graph, error) {
 		if u < 1 || v < 1 || u > n || v > n || u == v {
 			return nil, fmt.Errorf("graph: invalid edge %d: (%d,%d)", i, u, v)
 		}
-		g.AddEdge(u-1, v-1, w)
+		g.edges = append(g.edges, Edge{U: min(u, v) - 1, V: max(u, v) - 1, Weight: w})
 	}
+	g.coalesce()
 	if err := g.checkFinite(); err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}

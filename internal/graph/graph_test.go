@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -477,4 +479,113 @@ func TestFromTriples(t *testing.T) {
 			t.Errorf("%s: error %v, want it to contain %q", name, err, tc.want)
 		}
 	}
+}
+
+// distinctTriples returns m distinct 1-based triples on n vertices,
+// every other one written high endpoint first.
+func distinctTriples(n, m int) [][3]float64 {
+	out := make([][3]float64, 0, m)
+	for i := 1; i <= n && len(out) < m; i++ {
+		for j := i + 1; j <= n && len(out) < m; j++ {
+			t := [3]float64{float64(i), float64(j), float64(len(out)%3 - 1)}
+			if len(out)%2 == 1 {
+				t[0], t[1] = t[1], t[0]
+			}
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// TestFromTriplesIsAddEdge: FromTriples (and Read, on the same body as
+// text) coalesces the body as a loop of AddEdge calls would — the same
+// edges in the same order, the same weight bits, repeated and reversed
+// pairs summed in body order — while sizing its list once and keeping no
+// endpoint index, so Weight builds its own.
+func TestFromTriplesIsAddEdge(t *testing.T) {
+	const n = 60
+	r := rng.New(9)
+	body := distinctTriples(n, 400)
+	for i := 0; i < 600; i++ { // repeats of listed pairs, either way round, and new pairs
+		u, v := 1+r.Intn(n), 1+r.Intn(n)
+		if i%3 == 0 {
+			e := body[r.Intn(len(body))]
+			u, v = int(e[1]), int(e[0])
+		}
+		if u != v {
+			body = append(body, [3]float64{float64(u), float64(v), r.Float64()*4 - 2})
+		}
+	}
+	want := New(n)
+	text := fmt.Sprintf("%d %d\n", n, len(body)) // the same body as Gset text, for Read
+	for _, e := range body {
+		want.AddEdge(int(e[0])-1, int(e[1])-1, e[2])
+		text += fmt.Sprintf("%v %v %v\n", e[0], e[1], e[2])
+	}
+	fromTriples, err := FromTriples(n, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, err := Read(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"FromTriples": fromTriples, "Read": read} {
+		if g.index != nil {
+			t.Errorf("%s kept an endpoint index", name)
+		}
+		if g.M() != want.M() || g.M() >= len(body) {
+			t.Fatalf("%s: %d edges from %d triples, AddEdge made %d", name, g.M(), len(body), want.M())
+		}
+		for i, e := range want.Edges() {
+			got := g.Edges()[i]
+			if got.U != e.U || got.V != e.V || math.Float64bits(got.Weight) != math.Float64bits(e.Weight) {
+				t.Fatalf("%s: edge %d = %+v, AddEdge made %+v", name, i, got, e)
+			}
+			if w := g.Weight(e.V, e.U); math.Float64bits(w) != math.Float64bits(e.Weight) {
+				t.Fatalf("%s: Weight(%d,%d) = %v, want %v", name, e.V, e.U, w, e.Weight)
+			}
+		}
+		if g.Weight(0, n-1) != want.Weight(0, n-1) {
+			t.Fatalf("%s: Weight disagrees with AddEdge's graph on a pair", name)
+		}
+	}
+
+	// No regrowth: the allocations are a fixed few, whatever the length.
+	allocs := map[int]float64{}
+	for _, m := range []int{1000, 10000} {
+		body := distinctTriples(200, m)
+		allocs[m] = testing.AllocsPerRun(5, func() {
+			if _, err := FromTriples(200, body); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[1000] != allocs[10000] {
+		t.Errorf("allocations %v for 1k and 10k triples: the list or its index regrows", allocs)
+	}
+
+	// No index kept: the graph retains its edges at 24 bytes each.
+	body = distinctTriples(200, 10000)
+	var held uint64
+	for try := 0; try < 3; try++ { // the smallest of three, as a GC cycle's bookkeeping may land in one
+		var before, after runtime.MemStats
+		runtime.GC() // twice: the first moves pooled objects to the victim cache, the second frees them
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		g, err := FromTriples(200, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(g)
+		if b := after.HeapAlloc - before.HeapAlloc; try == 0 || b < held {
+			held = b
+		}
+	}
+	if bound := uint64(24 * 10000 * 105 / 100); held > bound {
+		t.Errorf("a graph of 10 000 edges holds %d bytes, above %d", held, bound)
+	}
+	t.Logf("allocs %v; 10 000 edges hold %d bytes", allocs, held)
 }

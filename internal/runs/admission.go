@@ -310,7 +310,6 @@ func (m *Manager) admit(ctx context.Context, id string, req core.Request, opts S
 		rctx:     rctx,
 		priority: opts.Priority,
 		deadline: opts.Deadline,
-		spec:     opts.Spec,
 		restarts: opts.restarts,
 		state:    StatePending,
 		created:  time.Now(),
@@ -444,6 +443,7 @@ func (m *Manager) finishQueued(r *Run, state State, err error) {
 	r.state = state
 	r.err = err
 	r.ended = time.Now()
+	r.release()
 	r.mu.Unlock()
 	m.journalTerminal(r, state)
 	m.reg.CounterWith("runs.finished", obs.Labels{

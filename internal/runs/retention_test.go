@@ -2,12 +2,19 @@ package runs
 
 import (
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"mbrim/internal/graph"
 	"mbrim/internal/obs"
+	"mbrim/internal/rng"
 )
 
 // TestRetentionBoundsRegistryCardinality drives 100 runs through a
@@ -100,17 +107,19 @@ func TestRetentionZeroKeepsEverything(t *testing.T) {
 	}
 }
 
-// TestTerminalClusterRunShedsItsRequest: once a run whose chips were on
-// cluster workers is over, it no longer pins the dense model, its cut
-// reporter or an event ring sized for a run thirty times as talkative —
-// what the cluster surface's finished runs never held — while its status
-// still knows the problem size. Every other engine's run keeps its
-// request (DESIGN §13 records why), which for a K-graph submission is
-// the model alone: the cut reporter is that model and its total weight.
-func TestTerminalClusterRunShedsItsRequest(t *testing.T) {
-	m := NewManager(Config{})
-	for _, remote := range []bool{true, false} {
-		req, err := m.buildRequest(&SubmitRequest{Engine: "sa", K: 24, Sweeps: 10})
+// TestTerminalRunShedsItsRequest: however a run ends — solved in
+// process, solved with its chips on cluster workers, interrupted, or
+// cancelled while queued — it lets go of its model, the graph that
+// reports its cuts and the request wired to its sinks, and keeps only
+// the ring slots it filled, while its status (state and size), its
+// event replay and its outcome still answer. Readers poll the three
+// endpoints over HTTP while each run finishes, so under -race they race
+// the release.
+func TestTerminalRunShedsItsRequest(t *testing.T) {
+	srv, m, _ := newTestServer(t, Config{MaxActive: 1, MaxQueued: 1})
+	submit := func(sweeps int, remote bool) *Run {
+		t.Helper()
+		req, err := m.buildRequest(&SubmitRequest{Engine: "sa", K: 24, Sweeps: sweeps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,21 +130,152 @@ func TestTerminalClusterRunShedsItsRequest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitDone(t, r)
-		r.mu.Lock()
-		shed := r.req.Model == nil && r.req.Graph == nil && r.execReq.Model == nil
-		kg, _ := r.req.Graph.(*graph.KGraph)
-		kept := r.req.Model != nil && kg != nil && kg.Model == r.req.Model && r.execReq.Model == r.req.Model
-		r.mu.Unlock()
-		events, _ := r.EventsSince(0)
-		if st := r.Status(); st.State != StateCompleted || st.Spins != 24 || len(events) == 0 || int64(len(events)) != r.EventsTotal() {
-			t.Fatalf("remote=%v: status %+v, %d events of %d", remote, st, len(events), r.EventsTotal())
-		}
-		if remote && !shed {
-			t.Error("a finished cluster run still pins its model or graph")
-		}
-		if !remote && !kept {
-			t.Error("a finished in-process run lost its request")
+		return r
+	}
+	var readers sync.WaitGroup
+	// poll reads the run's status, replay and outcome until it is over,
+	// then once more, and checks what that last round served.
+	poll := func(r *Run, outcome int) {
+		for _, path := range []string{"", "/events?replay=10000", "/outcome"} {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for over := false; !over; {
+					select {
+					case <-r.Done():
+						over = true
+					default:
+					}
+					resp, err := http.Get(srv.URL + "/runs/" + r.ID() + path)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					body, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					var st Status
+					switch {
+					case !over:
+					case path == "/outcome" && resp.StatusCode != outcome:
+						t.Errorf("%s%s = %d, want %d: %s", r.ID(), path, resp.StatusCode, outcome, body)
+					case path == "/events?replay=10000" && (resp.StatusCode != 200 || !strings.Contains(string(body), "event: done")):
+						t.Errorf("%s%s = %d without its done event", r.ID(), path, resp.StatusCode)
+					case path == "" && (json.Unmarshal(body, &st) != nil || !st.State.Terminal() || st.Spins != 24):
+						t.Errorf("%s status = %s", r.ID(), body)
+					}
+				}
+			}()
 		}
 	}
+
+	blocker := submit(1<<30, false) // holds the one slot until cancelled
+	poll(blocker, http.StatusOK)
+	queued := submit(10, false)
+	poll(queued, http.StatusNotFound) // it never ran: no outcome
+	if st := queued.Status(); st.State != StateQueued {
+		t.Fatalf("second run is %s, not queued", st.State)
+	}
+	queued.Cancel()
+	blocker.Cancel()
+	waitDone(t, blocker)
+	local := submit(2000, false)
+	poll(local, http.StatusOK)
+	waitDone(t, local)
+	remote := submit(2000, true)
+	poll(remote, http.StatusOK)
+	waitDone(t, remote)
+	readers.Wait()
+
+	for _, tc := range []struct {
+		name  string
+		r     *Run
+		state State
+	}{
+		{"interrupted in process", blocker, StateInterrupted},
+		{"cancelled while queued", queued, StateInterrupted},
+		{"completed in process", local, StateCompleted},
+		{"completed on cluster workers", remote, StateCompleted},
+	} {
+		waitDone(t, tc.r)
+		tc.r.mu.Lock()
+		shed := tc.r.req.Model == nil && tc.r.req.Graph == nil && tc.r.execReq.Model == nil
+		tc.r.mu.Unlock()
+		if !shed {
+			t.Errorf("%s: the finished run still pins its model, graph or request", tc.name)
+		}
+		if held, room := ringSlots(tc.r.ring); held != room {
+			t.Errorf("%s: its ring holds %d events in %d slots", tc.name, held, room)
+		}
+		events, _ := tc.r.EventsSince(0)
+		if st := tc.r.Status(); st.State != tc.state || st.Spins != 24 || int64(len(events)) != tc.r.EventsTotal() {
+			t.Errorf("%s: status %+v, %d events of %d", tc.name, st, len(events), tc.r.EventsTotal())
+		}
+		out, err := tc.r.Outcome()
+		if ran := tc.r != queued; (out != nil && len(out.Spins) == 24) != ran || (err == nil) != (tc.state == StateCompleted) {
+			t.Errorf("%s: outcome %v, error %v", tc.name, out, err)
+		}
+	}
+}
+
+// ringSlots returns how many events a ring holds and how many it has
+// room for.
+func ringSlots(r *obs.Ring) (held, room int) {
+	buf := reflect.ValueOf(r).Elem().FieldByName("buf")
+	return buf.Len(), buf.Cap()
+}
+
+// TestRetainedRunsHoldOnlyTheirEvents: what a finished run costs the
+// table that retains it is its outcome, its trimmed events and its diag
+// — not the edge list's graph, the model or the request it was built
+// from. Eight runs of sparse1k_mbrim4's shape (1 024 spins at 2 %, four
+// chips) cost at most 0.5 MB each beyond the first; holding their
+// requests made it ≈ 1.4 MB.
+func TestRetainedRunsHoldOnlyTheirEvents(t *testing.T) {
+	m := NewManager(Config{RetainRuns: 8})
+	var triples [][3]float64
+	for _, e := range graph.Random(1024, 0.02, rng.New(1)).Edges() {
+		triples = append(triples, [3]float64{float64(e.U + 1), float64(e.V + 1), e.Weight})
+	}
+	base := runtime.NumGoroutine()
+	run := func(seed uint64) {
+		t.Helper()
+		req, err := m.buildRequest(&SubmitRequest{Engine: "mbrim", N: 1024, Edges: triples, Chips: 4, DurationNS: 100, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := m.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, r)
+		if r.Status().State != StateCompleted {
+			t.Fatalf("run %d: %+v", seed, r.Status())
+		}
+	}
+	// heap is the live heap once the last run's goroutine, whose copy of
+	// the request outlives Done by a few instructions, has returned.
+	heap := func() uint64 {
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		runtime.GC() // twice: pooled objects survive one cycle in the victim cache
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run(1)
+	one := heap()
+	for seed := uint64(2); seed <= 8; seed++ {
+		run(seed)
+	}
+	eight := heap()
+	if got := len(m.List()); got != 8 {
+		t.Fatalf("retained %d runs, want 8", got)
+	}
+	per := (int64(eight) - int64(one)) / 7
+	if per > 512<<10 {
+		t.Errorf("each retained run holds %d bytes, above 0.5 MB", per)
+	}
+	t.Logf("%d edges: one retained run %d bytes of heap, eight %d: %d bytes a run", len(triples), one, eight, per)
 }

@@ -113,7 +113,7 @@ type Run struct {
 	id  string
 	mgr *Manager
 	// req is the request as submitted; spins its problem size, which
-	// outlives a released model (see finish).
+	// outlives the model release drops.
 	req   core.Request
 	spins int
 	ring  *obs.Ring
@@ -131,8 +131,6 @@ type Run struct {
 	execReq  core.Request
 	priority int
 	deadline time.Time
-	// spec is the serialized submit body journaled for crash replay.
-	spec []byte
 
 	mu         sync.Mutex
 	state      State
@@ -430,9 +428,9 @@ func (m *Manager) execute(ctx context.Context, r *Run, req core.Request) {
 	m.finish(r, req, start, out, err)
 }
 
-// finish publishes a run's terminal state exactly once: the journal
-// terminal record (and, for interrupts, the final durable checkpoint),
-// metrics, the closed live tail, and the next queued dispatch.
+// finish publishes a run's terminal state exactly once: the released
+// request, the journal terminal record (and, for interrupts, the final
+// durable checkpoint), metrics, the closed live tail, the next dispatch.
 func (m *Manager) finish(r *Run, req core.Request, start time.Time, out *core.Outcome, err error) {
 	r.mu.Lock()
 	if r.state.Terminal() {
@@ -454,14 +452,7 @@ func (m *Manager) finish(r *Run, req core.Request, start time.Time, out *core.Ou
 		r.state = StateFailed
 		r.err = err
 	}
-	if len(req.Cluster.Workers) > 0 {
-		// A distributed run worked on its workers. The model and graph
-		// only the solve read and the unfilled part of its event ring are
-		// ≈2 MB per K256 run the cluster surface never kept; its runs still
-		// let go of them. In-process runs stay as DESIGN §13 records.
-		r.req.Model, r.req.Graph, r.execReq = nil, nil, core.Request{}
-		r.ring.Trim()
-	}
+	r.release()
 	state := r.state
 	ck := r.checkpoint
 	r.mu.Unlock()
@@ -491,6 +482,15 @@ func (m *Manager) finish(r *Run, req core.Request, start time.Time, out *core.Ou
 	close(r.done)
 	m.dispatch()
 	m.evictExpired()
+}
+
+// release lets go of what only the solve read — the model, its graph,
+// the request wired to the sinks — and of the ring slots the run did not
+// fill: a terminal run answers from its outcome, events, diag, spins and
+// req's Kind and Seed. Every terminal path calls it, with r.mu held.
+func (r *Run) release() {
+	r.req.Model, r.req.Graph, r.execReq = nil, nil, core.Request{}
+	r.ring.Trim()
 }
 
 // evictExpired enforces Config.RetainRuns: the oldest terminal runs
