@@ -16,7 +16,6 @@ import (
 	"mbrim/internal/brim"
 	"mbrim/internal/dnc"
 	"mbrim/internal/graph"
-	"mbrim/internal/interconnect"
 	"mbrim/internal/ising"
 	"mbrim/internal/lattice"
 	"mbrim/internal/multichip"
@@ -388,31 +387,6 @@ func BenchmarkAblationBatchStagger(b *testing.B) {
 }
 
 // --- Extension benches ---------------------------------------------------
-
-// AblationTopology: stall cost of cheaper fabrics at equal traffic.
-func BenchmarkAblationTopology(b *testing.B) {
-	_, m := benchGraph(256, 14)
-	for _, tc := range []struct {
-		name string
-		topo interconnect.Topology
-	}{
-		{"Dedicated", interconnect.Dedicated},
-		{"SharedBus", interconnect.SharedBus},
-		{"Ring", interconnect.Ring},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var stall float64
-			for i := 0; i < b.N; i++ {
-				res := multichip.MustSystem(m, multichip.Config{
-					Chips: 4, Seed: uint64(i), Channels: 1, ChannelBytesPerNS: 0.05,
-					Topology: tc.topo,
-				}).RunConcurrent(30)
-				stall = res.StallNS
-			}
-			b.ReportMetric(stall, "stallNS")
-		})
-	}
-}
 
 // SparseVsDense: the CSR layout's win on a 1%-density graph — the same
 // model, the same trajectory, flips at O(degree) instead of O(N).

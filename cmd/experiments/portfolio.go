@@ -110,6 +110,6 @@ func runPortfolio(args []string) error {
 	note("the race's wall time tracks the winning entrant, not the sum of the field —")
 	note("losers are cancelled at their next barrier once the target is crossed. On a")
 	note("single vCPU the entrants time-slice one core, so solo walls undercount the")
-	note("racing overhead; see BENCH_portfolio.json for the interleaved A/B.")
+	note("racing overhead; BenchmarkRace in internal/portfolio is the interleaved A/B.")
 	return nil
 }

@@ -127,16 +127,6 @@ func ExampleNewBRIM() {
 	// Output: 32 true
 }
 
-// ExampleSolvePopulation runs the birth/death Monte Carlo baseline.
-func ExampleSolvePopulation() {
-	g := mbrim.CompleteGraph(32, 5)
-	res := mbrim.SolvePopulation(g.ToIsing(), mbrim.PopulationConfig{
-		Population: 32, Rungs: 15, Seed: 5,
-	})
-	fmt.Println(g.CutValue(res.Spins) > 0, res.MinPopulation > 0)
-	// Output: true true
-}
-
 // ExampleChimeraCapacity reproduces the paper's D-Wave 2000q number.
 func ExampleChimeraCapacity() {
 	fmt.Println(mbrim.ChimeraCapacity(2048, 4))

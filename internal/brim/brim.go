@@ -307,14 +307,6 @@ func (ma *Machine) Induce(i int) {
 	}
 }
 
-// RNG exposes the machine's PRNG so a multiprocessor can install
-// synchronized clones across chips before the run starts.
-func (ma *Machine) RNG() *rng.Source { return ma.r }
-
-// SetRNG replaces the machine's PRNG (coordinated induced flips hand
-// every chip a clone of one master source).
-func (ma *Machine) SetRNG(r *rng.Source) { ma.r = r }
-
 // OnFlip installs a listener called on every readout change with the
 // node index, its new spin, and whether an induced kick caused it.
 // The fabric model subscribes here to generate update traffic. A flip

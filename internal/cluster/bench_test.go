@@ -12,7 +12,7 @@ import (
 	"mbrim/internal/obs"
 )
 
-// The A/B pair behind BENCH_cluster.json: the identical seeded
+// The epoch-sync overhead A/B: the identical seeded
 // concurrent-mode solve run in process (multichip.System, the ground
 // truth every cluster test compares against) versus distributed across
 // loopback worker nodes. The delta is the epoch-sync overhead of the
@@ -70,7 +70,7 @@ func benchMetricWorkers(b *testing.B, k int) []string {
 	return urls
 }
 
-// BenchmarkFederation is the A/B pair behind BENCH_fleetobs.json: the
+// BenchmarkFederation is the fleet-observability A/B: the
 // identical seeded distributed solve with fleet observability off
 // (Config.Federate=false — every federation hook is a nil guard) versus
 // on (trace context on every RPC, worker rings populated, events and

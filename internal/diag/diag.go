@@ -44,17 +44,6 @@ type Config struct {
 	// PlateauEpsilon is the relative improvement threshold. Default 1e-3.
 	PlateauEpsilon float64
 
-	// TargetEnergy is the success threshold for the live TTS estimate.
-	// When HasTarget is false the running best-so-far energy is the
-	// target — the estimate then reads "time to re-reach the best known
-	// solution", the self-referential TTS a live run can always compute.
-	TargetEnergy float64
-	HasTarget    bool
-	// Tol is the absolute tolerance added to the target. When zero and
-	// no explicit target is set, 1% of |best| is used.
-	Tol float64
-	// Confidence is the TTS confidence level q. Default 0.99.
-	Confidence float64
 	// TrialSamples is how many consecutive trajectory samples form one
 	// TTS trial window. Default 8.
 	TrialSamples int
@@ -73,9 +62,6 @@ func (c *Config) defaults() {
 	}
 	if c.PlateauEpsilon <= 0 {
 		c.PlateauEpsilon = 1e-3
-	}
-	if c.Confidence <= 0 || c.Confidence >= 1 {
-		c.Confidence = 0.99
 	}
 	if c.TrialSamples <= 0 {
 		c.TrialSamples = 8
@@ -640,23 +626,23 @@ func chipViews(pairs []PairDiag, chips int) []ChipDiag {
 	return out
 }
 
+// ttsConfidence is the confidence level q of the live TTS estimate.
+const ttsConfidence = 0.99
+
 // ttsLocked computes the live TTS estimate: consecutive trajectory
 // samples are chunked into trials of cfg.TrialSamples each, a trial
-// succeeds when its best sample reaches target+tol, and the success
-// probability carries a Wilson interval that inverts into TTS bounds.
-// Nil until at least one full trial window exists.
+// succeeds when its best sample comes within 1% of |best| of the
+// best-so-far energy, and the success probability carries a Wilson
+// interval that inverts into TTS bounds. The estimate thus reads "time
+// to re-reach the best known solution", the self-referential TTS a
+// live run can always compute. Nil until at least one full trial
+// window exists.
 func (r *Reducer) ttsLocked() *TTSEstimate {
 	w := r.cfg.TrialSamples
 	if len(r.samples) < w || w < 1 {
 		return nil
 	}
-	target, tol := r.cfg.TargetEnergy, r.cfg.Tol
-	if !r.cfg.HasTarget {
-		target = r.best
-		if tol <= 0 {
-			tol = 0.01 * math.Abs(r.best)
-		}
-	}
+	target, tol := r.best, 0.01*math.Abs(r.best)
 	trials := len(r.samples) / w
 	mins := make([]float64, 0, trials)
 	var spanSum float64
@@ -679,18 +665,17 @@ func (r *Reducer) ttsLocked() *TTSEstimate {
 	est := &TTSEstimate{
 		TargetEnergy: target,
 		Tol:          tol,
-		Confidence:   r.cfg.Confidence,
+		Confidence:   ttsConfidence,
 		TrialNS:      trialNS,
 		Trials:       trials,
 		SuccessP:     p,
 		PLow:         lo,
 		PHigh:        hi,
 	}
-	q := r.cfg.Confidence
 	// Higher success probability means lower TTS, so the interval flips.
-	est.TTSNS = sanitizeTTS(metrics.TTS(trialNS, p, q))
-	est.TTSLowNS = sanitizeTTS(metrics.TTS(trialNS, hi, q))
-	est.TTSHighNS = sanitizeTTS(metrics.TTS(trialNS, lo, q))
+	est.TTSNS = sanitizeTTS(metrics.TTS(trialNS, p, ttsConfidence))
+	est.TTSLowNS = sanitizeTTS(metrics.TTS(trialNS, hi, ttsConfidence))
+	est.TTSHighNS = sanitizeTTS(metrics.TTS(trialNS, lo, ttsConfidence))
 	return est
 }
 
@@ -811,7 +796,7 @@ type TrafficDiag struct {
 
 // TTSEstimate is the live time-to-solution estimate: trials of TrialNS
 // model ns succeed with probability SuccessP (Wilson bounds [PLow,
-// PHigh]), inverting into TTS bounds at the configured confidence.
+// PHigh]), inverting into TTS bounds at confidence 0.99.
 // A TTS of -1 encodes +Inf (no trial succeeded yet).
 type TTSEstimate struct {
 	TargetEnergy float64 `json:"targetEnergy"`

@@ -109,19 +109,23 @@ func TestTrafficAttribution(t *testing.T) {
 }
 
 func TestTTSEstimate(t *testing.T) {
-	r := diag.New(diag.Config{TrialSamples: 2, TargetEnergy: -10, HasTarget: true, Tol: 0.5})
-	// 4 trials of 2 samples each; trials 2 and 4 reach the target.
+	r := diag.New(diag.Config{TrialSamples: 2})
+	// 4 trials of 2 samples each. The best is -10, so the target is
+	// -10 within 0.1: trials 2 and 4 reach it.
 	feedEnergy(r,
 		[2]float64{0, -5}, [2]float64{10, -6},
 		[2]float64{20, -8}, [2]float64{30, -10},
 		[2]float64{40, -7}, [2]float64{50, -9},
-		[2]float64{60, -10.2}, [2]float64{70, -9.5},
+		[2]float64{60, -9.95}, [2]float64{70, -9.5},
 	)
 	s := r.Snapshot()
 	if s.TTS == nil {
 		t.Fatalf("no TTS estimate with %d samples", s.Samples)
 	}
 	est := s.TTS
+	if est.TargetEnergy != -10 || est.Tol != 0.1 || est.Confidence != 0.99 {
+		t.Fatalf("target/tol/q = %v/%v/%v, want -10/0.1/0.99", est.TargetEnergy, est.Tol, est.Confidence)
+	}
 	if est.Trials != 4 || est.SuccessP != 0.5 {
 		t.Fatalf("trials/p = %d/%v, want 4/0.5", est.Trials, est.SuccessP)
 	}
@@ -141,8 +145,11 @@ func TestTTSEstimate(t *testing.T) {
 }
 
 func TestTTSNeverSucceededIsSentinel(t *testing.T) {
-	r := diag.New(diag.Config{TrialSamples: 2, TargetEnergy: -100, HasTarget: true})
-	feedEnergy(r, [2]float64{0, -5}, [2]float64{10, -6}, [2]float64{20, -7}, [2]float64{30, -8})
+	r := diag.New(diag.Config{TrialSamples: 2})
+	// The best sample sits in the unfinished trailing window, so no
+	// full trial comes within 1 of it.
+	feedEnergy(r, [2]float64{0, -5}, [2]float64{10, -6}, [2]float64{20, -7}, [2]float64{30, -8},
+		[2]float64{40, -100})
 	est := r.Snapshot().TTS
 	if est == nil {
 		t.Fatalf("no estimate")

@@ -174,27 +174,6 @@ func (g *Graph) Degrees() []int {
 	return d
 }
 
-// Subgraph returns the induced subgraph over the given vertices (which
-// are renumbered 0..len(vs)-1 in order) plus the index map used.
-func (g *Graph) Subgraph(vs []int) (*Graph, []int) {
-	local := make(map[int]int, len(vs))
-	for i, v := range vs {
-		if _, dup := local[v]; dup {
-			panic(fmt.Sprintf("graph: Subgraph duplicate vertex %d", v))
-		}
-		local[v] = i
-	}
-	sg := New(len(vs))
-	for _, e := range g.edges {
-		lu, okU := local[e.U]
-		lv, okV := local[e.V]
-		if okU && okV {
-			sg.AddEdge(lu, lv, e.Weight)
-		}
-	}
-	return sg, append([]int(nil), vs...)
-}
-
 // --- Generators -----------------------------------------------------
 
 // Complete returns the K-graph K_n with edge weights drawn uniformly
@@ -396,20 +375,6 @@ func BlockPartition(n, k int) [][]int {
 			at++
 		}
 		parts[i] = p
-	}
-	return parts
-}
-
-// RandomPartition splits a random permutation of the vertices into k
-// near-equal parts (Algorithm 2's RandPartition).
-func RandomPartition(n, k int, r *rng.Source) [][]int {
-	perm := r.Perm(n)
-	parts := BlockPartition(n, k)
-	for _, p := range parts {
-		for j := range p {
-			p[j] = perm[p[j]]
-		}
-		sort.Ints(p)
 	}
 	return parts
 }

@@ -176,24 +176,6 @@ func TestToIsingZeroBias(t *testing.T) {
 	}
 }
 
-func TestSubgraphInduced(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 2)
-	g.AddEdge(2, 3, 3)
-	g.AddEdge(3, 4, 4)
-	sg, idx := g.Subgraph([]int{1, 2, 3})
-	if sg.N() != 3 || sg.M() != 2 {
-		t.Fatalf("subgraph n=%d m=%d", sg.N(), sg.M())
-	}
-	if sg.Weight(0, 1) != 2 || sg.Weight(1, 2) != 3 {
-		t.Fatal("subgraph weights wrong")
-	}
-	if len(idx) != 3 || idx[0] != 1 {
-		t.Fatal("index map wrong")
-	}
-}
-
 func TestBlockPartitionCoversExactly(t *testing.T) {
 	f := func(nRaw, kRaw uint8) bool {
 		n := int(nRaw%200) + 1
@@ -227,25 +209,6 @@ func TestBlockPartitionCoversExactly(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRandomPartitionCovers(t *testing.T) {
-	r := rng.New(5)
-	parts := RandomPartition(97, 8, r)
-	seen := make([]bool, 97)
-	for _, p := range parts {
-		for _, v := range p {
-			if seen[v] {
-				t.Fatalf("vertex %d in two parts", v)
-			}
-			seen[v] = true
-		}
-	}
-	for v, s := range seen {
-		if !s {
-			t.Fatalf("vertex %d unassigned", v)
-		}
 	}
 }
 

@@ -1,18 +1,11 @@
 // Package hostinfo captures the benchmark host's execution context —
 // CPU count, GOMAXPROCS, Go toolchain — so performance records carry
-// machine-readable provenance. The BENCH_*.json files at the
-// repository root each embed a host_info object, and every
-// bench-bearing package's TestMain prints one when the binary runs
-// with -test.bench, making the recurring "small-host caveat" a field
-// instead of prose.
+// machine-readable provenance: every report of the ./bench harness
+// embeds one, making the recurring "small-host caveat" a field instead
+// of prose.
 package hostinfo
 
-import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"runtime"
-)
+import "runtime"
 
 // Info is one host context record.
 type Info struct {
@@ -32,20 +25,4 @@ func Collect() Info {
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-}
-
-// BenchBanner prints a "host_info: {...}" line to stdout when the test
-// binary was invoked with -test.bench, and is silent otherwise. Call
-// it from TestMain after flag.Parse(): benchmark captures then start
-// with the host record the BENCH_*.json emitters embed verbatim.
-func BenchBanner() {
-	f := flag.Lookup("test.bench")
-	if f == nil || f.Value.String() == "" {
-		return
-	}
-	b, err := json.Marshal(Collect())
-	if err != nil {
-		return // never fail a bench run over provenance
-	}
-	fmt.Printf("host_info: %s\n", b)
 }

@@ -28,7 +28,6 @@ type Fabric struct {
 	channels   int
 	bytesPerNS float64 // per channel; 0 = unlimited
 
-	topology   Topology
 	epochBytes []float64 // egress accumulated this epoch, per chip
 	totalBytes float64
 	byKind     map[string]float64
@@ -110,7 +109,15 @@ func (f *Fabric) EndEpoch(epochNS float64) float64 {
 			f.peakDemand = demand
 		}
 	}
-	stall := f.epochStall(epochNS)
+	stall := 0.0
+	if !f.Unlimited() {
+		rate := f.EgressRate()
+		for _, b := range f.epochBytes {
+			if s := b/rate - epochNS; s > stall {
+				stall = s
+			}
+		}
+	}
 	for chip := range f.epochBytes {
 		f.epochBytes[chip] = 0
 	}
@@ -146,15 +153,6 @@ func (f *Fabric) BytesByKind(kind string) float64 { return f.byKind[kind] }
 // EndEpoch, so per-epoch breakdowns (sync vs retransmit vs resync)
 // stay distinguishable from the cumulative totals.
 func (f *Fabric) EpochBytesByKind(kind string) float64 { return f.lastEpochByKind[kind] }
-
-// Kinds returns the traffic tags seen so far, in no particular order.
-func (f *Fabric) Kinds() []string {
-	out := make([]string, 0, len(f.byKind))
-	for k := range f.byKind {
-		out = append(out, k)
-	}
-	return out
-}
 
 // StallNS returns the cumulative congestion stall.
 func (f *Fabric) StallNS() float64 { return f.stallNS }

@@ -134,9 +134,8 @@ func TestEpochKindSplit(t *testing.T) {
 	if f.TotalBytes() != 24 {
 		t.Fatalf("TotalBytes = %v, want 24", f.TotalBytes())
 	}
-	kinds := f.Kinds()
-	if len(kinds) != 3 {
-		t.Fatalf("Kinds = %v, want 3 entries", kinds)
+	if kinds := f.Snapshot().ByKind; len(kinds) != 3 {
+		t.Fatalf("ByKind = %v, want 3 entries", kinds)
 	}
 }
 

@@ -48,32 +48,6 @@ func HammingDistance(a, b []int8) int {
 	return d
 }
 
-// PackSpins encodes spins as a bitmap (+1 → 1, -1 → 0), the wire format
-// for state exchange: N spins cost ⌈N/8⌉ bytes, which is what the
-// fabric model charges for a full-state broadcast.
-func PackSpins(s []int8) []byte {
-	out := make([]byte, (len(s)+7)/8)
-	for i, v := range s {
-		if v > 0 {
-			out[i/8] |= 1 << (i % 8)
-		}
-	}
-	return out
-}
-
-// UnpackSpins decodes a bitmap produced by PackSpins into n spins.
-func UnpackSpins(b []byte, n int) []int8 {
-	s := make([]int8, n)
-	for i := range s {
-		if b[i/8]&(1<<(i%8)) != 0 {
-			s[i] = 1
-		} else {
-			s[i] = -1
-		}
-	}
-	return s
-}
-
 // Magnetization returns (Σ σ_i)/N in [-1, 1].
 func Magnetization(s []int8) float64 {
 	if len(s) == 0 {

@@ -2,7 +2,6 @@ package ising
 
 import (
 	"testing"
-	"testing/quick"
 
 	"mbrim/internal/rng"
 )
@@ -54,33 +53,6 @@ func TestHammingDistancePanicsOnLength(t *testing.T) {
 		}
 	}()
 	HammingDistance([]int8{1}, []int8{1, 1})
-}
-
-func TestPackUnpackRoundTrip(t *testing.T) {
-	f := func(seed uint32, nRaw uint16) bool {
-		r := rng.New(uint64(seed))
-		n := int(nRaw%500) + 1
-		s := RandomSpins(n, r)
-		got := UnpackSpins(PackSpins(s), n)
-		return HammingDistance(got, s) == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPackSpinsSize(t *testing.T) {
-	// The fabric charges ⌈N/8⌉ bytes per full-state broadcast; the wire
-	// format must actually be that compact.
-	for _, n := range []int{1, 7, 8, 9, 63, 64, 65} {
-		s := make([]int8, n)
-		for i := range s {
-			s[i] = 1
-		}
-		if got, want := len(PackSpins(s)), (n+7)/8; got != want {
-			t.Fatalf("n=%d: packed %d bytes, want %d", n, got, want)
-		}
-	}
 }
 
 func TestMagnetization(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 	"mbrim/internal/rng"
 )
 
-// The A side of the BENCH_kernel.json comparison: faithful copies of
+// The A side of the old-vs-new kernel comparison: faithful copies of
 // the per-engine hot loops as they existed before the lattice layer,
 // so old-vs-new runs interleave on identical data.
 

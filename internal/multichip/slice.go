@@ -263,10 +263,10 @@ func (s *Slice) ModelNS() float64 { return s.modelNS }
 func (s *Slice) Done() bool { return s.modelNS >= s.durationNS-1e-9 }
 
 // step is the one chip-epoch: it integrates epochNS of model time from
-// run position fromNS in flip-interval chunks, with an induced-flip
-// draw after each chunk at schedule progress position/horizonNS. Chips
-// only read each other through shadows, which change at barriers, so
-// distinct slices may step concurrently. hold freezes the integrator
+// run position fromNS in chunks of min(EpochNS, 1) ns, with an
+// induced-flip draw after each chunk at schedule progress
+// position/horizonNS. Chips only read each other through shadows, which
+// change at barriers, so distinct slices may step concurrently. hold freezes the integrator
 // for the epoch (a transiently stalled chip) while the digital kick
 // PRNG keeps clocking, so coordinated replicas stay aligned across the
 // fleet. coordinated is Config.Coordinated except in batch mode, where
@@ -275,8 +275,9 @@ func (s *Slice) Done() bool { return s.modelNS >= s.durationNS-1e-9 }
 func (s *Slice) step(fromNS, epochNS, horizonNS float64, coordinated, hold bool) error {
 	c := &s.chip
 	c.resetEpochCounters()
+	interval := math.Min(s.cfg.EpochNS, 1)
 	for t := 0.0; t < epochNS-1e-9; {
-		chunk := math.Min(s.cfg.FlipIntervalNS, epochNS-t)
+		chunk := math.Min(interval, epochNS-t)
 		if !hold {
 			if err := c.machine.Run(chunk); err != nil {
 				return err

@@ -30,9 +30,6 @@ type Config struct {
 	// EpochNS is the model time between fabric synchronizations.
 	// Default 3.3 (the paper's reference epoch).
 	EpochNS float64
-	// FlipIntervalNS is the model time between induced-flip draws.
-	// Default min(EpochNS, 1).
-	FlipIntervalNS float64
 	// InducedFlip is the per-spin kick probability schedule over run
 	// progress. Default decays 0.08 → 0.
 	InducedFlip sched.Schedule
@@ -47,9 +44,6 @@ type Config struct {
 	// (1 GB/s = 1 byte/ns). Zero models unlimited bandwidth — the
 	// 3D-integrated mBRIM_3D.
 	ChannelBytesPerNS float64
-	// Topology selects the fabric congestion model (dedicated links,
-	// shared bus, or ring). Default: the paper's dedicated channels.
-	Topology interconnect.Topology
 	// Brim configures the per-chip dynamics. Its InducedFlip schedule
 	// is ignored (the runtime coordinates kicks) and its Scale is
 	// overridden with the global normalization.
@@ -126,12 +120,6 @@ func (c *Config) withDefaults(n int) (Config, error) {
 	}
 	if out.EpochNS <= 0 || math.IsNaN(out.EpochNS) {
 		return out, fmt.Errorf("multichip: EpochNS=%v", out.EpochNS)
-	}
-	if out.FlipIntervalNS == 0 {
-		out.FlipIntervalNS = math.Min(out.EpochNS, 1)
-	}
-	if out.FlipIntervalNS <= 0 || math.IsNaN(out.FlipIntervalNS) {
-		return out, fmt.Errorf("multichip: FlipIntervalNS=%v", out.FlipIntervalNS)
 	}
 	if out.InducedFlip == nil {
 		out.InducedFlip = sched.Linear{From: 0.08, To: 0}
@@ -244,9 +232,6 @@ func NewSystem(m *ising.Model, cfg Config) (*System, error) {
 	}
 	s.fabric, err = interconnect.New(c.Chips, c.Channels, c.ChannelBytesPerNS)
 	if err != nil {
-		return nil, err
-	}
-	if err := s.fabric.SetTopology(c.Topology); err != nil {
 		return nil, err
 	}
 	if c.Faults.Enabled() {

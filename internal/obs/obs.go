@@ -52,10 +52,9 @@
 // Tracing is off by default: a nil Tracer in an engine config skips
 // every emission site behind a single branch, and all sites sit at
 // epoch/sweep boundaries, never inside integration inner loops. The
-// no-op path adds no measurable cost to the hot benchmarks (see
-// BENCH_obs.json at the repository root). Sinks and the metrics
-// Registry are goroutine-safe, so Parallel chip goroutines may record
-// concurrently.
+// no-op path adds no measurable cost to the hot benchmarks. Sinks and
+// the metrics Registry are goroutine-safe, so Parallel chip goroutines
+// may record concurrently.
 package obs
 
 import "time"

@@ -15,7 +15,7 @@ import (
 //
 // A nil *Spanner is the disabled path: every method is a no-op and
 // allocates nothing, so instrumentation sites cost a single nil check
-// (pinned by TestSpanDisabledZeroAlloc and BENCH_diag.json).
+// (pinned by TestSpanDisabledZeroAlloc).
 //
 // # Determinism
 //

@@ -52,7 +52,7 @@ func TestSpanNestingAndIDs(t *testing.T) {
 
 // The disabled path — a nil *Spanner — must not allocate: this is the
 // contract that lets every engine instrumentation site run
-// unconditionally behind a single nil check (see BENCH_diag.json).
+// unconditionally behind a single nil check.
 func TestSpanDisabledZeroAlloc(t *testing.T) {
 	var sp *Spanner
 	extra := &Event{Count: 1}

@@ -11,7 +11,7 @@ import (
 	"mbrim/internal/rng"
 )
 
-// BenchmarkRace is the A/B behind BENCH_portfolio.json: for each
+// BenchmarkRace is the racing-overhead A/B: for each
 // problem structure, the a-posteriori best solo engine (the thing a
 // clairvoyant caller would have run) against the heterogeneous race
 // with the target fixed at that engine's deterministic final energy.

@@ -148,9 +148,6 @@ func References() []Reference {
 	}
 }
 
-// EnergyJ returns a reference machine's energy per solve in joules.
-func (r Reference) EnergyJ() float64 { return r.PowerW * r.SolveNS * 1e-9 }
-
 // AdvantageOver returns (energy ratio, time ratio) of this system
 // solving in modelNS versus the reference machine — the "orders of
 // magnitude better machine metrics" arithmetic of the introduction.
@@ -159,5 +156,5 @@ func (s System) AdvantageOver(ref Reference, modelNS float64) (energyRatio, time
 	if e == 0 {
 		return math.Inf(1), math.Inf(1)
 	}
-	return ref.EnergyJ() / e, ref.SolveNS / modelNS
+	return ref.PowerW * ref.SolveNS * 1e-9 / e, ref.SolveNS / modelNS
 }

@@ -133,78 +133,6 @@ func BenchmarkPTK256(b *testing.B) {
 	}
 }
 
-func TestPopulationFindsFerromagnetGround(t *testing.T) {
-	n := 20
-	m := ferromagnet(n)
-	res := SolvePopulation(m, PopulationConfig{Population: 32, Rungs: 15, Seed: 1})
-	if want := -float64(n*(n-1)) / 2; res.Energy != want {
-		t.Fatalf("energy %v, want %v", res.Energy, want)
-	}
-}
-
-func TestPopulationEnergyMatchesSpins(t *testing.T) {
-	g := graph.Complete(30, rng.New(2))
-	m := g.ToIsing()
-	res := SolvePopulation(m, PopulationConfig{Population: 24, Rungs: 10, Seed: 3})
-	if d := math.Abs(res.Energy - m.Energy(res.Spins)); d > 1e-6 {
-		t.Fatalf("energy off by %v", d)
-	}
-}
-
-func TestPopulationDeterministic(t *testing.T) {
-	g := graph.Complete(24, rng.New(4))
-	m := g.ToIsing()
-	cfg := PopulationConfig{Population: 16, Rungs: 8, Seed: 5}
-	a := SolvePopulation(m, cfg)
-	b := SolvePopulation(m, cfg)
-	if a.Energy != b.Energy || a.MaxPopulation != b.MaxPopulation {
-		t.Fatal("population annealing nondeterministic")
-	}
-}
-
-func TestPopulationStaysBounded(t *testing.T) {
-	g := graph.Complete(40, rng.New(6))
-	m := g.ToIsing()
-	res := SolvePopulation(m, PopulationConfig{Population: 64, Rungs: 20, Seed: 7})
-	if res.MinPopulation < 8 || res.MaxPopulation > 64*8 {
-		t.Fatalf("population swung to [%d, %d] around target 64",
-			res.MinPopulation, res.MaxPopulation)
-	}
-}
-
-func TestPopulationReachesExactOptimum(t *testing.T) {
-	for seed := uint64(0); seed < 3; seed++ {
-		g := graph.Complete(16, rng.New(seed+30))
-		m := g.ToIsing()
-		want := exact.Solve(m).Energy
-		got := SolvePopulation(m, PopulationConfig{
-			Population: 64, Rungs: 30, SweepsPerRung: 3, Seed: seed,
-		}).Energy
-		if got != want {
-			t.Fatalf("seed %d: population best %v, optimum %v", seed, got, want)
-		}
-	}
-}
-
-func TestPopulationPanics(t *testing.T) {
-	m := ferromagnet(4)
-	for name, f := range map[string]func(){
-		"tiny pop":   func() { SolvePopulation(m, PopulationConfig{Population: 1}) },
-		"neg rungs":  func() { SolvePopulation(m, PopulationConfig{Rungs: -1}) },
-		"neg sweeps": func() { SolvePopulation(m, PopulationConfig{SweepsPerRung: -1}) },
-		"bad ladder": func() { SolvePopulation(m, PopulationConfig{BetaMin: 3, BetaMax: 1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 // mustBuild freezes a test's builder: its couplings are the test's own,
 // so an error is a bug in the test.
 func mustBuild(b *ising.Builder) *ising.Model {

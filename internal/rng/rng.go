@@ -218,11 +218,3 @@ func (r *Source) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates style.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -308,22 +308,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := New(14)
-	data := make([]int, 50)
-	for i := range data {
-		data[i] = i
-	}
-	r.Shuffle(len(data), func(i, j int) { data[i], data[j] = data[j], data[i] })
-	seen := make([]bool, len(data))
-	for _, v := range data {
-		if seen[v] {
-			t.Fatalf("value %d duplicated after shuffle", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestSynchronizedReplicasStaySynchronized(t *testing.T) {
 	// The coordinated-induced-flip invariant: k clones drawing the same
 	// number of values produce identical sequences (DESIGN.md Sec 6).

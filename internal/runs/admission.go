@@ -76,32 +76,6 @@ type SubmitOptions struct {
 	restarts int // replay-internal: restart records already on the journal
 }
 
-// EstimateRunBytes approximates a run's resident footprint for the
-// admission memory budget: the couplings as the model stores them
-// (lattice.Footprint: a ±1 K-graph its planes, 2·n·⌈n/64⌉·8 + 4·n bytes;
-// any other dense model 8·n²; compressed rows their lane slots), a
-// parsed edge list kept beside the model at 24 bytes an edge, per-spin
-// chip state and the run's retained-event ring — and what the engine
-// builds on top of the model. A multi-chip request holds the k chips'
-// brim machines, each over a scaled float copy of its owned×owned block
-// (8·n²/k together for a dense problem, 1/k of the compressed rows for a
-// sparse one), and their owned×remote cross columns, 12 bytes an entry,
-// (k−1)/k of the entries (of n² for a dense problem: its worst case). A
-// single brim machine or bSBM runs on a float copy of the whole model
-// (lattice.Floats). A portfolio run pays everything but the shared model
-// and the ring once for each entrant, priced as the engine it is — the
-// named ones, or the field portfolio.Dispatch picks, and the hand-off —
-// and a cluster run is the model and the ring: its chips live on the
-// workers. It is an admission fence, not an
-// accountant — it exists to refuse the submission that would OOM the
-// daemon, not to meter kilobytes. A K-graph is generated straight into
-// its planes, with no edge list and no float matrix
-// (TestKGraphRequestAllocatesItsMatrix), so {"k":4096} is 4 MB to a
-// dSBM and 150 MB of cross columns to four brim chips.
-func EstimateRunBytes(req *core.Request, ringSize int) int64 {
-	return requestShape(req).estimate(ringSize)
-}
-
 // requestShape is the shape of a request whose model exists: its layout
 // answers for what it stores, and a dispatched race is the field
 // portfolio.Dispatch picks from the model's own structure.
@@ -194,8 +168,29 @@ func copiesModel(kind core.Kind) bool {
 	return false
 }
 
-// estimate is EstimateRunBytes' arithmetic, which both fence call sites
-// reach through checkBudget.
+// estimate approximates a run's resident footprint for the
+// admission memory budget: the couplings as the model stores them
+// (lattice.Footprint: a ±1 K-graph its planes, 2·n·⌈n/64⌉·8 + 4·n bytes;
+// any other dense model 8·n²; compressed rows their lane slots), a
+// parsed edge list kept beside the model at 24 bytes an edge, per-spin
+// chip state and the run's retained-event ring — and what the engine
+// builds on top of the model. A multi-chip request holds the k chips'
+// brim machines, each over a scaled float copy of its owned×owned block
+// (8·n²/k together for a dense problem, 1/k of the compressed rows for a
+// sparse one), and their owned×remote cross columns, 12 bytes an entry,
+// (k−1)/k of the entries (of n² for a dense problem: its worst case). A
+// single brim machine or bSBM runs on a float copy of the whole model
+// (lattice.Floats). A portfolio run pays everything but the shared model
+// and the ring once for each entrant, priced as the engine it is — the
+// named ones, or the field portfolio.Dispatch picks, and the hand-off —
+// and a cluster run is the model and the ring: its chips live on the
+// workers. It is an admission fence, not an
+// accountant — it exists to refuse the submission that would OOM the
+// daemon, not to meter kilobytes. A K-graph is generated straight into
+// its planes, with no edge list and no float matrix
+// (TestKGraphRequestAllocatesItsMatrix), so {"k":4096} is 4 MB to a
+// dSBM and 150 MB of cross columns to four brim chips. Both fence call
+// sites reach it through checkBudget.
 func (s runShape) estimate(ringSize int) int64 {
 	if ringSize <= 0 {
 		ringSize = 4096

@@ -372,8 +372,8 @@ func TestMemoryBudgetCountsTheChips(t *testing.T) {
 			fourChips + 16*128*2 + 8*128*128/2 + 12*128*128/2},
 	} {
 		tc.req.Model = testProblem(128).ToIsing()
-		if got := EstimateRunBytes(&tc.req, 0); got != tc.want {
-			t.Errorf("EstimateRunBytes(%s, chips=%d, %d workers, %+v) = %d, want %d",
+		if got := requestShape(&tc.req).estimate(0); got != tc.want {
+			t.Errorf("estimate(%s, chips=%d, %d workers, %+v) = %d, want %d",
 				tc.req.Kind, tc.req.Chips, len(tc.req.Cluster.Workers), tc.req.Portfolio, got, tc.want)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 	"mbrim/internal/rng"
 )
 
-// The A/B pair behind BENCH_ops.json: the identical concurrent-mode
+// The operations-plane overhead A/B: the identical concurrent-mode
 // solve run bare (the way the CLI and the experiment harness call it)
 // versus through the run manager with all three operations-plane sinks
 // attached — progress reducer, replay ring, live broadcast with one

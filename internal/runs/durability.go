@@ -79,13 +79,7 @@ func (m *Manager) journalTerminal(r *Run, state State) {
 		rec.Error = r.err.Error()
 	}
 	if r.outcome != nil {
-		o := r.outcome
-		sum := OutcomeSummary{
-			Energy: o.Energy, Cut: o.Cut, ModelNS: o.ModelNS,
-			WallNS: o.Wall.Nanoseconds(), Spins: len(o.Spins),
-			Backend: o.Backend, Stats: o.Stats,
-		}
-		if data, err := json.Marshal(&sum); err == nil {
+		if data, err := json.Marshal(summarize(r.outcome)); err == nil {
 			rec.Summary = data
 		}
 	}

@@ -91,6 +91,10 @@ func TestJournalWriteThrough(t *testing.T) {
 	if err := json.Unmarshal(term.Summary, &sum); err != nil || sum.Spins != 12 {
 		t.Fatalf("terminal summary = %s (%v)", term.Summary, err)
 	}
+	// The journal keeps the very summary GET /runs/{id} serves.
+	if served, _ := json.Marshal(r.Status().Outcome); string(served) != string(term.Summary) {
+		t.Fatalf("journaled summary %s, served %s", term.Summary, served)
+	}
 }
 
 // TestSegmentedCheckpointBitIdentity pins the keystone property behind

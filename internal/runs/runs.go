@@ -79,6 +79,20 @@ type OutcomeSummary struct {
 	Stats   map[string]float64 `json:"stats,omitempty"`
 }
 
+// summarize projects an outcome onto its summary: what GET /runs/{id}
+// serves and the journal's terminal record keeps.
+func summarize(o *core.Outcome) *OutcomeSummary {
+	return &OutcomeSummary{
+		Energy:  o.Energy,
+		Cut:     o.Cut,
+		ModelNS: o.ModelNS,
+		WallNS:  o.Wall.Nanoseconds(),
+		Spins:   len(o.Spins),
+		Backend: o.Backend,
+		Stats:   o.Stats,
+	}
+}
+
 // Status is a run's externally visible state: what GET /runs/{id}
 // returns.
 type Status struct {
@@ -259,16 +273,7 @@ func (r *Run) Status() Status {
 		st.Outcome = &s
 	}
 	if r.outcome != nil {
-		o := r.outcome
-		st.Outcome = &OutcomeSummary{
-			Energy:  o.Energy,
-			Cut:     o.Cut,
-			ModelNS: o.ModelNS,
-			WallNS:  o.Wall.Nanoseconds(),
-			Spins:   len(o.Spins),
-			Backend: o.Backend,
-			Stats:   o.Stats,
-		}
+		st.Outcome = summarize(r.outcome)
 	}
 	if r.err != nil {
 		st.Error = r.err.Error()
@@ -299,7 +304,7 @@ type Config struct {
 	// 0 applies DefaultMaxSpins.
 	MaxSpins int
 	// MaxRunBytes, when positive, rejects submissions whose estimated
-	// resident footprint (see EstimateRunBytes) exceeds it.
+	// resident footprint (see runShape.estimate) exceeds it.
 	MaxRunBytes int64
 	// Journal, when set, receives a durable record of every run
 	// transition (submit/start/checkpoint/restart/terminal); StateDir

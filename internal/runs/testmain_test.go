@@ -8,17 +8,14 @@ import (
 	"testing"
 	"time"
 
-	"mbrim/internal/hostinfo"
 	"mbrim/internal/obs"
 )
 
-// TestMain stamps benchmark captures with the host context (the
-// host_info record the BENCH_*.json files embed) and, when the suite
-// passes, fails the package if run goroutines outlived their tests —
+// TestMain fails the package, when the suite otherwise passes, if run
+// goroutines outlived their tests —
 // the manager's whole contract is that drain/cancel reaps everything.
 func TestMain(m *testing.M) {
 	flag.Parse()
-	hostinfo.BenchBanner()
 	base := runtime.NumGoroutine() + 2 // tolerate test-runner housekeeping
 	code := m.Run()
 	if code == 0 {

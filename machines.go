@@ -2,23 +2,8 @@ package mbrim
 
 import (
 	"mbrim/internal/brim"
-	"mbrim/internal/interconnect"
 	"mbrim/internal/pt"
 	"mbrim/internal/sbm"
-)
-
-// Fabric topology selection for SystemConfig.Topology.
-type FabricTopology = interconnect.Topology
-
-// The supported fabric congestion models.
-const (
-	// TopologyDedicated gives each chip private egress channels (the
-	// paper's assumption).
-	TopologyDedicated = interconnect.Dedicated
-	// TopologySharedBus arbitrates one medium among all chips.
-	TopologySharedBus = interconnect.SharedBus
-	// TopologyRing connects chips in a bidirectional ring.
-	TopologyRing = interconnect.Ring
 )
 
 // BRIMConfig exposes the single-chip machine's analog knobs (schedule
@@ -67,16 +52,3 @@ type (
 
 // SolvePT runs parallel tempering on the model.
 func SolvePT(m *Model, cfg PTConfig) *PTResult { return pt.Solve(m, cfg) }
-
-// Population annealing, the birth/death Monte Carlo baseline.
-type (
-	// PopulationConfig parameterizes population annealing.
-	PopulationConfig = pt.PopulationConfig
-	// PopulationResult reports it.
-	PopulationResult = pt.PopulationResult
-)
-
-// SolvePopulation runs population annealing on the model.
-func SolvePopulation(m *Model, cfg PopulationConfig) *PopulationResult {
-	return pt.SolvePopulation(m, cfg)
-}
