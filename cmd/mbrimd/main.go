@@ -190,6 +190,11 @@ func main() {
 	// when -addr used port 0.
 	fmt.Printf("mbrimd: listening on http://%s\n", ln.Addr())
 
+	// Catch SIGTERM before anything can answer /readyz: a client that
+	// saw the daemon ready and signalled it must get a drain, never the
+	// default action's bare kill.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 
@@ -205,8 +210,6 @@ func main() {
 		replaying.Store(false)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 	case err := <-errCh:

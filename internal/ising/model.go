@@ -454,7 +454,7 @@ func (m *Model) LocalFields(spins []int8, out []float64) []float64 {
 // FlipDelta returns the energy change from flipping spin k given its
 // current local field L_k: ΔE = 2 σ_k (L_k + μ h_k).
 func (m *Model) FlipDelta(spins []int8, fields []float64, k int) float64 {
-	return m.c.FlipDelta(spins, fields, k, m.muH[k])
+	return lattice.FlipDelta(spins, fields, k, m.muH[k])
 }
 
 // ApplyFlip flips spin k in place and updates the cached local fields

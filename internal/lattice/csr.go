@@ -252,7 +252,3 @@ func (c *csr) FlipFanout(fields []float64, k int, delta float64) {
 		fields[c.cols[idx]] += float64(c.vals[idx] * delta)
 	}
 }
-
-func (c *csr) FlipDelta(spins []int8, fields []float64, k int, muH float64) float64 {
-	return flipDelta(spins, fields, k, muH)
-}

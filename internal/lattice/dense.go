@@ -333,10 +333,6 @@ func (d *dense) FlipFanout(fields []float64, k int, delta float64) {
 	}
 }
 
-func (d *dense) FlipDelta(spins []int8, fields []float64, k int, muH float64) float64 {
-	return flipDelta(spins, fields, k, muH)
-}
-
 // energy is the float walk every other arm of Energy answers for: per
 // row the strict upper triangle in ascending column order, zeros
 // included, then the row's two subtractions.

@@ -460,13 +460,12 @@ type Coupling interface {
 	// FlipFanout applies fields[j] += J_kj·d over row k — the O(row)
 	// cached-field update after spin k changes by d = σ_new − σ_old.
 	FlipFanout(fields []float64, k int, d float64)
-	// FlipDelta returns the energy change of flipping spin k given its
-	// cached local field and bias term μ·h_k: ΔE = 2σ_k(L_k + μh_k).
-	FlipDelta(spins []int8, fields []float64, k int, muH float64) float64
 }
 
-// flipDelta is the shared ΔE rule; every backend delegates here so the
-// formula association is identical across layouts.
-func flipDelta(spins []int8, fields []float64, k int, muH float64) float64 {
+// FlipDelta returns the energy change of flipping spin k given its
+// cached local field and bias term μ·h_k: ΔE = 2σ_k(L_k + μh_k). It
+// reads no couplings, so one rule, in one association, serves every
+// layout.
+func FlipDelta(spins []int8, fields []float64, k int, muH float64) float64 {
 	return 2 * float64(spins[k]) * (fields[k] + muH)
 }

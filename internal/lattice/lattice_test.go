@@ -188,7 +188,7 @@ func TestFlipDeltaAndFanout(t *testing.T) {
 		k := 5
 		muH := 0.25
 		want := 2 * float64(spins[k]) * (fields[k] + muH)
-		if got := c.FlipDelta(spins, fields, k, muH); got != want {
+		if got := FlipDelta(spins, fields, k, muH); got != want {
 			t.Errorf("%v: FlipDelta = %v, want %v", kind, got, want)
 		}
 		// Fanout must land the fields exactly where a recompute does.

@@ -2,7 +2,6 @@ package multichip
 
 import (
 	"fmt"
-	"math"
 
 	"mbrim/internal/graph"
 	"mbrim/internal/ising"
@@ -49,10 +48,11 @@ type SurpriseConfig struct {
 func metropolis(m *ising.Model, spins []int8, beta float64, moves int, r *rng.Source) {
 	n := m.N()
 	fields := m.LocalFields(spins, nil)
+	met := rng.NewMetropolis(n, beta)
 	for t := 0; t < moves; t++ {
 		k := r.Intn(n)
 		delta := m.FlipDelta(spins, fields, k)
-		if delta <= 0 || r.Float64() < math.Exp(-beta*delta) {
+		if met.Accept(r, delta) {
 			m.ApplyFlip(spins, fields, k)
 		}
 	}

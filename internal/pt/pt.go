@@ -67,6 +67,12 @@ func Solve(m *ising.Model, cfg Config) *Result {
 // boundary and returns the best state seen so far alongside ctx.Err().
 // The result is always non-nil and internally consistent.
 func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) {
+	return solve(ctx, m, cfg, rng.New(cfg.Seed))
+}
+
+// solve is SolveCtx drawing from r, which it leaves where the run's last
+// draw did.
+func solve(ctx context.Context, m *ising.Model, cfg Config, r *rng.Source) (*Result, error) {
 	if cfg.Sweeps < 1 {
 		panic(fmt.Sprintf("pt: Sweeps=%d", cfg.Sweeps))
 	}
@@ -99,11 +105,13 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 	}
 
 	n := m.N()
-	r := rng.New(cfg.Seed)
 	betas := make([]float64, replicas)
+	// A replica's β never changes, so neither does its acceptance table.
+	mets := make([]*rng.Metropolis, replicas)
 	ratio := math.Pow(betaMax/betaMin, 1/float64(replicas-1))
 	for i := range betas {
 		betas[i] = betaMin * math.Pow(ratio, float64(i))
+		mets[i] = rng.NewMetropolis(n, betas[i])
 	}
 
 	reps := make([]*replica, replicas)
@@ -141,10 +149,10 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 			break
 		}
 		for ri, rep := range reps {
-			beta := betas[ri]
+			met := mets[ri]
 			for k := 0; k < n; k++ {
 				delta := m.FlipDelta(rep.spins, rep.fields, k)
-				if delta <= 0 || r.Float64() < math.Exp(-beta*delta) {
+				if met.Accept(r, delta) {
 					m.ApplyFlip(rep.spins, rep.fields, k)
 					rep.energy += delta
 				}

@@ -191,6 +191,75 @@ func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
+// Metropolis is the Metropolis acceptance test at one inverse
+// temperature β: a move that raises the energy by ΔE > 0 is taken with
+// probability exp(−β·ΔE), and any other is taken outright. It decides
+// exactly as r.Float64() < math.Exp(-β*ΔE) does, drawing the same one
+// Uint64, but pays math.Exp once per (β, ΔE) for the even integer ΔE a
+// ±1 model produces.
+//
+// Float64 is the integer u = Uint64()>>11 over 2⁵³, and scaling by 2⁵³
+// is exact, so the test is u < x for x = exp(−β·ΔE)·2⁵³; for an
+// integer u that is u < ⌈x⌉. The table keeps ⌈x⌉ for ΔE = 2h, 1 ≤ h ≤
+// n, each filled by that very math.Exp the first time it is asked for;
+// any other ΔE — odd, fractional, past the table, ±Inf, NaN — takes
+// the expression itself. The zero value is usable and has no table.
+type Metropolis struct {
+	beta float64
+	// notBound[h] is ^⌈exp(−β·2h)·2⁵³⌉, or 0 while unfilled at this β:
+	// a bound is at most 2⁵³, so its complement is never 0, and a
+	// change of β is one clear.
+	notBound []uint64
+}
+
+// NewMetropolis returns the test for ΔE up to 2n at inverse temperature
+// beta: a table of n+1 words.
+func NewMetropolis(n int, beta float64) *Metropolis {
+	return &Metropolis{beta: beta, notBound: make([]uint64, n+1)}
+}
+
+// SetBeta moves the test to inverse temperature beta, forgetting the
+// bounds of the old one unless the bits are the same.
+func (m *Metropolis) SetBeta(beta float64) {
+	if math.Float64bits(beta) != math.Float64bits(m.beta) {
+		m.beta = beta
+		clear(m.notBound)
+	}
+}
+
+// Accept reports whether a move of energy change delta is taken,
+// drawing one Uint64 from r when delta > 0 and none otherwise.
+func (m *Metropolis) Accept(r *Source, delta float64) bool {
+	return delta <= 0 || m.uphill(r, delta)
+}
+
+func (m *Metropolis) uphill(r *Source, delta float64) bool {
+	h := int(delta * 0.5)
+	if uint(h) < uint(len(m.notBound)) && float64(2*h) == delta {
+		nb := m.notBound[h]
+		if nb == 0 {
+			nb = m.fill(h)
+		}
+		return r.Uint64()>>11 < ^nb
+	}
+	return r.Float64() < math.Exp(-m.beta*delta)
+}
+
+// fill computes and keeps the complemented bound for ΔE = 2h.
+func (m *Metropolis) fill(h int) uint64 {
+	x := math.Exp(-m.beta*float64(2*h)) * (1 << 53) // exact: a power of two
+	var b uint64
+	switch {
+	case !(x > 0): // 0 or NaN: no draw is below it
+	case x >= 1<<53: // every draw is below it
+		b = 1 << 53
+	default:
+		b = uint64(math.Ceil(x))
+	}
+	m.notBound[h] = ^b
+	return ^b
+}
+
 // NormFloat64 returns a standard normal variate using the
 // Marsaglia polar method. SBM-style solvers use Gaussian initial
 // positions and noise terms.

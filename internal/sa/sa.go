@@ -3,7 +3,12 @@
 // measures against. The optimization that matters for fully connected
 // graphs (Sec 6.1, "dense matrix representation") is caching the local
 // field of every spin: a Metropolis attempt is then O(1) and only an
-// accepted flip pays the O(N) field update.
+// accepted flip pays the O(N) field update. The second is the one
+// optimised SA codes make for ±1 couplings: ΔE takes few values at a
+// temperature, so the acceptance test reads a per-sweep table of
+// integer bounds (rng.Metropolis) and pays math.Exp once per (β, ΔE)
+// instead of once per uphill attempt — deciding, and drawing, bit for
+// bit as r.Float64() < exp(−β·ΔE) does.
 //
 // A deliberately naive variant (full energy recomputation per attempt)
 // is provided for the ablation benchmark that quantifies how much the
@@ -28,6 +33,9 @@ import (
 // Counting "instructions" exactly is host-specific; these constants
 // approximate a scalar CPU: an attempt costs a handful of arithmetic
 // ops plus an exp, an accepted flip additionally walks one dense row.
+// They model the paper's scalar baseline, not this code: an attempt
+// still counts its exp although the acceptance table pays one only per
+// (β, ΔE).
 const (
 	instrPerAttempt   = 24 // field read, delta, exp, compare, RNG
 	instrPerRowUpdate = 3  // load, fma, store per neighbour on accept
@@ -97,6 +105,12 @@ func Solve(m *ising.Model, cfg Config) *Result {
 // boundary and returns the state reached so far alongside ctx.Err().
 // The result is always non-nil and internally consistent.
 func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) {
+	return solve(ctx, m, cfg, rng.New(cfg.Seed))
+}
+
+// solve is SolveCtx drawing from r, which it leaves where the run's last
+// draw did.
+func solve(ctx context.Context, m *ising.Model, cfg Config, r *rng.Source) (*Result, error) {
 	if cfg.Sweeps < 1 {
 		panic(fmt.Sprintf("sa: Sweeps=%d", cfg.Sweeps))
 	}
@@ -107,7 +121,6 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 	if beta == nil {
 		beta = DefaultBeta
 	}
-	r := rng.New(cfg.Seed)
 	n := m.N()
 	spins := cfg.Initial
 	if spins == nil {
@@ -135,6 +148,7 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 		rowCost = func(i int) int64 { return int64(lat.RowNNZ(i)) * instrPerRowUpdate }
 	}
 
+	met := rng.NewMetropolis(n, 0)
 	res := &Result{}
 	start := time.Now()
 	done := ctx.Done()
@@ -149,11 +163,11 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 		if runErr != nil {
 			break
 		}
-		b := beta.At(float64(sweep) / float64(cfg.Sweeps))
+		met.SetBeta(beta.At(float64(sweep) / float64(cfg.Sweeps)))
 		for i := 0; i < n; i++ {
 			res.Attempts++
-			delta := lat.FlipDelta(spins, fields, i, muH[i])
-			if delta <= 0 || r.Float64() < math.Exp(-b*delta) {
+			delta := lattice.FlipDelta(spins, fields, i, muH[i])
+			if met.Accept(r, delta) {
 				old := float64(spins[i])
 				spins[i] = -spins[i]
 				lat.FlipFanout(fields, i, -2*old)
@@ -210,16 +224,17 @@ func SolveNaive(m *ising.Model, cfg Config) *Result {
 		spins = ising.CopySpins(spins)
 	}
 	energy := m.Energy(spins)
+	met := rng.NewMetropolis(n, 0)
 	res := &Result{}
 	start := time.Now()
 	for sweep := 0; sweep < cfg.Sweeps; sweep++ {
-		b := beta.At(float64(sweep) / float64(cfg.Sweeps))
+		met.SetBeta(beta.At(float64(sweep) / float64(cfg.Sweeps)))
 		for i := 0; i < n; i++ {
 			res.Attempts++
 			spins[i] = -spins[i]
 			proposed := m.Energy(spins)
 			delta := proposed - energy
-			if delta <= 0 || r.Float64() < math.Exp(-b*delta) {
+			if met.Accept(r, delta) {
 				energy = proposed
 				res.Flips++
 			} else {

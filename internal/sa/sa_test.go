@@ -292,3 +292,13 @@ func mustBuild(b *ising.Builder) *ising.Model {
 	}
 	return m
 }
+
+// BenchmarkSolveK256 is the solve the service daemon runs for a K256
+// SA request: 200 sweeps over the ±1 planes of graph.NewKGraph.
+func BenchmarkSolveK256(b *testing.B) {
+	m := graph.NewKGraph(256, rng.New(1)).Model
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Solve(m, Config{Sweeps: 200, Seed: uint64(i)})
+	}
+}
