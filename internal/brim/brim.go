@@ -182,8 +182,10 @@ type Machine struct {
 	// scratch buffers for RK4: k1–k3 the stage derivatives, k4 the last
 	// stage's mat-vec, vtmp the next stage's voltages; cand holds a step's
 	// candidate voltages so the guardrail can inspect them before any
-	// state commits.
-	k1, k2, k3, k4, vtmp, cand []float64
+	// state commits. noise holds a commit's thermal kicks (nil when
+	// NoiseAmp is 0) and crossed the nodes its readout flips.
+	k1, k2, k3, k4, vtmp, cand, noise []float64
+	crossed                           []int32
 }
 
 // New builds a machine for the model. The machine starts at random
@@ -210,6 +212,7 @@ func New(m *ising.Model, cfg Config) *Machine {
 
 		holdUntil:  make([]float64, n),
 		holdTarget: make([]int8, n),
+		crossed:    make([]int32, n),
 	}
 	// The six scratch vectors are carved from one allocation.
 	scratch := make([]float64, 6*n)
@@ -241,6 +244,9 @@ func New(m *ising.Model, cfg Config) *Machine {
 	if c.NoiseAmp < 0 {
 		panic(fmt.Sprintf("brim: NoiseAmp=%v", c.NoiseAmp))
 	}
+	if c.NoiseAmp > 0 {
+		ma.noise = make([]float64, n)
+	}
 	if c.DeviceVariation > 0 {
 		// Variation factors come from a fork so they do not disturb
 		// the main stream (and thus PRNG coordination).
@@ -248,8 +254,8 @@ func New(m *ising.Model, cfg Config) *Machine {
 		ma.latch.InvTauVar = make([]float64, n)
 		ma.latch.KappaVar = make([]float64, n)
 		for i := 0; i < n; i++ {
-			ma.latch.InvTauVar[i] = clampFactor(1 + c.DeviceVariation*vr.NormFloat64())
-			ma.latch.KappaVar[i] = clampFactor(1 + c.DeviceVariation*vr.NormFloat64())
+			ma.latch.InvTauVar[i] = clampFactor(1 + float64(c.DeviceVariation*vr.NormFloat64()))
+			ma.latch.KappaVar[i] = clampFactor(1 + float64(c.DeviceVariation*vr.NormFloat64()))
 		}
 	}
 	ma.nextFlip = c.FlipInterval
@@ -310,9 +316,10 @@ func (ma *Machine) Induce(i int) {
 // OnFlip installs a listener called on every readout change with the
 // node index, its new spin, and whether an induced kick caused it.
 // The fabric model subscribes here to generate update traffic. A flip
-// the dynamics caused is reported while its step commits, node by node:
-// the listener sees the step's time (Time), but must not read other
-// nodes' voltages, which may still be the previous step's.
+// the dynamics caused is reported once its whole step has committed, in
+// node order: the listener sees the step's time (Time) and every node's
+// voltage of that step (Voltages), and the spins of the nodes reported
+// before it.
 func (ma *Machine) OnFlip(f func(node int, newSpin int8, induced bool)) {
 	ma.flipListener = f
 }
@@ -438,7 +445,7 @@ func (e *DivergenceError) Error() string {
 // yields NaN — so checking the candidate catches stage blowups too.
 func (ma *Machine) trialStep(dt float64) (badNode int, badV float64) {
 	p := ma.progress(ma.t)
-	pm := ma.progress(ma.t + dt/2)
+	pm := ma.progress(ma.t + float64(dt/2))
 	pe := ma.progress(ma.t + dt)
 
 	ma.stage(ma.v, p, ma.k1, dt/2, ma.vtmp)
@@ -465,39 +472,25 @@ func (ma *Machine) trialStepEuler(dt float64) (badNode int, badV float64) {
 }
 
 // commitStep commits the candidate voltages of a clean trial as one
-// step of size dt: it advances time, then takes each node in index order
-// through the rails, the thermal kick (one draw per node, in index
-// order, when NoiseAmp is set), its kick hold and the readout
-// comparator.
+// step of size dt: it advances time, draws the thermal kicks (one per
+// node, in index order, when NoiseAmp is set), and lets the latch take
+// every node through the rails, its kick, its hold and the readout
+// comparator (lattice.Latch.Commit: four nodes per instruction where the
+// host has the lanes, the same bits on every host). Then it records the
+// flips the latch lists, in node order.
 func (ma *Machine) commitStep(dt float64) {
 	ma.t += dt
 	ma.steps++
-	amp := ma.cfg.NoiseAmp * math.Sqrt(dt)
+	if ma.noise != nil {
+		amp := ma.cfg.NoiseAmp * math.Sqrt(dt)
+		for i := range ma.noise {
+			ma.noise[i] = float64(amp * ma.r.NormFloat64())
+		}
+	}
 	th := ma.cfg.SpinThreshold
-	for i, v := range ma.cand {
-		v = clampRail(v)
-		if ma.cfg.NoiseAmp > 0 {
-			v = clampRail(v + amp*ma.r.NormFloat64())
-		}
-		if ma.holdUntil[i] > ma.t {
-			v = 0.8 * float64(ma.holdTarget[i])
-		}
-		ma.v[i] = v
-		if s := crossed(ma.spins[i], v, th); s != 0 {
-			ma.recordFlip(i, s, false)
-		}
+	for _, i := range ma.latch.Commit(ma.cand, ma.noise, ma.v, ma.holdUntil, ma.holdTarget, ma.spins, ma.t, th, ma.crossed) {
+		ma.recordFlip(int(i), lattice.Readout(ma.spins[i], ma.v[i], th), false)
 	}
-}
-
-// clampRail saturates a voltage at the supplies, ±1.
-func clampRail(v float64) float64 {
-	if v > 1 {
-		return 1
-	}
-	if v < -1 {
-		return -1
-	}
-	return v
 }
 
 // guardedStep advances one integration step of size dt with the
@@ -580,23 +573,10 @@ func (ma *Machine) TakeRetryLog() []RetryRecord {
 func (ma *Machine) updateReadout(induced bool) {
 	th := ma.cfg.SpinThreshold
 	for i, v := range ma.v {
-		if s := crossed(ma.spins[i], v, th); s != 0 {
+		if s := lattice.Readout(ma.spins[i], v, th); s != 0 {
 			ma.recordFlip(i, s, induced)
 		}
 	}
-}
-
-// crossed is the hysteresis comparator: the readout a node holding spin
-// s switches to at voltage v — only once v is past the opposite
-// threshold th — or 0 when it keeps s.
-func crossed(s int8, v, th float64) int8 {
-	if s >= 0 && v < -th {
-		return -1
-	}
-	if s <= 0 && v > th {
-		return 1
-	}
-	return 0
 }
 
 func (ma *Machine) recordFlip(i int, newSpin int8, induced bool) {

@@ -3,6 +3,7 @@ package brim
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"mbrim/internal/graph"
@@ -616,6 +617,61 @@ func TestCommitStepMatchesThreeLoops(t *testing.T) {
 	for i := range logs[0] {
 		if logs[0][i] != logs[1][i] {
 			t.Fatalf("flip %d: one pass %+v, three loops %+v", i, logs[0][i], logs[1][i])
+		}
+	}
+}
+
+// TestFlipListenerSeesCommittedStep pins OnFlip's contract: a flip the
+// dynamics caused is reported after the whole step has committed, so a
+// listener reading Voltages sees every node's voltage of that step — the
+// nodes after the flipped one included, which the step moved — on a noisy
+// machine with kicks held and on a quiet one.
+func TestFlipListenerSeesCommittedStep(t *testing.T) {
+	m := graph.Complete(37, rng.New(32)).ToIsing()
+	for _, cfg := range []Config{{Seed: 33}, {Seed: 34, NoiseAmp: 0.3, KickHoldNS: 2}} {
+		ma := New(m, cfg)
+		ma.SetHorizon(40)
+		var seen [][]float64
+		var nodes []int
+		ma.OnFlip(func(node int, _ int8, induced bool) {
+			if !induced {
+				seen = append(seen, slices.Clone(ma.Voltages()))
+				nodes = append(nodes, node)
+			}
+		})
+		before := make([]float64, ma.N())
+		flips, later := 0, 0
+		for step := 0; step < 400; step++ {
+			if step%7 == 0 {
+				ma.Induce(step % 37)
+			}
+			if step%20 == 0 {
+				ma.induceFlips()
+			}
+			copy(before, ma.v)
+			seen, nodes = seen[:0], nodes[:0]
+			if bad, _ := ma.trialStep(ma.cfg.Dt); bad >= 0 {
+				t.Fatalf("step %d diverged at node %d", step, bad)
+			}
+			ma.commitStep(ma.cfg.Dt)
+			for k, v := range seen {
+				for i := range v {
+					if math.Float64bits(v[i]) != math.Float64bits(ma.v[i]) {
+						t.Fatalf("noise=%v step %d: the listener for node %d saw node %d at %v, the step committed %v",
+							cfg.NoiseAmp, step, nodes[k], i, v[i], ma.v[i])
+					}
+				}
+				for i := nodes[k] + 1; i < len(v); i++ {
+					if v[i] != before[i] {
+						later++
+						break
+					}
+				}
+			}
+			flips += len(seen)
+		}
+		if flips == 0 || later == 0 {
+			t.Fatalf("noise=%v: %d dynamics flips, %d with a later node moved: nothing to check", cfg.NoiseAmp, flips, later)
 		}
 	}
 }

@@ -261,3 +261,55 @@ func BenchmarkPackedFields(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCommit prices the end of one BRIM step, Latch.Commit, on the
+// chips k256_mbrim4 (n = 64) and sparse1k_mbrim4 (n = 256) step: the Go
+// form (what every node took before the lanes) and the lanes (AVX hosts
+// only). The state is a noiseless chip mid-run: candidates between the
+// rails, past them and on them, about one hold in ten live and a few
+// crossings. v is all it writes, so every iteration commits the same step.
+func BenchmarkCommit(b *testing.B) {
+	for _, n := range []int{64, 256} {
+		r := rng.New(7)
+		const t, th = 10.0, 0.1
+		cand, v, holdUntil := make([]float64, n), make([]float64, n), make([]float64, n)
+		holdTarget, spins, crossed := make([]int8, n), make([]int8, n), make([]int32, n)
+		for i := range cand {
+			cand[i] = []float64{1, -1, 1.02, -1.02, 0.97, -0.97, 0.4, -0.4}[r.Intn(8)] * (1 - 0.01*r.Float64())
+			if r.Intn(4) == 0 {
+				cand[i] = float64(2*r.Intn(2) - 1)
+			}
+			spins[i] = 1
+			if cand[i] < 0 {
+				spins[i] = -1
+			}
+			if i%16 == 5 {
+				spins[i] = -spins[i]
+			}
+			// A live hold drives its node at the spin its kick set.
+			holdUntil[i] = t - r.Float64()
+			if r.Intn(10) == 0 {
+				holdUntil[i], holdTarget[i] = t+r.Float64(), spins[i]
+			}
+		}
+		var l Latch
+		arms := []struct {
+			name string
+			avx  bool
+		}{{"go", false}, {"lanes", true}}
+		for _, arm := range arms {
+			if arm.avx && !useAVX {
+				continue
+			}
+			b.Run(fmt.Sprintf("%s/n=%d", arm.name, n), func(b *testing.B) {
+				detected := useAVX
+				defer func() { useAVX = detected }()
+				useAVX = arm.avx
+				for b.Loop() {
+					l.Commit(cand, nil, v, holdUntil, holdTarget, spins, t, th, crossed)
+				}
+			})
+		}
+		b.Logf("n=%d: %d of %d nodes cross", n, len(l.Commit(cand, nil, v, holdUntil, holdTarget, spins, t, th, crossed)), n)
+	}
+}

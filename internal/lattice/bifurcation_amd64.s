@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 DATA sbmOne<>+0(SB)/8, $0x3ff0000000000000

@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // fanBit holds, in byte lane l of a 16-byte group, bit l mod 8; fanShuf

@@ -114,3 +114,75 @@ func (l *Latch) Final(v, v0, k1, k2, k3, k4, cand []float64, kappa, h, limit flo
 	}
 	return bad
 }
+
+// Readout is a BRIM node's hysteresis comparator: the spin a node holding
+// s switches to at voltage v — −1 once v is below −th, +1 once it is
+// above th, the opposite threshold of its spin — or 0 when it keeps s.
+func Readout(s int8, v, th float64) int8 {
+	if s >= 0 && v < -th {
+		return -1
+	}
+	if s <= 0 && v > th {
+		return 1
+	}
+	return 0
+}
+
+// rail saturates a voltage at the supplies, ±1. A NaN, ±0 and anything
+// between the rails come back as they were.
+func rail(v float64) float64 {
+	if v > 1 {
+		return 1
+	}
+	if v < -1 {
+		return -1
+	}
+	return v
+}
+
+// commit is node i's committed voltage from its candidate c: the form
+// that defines the bits. It takes c to the rails, adds the node's noise
+// and takes the sum to the rails again where noise is not nil, and holds
+// the node at 0.8·holdTarget[i] while holdUntil[i] is past t; latchCommit
+// is the same operations in the same order four nodes at a time.
+func commit(c float64, i int, noise, holdUntil []float64, holdTarget []int8, t float64) float64 {
+	c = rail(c)
+	if noise != nil {
+		c = rail(c + noise[i])
+	}
+	if holdUntil[i] > t {
+		c = float64(0.8 * float64(holdTarget[i]))
+	}
+	return c
+}
+
+// Commit ends a BRIM step at time t: it writes every node's committed
+// voltage, commit of its candidate cand[i], to v — noise nil for a
+// noiseless machine — and returns crossed[:k], the k nodes whose
+// committed voltage Readout says moves their spin, ascending. It writes
+// nothing else: spins is read, and the caller records the flips. Every
+// slice must have len(cand) entries, and those of crossed past k may be
+// overwritten. On an AVX host the whole groups of four go through
+// latchCommit and the rest through commit — the same bits either way, a
+// NaN's included.
+func (l *Latch) Commit(cand, noise, v, holdUntil []float64, holdTarget, spins []int8, t, th float64, crossed []int32) []int32 {
+	n := len(cand)
+	v, holdUntil, holdTarget, spins, crossed = v[:n], holdUntil[:n], holdTarget[:n], spins[:n], crossed[:n]
+	if noise != nil {
+		noise = noise[:n]
+	}
+	i, k := 0, 0
+	if groups := n / 4; useAVX && groups > 0 {
+		k = latchCommit(&cand[0], first(noise), &v[0], &holdUntil[0], &holdTarget[0], &spins[0], &crossed[0], groups, t, th)
+		i = groups * 4
+	}
+	for ; i < n; i++ {
+		x := commit(cand[i], i, noise, holdUntil, holdTarget, t)
+		v[i] = x
+		if Readout(spins[i], x, th) != 0 {
+			crossed[k] = int32(i)
+			k++
+		}
+	}
+	return crossed[:k]
+}

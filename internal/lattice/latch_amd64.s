@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 #include "tanh_amd64.h"
@@ -207,3 +209,7 @@ done:
 	// size can move it (ROADMAP 1(b)). They belong in this file because
 	// its text is linked into bench; tanh_amd64.s's is not, since nothing
 	// outside the tests calls Tanh.
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC

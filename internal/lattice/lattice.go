@@ -265,6 +265,25 @@
 // entry, whose sign no plane keeps, is floats and walks. FuzzFanOutPlanes and
 // TestKeptFieldsMatchFields hold both to their Go forms by Float64bits
 // on both kernels, and TestFlipFanoutKeepsZeroSigns pins the zero rule.
+//
+// # The commit
+//
+// A BRIM step ends pointwise too (Latch.Commit, latch.go): each node's
+// candidate to the rails, its thermal kick and the rails again on a noisy
+// machine, the kick hold, and the readout — the nodes whose committed
+// voltage Readout, the hysteresis comparator, says flip, listed in order.
+// commit and Readout are the form that defines the bits. The seventh lane
+// kernel, latchCommit (commit_amd64.s), is its twin with nothing branching
+// on a value: the rails by VMAXPD and VMINPD with the candidate their
+// second source, so a NaN keeps its payload and −0 its sign as the Go
+// form's branches keep them; the holds by compare and blend; the readout
+// by four-bit masks of v's compares and the spin bytes' signs and zeros;
+// the list through a table of lane lists. FuzzCommit holds it to the Go
+// form by Float64bits, every NaN's payload included, on both kernels, at
+// every length 0–17 and offset mod 4.
+//
+// The purego build tag leaves every lane kernel out: the Go forms alone,
+// on any host.
 package lattice
 
 import "fmt"

@@ -1,3 +1,5 @@
+//go:build !purego
+
 package lattice
 
 // sweep32 adds rows [0, rows) of a column sweep to 32 parked sums:
@@ -38,6 +40,14 @@ func latchFinal(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa,
 //
 //go:noescape
 func sbmStep(x, y, f *float64, spins *int8, flipped *int32, groups int, ma, c0, dt, a0 float64) int
+
+// latchCommit is Latch.Commit over 4·groups nodes, four doubles per
+// packed instruction with commit's operations, order and roundings and
+// Readout's compares (commit_amd64.s); noise is nil for a noiseless
+// machine. It returns how many nodes it wrote to crossed.
+//
+//go:noescape
+func latchCommit(cand, noise, v, holdUntil *float64, holdTarget, spins *int8, crossed *int32, groups int, t, th float64) int
 
 // csrLanes fills out[order[p]] for the 4·groups positions p of whole
 // lane groups of one window (csr.go): each lane starts at base[row] (+0

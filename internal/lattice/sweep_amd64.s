@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // func sweep32(col *float64, stride uintptr, x *float64, rows int, acc *float64)

@@ -1,12 +1,14 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package lattice
 
-// No packed lanes off amd64: useAVX is never true, so dense.MatVecRange
-// never reaches sweep32, csr.MatVecRange never reaches csrLanes, Tanh
-// never reaches tanhLanes, a Latch never reaches latchStage or latchFinal,
-// a Bifurcation never reaches sbmStep and neither KeptFields.Flip nor
-// dense.FlipFanout reaches fanOutLanes.
+// No packed lanes off amd64, nor under the purego tag, which builds the
+// Go forms alone on any host (go test -tags purego ./... runs every
+// golden through them): useAVX is never true, so dense.MatVecRange never
+// reaches sweep32, csr.MatVecRange never reaches csrLanes, Tanh never
+// reaches tanhLanes, a Latch never reaches latchStage, latchFinal or
+// latchCommit, a Bifurcation never reaches sbmStep and neither
+// KeptFields.Flip nor dense.FlipFanout reaches fanOutLanes.
 var useAVX = false
 
 func sweep32(col *float64, stride uintptr, x *float64, rows int, acc *float64) {
@@ -27,6 +29,10 @@ func latchStage(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa,
 
 func latchFinal(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int {
 	panic("lattice: latchFinal without AVX")
+}
+
+func latchCommit(cand, noise, v, holdUntil *float64, holdTarget, spins *int8, crossed *int32, groups int, t, th float64) int {
+	panic("lattice: latchCommit without AVX")
 }
 
 func sbmStep(x, y, f *float64, spins *int8, flipped *int32, groups int, ma, c0, dt, a0 float64) int {

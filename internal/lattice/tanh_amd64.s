@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 #include "tanh_amd64.h"
