@@ -403,27 +403,19 @@ func BenchmarkSparseVsDenseSA(b *testing.B) {
 	}
 }
 
-// MultiChipSBM: the paper's comparator architecture at two staleness
-// levels.
+// MultiChipSBM: the paper's comparator architecture, exchanging
+// positions after every step.
 func BenchmarkMultiChipSBM(b *testing.B) {
 	g, m := benchGraph(256, 16)
-	for _, ee := range []int{1, 50} {
-		name := "ExchangeEvery1"
-		if ee == 50 {
-			name = "ExchangeEvery50"
-		}
-		b.Run(name, func(b *testing.B) {
-			var cut float64
-			for i := 0; i < b.N; i++ {
-				res := sbm.SolveMultiChip(m, sbm.MultiChipConfig{
-					Config: sbm.Config{Variant: sbm.Ballistic, Steps: 200, Seed: uint64(i)},
-					Chips:  4, ExchangeEvery: ee,
-				})
-				cut = g.CutValue(res.Spins)
-			}
-			b.ReportMetric(cut, "cut")
+	var cut float64
+	for i := 0; i < b.N; i++ {
+		res := sbm.SolveMultiChip(m, sbm.MultiChipConfig{
+			Config: sbm.Config{Variant: sbm.Ballistic, Steps: 200, Seed: uint64(i)},
+			Chips:  4,
 		})
+		cut = g.CutValue(res.Spins)
 	}
+	b.ReportMetric(cut, "cut")
 }
 
 // HostParallelism: wall-time effect of per-chip goroutines (results

@@ -28,7 +28,7 @@
 // # Annealing
 //
 // To escape local minima, the machine stochastically induces spin flips
-// (Sec 5.4.2): every FlipInterval of model time, each node flips with a
+// (Sec 5.4.2): every 0.5·Tau of model time, each node flips with a
 // probability from a decaying schedule. The draw is made from the
 // machine's PRNG in a fixed order, so two machines holding clones of
 // the same PRNG induce identical flips — the property the coordinated
@@ -52,26 +52,33 @@ import (
 	"mbrim/internal/sched"
 )
 
+// The circuit's fixed operating point: one tuned design, as the paper
+// models (Sec 6.1, which notes that schedule tuning has significant
+// impact; these were tuned on seeded K-graphs). Its times scale with
+// Config.Tau: the RK4 step is 0.05·Tau and induced flips are drawn
+// every 0.5·Tau.
+const (
+	// gamma is the feedback sharpness (tanh slope).
+	gamma = 1.5
+	// spinThreshold is the hysteresis level of the digital readout: the
+	// discrete spin changes only when the voltage crosses the opposite
+	// threshold.
+	spinThreshold = 0.1
+)
+
+// feedbackGain is the κ(t) schedule over run progress: 0.05 → 1.2
+// linearly, nearly free analog exploration early, firm digitization by
+// the end.
+var feedbackGain = sched.Linear{From: 0.05, To: 1.2}
+
 // Config parameterizes a machine. The zero value of most fields
 // selects a sensible default; see each field.
 type Config struct {
-	// Dt is the RK4 step in ns. Default 0.05·Tau.
-	Dt float64
 	// Tau is the RC time constant in ns. Default 1.
 	Tau float64
-	// Gamma is the feedback sharpness (tanh slope). Default 1.5.
-	Gamma float64
-	// FeedbackGain is the κ(t) schedule over run progress. Default
-	// ramps 0.05 → 1.2 linearly: nearly free analog exploration early,
-	// firm digitization by the end. (Defaults tuned on seeded K-graphs;
-	// the paper notes schedule tuning has significant impact, Sec 6.1.)
-	FeedbackGain sched.Schedule
 	// InducedFlip is the per-node flip probability schedule over run
-	// progress, drawn every FlipInterval. Default decays 0.08 → 0.
+	// progress, drawn every 0.5·Tau. Default decays 0.08 → 0.
 	InducedFlip sched.Schedule
-	// FlipInterval is the model time between induced-flip draws, in
-	// ns. Default = Tau/2.
-	FlipInterval float64
 	// KickHoldNS is how long the annealing control actively drives a
 	// kicked node at its new rail before releasing it to the analog
 	// dynamics. Holding the pulse lets the rest of the network adapt,
@@ -87,10 +94,6 @@ type Config struct {
 	Scale float64
 	// Seed drives induced flips and the random initial voltages.
 	Seed uint64
-	// SpinThreshold is the hysteresis level for the digital readout:
-	// the discrete spin changes only when the voltage crosses the
-	// opposite threshold. Default 0.1.
-	SpinThreshold float64
 	// DeviceVariation is the relative σ of per-node process variation:
 	// each node's time constant and feedback gain are scaled by
 	// independent factors drawn from N(1, σ) at construction (clamped
@@ -114,32 +117,17 @@ func (c *Config) withDefaults() Config {
 	if out.Tau == 0 {
 		out.Tau = 1
 	}
-	if out.Dt == 0 {
-		out.Dt = 0.05 * out.Tau
-	}
-	if out.Gamma == 0 {
-		out.Gamma = 1.5
-	}
-	if out.FeedbackGain == nil {
-		out.FeedbackGain = sched.Linear{From: 0.05, To: 1.2}
-	}
 	if out.InducedFlip == nil {
 		out.InducedFlip = sched.Linear{From: 0.08, To: 0}
-	}
-	if out.FlipInterval == 0 {
-		out.FlipInterval = 0.5 * out.Tau
 	}
 	if out.KickHoldNS == 0 {
 		out.KickHoldNS = 0.5 * out.Tau
 	}
-	if out.SpinThreshold == 0 {
-		out.SpinThreshold = 0.1
-	}
 	if out.MaxStepRetries == 0 {
 		out.MaxStepRetries = defaultMaxStepRetries
 	}
-	if out.Dt <= 0 || out.Tau <= 0 || out.FlipInterval <= 0 {
-		panic(fmt.Sprintf("brim: non-positive time parameter: %+v", out))
+	if out.Tau <= 0 {
+		panic(fmt.Sprintf("brim: Tau=%v", out.Tau))
 	}
 	return out
 }
@@ -162,6 +150,9 @@ type Machine struct {
 	t        float64 // model time, ns
 	horizon  float64 // total planned duration, for schedule progress
 	nextFlip float64 // model time of the next induced-flip draw
+	// dt is the RK4 step, 0.05·Tau; flipInterval the model time between
+	// induced-flip draws, 0.5·Tau.
+	dt, flipInterval float64
 
 	flips        int64 // readout sign changes (all causes)
 	induced      int64 // flips whose proximate cause was an induced kick
@@ -210,6 +201,9 @@ func New(m *ising.Model, cfg Config) *Machine {
 		v:     make([]float64, n),
 		spins: make([]int8, n),
 
+		dt:           0.05 * c.Tau,
+		flipInterval: 0.5 * c.Tau,
+
 		holdUntil:  make([]float64, n),
 		holdTarget: make([]int8, n),
 		crossed:    make([]int32, n),
@@ -229,7 +223,7 @@ func New(m *ising.Model, cfg Config) *Machine {
 	// multiplies floats by floats, and a ±1 model stores bits.
 	stored := m.View(lattice.Auto)
 	ma.lat = lattice.Floats(lattice.Convert(stored, stored.Kind(), scale))
-	ma.latch = lattice.Latch{Gamma: c.Gamma, InvTau: 1 / c.Tau, Bias: make([]float64, n), Ext: make([]float64, n)}
+	ma.latch = lattice.Latch{Gamma: gamma, InvTau: 1 / c.Tau, Bias: make([]float64, n), Ext: make([]float64, n)}
 	for i, b := range m.MuH() {
 		ma.latch.Bias[i] = b / scale
 	}
@@ -258,7 +252,7 @@ func New(m *ising.Model, cfg Config) *Machine {
 			ma.latch.KappaVar[i] = clampFactor(1 + float64(c.DeviceVariation*vr.NormFloat64()))
 		}
 	}
-	ma.nextFlip = c.FlipInterval
+	ma.nextFlip = ma.flipInterval
 	return ma
 }
 
@@ -379,7 +373,7 @@ func (ma *Machine) ExternalBias() []float64 { return ma.latch.Ext }
 // on every host). next may be v.
 func (ma *Machine) stage(v []float64, p float64, k []float64, c float64, next []float64) {
 	ma.lat.MatVecRange(v, nil, k, 0, ma.n)
-	ma.latch.Stage(v, ma.v, k, next, ma.cfg.FeedbackGain.At(p), c, 0, ma.n)
+	ma.latch.Stage(v, ma.v, k, next, feedbackGain.At(p), c, 0, ma.n)
 }
 
 // clampFactor keeps a process-variation factor physical.
@@ -452,7 +446,7 @@ func (ma *Machine) trialStep(dt float64) (badNode int, badV float64) {
 	ma.stage(ma.vtmp, pm, ma.k2, dt/2, ma.vtmp)
 	ma.stage(ma.vtmp, pm, ma.k3, dt, ma.vtmp)
 	ma.lat.MatVecRange(ma.vtmp, nil, ma.k4, 0, ma.n)
-	bad := ma.latch.Final(ma.vtmp, ma.v, ma.k1, ma.k2, ma.k3, ma.k4, ma.cand, ma.cfg.FeedbackGain.At(pe), dt/6, blowupLimit)
+	bad := ma.latch.Final(ma.vtmp, ma.v, ma.k1, ma.k2, ma.k3, ma.k4, ma.cand, feedbackGain.At(pe), dt/6, blowupLimit)
 	if bad < 0 {
 		return -1, 0
 	}
@@ -487,9 +481,8 @@ func (ma *Machine) commitStep(dt float64) {
 			ma.noise[i] = float64(amp * ma.r.NormFloat64())
 		}
 	}
-	th := ma.cfg.SpinThreshold
-	for _, i := range ma.latch.Commit(ma.cand, ma.noise, ma.v, ma.holdUntil, ma.holdTarget, ma.spins, ma.t, th, ma.crossed) {
-		ma.recordFlip(int(i), lattice.Readout(ma.spins[i], ma.v[i], th), false)
+	for _, i := range ma.latch.Commit(ma.cand, ma.noise, ma.v, ma.holdUntil, ma.holdTarget, ma.spins, ma.t, spinThreshold, ma.crossed) {
+		ma.recordFlip(int(i), lattice.Readout(ma.spins[i], ma.v[i], spinThreshold), false)
 	}
 }
 
@@ -571,9 +564,8 @@ func (ma *Machine) TakeRetryLog() []RetryRecord {
 // updateReadout applies the hysteresis comparator to every node and
 // fires flip events.
 func (ma *Machine) updateReadout(induced bool) {
-	th := ma.cfg.SpinThreshold
 	for i, v := range ma.v {
-		if s := lattice.Readout(ma.spins[i], v, th); s != 0 {
+		if s := lattice.Readout(ma.spins[i], v, spinThreshold); s != 0 {
 			ma.recordFlip(i, s, induced)
 		}
 	}
@@ -662,7 +654,7 @@ func (ma *Machine) run(ctx context.Context, duration float64, trial func(float64
 			next = ma.nextFlip
 		}
 		for ma.t < next-eps {
-			dt := ma.cfg.Dt
+			dt := ma.dt
 			if ma.t+dt > next {
 				dt = next - ma.t
 			}
@@ -672,7 +664,7 @@ func (ma *Machine) run(ctx context.Context, duration float64, trial func(float64
 		}
 		if ma.t >= ma.nextFlip-eps {
 			ma.induceFlips()
-			ma.nextFlip += ma.cfg.FlipInterval
+			ma.nextFlip += ma.flipInterval
 		}
 	}
 	return nil

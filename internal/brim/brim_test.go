@@ -297,13 +297,13 @@ func TestEulerRunsAndStaysBounded(t *testing.T) {
 func TestPanics(t *testing.T) {
 	m := ferromagnet(4)
 	for name, f := range map[string]func(){
-		"zero duration":   func() { Solve(m, SolveConfig{Duration: 0}) },
-		"zero runs":       func() { SolveBatchCtx(context.Background(), m, SolveConfig{Duration: 1}, 0) },
-		"neg run":         func() { New(m, Config{}).Run(-1) },
-		"bad bias len":    func() { New(m, Config{}).SetExternalBias([]float64{1}) },
-		"bad spins len":   func() { New(m, Config{}).SetSpins([]int8{1}) },
-		"bad horizon":     func() { New(m, Config{}).SetHorizon(0) },
-		"negative dt cfg": func() { New(m, Config{Dt: -1}) },
+		"zero duration":    func() { Solve(m, SolveConfig{Duration: 0}) },
+		"zero runs":        func() { SolveBatchCtx(context.Background(), m, SolveConfig{Duration: 1}, 0) },
+		"neg run":          func() { New(m, Config{}).Run(-1) },
+		"bad bias len":     func() { New(m, Config{}).SetExternalBias([]float64{1}) },
+		"bad spins len":    func() { New(m, Config{}).SetSpins([]int8{1}) },
+		"bad horizon":      func() { New(m, Config{}).SetHorizon(0) },
+		"negative tau cfg": func() { New(m, Config{Tau: -1}) },
 	} {
 		func() {
 			defer func() {
@@ -373,11 +373,11 @@ func BenchmarkStepSparse256(b *testing.B) {
 
 func benchStep(b *testing.B, m *ising.Model) {
 	ma := New(m, Config{Seed: 1})
-	ma.SetHorizon(float64(b.N) * ma.cfg.Dt)
+	ma.SetHorizon(float64(b.N) * ma.dt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if bad, _ := ma.trialStep(ma.cfg.Dt); bad < 0 {
-			ma.commitStep(ma.cfg.Dt)
+		if bad, _ := ma.trialStep(ma.dt); bad < 0 {
+			ma.commitStep(ma.dt)
 		}
 	}
 }
@@ -434,11 +434,11 @@ func TestRunDoesNotAllocate(t *testing.T) {
 // each product rounded on its own.
 func refDeriv(ma *Machine, v []float64, p float64) []float64 {
 	out, one := make([]float64, ma.n), make([]float64, 1)
-	kappa := ma.cfg.FeedbackGain.At(p)
+	kappa := feedbackGain.At(p)
 	l := &ma.latch
 	for i := range out {
 		ma.lat.MatVecRange(v, nil, out, i, i+1)
-		one[0] = ma.cfg.Gamma * v[i]
+		one[0] = gamma * v[i]
 		lattice.Tanh(one)
 		acc := out[i]
 		acc += l.Bias[i] + l.Ext[i]
@@ -502,7 +502,7 @@ func TestDerivBitsIndependentOfPlacement(t *testing.T) {
 			k, next := make([]float64, n), make([]float64, n)
 			ma.stage(v, p, k, c, next)
 			check("stage", k, next)
-			kappa := ma.cfg.FeedbackGain.At(p)
+			kappa := feedbackGain.At(p)
 			for _, cut := range []int{1, 2, 3, n / 2, n - 1} {
 				clear(k)
 				clear(next)
@@ -577,7 +577,7 @@ func TestCommitStepMatchesThreeLoops(t *testing.T) {
 		machines[s] = ma
 	}
 	one, three := machines[0], machines[1]
-	dt := one.cfg.Dt
+	dt := one.dt
 	held := 0
 	for step := 0; step < 400; step++ {
 		if step%7 == 0 {
@@ -650,10 +650,10 @@ func TestFlipListenerSeesCommittedStep(t *testing.T) {
 			}
 			copy(before, ma.v)
 			seen, nodes = seen[:0], nodes[:0]
-			if bad, _ := ma.trialStep(ma.cfg.Dt); bad >= 0 {
+			if bad, _ := ma.trialStep(ma.dt); bad >= 0 {
 				t.Fatalf("step %d diverged at node %d", step, bad)
 			}
-			ma.commitStep(ma.cfg.Dt)
+			ma.commitStep(ma.dt)
 			for k, v := range seen {
 				for i := range v {
 					if math.Float64bits(v[i]) != math.Float64bits(ma.v[i]) {

@@ -48,10 +48,6 @@ type SolveConfig struct {
 	Spans *obs.Spanner
 	// SpanParent is the enclosing interval (zero = root).
 	SpanParent obs.Span
-	// SpanOffsetNS shifts the run's intervals on the trace timeline —
-	// batch drivers lay runs end to end with it, since each machine's
-	// own model clock starts at zero.
-	SpanOffsetNS float64
 }
 
 // Solve runs one annealing job on a fresh machine and reports the
@@ -73,6 +69,13 @@ func Solve(m *ising.Model, cfg SolveConfig) *Result {
 // *DivergenceError. The result is always non-nil and internally
 // consistent.
 func SolveCtx(ctx context.Context, m *ising.Model, cfg SolveConfig) (*Result, error) {
+	return solve(ctx, m, cfg, 0)
+}
+
+// solve is SolveCtx with the run's intervals shifted by offsetNS on the
+// trace timeline: a batch lays its runs end to end, since each
+// machine's own model clock starts at zero.
+func solve(ctx context.Context, m *ising.Model, cfg SolveConfig, offsetNS float64) (*Result, error) {
 	if cfg.Duration <= 0 {
 		panic(fmt.Sprintf("brim: Duration=%v", cfg.Duration))
 	}
@@ -86,7 +89,7 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg SolveConfig) (*Result, er
 	}
 	var runSpan obs.Span
 	if cfg.Spans != nil {
-		runSpan = cfg.Spans.Start("brim_run", cfg.SpanParent, -1, cfg.SpanOffsetNS)
+		runSpan = cfg.Spans.Start("brim_run", cfg.SpanParent, -1, offsetNS)
 		ma.SetRetryLog(true)
 	}
 	res := &Result{}
@@ -124,9 +127,9 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg SolveConfig) (*Result, er
 	if cfg.Spans != nil {
 		for _, rr := range ma.TakeRetryLog() {
 			cfg.Spans.Complete("rk4_retry", runSpan, -1,
-				cfg.SpanOffsetNS+rr.TimeNS, 0, 0, &obs.Event{Count: int64(rr.Retries), Aux: rr.FinalDt})
+				offsetNS+rr.TimeNS, 0, 0, &obs.Event{Count: int64(rr.Retries), Aux: rr.FinalDt})
 		}
-		runSpan.End(cfg.SpanOffsetNS+ma.Time(), &obs.Event{Count: res.Flips})
+		runSpan.End(offsetNS+ma.Time(), &obs.Event{Count: res.Flips})
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Counter("brim.runs").Inc()
@@ -148,12 +151,11 @@ func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg SolveConfig, runs in
 	if runs < 1 {
 		panic(fmt.Sprintf("brim: runs=%d", runs))
 	}
-	offset := cfg.SpanOffsetNS
+	offset := 0.0
 	for i := 0; i < runs; i++ {
 		c := cfg
 		c.Seed = cfg.Seed + uint64(i)
-		c.SpanOffsetNS = offset
-		res, rerr := SolveCtx(ctx, m, c)
+		res, rerr := solve(ctx, m, c, offset)
 		offset += res.ModelNS
 		all = append(all, res)
 		if best == nil || res.Energy < best.Energy {

@@ -113,13 +113,13 @@ func (ma *Machine) Restore(st *State) error {
 		math.IsNaN(st.NextFlip) || math.IsInf(st.NextFlip, 0) || st.NextFlip < 0 {
 		return fmt.Errorf("brim: state times t=%v horizon=%v nextFlip=%v", st.T, st.Horizon, st.NextFlip)
 	}
-	// The advance loop walks t forward by Dt and nextFlip forward by
-	// FlipInterval until they pass each other: a t too large for Dt to
+	// The advance loop walks t forward by dt and nextFlip forward by the
+	// flip interval until they pass each other: a t too large for dt to
 	// resolve against, or a nextFlip far behind t, would spin it
 	// (practically) forever. A real machine's draw is always ahead of
 	// its clock.
-	if st.T > ma.cfg.Dt*(1<<40) || st.NextFlip < st.T-1e-9 {
-		return fmt.Errorf("brim: state clock t=%v nextFlip=%v cannot be advanced with dt=%v", st.T, st.NextFlip, ma.cfg.Dt)
+	if st.T > ma.dt*(1<<40) || st.NextFlip < st.T-1e-9 {
+		return fmt.Errorf("brim: state clock t=%v nextFlip=%v cannot be advanced with dt=%v", st.T, st.NextFlip, ma.dt)
 	}
 	if st.Flips < 0 || st.Induced < 0 || st.Steps < 0 || st.StepRetries < 0 {
 		return errors.New("brim: negative state counters")

@@ -31,7 +31,7 @@ func hotEvents(epoch int) []obs.Event {
 // grows by doubling, which lands far below one allocation an event over
 // the 1 000 measured.
 func TestReducerEmitAllocatesNothing(t *testing.T) {
-	r := diag.New(diag.Config{Registry: obs.NewRegistry(), RunID: "run-1", PlateauWindowNS: 50})
+	r := diag.New(diag.Config{Registry: obs.NewRegistry(), RunID: "run-1"})
 	for _, e := range hotEvents(1) {
 		r.Emit(e)
 	}
@@ -81,8 +81,10 @@ func TestReleasedReducerRegistersNothing(t *testing.T) {
 // plateauScan is the plateau verdict as a scan of every sample, the
 // definition the Reducer's running window must reproduce: the lowest
 // energy at or before the window start, when some sample lies there,
-// against the best so far.
-func plateauScan(ts, es []float64, best, window, eps float64) bool {
+// against the best so far, over the Reducer's 1 000 ns window at a
+// relative 1e-3.
+func plateauScan(ts, es []float64, best float64) bool {
+	const window, eps = 1000, 1e-3
 	n := len(ts)
 	if n < 2 {
 		return false
@@ -114,10 +116,9 @@ func plateauScan(ts, es []float64, best, window, eps float64) bool {
 func TestPlateauMatchesScan(t *testing.T) {
 	src := rng.New(5)
 	for trace := 0; trace < 300; trace++ {
-		window := []float64{1, 10, 100}[src.Intn(3)]
-		eps := []float64{1e-3, 0.1}[src.Intn(2)]
+		const window = 1000
 		reg := obs.NewRegistry()
-		r := diag.New(diag.Config{Registry: reg, RunID: "r", PlateauWindowNS: window, PlateauEpsilon: eps})
+		r := diag.New(diag.Config{Registry: reg, RunID: "r"})
 		var ts, es []float64
 		best, tm, e := 0.0, 0.0, 0.0
 		for k := 0; k < 1+src.Intn(200); k++ {
@@ -149,14 +150,14 @@ func TestPlateauMatchesScan(t *testing.T) {
 			}
 			ts, es = append(ts, tm), append(es, e)
 			want := 0.0
-			if plateauScan(ts, es, best, window, eps) {
+			if plateauScan(ts, es, best) {
 				want = 1
 			}
 			if got := reg.GaugeWith("diag.plateau", obs.Labels{"run": "r"}).Value(); got != want {
-				t.Fatalf("trace %d sample %d (t=%v e=%v, window %v): diag.plateau %v, the scan says %v", trace, k, tm, e, window, got, want)
+				t.Fatalf("trace %d sample %d (t=%v e=%v): diag.plateau %v, the scan says %v", trace, k, tm, e, got, want)
 			}
 		}
-		if got, want := r.Snapshot().Plateaued, plateauScan(ts, es, best, window, eps); got != want {
+		if got, want := r.Snapshot().Plateaued, plateauScan(ts, es, best); got != want {
 			t.Fatalf("trace %d: Snapshot plateaued %v, the scan says %v", trace, got, want)
 		}
 	}

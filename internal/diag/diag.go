@@ -35,37 +35,24 @@ import (
 	"mbrim/internal/obs"
 )
 
+// The trajectory's fixed analytics. The energy is plateaued when it
+// failed to improve by plateauEpsilon (relative) over the last
+// plateauWindowNS of model time; the live TTS estimate chunks
+// consecutive samples into trials of trialSamples.
+const (
+	plateauWindowNS = 1000
+	plateauEpsilon  = 1e-3
+	trialSamples    = 8
+)
+
 // Config parameterizes a Reducer. The zero value is usable.
 type Config struct {
-	// PlateauWindowNS is the model-time window over which the energy
-	// trajectory must improve by at least PlateauEpsilon (relative) to
-	// not be considered plateaued. Default 1000 model ns.
-	PlateauWindowNS float64
-	// PlateauEpsilon is the relative improvement threshold. Default 1e-3.
-	PlateauEpsilon float64
-
-	// TrialSamples is how many consecutive trajectory samples form one
-	// TTS trial window. Default 8.
-	TrialSamples int
-
 	// Registry, when set, receives labeled gauge series mirroring the
 	// snapshot: diag.pair_disagreement{run,from,to}, diag.plateau{run},
 	// diag.best_staleness_ns{run}, diag.sync_cost_bytes{run} and
 	// diag.stall_ns{run}. RunID is the "run" label value.
 	Registry *obs.Registry
 	RunID    string
-}
-
-func (c *Config) defaults() {
-	if c.PlateauWindowNS <= 0 {
-		c.PlateauWindowNS = 1000
-	}
-	if c.PlateauEpsilon <= 0 {
-		c.PlateauEpsilon = 1e-3
-	}
-	if c.TrialSamples <= 0 {
-		c.TrialSamples = 8
-	}
 }
 
 // sample is one (model time, energy) trajectory point.
@@ -166,10 +153,9 @@ type entrantAcc struct {
 
 // New returns a Reducer with the given configuration.
 func New(cfg Config) *Reducer {
-	cfg.defaults()
 	if reg := cfg.Registry; reg != nil {
 		reg.SetHelp("diag.pair_disagreement", "Latest shadow-spin disagreement fraction per directed chip pair (observer from, owner to).")
-		reg.SetHelp("diag.plateau", "1 when the energy trajectory is plateaued over the configured window, else 0.")
+		reg.SetHelp("diag.plateau", "1 when the energy trajectory is plateaued over the last 1000 model ns, else 0.")
 		reg.SetHelp("diag.best_staleness_ns", "Model time since the best-so-far energy last improved.")
 		reg.SetHelp("diag.sync_cost_bytes", "Cumulative fabric bytes attributed to the run's boundary synchronization.")
 		reg.SetHelp("diag.stall_ns", "Cumulative fabric and recovery stall charged to the run.")
@@ -367,7 +353,7 @@ func (r *Reducer) advanceWindow() {
 			r.segments[i].next, r.segments[i].base = r.segments[i].start, math.Inf(1)
 		}
 	}
-	winStart := t - r.cfg.PlateauWindowNS
+	winStart := t - plateauWindowNS
 	r.covered, r.baseline = false, math.Inf(1)
 	for i := range r.segments {
 		sg, end := &r.segments[i], n
@@ -417,7 +403,7 @@ func (r *Reducer) observePair(e obs.Event) {
 }
 
 // plateauedLocked reports whether the trajectory failed to improve by
-// the configured relative epsilon over the configured window. Requires
+// plateauEpsilon (relative) over the last plateauWindowNS. Requires
 // the window to be covered by samples (advanceWindow keeps the lowest
 // energy at or before its start); a short run is never plateaued.
 func (r *Reducer) plateauedLocked() bool {
@@ -427,7 +413,7 @@ func (r *Reducer) plateauedLocked() bool {
 	// Improvement inside the window, relative to the baseline scale.
 	improvement := r.baseline - r.best
 	scale := math.Max(math.Abs(r.baseline), 1e-12)
-	return improvement/scale < r.cfg.PlateauEpsilon
+	return improvement/scale < plateauEpsilon
 }
 
 // improvementRateLocked is the mean energy decrease per model ns over
@@ -438,7 +424,7 @@ func (r *Reducer) improvementRateLocked() float64 {
 		return 0
 	}
 	last := r.samples[n-1]
-	winStart := last.t - r.cfg.PlateauWindowNS
+	winStart := last.t - plateauWindowNS
 	ref := r.samples[0]
 	for _, s := range r.samples {
 		if s.t <= winStart {
@@ -630,7 +616,7 @@ func chipViews(pairs []PairDiag, chips int) []ChipDiag {
 const ttsConfidence = 0.99
 
 // ttsLocked computes the live TTS estimate: consecutive trajectory
-// samples are chunked into trials of cfg.TrialSamples each, a trial
+// samples are chunked into trials of trialSamples each, a trial
 // succeeds when its best sample comes within 1% of |best| of the
 // best-so-far energy, and the success probability carries a Wilson
 // interval that inverts into TTS bounds. The estimate thus reads "time
@@ -638,8 +624,8 @@ const ttsConfidence = 0.99
 // live run can always compute. Nil until at least one full trial
 // window exists.
 func (r *Reducer) ttsLocked() *TTSEstimate {
-	w := r.cfg.TrialSamples
-	if len(r.samples) < w || w < 1 {
+	const w = trialSamples
+	if len(r.samples) < w {
 		return nil
 	}
 	target, tol := r.best, 0.01*math.Abs(r.best)
@@ -702,8 +688,8 @@ type Snapshot struct {
 	// ImprovementRate is the mean energy decrease per model ns over the
 	// plateau window; positive while the solve is still improving.
 	ImprovementRate float64 `json:"improvementRate,omitempty"`
-	// Plateaued reports that the trajectory improved less than the
-	// configured relative epsilon over the configured window.
+	// Plateaued reports that the trajectory improved less than 1e-3
+	// (relative) over the last 1000 model ns.
 	Plateaued bool `json:"plateaued"`
 	// BestStalenessNS is the model time since best-so-far last improved.
 	BestStalenessNS float64 `json:"bestStalenessNS,omitempty"`

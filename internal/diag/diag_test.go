@@ -19,10 +19,24 @@ func feedEnergy(r *diag.Reducer, pts ...[2]float64) {
 	}
 }
 
+// trials feeds one sample every 10 ns, each trial's energies repeated
+// to fill its 8-sample window.
+func trials(r *diag.Reducer, es ...[]float64) {
+	t := 0.0
+	for _, trial := range es {
+		for k := 0; k < 8; k++ {
+			feedEnergy(r, [2]float64{t, trial[k%len(trial)]})
+			t += 10
+		}
+	}
+}
+
+// TestPlateauDetection: the trajectory is plateaued when it improved
+// less than 1e-3 (relative) over the last 1 000 model ns.
 func TestPlateauDetection(t *testing.T) {
-	r := diag.New(diag.Config{PlateauWindowNS: 100, PlateauEpsilon: 1e-3})
+	r := diag.New(diag.Config{})
 	// Improving steadily: not plateaued.
-	feedEnergy(r, [2]float64{0, 0}, [2]float64{50, -10}, [2]float64{100, -20}, [2]float64{150, -30})
+	feedEnergy(r, [2]float64{0, 0}, [2]float64{500, -10}, [2]float64{1000, -20}, [2]float64{1500, -30})
 	s := r.Snapshot()
 	if s.Plateaued {
 		t.Fatalf("improving trajectory reported plateaued: %+v", s)
@@ -34,13 +48,13 @@ func TestPlateauDetection(t *testing.T) {
 		t.Fatalf("best staleness = %v at a fresh best", s.BestStalenessNS)
 	}
 	// Then flat for longer than the window: plateaued, best stale.
-	feedEnergy(r, [2]float64{200, -30}, [2]float64{300, -30}, [2]float64{400, -29.999})
+	feedEnergy(r, [2]float64{2000, -30}, [2]float64{3000, -30}, [2]float64{4000, -29.999})
 	s = r.Snapshot()
 	if !s.Plateaued {
 		t.Fatalf("flat trajectory not reported plateaued: %+v", s)
 	}
-	if s.BestStalenessNS != 250 {
-		t.Fatalf("best staleness = %v, want 250", s.BestStalenessNS)
+	if s.BestStalenessNS != 2500 {
+		t.Fatalf("best staleness = %v, want 2500", s.BestStalenessNS)
 	}
 	if s.BestEnergy != -30 || s.LastEnergy != -29.999 {
 		t.Fatalf("best/last = %v/%v", s.BestEnergy, s.LastEnergy)
@@ -48,7 +62,7 @@ func TestPlateauDetection(t *testing.T) {
 }
 
 func TestShortRunNeverPlateaued(t *testing.T) {
-	r := diag.New(diag.Config{PlateauWindowNS: 1000})
+	r := diag.New(diag.Config{})
 	feedEnergy(r, [2]float64{0, -5}, [2]float64{10, -5})
 	if s := r.Snapshot(); s.Plateaued {
 		t.Fatalf("run shorter than the window reported plateaued")
@@ -109,15 +123,10 @@ func TestTrafficAttribution(t *testing.T) {
 }
 
 func TestTTSEstimate(t *testing.T) {
-	r := diag.New(diag.Config{TrialSamples: 2})
-	// 4 trials of 2 samples each. The best is -10, so the target is
+	r := diag.New(diag.Config{})
+	// 4 trials of 8 samples each. The best is -10, so the target is
 	// -10 within 0.1: trials 2 and 4 reach it.
-	feedEnergy(r,
-		[2]float64{0, -5}, [2]float64{10, -6},
-		[2]float64{20, -8}, [2]float64{30, -10},
-		[2]float64{40, -7}, [2]float64{50, -9},
-		[2]float64{60, -9.95}, [2]float64{70, -9.5},
-	)
+	trials(r, []float64{-5, -6}, []float64{-8, -10}, []float64{-7, -9}, []float64{-9.95, -9.5})
 	s := r.Snapshot()
 	if s.TTS == nil {
 		t.Fatalf("no TTS estimate with %d samples", s.Samples)
@@ -129,8 +138,8 @@ func TestTTSEstimate(t *testing.T) {
 	if est.Trials != 4 || est.SuccessP != 0.5 {
 		t.Fatalf("trials/p = %d/%v, want 4/0.5", est.Trials, est.SuccessP)
 	}
-	if est.TrialNS != 10 {
-		t.Fatalf("trialNS = %v, want 10", est.TrialNS)
+	if est.TrialNS != 70 {
+		t.Fatalf("trialNS = %v, want 70", est.TrialNS)
 	}
 	if !(est.PLow > 0 && est.PLow < 0.5 && est.PHigh > 0.5 && est.PHigh < 1) {
 		t.Fatalf("Wilson band = [%v, %v]", est.PLow, est.PHigh)
@@ -145,11 +154,11 @@ func TestTTSEstimate(t *testing.T) {
 }
 
 func TestTTSNeverSucceededIsSentinel(t *testing.T) {
-	r := diag.New(diag.Config{TrialSamples: 2})
+	r := diag.New(diag.Config{})
 	// The best sample sits in the unfinished trailing window, so no
 	// full trial comes within 1 of it.
-	feedEnergy(r, [2]float64{0, -5}, [2]float64{10, -6}, [2]float64{20, -7}, [2]float64{30, -8},
-		[2]float64{40, -100})
+	trials(r, []float64{-5, -6}, []float64{-7, -8})
+	feedEnergy(r, [2]float64{160, -100})
 	est := r.Snapshot().TTS
 	if est == nil {
 		t.Fatalf("no estimate")
@@ -169,8 +178,8 @@ func TestTTSNeverSucceededIsSentinel(t *testing.T) {
 }
 
 func TestTTSDefaultsToSelfTarget(t *testing.T) {
-	r := diag.New(diag.Config{TrialSamples: 2})
-	feedEnergy(r, [2]float64{0, -5}, [2]float64{10, -20}, [2]float64{20, -19.9}, [2]float64{30, -18})
+	r := diag.New(diag.Config{})
+	trials(r, []float64{-5, -20}, []float64{-19.9, -18})
 	est := r.Snapshot().TTS
 	if est == nil {
 		t.Fatalf("no estimate")
@@ -189,7 +198,7 @@ func TestTTSDefaultsToSelfTarget(t *testing.T) {
 
 func TestPrometheusSeries(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := diag.New(diag.Config{Registry: reg, RunID: "run-1", PlateauWindowNS: 10})
+	r := diag.New(diag.Config{Registry: reg, RunID: "run-1"})
 	r.Emit(obs.Event{Kind: obs.PairStat, Epoch: 1, Chip: 0, Peer: 2, Count: 3, Value: 0.25})
 	feedEnergy(r, [2]float64{0, -1}, [2]float64{50, -1})
 	r.Emit(obs.Event{Kind: obs.FabricTransfer, Epoch: 1, Value: 64, StallNS: 2})
@@ -235,7 +244,7 @@ func kgraph(n int, seed uint64) *ising.Model {
 // plateau verdict, and a TTS estimate with CI bounds.
 func TestEndToEndThreeChips(t *testing.T) {
 	ring := obs.NewRing(1 << 14)
-	red := diag.New(diag.Config{TrialSamples: 4, PlateauWindowNS: 100})
+	red := diag.New(diag.Config{})
 	_, err := core.Solve(core.Request{
 		Kind:          core.MBRIMConcurrent,
 		Model:         kgraph(24, 11),

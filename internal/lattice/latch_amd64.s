@@ -209,7 +209,3 @@ done:
 	// size can move it (ROADMAP 1(b)). They belong in this file because
 	// its text is linked into bench; tanh_amd64.s's is not, since nothing
 	// outside the tests calls Tanh.
-	QUAD $0xCCCCCCCCCCCCCCCC
-	QUAD $0xCCCCCCCCCCCCCCCC
-	QUAD $0xCCCCCCCCCCCCCCCC
-	QUAD $0xCCCCCCCCCCCCCCCC

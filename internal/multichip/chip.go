@@ -31,6 +31,7 @@ import (
 
 	"mbrim/internal/brim"
 	"mbrim/internal/ising"
+	"mbrim/internal/sched"
 )
 
 // chip is one processor of the multiprocessor: a BRIM machine over its
@@ -169,35 +170,17 @@ func (c *chip) init(l *layout, id int, owned []int, seed uint64, initial []int8)
 	c.loadJobState(initial)
 }
 
-// machineConfig is the layout's Brim config as a chip's machine takes
-// it: seeded with seed, on the shared normalization, its own induced
-// flips off (the runtime coordinates kicks itself).
+// machineConfig is the brim config of a chip's machine: seeded with
+// seed, on the shared normalization, its own induced flips off (the
+// runtime coordinates kicks itself), and kicked nodes latched long
+// enough that a coordinated kick rarely reverts before the next fabric
+// synchronization (the persistence Sec 5.4.2's free-of-communication
+// claim needs), but never so long that long epochs freeze the dynamics:
+// an epoch, at most two time constants.
 func (l *layout) machineConfig(seed uint64) brim.Config {
-	mcfg := l.cfg.Brim
-	mcfg.Seed = seed
-	mcfg.Scale = l.scale
-	mcfg.InducedFlip = zeroSchedule{}
-	if mcfg.KickHoldNS == 0 {
-		// Latch kicked nodes long enough that a coordinated kick rarely
-		// reverts before the next fabric synchronization (the
-		// persistence Sec 5.4.2's free-of-communication claim needs),
-		// but never so long that long epochs freeze the dynamics.
-		tau := mcfg.Tau
-		if tau == 0 {
-			tau = 1
-		}
-		mcfg.KickHoldNS = l.cfg.EpochNS
-		if cap := 2 * tau; mcfg.KickHoldNS > cap {
-			mcfg.KickHoldNS = cap
-		}
-	}
-	return mcfg
+	return brim.Config{Seed: seed, Scale: l.scale, InducedFlip: sched.Constant(0),
+		KickHoldNS: min(l.cfg.EpochNS, 2)}
 }
-
-// zeroSchedule disables the machine's internal induced flips.
-type zeroSchedule struct{}
-
-func (zeroSchedule) At(float64) float64 { return 0 }
 
 // recomputeExternalBias rebuilds the machine's external bias from the
 // shadow registers in O(N + cross nnz). Used at construction and at
@@ -210,7 +193,7 @@ func (c *chip) recomputeExternalBias() {
 	clear(ext)
 	for g, sg := range c.shadow {
 		for k := c.colStart[g]; k < c.colStart[g+1]; k++ {
-			ext[c.crossLi[k]] += c.crossJ[k] * float64(sg)
+			ext[c.crossLi[k]] += float64(c.crossJ[k] * float64(sg))
 		}
 	}
 	c.machine.SetExternalBias(ext)
@@ -230,7 +213,7 @@ func (c *chip) applyShadowUpdate(g int, s int8) {
 	c.shadow[g] = s
 	delta := float64(s - old) // ±2
 	for k := c.colStart[g]; k < c.colStart[g+1]; k++ {
-		c.machine.AddExternalBias(int(c.crossLi[k]), c.crossJ[k]*delta)
+		c.machine.AddExternalBias(int(c.crossLi[k]), float64(c.crossJ[k]*delta))
 	}
 }
 

@@ -180,11 +180,11 @@ func (s *System) repartition(victim, epochNo int, remainingNS float64, tr obs.Tr
 		if added[i] == 0 || len(newSlices) == 1 {
 			continue
 		}
-		b := float64(added[i]) / 8 * float64(len(newSlices)-1)
+		b := float64(float64(added[i]) / 8 * float64(len(newSlices)-1))
 		s.fabric.Record(i, b, "resync")
 		resyncBytes += b
 	}
-	stallNS := frt.inj.Config().Recovery.RepartitionNSPerSpin * float64(len(moved))
+	stallNS := float64(frt.inj.Config().Recovery.RepartitionNSPerSpin * float64(len(moved)))
 	frt.epochStallNS += stallNS
 	frt.stats.Repartitions++
 	frt.stats.ResyncBytes += resyncBytes
@@ -294,7 +294,7 @@ func (s *System) send(epochNo, ci int, f *messageFate, bytes float64, count int6
 			}
 		}
 		if lump {
-			frt.chargeRetransmit(bytes*n, backoffNS*n)
+			frt.chargeRetransmit(float64(bytes*n), float64(backoffNS*n))
 		}
 		frt.stats.Retransmits += int64(f.attempts)
 		emitIf(tr, obs.Event{Kind: obs.Recovery, Label: "retransmit", Epoch: epochNo,
@@ -367,7 +367,7 @@ func (s *System) watchdog(epochNo int, tr obs.Tracer) {
 			continue
 		}
 		fanout := s.liveFanout(ci)
-		bytes := float64(len(c.owned)) / 8 * float64(fanout)
+		bytes := float64(float64(len(c.owned)) / 8 * float64(fanout))
 		s.fabric.Record(ci, bytes, "resync")
 		for di, d := range s.slices {
 			if di == ci || frt.dead[di] {

@@ -28,20 +28,21 @@ type SurpriseConfig struct {
 	Epochs int
 	// Runs with different initial states. Default 20 (the paper's).
 	Runs int
-	// BurnInSweeps equilibrates the global state with sequential
-	// whole-problem sweeps before measurement starts, so the samples
-	// reflect steady-state search rather than the initial greedy
-	// collapse. Default 2.
-	BurnInSweeps int
-	// Beta is the SA inverse-temperature schedule across the whole
-	// run. The default (0.5 → 3 linear) is colder than the
-	// general-purpose SA default: at a hot start nearly half of all
-	// spins change every sweep, which saturates the ignorance metric
-	// and hides the epoch-size effect the experiment exists to show.
-	Beta sched.Schedule
 	// Seed drives everything.
 	Seed uint64
 }
+
+// burnInSweeps equilibrates the global state with sequential
+// whole-problem sweeps before measurement starts, so the samples
+// reflect steady-state search rather than the initial greedy collapse.
+const burnInSweeps = 2
+
+// surpriseBeta is the SA inverse-temperature schedule across the whole
+// run, 0.5 → 3 linear: colder than the general-purpose SA default,
+// because at a hot start nearly half of all spins change every sweep,
+// which saturates the ignorance metric and hides the epoch-size effect
+// the experiment exists to show.
+var surpriseBeta = sched.Linear{From: 0.5, To: 3}
 
 // metropolis performs `moves` random-site Metropolis attempts on the
 // model at inverse temperature beta, updating spins in place.
@@ -80,13 +81,6 @@ func EnergySurprise(m *ising.Model, cfg SurpriseConfig) []SurpriseSample {
 	if cfg.Runs == 0 {
 		cfg.Runs = 20
 	}
-	if cfg.BurnInSweeps == 0 {
-		cfg.BurnInSweeps = 2
-	}
-	beta := cfg.Beta
-	if beta == nil {
-		beta = sched.Linear{From: 0.5, To: 3}
-	}
 
 	n := m.N()
 	r := rng.New(cfg.Seed)
@@ -95,14 +89,14 @@ func EnergySurprise(m *ising.Model, cfg SurpriseConfig) []SurpriseSample {
 	for run := 0; run < cfg.Runs; run++ {
 		parts := graph.BlockPartition(n, cfg.Solvers)
 		global := ising.RandomSpins(n, r)
-		metropolis(m, global, beta.At(0), cfg.BurnInSweeps*n, r)
+		metropolis(m, global, surpriseBeta.At(0), burnInSweeps*n, r)
 
 		for epoch := 0; epoch < cfg.Epochs; epoch++ {
 			// Every solver searches against this frozen snapshot — the
 			// "parallel against stale state" regime under test.
 			snapshot := ising.CopySpins(global)
 			progress := float64(epoch) / float64(cfg.Epochs)
-			b := beta.At(progress)
+			b := surpriseBeta.At(progress)
 
 			updated := make([][]int8, cfg.Solvers)
 			for si, part := range parts {

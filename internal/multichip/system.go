@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"mbrim/internal/brim"
 	"mbrim/internal/fault"
 	"mbrim/internal/interconnect"
 	"mbrim/internal/ising"
@@ -44,10 +43,6 @@ type Config struct {
 	// (1 GB/s = 1 byte/ns). Zero models unlimited bandwidth — the
 	// 3D-integrated mBRIM_3D.
 	ChannelBytesPerNS float64
-	// Brim configures the per-chip dynamics. Its InducedFlip schedule
-	// is ignored (the runtime coordinates kicks) and its Scale is
-	// overridden with the global normalization.
-	Brim brim.Config
 	// Seed drives the initial state and all stochastic choices.
 	Seed uint64
 	// SampleEveryNS, if > 0, records an (elapsed ns, energy) trace

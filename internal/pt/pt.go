@@ -26,18 +26,15 @@ import (
 type Config struct {
 	// Replicas is the number of temperature rungs. Default 16.
 	Replicas int
-	// BetaMin and BetaMax bound the geometric inverse-temperature
-	// ladder. Defaults 0.1 and 3.
-	BetaMin, BetaMax float64
-	// Sweeps is the number of full Metropolis sweeps per replica.
-	// Must be >= 1.
+	// Sweeps is the number of full Metropolis sweeps per replica, each
+	// followed by a swap round. Must be >= 1.
 	Sweeps int
-	// ExchangeEvery is the number of sweeps between swap rounds.
-	// Default 1.
-	ExchangeEvery int
 	// Seed drives everything.
 	Seed uint64
 }
+
+// betaMin and betaMax bound the geometric inverse-temperature ladder.
+const betaMin, betaMax = 0.1, 3.0
 
 // Result is the outcome of a run.
 type Result struct {
@@ -85,23 +82,6 @@ func solve(ctx context.Context, m *ising.Model, cfg Config, r *rng.Source) (*Res
 	}
 	if replicas < 2 {
 		panic(fmt.Sprintf("pt: Replicas=%d (need >= 2)", replicas))
-	}
-	betaMin, betaMax := cfg.BetaMin, cfg.BetaMax
-	if betaMin == 0 {
-		betaMin = 0.1
-	}
-	if betaMax == 0 {
-		betaMax = 3
-	}
-	if betaMin <= 0 || betaMax <= betaMin {
-		panic(fmt.Sprintf("pt: beta ladder [%v, %v]", betaMin, betaMax))
-	}
-	exchangeEvery := cfg.ExchangeEvery
-	if exchangeEvery == 0 {
-		exchangeEvery = 1
-	}
-	if exchangeEvery < 1 {
-		panic(fmt.Sprintf("pt: ExchangeEvery=%d", exchangeEvery))
 	}
 
 	n := m.N()
@@ -159,13 +139,9 @@ func solve(ctx context.Context, m *ising.Model, cfg Config, r *rng.Source) (*Res
 			}
 			record(rep)
 		}
-		if (sweep+1)%exchangeEvery != 0 {
-			continue
-		}
 		// Swap round: alternate even/odd adjacent pairs so every pair
 		// is proposed at the same long-run rate.
-		startPair := (sweep / exchangeEvery) % 2
-		for i := startPair; i+1 < replicas; i += 2 {
+		for i := sweep % 2; i+1 < replicas; i += 2 {
 			res.SwapAttempts++
 			// Detailed balance: accept with exp((β_i − β_{i+1})(E_i − E_{i+1})).
 			arg := (betas[i] - betas[i+1]) * (reps[i].energy - reps[i+1].energy)

@@ -108,10 +108,8 @@ func TestBestIsMonotoneInSweeps(t *testing.T) {
 func TestPanics(t *testing.T) {
 	m := ferromagnet(4)
 	for name, f := range map[string]func(){
-		"zero sweeps":  func() { Solve(m, Config{Sweeps: 0}) },
-		"one replica":  func() { Solve(m, Config{Sweeps: 1, Replicas: 1}) },
-		"bad ladder":   func() { Solve(m, Config{Sweeps: 1, BetaMin: 2, BetaMax: 1}) },
-		"neg exchange": func() { Solve(m, Config{Sweeps: 1, ExchangeEvery: -1}) },
+		"zero sweeps": func() { Solve(m, Config{Sweeps: 0}) },
+		"one replica": func() { Solve(m, Config{Sweeps: 1, Replicas: 1}) },
 	} {
 		func() {
 			defer func() {

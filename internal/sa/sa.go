@@ -54,14 +54,12 @@ type Config struct {
 	// Initial optionally fixes the starting spins (copied, not
 	// aliased). Nil starts from a random assignment drawn from Seed.
 	Initial []int8
-	// OnSweep, if non-nil, is called after each sweep with the sweep
-	// index and current energy. Quality-vs-time traces hook in here.
-	OnSweep func(sweep int, energy float64)
 	// Ops, if non-nil, accumulates operation counts for the
 	// first-principles analysis.
 	Ops *metrics.OpCounter
 	// Tracer, if non-nil, receives an EnergySample event per sweep
-	// (the energy is already tracked incrementally, so this is free).
+	// (the energy is already tracked incrementally, so this is free):
+	// quality-vs-time traces hook in here.
 	Tracer obs.Tracer
 	// Metrics, if non-nil, accumulates run totals (sa.attempts,
 	// sa.flips, sa.sweeps, sa.runs).
@@ -178,9 +176,6 @@ func solve(ctx context.Context, m *ising.Model, cfg Config, r *rng.Source) (*Res
 			res.Instructions += instrPerAttempt
 		}
 		sweepsDone++
-		if cfg.OnSweep != nil {
-			cfg.OnSweep(sweep, energy)
-		}
 		if cfg.Tracer != nil {
 			cfg.Tracer.Emit(obs.Event{Kind: obs.EnergySample,
 				Epoch: sweep + 1, Value: energy})
@@ -241,9 +236,6 @@ func SolveNaive(m *ising.Model, cfg Config) *Result {
 				spins[i] = -spins[i]
 			}
 			res.Instructions += int64(n)*instrPerRowUpdate + instrPerAttempt
-		}
-		if cfg.OnSweep != nil {
-			cfg.OnSweep(sweep, energy)
 		}
 	}
 	res.Wall = time.Since(start)

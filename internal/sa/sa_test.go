@@ -9,9 +9,20 @@ import (
 	"mbrim/internal/graph"
 	"mbrim/internal/ising"
 	"mbrim/internal/metrics"
+	"mbrim/internal/obs"
 	"mbrim/internal/rng"
 	"mbrim/internal/sched"
 )
+
+// sweeps is a Tracer that hands each per-sweep EnergySample's sweep
+// number and energy to a function.
+type sweeps func(sweep int, energy float64)
+
+func (f sweeps) Emit(e obs.Event) {
+	if e.Kind == obs.EnergySample {
+		f(e.Epoch, e.Value)
+	}
+}
 
 // ferromagnet returns a model whose ground states are the two uniform
 // assignments, with ground energy -(n choose 2).
@@ -110,12 +121,12 @@ func TestColdRunOnlyImproves(t *testing.T) {
 	last := math.Inf(1)
 	Solve(m, Config{
 		Sweeps: 30, Seed: 7, Beta: sched.Constant(1e9),
-		OnSweep: func(sweep int, e float64) {
+		Tracer: sweeps(func(sweep int, e float64) {
 			if e > last+1e-9 {
 				t.Fatalf("greedy energy increased at sweep %d: %v -> %v", sweep, last, e)
 			}
 			last = e
-		},
+		}),
 	})
 }
 
@@ -217,19 +228,19 @@ func TestSolveBatchCtxKeepsTheCutRun(t *testing.T) {
 	m := graph.Complete(40, rng.New(18)).ToIsing()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	const sweeps, cutAt = 20, 7
+	const runSweeps, cutAt = 20, 7
 	calls := 0
-	cfg := Config{Sweeps: sweeps, Seed: 3, OnSweep: func(int, float64) {
-		if calls++; calls == sweeps+cutAt {
+	cfg := Config{Sweeps: runSweeps, Seed: 3, Tracer: sweeps(func(int, float64) {
+		if calls++; calls == runSweeps+cutAt {
 			cancel()
 		}
-	}}
+	})}
 	br, err := SolveBatchCtx(ctx, m, cfg, 3)
 	if !errors.Is(err, context.Canceled) || len(br.Results) != 2 {
 		t.Fatalf("err %v, %d results", err, len(br.Results))
 	}
 	first, cut := br.Results[0], br.Results[1]
-	if want := Solve(m, Config{Sweeps: sweeps, Seed: 3}); first.Energy != want.Energy || first.Attempts != want.Attempts {
+	if want := Solve(m, Config{Sweeps: runSweeps, Seed: 3}); first.Energy != want.Energy || first.Attempts != want.Attempts {
 		t.Fatalf("first run energy %v, a lone run %v", first.Energy, want.Energy)
 	}
 	if cut.Attempts != cutAt*40 || cut.Energy != m.Energy(cut.Spins) {

@@ -56,10 +56,6 @@ type Config struct {
 	Variant Variant
 	// Steps is the number of symplectic-Euler steps. Must be >= 1.
 	Steps int
-	// Dt is the time step. Default 0.5.
-	Dt float64
-	// A0 is the final bifurcation parameter. Default 1.
-	A0 float64
 	// C0 is the coupling strength. Default 0.5/(√N·σ_J), the value
 	// recommended by Goto et al. for dense random couplings.
 	C0 float64
@@ -76,6 +72,13 @@ type Config struct {
 	// Metrics, if non-nil, accumulates run totals (sbm.steps, sbm.runs).
 	Metrics *obs.Registry
 }
+
+// The step and the final bifurcation parameter are Goto et al.'s
+// published values.
+const (
+	dt = 0.5
+	a0 = 1
+)
 
 // Result is the outcome of one SB run.
 type Result struct {
@@ -132,10 +135,6 @@ type machine struct {
 	spins    []int8
 	flipped  []int32
 	kept     *lattice.KeptFields
-	// stale, if set, is the view of a multi-chip run whose chips read
-	// each other's positions from a snapshot exchanged every few steps
-	// (multichip.go); nil, every row reads x itself.
-	stale *staleView
 }
 
 // workingCopy is what a bSB run over m multiplies positions by: the
@@ -150,22 +149,10 @@ func workingCopy(m *ising.Model, cfg Config) lattice.Coupling {
 }
 
 // newMachine validates and defaults cfg and places the run at its
-// initial positions, multiplying by floats (workingCopy) and reading
-// remote rows through stale if it is set.
-func newMachine(m *ising.Model, cfg Config, stale *staleView, floats lattice.Coupling) *machine {
+// initial positions, multiplying by floats (workingCopy).
+func newMachine(m *ising.Model, cfg Config, floats lattice.Coupling) *machine {
 	if cfg.Steps < 1 {
 		panic(fmt.Sprintf("sbm: Steps=%d", cfg.Steps))
-	}
-	dt := cfg.Dt
-	if dt == 0 {
-		dt = 0.5
-	}
-	if dt <= 0 {
-		panic(fmt.Sprintf("sbm: Dt=%v", dt))
-	}
-	a0 := cfg.A0
-	if a0 == 0 {
-		a0 = 1
 	}
 	n := m.N()
 	mc := &machine{
@@ -175,7 +162,6 @@ func newMachine(m *ising.Model, cfg Config, stale *staleView, floats lattice.Cou
 		force:    make([]float64, n),
 		spins:    make([]int8, n),
 		flipped:  make([]int32, n),
-		stale:    stale,
 		floats:   floats,
 	}
 	c0 := cfg.C0
@@ -185,7 +171,7 @@ func newMachine(m *ising.Model, cfg Config, stale *staleView, floats lattice.Cou
 	mc.sb = lattice.Bifurcation{A0: a0, C0: c0, Dt: dt}
 	mc.x, mc.y = positions(cfg.Seed, n)
 	readout(mc.x, mc.spins)
-	if mc.discrete && stale == nil {
+	if mc.discrete {
 		mc.kept = lattice.KeepFields(mc.lat, mc.base)
 		lattice.Fields(mc.lat, mc.spins, mc.base, mc.force, 1)
 	}
@@ -195,13 +181,8 @@ func newMachine(m *ising.Model, cfg Config, stale *staleView, floats lattice.Cou
 // step advances one symplectic step at bifurcation parameter at. The
 // mean-field force of dSB is the fields of sign(x), kept current across
 // the step by the signs that changed; bSB's is the mat-vec of x itself.
-// Behind a stale view each chip's rows are recomputed from its own x and
-// the snapshot of the others'.
 func (mc *machine) step(at float64) {
-	switch {
-	case mc.stale != nil:
-		mc.stale.force(mc)
-	case !mc.discrete:
+	if !mc.discrete {
 		lattice.MatVec(mc.floats, mc.x, mc.base, mc.force, 1)
 	}
 	flipped := mc.sb.Step(mc.x, mc.y, mc.force, mc.spins, mc.flipped, at)
@@ -277,7 +258,7 @@ func Solve(m *ising.Model, cfg Config) *Result {
 // alongside ctx.Err(). The result is always non-nil and internally
 // consistent.
 func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) {
-	return newMachine(m, cfg, nil, workingCopy(m, cfg)).run(ctx, cfg)
+	return newMachine(m, cfg, workingCopy(m, cfg)).run(ctx, cfg)
 }
 
 // readout writes sign(x) into buf and returns it.
@@ -321,7 +302,7 @@ func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg Config, runs int) (*
 		c := cfg
 		c.Seed = cfg.Seed + uint64(i)
 		var res *Result
-		res, err = newMachine(m, c, nil, floats).run(ctx, c)
+		res, err = newMachine(m, c, floats).run(ctx, c)
 		br.Results = append(br.Results, res)
 		if br.Best == nil || res.Energy < br.Best.Energy {
 			br.Best = res

@@ -179,7 +179,6 @@ func TestPanics(t *testing.T) {
 	m := ferromagnet(4)
 	for name, f := range map[string]func(){
 		"zero steps": func() { Solve(m, Config{Steps: 0}) },
-		"neg dt":     func() { Solve(m, Config{Steps: 1, Dt: -0.5}) },
 		"zero runs":  func() { SolveBatch(m, Config{Steps: 1}, 0) },
 	} {
 		func() {
@@ -263,7 +262,7 @@ func TestDiscreteForceIsFields(t *testing.T) {
 		const steps = 400
 		want := make([]float64, m.N())
 		for seed := uint64(1); seed <= 6; seed++ {
-			mc := newMachine(m, Config{Variant: Discrete, Steps: steps, Seed: seed}, nil, nil)
+			mc := newMachine(m, Config{Variant: Discrete, Steps: steps, Seed: seed}, nil)
 			for step := 0; step < steps; step++ {
 				mc.step(float64(step) / steps)
 				lattice.Fields(lat, mc.spins, m.MuH(), want, 1)
@@ -288,15 +287,14 @@ func (e *energies) Emit(ev obs.Event) { *e = append(*e, ev.Value) }
 // TestSamplingDoesNotPerturb: reading the energy along the way — every
 // step through OnStep, ~64 times through a Tracer, or both — leaves a
 // run's spins and energy where a bare run ends, and the samples agree
-// with each other, by Float64bits. A partitioned run whose chips exchange
-// every 7 steps samples on the same cadence, and both count their runs
-// and steps in Metrics.
+// with each other, by Float64bits. A partitioned run samples on the same
+// cadence, and both count their runs and steps in Metrics.
 func TestSamplingDoesNotPerturb(t *testing.T) {
 	m := graph.Complete(130, rng.New(3)).ToIsing()
 	solvers := map[string]func(Config) *Result{
 		"Solve": func(c Config) *Result { return Solve(m, c) },
 		"SolveMultiChip": func(c Config) *Result {
-			return &SolveMultiChip(m, MultiChipConfig{Config: c, Chips: 4, ExchangeEvery: 7}).Result
+			return &SolveMultiChip(m, MultiChipConfig{Config: c, Chips: 4}).Result
 		},
 	}
 	for solver, solve := range solvers {

@@ -6,9 +6,9 @@ import (
 	"mbrim/internal/sbm"
 )
 
-// BRIMConfig exposes the single-chip machine's analog knobs (schedule
-// gains, device variation, thermal noise) for direct use and for
-// SystemConfig.Brim.
+// BRIMConfig exposes the single-chip machine's knobs (time constant,
+// kick schedule and hold, device variation, thermal noise) for direct
+// use.
 type BRIMConfig = brim.Config
 
 // BRIMMachine is a stateful single-chip BRIM simulator for callers who
@@ -35,8 +35,8 @@ const (
 	SBMDiscrete  = sbm.Discrete
 )
 
-// SolveMultiChipSBM runs partitioned simulated bifurcation with
-// periodic position exchange.
+// SolveMultiChipSBM runs partitioned simulated bifurcation, the chips
+// exchanging positions after every step.
 func SolveMultiChipSBM(m *Model, cfg MultiChipSBMConfig) *MultiChipSBMResult {
 	return sbm.SolveMultiChip(m, cfg)
 }

@@ -210,8 +210,8 @@ type (
 	// DiagReducer folds a live event stream into convergence and
 	// partition-quality diagnostics; read with Snapshot.
 	DiagReducer = diag.Reducer
-	// DiagConfig tunes plateau detection and the live TTS estimate's
-	// trial window; the estimate's target is the best energy so far.
+	// DiagConfig names the run a reducer's gauges are labeled with and
+	// the registry they go to.
 	DiagConfig = diag.Config
 	// DiagSnapshot is a point-in-time diagnostics report: energy
 	// trajectory analytics, chip-pair shadow-spin disagreement, traffic
