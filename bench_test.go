@@ -403,21 +403,6 @@ func BenchmarkSparseVsDenseSA(b *testing.B) {
 	}
 }
 
-// MultiChipSBM: the paper's comparator architecture, exchanging
-// positions after every step.
-func BenchmarkMultiChipSBM(b *testing.B) {
-	g, m := benchGraph(256, 16)
-	var cut float64
-	for i := 0; i < b.N; i++ {
-		res := sbm.SolveMultiChip(m, sbm.MultiChipConfig{
-			Config: sbm.Config{Variant: sbm.Ballistic, Steps: 200, Seed: uint64(i)},
-			Chips:  4,
-		})
-		cut = g.CutValue(res.Spins)
-	}
-	b.ReportMetric(cut, "cut")
-}
-
 // HostParallelism: wall-time effect of per-chip goroutines (results
 // are bit-identical; only the host cost differs).
 func BenchmarkHostParallelism(b *testing.B) {

@@ -20,6 +20,7 @@ import (
 	"mbrim/internal/core"
 	"mbrim/internal/graph"
 	"mbrim/internal/rng"
+	"mbrim/internal/runs"
 )
 
 // buildDaemon compiles mbrimd once into a temp dir.
@@ -332,10 +333,32 @@ func TestDirtyDrainCountsClusterRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var st runs.Status
+	err = json.NewDecoder(resp.Body).Decode(&st)
 	resp.Body.Close()
-	if resp.StatusCode != 202 {
+	if resp.StatusCode != 202 || err != nil {
 		_ = cmd.Process.Kill()
-		t.Fatalf("submit = %d", resp.StatusCode)
+		t.Fatalf("submit = %d (%v)", resp.StatusCode, err)
+	}
+	// A run cancelled before its chips step can end within the 1 ns
+	// deadline, and the drain is then rightly clean: signal only once
+	// the cluster is through its first epoch.
+	for deadline := time.Now().Add(10 * time.Second); st.State != runs.StateRunning || st.Progress.Epoch < 1; {
+		if st.State.Terminal() || time.Now().After(deadline) {
+			_ = cmd.Process.Kill()
+			t.Fatalf("%s before SIGTERM: state %s, phase %q, epoch %d, error %q",
+				st.ID, st.State, st.Progress.Phase, st.Progress.Epoch, st.Error)
+		}
+		time.Sleep(10 * time.Millisecond)
+		resp, err := http.Get(base + "/runs/" + st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

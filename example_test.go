@@ -2,6 +2,8 @@ package mbrim_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 
 	"mbrim"
@@ -11,13 +13,16 @@ import (
 // over epochs, bandwidth and operating mode.
 func ExampleNewSystem() {
 	g := mbrim.CompleteGraph(64, 7)
-	sys := mbrim.MustSystem(g.ToIsing(), mbrim.SystemConfig{
+	sys, err := mbrim.NewSystem(g.ToIsing(), mbrim.SystemConfig{
 		Chips:             4,
 		EpochNS:           3.3,
 		Channels:          1,
 		ChannelBytesPerNS: 0.05, // a deliberately starved fabric
 		Seed:              7,
 	})
+	if err != nil {
+		panic(err)
+	}
 	res := sys.RunConcurrent(50)
 	fmt.Println(res.StallNS > 0, res.BitChanges <= res.Flips)
 	// Output: true true
@@ -104,18 +109,6 @@ func ExamplePackReconfigurable() {
 	// Output: monolithic 0.33 reconfigurable 1.00
 }
 
-// ExampleSolveMultiChipSBM runs the paper's comparator architecture —
-// partitioned simulated bifurcation with periodic position exchange.
-func ExampleSolveMultiChipSBM() {
-	g := mbrim.CompleteGraph(64, 3)
-	res := mbrim.SolveMultiChipSBM(g.ToIsing(), mbrim.MultiChipSBMConfig{
-		Config: mbrim.SBMConfig{Variant: mbrim.SBMBallistic, Steps: 200, Seed: 3},
-		Chips:  4,
-	})
-	fmt.Println(g.CutValue(res.Spins) > 0, res.Exchanges == 200)
-	// Output: true true
-}
-
 // ExampleNewBRIM drives the analog machine directly, with device
 // variation enabled.
 func ExampleNewBRIM() {
@@ -131,4 +124,83 @@ func ExampleNewBRIM() {
 func ExampleChimeraCapacity() {
 	fmt.Println(mbrim.ChimeraCapacity(2048, 4))
 	// Output: 65
+}
+
+// ExampleSolveCtx stops a solve through its context: the error matches
+// ErrInterrupted and carries the best spins found so far, plus the
+// checkpoint bytes that Request.Resume continues from.
+func ExampleSolveCtx() {
+	g := mbrim.CompleteGraph(64, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // a deadline or a signal handler cancels the same way
+	_, err := mbrim.SolveCtx(ctx, mbrim.Request{
+		Kind:       mbrim.MBRIMConcurrent,
+		Model:      g.ToIsing(),
+		Chips:      4,
+		DurationNS: 50,
+		Seed:       5,
+	})
+	var ie *mbrim.InterruptedError
+	fmt.Println(errors.Is(err, mbrim.ErrInterrupted), errors.As(err, &ie))
+	fmt.Println(len(ie.Outcome.Spins), len(ie.Checkpoint) > 0)
+	// Output:
+	// true true
+	// 64 true
+}
+
+// ExampleNewQUBO states a problem over 0/1 variables: pick exactly one
+// of two, as the penalty (x0 + x1 − 1)² expands to. ToIsing returns the
+// model and the offset that maps its energy back to the QUBO's value.
+func ExampleNewQUBO() {
+	q := mbrim.NewQUBO(2)
+	q.SetCoeff(0, 0, -1)
+	q.SetCoeff(1, 1, -1)
+	q.SetCoeff(0, 1, 2)
+	m, offset, err := q.ToIsing()
+	if err != nil {
+		panic(err)
+	}
+	res := mbrim.SolveExact(m)
+	fmt.Println(res.Energy+offset, res.Spins[0] != res.Spins[1])
+	// Output: -1 true
+}
+
+// ExampleVertexCoverProblem finds the minimum cover of a path graph.
+func ExampleVertexCoverProblem() {
+	g := mbrim.NewGraph(5)
+	for i := 0; i < 4; i++ {
+		g.AddEdge(i, i+1, 1)
+	}
+	vc := mbrim.VertexCoverProblem{G: g}
+	m, _ := vc.Ising()
+	cover := vc.Decode(mbrim.SolveExact(m).Spins)
+	fmt.Println(vc.IsCover(cover), len(cover))
+	// Output: true 2
+}
+
+// ExampleKnapsackProblem packs a small knapsack optimally.
+func ExampleKnapsackProblem() {
+	k := mbrim.KnapsackProblem{
+		Weights:  []int{2, 3, 4},
+		Values:   []float64{3, 4, 5},
+		Capacity: 5,
+	}
+	m, _ := k.Ising()
+	items := k.Decode(mbrim.SolveExact(m).Spins)
+	fmt.Println(k.Feasible(items), k.TotalValue(items))
+	// Output: true 7
+}
+
+// ExampleTSPProblem finds the square's perimeter tour.
+func ExampleTSPProblem() {
+	t := mbrim.TSPProblem{Dist: [][]float64{
+		{0, 1, 2, 1},
+		{1, 0, 1, 2},
+		{2, 1, 0, 1},
+		{1, 2, 1, 0},
+	}}
+	m, _ := t.Ising()
+	tour := t.Decode(mbrim.SolveExact(m).Spins)
+	fmt.Println(t.ValidTour(tour), t.Length(tour))
+	// Output: true 4
 }

@@ -187,48 +187,3 @@ func (is IndependentSet) IsIndependent(vs []int) bool {
 	}
 	return true
 }
-
-// Clique is maximum clique, solved as maximum independent set on the
-// complement graph (Lucas §4.2's standard identity).
-type Clique struct {
-	G *graph.Graph
-	// A, B as for IndependentSet, applied on the complement.
-	A, B float64
-}
-
-// complement returns the unweighted complement graph.
-func (c Clique) complement() *graph.Graph {
-	n := c.G.N()
-	comp := graph.New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if c.G.Weight(u, v) == 0 {
-				comp.AddEdge(u, v, 1)
-			}
-		}
-	}
-	return comp
-}
-
-// Ising encodes maximum clique via the complement's independent set.
-func (c Clique) Ising() (m *ising.Model, offset float64) {
-	return IndependentSet{G: c.complement(), A: c.A, B: c.B}.Ising()
-}
-
-// Decode returns the clique vertices, repaired for validity.
-func (c Clique) Decode(spins []int8) []int {
-	return IndependentSet{G: c.complement(), A: c.A, B: c.B}.Decode(spins)
-}
-
-// IsClique reports whether every pair of chosen vertices is adjacent
-// in the original graph.
-func (c Clique) IsClique(vs []int) bool {
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			if c.G.Weight(vs[i], vs[j]) == 0 {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mbrim/internal/exact"
-	"mbrim/internal/graph"
 	"mbrim/internal/problems"
 )
 
@@ -16,19 +15,6 @@ func ExamplePartition() {
 	res := exact.Solve(m)
 	fmt.Println(res.Energy+offset == 0, p.Imbalance(res.Spins))
 	// Output: true 0
-}
-
-// ExampleVertexCover finds the minimum cover of a path graph.
-func ExampleVertexCover() {
-	g := graph.New(5)
-	for i := 0; i < 4; i++ {
-		g.AddEdge(i, i+1, 1)
-	}
-	vc := problems.VertexCover{G: g}
-	m, _ := vc.Ising()
-	cover := vc.Decode(exact.Solve(m).Spins)
-	fmt.Println(vc.IsCover(cover), len(cover))
-	// Output: true 2
 }
 
 // ExampleSAT decides a tiny CNF formula.
@@ -44,32 +30,4 @@ func ExampleSAT() {
 	assign := s.Decode(exact.Solve(m).Spins)
 	fmt.Println(s.Satisfied(assign), assign[0], assign[1])
 	// Output: true false true
-}
-
-// ExampleKnapsack packs a small knapsack optimally.
-func ExampleKnapsack() {
-	k := problems.Knapsack{
-		Weights:  []int{2, 3, 4},
-		Values:   []float64{3, 4, 5},
-		Capacity: 5,
-	}
-	m, _ := k.Ising()
-	items := k.Decode(exact.Solve(m).Spins)
-	fmt.Println(k.Feasible(items), k.TotalValue(items))
-	// Output: true 7
-}
-
-// ExampleTSP finds the square's perimeter tour.
-func ExampleTSP() {
-	d := [][]float64{
-		{0, 1, 2, 1},
-		{1, 0, 1, 2},
-		{2, 1, 0, 1},
-		{1, 2, 1, 0},
-	}
-	t := problems.TSP{Dist: d}
-	m, _ := t.Ising()
-	tour := t.Decode(exact.Solve(m).Spins)
-	fmt.Println(t.ValidTour(tour), t.Length(tour))
-	// Output: true 4
 }

@@ -8,7 +8,6 @@
 //   - number partitioning (Partition)
 //   - minimum vertex cover (VertexCover)
 //   - maximum independent set (IndependentSet)
-//   - maximum clique (Clique)
 //   - graph k-coloring (Coloring)
 //   - boolean satisfiability (SAT, via the independent-set reduction)
 //   - traveling salesman (TSP)

@@ -126,7 +126,7 @@ func TestVertexCoverSAOnRandomGraph(t *testing.T) {
 	}
 }
 
-// --- IndependentSet / Clique -------------------------------------------
+// --- IndependentSet ----------------------------------------------------
 
 func TestIndependentSetExactOnPath(t *testing.T) {
 	// P5: maximum independent set {0,2,4}, size 3.
@@ -152,35 +152,6 @@ func TestIndependentSetDecodeRepairs(t *testing.T) {
 	}
 	if len(set) == 0 {
 		t.Fatal("repair dropped everything")
-	}
-}
-
-func TestCliqueExact(t *testing.T) {
-	// A K4 plus a pendant vertex: maximum clique is the K4.
-	g := graph.New(5)
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			g.AddEdge(i, j, 1)
-		}
-	}
-	g.AddEdge(3, 4, 1)
-	c := Clique{G: g}
-	m, _ := c.Ising()
-	res := exact.Solve(m)
-	clique := c.Decode(res.Spins)
-	if !c.IsClique(clique) || len(clique) != 4 {
-		t.Fatalf("decoded clique %v, want the K4", clique)
-	}
-}
-
-func TestCliqueIsCliqueRejects(t *testing.T) {
-	g := pathGraph(3)
-	c := Clique{G: g}
-	if c.IsClique([]int{0, 2}) {
-		t.Fatal("non-adjacent pair accepted as clique")
-	}
-	if !c.IsClique([]int{0, 1}) {
-		t.Fatal("edge rejected as clique")
 	}
 }
 

@@ -33,11 +33,14 @@ func weightedModel(n int, r *rng.Source) *ising.Model {
 	return mustBuild(mb)
 }
 
-// multiChipHashes runs SolveMultiChip over both variants × Chips {1, 3, 4}
+// multiChipHashes runs Solve over both variants × Chips {1, 3, 4}
 // × n {30, 64, 97, 140} × {K-graph, G(n, 0.04), weighted with biases}
-// and returns, per configuration, the SHA-256 of
-// every OnStep step and energy, the final energy and spins, Exchanges and
-// BytesExchanged.
+// and returns, per configuration, the SHA-256 of every OnStep step and
+// energy, the final energy and spins, the steps taken (one exchange
+// each) and the bytes that chips would exchange over them: [49]'s
+// every-step pipeline sends 4 bytes per remote position per chip, so a
+// step costs 4·n·(chips−1) bytes. Chips reach a run only through its
+// seed.
 func multiChipHashes() map[string]string {
 	out := map[string]string{}
 	for _, n := range []int{30, 64, 97, 140} {
@@ -54,17 +57,14 @@ func multiChipHashes() map[string]string {
 				for _, chips := range []int{1, 3, 4} {
 					h := sha256.New()
 					word := func(u uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, u)) }
-					res := SolveMultiChip(mod.m, MultiChipConfig{
-						Config: Config{Variant: v, Steps: 120, Seed: uint64(n + chips),
-							OnStep: func(step int, e float64) { word(uint64(step)); word(math.Float64bits(e)) }},
-						Chips: chips,
-					})
+					res := Solve(mod.m, Config{Variant: v, Steps: 120, Seed: uint64(n + chips),
+						OnStep: func(step int, e float64) { word(uint64(step)); word(math.Float64bits(e)) }})
 					word(math.Float64bits(res.Energy))
 					for _, s := range res.Spins {
 						h.Write([]byte{byte(s)})
 					}
-					word(uint64(res.Exchanges))
-					word(math.Float64bits(res.BytesExchanged))
+					word(uint64(res.Steps))
+					word(math.Float64bits(float64(res.Steps) * float64(4*n*(chips-1))))
 					name := fmt.Sprintf("%s/n=%d/%v/chips=%d", mod.name, n, v, chips)
 					out[name] = hex.EncodeToString(h.Sum(nil))
 				}
@@ -74,11 +74,11 @@ func multiChipHashes() map[string]string {
 	return out
 }
 
-// TestMultiChipGolden pins SolveMultiChip's every observable in 72
-// configurations against testdata/multichip.golden.json, generated by
-// the partitioned loop SolveMultiChip ran before it ran on Solve's
-// machine. Nothing about a multi-chip SB trajectory is meant to change,
-// so the file has no regenerate flag.
+// TestMultiChipGolden pins the 72 runs behind Fig 12's multi-chip SB
+// row against testdata/multichip.golden.json, generated when a
+// partitioned loop still ran them: Solve plus [49]'s traffic formula
+// reproduces every hash, so nothing about a multi-chip SB trajectory
+// moved. The file has no regenerate flag.
 func TestMultiChipGolden(t *testing.T) {
 	raw, err := os.ReadFile(multiChipGolden)
 	if err != nil {

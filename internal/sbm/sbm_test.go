@@ -287,50 +287,42 @@ func (e *energies) Emit(ev obs.Event) { *e = append(*e, ev.Value) }
 // TestSamplingDoesNotPerturb: reading the energy along the way — every
 // step through OnStep, ~64 times through a Tracer, or both — leaves a
 // run's spins and energy where a bare run ends, and the samples agree
-// with each other, by Float64bits. A partitioned run samples on the same
-// cadence, and both count their runs and steps in Metrics.
+// with each other, by Float64bits, and Metrics counts the run and its
+// steps.
 func TestSamplingDoesNotPerturb(t *testing.T) {
 	m := graph.Complete(130, rng.New(3)).ToIsing()
-	solvers := map[string]func(Config) *Result{
-		"Solve": func(c Config) *Result { return Solve(m, c) },
-		"SolveMultiChip": func(c Config) *Result {
-			return &SolveMultiChip(m, MultiChipConfig{Config: c, Chips: 4}).Result
-		},
-	}
-	for solver, solve := range solvers {
-		for _, v := range []Variant{Discrete, Ballistic} {
-			cfg := Config{Variant: v, Steps: 200, Seed: 4}
-			bare := solve(cfg)
-			var perStep, both energies
-			var traced, tracedBoth energies
-			reg := obs.NewRegistry()
-			withStep, withTracer, withBoth := cfg, cfg, cfg
-			withStep.OnStep = func(_ int, e float64) { perStep = append(perStep, e) }
-			withTracer.Tracer, withTracer.Metrics = &traced, reg
-			withBoth.OnStep = func(_ int, e float64) { both = append(both, e) }
-			withBoth.Tracer = &tracedBoth
-			for name, c := range map[string]Config{"OnStep": withStep, "Tracer": withTracer, "both": withBoth} {
-				res := solve(c)
-				if math.Float64bits(res.Energy) != math.Float64bits(bare.Energy) || ising.HammingDistance(res.Spins, bare.Spins) != 0 {
-					t.Fatalf("%s %v with %s: energy %v, bare run %v", solver, v, name, res.Energy, bare.Energy)
-				}
+	for _, v := range []Variant{Discrete, Ballistic} {
+		cfg := Config{Variant: v, Steps: 200, Seed: 4}
+		bare := Solve(m, cfg)
+		var perStep, both energies
+		var traced, tracedBoth energies
+		reg := obs.NewRegistry()
+		withStep, withTracer, withBoth := cfg, cfg, cfg
+		withStep.OnStep = func(_ int, e float64) { perStep = append(perStep, e) }
+		withTracer.Tracer, withTracer.Metrics = &traced, reg
+		withBoth.OnStep = func(_ int, e float64) { both = append(both, e) }
+		withBoth.Tracer = &tracedBoth
+		for name, c := range map[string]Config{"OnStep": withStep, "Tracer": withTracer, "both": withBoth} {
+			res := Solve(m, c)
+			if math.Float64bits(res.Energy) != math.Float64bits(bare.Energy) || ising.HammingDistance(res.Spins, bare.Spins) != 0 {
+				t.Fatalf("%v with %s: energy %v, bare run %v", v, name, res.Energy, bare.Energy)
 			}
-			every := cfg.Steps / 64
-			if len(perStep) != cfg.Steps || len(traced) != cfg.Steps/every || math.Float64bits(perStep[cfg.Steps-1]) != math.Float64bits(bare.Energy) {
-				t.Fatalf("%s %v: %d step samples, %d traced", solver, v, len(perStep), len(traced))
+		}
+		every := cfg.Steps / 64
+		if len(perStep) != cfg.Steps || len(traced) != cfg.Steps/every || math.Float64bits(perStep[cfg.Steps-1]) != math.Float64bits(bare.Energy) {
+			t.Fatalf("%v: %d step samples, %d traced", v, len(perStep), len(traced))
+		}
+		if runs, steps := reg.Counter("sbm.runs").Value(), reg.Counter("sbm.steps").Value(); runs != 1 || steps != int64(cfg.Steps) {
+			t.Fatalf("%v: sbm.runs %d, sbm.steps %d", v, runs, steps)
+		}
+		for k, e := range traced {
+			if p := perStep[(k+1)*every-1]; math.Float64bits(e) != math.Float64bits(p) || math.Float64bits(tracedBoth[k]) != math.Float64bits(e) {
+				t.Fatalf("%v sample %d: traced %v, with OnStep %v, OnStep %v", v, k, e, tracedBoth[k], p)
 			}
-			if runs, steps := reg.Counter("sbm.runs").Value(), reg.Counter("sbm.steps").Value(); runs != 1 || steps != int64(cfg.Steps) {
-				t.Fatalf("%s %v: sbm.runs %d, sbm.steps %d", solver, v, runs, steps)
-			}
-			for k, e := range traced {
-				if p := perStep[(k+1)*every-1]; math.Float64bits(e) != math.Float64bits(p) || math.Float64bits(tracedBoth[k]) != math.Float64bits(e) {
-					t.Fatalf("%s %v sample %d: traced %v, with OnStep %v, OnStep %v", solver, v, k, e, tracedBoth[k], p)
-				}
-			}
-			for k, e := range both {
-				if math.Float64bits(e) != math.Float64bits(perStep[k]) {
-					t.Fatalf("%s %v step %d: %v with a Tracer, %v without", solver, v, k, e, perStep[k])
-				}
+		}
+		for k, e := range both {
+			if math.Float64bits(e) != math.Float64bits(perStep[k]) {
+				t.Fatalf("%v step %d: %v with a Tracer, %v without", v, k, e, perStep[k])
 			}
 		}
 	}

@@ -28,10 +28,10 @@
 // AddCoupling, SetBias — whose Build validates it and freezes an
 // immutable Model, stored as sparsely as the problem is.
 //
-// For finer control, construct a multichip.System-equivalent directly
-// with NewSystem and drive RunConcurrent / RunBatch yourself; all
-// detailed knobs (epoch length, channel bandwidth, coordination,
-// per-epoch statistics, energy-surprise probes) live on SystemConfig.
+// For finer control, build a System with NewSystem and drive
+// RunConcurrent / RunBatch yourself (epoch length, channel bandwidth
+// and coordination live on SystemConfig), or a single chip with
+// NewBRIM.
 //
 // # Time semantics
 //
@@ -53,7 +53,7 @@ import (
 	"mbrim/internal/ising"
 	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
-	"mbrim/internal/portfolio"
+	_ "mbrim/internal/portfolio" // registers the portfolio engine
 	"mbrim/internal/rng"
 	"mbrim/internal/sched"
 )
@@ -72,9 +72,6 @@ type (
 	// QUBO is a quadratic unconstrained binary optimization instance;
 	// convert with its ToIsing method.
 	QUBO = ising.QUBO
-	// SubProblem is one side of an Eq. 3 bipartition with effective
-	// biases folding the frozen complement.
-	SubProblem = ising.SubProblem
 	// Graph is an undirected weighted graph with MaxCut↔Ising mapping.
 	Graph = graph.Graph
 	// Edge is one weighted graph edge.
@@ -92,9 +89,6 @@ type (
 	Cutter = core.Cutter
 	// Kind names a solver engine.
 	Kind = core.Kind
-	// Engine is one registered solver — implement it and call
-	// RegisterEngine to add an engine to the dispatch registry.
-	Engine = core.Engine
 	// EngineCapabilities declares what an engine supports (resume,
 	// warm start, span tracing, model time).
 	EngineCapabilities = core.Capabilities
@@ -126,35 +120,17 @@ type (
 	StructureStats = core.StructureStats
 )
 
-// RegisterEngine adds a solver engine to the dispatch registry; it
-// panics on a duplicate or empty kind (registration is an init-time
-// act, and a clash is a build defect).
-func RegisterEngine(e Engine) { core.Register(e) }
-
 // Engines returns every registered engine with its capabilities,
 // sorted by kind — the same view mbrimd serves on GET /engines.
 func Engines() []EngineInfo { return core.Engines() }
-
-// EngineCaps reports a registered engine's capabilities.
-func EngineCaps(k Kind) (EngineCapabilities, bool) { return core.EngineCaps(k) }
-
-// AnalyzeStructure computes the portfolio dispatcher's row statistics
-// for a model.
-func AnalyzeStructure(m *Model) StructureStats { return portfolio.Analyze(m) }
-
-// DispatchPortfolio picks a race field from structure statistics, at
-// most max entrants (0 = the dispatcher default).
-func DispatchPortfolio(stats StructureStats, max int) []PortfolioEntrant {
-	return portfolio.Dispatch(stats, max)
-}
 
 // Observability types, re-exported from internal/obs. Attach a Tracer
 // and/or a Registry to Request to capture a run's typed event stream
 // and cross-run counters; see the package example and README's
 // Observability section.
 type (
-	// Tracer receives typed run events; NewJSONLTracer and NewRing are
-	// the built-in sinks, and any Emit(Event) implementation works.
+	// Tracer receives typed run events; NewJSONLTracer is the built-in
+	// sink, and any Emit(Event) implementation works.
 	Tracer = obs.Tracer
 	// Event is one typed, timestamped run event.
 	Event = obs.Event
@@ -165,11 +141,6 @@ type (
 	Registry = obs.Registry
 	// JSONLTracer streams events as JSON Lines to a writer.
 	JSONLTracer = obs.JSONLTracer
-	// Ring is a fixed-capacity in-memory event buffer.
-	Ring = obs.Ring
-	// Broadcast fans the event stream out to live subscribers without
-	// ever blocking the solve (full subscribers drop and count).
-	Broadcast = obs.Broadcast
 	// MetricLabels attaches dimensions (engine, chip, mode...) to a
 	// registry series for the Prometheus exposition.
 	MetricLabels = obs.Labels
@@ -179,18 +150,11 @@ type (
 // Call Flush (or Close) when the run completes.
 func NewJSONLTracer(w io.Writer) *JSONLTracer { return obs.NewJSONL(w) }
 
-// NewRing returns an in-memory tracer keeping the last n events.
-func NewRing(n int) *Ring { return obs.NewRing(n) }
-
 // NewRegistry returns an empty metrics registry.
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
 // ReadJSONL parses a JSON Lines trace back into events.
 func ReadJSONL(r io.Reader) ([]Event, error) { return obs.ReadJSONL(r) }
-
-// NewBroadcast returns a bounded fan-out tracer whose subscribers each
-// get a buffered channel of n events (n <= 0 uses the default).
-func NewBroadcast(n int) *Broadcast { return obs.NewBroadcast(n) }
 
 // Fanout composes tracers into one that emits to each in order; nil
 // entries are skipped, and an all-nil list yields a nil Tracer.
@@ -200,13 +164,6 @@ func Fanout(ts ...Tracer) Tracer { return obs.Fanout(ts...) }
 // and the live diagnostics reducer (Request.Diag + a DiagReducer in the
 // tracer fan-out). See README's Introspection section.
 type (
-	// Spanner allocates hierarchical interval spans over a Tracer; a
-	// nil *Spanner is the free disabled path. Engines drive it when
-	// Request.SpanTrace is set — construct one directly only to
-	// instrument your own orchestration code.
-	Spanner = obs.Spanner
-	// Span is one open interval handle; the zero Span is "no parent".
-	Span = obs.Span
 	// DiagReducer folds a live event stream into convergence and
 	// partition-quality diagnostics; read with Snapshot.
 	DiagReducer = diag.Reducer
@@ -218,18 +175,6 @@ type (
 	// attribution and a TTS estimate with confidence bounds.
 	DiagSnapshot = diag.Snapshot
 )
-
-// Span event kinds (values of Event.Kind) emitted when Request.SpanTrace
-// is enabled, alongside the flat kinds (run_start, epoch_sync, ...).
-const (
-	SpanStartEvent = obs.SpanStart
-	SpanEndEvent   = obs.SpanEnd
-	PairStatEvent  = obs.PairStat
-)
-
-// NewSpanner builds a span recorder emitting into tr; a nil tr yields
-// the disabled (nil, zero-cost) Spanner.
-func NewSpanner(tr Tracer) *Spanner { return obs.NewSpanner(tr) }
 
 // NewDiagReducer builds a diagnostics reducer; include it in the
 // Request's tracer fan-out and set Request.Diag so engines emit the
@@ -290,13 +235,6 @@ const (
 	Cluster = core.Cluster
 )
 
-// Bandwidth presets of the paper's Sec 6.3 configurations, in channel
-// bytes per nanosecond.
-const (
-	HBChannelBytesPerNS = core.HBChannelBytesPerNS
-	LBChannelBytesPerNS = core.LBChannelBytesPerNS
-)
-
 // NewModelBuilder returns a builder for an n-spin Ising model.
 func NewModelBuilder(n int) *ModelBuilder { return ising.NewBuilder(n) }
 
@@ -328,36 +266,21 @@ func Solve(req Request) (*Outcome, error) { return core.Solve(req) }
 // SolveCtx is Solve with lifecycle control: the request is validated at
 // the boundary, cancelling the context stops the engine at its next
 // natural boundary with an *InterruptedError carrying the best-so-far
-// Outcome (and, for multichip engines, resume bytes), integrator
-// divergence surfaces as a typed *DivergenceError, and engine panics
-// are converted to *PanicError.
+// Outcome (and, for multichip engines, resume bytes), and integrator
+// divergence and engine panics return as errors rather than crash.
 func SolveCtx(ctx context.Context, req Request) (*Outcome, error) {
 	return core.SolveCtx(ctx, req)
 }
 
-// Lifecycle sentinels: match with errors.Is.
-var (
-	// ErrInterrupted matches a solve stopped by context cancellation
-	// or deadline; the concrete error is *InterruptedError.
-	ErrInterrupted = core.ErrInterrupted
-	// ErrInvalidModel matches a request rejected at the Solve boundary
-	// for a warm start that does not fit its model.
-	ErrInvalidModel = core.ErrInvalidModel
-)
+// ErrInterrupted matches, with errors.Is, a solve stopped by context
+// cancellation or deadline.
+var ErrInterrupted = core.ErrInterrupted
 
-// Lifecycle error types.
-type (
-	// InterruptedError reports a cancelled solve: the best-so-far
-	// Outcome plus, for multichip engines, serialized checkpoint bytes
-	// that Request.Resume accepts for a bit-identical continuation.
-	InterruptedError = core.InterruptedError
-	// PanicError reports an engine panic converted to an error at the
-	// Solve boundary, with the stack attached.
-	PanicError = core.PanicError
-	// DivergenceError reports BRIM integrator blowup that survived the
-	// step-halving guardrail, with per-node diagnostics.
-	DivergenceError = brim.DivergenceError
-)
+// InterruptedError is what an interrupted solve returns: the
+// best-so-far Outcome plus, for multichip engines, serialized
+// checkpoint bytes that Request.Resume accepts for a bit-identical
+// continuation.
+type InterruptedError = core.InterruptedError
 
 // Kinds returns every engine name, sorted.
 func Kinds() []string { return core.Kinds() }
@@ -371,25 +294,22 @@ func NewSystem(m *Model, cfg SystemConfig) (*System, error) {
 	return multichip.NewSystem(m, cfg)
 }
 
-// MustSystem is NewSystem for statically known-good configuration; it
-// panics on configuration errors.
-func MustSystem(m *Model, cfg SystemConfig) *System {
-	return multichip.MustSystem(m, cfg)
-}
+// BRIMConfig exposes the single-chip machine's knobs (time constant,
+// kick schedule and hold, device variation, thermal noise) for direct
+// use.
+type BRIMConfig = brim.Config
+
+// BRIMMachine is a stateful single-chip BRIM simulator for callers who
+// drive the dynamics epoch by epoch themselves.
+type BRIMMachine = brim.Machine
+
+// NewBRIM builds a single-chip BRIM machine over the model.
+func NewBRIM(m *Model, cfg BRIMConfig) *BRIMMachine { return brim.New(m, cfg) }
 
 // PlanLayout computes a reconfigurable chip's module configuration for
 // a multiprocessor of the given size (Sec 5.2 / Fig 7).
 func PlanLayout(k, moduleN, chips int) (*Layout, error) {
 	return multichip.PlanLayout(k, moduleN, chips)
-}
-
-// Stack describes a 3D-integrated multiprocessor (Fig 8).
-type Stack = multichip.Stack
-
-// PlanStack validates and builds a 3D stack of `layers` layers, each
-// carrying moduleN spins.
-func PlanStack(layers, moduleN int) (*Stack, error) {
-	return multichip.PlanStack(layers, moduleN)
 }
 
 // Packing reports how problems occupy Ising hardware (Fig 4's
@@ -410,9 +330,3 @@ func PackReconfigurable(chipN int, problems []int) (*Packing, error) {
 
 // NewRNG returns a deterministic random source for the seed.
 func NewRNG(seed uint64) *RNG { return rng.New(seed) }
-
-// Extract builds the Eq. 3 sub-problem over the given parent indices
-// with the complement frozen at spins.
-func Extract(parent *Model, sub []int, spins []int8) *SubProblem {
-	return ising.Extract(parent, sub, spins)
-}

@@ -64,13 +64,19 @@ func TestReadGraphRoundTrip(t *testing.T) {
 
 func TestDirectSystemUse(t *testing.T) {
 	m := mbrim.CompleteGraph(32, 5).ToIsing()
-	sys := mbrim.MustSystem(m, mbrim.SystemConfig{Chips: 4, Seed: 6})
+	sys, err := mbrim.NewSystem(m, mbrim.SystemConfig{Chips: 4, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := sys.RunConcurrent(30)
 	if res.Energy >= 0 {
 		t.Fatalf("no progress: %v", res.Energy)
 	}
-	res2 := mbrim.MustSystem(m, mbrim.SystemConfig{Chips: 4, Seed: 6, EpochNS: 5}).RunBatch(4, 30)
-	if res2.BestEnergy >= 0 {
+	batch, err := mbrim.NewSystem(m, mbrim.SystemConfig{Chips: 4, Seed: 6, EpochNS: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2 := batch.RunBatch(4, 30); res2.BestEnergy >= 0 {
 		t.Fatalf("batch no progress: %v", res2.BestEnergy)
 	}
 }
@@ -105,18 +111,6 @@ func TestQUBOWorkflow(t *testing.T) {
 	}
 	if got := out.Energy + offset; math.Abs(got-(-1)) > 1e-9 {
 		t.Fatalf("QUBO optimum %v, want -1", got)
-	}
-}
-
-func TestExtractPublic(t *testing.T) {
-	m := mbrim.CompleteGraph(10, 8).ToIsing()
-	spins := make([]int8, 10)
-	for i := range spins {
-		spins[i] = 1
-	}
-	sp := mbrim.Extract(m, []int{0, 1, 2}, spins)
-	if sp.Model.N() != 3 {
-		t.Fatalf("sub-problem size %d", sp.Model.N())
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"mbrim"
+	"mbrim/internal/exact"
+	"mbrim/internal/ising"
 	"mbrim/internal/lattice"
 )
 
@@ -21,7 +23,7 @@ func TestSolveExactPublic(t *testing.T) {
 	if res.Energy != -3 {
 		t.Fatalf("triangle ferromagnet optimum %v, want -3", res.Energy)
 	}
-	if err := mbrim.VerifyLocalOptimum(m, res.Spins, res.Energy); err != nil {
+	if err := exact.Verify(m, res.Spins, res.Energy); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -68,8 +70,8 @@ func TestEmbeddingPublic(t *testing.T) {
 func TestQUBORoundTripPublic(t *testing.T) {
 	g := mbrim.CompleteGraph(8, 2)
 	m := g.ToIsing()
-	q, off1 := mbrim.ToQUBO(m)
-	back, off2, err := mbrim.FromQUBO(q)
+	q, off1 := ising.FromIsing(m)
+	back, off2, err := q.ToIsing()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,24 +89,25 @@ func TestQUBORoundTripPublic(t *testing.T) {
 func TestSparseWorkflowPublic(t *testing.T) {
 	g := mbrim.RandomGraph(500, 0.02, 9)
 	m := g.ToIsing() // 2 % dense: stored, and annealed, as compressed rows
-	if st := mbrim.AnalyzeStructure(m); st.NNZ != 2*g.M() {
-		t.Fatalf("NNZ = %d for %d edges", st.NNZ, g.M())
+	if m.NNZ() != 2*g.M() {
+		t.Fatalf("NNZ = %d for %d edges", m.NNZ(), g.M())
 	}
-	res := mbrim.Anneal(m, 200, 10)
-	cut := g.CutValue(res.Spins)
-	if cut <= 0 {
+	req := mbrim.Request{Kind: mbrim.SA, Model: m, Sweeps: 200, Seed: 10}
+	res, err := mbrim.Solve(req)
+	if err != nil || res.Backend != lattice.CSR.String() {
+		t.Fatalf("outcome %v (%v)", res, err)
+	}
+	if cut := g.CutValue(res.Spins); cut <= 0 {
 		t.Fatalf("sparse anneal cut %v", cut)
 	}
 	// The engine's running energy is the model's energy of the found state,
-	// and the Request surface runs the same trajectory on either layout.
+	// and the dense layout runs the same trajectory.
 	if d := math.Abs(m.Energy(res.Spins) - res.Energy); d > 1e-6 {
 		t.Fatalf("sparse energy off by %v", d)
 	}
-	for _, layout := range []lattice.Kind{lattice.CSR, lattice.Dense} {
-		out, err := mbrim.Solve(mbrim.Request{Kind: mbrim.SA, Model: m.As(layout), Sweeps: 200, Seed: 10})
-		if err != nil || out.Energy != res.Energy || out.Backend != layout.String() {
-			t.Fatalf("%s: outcome %v (%v), Anneal found %v", layout, out, err, res.Energy)
-		}
+	req.Model = m.As(lattice.Dense)
+	if out, err := mbrim.Solve(req); err != nil || out.Energy != res.Energy || out.Backend != lattice.Dense.String() {
+		t.Fatalf("dense: outcome %v (%v), sparse found %v", out, err, res.Energy)
 	}
 }
 
@@ -117,8 +120,8 @@ func TestModelBuilderPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := mbrim.AnalyzeStructure(m); st.NNZ != 2 || st.MaxDegree != 1 || m.Coupling(3, 0) != -3 {
-		t.Fatalf("NNZ=%d maxdeg=%d J30=%v", st.NNZ, st.MaxDegree, m.Coupling(3, 0))
+	if m.NNZ() != 2 || m.Coupling(3, 0) != -3 {
+		t.Fatalf("NNZ=%d J30=%v", m.NNZ(), m.Coupling(3, 0))
 	}
 	bad := mbrim.NewModelBuilder(4)
 	bad.SetCoupling(2, 2, 1)
