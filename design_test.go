@@ -1,7 +1,9 @@
 package mbrim_test
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
 	"go/constant"
 	"go/importer"
 	"go/parser"
@@ -13,6 +15,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	_ "mbrim/internal/cluster" // registers the cluster engine
@@ -104,20 +107,8 @@ func TestFacadeExportsHaveCallers(t *testing.T) {
 			return true
 		})
 	}
-	var facade []*ast.File
-	root, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range root {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasSuffix(path, "_test.go") {
-			facade = append(facade, f)
-			continue
-		}
+	m := loadModule(t)
+	for _, f := range m.xtest.files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") {
 				collect(fd)
@@ -140,12 +131,7 @@ func TestFacadeExportsHaveCallers(t *testing.T) {
 		}
 	}
 
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := conf.Check("mbrim", fset, facade, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scope := pkg.Scope()
+	scope := m.pkgs["mbrim"].types.Scope()
 	aliasOf := map[*types.TypeName][]string{} // facade type names by the type they alias
 	kept := map[string]bool{}
 	kinds := map[string]bool{}
@@ -236,5 +222,436 @@ func TestFacadeExportsHaveCallers(t *testing.T) {
 	}
 	for _, k := range difference(kinds, want) {
 		t.Errorf("the facade's Kind constant %q names no registered engine", k)
+	}
+}
+
+// module is every package of the module type-checked from source in
+// the default build: non-test files only, plus the root's external
+// test package for its Examples.
+type module struct {
+	fset  *token.FileSet
+	pkgs  map[string]*modPkg // by import path
+	xtest *modPkg            // package mbrim_test
+}
+
+// modPkg is one type-checked package.
+type modPkg struct {
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+var (
+	loadOnce   sync.Once
+	loaded     *module
+	loadFailed error
+)
+
+// loadModule type-checks the module once per test binary.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	loadOnce.Do(func() { loaded, loadFailed = checkModule() })
+	if loadFailed != nil {
+		t.Fatal(loadFailed)
+	}
+	return loaded
+}
+
+// checkModule type-checks every directory that holds Go code, importing
+// the standard library from source.
+func checkModule() (*module, error) {
+	m := &module{fset: token.NewFileSet(), pkgs: map[string]*modPkg{}}
+	std := importer.ForCompiler(m.fset, "source", nil)
+	dirs := map[string]string{} // import path → directory
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if ms, _ := filepath.Glob(filepath.Join(path, "*.go")); len(ms) > 0 {
+			dirs[strings.TrimSuffix("mbrim/"+filepath.ToSlash(path), "/.")] = path
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var imp importerFunc
+	check := func(path, dir string, names []string) (*modPkg, error) {
+		p := &modPkg{info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{},
+		}}
+		for _, name := range names {
+			f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			p.files = append(p.files, f)
+		}
+		var err error
+		p.types, err = (&types.Config{Importer: imp}).Check(path, m.fset, p.files, p.info)
+		return p, err
+	}
+	imp = func(path string) (*types.Package, error) {
+		dir, ok := dirs[path]
+		if !ok {
+			return std.Import(path)
+		}
+		if p := m.pkgs[path]; p != nil {
+			return p.types, nil
+		}
+		bp, err := build.Default.ImportDir(dir, 0)
+		if err != nil {
+			return nil, err
+		}
+		p, err := check(path, dir, bp.GoFiles)
+		if err != nil {
+			return nil, err
+		}
+		m.pkgs[path] = p
+		return p.types, nil
+	}
+	for path := range dirs {
+		if _, err := imp(path); err != nil {
+			return nil, err
+		}
+	}
+	bp, err := build.Default.ImportDir(".", 0)
+	if err != nil {
+		return nil, err
+	}
+	m.xtest, err = check("mbrim_test", ".", bp.XTestGoFiles)
+	return m, err
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// reachAllowed names the internal declarations that no program reaches
+// but a test needs: a reference the test compares against, a checker
+// of an invariant, or a seam into code a program runs. Each entry names
+// a test, as package.Test under internal/, that calls it, directly or
+// through the test's helpers and the other entries.
+var reachAllowed = map[string]struct{ test, why string }{
+	"sa.SolveNaive":     {"sa.TestSolveMatchesExpLoop", "the full-recompute annealer the fast one is held to"},
+	"lattice.Tanh":      {"lattice.FuzzTanh", "the seam on tanh_amd64.h, whose TANH_PAIR macro latchStage expands"},
+	"lattice.tanhLanes": {"lattice.FuzzTanh", "the packed twin Tanh dispatches to, held to tanhGo bit for bit"},
+	"exact.Verify":      {"exact.TestVerify", "the local-optimality oracle the solvers' results are checked by"},
+
+	"ising.FromIsing":           {"ising.TestIsingToQUBOValueIdentity", "the inverse of QUBO.ToIsing, the oracle for its energy identity"},
+	"ising.QUBO.Value":          {"ising.TestQUBOToIsingValueIdentity", "the QUBO objective the Ising energy is compared against"},
+	"ising.WriteQUBO":           {"ising.TestQUBOFileRoundTrip", "the writer ReadQUBO round-trips against"},
+	"ising.CrossEnergy":         {"ising.TestEq3EnergyIdentity", "E_× of Eq 3, the identity the chip split must satisfy"},
+	"ising.Complement":          {"ising.TestEq3EnergyIdentity", "the other side of a bipartition for Eq 3"},
+	"ising.HammingDistance":     {"sa.TestSolveDeterministic", "compares two runs' spins"},
+	"ising.ValidSpins":          {"multichip.TestSystemInvariantsProperty", "checks every spin is ±1"},
+	"ising.Model.Coupling":      {"ising.TestSetCouplingSymmetric", "reads one stored coupling back, whatever the layout"},
+	"ising.Model.NNZ":           {"ising.TestNewSparseDropsZeros", "counts the stored couplings, whatever the layout"},
+	"brim.Machine.Model":        {"multichip.TestChipsInheritTheModelsLayout", "the only way to a chip's sub-model and its layout"},
+	"obs.CheckGoroutineLeaks":   {"runs.TestMain", "fails a package whose tests leave goroutines behind"},
+	"obs.Broadcast.Subscribers": {"runs.TestSSEClientDisconnectMidStream", "the only way to see a dropped SSE client detach"},
+
+	"embed.Chimera":                         {"embed.TestChimeraEmbedIsTopologyLegal", "the topology ChimeraLegal checks an embedding against"},
+	"embed.Embedding.ChimeraLegal":          {"embed.TestChimeraEmbedIsTopologyLegal", "checks every physical coupling is a chimera edge"},
+	"embed.Embedding.Chains":                {"embed.TestChainsPartitionPhysicalNodes", "checks the chains partition the physical nodes"},
+	"embed.Embedding.Encode":                {"embed.TestEncodeDecodeRoundTrip", "the chain-intact state Decode is held to"},
+	"embed.Embedding.ChainBreaks":           {"embed.TestChainBreaksDetected", "counts broken chains in a physical state"},
+	"embed.Embedding.EnergyIdentityOffset":  {"embed.TestEnergyIdentityOnIntactChains", "the constant of the logical/physical energy identity"},
+	"graph.Graph.Connected":                 {"embed.TestChimeraConnected", "checks the chimera graph is one component"},
+	"graph.Graph.Components":                {"embed.TestChimeraConnected", "what Connected counts"},
+	"problems.IndependentSet.IsIndependent": {"problems.TestIndependentSetDecodeRepairs", "checks a decoded set has no edge inside"},
+
+	"multichip.Layout.Validate": {"multichip.TestPlanLayoutPaperExamples", "checks a planned layout's module counts"},
+	"multichip.Stack.Validate":  {"multichip.TestPlanStackPaperExample", "checks a stack's diagonal and TSV lengths"},
+	"multichip.Stack.ModeGrid":  {"multichip.TestStackModeGrid", "Fig 8's mode map, which Stack.Validate checks"},
+	// Both ledgers ride in every checkpoint (interconnect.State), so
+	// deleting them moves the stream goldens' checkpoint hashes.
+	"interconnect.Fabric.BytesByKind":      {"multichip.TestChipLossRepartitionCompletes", "reads the resync bytes a repartition charged"},
+	"interconnect.Fabric.EpochBytesByKind": {"interconnect.TestEpochKindSplit", "reads one epoch's traffic by kind"},
+}
+
+// TestInternalCodeIsReached: every function, method, type, const and
+// var under internal/ is reached from a program, or is on reachAllowed.
+// The walk starts at every package main under cmd/, examples/ and
+// bench/, every facade declaration, the root Examples, and the init
+// functions and package-level var initializers of every linked package.
+// It follows the objects each reached declaration uses (Info.Uses,
+// which holds the selected field or method of every selector too); a
+// call of an interface method reaches that method of every reached type
+// that implements the interface, and a reached type keeps the methods
+// the standard library calls by interface (error, Stringer,
+// http.Handler, JSON), and so does a value passed as an interface.
+func TestInternalCodeIsReached(t *testing.T) {
+	m := loadModule(t)
+
+	decl := map[types.Object]ast.Node{}
+	home := map[types.Object]*modPkg{}
+	for _, p := range m.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					obj := p.info.Defs[d.Name]
+					decl[obj], home[obj] = d, p
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							obj := p.info.Defs[s.Name]
+							decl[obj], home[obj] = s, p
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								if obj := p.info.Defs[id]; obj != nil {
+									decl[obj], home[obj] = s, p
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	reached := map[types.Object]bool{}
+	var queue []types.Object
+	var concrete []*types.Named // reached non-interface types, for the interface edges
+	ifaceCalls := map[*types.Func]bool{}
+	mark := func(obj types.Object) {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		if _, ok := decl[obj]; !ok || reached[obj] {
+			return
+		}
+		reached[obj] = true
+		queue = append(queue, obj)
+		if tn, ok := obj.(*types.TypeName); ok {
+			if nt, ok := tn.Type().(*types.Named); ok && !types.IsInterface(nt) {
+				concrete = append(concrete, nt)
+			}
+		}
+	}
+	walk := func(n ast.Node, info *types.Info) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			fn, ok := info.Uses[id].(*types.Func)
+			if !ok {
+				mark(info.Uses[id])
+				return true
+			}
+			mark(fn)
+			if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceCalls[fn] = true
+			}
+			// A value passed as an interface has that interface's
+			// methods called, in the module or not.
+			params := fn.Signature().Params()
+			for i := range params.Len() {
+				if iface, ok := params.At(i).Type().Underlying().(*types.Interface); ok {
+					for j := range iface.NumMethods() {
+						ifaceCalls[iface.Method(j)] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	// byName reaches the method called name of a reached type, declared
+	// on it or promoted from an embedded field.
+	byName := func(nt *types.Named, name string) {
+		obj, _, _ := types.LookupFieldOrMethod(nt, true, nt.Obj().Pkg(), name)
+		if obj != nil {
+			mark(obj)
+		}
+	}
+
+	// Roots.
+	linked := map[*types.Package]bool{}
+	var link func(*types.Package)
+	link = func(p *types.Package) {
+		if linked[p] {
+			return
+		}
+		linked[p] = true
+		for _, q := range p.Imports() {
+			link(q)
+		}
+	}
+	for path, p := range m.pkgs {
+		rel := strings.TrimPrefix(path, "mbrim/")
+		main := p.types.Name() == "main" && (strings.HasPrefix(rel, "cmd/") || strings.HasPrefix(rel, "examples/") || strings.HasPrefix(rel, "bench"))
+		if path == "mbrim" || main {
+			link(p.types)
+			for obj := range decl {
+				if home[obj] == p {
+					mark(obj)
+				}
+			}
+		}
+	}
+	for _, f := range m.xtest.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") {
+				walk(fd, m.xtest.info)
+			}
+		}
+	}
+	for _, p := range m.pkgs {
+		if !linked[p.types] {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.Name == "init" {
+						walk(d, p.info)
+					}
+				case *ast.GenDecl:
+					if d.Tok == token.VAR {
+						for _, spec := range d.Specs {
+							for _, v := range spec.(*ast.ValueSpec).Values {
+								walk(v, p.info)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Edges, to a fixed point.
+	for len(queue) > 0 {
+		for len(queue) > 0 {
+			obj := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			walk(decl[obj], home[obj].info)
+			if nt, ok := types.Unalias(obj.Type()).(*types.Named); ok {
+				mark(nt.Obj())
+			}
+		}
+		for _, nt := range concrete {
+			for _, name := range []string{"Error", "Unwrap", "Is", "String", "ServeHTTP", "MarshalJSON", "UnmarshalJSON"} {
+				byName(nt, name)
+			}
+			for fn := range ifaceCalls {
+				iface := fn.Signature().Recv().Type().Underlying().(*types.Interface)
+				if types.Implements(nt, iface) || types.Implements(types.NewPointer(nt), iface) {
+					byName(nt, fn.Name())
+				}
+			}
+		}
+	}
+
+	// The report.
+	nameOf := func(obj types.Object) string {
+		name := strings.TrimPrefix(obj.Pkg().Path(), "mbrim/internal/") + "."
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Signature().Recv(); recv != nil {
+				rt := recv.Type()
+				if ptr, ok := rt.(*types.Pointer); ok {
+					rt = ptr.Elem()
+				}
+				name += rt.(*types.Named).Obj().Name() + "."
+			}
+		}
+		return name + obj.Name()
+	}
+	declared := map[string]types.Object{}
+	var dead []string
+	for obj := range decl {
+		if !strings.HasPrefix(obj.Pkg().Path(), "mbrim/internal/") || obj.Name() == "_" || obj.Name() == "init" {
+			continue
+		}
+		name := nameOf(obj)
+		declared[name] = obj
+		entry, allowed := reachAllowed[name]
+		switch {
+		case reached[obj] && allowed:
+			t.Errorf("%s is on reachAllowed (%s) but a program reaches it: take it off", name, entry.why)
+		case !reached[obj] && !allowed:
+			pos := m.fset.Position(obj.Pos())
+			dead = append(dead, fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, name))
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s is reached by no program: delete it, or allow it for the test that needs it", d)
+	}
+	if len(dead) > 0 {
+		t.Logf("%d unreached declarations", len(dead))
+	}
+
+	// Each entry's test calls it: the test's body, followed through the
+	// functions of its package's test files and the other entries' by
+	// name, mentions the entry's name.
+	if len(reachAllowed) > 30 {
+		t.Errorf("reachAllowed has %d entries; at most 30", len(reachAllowed))
+	}
+	bodies := map[string][]ast.Node{} // an entry's bare name → its declarations
+	for name := range reachAllowed {
+		if obj := declared[name]; obj != nil {
+			bodies[obj.Name()] = append(bodies[obj.Name()], decl[obj])
+		}
+	}
+	testFuncs := map[string]map[string][]ast.Node{} // package → name → declarations
+	for name, entry := range reachAllowed {
+		if declared[name] == nil {
+			t.Errorf("reachAllowed names %s, which is not declared", name)
+			continue
+		}
+		dot := strings.LastIndex(entry.test, ".")
+		dir, test := entry.test[:dot], entry.test[dot+1:]
+		funcs, ok := testFuncs[dir]
+		if !ok {
+			funcs = map[string][]ast.Node{}
+			files, _ := filepath.Glob(filepath.Join("internal", dir, "*_test.go"))
+			for _, path := range files {
+				f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok {
+						funcs[fd.Name.Name] = append(funcs[fd.Name.Name], fd)
+					}
+				}
+			}
+			testFuncs[dir] = funcs
+		}
+		if len(funcs[test]) == 0 {
+			t.Errorf("reachAllowed entry %s names %s, which is not a function of internal/%s's tests", name, entry.test, dir)
+			continue
+		}
+		want := declared[name].Name()
+		seen := map[string]bool{test: true}
+		queue := []string{test}
+		follow := func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !seen[id.Name] {
+				seen[id.Name] = true
+				queue = append(queue, id.Name)
+			}
+			return true
+		}
+		for len(queue) > 0 && !seen[want] {
+			next := queue[0]
+			queue = queue[1:]
+			for _, n := range funcs[next] {
+				ast.Inspect(n, follow)
+			}
+			for _, n := range bodies[next] {
+				ast.Inspect(n, follow)
+			}
+		}
+		if !seen[want] {
+			t.Errorf("reachAllowed entry %s names %s, which does not call it", name, entry.test)
+		}
 	}
 }

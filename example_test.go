@@ -68,6 +68,21 @@ func ExampleSolve_tracing() {
 	// counters agree: true true
 }
 
+// ExampleNewModelBuilder writes a model coupling by coupling: a ring of
+// four ferromagnetic couplings, whose ground state aligns every spin.
+func ExampleNewModelBuilder() {
+	b := mbrim.NewModelBuilder(4)
+	for i := 0; i < 4; i++ {
+		b.SetCoupling(i, (i+1)%4, 1)
+	}
+	m, err := b.Build() // rejects bad indices, self-couplings and non-finite values
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(mbrim.SolveExact(m).Energy)
+	// Output: -4
+}
+
 // ExamplePartitionProblem encodes number partitioning and solves it
 // exactly (small instances) — the Lucas-catalogue workflow.
 func ExamplePartitionProblem() {

@@ -29,18 +29,9 @@ func main() {
 
 	// H(σ) = (Σ aᵢσᵢ)² = Σ aᵢ² + 2 Σ_{i<j} aᵢaⱼ σᵢσⱼ. In this library's
 	// convention E = -Σ_{i<j} J σσ, so J_ij = -2 aᵢaⱼ and the constant
-	// Σ aᵢ² is dropped: minimizing E minimizes the imbalance squared.
-	n := len(numbers)
-	b := mbrim.NewModelBuilder(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			b.SetCoupling(i, j, -2*numbers[i]*numbers[j])
-		}
-	}
-	m, err := b.Build() // rejects non-finite couplings
-	if err != nil {
-		panic(err)
-	}
+	// Σ aᵢ² is the offset: minimizing E minimizes the imbalance squared.
+	p := mbrim.PartitionProblem{Numbers: numbers}
+	m, _ := p.Ising()
 
 	machine, err := mbrim.Solve(mbrim.Request{
 		Kind:       mbrim.MBRIMBatch, // 2 chips, 4 staggered jobs
@@ -70,19 +61,17 @@ func main() {
 	}
 	fmt.Printf("machine energy %.0f -> polished energy %.0f\n", machine.Energy, out.Energy)
 
-	var left, right []float64
-	var sumL, sumR float64
-	for i, s := range out.Spins {
-		if s > 0 {
-			left = append(left, numbers[i])
-			sumL += numbers[i]
-		} else {
-			right = append(right, numbers[i])
-			sumR += numbers[i]
+	group := func(name string, indices []int) {
+		values, sum := make([]float64, len(indices)), 0.0
+		for k, i := range indices {
+			values[k] = numbers[i]
+			sum += numbers[i]
 		}
+		fmt.Printf("group %s (sum %.0f): %v\n", name, sum, values)
 	}
-	fmt.Printf("group A (sum %.0f): %v\n", sumL, left)
-	fmt.Printf("group B (sum %.0f): %v\n", sumR, right)
+	plus, minus := p.Decode(out.Spins)
+	group("A", plus)
+	group("B", minus)
 	fmt.Printf("imbalance: %.0f (machine time %.0f ns + SA polish %v)\n",
-		sumL-sumR, machine.ModelNS, out.Wall)
+		p.Imbalance(out.Spins), machine.ModelNS, out.Wall)
 }

@@ -256,9 +256,6 @@ func New(m *ising.Model, cfg Config) *Machine {
 	return ma
 }
 
-// N returns the number of nodes.
-func (ma *Machine) N() int { return ma.n }
-
 // Model returns the Ising model this machine was built over (do not
 // mutate — the machine holds pre-scaled copies of its parameters).
 func (ma *Machine) Model() *ising.Model { return ma.model }
@@ -269,9 +266,6 @@ func (ma *Machine) Time() float64 { return ma.t }
 // Spins returns the current digital readout (do not mutate).
 func (ma *Machine) Spins() []int8 { return ma.spins }
 
-// Voltages returns the current node voltages (do not mutate).
-func (ma *Machine) Voltages() []float64 { return ma.v }
-
 // Flips returns the total number of readout sign changes so far.
 func (ma *Machine) Flips() int64 { return ma.flips }
 
@@ -281,11 +275,6 @@ func (ma *Machine) InducedFlips() int64 { return ma.induced }
 
 // Steps returns the number of RK4 steps taken.
 func (ma *Machine) Steps() int64 { return ma.steps }
-
-// Scale returns the coupling normalization divisor in effect. External
-// bias contributions (shadow-spin currents) must be divided by the
-// same scale to stay commensurate with the on-chip couplings.
-func (ma *Machine) Scale() float64 { return ma.scale }
 
 // Induce applies an externally commanded annealing kick to node i,
 // driving its voltage firmly past the opposite threshold. The
@@ -312,7 +301,7 @@ func (ma *Machine) Induce(i int) {
 // The fabric model subscribes here to generate update traffic. A flip
 // the dynamics caused is reported once its whole step has committed, in
 // node order: the listener sees the step's time (Time) and every node's
-// voltage of that step (Voltages), and the spins of the nodes reported
+// voltage of that step (Snapshot), and the spins of the nodes reported
 // before it.
 func (ma *Machine) OnFlip(f func(node int, newSpin int8, induced bool)) {
 	ma.flipListener = f
@@ -361,10 +350,6 @@ func (ma *Machine) SetExternalBias(b []float64) {
 func (ma *Machine) AddExternalBias(i int, delta float64) {
 	ma.latch.Ext[i] += delta
 }
-
-// ExternalBias returns the current external bias vector (do not
-// mutate).
-func (ma *Machine) ExternalBias() []float64 { return ma.latch.Ext }
 
 // stage runs one RK4 stage at voltages v and schedule progress p: the
 // coupling mat-vec into k, then the latch, which turns it into dV/dt and

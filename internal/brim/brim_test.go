@@ -79,7 +79,7 @@ func TestVoltagesStayOnRails(t *testing.T) {
 	g := graph.Complete(30, r)
 	ma := New(g.ToIsing(), Config{Seed: 7})
 	ma.Run(50)
-	for i, v := range ma.Voltages() {
+	for i, v := range ma.v {
 		if v < -1 || v > 1 || math.IsNaN(v) {
 			t.Fatalf("voltage %d out of rails: %v", i, v)
 		}
@@ -170,9 +170,9 @@ func TestRunInChunksMatchesSingleRun(t *testing.T) {
 	if ising.HammingDistance(one.Spins(), chunked.Spins()) != 0 {
 		t.Fatal("chunked run diverged from single run")
 	}
-	for i := range one.Voltages() {
-		if math.Abs(one.Voltages()[i]-chunked.Voltages()[i]) > 1e-6 {
-			t.Fatalf("voltage %d differs: %v vs %v", i, one.Voltages()[i], chunked.Voltages()[i])
+	for i := range one.v {
+		if math.Abs(one.v[i]-chunked.v[i]) > 1e-6 {
+			t.Fatalf("voltage %d differs: %v vs %v", i, one.v[i], chunked.v[i])
 		}
 	}
 }
@@ -203,7 +203,7 @@ func TestAddExternalBiasAccumulates(t *testing.T) {
 	ma := New(m, Config{Seed: 1})
 	ma.SetExternalBias([]float64{0.5, -0.5})
 	ma.AddExternalBias(0, 0.25)
-	got := ma.ExternalBias()
+	got := ma.latch.Ext
 	if got[0] != 0.75 || got[1] != -0.5 {
 		t.Fatalf("external bias = %v", got)
 	}
@@ -287,7 +287,7 @@ func TestEulerRunsAndStaysBounded(t *testing.T) {
 	ma := New(g.ToIsing(), Config{Seed: 21})
 	ma.SetHorizon(30)
 	ma.RunEuler(30)
-	for _, v := range ma.Voltages() {
+	for _, v := range ma.v {
 		if v < -1 || v > 1 || math.IsNaN(v) {
 			t.Fatalf("Euler voltage escaped rails: %v", v)
 		}
@@ -623,7 +623,7 @@ func TestCommitStepMatchesThreeLoops(t *testing.T) {
 
 // TestFlipListenerSeesCommittedStep pins OnFlip's contract: a flip the
 // dynamics caused is reported after the whole step has committed, so a
-// listener reading Voltages sees every node's voltage of that step — the
+// listener reading the voltages sees every node's voltage of that step — the
 // nodes after the flipped one included, which the step moved — on a noisy
 // machine with kicks held and on a quiet one.
 func TestFlipListenerSeesCommittedStep(t *testing.T) {
@@ -635,11 +635,11 @@ func TestFlipListenerSeesCommittedStep(t *testing.T) {
 		var nodes []int
 		ma.OnFlip(func(node int, _ int8, induced bool) {
 			if !induced {
-				seen = append(seen, slices.Clone(ma.Voltages()))
+				seen = append(seen, slices.Clone(ma.v))
 				nodes = append(nodes, node)
 			}
 		})
-		before := make([]float64, ma.N())
+		before := make([]float64, ma.n)
 		flips, later := 0, 0
 		for step := 0; step < 400; step++ {
 			if step%7 == 0 {

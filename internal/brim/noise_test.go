@@ -73,7 +73,7 @@ func TestNoiseKeepsVoltagesBounded(t *testing.T) {
 	ma := New(g.ToIsing(), Config{Seed: 7, NoiseAmp: 0.5})
 	ma.SetHorizon(40)
 	ma.Run(40)
-	for i, v := range ma.Voltages() {
+	for i, v := range ma.v {
 		if v < -1 || v > 1 {
 			t.Fatalf("voltage %d escaped rails under noise: %v", i, v)
 		}

@@ -50,7 +50,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 		t.Fatalf("flip counters diverged: %d/%d vs %d/%d",
 			a.Flips(), a.InducedFlips(), b2.Flips(), b2.InducedFlips())
 	}
-	av, bv := a.Voltages(), b2.Voltages()
+	av, bv := a.v, b2.v
 	for i := range av {
 		if av[i] != bv[i] {
 			t.Fatalf("voltage %d diverged: %v vs %v", i, av[i], bv[i])

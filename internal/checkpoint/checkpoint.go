@@ -76,9 +76,6 @@ type Warm struct {
 	From string `json:"from,omitempty"`
 }
 
-// Energy decodes the snapshot's energy.
-func (w *Warm) Energy() float64 { return math.Float64frombits(w.EnergyBits) }
-
 // HashModel fingerprints a model with FNV-1a over its size, μ, the full
 // row-major n×n coupling matrix and every bias (as IEEE-754 bits, so a
 // −0 bias and NaN payloads distinguish). Only the stored couplings are

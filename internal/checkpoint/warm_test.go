@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -25,8 +26,8 @@ func TestWarmRoundTrip(t *testing.T) {
 	if f.Warm.From != "sa" {
 		t.Fatalf("From = %q", f.Warm.From)
 	}
-	if got := f.Warm.Energy(); got != -42.5 {
-		t.Fatalf("Energy() = %v, want -42.5 (bit-exact)", got)
+	if got := math.Float64frombits(f.Warm.EnergyBits); got != -42.5 {
+		t.Fatalf("energy = %v, want -42.5 (bit-exact)", got)
 	}
 	if len(f.Warm.Spins) != m.N() {
 		t.Fatalf("spins length %d", len(f.Warm.Spins))

@@ -19,6 +19,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mbrim/internal/rng"
 )
 
 // Config sets the injection rates. All rates are probabilities in
@@ -78,30 +80,15 @@ func New(upstream string, cfg Config) (*Proxy, error) {
 // chaos harness flips this at a chosen epoch to stage a worker kill.
 func (p *Proxy) Blackhole(on bool) { p.black.Store(on) }
 
-// Stats returns a copy of the counters.
-func (p *Proxy) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.st
-}
-
 func (p *Proxy) count(f func(*Stats)) {
 	p.mu.Lock()
 	f(&p.st)
 	p.mu.Unlock()
 }
 
-// splitmix64 matches the repo's stateless hash (internal/rng).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // fate draws this request's uniform in [0, 1).
 func (p *Proxy) fate(seq uint64) float64 {
-	h := splitmix64(p.cfg.Seed ^ seq)
+	h := rng.Mix64(p.cfg.Seed ^ seq)
 	return float64(h>>11) / float64(1<<53)
 }
 

@@ -105,7 +105,9 @@ func TestBlackhole(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	st := p.Stats()
+	p.mu.Lock()
+	st := p.st
+	p.mu.Unlock()
 	if st.Blackholed != 3 || st.Forwarded < 2 {
 		t.Errorf("stats: %+v, want 3 blackholed and >=2 forwarded", st)
 	}
@@ -129,7 +131,10 @@ func TestDelay(t *testing.T) {
 	if d := time.Since(start); d < 30*time.Millisecond {
 		t.Errorf("request took %v, want >= 30ms of injected delay", d)
 	}
-	if st := p.Stats(); st.Delayed != 1 {
+	p.mu.Lock()
+	st := p.st
+	p.mu.Unlock()
+	if st.Delayed != 1 {
 		t.Errorf("stats: %+v, want 1 delayed", st)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mbrim/internal/obs"
+	"mbrim/internal/rng"
 )
 
 // This file is the coordinator's transport: per-RPC deadlines,
@@ -70,17 +71,6 @@ type protocolError struct {
 
 func (e *protocolError) Error() string {
 	return fmt.Sprintf("cluster: worker protocol error %d: %s", e.status, strings.TrimSpace(e.body))
-}
-
-// splitmix64 is the repo's standard stateless hash (internal/rng,
-// internal/fault use the same constants) — here it derives backoff
-// jitter deterministically from (seed, worker, attempt counter), the
-// same philosophy as the fault layer's seed-hashed fates.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // workerHealth is one worker's liveness ledger, shared between the
@@ -398,7 +388,7 @@ func backoffDelay(base, max time.Duration, seed uint64, wi int, counter uint64, 
 	if d > max {
 		d = max
 	}
-	h := splitmix64(seed ^ uint64(wi)<<32 ^ counter)
+	h := rng.Mix64(seed ^ uint64(wi)<<32 ^ counter)
 	frac := 0.5 + float64(h>>11)/float64(1<<53) // [0.5, 1.5)
 	return time.Duration(float64(d) * frac)
 }

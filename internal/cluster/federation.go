@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"mbrim/internal/obs"
+	"mbrim/internal/rng"
 )
 
 // deriveTraceID derives the run's trace ID deterministically from the
@@ -53,7 +54,7 @@ import (
 func deriveTraceID(seed uint64, runID string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(runID))
-	id := splitmix64(seed ^ h.Sum64())
+	id := rng.Mix64(seed ^ h.Sum64())
 	if id == 0 {
 		id = 1
 	}

@@ -88,14 +88,6 @@ func Solve(m *ising.Model) *Result {
 	return res
 }
 
-// MaxCut returns the exact maximum cut of the model's MaxCut
-// counterpart: cut = (W − E_min)/2 where W is the total coupling
-// weight of the graph that produced the model with J = −w. The caller
-// supplies W (graph.TotalWeight()).
-func MaxCut(m *ising.Model, totalWeight float64) float64 {
-	return (totalWeight - Solve(m).Energy) / 2
-}
-
 // Verify checks that the claimed spins attain the claimed energy and
 // that no single flip improves it (local optimality — a cheap sanity
 // check usable at sizes where Solve is not).

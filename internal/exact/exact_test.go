@@ -133,7 +133,7 @@ func TestMaxCutExact(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(0, 2, 1)
-	if cut := MaxCut(g.ToIsing(), g.TotalWeight()); cut != 2 {
+	if cut := g.CutValue(Solve(g.ToIsing()).Spins); cut != 2 {
 		t.Fatalf("triangle max cut %v, want 2", cut)
 	}
 }

@@ -231,11 +231,7 @@ const (
 func (in *Injector) stream(domain, epoch, chip, attempt uint64) *rng.Source {
 	s := in.cfg.Seed
 	for _, v := range [...]uint64{domain, epoch, chip, attempt} {
-		s += 0x9e3779b97f4a7c15 * (v + 1)
-		z := s
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		s = z ^ (z >> 31)
+		s = rng.Mix64(s + 0x9e3779b97f4a7c15*v)
 	}
 	return rng.New(s)
 }

@@ -167,9 +167,6 @@ func (f *Fabric) AddStall(ns float64) {
 	f.stallNS += ns
 }
 
-// Epochs returns how many epochs have been closed.
-func (f *Fabric) Epochs() int { return f.epochs }
-
 // PeakDemand returns the highest per-chip bytes/ns demand observed in
 // any single epoch — the peak-bandwidth number of Sec 6.5.
 func (f *Fabric) PeakDemand() float64 { return f.peakDemand }

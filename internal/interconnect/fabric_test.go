@@ -158,8 +158,8 @@ func TestPeakDemand(t *testing.T) {
 	if math.Abs(f.PeakDemand()-10) > 1e-9 {
 		t.Fatalf("PeakDemand = %v, want 10", f.PeakDemand())
 	}
-	if f.Epochs() != 2 {
-		t.Fatalf("Epochs = %d", f.Epochs())
+	if got := f.Snapshot().Epochs; got != 2 {
+		t.Fatalf("Epochs = %d", got)
 	}
 }
 

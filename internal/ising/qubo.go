@@ -83,28 +83,6 @@ func (q *QUBO) ToIsing() (m *Model, offset float64, err error) {
 	return m, offset, err
 }
 
-// SpinsToBits maps σ ∈ {-1,+1}^n to x ∈ {0,1}^n via x = (σ+1)/2.
-func SpinsToBits(s []int8) []bool {
-	x := make([]bool, len(s))
-	for i, v := range s {
-		x[i] = v > 0
-	}
-	return x
-}
-
-// BitsToSpins maps x ∈ {0,1}^n to σ ∈ {-1,+1}^n via σ = 2x − 1.
-func BitsToSpins(x []bool) []int8 {
-	s := make([]int8, len(x))
-	for i, v := range x {
-		if v {
-			s[i] = 1
-		} else {
-			s[i] = -1
-		}
-	}
-	return s
-}
-
 // FromIsing converts an Ising model into an equivalent QUBO with
 // offset such that model.Energy(σ) = qubo.Value(x) + offset under
 // x = (σ+1)/2. It is the inverse direction of ToIsing.

@@ -18,6 +18,28 @@ func randomQUBO(n int, r *rng.Source) *QUBO {
 	return q
 }
 
+// spinsToBits maps σ ∈ {-1,+1}^n to x ∈ {0,1}^n via x = (σ+1)/2.
+func spinsToBits(s []int8) []bool {
+	x := make([]bool, len(s))
+	for i, v := range s {
+		x[i] = v > 0
+	}
+	return x
+}
+
+// bitsToSpins maps x ∈ {0,1}^n to σ ∈ {-1,+1}^n via σ = 2x − 1.
+func bitsToSpins(x []bool) []int8 {
+	s := make([]int8, len(x))
+	for i, v := range x {
+		if v {
+			s[i] = 1
+		} else {
+			s[i] = -1
+		}
+	}
+	return s
+}
+
 func randomBits(n int, r *rng.Source) []bool {
 	x := make([]bool, n)
 	for i := range x {
@@ -38,7 +60,7 @@ func TestQUBOToIsingValueIdentity(t *testing.T) {
 		}
 		for trial := 0; trial < 8; trial++ {
 			x := randomBits(n, r)
-			s := BitsToSpins(x)
+			s := bitsToSpins(x)
 			if math.Abs(q.Value(x)-(m.Energy(s)+offset)) > 1e-6 {
 				return false
 			}
@@ -58,7 +80,7 @@ func TestIsingToQUBOValueIdentity(t *testing.T) {
 		q, offset := FromIsing(m)
 		for trial := 0; trial < 8; trial++ {
 			s := RandomSpins(n, r)
-			x := SpinsToBits(s)
+			x := spinsToBits(s)
 			if math.Abs(m.Energy(s)-(q.Value(x)+offset)) > 1e-6 {
 				return false
 			}
@@ -91,7 +113,7 @@ func TestRoundTripPreservesOptimum(t *testing.T) {
 			if v := q.Value(x); v < bestQ {
 				bestQ, argQ = v, mask
 			}
-			if e := m.Energy(BitsToSpins(x)); e < bestE {
+			if e := m.Energy(bitsToSpins(x)); e < bestE {
 				bestE, argE = e, mask
 			}
 		}
@@ -116,11 +138,11 @@ func TestRoundTripPreservesOptimum(t *testing.T) {
 func TestSpinsBitsRoundTrip(t *testing.T) {
 	r := rng.New(5)
 	s := RandomSpins(100, r)
-	if got := BitsToSpins(SpinsToBits(s)); HammingDistance(got, s) != 0 {
+	if got := bitsToSpins(spinsToBits(s)); HammingDistance(got, s) != 0 {
 		t.Fatal("spin/bit round trip changed values")
 	}
 	x := randomBits(100, r)
-	back := SpinsToBits(BitsToSpins(x))
+	back := spinsToBits(bitsToSpins(x))
 	for i := range x {
 		if x[i] != back[i] {
 			t.Fatal("bit/spin round trip changed values")

@@ -119,7 +119,7 @@ func TestQUBOFileThenIsing(t *testing.T) {
 		for i := range x {
 			x[i] = mask&(1<<i) != 0
 		}
-		if math.Abs(q.Value(x)-(m.Energy(BitsToSpins(x))+offset)) > 1e-9 {
+		if math.Abs(q.Value(x)-(m.Energy(bitsToSpins(x))+offset)) > 1e-9 {
 			t.Fatal("file-loaded QUBO broke the Ising identity")
 		}
 	}

@@ -47,15 +47,3 @@ func HammingDistance(a, b []int8) int {
 	}
 	return d
 }
-
-// Magnetization returns (Σ σ_i)/N in [-1, 1].
-func Magnetization(s []int8) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, v := range s {
-		sum += int(v)
-	}
-	return float64(sum) / float64(len(s))
-}

@@ -55,18 +55,6 @@ func TestHammingDistancePanicsOnLength(t *testing.T) {
 	HammingDistance([]int8{1}, []int8{1, 1})
 }
 
-func TestMagnetization(t *testing.T) {
-	if m := Magnetization([]int8{1, 1, 1, 1}); m != 1 {
-		t.Fatalf("all-up magnetization %v", m)
-	}
-	if m := Magnetization([]int8{1, -1, 1, -1}); m != 0 {
-		t.Fatalf("balanced magnetization %v", m)
-	}
-	if m := Magnetization(nil); m != 0 {
-		t.Fatalf("empty magnetization %v", m)
-	}
-}
-
 func BenchmarkEnergyN512(b *testing.B) {
 	r := rng.New(1)
 	m := randomModel(512, r)

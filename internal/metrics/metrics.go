@@ -112,9 +112,6 @@ func NewOpCounter() *OpCounter { return &OpCounter{counts: make(map[string]int64
 // Add increments the named counter by n.
 func (o *OpCounter) Add(name string, n int64) { o.counts[name] += n }
 
-// Get returns the named counter's value.
-func (o *OpCounter) Get(name string) int64 { return o.counts[name] }
-
 // Names returns the counter names in sorted order.
 func (o *OpCounter) Names() []string {
 	names := make([]string, 0, len(o.counts))

@@ -206,7 +206,7 @@ func TestShadowBiasMatchesDenseRows(t *testing.T) {
 				}
 				check := func(op string) {
 					t.Helper()
-					got, want := c.machine.ExternalBias(), ref.machine.ExternalBias()
+					got, want := c.machine.Snapshot().Ext, ref.machine.Snapshot().Ext
 					for li := range want {
 						if math.Float64bits(got[li]) != math.Float64bits(want[li]) {
 							t.Fatalf("chip %d after %s: ext[%d] = %v (%#x), dense rows give %v (%#x)", ci, op,

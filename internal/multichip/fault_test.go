@@ -162,9 +162,9 @@ func TestChipLossRepartitionCompletes(t *testing.T) {
 	if res.FaultStats.ResyncBytes <= 0 {
 		t.Fatal("repartition resync traffic not charged")
 	}
-	if sys.Fabric().BytesByKind("resync") != res.FaultStats.ResyncBytes {
+	if sys.fabric.BytesByKind("resync") != res.FaultStats.ResyncBytes {
 		t.Fatalf("resync bytes %v not visible in fabric accounting %v",
-			res.FaultStats.ResyncBytes, sys.Fabric().BytesByKind("resync"))
+			res.FaultStats.ResyncBytes, sys.fabric.BytesByKind("resync"))
 	}
 	if res.FaultStats.RecoveryStallNS <= 0 {
 		t.Fatal("repartition reprogramming stall not charged")
@@ -209,7 +209,7 @@ func TestDetectRetransmitAccounting(t *testing.T) {
 	if res.FaultStats.Retransmits == 0 {
 		t.Fatal("detection enabled but no retransmits")
 	}
-	if got := sys.Fabric().BytesByKind("retransmit"); math.Abs(got-res.FaultStats.RetransmitBytes) > 1e-9 {
+	if got := sys.fabric.BytesByKind("retransmit"); math.Abs(got-res.FaultStats.RetransmitBytes) > 1e-9 {
 		t.Fatalf("retransmit bytes: fabric %v vs ledger %v", got, res.FaultStats.RetransmitBytes)
 	}
 	if res.FaultStats.RecoveryStallNS <= 0 {
@@ -267,7 +267,7 @@ func TestWatchdogResync(t *testing.T) {
 	if res.FaultStats.Resyncs == 0 {
 		t.Fatal("watchdog never fired under heavy drops")
 	}
-	if got := sys.Fabric().BytesByKind("resync"); math.Abs(got-res.FaultStats.ResyncBytes) > 1e-9 {
+	if got := sys.fabric.BytesByKind("resync"); math.Abs(got-res.FaultStats.ResyncBytes) > 1e-9 {
 		t.Fatalf("resync bytes: fabric %v vs ledger %v", got, res.FaultStats.ResyncBytes)
 	}
 }

@@ -29,13 +29,6 @@ func PlanStack(layers, moduleN int) (*Stack, error) {
 // TotalSpins returns the system capacity, Layers × ModuleN.
 func (s *Stack) TotalSpins() int { return s.Layers * s.ModuleN }
 
-// RegularModule returns the grid position of layer l's real nodes:
-// the diagonal (l, l).
-func (s *Stack) RegularModule(layer int) (row, col int) {
-	s.checkLayer(layer)
-	return layer, layer
-}
-
 // ShadowLayers returns the layers holding shadow copies of block c's
 // spins: every layer except c itself.
 func (s *Stack) ShadowLayers(block int) []int {
@@ -108,17 +101,6 @@ func (s *Stack) Validate() error {
 		}
 	}
 	return nil
-}
-
-// System builds a conventional multiprocessor configuration equivalent
-// to this stack: one chip per layer with unlimited fabric bandwidth
-// (TSVs are, to first order, free — this is exactly the mBRIM_3D
-// configuration of Sec 6.3).
-func (s *Stack) System() Config {
-	return Config{
-		Chips:             s.Layers,
-		ChannelBytesPerNS: 0, // unlimited: the 3D premise
-	}
 }
 
 func (s *Stack) checkLayer(l int) {

@@ -250,9 +250,6 @@ func MustSystem(m *ising.Model, cfg Config) *System {
 	return s
 }
 
-// Fabric exposes the fabric for traffic inspection.
-func (s *System) Fabric() *interconnect.Fabric { return s.fabric }
-
 // GlobalSpins assembles the true global state from every chip's
 // current readout.
 func (s *System) GlobalSpins() []int8 {

@@ -91,9 +91,9 @@ func TestExternalBiasMatchesShadows(t *testing.T) {
 	s := MustSystem(m, Config{Chips: 4, Seed: 9})
 	s.RunConcurrent(20)
 	for ci, c := range chipsOf(s) {
-		got := append([]float64(nil), c.machine.ExternalBias()...)
+		got := c.machine.Snapshot().Ext
 		c.recomputeExternalBias()
-		want := c.machine.ExternalBias()
+		want := c.machine.Snapshot().Ext
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-6 {
 				t.Fatalf("chip %d bias %d drifted: %v vs %v", ci, i, got[i], want[i])

@@ -20,7 +20,6 @@ type Broadcast struct {
 	buf     int
 	closed  bool
 	dropped atomic.Int64
-	total   atomic.Int64
 }
 
 // DefaultBroadcastBuffer is the per-subscriber channel capacity used
@@ -44,7 +43,6 @@ func (b *Broadcast) Emit(e Event) {
 	if e.WallNS == 0 {
 		e.WallNS = time.Now().UnixNano()
 	}
-	b.total.Add(1)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, ch := range b.subs {
@@ -100,10 +98,6 @@ func (b *Broadcast) Close() {
 // Dropped returns how many (event, subscriber) deliveries were lost to
 // full buffers.
 func (b *Broadcast) Dropped() int64 { return b.dropped.Load() }
-
-// Total returns how many events were emitted over the broadcast's
-// lifetime.
-func (b *Broadcast) Total() int64 { return b.total.Load() }
 
 // Subscribers returns the number of currently attached consumers.
 func (b *Broadcast) Subscribers() int {

@@ -178,13 +178,6 @@ type Tracer interface {
 	Emit(Event)
 }
 
-// Nop is a Tracer that discards everything — for callers that want an
-// explicit non-nil no-op.
-type Nop struct{}
-
-// Emit discards the event.
-func (Nop) Emit(Event) {}
-
 // Fanout composes tracers into one that forwards every event to each,
 // in order. Nil entries are skipped; zero live tracers yield nil (the
 // disabled path), one yields it unwrapped.

@@ -268,15 +268,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// DroppedNaN returns how many NaN samples this registry's instruments
-// rejected.
-func (r *Registry) DroppedNaN() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.droppedNaN.Value()
-}
-
 // SetHelp registers # HELP text for the named metric family (the raw
 // instrument name, before sanitization), shown in the Prometheus
 // exposition. Families without registered help get a generated line.
@@ -385,18 +376,6 @@ func (r *Registry) Release(match func(name string, labels Labels) bool) int {
 		n++
 	}
 	return n
-}
-
-// SeriesCount returns how many distinct series the registry currently
-// holds, across all instrument kinds — the cardinality bound that
-// retention tests assert on.
-func (r *Registry) SeriesCount() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.series)
 }
 
 // HistogramBucket is one populated bucket of a histogram snapshot:

@@ -37,8 +37,8 @@ func TestRegistryRelease(t *testing.T) {
 	if _, ok := s.Gauges["cluster.live_workers"]; !ok {
 		t.Fatal("unlabeled series was released")
 	}
-	if got := r.SeriesCount(); got != 2 {
-		t.Fatalf("SeriesCount = %d, want 2", got)
+	if got := len(s.Counters) + len(s.Gauges) + len(s.Histograms); got != 2 {
+		t.Fatalf("%d series left, want 2", got)
 	}
 
 	// A handle obtained before release keeps working (detached), and
@@ -54,7 +54,7 @@ func TestRegistryReleaseNil(t *testing.T) {
 	if n := r.Release(func(string, Labels) bool { return true }); n != 0 {
 		t.Fatalf("nil registry released %d", n)
 	}
-	if n := r.SeriesCount(); n != 0 {
-		t.Fatalf("nil registry SeriesCount = %d", n)
+	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+		t.Fatalf("nil registry holds series: %+v", s)
 	}
 }

@@ -16,12 +16,17 @@ package rng
 
 import "math"
 
-// splitmix64 advances a 64-bit state and returns the next output.
-// It is used for seeding and for deriving fork seeds, because it is a
-// bijection with good avalanche behaviour even from small seeds.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
+// gamma is splitmix64's increment, the odd constant nearest 2⁶⁴/φ.
+const gamma = 0x9e3779b97f4a7c15
+
+// Mix64 is splitmix64 as a stateless hash: the output of a splitmix64
+// generator whose state was x, i.e. the finalizer of x + gamma. It is a
+// bijection with good avalanche behaviour even from small inputs, which
+// is why it seeds Sources, derives fork seeds and, outside this
+// package, turns (seed, counter) pairs into backoff jitter, chaos fates
+// and fault streams.
+func Mix64(x uint64) uint64 {
+	z := x + gamma
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -45,14 +50,14 @@ func New(seed uint64) *Source {
 // Reseed resets the generator to the state derived from seed, as if it
 // had just been created by New(seed).
 func (r *Source) Reseed(seed uint64) {
-	sm := seed
 	for i := range r.s {
-		r.s[i] = splitmix64(&sm)
+		r.s[i] = Mix64(seed)
+		seed += gamma
 	}
 	// xoshiro256** requires a state that is not all zero; splitmix64 of
 	// any seed cannot produce four zero words, but guard regardless.
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+		r.s[0] = gamma
 	}
 }
 
@@ -112,9 +117,7 @@ func (r *Source) Clone() *Source {
 // current state with a label rather than by advancing the stream.
 // Distinct labels give distinct streams.
 func (r *Source) Fork(label uint64) *Source {
-	seed := r.s[0] ^ rotl(r.s[2], 13) ^ (label * 0x9e3779b97f4a7c15)
-	mix := seed
-	return New(splitmix64(&mix))
+	return New(Mix64(r.s[0] ^ rotl(r.s[2], 13) ^ (label * gamma)))
 }
 
 // State returns the current internal state, for equality checks in

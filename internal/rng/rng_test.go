@@ -6,6 +6,21 @@ import (
 	"testing/quick"
 )
 
+// TestMix64IsSplitmix64: Mix64 of a splitmix64 state is the
+// generator's output, so from state 0 it gives the reference stream's
+// first words, and New(0) holds them as its state.
+func TestMix64IsSplitmix64(t *testing.T) {
+	want := []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f}
+	for i, w := range want {
+		if got := Mix64(uint64(i) * gamma); got != w {
+			t.Errorf("output %d = %#x, want %#x", i, got, w)
+		}
+	}
+	if st := New(0).State(); st[0] != want[0] || st[1] != want[1] || st[2] != want[2] {
+		t.Errorf("New(0) state %#x, want it to start %#x", st, want)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	a := New(42)
 	b := New(42)

@@ -548,16 +548,6 @@ func (m *Manager) Get(id string) (*Run, bool) {
 	return r, ok
 }
 
-// Cancel cancels the identified run; ErrNotFound for unknown IDs.
-func (m *Manager) Cancel(id string) error {
-	r, ok := m.Get(id)
-	if !ok {
-		return ErrNotFound
-	}
-	r.Cancel()
-	return nil
-}
-
 // List snapshots every run's status in submission order.
 func (m *Manager) List() []Status {
 	m.mu.Lock()
@@ -572,13 +562,6 @@ func (m *Manager) List() []Status {
 		out = append(out, r.Status())
 	}
 	return out
-}
-
-// Active returns the number of currently executing runs.
-func (m *Manager) Active() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.active
 }
 
 // CancelAll cancels every non-terminal run and returns their IDs,

@@ -1,17 +1,9 @@
-// Package sched defines annealing schedules shared by every solver in
-// the repository. A schedule maps normalized progress (0 at the start
-// of a run, 1 at the end) to a control value — inverse temperature for
-// simulated annealing, induced-flip probability for BRIM, bifurcation
-// parameter for SBM. Keeping schedules as values makes the paper's
-// observation that "tuning the annealing schedule has significant
-// impact" (Sec 6.1) directly explorable: swap the value, rerun.
+// Package sched defines the annealing schedules the solvers share. A
+// schedule maps normalized progress (0 at the start of a run, 1 at the
+// end) to a control value: brim's feedback gain, the induced-flip
+// probability of BRIM and mBRIM, and simulated annealing's inverse
+// temperature. The machine needs two shapes, Linear and Constant.
 package sched
-
-import (
-	"fmt"
-	"math"
-	"sort"
-)
 
 // Schedule maps progress ∈ [0,1] to a control value. Implementations
 // must be pure: the same progress always yields the same value.
@@ -47,121 +39,4 @@ type Linear struct {
 func (l Linear) At(p float64) float64 {
 	p = clamp(p)
 	return l.From + p*(l.To-l.From)
-}
-
-// Geometric interpolates From→To geometrically; both endpoints must be
-// positive. Classic simulated-annealing temperature decay.
-type Geometric struct {
-	From, To float64
-}
-
-// At returns From·(To/From)^progress.
-func (g Geometric) At(p float64) float64 {
-	if g.From <= 0 || g.To <= 0 {
-		panic(fmt.Sprintf("sched: Geometric endpoints must be positive, got %v→%v", g.From, g.To))
-	}
-	p = clamp(p)
-	return g.From * math.Pow(g.To/g.From, p)
-}
-
-// Exponential decays From→To with rate shaped by Tau (in progress
-// units): value(p) = To + (From−To)·exp(−p/Tau).
-type Exponential struct {
-	From, To, Tau float64
-}
-
-// At evaluates the exponential decay at progress p.
-func (e Exponential) At(p float64) float64 {
-	if e.Tau <= 0 {
-		panic("sched: Exponential Tau must be positive")
-	}
-	p = clamp(p)
-	return e.To + (e.From-e.To)*math.Exp(-p/e.Tau)
-}
-
-// Point is a knot of a piecewise-linear schedule.
-type Point struct {
-	Progress, Value float64
-}
-
-// Piecewise is a piecewise-linear schedule through its points. The
-// hardware annealing schedules in the paper (fast flips early, frozen
-// late) are most naturally written this way.
-type Piecewise struct {
-	points []Point
-}
-
-// NewPiecewise builds a piecewise-linear schedule; points are sorted
-// by progress. At least one point is required.
-func NewPiecewise(points ...Point) Piecewise {
-	if len(points) == 0 {
-		panic("sched: NewPiecewise needs at least one point")
-	}
-	ps := append([]Point(nil), points...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Progress < ps[j].Progress })
-	return Piecewise{points: ps}
-}
-
-// At linearly interpolates between the two bracketing knots, clamping
-// outside the knot range.
-func (pw Piecewise) At(p float64) float64 {
-	p = clamp(p)
-	ps := pw.points
-	if p <= ps[0].Progress {
-		return ps[0].Value
-	}
-	last := ps[len(ps)-1]
-	if p >= last.Progress {
-		return last.Value
-	}
-	i := sort.Search(len(ps), func(i int) bool { return ps[i].Progress >= p })
-	a, b := ps[i-1], ps[i]
-	if b.Progress == a.Progress {
-		return b.Value
-	}
-	t := (p - a.Progress) / (b.Progress - a.Progress)
-	return a.Value + t*(b.Value-a.Value)
-}
-
-// Sample evaluates s at n evenly spaced progress values including both
-// endpoints (n >= 2), the precomputation used by tight solver loops.
-func Sample(s Schedule, n int) []float64 {
-	if n < 2 {
-		panic("sched: Sample needs n >= 2")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.At(float64(i) / float64(n-1))
-	}
-	return out
-}
-
-// Cosine interpolates From→To along a half-cosine: flat near both
-// endpoints, steep in the middle. Popular for annealing ramps that
-// should dwell at the hot and cold extremes.
-type Cosine struct {
-	From, To float64
-}
-
-// At returns From + (To−From)·(1−cos(π·p))/2.
-func (c Cosine) At(p float64) float64 {
-	p = clamp(p)
-	return c.From + (c.To-c.From)*(1-math.Cos(math.Pi*p))/2
-}
-
-// Step holds From until At (a progress fraction), then jumps to To —
-// the quench schedule used to isolate exploration from digitization.
-type Step struct {
-	From, To float64
-	// Threshold is the progress at which the jump happens; values are
-	// From strictly before it and To at or after it.
-	Threshold float64
-}
-
-// At returns From before the threshold and To from it onward.
-func (s Step) At(p float64) float64 {
-	if clamp(p) < s.Threshold {
-		return s.From
-	}
-	return s.To
 }

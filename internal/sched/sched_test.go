@@ -46,150 +46,3 @@ func TestLinearMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestGeometricEndpoints(t *testing.T) {
-	g := Geometric{From: 10, To: 0.1}
-	if math.Abs(g.At(0)-10) > 1e-12 || math.Abs(g.At(1)-0.1) > 1e-12 {
-		t.Fatal("Geometric endpoints wrong")
-	}
-	if got, want := g.At(0.5), 1.0; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("Geometric midpoint = %v, want %v", got, want)
-	}
-}
-
-func TestGeometricPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for nonpositive endpoint")
-		}
-	}()
-	Geometric{From: 0, To: 1}.At(0.5)
-}
-
-func TestExponentialShape(t *testing.T) {
-	e := Exponential{From: 1, To: 0, Tau: 0.2}
-	if math.Abs(e.At(0)-1) > 1e-12 {
-		t.Fatal("Exponential start wrong")
-	}
-	if e.At(1) > 0.01 {
-		t.Fatalf("Exponential end %v, want ~0", e.At(1))
-	}
-	if !(e.At(0.1) > e.At(0.5) && e.At(0.5) > e.At(0.9)) {
-		t.Fatal("Exponential not decreasing")
-	}
-}
-
-func TestExponentialPanicsOnTau(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for Tau<=0")
-		}
-	}()
-	Exponential{From: 1, To: 0, Tau: 0}.At(0.5)
-}
-
-func TestPiecewiseInterpolation(t *testing.T) {
-	pw := NewPiecewise(
-		Point{0, 0},
-		Point{0.5, 10},
-		Point{1, 0},
-	)
-	if pw.At(0.25) != 5 || pw.At(0.75) != 5 {
-		t.Fatalf("Piecewise interpolation wrong: %v, %v", pw.At(0.25), pw.At(0.75))
-	}
-	if pw.At(0.5) != 10 {
-		t.Fatal("Piecewise knot value wrong")
-	}
-}
-
-func TestPiecewiseClampsOutside(t *testing.T) {
-	pw := NewPiecewise(Point{0.2, 3}, Point{0.8, 7})
-	if pw.At(0) != 3 || pw.At(1) != 7 {
-		t.Fatal("Piecewise does not clamp to end knots")
-	}
-}
-
-func TestPiecewiseSortsPoints(t *testing.T) {
-	pw := NewPiecewise(Point{1, 10}, Point{0, 0})
-	if pw.At(0.5) != 5 {
-		t.Fatalf("unsorted input mishandled: %v", pw.At(0.5))
-	}
-}
-
-func TestPiecewiseSinglePoint(t *testing.T) {
-	pw := NewPiecewise(Point{0.5, 4})
-	for _, p := range []float64{0, 0.5, 1} {
-		if pw.At(p) != 4 {
-			t.Fatal("single-point Piecewise not constant")
-		}
-	}
-}
-
-func TestPiecewisePanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on empty Piecewise")
-		}
-	}()
-	NewPiecewise()
-}
-
-func TestSample(t *testing.T) {
-	s := Sample(Linear{From: 0, To: 1}, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if math.Abs(s[i]-want[i]) > 1e-12 {
-			t.Fatalf("Sample[%d] = %v, want %v", i, s[i], want[i])
-		}
-	}
-}
-
-func TestSamplePanicsOnShort(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on n<2")
-		}
-	}()
-	Sample(Constant(1), 1)
-}
-
-func TestCosineEndpointsAndShape(t *testing.T) {
-	c := Cosine{From: 0, To: 10}
-	if math.Abs(c.At(0)) > 1e-12 || math.Abs(c.At(1)-10) > 1e-12 {
-		t.Fatal("Cosine endpoints wrong")
-	}
-	if math.Abs(c.At(0.5)-5) > 1e-12 {
-		t.Fatalf("Cosine midpoint %v, want 5", c.At(0.5))
-	}
-	// Flat near the ends: the first 10% moves less than the middle 10%.
-	early := c.At(0.1) - c.At(0)
-	middle := c.At(0.55) - c.At(0.45)
-	if early >= middle {
-		t.Fatalf("Cosine not end-flattened: early %v middle %v", early, middle)
-	}
-}
-
-func TestCosineMonotone(t *testing.T) {
-	c := Cosine{From: 2, To: 8}
-	prev := c.At(0)
-	for p := 0.05; p <= 1.0; p += 0.05 {
-		v := c.At(p)
-		if v < prev-1e-12 {
-			t.Fatalf("Cosine decreased at p=%v", p)
-		}
-		prev = v
-	}
-}
-
-func TestStepSchedule(t *testing.T) {
-	s := Step{From: 1, To: 5, Threshold: 0.6}
-	if s.At(0) != 1 || s.At(0.59) != 1 {
-		t.Fatal("Step fired early")
-	}
-	if s.At(0.6) != 5 || s.At(1) != 5 {
-		t.Fatal("Step did not fire at threshold")
-	}
-	if s.At(-1) != 1 || s.At(2) != 5 {
-		t.Fatal("Step does not clamp progress")
-	}
-}

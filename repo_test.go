@@ -87,6 +87,16 @@ func TestNoDeadKnobs(t *testing.T) {
 	}
 }
 
+// TestOneModel: a model is stored as its lattice, and built only by
+// ising.Builder. The second model type, its solver door, the problem
+// wrapper and the raw-matrix accessor may not return.
+func TestOneModel(t *testing.T) {
+	dead := regexp.MustCompile(`SparseModel|SolveProblem|ising\.Problem|\.Couplings\(\)`)
+	for _, hit := range grepGo(t, dead, func(path string) bool { return path == thisFile }, ".") {
+		t.Error(hit)
+	}
+}
+
 // TestFuzzTargetsRunInCI: every func Fuzz* in the repo has a fuzz-smoke
 // step in the CI workflow that runs it in its own package.
 func TestFuzzTargetsRunInCI(t *testing.T) {
