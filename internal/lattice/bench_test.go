@@ -79,7 +79,10 @@ func (s *benchSetup) kernelDeriv(mv walker) {
 
 // BenchmarkBRIMDeriv compares one RK4 stage (the BRIM step's dominant
 // cost — an RK4 step is four of these) between the old serial dense loop
-// and the machine's stage. n = 64 and 128 are the chip sizes the
+// and the machine's stage, on each arm this host has: the Go forms, the
+// ymm lanes and (AVX-512F) the zmm sweep. The matrix is what brim.New
+// steps, the float copy of a ±1 model's planes divided by a scale
+// (Floats of Convert). n = 64 and 128 are the chip sizes the
 // k256_mbrim4 and k256_cluster2 benchmark workloads actually step. The
 // csr rows are the same on a 2 % matrix, with the one-row walk over
 // compressed rows (the kernel before the lane groups) as the A side:
@@ -92,12 +95,19 @@ func BenchmarkBRIMDeriv(b *testing.B) {
 				oldBrimDeriv(s.n, s.data, s.bhat, s.ext, s.v, s.out, s.kappa, s.gamma, s.invT)
 			}
 		})
-		dense := FromDense(n, s.data, Dense, 0)
-		b.Run(fmt.Sprintf("kernel/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s.kernelDeriv(dense.MatVecRange)
-			}
-		})
+		stored := FromDense(n, s.data, Dense, 0)
+		s.data = nil // n = 4096 holds one n² float array at a time
+		dense := Floats(Convert(stored, Dense, float64(n-1)))
+		for _, a := range arms {
+			b.Run(fmt.Sprintf("%s/n=%d", a.name, n), func(b *testing.B) {
+				avx, avx512 := useAVX, useAVX512
+				defer func() { useAVX, useAVX512 = avx, avx512 }()
+				useAVX, useAVX512 = a.avx, a.avx512
+				for b.Loop() {
+					s.kernelDeriv(dense.MatVecRange)
+				}
+			})
+		}
 	}
 	for _, n := range []int{256, 1024} {
 		s := newBenchSetup(n, 0.02)

@@ -45,7 +45,7 @@ func checkSBMStep(t *testing.T, n, off int, raw []byte) {
 		}
 	}
 
-	bothKernels(func() {
+	eachArm(func() {
 		out := &latchBufs{n: n, off: off}
 		gx, gy := out.like(x), out.like(y)
 		const poison = 0x55
@@ -59,24 +59,24 @@ func checkSBMStep(t *testing.T, n, off int, raw []byte) {
 		got := b.Step(gx, gy, f, gs, fbuf[off:off+n:off+n], a)
 		for i := 0; i < n; i++ {
 			if !sameBits(gx[i], wantX[i]) || !sameBits(gy[i], wantY[i]) {
-				t.Fatalf("avx=%v n=%d offset %d node %d: (x, y) = (%#x, %#x), Go form (%#x, %#x)", useAVX, n, off, i,
+				t.Fatalf("%s n=%d offset %d node %d: (x, y) = (%#x, %#x), Go form (%#x, %#x)", armName(), n, off, i,
 					math.Float64bits(gx[i]), math.Float64bits(gy[i]), math.Float64bits(wantX[i]), math.Float64bits(wantY[i]))
 			}
 			if gs[i] != wantSpins[i] {
-				t.Fatalf("avx=%v n=%d offset %d node %d: spin %d, Go form %d", useAVX, n, off, i, gs[i], wantSpins[i])
+				t.Fatalf("%s n=%d offset %d node %d: spin %d, Go form %d", armName(), n, off, i, gs[i], wantSpins[i])
 			}
 		}
 		if len(got) != len(wantFlipped) {
-			t.Fatalf("avx=%v n=%d offset %d: flipped %v, Go form %v", useAVX, n, off, got, wantFlipped)
+			t.Fatalf("%s n=%d offset %d: flipped %v, Go form %v", armName(), n, off, got, wantFlipped)
 		}
 		for k := range got {
 			if got[k] != wantFlipped[k] {
-				t.Fatalf("avx=%v n=%d offset %d: flipped %v, Go form %v", useAVX, n, off, got, wantFlipped)
+				t.Fatalf("%s n=%d offset %d: flipped %v, Go form %v", armName(), n, off, got, wantFlipped)
 			}
 		}
 		for i := range sbuf {
 			if (i < off || i >= off+n) && (sbuf[i] != poison || fbuf[i] != poison) {
-				t.Fatalf("avx=%v n=%d offset %d: wrote outside the spins or the flip list at %d", useAVX, n, off, i)
+				t.Fatalf("%s n=%d offset %d: wrote outside the spins or the flip list at %d", armName(), n, off, i)
 			}
 		}
 		out.checkPoison(t)

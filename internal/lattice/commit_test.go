@@ -67,7 +67,7 @@ func checkCommit(t *testing.T, n, off int, noisy bool, raw []byte) {
 	}
 
 	var l Latch
-	bothKernels(func() {
+	eachArm(func() {
 		out := &latchBufs{n: n, off: off}
 		v := out.slice(func() float64 { return latchPoison })
 		const poison = 0x5555
@@ -78,28 +78,28 @@ func checkCommit(t *testing.T, n, off int, noisy bool, raw []byte) {
 		got := l.Commit(cand, noise, v, holdUntil, holdTarget, spins, tm, th, cbuf[off:off+n:off+n])
 		for i := 0; i < n; i++ {
 			if math.Float64bits(v[i]) != math.Float64bits(wantV[i]) {
-				t.Fatalf("avx=%v n=%d offset %d noisy=%v node %d: v = %#x, Go form %#x (candidate %#x)", useAVX, n, off, noisy, i,
+				t.Fatalf("%s n=%d offset %d noisy=%v node %d: v = %#x, Go form %#x (candidate %#x)", armName(), n, off, noisy, i,
 					math.Float64bits(v[i]), math.Float64bits(wantV[i]), math.Float64bits(cand[i]))
 			}
 		}
 		if !slices.Equal(got, wantCrossed) {
-			t.Fatalf("avx=%v n=%d offset %d noisy=%v: crossed %v, Go form %v", useAVX, n, off, noisy, got, wantCrossed)
+			t.Fatalf("%s n=%d offset %d noisy=%v: crossed %v, Go form %v", armName(), n, off, noisy, got, wantCrossed)
 		}
 		for i := range cbuf {
 			if (i < off || i >= off+n) && cbuf[i] != poison {
-				t.Fatalf("avx=%v n=%d offset %d: wrote outside the crossing list at %d", useAVX, n, off, i)
+				t.Fatalf("%s n=%d offset %d: wrote outside the crossing list at %d", armName(), n, off, i)
 			}
 		}
 		out.checkPoison(t)
 		for j, buf := range in.bufs {
 			for i := range buf {
 				if math.Float64bits(buf[i]) != math.Float64bits(savedIn[j][i]) {
-					t.Fatalf("avx=%v n=%d offset %d: input %d changed at %d", useAVX, n, off, j, i)
+					t.Fatalf("%s n=%d offset %d: input %d changed at %d", armName(), n, off, j, i)
 				}
 			}
 		}
 		if !slices.Equal(holdTarget[:cap(holdTarget)], savedTargets[off:off+n]) || !slices.Equal(spins[:cap(spins)], savedSpins[off:off+n]) {
-			t.Fatalf("avx=%v n=%d offset %d: the hold targets or the spins changed", useAVX, n, off)
+			t.Fatalf("%s n=%d offset %d: the hold targets or the spins changed", armName(), n, off)
 		}
 	})
 }

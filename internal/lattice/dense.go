@@ -185,9 +185,10 @@ func (d *dense) Scan(i int, fn func(j int, v float64)) {
 }
 
 // sweepWidth is the number of output rows one sweep32 call carries
-// (eight 4-lane registers); sweepTile is how many matrix rows a sweep
-// visits before the next 32 outputs take their turn, so that a wide
-// matrix's strided reads revisit 64 pages instead of n.
+// (eight 4-lane registers; sweep64 carries two widths in eight 8-lane
+// ones); sweepTile is how many matrix rows a sweep visits before the
+// next outputs take their turn, so that a wide matrix's strided reads
+// revisit 64 pages instead of n.
 const (
 	sweepWidth = 32
 	sweepTile  = 64
@@ -196,15 +197,17 @@ const (
 // MatVecRange has two kernels (package doc, "What a kernel may change").
 // On an AVX host a bit-symmetric matrix takes the column sweep for the
 // 32-wide blocks of [lo,hi): out[i] accumulates J[j][i]·x[j], the row
-// walk's operands read from row j where four outputs lie side by side,
-// j tiled with the partial sums parked in out. Every other row — the
-// (hi−lo) mod 32 remainder, any matrix not verified symmetric, any other
-// host — is register-blocked four rows at a time (dot4), with the
-// (hi−lo) mod 4 rows left over on the one-row walk. Both kernels read x
-// after they have written to out: out must not alias x. A planes layout
-// takes no sweep: its rows are unpacked four at a time for dot4, a Go
-// form kept for correctness, since every engine that multiplies floats
-// by floats runs on a float copy (Floats).
+// walk's operands read from row j where the outputs lie side by side,
+// j tiled with the partial sums parked in out. An AVX-512F host sweeps
+// the blocks in pairs (sweep64) and a trailing odd block alone (sweep32);
+// each output still sums the same products in the same order. Every
+// other row — the (hi−lo) mod 32 remainder, any matrix not verified
+// symmetric, any other host — is register-blocked four rows at a time
+// (dot4), with the (hi−lo) mod 4 rows left over on the one-row walk.
+// Both kernels read x after they have written to out: out must not
+// alias x. A planes layout takes no sweep: its rows are unpacked four at
+// a time for dot4, a Go form kept for correctness, since every engine
+// that multiplies floats by floats runs on a float copy (Floats).
 func (d *dense) MatVecRange(x, base, out []float64, lo, hi int) {
 	n := d.n
 	x = x[:n]
@@ -221,7 +224,13 @@ func (d *dense) MatVecRange(x, base, out []float64, lo, hi int) {
 		}
 		for jt := 0; jt < n; jt += sweepTile {
 			rows := min(sweepTile, n-jt)
-			for b := lo; b < top; b += sweepWidth {
+			b := lo
+			if useAVX512 {
+				for ; b+2*sweepWidth <= top; b += 2 * sweepWidth {
+					sweep64(&d.data[jt*n+b], uintptr(n)*8, &x[jt], rows, &out[b])
+				}
+			}
+			for ; b < top; b += sweepWidth {
 				sweep32(&d.data[jt*n+b], uintptr(n)*8, &x[jt], rows, &out[b])
 			}
 		}

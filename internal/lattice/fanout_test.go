@@ -98,7 +98,7 @@ func TestKeptFieldsMatchFields(t *testing.T) {
 			}
 			for _, shift := range []int{0, own, 64} {
 				fanOutShift = shift
-				bothKernels(func() {
+				eachArm(func() {
 					r := rng.New(uint64(n))
 					spins := randSpins(n, uint64(n)+1)
 					out := make([]float64, n)
@@ -115,7 +115,7 @@ func TestKeptFieldsMatchFields(t *testing.T) {
 							spins[j] = -spins[j]
 						}
 						k.Flip(spins, flipped, out)
-						checkKept(t, fmt.Sprintf("n=%d avx=%v round %d (%d flips)", n, useAVX, round, size), kc, k, spins, out)
+						checkKept(t, fmt.Sprintf("n=%d %s round %d (%d flips)", n, armName(), round, size), kc, k, spins, out)
 					}
 
 					b := Bifurcation{A0: 1, C0: 0.5 / math.Sqrt(float64(n)), Dt: 0.5}
@@ -132,7 +132,7 @@ func TestKeptFieldsMatchFields(t *testing.T) {
 					const steps = 120
 					for step := 0; step < steps; step++ {
 						k.Flip(spins, b.Step(x, y, out, spins, flipped, float64(step)/steps), out)
-						checkKept(t, fmt.Sprintf("n=%d avx=%v step %d", n, useAVX, step), kc, k, spins, out)
+						checkKept(t, fmt.Sprintf("n=%d %s step %d", n, armName(), step), kc, k, spins, out)
 					}
 				})
 			}
@@ -200,7 +200,7 @@ func checkFanOutPlanes(t *testing.T, n, flips int, raw []byte) {
 		t.Helper()
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("avx=%v n=%d %s column %d: %v (%#x), Go form %v (%#x)", useAVX, n, what, i,
+				t.Fatalf("%s n=%d %s column %d: %v (%#x), Go form %v (%#x)", armName(), n, what, i,
 					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
@@ -220,7 +220,7 @@ func checkFanOutPlanes(t *testing.T, n, flips int, raw []byte) {
 	}
 	walked := slices.Clone(fields)
 	flipWalk(n, data, walked, k, delta)
-	bothKernels(func() {
+	eachArm(func() {
 		got := slices.Clone(out)
 		KeepFields(d, base).Flip(spins, flipped, got)
 		same(fmt.Sprintf("%d rows fanned out", len(flipped)), got, want)
@@ -291,12 +291,12 @@ func TestFlipFanoutKeepsZeroSigns(t *testing.T) {
 				}
 				want := slices.Clone(fields)
 				flipWalk(n, tc.data, want, k, delta)
-				bothKernels(func() {
+				eachArm(func() {
 					got := slices.Clone(fields)
 					d.FlipFanout(got, k, delta)
 					for j := range want {
 						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-							t.Fatalf("%s avx=%v row %d by %v column %d: %v (%#x), walk %v (%#x)", tc.name, useAVX, k, delta, j,
+							t.Fatalf("%s %s row %d by %v column %d: %v (%#x), walk %v (%#x)", tc.name, armName(), k, delta, j,
 								got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
 						}
 					}

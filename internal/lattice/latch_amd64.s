@@ -196,6 +196,10 @@ advance:
 done:
 	VZEROUPPER
 	RET
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC
 
 	// Go aligns functions to 32 bytes, so the size of the text linked
 	// ahead of package main decides whether bench's calibration kernel

@@ -41,7 +41,7 @@ func (b *latchBufs) checkPoison(t *testing.T) {
 	for k, buf := range b.bufs {
 		for i, v := range buf {
 			if (i < b.off || i >= b.off+b.n) && v != latchPoison {
-				t.Fatalf("avx=%v n=%d offset %d: buffer %d written at %d", useAVX, b.n, b.off, k, i)
+				t.Fatalf("%s n=%d offset %d: buffer %d written at %d", armName(), b.n, b.off, k, i)
 			}
 		}
 	}
@@ -90,13 +90,13 @@ func checkLatch(t *testing.T, n, off int, varied, inPlace bool, raw []byte) {
 		t.Helper()
 		for i := range want {
 			if !sameBits(got[i], want[i]) {
-				t.Fatalf("avx=%v n=%d offset %d varied=%v in place=%v %s[%d]: %#x, Go form %#x",
-					useAVX, n, off, varied, inPlace, what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				t.Fatalf("%s n=%d offset %d varied=%v in place=%v %s[%d]: %#x, Go form %#x",
+					armName(), n, off, varied, inPlace, what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
 	}
 
-	bothKernels(func() {
+	eachArm(func() {
 		out := &latchBufs{n: n, off: off}
 		k, vin, nx := out.like(mv), v, out.like(make([]float64, n))
 		if inPlace {
@@ -108,7 +108,7 @@ func checkLatch(t *testing.T, n, off int, varied, inPlace bool, raw []byte) {
 		same("next", nx, wantNext)
 		cand := out.like(make([]float64, n))
 		if bad := l.Final(v, v0, k1, k2, k3, mv, cand, kappa, h, limit); bad != wantBad {
-			t.Fatalf("avx=%v n=%d offset %d varied=%v: Final's bad node %d, Go form %d", useAVX, n, off, varied, bad, wantBad)
+			t.Fatalf("%s n=%d offset %d varied=%v: Final's bad node %d, Go form %d", armName(), n, off, varied, bad, wantBad)
 		}
 		same("cand", cand, wantCand)
 		out.checkPoison(t)
@@ -116,7 +116,7 @@ func checkLatch(t *testing.T, n, off int, varied, inPlace bool, raw []byte) {
 		for j, buf := range b.bufs {
 			for i := range buf {
 				if math.Float64bits(buf[i]) != math.Float64bits(saved[j][i]) {
-					t.Fatalf("avx=%v n=%d offset %d: input %d changed at %d", useAVX, n, off, j, i)
+					t.Fatalf("%s n=%d offset %d: input %d changed at %d", armName(), n, off, j, i)
 				}
 			}
 		}

@@ -152,13 +152,18 @@
 //
 // The second kernel is the column sweep (sweep_amd64.s), taken on an
 // amd64 host with AVX for the 32-row blocks of a range when the layout
-// stores floats and was built over a matrix found symmetric. The resistor between two nodes
-// conducts both ways, so J[j][i..i+3] — contiguous in the row-major
-// array — holds exactly the operands rows i..i+3 need at column j:
-// broadcast x[j], VMULPD against that slice, VADDPD into a register of
-// four sums, eight registers and so eight independent add chains per
-// sweep. Each sum still starts at base[i] and adds the same products in
-// ascending j; only the address the coupling was loaded from differs.
+// stores floats and was built over a matrix found symmetric. The
+// resistor between two nodes conducts both ways, so J[j][i..i+3] —
+// contiguous in the row-major array — holds exactly the operands rows
+// i..i+3 need at column j: broadcast x[j], VMULPD against that slice,
+// VADDPD into a register of four sums, eight registers and so eight
+// independent add chains per sweep. Where the host also has AVX-512F
+// (sweep64_amd64.s, its own CPUID leaf 7 and XCR0 probe) the blocks go
+// in pairs to the same loop on eight zmm registers of eight sums, a
+// trailing odd block to the ymm one; a Xeon that drops its clock for
+// zmm work might lose by it, and none has been measured. Each sum still
+// starts at base[i] and adds the same products in ascending j; only the
+// address the coupling was loaded from differs.
 // The sweep visits 64 matrix rows at a time and parks the partial sums
 // in out between tiles, so a 4096-spin matrix's strided reads revisit
 // 64 pages rather than 4096. Remainder rows, matrices that failed the

@@ -132,7 +132,7 @@ func checkPlanesLayout(t *testing.T, n int, raw []byte) {
 		t.Helper()
 		for i := range want {
 			if !sameBits(got[i], want[i]) {
-				t.Fatalf("avx=%v n=%d %s index %d: %v (%#x), floats %v (%#x)", useAVX, n, what, i,
+				t.Fatalf("%s n=%d %s index %d: %v (%#x), floats %v (%#x)", armName(), n, what, i,
 					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
@@ -166,7 +166,7 @@ func checkPlanesLayout(t *testing.T, n int, raw []byte) {
 		}
 	}
 
-	bothKernels(func() {
+	eachArm(func() {
 		const poison = 12345.5
 		run := func(f func(c Coupling, out []float64)) (got, want []float64) {
 			got, want = make([]float64, n), make([]float64, n)

@@ -3,6 +3,7 @@ package lattice
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"mbrim/internal/rng"
@@ -70,23 +71,64 @@ var specials = []float64{
 	1 + 0x1p-30, 1e300, -1e300,
 }
 
-// bothKernels runs fn with the AVX switch as detected and then forced
-// off, so an AVX host proves the lanes (the column sweep, csrLanes) and
-// the portable walks alike (a host without AVX has only the second to
-// prove).
-func bothKernels(fn func()) {
-	detected := useAVX
-	defer func() { useAVX = detected }()
-	fn()
-	if detected {
-		useAVX = false
+// arm is one setting of the kernel switches.
+type arm struct {
+	name        string
+	avx, avx512 bool
+}
+
+// arms are the kernel switches this host can prove, widest first: as
+// detected, then the ymm lanes alone (an AVX-512F host proves sweep32
+// beside sweep64), then the Go forms (an AVX host proves the portable
+// walks too). A host without AVX has only the last.
+var arms = func() []arm {
+	var a []arm
+	if useAVX512 {
+		a = append(a, arm{"zmm", true, true})
+	}
+	if useAVX {
+		a = append(a, arm{"ymm", true, false})
+	}
+	return append(a, arm{"go", false, false})
+}()
+
+// armName names the arm the switches are set to now.
+func armName() string {
+	for _, a := range arms {
+		if a.avx == useAVX && a.avx512 == useAVX512 {
+			return a.name
+		}
+	}
+	return "?"
+}
+
+// eachArm runs fn once on every arm and restores the switches.
+func eachArm(fn func()) {
+	avx, avx512 := useAVX, useAVX512
+	defer func() { useAVX, useAVX512 = avx, avx512 }()
+	for _, a := range arms {
+		useAVX, useAVX512 = a.avx, a.avx512
 		fn()
 	}
 }
 
+// TestKernelArms logs the arms every eachArm proof runs on this host,
+// so a runner without AVX-512F (or AVX) shows in the log rather than
+// passing on fewer arms in silence.
+func TestKernelArms(t *testing.T) {
+	var names []string
+	for _, a := range arms {
+		names = append(names, a.name)
+	}
+	if useAVX512 && !useAVX {
+		t.Fatal("useAVX512 without useAVX")
+	}
+	t.Logf("kernel arms: %s", strings.Join(names, " "))
+}
+
 // checkMatVec compares MatVecRange over [lo,hi) with the row walk ref
-// (over the view's entries as the walk should see them), on both
-// kernels, and checks that nothing outside the range is written.
+// (over the view's entries as the walk should see them), on every
+// arm, and checks that nothing outside the range is written.
 func checkMatVec(t *testing.T, c Coupling, n int, ref walker, x, base []float64, lo, hi int) {
 	t.Helper()
 	const poison = 12345.5
@@ -95,14 +137,14 @@ func checkMatVec(t *testing.T, c Coupling, n int, ref walker, x, base []float64,
 		want[i] = poison
 	}
 	ref(x, base, want, lo, hi)
-	bothKernels(func() {
+	eachArm(func() {
 		for i := range got {
 			got[i] = poison
 		}
 		c.MatVecRange(x, base, got, lo, hi)
 		for i := range got {
 			if !sameBits(got[i], want[i]) {
-				t.Fatalf("n=%d [%d,%d) avx=%v row %d: got %v (%#x), row walk %v (%#x)", n, lo, hi, useAVX, i,
+				t.Fatalf("n=%d [%d,%d) %s row %d: got %v (%#x), row walk %v (%#x)", n, lo, hi, armName(), i,
 					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
@@ -111,9 +153,11 @@ func checkMatVec(t *testing.T, c Coupling, n int, ref walker, x, base []float64,
 
 // residueRanges returns (lo,hi) pairs covering every pair of residues
 // mod 4 that n admits — so every dot4 block count and every remainder
-// length — then the column sweep's edges: a start on, beside and a
-// block past an aligned offset, by every width around one and two
-// 32-row blocks and the rest of the matrix; plus the empty range.
+// length — then the column sweep's edges: a start on a 64-row offset,
+// on a 32-row one between them, and one past each, by every width
+// around one 32-row block and one and two 64-row blocks (so a pair of
+// blocks with and without a trailing one) and the rest of the matrix;
+// plus the empty range.
 func residueRanges(n int) [][2]int {
 	var rs [][2]int
 	for lo := 0; lo < 4 && lo <= n; lo++ {
@@ -123,8 +167,8 @@ func residueRanges(n int) [][2]int {
 			}
 		}
 	}
-	for _, lo := range []int{0, 1, 31, 32, 33} {
-		for _, w := range []int{0, 1, 31, 32, 33, 63, 64, 65, n - lo} {
+	for _, lo := range []int{0, 1, 31, 32, 33, 64, 65, 96} {
+		for _, w := range []int{0, 1, 31, 32, 33, 63, 64, 65, 96, 127, 128, 129, n - lo} {
 			if w >= 0 && lo+w <= n {
 				rs = append(rs, [2]int{lo, lo + w})
 			}
@@ -136,9 +180,10 @@ func residueRanges(n int) [][2]int {
 func TestMatVecBlockedMatchesRowWalk(t *testing.T) {
 	const div = 3.7
 	// 515 is past two KernelChunks, so MatVec at four workers really
-	// fans out, and past eight 64-row sweep tiles; the rest are the
-	// block-edge sizes of dot4 (4) and of the sweep (32, 64).
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 31, 32, 33, 63, 64, 65, 95, 96, 97, 130, 160, 515} {
+	// fans out, and is nine 64-row sweep tiles, the last partial; the
+	// rest are the block-edge sizes of dot4 (4) and of the sweeps (32,
+	// 64, 128).
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 129, 160, 192, 515} {
 		r := rng.New(uint64(n) + 70)
 		unit := randSym(n, 0.8, uint64(n)+71)
 		weighted := make([]float64, n*n)
@@ -191,13 +236,13 @@ func TestMatVecBlockedMatchesRowWalk(t *testing.T) {
 					// Worker counts split at the same fixed chunks.
 					walk := make([]float64, n)
 					refMatVec(n, v.ref, x, base, walk, 0, n)
-					bothKernels(func() {
+					eachArm(func() {
 						one, four := make([]float64, n), make([]float64, n)
 						MatVec(v.c, x, base, one, 1)
 						MatVec(v.c, x, base, four, 4)
 						for i := range one {
 							if !sameBits(one[i], walk[i]) || !sameBits(four[i], walk[i]) {
-								t.Fatalf("n=%d %s avx=%v row %d: workers 1 %v, 4 %v, row walk %v", n, v.name, useAVX, i, one[i], four[i], walk[i])
+								t.Fatalf("n=%d %s %s row %d: workers 1 %v, 4 %v, row walk %v", n, v.name, armName(), i, one[i], four[i], walk[i])
 							}
 						}
 					})
@@ -212,10 +257,11 @@ func TestMatVecBlockedMatchesRowWalk(t *testing.T) {
 // chunks, sbm's per-chip rows): on every layout, out outside [lo,hi)
 // keeps its poison. The matrix is ±1, so its dense layout is planes and
 // walks; its float copy (Floats) is what the column sweep runs on. 70
-// rows are two sweep blocks and a remainder: the sweep parks partial
-// sums in out, and must park them nowhere else.
+// rows are two sweep blocks and a remainder, 576 nine whole 64-row
+// tiles: the sweep parks partial sums in out, and must park them
+// nowhere else.
 func TestMatVecRangeWritesOnlyItsRange(t *testing.T) {
-	for _, n := range []int{37, 70} {
+	for _, n := range []int{37, 70, 576} {
 		data := randSym(n, 0.5, 80)
 		x, base := randVec(n, 81), randVec(n, 82)
 		b := allBackends(t, n, data, 0)
@@ -232,9 +278,16 @@ func TestMatVecRangeWritesOnlyItsRange(t *testing.T) {
 // would silently compute Jᵀx. The dense arm compares the two triangles
 // bit for bit at construction and only a symmetric matrix may sweep; a
 // flipped sign, a differing last bit, a zero of the other sign or a NaN
-// of another payload each keep the row walk's answer.
+// of another payload each keep the row walk's answer, on a matrix of two
+// sweep blocks and a remainder and on one of nine 64-row tiles.
 func TestAsymmetricMatrixKeepsRowKernel(t *testing.T) {
-	const n, div = 70, 3.7
+	for _, n := range []int{70, 576} {
+		asymmetricKeepsRowKernel(t, n)
+	}
+}
+
+func asymmetricKeepsRowKernel(t *testing.T, n int) {
+	const div = 3.7
 	r := rng.New(90)
 	symm := make([]float64, n*n)
 	for i := 0; i < n; i++ {
@@ -276,7 +329,7 @@ func TestAsymmetricMatrixKeepsRowKernel(t *testing.T) {
 		}{{0, data}, {div, scaled}} {
 			c := FromDense(n, data, Dense, v.div)
 			if got := c.(*dense).sym; got != tc.sym {
-				t.Fatalf("%s div=%v: sym = %v, want %v", tc.name, v.div, got, tc.sym)
+				t.Fatalf("n=%d %s div=%v: sym = %v, want %v", n, tc.name, v.div, got, tc.sym)
 			}
 			for _, rg := range residueRanges(n) {
 				checkMatVec(t, c, n, denseWalk(n, v.ref), x, base, rg[0], rg[1])
@@ -286,7 +339,7 @@ func TestAsymmetricMatrixKeepsRowKernel(t *testing.T) {
 			MatVec(c, x, base, got, 4)
 			for i := range got {
 				if !sameBits(got[i], walk[i]) {
-					t.Fatalf("%s div=%v: MatVec row %d: got %v, row walk %v", tc.name, v.div, i, got[i], walk[i])
+					t.Fatalf("n=%d %s div=%v: MatVec row %d: got %v, row walk %v", n, tc.name, v.div, i, got[i], walk[i])
 				}
 			}
 		}
@@ -419,9 +472,10 @@ func TestLaneGroupLayout(t *testing.T) {
 	}
 }
 
-// FuzzMatVecRange drives both dense kernels and the CSR lanes from raw
+// FuzzMatVecRange drives every dense arm and the CSR lanes from raw
 // bytes: size (up to 160: two-plus sweep tiles, up to five sweep blocks,
-// a remainder; a CSR matrix may take a second window), range, scaling,
+// a remainder; mode bit 4 adds 416, up to nine 64-row tiles; a CSR
+// matrix may take a second window), range, scaling,
 // which entries a CSR matrix keeps, and every entry, x and base value as
 // arbitrary float64 bit patterns; every row must carry the row walk's
 // bits and nothing outside the range may be written. A CSR matrix is
@@ -434,8 +488,17 @@ func FuzzMatVecRange(f *testing.F) {
 	f.Add(uint8(70), uint8(0), uint8(70), uint8(5), []byte{0xff, 0xf0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0x5a})
 	f.Add(uint8(41), uint8(200), uint8(90), uint8(15), []byte("four rows to a lane group, sorted by length, masked past their ends"))
 	f.Add(uint8(3), uint8(0), uint8(255), uint8(12), []byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 0x01, 0, 0, 0, 0, 0, 0, 0, 0xc3})
+	f.Add(uint8(95), uint8(32), uint8(64), uint8(0), []byte("a 32-row offset between two 64-row ones"))
+	f.Add(uint8(128), uint8(0), uint8(65), uint8(2), []byte("one pair of blocks, then a row"))
+	f.Add(uint8(129), uint8(1), uint8(128), uint8(1), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0x3f, 0xf0, 0, 0, 0, 0, 0, 1, 0x11})
+	f.Add(uint8(159), uint8(33), uint8(127), uint8(3), []byte("three blocks at an odd start: a pair, a trailing one, the walk"))
+	f.Add(uint8(159), uint8(65), uint8(129), uint8(17), []byte("nine tiles of sixty-four columns, parked between them"))
+	f.Add(uint8(100), uint8(63), uint8(255), uint8(16), []byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 0, 0x00, 0x0f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, size, from, span, mode uint8, raw []byte) {
 		n := int(size)%160 + 1
+		if mode&16 != 0 {
+			n += 416
+		}
 		if mode&12 == 12 {
 			n += KernelChunk
 		}

@@ -11,6 +11,13 @@ package lattice
 //go:noescape
 func sweep32(col *float64, stride uintptr, x *float64, rows int, acc *float64)
 
+// sweep64 is sweep32 over 64 parked sums, eight 8-lane registers
+// (sweep64_amd64.s): the same products and sums in the same order, so
+// the same bits. Only an AVX-512F host may call it.
+//
+//go:noescape
+func sweep64(col *float64, stride uintptr, x *float64, rows int, acc *float64)
+
 // tanhLanes replaces x[0:4·groups] by its tanh, four doubles per packed
 // instruction with tanhGo's operations, order and roundings
 // (tanh_amd64.s); tab is &tanhTab.
@@ -69,6 +76,11 @@ func fanOutLanes(planes *uint64, rows *int, pairs int, out *float64, quads int, 
 
 func cpuHasAVX() bool
 
-// useAVX is set once, here; only tests write it again, to prove the
-// portable kernel on an AVX host.
-var useAVX = cpuHasAVX()
+func cpuHasAVX512F() bool
+
+// useAVX and useAVX512 are set once, here; only tests write them again,
+// to prove the narrower kernels on a wider host.
+var (
+	useAVX    = cpuHasAVX()
+	useAVX512 = useAVX && cpuHasAVX512F()
+)

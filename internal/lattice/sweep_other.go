@@ -4,15 +4,20 @@ package lattice
 
 // No packed lanes off amd64, nor under the purego tag, which builds the
 // Go forms alone on any host (go test -tags purego ./... runs every
-// golden through them): useAVX is never true, so dense.MatVecRange never
-// reaches sweep32, csr.MatVecRange never reaches csrLanes, Tanh never
-// reaches tanhLanes, a Latch never reaches latchStage, latchFinal or
-// latchCommit, a Bifurcation never reaches sbmStep and neither
-// KeptFields.Flip nor dense.FlipFanout reaches fanOutLanes.
-var useAVX = false
+// golden through them): useAVX and useAVX512 are never true, so
+// dense.MatVecRange never reaches sweep32 or sweep64, csr.MatVecRange
+// never reaches csrLanes, Tanh never reaches tanhLanes, a Latch never
+// reaches latchStage, latchFinal or latchCommit, a Bifurcation never
+// reaches sbmStep and neither KeptFields.Flip nor dense.FlipFanout
+// reaches fanOutLanes.
+var useAVX, useAVX512 = false, false
 
 func sweep32(col *float64, stride uintptr, x *float64, rows int, acc *float64) {
 	panic("lattice: sweep32 without AVX")
+}
+
+func sweep64(col *float64, stride uintptr, x *float64, rows int, acc *float64) {
+	panic("lattice: sweep64 without AVX-512")
 }
 
 func csrLanes(cols *int32, vals *float64, start *int, lens *int32, order *int32, x, base, out *float64, groups int) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -71,13 +72,13 @@ func checkTanhSlice(t *testing.T, off int, args []float64) {
 	Tanh(in)
 	for i, x := range args {
 		if want := tanhGo(x); math.Float64bits(in[i]) != math.Float64bits(want) {
-			t.Fatalf("avx=%v len %d offset %d element %d: tanh(%v = %#x) = %#x, tanhGo %#x",
-				useAVX, len(args), off, i, x, math.Float64bits(x), math.Float64bits(in[i]), math.Float64bits(want))
+			t.Fatalf("%s len %d offset %d element %d: tanh(%v = %#x) = %#x, tanhGo %#x",
+				armName(), len(args), off, i, x, math.Float64bits(x), math.Float64bits(in[i]), math.Float64bits(want))
 		}
 	}
 	for i, v := range buf {
 		if (i < off || i >= off+len(args)) && v != poison {
-			t.Fatalf("avx=%v len %d offset %d: wrote buf[%d]", useAVX, len(args), off, i)
+			t.Fatalf("%s len %d offset %d: wrote buf[%d]", armName(), len(args), off, i)
 		}
 	}
 }
@@ -93,7 +94,7 @@ func TestTanhLanesMatchGo(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		pool = append(pool, math.Float64frombits(r.Uint64()), r.Float64()*50-25)
 	}
-	bothKernels(func() {
+	eachArm(func() {
 		at := 0
 		for round := 0; round < 60; round++ {
 			for n := 0; n <= 17; n++ {
@@ -119,7 +120,7 @@ func TestTanhLanesMatchGo(t *testing.T) {
 // fused. No fused mnemonic in any kernel's source is the check that
 // does not depend on luck.
 func TestLanesNeverFuse(t *testing.T) {
-	for _, file := range laneSources {
+	for _, file := range laneSources(t) {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
@@ -132,23 +133,48 @@ func TestLanesNeverFuse(t *testing.T) {
 	}
 }
 
-// laneSources are the files that hold the lane kernels' instructions.
-var laneSources = []string{"tanh_amd64.h", "tanh_amd64.s", "latch_amd64.s", "sweep_amd64.s", "csr_amd64.s", "bifurcation_amd64.s", "fanout_amd64.s"}
+// laneSources are the files that hold the lane kernels' instructions:
+// every amd64 assembly file and header of the package.
+func laneSources(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob("*_amd64.[sh]")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no lane sources found: %v", err)
+	}
+	return files
+}
+
+// zmmAllowed is all sweep64_amd64.s may hold, the one file dispatched
+// under useAVX512 rather than useAVX: the AVX-512F and AVX1 float moves
+// and arithmetic of sweep64, the scalar code around them and
+// cpuHasAVX512F's probe.
+var zmmAllowed = map[string]bool{
+	"VBROADCASTSD": true, "VMULPD": true, "VADDPD": true, "VMOVUPD": true, "VZEROUPPER": true,
+	"TEXT": true, "#include": true, "MOVQ": true, "MOVL": true, "MOVB": true, "XORL": true,
+	"ADDQ": true, "DECQ": true, "ANDL": true, "TESTQ": true, "TESTL": true, "CMPL": true,
+	"JB": true, "JEQ": true, "JNE": true, "JNZ": true, "JLE": true, "RET": true,
+	"CPUID": true, "XGETBV": true,
+}
 
 // TestLanesStayAVX1 reads the assembly too: useAVX proves AVX, not AVX2,
-// so no kernel may hold an instruction only AVX2 has — integer work on
-// ymm (VPTEST and the VPERMIL/VPERM2F128 float permutes are AVX1),
-// broadcasts of integers or from a register, 128-bit integer inserts and
-// extracts, cross-lane permutes, gathers, masked integer moves, variable
-// shifts and dword blends.
+// so no kernel it dispatches may hold an instruction only AVX2 has —
+// integer work on ymm (VPTEST and the VPERMIL/VPERM2F128 float permutes
+// are AVX1), broadcasts of integers or from a register, 128-bit integer
+// inserts and extracts, cross-lane permutes, gathers, masked integer
+// moves, variable shifts and dword blends — nor a zmm or mask register.
+// sweep64_amd64.s, dispatched under useAVX512, holds only zmmAllowed, on
+// Z0–Z15 and with no mask register.
 func TestLanesStayAVX1(t *testing.T) {
 	ymm := regexp.MustCompile(`\bY\d+\b`)
 	avx2 := regexp.MustCompile(`^(VPBROADCAST|VBROADCASTI128|V(INSERT|EXTRACT)I128|VPERM[DQ]$|VPERMP[DS]|V(P?)GATHER|VPMASKMOV|VPS(LL|RL|RA)V|VPBLENDD)`)
-	for _, file := range laneSources {
+	evex := regexp.MustCompile(`\b(Z\d+|K[0-7])\b`)
+	beyond := regexp.MustCompile(`\b(Z(1[6-9]|2\d|3[01])|K[0-7])\b`)
+	for _, file := range laneSources(t) {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
+		zmm := file == "sweep64_amd64.s"
 		for l, line := range strings.Split(string(src), "\n") {
 			code, _, _ := strings.Cut(line, "//")
 			for _, ins := range strings.Split(strings.TrimSuffix(strings.TrimSpace(code), `\`), ";") {
@@ -157,10 +183,16 @@ func TestLanesStayAVX1(t *testing.T) {
 					continue
 				}
 				op, args := f[0], strings.Join(f[1:], " ")
+				if zmm {
+					if !zmmAllowed[op] && !strings.HasSuffix(op, ":") || beyond.MatchString(args) {
+						t.Errorf("%s:%d: %s is outside what cpuHasAVX512F proves", file, l+1, strings.TrimSpace(ins))
+					}
+					continue
+				}
 				float := op == "VPTEST" || op == "VPERM2F128" || strings.HasPrefix(op, "VPERMIL")
 				fromReg := strings.HasPrefix(op, "VBROADCASTS") && strings.HasPrefix(args, "X")
-				if avx2.MatchString(op) || fromReg || (strings.HasPrefix(op, "VP") && !float && ymm.MatchString(args)) {
-					t.Errorf("%s:%d: %s is AVX2, and useAVX proves only AVX", file, l+1, strings.TrimSpace(ins))
+				if avx2.MatchString(op) || fromReg || (strings.HasPrefix(op, "VP") && !float && ymm.MatchString(args)) || evex.MatchString(args) {
+					t.Errorf("%s:%d: %s is AVX2 or AVX-512, and useAVX proves only AVX", file, l+1, strings.TrimSpace(ins))
 				}
 			}
 		}
@@ -179,29 +211,29 @@ func TestTanhProperties(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		args = append(args, math.Float64frombits(r.Uint64()), r.Float64()*42-21)
 	}
-	bothKernels(func() {
+	eachArm(func() {
 		for i, x := range args {
 			y, neg := tanhOf(x, i%9), tanhOf(-x, (i+4)%9)
 			if math.Float64bits(y)^math.Float64bits(neg) != signBit {
-				t.Fatalf("avx=%v not odd at %v: %#x, %#x", useAVX, x, math.Float64bits(y), math.Float64bits(neg))
+				t.Fatalf("%s not odd at %v: %#x, %#x", armName(), x, math.Float64bits(y), math.Float64bits(neg))
 			}
 			a := math.Abs(x)
 			switch {
 			case x != x:
 				if math.Float64bits(y) != math.Float64bits(x) {
-					t.Fatalf("avx=%v tanh(NaN %#x) = %#x", useAVX, math.Float64bits(x), math.Float64bits(y))
+					t.Fatalf("%s tanh(NaN %#x) = %#x", armName(), math.Float64bits(x), math.Float64bits(y))
 				}
 			case a >= TanhSaturation:
 				if math.Abs(y) != 1 {
-					t.Fatalf("avx=%v tanh(%v) = %v, want ±1", useAVX, x, y)
+					t.Fatalf("%s tanh(%v) = %v, want ±1", armName(), x, y)
 				}
 			case a < 0x1p-54:
 				if math.Float64bits(y) != math.Float64bits(x) {
-					t.Fatalf("avx=%v tanh(%v) = %v, want the argument", useAVX, x, y)
+					t.Fatalf("%s tanh(%v) = %v, want the argument", armName(), x, y)
 				}
 			default:
 				if !(math.Abs(y) <= 1) || math.Signbit(y) != math.Signbit(x) {
-					t.Fatalf("avx=%v tanh(%v) = %v", useAVX, x, y)
+					t.Fatalf("%s tanh(%v) = %v", armName(), x, y)
 				}
 			}
 		}
@@ -227,12 +259,12 @@ func TestTanhMonotone(t *testing.T) {
 		starts = append(starts, r.Float64()*20)
 	}
 	const run = 4096
-	bothKernels(func() {
+	eachArm(func() {
 		got := append([]float64(nil), grid...)
 		Tanh(got)
 		for i := 1; i < len(got); i++ {
 			if got[i] < got[i-1] {
-				t.Fatalf("avx=%v tanh(%v) = %v > tanh(%v) = %v", useAVX, grid[i-1], got[i-1], grid[i], got[i])
+				t.Fatalf("%s tanh(%v) = %v > tanh(%v) = %v", armName(), grid[i-1], got[i-1], grid[i], got[i])
 			}
 		}
 		xs, ys := make([]float64, run), make([]float64, run)
@@ -246,7 +278,7 @@ func TestTanhMonotone(t *testing.T) {
 			Tanh(ys)
 			for i := 1; i < run; i++ {
 				if ys[i] < ys[i-1] {
-					t.Fatalf("avx=%v tanh(%#x) = %#x > tanh(next) = %#x", useAVX,
+					t.Fatalf("%s tanh(%#x) = %#x > tanh(next) = %#x", armName(),
 						math.Float64bits(xs[i-1]), math.Float64bits(ys[i-1]), math.Float64bits(ys[i]))
 				}
 			}
@@ -326,16 +358,16 @@ func TestTanhAccuracy(t *testing.T) {
 		args = append(args, r.Float64()*20, math.Ldexp(1+r.Float64(), -r.Intn(61)),
 			(float64(r.Intn(56))+0.5)*math.Ln2/2+(r.Float64()-0.5)*1e-9)
 	}
-	bothKernels(func() {
+	eachArm(func() {
 		worst, at := 0.0, 0.0
 		for i, x := range args {
 			if u := ulpsFrom(tanhOf(x, i%9), bigTanh(x)); u > worst {
 				worst, at = u, x
 			}
 		}
-		t.Logf("avx=%v: %d references, worst %.3f ulp at %v", useAVX, len(args), worst, at)
+		t.Logf("%s: %d references, worst %.3f ulp at %v", armName(), len(args), worst, at)
 		if worst > tanhMaxULP {
-			t.Fatalf("avx=%v tanh(%v) is %.3f ulp from the reference, stated bound %v", useAVX, at, worst, tanhMaxULP)
+			t.Fatalf("%s tanh(%v) is %.3f ulp from the reference, stated bound %v", armName(), at, worst, tanhMaxULP)
 		}
 
 		const step = 1.0 / 1024
@@ -349,11 +381,11 @@ func TestTanhAccuracy(t *testing.T) {
 		for i, x := range grid {
 			d := ulpsBetween(got[i], math.Tanh(x))
 			if d > 3 {
-				t.Fatalf("avx=%v tanh(%v) = %v, math.Tanh %v: %d steps apart", useAVX, x, got[i], math.Tanh(x), d)
+				t.Fatalf("%s tanh(%v) = %v, math.Tanh %v: %d steps apart", armName(), x, got[i], math.Tanh(x), d)
 			}
 			hist[d]++
 		}
-		t.Logf("avx=%v: steps from math.Tanh on %d grid points: 0:%d 1:%d 2:%d 3:%d", useAVX, len(grid), hist[0], hist[1], hist[2], hist[3])
+		t.Logf("%s: steps from math.Tanh on %d grid points: 0:%d 1:%d 2:%d 3:%d", armName(), len(grid), hist[0], hist[1], hist[2], hist[3])
 	})
 }
 
@@ -398,6 +430,6 @@ func FuzzTanh(f *testing.F) {
 				t.Fatalf("tanhGo(%#x) = %#x, tanhGo(−x) = %#x", math.Float64bits(x), math.Float64bits(y), math.Float64bits(neg))
 			}
 		}
-		bothKernels(func() { checkTanhSlice(t, int(off%4), args) })
+		eachArm(func() { checkTanhSlice(t, int(off%4), args) })
 	})
 }

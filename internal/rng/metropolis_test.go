@@ -124,3 +124,65 @@ func TestMetropolisZeroValue(t *testing.T) {
 		}
 	}
 }
+
+// TestMetropolisBandMatchesExp holds the bounds fill sets without math.Exp
+// (37 ≤ β·2h ≤ 700) to the ones it would have computed: for every h of
+// a 256- and a 4096-entry table, over a β grid from 10⁻³ to 10³ and at
+// β where β·2h lies within a few ulps either side of 37 and of 700, the
+// table holds ^⌈exp(−β·2h)·2⁵³⌉ as the exp expression gives it.
+func TestMetropolisBandMatchesExp(t *testing.T) {
+	want := func(beta float64, h int) uint64 {
+		x := math.Exp(-beta*float64(2*h)) * (1 << 53)
+		switch {
+		case !(x > 0):
+			return 0
+		case x >= 1<<53:
+			return 1 << 53
+		}
+		return uint64(math.Ceil(x))
+	}
+	for _, n := range []int{256, 4096} {
+		var betas []float64
+		for b := 1e-3; b < 1e3; b *= 1.25 {
+			betas = append(betas, b)
+		}
+		for _, h := range []int{1, 2, 3, 7, 64, 255, n} {
+			for _, edge := range []float64{37, 700} {
+				b := edge / float64(2*h)
+				for k := 0; k < 4; k++ {
+					b = math.Nextafter(b, 0)
+				}
+				for k := 0; k < 9; k++ {
+					betas = append(betas, b)
+					b = math.Nextafter(b, math.Inf(1))
+				}
+			}
+		}
+		sides := map[float64][2]int{} // edge → products below it, at or above it
+		m := NewMetropolis(n, 0)
+		for _, beta := range betas {
+			m.SetBeta(beta)
+			for h := 1; h <= n; h++ {
+				if got, want := ^m.fill(h), want(beta, h); got != want {
+					t.Fatalf("n=%d β=%v h=%d (β·2h = %v): bound %d, exp gives %d", n, beta, h, beta*float64(2*h), got, want)
+				}
+				for _, edge := range []float64{37, 700} {
+					if y := beta * float64(2*h); math.Abs(y-edge) <= 4*(math.Nextafter(edge, math.Inf(1))-edge) {
+						s := sides[edge]
+						if y < edge {
+							s[0]++
+						} else {
+							s[1]++
+						}
+						sides[edge] = s
+					}
+				}
+			}
+		}
+		for _, edge := range []float64{37, 700} {
+			if s := sides[edge]; s[0] == 0 || s[1] == 0 {
+				t.Errorf("n=%d: β·2h came within a few ulps of %v only on one side: %v", n, edge, s)
+			}
+		}
+	}
+}

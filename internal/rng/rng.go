@@ -248,16 +248,24 @@ func (m *Metropolis) uphill(r *Source, delta float64) bool {
 	return r.Float64() < math.Exp(-m.beta*delta)
 }
 
-// fill computes and keeps the complemented bound for ΔE = 2h.
+// fill computes and keeps the complemented bound for ΔE = 2h. For
+// 37 ≤ β·2h ≤ 700 the bound is 1 without asking math.Exp: exp(−β·2h) is
+// then a normal double at least 23 % below 2⁻⁵³, far past Exp's 1-ulp
+// error, so x lies in (0, 1) and ⌈x⌉ = 1.
 func (m *Metropolis) fill(h int) uint64 {
-	x := math.Exp(-m.beta*float64(2*h)) * (1 << 53) // exact: a power of two
+	y := m.beta * float64(2*h)
 	var b uint64
-	switch {
-	case !(x > 0): // 0 or NaN: no draw is below it
-	case x >= 1<<53: // every draw is below it
-		b = 1 << 53
-	default:
-		b = uint64(math.Ceil(x))
+	if y >= 37 && y <= 700 {
+		b = 1
+	} else {
+		x := math.Exp(-y) * (1 << 53) // exact: a power of two
+		switch {
+		case !(x > 0): // 0 or NaN: no draw is below it
+		case x >= 1<<53: // every draw is below it
+			b = 1 << 53
+		default:
+			b = uint64(math.Ceil(x))
+		}
 	}
 	m.notBound[h] = ^b
 	return ^b
