@@ -458,7 +458,7 @@ func refDeriv(ma *Machine, v []float64, p float64) []float64 {
 // TestDerivBitsIndependentOfPlacement: a node's derivative, and the next
 // stage voltage v0 + c·k formed from it, carry the same bits whichever
 // range or lane group evaluated them — the machine's one stage over
-// [0, n), two-piece splits at every residue mod 4, and in place (next =
+// [0, n), two-piece splits at every residue mod 8, and in place (next =
 // v, as stages two and three run) — against the node-at-a-time
 // reference, for ideal and varied devices, over voltages on, between and
 // (as RK4 stage voltages are) beyond the rails and past tanh's
@@ -503,7 +503,10 @@ func TestDerivBitsIndependentOfPlacement(t *testing.T) {
 			ma.stage(v, p, k, c, next)
 			check("stage", k, next)
 			kappa := feedbackGain.At(p)
-			for _, cut := range []int{1, 2, 3, n / 2, n - 1} {
+			for _, cut := range []int{1, 2, 3, 4, 5, 6, 7, n / 2, n - 1} {
+				if cut >= n {
+					continue
+				}
 				clear(k)
 				clear(next)
 				for _, rg := range [][2]int{{cut, n}, {0, cut}} {

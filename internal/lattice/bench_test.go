@@ -128,6 +128,36 @@ func BenchmarkBRIMDeriv(b *testing.B) {
 	}
 }
 
+// BenchmarkLatch prices the latch stage alone, on each arm this host
+// has: Stage as stages one to three run it (in place, next = v) and
+// Final as stage four does, with a limit every candidate passes. n = 64,
+// 128 and 256 are the chips k256_mbrim4, k256_cluster2 and
+// sparse1k_mbrim4 step; BenchmarkBRIMDeriv has the mat-vec in its rows.
+func BenchmarkLatch(b *testing.B) {
+	for _, n := range []int{64, 128, 256} {
+		s := newBenchSetup(n, 1)
+		v0, k, k1, k2, k3, cand := randVec(n, 7), randVec(n, 8), randVec(n, 9), randVec(n, 10), randVec(n, 11), make([]float64, n)
+		for _, a := range arms {
+			run := func(name string, fn func()) {
+				b.Run(fmt.Sprintf("%s/%s/n=%d", name, a.name, n), func(b *testing.B) {
+					avx, avx512 := useAVX, useAVX512
+					defer func() { useAVX, useAVX512 = avx, avx512 }()
+					useAVX, useAVX512 = a.avx, a.avx512
+					for b.Loop() {
+						fn()
+					}
+				})
+			}
+			run("stage", func() { s.latch.Stage(s.v, v0, k, s.v, s.kappa, 0.025, 0, n) })
+			run("final", func() {
+				if bad := s.latch.Final(s.v, v0, k1, k2, k3, k, cand, s.kappa, 0.05/6, 1e6); bad >= 0 {
+					b.Fatalf("node %d past the limit", bad)
+				}
+			})
+		}
+	}
+}
+
 // csrTriple compresses a row-major matrix's nonzeros into rows.
 func csrTriple(n int, data []float64) (rowStart, cols []int, vals []float64) {
 	rowStart = make([]int, n+1)

@@ -45,7 +45,7 @@ func checkSBMStep(t *testing.T, n, off int, raw []byte) {
 		}
 	}
 
-	eachArm(func() {
+	lanesAndGo(func() {
 		out := &latchBufs{n: n, off: off}
 		gx, gy := out.like(x), out.like(y)
 		const poison = 0x55

@@ -67,7 +67,7 @@ func checkCommit(t *testing.T, n, off int, noisy bool, raw []byte) {
 	}
 
 	var l Latch
-	eachArm(func() {
+	lanesAndGo(func() {
 		out := &latchBufs{n: n, off: off}
 		v := out.slice(func() float64 { return latchPoison })
 		const poison = 0x5555

@@ -98,7 +98,7 @@ func TestKeptFieldsMatchFields(t *testing.T) {
 			}
 			for _, shift := range []int{0, own, 64} {
 				fanOutShift = shift
-				eachArm(func() {
+				lanesAndGo(func() {
 					r := rng.New(uint64(n))
 					spins := randSpins(n, uint64(n)+1)
 					out := make([]float64, n)
@@ -220,7 +220,7 @@ func checkFanOutPlanes(t *testing.T, n, flips int, raw []byte) {
 	}
 	walked := slices.Clone(fields)
 	flipWalk(n, data, walked, k, delta)
-	eachArm(func() {
+	lanesAndGo(func() {
 		got := slices.Clone(out)
 		KeepFields(d, base).Flip(spins, flipped, got)
 		same(fmt.Sprintf("%d rows fanned out", len(flipped)), got, want)
@@ -291,7 +291,7 @@ func TestFlipFanoutKeepsZeroSigns(t *testing.T) {
 				}
 				want := slices.Clone(fields)
 				flipWalk(n, tc.data, want, k, delta)
-				eachArm(func() {
+				lanesAndGo(func() {
 					got := slices.Clone(fields)
 					d.FlipFanout(got, k, delta)
 					for j := range want {

@@ -41,25 +41,25 @@ func (l *Latch) deriv(i int, vi, mv, kappa float64) float64 {
 	return d
 }
 
-// rows is the latch of nodes [lo, hi), indexed from lo.
-func (l *Latch) rows(lo, hi int) Latch {
-	s := *l
-	s.Bias, s.Ext = l.Bias[lo:hi], l.Ext[lo:hi]
-	if l.KappaVar != nil {
-		s.KappaVar = l.KappaVar[lo:hi]
+// nodes is the latch's slices over nodes [lo, hi): nil variation
+// factors (ideal devices) stay nil.
+func (l *Latch) nodes(lo, hi int) (bias, ext, kappaVar, invTauVar []float64) {
+	bias, ext, kappaVar, invTauVar = l.Bias[lo:hi], l.Ext[lo:hi], l.KappaVar, l.InvTauVar
+	if kappaVar != nil {
+		kappaVar = kappaVar[lo:hi]
 	}
-	if l.InvTauVar != nil {
-		s.InvTauVar = l.InvTauVar[lo:hi]
+	if invTauVar != nil {
+		invTauVar = invTauVar[lo:hi]
 	}
-	return s
+	return bias, ext, kappaVar, invTauVar
 }
 
-// first is &s[0], or nil for an empty s.
-func first(s []float64) *float64 {
-	if len(s) == 0 {
+// at is &s[i], or nil for a nil s.
+func at(s []float64, i int) *float64 {
+	if s == nil {
 		return nil
 	}
-	return &s[0]
+	return &s[i]
 }
 
 // Stage finishes nodes [lo, hi) of one RK4 stage taken at voltages v
@@ -67,20 +67,26 @@ func first(s []float64) *float64 {
 // mat-vec (MatVecRange of v with a nil base); on return it holds dV/dt,
 // and next[i] = v0[i] + c·k[i] is the next stage's voltage. next may be v
 // itself: a node's inputs are read before its outputs are written. On an
-// AVX host the whole groups of four go through latchStage and the rest
-// through deriv — the same bits either way, so a node's do not depend on
-// the range or lane group it was evaluated in.
+// AVX-512F host the whole groups of eight go through latchStage8; on an
+// AVX host the whole groups of four left go through latchStage, and the
+// rest through deriv — the same bits either way, so a node's do not
+// depend on the range or lane group it was evaluated in.
 func (l *Latch) Stage(v, v0, k, next []float64, kappa, c float64, lo, hi int) {
 	v, v0, k, next = v[lo:hi], v0[lo:hi], k[lo:hi], next[lo:hi]
-	s := l.rows(lo, hi)
+	bias, ext, kv, iv := l.nodes(lo, hi)
 	i := 0
-	if groups := len(k) / 4; useAVX && groups > 0 {
-		latchStage(&v[0], &v0[0], &k[0], &s.Bias[0], &s.Ext[0], first(s.KappaVar), first(s.InvTauVar),
-			s.Gamma, kappa, s.InvTau, groups, &tanhTab, &next[0], c)
-		i = groups * 4
+	if g := len(k) / 8; useAVX512 && g > 0 {
+		latchStage8(&v[0], &v0[0], &k[0], &bias[0], &ext[0], at(kv, 0), at(iv, 0),
+			l.Gamma, kappa, l.InvTau, g, &tanhTab, &next[0], c)
+		i = g * 8
+	}
+	if g := (len(k) - i) / 4; useAVX && g > 0 {
+		latchStage(&v[i], &v0[i], &k[i], &bias[i], &ext[i], at(kv, i), at(iv, i),
+			l.Gamma, kappa, l.InvTau, g, &tanhTab, &next[i], c)
+		i += g * 4
 	}
 	for ; i < len(k); i++ {
-		d := s.deriv(i, v[i], k[i], kappa)
+		d := l.deriv(lo+i, v[i], k[i], kappa)
 		k[i] = d
 		next[i] = v0[i] + float64(c*d)
 	}
@@ -97,15 +103,23 @@ func (l *Latch) Stage(v, v0, k, next []float64, kappa, c float64, lo, hi int) {
 func (l *Latch) Final(v, v0, k1, k2, k3, k4, cand []float64, kappa, h, limit float64) int {
 	n := len(cand)
 	v, v0, k1, k2, k3, k4 = v[:n], v0[:n], k1[:n], k2[:n], k3[:n], k4[:n]
-	s := l.rows(0, n)
+	bias, ext, kv, iv := l.nodes(0, n)
 	i, bad := 0, -1
-	if groups := n / 4; useAVX && groups > 0 {
-		bad = latchFinal(&v[0], &v0[0], &k4[0], &s.Bias[0], &s.Ext[0], first(s.KappaVar), first(s.InvTauVar),
-			s.Gamma, kappa, s.InvTau, groups, &tanhTab, &k1[0], &k2[0], &k3[0], &cand[0], h, limit)
-		i = groups * 4
+	if g := n / 8; useAVX512 && g > 0 {
+		bad = latchFinal8(&v[0], &v0[0], &k4[0], &bias[0], &ext[0], at(kv, 0), at(iv, 0),
+			l.Gamma, kappa, l.InvTau, g, &tanhTab, &k1[0], &k2[0], &k3[0], &cand[0], h, limit)
+		i = g * 8
+	}
+	if g := (n - i) / 4; useAVX && g > 0 {
+		b := latchFinal(&v[i], &v0[i], &k4[i], &bias[i], &ext[i], at(kv, i), at(iv, i),
+			l.Gamma, kappa, l.InvTau, g, &tanhTab, &k1[i], &k2[i], &k3[i], &cand[i], h, limit)
+		if bad < 0 && b >= 0 {
+			bad = i + b
+		}
+		i += g * 4
 	}
 	for ; i < n; i++ {
-		d := s.deriv(i, v[i], k4[i], kappa)
+		d := l.deriv(i, v[i], k4[i], kappa)
 		c := v0[i] + float64(h*(((k1[i]+float64(2*k2[i]))+float64(2*k3[i]))+d))
 		cand[i] = c
 		if bad < 0 && !(math.Abs(c) <= limit) {
@@ -173,7 +187,7 @@ func (l *Latch) Commit(cand, noise, v, holdUntil []float64, holdTarget, spins []
 	}
 	i, k := 0, 0
 	if groups := n / 4; useAVX && groups > 0 {
-		k = latchCommit(&cand[0], first(noise), &v[0], &holdUntil[0], &holdTarget[0], &spins[0], &crossed[0], groups, t, th)
+		k = latchCommit(&cand[0], at(noise, 0), &v[0], &holdUntil[0], &holdTarget[0], &spins[0], &crossed[0], groups, t, th)
 		i = groups * 4
 	}
 	for ; i < n; i++ {

@@ -163,34 +163,36 @@ func latchSeed(r *rng.Source, n int, varied bool, bad int) []byte {
 // FuzzTanh proves tanhLanes: raw bit patterns, every 8 bytes one value —
 // γ, 1/τ, κ, c, h and the limit, then per node v, v0, the mat-vec, Bias,
 // Ext, the variation factors when mode bit 0 asks for varied devices, k1,
-// k2 and k3 — over n = size mod 18 nodes at offset mod 4 in poisoned
+// k2 and k3 — over n = size mod 36 nodes at offset mod 8 in poisoned
 // buffers, with the stage's next voltage written over v when mode bit 1
-// asks for it. On both kernels Stage and Final must carry the Go form's
-// bits and bad node, leave their inputs and everything outside their
-// slices alone, and Final must leave the mat-vec as it was. A NaN only
-// has to be a NaN: which of two NaNs an addition keeps is the
-// instruction's choice, on the Go form as in the lanes.
+// asks for it. 31 nodes hold every part of the widest split at once: a
+// pair of zmm groups, an odd zmm group, a ymm group and a Go rest. On
+// every arm Stage and Final must carry the Go form's bits and bad node,
+// leave their inputs and everything outside their slices alone, and
+// Final must leave the mat-vec as it was. A NaN only has to be a NaN:
+// which of two NaNs an addition keeps is the instruction's choice, on
+// the Go form as in the lanes.
 func FuzzLatchStage(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), []byte{})
 	var special []byte
 	for _, x := range append(append([]float64{1.5, 1, 0.6, 0.025, 0.05 / 6, 1e6}, specials...), tanhEdges()...) {
 		special = binary.LittleEndian.AppendUint64(special, math.Float64bits(x))
 	}
-	for n := uint8(0); n < 18; n++ {
+	for n := uint8(0); n < 36; n++ {
 		f.Add(n, n/4, n%4, special)
 	}
 	r := rng.New(2600)
-	for n := 0; n < 18; n++ {
+	for n := 0; n < 36; n++ {
 		for mode := uint8(0); mode < 4; mode++ {
 			f.Add(uint8(n), uint8(n)+mode, mode, latchSeed(r, n, mode&1 != 0, -1))
 		}
 	}
-	// The first bad node in every lane of group A, of group B and of the
-	// Go form's remainder.
-	for bad := 0; bad < 17; bad++ {
-		f.Add(uint8(17), uint8(bad), uint8(bad%4), latchSeed(r, 17, bad%2 != 0, bad))
+	// The first bad node in every lane of zmm group A, zmm group B, the
+	// odd zmm group, the trailing ymm group and the Go form's rest.
+	for bad := 0; bad < 31; bad++ {
+		f.Add(uint8(31), uint8(bad), uint8(bad%4), latchSeed(r, 31, bad%2 != 0, bad))
 	}
 	f.Fuzz(func(t *testing.T, size, off, mode uint8, raw []byte) {
-		checkLatch(t, int(size)%18, int(off)%4, mode&1 != 0, mode&2 != 0, raw)
+		checkLatch(t, int(size)%36, int(off)%8, mode&1 != 0, mode&2 != 0, raw)
 	})
 }

@@ -226,14 +226,17 @@
 // guardrail's limit. Latch.deriv is the form that defines the bits, each
 // product in an explicit float64 conversion. The fourth lane kernel,
 // latchStage and latchFinal (latch_amd64.s), is its twin: one pass over
-// the stage's nodes, four per instruction, the same operations in the
-// same order, its tanh the TANH_PAIR macro that tanhLanes expands too
-// (tanh_amd64.h, the one copy). An addition's operands may trade places —
-// a sum does not depend on their order, only which of two NaNs survives
-// does — but no product is fused. Nil variation slices select the ideal
-// arm; the hi−lo mod 4 rest takes the Go form. FuzzLatchStage holds both
-// entries to the Go form by Float64bits, on both kernels, at every length
-// 0–17 and offset mod 4, for ideal and varied devices and in place.
+// the stage's nodes, the same operations in the same order, its tanh the
+// TANH_PAIR macro that tanhLanes expands too (tanh_amd64.h, the one
+// copy). An AVX-512F host takes the whole groups of eight through
+// latchStage8 and latchFinal8 (latch512_amd64.s, TANH_PAIR_Z the same
+// sequence on zmm) and one trailing group of four through the ymm
+// kernel. An addition's operands may trade places — a sum does not
+// depend on their order, only which of two NaNs survives does — but no
+// product is fused. Nil variation slices select the ideal arm; the hi−lo
+// mod 4 rest takes the Go form. FuzzLatchStage holds both entries to the
+// Go form by Float64bits, on all three arms, at every length 0–35 and
+// offset mod 8, for ideal and varied devices and in place.
 //
 // # The bifurcation step
 //

@@ -242,7 +242,7 @@ func TestCSRMatVecRangeRejectsShortSlices(t *testing.T) {
 		"short base": func() { c.MatVecRange(full, full[:KernelChunk-1], make([]float64, n), 0, KernelChunk) },
 		"hi past n":  func() { c.MatVecRange(append(full, 0), nil, make([]float64, n+1), 0, n+1) },
 	} {
-		eachArm(func() {
+		lanesAndGo(func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("MatVecRange with %s (%s) did not panic", name, armName())

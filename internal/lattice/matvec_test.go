@@ -102,19 +102,34 @@ func armName() string {
 	return "?"
 }
 
-// eachArm runs fn once on every arm and restores the switches.
-func eachArm(fn func()) {
+// eachArm runs fn once on every arm and restores the switches: the
+// proofs of the two kernels useAVX512 splits, the dense mat-vec and the
+// latch stage.
+func eachArm(fn func()) { runArms(arms, fn) }
+
+// lanesAndGo runs fn on the widest arm and on the Go forms: the proofs
+// of the kernels useAVX alone dispatches, which would run the widest
+// arm's code again on the ymm one.
+func lanesAndGo(fn func()) {
+	as := arms
+	if len(as) > 2 {
+		as = []arm{as[0], as[len(as)-1]}
+	}
+	runArms(as, fn)
+}
+
+func runArms(as []arm, fn func()) {
 	avx, avx512 := useAVX, useAVX512
 	defer func() { useAVX, useAVX512 = avx, avx512 }()
-	for _, a := range arms {
+	for _, a := range as {
 		useAVX, useAVX512 = a.avx, a.avx512
 		fn()
 	}
 }
 
-// TestKernelArms logs the arms every eachArm proof runs on this host,
-// so a runner without AVX-512F (or AVX) shows in the log rather than
-// passing on fewer arms in silence.
+// TestKernelArms logs the arms the proofs run on this host, so a runner
+// without AVX-512F (or AVX) shows in the log rather than passing on
+// fewer arms in silence.
 func TestKernelArms(t *testing.T) {
 	var names []string
 	for _, a := range arms {

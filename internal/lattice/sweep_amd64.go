@@ -40,6 +40,17 @@ func latchStage(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa,
 //go:noescape
 func latchFinal(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int
 
+// latchStage8 and latchFinal8 are latchStage and latchFinal over
+// 8·groups nodes, eight doubles per packed instruction with the same
+// operations in the same order, so the same bits (latch512_amd64.s).
+// Only an AVX-512F host may call them.
+//
+//go:noescape
+func latchStage8(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64)
+
+//go:noescape
+func latchFinal8(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int
+
 // sbmStep is Bifurcation.Step over 4·groups nodes, four doubles per
 // packed instruction with Bifurcation.node's operations, order and
 // roundings (bifurcation_amd64.s), ma = −(A0 − a); it returns how many

@@ -7,7 +7,8 @@ package lattice
 // golden through them): useAVX and useAVX512 are never true, so
 // dense.MatVecRange never reaches sweep32 or sweep64, csr.MatVecRange
 // never reaches csrLanes, Tanh never reaches tanhLanes, a Latch never
-// reaches latchStage, latchFinal or latchCommit, a Bifurcation never
+// reaches latchStage, latchStage8, latchFinal, latchFinal8 or
+// latchCommit, a Bifurcation never
 // reaches sbmStep and neither KeptFields.Flip nor dense.FlipFanout
 // reaches fanOutLanes.
 var useAVX, useAVX512 = false, false
@@ -34,6 +35,14 @@ func latchStage(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa,
 
 func latchFinal(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int {
 	panic("lattice: latchFinal without AVX")
+}
+
+func latchStage8(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64) {
+	panic("lattice: latchStage8 without AVX-512")
+}
+
+func latchFinal8(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int {
+	panic("lattice: latchFinal8 without AVX-512")
 }
 
 func latchCommit(cand, noise, v, holdUntil *float64, holdTarget, spins *int8, crossed *int32, groups int, t, th float64) int {

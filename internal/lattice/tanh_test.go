@@ -94,7 +94,7 @@ func TestTanhLanesMatchGo(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		pool = append(pool, math.Float64frombits(r.Uint64()), r.Float64()*50-25)
 	}
-	eachArm(func() {
+	lanesAndGo(func() {
 		at := 0
 		for round := 0; round < 60; round++ {
 			for n := 0; n <= 17; n++ {
@@ -144,16 +144,32 @@ func laneSources(t *testing.T) []string {
 	return files
 }
 
-// zmmAllowed is all sweep64_amd64.s may hold, the one file dispatched
-// under useAVX512 rather than useAVX: the AVX-512F and AVX1 float moves
-// and arithmetic of sweep64, the scalar code around them and
-// cpuHasAVX512F's probe.
-var zmmAllowed = map[string]bool{
-	"VBROADCASTSD": true, "VMULPD": true, "VADDPD": true, "VMOVUPD": true, "VZEROUPPER": true,
-	"TEXT": true, "#include": true, "MOVQ": true, "MOVL": true, "MOVB": true, "XORL": true,
-	"ADDQ": true, "DECQ": true, "ANDL": true, "TESTQ": true, "TESTL": true, "CMPL": true,
-	"JB": true, "JEQ": true, "JNE": true, "JNZ": true, "JLE": true, "RET": true,
-	"CPUID": true, "XGETBV": true,
+// zmmAllowed is all each file dispatched under useAVX512 rather than
+// useAVX may hold: AVX-512F and AVX1 float moves and arithmetic and the
+// scalar code around them — sweep64's loop and cpuHasAVX512F's probe,
+// and the zmm latch stage's tanh, tail, compares and blends.
+var zmmAllowed = map[string]map[string]bool{
+	"sweep64_amd64.s": set("VBROADCASTSD VMULPD VADDPD VMOVUPD VZEROUPPER TEXT #include MOVQ MOVL MOVB XORL " +
+		"ADDQ DECQ ANDL TESTQ TESTL CMPL JB JEQ JNE JNZ JLE RET CPUID XGETBV"),
+	"latch512_amd64.s": set("VBROADCASTSD VMULPD VADDPD VSUBPD VDIVPD VMINPD VMOVUPD VMOVAPD VPANDQ VPORQ " +
+		"VPSLLQ VCMPPD VBLENDMPD KMOVW VZEROUPPER TEXT #include #define TANH_PAIR_Z LATCH_TAIL_Z " +
+		"MOVQ XORQ CMPQ TESTQ LEAQ ADDQ SUBQ SHRQ BSFQ JGE JLE JZ JMP RET"),
+}
+
+// beyondF names what a zmm kernel reaches for first that AVX-512F lacks:
+// the float logic ops on zmm and byte masks (DQ), wider mask moves (BW).
+var beyondF = map[string]string{
+	"VANDPD": "AVX-512DQ", "VANDNPD": "AVX-512DQ", "VORPD": "AVX-512DQ", "VXORPD": "AVX-512DQ",
+	"KMOVB": "AVX-512DQ", "VPMOVQ2M": "AVX-512DQ", "VPMOVM2Q": "AVX-512DQ",
+	"KMOVD": "AVX-512BW", "KMOVQ": "AVX-512BW", "VPMOVB2M": "AVX-512BW",
+}
+
+func set(words string) map[string]bool {
+	m := map[string]bool{}
+	for _, w := range strings.Fields(words) {
+		m[w] = true
+	}
+	return m
 }
 
 // TestLanesStayAVX1 reads the assembly too: useAVX proves AVX, not AVX2,
@@ -161,20 +177,25 @@ var zmmAllowed = map[string]bool{
 // integer work on ymm (VPTEST and the VPERMIL/VPERM2F128 float permutes
 // are AVX1), broadcasts of integers or from a register, 128-bit integer
 // inserts and extracts, cross-lane permutes, gathers, masked integer
-// moves, variable shifts and dword blends — nor a zmm or mask register.
-// sweep64_amd64.s, dispatched under useAVX512, holds only zmmAllowed, on
-// Z0–Z15 and with no mask register.
+// moves, variable shifts and dword blends — nor a zmm or mask register
+// or an EVEX suffix. A file dispatched under useAVX512 holds only its
+// zmmAllowed (with .BCST operands, which AVX-512F has), nothing of
+// beyondF, no xmm or ymm operand (an EVEX form on them is AVX-512VL),
+// only Z0–Z15 — VZEROUPPER leaves Z16–Z31 dirty — and K1–K7 only in
+// latch512_amd64.s, whose compares need them.
 func TestLanesStayAVX1(t *testing.T) {
 	ymm := regexp.MustCompile(`\bY\d+\b`)
 	avx2 := regexp.MustCompile(`^(VPBROADCAST|VBROADCASTI128|V(INSERT|EXTRACT)I128|VPERM[DQ]$|VPERMP[DS]|V(P?)GATHER|VPMASKMOV|VPS(LL|RL|RA)V|VPBLENDD)`)
 	evex := regexp.MustCompile(`\b(Z\d+|K[0-7])\b`)
-	beyond := regexp.MustCompile(`\b(Z(1[6-9]|2\d|3[01])|K[0-7])\b`)
+	vl := regexp.MustCompile(`\b[XY]\d+\b`)
+	highZ := regexp.MustCompile(`\bZ(1[6-9]|2\d|3[01])\b`)
+	mask := regexp.MustCompile(`\bK[0-7]\b`)
 	for _, file := range laneSources(t) {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		zmm := file == "sweep64_amd64.s"
+		allowed := zmmAllowed[file]
 		for l, line := range strings.Split(string(src), "\n") {
 			code, _, _ := strings.Cut(line, "//")
 			for _, ins := range strings.Split(strings.TrimSuffix(strings.TrimSpace(code), `\`), ";") {
@@ -183,16 +204,28 @@ func TestLanesStayAVX1(t *testing.T) {
 					continue
 				}
 				op, args := f[0], strings.Join(f[1:], " ")
-				if zmm {
-					if !zmmAllowed[op] && !strings.HasSuffix(op, ":") || beyond.MatchString(args) {
-						t.Errorf("%s:%d: %s is outside what cpuHasAVX512F proves", file, l+1, strings.TrimSpace(ins))
+				bad := func(why string) { t.Errorf("%s:%d: %s %s", file, l+1, strings.TrimSpace(ins), why) }
+				if allowed != nil {
+					base := strings.TrimSuffix(op, ".BCST")
+					switch {
+					case beyondF[base] != "":
+						bad("is " + beyondF[base] + ", and cpuHasAVX512F proves only AVX-512F")
+					case !allowed[base] && !strings.HasSuffix(op, ":"):
+						bad("is outside what cpuHasAVX512F proves")
+					case vl.MatchString(args):
+						bad("is AVX-512VL on an xmm or ymm register")
+					case highZ.MatchString(args):
+						bad("names Z16–Z31, which VZEROUPPER leaves dirty")
+					case mask.MatchString(args) && (file != "latch512_amd64.s" || strings.Contains(args, "K0")):
+						bad("names a mask register outside K1–K7 of latch512_amd64.s")
 					}
 					continue
 				}
 				float := op == "VPTEST" || op == "VPERM2F128" || strings.HasPrefix(op, "VPERMIL")
 				fromReg := strings.HasPrefix(op, "VBROADCASTS") && strings.HasPrefix(args, "X")
-				if avx2.MatchString(op) || fromReg || (strings.HasPrefix(op, "VP") && !float && ymm.MatchString(args)) || evex.MatchString(args) {
-					t.Errorf("%s:%d: %s is AVX2 or AVX-512, and useAVX proves only AVX", file, l+1, strings.TrimSpace(ins))
+				if avx2.MatchString(op) || fromReg || (strings.HasPrefix(op, "VP") && !float && ymm.MatchString(args)) ||
+					evex.MatchString(args) || strings.Contains(op, ".") {
+					bad("is AVX2 or AVX-512, and useAVX proves only AVX")
 				}
 			}
 		}
@@ -211,7 +244,7 @@ func TestTanhProperties(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		args = append(args, math.Float64frombits(r.Uint64()), r.Float64()*42-21)
 	}
-	eachArm(func() {
+	lanesAndGo(func() {
 		for i, x := range args {
 			y, neg := tanhOf(x, i%9), tanhOf(-x, (i+4)%9)
 			if math.Float64bits(y)^math.Float64bits(neg) != signBit {
@@ -259,7 +292,7 @@ func TestTanhMonotone(t *testing.T) {
 		starts = append(starts, r.Float64()*20)
 	}
 	const run = 4096
-	eachArm(func() {
+	lanesAndGo(func() {
 		got := append([]float64(nil), grid...)
 		Tanh(got)
 		for i := 1; i < len(got); i++ {
@@ -358,7 +391,7 @@ func TestTanhAccuracy(t *testing.T) {
 		args = append(args, r.Float64()*20, math.Ldexp(1+r.Float64(), -r.Intn(61)),
 			(float64(r.Intn(56))+0.5)*math.Ln2/2+(r.Float64()-0.5)*1e-9)
 	}
-	eachArm(func() {
+	lanesAndGo(func() {
 		worst, at := 0.0, 0.0
 		for i, x := range args {
 			if u := ulpsFrom(tanhOf(x, i%9), bigTanh(x)); u > worst {
@@ -430,6 +463,6 @@ func FuzzTanh(f *testing.F) {
 				t.Fatalf("tanhGo(%#x) = %#x, tanhGo(−x) = %#x", math.Float64bits(x), math.Float64bits(y), math.Float64bits(neg))
 			}
 		}
-		eachArm(func() { checkTanhSlice(t, int(off%4), args) })
+		lanesAndGo(func() { checkTanhSlice(t, int(off%4), args) })
 	})
 }
