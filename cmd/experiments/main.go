@@ -19,9 +19,13 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sort"
+
+	"mbrim/internal/hostinfo"
 )
 
 // command is one registered subcommand.
@@ -44,6 +48,8 @@ func main() {
 	}
 	name := os.Args[1]
 	if name == "all" {
+		host, _ := json.Marshal(hostinfo.Collect())
+		fmt.Printf("# experiments all at commit %s on host %s\n", revision(), host)
 		names := make([]string, 0, len(commands))
 		for n := range commands {
 			names = append(names, n)
@@ -82,4 +88,22 @@ func usage() {
 		fmt.Fprintf(os.Stderr, "  %-16s %s\n", n, commands[n].summary)
 	}
 	fmt.Fprintln(os.Stderr, "  all              run every experiment with defaults")
+}
+
+// revision is the commit the binary was built from, as go build stamps
+// it (go run does not), marked "+modified" when the tree had
+// uncommitted changes.
+func revision() string {
+	rev, dirty := "unknown (build with go build to stamp it)", ""
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			switch {
+			case s.Key == "vcs.revision":
+				rev = s.Value
+			case s.Key == "vcs.modified" && s.Value == "true":
+				dirty = "+modified"
+			}
+		}
+	}
+	return rev + dirty
 }

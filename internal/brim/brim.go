@@ -55,8 +55,12 @@ import (
 // The circuit's fixed operating point: one tuned design, as the paper
 // models (Sec 6.1, which notes that schedule tuning has significant
 // impact; these were tuned on seeded K-graphs). Its times scale with
-// Config.Tau: the RK4 step is 0.05·Tau and induced flips are drawn
-// every 0.5·Tau.
+// Config.Tau: induced flips are drawn every 0.5·Tau, and the RK4 step is
+// 0.1·Tau, five steps a draw, unless the couplings' spectrum asks for a
+// finer one (flipSteps). The step sits well inside RK4's stability
+// region for every generated family (TestStepStaysInsideRK4Stability)
+// and finds the cut half of it does (TestHalfStepKeepsTheCut); DESIGN's
+// numerics paragraph has the table.
 const (
 	// gamma is the feedback sharpness (tanh slope).
 	gamma = 1.5
@@ -150,8 +154,10 @@ type Machine struct {
 	t        float64 // model time, ns
 	horizon  float64 // total planned duration, for schedule progress
 	nextFlip float64 // model time of the next induced-flip draw
-	// dt is the RK4 step, 0.05·Tau; flipInterval the model time between
-	// induced-flip draws, 0.5·Tau.
+	// dt is the RK4 step, flipInterval/flipSteps (0.1·Tau for
+	// random-sign couplings); flipInterval the model time between
+	// induced-flip draws, 0.5·Tau. Run lands t exactly on every draw and
+	// run end, so a split run steps through an unsplit one's clock.
 	dt, flipInterval float64
 
 	flips        int64 // readout sign changes (all causes)
@@ -201,7 +207,6 @@ func New(m *ising.Model, cfg Config) *Machine {
 		v:     make([]float64, n),
 		spins: make([]int8, n),
 
-		dt:           0.05 * c.Tau,
 		flipInterval: 0.5 * c.Tau,
 
 		holdUntil:  make([]float64, n),
@@ -227,6 +232,7 @@ func New(m *ising.Model, cfg Config) *Machine {
 	for i, b := range m.MuH() {
 		ma.latch.Bias[i] = b / scale
 	}
+	ma.dt = ma.flipInterval / float64(ma.flipSteps())
 	for i := range ma.v {
 		s := ma.r.Spin()
 		ma.v[i] = 0.5 * float64(s)
@@ -359,6 +365,62 @@ func (ma *Machine) AddExternalBias(i int, delta float64) {
 func (ma *Machine) stage(v []float64, p float64, k []float64, c float64, next []float64) {
 	ma.lat.MatVecRange(v, nil, k, 0, ma.n)
 	ma.latch.Stage(v, ma.v, k, next, feedbackGain.At(p), c, 0, ma.n)
+}
+
+// The step. A flip interval takes stepsPerFlip RK4 steps, dt = 0.1·Tau,
+// unless the node equations' stiffest mode would then put |λ|·dt/τ past
+// stepMargin: a quarter of RK4's real-axis stability bound (≈ 2.785),
+// where the method's amplification factor stays within 0.3 % of e^z.
+// powerIters mat-vecs estimate ρ(Ĵ) for it, under 1 % of a 100 ns run.
+const (
+	stepsPerFlip = 5
+	stepMargin   = 2.785 / 4
+	powerIters   = 32
+)
+
+// flipSteps returns how many equal RK4 steps one flip interval takes.
+// Every eigenvalue of the node equations' Jacobian, in units of 1/τ, is
+// within ρ(Ĵ) + κmax·max(1, γ−1) of zero: Ĵ's plus the latch's slope
+// κ(γ·sech²(γV) − 1). The estimate of ρ(Ĵ) is padded 10 % because it
+// climbs to ρ from below. Random-sign couplings sit near ρ(Ĵ) = 2 at
+// every size and density and keep stepsPerFlip steps; coherent ones
+// (unweighted dense MaxCut, number partitioning) reach ρ(Ĵ) ≈ √n and
+// take more, where 0.1·Tau would drive their stiff mode to the rails.
+func (ma *Machine) flipSteps() int {
+	slope := float64(math.Max(feedbackGain.From, feedbackGain.To) * math.Max(1, gamma-1))
+	rho := float64(1.1 * ma.spectralRadius(powerIters))
+	return max(stepsPerFlip, int(math.Ceil(float64(0.5*(rho+slope))/stepMargin)))
+}
+
+// spectralRadius estimates ρ(Ĵ) by iters steps of power iteration from a
+// fixed pseudo-random start, in the scratch vectors k1 and k2. Ĵ is
+// symmetric, so ‖Ĵx‖ at unit x is the Rayleigh quotient of Ĵ² taken to
+// the square root, and it climbs to ρ whichever end of the spectrum ρ
+// sits at.
+func (ma *Machine) spectralRadius(iters int) float64 {
+	x, y := ma.k1, ma.k2
+	r := rng.New(0x5EC7)
+	for i := range x {
+		x[i] = float64(r.Float64()) - 0.5
+	}
+	norm := func(v []float64) float64 {
+		var s float64
+		for _, e := range v {
+			s += float64(e * e)
+		}
+		return math.Sqrt(s)
+	}
+	var rho float64
+	for k := 0; k < iters; k++ {
+		nx := norm(x)
+		for i := range x {
+			x[i] /= nx
+		}
+		ma.lat.MatVecRange(x, nil, y, 0, ma.n)
+		rho = norm(y)
+		x, y = y, x
+	}
+	return rho
 }
 
 // clampFactor keeps a process-variation factor physical.
@@ -622,7 +684,11 @@ func (ma *Machine) run(ctx context.Context, duration float64, trial func(float64
 		ma.horizon = duration
 	}
 	end := ma.t + duration
-	const eps = 1e-12
+	// eps is the clock's tolerance: a step that ends within it of a
+	// boundary ends on the boundary. It is relative to dt, so the few
+	// ulps t += dt gathers between boundaries leave no sliver step even
+	// a million ns into a run.
+	eps := float64(1e-6 * ma.dt)
 	done := ctx.Done()
 	for ma.t < end-eps {
 		if done != nil {
@@ -645,6 +711,11 @@ func (ma *Machine) run(ctx context.Context, duration float64, trial func(float64
 			}
 			if err := ma.guardedStep(dt, trial); err != nil {
 				return err
+			}
+			// Land exactly on the boundary: a run split at any boundary
+			// then steps through the same clock values as an unsplit one.
+			if ma.t > next-eps {
+				ma.t = next
 			}
 		}
 		if ma.t >= ma.nextFlip-eps {

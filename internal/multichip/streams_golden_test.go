@@ -18,7 +18,7 @@ import (
 	"mbrim/internal/rng"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/streams.golden.json")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/streams.golden.json and testdata/parent_ckpt_k16_c2.json")
 
 // streamHashes is what one configuration must reproduce: SHA-256 of the
 // uninterrupted run's result JSON and of its full event stream (flat
@@ -65,11 +65,13 @@ func hashJSON(t *testing.T, vs ...any) string {
 // results, checkpoints, and the order and content of every event and
 // span — against testdata/streams.golden.json. The commit before the
 // run modes were folded into one epoch frame generated it; it was
-// regenerated once, at the owned tanh (lattice.Tanh), which moved the
+// regenerated at the owned tanh (lattice.Tanh), which moved the
 // checkpoint hashes — the only ones that cover node voltages — and
-// nothing else. Every operation in a trajectory now carries the same
-// bits on every host, so a hash that moves has changed behaviour;
-// -update rewrites the file for a change that means to.
+// nothing else, and when brim's step went to 0.1·τ, which moved every
+// checkpoint hash and 212 of the 288 result hashes. Every operation in
+// a trajectory now carries the same bits on every host, so a hash that
+// moves has changed behaviour; -update rewrites the file for a change
+// that means to.
 func TestStreamsGolden(t *testing.T) {
 	const path = "testdata/streams.golden.json"
 	golden := map[string]streamHashes{}
