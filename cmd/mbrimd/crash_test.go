@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -107,6 +108,32 @@ func waitReady(t *testing.T, base string, timeout time.Duration) {
 	t.Fatalf("daemon at %s never became ready", base)
 }
 
+// crashRunNS is the model time every crash-test run asks for.
+const crashRunNS = 20000
+
+// runProgress reads run-1's live model time and phase off GET /runs/run-1.
+func runProgress(t *testing.T, base string) (modelNS float64, phase string) {
+	t.Helper()
+	resp, err := http.Get(base + "/runs/run-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Progress struct {
+			ModelNS float64 `json:"modelNS"`
+			Phase   string  `json:"phase"`
+		} `json:"progress"`
+	}
+	if resp.StatusCode != 200 {
+		t.Fatalf("GET /runs/run-1 = %d", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Progress.ModelNS, st.Progress.Phase
+}
+
 type outcomeBody struct {
 	State  string             `json:"state"`
 	Energy float64            `json:"energy"`
@@ -130,12 +157,10 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	bin := buildDaemon(t)
 	for _, engine := range []string{"mbrim", "cluster"} {
 		t.Run(engine, func(t *testing.T) {
-			// ~0.85 s of wall time at this problem size in process on a
-			// two-vCPU host, more over loopback RPCs: enough for several
-			// checkpoints before the kill and real work left after it. A
-			// run that ends before the kill leaves the replay nothing to
-			// resume.
-			body := `{"engine":"mbrim","k":64,"chips":2,"durationNS":20000,"seed":7}`
+			// crashAndResume kills the run in the first half of its
+			// model time, whatever the host's speed, and says so if a
+			// host ever outruns that.
+			body := fmt.Sprintf(`{"engine":"mbrim","k":64,"chips":2,"durationNS":%d,"seed":7}`, crashRunNS)
 			if engine == "cluster" {
 				var workers []string
 				for range 2 {
@@ -147,7 +172,8 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 					waitReady(t, base, 10*time.Second)
 					workers = append(workers, base)
 				}
-				body = `{"engine":"cluster","workers":["` + strings.Join(workers, `","`) + `"],"k":64,"durationNS":20000,"seed":7}`
+				body = fmt.Sprintf(`{"engine":"cluster","workers":["%s"],"k":64,"durationNS":%d,"seed":7}`,
+					strings.Join(workers, `","`), crashRunNS)
 			}
 			crashAndResume(t, bin, body)
 		})
@@ -156,7 +182,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 
 func crashAndResume(t *testing.T, bin, body string) {
 	state := t.TempDir()
-	cmd, base := startDaemon(t, bin, "-state-dir", state, "-checkpoint-every", "100ms")
+	cmd, base := startDaemon(t, bin, "-state-dir", state, "-checkpoint-every", "20ms")
 	waitReady(t, base, 10*time.Second)
 
 	resp, err := http.Post(base+"/runs", "application/json", strings.NewReader(body))
@@ -168,21 +194,43 @@ func crashAndResume(t *testing.T, bin, body string) {
 		t.Fatalf("submit = %d", resp.StatusCode)
 	}
 
-	// Wait for a durable checkpoint, then let one more cadence elapse so
-	// the kill lands mid-flight with state genuinely behind the solve.
+	// Kill once a checkpoint is durable and the run's model time has
+	// moved past where it stood when the checkpoint appeared, so the kill
+	// lands mid-flight with state genuinely behind the solve — and while
+	// the run is in the first half of its model time, so the replay has
+	// real work left to resume. The gate reads the run's own clock, not
+	// the wall's: a faster host or a faster step cannot slip the kill
+	// past the run's end. The daemon checkpoints at its shortest cadence,
+	// 20 ms, so the first checkpoint lands early in the run; a run that
+	// passes half before one is durable is too short for this check, and
+	// says so.
 	ckptDir := filepath.Join(state, "checkpoints")
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if ents, err := os.ReadDir(ckptDir); err == nil && len(ents) > 0 {
+	seenAt := -1.0 // model time when a checkpoint file was first seen
+	for deadline := time.Now().Add(15 * time.Second); ; {
+		durable := seenAt >= 0
+		if !durable {
+			ents, err := os.ReadDir(ckptDir)
+			durable = err == nil && len(ents) > 0
+		}
+		modelNS, phase := runProgress(t, base)
+		if modelNS >= crashRunNS/2 || phase == "done" {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+			t.Fatalf("run too short: at %v of its %v model ns (phase %q) before a checkpoint was durable and behind the solve", modelNS, crashRunNS, phase)
+		}
+		if durable && seenAt < 0 {
+			seenAt = modelNS
+		} else if durable && modelNS > seenAt {
+			t.Logf("kill at %v of %v model ns; a checkpoint was durable at %v", modelNS, crashRunNS, seenAt)
 			break
 		}
 		if time.Now().After(deadline) {
 			_ = cmd.Process.Kill()
-			t.Fatal("no checkpoint file appeared in 15s")
+			_ = cmd.Wait()
+			t.Fatalf("no checkpoint behind the solve within 15s (run at %v model ns, checkpoint seen at %v)", modelNS, seenAt)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
-	time.Sleep(150 * time.Millisecond)
 	if err := cmd.Process.Kill(); err != nil { // SIGKILL: no drain, no goodbye
 		t.Fatal(err)
 	}
@@ -190,7 +238,7 @@ func crashAndResume(t *testing.T, bin, body string) {
 
 	// Second generation: same state dir, journal replays, run resumes.
 	var log logBuffer
-	cmd2, base2 := startDaemonLogging(t, bin, &log, "-state-dir", state, "-checkpoint-every", "100ms")
+	cmd2, base2 := startDaemonLogging(t, bin, &log, "-state-dir", state, "-checkpoint-every", "20ms")
 	defer func() {
 		_ = cmd2.Process.Kill()
 		_ = cmd2.Wait()
@@ -206,7 +254,7 @@ func crashAndResume(t *testing.T, bin, body string) {
 	}
 
 	var out outcomeBody
-	deadline = time.Now().Add(60 * time.Second)
+	deadline := time.Now().Add(60 * time.Second)
 	for {
 		resp, err := http.Get(base2 + "/runs/run-1/outcome")
 		if err != nil {
@@ -237,7 +285,7 @@ func crashAndResume(t *testing.T, bin, body string) {
 	g := graph.Complete(64, rng.New(1))
 	ref, err := core.Solve(core.Request{
 		Kind: core.MBRIMConcurrent, Model: g.ToIsing(), Graph: g,
-		Seed: 7, DurationNS: 20000, Chips: 2, SampleEveryNS: 200,
+		Seed: 7, DurationNS: crashRunNS, Chips: 2, SampleEveryNS: crashRunNS / 100,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -55,9 +55,10 @@ import (
 // The circuit's fixed operating point: one tuned design, as the paper
 // models (Sec 6.1, which notes that schedule tuning has significant
 // impact; these were tuned on seeded K-graphs). Its times scale with
-// Config.Tau: induced flips are drawn every 0.5·Tau, and the RK4 step is
-// 0.1·Tau, five steps a draw, unless the couplings' spectrum asks for a
-// finer one (flipSteps). The step sits well inside RK4's stability
+// Config.Tau: induced flips are drawn every 0.5·Tau, and the couplings'
+// spectrum sets the RK4 step, a whole division of that interval and at
+// most 0.25·Tau (flipSteps): 0.25·Tau on chip blocks and small sparse
+// models, Tau/6 on whole K-graphs. The step sits inside RK4's stability
 // region for every generated family (TestStepStaysInsideRK4Stability)
 // and finds the cut half of it does (TestHalfStepKeepsTheCut); DESIGN's
 // numerics paragraph has the table.
@@ -154,10 +155,11 @@ type Machine struct {
 	t        float64 // model time, ns
 	horizon  float64 // total planned duration, for schedule progress
 	nextFlip float64 // model time of the next induced-flip draw
-	// dt is the RK4 step, flipInterval/flipSteps (0.1·Tau for
+	// dt is the RK4 step, flipInterval/flipSteps (Tau/4 or Tau/6 for
 	// random-sign couplings); flipInterval the model time between
 	// induced-flip draws, 0.5·Tau. Run lands t exactly on every draw and
-	// run end, so a split run steps through an unsplit one's clock.
+	// run end, so a run split at a draw steps through an unsplit one's
+	// clock.
 	dt, flipInterval float64
 
 	flips        int64 // readout sign changes (all causes)
@@ -350,11 +352,15 @@ func (ma *Machine) SetExternalBias(b []float64) {
 	copy(ma.latch.Ext, b)
 }
 
-// AddExternalBias adds delta to node i's external bias current — the
-// O(1)-per-shadow-update path: when remote spin j held at σ flips, the
-// owner chip adds 2·Ĵ_ij·σ_new for each local i.
-func (ma *Machine) AddExternalBias(i int, delta float64) {
-	ma.latch.Ext[i] += delta
+// AddColumnBias adds Ĵ[k]·delta to node li[k]'s external bias current
+// for each k in order — one remote spin's flip through its coupling
+// column: when remote spin j flips from σ to −σ, the owner chip passes
+// the local nodes i and couplings Ĵ_ij of its column and delta = −2σ.
+func (ma *Machine) AddColumnBias(li []int32, jhat []float64, delta float64) {
+	ext, jhat := ma.latch.Ext, jhat[:len(li)]
+	for k, i := range li {
+		ext[i] += float64(jhat[k] * delta)
+	}
 }
 
 // stage runs one RK4 stage at voltages v and schedule progress p: the
@@ -367,13 +373,15 @@ func (ma *Machine) stage(v []float64, p float64, k []float64, c float64, next []
 	ma.latch.Stage(v, ma.v, k, next, feedbackGain.At(p), c, 0, ma.n)
 }
 
-// The step. A flip interval takes stepsPerFlip RK4 steps, dt = 0.1·Tau,
-// unless the node equations' stiffest mode would then put |λ|·dt/τ past
-// stepMargin: a quarter of RK4's real-axis stability bound (≈ 2.785),
-// where the method's amplification factor stays within 0.3 % of e^z.
-// powerIters mat-vecs estimate ρ(Ĵ) for it, under 1 % of a 100 ns run.
+// The step. A flip interval takes the fewest equal RK4 steps, and at
+// least minFlipSteps (dt ≤ 0.25·Tau, the largest step the quality table
+// has evidence for), that keep the node equations' stiffest mode at
+// |λ|·dt/τ ≤ stepMargin: a quarter of RK4's real-axis stability bound
+// (≈ 2.785), where the method's amplification factor stays within 0.3 %
+// of e^z. powerIters mat-vecs estimate ρ(Ĵ) for it, under 1 % of a
+// 100 ns run.
 const (
-	stepsPerFlip = 5
+	minFlipSteps = 2
 	stepMargin   = 2.785 / 4
 	powerIters   = 32
 )
@@ -382,14 +390,15 @@ const (
 // Every eigenvalue of the node equations' Jacobian, in units of 1/τ, is
 // within ρ(Ĵ) + κmax·max(1, γ−1) of zero: Ĵ's plus the latch's slope
 // κ(γ·sech²(γV) − 1). The estimate of ρ(Ĵ) is padded 10 % because it
-// climbs to ρ from below. Random-sign couplings sit near ρ(Ĵ) = 2 at
-// every size and density and keep stepsPerFlip steps; coherent ones
-// (unweighted dense MaxCut, number partitioning) reach ρ(Ĵ) ≈ √n and
-// take more, where 0.1·Tau would drive their stiff mode to the rails.
+// climbs to ρ from below. Random-sign couplings sit near ρ(Ĵ) = 2 as
+// whole K-graphs (three steps) and near 1 as a 4-chip run's blocks (two);
+// coherent ones (unweighted dense MaxCut, number partitioning) reach
+// ρ(Ĵ) ≈ √n and take many more, where a coarse step would drive their
+// stiff mode to the rails.
 func (ma *Machine) flipSteps() int {
 	slope := float64(math.Max(feedbackGain.From, feedbackGain.To) * math.Max(1, gamma-1))
 	rho := float64(1.1 * ma.spectralRadius(powerIters))
-	return max(stepsPerFlip, int(math.Ceil(float64(0.5*(rho+slope))/stepMargin)))
+	return max(minFlipSteps, int(math.Ceil(float64(0.5*(rho+slope))/stepMargin)))
 }
 
 // spectralRadius estimates ρ(Ĵ) by iters steps of power iteration from a

@@ -198,13 +198,13 @@ func TestExternalBiasActsLikeFrozenNeighbor(t *testing.T) {
 	}
 }
 
-func TestAddExternalBiasAccumulates(t *testing.T) {
-	m := mustBuild(ising.NewBuilder(2))
+func TestAddColumnBiasAccumulates(t *testing.T) {
+	m := mustBuild(ising.NewBuilder(3))
 	ma := New(m, Config{Seed: 1})
-	ma.SetExternalBias([]float64{0.5, -0.5})
-	ma.AddExternalBias(0, 0.25)
+	ma.SetExternalBias([]float64{0.5, -0.5, 1})
+	ma.AddColumnBias([]int32{0, 2, 0}, []float64{0.125, -0.25, 0.5}, 2)
 	got := ma.latch.Ext
-	if got[0] != 0.75 || got[1] != -0.5 {
+	if got[0] != 1.75 || got[1] != -0.5 || got[2] != 0.5 {
 		t.Fatalf("external bias = %v", got)
 	}
 }

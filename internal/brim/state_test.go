@@ -150,7 +150,8 @@ func TestGuardrailDivergenceIsTyped(t *testing.T) {
 // report the node, the number of step sizes tried and the offending
 // value. The NaN cases are what the derivative reported when it called
 // math.Tanh; the two finite values grow with the step and are
-// dt = 0.1·τ's, about twice what 0.05·τ gave.
+// dt = 0.25·τ's (uncoupled nodes take the two-step floor), about 2.5×
+// what 0.1·τ gave.
 func TestGuardrailSeesThroughTanh(t *testing.T) {
 	alternating := func(i int) float64 {
 		if i < 3 {
@@ -167,10 +168,10 @@ func TestGuardrailSeesThroughTanh(t *testing.T) {
 		attempts int
 		value    float64
 	}{
-		{"overshoot", 8, func(int) float64 { return 1e12 }, Config{Seed: 1}, 0, 9, 3.9062118125794446e+08},
+		{"overshoot", 8, func(int) float64 { return 1e12 }, Config{Seed: 1}, 0, 9, 9.76538587630942e+08},
 		{"overflow to Inf−Inf", 8, func(int) float64 { return 1e308 }, Config{Seed: 1, Tau: 1e-3}, 0, 9, math.NaN()},
 		{"first NaN is node 3", 9, alternating, Config{Seed: 2, Tau: 1e-3, MaxStepRetries: 3}, 3, 4, math.NaN()},
-		{"retries off", 5, func(i int) float64 { return []float64{0, 0, 0, 0, -1e9}[i] }, Config{Seed: 3, MaxStepRetries: -1}, 4, 1, -9.967402199816234e+07},
+		{"retries off", 5, func(i int) float64 { return []float64{0, 0, 0, 0, -1e9}[i] }, Config{Seed: 3, MaxStepRetries: -1}, 4, 1, -2.4725857323556978e+08},
 	} {
 		mb := ising.NewBuilder(c.n)
 		for i := 0; i < c.n; i++ {

@@ -17,19 +17,20 @@ import (
 // Jacobian is symmetric plus diagonal, so its spectrum is real and
 // |λ|·dt/τ ≤ (ρ(Ĵ) + κmax·max(1, γ−1))·dt/τ, which must stay under a
 // quarter of RK4's real-axis bound, with ρ(Ĵ) estimated three times as
-// long as New does. The three random-sign families keep dt = 0.1·τ at
-// every size; the two coherent ones, whose ρ(Ĵ) grows like √n, must
-// have had their step cut to fit.
+// long as New does. The step count New chose must be the rule's,
+// max(2, ⌈0.5·(1.1ρ + slope)/stepMargin⌉) at New's own estimate of ρ:
+// the spectrum alone sets it. The three random-sign families take two or
+// three steps a flip interval at every size; the two coherent ones,
+// whose ρ(Ĵ) grows like √n, take many more.
 func TestStepStaysInsideRK4Stability(t *testing.T) {
 	slope := math.Max(feedbackGain.From, feedbackGain.To) * math.Max(1, gamma-1)
 	families := []struct {
-		name     string
-		coherent bool
-		model    func(n int, r *rng.Source) *ising.Model
+		name  string
+		model func(n int, r *rng.Source) *ising.Model
 	}{
-		{"K-graph", false, func(n int, r *rng.Source) *ising.Model { return graph.NewKGraph(n, r).Model }},
-		{"sparse ±1", false, func(n int, r *rng.Source) *ising.Model { return graph.Random(n, 0.02, r).ToIsing() }},
-		{"sparse weighted", false, func(n int, r *rng.Source) *ising.Model {
+		{"K-graph", func(n int, r *rng.Source) *ising.Model { return graph.NewKGraph(n, r).Model }},
+		{"sparse ±1", func(n int, r *rng.Source) *ising.Model { return graph.Random(n, 0.02, r).ToIsing() }},
+		{"sparse weighted", func(n int, r *rng.Source) *ising.Model {
 			mb := ising.NewBuilder(n)
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
@@ -40,7 +41,7 @@ func TestStepStaysInsideRK4Stability(t *testing.T) {
 			}
 			return mustBuild(mb)
 		}},
-		{"unweighted MaxCut", true, func(n int, _ *rng.Source) *ising.Model {
+		{"unweighted MaxCut", func(n int, _ *rng.Source) *ising.Model {
 			mb := ising.NewBuilder(n)
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
@@ -49,7 +50,7 @@ func TestStepStaysInsideRK4Stability(t *testing.T) {
 			}
 			return mustBuild(mb)
 		}},
-		{"partition", true, func(n int, r *rng.Source) *ising.Model {
+		{"partition", func(n int, r *rng.Source) *ising.Model {
 			a := make([]float64, n)
 			for i := range a {
 				a[i] = float64(1 + r.Intn(100))
@@ -68,13 +69,15 @@ func TestStepStaysInsideRK4Stability(t *testing.T) {
 			ma := New(f.model(n, rng.New(7)), Config{Seed: 7})
 			rho := ma.spectralRadius(3 * powerIters)
 			z := (rho + slope) * ma.dt / ma.cfg.Tau
-			t.Logf("%-17s n=%4d  ρ(Ĵ) %6.3f  dt %.4f·τ  |λ|max·dt/τ ≤ %.3f", f.name, n, rho, ma.dt/ma.cfg.Tau, z)
+			steps := int(math.Round(ma.flipInterval / ma.dt))
+			t.Logf("%-17s n=%4d  ρ(Ĵ) %6.3f  %3d steps, dt %.4f·τ  |λ|max·dt/τ ≤ %.3f", f.name, n, rho, steps, ma.dt/ma.cfg.Tau, z)
 			if z > stepMargin {
 				t.Errorf("%s n=%d: (ρ(Ĵ) %.3f + %.2f)·dt/τ = %.3f is past a quarter of RK4's real-axis bound (%.3f)",
 					f.name, n, rho, slope, z, stepMargin)
 			}
-			if cut := ma.dt < ma.flipInterval/stepsPerFlip; cut != f.coherent {
-				t.Errorf("%s n=%d: dt %v·τ", f.name, n, ma.dt/ma.cfg.Tau)
+			est := ma.spectralRadius(powerIters)
+			if want := max(2, int(math.Ceil(0.5*(1.1*est+slope)/stepMargin))); steps != want {
+				t.Errorf("%s n=%d: %d steps a flip interval at New's ρ(Ĵ) %.3f, the rule gives %d", f.name, n, steps, est, want)
 			}
 		}
 	}
@@ -163,7 +166,8 @@ func TestHalfStepKeepsTheCut(t *testing.T) {
 
 // TestCoherentCouplingsKeepTheirCut: unweighted K800 MaxCut has ρ(Ĵ) ≈
 // 28, on its all-equal mode, which the couplings damp at that rate. At
-// 0.1·τ RK4 would amplify the mode instead (|λ|·dt/τ ≈ 2.9, past 2.785)
+// 0.1·τ, let alone the floor's 0.25·τ, RK4 would amplify the mode
+// instead (|λ|·dt/τ ≈ 2.9 and 7.3, past 2.785)
 // and drive every node to one rail, cut 0; at the step New fits to it
 // the machine finds a near-balanced bipartition, n²/4 edges cut.
 func TestCoherentCouplingsKeepTheirCut(t *testing.T) {

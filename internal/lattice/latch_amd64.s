@@ -196,10 +196,6 @@ advance:
 done:
 	VZEROUPPER
 	RET
-	QUAD $0xCCCCCCCCCCCCCCCC
-	QUAD $0xCCCCCCCCCCCCCCCC
-	QUAD $0xCCCCCCCCCCCCCCCC
-	QUAD $0xCCCCCCCCCCCCCCCC
 
 	// Go aligns functions to 32 bytes, so the size of the text linked
 	// ahead of package main decides whether bench's calibration kernel
@@ -208,8 +204,8 @@ done:
 	// that reading (ROADMAP, finding (i)). CI fails a bench build whose
 	// main.calibKernel is not at 32 mod 64. When a change to non-test code
 	// flips it, 32 never-executed bytes here (four QUAD $0xCCCCCCCCCCCCCCCC
-	// after the RET above) flip it back, and the next change that flips it
-	// takes them out, until bench times its kernel where no package's text
-	// size can move it (ROADMAP 1(b)). They belong in this file because
-	// its text is linked into bench; tanh_amd64.s's is not, since nothing
-	// outside the tests calls Tanh.
+	// after the RET above; out at present) flip it back, and the next
+	// change that flips it takes them out, until bench times its kernel
+	// where no package's text size can move it (ROADMAP 1(b)). They belong
+	// in this file because its text is linked into bench; tanh_amd64.s's
+	// is not, since nothing outside the tests calls Tanh.

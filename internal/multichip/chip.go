@@ -211,10 +211,8 @@ func (c *chip) applyShadowUpdate(g int, s int8) {
 		return
 	}
 	c.shadow[g] = s
-	delta := float64(s - old) // ±2
-	for k := c.colStart[g]; k < c.colStart[g+1]; k++ {
-		c.machine.AddExternalBias(int(c.crossLi[k]), float64(c.crossJ[k]*delta))
-	}
+	lo, hi := c.colStart[g], c.colStart[g+1]
+	c.machine.AddColumnBias(c.crossLi[lo:hi], c.crossJ[lo:hi], float64(s-old)) // ±2
 }
 
 // applyShadowToggle flips the shadow register of remote global spin g

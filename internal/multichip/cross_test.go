@@ -90,7 +90,7 @@ func (c *rowChip) applyShadowUpdate(g int, s int8) {
 	delta := float64(s - old) // ±2
 	for li := range c.owned {
 		if v := c.cross[li][g]; v != 0 {
-			c.machine.AddExternalBias(li, v*delta)
+			c.machine.AddColumnBias([]int32{int32(li)}, []float64{v}, delta)
 		}
 	}
 }

@@ -67,11 +67,12 @@ func hashJSON(t *testing.T, vs ...any) string {
 // run modes were folded into one epoch frame generated it; it was
 // regenerated at the owned tanh (lattice.Tanh), which moved the
 // checkpoint hashes — the only ones that cover node voltages — and
-// nothing else, and when brim's step went to 0.1·τ, which moved every
-// checkpoint hash and 212 of the 288 result hashes. Every operation in
-// a trajectory now carries the same bits on every host, so a hash that
-// moves has changed behaviour; -update rewrites the file for a change
-// that means to.
+// nothing else, and when brim's step went to 0.1·τ and when the
+// couplings' spectrum came to set it (τ/6 on one chip, 0.25·τ on two to
+// four), each of which moved every checkpoint hash and most result
+// hashes. Every operation in a trajectory now carries the same bits on
+// every host, so a hash that moves has changed behaviour; -update
+// rewrites the file for a change that means to.
 func TestStreamsGolden(t *testing.T) {
 	const path = "testdata/streams.golden.json"
 	golden := map[string]streamHashes{}
