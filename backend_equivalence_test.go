@@ -36,11 +36,17 @@ func equivalenceModels(t *testing.T) map[string]*mbrim.Model {
 	// Give two models biases so the μh path is exercised.
 	r := rand.New(rand.NewSource(4))
 	rebias := func(m *mbrim.Model, draw func() float64) *mbrim.Model {
-		h := make([]float64, m.N())
-		for i := range h {
-			h[i] = draw()
+		b := mbrim.NewModelBuilder(m.N())
+		b.SetMu(m.Mu())
+		for i := 0; i < m.N(); i++ {
+			for j := i + 1; j < m.N(); j++ {
+				if v := m.Coupling(i, j); v != 0 {
+					b.SetCoupling(i, j, v)
+				}
+			}
+			b.SetBias(i, draw())
 		}
-		m, err := m.WithBiases(h)
+		m, err := b.Build()
 		if err != nil {
 			panic(err)
 		}

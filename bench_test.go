@@ -330,32 +330,6 @@ func BenchmarkAblationLocalField(b *testing.B) {
 	})
 }
 
-// AblationIntegrator: RK4 (the paper's method) vs forward Euler at the
-// same step size.
-func BenchmarkAblationIntegrator(b *testing.B) {
-	g, m := benchGraph(256, 12)
-	b.Run("RK4", func(b *testing.B) {
-		var cut float64
-		for i := 0; i < b.N; i++ {
-			ma := brim.New(m, brim.Config{Seed: uint64(i)})
-			ma.SetHorizon(60)
-			ma.Run(60)
-			cut = g.CutValue(ma.Spins())
-		}
-		b.ReportMetric(cut, "cut")
-	})
-	b.Run("Euler", func(b *testing.B) {
-		var cut float64
-		for i := 0; i < b.N; i++ {
-			ma := brim.New(m, brim.Config{Seed: uint64(i)})
-			ma.SetHorizon(60)
-			ma.RunEuler(60)
-			cut = g.CutValue(ma.Spins())
-		}
-		b.ReportMetric(cut, "cut")
-	})
-}
-
 // AblationBatchStagger: staggered batch mode's O(N) state exchange vs
 // the O(bN²) context-switch volume independent jobs would pay
 // (Sec 5.5's closing argument). The reprogram volume is modeled: b=8

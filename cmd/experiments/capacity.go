@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"mbrim/internal/embed"
-	"mbrim/internal/graph"
 	"mbrim/internal/metrics"
-	"mbrim/internal/rng"
 	"mbrim/internal/sa"
 )
 
@@ -42,8 +40,7 @@ func runCapacity(args []string) error {
 	blowup := &metrics.Series{Name: "physical nodes needed vs logical n"}
 	quality := &metrics.Series{Name: "embedded/native cut ratio (SA)"}
 	for n := 8; n <= *maxLogical; n += 4 {
-		g := graph.Complete(n, rng.New(*seed+uint64(n)))
-		m := g.ToIsing()
+		g, m := kgraph(n, *seed+uint64(n))
 		e := embed.Complete(m, 0)
 		blowup.Add(float64(n), float64(e.PhysicalNodes()))
 

@@ -64,9 +64,9 @@ func runFig11(args []string) error {
 
 	sweeps := []int{5, 15, 50, 150, 500}
 	steps := []int{20, 60, 200, 600, 2000}
-	saPts := saLadder(g, m, sweeps, *runs, *seed)
-	bsbPts := sbmLadder(g, m, sbm.Ballistic, steps, *runs, *seed)
-	dsbPts := sbmLadder(g, m, sbm.Discrete, steps, *runs, *seed)
+	saPts := saLadder(g.CutValue, m, sweeps, *runs, *seed)
+	bsbPts := sbmLadder(g.CutValue, m, sbm.Ballistic, steps, *runs, *seed)
+	dsbPts := sbmLadder(g.CutValue, m, sbm.Discrete, steps, *runs, *seed)
 
 	// Parallel tempering: the strongest software point per time scale.
 	ptSeries := &metrics.Series{Name: "PT best (measured ns)"}

@@ -95,7 +95,7 @@ func runFig12(args []string) error {
 	}
 
 	// Software baselines on measured wall time.
-	dsb := sbmLadder(g, m, sbm.Discrete, []int{50, 150, 500, 1500}, *runs, *seed)
+	dsb := sbmLadder(g.CutValue, m, sbm.Discrete, []int{50, 150, 500, 1500}, *runs, *seed)
 	series = append(series, ladderSeries("dSBM best (measured ns)", dsb,
 		func(p softwareLadderPoint) float64 { return p.BestCut }))
 	// The paper's actual comparator is a *multi-chip* SBM [49]: bSB
@@ -117,7 +117,7 @@ func runFig12(args []string) error {
 	}
 	note("mSBM [49] exchanges 4·n·(chips−1) = %d B per step", 4**n*(*chips-1))
 	series = append(series, msb)
-	saPts := saLadder(g, m, []int{10, 30, 100, 300}, *runs, *seed)
+	saPts := saLadder(g.CutValue, m, []int{10, 30, 100, 300}, *runs, *seed)
 	series = append(series, ladderSeries("SA best (measured ns)", saPts,
 		func(p softwareLadderPoint) float64 { return p.BestCut }))
 

@@ -15,10 +15,10 @@ import (
 	"mbrim/internal/sbm"
 )
 
-// kgraph builds the seeded benchmark K-graph.
-func kgraph(n int, seed uint64) (*graph.Graph, *ising.Model) {
-	g := graph.Complete(n, rng.New(seed))
-	return g, g.ToIsing()
+// kgraph builds the seeded benchmark K-graph and its Ising model.
+func kgraph(n int, seed uint64) (*graph.KGraph, *ising.Model) {
+	kg := graph.NewKGraph(n, rng.New(seed))
+	return kg, kg.Model
 }
 
 // traceFlag registers the shared -trace flag on a subcommand's flag
@@ -62,41 +62,37 @@ type softwareLadderPoint struct {
 }
 
 // saLadder measures SA quality at increasing sweep budgets, `runs`
-// restarts per rung, best/mean/min cut per rung. The wall time is the
-// whole batch (the paper's usage pattern: many anneals, take the
-// best).
-func saLadder(g *graph.Graph, m *ising.Model, sweeps []int, runs int, seed uint64) []softwareLadderPoint {
+// restarts per rung, best/mean/min cut per rung as cut reads a spin
+// assignment. The wall time is the whole batch (the paper's usage
+// pattern: many anneals, take the best).
+func saLadder(cut func([]int8) float64, m *ising.Model, sweeps []int, runs int, seed uint64) []softwareLadderPoint {
 	out := make([]softwareLadderPoint, 0, len(sweeps))
 	for _, s := range sweeps {
 		br := sa.SolveBatch(m, sa.Config{Sweeps: s, Seed: seed}, runs)
-		out = append(out, ladderPoint(g, br.Wall, resultsCuts(g, br)))
+		cuts := make([]float64, len(br.Results))
+		for i, r := range br.Results {
+			cuts[i] = cut(r.Spins)
+		}
+		out = append(out, ladderPoint(br.Wall, cuts))
 	}
 	return out
 }
 
-func resultsCuts(g *graph.Graph, br *sa.BatchResult) []float64 {
-	cuts := make([]float64, len(br.Results))
-	for i, r := range br.Results {
-		cuts[i] = g.CutValue(r.Spins)
-	}
-	return cuts
-}
-
 // sbmLadder measures SBM quality at increasing step budgets.
-func sbmLadder(g *graph.Graph, m *ising.Model, variant sbm.Variant, steps []int, runs int, seed uint64) []softwareLadderPoint {
+func sbmLadder(cut func([]int8) float64, m *ising.Model, variant sbm.Variant, steps []int, runs int, seed uint64) []softwareLadderPoint {
 	out := make([]softwareLadderPoint, 0, len(steps))
 	for _, s := range steps {
 		br := sbm.SolveBatch(m, sbm.Config{Variant: variant, Steps: s, Seed: seed}, runs)
 		cuts := make([]float64, len(br.Results))
 		for i, r := range br.Results {
-			cuts[i] = g.CutValue(r.Spins)
+			cuts[i] = cut(r.Spins)
 		}
-		out = append(out, ladderPoint(g, br.Wall, cuts))
+		out = append(out, ladderPoint(br.Wall, cuts))
 	}
 	return out
 }
 
-func ladderPoint(g *graph.Graph, wall time.Duration, cuts []float64) softwareLadderPoint {
+func ladderPoint(wall time.Duration, cuts []float64) softwareLadderPoint {
 	s := metrics.Summarize(cuts)
 	return softwareLadderPoint{Wall: wall, BestCut: s.Max, MeanCut: s.Mean, MinCut: s.Min}
 }

@@ -1,13 +1,16 @@
 // Command experiments regenerates every figure of the paper's
-// evaluation (Figs 1, 9, 11, 12, 13, 14, 15), the first-principles
-// numbers of Sec 6.4.1 and the headline summary of Secs 6.3/6.5.
+// evaluation (Figs 1, 9–15), the first-principles numbers of
+// Sec 6.4.1, the headline summary of Secs 6.3/6.5 and the claims of
+// Secs 2.2, 4.1.1, 4.2/5.2, 5.3 and 5.4.1. Each subcommand reproduces
+// one claim that EXPERIMENTS.md names it under, and nothing else.
 //
 // Usage:
 //
 //	experiments <subcommand> [flags]
 //
-// Subcommands: fig1, fig9, fig11, fig12, fig13, fig14, fig15,
-// firstprinciples, summary, all.
+// Subcommands: fig1, fig9, fig10, fig11, fig12, fig13, fig14, fig15,
+// firstprinciples, summary, capacity, reconfig, demand, macrochip,
+// machinemetrics, all.
 //
 // Every subcommand defaults to a scaled-down problem size so the whole
 // suite completes in minutes on a laptop; pass -n (and friends) to

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"regexp"
 	"testing"
 )
 
@@ -42,14 +43,6 @@ func TestEverySubcommandRuns(t *testing.T) {
 		"macrochip":       {"-n", "48", "-duration", "20", "-runs", "1"},
 		"reconfig":        {"-chipn", "100"},
 		"machinemetrics":  nil,
-		"tts":             {"-n", "48", "-runs", "3", "-duration", "20", "-sweeps", "20", "-steps", "50"},
-		"nonideal":        {"-n", "48", "-duration", "20", "-runs", "1"},
-		"ablation":        {"-n", "48", "-duration", "20"},
-		"resilience":      {"-n", "48", "-duration", "20", "-schedules", "1"},
-		"suite":           {"-runs", "1", "-sweeps", "20", "-steps", "50", "-duration", "20"},
-		"guardrails":      {"-n", "48", "-duration", "20", "-cut-epoch", "2"},
-		"diagnose":        {"-n", "48", "-duration", "40"},
-		"portfolio":       {"-n", "32", "-en", "8", "-sweeps", "20", "-steps", "100"},
 	}
 	for name, cmd := range commands {
 		args, ok := tiny[name]
@@ -63,21 +56,31 @@ func TestEverySubcommandRuns(t *testing.T) {
 	}
 }
 
-// TestRegistryComplete pins the expected subcommand set so an
-// accidentally dropped registration is caught.
-func TestRegistryComplete(t *testing.T) {
-	want := []string{
-		"fig1", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"firstprinciples", "summary", "capacity", "demand", "macrochip",
-		"reconfig", "machinemetrics", "tts", "nonideal", "ablation",
-		"resilience", "suite", "guardrails", "diagnose", "portfolio",
+// TestEverySubcommandHasAClaim ties the command to the paper: every
+// registered subcommand is named as (`name`) in a section heading or a
+// bullet of EXPERIMENTS.md, which states the claim it reproduces, and
+// every name so written there is registered.
+func TestEverySubcommandHasAClaim(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range want {
-		if _, ok := commands[name]; !ok {
-			t.Errorf("subcommand %q not registered", name)
+	named := map[string]bool{}
+	claim := regexp.MustCompile(`(?m)^(?:#+|\*) .*`)
+	name := regexp.MustCompile("\\(`([a-z0-9]+)`\\)")
+	for _, line := range claim.FindAllString(string(doc), -1) {
+		for _, m := range name.FindAllStringSubmatch(line, -1) {
+			named[m[1]] = true
 		}
 	}
-	if len(commands) != len(want) {
-		t.Errorf("%d subcommands registered, want %d — update the smoke tables", len(commands), len(want))
+	for n := range commands {
+		if !named[n] {
+			t.Errorf("subcommand %q is registered but EXPERIMENTS.md names no claim for it", n)
+		}
+	}
+	for n := range named {
+		if commands[n] == nil {
+			t.Errorf("EXPERIMENTS.md names (`%s`), which is not a registered subcommand", n)
+		}
 	}
 }

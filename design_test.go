@@ -355,8 +355,7 @@ var reachAllowed = map[string]struct{ test, why string }{
 	"obs.CheckGoroutineLeaks":   {"runs.TestMain", "fails a package whose tests leave goroutines behind"},
 	"obs.Broadcast.Subscribers": {"runs.TestSSEClientDisconnectMidStream", "the only way to see a dropped SSE client detach"},
 
-	"embed.Chimera":                         {"embed.TestChimeraEmbedIsTopologyLegal", "the topology ChimeraLegal checks an embedding against"},
-	"embed.Embedding.ChimeraLegal":          {"embed.TestChimeraEmbedIsTopologyLegal", "checks every physical coupling is a chimera edge"},
+	"embed.Chimera":                         {"embed.TestChimeraStructure", "the D-Wave topology whose capacity ChimeraCapacity reports"},
 	"embed.Embedding.Chains":                {"embed.TestChainsPartitionPhysicalNodes", "checks the chains partition the physical nodes"},
 	"embed.Embedding.Encode":                {"embed.TestEncodeDecodeRoundTrip", "the chain-intact state Decode is held to"},
 	"embed.Embedding.ChainBreaks":           {"embed.TestChainBreaksDetected", "counts broken chains in a physical state"},

@@ -124,11 +124,11 @@ func ExamplePackReconfigurable() {
 	// Output: monolithic 0.33 reconfigurable 1.00
 }
 
-// ExampleNewBRIM drives the analog machine directly, with device
-// variation enabled.
+// ExampleNewBRIM drives the analog machine directly, one chip over a
+// K32 for 50 ns of model time.
 func ExampleNewBRIM() {
 	g := mbrim.CompleteGraph(32, 4)
-	ma := mbrim.NewBRIM(g.ToIsing(), mbrim.BRIMConfig{Seed: 4, DeviceVariation: 0.05})
+	ma := mbrim.NewBRIM(g.ToIsing(), mbrim.BRIMConfig{Seed: 4})
 	ma.SetHorizon(50)
 	ma.Run(50)
 	fmt.Println(len(ma.Spins()), ma.Flips() > 0)

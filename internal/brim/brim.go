@@ -99,15 +99,6 @@ type Config struct {
 	Scale float64
 	// Seed drives induced flips and the random initial voltages.
 	Seed uint64
-	// DeviceVariation is the relative σ of per-node process variation:
-	// each node's time constant and feedback gain are scaled by
-	// independent factors drawn from N(1, σ) at construction (clamped
-	// to ≥ 0.1). Zero models ideal devices.
-	DeviceVariation float64
-	// NoiseAmp is the thermal-noise amplitude: after every integration
-	// step each node receives an independent N(0, NoiseAmp·√dt)
-	// voltage kick (Euler–Maruyama). Zero models a noiseless machine.
-	NoiseAmp float64
 	// MaxStepRetries bounds the numerical guardrail's step-halving
 	// backoff: a step whose candidate voltages come out NaN/Inf or
 	// blown far past the rails is discarded and retried at halved dt
@@ -146,7 +137,7 @@ type Machine struct {
 	r     *rng.Source
 
 	lat   lattice.Coupling // scaled couplings Ĵ = J/scale behind the backend interface
-	latch lattice.Latch    // the derivative's pointwise half: μ·h_i/scale, the external currents, variation
+	latch lattice.Latch    // the derivative's pointwise half: μ·h_i/scale and the external currents
 	scale float64
 	n     int
 	v     []float64 // voltages
@@ -181,10 +172,9 @@ type Machine struct {
 	// scratch buffers for RK4: k1–k3 the stage derivatives, k4 the last
 	// stage's mat-vec, vtmp the next stage's voltages; cand holds a step's
 	// candidate voltages so the guardrail can inspect them before any
-	// state commits. noise holds a commit's thermal kicks (nil when
-	// NoiseAmp is 0) and crossed the nodes its readout flips.
-	k1, k2, k3, k4, vtmp, cand, noise []float64
-	crossed                           []int32
+	// state commits; crossed holds the nodes a commit's readout flips.
+	k1, k2, k3, k4, vtmp, cand []float64
+	crossed                    []int32
 }
 
 // New builds a machine for the model. The machine starts at random
@@ -239,26 +229,6 @@ func New(m *ising.Model, cfg Config) *Machine {
 		s := ma.r.Spin()
 		ma.v[i] = 0.5 * float64(s)
 		ma.spins[i] = s
-	}
-	if c.DeviceVariation < 0 {
-		panic(fmt.Sprintf("brim: DeviceVariation=%v", c.DeviceVariation))
-	}
-	if c.NoiseAmp < 0 {
-		panic(fmt.Sprintf("brim: NoiseAmp=%v", c.NoiseAmp))
-	}
-	if c.NoiseAmp > 0 {
-		ma.noise = make([]float64, n)
-	}
-	if c.DeviceVariation > 0 {
-		// Variation factors come from a fork so they do not disturb
-		// the main stream (and thus PRNG coordination).
-		vr := ma.r.Fork(0xDE71CE)
-		ma.latch.InvTauVar = make([]float64, n)
-		ma.latch.KappaVar = make([]float64, n)
-		for i := 0; i < n; i++ {
-			ma.latch.InvTauVar[i] = clampFactor(1 + float64(c.DeviceVariation*vr.NormFloat64()))
-			ma.latch.KappaVar[i] = clampFactor(1 + float64(c.DeviceVariation*vr.NormFloat64()))
-		}
 	}
 	ma.nextFlip = ma.flipInterval
 	return ma
@@ -432,14 +402,6 @@ func (ma *Machine) spectralRadius(iters int) float64 {
 	return rho
 }
 
-// clampFactor keeps a process-variation factor physical.
-func clampFactor(f float64) float64 {
-	if f < 0.1 {
-		return 0.1
-	}
-	return f
-}
-
 // progress maps a model time to schedule progress given the horizon.
 func (ma *Machine) progress(t float64) float64 {
 	if ma.horizon <= 0 {
@@ -509,35 +471,16 @@ func (ma *Machine) trialStep(dt float64) (badNode int, badV float64) {
 	return bad, ma.cand[bad]
 }
 
-// trialStepEuler is trialStep for the forward-Euler ablation: one stage
-// whose next voltages, v + dt·k1, are the candidate.
-func (ma *Machine) trialStepEuler(dt float64) (badNode int, badV float64) {
-	ma.stage(ma.v, ma.progress(ma.t), ma.k1, dt, ma.cand)
-	for i, v := range ma.cand {
-		if math.IsNaN(v) || v > blowupLimit || v < -blowupLimit {
-			return i, v
-		}
-	}
-	return -1, 0
-}
-
 // commitStep commits the candidate voltages of a clean trial as one
-// step of size dt: it advances time, draws the thermal kicks (one per
-// node, in index order, when NoiseAmp is set), and lets the latch take
-// every node through the rails, its kick, its hold and the readout
-// comparator (lattice.Latch.Commit: four nodes per instruction where the
-// host has the lanes, the same bits on every host). Then it records the
-// flips the latch lists, in node order.
+// step of size dt: it advances time and lets the latch take every node
+// through the rails, its kick, its hold and the readout comparator
+// (lattice.Latch.Commit: four nodes per instruction where the host has
+// the lanes, the same bits on every host). Then it records the flips the
+// latch lists, in node order.
 func (ma *Machine) commitStep(dt float64) {
 	ma.t += dt
 	ma.steps++
-	if ma.noise != nil {
-		amp := ma.cfg.NoiseAmp * math.Sqrt(dt)
-		for i := range ma.noise {
-			ma.noise[i] = float64(amp * ma.r.NormFloat64())
-		}
-	}
-	for _, i := range ma.latch.Commit(ma.cand, ma.noise, ma.v, ma.holdUntil, ma.holdTarget, ma.spins, ma.t, spinThreshold, ma.crossed) {
+	for _, i := range ma.latch.Commit(ma.cand, ma.v, ma.holdUntil, ma.holdTarget, ma.spins, ma.t, spinThreshold, ma.crossed) {
 		ma.recordFlip(int(i), lattice.Readout(ma.spins[i], ma.v[i], spinThreshold), false)
 	}
 }
@@ -549,14 +492,14 @@ func (ma *Machine) commitStep(dt float64) {
 // the machine simply takes more, smaller steps to cross the interval —
 // and retries consume no PRNG draws, so the guardrail never perturbs an
 // already-stable trajectory and guarded runs stay deterministic.
-func (ma *Machine) guardedStep(dt float64, trial func(float64) (int, float64)) error {
+func (ma *Machine) guardedStep(dt float64) error {
 	dt0 := dt
 	limit := ma.cfg.MaxStepRetries
 	if limit < 0 {
 		limit = 0
 	}
 	for attempt := 0; ; attempt++ {
-		bad, badV := trial(dt)
+		bad, badV := ma.trialStep(dt)
 		if bad < 0 {
 			ma.commitStep(dt)
 			if attempt > 0 {
@@ -663,26 +606,20 @@ func (ma *Machine) induceFlips() {
 // *DivergenceError: the machine's committed state is still the last
 // stable one.
 func (ma *Machine) Run(duration float64) error {
-	return ma.run(context.Background(), duration, ma.trialStep)
+	return ma.run(context.Background(), duration)
 }
 
 // RunCtx is Run with cooperative cancellation: the context is checked
 // at every flip-interval boundary, and ctx.Err() is returned when it
 // fires, leaving the machine at a consistent state mid-run.
 func (ma *Machine) RunCtx(ctx context.Context, duration float64) error {
-	return ma.run(ctx, duration, ma.trialStep)
-}
-
-// RunEuler is Run with forward-Euler integration, for the integrator
-// ablation bench only.
-func (ma *Machine) RunEuler(duration float64) error {
-	return ma.run(context.Background(), duration, ma.trialStepEuler)
+	return ma.run(ctx, duration)
 }
 
 // run is the shared advance loop: integrate to the next induced-flip
 // draw or the end, whichever comes first, with the numerical guardrail
 // around every step and a cancellation check per flip interval.
-func (ma *Machine) run(ctx context.Context, duration float64, trial func(float64) (int, float64)) error {
+func (ma *Machine) run(ctx context.Context, duration float64) error {
 	if duration <= 0 {
 		panic("brim: Run with non-positive duration")
 	}
@@ -718,7 +655,7 @@ func (ma *Machine) run(ctx context.Context, duration float64, trial func(float64
 			if ma.t+dt > next {
 				dt = next - ma.t
 			}
-			if err := ma.guardedStep(dt, trial); err != nil {
+			if err := ma.guardedStep(dt); err != nil {
 				return err
 			}
 			// Land exactly on the boundary: a run split at any boundary

@@ -281,19 +281,6 @@ func TestSolveBatchBest(t *testing.T) {
 	}
 }
 
-func TestEulerRunsAndStaysBounded(t *testing.T) {
-	r := rng.New(20)
-	g := graph.Complete(16, r)
-	ma := New(g.ToIsing(), Config{Seed: 21})
-	ma.SetHorizon(30)
-	ma.RunEuler(30)
-	for _, v := range ma.v {
-		if v < -1 || v > 1 || math.IsNaN(v) {
-			t.Fatalf("Euler voltage escaped rails: %v", v)
-		}
-	}
-}
-
 func TestPanics(t *testing.T) {
 	m := ferromagnet(4)
 	for name, f := range map[string]func(){
@@ -401,28 +388,26 @@ func TestRunDoesNotAllocate(t *testing.T) {
 		"sparse 256": sparse,
 	}
 	for name, m := range models {
-		for _, variation := range []float64{0, 0.05} {
-			for _, listen := range []bool{false, true} {
-				ma := New(m, Config{Seed: 15, DeviceVariation: variation})
-				var events int64
-				if listen {
-					ma.OnFlip(func(int, int8, bool) { events++ })
-				}
-				ma.SetHorizon(1e6)
-				if err := ma.Run(10); err != nil { // warm: first steps, first induced draw
+		for _, listen := range []bool{false, true} {
+			ma := New(m, Config{Seed: 15})
+			var events int64
+			if listen {
+				ma.OnFlip(func(int, int8, bool) { events++ })
+			}
+			ma.SetHorizon(1e6)
+			if err := ma.Run(10); err != nil { // warm: first steps, first induced draw
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := ma.Run(10); err != nil {
 					t.Fatal(err)
 				}
-				allocs := testing.AllocsPerRun(20, func() {
-					if err := ma.Run(10); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("variation=%v listener=%v: Run(10) on a warm %s machine allocates %v times, want 0", variation, listen, name, allocs)
-				}
-				if listen && events != ma.Flips() {
-					t.Errorf("listener saw %d flips, machine counted %d", events, ma.Flips())
-				}
+			})
+			if allocs != 0 {
+				t.Errorf("listener=%v: Run(10) on a warm %s machine allocates %v times, want 0", listen, name, allocs)
+			}
+			if listen && events != ma.Flips() {
+				t.Errorf("listener saw %d flips, machine counted %d", events, ma.Flips())
 			}
 		}
 	}
@@ -442,15 +427,8 @@ func refDeriv(ma *Machine, v []float64, p float64) []float64 {
 		lattice.Tanh(one)
 		acc := out[i]
 		acc += l.Bias[i] + l.Ext[i]
-		k := kappa
-		if l.KappaVar != nil {
-			k *= l.KappaVar[i]
-		}
-		acc += float64(k * (one[0] - v[i]))
+		acc += float64(kappa * (one[0] - v[i]))
 		out[i] = acc * (1 / ma.cfg.Tau)
-		if l.InvTauVar != nil {
-			out[i] *= l.InvTauVar[i]
-		}
 	}
 	return out
 }
@@ -460,7 +438,7 @@ func refDeriv(ma *Machine, v []float64, p float64) []float64 {
 // range or lane group evaluated them — the machine's one stage over
 // [0, n), two-piece splits at every residue mod 8, and in place (next =
 // v, as stages two and three run) — against the node-at-a-time
-// reference, for ideal and varied devices, over voltages on, between and
+// reference, over voltages on, between and
 // (as RK4 stage voltages are) beyond the rails and past tanh's
 // saturation; on K-graphs (the dense kernels) and on 5 % random graphs
 // stored as compressed rows (whole windows in csrLanes, the rest walked).
@@ -484,47 +462,45 @@ func TestDerivBitsIndependentOfPlacement(t *testing.T) {
 		for i, s := range []float64{0, math.Copysign(0, -1), 1, -1, 1e-300, -13, 40, 0x1p-30} {
 			v[(i*7)%n] = s
 		}
-		for _, variation := range []float64{0, 0.05} {
-			ma := New(m, Config{Seed: 7, DeviceVariation: variation})
-			ma.SetExternalBias(ext)
-			want := refDeriv(ma, v, p)
-			check := func(what string, k, next []float64) {
-				t.Helper()
-				for i := range k {
-					wantNext := ma.v[i] + float64(c*want[i])
-					if math.Float64bits(k[i]) != math.Float64bits(want[i]) || math.Float64bits(next[i]) != math.Float64bits(wantNext) {
-						t.Fatalf("n=%d sparse=%v variation=%v %s: node %d (v=%v) got %#x → %#x, node-at-a-time %#x → %#x",
-							n, mc.sparse, variation, what, i, v[i], math.Float64bits(k[i]), math.Float64bits(next[i]),
-							math.Float64bits(want[i]), math.Float64bits(wantNext))
-					}
+		ma := New(m, Config{Seed: 7})
+		ma.SetExternalBias(ext)
+		want := refDeriv(ma, v, p)
+		check := func(what string, k, next []float64) {
+			t.Helper()
+			for i := range k {
+				wantNext := ma.v[i] + float64(c*want[i])
+				if math.Float64bits(k[i]) != math.Float64bits(want[i]) || math.Float64bits(next[i]) != math.Float64bits(wantNext) {
+					t.Fatalf("n=%d sparse=%v %s: node %d (v=%v) got %#x → %#x, node-at-a-time %#x → %#x",
+						n, mc.sparse, what, i, v[i], math.Float64bits(k[i]), math.Float64bits(next[i]),
+						math.Float64bits(want[i]), math.Float64bits(wantNext))
 				}
 			}
-			k, next := make([]float64, n), make([]float64, n)
-			ma.stage(v, p, k, c, next)
-			check("stage", k, next)
-			kappa := feedbackGain.At(p)
-			for _, cut := range []int{1, 2, 3, 4, 5, 6, 7, n / 2, n - 1} {
-				if cut >= n {
-					continue
-				}
-				clear(k)
-				clear(next)
-				for _, rg := range [][2]int{{cut, n}, {0, cut}} {
-					ma.lat.MatVecRange(v, nil, k, rg[0], rg[1])
-					ma.latch.Stage(v, ma.v, k, next, kappa, c, rg[0], rg[1])
-				}
-				check("split", k, next)
-			}
-			w := append([]float64(nil), v...)
-			ma.stage(w, p, k, c, w)
-			check("in place", k, w)
 		}
+		k, next := make([]float64, n), make([]float64, n)
+		ma.stage(v, p, k, c, next)
+		check("stage", k, next)
+		kappa := feedbackGain.At(p)
+		for _, cut := range []int{1, 2, 3, 4, 5, 6, 7, n / 2, n - 1} {
+			if cut >= n {
+				continue
+			}
+			clear(k)
+			clear(next)
+			for _, rg := range [][2]int{{cut, n}, {0, cut}} {
+				ma.lat.MatVecRange(v, nil, k, rg[0], rg[1])
+				ma.latch.Stage(v, ma.v, k, next, kappa, c, rg[0], rg[1])
+			}
+			check("split", k, next)
+		}
+		w := append([]float64(nil), v...)
+		ma.stage(w, p, k, c, w)
+		check("in place", k, w)
 	}
 }
 
 // commitThreeLoops is commitStep as it was before it became one pass:
-// clamp every node, advance time, draw every node's noise, re-apply the
-// holds, then the readout — the reference the one-pass loop must match.
+// clamp every node, advance time, re-apply the holds, then the readout —
+// the reference the one-pass loop must match.
 func commitThreeLoops(ma *Machine, dt float64) {
 	for i, v := range ma.cand {
 		if v > 1 {
@@ -536,18 +512,6 @@ func commitThreeLoops(ma *Machine, dt float64) {
 	}
 	ma.t += dt
 	ma.steps++
-	if ma.cfg.NoiseAmp > 0 {
-		amp := ma.cfg.NoiseAmp * math.Sqrt(dt)
-		for i := range ma.v {
-			v := ma.v[i] + amp*ma.r.NormFloat64()
-			if v > 1 {
-				v = 1
-			} else if v < -1 {
-				v = -1
-			}
-			ma.v[i] = v
-		}
-	}
 	for i, until := range ma.holdUntil {
 		if until > ma.t {
 			ma.v[i] = 0.8 * float64(ma.holdTarget[i])
@@ -556,11 +520,11 @@ func commitThreeLoops(ma *Machine, dt float64) {
 	ma.updateReadout(false)
 }
 
-// TestCommitStepMatchesThreeLoops: the one-pass commit — rails, noise,
-// hold and readout per node in index order — leaves every voltage, spin,
-// counter and the PRNG stream where the three loops did, and reports the
-// same flips in the same order at the same times to a listener, on a
-// noisy machine whose induced kicks are being held.
+// TestCommitStepMatchesThreeLoops: the one-pass commit — rails, hold and
+// readout per node in index order — leaves every voltage, spin, counter
+// and the PRNG stream where the three loops did, and reports the same
+// flips in the same order at the same times to a listener, on a machine
+// whose induced kicks are being held.
 func TestCommitStepMatchesThreeLoops(t *testing.T) {
 	m := graph.Complete(37, rng.New(30)).ToIsing()
 	type event struct {
@@ -572,7 +536,7 @@ func TestCommitStepMatchesThreeLoops(t *testing.T) {
 	var machines [2]*Machine
 	var logs [2][]event
 	for s := range machines {
-		ma := New(m, Config{Seed: 31, NoiseAmp: 0.3, KickHoldNS: 2, DeviceVariation: 0.05})
+		ma := New(m, Config{Seed: 31, KickHoldNS: 2})
 		ma.SetHorizon(40)
 		ma.OnFlip(func(node int, spin int8, induced bool) {
 			logs[s] = append(logs[s], event{node, spin, induced, ma.Time()})
@@ -627,11 +591,11 @@ func TestCommitStepMatchesThreeLoops(t *testing.T) {
 // TestFlipListenerSeesCommittedStep pins OnFlip's contract: a flip the
 // dynamics caused is reported after the whole step has committed, so a
 // listener reading the voltages sees every node's voltage of that step — the
-// nodes after the flipped one included, which the step moved — on a noisy
-// machine with kicks held and on a quiet one.
+// nodes after the flipped one included, which the step moved — on a
+// machine with kicks held and on one without.
 func TestFlipListenerSeesCommittedStep(t *testing.T) {
 	m := graph.Complete(37, rng.New(32)).ToIsing()
-	for _, cfg := range []Config{{Seed: 33}, {Seed: 34, NoiseAmp: 0.3, KickHoldNS: 2}} {
+	for _, cfg := range []Config{{Seed: 33}, {Seed: 34, KickHoldNS: 2}} {
 		ma := New(m, cfg)
 		ma.SetHorizon(40)
 		var seen [][]float64
@@ -660,8 +624,8 @@ func TestFlipListenerSeesCommittedStep(t *testing.T) {
 			for k, v := range seen {
 				for i := range v {
 					if math.Float64bits(v[i]) != math.Float64bits(ma.v[i]) {
-						t.Fatalf("noise=%v step %d: the listener for node %d saw node %d at %v, the step committed %v",
-							cfg.NoiseAmp, step, nodes[k], i, v[i], ma.v[i])
+						t.Fatalf("hold=%v step %d: the listener for node %d saw node %d at %v, the step committed %v",
+							cfg.KickHoldNS, step, nodes[k], i, v[i], ma.v[i])
 					}
 				}
 				for i := nodes[k] + 1; i < len(v); i++ {
@@ -674,7 +638,7 @@ func TestFlipListenerSeesCommittedStep(t *testing.T) {
 			flips += len(seen)
 		}
 		if flips == 0 || later == 0 {
-			t.Fatalf("noise=%v: %d dynamics flips, %d with a later node moved: nothing to check", cfg.NoiseAmp, flips, later)
+			t.Fatalf("hold=%v: %d dynamics flips, %d with a later node moved: nothing to check", cfg.KickHoldNS, flips, later)
 		}
 	}
 }
@@ -687,4 +651,26 @@ func mustBuild(b *ising.Builder) *ising.Model {
 		panic(err)
 	}
 	return m
+}
+
+func TestLayoutsBitIdentical(t *testing.T) {
+	g := graph.Complete(64, rng.New(40))
+	m := g.ToIsing()
+	seq := Solve(m, SolveConfig{Duration: 30, Config: Config{Seed: 41}})
+	// Every layout must reproduce the dense trajectory exactly — the
+	// layouts' shared accumulation order is what makes this hold.
+	for _, backend := range []lattice.Kind{lattice.Dense, lattice.CSR} {
+		// The rescale to Ĵ = J/scale stays in the layout the model came in:
+		// a K-graph handed in as compressed rows is not re-resolved dense.
+		if got := New(m.As(backend), Config{Seed: 41}).lat.Kind(); got != backend {
+			t.Fatalf("New re-laid a %v model as %v", backend, got)
+		}
+		res := Solve(m.As(backend), SolveConfig{Duration: 30, Config: Config{Seed: 41}})
+		if seq.Energy != res.Energy || ising.HammingDistance(seq.Spins, res.Spins) != 0 {
+			t.Fatalf("%v changed the trajectory", backend)
+		}
+		if seq.Flips != res.Flips {
+			t.Fatalf("%v changed the flip count", backend)
+		}
+	}
 }

@@ -10,15 +10,14 @@ import (
 // consistent point (between steps): voltages, readout, external bias
 // currents, timekeeping, kick-hold registers, counters, and the exact
 // PRNG stream position. Everything else a Machine holds — the scaled
-// couplings, device-variation factors, scratch buffers — is either
-// immutable or derived deterministically from the model and the
-// construction seed, so a machine rebuilt with New over the same model
+// couplings, scratch buffers — is either immutable or derived
+// deterministically from the model and the construction seed, so a machine rebuilt with New over the same model
 // and configuration and then Restored continues bit-identically to one
 // that was never snapshotted.
 type State struct {
 	// Seed is the construction seed (Config.Seed). A resuming driver
 	// must rebuild the machine with this seed: the initial-voltage
-	// draws and the device-variation fork both derive from it.
+	// draws derive from it.
 	Seed uint64 `json:"seed"`
 	// V are the node voltages; Ext the external bias currents (shadow
 	// contributions in a multiprocessor).
@@ -67,11 +66,10 @@ func (ma *Machine) Snapshot() *State {
 }
 
 // Restore loads a snapshot onto a machine freshly constructed over the
-// same model with the same configuration (including State.Seed — the
-// device-variation factors regenerate from it). Snapshots may come
-// from untrusted checkpoint bytes, so Restore validates dimensions and
-// value ranges and reports an error rather than panicking or loading a
-// state the dynamics cannot have produced.
+// same model with the same configuration (including State.Seed).
+// Snapshots may come from untrusted checkpoint bytes, so Restore
+// validates dimensions and value ranges and reports an error rather
+// than panicking or loading a state the dynamics cannot have produced.
 func (ma *Machine) Restore(st *State) error {
 	if st == nil {
 		return errors.New("brim: nil state")

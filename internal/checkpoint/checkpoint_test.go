@@ -70,9 +70,12 @@ func TestHashModelSensitivity(t *testing.T) {
 	if HashModel(a) != HashModel(b) {
 		t.Fatal("identical models hash differently")
 	}
-	h := make([]float64, 16)
-	h[3] = 0.5
-	if b, err := a.WithBiases(h); err != nil || HashModel(a) == HashModel(b) {
+	biased := ising.NewBuilder(16)
+	for _, e := range graph.Complete(16, rng.New(1)).Edges() {
+		biased.SetCoupling(e.U, e.V, -e.Weight)
+	}
+	biased.SetBias(3, 0.5)
+	if b, err := biased.Build(); err != nil || HashModel(a) == HashModel(b) {
 		t.Fatalf("bias change not reflected in hash (%v)", err)
 	}
 	g := graph.Complete(16, rng.New(1))

@@ -239,8 +239,12 @@ func NewKGraph(n int, r *rng.Source) *KGraph {
 
 // CutValue returns the weight of the edges crossing the bipartition σ.
 func (k *KGraph) CutValue(spins []int8) float64 {
-	return (k.W - k.Model.Energy(spins)) / 2
+	return k.CutFromEnergy(k.Model.Energy(spins))
 }
+
+// CutFromEnergy converts an energy of the model back to a cut value,
+// (W − E)/2.
+func (k *KGraph) CutFromEnergy(energy float64) float64 { return (k.W - energy) / 2 }
 
 // Random returns an Erdős–Rényi G(n, p) graph with ±1 weights, the
 // Gset-style sparse workload used for the divide-and-conquer study.

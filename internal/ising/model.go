@@ -34,9 +34,9 @@ import (
 // Model is an immutable Ising problem instance: n spins, per-spin
 // biases h, the global bias scale μ, and the symmetric zero-diagonal
 // couplings, held as the lattice.Coupling that Build froze them into.
-// A Model only ever comes from Build (or WithBiases of one), so its
-// invariants — symmetry, zero diagonal, finite entries — are the type's.
-// It is safe for concurrent use.
+// A Model only ever comes from Build, so its invariants — symmetry,
+// zero diagonal, finite entries — are the type's. It is safe for
+// concurrent use.
 type Model struct {
 	n   int
 	mu  float64
@@ -51,9 +51,9 @@ type Model struct {
 // non-finite value does not panic: the first one is remembered and
 // returned by Build.
 //
-// Couplings fold in call order, pair by pair: SetCoupling overwrites,
-// AddCoupling accumulates (parallel edges sum in the order given). A
-// pair that ends at zero of either sign is no coupling.
+// SetCoupling calls fold in call order, pair by pair: the last call on
+// a pair sets it. A pair that ends at zero of either sign is no
+// coupling.
 type Builder struct {
 	n   int
 	mu  float64
@@ -70,22 +70,19 @@ type Builder struct {
 	// a call is written once and never copied.
 	ops   [][]op
 	nops  int
-	mixed bool // a listed call is not a set to −1, 0 or +1
+	mixed bool // a listed call sets a value other than −1, 0 or +1
 	up    *lattice.UnitUpper
 	data  []float64
 }
 
-// op is one SetCoupling or AddCoupling call in 16 bytes.
+// op is one SetCoupling call in 16 bytes.
 type op struct {
-	pair uint64 // i<<32 | j with i < j < 2³¹; the top bit marks an AddCoupling
+	pair uint64 // i<<32 | j with i < j < 2³¹
 	v    float64
 }
 
-const opAdd = 1 << 63
-
-func (o op) i() int    { return int(o.pair &^ opAdd >> 32) }
-func (o op) j() int    { return int(uint32(o.pair)) }
-func (o op) add() bool { return o.pair&opAdd != 0 }
+func (o op) i() int { return int(o.pair >> 32) }
+func (o op) j() int { return int(uint32(o.pair)) }
 
 // maxOpBlock caps a block of the call list, and so what the list
 // allocates beyond the calls it holds.
@@ -124,17 +121,10 @@ func (b *Builder) SetBias(i int, v float64) {
 }
 
 // SetCoupling sets J_ij = J_ji = v, replacing what earlier calls left
-// on the pair.
-func (b *Builder) SetCoupling(i, j int, v float64) { b.couple(i, j, v, false) }
-
-// AddCoupling adds v to J_ij (and J_ji), accumulating parallel edges.
-func (b *Builder) AddCoupling(i, j int, v float64) { b.couple(i, j, v, true) }
-
-// couple is the one path of both calls. The common case — a well-formed
-// call on a builder past its list — is the checks and a store, into the
-// planes or the array; what is rejected, the list and the spill are out
-// of line.
-func (b *Builder) couple(i, j int, v float64, add bool) {
+// on the pair. The common case — a well-formed call on a builder past
+// its list — is the checks and a store, into the planes or the array;
+// what is rejected, the list and the spill are out of line.
+func (b *Builder) SetCoupling(i, j int, v float64) {
 	if b.err != nil || uint(i) >= uint(b.n) || uint(j) >= uint(b.n) || i == j || v-v != 0 {
 		b.reject(i, j, v)
 		return
@@ -143,20 +133,14 @@ func (b *Builder) couple(i, j int, v float64, add bool) {
 		i, j = j, i
 	}
 	if b.up != nil {
-		if !add && b.up.Set(i, j, v) {
+		if b.up.Set(i, j, v) {
 			return
 		}
 		b.spill()
 	}
 	if b.data == nil {
-		b.list(i, j, v, add)
+		b.list(i, j, v)
 		return
-	}
-	if add {
-		if v += b.data[i*b.n+j]; v-v != 0 {
-			b.fail("coupling (%d,%d) overflows", i, j)
-			return
-		}
 	}
 	if v == 0 {
 		v = 0 // a −0 is no coupling, and no layout stores one
@@ -186,15 +170,15 @@ func (b *Builder) reject(i, j int, v float64) {
 // once twice the call count no longer resolves to CSR — or, while every
 // call is a ±1 set, once the list's next block would take it past the
 // planes' size.
-func (b *Builder) list(i, j int, v float64, add bool) {
-	if add || v != 0 && math.Abs(v) != 1 {
+func (b *Builder) list(i, j int, v float64) {
+	if v != 0 && math.Abs(v) != 1 {
 		b.mixed = true
 	}
 	if last := len(b.ops) - 1; last < 0 || len(b.ops[last]) == cap(b.ops[last]) {
 		size := min(max(b.nops, 64), maxOpBlock)
 		if !b.mixed && 16*int64(b.nops+size) > lattice.Footprint(lattice.Dense, b.n, 0, true) {
 			b.dense()
-			b.couple(i, j, v, add)
+			b.SetCoupling(i, j, v)
 			return
 		}
 		if b.ops == nil {
@@ -202,25 +186,21 @@ func (b *Builder) list(i, j int, v float64, add bool) {
 		}
 		b.ops = append(b.ops, make([]op, 0, size))
 	}
-	o := op{pair: uint64(i)<<32 | uint64(j), v: v}
-	if add {
-		o.pair |= opAdd
-	}
 	last := &b.ops[len(b.ops)-1]
-	*last = append(*last, o)
+	*last = append(*last, op{pair: uint64(i)<<32 | uint64(j), v: v})
 	if b.nops++; lattice.Resolve(lattice.Auto, b.n, 2*b.nops) == lattice.Dense {
 		b.dense()
 	}
 }
 
 // dense moves the builder from its list to the planes by replaying the
-// list through couple.
+// list through SetCoupling.
 func (b *Builder) dense() {
 	ops := b.ops
 	b.ops, b.up = nil, lattice.NewUnitUpper(b.n)
 	for _, blk := range ops {
 		for _, o := range blk {
-			b.couple(o.i(), o.j(), o.v, o.add())
+			b.SetCoupling(o.i(), o.j(), o.v)
 		}
 	}
 }
@@ -243,10 +223,7 @@ func (b *Builder) Build() (*Model, error) {
 	case b.data != nil:
 		c = lattice.FromUpper(b.n, b.data)
 	default:
-		c, b.err = b.compress()
-	}
-	if b.err != nil {
-		return nil, b.err
+		c = b.compress()
 	}
 	m, err := newModel(b.mu, b.h, c)
 	b.err = cmp.Or(err, errBuilt)
@@ -290,15 +267,12 @@ func newModel(mu float64, h []float64, c lattice.Coupling) (*Model, error) {
 
 // compress folds the call list into compressed rows, in the one buffer
 // the rows are handed to lattice.FromCSR in. One stable counting pass
-// files every call under both of its rows in call order (an
-// AddCoupling's column complemented); a stable sort of each row by
-// column puts the calls of a pair side by side, still in call order,
-// where a walk folds them to one value — the same value in both rows,
-// from the same calls — and the kept pairs are compacted in place with
-// every row's columns ascending. A pair overflows in the first row that
-// folds it, the upper triangle's, so the first error is reported in
-// (i, j) order with i < j.
-func (b *Builder) compress() (lattice.Coupling, error) {
+// files every call under both of its rows in call order; a stable sort
+// of each row by column puts the calls of a pair side by side, still in
+// call order, where a walk keeps the last one — the same value in both
+// rows, from the same call — and the kept pairs are compacted in place
+// with every row's columns ascending.
+func (b *Builder) compress() lattice.Coupling {
 	n := b.n
 	rowStart := make([]int, n+1)
 	for _, blk := range b.ops {
@@ -315,13 +289,9 @@ func (b *Builder) compress() (lattice.Coupling, error) {
 	for _, blk := range b.ops {
 		for _, o := range blk {
 			i, j := o.i(), o.j()
-			ci, cj := j, i
-			if o.add() {
-				ci, cj = ^j, ^i
-			}
-			cols[rowStart[i]], vals[rowStart[i]] = ci, o.v
+			cols[rowStart[i]], vals[rowStart[i]] = j, o.v
 			rowStart[i]++
-			cols[rowStart[j]], vals[rowStart[j]] = cj, o.v
+			cols[rowStart[j]], vals[rowStart[j]] = i, o.v
 			rowStart[j]++
 		}
 	}
@@ -333,13 +303,9 @@ func (b *Builder) compress() (lattice.Coupling, error) {
 		row.cols, row.vals = cols[lo:hi], vals[lo:hi]
 		sort.Stable(row)
 		for k := lo; k < hi; {
-			j, v := column(cols[k]), 0.0
-			for ; k < hi && column(cols[k]) == j; k++ {
-				if cols[k] >= 0 {
-					v = vals[k]
-				} else if v += vals[k]; math.IsInf(v, 0) {
-					return nil, fmt.Errorf("ising: coupling (%d,%d) overflows", r, j)
-				}
+			j, v := cols[k], 0.0
+			for ; k < hi && cols[k] == j; k++ {
+				v = vals[k]
 			}
 			if v != 0 {
 				cols[w], vals[w] = j, v
@@ -349,15 +315,7 @@ func (b *Builder) compress() (lattice.Coupling, error) {
 		lo = hi
 	}
 	rowStart[n] = w
-	return lattice.FromCSR(n, rowStart, cols[:w], vals[:w]), nil
-}
-
-// column decodes a filed call's column (an AddCoupling's is complemented).
-func column(c int) int {
-	if c < 0 {
-		return ^c
-	}
-	return c
+	return lattice.FromCSR(n, rowStart, cols[:w], vals[:w])
 }
 
 // byColumn orders one row's filed calls by column, for sort.Stable.
@@ -367,7 +325,7 @@ type byColumn struct {
 }
 
 func (s *byColumn) Len() int           { return len(s.cols) }
-func (s *byColumn) Less(a, b int) bool { return column(s.cols[a]) < column(s.cols[b]) }
+func (s *byColumn) Less(a, b int) bool { return s.cols[a] < s.cols[b] }
 func (s *byColumn) Swap(a, b int) {
 	s.cols[a], s.cols[b] = s.cols[b], s.cols[a]
 	s.vals[a], s.vals[b] = s.vals[b], s.vals[a]
@@ -391,15 +349,6 @@ func (m *Model) Biases() []float64 { return m.h }
 // MuH returns μ·h_i per spin as a read-only slice (do not mutate): the
 // linear term of the energy, the base every field-seeded kernel takes.
 func (m *Model) MuH() []float64 { return m.muH }
-
-// WithBiases returns a model with biases h (copied) over the same μ and
-// the same couplings, shared, not copied.
-func (m *Model) WithBiases(h []float64) (*Model, error) {
-	if len(h) != m.n {
-		return nil, fmt.Errorf("ising: %d biases for a %d-spin model", len(h), m.n)
-	}
-	return newModel(m.mu, append([]float64(nil), h...), m.c)
-}
 
 // Coupling returns J_ij, by a scan of row i.
 func (m *Model) Coupling(i, j int) float64 {

@@ -49,26 +49,14 @@ func TestNewModelPanicsOnBadSize(t *testing.T) {
 // from Build — the first one — and never a panic or a model.
 func TestBuildRejects(t *testing.T) {
 	for name, feed := range map[string]func() *Builder{
-		"self-coupling":  func() *Builder { b := NewBuilder(3); b.SetCoupling(1, 1, 1); return b },
-		"index range":    func() *Builder { b := NewBuilder(2); b.AddCoupling(0, 5, 1); return b },
-		"negative index": func() *Builder { b := NewBuilder(2); b.SetCoupling(-1, 1, 1); return b },
-		"bias range":     func() *Builder { b := NewBuilder(2); b.SetBias(2, 1); return b },
-		"NaN coupling":   func() *Builder { b := NewBuilder(3); b.SetCoupling(0, 1, math.NaN()); return b },
-		"Inf coupling":   func() *Builder { b := NewBuilder(3); b.AddCoupling(0, 1, math.Inf(-1)); return b },
-		"NaN bias":       func() *Builder { b := NewBuilder(3); b.SetBias(0, math.NaN()); return b },
-		"Inf μ":          func() *Builder { b := NewBuilder(3); b.SetMu(math.Inf(1)); return b },
-		"sparse overflow": func() *Builder {
-			b := NewBuilder(100)
-			b.AddCoupling(0, 1, 1e308)
-			b.AddCoupling(1, 0, 1e308)
-			return b
-		},
-		"dense overflow": func() *Builder {
-			b := NewBuilder(2)
-			b.AddCoupling(0, 1, -1e308)
-			b.AddCoupling(1, 0, -1e308)
-			return b
-		},
+		"self-coupling":   func() *Builder { b := NewBuilder(3); b.SetCoupling(1, 1, 1); return b },
+		"index range":     func() *Builder { b := NewBuilder(2); b.SetCoupling(0, 5, 1); return b },
+		"negative index":  func() *Builder { b := NewBuilder(2); b.SetCoupling(-1, 1, 1); return b },
+		"bias range":      func() *Builder { b := NewBuilder(2); b.SetBias(2, 1); return b },
+		"NaN coupling":    func() *Builder { b := NewBuilder(3); b.SetCoupling(0, 1, math.NaN()); return b },
+		"Inf coupling":    func() *Builder { b := NewBuilder(3); b.SetCoupling(0, 1, math.Inf(-1)); return b },
+		"NaN bias":        func() *Builder { b := NewBuilder(3); b.SetBias(0, math.NaN()); return b },
+		"Inf μ":           func() *Builder { b := NewBuilder(3); b.SetMu(math.Inf(1)); return b },
 		"overwritten NaN": func() *Builder { b := NewBuilder(3); b.SetCoupling(0, 1, math.NaN()); b.SetCoupling(0, 1, 1); return b },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -87,13 +75,6 @@ func TestBuildRejects(t *testing.T) {
 	}
 	if _, err := b.Build(); err == nil {
 		t.Fatal("a builder built twice: two models would share one array")
-	}
-	m := randomModel(3, rng.New(1))
-	if _, err := m.WithBiases([]float64{1, 2}); err == nil {
-		t.Fatal("WithBiases accepted a short vector")
-	}
-	if _, err := m.WithBiases([]float64{1, math.NaN(), 2}); err == nil {
-		t.Fatal("WithBiases accepted a NaN")
 	}
 }
 
@@ -216,10 +197,11 @@ func TestImprovingFlipLowersEnergy(t *testing.T) {
 	// bias means flipping k improves energy.
 	r := rng.New(7)
 	n := 20
-	m, err := randomModel(n, r).WithBiases(make([]float64, n))
-	if err != nil {
-		t.Fatal(err)
+	b := randomBuilder(n, r)
+	for i := 0; i < n; i++ {
+		b.SetBias(i, 0)
 	}
+	m := b.mustBuild()
 	s := RandomSpins(n, r)
 	fields := m.LocalFields(s, nil)
 	for k := 0; k < n; k++ {
@@ -257,31 +239,6 @@ func TestBiasAsExtraSpinEquivalence(t *testing.T) {
 	}
 }
 
-// TestWithBiasesSharesCoupling: the re-biased model is independent in
-// what it copies (h, μ·h) and identical in what it shares.
-func TestWithBiasesSharesCoupling(t *testing.T) {
-	b := NewBuilder(3)
-	b.SetCoupling(0, 1, 2)
-	b.SetBias(2, 5)
-	b.SetMu(0.5)
-	m := b.mustBuild()
-	h := []float64{1, 0, -4}
-	c, err := m.WithBiases(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h[0] = 99
-	if c.Bias(0) != 1 || c.MuH()[2] != -2 || c.Mu() != 0.5 || c.Coupling(0, 1) != 2 {
-		t.Fatalf("WithBiases: biases %v, μh %v, μ %v", c.Biases(), c.MuH(), c.Mu())
-	}
-	if m.Bias(2) != 5 || m.MuH()[2] != 2.5 {
-		t.Fatal("WithBiases changed the original")
-	}
-	if c.View(lattice.Auto) != m.View(lattice.Auto) {
-		t.Fatal("WithBiases copied the couplings")
-	}
-}
-
 // TestValidateCatchesAsymmetry: there is no asymmetric matrix to catch —
 // a pair written both ways round is one pair, and both triangles of
 // every layout read the value it folded to.
@@ -290,8 +247,8 @@ func TestValidateCatchesAsymmetry(t *testing.T) {
 		b := NewBuilder(n)
 		b.SetCoupling(0, 1, 1)
 		b.SetCoupling(1, 0, -4)
-		b.AddCoupling(2, 1, 0.5)
-		b.AddCoupling(1, 2, 0.25)
+		b.SetCoupling(2, 1, 0.5)
+		b.SetCoupling(1, 2, 0.75)
 		m := b.mustBuild()
 		for _, kind := range []lattice.Kind{lattice.Auto, lattice.Dense, lattice.CSR} {
 			v := m.As(kind)
@@ -319,14 +276,4 @@ func TestEnergyPanicsOnLengthMismatch(t *testing.T) {
 		}
 	}()
 	NewBuilder(4).mustBuild().Energy(make([]int8, 3))
-}
-
-func TestAddCouplingAccumulates(t *testing.T) {
-	b := NewBuilder(3)
-	b.AddCoupling(0, 1, 1.5)
-	b.AddCoupling(1, 0, 1.5)
-	m := b.mustBuild()
-	if m.Coupling(0, 1) != 3 {
-		t.Fatalf("AddCoupling total = %v, want 3", m.Coupling(0, 1))
-	}
 }

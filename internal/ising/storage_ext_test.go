@@ -182,7 +182,7 @@ func TestAs(t *testing.T) {
 	for name, m := range map[string]*ising.Model{
 		"K96":          graph.Complete(96, rng.New(8)).ToIsing(),
 		"G(96, 0.04)":  graph.Random(96, 0.04, rng.New(9)).ToIsing(),
-		"K96 + biases": must(graph.Complete(96, rng.New(10)).ToIsing().WithBiases(h)),
+		"K96 + biases": biased(graph.Complete(96, rng.New(10)), h),
 	} {
 		stored := m.View(lattice.Auto).Kind()
 		for _, same := range []lattice.Kind{lattice.Auto, stored} {
@@ -235,7 +235,16 @@ func TestAs(t *testing.T) {
 	}
 }
 
-func must(m *ising.Model, err error) *ising.Model {
+// biased is g's Ising model with biases h, stated through a Builder.
+func biased(g *graph.Graph, h []float64) *ising.Model {
+	b := ising.NewBuilder(g.N())
+	for _, e := range g.Edges() {
+		b.SetCoupling(e.U, e.V, -e.Weight)
+	}
+	for i, v := range h {
+		b.SetBias(i, v)
+	}
+	m, err := b.Build()
 	if err != nil {
 		panic(err)
 	}

@@ -39,11 +39,6 @@ func (m *refModel) setCoupling(i, j int, v float64) {
 	m.j[j*m.n+i] = v
 }
 
-func (m *refModel) addCoupling(i, j int, v float64) {
-	m.j[i*m.n+j] += v
-	m.j[j*m.n+i] += v
-}
-
 func (m *refModel) row(i int) []float64 { return m.j[i*m.n : (i+1)*m.n] }
 
 // normalize rewrites −0 couplings as +0.
@@ -220,11 +215,9 @@ type script struct {
 type scriptOp struct {
 	i, j int
 	v    float64
-	add  bool
 }
 
-func (s *script) set(i, j int, v float64) { s.ops = append(s.ops, scriptOp{i, j, v, false}) }
-func (s *script) add(i, j int, v float64) { s.ops = append(s.ops, scriptOp{i, j, v, true}) }
+func (s *script) set(i, j int, v float64) { s.ops = append(s.ops, scriptOp{i, j, v}) }
 
 // play runs the script into the reference and into a builder.
 func (s *script) play() (*refModel, *Builder) {
@@ -236,13 +229,8 @@ func (s *script) play() (*refModel, *Builder) {
 		b.SetBias(i, v)
 	}
 	for _, o := range s.ops {
-		if o.add {
-			ref.addCoupling(o.i, o.j, o.v)
-			b.AddCoupling(o.i, o.j, o.v)
-		} else {
-			ref.setCoupling(o.i, o.j, o.v)
-			b.SetCoupling(o.i, o.j, o.v)
-		}
+		ref.setCoupling(o.i, o.j, o.v)
+		b.SetCoupling(o.i, o.j, o.v)
 	}
 	return ref, b
 }
@@ -304,7 +292,7 @@ func storageScripts() []*script {
 	out = append(out, island)
 
 	// ±1 sets along a row: row 0 across it, row 2 a stretch later
-	// overwritten by a zero, a weight, the other sign and an AddCoupling.
+	// overwritten by a zero, a weight and the other sign.
 	// At n = 400 the calls stay a list. At n = 40 a list of ±1 sets would
 	// outgrow the planes from its first block, so the calls go there from
 	// the first one and spill at the weight.
@@ -320,38 +308,29 @@ func storageScripts() []*script {
 		s.set(2, 11, 0.5)
 		s.set(2, 12, -1)
 		s.set(2, 12, 1)
-		s.add(2, 13, 1)
 		s.set(0, n-1, 0)
 		out = append(out, s)
 	}
-	// Dense ±1 problems that stay in the planes through overwrites and
-	// zeros, and one stated by AddCoupling alone, which spills at its first
-	// call past the list and is packed into planes at Build.
+	// A dense ±1 problem that stays in the planes through overwrites and
+	// zeros.
 	over := randomScript("K-graph ±1, overwritten", 50, 1, true, r)
 	for k := 0; k < 200; k++ {
 		if i, j := r.Intn(50), r.Intn(50); i != j {
 			over.set(i, j, float64(r.Intn(3)-1))
 		}
 	}
-	added := &script{name: "K-graph ±1 by AddCoupling", n: 30, mu: 1, h: make([]float64, 30)}
-	for i := 0; i < 30; i++ {
-		for j := i + 1; j < 30; j++ {
-			added.add(i, j, float64(r.Spin()))
-		}
-	}
 	// ±1 sets at 4.5 %: the list moves to the planes at 512 calls, where
 	// its next block would outgrow them, and Build compresses the planes,
 	// since the count still resolves to CSR.
 	early := randomScript("±1 past the planes' size", 200, 0.045, true, r)
-	out = append(out, over, added, early)
+	out = append(out, over, early)
 
-	// Parallel edges in both orders, overwrites before and after them,
-	// pairs that cancel, explicit zeros of both signs — once on few spins
-	// (the calls land in the dense array) and once on many (they stay a
-	// list). 0.1 + 0.2 + 0.3 rounds differently by association, so a fold
-	// out of call order shows.
+	// Pairs written several times in both orders, overwritten by zeros
+	// of both signs — once on few spins (the calls land in the dense
+	// array) and once on many (they stay a list). Only the last call on a
+	// pair may count, so a fold out of call order shows.
 	for _, n := range []int{12, 150} {
-		d := &script{name: fmt.Sprintf("duplicates and cancellations n=%d", n), n: n, mu: 1, h: make([]float64, n)}
+		d := &script{name: fmt.Sprintf("overwrites and zeros n=%d", n), n: n, mu: 1, h: make([]float64, n)}
 		for k := 0; k < 40; k++ {
 			i, j := r.Intn(n), r.Intn(n)
 			if i == j {
@@ -359,27 +338,27 @@ func storageScripts() []*script {
 			}
 			switch k % 8 {
 			case 0:
-				d.add(i, j, 0.1)
-				d.add(j, i, 0.2)
-				d.add(i, j, 0.3)
+				d.set(i, j, 0.1)
+				d.set(j, i, 0.2)
+				d.set(i, j, 0.3)
 			case 1:
 				d.set(i, j, 5)
-				d.add(j, i, 0.3)
-				d.add(i, j, 0.1)
+				d.set(j, i, 0.3)
+				d.set(i, j, 0.1)
 			case 2:
-				d.add(i, j, 0.7)
+				d.set(i, j, 0.7)
 				d.set(j, i, -1.25)
 			case 3:
-				d.add(i, j, 1.75)
-				d.add(j, i, -1.75)
+				d.set(i, j, 1.75)
+				d.set(j, i, 0)
 			case 4:
 				d.set(i, j, 3)
 				d.set(i, j, 0)
 			case 5:
 				d.set(j, i, negZero)
 			case 6:
-				d.add(i, j, negZero)
-				d.add(i, j, negZero)
+				d.set(i, j, 2)
+				d.set(i, j, negZero)
 			case 7:
 				d.set(i, j, -2)
 				d.set(j, i, -2)
@@ -548,7 +527,7 @@ func TestNegativeZeroCouplingIsNoCoupling(t *testing.T) {
 	for _, n := range []int{4, 120} { // the dense array, the list
 		s := randomScript("−0", n, 0.3, false, rng.New(uint64(n)))
 		s.set(0, 1, negZero)
-		s.add(2, 3, negZero)
+		s.set(2, 3, negZero)
 		ref, b := s.play()
 		if !math.Signbit(ref.j[0*n+1]) {
 			t.Fatal("the reference lost the −0 it is here to keep")
@@ -663,30 +642,17 @@ func TestRelayRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNewSparseAccumulatesDuplicates(t *testing.T) {
-	b := NewBuilder(30)
-	b.AddCoupling(0, 1, 1)
-	b.AddCoupling(1, 0, 2)
-	m := b.mustBuild()
-	if m.c.Kind() != lattice.CSR || m.NNZ() != 2 { // one undirected edge stored twice
-		t.Fatalf("%v with NNZ = %d, want csr with 2", m.c.Kind(), m.NNZ())
-	}
-	if m.Coupling(0, 1) != 3 || m.Coupling(1, 0) != 3 {
-		t.Fatalf("accumulated coupling %v, want 3", m.Coupling(0, 1))
-	}
-}
-
 func TestNewSparseDropsZeros(t *testing.T) {
 	b := NewBuilder(30)
-	b.AddCoupling(0, 1, 1)
-	b.AddCoupling(0, 1, -1)
+	b.SetCoupling(0, 1, 1)
+	b.SetCoupling(1, 0, 0)
 	b.SetCoupling(1, 2, 2)
 	m := b.mustBuild()
 	if m.NNZ() != 2 {
-		t.Fatalf("cancelled coupling retained: NNZ = %d", m.NNZ())
+		t.Fatalf("zeroed coupling retained: NNZ = %d", m.NNZ())
 	}
 	if c := m.c; c.RowNNZ(0) != 0 || c.RowNNZ(1) != 1 || c.RowNNZ(2) != 1 {
-		t.Fatal("degrees wrong after cancellation")
+		t.Fatal("degrees wrong after zeroing")
 	}
 }
 

@@ -346,10 +346,10 @@ func BenchmarkCommit(b *testing.B) {
 				defer func() { useAVX = detected }()
 				useAVX = arm.avx
 				for b.Loop() {
-					l.Commit(cand, nil, v, holdUntil, holdTarget, spins, t, th, crossed)
+					l.Commit(cand, v, holdUntil, holdTarget, spins, t, th, crossed)
 				}
 			})
 		}
-		b.Logf("n=%d: %d of %d nodes cross", n, len(l.Commit(cand, nil, v, holdUntil, holdTarget, spins, t, th, crossed)), n)
+		b.Logf("n=%d: %d of %d nodes cross", n, len(l.Commit(cand, v, holdUntil, holdTarget, spins, t, th, crossed)), n)
 	}
 }

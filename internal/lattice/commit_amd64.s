@@ -32,43 +32,37 @@ DATA commitFour<>+0(SB)/8, $0x0000000400000004
 DATA commitFour<>+8(SB)/8, $0x0000000400000004
 GLOBL commitFour<>(SB), RODATA|NOPTR, $16
 
-// func latchCommit(cand, noise, v, holdUntil *float64, holdTarget, spins *int8, crossed *int32, groups int, t, th float64) int
+// func latchCommit(cand, v, holdUntil *float64, holdTarget, spins *int8, crossed *int32, groups int, t, th float64) int
 //
 // For 4·groups nodes (Latch.Commit): the rails as max(−1, c) then
 // min(+1, ·) — VMAXPD and VMINPD hand back their second source when the
 // compare fails, so with the candidate there a NaN keeps its payload and
-// a −0 its sign, as rail's branches do — then, where noise is not nil,
-// one VADDPD of the noise (the voltage its first source, as the Go form
-// adds) and the rails again; the holds by compare (t < holdUntil) and
-// blend of 0.8·holdTarget, the target's bytes widened by VPMOVSXBD and
-// VCVTDQ2PD on xmm; the store. The crossings are Readout's two arms,
+// a −0 its sign, as rail's branches do; the holds by compare
+// (t < holdUntil) and blend of 0.8·holdTarget, the target's bytes
+// widened by VPMOVSXBD and VCVTDQ2PD on xmm; the store. The crossings are Readout's two arms,
 // (s ≥ 0 ∧ v < −th) ∨ (s ≤ 0 ∧ v > th), as four-bit masks: v's compares
 // by VMOVMSKPD (−th formed as 0 − th, which compares as −th does), and
 // the spin bytes' by VPMOVMSKB — their sign bits are s < 0, and OR'd
 // with VPCMPEQB against zero s ≤ 0. The crossed nodes are appended to
 // crossed; it returns how many. The pointers are moved to the range's
-// end and BX counts up from −4·groups to 0. Only the noise pointer is
-// tested; nothing branches on a value.
-TEXT ·latchCommit(SB), NOSPLIT, $0-88
+// end and BX counts up from −4·groups to 0. Nothing branches on a
+// value.
+TEXT ·latchCommit(SB), NOSPLIT, $0-80
 	MOVQ cand+0(FP), SI
-	MOVQ noise+8(FP), DX
-	MOVQ v+16(FP), DI
-	MOVQ holdUntil+24(FP), R8
-	MOVQ holdTarget+32(FP), R9
-	MOVQ spins+40(FP), R10
-	MOVQ crossed+48(FP), R11
-	MOVQ groups+56(FP), CX
+	MOVQ v+8(FP), DI
+	MOVQ holdUntil+16(FP), R8
+	MOVQ holdTarget+24(FP), R9
+	MOVQ spins+32(FP), R10
+	MOVQ crossed+40(FP), R11
+	MOVQ groups+48(FP), CX
 	SHLQ $2, CX
 	LEAQ (SI)(CX*8), SI
 	LEAQ (DI)(CX*8), DI
 	LEAQ (R8)(CX*8), R8
 	LEAQ (R9)(CX*1), R9
 	LEAQ (R10)(CX*1), R10
-	TESTQ DX, DX
-	JZ 2(PC)
-	LEAQ (DX)(CX*8), DX
-	VBROADCASTSD t+64(FP), Y0
-	VBROADCASTSD th+72(FP), Y1
+	VBROADCASTSD t+56(FP), Y0
+	VBROADCASTSD th+64(FP), Y1
 	VBROADCASTSD commitOne<>(SB), Y2
 	VBROADCASTSD commitHold<>(SB), Y3
 	VXORPD Y4, Y4, Y4 // 0
@@ -83,13 +77,6 @@ TEXT ·latchCommit(SB), NOSPLIT, $0-88
 loop:
 	VMAXPD (SI)(BX*8), Y5, Y7
 	VMINPD Y7, Y2, Y7
-	TESTQ  DX, DX
-	JZ     hold
-	VADDPD (DX)(BX*8), Y7, Y7
-	VMAXPD Y7, Y5, Y7
-	VMINPD Y7, Y2, Y7
-
-hold:
 	VCMPPD    $1, (R8)(BX*8), Y0, Y8
 	VPMOVSXBD (R9)(BX*1), X9
 	VCVTDQ2PD X9, Y9
@@ -125,6 +112,13 @@ hold:
 	ADDQ $4, BX
 	JNZ  loop
 
-	MOVQ AX, ret+80(FP)
+	MOVQ AX, ret+72(FP)
 	VZEROUPPER
 	RET
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC
+
+	// 32 never-executed bytes that hold the text after them at its
+	// alignment mod 64: see the end of latch_amd64.s.

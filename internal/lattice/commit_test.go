@@ -20,7 +20,7 @@ func commitByte(ctl uint64, lo, hi uint) int8 {
 
 // checkCommit runs Latch.Commit over n nodes drawn from raw, as FuzzCommit
 // describes, and holds it to the Go form node by node.
-func checkCommit(t *testing.T, n, off int, noisy bool, raw []byte) {
+func checkCommit(t *testing.T, n, off int, raw []byte) {
 	t.Helper()
 	at := 0
 	next := func() float64 {
@@ -36,10 +36,6 @@ func checkCommit(t *testing.T, n, off int, noisy bool, raw []byte) {
 	tm, th := next(), next()
 	in := &latchBufs{n: n, off: off}
 	cand := in.slice(next)
-	var noise []float64
-	if noisy {
-		noise = in.slice(next)
-	}
 	holdUntil := in.slice(next)
 	holdTarget, spins := make([]int8, off+n+3), make([]int8, off+n+3)
 	for i := 0; i < n; i++ {
@@ -60,7 +56,7 @@ func checkCommit(t *testing.T, n, off int, noisy bool, raw []byte) {
 	wantV := make([]float64, n)
 	var wantCrossed []int32
 	for i := 0; i < n; i++ {
-		wantV[i] = commit(cand[i], i, noise, holdUntil, holdTarget, tm)
+		wantV[i] = commit(cand[i], i, holdUntil, holdTarget, tm)
 		if Readout(spins[i], wantV[i], th) != 0 {
 			wantCrossed = append(wantCrossed, int32(i))
 		}
@@ -75,15 +71,15 @@ func checkCommit(t *testing.T, n, off int, noisy bool, raw []byte) {
 		for i := range cbuf {
 			cbuf[i] = poison
 		}
-		got := l.Commit(cand, noise, v, holdUntil, holdTarget, spins, tm, th, cbuf[off:off+n:off+n])
+		got := l.Commit(cand, v, holdUntil, holdTarget, spins, tm, th, cbuf[off:off+n:off+n])
 		for i := 0; i < n; i++ {
 			if math.Float64bits(v[i]) != math.Float64bits(wantV[i]) {
-				t.Fatalf("%s n=%d offset %d noisy=%v node %d: v = %#x, Go form %#x (candidate %#x)", armName(), n, off, noisy, i,
+				t.Fatalf("%s n=%d offset %d node %d: v = %#x, Go form %#x (candidate %#x)", armName(), n, off, i,
 					math.Float64bits(v[i]), math.Float64bits(wantV[i]), math.Float64bits(cand[i]))
 			}
 		}
 		if !slices.Equal(got, wantCrossed) {
-			t.Fatalf("%s n=%d offset %d noisy=%v: crossed %v, Go form %v", armName(), n, off, noisy, got, wantCrossed)
+			t.Fatalf("%s n=%d offset %d: crossed %v, Go form %v", armName(), n, off, got, wantCrossed)
 		}
 		for i := range cbuf {
 			if (i < off || i >= off+n) && cbuf[i] != poison {
@@ -125,19 +121,14 @@ func commitCtl(s, h int8, atT bool) float64 {
 
 // commitSeed encodes a commit of a chip mid-run: t and th = 0.1,
 // candidates between the rails, past them, exactly on them and exactly on
-// ±th, small noise, about one hold in ten live, another ending exactly
+// ±th, about one hold in ten live, another ending exactly
 // at t, and spins that the voltages cross now and then.
-func commitSeed(r *rng.Source, n int, noisy bool) []byte {
+func commitSeed(r *rng.Source, n int) []byte {
 	uni := func(lo, hi float64) float64 { return lo + (hi-lo)*r.Float64() }
 	tm := uni(1, 100)
 	vals := []float64{tm, 0.1}
 	for i := 0; i < n; i++ {
 		vals = append(vals, []float64{uni(-1.3, 1.3), 1, -1, 0.1, -0.1, uni(-0.2, 0.2)}[r.Intn(6)])
-	}
-	if noisy {
-		for i := 0; i < n; i++ {
-			vals = append(vals, uni(-0.05, 0.05))
-		}
 	}
 	ends := make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -158,59 +149,51 @@ func commitSeed(r *rng.Source, n int, noisy bool) []byte {
 
 // FuzzCommit is the proof of latchCommit, the way FuzzSBMStep proves
 // sbmStep: raw bit patterns, every 8 bytes one value — t and th, then per
-// node the candidate, the noise when noisy, holdUntil, and a control word
+// node the candidate, holdUntil, and a control word
 // whose bits pick the spin and the hold target (−1, 0, +1 or any byte)
 // and whether the hold ends exactly at t — over n = size mod 18 nodes at
 // offset mod 4 in poisoned buffers. On both kernels Commit must write the
 // Go form's voltages, bit for bit with every NaN's payload, and its
 // crossing list, and nothing else.
 func FuzzCommit(f *testing.F) {
-	f.Add(uint8(0), uint8(0), false, []byte{})
+	f.Add(uint8(0), uint8(0), []byte{})
 	special := commitRaw(append([]float64{2.5, 0.1, 1, -1, 0.1, -0.1, 0.8, -0.8,
 		math.Nextafter(1, 2), math.Nextafter(-1, -2), math.Float64frombits(0x7ff0000000000001),
 		math.Float64frombits(0xfff8000000000123)}, specials...))
 	for n := uint8(0); n < 18; n++ {
-		f.Add(n, n%4, n%2 == 0, special)
-		f.Add(n, n/4, n%2 != 0, special)
+		f.Add(n, n%4, special)
+		f.Add(n, n/4, special)
 	}
 	// Where an operand order or a predicate could be off by one: NaNs of
 	// several payloads and signs, both zeros, the rails, ±th and ±Inf as
-	// candidates, noise that is a NaN of another payload, and holds that
-	// end exactly at t, with each edge in each lane of a group.
+	// candidates, and holds that end exactly at t, with each edge in each
+	// lane of a group and each hold against each edge.
 	nans := []float64{
 		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000abc),
 		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff4000000000002),
 	}
 	edges := append([]float64{0, math.Copysign(0, -1), 1, -1, 0.1, -0.1, math.Inf(1), math.Inf(-1)}, nans...)
-	noises := append([]float64{0, math.Copysign(0, -1), 1e-20, -1e-20, math.NaN(), 0, -2, 2}, nans[2], nans[3], nans[0], nans[1])
 	const tm = 2.5
-	for rot := 0; rot < 4; rot++ {
-		for _, noisy := range []bool{false, true} {
-			vals := []float64{tm, 0.1}
-			for i := range edges {
-				vals = append(vals, edges[(i+rot)%len(edges)])
-			}
-			if noisy {
-				for i := range noises {
-					vals = append(vals, noises[(i+rot)%len(noises)])
-				}
-			}
-			for i := range edges {
-				vals = append(vals, []float64{0, tm, math.Nextafter(tm, 0), math.Nextafter(tm, 5)}[(i+rot)%4])
-			}
-			for i := range edges {
-				vals = append(vals, commitCtl(int8(i%3-1), int8((i+rot)%3-1), (i+rot)%3 == 0))
-			}
-			f.Add(uint8(len(edges)), uint8(rot), noisy, commitRaw(vals))
+	for rot := 0; rot < 8; rot++ {
+		vals := []float64{tm, 0.1}
+		for i := range edges {
+			vals = append(vals, edges[(i+rot)%len(edges)])
 		}
+		for i := range edges {
+			vals = append(vals, []float64{0, tm, math.Nextafter(tm, 0), math.Nextafter(tm, 5)}[(i+rot/2)%4])
+		}
+		for i := range edges {
+			vals = append(vals, commitCtl(int8(i%3-1), int8((i+rot)%3-1), (i+rot)%3 == 0))
+		}
+		f.Add(uint8(len(edges)), uint8(rot), commitRaw(vals))
 	}
 	r := rng.New(3900)
 	for n := 0; n < 18; n++ {
 		for off := uint8(0); off < 4; off++ {
-			f.Add(uint8(n), off, off%2 == 0, commitSeed(r, n, off%2 == 0))
+			f.Add(uint8(n), off, commitSeed(r, n))
 		}
 	}
-	f.Fuzz(func(t *testing.T, size, off uint8, noisy bool, raw []byte) {
-		checkCommit(t, int(size)%18, int(off)%4, noisy, raw)
+	f.Fuzz(func(t *testing.T, size, off uint8, raw []byte) {
+		checkCommit(t, int(size)%18, int(off)%4, raw)
 	})
 }

@@ -6,20 +6,16 @@ import "math"
 // i's latch, bias and feedback, which turn the coupling mat-vec
 // mv_i = Σ_j Ĵ_ij·v_j into
 //
-//	dV_i/dt = ((mv_i + (Bias_i + Ext_i)) + κ_i·(tanh(Gamma·v_i) − v_i))·InvTau_i
+//	dV_i/dt = ((mv_i + (Bias_i + Ext_i)) + κ·(tanh(Gamma·v_i) − v_i))·InvTau
 //
-// with κ_i = κ·KappaVar_i and InvTau_i = InvTau·InvTauVar_i on varied
-// devices (package doc, "The latch stage"). A Latch holds the machine's
-// own slices; it copies none of them.
+// (package doc, "The latch stage"). A Latch holds the machine's own
+// slices; it copies none of them.
 type Latch struct {
 	// Gamma is the feedback sharpness, InvTau 1/τ.
 	Gamma, InvTau float64
 	// Bias holds the scaled biases μ·h_i/scale and Ext the external
 	// currents, one per node.
 	Bias, Ext []float64
-	// KappaVar and InvTauVar are the per-node variation factors of the
-	// feedback gain and of 1/τ, nil for ideal devices.
-	KappaVar, InvTauVar []float64
 }
 
 // deriv is node i's derivative from its voltage vi and mat-vec mv: the
@@ -29,37 +25,9 @@ type Latch struct {
 // operations in the same order four nodes at a time.
 func (l *Latch) deriv(i int, vi, mv, kappa float64) float64 {
 	th := tanhGo(float64(l.Gamma * vi))
-	if l.KappaVar != nil {
-		kappa = float64(kappa * l.KappaVar[i])
-	}
 	acc := mv + (l.Bias[i] + l.Ext[i])
 	acc += float64(kappa * (th - vi))
-	d := float64(acc * l.InvTau)
-	if l.InvTauVar != nil {
-		d = float64(d * l.InvTauVar[i])
-	}
-	return d
-}
-
-// nodes is the latch's slices over nodes [lo, hi): nil variation
-// factors (ideal devices) stay nil.
-func (l *Latch) nodes(lo, hi int) (bias, ext, kappaVar, invTauVar []float64) {
-	bias, ext, kappaVar, invTauVar = l.Bias[lo:hi], l.Ext[lo:hi], l.KappaVar, l.InvTauVar
-	if kappaVar != nil {
-		kappaVar = kappaVar[lo:hi]
-	}
-	if invTauVar != nil {
-		invTauVar = invTauVar[lo:hi]
-	}
-	return bias, ext, kappaVar, invTauVar
-}
-
-// at is &s[i], or nil for a nil s.
-func at(s []float64, i int) *float64 {
-	if s == nil {
-		return nil
-	}
-	return &s[i]
+	return float64(acc * l.InvTau)
 }
 
 // Stage finishes nodes [lo, hi) of one RK4 stage taken at voltages v
@@ -73,16 +41,14 @@ func at(s []float64, i int) *float64 {
 // depend on the range or lane group it was evaluated in.
 func (l *Latch) Stage(v, v0, k, next []float64, kappa, c float64, lo, hi int) {
 	v, v0, k, next = v[lo:hi], v0[lo:hi], k[lo:hi], next[lo:hi]
-	bias, ext, kv, iv := l.nodes(lo, hi)
+	bias, ext := l.Bias[lo:hi], l.Ext[lo:hi]
 	i := 0
 	if g := len(k) / 8; useAVX512 && g > 0 {
-		latchStage8(&v[0], &v0[0], &k[0], &bias[0], &ext[0], at(kv, 0), at(iv, 0),
-			l.Gamma, kappa, l.InvTau, g, &tanhTab, &next[0], c)
+		latchStage8(&v[0], &v0[0], &k[0], &bias[0], &ext[0], l.Gamma, kappa, l.InvTau, g, &tanhTab, &next[0], c)
 		i = g * 8
 	}
 	if g := (len(k) - i) / 4; useAVX && g > 0 {
-		latchStage(&v[i], &v0[i], &k[i], &bias[i], &ext[i], at(kv, i), at(iv, i),
-			l.Gamma, kappa, l.InvTau, g, &tanhTab, &next[i], c)
+		latchStage(&v[i], &v0[i], &k[i], &bias[i], &ext[i], l.Gamma, kappa, l.InvTau, g, &tanhTab, &next[i], c)
 		i += g * 4
 	}
 	for ; i < len(k); i++ {
@@ -103,16 +69,14 @@ func (l *Latch) Stage(v, v0, k, next []float64, kappa, c float64, lo, hi int) {
 func (l *Latch) Final(v, v0, k1, k2, k3, k4, cand []float64, kappa, h, limit float64) int {
 	n := len(cand)
 	v, v0, k1, k2, k3, k4 = v[:n], v0[:n], k1[:n], k2[:n], k3[:n], k4[:n]
-	bias, ext, kv, iv := l.nodes(0, n)
+	bias, ext := l.Bias[:n], l.Ext[:n]
 	i, bad := 0, -1
 	if g := n / 8; useAVX512 && g > 0 {
-		bad = latchFinal8(&v[0], &v0[0], &k4[0], &bias[0], &ext[0], at(kv, 0), at(iv, 0),
-			l.Gamma, kappa, l.InvTau, g, &tanhTab, &k1[0], &k2[0], &k3[0], &cand[0], h, limit)
+		bad = latchFinal8(&v[0], &v0[0], &k4[0], &bias[0], &ext[0], l.Gamma, kappa, l.InvTau, g, &tanhTab, &k1[0], &k2[0], &k3[0], &cand[0], h, limit)
 		i = g * 8
 	}
 	if g := (n - i) / 4; useAVX && g > 0 {
-		b := latchFinal(&v[i], &v0[i], &k4[i], &bias[i], &ext[i], at(kv, i), at(iv, i),
-			l.Gamma, kappa, l.InvTau, g, &tanhTab, &k1[i], &k2[i], &k3[i], &cand[i], h, limit)
+		b := latchFinal(&v[i], &v0[i], &k4[i], &bias[i], &ext[i], l.Gamma, kappa, l.InvTau, g, &tanhTab, &k1[i], &k2[i], &k3[i], &cand[i], h, limit)
 		if bad < 0 && b >= 0 {
 			bad = i + b
 		}
@@ -155,15 +119,11 @@ func rail(v float64) float64 {
 }
 
 // commit is node i's committed voltage from its candidate c: the form
-// that defines the bits. It takes c to the rails, adds the node's noise
-// and takes the sum to the rails again where noise is not nil, and holds
-// the node at 0.8·holdTarget[i] while holdUntil[i] is past t; latchCommit
-// is the same operations in the same order four nodes at a time.
-func commit(c float64, i int, noise, holdUntil []float64, holdTarget []int8, t float64) float64 {
+// that defines the bits. It takes c to the rails and holds the node at
+// 0.8·holdTarget[i] while holdUntil[i] is past t; latchCommit is the
+// same operations in the same order four nodes at a time.
+func commit(c float64, i int, holdUntil []float64, holdTarget []int8, t float64) float64 {
 	c = rail(c)
-	if noise != nil {
-		c = rail(c + noise[i])
-	}
 	if holdUntil[i] > t {
 		c = float64(0.8 * float64(holdTarget[i]))
 	}
@@ -171,27 +131,23 @@ func commit(c float64, i int, noise, holdUntil []float64, holdTarget []int8, t f
 }
 
 // Commit ends a BRIM step at time t: it writes every node's committed
-// voltage, commit of its candidate cand[i], to v — noise nil for a
-// noiseless machine — and returns crossed[:k], the k nodes whose
-// committed voltage Readout says moves their spin, ascending. It writes
-// nothing else: spins is read, and the caller records the flips. Every
-// slice must have len(cand) entries, and those of crossed past k may be
-// overwritten. On an AVX host the whole groups of four go through
+// voltage, commit of its candidate cand[i], to v, and returns
+// crossed[:k], the k nodes whose committed voltage Readout says moves
+// their spin, ascending. It writes nothing else: spins is read, and the
+// caller records the flips. Every slice must have len(cand) entries, and
+// those of crossed past k may be overwritten. On an AVX host the whole groups of four go through
 // latchCommit and the rest through commit — the same bits either way, a
 // NaN's included.
-func (l *Latch) Commit(cand, noise, v, holdUntil []float64, holdTarget, spins []int8, t, th float64, crossed []int32) []int32 {
+func (l *Latch) Commit(cand, v, holdUntil []float64, holdTarget, spins []int8, t, th float64, crossed []int32) []int32 {
 	n := len(cand)
 	v, holdUntil, holdTarget, spins, crossed = v[:n], holdUntil[:n], holdTarget[:n], spins[:n], crossed[:n]
-	if noise != nil {
-		noise = noise[:n]
-	}
 	i, k := 0, 0
 	if groups := n / 4; useAVX && groups > 0 {
-		k = latchCommit(&cand[0], at(noise, 0), &v[0], &holdUntil[0], &holdTarget[0], &spins[0], &crossed[0], groups, t, th)
+		k = latchCommit(&cand[0], &v[0], &holdUntil[0], &holdTarget[0], &spins[0], &crossed[0], groups, t, th)
 		i = groups * 4
 	}
 	for ; i < n; i++ {
-		x := commit(cand[i], i, noise, holdUntil, holdTarget, t)
+		x := commit(cand[i], i, holdUntil, holdTarget, t)
 		v[i] = x
 		if Readout(spins[i], x, th) != 0 {
 			crossed[k] = int32(i)

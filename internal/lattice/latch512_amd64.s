@@ -114,18 +114,13 @@
 
 // LATCH_TAIL_Z is LATCH_TAIL on zmm: the derivative of group A in Z3 and
 // of group B in Z11 from th in Z0 and Z8, with the same registers, the
-// same operands and the same offsets DX and BX. Z0, Z2, Z8 and Z10 are
+// same operands and the same offsets DX and BX. Z0 and Z8 are
 // clobbered.
 #define LATCH_TAIL_Z \
 	VSUBPD (SI)(DX*1), Z0, Z0; \
 	VSUBPD (SI)(BX*1), Z8, Z8; \
-	VMOVAPD Z2, Z10; \
-	TESTQ R11, R11; \
-	JZ 3(PC); \
-	VMULPD (R11)(DX*1), Z2, Z2; \
-	VMULPD (R11)(BX*1), Z10, Z10; \
 	VMULPD Z2, Z0, Z0; \
-	VMULPD Z10, Z8, Z8; \
+	VMULPD Z2, Z8, Z8; \
 	VMOVUPD (R9)(DX*1), Z3; \
 	VMOVUPD (R9)(BX*1), Z11; \
 	VADDPD (R10)(DX*1), Z3, Z3; \
@@ -135,30 +130,24 @@
 	VADDPD Z0, Z3, Z3; \
 	VADDPD Z8, Z11, Z11; \
 	VMULPD Z4, Z3, Z3; \
-	VMULPD Z4, Z11, Z11; \
-	TESTQ R12, R12; \
-	JZ 3(PC); \
-	VMULPD (R12)(DX*1), Z3, Z3; \
-	VMULPD (R12)(BX*1), Z11, Z11
+	VMULPD Z4, Z11, Z11
 
-// func latchStage8(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64)
+// func latchStage8(v, v0, k, bias, ext *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64)
 //
 // latchStage over 8·groups nodes, two groups of eight at a time: the
 // same loads, operations and stores in the same order, on zmm. An odd
 // last group runs as both A and B (BX = DX) and stores the same values
 // twice. Only Z0–Z15, K1 and K2: VZEROUPPER clears the upper halves of
 // those sixteen but not of Z16–Z31.
-TEXT ·latchStage8(SB), NOSPLIT, $0-112
+TEXT ·latchStage8(SB), NOSPLIT, $0-96
 	MOVQ v+0(FP), SI
 	MOVQ v0+8(FP), DI
 	MOVQ k+16(FP), R8
 	MOVQ bias+24(FP), R9
 	MOVQ ext+32(FP), R10
-	MOVQ kappaVar+40(FP), R11
-	MOVQ invTauVar+48(FP), R12
-	MOVQ groups+80(FP), CX
-	MOVQ tab+88(FP), AX
-	MOVQ next+96(FP), R13
+	MOVQ groups+64(FP), CX
+	MOVQ tab+72(FP), AX
+	MOVQ next+80(FP), R13
 	XORQ DX, DX
 
 loop:
@@ -173,17 +162,17 @@ pair:
 	LEAQ 64(DX), BX
 
 body:
-	VBROADCASTSD gamma+56(FP), Z1
+	VBROADCASTSD gamma+40(FP), Z1
 	VMULPD (SI)(DX*1), Z1, Z7
 	VMULPD (SI)(BX*1), Z1, Z15
 	TANH_PAIR_Z
-	VBROADCASTSD kappa+64(FP), Z2
-	VBROADCASTSD invTau+72(FP), Z4
+	VBROADCASTSD kappa+48(FP), Z2
+	VBROADCASTSD invTau+56(FP), Z4
 	LATCH_TAIL_Z
 	VMOVUPD Z3, (R8)(DX*1)
 	VMOVUPD Z11, (R8)(BX*1)
 	// next = v0 + c·d
-	VBROADCASTSD c+104(FP), Z5
+	VBROADCASTSD c+88(FP), Z5
 	VMULPD Z5, Z3, Z3
 	VMULPD Z5, Z11, Z11
 	VADDPD (DI)(DX*1), Z3, Z3
@@ -198,22 +187,20 @@ done:
 	VZEROUPPER
 	RET
 
-// func latchFinal8(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int
+// func latchFinal8(v, v0, k, bias, ext *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int
 //
 // latchFinal over 8·groups nodes, as latchStage8 is latchStage. The
 // first bad lane of a group comes from a compare into K3, moved out by
 // KMOVW (KMOVB is AVX-512DQ, and VMOVMSKPD has no zmm form).
-TEXT ·latchFinal8(SB), NOSPLIT, $0-152
+TEXT ·latchFinal8(SB), NOSPLIT, $0-136
 	MOVQ v+0(FP), SI
 	MOVQ v0+8(FP), DI
 	MOVQ k+16(FP), R8
 	MOVQ bias+24(FP), R9
 	MOVQ ext+32(FP), R10
-	MOVQ kappaVar+40(FP), R11
-	MOVQ invTauVar+48(FP), R12
-	MOVQ groups+80(FP), CX
-	MOVQ tab+88(FP), AX
-	MOVQ $-1, ret+144(FP)
+	MOVQ groups+64(FP), CX
+	MOVQ tab+72(FP), AX
+	MOVQ $-1, ret+128(FP)
 	XORQ DX, DX
 
 loop:
@@ -228,25 +215,25 @@ pair:
 	LEAQ 64(DX), BX
 
 body:
-	VBROADCASTSD gamma+56(FP), Z1
+	VBROADCASTSD gamma+40(FP), Z1
 	VMULPD (SI)(DX*1), Z1, Z7
 	VMULPD (SI)(BX*1), Z1, Z15
 	TANH_PAIR_Z
-	VBROADCASTSD kappa+64(FP), Z2
-	VBROADCASTSD invTau+72(FP), Z4
+	VBROADCASTSD kappa+48(FP), Z2
+	VBROADCASTSD invTau+56(FP), Z4
 	LATCH_TAIL_Z
 	// s = ((k1 + 2·k2) + 2·k3) + d
-	MOVQ k1+96(FP), R13
+	MOVQ k1+80(FP), R13
 	VMOVUPD (R13)(DX*1), Z4
 	VMOVUPD (R13)(BX*1), Z12
-	MOVQ k2+104(FP), R13
+	MOVQ k2+88(FP), R13
 	VMOVUPD (R13)(DX*1), Z5
 	VMOVUPD (R13)(BX*1), Z13
 	VADDPD Z5, Z5, Z5
 	VADDPD Z13, Z13, Z13
 	VADDPD Z5, Z4, Z4
 	VADDPD Z13, Z12, Z12
-	MOVQ k3+112(FP), R13
+	MOVQ k3+96(FP), R13
 	VMOVUPD (R13)(DX*1), Z5
 	VMOVUPD (R13)(BX*1), Z13
 	VADDPD Z5, Z5, Z5
@@ -256,18 +243,18 @@ body:
 	VADDPD Z3, Z4, Z4
 	VADDPD Z11, Z12, Z12
 	// cand = v0 + h·s
-	VBROADCASTSD h+128(FP), Z5
+	VBROADCASTSD h+112(FP), Z5
 	VMULPD Z5, Z4, Z4
 	VMULPD Z5, Z12, Z12
 	VADDPD (DI)(DX*1), Z4, Z4
 	VADDPD (DI)(BX*1), Z12, Z12
-	MOVQ cand+120(FP), R13
+	MOVQ cand+104(FP), R13
 	VMOVUPD Z4, (R13)(DX*1)
 	VMOVUPD Z12, (R13)(BX*1)
 	// The first bad lane, A's before B's, unless one was found already.
-	CMPQ ret+144(FP), $0
+	CMPQ ret+128(FP), $0
 	JGE  advance
-	VBROADCASTSD limit+136(FP), Z5
+	VBROADCASTSD limit+120(FP), Z5
 	VPANDQ.BCST ABSMASK, Z4, Z4
 	VPANDQ.BCST ABSMASK, Z12, Z12
 	VCMPPD $6, Z5, Z4, K3
@@ -287,7 +274,7 @@ checkb:
 found:
 	// R13 is the bad lane's byte offset: ret = R13/8
 	SHRQ $3, R13
-	MOVQ R13, ret+144(FP)
+	MOVQ R13, ret+128(FP)
 
 advance:
 	ADDQ $128, DX

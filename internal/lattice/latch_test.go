@@ -49,7 +49,7 @@ func (b *latchBufs) checkPoison(t *testing.T) {
 
 // checkLatch runs both latch entries over n nodes drawn from raw, as
 // FuzzLatchStage describes, and holds them to the Go form.
-func checkLatch(t *testing.T, n, off int, varied, inPlace bool, raw []byte) {
+func checkLatch(t *testing.T, n, off int, inPlace bool, raw []byte) {
 	t.Helper()
 	at := 0
 	next := func() float64 {
@@ -67,9 +67,6 @@ func checkLatch(t *testing.T, n, off int, varied, inPlace bool, raw []byte) {
 	b := &latchBufs{n: n, off: off}
 	v, v0, mv := b.slice(next), b.slice(next), b.slice(next)
 	l.Bias, l.Ext = b.slice(next), b.slice(next)
-	if varied {
-		l.KappaVar, l.InvTauVar = b.slice(next), b.slice(next)
-	}
 	k1, k2, k3 := b.slice(next), b.slice(next), b.slice(next)
 	saved := make([][]float64, len(b.bufs))
 	for i, buf := range b.bufs {
@@ -90,8 +87,8 @@ func checkLatch(t *testing.T, n, off int, varied, inPlace bool, raw []byte) {
 		t.Helper()
 		for i := range want {
 			if !sameBits(got[i], want[i]) {
-				t.Fatalf("%s n=%d offset %d varied=%v in place=%v %s[%d]: %#x, Go form %#x",
-					armName(), n, off, varied, inPlace, what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				t.Fatalf("%s n=%d offset %d in place=%v %s[%d]: %#x, Go form %#x",
+					armName(), n, off, inPlace, what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
 	}
@@ -108,7 +105,7 @@ func checkLatch(t *testing.T, n, off int, varied, inPlace bool, raw []byte) {
 		same("next", nx, wantNext)
 		cand := out.like(make([]float64, n))
 		if bad := l.Final(v, v0, k1, k2, k3, mv, cand, kappa, h, limit); bad != wantBad {
-			t.Fatalf("%s n=%d offset %d varied=%v: Final's bad node %d, Go form %d", armName(), n, off, varied, bad, wantBad)
+			t.Fatalf("%s n=%d offset %d: Final's bad node %d, Go form %d", armName(), n, off, bad, wantBad)
 		}
 		same("cand", cand, wantCand)
 		out.checkPoison(t)
@@ -125,11 +122,10 @@ func checkLatch(t *testing.T, n, off int, varied, inPlace bool, raw []byte) {
 
 // latchSeed encodes a typical stage: a chip's constants (γ = 1.5, 1/τ,
 // κ, c = dt/2, h = dt/6, the guardrail's limit), voltages on and past the
-// rails, mat-vecs and derivatives of order one, small biases and
-// variation factors near 1. An FMA in any product-sum pair of a lane
+// rails, mat-vecs and derivatives of order one and small biases. An FMA in any product-sum pair of a lane
 // changes some of these results. Node bad, unless negative, starts from
 // a v0 that puts its candidate past the limit (or at a NaN or ±Inf).
-func latchSeed(r *rng.Source, n int, varied bool, bad int) []byte {
+func latchSeed(r *rng.Source, n int, bad int) []byte {
 	uni := func(lo, hi float64) float64 { return lo + (hi-lo)*r.Float64() }
 	vals := []float64{1.5, 1 / 0.7, uni(0.05, 1.2), 0.025, 0.05 / 6, 1e6}
 	draw := func(lo, hi float64) {
@@ -145,13 +141,9 @@ func latchSeed(r *rng.Source, n int, varied bool, bad int) []byte {
 	draw(-1.5, 1.5) // the mat-vec
 	draw(-0.3, 0.3) // bias
 	draw(-0.8, 0.8) // ext
-	if varied {
-		draw(0.85, 1.15)
-		draw(0.85, 1.15)
-	}
-	draw(-3, 3) // k1
-	draw(-3, 3) // k2
-	draw(-3, 3) // k3
+	draw(-3, 3)     // k1
+	draw(-3, 3)     // k2
+	draw(-3, 3)     // k3
 	var raw []byte
 	for _, x := range vals {
 		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(x))
@@ -162,10 +154,9 @@ func latchSeed(r *rng.Source, n int, varied bool, bad int) []byte {
 // FuzzLatchStage is the proof of latchStage and latchFinal, the way
 // FuzzTanh proves tanhLanes: raw bit patterns, every 8 bytes one value —
 // γ, 1/τ, κ, c, h and the limit, then per node v, v0, the mat-vec, Bias,
-// Ext, the variation factors when mode bit 0 asks for varied devices, k1,
-// k2 and k3 — over n = size mod 36 nodes at offset mod 8 in poisoned
-// buffers, with the stage's next voltage written over v when mode bit 1
-// asks for it. 31 nodes hold every part of the widest split at once: a
+// Ext, k1, k2 and k3 — over n = size mod 36 nodes at offset mod 8 in
+// poisoned buffers, with the stage's next voltage written over v when
+// inPlace asks for it. 31 nodes hold every part of the widest split at once: a
 // pair of zmm groups, an odd zmm group, a ymm group and a Go rest. On
 // every arm Stage and Final must carry the Go form's bits and bad node,
 // leave their inputs and everything outside their slices alone, and
@@ -173,26 +164,26 @@ func latchSeed(r *rng.Source, n int, varied bool, bad int) []byte {
 // which of two NaNs an addition keeps is the instruction's choice, on
 // the Go form as in the lanes.
 func FuzzLatchStage(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(0), []byte{})
+	f.Add(uint8(0), uint8(0), false, []byte{})
 	var special []byte
 	for _, x := range append(append([]float64{1.5, 1, 0.6, 0.025, 0.05 / 6, 1e6}, specials...), tanhEdges()...) {
 		special = binary.LittleEndian.AppendUint64(special, math.Float64bits(x))
 	}
 	for n := uint8(0); n < 36; n++ {
-		f.Add(n, n/4, n%4, special)
+		f.Add(n, n/4, n%4 >= 2, special)
 	}
 	r := rng.New(2600)
 	for n := 0; n < 36; n++ {
 		for mode := uint8(0); mode < 4; mode++ {
-			f.Add(uint8(n), uint8(n)+mode, mode, latchSeed(r, n, mode&1 != 0, -1))
+			f.Add(uint8(n), uint8(n)+mode, mode >= 2, latchSeed(r, n, -1))
 		}
 	}
 	// The first bad node in every lane of zmm group A, zmm group B, the
 	// odd zmm group, the trailing ymm group and the Go form's rest.
 	for bad := 0; bad < 31; bad++ {
-		f.Add(uint8(31), uint8(bad), uint8(bad%4), latchSeed(r, 31, bad%2 != 0, bad))
+		f.Add(uint8(31), uint8(bad), bad%4 >= 2, latchSeed(r, 31, bad))
 	}
-	f.Fuzz(func(t *testing.T, size, off, mode uint8, raw []byte) {
-		checkLatch(t, int(size)%36, int(off)%8, mode&1 != 0, mode&2 != 0, raw)
+	f.Fuzz(func(t *testing.T, size, off uint8, inPlace bool, raw []byte) {
+		checkLatch(t, int(size)%36, int(off)%8, inPlace, raw)
 	})
 }

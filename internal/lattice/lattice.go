@@ -219,9 +219,8 @@
 //
 // The rest of a BRIM node's RK4 stage is pointwise, and lives here too
 // (Latch, latch.go): from the stage's mat-vec mv and voltage v it forms
-// γ·v, its tanh, the tail ((mv + (bias + ext)) + κ·(th − v))·(1/τ), times
-// the variation factors on varied devices, and the next stage's voltage
-// v0 + c·k — or, in the last stage, the step's candidate v0 + h·(((k1 +
+// γ·v, its tanh, the tail ((mv + (bias + ext)) + κ·(th − v))·(1/τ) and
+// the next stage's voltage v0 + c·k — or, in the last stage, the step's candidate v0 + h·(((k1 +
 // 2·k2) + 2·k3) + k4) and the first node whose candidate is past the
 // guardrail's limit. Latch.deriv is the form that defines the bits, each
 // product in an explicit float64 conversion. The fourth lane kernel,
@@ -233,10 +232,9 @@
 // sequence on zmm) and one trailing group of four through the ymm
 // kernel. An addition's operands may trade places — a sum does not
 // depend on their order, only which of two NaNs survives does — but no
-// product is fused. Nil variation slices select the ideal arm; the hi−lo
-// mod 4 rest takes the Go form. FuzzLatchStage holds both entries to the
-// Go form by Float64bits, on all three arms, at every length 0–35 and
-// offset mod 8, for ideal and varied devices and in place.
+// product is fused. The hi−lo mod 4 rest takes the Go form.
+// FuzzLatchStage holds both entries to the Go form by Float64bits, on all
+// three arms, at every length 0–35 and offset mod 8, and in place.
 //
 // # The bifurcation step
 //
@@ -277,8 +275,7 @@
 // # The commit
 //
 // A BRIM step ends pointwise too (Latch.Commit, latch.go): each node's
-// candidate to the rails, its thermal kick and the rails again on a noisy
-// machine, the kick hold, and the readout — the nodes whose committed
+// candidate to the rails, the kick hold, and the readout — the nodes whose committed
 // voltage Readout, the hysteresis comparator, says flip, listed in order.
 // commit and Readout are the form that defines the bits. The seventh lane
 // kernel, latchCommit (commit_amd64.s), is its twin with nothing branching

@@ -27,18 +27,17 @@ func tanhLanes(x *float64, groups int, tab *[21][4]uint64)
 
 // latchStage is Latch.Stage over 4·groups nodes, four doubles per packed
 // instruction with Latch.deriv's operations, order and roundings
-// (latch_amd64.s); every pointer names the range's first node, and
-// kappaVar and invTauVar are nil for ideal devices.
+// (latch_amd64.s); every pointer names the range's first node.
 //
 //go:noescape
-func latchStage(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64)
+func latchStage(v, v0, k, bias, ext *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64)
 
 // latchFinal is Latch.Final over 4·groups nodes, as latchStage is
 // Latch.Stage: k holds the fourth stage's mat-vec; it returns the first
 // bad node, or −1.
 //
 //go:noescape
-func latchFinal(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int
+func latchFinal(v, v0, k, bias, ext *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int
 
 // latchStage8 and latchFinal8 are latchStage and latchFinal over
 // 8·groups nodes, eight doubles per packed instruction with the same
@@ -46,10 +45,10 @@ func latchFinal(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa,
 // Only an AVX-512F host may call them.
 //
 //go:noescape
-func latchStage8(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64)
+func latchStage8(v, v0, k, bias, ext *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64)
 
 //go:noescape
-func latchFinal8(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int
+func latchFinal8(v, v0, k, bias, ext *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int
 
 // sbmStep is Bifurcation.Step over 4·groups nodes, four doubles per
 // packed instruction with Bifurcation.node's operations, order and
@@ -61,11 +60,11 @@ func sbmStep(x, y, f *float64, spins *int8, flipped *int32, groups int, ma, c0, 
 
 // latchCommit is Latch.Commit over 4·groups nodes, four doubles per
 // packed instruction with commit's operations, order and roundings and
-// Readout's compares (commit_amd64.s); noise is nil for a noiseless
-// machine. It returns how many nodes it wrote to crossed.
+// Readout's compares (commit_amd64.s). It returns how many nodes it
+// wrote to crossed.
 //
 //go:noescape
-func latchCommit(cand, noise, v, holdUntil *float64, holdTarget, spins *int8, crossed *int32, groups int, t, th float64) int
+func latchCommit(cand, v, holdUntil *float64, holdTarget, spins *int8, crossed *int32, groups int, t, th float64) int
 
 // csrLanes fills out[order[p]] for the 4·groups positions p of whole
 // lane groups of one window (csr.go): each lane starts at base[row] (+0

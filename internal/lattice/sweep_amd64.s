@@ -82,3 +82,10 @@ TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
 no:
 	MOVB $0, ret+0(FP)
 	RET
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC
+	QUAD $0xCCCCCCCCCCCCCCCC
+
+	// 32 never-executed bytes that hold the text after them at its
+	// alignment mod 64: see the end of latch_amd64.s.

@@ -29,23 +29,23 @@ func tanhLanes(x *float64, groups int, tab *[21][4]uint64) {
 	panic("lattice: tanhLanes without AVX")
 }
 
-func latchStage(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64) {
+func latchStage(v, v0, k, bias, ext *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64) {
 	panic("lattice: latchStage without AVX")
 }
 
-func latchFinal(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int {
+func latchFinal(v, v0, k, bias, ext *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int {
 	panic("lattice: latchFinal without AVX")
 }
 
-func latchStage8(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64) {
+func latchStage8(v, v0, k, bias, ext *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, next *float64, c float64) {
 	panic("lattice: latchStage8 without AVX-512")
 }
 
-func latchFinal8(v, v0, k, bias, ext, kappaVar, invTauVar *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int {
+func latchFinal8(v, v0, k, bias, ext *float64, gamma, kappa, invTau float64, groups int, tab *[21][4]uint64, k1, k2, k3, cand *float64, h, limit float64) int {
 	panic("lattice: latchFinal8 without AVX-512")
 }
 
-func latchCommit(cand, noise, v, holdUntil *float64, holdTarget, spins *int8, crossed *int32, groups int, t, th float64) int {
+func latchCommit(cand, v, holdUntil *float64, holdTarget, spins *int8, crossed *int32, groups int, t, th float64) int {
 	panic("lattice: latchCommit without AVX")
 }
 

@@ -24,7 +24,7 @@ import (
 func BenchmarkRace(b *testing.B) {
 	dense := graph.Complete(64, rng.New(3)).ToIsing()
 	logical := graph.Complete(16, rng.New(4)).ToIsing()
-	sparse := embed.CompleteOnChimera(logical, 4, 0).Physical
+	sparse := embed.Complete(logical, 0).Physical
 
 	for _, prob := range []struct {
 		name string
@@ -32,7 +32,7 @@ func BenchmarkRace(b *testing.B) {
 		solo core.Kind
 	}{
 		{"dense-K64", dense, core.DSBM},
-		{"chimera-K16", sparse, core.Tabu},
+		{"crossbar-K16", sparse, core.Tabu},
 	} {
 		base := core.Request{Model: prob.m, Seed: 3, Sweeps: 200, Steps: 2000, Runs: 1}
 

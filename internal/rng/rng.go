@@ -271,21 +271,6 @@ func (m *Metropolis) fill(h int) uint64 {
 	return ^b
 }
 
-// NormFloat64 returns a standard normal variate using the
-// Marsaglia polar method. SBM-style solvers use Gaussian initial
-// positions and noise terms.
-func (r *Source) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
-}
-
 // Perm returns a random permutation of [0, n) using Fisher–Yates.
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)

@@ -238,13 +238,19 @@ func TestDiscreteForceIsFields(t *testing.T) {
 	for _, n := range []int{5, 64, 130, 512} {
 		models[fmt.Sprintf("K%d", n)] = graph.Complete(n, rng.New(uint64(n))).ToIsing()
 	}
-	k64 := models["K64"]
 	ints, frac := make([]float64, 64), make([]float64, 64)
 	for i := range ints {
 		ints[i], frac[i] = float64(i%5-2), float64(i%5-2)/4
 	}
 	for name, h := range map[string][]float64{"K64 integer bias": ints, "K64 fractional bias": frac} {
-		m, err := k64.WithBiases(h)
+		b := ising.NewBuilder(64)
+		for _, e := range graph.Complete(64, rng.New(64)).Edges() {
+			b.SetCoupling(e.U, e.V, -e.Weight)
+		}
+		for i, v := range h {
+			b.SetBias(i, v)
+		}
+		m, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
 		}

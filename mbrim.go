@@ -25,8 +25,8 @@
 //	// out.Cut is the cut value, out.ModelNS the machine time spent.
 //
 // Any other problem is stated through a ModelBuilder — SetCoupling,
-// AddCoupling, SetBias — whose Build validates it and freezes an
-// immutable Model, stored as sparsely as the problem is.
+// SetBias — whose Build validates it and freezes an immutable Model,
+// stored as sparsely as the problem is.
 //
 // For finer control, build a System with NewSystem and drive
 // RunConcurrent / RunBatch yourself (epoch length, channel bandwidth
@@ -65,9 +65,8 @@ type (
 	// stores its couplings the way the engines read them — a matrix for
 	// a K-graph, compressed rows for a sparse instance.
 	Model = ising.Model
-	// ModelBuilder collects couplings and biases (SetCoupling,
-	// AddCoupling, SetBias, SetMu); its Build validates them and
-	// freezes the Model.
+	// ModelBuilder collects couplings and biases (SetCoupling, SetBias,
+	// SetMu); its Build validates them and freezes the Model.
 	ModelBuilder = ising.Builder
 	// QUBO is a quadratic unconstrained binary optimization instance;
 	// convert with its ToIsing method.
@@ -295,8 +294,8 @@ func NewSystem(m *Model, cfg SystemConfig) (*System, error) {
 }
 
 // BRIMConfig exposes the single-chip machine's knobs (time constant,
-// kick schedule and hold, device variation, thermal noise) for direct
-// use.
+// kick schedule and hold, coupling scale, seed, step guardrail) for
+// direct use.
 type BRIMConfig = brim.Config
 
 // BRIMMachine is a stateful single-chip BRIM simulator for callers who

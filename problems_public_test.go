@@ -114,7 +114,7 @@ func TestSparseWorkflowPublic(t *testing.T) {
 func TestModelBuilderPublic(t *testing.T) {
 	b := mbrim.NewModelBuilder(40)
 	b.SetCoupling(0, 3, -2)
-	b.AddCoupling(3, 0, -1)
+	b.SetCoupling(3, 0, -3) // the same pair: the last call sets it
 	b.SetBias(1, 0.5)
 	m, err := b.Build()
 	if err != nil {

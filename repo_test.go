@@ -78,10 +78,13 @@ func TestNoLayoutOption(t *testing.T) {
 // the pt ladder and swap cadence, SBM's step, bifurcation parameter and
 // stale exchange, the diag plateau and TTS windows, SA's sweep callback
 // and brim's span offset; then the multi-chip SBM wrapper, whose run is
-// sbm.Solve's, and the facade's parallel-tempering wrapper. None may
-// return.
+// sbm.Solve's, and the facade's parallel-tempering wrapper; then brim's
+// device variation and thermal noise with their per-node latch factors,
+// its forward-Euler integrator, the chimera cross embedding, the
+// Builder's accumulating coupling and the Model's re-biasing, which only
+// extra experiments subcommands ran. None may return.
 func TestNoDeadKnobs(t *testing.T) {
-	dead := regexp.MustCompile(`SetTopology|SharedBus|AutoEpoch|SolvePopulation|TuneConfig|HasTarget|FlipIntervalNS|FeedbackGain|SpinThreshold|BurnInSweeps|PlateauWindowNS|PlateauEpsilon|TrialSamples|BetaMin|BetaMax|ExchangeEvery|OnSweep|SpanOffsetNS|staleView|zeroSchedule|SolveMultiChip|MultiChipConfig|SolvePT`)
+	dead := regexp.MustCompile(`SetTopology|SharedBus|AutoEpoch|SolvePopulation|TuneConfig|HasTarget|FlipIntervalNS|FeedbackGain|SpinThreshold|BurnInSweeps|PlateauWindowNS|PlateauEpsilon|TrialSamples|BetaMin|BetaMax|ExchangeEvery|OnSweep|SpanOffsetNS|staleView|zeroSchedule|SolveMultiChip|MultiChipConfig|SolvePT|DeviceVariation|NoiseAmp|KappaVar|InvTauVar|RunEuler|trialStepEuler|CompleteOnChimera|AddCoupling|WithBiases`)
 	for _, hit := range grepGo(t, dead, isTest, ".") {
 		t.Error(hit)
 	}
