@@ -367,10 +367,6 @@ var reachAllowed = map[string]struct{ test, why string }{
 	"multichip.Layout.Validate": {"multichip.TestPlanLayoutPaperExamples", "checks a planned layout's module counts"},
 	"multichip.Stack.Validate":  {"multichip.TestPlanStackPaperExample", "checks a stack's diagonal and TSV lengths"},
 	"multichip.Stack.ModeGrid":  {"multichip.TestStackModeGrid", "Fig 8's mode map, which Stack.Validate checks"},
-	// Both ledgers ride in every checkpoint (interconnect.State), so
-	// deleting them moves the stream goldens' checkpoint hashes.
-	"interconnect.Fabric.BytesByKind":      {"multichip.TestChipLossRepartitionCompletes", "reads the resync bytes a repartition charged"},
-	"interconnect.Fabric.EpochBytesByKind": {"interconnect.TestEpochKindSplit", "reads one epoch's traffic by kind"},
 }
 
 // TestInternalCodeIsReached: every function, method, type, const and

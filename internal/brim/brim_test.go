@@ -267,17 +267,9 @@ func TestTraceSampling(t *testing.T) {
 }
 
 func TestSolveBatchBest(t *testing.T) {
-	r := rng.New(19)
-	g := graph.Complete(20, r)
-	m := g.ToIsing()
-	best, all, err := SolveBatchCtx(context.Background(), m, SolveConfig{Duration: 30, Config: Config{Seed: 100}}, 5)
-	if err != nil || len(all) != 5 {
-		t.Fatalf("got %d results", len(all))
-	}
-	for _, res := range all {
-		if res.Energy < best.Energy {
-			t.Fatal("best is not minimal")
-		}
+	br, err := SolveBatchCtx(context.Background(), graph.Complete(20, rng.New(19)).ToIsing(), SolveConfig{Duration: 30, Config: Config{Seed: 100}}, 5)
+	if err != nil || len(br.Results) != 5 || slices.ContainsFunc(br.Results, func(r *Result) bool { return r.Energy < br.Best.Energy }) {
+		t.Fatalf("err %v, %d results, Best %v", err, len(br.Results), br.Best.Energy)
 	}
 }
 
@@ -285,7 +277,6 @@ func TestPanics(t *testing.T) {
 	m := ferromagnet(4)
 	for name, f := range map[string]func(){
 		"zero duration":    func() { Solve(m, SolveConfig{Duration: 0}) },
-		"zero runs":        func() { SolveBatchCtx(context.Background(), m, SolveConfig{Duration: 1}, 0) },
 		"neg run":          func() { New(m, Config{}).Run(-1) },
 		"bad bias len":     func() { New(m, Config{}).SetExternalBias([]float64{1}) },
 		"bad spins len":    func() { New(m, Config{}).SetSpins([]int8{1}) },

@@ -142,28 +142,18 @@ func solve(ctx context.Context, m *ising.Model, cfg SolveConfig, offsetNS float6
 }
 
 // SolveBatchCtx runs `runs` annealing jobs from different seeds on one
-// machine design and returns the per-run results plus the best. Model
-// time accumulates across runs: a single chip performs the batch
-// sequentially, which is exactly the baseline batch mode is measured
-// against. On cancellation or divergence it returns the completed runs
-// plus the interrupted partial, the best among them, and the error.
-func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg SolveConfig, runs int) (best *Result, all []*Result, err error) {
-	if runs < 1 {
-		panic(fmt.Sprintf("brim: runs=%d", runs))
-	}
+// machine design and keeps the best (metrics.BestOf). Model time
+// accumulates across runs, which lie end to end on the span timeline: a
+// single chip performs the batch sequentially, which is exactly the
+// baseline batch mode is measured against. Cancellation or divergence
+// stops the batch at the run it cut short.
+func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg SolveConfig, runs int) (*metrics.Batch[*Result], error) {
 	offset := 0.0
-	for i := 0; i < runs; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)
-		res, rerr := solve(ctx, m, c, offset)
-		offset += res.ModelNS
-		all = append(all, res)
-		if best == nil || res.Energy < best.Energy {
-			best = res
-		}
-		if rerr != nil {
-			return best, all, rerr
-		}
-	}
-	return best, all, nil
+	return metrics.BestOf(runs, cfg.Seed, func(r *Result) float64 { return r.Energy },
+		func(_ int, seed uint64) (*Result, error) {
+			cfg.Seed = seed
+			res, err := solve(ctx, m, cfg, offset)
+			offset += res.ModelNS
+			return res, err
+		})
 }

@@ -90,11 +90,6 @@ type Config struct {
 	Client  *http.Client
 }
 
-// handoffNSPerSpin is the modeled reprogramming stall charged per spin
-// of every slice that changes hosts during recovery: the fault layer's
-// repartition figure.
-const handoffNSPerSpin = 10
-
 func (c Config) withDefaults() (Config, error) {
 	if len(c.Workers) == 0 {
 		return c, errors.New("cluster: no workers")
@@ -568,7 +563,7 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 			count := len(rep.Updates) / 4
 			changes += int64(count)
 			induced += inducedUpdates(rep.Updates)
-			co.fabric.Record(s, interconnect.DeltaSyncBytes(count, len(co.parts[s]), co.cfg.Chips-1), "sync")
+			co.fabric.Record(s, interconnect.DeltaSyncBytes(count, len(co.parts[s]), co.cfg.Chips-1))
 			for d := 0; d < co.cfg.Chips; d++ {
 				if d != s {
 					next[d] = append(next[d], rep.Updates...)
@@ -744,13 +739,13 @@ func (co *Coordinator) recover(ctx context.Context, wd *workerDeadError) error {
 	for s := range co.assign {
 		if moved[s] {
 			b := interconnect.DeltaSyncBytes(len(co.parts[s]), len(co.parts[s]), 1)
-			co.fabric.Record(s, b, "handoff")
+			co.fabric.Record(s, b)
 			handoffBytes += b
 		}
 	}
 	recoveryStall := 0.0
 	if movedSpins > 0 {
-		recoveryStall = float64(movedSpins) * handoffNSPerSpin
+		recoveryStall = float64(movedSpins) * interconnect.ReprogramNSPerSpin
 		co.fabric.AddStall(recoveryStall)
 		co.pos.ElapsedNS += recoveryStall
 	}

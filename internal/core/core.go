@@ -360,6 +360,11 @@ func SolveCtx(ctx context.Context, req Request) (out *Outcome, err error) {
 		pprof.SetGoroutineLabels(ctx)
 		defer pprof.SetGoroutineLabels(prev)
 	}
+	if len(r.Resume) > 0 && caps.WarmStart && !caps.Resume {
+		if err := r.applyWarmStart(); err != nil {
+			return nil, err
+		}
+	}
 	return eng.Solve(ctx, &r)
 }
 

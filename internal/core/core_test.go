@@ -1,11 +1,17 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"mbrim/internal/brim"
+	"mbrim/internal/checkpoint"
 	"mbrim/internal/graph"
+	"mbrim/internal/ising"
 	"mbrim/internal/rng"
+	"mbrim/internal/sa"
+	"mbrim/internal/tabu"
 )
 
 func testProblem(n int, seed uint64) (*graph.Graph, *Request) {
@@ -206,6 +212,66 @@ func TestInitialWarmStart(t *testing.T) {
 	saReq.Initial = good.Spins
 	if _, err := Solve(saReq); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWarmStartEveryRestart: a warm-start envelope given to SolveCtx
+// with Runs 3 seeds the restarts as each engine defines: sa and brim run
+// restart i at Seed+i from the warm spins, tabu only restart 0. The
+// outcome is then that of the lone runs: the first of their lowest
+// energies, with their flips summed.
+func TestWarmStartEveryRestart(t *testing.T) {
+	_, base := testProblem(96, 5)
+	m := base.Model
+	warm := ising.RandomSpins(m.N(), rng.New(6))
+	env, err := checkpoint.EncodeWarm("sa", 0, m, warm, m.Energy(warm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, runs, sweeps, durationNS = 7, 3, 1, 6
+	for _, tc := range []struct {
+		kind    Kind
+		warmAll bool // every restart starts warm, not restart 0 alone
+		run     func(seed uint64, initial []int8) ([]int8, float64, int64)
+	}{
+		{SA, true, func(seed uint64, initial []int8) ([]int8, float64, int64) {
+			r := sa.Solve(m, sa.Config{Sweeps: sweeps, Seed: seed, Initial: initial})
+			return r.Spins, r.Energy, r.Flips
+		}},
+		{BRIM, true, func(seed uint64, initial []int8) ([]int8, float64, int64) {
+			r := brim.Solve(m, brim.SolveConfig{Duration: durationNS, Initial: initial, Config: brim.Config{Seed: seed}})
+			return r.Spins, r.Energy, r.Flips
+		}},
+		{Tabu, false, func(seed uint64, initial []int8) ([]int8, float64, int64) {
+			r := tabu.Solve(m, tabu.Config{MaxIters: sweeps * m.N(), Seed: seed, Initial: initial})
+			return r.Spins, r.Energy, 0
+		}},
+	} {
+		lone := func(warmAll bool) (spins []int8, energy float64, flips int64) {
+			for i := 0; i < runs; i++ {
+				initial := warm
+				if i > 0 && !warmAll {
+					initial = nil
+				}
+				s, e, f := tc.run(seed+uint64(i), initial)
+				if flips += f; i == 0 || e < energy {
+					spins, energy = s, e
+				}
+			}
+			return spins, energy, flips
+		}
+		spins, energy, flips := lone(tc.warmAll)
+		if _, other, _ := lone(!tc.warmAll); other == energy {
+			t.Fatalf("%s: warm starts at every restart or at the first only end alike; the test is vacuous", tc.kind)
+		}
+		out, err := SolveCtx(context.Background(), Request{Kind: tc.kind, Model: m, Seed: seed, Runs: runs,
+			Sweeps: sweeps, DurationNS: durationNS, Resume: env})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Energy != energy || ising.HammingDistance(out.Spins, spins) != 0 || out.Stats["flips"] != float64(flips) {
+			t.Fatalf("%s: energy %v, %v flips; its lone runs %v, %d flips", tc.kind, out.Energy, out.Stats["flips"], energy, flips)
+		}
 	}
 }
 

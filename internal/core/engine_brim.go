@@ -28,14 +28,9 @@ func (brimEngine) Capabilities() Capabilities {
 }
 
 func (brimEngine) Solve(ctx context.Context, r *Request) (*Outcome, error) {
-	if len(r.Resume) > 0 {
-		if err := r.applyWarmStart(); err != nil {
-			return nil, err
-		}
-	}
 	out := r.NewOutcome()
 	start := time.Now()
-	best, all, rerr := brim.SolveBatchCtx(ctx, r.Model, brim.SolveConfig{
+	br, rerr := brim.SolveBatchCtx(ctx, r.Model, brim.SolveConfig{
 		Duration:       r.DurationNS,
 		SampleInterval: r.SampleEveryNS,
 		Initial:        r.Initial,
@@ -45,9 +40,9 @@ func (brimEngine) Solve(ctx context.Context, r *Request) (*Outcome, error) {
 		Spans:          r.spans,
 		SpanParent:     r.rootSpan,
 	}, r.Runs)
-	out.Spins, out.Energy = best.Spins, best.Energy
-	out.Trace = best.Trace
-	for _, res := range all {
+	out.Spins, out.Energy = br.Best.Spins, br.Best.Energy
+	out.Trace = br.Best.Trace
+	for _, res := range br.Results {
 		out.ModelNS += res.ModelNS
 		out.Stats["flips"] += float64(res.Flips)
 	}

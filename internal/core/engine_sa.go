@@ -24,11 +24,6 @@ func (saEngine) Capabilities() Capabilities {
 }
 
 func (saEngine) Solve(ctx context.Context, r *Request) (*Outcome, error) {
-	if len(r.Resume) > 0 {
-		if err := r.applyWarmStart(); err != nil {
-			return nil, err
-		}
-	}
 	out := r.NewOutcome()
 	start := time.Now()
 	br, rerr := sa.SolveBatchCtx(ctx, r.Model, sa.Config{Sweeps: r.Sweeps, Seed: r.Seed,

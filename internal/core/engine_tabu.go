@@ -24,11 +24,6 @@ func (tabuEngine) Capabilities() Capabilities {
 }
 
 func (tabuEngine) Solve(ctx context.Context, r *Request) (*Outcome, error) {
-	if len(r.Resume) > 0 {
-		if err := r.applyWarmStart(); err != nil {
-			return nil, err
-		}
-	}
 	out := r.NewOutcome()
 	start := time.Now()
 	br, rerr := tabu.SolveBatchCtx(ctx, r.Model, tabu.Config{MaxIters: r.Sweeps * r.Model.N(), Seed: r.Seed, Initial: r.Initial}, r.Runs)

@@ -34,25 +34,26 @@
 //
 // # Recovery policies
 //
-// Each policy is charged honestly in the cost model (fabric bytes by
-// kind plus stall ns), never applied for free:
+// Each policy is charged honestly in the cost model (fabric bytes plus
+// stall ns, the recovery share of each counted in Stats), never applied
+// for free:
 //
 //   - Detect: CRC-style detection with bounded retransmit-and-backoff.
 //     A faulted message is detected and retransmitted up to
 //     MaxRetransmits times; every attempt re-charges the message bytes
-//     (kind "retransmit") and adds RetransmitBackoffNS of stall. If
+//     (RetransmitBytes) and adds RetransmitBackoffNS of stall. If
 //     every attempt faults, the sender knows delivery failed and keeps
 //     its belief ledger stale, so the changes resend naturally at the
 //     next boundary.
 //   - WatchdogThreshold: a shadow-staleness watchdog. When the
 //     fraction of a chip's owned spins whose receiver shadows diverge
 //     from its true readout exceeds the threshold, the chip broadcasts
-//     a full bitmap of its slice (kind "resync"), repairing all
+//     a full bitmap of its slice (ResyncBytes), repairing all
 //     shadows at full-bitmap cost.
 //   - Repartition: graceful degradation on chip loss. The dead chip's
 //     spins are redistributed round-robin onto the survivors, which
-//     are reprogrammed (RepartitionNSPerSpin stall per moved spin plus
-//     a state broadcast, kind "resync") and the run continues at
+//     are reprogrammed (interconnect.ReprogramNSPerSpin stall per moved
+//     spin plus a state broadcast, ResyncBytes) and the run continues at
 //     reduced capacity.
 package fault
 
@@ -81,12 +82,10 @@ type Recovery struct {
 	// threshold at an epoch boundary, a full-bitmap resync is forced.
 	WatchdogThreshold float64
 	// Repartition enables graceful degradation on chip loss: the dead
-	// chip's slice is repartitioned onto the survivors and the run
+	// chip's slice is repartitioned onto the survivors, which stall
+	// interconnect.ReprogramNSPerSpin per moved spin, and the run
 	// continues.
 	Repartition bool
-	// RepartitionNSPerSpin is the reprogramming stall charged per spin
-	// moved during a repartition. Default 10 ns.
-	RepartitionNSPerSpin float64
 }
 
 // Config parameterizes the injector. The zero value injects nothing;
@@ -155,9 +154,6 @@ func (c Config) Validate(chips int) error {
 	if math.IsNaN(r.WatchdogThreshold) || r.WatchdogThreshold < 0 || r.WatchdogThreshold > 1 {
 		return fmt.Errorf("fault: WatchdogThreshold=%v outside [0,1]", r.WatchdogThreshold)
 	}
-	if math.IsNaN(r.RepartitionNSPerSpin) || r.RepartitionNSPerSpin < 0 {
-		return fmt.Errorf("fault: RepartitionNSPerSpin=%v", r.RepartitionNSPerSpin)
-	}
 	return nil
 }
 
@@ -171,9 +167,6 @@ func (c Config) withDefaults() Config {
 		if out.Recovery.RetransmitBackoffNS == 0 {
 			out.Recovery.RetransmitBackoffNS = 0.5
 		}
-	}
-	if out.Recovery.Repartition && out.Recovery.RepartitionNSPerSpin == 0 {
-		out.Recovery.RepartitionNSPerSpin = 10
 	}
 	return out
 }
@@ -283,8 +276,8 @@ type Stats struct {
 	// Recovery activity: retransmit attempts, watchdog resyncs, and
 	// repartitions performed.
 	Retransmits, Resyncs, Repartitions int64
-	// Recovery traffic, also visible in the fabric's kind-tagged
-	// accounting under "retransmit" and "resync".
+	// Recovery traffic: the bytes retransmits and resyncs charged to
+	// the fabric, which counts them in its total beside the syncs.
 	RetransmitBytes, ResyncBytes float64
 	// RecoveryStallNS is the stall charged by recovery (retransmit
 	// backoff + repartition reprogramming); included in the run's

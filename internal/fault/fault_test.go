@@ -30,7 +30,6 @@ func TestValidateRejects(t *testing.T) {
 		"neg retries":     {Recovery: Recovery{MaxRetransmits: -1}},
 		"neg backoff":     {Recovery: Recovery{RetransmitBackoffNS: -1}},
 		"watchdog > 1":    {Recovery: Recovery{WatchdogThreshold: 1.5}},
-		"neg reprogram":   {Recovery: Recovery{RepartitionNSPerSpin: -1}},
 	} {
 		if err := cfg.Validate(4); err == nil {
 			t.Fatalf("%s passed validation", name)
@@ -48,7 +47,7 @@ func TestRecoveryDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := in.Config().Recovery
-	if r.MaxRetransmits != 3 || r.RetransmitBackoffNS != 0.5 || r.RepartitionNSPerSpin != 10 {
+	if r.MaxRetransmits != 3 || r.RetransmitBackoffNS != 0.5 {
 		t.Fatalf("defaults not applied: %+v", r)
 	}
 }

@@ -30,15 +30,9 @@ type Fabric struct {
 
 	epochBytes []float64 // egress accumulated this epoch, per chip
 	totalBytes float64
-	byKind     map[string]float64
-	// epochByKind splits the open epoch's traffic by kind; EndEpoch
-	// snapshots it into lastEpochByKind and clears it, so injected
-	// retransmit/resync traffic stays distinguishable per epoch.
-	epochByKind     map[string]float64
-	lastEpochByKind map[string]float64
-	stallNS         float64
-	epochs          int
-	peakDemand      float64 // max per-chip bytes/ns demand seen in any epoch
+	stallNS    float64
+	epochs     int
+	peakDemand float64 // max per-chip bytes/ns demand seen in any epoch
 }
 
 // New builds a fabric for numChips chips, each with `channels`
@@ -57,13 +51,10 @@ func New(numChips, channels int, bytesPerNS float64) (*Fabric, error) {
 		return nil, fmt.Errorf("interconnect: bytesPerNS=%v, want >= 0", bytesPerNS)
 	}
 	return &Fabric{
-		numChips:        numChips,
-		channels:        channels,
-		bytesPerNS:      bytesPerNS,
-		epochBytes:      make([]float64, numChips),
-		byKind:          make(map[string]float64),
-		epochByKind:     make(map[string]float64),
-		lastEpochByKind: make(map[string]float64),
+		numChips:   numChips,
+		channels:   channels,
+		bytesPerNS: bytesPerNS,
+		epochBytes: make([]float64, numChips),
 	}, nil
 }
 
@@ -80,9 +71,9 @@ func (f *Fabric) EgressRate() float64 {
 }
 
 // Record charges `bytes` of egress traffic to chip for the current
-// epoch, tagged with a kind for the traffic breakdown ("flip",
-// "sync", "induced", ...).
-func (f *Fabric) Record(chip int, bytes float64, kind string) {
+// epoch. The fabric keeps one ledger: what the traffic carried (a sync,
+// a retransmit, a resync) is the sender's to count.
+func (f *Fabric) Record(chip int, bytes float64) {
 	if chip < 0 || chip >= f.numChips {
 		panic(fmt.Sprintf("interconnect: chip %d of %d", chip, f.numChips))
 	}
@@ -91,8 +82,6 @@ func (f *Fabric) Record(chip int, bytes float64, kind string) {
 	}
 	f.epochBytes[chip] += bytes
 	f.totalBytes += bytes
-	f.byKind[kind] += bytes
-	f.epochByKind[kind] += bytes
 }
 
 // EndEpoch closes an epoch of epochNS model time: it returns the stall
@@ -121,8 +110,6 @@ func (f *Fabric) EndEpoch(epochNS float64) float64 {
 	for chip := range f.epochBytes {
 		f.epochBytes[chip] = 0
 	}
-	f.epochByKind, f.lastEpochByKind = f.lastEpochByKind, f.epochByKind
-	clear(f.epochByKind)
 	f.stallNS += stall
 	return stall
 }
@@ -144,18 +131,14 @@ func (f *Fabric) EndEpochSpanned(epochNS float64, sp *obs.Spanner, parent obs.Sp
 // TotalBytes returns all traffic recorded so far.
 func (f *Fabric) TotalBytes() float64 { return f.totalBytes }
 
-// BytesByKind returns the cumulative traffic recorded under the given
-// tag across the whole run.
-func (f *Fabric) BytesByKind(kind string) float64 { return f.byKind[kind] }
-
-// EpochBytesByKind returns the traffic recorded under the given tag
-// during the most recently closed epoch. The bucket resets at every
-// EndEpoch, so per-epoch breakdowns (sync vs retransmit vs resync)
-// stay distinguishable from the cumulative totals.
-func (f *Fabric) EpochBytesByKind(kind string) float64 { return f.lastEpochByKind[kind] }
-
 // StallNS returns the cumulative congestion stall.
 func (f *Fabric) StallNS() float64 { return f.stallNS }
+
+// ReprogramNSPerSpin is the stall charged through AddStall per spin a
+// chip takes over when a slice moves to it — a repartition after a
+// modeled chip loss, or a handoff after a real worker loss: the coupler
+// rows of every moved spin are reprogrammed before the run goes on.
+const ReprogramNSPerSpin = 10
 
 // AddStall charges extra hold time directly — the honest accounting
 // path for recovery costs (retransmit backoff, repartition
@@ -178,34 +161,20 @@ func (f *Fabric) PeakDemand() float64 { return f.peakDemand }
 // EndEpoch — when the open-epoch buckets are empty; the snapshot
 // therefore carries only closed-epoch totals.
 type State struct {
-	TotalBytes float64            `json:"totalBytes"`
-	StallNS    float64            `json:"stallNS"`
-	PeakDemand float64            `json:"peakDemand"`
-	Epochs     int                `json:"epochs"`
-	ByKind     map[string]float64 `json:"byKind,omitempty"`
-	// LastEpochByKind is the most recently closed epoch's per-kind
-	// breakdown, kept so EpochBytesByKind stays truthful across a
-	// resume.
-	LastEpochByKind map[string]float64 `json:"lastEpochByKind,omitempty"`
+	TotalBytes float64 `json:"totalBytes"`
+	StallNS    float64 `json:"stallNS"`
+	PeakDemand float64 `json:"peakDemand"`
+	Epochs     int     `json:"epochs"`
 }
 
 // Snapshot captures the fabric's accounting at an epoch boundary.
 func (f *Fabric) Snapshot() *State {
-	st := &State{
-		TotalBytes:      f.totalBytes,
-		StallNS:         f.stallNS,
-		PeakDemand:      f.peakDemand,
-		Epochs:          f.epochs,
-		ByKind:          make(map[string]float64, len(f.byKind)),
-		LastEpochByKind: make(map[string]float64, len(f.lastEpochByKind)),
+	return &State{
+		TotalBytes: f.totalBytes,
+		StallNS:    f.stallNS,
+		PeakDemand: f.peakDemand,
+		Epochs:     f.epochs,
 	}
-	for k, v := range f.byKind {
-		st.ByKind[k] = v
-	}
-	for k, v := range f.lastEpochByKind {
-		st.LastEpochByKind[k] = v
-	}
-	return st
 }
 
 // Restore loads a snapshot onto a fabric built with the same
@@ -223,29 +192,10 @@ func (f *Fabric) Restore(st *State) error {
 		return fmt.Errorf("interconnect: invalid fabric state: total=%v stall=%v peak=%v epochs=%d",
 			st.TotalBytes, st.StallNS, st.PeakDemand, st.Epochs)
 	}
-	for k, v := range st.ByKind {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("interconnect: invalid fabric state: byKind[%q]=%v", k, v)
-		}
-	}
-	for k, v := range st.LastEpochByKind {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("interconnect: invalid fabric state: lastEpochByKind[%q]=%v", k, v)
-		}
-	}
 	f.totalBytes = st.TotalBytes
 	f.stallNS = st.StallNS
 	f.peakDemand = st.PeakDemand
 	f.epochs = st.Epochs
-	f.byKind = make(map[string]float64, len(st.ByKind))
-	for k, v := range st.ByKind {
-		f.byKind[k] = v
-	}
-	f.lastEpochByKind = make(map[string]float64, len(st.LastEpochByKind))
-	for k, v := range st.LastEpochByKind {
-		f.lastEpochByKind[k] = v
-	}
-	clear(f.epochByKind)
 	for chip := range f.epochBytes {
 		f.epochBytes[chip] = 0
 	}

@@ -34,7 +34,7 @@ func TestUnlimitedFabricNeverStalls(t *testing.T) {
 	if !f.Unlimited() {
 		t.Fatal("zero rate should be unlimited")
 	}
-	f.Record(0, 1e12, "flip")
+	f.Record(0, 1e12)
 	if s := f.EndEpoch(1); s != 0 {
 		t.Fatalf("unlimited fabric stalled %v", s)
 	}
@@ -47,7 +47,7 @@ func TestStallComputation(t *testing.T) {
 	// 2 channels × 5 bytes/ns = 10 bytes/ns. 100 bytes in a 5 ns epoch
 	// needs 10 ns to drain → 5 ns stall.
 	f := mustNew(2, 2, 5)
-	f.Record(0, 100, "flip")
+	f.Record(0, 100)
 	if s := f.EndEpoch(5); math.Abs(s-5) > 1e-9 {
 		t.Fatalf("stall = %v, want 5", s)
 	}
@@ -57,10 +57,10 @@ func TestStallComputation(t *testing.T) {
 }
 
 func TestStallTakesWorstChip(t *testing.T) {
-	f := mustNew(3, 1, 10)   // 10 bytes/ns per chip
-	f.Record(0, 50, "flip")  // needs 5 ns
-	f.Record(1, 200, "flip") // needs 20 ns
-	f.Record(2, 10, "flip")  // needs 1 ns
+	f := mustNew(3, 1, 10) // 10 bytes/ns per chip
+	f.Record(0, 50)        // needs 5 ns
+	f.Record(1, 200)       // needs 20 ns
+	f.Record(2, 10)        // needs 1 ns
 	if s := f.EndEpoch(4); math.Abs(s-16) > 1e-9 {
 		t.Fatalf("stall = %v, want 16 (worst chip)", s)
 	}
@@ -68,7 +68,7 @@ func TestStallTakesWorstChip(t *testing.T) {
 
 func TestNoStallWhenWithinBudget(t *testing.T) {
 	f := mustNew(2, 1, 100)
-	f.Record(0, 50, "sync")
+	f.Record(0, 50)
 	if s := f.EndEpoch(1); s != 0 {
 		t.Fatalf("stall %v despite headroom", s)
 	}
@@ -76,7 +76,7 @@ func TestNoStallWhenWithinBudget(t *testing.T) {
 
 func TestEpochBucketsReset(t *testing.T) {
 	f := mustNew(1, 1, 10)
-	f.Record(0, 100, "flip")
+	f.Record(0, 100)
 	f.EndEpoch(10) // exactly drains
 	// A second epoch with no traffic must not stall.
 	if s := f.EndEpoch(10); s != 0 {
@@ -86,62 +86,17 @@ func TestEpochBucketsReset(t *testing.T) {
 
 func TestTrafficAccounting(t *testing.T) {
 	f := mustNew(2, 1, 0)
-	f.Record(0, 10, "flip")
-	f.Record(1, 20, "sync")
-	f.Record(0, 5, "flip")
+	f.Record(0, 10)
+	f.Record(1, 20)
+	f.Record(0, 5)
 	if f.TotalBytes() != 35 {
 		t.Fatalf("TotalBytes = %v", f.TotalBytes())
-	}
-	if f.BytesByKind("flip") != 15 || f.BytesByKind("sync") != 20 {
-		t.Fatal("per-kind accounting wrong")
-	}
-	if f.BytesByKind("absent") != 0 {
-		t.Fatal("absent kind nonzero")
-	}
-}
-
-func TestEpochKindSplit(t *testing.T) {
-	// Per-epoch kind buckets snapshot at EndEpoch and reset, while the
-	// cumulative totals keep growing — the split the recovery policies'
-	// traffic accounting relies on.
-	f := mustNew(2, 1, 0)
-	f.Record(0, 10, "sync")
-	f.Record(1, 4, "retransmit")
-	f.EndEpoch(1)
-	if got := f.EpochBytesByKind("sync"); got != 10 {
-		t.Fatalf("epoch sync bytes = %v, want 10", got)
-	}
-	if got := f.EpochBytesByKind("retransmit"); got != 4 {
-		t.Fatalf("epoch retransmit bytes = %v, want 4", got)
-	}
-	f.Record(0, 7, "sync")
-	f.Record(0, 3, "resync")
-	f.EndEpoch(1)
-	if got := f.EpochBytesByKind("sync"); got != 7 {
-		t.Fatalf("epoch 2 sync bytes = %v, want 7 (bucket must reset)", got)
-	}
-	if got := f.EpochBytesByKind("retransmit"); got != 0 {
-		t.Fatalf("epoch 2 retransmit bytes = %v, want 0", got)
-	}
-	if got := f.EpochBytesByKind("resync"); got != 3 {
-		t.Fatalf("epoch 2 resync bytes = %v, want 3", got)
-	}
-	// Cumulative totals are unaffected by the per-epoch reset.
-	if f.BytesByKind("sync") != 17 || f.BytesByKind("retransmit") != 4 || f.BytesByKind("resync") != 3 {
-		t.Fatalf("cumulative kinds wrong: sync=%v retransmit=%v resync=%v",
-			f.BytesByKind("sync"), f.BytesByKind("retransmit"), f.BytesByKind("resync"))
-	}
-	if f.TotalBytes() != 24 {
-		t.Fatalf("TotalBytes = %v, want 24", f.TotalBytes())
-	}
-	if kinds := f.Snapshot().ByKind; len(kinds) != 3 {
-		t.Fatalf("ByKind = %v, want 3 entries", kinds)
 	}
 }
 
 func TestAddStall(t *testing.T) {
 	f := mustNew(1, 1, 0)
-	f.Record(0, 8, "sync")
+	f.Record(0, 8)
 	f.EndEpoch(1)
 	f.AddStall(2.5)
 	if got := f.StallNS(); math.Abs(got-2.5) > 1e-12 {
@@ -151,9 +106,9 @@ func TestAddStall(t *testing.T) {
 
 func TestPeakDemand(t *testing.T) {
 	f := mustNew(1, 1, 0)
-	f.Record(0, 100, "flip")
+	f.Record(0, 100)
 	f.EndEpoch(10) // 10 bytes/ns
-	f.Record(0, 10, "flip")
+	f.Record(0, 10)
 	f.EndEpoch(10) // 1 byte/ns
 	if math.Abs(f.PeakDemand()-10) > 1e-9 {
 		t.Fatalf("PeakDemand = %v, want 10", f.PeakDemand())
@@ -170,7 +125,7 @@ func TestDeliveryInvariant(t *testing.T) {
 		f := mustNew(4, 2, 3)
 		epoch := float64(epochRaw%1000) + 1
 		for i, l := range loads {
-			f.Record(i%4, float64(l%100000), "x")
+			f.Record(i%4, float64(l%100000))
 		}
 		var perChip [4]float64
 		for i, l := range loads {
@@ -242,8 +197,8 @@ func TestDeltaSyncBytesMonotoneProperty(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"bad chip":    func() { mustNew(2, 1, 1).Record(2, 1, "x") },
-		"neg bytes":   func() { mustNew(2, 1, 1).Record(0, -1, "x") },
+		"bad chip":    func() { mustNew(2, 1, 1).Record(2, 1) },
+		"neg bytes":   func() { mustNew(2, 1, 1).Record(0, -1) },
 		"zero epoch":  func() { mustNew(2, 1, 1).EndEpoch(0) },
 		"neg stall":   func() { mustNew(2, 1, 1).AddStall(-1) },
 		"bad changes": func() { DeltaSyncBytes(11, 10, 1) },

@@ -1,7 +1,8 @@
 // Package metrics provides the measurement plumbing for the
 // experimental harness: summary statistics over runs, (x, y) series
 // for the paper's figures, operation counts for the first-principles
-// analysis, time-to-solution and partition quality.
+// analysis, time-to-solution, best-of-Runs batches and partition
+// quality.
 package metrics
 
 import (

@@ -209,7 +209,7 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 			bytes := 0.0
 			if transmitted > 0 {
 				bytes = interconnect.DeltaSyncBytes(transmitted, len(sl.chip.owned), len(s.slices)-1)
-				s.fabric.Record(ci, bytes, "sync")
+				s.fabric.Record(ci, bytes)
 			}
 			if pe.sent {
 				s.send(no, ci, &pe.fate, bytes, int64(pe.changes), true, tr)

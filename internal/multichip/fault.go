@@ -133,9 +133,9 @@ func (s *System) beginFaultEpoch(epochNo int, remainingNS float64, tr obs.Tracer
 // reprogrammed (via the same chip-construction machinery the
 // reconfigurable module array uses) and warm-started from the current
 // global truth. The cost is charged honestly: each survivor broadcasts
-// a bitmap of its newly acquired spins (kind "resync") and the system
-// stalls RepartitionNSPerSpin per moved spin while coupler rows are
-// rewritten.
+// a bitmap of its newly acquired spins (counted as resync bytes) and the
+// system stalls interconnect.ReprogramNSPerSpin per moved spin while
+// coupler rows are rewritten.
 func (s *System) repartition(victim, epochNo int, remainingNS float64, tr obs.Tracer) {
 	frt := s.frt
 	global := s.GlobalSpins() // includes the dead chip's frozen slice
@@ -181,10 +181,10 @@ func (s *System) repartition(victim, epochNo int, remainingNS float64, tr obs.Tr
 			continue
 		}
 		b := float64(float64(added[i]) / 8 * float64(len(newSlices)-1))
-		s.fabric.Record(i, b, "resync")
+		s.fabric.Record(i, b)
 		resyncBytes += b
 	}
-	stallNS := float64(frt.inj.Config().Recovery.RepartitionNSPerSpin * float64(len(moved)))
+	stallNS := float64(interconnect.ReprogramNSPerSpin * float64(len(moved)))
 	frt.epochStallNS += stallNS
 	frt.stats.Repartitions++
 	frt.stats.ResyncBytes += resyncBytes
@@ -288,7 +288,7 @@ func (s *System) send(epochNo, ci int, f *messageFate, bytes float64, count int6
 		n := float64(f.attempts)
 		backoffNS := frt.inj.Config().Recovery.RetransmitBackoffNS
 		for a := 0; a < f.attempts; a++ {
-			s.fabric.Record(ci, bytes, "retransmit")
+			s.fabric.Record(ci, bytes)
 			if !lump {
 				frt.chargeRetransmit(bytes, backoffNS)
 			}
@@ -368,7 +368,7 @@ func (s *System) watchdog(epochNo int, tr obs.Tracer) {
 		}
 		fanout := s.liveFanout(ci)
 		bytes := float64(float64(len(c.owned)) / 8 * float64(fanout))
-		s.fabric.Record(ci, bytes, "resync")
+		s.fabric.Record(ci, bytes)
 		for di, d := range s.slices {
 			if di == ci || frt.dead[di] {
 				continue

@@ -1,7 +1,6 @@
 package multichip
 
 import (
-	"math"
 	"testing"
 
 	"mbrim/internal/fault"
@@ -162,17 +161,10 @@ func TestChipLossRepartitionCompletes(t *testing.T) {
 	if res.FaultStats.ResyncBytes <= 0 {
 		t.Fatal("repartition resync traffic not charged")
 	}
-	if sys.fabric.BytesByKind("resync") != res.FaultStats.ResyncBytes {
-		t.Fatalf("resync bytes %v not visible in fabric accounting %v",
-			res.FaultStats.ResyncBytes, sys.fabric.BytesByKind("resync"))
-	}
 	if res.FaultStats.RecoveryStallNS <= 0 {
 		t.Fatal("repartition reprogramming stall not charged")
 	}
-	if res.StallNS < res.FaultStats.RecoveryStallNS {
-		t.Fatalf("StallNS %v does not include recovery stall %v",
-			res.StallNS, res.FaultStats.RecoveryStallNS)
-	}
+	recoveryInTotals(t, res)
 	if len(res.Spins) != 64 {
 		t.Fatal("repartitioned run did not produce a full state")
 	}
@@ -209,14 +201,25 @@ func TestDetectRetransmitAccounting(t *testing.T) {
 	if res.FaultStats.Retransmits == 0 {
 		t.Fatal("detection enabled but no retransmits")
 	}
-	if got := sys.fabric.BytesByKind("retransmit"); math.Abs(got-res.FaultStats.RetransmitBytes) > 1e-9 {
-		t.Fatalf("retransmit bytes: fabric %v vs ledger %v", got, res.FaultStats.RetransmitBytes)
+	if res.FaultStats.RetransmitBytes <= 0 {
+		t.Fatal("retransmit traffic not charged")
 	}
 	if res.FaultStats.RecoveryStallNS <= 0 {
 		t.Fatal("retransmit backoff stall not charged")
 	}
-	if res.StallNS < res.FaultStats.RecoveryStallNS-1e-9 {
-		t.Fatalf("StallNS %v missing recovery stall %v", res.StallNS, res.FaultStats.RecoveryStallNS)
+	recoveryInTotals(t, res)
+}
+
+// recoveryInTotals: the recovery bytes and stall of res.FaultStats are
+// counted in the run's fabric traffic and stall.
+func recoveryInTotals(t *testing.T, res *Result) {
+	t.Helper()
+	fs := res.FaultStats
+	if res.TrafficBytes < fs.RetransmitBytes+fs.ResyncBytes {
+		t.Fatalf("TrafficBytes %v below recovery bytes %v + %v", res.TrafficBytes, fs.RetransmitBytes, fs.ResyncBytes)
+	}
+	if res.StallNS < fs.RecoveryStallNS-1e-9 {
+		t.Fatalf("StallNS %v missing recovery stall %v", res.StallNS, fs.RecoveryStallNS)
 	}
 }
 
@@ -267,9 +270,10 @@ func TestWatchdogResync(t *testing.T) {
 	if res.FaultStats.Resyncs == 0 {
 		t.Fatal("watchdog never fired under heavy drops")
 	}
-	if got := sys.fabric.BytesByKind("resync"); math.Abs(got-res.FaultStats.ResyncBytes) > 1e-9 {
-		t.Fatalf("resync bytes: fabric %v vs ledger %v", got, res.FaultStats.ResyncBytes)
+	if res.FaultStats.ResyncBytes <= 0 {
+		t.Fatal("watchdog resync traffic not charged")
 	}
+	recoveryInTotals(t, res)
 }
 
 func TestFaultySequentialAndBatchComplete(t *testing.T) {

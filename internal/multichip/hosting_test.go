@@ -58,7 +58,7 @@ func lockstep(t *testing.T, slices []*Slice, fab *interconnect.Fabric, maxEpochs
 			}
 			l.bitChanges += int64(len(rep.Updates))
 			l.inducedBitChanges += inducedCount(rep.Updates)
-			fab.Record(ci, interconnect.DeltaSyncBytes(len(rep.Updates), len(slices[ci].Owned()), len(slices)-1), "sync")
+			fab.Record(ci, interconnect.DeltaSyncBytes(len(rep.Updates), len(slices[ci].Owned()), len(slices)-1))
 			for di, d := range slices {
 				if di != ci {
 					if err := d.ApplySync(rep.Updates); err != nil {

@@ -175,7 +175,7 @@ func TestSliceFabricAccountingMatchesSystem(t *testing.T) {
 		}
 		for ci, rep := range reps {
 			if len(rep.Updates) > 0 {
-				fab.Record(ci, interconnect.DeltaSyncBytes(len(rep.Updates), len(slices[ci].Owned()), cfg.Chips-1), "sync")
+				fab.Record(ci, interconnect.DeltaSyncBytes(len(rep.Updates), len(slices[ci].Owned()), cfg.Chips-1))
 			}
 			for di, d := range slices {
 				if di != ci {

@@ -293,14 +293,14 @@ func (s *System) syncEpoch(epochNo int, tr obs.Tracer) (total, induced int64) {
 		induced += inducedCount(ups)
 		if s.frt == nil {
 			sl.commit(ups)
-			s.fabric.Record(ci, interconnect.DeltaSyncBytes(len(ups), len(sl.chip.owned), len(s.slices)-1), "sync")
+			s.fabric.Record(ci, interconnect.DeltaSyncBytes(len(ups), len(sl.chip.owned), len(s.slices)-1))
 			s.applyBroadcast(ci, ups)
 			continue
 		}
 		// Through the fault layer: charge the send to the live receivers,
 		// then deliver — now, one epoch late, corrupted, or not at all.
 		bytes := interconnect.DeltaSyncBytes(len(ups), len(sl.chip.owned), s.liveFanout(ci))
-		s.fabric.Record(ci, bytes, "sync")
+		s.fabric.Record(ci, bytes)
 		f := s.frt.resolve(epochNo, ci, ups)
 		s.send(epochNo, ci, &f, bytes, int64(len(ups)), false, tr)
 		if f.believed {

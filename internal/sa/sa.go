@@ -244,45 +244,19 @@ func SolveNaive(m *ising.Model, cfg Config) *Result {
 	return res
 }
 
-// BatchResult aggregates a batch of independent runs of the same
-// problem — the "anneal many times from different initial conditions
-// and take the best" usage pattern the paper calls common if not
-// universal.
-type BatchResult struct {
-	Best    *Result
-	Results []*Result
-	Wall    time.Duration
-}
-
-// SolveBatch performs runs independent annealing runs with seeds
-// Seed, Seed+1, ... and returns all results plus the best by energy.
-// Runs execute sequentially: the wall time is the honest cost a
-// single-core von Neumann baseline would pay.
-func SolveBatch(m *ising.Model, cfg Config, runs int) *BatchResult {
+// SolveBatch anneals runs times, at seeds Seed, Seed+1, …, and keeps the
+// best: metrics.BestOf over sequential runs.
+func SolveBatch(m *ising.Model, cfg Config, runs int) *metrics.Batch[*Result] {
 	br, _ := SolveBatchCtx(context.Background(), m, cfg, runs)
 	return br
 }
 
-// SolveBatchCtx is SolveBatch with cancellation: the batch stops at the
-// run the cancellation cut short, which it holds beside the completed
-// ones, Best is the lowest energy among them, and the error is ctx.Err().
-func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg Config, runs int) (*BatchResult, error) {
-	if runs < 1 {
-		panic(fmt.Sprintf("sa: runs=%d", runs))
-	}
-	br := &BatchResult{Results: make([]*Result, 0, runs)}
-	start := time.Now()
-	var err error
-	for i := 0; i < runs && err == nil; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)
-		var res *Result
-		res, err = SolveCtx(ctx, m, c)
-		br.Results = append(br.Results, res)
-		if br.Best == nil || res.Energy < br.Best.Energy {
-			br.Best = res
-		}
-	}
-	br.Wall = time.Since(start)
-	return br, err
+// SolveBatchCtx is SolveBatch with cancellation: it stops at the run the
+// cancellation cut short, keeping it, and returns ctx.Err().
+func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg Config, runs int) (*metrics.Batch[*Result], error) {
+	return metrics.BestOf(runs, cfg.Seed, func(r *Result) float64 { return r.Energy },
+		func(_ int, seed uint64) (*Result, error) {
+			cfg.Seed = seed
+			return SolveCtx(ctx, m, cfg)
+		})
 }

@@ -25,6 +25,7 @@ import (
 
 	"mbrim/internal/ising"
 	"mbrim/internal/lattice"
+	"mbrim/internal/metrics"
 	"mbrim/internal/obs"
 	"mbrim/internal/rng"
 )
@@ -273,41 +274,21 @@ func readout(x []float64, buf []int8) []int8 {
 	return buf
 }
 
-// BatchResult aggregates independent SB runs.
-type BatchResult struct {
-	Best    *Result
-	Results []*Result
-	Wall    time.Duration
-}
-
 // SolveBatch performs runs independent SB runs with consecutive seeds
-// and returns all results plus the best by energy.
-func SolveBatch(m *ising.Model, cfg Config, runs int) *BatchResult {
+// and keeps the best (metrics.BestOf).
+func SolveBatch(m *ising.Model, cfg Config, runs int) *metrics.Batch[*Result] {
 	br, _ := SolveBatchCtx(context.Background(), m, cfg, runs)
 	return br
 }
 
-// SolveBatchCtx is SolveBatch with cancellation: the batch stops at the
-// run the cancellation cut short, which it holds beside the completed
-// ones, Best is the lowest energy among them, and the error is ctx.Err().
-func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg Config, runs int) (*BatchResult, error) {
-	if runs < 1 {
-		panic(fmt.Sprintf("sbm: runs=%d", runs))
-	}
-	br := &BatchResult{Results: make([]*Result, 0, runs)}
-	start := time.Now()
+// SolveBatchCtx is SolveBatch with cancellation: it stops at the run the
+// cancellation cut short, keeping it, and returns ctx.Err(). The runs
+// share one working copy of m.
+func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg Config, runs int) (*metrics.Batch[*Result], error) {
 	floats := workingCopy(m, cfg)
-	var err error
-	for i := 0; i < runs && err == nil; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)
-		var res *Result
-		res, err = newMachine(m, c, floats).run(ctx, c)
-		br.Results = append(br.Results, res)
-		if br.Best == nil || res.Energy < br.Best.Energy {
-			br.Best = res
-		}
-	}
-	br.Wall = time.Since(start)
-	return br, err
+	return metrics.BestOf(runs, cfg.Seed, func(r *Result) float64 { return r.Energy },
+		func(_ int, seed uint64) (*Result, error) {
+			cfg.Seed = seed
+			return newMachine(m, cfg, floats).run(ctx, cfg)
+		})
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mbrim/internal/ising"
+	"mbrim/internal/metrics"
 	"mbrim/internal/rng"
 )
 
@@ -134,35 +135,16 @@ func SolveCtx(ctx context.Context, m *ising.Model, cfg Config) (*Result, error) 
 	}, runErr
 }
 
-// BatchResult aggregates tabu searches restarted at consecutive seeds.
-type BatchResult struct {
-	Best    *Result
-	Results []*Result
-}
-
-// SolveBatchCtx runs runs searches at seeds Seed, Seed+1, …: the first
-// from cfg.Initial, the others from their seeds' random states. The batch
-// stops at the run a cancellation cut short, which it holds beside the
-// completed ones, Best is the lowest energy among them, and the error is
-// ctx.Err().
-func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg Config, runs int) (*BatchResult, error) {
-	if runs < 1 {
-		panic(fmt.Sprintf("tabu: runs=%d", runs))
-	}
-	br := &BatchResult{Results: make([]*Result, 0, runs)}
-	var err error
-	for i := 0; i < runs && err == nil; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)
-		if i > 0 {
-			c.Initial = nil
-		}
-		var res *Result
-		res, err = SolveCtx(ctx, m, c)
-		br.Results = append(br.Results, res)
-		if br.Best == nil || res.Energy < br.Best.Energy {
-			br.Best = res
-		}
-	}
-	return br, err
+// SolveBatchCtx runs runs searches at seeds Seed, Seed+1, … and keeps the
+// best (metrics.BestOf): the first from cfg.Initial, the others from
+// their seeds' random states.
+func SolveBatchCtx(ctx context.Context, m *ising.Model, cfg Config, runs int) (*metrics.Batch[*Result], error) {
+	return metrics.BestOf(runs, cfg.Seed, func(r *Result) float64 { return r.Energy },
+		func(i int, seed uint64) (*Result, error) {
+			cfg.Seed = seed
+			if i > 0 {
+				cfg.Initial = nil
+			}
+			return SolveCtx(ctx, m, cfg)
+		})
 }

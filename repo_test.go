@@ -82,9 +82,12 @@ func TestNoLayoutOption(t *testing.T) {
 // device variation and thermal noise with their per-node latch factors,
 // its forward-Euler integrator, the chimera cross embedding, the
 // Builder's accumulating coupling and the Model's re-biasing, which only
-// extra experiments subcommands ran. None may return.
+// extra experiments subcommands ran; then the fabric's by-kind traffic
+// ledger, which fault.Stats already kept, the repartition stall knob
+// (interconnect.ReprogramNSPerSpin) and the engines' own batch types
+// (metrics.Batch). None may return.
 func TestNoDeadKnobs(t *testing.T) {
-	dead := regexp.MustCompile(`SetTopology|SharedBus|AutoEpoch|SolvePopulation|TuneConfig|HasTarget|FlipIntervalNS|FeedbackGain|SpinThreshold|BurnInSweeps|PlateauWindowNS|PlateauEpsilon|TrialSamples|BetaMin|BetaMax|ExchangeEvery|OnSweep|SpanOffsetNS|staleView|zeroSchedule|SolveMultiChip|MultiChipConfig|SolvePT|DeviceVariation|NoiseAmp|KappaVar|InvTauVar|RunEuler|trialStepEuler|CompleteOnChimera|AddCoupling|WithBiases`)
+	dead := regexp.MustCompile(`SetTopology|SharedBus|AutoEpoch|SolvePopulation|TuneConfig|HasTarget|FlipIntervalNS|FeedbackGain|SpinThreshold|BurnInSweeps|PlateauWindowNS|PlateauEpsilon|TrialSamples|BetaMin|BetaMax|ExchangeEvery|OnSweep|SpanOffsetNS|staleView|zeroSchedule|SolveMultiChip|MultiChipConfig|SolvePT|DeviceVariation|NoiseAmp|KappaVar|InvTauVar|RunEuler|trialStepEuler|CompleteOnChimera|AddCoupling|WithBiases|BytesByKind|RepartitionNSPerSpin|\b(sa|sbm|tabu)\.BatchResult`)
 	for _, hit := range grepGo(t, dead, isTest, ".") {
 		t.Error(hit)
 	}
