@@ -5,8 +5,8 @@ package main
 // in main; here are the worker list and the chaos drill: in-process
 // fault-injecting proxies in front of the workers, and a tracer that
 // blackholes one of them at a chosen epoch, so the robustness layer can
-// be exercised from the command line — the harness the cluster-smoke CI
-// job drives.
+// be exercised from the command line — the harness TestClusterChaosKill
+// drives.
 
 import (
 	"fmt"

@@ -299,15 +299,66 @@ func TestClusterFederatedIntrospection(t *testing.T) {
 	}
 }
 
-// TestClusterChaosKill: a worker blackholed between two epochs costs a
-// rollback and a replay, never the trajectory; the ledger says so.
+// TestClusterChaosKill: a worker blackholed between two epochs behind
+// flaky proxies costs a rollback and a replay, never the trajectory; the
+// ledger charges the hand-off, and the federated span trace is still
+// the fleet's one trace, the recovery in it.
 func TestClusterChaosKill(t *testing.T) {
 	problem := []string{"-k", "32", "-chips", "2", "-duration", "60", "-seed", "7"}
+	spans := filepath.Join(t.TempDir(), "chaos.trace.json")
 	want, _ := solveJSON(t, append([]string{"-solver", "mbrim"}, problem...)...)
-	got, _ := solveJSON(t, append([]string{"-cluster", startWorkers(t, 2),
-		"-ckpt-every", "3", "-chaos-kill-worker", "1", "-chaos-kill-epoch", "5"}, problem...)...)
+	got, _ := solveJSON(t, append([]string{"-cluster", startWorkers(t, 2), "-ckpt-every", "3", "-chaos-error", "0.05",
+		"-chaos-kill-worker", "1", "-chaos-kill-epoch", "5", "-federate", "-span-trace", spans}, problem...)...)
 	sameTrajectory(t, "after a worker kill", got, want)
-	if s := got.Stats; s["workerDeaths"] < 1 || s["recoveries"] < 1 || s["replayedEpochs"] < 1 || s["degraded"] != 1 || s["liveWorkers"] != 1 {
-		t.Errorf("recovery ledger: %v", s)
+	if s := got.Stats; s["workerDeaths"] < 1 || s["recoveries"] < 1 || s["replayedEpochs"] < 1 || s["degraded"] != 1 || s["liveWorkers"] != 1 ||
+		s["handoffBytes"] <= 0 || s["recoveryStallNS"] <= 0 || s["trafficBytes"] <= want.Stats["trafficBytes"] {
+		t.Errorf("recovery ledger: %v; the fault-free run moved %v bytes", s, want.Stats["trafficBytes"])
+	}
+	ids, origins := traceOrigins(t, spans)
+	if len(ids) != 1 || !reflect.DeepEqual(origins, []string{"co", "w0", "w1"}) {
+		t.Errorf("span trace: trace IDs %v, origins %v; want co, w0, w1 under one", ids, origins)
+	}
+	if raw, _ := os.ReadFile(spans); !strings.Contains(string(raw), `"name":"recovery"`) {
+		t.Error("the span trace does not show the recovery")
+	}
+}
+
+// TestPortfolioFirstToTarget: a race whose target a lone sa run fixes
+// ends first to target — sa's entrant 0 reproduces that run — and the
+// entrant still running, a dSBM with five million steps, reports it was
+// cancelled, in the -json ledger and in the text report alike.
+func TestPortfolioFirstToTarget(t *testing.T) {
+	problem := []string{"-k", "48", "-seed", "11", "-sweeps", "40", "-runs", "1"}
+	ref, _ := solveJSON(t, append([]string{"-solver", "sa"}, problem...)...)
+	race := append([]string{"-solver", "portfolio", "-portfolio", "sa,tabu,dsbm", "-target", fmt.Sprint(ref.Energy),
+		"-steps", "5000000"}, problem...)
+	exit, stdout, stderr := cli(t, append(race, "-json")...)
+	var got struct {
+		Energy    float64
+		Portfolio struct {
+			HitTarget  bool   `json:"hitTarget"`
+			WinnerKind string `json:"winnerKind"`
+			Entrants   []struct {
+				Interrupted bool `json:"interrupted"`
+			} `json:"entrants"`
+		}
+	}
+	if exit != 0 || json.Unmarshal([]byte(stdout), &got) != nil {
+		t.Fatalf("race: exit %d\n%s\n%s", exit, stdout, stderr)
+	}
+	cancelled := 0
+	for _, e := range got.Portfolio.Entrants {
+		if e.Interrupted {
+			cancelled++
+		}
+	}
+	if p := got.Portfolio; !p.HitTarget || p.WinnerKind == "" || got.Energy > ref.Energy || len(p.Entrants) != 3 || cancelled < 1 {
+		t.Errorf("race ledger: energy %v against target %v, %+v", got.Energy, ref.Energy, p)
+	}
+	exit, stdout, _ = cli(t, race...)
+	for _, want := range []string{"first to target", "cancelled"} {
+		if exit != 0 || !strings.Contains(stdout, want) {
+			t.Errorf("text report (exit %d) lacks %q:\n%s", exit, want, stdout)
+		}
 	}
 }

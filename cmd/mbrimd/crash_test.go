@@ -24,16 +24,23 @@ import (
 	"mbrim/internal/runs"
 )
 
-// buildDaemon compiles mbrimd once into a temp dir.
-func buildDaemon(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "mbrimd")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	cmd.Env = os.Environ()
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+// mbrimdBin is the daemon, built once per test binary by TestMain.
+var mbrimdBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "mbrimd")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	return bin
+	mbrimdBin = filepath.Join(dir, "mbrimd")
+	if out, err := exec.Command("go", "build", "-o", mbrimdBin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
 // logBuffer collects a daemon's stderr for the test to read while the
@@ -59,15 +66,15 @@ func (l *logBuffer) String() string {
 // startDaemon launches the binary and scrapes the bound address from
 // its banner line. The returned process is NOT cleaned up via t.Cleanup
 // — crash tests kill it themselves.
-func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
+func startDaemon(t *testing.T, args ...string) (*exec.Cmd, string) {
 	t.Helper()
-	return startDaemonLogging(t, bin, os.Stderr, args...)
+	return startDaemonLogging(t, os.Stderr, args...)
 }
 
 // startDaemonLogging is startDaemon with the daemon's stderr sent to w.
-func startDaemonLogging(t *testing.T, bin string, w io.Writer, args ...string) (*exec.Cmd, string) {
+func startDaemonLogging(t *testing.T, w io.Writer, args ...string) (*exec.Cmd, string) {
 	t.Helper()
-	cmd := exec.Command(bin, append([]string{"-addr", "localhost:0"}, args...)...)
+	cmd := exec.Command(mbrimdBin, append([]string{"-addr", "localhost:0"}, args...)...)
 	cmd.Stderr = w
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -154,7 +161,6 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real daemons")
 	}
-	bin := buildDaemon(t)
 	for _, engine := range []string{"mbrim", "cluster"} {
 		t.Run(engine, func(t *testing.T) {
 			// crashAndResume kills the run in the first half of its
@@ -164,7 +170,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 			if engine == "cluster" {
 				var workers []string
 				for range 2 {
-					w, base := startDaemon(t, bin, "-worker")
+					w, base := startDaemon(t, "-worker")
 					defer func() {
 						_ = w.Process.Kill()
 						_ = w.Wait()
@@ -175,14 +181,14 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 				body = fmt.Sprintf(`{"engine":"cluster","workers":["%s"],"k":64,"durationNS":%d,"seed":7}`,
 					strings.Join(workers, `","`), crashRunNS)
 			}
-			crashAndResume(t, bin, body)
+			crashAndResume(t, body)
 		})
 	}
 }
 
-func crashAndResume(t *testing.T, bin, body string) {
+func crashAndResume(t *testing.T, body string) {
 	state := t.TempDir()
-	cmd, base := startDaemon(t, bin, "-state-dir", state, "-checkpoint-every", "20ms")
+	cmd, base := startDaemon(t, "-state-dir", state, "-checkpoint-every", "20ms")
 	waitReady(t, base, 10*time.Second)
 
 	resp, err := http.Post(base+"/runs", "application/json", strings.NewReader(body))
@@ -238,7 +244,7 @@ func crashAndResume(t *testing.T, bin, body string) {
 
 	// Second generation: same state dir, journal replays, run resumes.
 	var log logBuffer
-	cmd2, base2 := startDaemonLogging(t, bin, &log, "-state-dir", state, "-checkpoint-every", "20ms")
+	cmd2, base2 := startDaemonLogging(t, &log, "-state-dir", state, "-checkpoint-every", "20ms")
 	defer func() {
 		_ = cmd2.Process.Kill()
 		_ = cmd2.Wait()
@@ -316,8 +322,7 @@ func TestOverloadShedding429(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds real daemons")
 	}
-	bin := buildDaemon(t)
-	cmd, base := startDaemon(t, bin, "-max-active", "1", "-max-queued", "1")
+	cmd, base := startDaemon(t, "-max-active", "1", "-max-queued", "1")
 	defer func() {
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
@@ -367,14 +372,13 @@ func TestDirtyDrainCountsClusterRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds real daemons")
 	}
-	bin := buildDaemon(t)
-	w, worker := startDaemon(t, bin, "-worker")
+	w, worker := startDaemon(t, "-worker")
 	defer func() {
 		_ = w.Process.Kill()
 		_ = w.Wait()
 	}()
 	waitReady(t, worker, 10*time.Second)
-	cmd, base := startDaemon(t, bin, "-drain-timeout", "1ns")
+	cmd, base := startDaemon(t, "-drain-timeout", "1ns")
 	waitReady(t, base, 10*time.Second)
 	resp, err := http.Post(base+"/cluster/runs", "application/json",
 		strings.NewReader(`{"workers":["`+worker+`"],"k":32,"durationNS":1e6}`))
@@ -416,4 +420,90 @@ func TestDirtyDrainCountsClusterRuns(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != exitDirtyDrain {
 		t.Fatalf("drain with a cluster run in flight: %v, want exit code %d", err, exitDirtyDrain)
 	}
+}
+
+// TestOpsSurface drives the daemon as an operator does, under a 64 MB
+// run fence: health and readiness, a 4-chip K-graph solve and a
+// 4 096-spin ring with chords on four chips — kilobytes of compressed
+// rows, admitted — both to completion, then the Prometheus exposition
+// and a clean SIGTERM drain. What the fence refuses over HTTP is
+// internal/runs' TestMemoryBudgetPricesWhatIsStored.
+func TestOpsSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a real daemon")
+	}
+	cmd, base := startDaemon(t, "-max-run-mb", "64")
+	defer func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	}()
+	waitReady(t, base, 10*time.Second)
+	for path, want := range map[string]string{"/healthz": "ok", "/readyz": "ready"} {
+		if code, body := get(t, base+path); code != 200 || !strings.Contains(body, want) {
+			t.Errorf("GET %s = %d %q, want 200 carrying %q", path, code, body, want)
+		}
+	}
+
+	const n = 4096
+	var ring strings.Builder
+	fmt.Fprintf(&ring, `{"engine":"mbrim","chips":4,"durationNS":20,"n":%d,"edges":[`, n)
+	for i := 1; i <= n; i++ {
+		if i > 1 {
+			ring.WriteByte(',')
+		}
+		fmt.Fprintf(&ring, "[%d,%d,1],[%d,%d,-1]", i, i%n+1, i, (i+36)%n+1)
+	}
+	ring.WriteString("]}")
+	for _, body := range []string{`{"engine":"mbrim","k":64,"chips":4,"durationNS":200}`, ring.String()} {
+		resp, err := http.Post(base+"/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st runs.Status
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if resp.StatusCode != 202 || err != nil {
+			t.Fatalf("submit %.60s… = %d (%v)", body, resp.StatusCode, err)
+		}
+		for deadline := time.Now().Add(60 * time.Second); !st.State.Terminal(); time.Sleep(20 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s still %s after 60 s", st.ID, st.State)
+			}
+			_, raw := get(t, base+"/runs/"+st.ID)
+			if err := json.Unmarshal([]byte(raw), &st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st.State != runs.StateCompleted {
+			t.Fatalf("%s (%.60s…) ended %s: %s", st.ID, body, st.State, st.Error)
+		}
+	}
+
+	_, exposition := get(t, base+"/metrics")
+	for _, line := range []string{"_bucket{", `core_solves{engine="mbrim"} 2` + "\n", "# TYPE runs_wall_ns histogram\n"} {
+		if !strings.Contains(exposition, line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Errorf("SIGTERM with no run in flight: %v, want exit 0", err)
+	}
+}
+
+// get returns a GET's status code and body.
+func get(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
 }

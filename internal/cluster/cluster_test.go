@@ -622,18 +622,24 @@ func TestManagerAPI(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	var status struct {
+		ID     string `json:"id"`
+		State  string `json:"state"`
 		Done   bool   `json:"done"`
 		Error  string `json:"error"`
 		Result *struct {
 			Energy float64 `json:"energy"`
+			Flips  int64   `json:"flips"`
 			Epochs int     `json:"epochs"`
 		} `json:"result"`
+		Outcome *struct {
+			Energy float64 `json:"energy"`
+		} `json:"outcome"`
 	}
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("run did not finish in time")
 		}
-		status.Done, status.Error, status.Result = false, "", nil
+		status.Done, status.Error, status.Result, status.Outcome = false, "", nil, nil
 		getJSON(t, srv.URL+"/cluster/runs/"+sub.ID, &status)
 		if status.Done {
 			break
@@ -643,8 +649,9 @@ func TestManagerAPI(t *testing.T) {
 	if status.Error != "" {
 		t.Fatalf("run failed: %s", status.Error)
 	}
-	if status.Result == nil || status.Result.Epochs == 0 {
-		t.Fatalf("missing result: %+v", status)
+	if status.ID != sub.ID || status.State != "completed" || status.Result == nil || status.Result.Epochs == 0 ||
+		status.Outcome == nil || status.Outcome.Energy != status.Result.Energy {
+		t.Fatalf("alias status: %+v (result %+v, outcome %+v)", status, status.Result, status.Outcome)
 	}
 
 	// The API's answer equals the in-process engine's.
@@ -652,7 +659,7 @@ func TestManagerAPI(t *testing.T) {
 	want := multichip.MustSystem(m, multichip.Config{
 		Chips: 2, Seed: 99, ChannelBytesPerNS: 0.5, SampleEveryNS: 0.2,
 	}).RunConcurrent(20)
-	if status.Result.Energy != want.Energy {
-		t.Errorf("energy via API: %v, want %v", status.Result.Energy, want.Energy)
+	if status.Result.Energy != want.Energy || status.Result.Flips != want.Flips {
+		t.Errorf("energy, flips via API: %v, %v; want %v, %v", status.Result.Energy, status.Result.Flips, want.Energy, want.Flips)
 	}
 }

@@ -745,7 +745,7 @@ func (co *Coordinator) recover(ctx context.Context, wd *workerDeadError) error {
 	}
 	recoveryStall := 0.0
 	if movedSpins > 0 {
-		recoveryStall = float64(movedSpins) * interconnect.ReprogramNSPerSpin
+		recoveryStall = float64(float64(movedSpins) * interconnect.ReprogramNSPerSpin)
 		co.fabric.AddStall(recoveryStall)
 		co.pos.ElapsedNS += recoveryStall
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -486,8 +487,11 @@ func TestManagerTraceAndDiagEndpoints(t *testing.T) {
 		if !traceIDs[dd.TraceID] {
 			t.Fatalf("diag trace ID %q vs trace IDs %v", dd.TraceID, traceIDs)
 		}
-		if dd.Fleet == nil || dd.Fleet.Epochs == 0 || dd.Fleet.Workers != 2 || len(dd.Fleet.PerWorker) != 2 {
-			t.Fatalf("empty fleet section: %+v", dd.Fleet)
+		if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(dd.TraceID) {
+			t.Fatalf("diag trace ID %q is not 16 hex digits", dd.TraceID)
+		}
+		if f := dd.Fleet; f == nil || f.Epochs == 0 || f.Workers != 2 || len(f.PerWorker) != 2 || f.SyncFrac < 0 || f.SyncFrac > 1 {
+			t.Fatalf("fleet section: %+v", f)
 		}
 	}
 

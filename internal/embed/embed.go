@@ -197,7 +197,7 @@ func (e *Embedding) ChainBreaks(phys []int8) int {
 func (e *Embedding) EnergyIdentityOffset() float64 {
 	total := 0.0
 	for _, chain := range e.chains {
-		total += float64(len(chain)-1) * e.ChainStrength
+		total += float64(float64(len(chain)-1) * e.ChainStrength)
 	}
 	return total
 }

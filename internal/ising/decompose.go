@@ -67,7 +67,7 @@ func Extract(parent *Model, sub []int, spins []int8) *SubProblem {
 				}
 			} else {
 				// Cross term: fold J_ij σ_j into the effective bias.
-				gi += v * float64(spins[j])
+				gi += float64(v * float64(spins[j]))
 				sp.GlueOps++
 			}
 		})
@@ -115,7 +115,7 @@ func CrossEnergy(parent *Model, sub []int, spins []int8) float64 {
 		si := float64(spins[i])
 		parent.c.Scan(i, func(j int, v float64) {
 			if !mark[j] {
-				e -= v * si * float64(spins[j])
+				e -= float64(v * si * float64(spins[j]))
 			}
 		})
 	}

@@ -422,7 +422,7 @@ func (m *Model) EnergyFromFields(spins []int8, fields []float64) float64 {
 	e := 0.0
 	for i, b := range m.muH {
 		si := float64(spins[i])
-		e -= 0.5*fields[i]*si + b*si
+		e -= float64(0.5*fields[i]*si) + float64(b*si)
 	}
 	return e
 }
@@ -435,7 +435,7 @@ func (m *Model) EnergyFromFields(spins []int8, fields []float64) float64 {
 // coupling network instead of being drowned out or dominating.
 func (m *Model) MaxRowNorm2() float64 {
 	mx, s := 0.0, 0.0
-	square := func(_ int, v float64) { s += v * v } // one closure, not one a row
+	square := func(_ int, v float64) { s += float64(v * v) } // one closure, not one a row
 	for i := 0; i < m.n; i++ {
 		s = 0
 		m.c.Scan(i, square)

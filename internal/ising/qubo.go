@@ -30,8 +30,9 @@ func (q *QUBO) Coeff(i, j int) float64 { return q.q[i*q.n+j] }
 // SetCoeff sets Q_ij = v (not symmetrized; i==j sets a linear term).
 func (q *QUBO) SetCoeff(i, j int, v float64) { q.q[i*q.n+j] = v }
 
-// AddCoeff adds v to Q_ij.
-func (q *QUBO) AddCoeff(i, j int, v float64) { q.q[i*q.n+j] += v }
+// AddCoeff adds v to Q_ij. The float64(v) rounds a caller's product
+// before the add, so arm64 cannot fuse the two once AddCoeff is inlined.
+func (q *QUBO) AddCoeff(i, j int, v float64) { q.q[i*q.n+j] += float64(v) }
 
 // Value returns x^T Q x for the given assignment.
 func (q *QUBO) Value(x []bool) float64 {
@@ -62,17 +63,17 @@ func (q *QUBO) ToIsing() (m *Model, offset float64, err error) {
 	h := make([]float64, q.n)
 	for i := 0; i < q.n; i++ {
 		ci := q.Coeff(i, i)
-		offset += ci / 2
-		h[i] -= ci / 2
+		offset += float64(ci / 2)
+		h[i] -= float64(ci / 2)
 		for j := i + 1; j < q.n; j++ {
 			// Only the pair weight Q_ij + Q_ji is observable in x^T Q x.
 			pair := q.Coeff(i, j) + q.Coeff(j, i)
 			if pair == 0 {
 				continue
 			}
-			offset += pair / 4
-			h[i] -= pair / 4
-			h[j] -= pair / 4
+			offset += float64(pair / 4)
+			h[i] -= float64(pair / 4)
+			h[j] -= float64(pair / 4)
 			b.SetCoupling(i, j, -pair/4)
 		}
 	}
@@ -95,7 +96,7 @@ func FromIsing(m *Model) (q *QUBO, offset float64) {
 	n := m.N()
 	for i := 0; i < n; i++ {
 		q.AddCoeff(i, i, -2*m.Mu()*m.Bias(i))
-		offset += m.Mu() * m.Bias(i)
+		offset += float64(m.Mu() * m.Bias(i))
 		m.c.Scan(i, func(j int, jij float64) {
 			if j < i {
 				return

@@ -123,7 +123,7 @@ func ReadQUBO(r io.Reader) (*QUBO, error) {
 		return nil, fmt.Errorf("ising: header promised %d/%d entries, file has %d/%d",
 			wantDiags, wantOffs, diags, offs)
 	}
-	if float64(n)*float64(n) > quboFreeCells+quboCellsPerEntry*float64(len(entries)) {
+	if float64(n)*float64(n) > quboFreeCells+float64(quboCellsPerEntry*float64(len(entries))) {
 		return nil, fmt.Errorf("ising: a %d-variable QUBO is a %d×%d matrix, too large for a file of %d entries", n, n, n, len(entries))
 	}
 	q := NewQUBO(n)

@@ -491,5 +491,5 @@ type Coupling interface {
 // reads no couplings, so one rule, in one association, serves every
 // layout.
 func FlipDelta(spins []int8, fields []float64, k int, muH float64) float64 {
-	return 2 * float64(spins[k]) * (fields[k] + muH)
+	return float64(2 * float64(spins[k]) * (fields[k] + muH))
 }

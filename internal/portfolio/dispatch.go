@@ -36,7 +36,7 @@ func Analyze(m *ising.Model) core.StructureStats {
 		deg := coup.RowNNZ(i)
 		d := float64(deg)
 		sum += d
-		sumSq += d * d
+		sumSq += float64(d * d)
 		stats.MaxDegree = max(stats.MaxDegree, deg)
 	}
 	stats.MeanDegree = sum / float64(n)
@@ -44,7 +44,7 @@ func Analyze(m *ising.Model) core.StructureStats {
 		stats.Density = float64(stats.NNZ) / float64(n*(n-1))
 	}
 	if stats.MeanDegree > 0 {
-		variance := sumSq/float64(n) - stats.MeanDegree*stats.MeanDegree
+		variance := sumSq/float64(n) - float64(stats.MeanDegree*stats.MeanDegree)
 		if variance < 0 {
 			variance = 0
 		}

@@ -39,7 +39,7 @@ func (c Coloring) Ising() (m *ising.Model, offset float64) {
 	for v := 0; v < n; v++ {
 		constant += a
 		for ci := 0; ci < c.Colors; ci++ {
-			q.AddCoeff(c.Index(v, ci), c.Index(v, ci), -2*a+a) // −2A x + A x²
+			q.AddCoeff(c.Index(v, ci), c.Index(v, ci), float64(-2*a)+a) // −2A x + A x²
 			for cj := ci + 1; cj < c.Colors; cj++ {
 				q.AddCoeff(c.Index(v, ci), c.Index(v, cj), 2*a)
 			}

@@ -56,7 +56,7 @@ func (k Knapsack) weights() (a, b float64) {
 	}
 	a = k.A
 	if a == 0 {
-		a = 2*b*maxV + 1
+		a = float64(2*b*maxV) + 1
 	}
 	return a, b
 }

@@ -22,7 +22,7 @@ func (p Partition) Ising() (m *ising.Model, offset float64) {
 	n := len(p.Numbers)
 	b := ising.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		offset += p.Numbers[i] * p.Numbers[i]
+		offset += float64(p.Numbers[i] * p.Numbers[i])
 		for j := i + 1; j < n; j++ {
 			// (Σaσ)² = Σa² + 2Σ_{i<j} aᵢaⱼσᵢσⱼ; with E = −Σ_{i<j}Jσσ the
 			// quadratic part needs J = −2aᵢaⱼ.
@@ -43,7 +43,7 @@ func (p Partition) Imbalance(spins []int8) float64 {
 	}
 	s := 0.0
 	for i, a := range p.Numbers {
-		s += a * float64(spins[i])
+		s += float64(a * float64(spins[i]))
 	}
 	return math.Abs(s)
 }

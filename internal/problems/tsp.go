@@ -56,7 +56,7 @@ func (t TSP) weights() (a, b float64) {
 				}
 			}
 		}
-		a = 2*b*maxD + 1
+		a = float64(2*b*maxD) + 1
 	}
 	return a, b
 }

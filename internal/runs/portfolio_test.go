@@ -2,7 +2,9 @@ package runs
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -145,6 +147,49 @@ func TestPortfolioOverHTTP(t *testing.T) {
 	}
 	if snap.Portfolio.Winner < 0 {
 		t.Fatalf("diag winner not folded: %s", body)
+	}
+}
+
+// TestPortfolioTargetOverHTTP: a targetEnergy that a lone sa run fixed
+// ends the race first to target. The outcome's ledger says so, and the
+// diag snapshot folds the dSBM still running as cancelled.
+func TestPortfolioTargetOverHTTP(t *testing.T) {
+	srv, m, _ := newTestServer(t, Config{})
+	solve := func(body string) (*Run, OutcomeBody) {
+		resp, data := postJSON(t, srv.URL+"/runs", body)
+		var st Status
+		if resp.StatusCode != http.StatusAccepted || json.Unmarshal(data, &st) != nil {
+			t.Fatalf("submit = %d %s", resp.StatusCode, data)
+		}
+		run, _ := m.Get(st.ID)
+		waitDone(t, run)
+		var out OutcomeBody
+		if resp, data = getBody(t, srv.URL+"/runs/"+st.ID+"/outcome"); json.Unmarshal(data, &out) != nil || out.State != StateCompleted {
+			t.Fatalf("%s outcome = %d %s", st.ID, resp.StatusCode, data)
+		}
+		return run, out
+	}
+	_, ref := solve(`{"engine":"sa","k":48,"seed":11,"sweeps":40,"runs":1}`)
+	run, out := solve(fmt.Sprintf(`{"engine":"portfolio","k":48,"seed":11,"sweeps":40,"runs":1,"portfolio":{"targetEnergy":%v,
+		"entrants":[{"kind":"sa"},{"kind":"tabu"},{"kind":"dsbm","steps":5000000}]}}`, ref.Energy))
+	p := out.Portfolio
+	if p == nil || !p.HitTarget || p.WinnerKind == "" || out.Energy > ref.Energy ||
+		!slices.ContainsFunc(p.Entrants, func(e core.EntrantReport) bool { return e.Interrupted }) {
+		t.Fatalf("race ledger: energy %v against target %v, %+v", out.Energy, ref.Energy, p)
+	}
+	_, body := getBody(t, srv.URL+"/runs/"+run.ID()+"/diag")
+	type entrant struct {
+		Phase string `json:"phase"`
+	}
+	var snap struct {
+		Portfolio *struct {
+			Entrants []entrant `json:"entrants"`
+			Winner   int       `json:"winner"`
+		} `json:"portfolio"`
+	}
+	if err := json.Unmarshal(body, &snap); err != nil || snap.Portfolio == nil || len(snap.Portfolio.Entrants) != 3 ||
+		snap.Portfolio.Winner < 0 || !slices.Contains(snap.Portfolio.Entrants, entrant{"cancelled"}) {
+		t.Fatalf("diag portfolio section: %s", body)
 	}
 }
 

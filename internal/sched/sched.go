@@ -38,5 +38,5 @@ type Linear struct {
 // At returns From + progress·(To−From).
 func (l Linear) At(p float64) float64 {
 	p = clamp(p)
-	return l.From + p*(l.To-l.From)
+	return l.From + float64(p*(l.To-l.From))
 }
