@@ -22,7 +22,7 @@ func TestBackendsBitIdenticalWithResume(t *testing.T) {
 	for _, backend := range []lattice.Kind{lattice.CSR, lattice.Dense} {
 		m := stored.As(backend)
 		got := MustSystem(m, cfg).RunConcurrent(duration)
-		sameLedger(t, ref, got)
+		sameResult(t, ref, got)
 
 		runC := func(s *System, ctx context.Context, ck *Checkpoint) (*Result, *Checkpoint, error) {
 			return s.RunConcurrentCtx(ctx, duration, ck)
@@ -32,7 +32,7 @@ func TestBackendsBitIdenticalWithResume(t *testing.T) {
 		if err != nil || ck2 != nil {
 			t.Fatalf("%v resume: err=%v, checkpoint=%v", backend, err, ck2)
 		}
-		sameLedger(t, ref, resumed)
+		sameResult(t, ref, resumed)
 	}
 }
 

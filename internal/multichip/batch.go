@@ -139,7 +139,9 @@ func (s *System) RunBatchCtx(ctx context.Context, jobs int, durationNS float64, 
 			perChip[ci] = chipEpoch{}
 			if s.dead(ci) || s.held(ci) {
 				// Dead or transiently stalled: this chip's job receives
-				// no annealing this epoch and writes nothing back.
+				// no annealing this epoch and writes nothing back, and the
+				// barrier reports no flips for it.
+				c.resetEpochCounters()
 				return nil
 			}
 			job := (ci + e) % jobs

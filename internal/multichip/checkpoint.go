@@ -89,8 +89,9 @@ type Position struct {
 	// BestSoFarBits is batch mode's running best sampled energy as
 	// IEEE-754 bits — it starts at +Inf, which JSON cannot carry.
 	BestSoFarBits uint64 `json:"bestSoFarBits,omitempty"`
-	// Partial run counters (batch mode also accumulates flips here
-	// rather than reading machine totals at the end).
+	// Partial run counters. Batch mode accumulates every epoch's flips
+	// here; the single-job modes read their machines' totals at the end
+	// and keep here only those of the machines a repartition retired.
 	BitChanges        int64 `json:"bitChanges"`
 	InducedBitChanges int64 `json:"inducedBitChanges"`
 	Flips             int64 `json:"flips,omitempty"`

@@ -3,6 +3,7 @@ package multichip
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"mbrim/internal/fault"
@@ -54,26 +55,20 @@ func (rc resumeCase) config(chips int) Config {
 	return Config{Chips: chips, Seed: 5, Parallel: rc.parallel, Faults: rc.faults}
 }
 
-// sameLedger compares every deterministic field of two results.
-func sameLedger(t *testing.T, a, b *Result) {
+// sameResult requires two results of one run mode (*Result or
+// *BatchResult) to be equal in every field, the series and the fault
+// ledger included, and names the fields that are not.
+func sameResult(t *testing.T, want, got any) {
 	t.Helper()
-	if a.Energy != b.Energy || ising.HammingDistance(a.Spins, b.Spins) != 0 {
-		t.Fatalf("states differ: energy %v vs %v", a.Energy, b.Energy)
+	w, g := reflect.ValueOf(want).Elem(), reflect.ValueOf(got).Elem()
+	var differ []string
+	for i := 0; i < w.NumField(); i++ {
+		if !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
+			differ = append(differ, w.Type().Field(i).Name)
+		}
 	}
-	if a.Flips != b.Flips || a.InducedFlips != b.InducedFlips {
-		t.Fatalf("flip ledgers differ: %d/%d vs %d/%d", a.Flips, a.InducedFlips, b.Flips, b.InducedFlips)
-	}
-	if a.BitChanges != b.BitChanges || a.InducedBitChanges != b.InducedBitChanges {
-		t.Fatalf("bit-change ledgers differ: %d/%d vs %d/%d",
-			a.BitChanges, a.InducedBitChanges, b.BitChanges, b.InducedBitChanges)
-	}
-	if a.TrafficBytes != b.TrafficBytes || a.StallNS != b.StallNS || a.ElapsedNS != b.ElapsedNS {
-		t.Fatalf("fabric ledgers differ: traffic %v vs %v, stall %v vs %v, elapsed %v vs %v",
-			a.TrafficBytes, b.TrafficBytes, a.StallNS, b.StallNS, a.ElapsedNS, b.ElapsedNS)
-	}
-	if a.Epochs != b.Epochs || a.FaultStats != b.FaultStats {
-		t.Fatalf("epoch/fault ledgers differ: %d vs %d epochs, %+v vs %+v",
-			a.Epochs, b.Epochs, a.FaultStats, b.FaultStats)
+	if len(differ) > 0 {
+		t.Fatalf("results differ in %v", differ)
 	}
 }
 
@@ -116,7 +111,7 @@ func TestConcurrentResumeBitIdentical(t *testing.T) {
 			if err != nil || ck2 != nil {
 				t.Fatalf("resume: err=%v, checkpoint=%v", err, ck2)
 			}
-			sameLedger(t, full, resumed)
+			sameResult(t, full, resumed)
 		})
 	}
 }
@@ -135,7 +130,7 @@ func TestSequentialResumeBitIdentical(t *testing.T) {
 			if err != nil || ck2 != nil {
 				t.Fatalf("resume: err=%v, checkpoint=%v", err, ck2)
 			}
-			sameLedger(t, full, resumed)
+			sameResult(t, full, resumed)
 		})
 	}
 }
@@ -164,7 +159,7 @@ func TestBatchResumeBitIdentical(t *testing.T) {
 			if err != nil || ck2 != nil {
 				t.Fatalf("resume: err=%v, checkpoint=%v", err, ck2)
 			}
-			sameBatchLedger(t, full, resumed)
+			sameResult(t, full, resumed)
 		})
 	}
 }
@@ -191,7 +186,7 @@ func TestResumeWithChipLossRepartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameLedger(t, full, resumed)
+	sameResult(t, full, resumed)
 }
 
 func TestApplyCheckpointRejectsMismatch(t *testing.T) {

@@ -95,8 +95,9 @@ func (s *System) liveChips() int {
 // barrier, in chip order: permanent chip loss (with optional
 // repartition recovery, which rebuilds s.slices), then this epoch's
 // transient stall draws. remainingNS is the model time left in the
-// run — the horizon handed to repartitioned machines.
-func (s *System) beginFaultEpoch(epochNo int, remainingNS float64, tr obs.Tracer) {
+// run — the horizon handed to repartitioned machines. It returns the
+// flip totals of the machines a repartition retired (zero otherwise).
+func (s *System) beginFaultEpoch(epochNo int, remainingNS float64, tr obs.Tracer) (flips, inducedFlips int64) {
 	frt := s.frt
 	if frt.dead == nil || len(frt.dead) != len(s.slices) {
 		frt.dead = make([]bool, len(s.slices))
@@ -108,7 +109,7 @@ func (s *System) beginFaultEpoch(epochNo int, remainingNS float64, tr obs.Tracer
 			Chip: victim, Count: int64(len(s.slices[victim].chip.owned))})
 		s.cfg.Metrics.Counter("fault.chip_losses").Inc()
 		if frt.inj.Config().Recovery.Repartition && s.liveChips() >= 1 && len(s.slices) > 1 {
-			s.repartition(victim, epochNo, remainingNS, tr)
+			flips, inducedFlips = s.repartition(victim, epochNo, remainingNS, tr)
 		}
 	}
 	if len(frt.holds) != len(s.slices) {
@@ -126,6 +127,7 @@ func (s *System) beginFaultEpoch(epochNo int, remainingNS float64, tr obs.Tracer
 			s.cfg.Metrics.Counter("fault.stalls").Inc()
 		}
 	}
+	return flips, inducedFlips
 }
 
 // repartition is the graceful-degradation recovery: the dead chip's
@@ -135,19 +137,22 @@ func (s *System) beginFaultEpoch(epochNo int, remainingNS float64, tr obs.Tracer
 // global truth. The cost is charged honestly: each survivor broadcasts
 // a bitmap of its newly acquired spins (counted as resync bytes) and the
 // system stalls interconnect.ReprogramNSPerSpin per moved spin while
-// coupler rows are rewritten.
-func (s *System) repartition(victim, epochNo int, remainingNS float64, tr obs.Tracer) {
+// coupler rows are rewritten. It returns the flip totals of the
+// machines it retires, which the fresh ones do not carry.
+func (s *System) repartition(victim, epochNo int, remainingNS float64, tr obs.Tracer) (flips, inducedFlips int64) {
 	frt := s.frt
 	global := s.GlobalSpins() // includes the dead chip's frozen slice
 	moved := s.slices[victim].chip.owned
 	var survivors []int
-	for ci := range s.slices {
+	for ci, sl := range s.slices {
 		if !frt.dead[ci] {
 			survivors = append(survivors, ci)
 		}
+		flips += sl.chip.machine.Flips()
+		inducedFlips += sl.chip.machine.InducedFlips()
 	}
 	if len(survivors) == 0 {
-		return
+		return 0, 0
 	}
 	parts := make([][]int, len(survivors))
 	added := make([]int, len(survivors))
@@ -193,6 +198,7 @@ func (s *System) repartition(victim, epochNo int, remainingNS float64, tr obs.Tr
 		Chip: victim, Count: int64(len(moved)), Value: resyncBytes, StallNS: stallNS})
 	s.spanPoint("recovery_repartition", victim, stallNS, int64(len(moved)), stallNS)
 	s.cfg.Metrics.Counter("fault.repartitions").Inc()
+	return flips, inducedFlips
 }
 
 // deliverPending applies last epoch's delayed broadcasts, in send

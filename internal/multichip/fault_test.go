@@ -66,46 +66,6 @@ func summarize(r *Result) map[string]float64 {
 	}
 }
 
-func TestFaultScheduleDeterministicAcrossParallel(t *testing.T) {
-	// Same -fault-seed must yield the identical fault schedule and the
-	// identical result whether chips run sequentially or on host
-	// goroutines — fault decisions are stateless hashes, never consumed
-	// streams.
-	m := kgraph(64, 3)
-	run := func(parallel bool) (*Result, []obs.Event) {
-		cfg := faultyCfg(11)
-		cfg.Parallel = parallel
-		ring := obs.NewRing(4096)
-		cfg.Tracer = ring
-		res := MustSystem(m, cfg).RunConcurrent(60)
-		evs := ring.Events()
-		for i := range evs {
-			evs[i].WallNS = 0 // the only nondeterministic field
-		}
-		return res, evs
-	}
-	seqRes, seqEvs := run(false)
-	parRes, parEvs := run(true)
-	if seqRes.Energy != parRes.Energy || seqRes.StallNS != parRes.StallNS ||
-		seqRes.TrafficBytes != parRes.TrafficBytes {
-		t.Fatalf("results diverged: %+v vs %+v", summarize(seqRes), summarize(parRes))
-	}
-	if seqRes.FaultStats != parRes.FaultStats {
-		t.Fatalf("fault ledgers diverged:\n%+v\nvs\n%+v", seqRes.FaultStats, parRes.FaultStats)
-	}
-	if len(seqEvs) != len(parEvs) {
-		t.Fatalf("event counts diverged: %d vs %d", len(seqEvs), len(parEvs))
-	}
-	for i := range seqEvs {
-		if seqEvs[i] != parEvs[i] {
-			t.Fatalf("event %d diverged: %+v vs %+v", i, seqEvs[i], parEvs[i])
-		}
-	}
-	if !seqRes.FaultStats.Any() {
-		t.Fatal("fault config injected nothing — schedule test is vacuous")
-	}
-}
-
 func TestFaultsEmitTypedEvents(t *testing.T) {
 	m := kgraph(64, 3)
 	cfg := faultyCfg(11)
@@ -310,17 +270,5 @@ func TestFaultyBatchDeterministicAcrossParallel(t *testing.T) {
 		cfg.Parallel = parallel
 		return MustSystem(m, cfg).RunBatch(8, 40)
 	}
-	a, b := run(false), run(true)
-	if a.BestEnergy != b.BestEnergy || a.TrafficBytes != b.TrafficBytes ||
-		a.StallNS != b.StallNS || a.FaultStats != b.FaultStats {
-		t.Fatalf("batch fault runs diverged across Parallel:\n%+v %v\nvs\n%+v %v",
-			a.FaultStats, a.BestEnergy, b.FaultStats, b.BestEnergy)
-	}
-	for j := range a.Jobs {
-		for i := range a.Jobs[j] {
-			if a.Jobs[j][i] != b.Jobs[j][i] {
-				t.Fatalf("job %d spin %d diverged", j, i)
-			}
-		}
-	}
+	sameResult(t, run(false), run(true))
 }

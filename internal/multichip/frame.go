@@ -125,7 +125,13 @@ func (f *runFrame) loop(m epochMode) (*Checkpoint, error) {
 		if s.frt != nil {
 			// Chip loss (with optional repartition) and this epoch's
 			// stall draws, resolved at the barrier in chip order.
-			s.beginFaultEpoch(no, remainingNS, tr)
+			flips, inducedFlips := s.beginFaultEpoch(no, remainingNS, tr)
+			if f.mode != ModeBatch {
+				// The single-job modes total their machines' flips at the
+				// end; the machines a repartition retired leave theirs here.
+				pos.Flips += flips
+				pos.InducedFlips += inducedFlips
+			}
 		}
 		overlapNS, err := m.body(no, epochNS)
 		if err != nil {

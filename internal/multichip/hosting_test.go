@@ -121,13 +121,16 @@ func TestCrossHosting(t *testing.T) {
 				l := lockstep(t, slices, fab, want.Epochs,
 					lockstepLedger{ck.BitChanges, ck.InducedBitChanges, ck.ElapsedNS})
 				got := &Result{
-					Spins:             make([]int8, m.N()),
-					BitChanges:        l.bitChanges,
-					InducedBitChanges: l.inducedBitChanges,
-					TrafficBytes:      fab.TotalBytes(),
-					StallNS:           fab.StallNS(),
-					ElapsedNS:         l.elapsedNS,
-					Epochs:            slices[0].Epochs(),
+					Spins:                make([]int8, m.N()),
+					ModelNS:              slices[0].ModelNS(),
+					StallNS:              fab.StallNS(),
+					ElapsedNS:            l.elapsedNS,
+					BitChanges:           l.bitChanges,
+					InducedBitChanges:    l.inducedBitChanges,
+					TrafficBytes:         fab.TotalBytes(),
+					PeakDemandBytesPerNS: fab.PeakDemand(),
+					Epochs:               slices[0].Epochs(),
+					LiveChips:            len(slices),
 				}
 				for _, s := range slices {
 					c := &s.chip
@@ -138,7 +141,7 @@ func TestCrossHosting(t *testing.T) {
 					got.InducedFlips += c.machine.InducedFlips()
 				}
 				got.Energy = m.Energy(got.Spins)
-				sameLedger(t, want, got)
+				sameResult(t, want, got)
 			})
 			t.Run(fmt.Sprintf("coordinated=%v/slices-to-system@%d", coordinated, cut), func(t *testing.T) {
 				slices := newSlices(t, m, cfg, duration)
@@ -159,30 +162,9 @@ func TestCrossHosting(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameLedger(t, want, got)
+				sameResult(t, want, got)
 			})
 		}
-	}
-}
-
-func sameBatchLedger(t *testing.T, a, b *BatchResult) {
-	t.Helper()
-	if a.BestEnergy != b.BestEnergy || a.Best != b.Best {
-		t.Fatalf("best job differs: %d@%v vs %d@%v", a.Best, a.BestEnergy, b.Best, b.BestEnergy)
-	}
-	for j := range a.Jobs {
-		if ising.HammingDistance(a.Jobs[j], b.Jobs[j]) != 0 {
-			t.Fatalf("job %d spins differ", j)
-		}
-		if a.Energies[j] != b.Energies[j] {
-			t.Fatalf("job %d energy %v vs %v", j, a.Energies[j], b.Energies[j])
-		}
-	}
-	if a.Flips != b.Flips || a.InducedFlips != b.InducedFlips ||
-		a.BitChanges != b.BitChanges || a.InducedBitChanges != b.InducedBitChanges ||
-		a.TrafficBytes != b.TrafficBytes || a.StallNS != b.StallNS || a.ElapsedNS != b.ElapsedNS ||
-		a.Epochs != b.Epochs || a.FaultStats != b.FaultStats || a.LiveChips != b.LiveChips {
-		t.Fatalf("batch ledgers differ:\n%+v\nvs\n%+v", a, b)
 	}
 }
 
@@ -213,15 +195,6 @@ func TestRandomCutResume(t *testing.T) {
 			return s.RunBatchCtx(ctx, jobs, duration, ck)
 		}},
 	}
-	same := func(t *testing.T, a, b any) {
-		t.Helper()
-		switch a := a.(type) {
-		case *Result:
-			sameLedger(t, a, b.(*Result))
-		case *BatchResult:
-			sameBatchLedger(t, a, b.(*BatchResult))
-		}
-	}
 	cuts := rng.New(0xC07)
 	schedules := []struct {
 		name   string
@@ -239,7 +212,7 @@ func TestRandomCutResume(t *testing.T) {
 				}
 				for _, sched := range schedules {
 					cfg := Config{Chips: 4, Seed: 13, Parallel: parallel, Coordinated: coordinated,
-						ChannelBytesPerNS: 0.5, Faults: sched.faults}
+						ChannelBytesPerNS: 0.5, RecordEpochStats: true, Faults: sched.faults}
 					full, _, err := mode.run(MustSystem(m, cfg), context.Background(), nil)
 					if err != nil {
 						t.Fatal(err)
@@ -258,7 +231,7 @@ func TestRandomCutResume(t *testing.T) {
 							if err != nil || ck2 != nil {
 								t.Fatalf("resume: err=%v checkpoint=%v", err, ck2)
 							}
-							same(t, full, resumed)
+							sameResult(t, full, resumed)
 						})
 					}
 				}

@@ -7,44 +7,6 @@ import (
 	"mbrim/internal/ising"
 )
 
-func TestParallelConcurrentMatchesSequential(t *testing.T) {
-	// Host parallelism is an implementation detail: the simulated
-	// system must be bit-identical.
-	m := kgraph(64, 1)
-	seq := MustSystem(m, Config{Chips: 4, Seed: 2}).RunConcurrent(30)
-	par := MustSystem(m, Config{Chips: 4, Seed: 2, Parallel: true}).RunConcurrent(30)
-	if seq.Energy != par.Energy || ising.HammingDistance(seq.Spins, par.Spins) != 0 {
-		t.Fatal("parallel concurrent run diverged from sequential")
-	}
-	if seq.Flips != par.Flips || seq.BitChanges != par.BitChanges ||
-		seq.TrafficBytes != par.TrafficBytes || seq.InducedFlips != par.InducedFlips {
-		t.Fatal("parallel counters diverged from sequential")
-	}
-}
-
-func TestParallelBatchMatchesSequential(t *testing.T) {
-	m := kgraph(64, 3)
-	seq := MustSystem(m, Config{Chips: 4, Seed: 4, EpochNS: 5}).RunBatch(4, 40)
-	par := MustSystem(m, Config{Chips: 4, Seed: 4, EpochNS: 5, Parallel: true}).RunBatch(4, 40)
-	if seq.BestEnergy != par.BestEnergy || seq.TrafficBytes != par.TrafficBytes {
-		t.Fatal("parallel batch diverged from sequential")
-	}
-	for j := range seq.Jobs {
-		if ising.HammingDistance(seq.Jobs[j], par.Jobs[j]) != 0 {
-			t.Fatalf("job %d state diverged", j)
-		}
-	}
-}
-
-func TestParallelBatchCoordinatedMatches(t *testing.T) {
-	m := kgraph(48, 5)
-	seq := MustSystem(m, Config{Chips: 4, Seed: 6, EpochNS: 5, Coordinated: true}).RunBatch(4, 30)
-	par := MustSystem(m, Config{Chips: 4, Seed: 6, EpochNS: 5, Coordinated: true, Parallel: true}).RunBatch(4, 30)
-	if seq.BestEnergy != par.BestEnergy || seq.TrafficBytes != par.TrafficBytes {
-		t.Fatal("coordinated parallel batch diverged")
-	}
-}
-
 func TestParallelFewerJobsThanChipsStaysCorrect(t *testing.T) {
 	// jobs < chips forces the sequential path even when Parallel is
 	// set; the results must still match a sequential run.

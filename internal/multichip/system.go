@@ -533,6 +533,8 @@ func (s *System) collect(f *runFrame) *Result {
 		InducedBitChanges:    pos.InducedBitChanges,
 		TrafficBytes:         s.fabric.TotalBytes(),
 		PeakDemandBytesPerNS: s.fabric.PeakDemand(),
+		Flips:                pos.Flips,
+		InducedFlips:         pos.InducedFlips,
 		Epochs:               pos.EpochsDone,
 		Trace:                pos.Trace,
 		Surprises:            pos.Surprises,

@@ -1,69 +1,47 @@
 package multichip
 
 import (
+	"slices"
 	"testing"
 
 	"mbrim/internal/obs"
 )
 
-// stripWall zeroes WallNS — the only field excluded from the
-// determinism guarantee — so event streams compare with ==.
-func stripWall(evs []obs.Event) []obs.Event {
-	out := append([]obs.Event(nil), evs...)
-	for i := range out {
-		out[i].WallNS = 0
-	}
-	return out
-}
-
+// runTraced runs cfg on a K64 and returns its event stream with WallNS
+// — the only field outside the determinism guarantee — zeroed, so
+// streams compare with ==.
 func runTraced(t *testing.T, cfg Config, run func(*System) any) []obs.Event {
 	t.Helper()
 	ring := obs.NewRing(1 << 16)
 	cfg.Tracer = ring
 	run(MustSystem(kgraph(64, 1), cfg))
 	evs := ring.Events()
-	if int64(len(evs)) != ring.Total() {
-		t.Fatalf("ring overflowed: %d retained of %d", len(evs), ring.Total())
+	if len(evs) == 0 || int64(len(evs)) != ring.Total() {
+		t.Fatalf("ring retained %d events of %d", len(evs), ring.Total())
 	}
-	return stripWall(evs)
+	for i := range evs {
+		evs[i].WallNS = 0
+	}
+	return evs
 }
 
-// TestTraceDeterminism is the companion of parallel_test.go's
-// bit-identity guarantee, extended to the observability layer: the same
-// seed and config must produce the exact same event sequence — kinds,
-// order, and every payload field — whether the chips are simulated
-// sequentially or on host goroutines. Events are emitted at epoch
-// barriers in chip order precisely so this holds.
+// TestTraceDeterminism: the same seed and config must produce the exact
+// same event sequence — kinds, order, and every payload field — whether
+// the chips are simulated sequentially or on host goroutines, and on a
+// re-run. Events are emitted at epoch barriers in chip order precisely
+// so this holds.
 func TestTraceDeterminism(t *testing.T) {
 	base := Config{Chips: 4, Seed: 2, EpochNS: 5, Probes: true, RecordEpochStats: true,
 		SampleEveryNS: 7}
 	concurrent := func(s *System) any { return s.RunConcurrent(30) }
-
 	seq := runTraced(t, base, concurrent)
-	if len(seq) == 0 {
-		t.Fatal("no events emitted")
-	}
 	par := base
 	par.Parallel = true
-	got := runTraced(t, par, concurrent)
-	if len(got) != len(seq) {
-		t.Fatalf("parallel emitted %d events, sequential %d", len(got), len(seq))
+	if got := runTraced(t, par, concurrent); !slices.Equal(got, seq) {
+		t.Fatalf("parallel emitted %d events unlike sequential's %d", len(got), len(seq))
 	}
-	for i := range seq {
-		if got[i] != seq[i] {
-			t.Fatalf("event %d diverged:\nseq %+v\npar %+v", i, seq[i], got[i])
-		}
-	}
-
-	// A re-run with the identical config must also reproduce exactly.
-	again := runTraced(t, base, concurrent)
-	if len(again) != len(seq) {
-		t.Fatalf("re-run emitted %d events, want %d", len(again), len(seq))
-	}
-	for i := range seq {
-		if again[i] != seq[i] {
-			t.Fatalf("re-run event %d diverged", i)
-		}
+	if again := runTraced(t, base, concurrent); !slices.Equal(again, seq) {
+		t.Fatalf("a re-run emitted %d events unlike the first run's %d", len(again), len(seq))
 	}
 }
 
@@ -73,51 +51,8 @@ func TestTraceDeterminismBatch(t *testing.T) {
 	seq := runTraced(t, base, batch)
 	par := base
 	par.Parallel = true
-	got := runTraced(t, par, batch)
-	if len(got) != len(seq) {
-		t.Fatalf("parallel batch emitted %d events, sequential %d", len(got), len(seq))
-	}
-	for i := range seq {
-		if got[i] != seq[i] {
-			t.Fatalf("batch event %d diverged:\nseq %+v\npar %+v", i, seq[i], got[i])
-		}
-	}
-}
-
-// TestCollectorMatchesResult checks the "series are consumers of the
-// event stream" invariant: the EpochStats a traced run reports must sum
-// to the run's own totals, and every event-series pair must agree.
-func TestCollectorMatchesResult(t *testing.T) {
-	ring := obs.NewRing(1 << 16)
-	sys := MustSystem(kgraph(64, 1), Config{Chips: 4, Seed: 2, EpochNS: 5,
-		RecordEpochStats: true, Tracer: ring})
-	res := sys.RunConcurrent(30)
-	if len(res.EpochStats) != res.Epochs {
-		t.Fatalf("EpochStats has %d entries, want %d", len(res.EpochStats), res.Epochs)
-	}
-	var flips, induced, changes int64
-	for _, st := range res.EpochStats {
-		flips += st.Flips
-		induced += st.InducedFlips
-		changes += st.BitChanges
-	}
-	if flips != res.Flips || induced != res.InducedFlips || changes != res.BitChanges {
-		t.Fatalf("EpochStats sums (%d/%d/%d) disagree with totals (%d/%d/%d)",
-			flips, induced, changes, res.Flips, res.InducedFlips, res.BitChanges)
-	}
-	// The raw stream must carry the same totals.
-	var evFlips, evChanges int64
-	for _, e := range ring.Events() {
-		switch e.Kind {
-		case obs.ChipStep:
-			evFlips += e.Count
-		case obs.EpochSync:
-			evChanges += e.Count
-		}
-	}
-	if evFlips != res.Flips || evChanges != res.BitChanges {
-		t.Fatalf("event totals (%d flips, %d changes) disagree with result (%d, %d)",
-			evFlips, evChanges, res.Flips, res.BitChanges)
+	if got := runTraced(t, par, batch); !slices.Equal(got, seq) {
+		t.Fatalf("parallel batch emitted %d events unlike sequential's %d", len(got), len(seq))
 	}
 }
 
