@@ -2,7 +2,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 
 	"mbrim/internal/embed"
 	"mbrim/internal/metrics"
@@ -18,12 +17,12 @@ func init() {
 // O(n²) physical nodes to host an n-spin general problem, so its
 // effective capacity grows as √N — "a nominal 2000 nodes on the
 // D-Wave 2000q is equivalent to only about 64 effective nodes".
-func runCapacity(args []string) error {
+func runCapacity(args []string) (*figure, error) {
 	fs := flag.NewFlagSet("capacity", flag.ContinueOnError)
 	maxLogical := fs.Int("maxn", 24, "largest logical problem to embed and anneal")
 	seed := fs.Uint64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Panel 1: effective capacity vs nominal node count, for the
@@ -54,11 +53,14 @@ func runCapacity(args []string) error {
 		}
 	}
 
-	fmt.Print(metrics.Table("Capacity: local-coupling machines (Sec 4.1.1)", capSeries, chimeraSeries, blowup, quality))
-	note("chimera C_16 (2048 qubits, the D-Wave 2000q) hosts K%d — the paper's", embed.ChimeraCapacity(2048, 4))
-	note("\"nominal 2000 ≈ 64 effective nodes\", reproduced exactly; the degree-3")
-	note("crossbar chains host K%d on the same budget. Both scale as √N.", embed.EffectiveCapacity(2048))
-	note("expected shape: physical demand grows quadratically in logical size, and")
-	note("embedded annealing quality trails native all-to-all annealing at equal effort.")
-	return nil
+	f := &figure{}
+	f.set("chimera capacity of 2048 qubits", float64(embed.ChimeraCapacity(2048, 4)))
+	f.set("crossbar capacity of 2048 nodes", float64(embed.EffectiveCapacity(2048)))
+	f.table("Capacity: local-coupling machines (Sec 4.1.1)", capSeries, chimeraSeries, blowup, quality)
+	f.note("chimera C_16 (2048 qubits, the D-Wave 2000q) hosts K%d — the paper's", embed.ChimeraCapacity(2048, 4))
+	f.note("\"nominal 2000 ≈ 64 effective nodes\", reproduced exactly; the degree-3")
+	f.note("crossbar chains host K%d on the same budget. Both scale as √N.", embed.EffectiveCapacity(2048))
+	f.note("expected shape: physical demand grows quadratically in logical size, and")
+	f.note("embedded annealing quality trails native all-to-all annealing at equal effort.")
+	return f, nil
 }

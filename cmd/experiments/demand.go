@@ -18,7 +18,7 @@ func init() {
 // multiprocessor of the given size would need if every flip were
 // communicated — the f_s·N·log(N) analysis of Sec 5.3, including the
 // observation that peak demand lands at the start of the schedule.
-func runDemand(args []string) error {
+func runDemand(args []string) (*figure, error) {
 	fs := flag.NewFlagSet("demand", flag.ContinueOnError)
 	n := fs.Int("n", 512, "chip size in spins (paper: 8000)")
 	chips := fs.Int("chips", 16, "multiprocessor size for the bandwidth projection")
@@ -26,7 +26,7 @@ func runDemand(args []string) error {
 	bucket := fs.Float64("bucket", 5, "histogram bucket, ns")
 	seed := fs.Uint64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	_, m := kgraph(*n, *seed)
 
@@ -48,7 +48,7 @@ func runDemand(args []string) error {
 
 	rate := &metrics.Series{Name: "flips per ns (one chip)"}
 	demand := &metrics.Series{Name: fmt.Sprintf("projected broadcast demand, %d chips (B/ns)", *chips)}
-	peak := 0.0
+	peak, peakT := 0.0, 0.0
 	for b := 0; b < buckets; b++ {
 		t := (float64(b) + 0.5) * *bucket
 		fr := float64(counts[b]) / *bucket
@@ -58,16 +58,19 @@ func runDemand(args []string) error {
 		d := fr * float64(*chips) * perFlip
 		demand.Add(t, d)
 		if d > peak {
-			peak = d
+			peak, peakT = d, t
 		}
 	}
 
-	fmt.Print(metrics.Table("Communication demand over the schedule (Sec 5.3)", rate, demand))
-	note("one %d-spin chip flipped %d times in %.0f ns; projected peak broadcast demand", *n, ma.Flips(), *duration)
-	note("for a %d-chip system of %d spins: %.1f B/ns (%.2f GB/s-equivalent).",
+	f := &figure{}
+	f.set("peak demand at ns", peakT)
+	f.set("duration ns", *duration)
+	f.table("Communication demand over the schedule (Sec 5.3)", rate, demand)
+	f.note("one %d-spin chip flipped %d times in %.0f ns; projected peak broadcast demand", *n, ma.Flips(), *duration)
+	f.note("for a %d-chip system of %d spins: %.1f B/ns (%.2f GB/s-equivalent).",
 		*chips, totalSpins, peak, peak)
-	note("expected shape (paper): demand is highest at the start of the schedule and")
-	note("decays as the system freezes — the paper projects ~50 Tb/s peak for sixteen")
-	note("8000-spin chips flipping every ~10 ns, i.e. bandwidth is the binding resource.")
-	return nil
+	f.note("expected shape (paper): demand is highest at the start of the schedule and")
+	f.note("decays as the system freezes — the paper projects ~50 Tb/s peak for sixteen")
+	f.note("8000-spin chips flipping every ~10 ns, i.e. bandwidth is the binding resource.")
+	return f, nil
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 
 	"mbrim/internal/brim"
 	"mbrim/internal/dnc"
@@ -22,7 +21,7 @@ func init() {
 // past capacity every pass pays tabu/SA glue on the host, and the
 // speedup collapses by orders of magnitude — the paper's motivating
 // cliff.
-func runFig1(args []string) error {
+func runFig1(args []string) (*figure, error) {
 	fs := flag.NewFlagSet("fig1", flag.ContinueOnError)
 	cap := fs.Int("cap", 100, "Ising machine capacity in spins (paper: 500)")
 	maxN := fs.Int("maxn", 0, "largest graph (default 1.4×cap)")
@@ -34,7 +33,7 @@ func runFig1(args []string) error {
 	real := fs.Bool("real", false, "use the full BRIM dynamical-system machine instead of the SA-quality proxy (slow)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if *maxN == 0 {
 		*maxN = *cap * 14 / 10
@@ -43,6 +42,7 @@ func runFig1(args []string) error {
 		*step = *cap / 10
 	}
 
+	f := &figure{}
 	qb := &metrics.Series{Name: "qbsolv (D-Wave d&c)"}
 	ours := &metrics.Series{Name: "ours (Algorithm 2)"}
 	quality := &metrics.Series{Name: "quality ratio qbsolv/SA (cut)"}
@@ -81,15 +81,25 @@ func runFig1(args []string) error {
 		}
 		qb.Add(float64(n), refNS/qbNS)
 		ours.Add(float64(n), refNS/oursNS)
+		// The headline pair: the largest size that fits the machine and
+		// the first that does not.
+		if *cap-*step < n && n <= *cap+*step {
+			where := "at capacity"
+			if n > *cap {
+				where = "one step past capacity"
+			}
+			f.set("qbsolv speedup "+where, refNS/qbNS)
+			f.set("ours speedup "+where, refNS/oursNS)
+		}
 		if refCut != 0 {
 			quality.Add(float64(n), qbCut/refCut)
 		}
 	}
 
-	fmt.Print(metrics.Table("Fig 1: d&c speedup over sequential SA vs graph size", qb, ours, quality))
-	note("expected shape (paper, 500-spin machine): speedup grows while the problem")
-	note("fits the machine, then crashes by orders of magnitude one step past capacity")
-	note("(~600,000x at n=500 down to ~250x at n=520); 'ours' only slightly better.")
-	note("machine capacity here: %d spins; cliff should appear just past n=%d.", *cap, *cap)
-	return nil
+	f.table("Fig 1: d&c speedup over sequential SA vs graph size", qb, ours, quality)
+	f.note("expected shape (paper, 500-spin machine): speedup grows while the problem")
+	f.note("fits the machine, then crashes by orders of magnitude one step past capacity")
+	f.note("(~600,000x at n=500 down to ~250x at n=520); 'ours' only slightly better.")
+	f.note("machine capacity here: %d spins; cliff should appear just past n=%d.", *cap, *cap)
+	return f, nil
 }

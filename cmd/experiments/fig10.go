@@ -15,30 +15,31 @@ func init() {
 // viewed horizontally every chip is always busy on a different job.
 // The same rotation drives multichip.System.RunBatch; this subcommand
 // verifies its two defining properties and prints the grid.
-func runFig10(args []string) error {
+func runFig10(args []string) (*figure, error) {
 	fs := flag.NewFlagSet("fig10", flag.ContinueOnError)
 	chips := fs.Int("chips", 4, "number of chips")
 	jobs := fs.Int("jobs", 4, "number of staggered jobs")
 	epochs := fs.Int("epochs", 8, "epochs to display")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if *chips < 1 || *jobs < 1 || *epochs < 1 {
-		return fmt.Errorf("all arguments must be positive")
+		return nil, fmt.Errorf("all arguments must be positive")
 	}
 
-	fmt.Printf("# Fig 10: batch staggering, %d chips × %d jobs\n", *chips, *jobs)
-	fmt.Printf("%8s", "epoch")
+	f := &figure{}
+	f.printf("# Fig 10: batch staggering, %d chips × %d jobs\n", *chips, *jobs)
+	f.printf("%8s", "epoch")
 	for c := 0; c < *chips; c++ {
-		fmt.Printf("  chip%d", c)
+		f.printf("  chip%d", c)
 	}
-	fmt.Println()
+	f.printf("\n")
 	for e := 0; e < *epochs; e++ {
-		fmt.Printf("%8d", e+1)
+		f.printf("%8d", e+1)
 		for c := 0; c < *chips; c++ {
-			fmt.Printf("   job%d", (c+e)%*jobs)
+			f.printf("   job%d", (c+e)%*jobs)
 		}
-		fmt.Println()
+		f.printf("\n")
 	}
 
 	// Property 1: when jobs >= chips, no two chips share a job within
@@ -49,12 +50,13 @@ func runFig10(args []string) error {
 			for c := 0; c < *chips; c++ {
 				j := (c + e) % *jobs
 				if seen[j] {
-					return fmt.Errorf("epoch %d assigns job %d twice", e, j)
+					return nil, fmt.Errorf("epoch %d assigns job %d twice", e, j)
 				}
 				seen[j] = true
 			}
 		}
-		note("within every epoch each chip works a distinct job — states never conflict.")
+		f.set("epochs with distinct jobs", float64(*epochs))
+		f.note("within every epoch each chip works a distinct job — states never conflict.")
 	}
 	// Property 2: over jobs consecutive epochs, every job visits every
 	// chip exactly once (all of its slices get annealed).
@@ -69,11 +71,12 @@ func runFig10(args []string) error {
 				}
 			}
 			if len(visited) != *chips {
-				return fmt.Errorf("job %d visited only %d chips in %d epochs", j, len(visited), *chips)
+				return nil, fmt.Errorf("job %d visited only %d chips in %d epochs", j, len(visited), *chips)
 			}
 		}
-		note("over %d consecutive epochs every job visits every chip once — full", *chips)
-		note("coverage of its spin slices, with only O(N) state moving per boundary.")
+		f.set("jobs visiting every chip", float64(*jobs))
+		f.note("over %d consecutive epochs every job visits every chip once — full", *chips)
+		f.note("coverage of its spin slices, with only O(N) state moving per boundary.")
 	}
-	return nil
+	return f, nil
 }

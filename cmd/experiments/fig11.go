@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
+	"slices"
 
 	"mbrim/internal/brim"
 	"mbrim/internal/metrics"
@@ -31,14 +33,14 @@ var fig11Literature = []struct {
 // runFig11 reproduces Fig 11: the cut-vs-time landscape of a K-graph
 // on a single BRIM chip (model time), SA and both SBM variants
 // (measured wall time), plus the literature's reported points.
-func runFig11(args []string) error {
+func runFig11(args []string) (*figure, error) {
 	fs := flag.NewFlagSet("fig11", flag.ContinueOnError)
 	n := fs.Int("n", 512, "K-graph size (paper: 2000)")
 	runs := fs.Int("runs", 10, "restarts per time scale (paper: 100)")
 	duration := fs.Float64("duration", 400, "BRIM anneal duration, ns")
 	seed := fs.Uint64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	g, m := kgraph(*n, *seed)
 
@@ -58,8 +60,8 @@ func runFig11(args []string) error {
 			}
 		}
 	}
-	for _, p := range sortedPoints(best) {
-		brimSeries.Points = append(brimSeries.Points, p)
+	for _, x := range slices.Sorted(maps.Keys(best)) {
+		brimSeries.Add(x, best[x])
 	}
 
 	sweeps := []int{5, 15, 50, 150, 500}
@@ -80,7 +82,8 @@ func runFig11(args []string) error {
 		lit.Add(p.timeNS, p.cut)
 	}
 
-	fmt.Print(metrics.Table(
+	f := &figure{}
+	f.table(
 		fmt.Sprintf("Fig 11: K%d cut value vs time (ns)", *n),
 		brimSeries,
 		ladderSeries("SA best (measured ns)", saPts, func(p softwareLadderPoint) float64 { return p.BestCut }),
@@ -89,30 +92,23 @@ func runFig11(args []string) error {
 		ladderSeries("dSBM best (measured ns)", dsbPts, func(p softwareLadderPoint) float64 { return p.BestCut }),
 		ptSeries,
 		lit,
-	))
+	)
 	if *n != 2000 {
-		note("literature points are reported for K2000; run with -n 2000 to compare directly.")
+		f.note("literature points are reported for K2000; run with -n 2000 to compare directly.")
 	}
 	bestBRIM := lastY(brimSeries)
 	bestSA := saPts[len(saPts)-1].BestCut
-	note("BRIM reaches cut %.0f in %.0f ns of machine time; SA's best after %.2f ms is %.0f.",
+	f.set("BRIM cut", bestBRIM)
+	f.set("BRIM ns", *duration)
+	f.set("SA best cut", bestSA)
+	f.set("SA ns", float64(saPts[len(saPts)-1].Wall.Nanoseconds()))
+	f.set("dSBM best cut", dsbPts[len(dsbPts)-1].BestCut)
+	f.set("dSBM ns", float64(dsbPts[len(dsbPts)-1].Wall.Nanoseconds()))
+	f.note("BRIM reaches cut %.0f in %.0f ns of machine time; SA's best after %.2f ms is %.0f.",
 		bestBRIM, *duration, float64(saPts[len(saPts)-1].Wall.Nanoseconds())/1e6, bestSA)
-	note("expected shape (paper): BRIM attains the best-known cut ~2 orders of magnitude")
-	note("faster than dSBM and ~6 orders faster than SA; only dSBM matches its quality.")
-	return nil
-}
-
-func sortedPoints(m map[float64]float64) []metrics.Point {
-	pts := make([]metrics.Point, 0, len(m))
-	for x, y := range m {
-		pts = append(pts, metrics.Point{X: x, Y: y})
-	}
-	for i := 1; i < len(pts); i++ {
-		for j := i; j > 0 && pts[j].X < pts[j-1].X; j-- {
-			pts[j], pts[j-1] = pts[j-1], pts[j]
-		}
-	}
-	return pts
+	f.note("expected shape (paper): BRIM attains the best-known cut ~2 orders of magnitude")
+	f.note("faster than dSBM and ~6 orders faster than SA; only dSBM matches its quality.")
+	return f, nil
 }
 
 func lastY(s *metrics.Series) float64 {

@@ -23,7 +23,7 @@ func init() {
 // scaled by n/16384 to preserve the paper's demand-to-supply ratio —
 // otherwise a small system never congests and every tier degenerates
 // into mBRIM_3D.
-func runFig12(args []string) error {
+func runFig12(args []string) (*figure, error) {
 	fs := flag.NewFlagSet("fig12", flag.ContinueOnError)
 	n := fs.Int("n", 1024, "K-graph size (paper: 16384)")
 	chips := fs.Int("chips", 4, "number of chips")
@@ -34,11 +34,11 @@ func runFig12(args []string) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	tracePath := traceFlag(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	tracer, closeTrace, err := openTrace(*tracePath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer closeTrace()
 	g, m := kgraph(*n, *seed)
@@ -54,14 +54,14 @@ func runFig12(args []string) error {
 		{"mBRIM_LB", core.LBChannelBytesPerNS * bwScale},
 	}
 
+	f := &figure{}
 	var series []*metrics.Series
-	addTrace := func(name string, pts []metrics.Point) *metrics.Series {
+	addTrace := func(name string, pts []metrics.Point) {
 		s := &metrics.Series{Name: name}
 		for _, p := range pts {
 			s.Add(p.X, g.CutFromEnergy(p.Y))
 		}
 		series = append(series, s)
-		return s
 	}
 
 	for _, tr := range tiers {
@@ -71,10 +71,10 @@ func runFig12(args []string) error {
 			Tracer: tracer,
 		}
 		conc := multichip.MustSystem(m, cfg).RunConcurrent(*duration)
-		s := addTrace(tr.name+" concurrent (elapsed ns)", conc.Trace)
-		note("%s concurrent: final cut %.0f, elapsed %.0f ns (stall %.0f ns, traffic %.0f B)",
+		addTrace(tr.name+" concurrent (elapsed ns)", conc.Trace)
+		f.set(tr.name+" concurrent elapsed ns", conc.ElapsedNS)
+		f.note("%s concurrent: final cut %.0f, elapsed %.0f ns (stall %.0f ns, traffic %.0f B)",
 			tr.name, g.CutFromEnergy(conc.Energy), conc.ElapsedNS, conc.StallNS, conc.TrafficBytes)
-		_ = s
 
 		// Batch mode anneals one slice of each job per epoch, so a job
 		// needs chips× the elapsed time for the same per-spin annealing
@@ -89,7 +89,8 @@ func runFig12(args []string) error {
 			bs.Add(p.X/float64(*runs), g.CutFromEnergy(p.Y))
 		}
 		series = append(series, bs)
-		note("%s batch: best cut %.0f, elapsed %.0f ns = %.0f ns/job (stall %.0f ns, traffic %.0f B)",
+		f.set(tr.name+" batch ns per job", batch.ElapsedNS/float64(*runs))
+		f.note("%s batch: best cut %.0f, elapsed %.0f ns = %.0f ns/job (stall %.0f ns, traffic %.0f B)",
 			tr.name, g.CutFromEnergy(batch.BestEnergy), batch.ElapsedNS,
 			batch.ElapsedNS/float64(*runs), batch.StallNS, batch.TrafficBytes)
 	}
@@ -115,16 +116,17 @@ func runFig12(args []string) error {
 		}
 		msb.Add(wall, best)
 	}
-	note("mSBM [49] exchanges 4·n·(chips−1) = %d B per step", 4**n*(*chips-1))
+	f.note("mSBM [49] exchanges 4·n·(chips−1) = %d B per step", 4**n*(*chips-1))
 	series = append(series, msb)
 	saPts := saLadder(g.CutValue, m, []int{10, 30, 100, 300}, *runs, *seed)
 	series = append(series, ladderSeries("SA best (measured ns)", saPts,
 		func(p softwareLadderPoint) float64 { return p.BestCut }))
 
-	fmt.Print(metrics.Table(fmt.Sprintf("Fig 12: K%d cut vs time, %d-chip mBRIM vs dSBM vs SA", *n, *chips), series...))
-	note("bandwidth tiers scaled by n/16384 = %.4f to preserve the paper's congestion ratio.", bwScale)
-	note("expected shape (paper): mBRIM_3D concurrent is best and fastest (2200x vs SBM);")
-	note("HB/LB stall and finish later; batch mode recovers most of the stall (2.8x/7x)")
-	note("at slightly lower quality, still above SBM's best.")
-	return nil
+	f.table(fmt.Sprintf("Fig 12: K%d cut vs time, %d-chip mBRIM vs dSBM vs SA", *n, *chips), series...)
+	f.note("bandwidth tiers scaled by n/16384 = %.4f to preserve the paper's congestion ratio.", bwScale)
+	f.note("expected shape (paper): mBRIM_3D concurrent is best and fastest (2200x vs SBM);")
+	f.note("HB/LB stall and finish later; batch mode recovers most of the stall (2.8x/7x)")
+	f.note("at slightly lower quality (paper: still above SBM's best; here mBRIM trails")
+	f.note("dSBM's cut, a gap that summary's mBRIM/dSBM cut ratio measures).")
+	return f, nil
 }

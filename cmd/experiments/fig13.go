@@ -16,7 +16,7 @@ func init() {
 // epoch over an annealing run at a fixed epoch size, plus their ratio.
 // Right panel: the average flips/bit-changes ratio as a function of
 // epoch size — the 4-5x batch-mode traffic saving at ~3 ns epochs.
-func runFig13(args []string) error {
+func runFig13(args []string) (*figure, error) {
 	fs := flag.NewFlagSet("fig13", flag.ContinueOnError)
 	n := fs.Int("n", 512, "K-graph size")
 	chips := fs.Int("chips", 4, "number of chips")
@@ -25,11 +25,11 @@ func runFig13(args []string) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	tracePath := traceFlag(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	tracer, closeTrace, err := openTrace(*tracePath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer closeTrace()
 	_, m := kgraph(*n, *seed)
@@ -63,18 +63,12 @@ func runFig13(args []string) error {
 		}
 	}
 
-	fmt.Print(metrics.Table("Fig 13: flips vs bit changes", flips, changes, ratio, ratioVsEpoch))
-	note("run totals at %.1f ns epochs: %d flips, %d bit changes (ratio %.2f).",
-		*epoch, res.Flips, res.BitChanges, float64(res.Flips)/float64(max64(res.BitChanges, 1)))
-	note("expected shape (paper): the ratio is stable over a run after an initial period,")
-	note("and grows roughly linearly with epoch size — ~4-5x traffic saving at ~3 ns epochs")
-	note("compared to sub-nanosecond epochs.")
-	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	f := &figure{}
+	f.table("Fig 13: flips vs bit changes", flips, changes, ratio, ratioVsEpoch)
+	f.note("run totals at %.1f ns epochs: %d flips, %d bit changes (ratio %.2f).",
+		*epoch, res.Flips, res.BitChanges, float64(res.Flips)/float64(max(res.BitChanges, 1)))
+	f.note("expected shape (paper): the ratio is stable over a run after an initial period,")
+	f.note("and grows roughly linearly with epoch size — ~4-5x traffic saving at ~3 ns epochs")
+	f.note("compared to sub-nanosecond epochs.")
+	return f, nil
 }

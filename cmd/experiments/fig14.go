@@ -2,7 +2,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 
 	"mbrim/internal/metrics"
 	"mbrim/internal/multichip"
@@ -16,7 +15,7 @@ func init() {
 // epoch size for both operating modes. Concurrent mode degrades as
 // epochs grow (global-state ignorance builds up); batch mode, whose
 // epochs create no ignorance, degrades only slightly.
-func runFig14(args []string) error {
+func runFig14(args []string) (*figure, error) {
 	fs := flag.NewFlagSet("fig14", flag.ContinueOnError)
 	n := fs.Int("n", 512, "K-graph size")
 	chips := fs.Int("chips", 4, "number of chips")
@@ -25,11 +24,11 @@ func runFig14(args []string) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	tracePath := traceFlag(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	tracer, closeTrace, err := openTrace(*tracePath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer closeTrace()
 	g, m := kgraph(*n, *seed)
@@ -54,15 +53,19 @@ func runFig14(args []string) error {
 		batch.Add(e, bSum/float64(*runs))
 	}
 
-	fmt.Print(metrics.Table("Fig 14: average cut vs epoch size (ns)", conc, batch))
+	f := &figure{}
+	f.table("Fig 14: average cut vs epoch size (ns)", conc, batch)
 	first, last := conc.Points[0].Y, conc.Points[len(conc.Points)-1].Y
 	bFirst, bLast := batch.Points[0].Y, batch.Points[len(batch.Points)-1].Y
-	note("concurrent: %.0f at %.1f ns epochs -> %.0f at %.0f ns (drop %.1f%%).",
-		first, epochs[0], last, epochs[len(epochs)-1], 100*(first-last)/first)
-	note("batch:      %.0f -> %.0f (drop %.1f%%).", bFirst, bLast, 100*(bFirst-bLast)/bFirst)
-	note("expected shape (paper): best quality is concurrent mode at small epochs; its")
-	note("quality falls quickly and significantly with epoch size, while batch mode's")
-	note("reduces only very slightly — making batch the mode of choice when bandwidth")
-	note("constraints force long epochs.")
-	return nil
+	drop, bDrop := 100*(first-last)/first, 100*(bFirst-bLast)/bFirst
+	f.set("concurrent drop %", drop)
+	f.set("batch drop %", bDrop)
+	f.note("concurrent: %.0f at %.1f ns epochs -> %.0f at %.0f ns (drop %.1f%%).",
+		first, epochs[0], last, epochs[len(epochs)-1], drop)
+	f.note("batch:      %.0f -> %.0f (drop %.1f%%).", bFirst, bLast, bDrop)
+	f.note("expected shape (paper): best quality is concurrent mode at small epochs; its")
+	f.note("quality falls quickly and significantly with epoch size, while batch mode's")
+	f.note("reduces only very slightly — making batch the mode of choice when bandwidth")
+	f.note("constraints force long epochs.")
+	return f, nil
 }

@@ -18,7 +18,7 @@ func init() {
 // share versus epoch size. The share is the traffic a coordinated
 // PRNG eliminates (Sec 5.4.2); the figure closes with a measured
 // coordinated-vs-uncoordinated traffic comparison.
-func runFig15(args []string) error {
+func runFig15(args []string) (*figure, error) {
 	fs := flag.NewFlagSet("fig15", flag.ContinueOnError)
 	n := fs.Int("n", 512, "K-graph size")
 	chips := fs.Int("chips", 4, "number of chips")
@@ -27,11 +27,11 @@ func runFig15(args []string) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	tracePath := traceFlag(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	tracer, closeTrace, err := openTrace(*tracePath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer closeTrace()
 	_, m := kgraph(*n, *seed)
@@ -63,7 +63,8 @@ func runFig15(args []string) error {
 		}
 	}
 
-	fmt.Print(metrics.Table("Fig 15: induced flips and bit changes", inducedSeries, changes, share, shareVsEpoch))
+	f := &figure{}
+	f.table("Fig 15: induced flips and bit changes", inducedSeries, changes, share, shareVsEpoch)
 
 	// Measured end-to-end saving from coordination.
 	plain := multichip.MustSystem(m, multichip.Config{
@@ -76,10 +77,13 @@ func runFig15(args []string) error {
 	if plain.TrafficBytes > 0 {
 		saving = 100 * (1 - coord.TrafficBytes/plain.TrafficBytes)
 	}
-	note("measured traffic: uncoordinated %.0f B, coordinated %.0f B (saving %.1f%%).",
+	f.set("traffic saving %", saving)
+	f.set("uncoordinated energy", plain.Energy)
+	f.set("coordinated energy", coord.Energy)
+	f.note("measured traffic: uncoordinated %.0f B, coordinated %.0f B (saving %.1f%%).",
 		plain.TrafficBytes, coord.TrafficBytes, saving)
-	note("expected shape (paper): 30-38%% of bit changes are induced flips across epoch")
-	note("sizes, so coordinating PRNGs cuts communication by that share (~1.5x speedup")
-	note("in a bandwidth-bound system).")
-	return nil
+	f.note("expected shape (paper): 30-38%% of bit changes are induced flips across epoch")
+	f.note("sizes, so coordinating PRNGs cuts communication by that share (~1.5x speedup")
+	f.note("in a bandwidth-bound system).")
+	return f, nil
 }

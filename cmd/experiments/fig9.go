@@ -17,7 +17,7 @@ func init() {
 // solvers that synchronize every epoch; each epoch-boundary sample
 // plots the solver's ignorance of the external state against its
 // energy surprise.
-func runFig9(args []string) error {
+func runFig9(args []string) (*figure, error) {
 	fs := flag.NewFlagSet("fig9", flag.ContinueOnError)
 	n := fs.Int("n", 2048, "graph size (paper: 8000)")
 	solvers := fs.Int("solvers", 8, "number of parallel solvers")
@@ -27,12 +27,12 @@ func runFig9(args []string) error {
 	duration := fs.Float64("duration", 100, "hardware run length per epoch-size point, ns (-hw)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	_, m := kgraph(*n, *seed)
 
 	if *hw {
-		return runFig9Hardware(m, *solvers, *duration, *seed)
+		return runFig9Hardware(m, *solvers, *duration, *seed), nil
 	}
 
 	// Epoch sizes in Metropolis moves, expressed relative to partition
@@ -44,6 +44,7 @@ func runFig9(args []string) error {
 		"medium": part,
 		"large":  part * 20,
 	}
+	f := &figure{}
 	var series []*metrics.Series
 	for _, label := range []string{"small", "medium", "large"} {
 		moves := epochSizes[label]
@@ -63,21 +64,24 @@ func runFig9(args []string) error {
 		}
 		series = append(series, s)
 		is, ss := metrics.Summarize(ign), metrics.Summarize(sur)
-		note("%s epochs: mean ignorance %.3f, mean surprise %.1f (min %.1f, max %.1f)",
+		f.set(label+" epoch mean ignorance", is.Mean)
+		f.set(label+" epoch mean surprise", ss.Mean)
+		f.note("%s epochs: mean ignorance %.3f, mean surprise %.1f (min %.1f, max %.1f)",
 			label, is.Mean, ss.Mean, ss.Min, ss.Max)
 	}
 
-	fmt.Print(metrics.Table("Fig 9: (ignorance, energy surprise) scatter per epoch size", series...))
-	note("expected shape (paper): long epochs push samples far right (high ignorance)")
-	note("with uniformly negative, large-magnitude surprise; short epochs cluster near")
-	note("the origin where surprise is small and no longer uniformly negative.")
-	return nil
+	f.table("Fig 9: (ignorance, energy surprise) scatter per epoch size", series...)
+	f.note("expected shape (paper): long epochs push samples far right (high ignorance)")
+	f.note("with uniformly negative, large-magnitude surprise; short epochs cluster near")
+	f.note("the origin where surprise is small and no longer uniformly negative.")
+	return f, nil
 }
 
 // runFig9Hardware repeats the experiment on the multiprocessor model
 // itself: the per-epoch ignorance/surprise probes read the chips'
 // actual shadow registers against the true global state.
-func runFig9Hardware(m *ising.Model, chips int, duration float64, seed uint64) error {
+func runFig9Hardware(m *ising.Model, chips int, duration float64, seed uint64) *figure {
+	f := &figure{}
 	var series []*metrics.Series
 	for _, epoch := range []float64{1, 3.3, 10, 25} {
 		res := multichip.MustSystem(m, multichip.Config{
@@ -92,10 +96,10 @@ func runFig9Hardware(m *ising.Model, chips int, duration float64, seed uint64) e
 		}
 		series = append(series, s)
 		is, ss := metrics.Summarize(ign), metrics.Summarize(sur)
-		note("epoch %.1f ns: mean ignorance %.4f, mean surprise %.1f", epoch, is.Mean, ss.Mean)
+		f.note("epoch %.1f ns: mean ignorance %.4f, mean surprise %.1f", epoch, is.Mean, ss.Mean)
 	}
-	fmt.Print(metrics.Table("Fig 9 (hardware probes): (ignorance, surprise) per epoch size", series...))
-	note("same phase structure as the SA-solver version, measured on the BRIM")
-	note("multiprocessor's shadow registers directly.")
-	return nil
+	f.table("Fig 9 (hardware probes): (ignorance, surprise) per epoch size", series...)
+	f.note("same phase structure as the SA-solver version, measured on the BRIM")
+	f.note("multiprocessor's shadow registers directly.")
+	return f
 }

@@ -46,12 +46,6 @@ func openTrace(path string) (obs.Tracer, func(), error) {
 	}, nil
 }
 
-// note prints paper-expectation commentary, stripped by tools that
-// only want the data.
-func note(format string, args ...any) {
-	fmt.Printf("#? "+format+"\n", args...)
-}
-
 // softwareLadderPoint is one measured (wall time, cut quality) rung of
 // a software solver's quality-vs-time curve.
 type softwareLadderPoint struct {

@@ -18,7 +18,7 @@ func init() {
 // match (a) a monolithic machine of the same total capacity — the
 // macrochip it digitally replaces — and (b) the zero-ignorance
 // sequential baseline, while being chips× faster than the latter.
-func runMacrochip(args []string) error {
+func runMacrochip(args []string) (*figure, error) {
 	fs := flag.NewFlagSet("macrochip", flag.ContinueOnError)
 	n := fs.Int("n", 256, "K-graph size")
 	chips := fs.Int("chips", 4, "number of chips")
@@ -26,7 +26,7 @@ func runMacrochip(args []string) error {
 	runs := fs.Int("runs", 5, "averaging runs")
 	seed := fs.Uint64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	g, m := kgraph(*n, *seed)
 
@@ -62,15 +62,22 @@ func runMacrochip(args []string) error {
 	add(fmt.Sprintf("%d-chip concurrent, 1 ns epochs", *chips), concSum/r, concElapsed/r)
 	add(fmt.Sprintf("%d-chip sequential (zero ignorance)", *chips), seqSum/r, seqElapsed/r)
 
+	f := &figure{}
+	f.set("monolithic cut", monoSum/r)
+	f.set("concurrent cut", concSum/r)
+	f.set("sequential cut", seqSum/r)
+	f.set("concurrent elapsed ns", concElapsed/r)
+	f.set("sequential elapsed ns", seqElapsed/r)
+	f.set("chips", float64(*chips))
 	series := &metrics.Series{Name: "avg cut (x = elapsed ns)"}
-	fmt.Printf("# Macrochip equivalence on K%d (%d runs averaged)\n", *n, *runs)
+	f.printf("# Macrochip equivalence on K%d (%d runs averaged)\n", *n, *runs)
 	for _, row := range rows {
-		fmt.Printf("%-42s cut %8.0f  elapsed %8.0f ns\n", row.name, row.avgCut, row.elapsedNS)
+		f.printf("%-42s cut %8.0f  elapsed %8.0f ns\n", row.name, row.avgCut, row.elapsedNS)
 		series.Add(row.elapsedNS, row.avgCut)
 	}
-	fmt.Print(metrics.Table("macrochip comparison", series))
-	note("expected (Sec 5.4.1): all three land at comparable quality; the concurrent")
-	note("multiprocessor matches the monolithic machine's speed while the sequential")
-	note("baseline pays %dx elapsed time for the same annealing.", *chips)
-	return nil
+	f.table("macrochip comparison", series)
+	f.note("expected (Sec 5.4.1): all three land at comparable quality; the concurrent")
+	f.note("multiprocessor matches the monolithic machine's speed while the sequential")
+	f.note("baseline pays %dx elapsed time for the same annealing.", *chips)
+	return f, nil
 }

@@ -24,9 +24,10 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"runtime/debug"
-	"sort"
+	"slices"
 
 	"mbrim/internal/hostinfo"
 )
@@ -35,12 +36,12 @@ import (
 type command struct {
 	name    string
 	summary string
-	run     func(args []string) error
+	run     func(args []string) (*figure, error)
 }
 
 var commands = map[string]*command{}
 
-func register(name, summary string, run func(args []string) error) {
+func register(name, summary string, run func(args []string) (*figure, error)) {
 	commands[name] = &command{name: name, summary: summary, run: run}
 }
 
@@ -49,45 +50,36 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	name := os.Args[1]
-	if name == "all" {
+	names, args := os.Args[1:2], os.Args[2:]
+	all := names[0] == "all"
+	if all {
 		host, _ := json.Marshal(hostinfo.Collect())
 		fmt.Printf("# experiments all at commit %s on host %s\n", revision(), host)
-		names := make([]string, 0, len(commands))
-		for n := range commands {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Printf("\n===== %s =====\n", n)
-			if err := commands[n].run(nil); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", n, err)
-				os.Exit(1)
-			}
-		}
-		return
+		names, args = slices.Sorted(maps.Keys(commands)), nil
 	}
-	cmd, ok := commands[name]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown subcommand %q\n\n", name)
-		usage()
-		os.Exit(2)
-	}
-	if err := cmd.run(os.Args[2:]); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-		os.Exit(1)
+	for _, name := range names {
+		cmd, ok := commands[name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown subcommand %q\n\n", name)
+			usage()
+			os.Exit(2)
+		}
+		if all {
+			fmt.Printf("\n===== %s =====\n", name)
+		}
+		fig, err := cmd.run(args)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			os.Exit(1)
+		}
+		fmt.Print(fig)
 	}
 }
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: experiments <subcommand> [flags]")
 	fmt.Fprintln(os.Stderr, "\nsubcommands:")
-	names := make([]string, 0, len(commands))
-	for n := range commands {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(commands)) {
 		fmt.Fprintf(os.Stderr, "  %-16s %s\n", n, commands[n].summary)
 	}
 	fmt.Fprintln(os.Stderr, "  all              run every experiment with defaults")

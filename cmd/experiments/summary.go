@@ -2,7 +2,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 
 	"mbrim/internal/core"
 	"mbrim/internal/multichip"
@@ -15,7 +14,7 @@ func init() {
 
 // runSummary measures the paper's headline claims on one scaled
 // benchmark and prints them next to the paper's reported values.
-func runSummary(args []string) error {
+func runSummary(args []string) (*figure, error) {
 	fs := flag.NewFlagSet("summary", flag.ContinueOnError)
 	n := fs.Int("n", 1024, "K-graph size (paper: 16384)")
 	chips := fs.Int("chips", 4, "number of chips")
@@ -25,12 +24,13 @@ func runSummary(args []string) error {
 	runs := fs.Int("runs", 4, "batch jobs / restarts")
 	seed := fs.Uint64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	g, m := kgraph(*n, *seed)
 	bwScale := float64(*n) / 16384
 
-	fmt.Printf("# Summary: measured vs paper-reported headline numbers (K%d, %d chips)\n", *n, *chips)
+	f := &figure{}
+	f.printf("# Summary: measured vs paper-reported headline numbers (K%d, %d chips)\n", *n, *chips)
 
 	// 1. mBRIM_3D vs dSBM speedup at comparable quality.
 	m3d := multichip.MustSystem(m, multichip.Config{
@@ -40,12 +40,14 @@ func runSummary(args []string) error {
 	dsb := sbm.SolveBatch(m, sbm.Config{Variant: sbm.Discrete, Steps: 1000, Seed: *seed}, *runs)
 	dsbCut := g.CutValue(dsb.Best.Spins)
 	speedup := float64(dsb.Wall.Nanoseconds()) / m3d.ElapsedNS
-	fmt.Printf("mBRIM_3D: cut %.0f in %.0f ns (machine time)\n", m3dCut, m3d.ElapsedNS)
-	fmt.Printf("dSBM:     cut %.0f in %v (measured)\n", dsbCut, dsb.Wall)
-	fmt.Printf("speedup (machine vs computational annealer): %.0fx   [paper: ~2200x vs 8-FPGA SBM]\n", speedup)
-	note("the absolute factor depends on host CPU speed; the paper's 2200x compares modeled")
-	note("45nm silicon to an 8-FPGA cluster. The shape to check: mBRIM reaches >= dSBM's")
-	note("cut in orders of magnitude less time. Here: quality ratio %.3f, time ratio %.0fx.",
+	f.set("mBRIM/dSBM cut ratio", m3dCut/dsbCut)
+	f.set("speedup over dSBM", speedup)
+	f.printf("mBRIM_3D: cut %.0f in %.0f ns (machine time)\n", m3dCut, m3d.ElapsedNS)
+	f.printf("dSBM:     cut %.0f in %v (measured)\n", dsbCut, dsb.Wall)
+	f.printf("speedup (machine vs computational annealer): %.0fx   [paper: ~2200x vs 8-FPGA SBM]\n", speedup)
+	f.note("the absolute factor depends on host CPU speed; the paper's 2200x compares modeled")
+	f.note("45nm silicon to an 8-FPGA cluster. The shape to check: mBRIM reaches >= dSBM's")
+	f.note("cut in orders of magnitude less time. Here: quality ratio %.3f, time ratio %.0fx.",
 		m3dCut/dsbCut, speedup)
 
 	// 2. Batch-mode gain under constrained bandwidth.
@@ -66,13 +68,14 @@ func runSummary(args []string) error {
 		}).RunBatch(*runs, *duration*float64(*chips))
 		perJob := batch.ElapsedNS / float64(*runs)
 		gain := conc.ElapsedNS / perJob
-		fmt.Printf("%s: concurrent %.0f ns/job (stall %.0f); batch %.0f ns/job (stall %.0f) -> batch %.2fx throughput\n",
+		f.set(tier.name+" batch gain", gain)
+		f.printf("%s: concurrent %.0f ns/job (stall %.0f); batch %.0f ns/job (stall %.0f) -> batch %.2fx throughput\n",
 			tier.name, conc.ElapsedNS, conc.StallNS, perJob, batch.StallNS, gain)
-		fmt.Printf("%s: cut concurrent %.0f vs batch %.0f\n",
+		f.printf("%s: cut concurrent %.0f vs batch %.0f\n",
 			tier.name, g.CutFromEnergy(conc.Energy), g.CutFromEnergy(batch.BestEnergy))
 	}
-	note("[paper: batch mode finishes 2.8x faster on HB and 7x faster on LB, with slightly")
-	note("reduced but still SBM-beating quality]")
+	f.note("[paper: batch mode finishes 2.8x faster on HB and 7x faster on LB, with slightly")
+	f.note("reduced but still SBM-beating quality]")
 
 	// 3. Traffic reduction stack: long epochs + coordination.
 	shortE := multichip.MustSystem(m, multichip.Config{
@@ -81,18 +84,12 @@ func runSummary(args []string) error {
 	longB := multichip.MustSystem(m, multichip.Config{
 		Chips: *chips, EpochNS: *batchEpoch, Seed: *seed, Coordinated: true,
 	}).RunBatch(*runs, *duration)
-	fmt.Printf("traffic: sub-ns-epoch concurrent %.0f B vs coordinated long-epoch batch %.0f B -> %.1fx reduction\n",
-		shortE.TrafficBytes, longB.TrafficBytes, shortE.TrafficBytes/maxf(longB.TrafficBytes, 1))
-	fmt.Printf("peak demand: %.2f B/ns per chip (short epochs) vs %.2f B/ns (batch)\n",
+	f.set("traffic reduction", shortE.TrafficBytes/max(longB.TrafficBytes, 1))
+	f.printf("traffic: sub-ns-epoch concurrent %.0f B vs coordinated long-epoch batch %.0f B -> %.1fx reduction\n",
+		shortE.TrafficBytes, longB.TrafficBytes, shortE.TrafficBytes/max(longB.TrafficBytes, 1))
+	f.printf("peak demand: %.2f B/ns per chip (short epochs) vs %.2f B/ns (batch)\n",
 		shortE.PeakDemandBytesPerNS, longB.PeakDemandBytesPerNS)
-	note("[paper: 4-5x from batch epochs, ~1.5x from coordinated flips, ~20x total demand")
-	note("reduction from 4 TB/s to 218 GB/s]")
-	return nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	f.note("[paper: 4-5x from batch epochs, ~1.5x from coordinated flips, ~20x total demand")
+	f.note("reduction from 4 TB/s to 218 GB/s]")
+	return f, nil
 }

@@ -79,3 +79,25 @@ func BenchmarkNewSystem(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkHostParallelism is the wall-time effect of stepping the four
+// chips on host goroutines (Config.Parallel) through a 100 ns K512
+// concurrent run. The results are bit-identical either way; the
+// system's construction is outside the timer.
+func BenchmarkHostParallelism(b *testing.B) {
+	m := kgraph(512, 17)
+	for _, par := range []bool{false, true} {
+		name := "Sequential"
+		if par {
+			name = "Parallel"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := MustSystem(m, Config{Chips: 4, Seed: uint64(i), Parallel: par})
+				b.StartTimer()
+				s.RunConcurrent(100)
+			}
+		})
+	}
+}

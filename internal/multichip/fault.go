@@ -154,6 +154,9 @@ func (s *System) repartition(victim, epochNo int, remainingNS float64, tr obs.Tr
 	if len(survivors) == 0 {
 		return 0, 0
 	}
+	for ci, sl := range s.slices {
+		s.recordChipFlips(ci, sl.chip.machine.Flips())
+	}
 	parts := make([][]int, len(survivors))
 	added := make([]int, len(survivors))
 	for i, ci := range survivors {

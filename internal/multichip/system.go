@@ -521,6 +521,18 @@ func (s *System) setHorizon(ns float64) {
 	}
 }
 
+// recordChipFlips adds a machine's flips to its chip's
+// multichip.chip_flips series, the exposition's per-chip attribution;
+// the unlabeled multichip.flips stays the total. It runs once per live
+// machine when a run ends and once per retiring machine at a
+// repartition, so the series sum to the total.
+func (s *System) recordChipFlips(ci int, flips int64) {
+	if s.cfg.Metrics != nil {
+		s.cfg.Metrics.CounterWith("multichip.chip_flips",
+			obs.Labels{"chip": strconv.Itoa(ci)}).Add(flips)
+	}
+}
+
 // collect assembles a single-job run's result from its ledger and the
 // machines, at completion or at the cancellation cut alike.
 func (s *System) collect(f *runFrame) *Result {
@@ -545,12 +557,7 @@ func (s *System) collect(f *runFrame) *Result {
 		c := &sl.chip
 		res.Flips += c.machine.Flips()
 		res.InducedFlips += c.machine.InducedFlips()
-		if s.cfg.Metrics != nil {
-			// Per-chip flip attribution for the exposition's chip
-			// label; the unlabeled multichip.flips stays the total.
-			s.cfg.Metrics.CounterWith("multichip.chip_flips",
-				obs.Labels{"chip": strconv.Itoa(ci)}).Add(c.machine.Flips())
-		}
+		s.recordChipFlips(ci, c.machine.Flips())
 	}
 	res.Spins = s.GlobalSpins()
 	res.Energy = s.energy(res.Spins)

@@ -11,6 +11,7 @@ import (
 
 	"mbrim/internal/graph"
 	"mbrim/internal/ising"
+	"mbrim/internal/lattice"
 	"mbrim/internal/metrics"
 	"mbrim/internal/obs"
 	"mbrim/internal/rng"
@@ -307,5 +308,21 @@ func BenchmarkSolveK256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Solve(m, Config{Sweeps: 200, Seed: uint64(i)})
+	}
+}
+
+// BenchmarkSparseVsDenseSA anneals one 1 %-density 2000-spin model over
+// each layout: the same trajectory, a flip's fan-out O(degree) over CSR
+// against O(N) over the dense rows.
+func BenchmarkSparseVsDenseSA(b *testing.B) {
+	m := graph.Random(2000, 0.01, rng.New(15)).ToIsing()
+	for _, backend := range []lattice.Kind{lattice.Dense, lattice.CSR} {
+		b.Run(backend.String(), func(b *testing.B) {
+			m := m.As(backend)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Solve(m, Config{Sweeps: 5, Seed: uint64(i)})
+			}
+		})
 	}
 }
