@@ -653,6 +653,16 @@ func TestManagerAPI(t *testing.T) {
 		status.Outcome == nil || status.Outcome.Energy != status.Result.Energy {
 		t.Fatalf("alias status: %+v (result %+v, outcome %+v)", status, status.Result, status.Outcome)
 	}
+	// The body named no engine, so the journal records the request with
+	// the alias's default filled in: replay rebuilds a cluster run.
+	rep, err := journal.Replay(jpath)
+	if err != nil || len(rep.Records) == 0 || rep.Records[0].Type != journal.TypeSubmit {
+		t.Fatalf("journal after the alias submit: %+v, %v", rep, err)
+	}
+	var spec runs.SubmitRequest
+	if err := json.Unmarshal(rep.Records[0].Spec, &spec); err != nil || spec.Engine != "cluster" || spec.Seed != 99 {
+		t.Errorf("journaled alias spec %s (%v), want engine cluster, seed 99", rep.Records[0].Spec, err)
+	}
 
 	// The API's answer equals the in-process engine's.
 	m := kmodel(32, 7)

@@ -2,6 +2,7 @@ package runs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -134,4 +135,61 @@ func BenchmarkSolveJournaled(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSubmitPath prices POST /runs's CPU on a sparse1k_mbrim4
+// body: graph.Random(1024, 0.02) as 1-based float triples, ~10 500
+// edges in ~130 KB. Its stages: the strict decode; the journal's submit
+// record, whose spec is the body as received (the marshal compacts it);
+// the /cluster/runs alias's re-marshal, journaled only when the handler
+// fills in the engine; and buildRequest, the model included.
+func BenchmarkSubmitPath(b *testing.B) {
+	g := graph.Random(1024, 0.02, rng.New(1))
+	edges := make([][3]float64, 0, g.M())
+	for _, e := range g.Edges() {
+		edges = append(edges, [3]float64{float64(e.U + 1), float64(e.V + 1), e.Weight})
+	}
+	body, err := json.Marshal(map[string]any{"engine": "mbrim", "seed": 1, "chips": 4, "durationNS": 100.0,
+		"n": 1024, "edges": edges})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sr, err := decodeSubmit(body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := NewManager(Config{})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeSubmit(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("journal-record", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(journal.Record{Type: journal.TypeSubmit, ID: "run-1", WallNS: 1, Spec: body}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("alias-remarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(sr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.buildRequest(sr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

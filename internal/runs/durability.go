@@ -430,10 +430,15 @@ func (m *Manager) tombstone(id string, s *replayState, state State, errMsg strin
 		summary:  sum,
 	}
 	if len(s.spec) > 0 {
-		var sr SubmitRequest
-		if err := json.Unmarshal(s.spec, &sr); err == nil {
-			r.req.Kind = core.Kind(sr.Engine)
-			r.req.Seed = sr.Seed
+		// Two fields, not the whole request: a tombstone has no use for
+		// the edge list.
+		var head struct {
+			Engine string `json:"engine"`
+			Seed   uint64 `json:"seed"`
+		}
+		if err := json.Unmarshal(s.spec, &head); err == nil {
+			r.req.Kind = core.Kind(head.Engine)
+			r.req.Seed = head.Seed
 		}
 	}
 	r.diag = diag.New(diag.Config{RunID: id})

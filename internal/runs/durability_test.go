@@ -1,12 +1,12 @@
 package runs
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -154,7 +154,7 @@ func TestCrashReplayBitIdentity(t *testing.T) {
 	if err := json.Unmarshal(spec, &sr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeSubmit(bytes.NewReader(spec)); err == nil {
+	if _, err := decodeSubmit(spec); err == nil {
 		t.Fatal("the submit decoder accepted a backend field")
 	}
 	req, err := m1.buildRequest(&sr)
@@ -313,6 +313,51 @@ func TestRecoverTombstones(t *testing.T) {
 		t.Fatalf("next ID = %s, want run-4", next.ID())
 	}
 	waitDone(t, next)
+}
+
+// TestReplayParentEdgeListSpec replays a spec as the previous daemon
+// journaled it — encoding/json's re-marshal of the request, an edge
+// list with fractional, exponent and 17-digit weights included. The
+// crashed run restarts on the same edges, bit for bit, and the terminal
+// one comes back naming its engine and seed.
+func TestReplayParentEdgeListSpec(t *testing.T) {
+	spec := json.RawMessage(`{"engine":"sa","n":5,"edges":[[1,2,1],[2,3,-0.25],[3,4,1e-7],[4,5,3.5],[5,1,-1],` +
+		`[1,3,12345678901234568]],"seed":3,"sweeps":20}`)
+	want := SubmitRequest{Engine: "sa", N: 5, Seed: 3, Sweeps: 20, Edges: EdgeList{
+		{1, 2, 1}, {2, 3, -0.25}, {3, 4, 1e-7}, {4, 5, 3.5}, {5, 1, -1}, {1, 3, 12345678901234568}}}
+	var sr SubmitRequest
+	if err := json.Unmarshal(spec, &sr); err != nil || !reflect.DeepEqual(sr, want) {
+		t.Fatalf("the parent's spec reads as %+v (%v), want %+v", sr, err, want)
+	}
+	m := NewManager(Config{Registry: obs.NewRegistry()})
+	sum := m.Recover([]journal.Record{
+		{Type: journal.TypeSubmit, ID: "run-1", WallNS: 100, Spec: spec},
+		{Type: journal.TypeStart, ID: "run-1", WallNS: 200},
+		{Type: journal.TypeSubmit, ID: "run-2", WallNS: 300, Spec: spec},
+		{Type: journal.TypeTerminal, ID: "run-2", WallNS: 400, State: "completed"},
+	})
+	if sum.Restarted != 1 || sum.Tombstones != 1 || sum.Resumed != 0 || sum.Unrecoverable != 0 {
+		t.Fatalf("recover summary = %+v, want one restart and one tombstone", sum)
+	}
+	r1, _ := m.Get("run-1")
+	waitDone(t, r1)
+	out, err := r1.Outcome()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refReq, err := m.buildRequest(&want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.Solve(refReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomesMatch(t, "replayed parent spec vs its request", out, ref)
+	r2, _ := m.Get("run-2")
+	if st := r2.Status(); st.Engine != "sa" || st.Seed != 3 {
+		t.Fatalf("tombstone names engine %q seed %d, want sa 3", st.Engine, st.Seed)
+	}
 }
 
 // panicOnce is a Tracer that panics on its nth Emit, exactly once —

@@ -1,6 +1,7 @@
 package runs
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -56,8 +57,8 @@ type SubmitRequest struct {
 	GraphSeed uint64 `json:"graphSeed,omitempty"`
 	// N and Edges give an explicit graph: n vertices, [u, v, w] rows
 	// with 1-based u, v.
-	N     int          `json:"n,omitempty"`
-	Edges [][3]float64 `json:"edges,omitempty"`
+	N     int      `json:"n,omitempty"`
+	Edges EdgeList `json:"edges,omitempty"`
 
 	Seed              uint64  `json:"seed,omitempty"`
 	Runs              int     `json:"runs,omitempty"`
@@ -288,13 +289,18 @@ func Mount(mux *http.ServeMux, m *Manager, reg *obs.Registry, ready func() bool)
 }
 
 // decodeSubmit is the one submit decoder: strict, so a misspelt knob is
-// an error and not a default.
-func decodeSubmit(body io.Reader) (*SubmitRequest, error) {
+// an error and not a default, and so is anything after the body's one
+// JSON value. A body it accepts is therefore a spec replay rebuilds the
+// run from.
+func decodeSubmit(body []byte) (*SubmitRequest, error) {
 	var sr SubmitRequest
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sr); err != nil {
 		return nil, fmt.Errorf("runs: parsing body: %w", err)
+	}
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return nil, fmt.Errorf("runs: parsing body: data after the JSON value at offset %d", len(body)-len(rest))
 	}
 	return &sr, nil
 }
@@ -302,13 +308,25 @@ func decodeSubmit(body io.Reader) (*SubmitRequest, error) {
 // handleSubmit serves POST /runs; engine is the default for a body that
 // names none (empty on /runs: the field is required there).
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request, engine string) {
-	sr, err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("runs: reading body: %w", err))
+		return
+	}
+	sr, err := decodeSubmit(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if sr.Engine == "" {
+	// The journal records the body as received: the strict decoder took
+	// every field of it, so replay rebuilds the run from exactly what was
+	// submitted. Only a default filled in here is not in the body; then
+	// the journal records the request re-marshalled (it cannot fail: a
+	// decoded body holds no NaN or infinity).
+	spec := body
+	if sr.Engine == "" && engine != "" {
 		sr.Engine = engine
+		spec, _ = json.Marshal(sr)
 	}
 	req, err := m.buildRequest(sr)
 	if err != nil {
@@ -320,15 +338,9 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request, engine st
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	opts := SubmitOptions{Priority: sr.Priority}
+	opts := SubmitOptions{Priority: sr.Priority, Spec: spec}
 	if sr.DeadlineMS > 0 {
 		opts.Deadline = time.Now().Add(time.Duration(sr.DeadlineMS) * time.Millisecond)
-	}
-	// The canonical re-marshal (not the raw body) is what the journal
-	// records: replay rebuilds the run from exactly the fields this
-	// build understood.
-	if spec, err := json.Marshal(sr); err == nil {
-		opts.Spec = spec
 	}
 	// The run outlives the submit request: solve under the manager's
 	// lifetime, not the HTTP request context.

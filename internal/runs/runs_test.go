@@ -338,6 +338,15 @@ var httpValidationCases = []struct {
 	{"negative channels", `{"engine":"mbrim-seq","k":8,"channels":-1}`, "Channels=-1"},
 	{"unknown field", `{"engine":"sa","k":8,"warp":9}`, ""},
 	{"syntax error", `{"engine":`, ""},
+	// encoding/json pads and truncates a fixed-size array: these three
+	// were accepted as weight 0, as a dropped 9 and as weight 0.
+	{"two-number row", `{"engine":"sa","n":4,"edges":[[1,2],[2,3,1]]}`, "edges: row 0: want three numbers"},
+	{"four-number row", `{"engine":"sa","n":4,"edges":[[1,2,1,9],[2,3,1]]}`, "edges: row 0: want three numbers"},
+	{"null weight", `{"engine":"sa","n":4,"edges":[[1,2,null]]}`, "edges: row 0: want three numbers"},
+	// Decoder.Decode stops at the first value: both were accepted, and the
+	// journal records the body as received.
+	{"trailing garbage", `{"engine":"sa","k":8} garbage`, "data after the JSON value at offset 22"},
+	{"second value", `{"engine":"sa","k":8}{"engine":"tabu"}`, "data after the JSON value at offset 21"},
 }
 
 func TestHTTPValidation(t *testing.T) {
