@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"math"
 
 	"mbrim/internal/brim"
 	"mbrim/internal/dnc"
@@ -52,8 +53,10 @@ func runFig1(args []string) (*figure, error) {
 
 		// Reference: sequential SA on the whole problem, batch of
 		// restarts, measured wall time.
-		ref := sa.SolveBatch(m, sa.Config{Sweeps: *saSweeps, Seed: *seed}, *saRuns)
-		refNS := float64(ref.Wall.Nanoseconds())
+		ref, refNS := fastest(func() (*metrics.Batch[*sa.Result], float64) {
+			b := sa.SolveBatch(m, sa.Config{Sweeps: *saSweeps, Seed: *seed}, *saRuns)
+			return b, float64(b.Wall.Nanoseconds())
+		})
 		refCut := g.CutValue(ref.Best.Spins)
 
 		var mach dnc.Machine = &dnc.ProxyMachine{Cap: *cap, AnnealNS: *annealNS, Program: *programNS, Sweeps: 60}
@@ -73,10 +76,15 @@ func runFig1(args []string) (*figure, error) {
 			sol, _ := mach.Anneal(m, nil, *seed)
 			qbCut = g.CutValue(sol)
 		} else {
-			qres := dnc.QBSolv(m, mach, dnc.QBSolvConfig{Seed: *seed})
-			ores := dnc.Ours(m, mach, dnc.OursConfig{Seed: *seed})
-			qbNS = qres.TotalNS()
-			oursNS = ores.TotalNS()
+			var qres *dnc.Result
+			qres, qbNS = fastest(func() (*dnc.Result, float64) {
+				r := dnc.QBSolv(m, mach, dnc.QBSolvConfig{Seed: *seed})
+				return r, r.TotalNS()
+			})
+			_, oursNS = fastest(func() (*dnc.Result, float64) {
+				r := dnc.Ours(m, mach, dnc.OursConfig{Seed: *seed})
+				return r, r.TotalNS()
+			})
 			qbCut = g.CutValue(qres.Spins)
 		}
 		qb.Add(float64(n), refNS/qbNS)
@@ -102,4 +110,24 @@ func runFig1(args []string) (*figure, error) {
 	f.note("(~600,000x at n=500 down to ~250x at n=520); 'ours' only slightly better.")
 	f.note("machine capacity here: %d spins; cliff should appear just past n=%d.", *cap, *cap)
 	return f, nil
+}
+
+// timingReps is how many identical seeded runs each host-timed cost in
+// Fig 1 is the fastest of. Host wall time is the one input of the
+// speedup that preemption inflates, and a run of tens of microseconds
+// can lose its whole budget to one descheduling; the fastest of a few
+// identical runs is the one the host did not interrupt.
+const timingReps = 5
+
+// fastest runs a seeded, deterministic computation timingReps times and
+// returns its result with the smallest cost any run measured.
+func fastest[T any](run func() (T, float64)) (T, float64) {
+	var res T
+	best := math.Inf(1)
+	for range timingReps {
+		var ns float64
+		res, ns = run()
+		best = math.Min(best, ns)
+	}
+	return res, best
 }

@@ -19,7 +19,7 @@ import (
 // distributed fabric — one JSON step RPC per slice per epoch plus the
 // coordinated-checkpoint rounds — with the network itself at loopback
 // cost. Both sides produce bit-identical results (pinned by
-// TestClusterMatchesInProcess), so the comparison is pure wall time.
+// TestClusterRelations), so the comparison is pure wall time.
 
 func benchWorkers(b *testing.B, k int) []string {
 	b.Helper()

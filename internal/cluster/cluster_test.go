@@ -8,11 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"mbrim/internal/checkpoint"
 	"mbrim/internal/cluster/chaosproxy"
 	"mbrim/internal/core"
 	"mbrim/internal/graph"
@@ -34,6 +35,19 @@ func (f atBarrier) Emit(e obs.Event) {
 	if e.Kind == obs.EpochSync {
 		f(e.Epoch)
 	}
+}
+
+// eventLog keeps a run's event stream with the wall-clock fields zeroed.
+type eventLog struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
+
+func (l *eventLog) Emit(e obs.Event) {
+	e.WallNS, e.WallDurNS = 0, 0
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
 }
 
 func kmodel(n int, seed uint64) *ising.Model {
@@ -77,9 +91,10 @@ func fastConfig(workers []string, chips int, seed uint64, duration float64) Conf
 	}
 }
 
-func inProcess(t *testing.T, m *ising.Model, cfg Config) *multichip.Result {
-	t.Helper()
-	mcfg := multichip.Config{
+// inProcessConfig is the multichip configuration a coordinator's slices
+// derive from cfg.
+func inProcessConfig(cfg Config) multichip.Config {
+	return multichip.Config{
 		Chips:             cfg.Chips,
 		EpochNS:           cfg.EpochNS,
 		Coordinated:       cfg.Coordinated,
@@ -88,99 +103,26 @@ func inProcess(t *testing.T, m *ising.Model, cfg Config) *multichip.Result {
 		ChannelBytesPerNS: cfg.ChannelBytesPerNS,
 		SampleEveryNS:     cfg.SampleEveryNS,
 	}
-	return multichip.MustSystem(m, mcfg).RunConcurrent(cfg.DurationNS)
 }
 
-// compareToInProcess asserts the distributed trajectory equals the
-// in-process one bit for bit. Traffic/stall/elapsed are compared only
-// when wantLedgers is true (a recovered run legitimately carries extra
-// hand-off traffic and stall).
-func compareToInProcess(t *testing.T, got *Result, want *multichip.Result, wantLedgers bool) {
+func inProcess(t *testing.T, m *ising.Model, cfg Config) *multichip.Result {
 	t.Helper()
-	for i := range got.Spins {
-		if got.Spins[i] != want.Spins[i] {
-			t.Fatalf("spin %d: cluster=%d in-process=%d", i, got.Spins[i], want.Spins[i])
-		}
-	}
-	if got.Energy != want.Energy {
-		t.Errorf("energy: cluster=%v in-process=%v", got.Energy, want.Energy)
-	}
-	if got.Flips != want.Flips {
-		t.Errorf("flips: cluster=%d in-process=%d", got.Flips, want.Flips)
-	}
-	if got.InducedFlips != want.InducedFlips {
-		t.Errorf("induced flips: cluster=%d in-process=%d", got.InducedFlips, want.InducedFlips)
-	}
-	if got.BitChanges != want.BitChanges {
-		t.Errorf("bit changes: cluster=%d in-process=%d", got.BitChanges, want.BitChanges)
-	}
-	if got.InducedBitChanges != want.InducedBitChanges {
-		t.Errorf("induced bit changes: cluster=%d in-process=%d", got.InducedBitChanges, want.InducedBitChanges)
-	}
-	if got.Epochs != want.Epochs {
-		t.Errorf("epochs: cluster=%d in-process=%d", got.Epochs, want.Epochs)
-	}
-	if got.ModelNS != want.ModelNS {
-		t.Errorf("model time: cluster=%v in-process=%v", got.ModelNS, want.ModelNS)
-	}
-	if !wantLedgers {
-		return
-	}
-	if got.TrafficBytes != want.TrafficBytes {
-		t.Errorf("traffic: cluster=%v in-process=%v", got.TrafficBytes, want.TrafficBytes)
-	}
-	if got.StallNS != want.StallNS {
-		t.Errorf("stall: cluster=%v in-process=%v", got.StallNS, want.StallNS)
-	}
-	if got.ElapsedNS != want.ElapsedNS {
-		t.Errorf("elapsed: cluster=%v in-process=%v", got.ElapsedNS, want.ElapsedNS)
-	}
-	if len(got.Trace) != len(want.Trace) {
-		t.Fatalf("trace length: cluster=%d in-process=%d", len(got.Trace), len(want.Trace))
-	}
-	for i := range got.Trace {
-		if got.Trace[i] != want.Trace[i] {
-			t.Errorf("trace %d: cluster=%v in-process=%v", i, got.Trace[i], want.Trace[i])
-		}
-	}
+	return multichip.MustSystem(m, inProcessConfig(cfg)).RunConcurrent(cfg.DurationNS)
 }
 
-// TestClusterMatchesInProcess is the parity contract: a fault-free
-// distributed solve is bit-identical to System.RunConcurrent,
-// including the fabric ledgers and the energy trace.
-func TestClusterMatchesInProcess(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		workers     int
-		chips       int
-		coordinated bool
-	}{
-		{"2workers", 2, 2, false},
-		{"3workers-coordinated", 3, 3, true},
-		{"2workers-4chips", 2, 4, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := kmodel(48, 7)
-			cfg := fastConfig(startWorkers(t, tc.workers), tc.chips, 99, 25)
-			cfg.Coordinated = tc.coordinated
-			want := inProcess(t, m, cfg)
-
-			co, err := New(m, "t-"+tc.name, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, env, err := co.Solve(context.Background())
-			if err != nil {
-				t.Fatalf("Solve: %v", err)
-			}
-			if env != nil {
-				t.Fatal("completed run returned a checkpoint envelope")
-			}
-			compareToInProcess(t, got, want, true)
-			if got.LiveWorkers != tc.workers {
-				t.Errorf("live workers: %d, want %d", got.LiveWorkers, tc.workers)
-			}
-		})
+// sameResult requires a distributed solve's result to equal the
+// in-process one in every field and names the fields that differ.
+func sameResult(t *testing.T, got, want *multichip.Result) {
+	t.Helper()
+	g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	var differ []string
+	for i := 0; i < w.NumField(); i++ {
+		if !reflect.DeepEqual(g.Field(i).Interface(), w.Field(i).Interface()) {
+			differ = append(differ, w.Type().Field(i).Name)
+		}
+	}
+	if len(differ) > 0 {
+		t.Errorf("cluster and in-process results differ in %v", differ)
 	}
 }
 
@@ -226,8 +168,12 @@ func TestClusterRecoversFromWorkerKill(t *testing.T) {
 		t.Fatalf("Solve after worker kill: %v", err)
 	}
 
-	// Trajectory is bit-identical to a run that never lost the worker.
-	compareToInProcess(t, got, want, false)
+	// Trajectory is bit-identical to a run that never lost the worker;
+	// the fabric ledgers also carry the hand-off, checked below.
+	traj := got.Result
+	traj.StallNS, traj.ElapsedNS, traj.Trace = want.StallNS, want.ElapsedNS, want.Trace
+	traj.TrafficBytes, traj.PeakDemandBytesPerNS = want.TrafficBytes, want.PeakDemandBytesPerNS
+	sameResult(t, &traj, want)
 
 	// The robustness layer actually fired and was charged for.
 	st := got.Recovery
@@ -306,75 +252,12 @@ func TestClusterSurvivesFlakyTransport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Solve through flaky transport: %v", err)
 	}
-	compareToInProcess(t, got, want, true)
+	sameResult(t, &got.Result, want)
 	if got.Recovery.RPCRetries == 0 {
 		t.Errorf("expected retries through a flaky transport, got none")
 	}
 	if got.Recovery.WorkerDeaths != 0 {
 		t.Errorf("flaky-but-alive workers were declared dead: %+v", got.Recovery)
-	}
-}
-
-// TestClusterInterruptCheckpointResumesInProcess cancels a distributed
-// run mid-flight and resumes the returned envelope on the in-process
-// engine; the finished trajectory must equal an uninterrupted run.
-func TestClusterInterruptCheckpointResumesInProcess(t *testing.T) {
-	m := kmodel(40, 3)
-	cfg := fastConfig(startWorkers(t, 2), 2, 5, 30)
-	cfg.CheckpointEvery = 2
-	want := inProcess(t, m, cfg)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg.Tracer = atBarrier(func(epoch int) {
-		if epoch == 3 {
-			cancel()
-		}
-	})
-	co, err := New(m, "t-interrupt", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	partial, env, err := co.Solve(ctx)
-	if err != context.Canceled {
-		t.Fatalf("Solve: err=%v, want context.Canceled", err)
-	}
-	if partial == nil || len(env) == 0 {
-		t.Fatal("cancelled run did not return a partial result and envelope")
-	}
-
-	f, err := checkpoint.Decode(env)
-	if err != nil {
-		t.Fatalf("decoding envelope: %v", err)
-	}
-	if err := f.Validate("mbrim", cfg.Seed, m); err != nil {
-		t.Fatalf("envelope validation: %v", err)
-	}
-	mcfg := multichip.Config{
-		Chips:             cfg.Chips,
-		Seed:              cfg.Seed,
-		ChannelBytesPerNS: cfg.ChannelBytesPerNS,
-		SampleEveryNS:     cfg.SampleEveryNS,
-	}
-	got, ck, err := multichip.MustSystem(m, mcfg).RunConcurrentCtx(context.Background(), cfg.DurationNS, f.Multichip)
-	if err != nil {
-		t.Fatalf("in-process resume: %v", err)
-	}
-	if ck != nil {
-		t.Fatal("resumed run returned a checkpoint")
-	}
-	for i := range got.Spins {
-		if got.Spins[i] != want.Spins[i] {
-			t.Fatalf("spin %d after resume: %d, want %d", i, got.Spins[i], want.Spins[i])
-		}
-	}
-	if got.Energy != want.Energy {
-		t.Errorf("energy after resume: %v, want %v", got.Energy, want.Energy)
-	}
-	if got.TrafficBytes != want.TrafficBytes {
-		t.Errorf("traffic after resume: %v, want %v", got.TrafficBytes, want.TrafficBytes)
-	}
-	if got.ElapsedNS != want.ElapsedNS {
-		t.Errorf("elapsed after resume: %v, want %v", got.ElapsedNS, want.ElapsedNS)
 	}
 }
 

@@ -156,25 +156,13 @@ func (e *AllWorkersDeadError) Error() string {
 
 func (e *AllWorkersDeadError) Unwrap() error { return e.Cause }
 
-// Result reports a distributed solve. The solver fields carry the
-// multichip.Result semantics; with no faults injected they are
-// bit-identical to the in-process run's.
+// Result reports a distributed solve: multichip's Result — with no
+// faults injected, bit-identical to System.RunConcurrent's — plus what
+// only a fabric of processes has, its recovery ledger and live workers.
 type Result struct {
-	Spins                []int8
-	Energy               float64
-	ModelNS              float64
-	StallNS              float64
-	ElapsedNS            float64
-	Flips                int64
-	InducedFlips         int64
-	BitChanges           int64
-	InducedBitChanges    int64
-	TrafficBytes         float64
-	PeakDemandBytesPerNS float64
-	Epochs               int
-	Trace                []metrics.Point
-	Recovery             RecoveryStats
-	LiveWorkers          int
+	multichip.Result
+	Recovery    RecoveryStats
+	LiveWorkers int
 }
 
 // Coordinator drives one distributed solve. Build with New, run with
@@ -328,7 +316,14 @@ func (co *Coordinator) run(ctx context.Context) (*Result, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := co.createSlices(ctx, states); err != nil {
+	// Slice creation, once begun, finishes on every slice under a
+	// deadline of its own, whatever the run's cancellation: a cancel
+	// inside it would leave some slices created and some not, with no
+	// cut to return. The cancellation is seen at the first barrier.
+	cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*co.cfg.RPCTimeout)
+	err = co.createSlices(cctx, states)
+	cancel()
+	if err != nil {
 		if wd := asWorkerDead(err); wd != nil {
 			if rerr := co.recover(ctx, wd); rerr != nil {
 				return nil, nil, rerr
@@ -610,8 +605,12 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 
 // checkpointRound delivers the open barrier to every slice via /sync
 // (so snapshots are post-sync — a genuine epoch-barrier cut) and saves
-// the rollback point.
+// the rollback point. Like slice creation, the round finishes on every
+// slice whatever the run's cancellation: cut, it would leave some
+// slices synced and some not, and no consistent cut to interrupt at.
 func (co *Coordinator) checkpointRound(ctx context.Context) error {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*co.cfg.RPCTimeout)
+	defer cancel()
 	pos := &co.pos
 	states := make([]*multichip.SliceState, co.cfg.Chips)
 	var ckSpan obs.Span
@@ -872,7 +871,7 @@ func (co *Coordinator) energy(spins []int8) float64 {
 // partialResult assembles the result at the current barrier.
 func (co *Coordinator) partialResult() *Result {
 	pos := &co.pos
-	res := &Result{
+	res := &Result{Result: multichip.Result{
 		ModelNS:              pos.ModelNS,
 		StallNS:              co.fabric.StallNS(),
 		ElapsedNS:            pos.ElapsedNS,
@@ -884,8 +883,8 @@ func (co *Coordinator) partialResult() *Result {
 		PeakDemandBytesPerNS: co.fabric.PeakDemand(),
 		Epochs:               pos.EpochsDone,
 		Trace:                append([]metrics.Point(nil), pos.Trace...),
-		Recovery:             co.stats,
-	}
+		LiveChips:            co.cfg.Chips,
+	}, Recovery: co.stats}
 	res.Recovery.RPCRetries = co.tr.retries.Load()
 	res.Spins = append([]int8(nil), co.spins...)
 	res.Energy = co.energy(res.Spins)

@@ -98,16 +98,11 @@ func (e *engine) Solve(ctx context.Context, r *core.Request) (*core.Outcome, err
 	if res == nil {
 		return nil, err
 	}
-	out.Spins, out.Energy, out.ModelNS, out.Trace = res.Spins, res.Energy, res.ElapsedNS, res.Trace
-	// The keys the in-process multiprocessor reports, the annealing time
-	// without stalls (Outcome.ModelNS is with), and what only a fabric of
-	// processes has: its size and the recovery ledger.
-	st, rec := out.Stats, res.Recovery
-	st["stallNS"] = res.StallNS
-	st["flips"] = float64(res.Flips)
-	st["inducedFlips"] = float64(res.InducedFlips)
-	st["bitChanges"] = float64(res.BitChanges)
-	st["trafficBytes"] = res.TrafficBytes
+	core.FillMultichip(out, &res.Result)
+	// What only the cluster reports: the annealing time without stalls
+	// (Outcome.ModelNS is with), the epoch count, and what only a fabric
+	// of processes has: its size and the recovery ledger.
+	st, rec := out.Stats, &res.Recovery
 	st["annealNS"] = res.ModelNS
 	st["epochs"] = float64(res.Epochs)
 	st["liveWorkers"] = float64(res.LiveWorkers)

@@ -250,7 +250,7 @@ func TestFederationNeutralTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareToInProcess(t, got, want, true)
+	sameResult(t, &got.Result, want)
 }
 
 // TestFederationChaosKillMergesOneTrace is the chaos acceptance check:

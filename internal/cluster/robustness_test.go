@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -107,6 +108,46 @@ func fakeWorker(t *testing.T, report func(epoch int) *ReportWire) string {
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv.URL
+}
+
+// TestCancelBeforeSlicesExistStillCuts: a run cancelled before its
+// slices exist — a daemon's checkpoint segment can end that soon on a
+// loaded host — still creates them, steps to the next barrier and hands
+// back an envelope there, from the start and from an envelope alike,
+// and the run finished from it is the uninterrupted one. A cancel that
+// cut slice creation short failed the run instead.
+func TestCancelBeforeSlicesExistStillCuts(t *testing.T) {
+	m := kmodel(24, 5)
+	cfg := fastConfig(startWorkers(t, 2), 2, 9, 20)
+	want := inProcess(t, m, cfg)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var env []byte
+	solve := func(ctx context.Context, id string) (*Result, []byte, error) {
+		co, err := New(m, id, cfg)
+		if err == nil && env != nil {
+			err = co.resumeFrom(decodeEnvelope(t, m, cfg.Seed, env))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return co.run(ctx)
+	}
+	for seg := 1; seg <= 2; seg++ {
+		_, out, err := solve(cancelled, fmt.Sprintf("early-%d", seg))
+		if !errors.Is(err, context.Canceled) || out == nil {
+			t.Fatalf("segment %d: err=%v, %d envelope bytes", seg, err, len(out))
+		}
+		if at := decodeEnvelope(t, m, cfg.Seed, out).EpochsDone; at != seg {
+			t.Fatalf("segment %d cut at epoch %d, want %d", seg, at, seg)
+		}
+		env = out
+	}
+	res, _, err := solve(context.Background(), "early-end")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, &res.Result, want)
 }
 
 // TestMalformedEpochReportFailsRun: a step response the slice could not

@@ -56,54 +56,41 @@ func (e multichipEngine) Solve(ctx context.Context, r *Request) (*Outcome, error
 	if err != nil {
 		return nil, err
 	}
-	encode := func(ck *multichip.Checkpoint) ([]byte, error) {
-		return checkpoint.Encode(&checkpoint.File{
+	var (
+		res  *multichip.Result
+		ck   *multichip.Checkpoint
+		rerr error
+	)
+	switch r.Kind {
+	case MBRIMBatch:
+		// A batch run reports its best job's state and energy.
+		var b *multichip.BatchResult
+		if b, ck, rerr = sys.RunBatchCtx(ctx, r.Runs, r.DurationNS, resume); b != nil {
+			res = &multichip.Result{Spins: b.Jobs[b.Best], Energy: b.BestEnergy, StallNS: b.StallNS,
+				ElapsedNS: b.ElapsedNS, Flips: b.Flips, InducedFlips: b.InducedFlips, BitChanges: b.BitChanges,
+				TrafficBytes: b.TrafficBytes, Trace: b.Trace, EpochStats: b.EpochStats,
+				FaultStats: b.FaultStats, LiveChips: b.LiveChips}
+		}
+	case MBRIMSequential:
+		res, ck, rerr = sys.RunSequentialCtx(ctx, r.DurationNS, resume)
+	default:
+		res, ck, rerr = sys.RunConcurrentCtx(ctx, r.DurationNS, resume)
+	}
+	if rerr != nil && !isCtxErr(rerr) {
+		return nil, rerr
+	}
+	FillMultichip(out, res)
+	fillFaultStats(out, res.FaultStats, res.LiveChips)
+	if rerr != nil {
+		data, err := checkpoint.Encode(&checkpoint.File{
 			Engine:    string(r.Kind),
 			Seed:      r.Seed,
 			N:         r.Model.N(),
 			ModelHash: checkpoint.HashModel(r.Model),
 			Multichip: ck,
 		})
-	}
-	if r.Kind == MBRIMBatch {
-		res, ck, rerr := sys.RunBatchCtx(ctx, r.Runs, r.DurationNS, resume)
-		if rerr != nil && !isCtxErr(rerr) {
-			return nil, rerr
-		}
-		best := res.Jobs[res.Best]
-		fillMultichip(out, best, res.BestEnergy, res.ElapsedNS, res.StallNS,
-			res.Flips, res.InducedFlips, res.BitChanges, res.TrafficBytes)
-		fillFaultStats(out, res.FaultStats, res.LiveChips)
-		out.Trace = res.Trace
-		out.EpochStats = res.EpochStats
-		if rerr != nil {
-			data, eerr := encode(ck)
-			if eerr != nil {
-				return nil, eerr
-			}
-			return r.Interrupted(out, start, rerr, data)
-		}
-		r.Finish(out, start)
-		return out, nil
-	}
-	run := sys.RunConcurrentCtx
-	if r.Kind == MBRIMSequential {
-		run = sys.RunSequentialCtx
-	}
-	res, ck, rerr := run(ctx, r.DurationNS, resume)
-	if rerr != nil && !isCtxErr(rerr) {
-		return nil, rerr
-	}
-	fillMultichip(out, res.Spins, res.Energy, res.ElapsedNS, res.StallNS,
-		res.Flips, res.InducedFlips, res.BitChanges, res.TrafficBytes)
-	fillFaultStats(out, res.FaultStats, res.LiveChips)
-	out.Trace = res.Trace
-	out.EpochStats = res.EpochStats
-	out.Surprises = res.Surprises
-	if rerr != nil {
-		data, eerr := encode(ck)
-		if eerr != nil {
-			return nil, eerr
+		if err != nil {
+			return nil, err
 		}
 		return r.Interrupted(out, start, rerr, data)
 	}
@@ -173,14 +160,18 @@ func fillFaultStats(out *Outcome, fs fault.Stats, liveChips int) {
 	out.Stats["recoveryStallNS"] = fs.RecoveryStallNS
 }
 
-func fillMultichip(out *Outcome, spins []int8, energy, elapsed, stall float64,
-	flips, induced, changes int64, traffic float64) {
-	out.Spins = spins
-	out.Energy = energy
-	out.ModelNS = elapsed
-	out.Stats["stallNS"] = stall
-	out.Stats["flips"] = float64(flips)
-	out.Stats["inducedFlips"] = float64(induced)
-	out.Stats["bitChanges"] = float64(changes)
-	out.Stats["trafficBytes"] = traffic
+// FillMultichip publishes a multiprocessor result into out: its state
+// and energy, the time to solution (stalls included) as ModelNS, its
+// series, and the stall, activity and traffic stats. The cluster engine
+// reports its Result through it too.
+func FillMultichip(out *Outcome, res *multichip.Result) {
+	out.Spins = res.Spins
+	out.Energy = res.Energy
+	out.ModelNS = res.ElapsedNS
+	out.Trace, out.EpochStats, out.Surprises = res.Trace, res.EpochStats, res.Surprises
+	out.Stats["stallNS"] = res.StallNS
+	out.Stats["flips"] = float64(res.Flips)
+	out.Stats["inducedFlips"] = float64(res.InducedFlips)
+	out.Stats["bitChanges"] = float64(res.BitChanges)
+	out.Stats["trafficBytes"] = res.TrafficBytes
 }

@@ -168,13 +168,16 @@ func TestCrossHosting(t *testing.T) {
 	}
 }
 
-// TestRandomCutResume is the general form of the pinned-cut resume
-// tests: every mode × Parallel × Coordinated × {clean, a noisy fault
-// schedule whose chip loss repartitions mid-run}, interrupted at
-// pseudo-random barriers, must resume bit-identically.
+// TestRandomCutResume: every mode × Parallel × Coordinated × {clean, a
+// noisy fault schedule whose chip loss repartitions mid-run}, on 4 chips
+// with batch running more jobs than chips, must run the same with
+// Parallel on as off, and, interrupted at pseudo-random barriers (at
+// least one of them mid-way through batch's job rotation), leave a
+// valid best-so-far state and a checkpoint at that barrier that resumes
+// bit-identically.
 func TestRandomCutResume(t *testing.T) {
 	m := kgraph(36, 31)
-	const duration, jobs = 40, 3 // 13 epochs
+	const duration, jobs = 40, 8 // 13 epochs
 	noisy := fault.Config{
 		Seed: 3, DropRate: 0.15, CorruptRate: 0.1, DelayRate: 0.2, StallRate: 0.05,
 		ChipLossEpoch: 5, ChipLossChip: 1,
@@ -195,7 +198,16 @@ func TestRandomCutResume(t *testing.T) {
 			return s.RunBatchCtx(ctx, jobs, duration, ck)
 		}},
 	}
+	// best is a run's best-so-far state.
+	best := func(res any) []int8 {
+		if b, ok := res.(*BatchResult); ok {
+			return b.Jobs[b.Best]
+		}
+		return res.(*Result).Spins
+	}
 	cuts := rng.New(0xC07)
+	serial := map[string]any{} // parallel=false full runs, by their twin's key
+	midRotation := false
 	schedules := []struct {
 		name   string
 		faults fault.Config
@@ -217,16 +229,25 @@ func TestRandomCutResume(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					if twin := fmt.Sprint(mode.name, coordinated, sched.name); parallel {
+						sameResult(t, serial[twin], full)
+					} else {
+						serial[twin] = full
+					}
 					for _, cut := range at {
 						t.Run(fmt.Sprintf("%s/parallel=%v/coordinated=%v/%s@%d", mode.name, parallel, coordinated, sched.name, cut), func(t *testing.T) {
 							ctx, cancel := context.WithCancel(context.Background())
 							defer cancel()
 							icfg := cfg
 							icfg.Tracer = &epochCanceller{epoch: cut, cancel: cancel}
-							_, ck, err := mode.run(MustSystem(m, icfg), ctx, nil)
+							cutRes, ck, err := mode.run(MustSystem(m, icfg), ctx, nil)
 							if !errors.Is(err, context.Canceled) || ck == nil || ck.EpochsDone != cut {
 								t.Fatalf("interrupt at %d: err=%v ck=%+v", cut, err, ck)
 							}
+							if spins := best(cutRes); len(spins) != m.N() || !ising.ValidSpins(spins) {
+								t.Fatal("the cut run returned no usable best-so-far state")
+							}
+							midRotation = midRotation || (mode.name == ModeBatch && cut%jobs != 0)
 							resumed, ck2, err := mode.run(MustSystem(m, cfg), context.Background(), ck)
 							if err != nil || ck2 != nil {
 								t.Fatalf("resume: err=%v checkpoint=%v", err, ck2)
@@ -237,6 +258,9 @@ func TestRandomCutResume(t *testing.T) {
 				}
 			}
 		}
+	}
+	if !midRotation {
+		t.Error("no batch cut fell mid-way through the job rotation")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -141,6 +142,48 @@ func TestFuzzTargetsRunInCI(t *testing.T) {
 	}
 	if len(targets) == 0 {
 		t.Fatal("found no fuzz target")
+	}
+}
+
+// TestDocsCiteRealTests: every Test… or Fuzz… name the documents (the
+// four below and every skill's SKILL.md) cite is a function of some
+// _test.go file, a trailing * citing a prefix, so a test deleted or
+// renamed cannot stay behind in a document.
+func TestDocsCiteRealTests(t *testing.T) {
+	docs := []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", "cmd/experiments/README.md"}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.Name() == "SKILL.md" {
+			docs = append(docs, path)
+		}
+		return err
+	})
+	if err != nil || len(docs) == 4 {
+		t.Fatalf("no SKILL.md found (%v)", err)
+	}
+	fn := regexp.MustCompile(`^func ((?:Test|Fuzz)\w+)\(`)
+	var defined []string
+	for _, hit := range grepGo(t, fn, func(path string) bool { return !isTest(path) }, ".") {
+		defined = append(defined, fn.FindStringSubmatch(hit.text)[1])
+	}
+	resolves := func(name string) bool {
+		prefix, isPrefix := strings.CutSuffix(name, "*")
+		return slices.ContainsFunc(defined, func(d string) bool {
+			return d == name || isPrefix && strings.HasPrefix(d, prefix)
+		})
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z0-9_]\w*\*?`)
+	for _, doc := range docs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, name := range cited.FindAllString(line, -1) {
+				if !resolves(name) {
+					t.Errorf("%s:%d cites %s, which no _test.go file defines", doc, i+1, name)
+				}
+			}
+		}
 	}
 }
 
