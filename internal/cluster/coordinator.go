@@ -350,7 +350,14 @@ func (co *Coordinator) run(ctx context.Context) (*Result, []byte, error) {
 		}
 		if ctx.Err() != nil {
 			// The cancellation struck mid-step and surfaced through the
-			// transport; this is an interrupt, not a failure.
+			// transport; this is an interrupt, not a failure. It leaves a
+			// completable barrier, not a torn one — the step RPC is
+			// idempotent (workers replay the cached report) — so the
+			// in-flight epoch is finished under a private deadline before
+			// the cut.
+			bg, cancel := context.WithTimeout(context.Background(), 2*co.cfg.RPCTimeout)
+			_ = co.stepEpoch(bg) // best effort; failure falls back to lastCkpt
+			cancel()
 			return co.interrupted(ctx)
 		}
 		return nil, nil, err
@@ -361,18 +368,10 @@ func (co *Coordinator) run(ctx context.Context) (*Result, []byte, error) {
 	return res, nil, nil
 }
 
-// interrupted assembles the cancellation return: partial result plus a
-// resume envelope when a consistent cut can still be captured. A
-// cancellation that struck mid-epoch leaves a completable barrier, not
-// a torn one — the step RPC is idempotent (workers replay the cached
-// report) — so the in-flight epoch is finished under a private deadline
-// before checkpointing.
+// interrupted assembles the cancellation return at the barrier the run
+// stands at, the one System cuts at: partial result plus a resume
+// envelope when a consistent cut can still be captured.
 func (co *Coordinator) interrupted(ctx context.Context) (*Result, []byte, error) {
-	if !co.done() {
-		bg, cancel := context.WithTimeout(context.Background(), 2*co.cfg.RPCTimeout)
-		_ = co.stepEpoch(bg) // best effort; failure falls back to lastCkpt
-		cancel()
-	}
 	res := co.partialResult()
 	env, err := co.interruptCheckpoint()
 	// Final federation pull after the interrupt checkpoint, so the

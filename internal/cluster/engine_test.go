@@ -165,7 +165,8 @@ func TestClusterEngineResume(t *testing.T) {
 	}
 	<-run.Done()
 	env := run.Checkpoint()
-	// (The coordinator completes the barrier in flight before it cuts.)
+	// (A cancel seen at a barrier cuts there; one that strikes mid-step
+	// cuts after the epoch in flight.)
 	if st := run.Status(); st.State != runs.StateInterrupted || len(env) == 0 || st.Progress.Epoch < cut || st.Progress.Epoch >= epochs {
 		t.Fatalf("cancelled run: state %s at epoch %d, %d checkpoint bytes: %s", st.State, st.Progress.Epoch, len(env), st.Error)
 	}

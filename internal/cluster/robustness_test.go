@@ -112,10 +112,12 @@ func fakeWorker(t *testing.T, report func(epoch int) *ReportWire) string {
 
 // TestCancelBeforeSlicesExistStillCuts: a run cancelled before its
 // slices exist — a daemon's checkpoint segment can end that soon on a
-// loaded host — still creates them, steps to the next barrier and hands
-// back an envelope there, from the start and from an envelope alike,
-// and the run finished from it is the uninterrupted one. A cancel that
-// cut slice creation short failed the run instead.
+// loaded host — still creates them and hands back an envelope at the
+// barrier it started from, where System cuts, from the start and from
+// an envelope alike. The two envelopes are the same bytes, which is how
+// the daemon sees a segment that made no progress, and the run finished
+// from them is the uninterrupted one. A cancel that cut slice creation
+// short failed the run instead.
 func TestCancelBeforeSlicesExistStillCuts(t *testing.T) {
 	m := kmodel(24, 5)
 	cfg := fastConfig(startWorkers(t, 2), 2, 9, 20)
@@ -138,8 +140,11 @@ func TestCancelBeforeSlicesExistStillCuts(t *testing.T) {
 		if !errors.Is(err, context.Canceled) || out == nil {
 			t.Fatalf("segment %d: err=%v, %d envelope bytes", seg, err, len(out))
 		}
-		if at := decodeEnvelope(t, m, cfg.Seed, out).EpochsDone; at != seg {
-			t.Fatalf("segment %d cut at epoch %d, want %d", seg, at, seg)
+		if at := decodeEnvelope(t, m, cfg.Seed, out).EpochsDone; at != 0 {
+			t.Fatalf("segment %d cut at epoch %d, want 0", seg, at)
+		}
+		if env != nil && !bytes.Equal(out, env) {
+			t.Fatalf("segment %d's envelope is not segment %d's", seg, seg-1)
 		}
 		env = out
 	}

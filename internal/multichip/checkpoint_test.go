@@ -25,36 +25,6 @@ func (t *epochCanceller) Emit(e obs.Event) {
 	}
 }
 
-// resumeCase is one (mode × parallel × faults) configuration whose
-// interrupted-and-resumed run must be bit-identical to an
-// uninterrupted one.
-type resumeCase struct {
-	name     string
-	parallel bool
-	faults   fault.Config
-}
-
-func resumeCases() []resumeCase {
-	noisy := fault.Config{
-		Seed:        7,
-		DropRate:    0.15,
-		CorruptRate: 0.1,
-		DelayRate:   0.1,
-		StallRate:   0.05,
-		Recovery:    fault.Recovery{Detect: true, WatchdogThreshold: 0.05},
-	}
-	return []resumeCase{
-		{"clean", false, fault.Config{}},
-		{"clean/parallel", true, fault.Config{}},
-		{"faulty", false, noisy},
-		{"faulty/parallel", true, noisy},
-	}
-}
-
-func (rc resumeCase) config(chips int) Config {
-	return Config{Chips: chips, Seed: 5, Parallel: rc.parallel, Faults: rc.faults}
-}
-
 // sameResult requires two results of one run mode (*Result or
 // *BatchResult) to be equal in every field, the series and the fault
 // ledger included, and names the fields that are not.
@@ -95,73 +65,6 @@ func interruptAt(t *testing.T, m *ising.Model, cfg Config, epoch int,
 		t.Fatalf("checkpoint at epoch %d, wanted at least %d", ck.EpochsDone, epoch)
 	}
 	return ck
-}
-
-func TestConcurrentResumeBitIdentical(t *testing.T) {
-	m := kgraph(48, 2)
-	const duration = 40
-	for _, rc := range resumeCases() {
-		t.Run(rc.name, func(t *testing.T) {
-			full := MustSystem(m, rc.config(4)).RunConcurrent(duration)
-			runC := func(s *System, ctx context.Context, ck *Checkpoint) (*Result, *Checkpoint, error) {
-				return s.RunConcurrentCtx(ctx, duration, ck)
-			}
-			ck := interruptAt(t, m, rc.config(4), 3, runC)
-			resumed, ck2, err := MustSystem(m, rc.config(4)).RunConcurrentCtx(context.Background(), duration, ck)
-			if err != nil || ck2 != nil {
-				t.Fatalf("resume: err=%v, checkpoint=%v", err, ck2)
-			}
-			sameResult(t, full, resumed)
-		})
-	}
-}
-
-func TestSequentialResumeBitIdentical(t *testing.T) {
-	m := kgraph(40, 3)
-	const duration = 36
-	for _, rc := range resumeCases() {
-		t.Run(rc.name, func(t *testing.T) {
-			full := MustSystem(m, rc.config(4)).RunSequential(duration)
-			runS := func(s *System, ctx context.Context, ck *Checkpoint) (*Result, *Checkpoint, error) {
-				return s.RunSequentialCtx(ctx, duration, ck)
-			}
-			ck := interruptAt(t, m, rc.config(4), 2, runS)
-			resumed, ck2, err := MustSystem(m, rc.config(4)).RunSequentialCtx(context.Background(), duration, ck)
-			if err != nil || ck2 != nil {
-				t.Fatalf("resume: err=%v, checkpoint=%v", err, ck2)
-			}
-			sameResult(t, full, resumed)
-		})
-	}
-}
-
-func TestBatchResumeBitIdentical(t *testing.T) {
-	m := kgraph(40, 4)
-	const duration, jobs = 40, 3
-	for _, rc := range resumeCases() {
-		t.Run(rc.name, func(t *testing.T) {
-			// Interrupt at epoch 4: with 3 jobs, that is mid-way through
-			// the job rotation, so the resume must also restore the
-			// (chip+epoch)%jobs assignment correctly.
-			full := MustSystem(m, rc.config(4)).RunBatch(jobs, duration)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			cfg := rc.config(4)
-			cfg.Tracer = &epochCanceller{epoch: 4, cancel: cancel}
-			_, ck, err := MustSystem(m, cfg).RunBatchCtx(ctx, jobs, duration, nil)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("expected cancellation, got %v", err)
-			}
-			if ck == nil || ck.EpochsDone < 4 || ck.EpochsDone%jobs == 0 {
-				t.Fatalf("wanted a mid-rotation checkpoint, got %+v", ck)
-			}
-			resumed, ck2, err := MustSystem(m, rc.config(4)).RunBatchCtx(context.Background(), jobs, duration, ck)
-			if err != nil || ck2 != nil {
-				t.Fatalf("resume: err=%v, checkpoint=%v", err, ck2)
-			}
-			sameResult(t, full, resumed)
-		})
-	}
 }
 
 func TestResumeWithChipLossRepartition(t *testing.T) {

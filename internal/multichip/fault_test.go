@@ -262,13 +262,3 @@ func TestFaultySequentialAndBatchComplete(t *testing.T) {
 		t.Fatal("batch faulty run incomplete")
 	}
 }
-
-func TestFaultyBatchDeterministicAcrossParallel(t *testing.T) {
-	m := kgraph(64, 15)
-	run := func(parallel bool) *BatchResult {
-		cfg := faultyCfg(31)
-		cfg.Parallel = parallel
-		return MustSystem(m, cfg).RunBatch(8, 40)
-	}
-	sameResult(t, run(false), run(true))
-}

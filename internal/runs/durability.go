@@ -201,20 +201,23 @@ func (m *Manager) checkpointedSolve(ctx context.Context, r *Run, req core.Reques
 		out, err := core.SolveCtx(segCtx, req)
 		timer.Stop()
 		segCancel()
-		var intr *core.InterruptedError
-		if err == nil || !errors.As(err, &intr) || !fired.Load() || ctx.Err() != nil {
+		if err == nil || !fired.Load() || ctx.Err() != nil || !errors.Is(err, context.Canceled) {
 			// Finished, failed, or interrupted by the caller rather than
 			// the checkpoint timer: surface as-is (finish persists an
 			// interrupt's checkpoint).
 			return out, err
 		}
 		// Timer-driven segment boundary: persist, then resume in place.
-		m.persistCheckpoint(r, intr.Checkpoint)
-		if prev != nil && bytes.Equal(prev, intr.Checkpoint) {
-			// The segment made no progress (shorter than one engine
-			// epoch): widen the cadence so the loop cannot livelock.
+		var intr *core.InterruptedError
+		if !errors.As(err, &intr) || len(intr.Checkpoint) == 0 || bytes.Equal(prev, intr.Checkpoint) {
+			// The segment made no progress: it handed back no checkpoint,
+			// or the one it started from (shorter than one engine epoch).
+			// Keep the last good one, resume from it, and widen the
+			// cadence so the loop cannot livelock.
 			every *= 2
+			continue
 		}
+		m.persistCheckpoint(r, intr.Checkpoint)
 		prev = intr.Checkpoint
 		req.Resume = intr.Checkpoint
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mbrim/internal/checkpoint"
 	"mbrim/internal/core"
 	"mbrim/internal/journal"
 	"mbrim/internal/obs"
@@ -443,11 +444,16 @@ func (alwaysPanic) Emit(obs.Event) { panic("deterministic fault") }
 // segmentProbe is a registered engine that only watches how it is run:
 // an unresumed call works until it is cancelled (handing back a
 // checkpoint) or 150 ms pass; a call resumed from that checkpoint
-// finishes at once.
+// finishes at once. A faulty probe's second and third calls hand back
+// no checkpoint when cancelled — a bare context error, then an
+// interrupt with empty bytes — and its fourth sends the resume bytes
+// it received on held and finishes once released.
 type segmentProbe struct {
 	kind           core.Kind
-	resume         bool
+	resume, faulty bool
 	calls, resumed *atomic.Int64
+	held           chan []byte
+	release        chan struct{}
 }
 
 func (e segmentProbe) Kind() core.Kind { return e.kind }
@@ -456,16 +462,26 @@ func (e segmentProbe) Capabilities() core.Capabilities {
 }
 
 func (e segmentProbe) Solve(ctx context.Context, r *core.Request) (*core.Outcome, error) {
-	e.calls.Add(1)
+	call := e.calls.Add(1)
 	start := time.Now()
 	out := r.NewOutcome()
 	out.Spins = make([]int8, r.Model.N())
 	for i := range out.Spins {
 		out.Spins[i] = 1
 	}
-	if len(r.Resume) > 0 {
+	switch {
+	case e.faulty && call == 2:
+		<-ctx.Done()
+		return nil, ctx.Err()
+	case e.faulty && call == 3:
+		<-ctx.Done()
+		return r.Interrupted(out, start, ctx.Err(), []byte{})
+	case e.faulty && call > 3:
+		e.held <- r.Resume
+		<-e.release
+	case len(r.Resume) > 0:
 		e.resumed.Add(1)
-	} else {
+	default:
 		select {
 		case <-ctx.Done():
 			return r.Interrupted(out, start, ctx.Err(), []byte("probe checkpoint"))
@@ -477,12 +493,17 @@ func (e segmentProbe) Solve(ctx context.Context, r *core.Request) (*core.Outcome
 }
 
 // segmentProbes are registered once per test binary (a registry entry
-// cannot be taken back, and -cpu 1,4 runs every test twice).
-var segmentProbes = func() (ps [2]segmentProbe) {
-	for i, resume := range []bool{true, false} {
+// cannot be taken back, and -cpu 1,4 runs every test twice): one with
+// the Resume capability, one without, and a faulty one.
+var segmentProbes = func() (ps [3]segmentProbe) {
+	for i, resume := range []bool{true, false, true} {
 		ps[i] = segmentProbe{kind: core.Kind(fmt.Sprintf("probe-resume-%v", resume)), resume: resume,
 			calls: new(atomic.Int64), resumed: new(atomic.Int64)}
-		core.Register(ps[i])
+	}
+	ps[2].kind, ps[2].faulty = "probe-faulty", true
+	ps[2].held, ps[2].release = make(chan []byte), make(chan struct{})
+	for _, p := range ps {
+		core.Register(p)
 	}
 	return ps
 }()
@@ -494,7 +515,7 @@ var segmentProbes = func() (ps [2]segmentProbe) {
 // in place), one that does not is left alone. The list used to name the
 // three mbrim kinds, so a fourth resumable engine was never segmented.
 func TestSegmentationFollowsTheResumeCapability(t *testing.T) {
-	for _, probe := range segmentProbes {
+	for _, probe := range segmentProbes[:2] {
 		resume := probe.resume
 		probe.calls.Store(0)
 		probe.resumed.Store(0)
@@ -519,5 +540,56 @@ func TestSegmentationFollowsTheResumeCapability(t *testing.T) {
 		if !resume && (calls != 1 || resumed != 0 || persisted != 0) {
 			t.Errorf("engine without Resume: %d calls, %d resumed, %d checkpoints persisted; want 1, 0, 0", calls, resumed, persisted)
 		}
+	}
+}
+
+// TestSegmentWithoutCheckpointKeepsTheLastGoodOne: a checkpoint segment
+// that hands back no checkpoint — a bare context error, or an interrupt
+// with empty bytes — made no progress. The run persists nothing for it
+// and resumes from the last good checkpoint, which the journal's newest
+// ref still loads. The bare error used to fail the run; the empty bytes
+// were persisted, deleting the good file, and the next segment started
+// from model time 0.
+func TestSegmentWithoutCheckpointKeepsTheLastGoodOne(t *testing.T) {
+	probe := segmentProbes[2]
+	probe.calls.Store(0)
+	dir := t.TempDir()
+	m, jw := durableManager(t, dir, obs.NewRegistry(), 20*time.Millisecond)
+	defer jw.Close()
+	req := saRequest(8)
+	req.Kind = probe.kind
+	r, err := m.SubmitWith(context.Background(), req, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resumedFrom []byte
+	select {
+	case resumedFrom = <-probe.held:
+	case <-r.Done():
+		st := r.Status()
+		t.Fatalf("run ended %s before its fourth segment: %s", st.State, st.Error)
+	}
+	rep, err := journal.Replay(filepath.Join(dir, "run.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newest *checkpoint.Ref
+	for _, rec := range rep.Records {
+		if rec.Type == journal.TypeCheckpoint && rec.ID == r.ID() {
+			newest = rec.Checkpoint
+		}
+	}
+	if newest == nil {
+		t.Error("no checkpoint journaled")
+	} else if data, err := newest.Load(m.checkpointDir()); err != nil || len(data) == 0 {
+		t.Errorf("the newest checkpoint ref loads %d bytes, err %v; want the last good checkpoint", len(data), err)
+	}
+	probe.release <- struct{}{}
+	waitDone(t, r)
+	if st := r.Status(); st.State != StateCompleted {
+		t.Fatalf("run ended %s: %s", st.State, st.Error)
+	}
+	if string(resumedFrom) != "probe checkpoint" {
+		t.Errorf("the fourth segment resumed from %q, want the first segment's checkpoint", resumedFrom)
 	}
 }

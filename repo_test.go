@@ -187,6 +187,57 @@ func TestDocsCiteRealTests(t *testing.T) {
 	}
 }
 
+// TestDocsStayWithinTheirBounds: DESIGN.md states each contract and the
+// test that pins it, README.md is a first-time user's path and a skill's
+// SKILL.md says what to run, so each stays within a size a reader can
+// hold, and every numbered section of DESIGN.md names a test.
+func TestDocsStayWithinTheirBounds(t *testing.T) {
+	read := func(name string) string {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	design := read("DESIGN.md")
+	for _, doc := range []struct {
+		name, text string
+		maxBytes   int
+	}{{"DESIGN.md", design, 45000}, {"README.md", read("README.md"), 15000}} {
+		if len(doc.text) > doc.maxBytes {
+			t.Errorf("%s is %d bytes, over its %d", doc.name, len(doc.text), doc.maxBytes)
+		}
+	}
+	skills := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.Name() == "SKILL.md" {
+			skills++
+			if lines := strings.Count(read(path), "\n"); lines > 150 {
+				t.Errorf("%s is %d lines, over its 150", path, lines)
+			}
+		}
+		return err
+	})
+	if err != nil || skills == 0 {
+		t.Fatalf("no SKILL.md found (%v)", err)
+	}
+	numbered := regexp.MustCompile(`^## \d+\.`)
+	cites := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z0-9_]\w*`)
+	sections := 0
+	for _, sec := range strings.Split(design, "\n## ")[1:] {
+		if !numbered.MatchString("## " + sec) {
+			continue
+		}
+		sections++
+		if !cites.MatchString(sec) {
+			t.Errorf("DESIGN.md %q cites no test", strings.SplitN(sec, "\n", 2)[0])
+		}
+	}
+	if sections == 0 {
+		t.Error("DESIGN.md has no numbered section")
+	}
+}
+
 // fusedAllowed names the files, or directories ending in "/", whose
 // fused products arm64 may keep, each with why no trajectory, golden or
 // cut reads them.
