@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mbrim/internal/ising"
 	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
 )
@@ -107,6 +108,9 @@ func BenchmarkFederation(b *testing.B) {
 	}
 }
 
+// BenchmarkEpochSync is that A/B at 2 and 4 chips, plus a two-worker
+// solve with a checkpoint round at every barrier (ckpt=1), where the
+// /sync snapshot codec is most of what a barrier adds.
 func BenchmarkEpochSync(b *testing.B) {
 	const n = 128
 	m := kmodel(n, 7)
@@ -114,6 +118,7 @@ func BenchmarkEpochSync(b *testing.B) {
 		cfg := benchClusterConfig(nil, chips)
 		b.Run(fmt.Sprintf("inprocess/chips=%d", chips), func(b *testing.B) {
 			mcfg := multichip.Config{Chips: cfg.Chips, Seed: cfg.Seed}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sys := multichip.MustSystem(m, mcfg)
 				if r := sys.RunConcurrent(cfg.DurationNS); r.Energy >= 0 {
@@ -122,21 +127,30 @@ func BenchmarkEpochSync(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("cluster/workers=%d", chips), func(b *testing.B) {
-			workers := benchWorkers(b, chips)
-			for i := 0; i < b.N; i++ {
-				cfg := benchClusterConfig(workers, chips)
-				co, err := New(m, fmt.Sprintf("bench-%d-%d", chips, i), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, _, err := co.Solve(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r.Energy >= 0 {
-					b.Fatal("solve went nowhere")
-				}
-			}
+			benchClusterSolves(b, m, benchClusterConfig(benchWorkers(b, chips), chips))
 		})
+	}
+	b.Run("cluster/workers=2/ckpt=1", func(b *testing.B) {
+		cfg := benchClusterConfig(benchWorkers(b, 2), 2)
+		cfg.CheckpointEvery = 1
+		benchClusterSolves(b, m, cfg)
+	})
+}
+
+// benchClusterSolves runs b.N distributed solves of m under cfg.
+func benchClusterSolves(b *testing.B, m *ising.Model, cfg Config) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		co, err := New(m, fmt.Sprintf("bench-%d-%d-%d", cfg.Chips, cfg.CheckpointEvery, i), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, _, err := co.Solve(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.Energy >= 0 {
+			b.Fatal("solve went nowhere")
+		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,10 +36,21 @@ import (
 //     checkpoint-rollback recovery.
 
 // writeWire answers a /worker RPC with 200 and a compact body — read by
-// a coordinator every epoch, not by a person.
+// a coordinator every epoch, not by a person: v's binary form when it
+// has one (SyncResponse), else its JSON.
 func writeWire(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Cache-Control", "no-store")
+	if bm, ok := v.(encoding.BinaryMarshaler); ok {
+		body, err := bm.MarshalBinary()
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = w.Write(body)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
 }
 
@@ -99,6 +111,47 @@ type transport struct {
 
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
+
+	// The per-attempt instruments once records into, by wire method and
+	// by worker index, each resolved on first use.
+	seriesMu sync.Mutex
+	rpc      map[string]*rpcSeries
+	wire     []wireSeries
+}
+
+// rpcSeries are one wire method's instruments and wireSeries one
+// worker's. Each is looked up in the registry the first time it
+// records, so a run exposes the series per-call lookups would make,
+// without building a label map and series key on every RPC.
+type rpcSeries struct {
+	latency        atomic.Pointer[obs.Histogram]
+	errors, tx, rx atomic.Pointer[obs.Counter]
+}
+
+type wireSeries struct{ tx, rx atomic.Pointer[obs.Counter] }
+
+// resolve returns the instrument held in p, looking it up on first use.
+// The registry hands out one instrument per series, so lookups that
+// race store the same pointer.
+func resolve[T any](p *atomic.Pointer[T], lookup func() *T) *T {
+	v := p.Load()
+	if v == nil {
+		v = lookup()
+		p.Store(v)
+	}
+	return v
+}
+
+// methodSeries returns wire method ml's instruments.
+func (t *transport) methodSeries(ml string) *rpcSeries {
+	t.seriesMu.Lock()
+	defer t.seriesMu.Unlock()
+	rs := t.rpc[ml]
+	if rs == nil {
+		rs = &rpcSeries{}
+		t.rpc[ml] = rs
+	}
+	return rs
 }
 
 func newTransport(cfg Config, workers []string) *transport {
@@ -108,6 +161,8 @@ func newTransport(cfg Config, workers []string) *transport {
 		workers: workers,
 		health:  make([]*workerHealth, len(workers)),
 		reg:     cfg.Metrics,
+		rpc:     make(map[string]*rpcSeries),
+		wire:    make([]wireSeries, len(workers)),
 	}
 	if t.client == nil {
 		t.client, t.ownClient = newKeepAliveClient(), true
@@ -260,7 +315,7 @@ func (t *transport) alive(wi int) bool { return !t.health[wi].dead.Load() }
 // markDead declares a worker dead directly (RPC-layer detection).
 func (t *transport) markDead(wi int) { t.health[wi].dead.Store(true) }
 
-// do issues one JSON RPC against worker wi with deadline, backoff and
+// do issues one RPC against worker wi with deadline, backoff and
 // budget, decoding a 2xx body into out (when non-nil). It returns
 // *workerDeadError when the worker is declared dead, *protocolError on
 // 4xx, ctx.Err() on coordinator cancellation.
@@ -329,13 +384,17 @@ func (t *transport) do(ctx context.Context, wi int, method, path string, in, out
 // fleet.model_traffic_bytes comparison.
 func (t *transport) once(ctx context.Context, wi int, method, path string, body []byte, out any) error {
 	ml := rpcMethod(method, path)
+	rs, ws := t.methodSeries(ml), &t.wire[wi]
 	start := time.Now()
 	defer func() {
-		t.reg.HistogramWith("cluster.rpc_latency_ns", obs.Labels{"method": ml}).
-			Observe(float64(time.Since(start).Nanoseconds()))
+		resolve(&rs.latency, func() *obs.Histogram {
+			return t.reg.HistogramWith("cluster.rpc_latency_ns", obs.Labels{"method": ml})
+		}).Observe(float64(time.Since(start).Nanoseconds()))
 	}()
 	fail := func(err error) error {
-		t.reg.CounterWith("cluster.rpc_attempt_errors", obs.Labels{"method": ml}).Inc()
+		resolve(&rs.errors, func() *obs.Counter {
+			return t.reg.CounterWith("cluster.rpc_attempt_errors", obs.Labels{"method": ml})
+		}).Inc()
 		return err
 	}
 	rctx, cancel := context.WithTimeout(ctx, t.cfg.RPCTimeout)
@@ -350,8 +409,12 @@ func (t *transport) once(ctx context.Context, wi int, method, path string, body 
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
-		t.reg.CounterWith("cluster.rpc_bytes", obs.Labels{"method": ml, "dir": "tx"}).Add(int64(len(body)))
-		t.reg.CounterWith("fleet.wire_bytes", obs.Labels{"worker": strconv.Itoa(wi), "dir": "tx"}).Add(int64(len(body)))
+		resolve(&rs.tx, func() *obs.Counter {
+			return t.reg.CounterWith("cluster.rpc_bytes", obs.Labels{"method": ml, "dir": "tx"})
+		}).Add(int64(len(body)))
+		resolve(&ws.tx, func() *obs.Counter {
+			return t.reg.CounterWith("fleet.wire_bytes", obs.Labels{"worker": strconv.Itoa(wi), "dir": "tx"})
+		}).Add(int64(len(body)))
 	}
 	resp, err := t.client.Do(req)
 	if err != nil {
@@ -362,14 +425,24 @@ func (t *transport) once(ctx context.Context, wi int, method, path string, body 
 	if err != nil {
 		return fail(err)
 	}
-	t.reg.CounterWith("cluster.rpc_bytes", obs.Labels{"method": ml, "dir": "rx"}).Add(int64(len(data)))
-	t.reg.CounterWith("fleet.wire_bytes", obs.Labels{"worker": strconv.Itoa(wi), "dir": "rx"}).Add(int64(len(data)))
+	resolve(&rs.rx, func() *obs.Counter {
+		return t.reg.CounterWith("cluster.rpc_bytes", obs.Labels{"method": ml, "dir": "rx"})
+	}).Add(int64(len(data)))
+	resolve(&ws.rx, func() *obs.Counter {
+		return t.reg.CounterWith("fleet.wire_bytes", obs.Labels{"worker": strconv.Itoa(wi), "dir": "rx"})
+	}).Add(int64(len(data)))
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
-		if out != nil {
-			if err := json.Unmarshal(data, out); err != nil {
-				return fmt.Errorf("cluster: decoding %s %s: %w", method, path, err)
-			}
+		if out == nil {
+			return nil
+		}
+		if bu, ok := out.(encoding.BinaryUnmarshaler); ok {
+			err = bu.UnmarshalBinary(data)
+		} else {
+			err = json.Unmarshal(data, out)
+		}
+		if err != nil {
+			return fmt.Errorf("cluster: decoding %s %s: %w", method, path, err)
 		}
 		return nil
 	case resp.StatusCode >= 400 && resp.StatusCode < 500 || resp.StatusCode == http.StatusUnprocessableEntity:

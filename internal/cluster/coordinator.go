@@ -180,7 +180,10 @@ type Coordinator struct {
 	// and the partition every worker's NewSlice derives too.
 	mc    multichip.Config
 	parts [][]int
-	tr    *transport
+	// modelWire is the model as every slice creation sends it, encoded
+	// on the first: recovery and hand-off re-create from the same frame.
+	modelWire *ModelWire
+	tr        *transport
 	// tracer is the run's effective event sink: cfg.Tracer directly, or
 	// — when federating — cfg.Tracer behind the run's trace ID and the
 	// "co" origin stamp. fed is nil unless cfg.Federate.
@@ -211,6 +214,11 @@ type Coordinator struct {
 	// interrupt hands to the in-process engine as is.
 	lastCkpt *multichip.Checkpoint
 	stats    RecoveryStats
+
+	// lanes are the run's fan-out goroutines, one per slice (openLanes);
+	// laneWG waits for them to exit.
+	lanes  []chan func()
+	laneWG sync.WaitGroup
 }
 
 // New validates the configuration and builds a coordinator for the
@@ -302,8 +310,10 @@ func (co *Coordinator) run(ctx context.Context) (*Result, []byte, error) {
 	co.view = co.model.View(lattice.Auto)
 	co.recordPartitionQuality()
 	// Whatever way the run ends — completed, interrupted (after its
-	// checkpoint is collected) or failed — its slices leave the workers
-	// and a transport that made its own connections closes them.
+	// checkpoint is collected) or failed — its slices leave the workers,
+	// its lanes exit and a transport that made its own connections
+	// closes them.
+	defer co.closeLanes()
 	defer co.tr.close()
 	co.tr.startProber()
 	defer co.tr.stopProber()
@@ -408,12 +418,14 @@ func (co *Coordinator) sliceConfig() SliceConfig {
 // createSlices PUTs every slice onto its assigned worker, restoring
 // states[s] when provided (none means create fresh).
 func (co *Coordinator) createSlices(ctx context.Context, states []*multichip.SliceState) error {
-	mw := ModelToWire(co.model)
+	if co.modelWire == nil {
+		co.modelWire = ModelToWire(co.model)
+	}
 	scfg := co.sliceConfig()
 	return co.forEachSlice(ctx, func(ctx context.Context, s int) error {
-		req := &CreateSliceRequest{Slice: s, Model: mw, Config: scfg}
+		req := &CreateSliceRequest{Slice: s, Model: co.modelWire, Config: scfg}
 		if len(states) > 0 {
-			req.State = states[s]
+			req.State = packState(states[s])
 		}
 		if co.fed != nil {
 			req.Trace = &TraceContext{
@@ -427,19 +439,22 @@ func (co *Coordinator) createSlices(ctx context.Context, states []*multichip.Sli
 	})
 }
 
-// forEachSlice runs f for every slice concurrently and merges failures
-// deterministically: worker-dead errors win (recovery must see the
-// death even when another slice failed differently), then the lowest
-// failing slice's error.
+// forEachSlice runs f for every slice concurrently, slice s on lane s,
+// and merges failures deterministically: worker-dead errors win
+// (recovery must see the death even when another slice failed
+// differently), then the lowest failing slice's error.
 func (co *Coordinator) forEachSlice(ctx context.Context, f func(ctx context.Context, s int) error) error {
+	if co.lanes == nil {
+		co.openLanes()
+	}
 	errs := make([]error, co.cfg.Chips)
 	var wg sync.WaitGroup
-	for s := 0; s < co.cfg.Chips; s++ {
-		wg.Add(1)
-		go func(s int) {
+	wg.Add(len(co.lanes))
+	for s, lane := range co.lanes {
+		lane <- func() {
 			defer wg.Done()
 			errs[s] = f(ctx, s)
-		}(s)
+		}
 	}
 	wg.Wait()
 	var first error
@@ -455,6 +470,34 @@ func (co *Coordinator) forEachSlice(ctx context.Context, f func(ctx context.Cont
 		}
 	}
 	return first
+}
+
+// openLanes starts one goroutine per slice that runs every fan-out job
+// handed to it until closeLanes. A lane lives as long as its run, so its
+// stack grows into net/http and encoding/json once, not once per epoch.
+func (co *Coordinator) openLanes() {
+	co.lanes = make([]chan func(), co.cfg.Chips)
+	for s := range co.lanes {
+		lane := make(chan func(), 1)
+		co.lanes[s] = lane
+		co.laneWG.Add(1)
+		go func() {
+			defer co.laneWG.Done()
+			for job := range lane {
+				job()
+			}
+		}()
+	}
+}
+
+// closeLanes ends the lanes and waits for them to exit; every fan-out
+// has returned by then, so no job is left queued.
+func (co *Coordinator) closeLanes() {
+	for _, lane := range co.lanes {
+		close(lane)
+	}
+	co.laneWG.Wait()
+	co.lanes = nil
 }
 
 // done reports whether the run has reached its horizon.
@@ -631,8 +674,11 @@ func (co *Coordinator) checkpointRound(ctx context.Context) error {
 		if rpcWall != nil {
 			rpcWall[s] = time.Since(start).Nanoseconds()
 		}
-		st := resp.State
-		if st == nil || st.Epochs != pos.EpochsDone || !co.ownsSlice(s, &st.State) {
+		st, err := unpackState(resp.State)
+		if err != nil {
+			return fmt.Errorf("cluster: slice %d returned a malformed snapshot: %w", s, err)
+		}
+		if st.Epochs != pos.EpochsDone || !co.ownsSlice(s, &st.State) {
 			return fmt.Errorf("cluster: slice %d returned a stale or malformed snapshot", s)
 		}
 		states[s] = st

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"mbrim/internal/cluster/chaosproxy"
@@ -417,6 +420,111 @@ func TestFederationRPCMetrics(t *testing.T) {
 		if strings.Contains(key, `run="t-rpcmetrics"`) {
 			t.Fatalf("released run still owns series %s", key)
 		}
+	}
+}
+
+// wireCounter is an http.RoundTripper that counts what the coordinator's
+// RPC attempts moved: request body bytes sent and response body bytes
+// read by worker host, and attempts by wire method. Heartbeats are not
+// RPCs and pass through uncounted.
+type wireCounter struct {
+	next     http.RoundTripper
+	mu       sync.Mutex
+	tx, rx   map[string]int64 // by worker host
+	attempts map[string]int64 // by wire method
+}
+
+func (c *wireCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/healthz" {
+		return c.next.RoundTrip(req)
+	}
+	out := req.Clone(req.Context())
+	var sent int
+	if req.Body != nil {
+		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		sent, out.Body = len(body), io.NopCloser(bytes.NewReader(body))
+	}
+	c.mu.Lock()
+	c.attempts[rpcMethod(req.Method, req.URL.Path)]++
+	c.tx[req.URL.Host] += int64(sent)
+	c.mu.Unlock()
+	resp, err := c.next.RoundTrip(out)
+	if err == nil {
+		resp.Body = &countedBody{ReadCloser: resp.Body, c: c, host: req.URL.Host}
+	}
+	return resp, err
+}
+
+// countedBody charges the response bytes read to its worker host.
+type countedBody struct {
+	io.ReadCloser
+	c    *wireCounter
+	host string
+}
+
+func (b *countedBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.c.mu.Lock()
+	b.c.rx[b.host] += int64(n)
+	b.c.mu.Unlock()
+	return n, err
+}
+
+// TestRPCInstrumentsCountTheWire: the per-method and per-worker
+// instruments a transport resolves once count what actually crossed the
+// wire in a federated two-worker solve — cluster.rpc_bytes summed over
+// methods is every byte sent and received, fleet.wire_bytes is each
+// worker's share, and each method's cluster.rpc_latency_ns holds one
+// observation per attempt.
+func TestRPCInstrumentsCountTheWire(t *testing.T) {
+	next := &http.Transport{}
+	defer next.CloseIdleConnections()
+	counter := &wireCounter{next: next, tx: map[string]int64{}, rx: map[string]int64{}, attempts: map[string]int64{}}
+	reg := obs.NewRegistry()
+	workers := startMetricWorkers(t, 2)
+	cfg := fastConfig(workers, 2, 4, 20)
+	cfg.CheckpointEvery = 2
+	cfg.Metrics = reg
+	cfg.Client = &http.Client{Transport: counter}
+	solveFederated(t, 24, cfg, "t-wirecount")
+
+	snap := reg.Snapshot()
+	counter.mu.Lock()
+	defer counter.mu.Unlock()
+	for dir, byHost := range map[string]map[string]int64{"tx": counter.tx, "rx": counter.rx} {
+		var moved, counted int64
+		for wi, w := range workers {
+			host := strings.TrimPrefix(w, "http://")
+			moved += byHost[host]
+			if got := snap.Counters[`fleet.wire_bytes{dir="`+dir+`",worker="`+strconv.Itoa(wi)+`"}`]; got != byHost[host] {
+				t.Errorf("fleet.wire_bytes %s worker %d = %d, the wire moved %d", dir, wi, got, byHost[host])
+			}
+		}
+		for key, v := range snap.Counters {
+			if strings.HasPrefix(key, `cluster.rpc_bytes{dir="`+dir+`"`) {
+				counted += v
+			}
+		}
+		if counted != moved || moved == 0 {
+			t.Errorf("cluster.rpc_bytes %s sums to %d over methods, the wire moved %d", dir, counted, moved)
+		}
+	}
+	series := 0
+	for key, h := range snap.Histograms {
+		if strings.HasPrefix(key, "cluster.rpc_latency_ns{") {
+			series++
+			method := strings.TrimSuffix(strings.TrimPrefix(key, `cluster.rpc_latency_ns{method="`), `"}`)
+			if h.Count != counter.attempts[method] {
+				t.Errorf("%s counts %d attempts, the wire carried %d", key, h.Count, counter.attempts[method])
+			}
+		}
+	}
+	if series != len(counter.attempts) || counter.attempts["sync"] == 0 || counter.attempts["events"] == 0 {
+		t.Errorf("%d latency series for attempts %v", series, counter.attempts)
 	}
 }
 

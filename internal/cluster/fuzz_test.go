@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"runtime"
 	"testing"
@@ -169,6 +171,85 @@ func FuzzModelFrame(f *testing.F) {
 			t.Fatalf("re-encoded frame does not build: %v", err)
 		}
 		sameModelBits(t, "re-encoded", again, m)
+	})
+}
+
+// genuineSnapshot is slice 0 of a two-chip run over m at its first
+// barrier, after the peer's updates were delivered across the wire.
+func genuineSnapshot(tb testing.TB, m *ising.Model, mcfg multichip.Config) *multichip.SliceState {
+	tb.Helper()
+	var sl [2]*multichip.Slice
+	var reps [2]*multichip.EpochReport
+	for ci := range sl {
+		var err error
+		if sl[ci], err = multichip.NewSlice(m, mcfg, ci, 20); err != nil {
+			tb.Fatal(err)
+		}
+		if reps[ci], err = sl[ci].RunEpoch(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ups, err := unpackUpdates(packUpdates(reps[1].Updates))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sl[0].ApplySync(ups); err != nil {
+		tb.Fatal(err)
+	}
+	return sl[0].Snapshot()
+}
+
+// frameOwnedAt is where a packed snapshot's owned-vector length sits,
+// after the four position fields and the four kick-PRNG words.
+const frameOwnedAt = 8 * 8
+
+// FuzzSliceFrame feeds arbitrary bytes to unpackState, the decoder of
+// the snapshot a /sync round returns and a hand-off create carries: an
+// error, or a state that packs back to the same bytes — nil and empty
+// vectors kept apart, every float's bits kept — and that a live slice
+// either refuses in Restore or steps from without a panic: to a report
+// the barrier accepts, or to the integrator's divergence error.
+func FuzzSliceFrame(f *testing.F) {
+	m := kmodel(12, 5)
+	mcfg := multichip.Config{Chips: 2, Seed: 3}
+	_, parts, err := multichip.Partition(m.N(), mcfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	st := genuineSnapshot(f, m, mcfg)
+	genuine := packState(st)
+	f.Add(genuine)
+	f.Add(packState(&multichip.SliceState{}))         // a nil machine, every vector nil
+	f.Add(genuine[:len(genuine)/2])                   // truncated
+	f.Add(append(append([]byte(nil), genuine...), 0)) // a trailing byte
+	past := append([]byte(nil), genuine...)
+	binary.LittleEndian.PutUint32(past[frameOwnedAt:], uint32(len(genuine))) // a length past the frame
+	f.Add(past)
+	two := append([]byte(nil), genuine...)
+	two[len(two)-4-len(st.Belief)-1] = 2 // the last lastFlipInduced byte
+	f.Add(two)
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		st, err := unpackState(frame)
+		if err != nil {
+			return
+		}
+		if again := packState(st); !bytes.Equal(again, frame) {
+			t.Fatalf("a %d-byte frame decodes to a state that packs to %d other bytes", len(frame), len(again))
+		}
+		sl, err := multichip.NewSlice(m, mcfg, 0, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sl.Restore(st) != nil || sl.Done() {
+			return
+		}
+		rep, err := sl.RunEpoch()
+		if err != nil {
+			return // a state no run reaches may diverge: the worker's 422
+		}
+		if err := checkReport(packReport(rep), rep.Epoch, parts[0]); err != nil {
+			t.Fatalf("restored slice stepped to a report the barrier refuses: %v", err)
+		}
 	})
 }
 

@@ -44,22 +44,26 @@ import (
 	"fmt"
 	"math"
 
+	"mbrim/internal/brim"
 	"mbrim/internal/ising"
 	"mbrim/internal/lattice"
 	"mbrim/internal/multichip"
 	"mbrim/internal/obs"
 )
 
-// Wire format notes: the envelope is JSON; what is large or hot inside
-// it is a packed little-endian []byte, which encoding/json carries as
-// base64. There are three such frames — the model's couplings
-// (ModelWire.Frame), a barrier's update list (packUpdates) and a slice's
-// owned readout (packSpins) — and this file holds their codecs. Float64
-// couplings cross as their IEEE-754 bits; the few floats left in the
-// envelope (μ, biases, epoch times) are printed by encoding/json at
-// shortest round-trip precision, so both cross bit-exactly — the same
-// property the PR-3 checkpoint format relies on. SliceState snapshots
-// keep multichip's JSON form: the on-disk checkpoint envelope shares it.
+// Wire format notes: the envelope is JSON (bar the /sync response, see
+// SyncResponse); what is large or hot inside it is a packed
+// little-endian []byte, which encoding/json carries as base64. There are
+// four such frames — the model's couplings (ModelWire.Frame), a
+// barrier's update list (packUpdates), a slice's owned readout
+// (packSpins) and a slice snapshot (packState) — and this file holds
+// their codecs. Float64 couplings and snapshot floats cross
+// as their IEEE-754 bits; the few floats left in the envelope (μ,
+// biases, epoch times) are printed by encoding/json at shortest
+// round-trip precision, so both cross bit-exactly — the same property
+// the PR-3 checkpoint format relies on. SliceState keeps multichip's
+// JSON form on disk, in the checkpoint envelope, and in the ?state=1
+// status body a person reads.
 
 // The two arms of ModelWire.Frame.
 const (
@@ -359,6 +363,283 @@ func spinAt(b []byte, li int) int8 {
 	return int8(b[li>>3]>>(li&7)&1)<<1 - 1
 }
 
+// A packed slice snapshot is a multichip.SliceState field by field,
+// little-endian: ints and uint64s as 8 bytes, floats as their IEEE-754
+// bits, int8s and bools as one byte each. A vector is a uint32 length
+// then its elements, with length nilVector standing for a nil one — an
+// empty vector and a nil one are distinct, as JSON's [] and null are,
+// so an envelope assembled from unpacked states equals one assembled
+// from the slices' own. The machine state is one presence byte (0 or 1)
+// then its fields. Order: chip, durationNS, modelNS, epochs, induceRNG,
+// owned, machine {seed, t, horizon, nextFlip, flips, induced, steps,
+// stepRetries, rng, v, ext, holdUntil, spins, holdTarget}, shadow,
+// lastFlipInduced, belief.
+const nilVector = math.MaxUint32
+
+// packState encodes a slice snapshot for transport.
+func packState(st *multichip.SliceState) []byte {
+	cs := &st.State
+	size := 4*8 + 4*8 + 4 + 8*len(cs.Owned) + 1 + 4 + len(cs.Shadow) + 4 + len(cs.LastFlipInduced) + 4 + len(st.Belief)
+	if ma := cs.Machine; ma != nil {
+		size += 8*8 + 4*8 + 3*4 + 8*(len(ma.V)+len(ma.Ext)+len(ma.HoldUntil)) + 2*4 + len(ma.Spins) + len(ma.HoldTarget)
+	}
+	w := stateWriter(make([]byte, 0, size))
+	w.u64(uint64(st.Chip))
+	w.f64(st.DurationNS)
+	w.f64(st.ModelNS)
+	w.u64(uint64(st.Epochs))
+	w.words(st.InduceRNG)
+	w.ints(cs.Owned)
+	if ma := cs.Machine; ma == nil {
+		w = append(w, 0)
+	} else {
+		w = append(w, 1)
+		w.u64(ma.Seed)
+		w.f64(ma.T)
+		w.f64(ma.Horizon)
+		w.f64(ma.NextFlip)
+		w.u64(uint64(ma.Flips))
+		w.u64(uint64(ma.Induced))
+		w.u64(uint64(ma.Steps))
+		w.u64(uint64(ma.StepRetries))
+		w.words(ma.RNG)
+		w.floats(ma.V)
+		w.floats(ma.Ext)
+		w.floats(ma.HoldUntil)
+		w.int8s(ma.Spins)
+		w.int8s(ma.HoldTarget)
+	}
+	w.int8s(cs.Shadow)
+	w.bools(cs.LastFlipInduced)
+	w.int8s(st.Belief)
+	return w
+}
+
+// stateWriter appends packState's fields.
+type stateWriter []byte
+
+func (w *stateWriter) u64(v uint64)  { *w = binary.LittleEndian.AppendUint64(*w, v) }
+func (w *stateWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
+
+func (w *stateWriter) words(v [4]uint64) {
+	for _, x := range v {
+		w.u64(x)
+	}
+}
+
+// length appends a vector's length, nilVector for a nil one.
+func (w *stateWriter) length(n int, isNil bool) {
+	if isNil {
+		n = nilVector
+	}
+	*w = binary.LittleEndian.AppendUint32(*w, uint32(n))
+}
+
+func (w *stateWriter) ints(v []int) {
+	w.length(len(v), v == nil)
+	for _, x := range v {
+		w.u64(uint64(x))
+	}
+}
+
+func (w *stateWriter) floats(v []float64) {
+	w.length(len(v), v == nil)
+	for _, x := range v {
+		w.f64(x)
+	}
+}
+
+func (w *stateWriter) int8s(v []int8) {
+	w.length(len(v), v == nil)
+	for _, x := range v {
+		*w = append(*w, byte(x))
+	}
+}
+
+func (w *stateWriter) bools(v []bool) {
+	w.length(len(v), v == nil)
+	for _, x := range v {
+		b := byte(0)
+		if x {
+			b = 1
+		}
+		*w = append(*w, b)
+	}
+}
+
+// unpackState decodes a packed slice snapshot. The bytes come off the
+// network: every length is checked against the bytes left before
+// anything is allocated for it, a presence or bool byte must be 0 or 1,
+// a float must be finite (JSON, the form this replaces, has no NaN or
+// ±Inf to carry), and bytes past the last field are refused. What the
+// state means — sizes against the partition, values against the
+// dynamics — is for the coordinator's checks and Slice.Restore.
+func unpackState(b []byte) (*multichip.SliceState, error) {
+	r := &stateReader{b: b}
+	st := &multichip.SliceState{}
+	cs := &st.State
+	st.Chip = int(r.u64())
+	st.DurationNS = r.f64()
+	st.ModelNS = r.f64()
+	st.Epochs = int(r.u64())
+	st.InduceRNG = r.words()
+	cs.Owned = r.ints()
+	if r.flag() {
+		ma := &brim.State{}
+		ma.Seed = r.u64()
+		ma.T = r.f64()
+		ma.Horizon = r.f64()
+		ma.NextFlip = r.f64()
+		ma.Flips = int64(r.u64())
+		ma.Induced = int64(r.u64())
+		ma.Steps = int64(r.u64())
+		ma.StepRetries = int64(r.u64())
+		ma.RNG = r.words()
+		ma.V = r.floats()
+		ma.Ext = r.floats()
+		ma.HoldUntil = r.floats()
+		ma.Spins = r.int8s()
+		ma.HoldTarget = r.int8s()
+		cs.Machine = ma
+	}
+	cs.Shadow = r.int8s()
+	cs.LastFlipInduced = r.bools()
+	st.Belief = r.int8s()
+	if r.err == nil && len(r.b) > 0 {
+		r.err = fmt.Errorf("%d bytes past the last field", len(r.b))
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("cluster: slice snapshot frame of %d bytes: %w", len(b), r.err)
+	}
+	return st, nil
+}
+
+// stateReader consumes a packed snapshot; the first failure sticks and
+// every later read returns zero values.
+type stateReader struct {
+	b   []byte
+	err error
+}
+
+// take consumes n bytes, or fails when fewer are left.
+func (r *stateReader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.b) {
+		r.err = fmt.Errorf("%d bytes needed, %d left", n, len(r.b))
+		return nil
+	}
+	p := r.b[:n]
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *stateReader) u64() uint64 {
+	if p := r.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+func (r *stateReader) f64() float64 { return r.finite(math.Float64frombits(r.u64())) }
+
+// finite passes v through, failing the read when it is NaN or ±Inf.
+func (r *stateReader) finite(v float64) float64 {
+	if r.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		r.err = fmt.Errorf("non-finite float %v", v)
+	}
+	return v
+}
+
+func (r *stateReader) words() (v [4]uint64) {
+	for i := range v {
+		v[i] = r.u64()
+	}
+	return v
+}
+
+// flag reads a presence or bool byte.
+func (r *stateReader) flag() bool {
+	p := r.take(1)
+	if p == nil {
+		return false
+	}
+	if p[0] > 1 {
+		r.err = fmt.Errorf("flag byte %d", p[0])
+	}
+	return p[0] == 1
+}
+
+// vector reads a vector's length and takes its elements' bytes, size
+// each; isNil reports the nil sentinel.
+func (r *stateReader) vector(size int) (p []byte, n int, isNil bool) {
+	h := r.take(4)
+	if h == nil {
+		return nil, 0, false
+	}
+	l := binary.LittleEndian.Uint32(h)
+	if l == nilVector {
+		return nil, 0, true
+	}
+	return r.take(int(l) * size), int(l), false
+}
+
+func (r *stateReader) ints() []int {
+	p, n, isNil := r.vector(8)
+	if isNil || r.err != nil {
+		return nil
+	}
+	v := make([]int, n)
+	for i := range v {
+		v[i] = int(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+	return v
+}
+
+func (r *stateReader) floats() []float64 {
+	p, n, isNil := r.vector(8)
+	if isNil || r.err != nil {
+		return nil
+	}
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = r.finite(math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:])))
+	}
+	if r.err != nil {
+		return nil
+	}
+	return v
+}
+
+func (r *stateReader) int8s() []int8 {
+	p, n, isNil := r.vector(1)
+	if isNil || r.err != nil {
+		return nil
+	}
+	v := make([]int8, n)
+	for i, x := range p {
+		v[i] = int8(x)
+	}
+	return v
+}
+
+func (r *stateReader) bools() []bool {
+	p, n, isNil := r.vector(1)
+	if isNil || r.err != nil {
+		return nil
+	}
+	v := make([]bool, n)
+	for i, x := range p {
+		if x > 1 {
+			r.err = fmt.Errorf("bool byte %d", x)
+			return nil
+		}
+		v[i] = x == 1
+	}
+	return v
+}
+
 // SliceConfig is the run configuration a worker needs to host one
 // slice. It is the distributable subset of multichip.Config: the brim
 // dynamics, the flip interval and the induced-flip schedule use their
@@ -429,15 +710,16 @@ type EventsPage struct {
 // CreateSliceRequest is the PUT /worker/slices/{id} body: host this
 // chip of the problem. Re-PUT with the same id replaces the slice —
 // creation is idempotent, so a retried or re-assigned create converges.
-// State, when set, restores a hand-off snapshot after creation. Trace,
-// when set, enables worker-side span emission for the slice under the
-// coordinator's run tree.
+// State, when set, is a packState frame the slice restores after
+// creation (a hand-off or rollback). Trace, when set, enables
+// worker-side span emission for the slice under the coordinator's run
+// tree.
 type CreateSliceRequest struct {
-	Slice  int                   `json:"slice"`
-	Model  *ModelWire            `json:"model"`
-	Config SliceConfig           `json:"config"`
-	State  *multichip.SliceState `json:"state,omitempty"`
-	Trace  *TraceContext         `json:"trace,omitempty"`
+	Slice  int           `json:"slice"`
+	Model  *ModelWire    `json:"model"`
+	Config SliceConfig   `json:"config"`
+	State  []byte        `json:"state,omitempty"`
+	Trace  *TraceContext `json:"trace,omitempty"`
 }
 
 // SliceStatus reports a hosted slice's position.
@@ -504,7 +786,8 @@ type StepResponse struct {
 // SyncRequest is the POST /worker/slices/{id}/sync body: deliver
 // barrier Epoch's cross-chip updates (packUpdates form) without
 // integrating — the checkpoint path, which needs post-sync state at the
-// barrier. Idempotent per epoch; WantState returns the slice snapshot.
+// barrier. Idempotent per epoch; WantState returns the slice snapshot
+// as a packState frame.
 type SyncRequest struct {
 	Epoch     int    `json:"epoch"`
 	Sync      []byte `json:"sync,omitempty"`
@@ -514,8 +797,29 @@ type SyncRequest struct {
 	Parent uint64 `json:"parentSpan,omitempty"`
 }
 
-// SyncResponse acknowledges a barrier delivery.
+// SyncResponse acknowledges a barrier delivery; State is the
+// packState frame a WantState request asked for. It is the one body
+// that crosses as raw bytes rather than JSON: the frame is nearly all of
+// it, and as a JSON string every checkpoint round would scan, unquote
+// and base64-decode it.
 type SyncResponse struct {
-	Epoch int                   `json:"epoch"`
-	State *multichip.SliceState `json:"state,omitempty"`
+	Epoch int
+	State []byte
+}
+
+// MarshalBinary is the /sync response body: the epoch as a
+// little-endian uint64, then the frame.
+func (r *SyncResponse) MarshalBinary() ([]byte, error) {
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(r.State)), uint64(r.Epoch))
+	return append(b, r.State...), nil
+}
+
+// UnmarshalBinary reads a /sync response body; the frame is
+// unpackState's to check.
+func (r *SyncResponse) UnmarshalBinary(b []byte) error {
+	if len(b) < 8 {
+		return fmt.Errorf("cluster: sync response of %d bytes", len(b))
+	}
+	r.Epoch, r.State = int(binary.LittleEndian.Uint64(b)), b[8:]
+	return nil
 }

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -295,6 +298,62 @@ func TestPackedEpochExchange(t *testing.T) {
 		}
 		if pad := n % 8; pad != 0 && b[len(b)-1]>>pad != 0 {
 			t.Errorf("n=%d: padding bits set in %08b", n, b[len(b)-1])
+		}
+	}
+}
+
+// TestSliceFrameRoundTrip: a snapshot survives its packed form field for
+// field — nil and empty vectors apart, as the checkpoint envelope's JSON
+// tells them apart — and the decoder refuses every frame that is short,
+// long or holds a byte no snapshot packs to.
+func TestSliceFrameRoundTrip(t *testing.T) {
+	m := kmodel(12, 5)
+	genuine := genuineSnapshot(t, m, multichip.Config{Chips: 2, Seed: 3})
+	edgy := *genuine
+	edgy.ModelNS = math.Copysign(0, -1)
+	edgy.State.Shadow = []int8{}
+	edgy.State.LastFlipInduced = nil
+	edgy.InduceRNG = [4]uint64{math.MaxUint64, 0, 1, 1 << 63}
+	for name, st := range map[string]*multichip.SliceState{
+		"genuine":                      genuine,
+		"no machine, every vector nil": {},
+		"empty and nil vectors, -0":    &edgy,
+	} {
+		got, err := unpackState(packState(st))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, st) || math.Signbit(got.ModelNS) != math.Signbit(st.ModelNS) {
+			t.Errorf("%s: unpacked %+v, want %+v", name, got, st)
+		}
+		a, _ := json.Marshal(got)
+		b, _ := json.Marshal(st)
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: JSON forms differ:\n%s\n%s", name, a, b)
+		}
+	}
+
+	frame := packState(genuine)
+	for k := range frame {
+		if _, err := unpackState(frame[:k]); err == nil {
+			t.Fatalf("a frame cut to %d of its %d bytes decodes", k, len(frame))
+		}
+	}
+	owned := len(genuine.State.Owned)
+	for name, edit := range map[string]func(b []byte) []byte{
+		"trailing byte":         func(b []byte) []byte { return append(b, 0) },
+		"length past the frame": func(b []byte) []byte { binary.LittleEndian.PutUint32(b[frameOwnedAt:], 1<<20); return b },
+		"machine flag of 2":     func(b []byte) []byte { b[frameOwnedAt+4+8*owned] = 2; return b },
+		"bool byte of 2":        func(b []byte) []byte { b[len(b)-4-len(genuine.Belief)-1] = 2; return b },
+		"NaN modelNS":           func(b []byte) []byte { binary.LittleEndian.PutUint64(b[16:], math.Float64bits(math.NaN())); return b },
+		"+Inf voltage": func(b []byte) []byte {
+			v := frameOwnedAt + 4 + 8*owned + 1 + 8*8 + 4*8 + 4 // the first element of the machine's V
+			binary.LittleEndian.PutUint64(b[v:], math.Float64bits(math.Inf(1)))
+			return b
+		},
+	} {
+		if _, err := unpackState(edit(append([]byte(nil), frame...))); err == nil {
+			t.Errorf("%s: decoded", name)
 		}
 	}
 }

@@ -147,8 +147,13 @@ func (wk *Worker) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ws := &workerSlice{slice: sl}
+	var state *multichip.SliceState
 	if req.State != nil {
-		if err := sl.Restore(req.State); err != nil {
+		if state, err = unpackState(req.State); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		if err := sl.Restore(state); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -163,8 +168,8 @@ func (wk *Worker) handleCreate(w http.ResponseWriter, r *http.Request) {
 		// handed-off slice's first chip_step span doesn't claim the
 		// pre-hand-off flips.
 		ws.spans = obs.NewSpannerAt(obs.StampTracer(wk.ring, tc.TraceID, ""), tc.SpanBase)
-		if req.State != nil && req.State.State.Machine != nil {
-			ws.spanFlips = req.State.State.Machine.Flips
+		if state != nil {
+			ws.spanFlips = state.State.Machine.Flips
 		}
 		ws.spans.Complete("slice_install", obs.RemoteSpan(tc.Parent), sl.Chip(),
 			sl.ModelNS(), 0, time.Since(start).Nanoseconds(), nil)
@@ -355,7 +360,7 @@ func (wk *Worker) handleSync(w http.ResponseWriter, r *http.Request) {
 	// else: a retry of a barrier already delivered — acknowledge again.
 	resp := &SyncResponse{Epoch: done}
 	if req.WantState {
-		resp.State = ws.slice.Snapshot()
+		resp.State = packState(ws.slice.Snapshot())
 	}
 	writeWire(w, resp)
 }
