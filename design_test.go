@@ -650,3 +650,72 @@ func TestInternalCodeIsReached(t *testing.T) {
 		}
 	}
 }
+
+// TestJournalRecordsHaveAReader: every journal.Type the run manager
+// writes in a journal.Record literal is a case of Recover's fold, so
+// no record is fsync'd that replay never reads.
+func TestJournalRecordsHaveAReader(t *testing.T) {
+	typeName := func(e ast.Expr) string {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == "journal" && strings.HasPrefix(sel.Sel.Name, "Type") {
+				return sel.Sel.Name
+			}
+		}
+		return ""
+	}
+	written, read := map[string]bool{}, map[string]bool{}
+	dir := filepath.Join("internal", "runs")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if sel, ok := n.Type.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Record" {
+					return true
+				}
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Type" {
+							if name := typeName(kv.Value); name != "" {
+								written[name] = true
+							}
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if n.Name.Name != "Recover" || n.Recv == nil {
+					return true
+				}
+				ast.Inspect(n.Body, func(n ast.Node) bool {
+					if cc, ok := n.(*ast.CaseClause); ok {
+						for _, e := range cc.List {
+							if name := typeName(e); name != "" {
+								read[name] = true
+							}
+						}
+					}
+					return true
+				})
+				return false
+			}
+			return true
+		})
+	}
+	if len(written) == 0 || len(read) == 0 {
+		t.Fatalf("found %d written and %d replayed record types: the scan no longer sees the run manager", len(written), len(read))
+	}
+	if unread := difference(written, read); len(unread) > 0 {
+		t.Errorf("internal/runs writes journal records that Recover never reads: %v", unread)
+	}
+}

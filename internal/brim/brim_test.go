@@ -361,9 +361,9 @@ func benchStep(b *testing.B, m *ising.Model) {
 }
 
 // TestRunDoesNotAllocate pins the step: an RK4 stage is one mat-vec
-// call and one latch call over [0, n), with no closure handed to
-// lattice.ForRange (which escaped — four heap closures a step, 803
-// allocations for this Run(10) before the direct call). The listener
+// call and one latch call over [0, n), with no heap closure (a
+// chunked fan-out's closures once cost 803 allocations for this
+// Run(10)). The listener
 // case is the shape multichip installs (it writes captured state and
 // allocates nothing itself). The sparse machine's mat-vec is the lane
 // groups, n = 67 leaves a remainder to the Go form and the varied

@@ -172,8 +172,7 @@ type Coordinator struct {
 	model *ising.Model
 	n     int
 	// view is what the run's energies are read through (lattice.Energy:
-	// popcounts on a ±1 matrix, O(nnz) over CSR), taken once by Solve;
-	// the partition-quality gauges share it.
+	// popcounts on a ±1 matrix, O(nnz) over CSR), taken once by Solve.
 	view lattice.Coupling
 	// mc and parts are multichip's own derivation for this run — the
 	// validated configuration with its defaults (epoch length, channels)
@@ -308,7 +307,6 @@ func (co *Coordinator) run(ctx context.Context) (*Result, []byte, error) {
 		ctx = context.Background()
 	}
 	co.view = co.model.View(lattice.Auto)
-	co.recordPartitionQuality()
 	// Whatever way the run ends — completed, interrupted (after its
 	// checkpoint is collected) or failed — its slices leave the workers,
 	// its lanes exit and a transport that made its own connections
@@ -587,7 +585,7 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 	// accumulation order System.syncEpoch uses.
 	pos.EpochsDone = target
 	pos.ModelNS += epochNS
-	var changes, induced int64
+	var changes, induced, retries int64
 	co.flips, co.inducedFlips = 0, 0
 	next := make([][]byte, co.cfg.Chips)
 	for s, rep := range reps {
@@ -596,6 +594,7 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 		}
 		co.flips += rep.Flips
 		co.inducedFlips += rep.InducedFlips
+		retries += rep.StepRetries
 		if co.cfg.Chips > 1 && len(rep.Updates) > 0 {
 			count := len(rep.Updates) / 4
 			changes += int64(count)
@@ -610,6 +609,11 @@ func (co *Coordinator) stepEpoch(ctx context.Context) error {
 	}
 	pos.BitChanges += changes
 	pos.InducedBitChanges += induced
+	if retries > 0 {
+		// The workers drained their guardrail retries at the barrier;
+		// they count where System's drainStepRetries counts them.
+		co.metric().Counter("brim.step_retries").Add(retries)
+	}
 	co.pendingSync = next
 	co.synced = false
 	co.emit(obs.Event{Kind: obs.EpochSync, Epoch: pos.EpochsDone, ModelNS: pos.ModelNS,
@@ -962,26 +966,6 @@ func (co *Coordinator) interruptCheckpoint() ([]byte, error) {
 		ModelHash: checkpoint.HashModel(co.model),
 		Multichip: co.lastCkpt,
 	})
-}
-
-// recordPartitionQuality publishes the partition-quality gauges for
-// the run's slicing.
-func (co *Coordinator) recordPartitionQuality() {
-	if co.metric() == nil {
-		return
-	}
-	q := metrics.MeasurePartition(co.view, co.parts)
-	m := co.metric()
-	m.SetHelp("cluster.partition_cut_weight_fraction",
-		"fraction of total |J| weight crossing slice boundaries")
-	m.SetHelp("cluster.partition_boundary_spin_fraction",
-		"fraction of spins with at least one cross-slice coupling")
-	m.SetHelp("cluster.partition_imbalance",
-		"largest slice size over mean slice size, minus one")
-	m.Gauge("cluster.partition_cut_weight_fraction").Set(q.CutWeightFraction)
-	m.Gauge("cluster.partition_boundary_spin_fraction").Set(q.BoundarySpinFraction)
-	m.Gauge("cluster.partition_imbalance").Set(q.Imbalance)
-	m.Gauge("cluster.partition_cut_edges").Set(float64(q.CutEdges))
 }
 
 // recordRunMetrics publishes a finished run's totals.

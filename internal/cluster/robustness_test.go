@@ -190,8 +190,7 @@ func TestMalformedEpochReportFailsRun(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			worker := fakeWorker(t, func(epoch int) *ReportWire {
-				return &ReportWire{Epoch: epoch, EpochNS: 3.3, ModelNS: 3.3 * float64(epoch),
-					Updates: row.updates, Spins: row.spins}
+				return &ReportWire{Epoch: epoch, Updates: row.updates, Spins: row.spins}
 			})
 			co, err := New(kmodel(row.k, 3), "t-malformed", fastConfig([]string{worker, worker}, 2, 5, 10))
 			if err != nil {
@@ -202,6 +201,30 @@ func TestMalformedEpochReportFailsRun(t *testing.T) {
 				t.Fatalf("Solve = %+v, %v; want a malformed-report error", res, err)
 			}
 		})
+	}
+}
+
+// TestClusterCountsStepRetries: the guardrail retries a worker drains
+// into each epoch report add up in brim.step_retries, the counter
+// System adds them to in process.
+func TestClusterCountsStepRetries(t *testing.T) {
+	worker := fakeWorker(t, func(epoch int) *ReportWire {
+		// K16 on two slices: eight owned spins, one readout byte.
+		return &ReportWire{Epoch: epoch, Spins: []byte{0x5a}, StepRetries: 2}
+	})
+	cfg := fastConfig([]string{worker, worker}, 2, 5, 10)
+	cfg.Metrics = obs.NewRegistry()
+	co, err := New(kmodel(16, 3), "t-retries", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := co.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(2 * cfg.Chips * res.Epochs)
+	if got := cfg.Metrics.Counter("brim.step_retries").Value(); res.Epochs == 0 || got != want {
+		t.Fatalf("brim.step_retries = %d over %d epochs, want %d", got, res.Epochs, want)
 	}
 }
 

@@ -749,31 +749,25 @@ type StepRequest struct {
 }
 
 // ReportWire is a multichip.EpochReport as it crosses the wire: the
-// same counters, with the boundary broadcast in packUpdates form and
-// the owned readout in packSpins form.
+// counters the coordinator reads, with the boundary broadcast in
+// packUpdates form and the owned readout in packSpins form.
 type ReportWire struct {
-	Epoch        int     `json:"epoch"`
-	EpochNS      float64 `json:"epochNS"`
-	ModelNS      float64 `json:"modelNS"`
-	Updates      []byte  `json:"updates,omitempty"`
-	Spins        []byte  `json:"spins"`
-	Flips        int64   `json:"flips"`
-	InducedFlips int64   `json:"inducedFlips"`
-	Kicks        int64   `json:"kicks,omitempty"`
-	StepRetries  int64   `json:"stepRetries,omitempty"`
+	Epoch        int    `json:"epoch"`
+	Updates      []byte `json:"updates,omitempty"`
+	Spins        []byte `json:"spins"`
+	Flips        int64  `json:"flips"`
+	InducedFlips int64  `json:"inducedFlips"`
+	StepRetries  int64  `json:"stepRetries,omitempty"`
 }
 
 // packReport packs a slice's epoch report for transport.
 func packReport(rep *multichip.EpochReport) *ReportWire {
 	return &ReportWire{
 		Epoch:        rep.Epoch,
-		EpochNS:      rep.EpochNS,
-		ModelNS:      rep.ModelNS,
 		Updates:      packUpdates(rep.Updates),
 		Spins:        packSpins(rep.Spins),
 		Flips:        rep.Flips,
 		InducedFlips: rep.InducedFlips,
-		Kicks:        rep.Kicks,
 		StepRetries:  rep.StepRetries,
 	}
 }

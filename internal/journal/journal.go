@@ -52,13 +52,14 @@ const maxRecord = 16 << 20
 type Type string
 
 // The record taxonomy. A run's journal life is
-// submit → start → checkpoint* → (restart → checkpoint*)* → terminal;
+// submit → checkpoint* → (restart → checkpoint*)* → terminal;
 // replay folds the records per run ID and acts on the last state.
 const (
 	// TypeSubmit records an accepted run: its ID, the client's submit
 	// spec (replay rebuilds the request from it), priority and deadline.
 	TypeSubmit Type = "submit"
-	// TypeStart records dispatch: the run left the queue and is solving.
+	// TypeStart is the dispatch record older daemons wrote. Nothing
+	// writes it any more and replay skips it.
 	TypeStart Type = "start"
 	// TypeCheckpoint records a durable checkpoint ref for the run; the
 	// last valid one is the resume point after a crash.

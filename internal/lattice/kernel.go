@@ -1,85 +1,25 @@
 package lattice
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
-// KernelChunk is the fixed work-unit size of the parallel kernel, in
-// rows. Chunk boundaries depend only on n — never on the worker count
-// — so every row is processed with the same slice bounds regardless of
-// parallelism, and per-chunk reduction partials always combine in the
-// same order. 256 rows of a 4096-spin dense matrix is 8 MiB of
-// streaming reads: large enough to amortize the handoff, small enough
-// that tail chunks balance.
+// KernelChunk is the CSR layout's window, in rows (a power of two):
+// within each window the rows are ordered for lanes (package doc,
+// "Backends"), so a range that covers a whole window runs its groups
+// and any other range walks its rows one by one.
 const KernelChunk = 256
 
-// ForRange runs fn(lo, hi) over [0, n) split at fixed KernelChunk
-// boundaries, fanning chunks over min(workers, chunks) goroutines
-// pulling from an atomic counter. fn must write only state owned by
-// rows [lo, hi). workers <= 1 runs inline as a single fn(0, n) call —
-// bit-identical for row-wise fn, because each row's work is
-// independent of the chunk it arrives in. A reduction must not be
-// split this way: its association would follow the chunking (Energy is
-// one walk for that reason).
-func ForRange(n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	chunks := (n + KernelChunk - 1) / KernelChunk
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				lo := c * KernelChunk
-				hi := lo + KernelChunk
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// MatVec fills out[i] = base[i] + Σ_j J_ij·x[j] over all rows, fanned
-// over workers. Bit-identical across worker counts and backends. One
-// worker is the single (0, n) call ForRange would make, made directly:
-// the closure handed to ForRange escapes to the heap, and a serial
-// engine calls this once per step.
+// MatVec fills out[i] = base[i] + Σ_j J_ij·x[j] over all rows, one
+// MatVecRange(0, n) call, bit-identical across backends. workers is
+// ignored.
 func MatVec(c Coupling, x, base, out []float64, workers int) {
-	if workers <= 1 {
-		c.MatVecRange(x, base, out, 0, c.N())
-		return
-	}
-	ForRange(c.N(), workers, func(lo, hi int) { c.MatVecRange(x, base, out, lo, hi) })
+	c.MatVecRange(x, base, out, 0, c.N())
 }
 
-// Fields fills out[i] = base[i] + Σ_j J_ij·σ_j over all rows, fanned
-// over workers. Bit-identical across worker counts and backends; one
-// worker is a direct call, as in MatVec.
+// Fields fills out[i] = base[i] + Σ_j J_ij·σ_j over all rows, one
+// FieldsRange(0, n) call, bit-identical across backends. workers is
+// ignored.
 func Fields(c Coupling, spins []int8, base, out []float64, workers int) {
-	if workers <= 1 {
-		c.FieldsRange(spins, base, out, 0, c.N())
-		return
-	}
-	ForRange(c.N(), workers, func(lo, hi int) { c.FieldsRange(spins, base, out, lo, hi) })
+	c.FieldsRange(spins, base, out, 0, c.N())
 }
 
 // Energy returns E(σ) = −Σ_{i<j} J_ij σ_i σ_j − Σ_i base_i σ_i (nil base

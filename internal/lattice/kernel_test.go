@@ -2,7 +2,6 @@ package lattice
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"mbrim/internal/rng"
@@ -17,32 +16,10 @@ func randVec(n int, seed uint64) []float64 {
 	return x
 }
 
-func TestForRangeCoversEveryRowOnce(t *testing.T) {
-	for _, n := range []int{1, KernelChunk - 1, KernelChunk, KernelChunk + 1, 3*KernelChunk + 17} {
-		for _, w := range []int{1, 2, 3, 8, 64} {
-			hits := make([]int32, n)
-			ForRange(n, w, func(lo, hi int) {
-				if lo < 0 || hi > n || lo >= hi {
-					t.Errorf("n=%d w=%d: bad range [%d,%d)", n, w, lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("n=%d w=%d: row %d visited %d times", n, w, i, h)
-				}
-			}
-		}
-	}
-}
-
-// TestMatVecBitIdenticalAcrossWorkersAndBackends is the heart of the
-// determinism contract: for the same matrix, every backend × every
-// worker count must produce the exact same bits, equal to the serial
-// dense scan.
-func TestMatVecBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
+// TestMatVecBitIdenticalAcrossBackends is the heart of the determinism
+// contract: for the same matrix, every backend must produce the exact
+// same bits, equal to the serial dense scan.
+func TestMatVecBitIdenticalAcrossBackends(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		n       int
@@ -74,21 +51,19 @@ func TestMatVecBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 			}
 
 			for kind, c := range allBackends(t, tc.n, data, 0) {
-				for _, w := range []int{1, 2, 3, 8} {
-					out := make([]float64, tc.n)
-					MatVec(c, x, base, out, w)
-					for i := range out {
-						if out[i] != ref[i] {
-							t.Fatalf("%v w=%d: MatVec[%d] = %x, ref %x",
-								kind, w, i, math.Float64bits(out[i]), math.Float64bits(ref[i]))
-						}
+				out := make([]float64, tc.n)
+				MatVec(c, x, base, out, 1)
+				for i := range out {
+					if out[i] != ref[i] {
+						t.Fatalf("%v: MatVec[%d] = %x, ref %x",
+							kind, i, math.Float64bits(out[i]), math.Float64bits(ref[i]))
 					}
-					Fields(c, spins, base, out, w)
-					for i := range out {
-						if out[i] != refF[i] {
-							t.Fatalf("%v w=%d: Fields[%d] = %x, ref %x",
-								kind, w, i, math.Float64bits(out[i]), math.Float64bits(refF[i]))
-						}
+				}
+				Fields(c, spins, base, out, 1)
+				for i := range out {
+					if out[i] != refF[i] {
+						t.Fatalf("%v: Fields[%d] = %x, ref %x",
+							kind, i, math.Float64bits(out[i]), math.Float64bits(refF[i]))
 					}
 				}
 			}

@@ -1,7 +1,6 @@
 // Package lattice is the shared numeric substrate under every solver:
 // pluggable read-only views of a symmetric Ising coupling matrix (the
-// "lattice" the machines anneal over) behind one Coupling interface,
-// plus a deterministic parallel kernel for the row-wise hot loops.
+// "lattice" the machines anneal over) behind one Coupling interface.
 //
 // # Backends
 //
@@ -93,18 +92,13 @@
 // # Determinism contract
 //
 // Every backend accumulates each output row in ascending column order,
-// and the parallel kernel splits work at fixed KernelChunk-row
-// boundaries that depend only on n — never on the worker count; the
-// one scalar reduction, Energy, is a single walk and is never split.
-// Two consequences, relied on by the checkpoint-resume goldens and the
-// backend-equivalence suite:
-//
-//   - results are bit-identical across worker counts, and
-//   - both backends produce bit-identical results: skipping a zero
-//     entry cannot change an accumulator's bits, because an
-//     accumulator that starts at +0 can never become −0 (x + (−x)
-//     rounds to +0 under round-to-nearest), and adding ±0 to such an
-//     accumulator is the identity.
+// and the one scalar reduction, Energy, is a single walk and is never
+// split. So both backends produce bit-identical results, which the
+// checkpoint-resume goldens and the backend-equivalence suite rely on:
+// skipping a zero entry cannot change an accumulator's bits, because
+// an accumulator that starts at +0 can never become −0 (x + (−x)
+// rounds to +0 under round-to-nearest), and adding ±0 to such an
+// accumulator is the identity.
 //
 // The popcount row is inside the contract, not an exception to it. It
 // is taken per row, and only when the float walk's result is provably

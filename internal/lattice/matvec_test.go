@@ -194,10 +194,9 @@ func residueRanges(n int) [][2]int {
 
 func TestMatVecBlockedMatchesRowWalk(t *testing.T) {
 	const div = 3.7
-	// 515 is past two KernelChunks, so MatVec at four workers really
-	// fans out, and is nine 64-row sweep tiles, the last partial; the
-	// rest are the block-edge sizes of dot4 (4) and of the sweeps (32,
-	// 64, 128).
+	// 515 is past two KernelChunks and is nine 64-row sweep tiles, the
+	// last partial; the rest are the block-edge sizes of dot4 (4) and of
+	// the sweeps (32, 64, 128).
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 129, 160, 192, 515} {
 		r := rng.New(uint64(n) + 70)
 		unit := randSym(n, 0.8, uint64(n)+71)
@@ -248,16 +247,14 @@ func TestMatVecBlockedMatchesRowWalk(t *testing.T) {
 					for _, rg := range residueRanges(n) {
 						checkMatVec(t, v.c, n, denseWalk(n, v.ref), x, base, rg[0], rg[1])
 					}
-					// Worker counts split at the same fixed chunks.
 					walk := make([]float64, n)
 					refMatVec(n, v.ref, x, base, walk, 0, n)
 					eachArm(func() {
-						one, four := make([]float64, n), make([]float64, n)
-						MatVec(v.c, x, base, one, 1)
-						MatVec(v.c, x, base, four, 4)
-						for i := range one {
-							if !sameBits(one[i], walk[i]) || !sameBits(four[i], walk[i]) {
-								t.Fatalf("n=%d %s %s row %d: workers 1 %v, 4 %v, row walk %v", n, v.name, armName(), i, one[i], four[i], walk[i])
+						out := make([]float64, n)
+						MatVec(v.c, x, base, out, 1)
+						for i := range out {
+							if !sameBits(out[i], walk[i]) {
+								t.Fatalf("n=%d %s %s row %d: MatVec %v, row walk %v", n, v.name, armName(), i, out[i], walk[i])
 							}
 						}
 					})
@@ -268,8 +265,8 @@ func TestMatVecBlockedMatchesRowWalk(t *testing.T) {
 }
 
 // TestMatVecRangeWritesOnlyItsRange pins the Coupling contract every
-// caller that shares one out slice between ranges relies on (ForRange
-// chunks, sbm's per-chip rows): on every layout, out outside [lo,hi)
+// caller that shares one out slice between ranges relies on (sbm's
+// per-chip rows): on every layout, out outside [lo,hi)
 // keeps its poison. The matrix is ±1, so its dense layout is planes and
 // walks; its float copy (Floats) is what the column sweep runs on. 70
 // rows are two sweep blocks and a remainder, 576 nine whole 64-row

@@ -78,72 +78,64 @@ func runConcurrent(durationNS float64) func(*System, context.Context, *Checkpoin
 	}
 }
 
+// collect assembles the Result a coordinator reads off slices it drove
+// in lockstep over fab, with the ledger l.
+func collect(m *ising.Model, slices []*Slice, fab *interconnect.Fabric, l lockstepLedger) *Result {
+	got := &Result{
+		Spins:                make([]int8, m.N()),
+		ModelNS:              slices[0].ModelNS(),
+		StallNS:              fab.StallNS(),
+		ElapsedNS:            l.elapsedNS,
+		BitChanges:           l.bitChanges,
+		InducedBitChanges:    l.inducedBitChanges,
+		TrafficBytes:         fab.TotalBytes(),
+		PeakDemandBytesPerNS: fab.PeakDemand(),
+		Epochs:               slices[0].Epochs(),
+		LiveChips:            len(slices),
+	}
+	for _, s := range slices {
+		c := &s.chip
+		for li, g := range c.owned {
+			got.Spins[g] = c.machine.Spins()[li]
+		}
+		got.Flips += c.machine.Flips()
+		got.InducedFlips += c.machine.InducedFlips()
+	}
+	got.Energy = m.Energy(got.Spins)
+	return got
+}
+
 // TestCrossHosting cuts a run at a pseudo-random barrier in one hosting
-// and finishes it in the other, both ways: a System's Checkpoint split
-// into SliceStates continues on isolated slices, and slice snapshots
-// assembled into a Checkpoint continue in a System. Either way the
-// result equals the uninterrupted System run.
+// and finishes it in another: a System's Checkpoint split into
+// SliceStates continues on isolated slices, slice snapshots assembled
+// into a Checkpoint continue in a System, and slice snapshots restored
+// onto fresh slices continue there. One more cut sits at the final
+// barrier, so the slices drive the whole run and the System only
+// collects it. Every way, on 2–4 chips, coordinated or not, the result
+// equals the uninterrupted System run in every field, the fabric's
+// ledger included.
 func TestCrossHosting(t *testing.T) {
 	m := kgraph(40, 21)
 	const duration = 33 // 10 epochs of 3.3
 	cuts := rng.New(0xC055)
-	for _, coordinated := range []bool{false, true} {
-		cfg := Config{Chips: 3, Seed: 8, Coordinated: coordinated, Channels: 1, ChannelBytesPerNS: 0.25}
-		want := MustSystem(m, cfg).RunConcurrent(duration)
-		if want.StallNS == 0 {
-			t.Fatal("fabric never stalled — the elapsed-time ledger is untested")
-		}
-		newFabric := func() *interconnect.Fabric {
-			fab, err := interconnect.New(cfg.Chips, cfg.Channels, cfg.ChannelBytesPerNS)
-			if err != nil {
-				t.Fatal(err)
+	// Three chips first, unprefixed: the 3-chip rows' cut draws, and so
+	// their subtest names, do not depend on the rows after them.
+	for _, chips := range []int{3, 2, 4} {
+		for _, coordinated := range []bool{false, true} {
+			cfg := Config{Chips: chips, Seed: 8, Coordinated: coordinated, Channels: 1, ChannelBytesPerNS: 0.25}
+			want := MustSystem(m, cfg).RunConcurrent(duration)
+			if want.StallNS == 0 {
+				t.Fatalf("chips=%d: fabric never stalled — the elapsed-time ledger is untested", chips)
 			}
-			return fab
-		}
-		for trial := 0; trial < 3; trial++ {
-			cut := 1 + cuts.Intn(want.Epochs-1)
-			t.Run(fmt.Sprintf("coordinated=%v/system-to-slices@%d", coordinated, cut), func(t *testing.T) {
-				ck := interruptAt(t, m, cfg, cut, runConcurrent(duration))
-				states, err := ck.SliceStates()
+			newFabric := func() *interconnect.Fabric {
+				fab, err := interconnect.New(cfg.Chips, cfg.Channels, cfg.ChannelBytesPerNS)
 				if err != nil {
 					t.Fatal(err)
 				}
-				slices := newSlices(t, m, cfg, duration)
-				for i, s := range slices {
-					if err := s.Restore(states[i]); err != nil {
-						t.Fatalf("restore %d: %v", i, err)
-					}
-				}
-				fab := newFabric()
-				if err := fab.Restore(ck.Fabric); err != nil {
-					t.Fatal(err)
-				}
-				l := lockstep(t, slices, fab, want.Epochs,
-					lockstepLedger{ck.BitChanges, ck.InducedBitChanges, ck.ElapsedNS})
-				got := &Result{
-					Spins:                make([]int8, m.N()),
-					ModelNS:              slices[0].ModelNS(),
-					StallNS:              fab.StallNS(),
-					ElapsedNS:            l.elapsedNS,
-					BitChanges:           l.bitChanges,
-					InducedBitChanges:    l.inducedBitChanges,
-					TrafficBytes:         fab.TotalBytes(),
-					PeakDemandBytesPerNS: fab.PeakDemand(),
-					Epochs:               slices[0].Epochs(),
-					LiveChips:            len(slices),
-				}
-				for _, s := range slices {
-					c := &s.chip
-					for li, g := range c.owned {
-						got.Spins[g] = c.machine.Spins()[li]
-					}
-					got.Flips += c.machine.Flips()
-					got.InducedFlips += c.machine.InducedFlips()
-				}
-				got.Energy = m.Energy(got.Spins)
-				sameResult(t, want, got)
-			})
-			t.Run(fmt.Sprintf("coordinated=%v/slices-to-system@%d", coordinated, cut), func(t *testing.T) {
+				return fab
+			}
+			// drive runs fresh slices to barrier cut and snapshots them.
+			drive := func(t *testing.T, cut int) ([]*SliceState, *interconnect.Fabric, lockstepLedger) {
 				slices := newSlices(t, m, cfg, duration)
 				fab := newFabric()
 				l := lockstep(t, slices, fab, cut, lockstepLedger{})
@@ -151,9 +143,32 @@ func TestCrossHosting(t *testing.T) {
 				for i, s := range slices {
 					states[i] = s.Snapshot()
 				}
+				return states, fab, l
+			}
+			// finish restores states onto fresh slices and fab, checks
+			// they stand at barrier cut, and drives them to the horizon.
+			finish := func(t *testing.T, cut int, states []*SliceState, fab *interconnect.State, l lockstepLedger) {
+				slices := newSlices(t, m, cfg, duration)
+				for i, s := range slices {
+					if err := s.Restore(states[i]); err != nil {
+						t.Fatalf("restore %d: %v", i, err)
+					}
+					if s.Epochs() != cut {
+						t.Fatalf("restored slice %d at epoch %d, want %d", i, s.Epochs(), cut)
+					}
+				}
+				f := newFabric()
+				if err := f.Restore(fab); err != nil {
+					t.Fatal(err)
+				}
+				l = lockstep(t, slices, f, want.Epochs, l)
+				sameResult(t, want, collect(m, slices, f, l))
+			}
+			slicesToSystem := func(t *testing.T, cut int) {
+				states, fab, l := drive(t, cut)
 				ck := &Checkpoint{
 					Mode: ModeConcurrent, DurationNS: duration,
-					Position: Position{EpochsDone: cut, ModelNS: slices[0].ModelNS(), ElapsedNS: l.elapsedNS,
+					Position: Position{EpochsDone: cut, ModelNS: states[0].ModelNS, ElapsedNS: l.elapsedNS,
 						BitChanges: l.bitChanges, InducedBitChanges: l.inducedBitChanges},
 					Fabric: fab.Snapshot(),
 				}
@@ -163,6 +178,32 @@ func TestCrossHosting(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameResult(t, want, got)
+			}
+			name := fmt.Sprintf("coordinated=%v", coordinated)
+			if chips != 3 {
+				name = fmt.Sprintf("chips=%d/%s", chips, name)
+			}
+			for trial := 0; trial < 3; trial++ {
+				cut := 1 + cuts.Intn(want.Epochs-1)
+				t.Run(fmt.Sprintf("%s/system-to-slices@%d", name, cut), func(t *testing.T) {
+					ck := interruptAt(t, m, cfg, cut, runConcurrent(duration))
+					states, err := ck.SliceStates()
+					if err != nil {
+						t.Fatal(err)
+					}
+					finish(t, cut, states, ck.Fabric,
+						lockstepLedger{ck.BitChanges, ck.InducedBitChanges, ck.ElapsedNS})
+				})
+				t.Run(fmt.Sprintf("%s/slices-to-system@%d", name, cut), func(t *testing.T) {
+					slicesToSystem(t, cut)
+				})
+				t.Run(fmt.Sprintf("%s/slices-to-slices@%d", name, cut), func(t *testing.T) {
+					states, fab, l := drive(t, cut)
+					finish(t, cut, states, fab.Snapshot(), l)
+				})
+			}
+			t.Run(fmt.Sprintf("%s/slices-to-system@%d", name, want.Epochs), func(t *testing.T) {
+				slicesToSystem(t, want.Epochs)
 			})
 		}
 	}

@@ -198,10 +198,9 @@ type EpochReport struct {
 	// comes from these, so no separate readout RPC exists.
 	Spins []int8
 	// Flips / InducedFlips are the machine's CUMULATIVE counters (what
-	// Result reads at run end); Kicks and StepRetries are this epoch's.
+	// Result reads at run end); StepRetries is this epoch's.
 	Flips        int64
 	InducedFlips int64
-	Kicks        int64
 	StepRetries  int64
 }
 
@@ -388,7 +387,6 @@ func (s *Slice) RunEpoch() (*EpochReport, error) {
 		Spins:        c.ownedSpins(),
 		Flips:        c.machine.Flips(),
 		InducedFlips: c.machine.InducedFlips(),
-		Kicks:        c.epochKicks,
 		// Draining the guardrail-retry ledger at every barrier keeps it
 		// zero in snapshots.
 		StepRetries: c.machine.TakeEpochRetries(),

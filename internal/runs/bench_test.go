@@ -105,7 +105,7 @@ func BenchmarkSolveManaged(b *testing.B) {
 // durability layer on: fsync'd journal write-through plus the
 // segmented-checkpoint machinery (the 2s default cadence never fires at
 // this problem size, so the cost measured is the per-run record
-// overhead — three fsync'd appends — not checkpoint I/O). Not part of
+// overhead — two fsync'd appends — not checkpoint I/O). Not part of
 // the A/B acceptance bound; it quantifies what -state-dir costs when
 // you opt in.
 func BenchmarkSolveJournaled(b *testing.B) {

@@ -75,15 +75,12 @@ func TestJournalWriteThrough(t *testing.T) {
 	if err != nil || rep.Torn {
 		t.Fatalf("replay: %v torn=%v", err, rep.Torn)
 	}
-	if len(rep.Records) != 3 {
-		t.Fatalf("journal = %d records, want submit/start/terminal", len(rep.Records))
+	if len(rep.Records) != 2 {
+		t.Fatalf("journal = %d records, want submit/terminal", len(rep.Records))
 	}
-	sub, start, term := rep.Records[0], rep.Records[1], rep.Records[2]
+	sub, term := rep.Records[0], rep.Records[1]
 	if sub.Type != journal.TypeSubmit || sub.ID != "run-1" || sub.Priority != 2 || len(sub.Spec) == 0 {
 		t.Fatalf("submit record = %+v", sub)
-	}
-	if start.Type != journal.TypeStart || start.ID != "run-1" || start.WallNS == 0 {
-		t.Fatalf("start record = %+v", start)
 	}
 	if term.Type != journal.TypeTerminal || term.State != string(StateCompleted) || len(term.Summary) == 0 {
 		t.Fatalf("terminal record = %+v", term)

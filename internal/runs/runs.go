@@ -306,8 +306,8 @@ type Config struct {
 	// MaxRunBytes, when positive, rejects submissions whose estimated
 	// resident footprint (see runShape.estimate) exceeds it.
 	MaxRunBytes int64
-	// Journal, when set, receives a durable record of every run
-	// transition (submit/start/checkpoint/restart/terminal); StateDir
+	// Journal, when set, receives a durable record of each run
+	// transition replay reads (submit/checkpoint/restart/terminal); StateDir
 	// is where periodic checkpoints persist (a "checkpoints" subdir).
 	// Both set enables crash recovery via Recover.
 	Journal *journal.Writer
@@ -415,13 +415,13 @@ func (m *Manager) execute(ctx context.Context, r *Run, req core.Request) {
 
 	r.mu.Lock()
 	r.state = StateRunning
-	r.started = time.Now()
+	now := time.Now()
+	r.started = now
 	if !r.queuedAt.IsZero() {
-		r.queueWait = r.started.Sub(r.queuedAt)
+		r.queueWait = now.Sub(r.queuedAt)
 	}
 	wait := r.queueWait
 	r.mu.Unlock()
-	m.journalAppend(journal.Record{Type: journal.TypeStart, ID: r.id})
 	if wait > 0 {
 		// Make the wait attributable: a synthetic span in the run's own
 		// event stream (diag folds it into the snapshot) plus the
