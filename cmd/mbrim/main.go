@@ -44,7 +44,6 @@ import (
 	"mbrim"
 	_ "mbrim/internal/cluster" // registers the "cluster" engine
 	"mbrim/internal/cluster/chaosproxy"
-	runsvc "mbrim/internal/runs"
 )
 
 func main() {
@@ -241,12 +240,10 @@ func main() {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		// The same operations surface mbrimd serves: Prometheus at
-		// /metrics (JSON snapshot at /metrics.json), health/readiness,
-		// and the run-manager endpoints, so a long -pprof CLI session
-		// is scrapable and steerable like the daemon.
-		mgr := runsvc.NewManager(runsvc.Config{Registry: registry})
-		runsvc.Mount(mux, mgr, registry, nil)
+		// The run's registry, as mbrimd serves its own: Prometheus at
+		// /metrics, a JSON snapshot at /metrics.json.
+		mux.Handle("GET /metrics", registry.PromHandler())
+		mux.Handle("GET /metrics.json", registry)
 		srv := &http.Server{
 			Addr:    *pprofAddr,
 			Handler: mux,

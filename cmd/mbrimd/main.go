@@ -97,12 +97,10 @@ func main() {
 	maxActive := flag.Int("max-active", 0, "max concurrently executing runs (0 = unlimited)")
 	maxSpins := flag.Int("max-spins", runs.DefaultMaxSpins, "largest accepted problem, in spins")
 	ringSize := flag.Int("ring", 4096, "recent events retained per run for replay")
-	sseBuffer := flag.Int("sse-buffer", obs.DefaultBroadcastBuffer, "per-subscriber live-tail buffer, events")
 	withPprof := flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/")
 	worker := flag.Bool("worker", false, "host problem slices for remote coordinators under /worker/slices")
 	maxSlices := flag.Int("max-slices", cluster.DefaultMaxSlices, "slice capacity in -worker mode")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight runs on shutdown; expiry with live runs exits 4")
-	flag.Var(aliasFlag{flag.Lookup("drain-timeout")}, "drain", "deprecated alias for -drain-timeout")
 	stateDir := flag.String("state-dir", "", "durable state directory (run journal + checkpoints); empty disables durability")
 	maxQueued := flag.Int("max-queued", 0, "admission queue depth beyond -max-active; 0 rejects immediately when saturated")
 	checkpointEvery := flag.Duration("checkpoint-every", 2*time.Second, "checkpoint cadence for durable runs (takes effect with -state-dir)")
@@ -138,7 +136,6 @@ func main() {
 	mgr := runs.NewManager(runs.Config{
 		Registry:        reg,
 		RingSize:        *ringSize,
-		BroadcastBuffer: *sseBuffer,
 		MaxActive:       *maxActive,
 		MaxQueued:       *maxQueued,
 		MaxSpins:        *maxSpins,
@@ -244,16 +241,3 @@ func main() {
 		os.Exit(exitDirtyDrain)
 	}
 }
-
-// aliasFlag forwards Set to another registered flag — used to keep the
-// old -drain spelling working for -drain-timeout.
-type aliasFlag struct{ target *flag.Flag }
-
-func (a aliasFlag) String() string {
-	if a.target == nil {
-		return ""
-	}
-	return a.target.Value.String()
-}
-
-func (a aliasFlag) Set(s string) error { return a.target.Value.Set(s) }

@@ -342,18 +342,17 @@ var reachAllowed = map[string]struct{ test, why string }{
 	"lattice.tanhLanes": {"lattice.FuzzTanh", "the packed twin Tanh dispatches to, held to tanhGo bit for bit"},
 	"exact.Verify":      {"exact.TestVerify", "the local-optimality oracle the solvers' results are checked by"},
 
-	"ising.FromIsing":           {"ising.TestIsingToQUBOValueIdentity", "the inverse of QUBO.ToIsing, the oracle for its energy identity"},
-	"ising.QUBO.Value":          {"ising.TestQUBOToIsingValueIdentity", "the QUBO objective the Ising energy is compared against"},
-	"ising.WriteQUBO":           {"ising.TestQUBOFileRoundTrip", "the writer ReadQUBO round-trips against"},
-	"ising.CrossEnergy":         {"ising.TestEq3EnergyIdentity", "E_× of Eq 3, the identity the chip split must satisfy"},
-	"ising.Complement":          {"ising.TestEq3EnergyIdentity", "the other side of a bipartition for Eq 3"},
-	"ising.HammingDistance":     {"sa.TestSolveDeterministic", "compares two runs' spins"},
-	"ising.ValidSpins":          {"multichip.TestSystemInvariantsProperty", "checks every spin is ±1"},
-	"ising.Model.Coupling":      {"ising.TestSetCouplingSymmetric", "reads one stored coupling back, whatever the layout"},
-	"ising.Model.NNZ":           {"ising.TestNewSparseDropsZeros", "counts the stored couplings, whatever the layout"},
-	"brim.Machine.Model":        {"multichip.TestChipsInheritTheModelsLayout", "the only way to a chip's sub-model and its layout"},
-	"obs.CheckGoroutineLeaks":   {"runs.TestMain", "fails a package whose tests leave goroutines behind"},
-	"obs.Broadcast.Subscribers": {"runs.TestSSEClientDisconnectMidStream", "the only way to see a dropped SSE client detach"},
+	"ising.FromIsing":         {"ising.TestIsingToQUBOValueIdentity", "the inverse of QUBO.ToIsing, the oracle for its energy identity"},
+	"ising.QUBO.Value":        {"ising.TestQUBOToIsingValueIdentity", "the QUBO objective the Ising energy is compared against"},
+	"ising.WriteQUBO":         {"ising.TestQUBOFileRoundTrip", "the writer ReadQUBO round-trips against"},
+	"ising.CrossEnergy":       {"ising.TestEq3EnergyIdentity", "E_× of Eq 3, the identity the chip split must satisfy"},
+	"ising.Complement":        {"ising.TestEq3EnergyIdentity", "the other side of a bipartition for Eq 3"},
+	"ising.HammingDistance":   {"sa.TestSolveDeterministic", "compares two runs' spins"},
+	"ising.ValidSpins":        {"multichip.TestSystemInvariantsProperty", "checks every spin is ±1"},
+	"ising.Model.Coupling":    {"ising.TestSetCouplingSymmetric", "reads one stored coupling back, whatever the layout"},
+	"ising.Model.NNZ":         {"ising.TestNewSparseDropsZeros", "counts the stored couplings, whatever the layout"},
+	"brim.Machine.Model":      {"multichip.TestChipsInheritTheModelsLayout", "the only way to a chip's sub-model and its layout"},
+	"obs.CheckGoroutineLeaks": {"runs.TestMain", "fails a package whose tests leave goroutines behind"},
 
 	"embed.Chimera":                         {"embed.TestChimeraStructure", "the D-Wave topology whose capacity ChimeraCapacity reports"},
 	"embed.Embedding.Chains":                {"embed.TestChainsPartitionPhysicalNodes", "checks the chains partition the physical nodes"},

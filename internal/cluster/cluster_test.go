@@ -297,8 +297,8 @@ func TestWorkerIdempotency(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("create: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("create: status %d, want 204", resp.StatusCode)
 	}
 	// Re-PUT converges (idempotent create).
 	req2, _ := http.NewRequest(http.MethodPut, srv.URL+"/worker/slices/s0", bytes.NewReader(data))
@@ -307,8 +307,8 @@ func TestWorkerIdempotency(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("re-create: status %d", resp2.StatusCode)
+	if resp2.StatusCode != http.StatusNoContent {
+		t.Fatalf("re-create: status %d, want 204", resp2.StatusCode)
 	}
 
 	// Step epoch 1.
@@ -334,14 +334,19 @@ func TestWorkerIdempotency(t *testing.T) {
 	if rs.StatusCode != http.StatusConflict {
 		t.Fatalf("sync wrong epoch: status %d, want 409", rs.StatusCode)
 	}
-	// Sync at the current barrier is idempotent and can return state.
-	rs1, _ := post(t, "/worker/slices/s0/sync", &SyncRequest{Epoch: 1, WantState: true})
-	if rs1.StatusCode != http.StatusOK {
-		t.Fatalf("sync: status %d", rs1.StatusCode)
-	}
-	rs2, _ := post(t, "/worker/slices/s0/sync", &SyncRequest{Epoch: 1, WantState: true})
-	if rs2.StatusCode != http.StatusOK {
-		t.Fatalf("sync retry: status %d", rs2.StatusCode)
+	// Sync at the current barrier is idempotent and returns the state.
+	for _, what := range []string{"sync", "sync retry"} {
+		rs, body := post(t, "/worker/slices/s0/sync", &SyncRequest{Epoch: 1})
+		if rs.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", what, rs.StatusCode)
+		}
+		var sr SyncResponse
+		if err := sr.UnmarshalBinary(body); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if st, err := unpackState(sr.State); err != nil || sr.Epoch != 1 || st.Epochs != 1 {
+			t.Fatalf("%s: epoch %d, snapshot %v", what, sr.Epoch, err)
+		}
 	}
 }
 

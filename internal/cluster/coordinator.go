@@ -666,7 +666,7 @@ func (co *Coordinator) checkpointRound(ctx context.Context) error {
 		rpcWall = make([]int64, co.cfg.Chips)
 	}
 	err := co.forEachSlice(ctx, func(ctx context.Context, s int) error {
-		req := &SyncRequest{Epoch: pos.EpochsDone, WantState: true, Parent: ckSpan.ID()}
+		req := &SyncRequest{Epoch: pos.EpochsDone, Parent: ckSpan.ID()}
 		if !co.synced && co.pendingSync != nil {
 			req.Sync = co.pendingSync[s]
 		}
@@ -868,13 +868,13 @@ func (co *Coordinator) ownsSlice(s int, cs *multichip.ChipState) bool {
 // resumeFrom makes ck — a concurrent-mode checkpoint of this model,
 // seed and configuration, whoever took it: a coordinator or the
 // in-process engine — the point the run starts from. The bytes are
-// untrusted, so what the coordinator itself will read is checked here.
+// untrusted: the run-level checks are System's own (CheckRun), and what
+// the coordinator itself will read is checked here.
 func (co *Coordinator) resumeFrom(ck *multichip.Checkpoint) error {
+	if err := ck.CheckRun(multichip.ModeConcurrent, co.cfg.DurationNS, 0); err != nil {
+		return err
+	}
 	switch {
-	case ck.Mode != multichip.ModeConcurrent:
-		return fmt.Errorf("cluster: checkpoint was taken in %s mode, resuming %s", ck.Mode, multichip.ModeConcurrent)
-	case ck.DurationNS != co.cfg.DurationNS:
-		return fmt.Errorf("cluster: checkpoint duration %v ns, resuming %v ns", ck.DurationNS, co.cfg.DurationNS)
 	case ck.Fault != nil:
 		return errors.New("cluster: checkpoint carries fault-layer state, which has no distributed form")
 	case len(ck.Chips) != co.cfg.Chips:

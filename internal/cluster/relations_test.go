@@ -153,6 +153,57 @@ func TestClusterRelations(t *testing.T) {
 	}
 }
 
+// TestHostingsRefuseATamperedCheckpoint: an envelope whose position or
+// counters no run could reach is refused by both hostings, through the
+// one run-level check they share. The coordinator used to check only
+// mode, duration, fault state and ownership, and ran each of these to
+// completion: elapsedNS = -7 gave a 33 ns run that reported 12.8 ns.
+func TestHostingsRefuseATamperedCheckpoint(t *testing.T) {
+	m := kmodel(24, 17)
+	cfg := fastConfig(startWorkers(t, 2), 2, 23, 33)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mcfg := inProcessConfig(cfg)
+	mcfg.Tracer = atBarrier(func(epoch int) {
+		if epoch == 4 {
+			cancel()
+		}
+	})
+	_, ck, err := multichip.MustSystem(m, mcfg).RunConcurrentCtx(ctx, cfg.DurationNS, nil)
+	if !errors.Is(err, context.Canceled) || ck == nil || ck.EpochsDone != 4 {
+		t.Fatalf("cut at epoch 4: err=%v, checkpoint %v", err, ck != nil)
+	}
+	for _, c := range []struct {
+		name   string
+		tamper func(*multichip.Checkpoint)
+	}{
+		{"elapsedNS=-7", func(ck *multichip.Checkpoint) { ck.ElapsedNS = -7 }},
+		{"bitChanges=-5", func(ck *multichip.Checkpoint) { ck.BitChanges = -5 }},
+		{"nextSampleNS=-1", func(ck *multichip.Checkpoint) { ck.NextSampleNS = -1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := *ck
+			c.tamper(&bad)
+			env, err := checkpoint.Encode(&checkpoint.File{Engine: string(core.MBRIMConcurrent), Seed: cfg.Seed,
+				N: m.N(), ModelHash: checkpoint.HashModel(m), Multichip: &bad})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := multichip.MustSystem(m, inProcessConfig(cfg))
+			if _, _, err := sys.RunConcurrentCtx(context.Background(), cfg.DurationNS, decodeEnvelope(t, m, cfg.Seed, env)); err == nil {
+				t.Error("System resumed it")
+			}
+			co, err := New(m, "tampered-"+c.name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := co.resumeFrom(decodeEnvelope(t, m, cfg.Seed, env)); err == nil {
+				t.Error("the coordinator resumed it")
+			}
+		})
+	}
+}
+
 // decodeEnvelope opens a concurrent-engine checkpoint envelope of m.
 func decodeEnvelope(t *testing.T, m *ising.Model, seed uint64, env []byte) *multichip.Checkpoint {
 	t.Helper()

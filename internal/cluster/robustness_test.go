@@ -388,7 +388,7 @@ func TestWorkerRejectsOversizedModel(t *testing.T) {
 		if status := put(model); status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, status)
 		}
-		if status := put(good); status != http.StatusOK {
+		if status := put(good); status != http.StatusNoContent {
 			t.Fatalf("after %q the worker answers a good create with %d", name, status)
 		}
 	}

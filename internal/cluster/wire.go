@@ -62,8 +62,7 @@ import (
 // biases, epoch times) are printed by encoding/json at shortest
 // round-trip precision, so both cross bit-exactly — the same property
 // the PR-3 checkpoint format relies on. SliceState keeps multichip's
-// JSON form on disk, in the checkpoint envelope, and in the ?state=1
-// status body a person reads.
+// JSON form on disk and in the checkpoint envelope.
 
 // The two arms of ModelWire.Frame.
 const (
@@ -722,16 +721,6 @@ type CreateSliceRequest struct {
 	Trace  *TraceContext `json:"trace,omitempty"`
 }
 
-// SliceStatus reports a hosted slice's position.
-type SliceStatus struct {
-	ID     string  `json:"id"`
-	Slice  int     `json:"slice"`
-	Epoch  int     `json:"epoch"`
-	Synced int     `json:"synced"`
-	Model  float64 `json:"modelNS"`
-	Done   bool    `json:"done"`
-}
-
 // StepRequest is the POST /worker/slices/{id}/step body: integrate
 // epoch Epoch (1-based, must be the slice's next). Sync carries the
 // previous barrier's cross-chip updates (packUpdates form), batched into
@@ -780,19 +769,18 @@ type StepResponse struct {
 // SyncRequest is the POST /worker/slices/{id}/sync body: deliver
 // barrier Epoch's cross-chip updates (packUpdates form) without
 // integrating — the checkpoint path, which needs post-sync state at the
-// barrier. Idempotent per epoch; WantState returns the slice snapshot
+// barrier. Idempotent per epoch; the answer carries the slice snapshot
 // as a packState frame.
 type SyncRequest struct {
-	Epoch     int    `json:"epoch"`
-	Sync      []byte `json:"sync,omitempty"`
-	WantState bool   `json:"wantState,omitempty"`
+	Epoch int    `json:"epoch"`
+	Sync  []byte `json:"sync,omitempty"`
 	// Parent is the coordinator's checkpoint-round interval ID; the
 	// worker's slice_sync span nests under it. Zero when not federated.
 	Parent uint64 `json:"parentSpan,omitempty"`
 }
 
-// SyncResponse acknowledges a barrier delivery; State is the
-// packState frame a WantState request asked for. It is the one body
+// SyncResponse acknowledges a barrier delivery; State is the slice's
+// post-sync snapshot as a packState frame. It is the one body
 // that crosses as raw bytes rather than JSON: the frame is nearly all of
 // it, and as a JSON string every checkpoint round would scan, unquote
 // and base64-decode it.

@@ -17,9 +17,8 @@ import (
 //
 //	PUT    /worker/slices/{id}       create/replace a slice (idempotent)
 //	GET    /worker/slices            list hosted slices
-//	GET    /worker/slices/{id}       slice status (?state=1 adds snapshot)
 //	POST   /worker/slices/{id}/step  integrate the next epoch
-//	POST   /worker/slices/{id}/sync  deliver a barrier without integrating
+//	POST   /worker/slices/{id}/sync  deliver a barrier, return the snapshot
 //	DELETE /worker/slices/{id}       drop a slice
 //
 // Slice ids are coordinator-chosen ("run-3-s1-g2"), which makes every
@@ -94,7 +93,6 @@ func NewWorker(reg *obs.Registry, maxSlices int) *Worker {
 func (wk *Worker) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("PUT /worker/slices/{id}", wk.handleCreate)
 	mux.HandleFunc("GET /worker/slices", wk.handleList)
-	mux.HandleFunc("GET /worker/slices/{id}", wk.handleGet)
 	mux.HandleFunc("POST /worker/slices/{id}/step", wk.handleStep)
 	mux.HandleFunc("POST /worker/slices/{id}/sync", wk.handleSync)
 	mux.HandleFunc("DELETE /worker/slices/{id}", wk.handleDelete)
@@ -187,7 +185,7 @@ func (wk *Worker) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if wk.reg != nil {
 		wk.reg.Gauge("cluster.worker_slices").Set(float64(n))
 	}
-	writeWire(w, wk.status(id, ws, false))
+	w.WriteHeader(http.StatusNoContent)
 }
 
 func (wk *Worker) lookup(id string) (*workerSlice, bool) {
@@ -195,22 +193,6 @@ func (wk *Worker) lookup(id string) (*workerSlice, bool) {
 	defer wk.mu.Unlock()
 	ws, ok := wk.slices[id]
 	return ws, ok
-}
-
-func (wk *Worker) status(id string, ws *workerSlice, withState bool) map[string]any {
-	st := SliceStatus{
-		ID:     id,
-		Slice:  ws.slice.Chip(),
-		Epoch:  ws.slice.Epochs(),
-		Synced: ws.syncedEpoch,
-		Model:  ws.slice.ModelNS(),
-		Done:   ws.slice.Done(),
-	}
-	out := map[string]any{"status": st}
-	if withState {
-		out["state"] = ws.slice.Snapshot()
-	}
-	return out
 }
 
 func (wk *Worker) handleList(w http.ResponseWriter, _ *http.Request) {
@@ -221,17 +203,6 @@ func (wk *Worker) handleList(w http.ResponseWriter, _ *http.Request) {
 	}
 	wk.mu.Unlock()
 	writeWire(w, map[string]any{"slices": ids})
-}
-
-func (wk *Worker) handleGet(w http.ResponseWriter, r *http.Request) {
-	ws, ok := wk.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("cluster: no slice %q", r.PathValue("id")))
-		return
-	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	writeWire(w, wk.status(r.PathValue("id"), ws, r.URL.Query().Get("state") == "1"))
 }
 
 func (wk *Worker) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -358,9 +329,5 @@ func (wk *Worker) handleSync(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// else: a retry of a barrier already delivered — acknowledge again.
-	resp := &SyncResponse{Epoch: done}
-	if req.WantState {
-		resp.State = packState(ws.slice.Snapshot())
-	}
-	writeWire(w, resp)
+	writeWire(w, &SyncResponse{Epoch: done, State: packState(ws.slice.Snapshot())})
 }

@@ -207,6 +207,33 @@ func (s *System) captureInto(ck *Checkpoint) {
 	}
 }
 
+// CheckRun validates what a checkpoint says of its run against the call
+// resuming it: mode, duration, job count, position and counters, and
+// that it carries fabric state. Every hosting of a run calls it before
+// its own checks, so a checkpoint one refuses, all refuse.
+func (ck *Checkpoint) CheckRun(mode string, durationNS float64, jobs int) error {
+	switch {
+	case ck == nil:
+		return fmt.Errorf("multichip: nil checkpoint")
+	case ck.Mode != mode:
+		return fmt.Errorf("multichip: checkpoint was taken in %s mode, resuming %s", ck.Mode, mode)
+	case ck.DurationNS != durationNS:
+		return fmt.Errorf("multichip: checkpoint duration %v ns, resuming %v ns", ck.DurationNS, durationNS)
+	case ck.Jobs != jobs:
+		return fmt.Errorf("multichip: checkpoint has %d jobs, resuming %d", ck.Jobs, jobs)
+	case ck.EpochsDone < 0 || !isFiniteRange(ck.ModelNS, 0, durationNS) ||
+		!isFiniteRange(ck.ElapsedNS, 0, math.MaxFloat64) ||
+		!isFiniteRange(ck.NextSampleNS, 0, math.MaxFloat64):
+		return fmt.Errorf("multichip: checkpoint position epochs=%d model=%v elapsed=%v next sample=%v",
+			ck.EpochsDone, ck.ModelNS, ck.ElapsedNS, ck.NextSampleNS)
+	case ck.BitChanges < 0 || ck.InducedBitChanges < 0 || ck.Flips < 0 || ck.InducedFlips < 0:
+		return fmt.Errorf("multichip: negative checkpoint counters")
+	case ck.Fabric == nil:
+		return fmt.Errorf("multichip: checkpoint is missing fabric state")
+	}
+	return nil
+}
+
 // applyCheckpoint validates ck against this freshly constructed system
 // and the resuming call's parameters, then loads it: the chip set is
 // rebuilt to the checkpoint's partition (which may be narrower than
@@ -215,26 +242,8 @@ func (s *System) captureInto(ck *Checkpoint) {
 // exactly. Checkpoints may come from untrusted bytes, so every reach
 // into an array is validated first; failures are errors, never panics.
 func (s *System) applyCheckpoint(ck *Checkpoint, mode string, durationNS float64, jobs int) error {
-	if ck == nil {
-		return fmt.Errorf("multichip: nil checkpoint")
-	}
-	if ck.Mode != mode {
-		return fmt.Errorf("multichip: checkpoint was taken in %s mode, resuming %s", ck.Mode, mode)
-	}
-	if ck.DurationNS != durationNS {
-		return fmt.Errorf("multichip: checkpoint duration %v ns, resuming %v ns", ck.DurationNS, durationNS)
-	}
-	if ck.Jobs != jobs {
-		return fmt.Errorf("multichip: checkpoint has %d jobs, resuming %d", ck.Jobs, jobs)
-	}
-	if ck.EpochsDone < 0 || !isFiniteRange(ck.ModelNS, 0, durationNS) ||
-		!isFiniteRange(ck.ElapsedNS, 0, math.MaxFloat64) ||
-		!isFiniteRange(ck.NextSampleNS, 0, math.MaxFloat64) {
-		return fmt.Errorf("multichip: checkpoint position epochs=%d model=%v elapsed=%v",
-			ck.EpochsDone, ck.ModelNS, ck.ElapsedNS)
-	}
-	if ck.BitChanges < 0 || ck.InducedBitChanges < 0 || ck.Flips < 0 || ck.InducedFlips < 0 {
-		return fmt.Errorf("multichip: negative checkpoint counters")
+	if err := ck.CheckRun(mode, durationNS, jobs); err != nil {
+		return err
 	}
 	if len(ck.Chips) == 0 || len(ck.Chips) > s.cfg.Chips {
 		return fmt.Errorf("multichip: checkpoint has %d chips for a %d-chip system", len(ck.Chips), s.cfg.Chips)
@@ -242,9 +251,6 @@ func (s *System) applyCheckpoint(ck *Checkpoint, mode string, durationNS float64
 	states, err := ck.SliceStates()
 	if err != nil {
 		return err
-	}
-	if ck.Fabric == nil {
-		return fmt.Errorf("multichip: checkpoint is missing fabric state")
 	}
 	if (ck.Fault != nil) != (s.frt != nil) {
 		return fmt.Errorf("multichip: checkpoint fault state does not match the fault configuration")

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // The federation collector in internal/cluster pages worker rings with
@@ -143,6 +144,77 @@ func TestEventsSinceConcurrentAppend(t *testing.T) {
 	wg.Wait()
 	if seen+gaps != emitted {
 		t.Fatalf("saw %d events + %d gap, want exactly %d emitted", seen, gaps, emitted)
+	}
+}
+
+// pageSink keeps the pages the allocation check takes reachable.
+var pageSink []Event
+
+// TestEventsSinceCopiesThePage: a cursor reader pays for the page it
+// reads, not for the ring. On a wrapped ring the whole window, a page
+// that runs across the wrap and one that starts past it come back
+// right, and a 10-event page of a full 4 096-event ring allocates 10
+// events, not 4 096.
+func TestEventsSinceCopiesThePage(t *testing.T) {
+	r := ringWith(t, 8, 13) // ordinals 6–8 at the buffer's end, 9–13 at its start
+	for _, c := range []struct{ seq, first, last int64 }{{5, 6, 13}, {7, 8, 13}, {10, 11, 13}, {12, 13, 13}} {
+		evs, first := r.EventsSince(c.seq)
+		checkPage(t, evs, first, c.first, c.last)
+	}
+
+	full := ringWith(t, 4096, 5000)
+	size := uint64(reflect.TypeOf(Event{}).Size())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 100 {
+		pageSink, _ = full.EventsSince(4990)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 2*10*size {
+		t.Errorf("a 10-event page of a 4096-event ring allocates %d B, want about %d", per, 10*size)
+	}
+}
+
+// TestChangedWakesOnTheNextEmit: Changed(seq) is closed already when the
+// ring holds an event past seq and otherwise closes on the next Emit,
+// so a reader that pages and then waits at its page's last ordinal
+// neither misses an event nor waits for one already emitted.
+func TestChangedWakesOnTheNextEmit(t *testing.T) {
+	r := ringWith(t, 4, 3)
+	select {
+	case <-r.Changed(2):
+	default:
+		t.Fatal("Changed(2) is open on a ring at ordinal 3")
+	}
+	wait := r.Changed(3)
+	select {
+	case <-wait:
+		t.Fatal("Changed(3) closed before ordinal 4 was emitted")
+	default:
+	}
+	r.Emit(Event{Kind: EnergySample, Epoch: 4})
+	select {
+	case <-wait:
+	default:
+		t.Fatal("the next Emit did not close Changed(3)")
+	}
+
+	const emitted = 2000
+	big := NewRing(emitted)
+	go func() {
+		for i := 1; i <= emitted; i++ {
+			big.Emit(Event{Kind: EnergySample, Epoch: i})
+		}
+	}()
+	for cursor := int64(0); cursor < emitted; {
+		select {
+		case <-big.Changed(cursor):
+		case <-time.After(10 * time.Second):
+			t.Fatalf("a reader at ordinal %d never woke; %d emitted", cursor, big.Total())
+		}
+		evs, first := big.EventsSince(cursor)
+		checkPage(t, evs, first, cursor+1, first+int64(len(evs))-1)
+		cursor = first + int64(len(evs)) - 1
 	}
 }
 

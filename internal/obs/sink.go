@@ -89,6 +89,9 @@ type Ring struct {
 	size  int // the most buf holds; eviction starts there
 	next  int
 	total int64
+	// wake is what Changed hands a reader that has caught up; the next
+	// Emit closes it. Nil while no reader waits.
+	wake chan struct{}
 }
 
 // NewRing builds a ring holding the last n events. n must be >= 1. It
@@ -113,6 +116,10 @@ func (r *Ring) Emit(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
+	}
 	if len(r.buf) < r.size {
 		if len(r.buf) == cap(r.buf) {
 			r.buf = append(make([]Event, 0, min(max(2*cap(r.buf), ringFirstSlots), r.size)), r.buf...)
@@ -137,22 +144,48 @@ func (r *Ring) Events() []Event {
 // consumer disconnects at ordinal K, EventsSince(K) replays exactly
 // the retained events it has not seen (events older than the ring's
 // capacity are gone — the returned first ordinal exposes the gap).
+// It copies the page, not the ring.
 func (r *Ring) EventsSince(seq int64) ([]Event, int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	first := r.total - int64(len(out)) + 1
-	if skip := seq - first + 1; skip > 0 {
-		if skip >= int64(len(out)) {
-			return nil, r.total + 1
-		}
-		out = out[skip:]
-		first += skip
+	n := int64(len(r.buf))
+	first := r.total - n + 1
+	skip := max(seq-first+1, 0)
+	if skip >= n {
+		return nil, r.total + 1
 	}
-	return out, first
+	// Oldest first, the events are buf[next:] then buf[:next].
+	out := make([]Event, 0, n-skip)
+	if start := (r.next + int(skip)) % len(r.buf); start >= r.next {
+		out = append(append(out, r.buf[start:]...), r.buf[:r.next]...)
+	} else {
+		out = append(out, r.buf[start:r.next]...)
+	}
+	return out, first + skip
 }
+
+// Changed returns a channel that is closed once the ring holds an event
+// past ordinal seq: closed already if it does, else by the next Emit. A
+// reader pages with EventsSince(seq) and then waits on Changed at the
+// page's last ordinal; an event emitted between the two is past that
+// ordinal, so no wakeup is lost.
+func (r *Ring) Changed(seq int64) <-chan struct{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.total > seq {
+		return closedChan
+	}
+	if r.wake == nil {
+		r.wake = make(chan struct{})
+	}
+	return r.wake
+}
+
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // Trim gives back the slots the ring has not filled: its events and
 // their ordinals stay, and it goes on as a ring of exactly that many.

@@ -299,7 +299,6 @@ func (m *Manager) admit(ctx context.Context, id string, req core.Request, opts S
 		req:      req,
 		spins:    req.Model.N(),
 		ring:     obs.NewRing(m.cfg.RingSize),
-		bcast:    obs.NewBroadcast(m.cfg.BroadcastBuffer),
 		done:     make(chan struct{}),
 		cancel:   cancel,
 		rctx:     rctx,
@@ -310,16 +309,16 @@ func (m *Manager) admit(ctx context.Context, id string, req core.Request, opts S
 		created:  time.Now(),
 	}
 	// Every managed run carries the introspection plane: hierarchical
-	// span events in the retained/broadcast stream (GET /runs/{id}/trace
+	// span events in the retained stream (GET /runs/{id}/trace
 	// exports them as a Chrome trace) and a diagnostics reducer behind
 	// GET /runs/{id}/diag. Both are opt-in at the engine layer and
 	// trajectory-neutral — a managed solve stays bit-identical to an
 	// unmanaged one with the same seed.
 	r.diag = diag.New(diag.Config{Registry: m.reg, RunID: id})
-	// One wall stamp at the head of the fan-out, so the ring's replay, the
-	// live tail and the reducer's updatedWallNS carry the same wallNS for
-	// the same event.
-	req.Tracer = obs.StampWall(r.ring, r.bcast, r.diag, req.Tracer)
+	// One wall stamp at the head of the fan-out, so the ring's events and
+	// the reducer's updatedWallNS carry the same wallNS for the same
+	// event.
+	req.Tracer = obs.StampWall(r.ring, r.diag, req.Tracer)
 	req.RunID = id
 	req.SpanTrace = true
 	req.Diag = true
@@ -444,7 +443,6 @@ func (m *Manager) finishQueued(r *Run, state State, err error) {
 	m.reg.CounterWith("runs.finished", obs.Labels{
 		"engine": string(r.req.Kind), "state": string(state)}).Inc()
 	r.cancel()
-	r.bcast.Close()
 	close(r.done)
 }
 

@@ -88,13 +88,7 @@ func BenchmarkSolveManaged(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ch, cancel := r.Subscribe()
-		go func() {
-			for range ch {
-			}
-		}()
 		<-r.Done()
-		cancel()
 		if _, err := r.Outcome(); err != nil {
 			b.Fatal(err)
 		}
@@ -124,13 +118,7 @@ func BenchmarkSolveJournaled(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ch, cancel := r.Subscribe()
-		go func() {
-			for range ch {
-			}
-		}()
 		<-r.Done()
-		cancel()
 		if _, err := r.Outcome(); err != nil {
 			b.Fatal(err)
 		}

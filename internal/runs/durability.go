@@ -413,9 +413,9 @@ func (m *Manager) restoreTombstone(id string, s *replayState) {
 	}
 }
 
-// tombstone registers a dead run: terminal from birth, live tail
-// closed, engine name recovered from the spec when present. Returns
-// nil if the ID is somehow already registered.
+// tombstone registers a dead run: terminal from birth (its live tail
+// ends at once), engine name recovered from the spec when present.
+// Returns nil if the ID is somehow already registered.
 func (m *Manager) tombstone(id string, s *replayState, state State, errMsg string, sum *OutcomeSummary) *Run {
 	_, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -425,7 +425,6 @@ func (m *Manager) tombstone(id string, s *replayState, state State, errMsg strin
 		id:       id,
 		mgr:      m,
 		ring:     obs.NewRing(1),
-		bcast:    obs.NewBroadcast(m.cfg.BroadcastBuffer),
 		done:     make(chan struct{}),
 		cancel:   cancel,
 		state:    state,
@@ -459,7 +458,6 @@ func (m *Manager) tombstone(id string, s *replayState, state State, errMsg strin
 	} else {
 		r.ended = time.Now()
 	}
-	r.bcast.Close()
 	close(r.done)
 	m.mu.Lock()
 	if _, exists := m.runs[id]; exists {

@@ -1,10 +1,12 @@
 package runs
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -72,38 +74,42 @@ func TestProgressReproducesRecordedFold(t *testing.T) {
 }
 
 // TestReplayAndLiveTailShareOneWallStamp: an event carries the same
-// wallNS in the run's replay ring (?replay=N, Last-Event-ID) as on its
-// live tail, so a client can dedupe across the two as handleEvents
-// documents — and the status' updatedWallNS is that stamp too. The ring,
-// the broadcast and the progress fold used to stamp their own copies of
-// an unstamped event with their own clock readings: no live event's
-// wallNS occurred anywhere in the ring.
+// wallNS on the live SSE tail as in the run's replay ring, and the
+// status' updatedWallNS is that stamp too. The ring, a second live
+// fan-out and the progress fold used to stamp their own copies of an
+// unstamped event with their own clock readings: no live event's wallNS
+// occurred anywhere in the ring. The tail now pages the ring, so this
+// holds by construction; the test reads it through the stream.
 func TestReplayAndLiveTailShareOneWallStamp(t *testing.T) {
-	m := NewManager(Config{MaxActive: 1, MaxQueued: 1, BroadcastBuffer: 1 << 14, RingSize: 1 << 14})
+	srv, m, _ := newTestServer(t, Config{MaxActive: 1, MaxQueued: 1, RingSize: 1 << 14})
 	long := occupySlot(t, m)
-	// Subscribed while queued: the tail sees the run's first event.
+	// Tailed while queued: the stream carries the run's first event live.
 	r, err := m.Submit(context.Background(), mbrimSeqRequest(16, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail, cancel := r.Subscribe()
-	defer cancel()
-	long.Cancel()
-	waitDone(t, r)
-
-	var live []obs.Event
-	for e := range tail {
-		live = append(live, e)
+	resp, err := http.Get(srv.URL + "/runs/" + r.ID() + "/events")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	long.Cancel()
+	msgs := readSSE(t, bufio.NewScanner(resp.Body), func(e sseEvent) bool { return e.kind == "done" })
+	live := msgs[:max(len(msgs)-1, 0)]
+
 	ring, first := r.EventsSince(0)
 	st := r.Status()
-	if st.State != StateCompleted || st.EventsDropped != 0 || first != 1 || len(live) != len(ring) || len(ring) < 50 {
-		t.Fatalf("state %s, %d dropped, ring from ordinal %d: %d live vs %d retained events",
-			st.State, st.EventsDropped, first, len(live), len(ring))
+	if st.State != StateCompleted || first != 1 || len(live) != len(ring) || len(ring) < 50 {
+		t.Fatalf("state %s, ring from ordinal %d: %d live vs %d retained events",
+			st.State, first, len(live), len(ring))
 	}
 	for i := range ring {
-		if live[i] != ring[i] || ring[i].WallNS == 0 {
-			t.Fatalf("ordinal %d: live tail %+v, replay ring %+v", i+1, live[i], ring[i])
+		var e obs.Event
+		if err := json.Unmarshal(live[i].data, &e); err != nil {
+			t.Fatal(err)
+		}
+		if live[i].id != int64(i+1) || e != ring[i] || ring[i].WallNS == 0 {
+			t.Fatalf("ordinal %d: live tail id %d %+v, replay ring %+v", i+1, live[i].id, e, ring[i])
 		}
 	}
 	if last := ring[len(ring)-1].WallNS; st.Progress.UpdatedWallNS != last {

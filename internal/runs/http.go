@@ -552,19 +552,15 @@ func (m *Manager) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the run's trace as Server-Sent Events: each
 // event is one `event: trace` message carrying the obs.Event JSON,
-// with an `id:` line holding the event's emission ordinal.
+// with an `id:` line holding the event's emission ordinal in the run's
+// ring. The stream pages the ring from a cursor, so ids are exact and
+// consecutive; a client that falls behind the ring sees a jump in ids,
+// which is how many events it missed.
 //
-// Reconnection: a client presenting Last-Event-ID (per the SSE spec;
-// ?lastEventID=N works too) resumes after that ordinal — the retained
-// events it missed replay first with exact ids, then the live tail
-// continues with best-effort ids (the live fan-out may drop under
-// backpressure, in which case ids drift until the next reconnect
-// resynchronizes them). Events older than the retention ring are gone;
-// the first replayed id exposes the gap. ?replay=N prepends up to N
-// retained events (replayed events may, in a narrow window, also
-// arrive live — dedupe by id or WallNS if exactness matters). The
-// stream ends with `event: done` carrying the final status once the
-// run is terminal.
+// The cursor starts after Last-Event-ID (per the SSE spec; ?lastEventID=N
+// works too), else N events back from the head for ?replay=N, else at
+// the head. The stream ends with `event: done` carrying the final
+// status once the run is terminal.
 func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 	run, ok := m.Get(r.PathValue("id"))
 	if !ok {
@@ -587,6 +583,7 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
+	flusher.Flush() // the client holds a stream before the run emits
 
 	send := func(kind string, id int64, v any) bool {
 		data, err := json.Marshal(v)
@@ -605,62 +602,39 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	lastID := int64(-1)
+	cursor := int64(-1)
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n >= 0 {
-			lastID = n
+			cursor = n
 		}
 	} else if v := r.URL.Query().Get("lastEventID"); v != "" {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n >= 0 {
-			lastID = n
+			cursor = n
 		}
 	}
-
-	// Subscribe before replay so no event can fall between the two.
-	ch, cancel := run.Subscribe()
-	defer cancel()
-	var next int64 // ordinal for the next live-tail event
-	switch {
-	case lastID >= 0:
-		events, first := run.EventsSince(lastID)
-		id := first
-		for _, e := range events {
-			if !send("trace", id, e) {
+	switch total := run.EventsTotal(); {
+	case cursor < 0:
+		cursor = max(total-int64(atoiDefault(r.URL.Query().Get("replay"), 0)), 0)
+	case cursor > total: // an id this run has not sent
+		cursor = total
+	}
+	// A run that is done emits no more, so the page read after Done
+	// closed is the last.
+	for finished := false; ; {
+		events, first := run.EventsSince(cursor)
+		for i, e := range events {
+			if cursor = first + int64(i); !send("trace", cursor, e) {
 				return
 			}
-			id++
 		}
-		next = id // == ring total + 1 when fully caught up
-	default:
-		if n := atoiDefault(r.URL.Query().Get("replay"), 0); n > 0 {
-			events, first := run.EventsSince(0)
-			if len(events) > n {
-				first += int64(len(events) - n)
-				events = events[len(events)-n:]
-			}
-			id := first
-			for _, e := range events {
-				if !send("trace", id, e) {
-					return
-				}
-				id++
-			}
+		if finished {
+			send("done", 0, run.Status())
+			return
 		}
-		next = run.EventsTotal() + 1
-	}
-	for {
 		select {
-		case e, open := <-ch:
-			if !open {
-				// Run finished: the broadcast closed. Emit the terminal
-				// status and end the stream.
-				send("done", 0, run.Status())
-				return
-			}
-			if !send("trace", next, e) {
-				return
-			}
-			next++
+		case <-run.ring.Changed(cursor):
+		case <-run.Done():
+			finished = true
 		case <-r.Context().Done():
 			return
 		}

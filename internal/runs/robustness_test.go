@@ -7,35 +7,31 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"mbrim/internal/core"
+	"mbrim/internal/obs"
 )
 
-// TestSSEClientDisconnectMidStream pins the subscriber-cleanup
-// contract: a client that walks away mid-stream of a LIVE run must be
-// unsubscribed promptly, and its departure must not perturb the solve —
-// even with a single-event broadcast buffer, the configuration most
-// hostile to a wedged consumer.
+// TestSSEClientDisconnectMidStream pins the tail's cleanup contract: a
+// client that walks away mid-stream of a LIVE run must have its handler
+// exit promptly, and its departure must not perturb the solve. The run
+// is held at its 20th event while the tail comes and goes, so the
+// process' goroutines hold still and the handler has nothing to send:
+// only the disconnect can end it.
 func TestSSEClientDisconnectMidStream(t *testing.T) {
-	srv, m, _ := newTestServer(t, Config{BroadcastBuffer: 1})
+	srv, m, _ := newTestServer(t, Config{})
+	run, release := submitGated(t, m, mbrimSeqRequest(20, 50000), 20)
+	st := Status{ID: run.ID()}
 
-	_, body := postJSON(t, srv.URL+"/runs",
-		`{"engine":"mbrim-seq","k":20,"seed":3,"durationNS":50000,"chips":4}`)
-	var st Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	run, ok := m.Get(st.ID)
-	if !ok {
-		t.Fatal("run not registered")
-	}
-
-	// Attach a live tail and read until the first trace event proves
-	// the stream (and the run) is in flight.
-	stream, err := http.Get(srv.URL + "/runs/" + st.ID + "/events")
+	// Attach a live tail, on a connection of its own, and read until
+	// its first trace event proves the stream is in flight.
+	tail := &http.Client{Transport: &http.Transport{}}
+	base := runtime.NumGoroutine()
+	stream, err := tail.Get(srv.URL + "/runs/" + st.ID + "/events?replay=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,20 +39,14 @@ func TestSSEClientDisconnectMidStream(t *testing.T) {
 	if live := readSSE(t, sc, func(e sseEvent) bool { return e.kind == "trace" }); len(live) == 0 {
 		t.Fatal("no live trace event")
 	}
-	if n := run.bcast.Subscribers(); n < 1 {
-		t.Fatalf("subscribers = %d while a stream is attached", n)
-	}
 
 	// The client disconnects without ceremony. The handler must notice
-	// via the request context and detach the subscriber.
+	// via the request context and return, its connection with it.
 	stream.Body.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for run.bcast.Subscribers() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscriber not detached after disconnect (%d left)", run.bcast.Subscribers())
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := obs.CheckGoroutineLeaks(base, 5*time.Second); err != nil {
+		t.Fatalf("the stream's handler did not exit after disconnect: %v", err)
 	}
+	release()
 
 	// The solve must be unharmed: cancel it and verify the terminal
 	// state round-trips, and a fresh stream still ends with done.

@@ -1,23 +1,22 @@
 // Package runs is the live operations plane's run manager: it
 // registers every in-flight core.Solve under a run ID, retains the run's
-// recent obs.Tracer events for replay, fans the stream out to any number
-// of live subscribers (the SSE tail), folds it once — in a diag.Reducer,
+// recent obs.Tracer events — the one store that replay and the live SSE
+// tail both page by ordinal — folds them once — in a diag.Reducer,
 // whose Progress is the live view GET /runs/{id} shows and whose
 // Snapshot is /diag — and keeps the terminal state — outcome, error,
 // checkpoint bytes — for later retrieval. The HTTP surface in this
-// package (http.go) is what cmd/mbrimd serves and what cmd/mbrim mounts
-// next to its pprof listener.
+// package (http.go) is what cmd/mbrimd serves.
 //
-// A Manager owns a set of Runs. Submitting puts three sinks in front of
+// A Manager owns a set of Runs. Submitting puts two sinks in front of
 // any caller-supplied tracer, behind one wall stamp (obs.StampWall, so
-// every sink sees the same WallNS for the same event): a bounded Ring
-// (recent-event replay), a bounded Broadcast (live fan-out that never
-// blocks the solve) and the diag.Reducer. The package implements no
-// Tracer of its own. The solve itself executes on a goroutine under a
-// per-run context, so cancellation — and, for the engines with the
-// Resume capability, the checkpoint carried by the resulting
-// InterruptedError — flows through the PR 3 lifecycle machinery
-// unchanged.
+// both see the same WallNS for the same event): a bounded Ring (replay
+// and the live tail, which never blocks the solve: a reader that falls
+// behind the ring sees a jump in ids) and the diag.Reducer. The package
+// implements no Tracer of its own. The solve itself executes on a
+// goroutine under a per-run context, so cancellation — and, for the
+// engines with the Resume capability, the checkpoint carried by the
+// resulting InterruptedError — flows through the PR 3 lifecycle
+// machinery unchanged.
 //
 // It is the daemon's only run plane. Whatever the engine registry can
 // solve is a run here, a solve spread over cluster workers included
@@ -107,9 +106,6 @@ type Status struct {
 	Outcome       *OutcomeSummary `json:"outcome,omitempty"`
 	Error         string          `json:"error,omitempty"`
 	HasCheckpoint bool            `json:"hasCheckpoint"`
-	// EventsDropped counts live-tail deliveries lost to slow
-	// subscribers (the bounded fan-out's backpressure ledger).
-	EventsDropped int64 `json:"eventsDropped,omitempty"`
 	// Admission/supervision ledger: queue priority, time spent queued
 	// (live while queued, final once dispatched), dispatch wall time,
 	// the enforcement deadline, and supervised restarts survived.
@@ -122,7 +118,7 @@ type Status struct {
 
 // Run is one registered solve. All mutable state is behind mu; the
 // solve goroutine touches it concurrently with HTTP readers. The event
-// sinks (ring, bcast, diag) carry their own locks.
+// sinks (ring, diag) carry their own locks.
 type Run struct {
 	id  string
 	mgr *Manager
@@ -131,7 +127,6 @@ type Run struct {
 	req   core.Request
 	spins int
 	ring  *obs.Ring
-	bcast *obs.Broadcast
 	diag  *diag.Reducer
 	// done closes when the solve goroutine finished and the terminal
 	// state is readable.
@@ -173,15 +168,12 @@ func (r *Run) ID() string { return r.id }
 // Done returns a channel closed when the run reaches a terminal state.
 func (r *Run) Done() <-chan struct{} { return r.done }
 
-// Subscribe attaches a live event consumer (see obs.Broadcast).
-func (r *Run) Subscribe() (<-chan obs.Event, func()) { return r.bcast.Subscribe() }
-
 // Recent returns the retained recent events, oldest first.
 func (r *Run) Recent() []obs.Event { return r.ring.Events() }
 
 // EventsSince returns the retained events with emission ordinal > seq,
 // oldest first, plus the ordinal of the first returned event (see
-// obs.Ring.EventsSince) — the replay primitive behind SSE Last-Event-ID.
+// obs.Ring.EventsSince) — the page the SSE tail reads.
 func (r *Run) EventsSince(seq int64) ([]obs.Event, int64) { return r.ring.EventsSince(seq) }
 
 // EventsTotal returns how many trace events the run has emitted,
@@ -232,7 +224,6 @@ func (r *Run) Status() Status {
 		CreatedWallNS: r.created.UnixNano(),
 		Progress:      r.diag.Progress(),
 		HasCheckpoint: len(r.checkpoint) > 0,
-		EventsDropped: r.bcast.Dropped(),
 	}
 	// The stream's phase runs "" → annealing (RunStart) → done (RunEnd);
 	// what it cannot say is the run state's to say: where a run waits
@@ -288,9 +279,6 @@ type Config struct {
 	Registry *obs.Registry
 	// RingSize bounds the per-run recent-event buffer. Default 4096.
 	RingSize int
-	// BroadcastBuffer bounds each live subscriber's channel. Default
-	// obs.DefaultBroadcastBuffer.
-	BroadcastBuffer int
 	// MaxActive bounds concurrently executing runs. Beyond it, Submit
 	// queues (when MaxQueued > 0) or returns ErrBusy. 0 means
 	// unlimited.
@@ -480,10 +468,9 @@ func (m *Manager) finish(r *Run, req core.Request, start time.Time, out *core.Ou
 	if state == StateCompleted {
 		m.dropCheckpointFile(r)
 	}
-	// Release the run's cancel context, close the live tail, then
-	// signal terminal state.
+	// Release the run's cancel context, then signal terminal state: the
+	// live tail sends its last page and ends.
 	r.cancel()
-	r.bcast.Close()
 	close(r.done)
 	m.dispatch()
 	m.evictExpired()

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -556,6 +557,84 @@ func TestSSELastEventIDReconnect(t *testing.T) {
 	tail := readSSE(t, bufio.NewScanner(resp3.Body), func(e sseEvent) bool { return e.kind == "done" })
 	if len(tail) != 1 || tail[0].kind != "done" {
 		t.Fatalf("caught-up reconnect = %+v", tail)
+	}
+}
+
+// gateTracer holds the solve at its at-th event until release closes.
+type gateTracer struct {
+	n                int64
+	at               int64
+	reached, release chan struct{}
+}
+
+func (g *gateTracer) Emit(obs.Event) {
+	if atomic.AddInt64(&g.n, 1) == g.at {
+		close(g.reached)
+		<-g.release
+	}
+}
+
+// submitGated submits req and returns once the run is held at its at-th
+// event, with the release that lets it go on (the test's end releases
+// it too).
+func submitGated(t *testing.T, m *Manager, req core.Request, at int64) (*Run, func()) {
+	t.Helper()
+	g := &gateTracer{at: at, reached: make(chan struct{}), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(g.release) })
+	t.Cleanup(release)
+	req.Tracer = g
+	r, err := m.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-g.reached:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("run %s never emitted its event %d", r.ID(), at)
+	}
+	return r, release
+}
+
+// TestSSELiveIDsAreRingOrdinals: a stream that replays into a run still
+// emitting carries each event once, under its ring ordinal, across the
+// seam between what was retained when it connected and what came after.
+// The tail used to number live events itself, from a second store it
+// subscribed to before the replay: an event both replayed and delivered
+// live was sent twice, and every id after it was off by one.
+func TestSSELiveIDsAreRingOrdinals(t *testing.T) {
+	srv, m, _ := newTestServer(t, Config{})
+	r, release := submitGated(t, m, mbrimSeqRequest(16, 300), 20)
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Get(srv.URL + "/runs/" + r.ID() + "/events?replay=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	msgs := readSSE(t, sc, func(e sseEvent) bool { return e.id == 20 })
+	release() // the run goes on emitting while the stream is open
+	msgs = append(msgs, readSSE(t, sc, func(e sseEvent) bool { return e.kind == "done" })...)
+	if msgs[len(msgs)-1].kind != "done" {
+		t.Fatalf("the stream ended without done after %d messages", len(msgs))
+	}
+	traces := msgs[:len(msgs)-1]
+
+	ring, first := r.EventsSince(0)
+	if first != 1 || len(traces) != len(ring)-10 || len(ring) < 40 {
+		t.Fatalf("%d messages after replay=10 of a %d-event run (ring from ordinal %d)", len(traces), len(ring), first)
+	}
+	for k, msg := range traces {
+		id := int64(11 + k)
+		if msg.id != id {
+			t.Fatalf("message %d has id %d, want %d", k, msg.id, id)
+		}
+		var e obs.Event
+		if err := json.Unmarshal(msg.data, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e != ring[id-1] {
+			t.Fatalf("message id %d is %+v, ring ordinal %d is %+v", id, e, id, ring[id-1])
+		}
 	}
 }
 

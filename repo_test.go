@@ -87,9 +87,11 @@ func TestNoLayoutOption(t *testing.T) {
 // extra experiments subcommands ran; then the fabric's by-kind traffic
 // ledger, which fault.Stats already kept, the repartition stall knob
 // (interconnect.ReprogramNSPerSpin) and the engines' own batch types
-// (metrics.Batch). None may return.
+// (metrics.Batch); then the run's second event store with its drop
+// counter and buffer knob, mbrimd's -drain alias, and the worker's
+// slice status and want-state flag. None may return.
 func TestNoDeadKnobs(t *testing.T) {
-	dead := regexp.MustCompile(`SetTopology|SharedBus|AutoEpoch|SolvePopulation|TuneConfig|HasTarget|FlipIntervalNS|FeedbackGain|SpinThreshold|BurnInSweeps|PlateauWindowNS|PlateauEpsilon|TrialSamples|BetaMin|BetaMax|ExchangeEvery|OnSweep|SpanOffsetNS|staleView|zeroSchedule|SolveMultiChip|MultiChipConfig|SolvePT|DeviceVariation|NoiseAmp|KappaVar|InvTauVar|RunEuler|trialStepEuler|CompleteOnChimera|AddCoupling|WithBiases|BytesByKind|RepartitionNSPerSpin|\b(sa|sbm|tabu)\.BatchResult`)
+	dead := regexp.MustCompile(`SetTopology|SharedBus|AutoEpoch|SolvePopulation|TuneConfig|HasTarget|FlipIntervalNS|FeedbackGain|SpinThreshold|BurnInSweeps|PlateauWindowNS|PlateauEpsilon|TrialSamples|BetaMin|BetaMax|ExchangeEvery|OnSweep|SpanOffsetNS|staleView|zeroSchedule|SolveMultiChip|MultiChipConfig|SolvePT|DeviceVariation|NoiseAmp|KappaVar|InvTauVar|RunEuler|trialStepEuler|CompleteOnChimera|AddCoupling|WithBiases|BytesByKind|RepartitionNSPerSpin|NewBroadcast|BroadcastBuffer|EventsDropped|aliasFlag|SliceStatus|WantState|\b(sa|sbm|tabu)\.BatchResult`)
 	for _, hit := range grepGo(t, dead, isTest, ".") {
 		t.Error(hit)
 	}
