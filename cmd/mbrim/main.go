@@ -228,7 +228,7 @@ func main() {
 			sinks = append(sinks, capture)
 		}
 		if *diagOut {
-			reducer = mbrim.NewDiagReducer(mbrim.DiagConfig{Registry: registry})
+			reducer = mbrim.NewDiagReducer(mbrim.DiagConfig{})
 			sinks = append(sinks, reducer)
 		}
 		tracer = mbrim.Fanout(sinks...)

@@ -105,7 +105,7 @@ func main() {
 	maxQueued := flag.Int("max-queued", 0, "admission queue depth beyond -max-active; 0 rejects immediately when saturated")
 	checkpointEvery := flag.Duration("checkpoint-every", 2*time.Second, "checkpoint cadence for durable runs (takes effect with -state-dir)")
 	maxRunMB := flag.Int("max-run-mb", 0, "per-run memory budget estimate, MiB (0 = unlimited)")
-	retainRuns := flag.Int("retain-runs", 0, "terminal runs kept registered; older ones are evicted and their per-run diag series released (0 = keep all)")
+	retainRuns := flag.Int("retain-runs", 0, "terminal runs kept registered; older ones are evicted with their events and diagnostics (0 = keep all)")
 	flag.Parse()
 
 	reg := obs.NewRegistry()

@@ -221,8 +221,6 @@ func rpcMethod(method, path string) string {
 		return "events"
 	case strings.HasSuffix(path, "/clock"):
 		return "clock"
-	case strings.HasSuffix(path, "/metrics.json"):
-		return "metrics"
 	case method == http.MethodPut:
 		return "create"
 	case method == http.MethodDelete:

@@ -74,8 +74,7 @@ type Config struct {
 	// spans under it, pulls worker event streams each checkpoint round
 	// — forwarding them, origin-stamped, to Tracer beside its own
 	// "co"-stamped stream, where a diag.Reducer folds the fleet view and
-	// obs.WriteChromeTrace renders the fleet trace — and scrapes worker
-	// metrics into worker-labeled fleet_* series. Off by default; the
+	// obs.WriteChromeTrace renders the fleet trace. Off by default; the
 	// disabled path costs one nil check per instrumentation site.
 	Federate bool
 

@@ -2,15 +2,16 @@ package cluster
 
 // Trace federation: the coordinator-side collector that turns a
 // distributed solve's scattered observability into one run-scoped
-// view. Three streams feed it:
+// view. Two streams feed it:
 //
 //   - the coordinator's own spans and events, fanned in live;
 //   - each worker's span stream, pulled page-by-page from
 //     GET /worker/events with obs.Ring.EventsSince cursors — once per
 //     checkpoint round plus a final catch-up pull, piggybacking on the
-//     cadence the run already pays for instead of adding a poller;
-//   - each worker's /metrics.json, scraped on the same cadence and
-//     re-exported as worker-labeled fleet_* gauges.
+//     cadence the run already pays for instead of adding a poller.
+//
+// A worker's node-level cluster.worker_* series stay on that worker's
+// own /metrics; the coordinator does not copy them.
 //
 // Every pulled worker event is forwarded, origin-stamped and
 // clock-shifted, to Config.Tracer, so the run's own sinks — a run
@@ -40,7 +41,6 @@ import (
 	"hash/fnv"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -69,12 +69,10 @@ type federation struct {
 	runSpan obs.Span
 	out     obs.Tracer    // Config.Tracer: pulled worker events are forwarded here
 	reg     *obs.Registry // Config.Metrics; nil instruments are no-ops
-	runID   string
 
 	mu      sync.Mutex
 	cursors []int64 // EventsSince cursor per worker
 	offsets []int64 // worker wall clock minus coordinator's, ns
-	dropped int64
 }
 
 func newFederation(c Config, runID string, workers int) *federation {
@@ -83,19 +81,14 @@ func newFederation(c Config, runID string, workers int) *federation {
 		chips:   c.Chips,
 		out:     c.Tracer,
 		reg:     c.Metrics,
-		runID:   runID,
 		cursors: make([]int64, workers),
 		offsets: make([]int64, workers),
 	}
 	if reg := c.Metrics; reg != nil {
-		reg.SetHelp("fleet.pull_wall_ns", "wall time one federation pull round took (trace pages + metrics scrapes)")
+		reg.SetHelp("fleet.pull_wall_ns", "wall time one federation pull round took")
 		reg.SetHelp("fleet.pulled_events", "worker trace events the federation collector ingested")
-		reg.SetHelp("fleet.scrapes", "worker /metrics.json scrapes by worker")
-		reg.SetHelp("fleet.worker_steps", "node-level step count scraped from the worker (absolute, not per-run)")
-		reg.SetHelp("fleet.worker_slices", "node-level hosted-slice gauge scraped from the worker")
-		reg.SetHelp("fleet.worker_step_replays", "node-level replay-cache hit count scraped from the worker")
 		reg.SetHelp("fleet.model_traffic_bytes", "modeled fabric bytes the run charged (compare fleet.wire_bytes)")
-		reg.SetHelp("fleet.dropped_events", "worker ring events evicted before the federation collector pulled them, by run")
+		reg.SetHelp("fleet.dropped_events", "worker ring events evicted before the federation collector pulled them")
 	}
 	return f
 }
@@ -126,19 +119,19 @@ func (f *federation) cursor(wi int) int64 {
 // trace, shift wall stamps onto the coordinator's clock, stamp the
 // origin, and forward to the run's tracer. Returns how many events were
 // kept.
+//
+// The page's last ordinal, First+len(Events)−1, is the next cursor; an
+// empty page's First is the ring's total plus one, so the same sum is
+// the total. Every ordinal between since and the page's first event was
+// evicted before this pull.
 func (f *federation) ingest(wi int, since int64, page EventsPage) int {
+	head := page.First + int64(len(page.Events)) - 1
 	f.mu.Lock()
-	var gap int64
-	switch {
-	case len(page.Events) > 0 && page.First > since+1:
-		gap = page.First - since - 1
-	case len(page.Events) == 0 && page.Total > since:
-		// Everything between the cursor and the head was evicted.
-		gap = page.Total - since
+	if gap := page.First - since - 1; gap > 0 {
+		f.reg.Counter("fleet.dropped_events").Add(gap)
 	}
-	if gap > 0 {
-		f.dropped += gap
-		f.reg.GaugeWith("fleet.dropped_events", obs.Labels{"run": f.runID}).Set(float64(f.dropped))
+	if head > f.cursors[wi] {
+		f.cursors[wi] = head
 	}
 	off := f.offsets[wi]
 	origin := "w" + strconv.Itoa(wi)
@@ -150,9 +143,6 @@ func (f *federation) ingest(wi int, since int64, page EventsPage) int {
 		e.WallNS -= off
 		e.Origin = origin
 		kept = append(kept, e)
-	}
-	if page.Total > f.cursors[wi] {
-		f.cursors[wi] = page.Total
 	}
 	f.mu.Unlock()
 	// The caller's sinks run outside the collector's lock.
@@ -188,9 +178,8 @@ func (co *Coordinator) handshakeClocks(ctx context.Context) {
 }
 
 // federateRound runs one collection round: pull every live worker's
-// event page, scrape its metrics, refresh the fleet gauges, and record
-// the round's cost as a federation_pull span under the run — the pull
-// overhead is itself on the trace it builds.
+// event page and record the round's cost as a federation_pull span
+// under the run — the pull overhead is itself on the trace it builds.
 func (co *Coordinator) federateRound(ctx context.Context) {
 	if co.fed == nil {
 		return
@@ -209,7 +198,6 @@ func (co *Coordinator) federateRound(ctx context.Context) {
 		}
 		kept += co.fed.ingest(wi, cur, page)
 	}
-	co.scrapeWorkerMetrics(ctx)
 	wall := time.Since(start).Nanoseconds()
 	co.fed.spans.Complete("federation_pull", co.fed.runSpan, -1, co.pos.ModelNS, 0, wall,
 		&obs.Event{Count: int64(kept)})
@@ -217,51 +205,6 @@ func (co *Coordinator) federateRound(ctx context.Context) {
 		m.Histogram("fleet.pull_wall_ns").Observe(float64(wall))
 		m.Counter("fleet.pulled_events").Add(int64(kept))
 	}
-}
-
-// scrapeWorkerMetrics pulls each live worker's /metrics.json and
-// re-exports its node-level cluster.worker_* series as worker-labeled
-// fleet.worker_* gauges. Scraped values are absolutes, so they re-enter
-// as gauges regardless of their type on the worker — re-exporting a
-// scraped counter as a counter would double-count on every round.
-func (co *Coordinator) scrapeWorkerMetrics(ctx context.Context) {
-	m := co.metric()
-	if m == nil {
-		return
-	}
-	for wi := range co.cfg.Workers {
-		if !co.tr.alive(wi) {
-			continue
-		}
-		var snap obs.Snapshot
-		if err := co.tr.once(ctx, wi, http.MethodGet, "/metrics.json", nil, &snap); err != nil {
-			continue
-		}
-		wl := obs.Labels{"worker": strconv.Itoa(wi)}
-		for name, v := range snap.Counters {
-			if rest, ok := scrapedWorkerSeries(name); ok {
-				m.GaugeWith("fleet.worker_"+rest, wl).Set(float64(v))
-			}
-		}
-		for name, v := range snap.Gauges {
-			if rest, ok := scrapedWorkerSeries(name); ok {
-				m.GaugeWith("fleet.worker_"+rest, wl).Set(v)
-			}
-		}
-		m.CounterWith("fleet.scrapes", wl).Inc()
-	}
-}
-
-// scrapedWorkerSeries matches the unlabeled cluster.worker_* series a
-// worker exports and returns the suffix to re-export under. Labeled
-// snapshot keys carry a {...} suffix and are skipped — only the
-// node-level scalars federate.
-func scrapedWorkerSeries(name string) (string, bool) {
-	rest, ok := strings.CutPrefix(name, "cluster.worker_")
-	if !ok || strings.ContainsRune(rest, '{') {
-		return "", false
-	}
-	return rest, true
 }
 
 // finishFederation closes out the run's trace: a final catch-up pull

@@ -3,8 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"io"
+	"iter"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mbrim/internal/cluster/chaosproxy"
 	"mbrim/internal/diag"
@@ -110,16 +114,17 @@ func TestDeriveTraceID(t *testing.T) {
 // TestFederationIngest pins the page-folding contract: events from
 // another run's trace are dropped, wall stamps shift by the worker's
 // clock offset, origins are stamped, and eviction gaps — both the
-// partial-page and the everything-evicted shape — are counted, never
-// silently absorbed. What is kept is forwarded to the run's own tracer.
+// partial-page and the everything-evicted shape — are counted in the
+// unlabelled fleet.dropped_events, never silently absorbed. What is
+// kept is forwarded to the run's own tracer.
 func TestFederationIngest(t *testing.T) {
 	reg, out := obs.NewRegistry(), obs.NewRing(16)
 	f := newFederation(Config{Seed: 3, Chips: 2, Metrics: reg, Tracer: out}, "t-ingest", 2)
 	f.setOffset(1, 500)
+	dropped := func() int64 { return reg.Snapshot().Counters["fleet.dropped_events"] }
 
 	kept := f.ingest(1, 0, EventsPage{
 		First: 1,
-		Total: 3,
 		Events: []obs.Event{
 			{Kind: obs.SpanStart, Trace: f.traceID, WallNS: 1500, Span: 1},
 			{Kind: obs.SpanStart, Trace: f.traceID ^ 1, WallNS: 9000, Span: 2}, // foreign run
@@ -147,24 +152,95 @@ func TestFederationIngest(t *testing.T) {
 
 	// A page whose first ordinal jumped past the cursor records the
 	// evicted span of ordinals.
-	f.ingest(0, 0, EventsPage{First: 5, Total: 6, Events: []obs.Event{
+	f.ingest(0, 0, EventsPage{First: 5, Events: []obs.Event{
 		{Kind: obs.SpanStart, Trace: f.traceID, Span: 9},
 		{Kind: obs.SpanEnd, Trace: f.traceID, Span: 9},
 	}})
-	if f.dropped != 4 {
-		t.Fatalf("dropped = %d after partial eviction, want 4", f.dropped)
+	if dropped() != 4 || f.cursor(0) != 6 {
+		t.Fatalf("dropped = %d, cursor %d after partial eviction, want 4 and 6", dropped(), f.cursor(0))
 	}
-	// Everything between cursor and head evicted: empty page, advanced total.
-	f.ingest(0, 6, EventsPage{First: 11, Total: 10})
-	if f.dropped != 8 {
-		t.Fatalf("dropped = %d after full eviction, want 8", f.dropped)
+	// Everything between cursor and head evicted: an empty page whose
+	// first ordinal is one past the ring's total of 10.
+	f.ingest(0, 6, EventsPage{First: 11})
+	if dropped() != 8 {
+		t.Fatalf("dropped = %d after full eviction, want 8", dropped())
 	}
 	if f.cursor(0) != 10 {
 		t.Fatalf("cursor = %d, want 10", f.cursor(0))
 	}
-	if g := reg.Snapshot().Gauges[`fleet.dropped_events{run="t-ingest"}`]; g != 8 {
-		t.Fatalf("fleet.dropped_events gauge = %v, want 8", g)
+}
+
+// TestFederationPagesALiveRing: the collector pages a worker's real
+// /worker/events handler while an emitter fills the worker's ring, far
+// smaller than what it emits. Every ordinal emitted is either pulled —
+// once, in order — or counted in fleet.dropped_events: a hole the
+// collector does not count is an event lost without a trace. A pull
+// that finds nothing new leaves the cursor at the ring's total.
+func TestFederationPagesALiveRing(t *testing.T) {
+	const emitted = 20000
+	wk := NewWorker(nil, 0)
+	wk.ring = obs.NewRing(64)
+	mux := http.NewServeMux()
+	wk.Routes(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	reg, out := obs.NewRegistry(), obs.NewRing(emitted)
+	f := newFederation(Config{Seed: 1, Chips: 1, Metrics: reg, Tracer: out}, "t-live", 1)
+	pull := func() {
+		t.Helper()
+		cur := f.cursor(0)
+		resp, err := http.Get(srv.URL + "/worker/events?since=" + strconv.FormatInt(cur, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var page EventsPage
+		if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+			t.Fatal(err)
+		}
+		f.ingest(0, cur, page)
 	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(1); i <= emitted; i++ {
+			wk.ring.Emit(obs.Event{Kind: obs.SpanEnd, Trace: f.traceID, Count: i})
+			if i%32 == 0 {
+				time.Sleep(time.Microsecond) // let pulls land mid-stream
+			}
+		}
+	}()
+	for live := true; live; {
+		select {
+		case <-done:
+			live = false
+		default:
+		}
+		pull()
+	}
+	pull() // the catch-up pull after the emitter stopped
+
+	var prev, holes int64
+	for _, e := range out.Events() {
+		if e.Count <= prev {
+			t.Fatalf("ordinal %d pulled after %d", e.Count, prev)
+		}
+		holes += e.Count - prev - 1
+		prev = e.Count
+	}
+	holes += emitted - prev
+	if dropped := reg.Snapshot().Counters["fleet.dropped_events"]; dropped != holes {
+		t.Fatalf("%d of %d ordinals never pulled, %d counted dropped", holes, emitted, dropped)
+	}
+	if f.cursor(0) != emitted {
+		t.Fatalf("after the catch-up pull the cursor is %d, the ring's total %d", f.cursor(0), emitted)
+	}
+	pull()
+	if f.cursor(0) != wk.ring.Total() {
+		t.Fatalf("an empty page moved the cursor to %d, the ring's total is %d", f.cursor(0), wk.ring.Total())
+	}
+	t.Logf("%d of %d ordinals pulled, %d dropped", out.Total(), emitted, holes)
 }
 
 // TestFleetTraceGolden pins the whole fleet pipeline end to end: a
@@ -349,36 +425,16 @@ func TestFederationChaosKillMergesOneTrace(t *testing.T) {
 }
 
 // TestFederationRPCMetrics asserts the per-RPC diagnostics a federated
-// run leaves in the registry: per-method latency histograms, the
+// run leaves in the registry — per-method latency histograms, the
 // in-flight gauge drained back to zero, bytes-on-wire by worker, pull
-// accounting, and the run-labeled fleet gauges.
-// startMetricWorkers is startWorkers with a live registry per worker,
-// serving /metrics.json the way mbrimd does, so the coordinator's
-// scrape path has something real to federate.
-func startMetricWorkers(t *testing.T, k int) []string {
-	t.Helper()
-	urls := make([]string, k)
-	for i := 0; i < k; i++ {
-		wreg := obs.NewRegistry()
-		mux := http.NewServeMux()
-		NewWorker(wreg, 0).Routes(mux)
-		mux.Handle("GET /metrics.json", wreg)
-		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-			w.WriteHeader(http.StatusOK)
-		})
-		srv := httptest.NewServer(mux)
-		t.Cleanup(srv.Close)
-		urls[i] = srv.URL
-	}
-	return urls
-}
-
+// accounting — and that none of them is labelled with the run: the
+// run's fleet view is its reducer's Snapshot.
 func TestFederationRPCMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	cfg := fastConfig(startMetricWorkers(t, 2), 2, 9, 20)
+	cfg := fastConfig(startWorkers(t, 2), 2, 9, 20)
 	cfg.CheckpointEvery = 2
 	cfg.Metrics = reg
-	red := diag.New(diag.Config{Registry: reg, RunID: "t-rpcmetrics"})
+	red := diag.New(diag.Config{})
 	cfg.Tracer = red
 	solveFederated(t, 24, cfg, "t-rpcmetrics")
 
@@ -405,22 +461,26 @@ func TestFederationRPCMetrics(t *testing.T) {
 	if snap.Histograms["fleet.pull_wall_ns"].Count == 0 {
 		t.Error("no federation pull rounds observed")
 	}
-	if _, ok := snap.Gauges[`fleet.sync_fraction{run="t-rpcmetrics"}`]; !ok {
-		t.Errorf("missing run-labeled fleet.sync_fraction gauge")
+	if key := runLabeled(reg); key != "" {
+		t.Errorf("series %s carries a run label", key)
 	}
-	if snap.Gauges[`fleet.worker_steps{worker="0"}`] == 0 {
-		t.Error("worker metrics scrape did not re-export cluster.worker_steps")
+	if fs := red.Snapshot().Fleet; fs == nil || fs.Workers != 2 || fs.Epochs == 0 {
+		t.Errorf("the reducer's fleet section is %+v, want two workers' epochs", fs)
 	}
+}
 
-	// Retention path: releasing the reducer drops every run-labeled series.
-	if n := red.Release(); n == 0 {
-		t.Fatal("Release released nothing")
-	}
-	for key := range reg.Snapshot().Gauges {
-		if strings.Contains(key, `run="t-rpcmetrics"`) {
-			t.Fatalf("released run still owns series %s", key)
+// runLabeled returns a snapshot key of reg that carries a run label,
+// "" when none does.
+func runLabeled(reg *obs.Registry) string {
+	s := reg.Snapshot()
+	for _, keys := range []iter.Seq[string]{maps.Keys(s.Counters), maps.Keys(s.Gauges), maps.Keys(s.Histograms)} {
+		for key := range keys {
+			if strings.Contains(key, `run="`) {
+				return key
+			}
 		}
 	}
+	return ""
 }
 
 // wireCounter is an http.RoundTripper that counts what the coordinator's
@@ -485,7 +545,7 @@ func TestRPCInstrumentsCountTheWire(t *testing.T) {
 	defer next.CloseIdleConnections()
 	counter := &wireCounter{next: next, tx: map[string]int64{}, rx: map[string]int64{}, attempts: map[string]int64{}}
 	reg := obs.NewRegistry()
-	workers := startMetricWorkers(t, 2)
+	workers := startWorkers(t, 2)
 	cfg := fastConfig(workers, 2, 4, 20)
 	cfg.CheckpointEvery = 2
 	cfg.Metrics = reg

@@ -696,14 +696,14 @@ type ClockResponse struct {
 // EventsPage is the GET /worker/events?since=N body: one page of the
 // worker's observability ring, fetched by the coordinator's federation
 // collector. Events carries the retained events with emission ordinal
-// > since (oldest first, obs.Ring.EventsSince semantics), First the
-// ordinal of the first returned event, and Total the ring's lifetime
-// emission count — First > since+1 exposes an eviction gap, and Total
-// is the cursor for the next page.
+// > since (oldest first, obs.Ring.EventsSince semantics) and First the
+// ordinal of the first returned event — the ring's total plus one when
+// there is none. First > since+1 exposes an eviction gap, and
+// First+len(Events)−1 is the cursor for the next page: both are read
+// from one EventsSince, so nothing emitted between two reads is lost.
 type EventsPage struct {
 	Events []obs.Event `json:"events,omitempty"`
 	First  int64       `json:"first"`
-	Total  int64       `json:"total"`
 }
 
 // CreateSliceRequest is the PUT /worker/slices/{id} body: host this

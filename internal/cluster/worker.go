@@ -114,7 +114,7 @@ func (wk *Worker) handleEvents(w http.ResponseWriter, r *http.Request) {
 		since = v
 	}
 	evs, first := wk.ring.EventsSince(since)
-	writeWire(w, EventsPage{Events: evs, First: first, Total: wk.ring.Total()})
+	writeWire(w, EventsPage{Events: evs, First: first})
 }
 
 // handleClock answers the coordinator's clock-offset handshake.

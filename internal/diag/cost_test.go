@@ -9,12 +9,12 @@ import (
 	"mbrim/internal/rng"
 )
 
-// The enabled path of the Reducer — a registry attached, as the run
-// manager attaches one to every run — prices an event at a fold and a
-// Set: its gauges are resolved once, never per event.
+// The Reducer every managed run carries prices an event at a fold: it
+// writes to no registry, and the plateau is a scan at Snapshot, not a
+// window kept up per sample.
 
-// hotEvents is one epoch of a two-chip run's stream, in the kinds the
-// Reducer mirrors into gauges: an energy sample, both pairs'
+// hotEvents is one epoch of a two-chip run's stream, in the kinds that
+// arrive once per epoch or more: an energy sample, both pairs'
 // disagreement and the fabric transfer.
 func hotEvents(epoch int) []obs.Event {
 	return []obs.Event{
@@ -27,11 +27,11 @@ func hotEvents(epoch int) []obs.Event {
 
 // TestReducerEmitAllocatesNothing: after the run's first event of each
 // kind, an EnergySample, a PairStat and a FabricTransfer allocate
-// nothing on the enabled path. The trajectory the samples append to
-// grows by doubling, which lands far below one allocation an event over
-// the 1 000 measured.
+// nothing. The trajectory the samples append to grows by doubling,
+// which lands far below one allocation an event over the 1 000
+// measured.
 func TestReducerEmitAllocatesNothing(t *testing.T) {
-	r := diag.New(diag.Config{Registry: obs.NewRegistry(), RunID: "run-1"})
+	r := diag.New(diag.Config{})
 	for _, e := range hotEvents(1) {
 		r.Emit(e)
 	}
@@ -42,44 +42,13 @@ func TestReducerEmitAllocatesNothing(t *testing.T) {
 			e.Epoch, e.ModelNS = epoch, float64(10*epoch)
 			r.Emit(e)
 		}); a != 0 {
-			t.Errorf("a %s event allocates %v times on the enabled path", e.Kind, a)
+			t.Errorf("a %s event allocates %v times", e.Kind, a)
 		}
-	}
-}
-
-// TestReleasedReducerRegistersNothing: once Release has dropped a run's
-// series, events emitted to the Reducer afterwards — every kind it
-// mirrors, new chip pairs and federated worker spans included — leave
-// the registry's series count where Release put it.
-func TestReleasedReducerRegistersNothing(t *testing.T) {
-	reg := obs.NewRegistry()
-	r := diag.New(diag.Config{Registry: reg, RunID: "run-1"})
-	for _, e := range hotEvents(1) {
-		r.Emit(e)
-	}
-	if n := r.Release(); n != 6 {
-		t.Fatalf("Release dropped %d series, want 6 (two pairs, plateau, staleness, sync cost, stall)", n)
-	}
-	after := seriesCount(reg)
-	for epoch := 2; epoch < 5; epoch++ {
-		for _, e := range hotEvents(epoch) {
-			r.Emit(e)
-		}
-	}
-	r.Emit(obs.Event{Kind: obs.PairStat, Epoch: 5, Chip: 2, Peer: 1, Value: 0.5})
-	r.Emit(obs.Event{Kind: obs.Fault, Origin: "co", Label: "worker-loss", Chip: 0})
-	r.Emit(obs.Event{Kind: obs.SpanEnd, Origin: "co", Label: "federation_pull"})
-	r.Snapshot()
-	if got := seriesCount(reg); got != after {
-		t.Fatalf("a released Reducer took the registry from %d series to %d", after, got)
-	}
-	if n := r.Release(); n != 0 {
-		t.Fatalf("a second Release dropped %d series", n)
 	}
 }
 
 // plateauScan is the plateau verdict as a scan of every sample, the
-// definition the Reducer's running window must reproduce: the lowest
+// reference the Reducer's Snapshot must reproduce: the lowest
 // energy at or before the window start, when some sample lies there,
 // against the best so far, over the Reducer's 1 000 ns window at a
 // relative 1e-3.
@@ -108,8 +77,8 @@ func plateauScan(ts, es []float64, best float64) bool {
 	return improvement/scale < eps
 }
 
-// TestPlateauMatchesScan: over randomised trajectories the diag.plateau
-// gauge reads, sample for sample, what the scan of every sample says —
+// TestPlateauMatchesScan: over randomised trajectories Snapshot's
+// Plateaued reads, sample for sample, what the scan of every sample says —
 // on times that tie, that restart at zero as a best-of-Runs machine's
 // clock does, that are NaN, and on energies that tie, plateau and touch
 // both zeros.
@@ -117,8 +86,7 @@ func TestPlateauMatchesScan(t *testing.T) {
 	src := rng.New(5)
 	for trace := 0; trace < 300; trace++ {
 		const window = 1000
-		reg := obs.NewRegistry()
-		r := diag.New(diag.Config{Registry: reg, RunID: "r"})
+		r := diag.New(diag.Config{})
 		var ts, es []float64
 		best, tm, e := 0.0, 0.0, 0.0
 		for k := 0; k < 1+src.Intn(200); k++ {
@@ -149,25 +117,17 @@ func TestPlateauMatchesScan(t *testing.T) {
 				best = e
 			}
 			ts, es = append(ts, tm), append(es, e)
-			want := 0.0
-			if plateauScan(ts, es, best) {
-				want = 1
+			if got, want := r.Snapshot().Plateaued, plateauScan(ts, es, best); got != want {
+				t.Fatalf("trace %d sample %d (t=%v e=%v): Snapshot plateaued %v, the scan says %v", trace, k, tm, e, got, want)
 			}
-			if got := reg.GaugeWith("diag.plateau", obs.Labels{"run": "r"}).Value(); got != want {
-				t.Fatalf("trace %d sample %d (t=%v e=%v): diag.plateau %v, the scan says %v", trace, k, tm, e, got, want)
-			}
-		}
-		if got, want := r.Snapshot().Plateaued, plateauScan(ts, es, best); got != want {
-			t.Fatalf("trace %d: Snapshot plateaued %v, the scan says %v", trace, got, want)
 		}
 	}
 }
 
-// BenchmarkReducerEmit prices the enabled path: a Reducer with a
-// registry attached folding a two-chip epoch's energy, pair and fabric
-// events.
+// BenchmarkReducerEmit prices the fold of a two-chip epoch's energy,
+// pair and fabric events.
 func BenchmarkReducerEmit(b *testing.B) {
-	r := diag.New(diag.Config{Registry: obs.NewRegistry(), RunID: "run-1"})
+	r := diag.New(diag.Config{})
 	evs := hotEvents(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -176,10 +136,4 @@ func BenchmarkReducerEmit(b *testing.B) {
 			r.Emit(evs[k])
 		}
 	}
-}
-
-// seriesCount is how many series the registry's snapshot holds.
-func seriesCount(reg *obs.Registry) int {
-	s := reg.Snapshot()
-	return len(s.Counters) + len(s.Gauges) + len(s.Histograms)
 }

@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"mbrim/internal/metrics"
@@ -45,15 +43,9 @@ const (
 	trialSamples    = 8
 )
 
-// Config parameterizes a Reducer. The zero value is usable.
-type Config struct {
-	// Registry, when set, receives labeled gauge series mirroring the
-	// snapshot: diag.pair_disagreement{run,from,to}, diag.plateau{run},
-	// diag.best_staleness_ns{run}, diag.sync_cost_bytes{run} and
-	// diag.stall_ns{run}. RunID is the "run" label value.
-	Registry *obs.Registry
-	RunID    string
-}
+// Config parameterizes a Reducer. It has no fields: a Reducer writes
+// nowhere, and its Snapshot and Progress are all it tells.
+type Config struct{}
 
 // sample is one (model time, energy) trajectory point.
 type sample struct {
@@ -70,23 +62,12 @@ type pairAcc struct {
 	sum, max  float64
 	samples   int
 	lastEpoch int
-	gauge     *obs.Gauge // diag.pair_disagreement{run,from,to}, resolved once
-}
-
-// segment is one stretch of the trajectory whose sample times do not
-// decrease — all of it, unless a best-of-Runs machine restarts its clock
-// — with its window cursor: next is one past its samples at or before
-// the plateau window's start, and base the lowest energy among them.
-type segment struct {
-	start, next int
-	base        float64
 }
 
 // Reducer folds an event stream into a diagnostics view. Safe for
 // concurrent Emit and Snapshot.
 type Reducer struct {
-	mu  sync.Mutex
-	cfg Config
+	mu sync.Mutex
 
 	engine  string
 	seed    uint64
@@ -99,19 +80,6 @@ type Reducer struct {
 	best      float64
 	bestAtNS  float64
 	last      float64
-
-	// The plateau window's running state (advanceWindow): the window
-	// start only moves forward inside a segment, so each cursor only
-	// advances until a new segment resets them all.
-	segments []segment
-	covered  bool    // some sample lies at or before the window start
-	baseline float64 // the lowest energy of those samples
-
-	// reg is cfg.Registry until Release, then nil: a released Reducer
-	// resolves no series again. Each run-labeled gauge is resolved on its
-	// first Set and kept, so an event costs a Set, not a series lookup.
-	reg                                  *obs.Registry
-	staleness, plateau, syncCost, stalls *obs.Gauge
 
 	pairs map[pairKey]*pairAcc
 
@@ -151,26 +119,9 @@ type entrantAcc struct {
 	wallNS    int64
 }
 
-// New returns a Reducer with the given configuration.
-func New(cfg Config) *Reducer {
-	if reg := cfg.Registry; reg != nil {
-		reg.SetHelp("diag.pair_disagreement", "Latest shadow-spin disagreement fraction per directed chip pair (observer from, owner to).")
-		reg.SetHelp("diag.plateau", "1 when the energy trajectory is plateaued over the last 1000 model ns, else 0.")
-		reg.SetHelp("diag.best_staleness_ns", "Model time since the best-so-far energy last improved.")
-		reg.SetHelp("diag.sync_cost_bytes", "Cumulative fabric bytes attributed to the run's boundary synchronization.")
-		reg.SetHelp("diag.stall_ns", "Cumulative fabric and recovery stall charged to the run.")
-	}
-	return &Reducer{cfg: cfg, reg: cfg.Registry, pairs: map[pairKey]*pairAcc{}}
-}
-
-// gauge returns the run-labeled gauge *g caches, resolving it on first
-// use; nil, whose Set does nothing, without a registry or once released.
-// Caller holds r.mu.
-func (r *Reducer) gauge(g **obs.Gauge, name string) *obs.Gauge {
-	if *g == nil && r.reg != nil {
-		*g = r.reg.GaugeWith(name, obs.Labels{"run": r.cfg.RunID})
-	}
-	return *g
+// New returns an empty Reducer.
+func New(Config) *Reducer {
+	return &Reducer{pairs: map[pairKey]*pairAcc{}}
 }
 
 // Emit folds one event. Implements obs.Tracer.
@@ -235,8 +186,6 @@ func (r *Reducer) Emit(e obs.Event) {
 		r.trafficBytes += e.Value
 		r.stallNS += e.StallNS
 		r.fabricEpochs++
-		r.gauge(&r.syncCost, "diag.sync_cost_bytes").Set(r.trafficBytes)
-		r.gauge(&r.stalls, "diag.stall_ns").Set(r.stallNS + r.recoveryStallNS)
 	case obs.Recovery:
 		r.recoveryStallNS += e.StallNS
 		r.progress.Recoveries++
@@ -320,57 +269,11 @@ func (r *Reducer) observeRace(e obs.Event) {
 
 func (r *Reducer) observeEnergy(t, e float64) {
 	r.samples = append(r.samples, sample{t, e})
-	r.advanceWindow()
 	r.last = e
 	if !r.hasEnergy || e < r.best {
 		r.best = e
 		r.bestAtNS = t
 		r.hasEnergy = true
-	}
-	if r.reg != nil {
-		r.gauge(&r.staleness, "diag.best_staleness_ns").Set(t - r.bestAtNS)
-		plateau := 0.0
-		if r.plateauedLocked() {
-			plateau = 1
-		}
-		r.gauge(&r.plateau, "diag.plateau").Set(plateau)
-	}
-}
-
-// advanceWindow moves the plateau window to the newest sample's time and
-// finds the lowest energy at or before its start: what a scan of every
-// sample would find, in O(segments) a sample amortised. A sample earlier
-// than the one before it (or a NaN time on either side) opens a segment
-// and sends the window start back, so every cursor starts over. Minima
-// are taken in sample order with <, as the scan takes them, so a tie
-// keeps the first sample's value. Caller holds r.mu.
-func (r *Reducer) advanceWindow() {
-	n := len(r.samples)
-	t := r.samples[n-1].t
-	if n == 1 || !(t >= r.samples[n-2].t) {
-		r.segments = append(r.segments, segment{start: n - 1})
-		for i := range r.segments {
-			r.segments[i].next, r.segments[i].base = r.segments[i].start, math.Inf(1)
-		}
-	}
-	winStart := t - plateauWindowNS
-	r.covered, r.baseline = false, math.Inf(1)
-	for i := range r.segments {
-		sg, end := &r.segments[i], n
-		if i+1 < len(r.segments) {
-			end = r.segments[i+1].start
-		}
-		for ; sg.next < end && r.samples[sg.next].t <= winStart; sg.next++ {
-			if e := r.samples[sg.next].e; e < sg.base {
-				sg.base = e
-			}
-		}
-		if sg.next > sg.start {
-			r.covered = true
-			if sg.base < r.baseline {
-				r.baseline = sg.base
-			}
-		}
 	}
 }
 
@@ -382,13 +285,6 @@ func (r *Reducer) observePair(e obs.Event) {
 	acc := r.pairs[k]
 	if acc == nil {
 		acc = &pairAcc{}
-		if r.reg != nil {
-			acc.gauge = r.reg.GaugeWith("diag.pair_disagreement", obs.Labels{
-				"run":  r.cfg.RunID,
-				"from": strconv.Itoa(k.observer),
-				"to":   strconv.Itoa(k.owner),
-			})
-		}
 		r.pairs[k] = acc
 	}
 	acc.latest = e.Value
@@ -399,20 +295,36 @@ func (r *Reducer) observePair(e obs.Event) {
 	}
 	acc.samples++
 	acc.lastEpoch = e.Epoch
-	acc.gauge.Set(e.Value)
 }
 
 // plateauedLocked reports whether the trajectory failed to improve by
-// plateauEpsilon (relative) over the last plateauWindowNS. Requires
-// the window to be covered by samples (advanceWindow keeps the lowest
-// energy at or before its start); a short run is never plateaued.
+// plateauEpsilon (relative) over the last plateauWindowNS: the baseline
+// is the lowest energy at or before the window's start, and a run with
+// no sample there is never plateaued.
 func (r *Reducer) plateauedLocked() bool {
-	if len(r.samples) < 2 || !r.covered {
+	n := len(r.samples)
+	if n < 2 {
+		return false
+	}
+	winStart := r.samples[n-1].t - plateauWindowNS
+	baseline, covered := math.Inf(1), false
+	for _, s := range r.samples {
+		if s.t <= winStart {
+			covered = true
+			if s.e < baseline {
+				baseline = s.e
+			}
+		}
+	}
+	if !covered {
 		return false
 	}
 	// Improvement inside the window, relative to the baseline scale.
-	improvement := r.baseline - r.best
-	scale := math.Max(math.Abs(r.baseline), 1e-12)
+	improvement := baseline - r.best
+	scale := math.Abs(baseline)
+	if scale < 1e-12 {
+		scale = 1e-12
+	}
 	return improvement/scale < plateauEpsilon
 }
 
@@ -437,33 +349,6 @@ func (r *Reducer) improvementRateLocked() float64 {
 		return 0
 	}
 	return (ref.e - last.e) / (last.t - ref.t)
-}
-
-// Release drops every run-labeled diag_* and fleet_* series this
-// Reducer registered — pair-disagreement gauges are per (run, from, to)
-// and fleet gauges per (run, worker), so a long-lived daemon that never
-// releases them leaks registry cardinality linearly in runs served.
-// The run manager calls this when a run ages out of retention. Returns
-// the number of series dropped. The Reducer goes on folding events, but
-// never registers a series again.
-func (r *Reducer) Release() int {
-	r.mu.Lock()
-	reg := r.reg
-	r.reg, r.staleness, r.plateau, r.syncCost, r.stalls = nil, nil, nil, nil, nil
-	for _, acc := range r.pairs {
-		acc.gauge = nil
-	}
-	if r.fleet != nil {
-		r.fleet.reg = nil
-	}
-	r.mu.Unlock()
-	if reg == nil {
-		return 0
-	}
-	run := r.cfg.RunID
-	return reg.Release(func(name string, labels obs.Labels) bool {
-		return (strings.HasPrefix(name, "diag.") || strings.HasPrefix(name, "fleet.")) && labels["run"] == run
-	})
 }
 
 // Snapshot returns the current diagnostics view.
@@ -506,7 +391,6 @@ func (r *Reducer) Snapshot() Snapshot {
 	s.Portfolio = r.portfolioSnapshotLocked()
 	if r.fleet != nil {
 		fs := r.fleet.snapshot()
-		r.fleet.publish(fs)
 		s.Fleet = &fs
 		s.TraceID = fmt.Sprintf("%016x", r.fleet.traceID)
 	}

@@ -2,7 +2,6 @@ package diag_test
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"mbrim/internal/core"
@@ -193,32 +192,6 @@ func TestTTSDefaultsToSelfTarget(t *testing.T) {
 	// Trial 1 hits -20 exactly; trial 2's best -19.9 is within tol.
 	if est.SuccessP != 1 {
 		t.Fatalf("p = %v, want 1", est.SuccessP)
-	}
-}
-
-func TestPrometheusSeries(t *testing.T) {
-	reg := obs.NewRegistry()
-	r := diag.New(diag.Config{Registry: reg, RunID: "run-1"})
-	r.Emit(obs.Event{Kind: obs.PairStat, Epoch: 1, Chip: 0, Peer: 2, Count: 3, Value: 0.25})
-	feedEnergy(r, [2]float64{0, -1}, [2]float64{50, -1})
-	r.Emit(obs.Event{Kind: obs.FabricTransfer, Epoch: 1, Value: 64, StallNS: 2})
-	var sb strings.Builder
-	if err := reg.WriteProm(&sb); err != nil {
-		t.Fatalf("WriteProm: %v", err)
-	}
-	text := sb.String()
-	for _, want := range []string{
-		"diag_pair_disagreement",
-		`from="0"`,
-		`to="1"`,
-		"diag_plateau",
-		"diag_best_staleness_ns",
-		"diag_sync_cost_bytes",
-		"diag_stall_ns",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("prometheus exposition missing %q:\n%s", want, text)
-		}
 	}
 }
 

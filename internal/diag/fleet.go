@@ -35,9 +35,6 @@ const fleetMaxOpenEpochs = 8192
 // the stream, so the worker table grows to the highest ordinal heard
 // from (a spare that never hosts a slice is not counted).
 type fleet struct {
-	reg *obs.Registry // the Reducer's; receives run-labeled fleet_* gauges
-	run string
-
 	traceID uint64
 	epochs  map[uint64]*fleetEpoch
 	order   []uint64 // insertion order of open epoch span IDs
@@ -74,14 +71,7 @@ type fleetWorker struct {
 // Caller holds r.mu.
 func (r *Reducer) observeFleet(e obs.Event) {
 	if r.fleet == nil {
-		r.fleet = &fleet{reg: r.reg, run: r.cfg.RunID, epochs: map[uint64]*fleetEpoch{}}
-		if reg := r.reg; reg != nil {
-			reg.SetHelp("fleet.sync_fraction", "Fraction of fleet wall time spent synchronizing rather than inside the slowest worker's compute.")
-			reg.SetHelp("fleet.straggler", "Ordinal of the worker responsible for the most solo barrier wait, -1 when none.")
-			reg.SetHelp("fleet.worker_step_wall_ns", "Cumulative chip_step wall per worker, from federated worker spans.")
-			reg.SetHelp("fleet.worker_straggler_ns", "Cumulative barrier wait attributable to this worker alone.")
-			reg.SetHelp("fleet.worker_losses", "Worker deaths the coordinator recovered from, attributed to the lost worker.")
-		}
+		r.fleet = &fleet{epochs: map[uint64]*fleetEpoch{}}
 	}
 	r.fleet.observe(e)
 }
@@ -115,18 +105,10 @@ func (f *fleet) observe(e obs.Event) {
 			}
 		case "chip_step":
 			f.observeStep(e)
-		case "federation_pull":
-			// The collector just forwarded a round of worker pages: the
-			// cadence the run-labeled gauges follow.
-			f.publish(f.snapshot())
 		}
 	case obs.Fault:
 		if e.Label == "worker-loss" && e.Chip >= 0 {
-			w := f.worker(e.Chip)
-			w.deaths++
-			if f.reg != nil {
-				f.reg.GaugeWith("fleet.worker_losses", f.workerLabels(e.Chip)).Set(float64(w.deaths))
-			}
+			f.worker(e.Chip).deaths++
 		}
 	case obs.Recovery:
 		f.recoveryStallNS += e.StallNS
@@ -207,10 +189,6 @@ func (f *fleet) commit(ep *fleetEpoch) {
 	}
 }
 
-func (f *fleet) workerLabels(wi int) obs.Labels {
-	return obs.Labels{"run": f.run, "worker": strconv.Itoa(wi)}
-}
-
 // snapshot returns the current fleet view, folding still-open epochs
 // without committing them.
 func (f *fleet) snapshot() FleetSnapshot {
@@ -266,21 +244,6 @@ func (f *fleet) snapshot() FleetSnapshot {
 	return s
 }
 
-// publish mirrors s into the run-labeled fleet_* gauges.
-func (f *fleet) publish(s FleetSnapshot) {
-	if f.reg == nil {
-		return
-	}
-	run := obs.Labels{"run": f.run}
-	f.reg.GaugeWith("fleet.sync_fraction", run).Set(s.SyncFraction)
-	f.reg.GaugeWith("fleet.straggler", run).Set(float64(s.Straggler))
-	for _, w := range s.PerWorker {
-		wl := f.workerLabels(w.Worker)
-		f.reg.GaugeWith("fleet.worker_step_wall_ns", wl).Set(float64(w.StepWallNS))
-		f.reg.GaugeWith("fleet.worker_straggler_ns", wl).Set(float64(w.StragglerNS))
-	}
-}
-
 // entrantOrigin parses a portfolio entrant's origin stamp ("e0", "e1",
 // …) and WorkerOrigin a cluster worker's ("w0", "w12"): the two
 // families of indexed origins. Every other stamp — the cluster
@@ -328,7 +291,8 @@ type FleetSnapshot struct {
 	PerWorker []FleetWorkerDiag `json:"perWorker,omitempty"`
 	// LateEvents counts worker steps that arrived after their epoch was
 	// evicted. (Worker ring events evicted before a pull never reach the
-	// stream; the collector counts them in fleet_dropped_events{run}.)
+	// stream; the collector counts them in the process-wide
+	// fleet_dropped_events counter.)
 	LateEvents int64 `json:"lateEvents,omitempty"`
 }
 

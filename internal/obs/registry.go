@@ -235,7 +235,10 @@ func seriesKey(name string, labels Labels) (string, seriesMeta) {
 // across engines. Get-or-create accessors and all instrument
 // operations are goroutine-safe, so Parallel chip goroutines can
 // record concurrently. A nil *Registry is a no-op: its accessors
-// return nil instruments whose methods do nothing.
+// return nil instruments whose methods do nothing. A series, once
+// made, lasts as long as the registry, so its labels name bounded
+// things — an engine, a method, a worker — never a run: a run's own
+// diagnostics are its diag.Reducer's Snapshot.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -342,40 +345,6 @@ func (r *Registry) HistogramWith(name string, labels Labels) *Histogram {
 		r.series[key] = meta
 	}
 	return h
-}
-
-// Release deletes every series for which match returns true, across
-// counters, gauges and histograms, and returns how many series were
-// removed. Released series disappear from snapshots and Prometheus
-// expositions; instrument handles already held by callers keep
-// working but record into detached cells. This is the retention hook
-// for per-run labeled series (diag_*, fleet_*), which would otherwise
-// accumulate for the life of the daemon — a reducer releases its own
-// series when its run expires from retention. Registered # HELP text
-// is family-level and survives, so a family that comes back keeps its
-// description.
-func (r *Registry) Release(match func(name string, labels Labels) bool) int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for key, meta := range r.series {
-		labels := make(Labels, len(meta.labels))
-		for _, lp := range meta.labels {
-			labels[lp.Key] = lp.Value
-		}
-		if !match(meta.name, labels) {
-			continue
-		}
-		delete(r.counters, key)
-		delete(r.gauges, key)
-		delete(r.hists, key)
-		delete(r.series, key)
-		n++
-	}
-	return n
 }
 
 // HistogramBucket is one populated bucket of a histogram snapshot:

@@ -314,7 +314,7 @@ func (m *Manager) admit(ctx context.Context, id string, req core.Request, opts S
 	// GET /runs/{id}/diag. Both are opt-in at the engine layer and
 	// trajectory-neutral — a managed solve stays bit-identical to an
 	// unmanaged one with the same seed.
-	r.diag = diag.New(diag.Config{Registry: m.reg, RunID: id})
+	r.diag = diag.New(diag.Config{})
 	// One wall stamp at the head of the fan-out, so the ring's events and
 	// the reducer's updatedWallNS carry the same wallNS for the same
 	// event.

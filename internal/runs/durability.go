@@ -443,7 +443,7 @@ func (m *Manager) tombstone(id string, s *replayState, state State, errMsg strin
 			r.req.Seed = head.Seed
 		}
 	}
-	r.diag = diag.New(diag.Config{RunID: id})
+	r.diag = diag.New(diag.Config{})
 	r.recovered = true
 	if errMsg != "" {
 		r.err = errors.New(errMsg)

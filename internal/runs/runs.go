@@ -307,13 +307,12 @@ type Config struct {
 	CheckpointEvery time.Duration
 	// RetainRuns, when positive, bounds how many terminal runs stay
 	// registered: each time a run finishes, the oldest terminal runs
-	// beyond the bound are evicted — their run-labeled diag_* registry
-	// series released (a daemon that never releases them leaks metric
-	// cardinality linearly in runs served), their rings freed, their
-	// IDs gone from the HTTP surface. Live runs never count against the
-	// bound, and durable interrupt checkpoints on disk are kept — the
-	// eviction is an in-memory retention policy, not a durability one.
-	// 0 retains everything (the historical behavior).
+	// beyond the bound are evicted — their rings and reducers freed,
+	// their IDs gone from the HTTP surface. The metrics registry holds
+	// no per-run series, so retention bounds memory, not cardinality.
+	// Live runs never count against the bound, and durable interrupt
+	// checkpoints on disk are kept — the eviction is an in-memory
+	// retention policy, not a durability one. 0 retains everything.
 	RetainRuns int
 }
 
@@ -369,7 +368,6 @@ func NewManager(cfg Config) *Manager {
 		m.reg.SetHelp("runs.restarts_total", "Supervised restart-once recoveries after an engine panic.")
 		m.reg.SetHelp("runs.checkpoints_persisted_total", "Durable periodic checkpoints written.")
 		m.reg.SetHelp("runs.evicted_total", "Terminal runs evicted by the retention bound.")
-		m.reg.SetHelp("runs.diag_series_released_total", "Run-labeled diag series released on retention eviction.")
 	}
 	return m
 }
@@ -486,13 +484,12 @@ func (r *Run) release() {
 }
 
 // evictExpired enforces Config.RetainRuns: the oldest terminal runs
-// beyond the bound are deregistered and their run-labeled diag series
-// released. Live and queued runs never count against the bound.
+// beyond the bound are deregistered. Live and queued runs never count
+// against the bound.
 func (m *Manager) evictExpired() {
 	if m.cfg.RetainRuns <= 0 {
 		return
 	}
-	var evicted []*Run
 	m.mu.Lock()
 	terminal := make([]string, 0, len(m.order))
 	for _, id := range m.order {
@@ -506,11 +503,11 @@ func (m *Manager) evictExpired() {
 		}
 		r.mu.Unlock()
 	}
-	for i := 0; i < len(terminal)-m.cfg.RetainRuns; i++ {
-		evicted = append(evicted, m.runs[terminal[i]])
-		delete(m.runs, terminal[i])
+	evicted := max(len(terminal)-m.cfg.RetainRuns, 0)
+	for _, id := range terminal[:evicted] {
+		delete(m.runs, id)
 	}
-	if len(evicted) > 0 {
+	if evicted > 0 {
 		keep := m.order[:0]
 		for _, id := range m.order {
 			if _, ok := m.runs[id]; ok {
@@ -520,11 +517,7 @@ func (m *Manager) evictExpired() {
 		m.order = keep
 	}
 	m.mu.Unlock()
-	for _, r := range evicted {
-		released := r.diag.Release()
-		m.reg.Counter("runs.evicted_total").Inc()
-		m.reg.Counter("runs.diag_series_released_total").Add(int64(released))
-	}
+	m.reg.Counter("runs.evicted_total").Add(int64(evicted))
 }
 
 // Get returns the run with the given ID.

@@ -166,8 +166,7 @@ type (
 	// DiagReducer folds a live event stream into convergence and
 	// partition-quality diagnostics; read with Snapshot.
 	DiagReducer = diag.Reducer
-	// DiagConfig names the run a reducer's gauges are labeled with and
-	// the registry they go to.
+	// DiagConfig configures a reducer; it has no fields.
 	DiagConfig = diag.Config
 	// DiagSnapshot is a point-in-time diagnostics report: energy
 	// trajectory analytics, chip-pair shadow-spin disagreement, traffic

@@ -89,9 +89,12 @@ func TestNoLayoutOption(t *testing.T) {
 // (interconnect.ReprogramNSPerSpin) and the engines' own batch types
 // (metrics.Batch); then the run's second event store with its drop
 // counter and buffer knob, mbrimd's -drain alias, and the worker's
-// slice status and want-state flag. None may return.
+// slice status and want-state flag; then the run-labelled mirrors of a
+// run's diagnostics — the registry's release hook, the eviction's
+// released-series counter, the plateau's incremental window and the
+// coordinator's re-export of worker metrics. None may return.
 func TestNoDeadKnobs(t *testing.T) {
-	dead := regexp.MustCompile(`SetTopology|SharedBus|AutoEpoch|SolvePopulation|TuneConfig|HasTarget|FlipIntervalNS|FeedbackGain|SpinThreshold|BurnInSweeps|PlateauWindowNS|PlateauEpsilon|TrialSamples|BetaMin|BetaMax|ExchangeEvery|OnSweep|SpanOffsetNS|staleView|zeroSchedule|SolveMultiChip|MultiChipConfig|SolvePT|DeviceVariation|NoiseAmp|KappaVar|InvTauVar|RunEuler|trialStepEuler|CompleteOnChimera|AddCoupling|WithBiases|BytesByKind|RepartitionNSPerSpin|NewBroadcast|BroadcastBuffer|EventsDropped|aliasFlag|SliceStatus|WantState|\b(sa|sbm|tabu)\.BatchResult`)
+	dead := regexp.MustCompile(`SetTopology|SharedBus|AutoEpoch|SolvePopulation|TuneConfig|HasTarget|FlipIntervalNS|FeedbackGain|SpinThreshold|BurnInSweeps|PlateauWindowNS|PlateauEpsilon|TrialSamples|BetaMin|BetaMax|ExchangeEvery|OnSweep|SpanOffsetNS|staleView|zeroSchedule|SolveMultiChip|MultiChipConfig|SolvePT|DeviceVariation|NoiseAmp|KappaVar|InvTauVar|RunEuler|trialStepEuler|CompleteOnChimera|AddCoupling|WithBiases|BytesByKind|RepartitionNSPerSpin|NewBroadcast|BroadcastBuffer|EventsDropped|aliasFlag|SliceStatus|WantState|diag_series_released_total|scrapeWorkerMetrics|scrapedWorkerSeries|advanceWindow|\.Release\(func|\b(sa|sbm|tabu)\.BatchResult`)
 	for _, hit := range grepGo(t, dead, isTest, ".") {
 		t.Error(hit)
 	}
